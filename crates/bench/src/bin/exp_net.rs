@@ -20,7 +20,7 @@
 //!     [--ops N]      operations per point (overrides preset)
 //! ```
 
-use lds_bench::{fmt3, print_table, today_utc, SCHEMA_VERSION};
+use lds_bench::{fmt3, host_cores, print_table, today_utc, SCHEMA_VERSION};
 use lds_cluster::api::{ObjectId, Store, StoreBuilder};
 use lds_core::backend::BackendKind;
 use ldsd::{Config, Daemon, NetClient};
@@ -182,6 +182,7 @@ fn render_json(rows: &[Row], smoke: bool) -> String {
     out.push_str(&format!("    \"schema_version\": {SCHEMA_VERSION},\n"));
     out.push_str(&format!("    \"generated\": \"{}\",\n", today_utc()));
     out.push_str("    \"transport\": \"tcp\",\n");
+    out.push_str(&format!("    \"host_cores\": {},\n", host_cores()));
     out.push_str(&format!(
         "    \"params\": \"f1=1 f2=1 k=2 d=3 (n1=4, n2=5) striped over {DAEMONS} daemons; \
          pipelined depth {DEPTH}; objects cycle over a 64-key pool per mode\"\n"

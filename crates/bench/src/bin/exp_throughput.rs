@@ -33,7 +33,7 @@
 //!     [--clusters N]    cluster shards on the multi-cluster points (default 2)
 //! ```
 
-use lds_bench::{fmt3, print_table, today_utc, SCHEMA_VERSION};
+use lds_bench::{fmt3, host_cores, print_table, today_utc, SCHEMA_VERSION};
 use lds_cluster::api::{ObjectId, Store, StoreBuilder};
 use lds_core::backend::BackendKind;
 use lds_workload::throughput::{LatencyRecorder, ThroughputSummary};
@@ -720,15 +720,6 @@ fn per_backend_extremes(results: &[PointResult]) -> Vec<(BackendKind, &PointResu
             Some((backend, *baseline, *best))
         })
         .collect()
-}
-
-/// Logical cores available to this process (the recorded numbers' parallelism
-/// caveat, made self-describing: on a 1-core host, sharding and multi-cluster
-/// gains come from batching, not parallel execution).
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {

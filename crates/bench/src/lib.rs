@@ -93,6 +93,16 @@ pub fn fmt3(x: f64) -> String {
 /// stamp forward).
 pub const SCHEMA_VERSION: u32 = 4;
 
+/// Logical cores available to this process, stamped into `_meta.host_cores`
+/// so recorded numbers carry their parallelism caveat with them: on a
+/// 1-core host, sharding and multi-cluster gains come from batching, not
+/// parallel execution.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Today's UTC date as `YYYY-MM-DD` (civil-from-days, Hinnant's algorithm —
 /// no date crate offline). Stamped into the `_meta.generated` field of every
 /// recorded `BENCH_*.json`.

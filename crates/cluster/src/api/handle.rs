@@ -1,7 +1,7 @@
 //! The built store: one handle over either topology.
 
 use crate::api::{Admin, ObjectId, Store, StoreError};
-use crate::client::{ClusterClient, Completion, OpTicket};
+use crate::client::{ClusterClient, Completion, OpTicket, Waker};
 use crate::node::{Cluster, ClusterOptions};
 use crate::sharded::{ShardedClient, ShardedCluster};
 use lds_core::backend::BackendKind;
@@ -231,6 +231,14 @@ impl Store for StoreClient {
 
     fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
         delegate!(self, c => Store::poll(c.as_mut()))
+    }
+
+    fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError> {
+        delegate!(self, c => Store::poll_wait(c.as_mut(), max_wait))
+    }
+
+    fn waker(&self) -> Waker {
+        delegate!(ref self, c => Store::waker(c.as_ref()))
     }
 
     fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {

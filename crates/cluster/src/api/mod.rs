@@ -70,6 +70,9 @@ pub(crate) use handle::Topo;
 pub use handle::{StoreClient, StoreHandle, Topology};
 pub use store::Store;
 
+/// The handle [`Store::waker`] returns (re-exported from the engine client).
+pub use crate::client::Waker;
+
 /// The typed object key of the [`Store`] data plane (re-exported from
 /// `lds_core`): a `u64` newtype with `From<u64>` for ergonomic literals.
 pub use lds_core::tag::ObjectId;

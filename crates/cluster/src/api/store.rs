@@ -9,7 +9,7 @@
 //! [`StoreHandle::client`](crate::api::StoreHandle::client).
 
 use crate::api::{ObjectId, StoreError};
-use crate::client::{ClusterClient, Completion, OpTicket};
+use crate::client::{ClusterClient, Completion, OpTicket, Waker};
 use crate::sharded::ShardedClient;
 use lds_core::tag::Tag;
 use lds_core::value::Value;
@@ -113,6 +113,24 @@ pub trait Store {
     ///
     /// [`StoreError::Disconnected`] after shutdown.
     fn poll(&mut self) -> Result<Vec<Completion>, StoreError>;
+
+    /// Blocks until a message arrives or `max_wait` expires and returns the
+    /// completions harvested (possibly none; at once when nothing is
+    /// outstanding). This is the deadline-bounded wait: expiry is **not** an
+    /// error and aborts nothing — every outstanding ticket stays redeemable
+    /// — where a [`Store::wait_next`] timeout aborts them all. It is what an
+    /// event loop (the `ldsd` RPC worker) or an open-loop load generator
+    /// blocks in; [`Store::waker`] ends the wait early from another thread.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Disconnected`] after shutdown.
+    fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError>;
+
+    /// A cloneable, `Send` handle whose [`Waker::wake`] makes this handle's
+    /// [`Store::poll_wait`] return — now if it is blocked, on its next call
+    /// otherwise, so "queue work for the owner, then wake it" loses nothing.
+    fn waker(&self) -> Waker;
 
     /// Blocks until the operation behind `ticket` completes and returns its
     /// completion. Completions of other operations harvested along the way
@@ -225,6 +243,14 @@ macro_rules! impl_store_for_engine_client {
 
             fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
                 Ok(<$client>::poll(self)?)
+            }
+
+            fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError> {
+                Ok(<$client>::poll_wait(self, max_wait)?)
+            }
+
+            fn waker(&self) -> Waker {
+                <$client>::waker(self)
             }
 
             fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {

@@ -36,6 +36,7 @@ use lds_core::writer::WriterClient;
 use lds_sim::{Context, ProcessId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -147,6 +148,49 @@ pub struct Completion {
     pub latency: Duration,
 }
 
+/// Makes a client blocked in `poll_wait` return, from any thread.
+///
+/// Obtained from [`ClusterClient::waker`] (or
+/// [`Store::waker`](crate::api::Store::waker)); cloneable and `Send`. A wake
+/// is sticky: one delivered while the client is *not* blocked makes its next
+/// `poll_wait` return without blocking, so the usual "queue the work, then
+/// wake the consumer" hand-off cannot lose a wake-up. Wakes do not
+/// accumulate — any number of them before a `poll_wait` cost it one early
+/// return.
+#[derive(Clone)]
+pub struct Waker {
+    /// Checked by `poll_wait` before it blocks, cleared when it returns.
+    woken: Arc<AtomicBool>,
+    /// The inbox of every engine client behind the handle; a blocked
+    /// `recv_timeout` returns on the [`Envelope::Ping`] dropped into it.
+    inboxes: Vec<crossbeam::channel::Sender<Envelope>>,
+}
+
+impl Waker {
+    pub(crate) fn new(
+        woken: Arc<AtomicBool>,
+        inboxes: Vec<crossbeam::channel::Sender<Envelope>>,
+    ) -> Waker {
+        Waker { woken, inboxes }
+    }
+
+    /// Wakes the client (see the type docs).
+    pub fn wake(&self) {
+        // SeqCst, flag before ping: a `poll_wait` that swallows the ping
+        // while draining its inbox must already see the flag.
+        self.woken.store(true, Ordering::SeqCst);
+        for inbox in &self.inboxes {
+            let _ = inbox.send(Envelope::Ping);
+        }
+    }
+}
+
+impl fmt::Debug for Waker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Waker").finish_non_exhaustive()
+    }
+}
+
 enum OpKind {
     Write(Value),
     Read,
@@ -233,6 +277,8 @@ pub struct ClusterClient {
     /// flushes add only the delta.
     flushed_cache_hits: u64,
     flushed_cache_misses: u64,
+    /// Set by this handle's [`Waker`]s; see [`ClusterClient::poll_wait`].
+    woken: Arc<AtomicBool>,
 }
 
 impl ClusterClient {
@@ -285,6 +331,7 @@ impl ClusterClient {
             trace,
             flushed_cache_hits: 0,
             flushed_cache_misses: 0,
+            woken: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -393,14 +440,20 @@ impl ClusterClient {
     /// Blocks up to `max_wait` for the next message batch and returns
     /// whatever completions were harvested (possibly none; the call may also
     /// return earlier than `max_wait` while queued operations await
-    /// admission on a bounded cluster). Unlike
-    /// [`ClusterClient::wait_next`], expiry of `max_wait` is *not* an error
-    /// and does not abort outstanding operations — this is the building
-    /// block [`crate::ShardedClient`] uses to multiplex several per-shard
-    /// handles without committing to a blocking wait on any one of them.
+    /// admission on a bounded cluster, and returns at once when nothing is
+    /// outstanding). Unlike [`ClusterClient::wait_next`], expiry of
+    /// `max_wait` is *not* an error and does not abort outstanding
+    /// operations: every ticket stays redeemable. A [`Waker::wake`] from
+    /// another thread makes the call return early (or not block at all if
+    /// it came first). This is the deadline-bounded wait an event loop needs
+    /// — the `ldsd` RPC worker blocks here — and the building block
+    /// [`crate::ShardedClient`] multiplexes its per-shard handles with.
     pub fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, ClientError> {
         self.pump_available()?;
-        if self.completions.is_empty() && self.outstanding() > 0 {
+        if self.completions.is_empty()
+            && self.outstanding() > 0
+            && !self.woken.load(Ordering::SeqCst)
+        {
             match self.inbox.rx.recv_timeout(self.bounded_wait(max_wait)) {
                 Ok(envelope) => {
                     self.consume_envelope(envelope)?;
@@ -416,7 +469,25 @@ impl ClusterClient {
                 }
             }
         }
+        // Cleared on the way out, never before blocking. A wake this swap
+        // overwrites happened before the return, so whatever it announced
+        // is visible to the caller's own re-check; a later one stays set.
+        self.woken.swap(false, Ordering::SeqCst);
         Ok(std::mem::take(&mut self.completions))
+    }
+
+    /// A handle that wakes this client out of [`ClusterClient::poll_wait`]
+    /// from another thread.
+    pub fn waker(&self) -> Waker {
+        Waker::new(Arc::clone(&self.woken), vec![self.inbox_sender()])
+    }
+
+    /// A sender into this client's own inbox (for [`Waker`]s).
+    pub(crate) fn inbox_sender(&self) -> crossbeam::channel::Sender<Envelope> {
+        self.cluster
+            .router()
+            .inbox_sender(self.pid)
+            .expect("a live client stays registered until it is dropped")
     }
 
     /// Blocks until at least one completion is available (or every pending
@@ -894,7 +965,8 @@ impl ClusterClient {
                 Ok(())
             }
             Envelope::Stop => Err(ClientError::Disconnected),
-            // Clients are never heartbeat-monitored; tolerate stray probes.
+            // A `Waker`'s ping (clients are never heartbeat-monitored): it
+            // only had to end a blocking receive.
             Envelope::Ping => Ok(()),
         }
     }

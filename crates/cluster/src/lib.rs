@@ -119,7 +119,7 @@ pub use api::{
     Admin, Liveness, MetricsSnapshot, ObjectId, ServerRef, Store, StoreBuilder, StoreClient,
     StoreError, StoreHandle, Topology,
 };
-pub use client::{ClientError, ClusterClient, Completion, OpOutcome, OpTicket, WouldBlock};
+pub use client::{ClientError, ClusterClient, Completion, OpOutcome, OpTicket, Waker, WouldBlock};
 pub use heal::HealConfig;
 pub use node::{msgs_per_op_bound, Cluster, ClusterOptions, HostScope};
 pub use obs::{EventKind, FlightRecorder, HistSnapshot, TraceDump, TraceEvent, TraceHandle};

@@ -335,6 +335,14 @@ impl Router {
         inboxes
     }
 
+    /// A direct sender into `pid`'s first inbox shard, bypassing the
+    /// transport — what a client's [`Waker`](crate::client::Waker) pings
+    /// through (a fault plan must not be able to drop a local wake-up).
+    pub(crate) fn inbox_sender(&self, pid: ProcessId) -> Option<Sender<Envelope>> {
+        let table = self.shared.table.lock();
+        table.get(&pid).map(|route| route.shards[0].tx.clone())
+    }
+
     /// Whether `pid` is currently registered (i.e. not crashed/deregistered).
     pub fn contains(&self, pid: ProcessId) -> bool {
         self.shared.table.lock().contains_key(&pid)
@@ -486,6 +494,9 @@ impl RouterHandle {
         to: ProcessId,
         msg: LdsMessage,
     ) {
+        let Some(msg) = transport.take_remote(from, to, msg) else {
+            return;
+        };
         match transport.decide(from, to, &msg) {
             Decision::Deliver => Self::route(table, from, to, msg),
             Decision::Drop => {}
@@ -537,6 +548,9 @@ impl RouterHandle {
                 // a batch envelope, and a duplicate is routed immediately
                 // (it may overtake the batched original — exactly what a
                 // real network duplicate could do).
+                let Some(msg) = self.shared.transport.take_remote(from, to, msg) else {
+                    continue;
+                };
                 match self.shared.transport.decide(from, to, &msg) {
                     Decision::Deliver => msg,
                     Decision::Drop => continue,

@@ -49,12 +49,13 @@
 //! sharded.shutdown();
 //! ```
 
-use crate::client::{ClientError, ClusterClient, Completion, OpTicket, WouldBlock};
+use crate::client::{ClientError, ClusterClient, Completion, OpTicket, Waker, WouldBlock};
 use crate::node::{Cluster, ClusterOptions};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
 use lds_core::tag::Tag;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -317,6 +318,7 @@ impl ShardedCluster {
             inner_to_facade: vec![HashMap::new(); self.shards.len()],
             stash: Vec::new(),
             timeout: Duration::from_secs(10),
+            woken: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -354,6 +356,8 @@ pub struct ShardedClient {
     /// by the wait_* methods where required).
     stash: Vec<Completion>,
     timeout: Duration,
+    /// Set by this facade's [`Waker`]s; see [`ShardedClient::poll_wait`].
+    woken: Arc<AtomicBool>,
 }
 
 impl ShardedClient {
@@ -470,6 +474,26 @@ impl ShardedClient {
         Ok(std::mem::take(&mut self.stash))
     }
 
+    /// Blocks up to `max_wait` for a completion on any shard and returns
+    /// whatever was harvested (possibly nothing; at once when nothing is
+    /// outstanding). Expiry is *not* an error and aborts nothing — see
+    /// [`ClusterClient::poll_wait`]. A [`Waker::wake`] from another thread
+    /// ends the wait within one multiplexing slice (1 ms).
+    pub fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, ClientError> {
+        let done = self.harvest_until(Instant::now() + max_wait);
+        // Cleared on the way out only (see `ClusterClient::poll_wait`).
+        self.woken.swap(false, Ordering::SeqCst);
+        done
+    }
+
+    /// A handle that wakes this client out of [`ShardedClient::poll_wait`]
+    /// from another thread: it pings every shard's handle, so whichever one
+    /// the facade is parked on returns.
+    pub fn waker(&self) -> Waker {
+        let inboxes = self.clients.iter().map(|c| c.inbox_sender()).collect();
+        Waker::new(Arc::clone(&self.woken), inboxes)
+    }
+
     /// Blocks until at least one completion is available on any shard (or
     /// nothing is outstanding) and returns all harvested completions.
     ///
@@ -480,12 +504,28 @@ impl ShardedClient {
     pub fn wait_next(&mut self) -> Result<Vec<Completion>, ClientError> {
         let deadline = Instant::now() + self.timeout;
         loop {
+            let done = self.harvest_until(deadline)?;
+            if !done.is_empty() || self.facade_to_inner.is_empty() {
+                return Ok(done);
+            }
+            if Instant::now() >= deadline {
+                return Err(self.fail(ClientError::Timeout));
+            }
+        }
+    }
+
+    /// The multiplexed wait under [`ShardedClient::poll_wait`] and
+    /// [`ShardedClient::wait_next`]: harvests every shard, and while nothing
+    /// is ready gives each shard with outstanding work a short blocking
+    /// slice so one slow shard cannot starve the others. Returns the
+    /// completions at hand — empty once nothing is outstanding, `deadline`
+    /// has passed, or a [`Waker`] fired.
+    fn harvest_until(&mut self, deadline: Instant) -> Result<Vec<Completion>, ClientError> {
+        loop {
             self.harvest_all()?;
             if !self.stash.is_empty() || self.facade_to_inner.is_empty() {
                 return Ok(std::mem::take(&mut self.stash));
             }
-            // Nothing ready: give each shard with outstanding work a short
-            // blocking slice, so one slow shard cannot starve the others.
             for shard in 0..self.clients.len() {
                 if self.clients[shard].pending_ops() == 0 {
                     continue;
@@ -499,8 +539,8 @@ impl ShardedClient {
                     return Ok(std::mem::take(&mut self.stash));
                 }
             }
-            if Instant::now() >= deadline {
-                return Err(self.fail(ClientError::Timeout));
+            if self.woken.load(Ordering::SeqCst) || Instant::now() >= deadline {
+                return Ok(Vec::new());
             }
         }
     }

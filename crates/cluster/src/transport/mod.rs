@@ -7,7 +7,7 @@
 //!
 //! ```text
 //!   Router / RouterHandle
-//!            │ decide(from, to, &msg)
+//!            │ take_remote(from, to, msg), then decide(from, to, &msg)
 //!            ▼
 //!        Transport ──► InProcTransport   (default: deliver, zero overhead)
 //!                  ──► SimTransport      (seeded fault plan: drop / dup /
@@ -101,7 +101,17 @@ pub trait Transport: Send + Sync {
         false
     }
 
-    /// Decides the fate of one protocol message about to be routed.
+    /// Offers the transport an owned message before [`Transport::decide`]
+    /// sees it. A transport that carries traffic for destinations living
+    /// elsewhere ([`TcpTransport`]) keeps the message — ownership crosses
+    /// the seam, so a payload is never cloned just to be sent — and returns
+    /// `None`; every other message comes straight back for local routing.
+    fn take_remote(&self, _from: ProcessId, _to: ProcessId, msg: LdsMessage) -> Option<LdsMessage> {
+        Some(msg)
+    }
+
+    /// Decides the fate of one protocol message about to be routed locally
+    /// (one [`Transport::take_remote`] handed back).
     fn decide(&self, _from: ProcessId, _to: ProcessId, _msg: &LdsMessage) -> Decision {
         Decision::Deliver
     }
@@ -162,6 +172,10 @@ mod tests {
         assert_eq!(
             t.decide(ProcessId(0), ProcessId(1), &msg),
             Decision::Deliver
+        );
+        assert_eq!(
+            t.take_remote(ProcessId(0), ProcessId(1), msg.clone()),
+            Some(msg)
         );
         assert_eq!(t.decide_ping(ProcessId(1)), Decision::Deliver);
         assert_eq!(t.fault_counters(), FaultCounters::default());

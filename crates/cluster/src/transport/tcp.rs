@@ -6,20 +6,21 @@
 //!
 //! ```text
 //!               sender thread (node loop / client)
-//!                         │ decide(from, to, &msg)
+//!                         │ take_remote(from, to, msg)   (msg is moved)
 //!                         ▼
-//!    local pid? ──yes──► Decision::Deliver (in-process inbox, unchanged)
+//!    local pid? ──yes──► handed back, routed to the in-process inbox
 //!        │no
 //!        ▼
-//!    enqueue on the owner daemon's link ──► Decision::Drop (consumed here)
+//!    enqueue on the owner daemon's link (ownership moves, no clone)
 //!                         │
 //!                  writer thread (one per peer)
-//!                  encode → TcpStream, reconnect with backoff
+//!                  block for one message, drain the backlog behind it,
+//!                  encode all of it → one write_all; reconnect with backoff
 //!                         │
 //!                  ═══════╪══════ network ══════════════
 //!                         ▼
 //!                  reader thread (one per accepted conn)
-//!                  frame → decode → DirectSender::deliver
+//!                  BufReader → frame → decode → DirectSender::deliver
 //!                         │
 //!                         ▼
 //!                  destination inbox on the remote router
@@ -42,9 +43,10 @@
 use super::{Decision, FaultCounters, Transport};
 use crate::router::DirectSender;
 use lds_core::messages::LdsMessage;
-use lds_core::wire::{self, Frame, WireError, HEADER_LEN};
+use lds_core::wire::{self, Frame};
 use lds_sim::ProcessId;
-use std::io::{Read, Write};
+use std::collections::HashMap;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,6 +59,12 @@ use parking_lot::Mutex;
 /// beyond this backlog starts dropping (counted); the protocol's quorums
 /// tolerate the loss.
 const LINK_QUEUE_CAP: usize = 8192;
+
+/// Byte budget of one coalesced write: the writer stops filling its batch
+/// buffer once it holds this much, so a deep backlog becomes a run of
+/// bounded writes rather than one unbounded buffer. A single frame may
+/// exceed it (a large coded element); the buffer is shrunk back afterwards.
+const COALESCE_CAP: usize = 64 << 10;
 
 /// First reconnect delay; doubles up to [`RECONNECT_MAX`].
 const RECONNECT_BASE: Duration = Duration::from_millis(50);
@@ -141,6 +149,9 @@ struct Link {
     depth: Arc<AtomicUsize>,
 }
 
+/// Live inbound connections: connection number → a clone of its stream.
+type Inbound = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// Counters shared by every link and reader thread.
 #[derive(Default)]
 struct Counters {
@@ -160,9 +171,10 @@ pub struct TcpTransport {
     links: Vec<Option<Link>>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
-    /// Accepted inbound streams, tracked so shutdown can unblock their
-    /// reader threads.
-    inbound: Arc<Mutex<Vec<TcpStream>>>,
+    /// Accepted inbound streams by connection number, tracked so shutdown
+    /// can unblock their reader threads. A reader drops its own entry when
+    /// it exits, so peer reconnects do not accumulate dead sockets.
+    inbound: Inbound,
     listener: TcpListener,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -211,7 +223,7 @@ impl TcpTransport {
             links,
             counters,
             stop,
-            inbound: Arc::new(Mutex::new(Vec::new())),
+            inbound: Arc::new(Mutex::new(HashMap::new())),
             listener,
             threads: Mutex::new(threads),
         })
@@ -239,6 +251,12 @@ impl TcpTransport {
         self.counters.connects.load(Ordering::Relaxed)
     }
 
+    /// Inbound connections currently tracked (live reader threads).
+    #[cfg(test)]
+    fn inbound_tracked(&self) -> usize {
+        self.inbound.lock().len()
+    }
+
     /// Enqueues one unit for the writer thread of daemon `owner`.
     fn enqueue(&self, owner: usize, item: Outgoing) {
         let Some(link) = &self.links[owner] else {
@@ -251,6 +269,8 @@ impl TcpTransport {
         }
         link.depth.fetch_add(1, Ordering::Relaxed);
         if link.tx.send(item).is_err() {
+            // The writer is gone (shutdown): nothing will ever claim it.
+            link.depth.fetch_sub(1, Ordering::Relaxed);
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -263,20 +283,13 @@ impl Transport for TcpTransport {
         true
     }
 
-    fn decide(&self, from: ProcessId, to: ProcessId, msg: &LdsMessage) -> Decision {
+    fn take_remote(&self, from: ProcessId, to: ProcessId, msg: LdsMessage) -> Option<LdsMessage> {
         if self.topo.is_local(to) {
-            return Decision::Deliver;
+            // `decide` keeps its default: local traffic is simply delivered.
+            return Some(msg);
         }
-        self.enqueue(
-            self.topo.owner_of(to),
-            Outgoing::Msg {
-                from,
-                to,
-                msg: msg.clone(),
-            },
-        );
-        // Consumed by the network path; nothing to route locally.
-        Decision::Drop
+        self.enqueue(self.topo.owner_of(to), Outgoing::Msg { from, to, msg });
+        None
     }
 
     fn decide_ping(&self, to: ProcessId) -> Decision {
@@ -315,7 +328,7 @@ impl Transport for TcpTransport {
         // Unblock the acceptor with a throwaway connection to ourselves.
         let _ = TcpStream::connect(self.local_addr());
         // Unblock reader threads parked on half-open inbound streams.
-        for stream in self.inbound.lock().drain(..) {
+        for stream in self.inbound.lock().values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         for handle in self.threads.lock().drain(..) {
@@ -333,9 +346,25 @@ impl std::fmt::Debug for TcpTransport {
     }
 }
 
-/// Writer-thread body: connect (with backoff) → `Hello` → drain the queue,
-/// encoding into one reusable buffer. A failed write abandons the current
-/// message (counted) and reconnects.
+impl Outgoing {
+    fn into_frame(self) -> Frame {
+        match self {
+            Outgoing::Msg { from, to, msg } => Frame::Msg {
+                from: from.0 as u64,
+                to: to.0 as u64,
+                msg,
+            },
+            Outgoing::Ping { to } => Frame::Ping { to: to.0 as u64 },
+        }
+    }
+}
+
+/// Writer-thread body: connect (with backoff) → `Hello` → block for one
+/// queued message, claim whatever else is queued behind it, and send it all
+/// through the one reusable buffer — one `write_all` per [`COALESCE_CAP`]
+/// bytes, one in all for a typical small backlog. Frames leave in queue
+/// order, so per-link FIFO holds. A failed write loses its whole batch
+/// (every frame counted) and reconnects.
 fn run_writer(
     addr: SocketAddr,
     me: u64,
@@ -346,6 +375,16 @@ fn run_writer(
 ) {
     let mut backoff = RECONNECT_BASE;
     let mut buf = Vec::with_capacity(4096);
+    // Appends one claimed item to the batch; 1 if it is now in `buf`.
+    let append = |item: Outgoing, buf: &mut Vec<u8>| -> u64 {
+        depth.fetch_sub(1, Ordering::Relaxed);
+        if wire::encode_frame(&item.into_frame(), buf).is_err() {
+            // Oversize: `buf` is left as it was, the message is lost.
+            counters.dropped.fetch_add(1, Ordering::Relaxed);
+            return 0;
+        }
+        1
+    };
     'outer: while !stop.load(Ordering::Relaxed) {
         let mut stream = match TcpStream::connect_timeout(&addr, RECONNECT_MAX) {
             Ok(stream) => {
@@ -379,45 +418,52 @@ fn run_writer(
             if stop.load(Ordering::Relaxed) {
                 break 'outer;
             }
-            let item = match rx.recv_timeout(STOP_POLL) {
+            let first = match rx.recv_timeout(STOP_POLL) {
                 Ok(item) => item,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'outer,
             };
-            depth.fetch_sub(1, Ordering::Relaxed);
-            buf.clear();
-            let frame = match item {
-                Outgoing::Msg { from, to, msg } => Frame::Msg {
-                    from: from.0 as u64,
-                    to: to.0 as u64,
-                    msg,
-                },
-                Outgoing::Ping { to } => Frame::Ping { to: to.0 as u64 },
-            };
-            if wire::encode_frame(&frame, &mut buf).is_err() {
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if stream.write_all(&buf).is_err() {
-                // Link died under us: this message is lost, reconnect.
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-                continue 'outer;
+            // One lock claims the backlog queued behind `first`; it leaves
+            // in queue order as a run of writes of at most COALESCE_CAP
+            // bytes (plus the frame that crosses it). Whatever is unwritten
+            // when a write fails goes back to the front of the queue.
+            let mut backlog = rx.try_iter();
+            let mut next = Some(first);
+            while let Some(item) = next.take() {
+                buf.clear();
+                let mut frames = append(item, &mut buf);
+                while buf.len() < COALESCE_CAP {
+                    let Some(item) = backlog.next() else { break };
+                    frames += append(item, &mut buf);
+                }
+                let written = stream.write_all(&buf);
+                if buf.capacity() > 2 * COALESCE_CAP {
+                    // One oversized frame must not pin its high-water mark.
+                    buf.clear();
+                    buf.shrink_to(COALESCE_CAP);
+                }
+                if written.is_err() {
+                    // Link died under us: this batch is lost, reconnect.
+                    counters.dropped.fetch_add(frames, Ordering::Relaxed);
+                    continue 'outer;
+                }
+                next = backlog.next();
             }
         }
     }
 }
 
 /// Accept-thread body: every inbound connection gets its own reader thread.
-/// Readers are detached (they exit when their stream dies); shutdown
-/// unblocks them by closing the tracked streams.
+/// Readers are detached: each exits when its stream dies (shutdown closes
+/// every tracked stream) and drops its own tracking entry on the way out.
 fn run_acceptor(
     listener: TcpListener,
     sender: Arc<DirectSender>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
-    inbound: Arc<Mutex<Vec<TcpStream>>>,
+    inbound: Inbound,
 ) {
-    loop {
+    for conn in 0u64.. {
         let (stream, _) = match listener.accept() {
             Ok(conn) => conn,
             Err(_) => {
@@ -431,55 +477,53 @@ fn run_acceptor(
             return;
         }
         let _ = stream.set_nodelay(true);
-        if let Ok(tracked) = stream.try_clone() {
-            inbound.lock().push(tracked);
-        }
-        let sender = Arc::clone(&sender);
-        let counters = Arc::clone(&counters);
-        let stop = Arc::clone(&stop);
-        // Reader threads self-terminate on stream close; shutdown closes
-        // every tracked stream, so none outlives the transport.
-        let _ = std::thread::Builder::new()
+        let Ok(tracked) = stream.try_clone() else {
+            // Untracked, shutdown could not unblock its reader: refuse it.
+            continue;
+        };
+        // Tracked before the reader starts, under the lock the reader's own
+        // removal takes: a reader that dies at once still finds its entry.
+        let mut live = inbound.lock();
+        live.insert(conn, tracked);
+        let spawned = std::thread::Builder::new()
             .name("lds-tcp-reader".into())
-            .spawn(move || run_reader(stream, sender, counters, stop));
+            .spawn({
+                let sender = Arc::clone(&sender);
+                let counters = Arc::clone(&counters);
+                let stop = Arc::clone(&stop);
+                let inbound = Arc::clone(&inbound);
+                move || {
+                    run_reader(stream, sender, counters, stop);
+                    inbound.lock().remove(&conn);
+                }
+            });
+        if spawned.is_err() {
+            live.remove(&conn);
+        }
     }
-}
-
-/// Reads one frame (header + body) from `stream`, or `None` on EOF/error.
-fn read_frame(stream: &mut TcpStream, body: &mut Vec<u8>) -> Option<Result<Frame, WireError>> {
-    let mut header = [0u8; HEADER_LEN];
-    if stream.read_exact(&mut header).is_err() {
-        return None;
-    }
-    let len = match wire::frame_len(header) {
-        Ok(len) => len,
-        Err(e) => return Some(Err(e)),
-    };
-    body.resize(len, 0);
-    if stream.read_exact(body).is_err() {
-        return None;
-    }
-    Some(wire::decode_frame(body))
 }
 
 /// Reader-thread body: validate the `Hello`, then deliver every decoded
-/// frame into the local router. Any decode error poisons the connection
-/// (framing is lost), so the stream is dropped and the peer reconnects.
+/// frame into the local router. The stream is read through a `BufReader`,
+/// so one `read` syscall yields every frame the peer's writer coalesced.
+/// Any decode error poisons the connection (framing is lost), so the stream
+/// is dropped and the peer reconnects.
 fn run_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
     sender: Arc<DirectSender>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
 ) {
+    let mut stream = BufReader::with_capacity(wire::READ_BUF_LEN, stream);
     let mut body = Vec::with_capacity(4096);
-    match read_frame(&mut stream, &mut body) {
+    match wire::read_frame(&mut stream, &mut body) {
         Some(Ok(Frame::Hello { .. })) => {}
         // Shutdown's throwaway self-connection lands here too: no Hello,
         // just EOF.
         _ => return,
     }
     while !stop.load(Ordering::Relaxed) {
-        match read_frame(&mut stream, &mut body) {
+        match wire::read_frame(&mut stream, &mut body) {
             Some(Ok(Frame::Msg { from, to, msg })) => {
                 counters.delivered.fetch_add(1, Ordering::Relaxed);
                 sender.deliver(ProcessId(from as usize), ProcessId(to as usize), msg);
@@ -507,8 +551,59 @@ mod tests {
     use crate::router::Router;
     use lds_core::tag::ObjectId;
 
+    use crate::router::{Envelope, Inbox};
+    use lds_core::tag::{ClientId, OpId, Tag};
+    use lds_core::value::Value;
+    use std::time::Instant;
+
     fn loopback(port: u16) -> SocketAddr {
         SocketAddr::from(([127, 0, 0, 1], port))
+    }
+
+    /// The two-daemon placement the link tests share: pid 0 lives on
+    /// daemon 0, pid 1 on daemon 1.
+    fn two_daemon_topology() -> impl Fn(usize) -> TcpTopology {
+        // Reserve both ephemeral ports first, then build the shared
+        // topology from the resolved addresses.
+        let probe_a = TcpListener::bind(loopback(0)).unwrap();
+        let probe_b = TcpListener::bind(loopback(0)).unwrap();
+        let peers = vec![probe_a.local_addr().unwrap(), probe_b.local_addr().unwrap()];
+        move |index| TcpTopology {
+            n1: 1,
+            n2: 1,
+            index,
+            peers: peers.clone(),
+            server_owner: vec![0, 1],
+        }
+    }
+
+    /// One daemon's transport, router and the inbox of the pid it hosts.
+    fn daemon(topo: TcpTopology) -> (Arc<TcpTransport>, Router, Inbox) {
+        let pid = ProcessId(topo.index);
+        let transport = Arc::new(TcpTransport::bind(topo).unwrap());
+        let router = Router::with_transport(transport.clone() as Arc<dyn Transport>);
+        let inbox = router.register(pid);
+        (transport, router, inbox)
+    }
+
+    /// A metadata message numbered `seq`, from pid 0 to pid 1.
+    fn numbered(seq: u64) -> (ProcessId, LdsMessage) {
+        let op = OpId::new(ClientId(9), seq);
+        (
+            ProcessId(1),
+            LdsMessage::QueryTag {
+                obj: ObjectId(42),
+                op,
+            },
+        )
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 
     /// Two routers over two TcpTransports on loopback: a message sent to a
@@ -516,26 +611,9 @@ mod tests {
     /// inbox.
     #[test]
     fn message_crosses_the_wire() {
-        // Bind both listeners on ephemeral ports first, then build the
-        // shared topology from the resolved addresses.
-        let probe_a = TcpListener::bind(loopback(0)).unwrap();
-        let probe_b = TcpListener::bind(loopback(0)).unwrap();
-        let addr_a = probe_a.local_addr().unwrap();
-        let addr_b = probe_b.local_addr().unwrap();
-        drop((probe_a, probe_b));
-        let topo = |index| TcpTopology {
-            n1: 1,
-            n2: 1,
-            index,
-            peers: vec![addr_a, addr_b],
-            server_owner: vec![0, 1],
-        };
-        let ta = Arc::new(TcpTransport::bind(topo(0)).unwrap());
-        let tb = Arc::new(TcpTransport::bind(topo(1)).unwrap());
-        let ra = Router::with_transport(ta.clone() as Arc<dyn Transport>);
-        let rb = Router::with_transport(tb.clone() as Arc<dyn Transport>);
-        let _inbox_a = ra.register(ProcessId(0));
-        let inbox_b = rb.register(ProcessId(1));
+        let topo = two_daemon_topology();
+        let (ta, ra, _inbox_a) = daemon(topo(0));
+        let (tb, _rb, inbox_b) = daemon(topo(1));
 
         let msg = LdsMessage::InvokeRead { obj: ObjectId(42) };
         let mut handle = ra.handle();
@@ -543,24 +621,157 @@ mod tests {
         // send either way.
         handle.send(ProcessId(0), ProcessId(1), msg.clone());
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut got = None;
-        while std::time::Instant::now() < deadline {
-            if let Some(envelope) = inbox_b.rx.try_recv() {
-                got = Some(envelope);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let envelope = got.expect("message should cross the wire within 10s");
+        let envelope = inbox_b
+            .rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("message should cross the wire within 10s");
         match envelope {
-            crate::router::Envelope::Protocol { from, msg: m } => {
+            Envelope::Protocol { from, msg: m } => {
                 assert_eq!(from, ProcessId(0));
                 assert_eq!(m, msg);
             }
             other => panic!("unexpected envelope {other:?}"),
         }
         assert!(tb.frames_delivered() >= 1);
+        ta.shutdown();
+        tb.shutdown();
+    }
+
+    /// A backlog crosses a link whole and in order: the writer coalesces
+    /// whatever is queued into bounded writes, and frames far larger than
+    /// the byte budget (and than the reader's buffer) ride in between
+    /// without disturbing the order around them.
+    #[test]
+    fn coalesced_link_is_complete_and_fifo() {
+        const SMALL: u64 = 10_000;
+        const LARGE_EVERY: u64 = 2_500;
+        let topo = two_daemon_topology();
+        let (ta, ra, _inbox_a) = daemon(topo(0));
+        let (tb, _rb, inbox_b) = daemon(topo(1));
+
+        let sender = std::thread::spawn({
+            let tb = Arc::clone(&tb);
+            move || {
+                let mut handle = ra.handle();
+                let mut sent = 0u64;
+                for seq in 0..SMALL {
+                    // Stay well inside the link's queue bound: an overflow
+                    // would be a (counted) drop, not a reordering.
+                    while sent - tb.frames_delivered() > (LINK_QUEUE_CAP / 2) as u64 {
+                        std::thread::yield_now();
+                    }
+                    let (to, msg) = numbered(seq);
+                    handle.send(ProcessId(0), to, msg);
+                    sent += 1;
+                    if seq % LARGE_EVERY == LARGE_EVERY - 1 {
+                        let large = LdsMessage::PutData {
+                            obj: ObjectId(42),
+                            op: OpId::new(ClientId(9), seq),
+                            tag: Tag::new(seq, ClientId(9)),
+                            value: Value::new(vec![seq as u8; 256 << 10]),
+                        };
+                        handle.send(ProcessId(0), to, large);
+                        sent += 1;
+                    }
+                }
+                sent
+            }
+        });
+
+        let mut next = 0u64;
+        let mut large = 0u64;
+        while next < SMALL || large < SMALL / LARGE_EVERY {
+            let envelope = inbox_b
+                .rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the backlog keeps arriving");
+            let Envelope::Protocol { from, msg } = envelope else {
+                panic!("unexpected envelope {envelope:?}");
+            };
+            assert_eq!(from, ProcessId(0));
+            match msg {
+                LdsMessage::QueryTag { op, .. } => {
+                    assert_eq!(op.seq, next, "metadata out of order");
+                    next += 1;
+                }
+                LdsMessage::PutData { op, value, .. } => {
+                    // Sent right after metadata message `op.seq`.
+                    assert_eq!(op.seq + 1, next, "large frame out of order");
+                    assert_eq!(value.as_bytes(), &vec![op.seq as u8; 256 << 10][..]);
+                    large += 1;
+                }
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+        let sent = sender.join().unwrap();
+        assert_eq!(sent, SMALL + SMALL / LARGE_EVERY);
+        assert_eq!(tb.frames_delivered(), sent);
+        assert_eq!(ta.fault_counters().dropped, 0);
+        ta.shutdown();
+        tb.shutdown();
+    }
+
+    /// Killing the peer mid-stream: the reader that served it untracks
+    /// itself, every frame of a write that fails is counted as dropped (so
+    /// nothing sent is unaccounted for), and the writer reconnects to the
+    /// restarted peer and flushes what it still holds.
+    #[test]
+    fn dead_peer_drops_are_counted_and_the_writer_reconnects() {
+        const BURST: u64 = 2_000;
+        let topo = two_daemon_topology();
+        let (ta, ra, _inbox_a) = daemon(topo(0));
+        let (tb, rb, inbox_b) = daemon(topo(1));
+        let mut handle = ra.handle();
+
+        let (to, msg) = numbered(0);
+        handle.send(ProcessId(0), to, msg);
+        inbox_b
+            .rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("link comes up");
+        assert_eq!(ta.connects(), 1);
+        assert_eq!(tb.inbound_tracked(), 1);
+
+        // The peer dies: its reader exits and drops its own tracking entry,
+        // then the listener goes away with the transport.
+        tb.shutdown();
+        wait_until("the dead link's reader to untrack itself", || {
+            tb.inbound_tracked() == 0
+        });
+        drop((rb, inbox_b, tb));
+
+        // The first write into the dead socket may still "succeed" (the
+        // reset comes back after it); that one frame is TCP's to lose.
+        let (to, msg) = numbered(1);
+        handle.send(ProcessId(0), to, msg);
+        std::thread::sleep(Duration::from_millis(100));
+        let before = ta.fault_counters().dropped;
+
+        // Everything after it is either counted when its write fails, or
+        // still queued and delivered once the peer is back.
+        handle.send_batch(ProcessId(0), (0..BURST).map(|seq| numbered(2 + seq)));
+        wait_until("a failed write to be counted", || {
+            ta.fault_counters().dropped > before
+        });
+
+        let (tb, _rb, inbox_b) = daemon(topo(1));
+        wait_until("the writer to reconnect", || ta.connects() >= 2);
+        wait_until("every frame to be delivered or counted", || {
+            tb.frames_delivered() + (ta.fault_counters().dropped - before) >= BURST
+        });
+        // What did arrive kept its order.
+        let mut last = 1;
+        while let Some(envelope) = inbox_b.rx.try_recv() {
+            let Envelope::Protocol {
+                msg: LdsMessage::QueryTag { op, .. },
+                ..
+            } = envelope
+            else {
+                panic!("unexpected envelope {envelope:?}");
+            };
+            assert!(op.seq > last, "{} after {last}", op.seq);
+            last = op.seq;
+        }
         ta.shutdown();
         tb.shutdown();
     }

@@ -417,15 +417,22 @@ impl L2Server {
         let Some(rebuild) = self.rebuild.as_mut() else {
             return; // stale share for an already-completed repair
         };
-        *rebuild.bytes_by_helper.entry(from).or_insert(0) += helper.data.len() as u64;
-        rebuild.fallback_bytes += element_len;
-        rebuild
+        let shares = rebuild
             .pending
             .entry(obj)
             .or_default()
             .entry(tag)
-            .or_default()
-            .push(helper);
+            .or_default();
+        // A helper still streaming for an earlier, abandoned attempt at this
+        // repair sends the same symbol twice. Counting it twice would let
+        // the quorum check pass on fewer distinct helpers than regeneration
+        // needs.
+        if shares.iter().any(|h| h.helper_index == helper.helper_index) {
+            return;
+        }
+        *rebuild.bytes_by_helper.entry(from).or_insert(0) += helper.data.len() as u64;
+        rebuild.fallback_bytes += element_len;
+        shares.push(helper);
     }
 
     /// Replacement role: count an end-of-stream marker; on the last one,
@@ -1188,6 +1195,70 @@ mod tests {
         }
         // The mid-rebuild write survived the finalization merge.
         assert_eq!(s.stored_tag(live_obj), live_tag);
+    }
+
+    /// A helper still streaming for an earlier, abandoned attempt delivers
+    /// its symbol twice. Two distinct helpers plus one repeat are not a
+    /// repair quorum of three: the object is left to the live write stream,
+    /// and the replacement neither crashes nor double-counts the bytes.
+    #[test]
+    fn repeated_share_from_one_helper_is_not_a_quorum() {
+        let (membership, backend) = setup();
+        let coordinator = ProcessId(99);
+        let failed_index = 2usize;
+        let mut s = L2Server::rebuilding(
+            failed_index,
+            membership.clone(),
+            Arc::clone(&backend),
+            L2Options::default(),
+            1,
+            coordinator,
+        );
+        assert_eq!(backend.repair_threshold(), 3);
+        let obj = ObjectId(7);
+        let value = Value::from("two helpers are not three");
+        let tag = Tag::new(5, ClientId(3));
+        for l2 in [0usize, 0, 1] {
+            let elem = backend.encode_l2_element(&value, l2).unwrap();
+            let helper = backend.helper_for_l2(&elem, l2, failed_index).unwrap();
+            step(
+                &mut s,
+                membership.l2[l2],
+                LdsMessage::RepairShare {
+                    obj,
+                    payload: RepairPayload::Element {
+                        tag,
+                        element_len: elem.data.len() as u64,
+                        helper,
+                    },
+                },
+            );
+        }
+        let out = step(
+            &mut s,
+            membership.l2[0],
+            LdsMessage::RepairDone {
+                obj: ObjectId(0),
+                objects: 1,
+                bytes_by_helper: Vec::new(),
+                fallback_bytes: 0,
+            },
+        );
+        assert!(!s.is_rebuilding());
+        match &out[0].1 {
+            LdsMessage::RepairDone {
+                objects,
+                bytes_by_helper,
+                ..
+            } => {
+                assert_eq!(*objects, 0, "no quorum, nothing regenerated");
+                let mut by_helper = bytes_by_helper.clone();
+                by_helper.sort();
+                assert_eq!(by_helper[0].1, by_helper[1].1, "the repeat is not billed");
+            }
+            other => panic!("expected completion report, got {other:?}"),
+        }
+        assert_eq!(s.stored_tag(obj), Tag::initial());
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::value::Value;
 use lds_codes::share::{HelperData, Share};
 use lds_sim::ProcessId;
 use std::fmt;
+use std::io::Read;
 
 /// Magic number opening every [`Frame::Hello`] (`b"LDS\x01"` as a LE u32).
 pub const WIRE_MAGIC: u32 = 0x0153_444C;
@@ -52,6 +53,11 @@ pub const MAX_FRAME: usize = 64 << 20;
 
 /// Size of the length prefix preceding every frame.
 pub const HEADER_LEN: usize = 4;
+
+/// Capacity of the `BufReader` every socket reader wraps its stream in, so
+/// one `read` syscall can yield many small frames. A body larger than this
+/// bypasses the buffer and lands directly in the caller's body buffer.
+pub const READ_BUF_LEN: usize = 64 << 10;
 
 /// A decoding (or framing) failure. Decoding never panics on untrusted
 /// bytes — every malformed input maps to one of these.
@@ -371,6 +377,27 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
     };
     r.finish()?;
     Ok(frame)
+}
+
+/// Reads one `[len][kind][body]` frame off `reader`, decoding out of the
+/// caller's reusable `body` buffer. The one framing loop of every socket in
+/// the tree: mesh links, the RPC server and `ldsd::NetClient` all call it
+/// over a `BufReader` of [`READ_BUF_LEN`] bytes.
+///
+/// `None` means the stream ended or failed — including mid-frame, so a
+/// truncated tail ends the stream like a clean EOF does. `Some(Err(_))` is
+/// an invalid length prefix or an undecodable body; framing is lost at that
+/// point and the caller must drop the connection.
+pub fn read_frame(reader: &mut impl Read, body: &mut Vec<u8>) -> Option<Result<Frame, WireError>> {
+    let mut header = [0u8; HEADER_LEN];
+    reader.read_exact(&mut header).ok()?;
+    let len = match frame_len(header) {
+        Ok(len) => len,
+        Err(e) => return Some(Err(e)),
+    };
+    body.resize(len, 0);
+    reader.read_exact(body).ok()?;
+    Some(decode_frame(body))
 }
 
 /// Convenience for one-shot decoding of a `[header][body]` byte string (as

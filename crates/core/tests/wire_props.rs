@@ -1,16 +1,20 @@
 //! Property tests for the wire codec: every `LdsMessage` class roundtrips
 //! byte-exactly at edge payload sizes, and truncated or corrupted frames
-//! decode to errors — never panics.
+//! decode to errors — never panics. `read_frame`, the one framing loop of
+//! every socket, returns the same frame sequence however the byte stream is
+//! chopped into `read` results.
 
 use lds_codes::share::{HelperData, Share};
 use lds_core::messages::{LdsMessage, ReadPayload, RepairPayload};
 use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
 use lds_core::value::Value;
 use lds_core::wire::{
-    decode_framed, encode_frame, Frame, Request, Response, WireError, HEADER_LEN,
+    decode_framed, encode_frame, read_frame, Frame, Request, Response, WireError, HEADER_LEN,
+    MAX_FRAME, READ_BUF_LEN,
 };
 use lds_sim::ProcessId;
 use proptest::prelude::*;
+use std::io::{BufReader, Read};
 
 /// Number of `LdsMessage` classes the constructor below covers (the PING
 /// pseudo-class is transport-only and has no message body).
@@ -258,6 +262,60 @@ proptest! {
         let _ = decode_framed(&buf);
     }
 
+    /// A stream of frames — small metadata and payloads larger than the
+    /// read buffer, mixed — reads back identically whether the transport
+    /// hands over 1 byte per `read`, random chunks, or everything at once,
+    /// through a `BufReader` as every socket uses it or without one.
+    #[test]
+    fn read_frame_is_chunking_invariant(
+        seeds in proptest::collection::vec((0usize..CLASSES, any::<u64>(), 0usize..4), 1..24),
+        chunks in proptest::collection::vec(1usize..9000, 1..32),
+    ) {
+        let frames: Vec<Frame> = seeds
+            .iter()
+            .map(|&(class, a, size)| {
+                let len = [0, 17, 300, READ_BUF_LEN + 1234][size];
+                let bytes = (0..len).map(|i| (i as u64 ^ a) as u8).collect();
+                Frame::Msg { from: a % 64, to: a % 7, msg: message_for(class, a, !a, bytes, a % 2 == 0) }
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for frame in &frames {
+            encode_frame(frame, &mut stream).unwrap();
+        }
+        let whole = vec![usize::MAX];
+        for pattern in [&[1usize][..], &chunks, &whole] {
+            let chopped = Chopped { bytes: &stream, at: 0, chunks: pattern, next: 0 };
+            prop_assert_eq!(&read_all(chopped).0, &frames);
+            let chopped = Chopped { bytes: &stream, at: 0, chunks: pattern, next: 0 };
+            let buffered = BufReader::with_capacity(READ_BUF_LEN, chopped);
+            prop_assert_eq!(&read_all(buffered).0, &frames);
+        }
+    }
+
+    /// A stream cut anywhere inside its last frame yields every complete
+    /// frame before the cut and then ends — a truncated tail is an EOF, not
+    /// an error and not a bogus frame.
+    #[test]
+    fn read_frame_ends_the_stream_at_a_truncated_tail(
+        count in 1usize..6,
+        a in any::<u64>(),
+        cut in any::<u64>(),
+    ) {
+        let frames: Vec<Frame> = (0..count)
+            .map(|i| Frame::Ping { to: a.wrapping_add(i as u64) })
+            .collect();
+        let mut stream = Vec::new();
+        for frame in &frames {
+            encode_frame(frame, &mut stream).unwrap();
+        }
+        let last = stream.len() / count * (count - 1);
+        let cut = last + 1 + (cut as usize) % (stream.len() - last - 1);
+        let (got, error) = read_all(&stream[..cut]);
+        prop_assert_eq!(&got[..], &frames[..count - 1]);
+        prop_assert_eq!(error, None);
+    }
+
     /// RPC frames roundtrip for every request/response shape.
     #[test]
     fn rpc_frames_roundtrip(
@@ -291,6 +349,60 @@ proptest! {
             prop_assert_eq!(decoded, frame);
         }
     }
+}
+
+/// A reader that hands out `bytes` in the chunk sizes of `chunks`, cycled —
+/// the way a socket returns whatever happens to have arrived.
+struct Chopped<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    chunks: &'a [usize],
+    next: usize,
+}
+
+impl Read for Chopped<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks[self.next % self.chunks.len()];
+        self.next += 1;
+        let n = chunk.min(buf.len()).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// Drains `reader` through `read_frame`: the frames before the stream
+/// ended, and the typed error if that is what ended it.
+fn read_all(mut reader: impl Read) -> (Vec<Frame>, Option<WireError>) {
+    let mut body = Vec::new();
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(&mut reader, &mut body) {
+            Some(Ok(frame)) => frames.push(frame),
+            Some(Err(error)) => return (frames, Some(error)),
+            None => return (frames, None),
+        }
+    }
+}
+
+#[test]
+fn read_frame_rejects_an_oversize_header_before_reading_a_body() {
+    let mut stream = Vec::new();
+    encode_frame(&Frame::Ping { to: 3 }, &mut stream).unwrap();
+    stream.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+    stream.extend_from_slice(&[0xAB; 64]);
+    let (frames, error) = read_all(&stream[..]);
+    assert_eq!(frames, vec![Frame::Ping { to: 3 }]);
+    assert_eq!(
+        error,
+        Some(WireError::Oversize {
+            len: MAX_FRAME as u64 + 1
+        })
+    );
+    // A zero length cannot even hold the kind byte.
+    let (frames, error) = read_all(&[0u8; 8][..]);
+    assert!(frames.is_empty());
+    assert_eq!(error, Some(WireError::Truncated));
 }
 
 #[test]

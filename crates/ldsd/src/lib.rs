@@ -14,7 +14,7 @@
 //!   carried by the cluster runtime's
 //!   [`TcpTransport`] under the router;
 //! * **client RPC** (`daemon.client_listen`) — [`NetClient`] connections
-//!   speaking request/response frames of the same [`wire`] codec;
+//!   speaking request/response frames of the same [`lds_core::wire`] codec;
 //! * **HTTP** (`daemon.http_listen`) — `GET /metrics` (Prometheus text
 //!   exposition) and `GET /health`.
 //!
@@ -37,10 +37,8 @@ pub use rpc::layer_byte;
 
 use lds_cluster::transport::{TcpTransport, Transport};
 use lds_cluster::{StoreBuilder, StoreError, StoreHandle};
-use lds_core::wire::{self, Frame, WireError, HEADER_LEN};
 use std::fmt;
-use std::io::Read;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -216,23 +214,58 @@ impl fmt::Debug for Daemon {
     }
 }
 
-/// Reads one `[len][kind][body]` frame off `stream`, or `None` on
-/// EOF/error. Shared by the RPC server and [`NetClient`].
-pub(crate) fn read_frame(
-    stream: &mut TcpStream,
-    body: &mut Vec<u8>,
-) -> Option<Result<Frame, WireError>> {
-    let mut header = [0u8; HEADER_LEN];
-    if stream.read_exact(&mut header).is_err() {
-        return None;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lds_cluster::ObjectId;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// One daemon hosting the whole `n1 = 4, n2 = 5` membership.
+    fn single_daemon() -> Daemon {
+        let ports: Vec<u16> = (0..3)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .map(|l| l.local_addr().unwrap().port())
+            .collect();
+        let mut text = format!(
+            "[daemon]\nlisten = \"127.0.0.1:{0}\"\nclient_listen = \"127.0.0.1:{1}\"\n\
+             http_listen = \"127.0.0.1:{2}\"\n\n[cluster]\nf1 = 1\nf2 = 1\nk = 2\nd = 3\n\
+             backend = \"mbr\"\n\n[heal]\nenabled = false\n\n[membership]\n",
+            ports[0], ports[1], ports[2]
+        );
+        for pid in 0..9 {
+            text.push_str(&format!("{pid} = \"127.0.0.1:{}\"\n", ports[0]));
+        }
+        Daemon::start(Config::parse(&text).unwrap()).unwrap()
     }
-    let len = match wire::frame_len(header) {
-        Ok(len) => len,
-        Err(e) => return Some(Err(e)),
-    };
-    body.resize(len, 0);
-    if stream.read_exact(body).is_err() {
-        return None;
+
+    /// A daemon that serves many short-lived clients must not keep one dead
+    /// socket and one join handle per connection it ever accepted.
+    #[test]
+    fn closed_connections_are_untracked() {
+        let daemon = single_daemon();
+        let addr = daemon.client_addr();
+        let mut kept = NetClient::connect_retry(addr, Duration::from_secs(10)).unwrap();
+        kept.write(ObjectId(1), b"kept open").unwrap();
+        for round in 0..200u64 {
+            let mut client = NetClient::connect(addr).unwrap();
+            if round % 10 == 0 {
+                assert_eq!(client.read(ObjectId(1)).unwrap(), b"kept open");
+            }
+        }
+        // Each worker untracks itself once it has seen its peer's EOF.
+        let rpc = daemon.rpc.as_ref().expect("rpc runs until stop");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rpc.tracked_connections() != 1 {
+            assert!(
+                Instant::now() < deadline,
+                "{} connections still tracked with 1 live",
+                rpc.tracked_connections()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(kept.read(ObjectId(1)).unwrap(), b"kept open");
+        drop(kept);
+        daemon.stop();
     }
-    Some(wire::decode_frame(body))
 }

@@ -19,7 +19,7 @@ use lds_core::tag::{ObjectId, Tag};
 use lds_core::wire::{self, Frame, Request, Response, WireError};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -70,7 +70,11 @@ impl From<WireError> for NetError {
 
 /// One connection to an `ldsd` daemon (see the [module docs](self)).
 pub struct NetClient {
+    /// The write half.
     stream: TcpStream,
+    /// The read half (a clone of `stream`), buffered so one `read` yields
+    /// every response the daemon coalesced into one write.
+    reader: BufReader<TcpStream>,
     /// Reusable encode buffer.
     buf: Vec<u8>,
     /// Reusable frame-body decode buffer.
@@ -113,14 +117,16 @@ impl NetClient {
         // from outside the daemon index space.
         wire::encode_frame(&Frame::Hello { daemon: u64::MAX }, &mut buf)?;
         stream.write_all(&buf)?;
+        let mut reader = BufReader::with_capacity(wire::READ_BUF_LEN, stream.try_clone()?);
         let mut body = Vec::with_capacity(4096);
-        let daemon = match crate::read_frame(&mut stream, &mut body) {
+        let daemon = match wire::read_frame(&mut reader, &mut body) {
             Some(Ok(Frame::Hello { daemon })) => daemon,
             Some(Err(error)) => return Err(error.into()),
             _ => return Err(NetError::Handshake),
         };
         Ok(NetClient {
             stream,
+            reader,
             buf,
             body,
             next_id: 0,
@@ -251,7 +257,7 @@ impl NetClient {
             if let Some(resp) = self.stash.remove(&id) {
                 return Ok(resp);
             }
-            match crate::read_frame(&mut self.stream, &mut self.body) {
+            match wire::read_frame(&mut self.reader, &mut self.body) {
                 Some(Ok(Frame::Response { id: got, resp })) => {
                     if got == id {
                         return Ok(resp);

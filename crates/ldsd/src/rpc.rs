@@ -9,11 +9,18 @@
 //!
 //! Per connection the daemon runs two threads:
 //!
-//! * a **reader** that decodes frames off the socket and queues
-//!   `(id, Request)` pairs;
+//! * a **reader** that decodes frames off the (buffered) socket, queues
+//!   `(id, Request)` pairs and wakes the worker;
 //! * a **worker** that owns a pipelined [`StoreClient`] plus an [`Admin`]
-//!   handle, drains the queue (data ops become `submit_*` calls, admin ops
-//!   run inline), polls completions and writes responses back.
+//!   handle and is purely event-driven: with nothing in flight it blocks on
+//!   the request queue, otherwise in [`Store::poll_wait`] — which returns on
+//!   the next store message or on the reader's wake. It drains the queue
+//!   (data ops become `submit_*` calls, admin ops run inline), and every
+//!   response one turn produced leaves in a single `write`.
+//!
+//! Nothing on this path sleeps or polls on an interval; the only timeouts
+//! are the [`STOP_POLL`] bounds after which a blocked thread re-checks the
+//! stop flag.
 //!
 //! Admin requests targeting a server hosted by a *different* daemon answer
 //! with a [`Response::Error`] naming the owner — repairs must run where the
@@ -21,11 +28,12 @@
 
 use crate::config::Config;
 use lds_cluster::repair::RepairLayer;
-use lds_cluster::{Admin, OpOutcome, OpTicket, ServerRef, Store, StoreClient, StoreHandle};
+use lds_cluster::{Admin, OpOutcome, OpTicket, ServerRef, Store, StoreClient, StoreHandle, Waker};
+use lds_core::value::Value;
 use lds_core::wire::{self, Frame, Request, Response};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,9 +43,6 @@ use std::time::Duration;
 /// How often blocked accept/worker loops re-check the stop flag.
 const STOP_POLL: Duration = Duration::from_millis(100);
 
-/// Worker back-off while waiting for in-flight store completions.
-const POLL_PAUSE: Duration = Duration::from_millis(1);
-
 /// One decoded event from a connection's reader thread.
 enum Event {
     /// A well-formed request frame.
@@ -46,12 +51,24 @@ enum Event {
     Closed,
 }
 
+/// One live connection as the server tracks it.
+struct Conn {
+    /// A clone of the socket, so `stop` can unblock the connection.
+    stream: TcpStream,
+    /// The connection's worker thread.
+    worker: JoinHandle<()>,
+}
+
+/// Live connections by connection number. A worker drops its own entry when
+/// it exits, so a daemon serving many short-lived clients holds no dead
+/// sockets or join handles.
+type Conns = Arc<Mutex<HashMap<u64, Conn>>>;
+
 /// The running RPC server; stopped via [`RpcServer::stop`].
 pub(crate) struct RpcServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -67,21 +84,18 @@ impl RpcServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
         let acceptor = std::thread::Builder::new()
             .name("ldsd-rpc-accept".into())
             .spawn({
                 let stop = Arc::clone(&stop);
                 let conns = Arc::clone(&conns);
-                let threads = Arc::clone(&threads);
-                move || run_acceptor(listener, store, config, shutdown_tx, stop, conns, threads)
+                move || run_acceptor(listener, store, config, shutdown_tx, stop, conns)
             })?;
         Ok(RpcServer {
             addr,
             stop,
             conns,
-            threads,
             acceptor: Some(acceptor),
         })
     }
@@ -91,33 +105,40 @@ impl RpcServer {
         self.addr
     }
 
+    /// Connections currently tracked (socket + worker handle each).
+    #[cfg(test)]
+    pub(crate) fn tracked_connections(&self) -> usize {
+        self.conns.lock().len()
+    }
+
     /// Stops accepting, closes every live connection and joins all threads.
     pub(crate) fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
-        for stream in self.conns.lock().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        for thread in self.threads.lock().drain(..) {
-            let _ = thread.join();
+        // Taken out under the lock, joined outside it: an exiting worker
+        // locks the table to drop its own (by then absent) entry.
+        let live: Vec<Conn> = self.conns.lock().drain().map(|(_, conn)| conn).collect();
+        for conn in &live {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        for conn in live {
+            let _ = conn.worker.join();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_acceptor(
     listener: TcpListener,
     store: Arc<StoreHandle>,
     config: Arc<Config>,
     shutdown_tx: crossbeam::channel::Sender<()>,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 ) {
-    loop {
+    for conn in 0u64.. {
         let (stream, _) = match listener.accept() {
             Ok(conn) => conn,
             Err(_) => {
@@ -131,9 +152,13 @@ fn run_acceptor(
             return;
         }
         let _ = stream.set_nodelay(true);
-        if let Ok(tracked) = stream.try_clone() {
-            conns.lock().push(tracked);
-        }
+        let Ok(tracked) = stream.try_clone() else {
+            // Untracked, `stop` could not unblock it: refuse the connection.
+            continue;
+        };
+        // Spawned and tracked under the lock the worker's own removal takes,
+        // so a worker that exits at once still finds its entry to drop.
+        let mut live = conns.lock();
         let worker = std::thread::Builder::new()
             .name("ldsd-rpc-conn".into())
             .spawn({
@@ -141,31 +166,46 @@ fn run_acceptor(
                 let config = Arc::clone(&config);
                 let shutdown_tx = shutdown_tx.clone();
                 let stop = Arc::clone(&stop);
-                move || run_connection(stream, store, config, shutdown_tx, stop)
+                let conns = Arc::clone(&conns);
+                move || {
+                    run_connection(stream, store, config, shutdown_tx, stop);
+                    // Dropping its own handle detaches a thread that is done.
+                    conns.lock().remove(&conn);
+                }
             });
         if let Ok(worker) = worker {
-            threads.lock().push(worker);
+            live.insert(
+                conn,
+                Conn {
+                    stream: tracked,
+                    worker,
+                },
+            );
         }
     }
 }
 
-/// Reader-thread body: decode frames into `tx` until the stream dies.
-fn run_reader(mut stream: TcpStream, tx: crossbeam::channel::Sender<Event>) {
+/// Reader-thread body: decode frames into `tx` until the stream dies,
+/// waking the worker after each one (it may be blocked on the store).
+fn run_reader(
+    mut stream: BufReader<TcpStream>,
+    tx: crossbeam::channel::Sender<Event>,
+    waker: Waker,
+) {
     let mut body = Vec::with_capacity(4096);
     loop {
-        match crate::read_frame(&mut stream, &mut body) {
-            Some(Ok(Frame::Request { id, req })) => {
-                if tx.send(Event::Request(id, req)).is_err() {
-                    return;
-                }
-            }
+        let event = match wire::read_frame(&mut stream, &mut body) {
+            Some(Ok(Frame::Request { id, req })) => Event::Request(id, req),
             // A late Hello is harmless; anything else on the RPC port —
             // or a decode error, which loses framing — ends the session.
-            Some(Ok(Frame::Hello { .. })) => {}
-            _ => {
-                let _ = tx.send(Event::Closed);
-                return;
-            }
+            Some(Ok(Frame::Hello { .. })) => continue,
+            _ => Event::Closed,
+        };
+        let closed = matches!(event, Event::Closed);
+        let gone = tx.send(event).is_err();
+        waker.wake();
+        if closed || gone {
+            return;
         }
     }
 }
@@ -178,88 +218,91 @@ fn run_connection(
     shutdown_tx: crossbeam::channel::Sender<()>,
     stop: Arc<AtomicBool>,
 ) {
-    let mut body = Vec::with_capacity(4096);
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut read_half = BufReader::with_capacity(wire::READ_BUF_LEN, read_half);
     // The handshake happens on the worker so a half-open connection cannot
     // occupy a reader pair: no Hello, no session.
-    match crate::read_frame(&mut stream, &mut body) {
+    match wire::read_frame(&mut read_half, &mut Vec::new()) {
         Some(Ok(Frame::Hello { .. })) => {}
         _ => return,
     }
-    let mut buf = Vec::with_capacity(4096);
+    // Every response of one worker turn is encoded here and written once.
+    let mut out = Vec::with_capacity(4096);
     let hello = Frame::Hello {
         daemon: config.daemon_index as u64,
     };
-    if wire::encode_frame(&hello, &mut buf).is_err() || stream.write_all(&buf).is_err() {
+    if wire::encode_frame(&hello, &mut out).is_err() || !flush(&mut stream, &mut out) {
         return;
     }
 
-    let (tx, rx) = crossbeam::channel::unbounded::<Event>();
-    let reader = match stream.try_clone() {
-        Ok(read_half) => std::thread::Builder::new()
-            .name("ldsd-rpc-reader".into())
-            .spawn(move || run_reader(read_half, tx)),
-        Err(_) => return,
-    };
-
     let mut client = store.client_with_depth(config.cluster.pipeline_depth);
     let admin = store.admin();
+    let (tx, rx) = crossbeam::channel::unbounded::<Event>();
+    // The reader inherits the buffered read half: requests a client
+    // pipelined behind its Hello are already in that buffer.
+    let waker = client.waker();
+    let reader = std::thread::Builder::new()
+        .name("ldsd-rpc-reader".into())
+        .spawn(move || run_reader(read_half, tx, waker));
+    let Ok(reader) = reader else {
+        return;
+    };
+
     let mut pending: HashMap<OpTicket, u64> = HashMap::new();
     let mut open = true;
     'serve: while open || !pending.is_empty() {
         if stop.load(Ordering::Relaxed) {
             break;
         }
-        // Ingest requests: block when idle, drain opportunistically while
-        // store operations are in flight.
-        let mut progressed = false;
-        loop {
-            let event = if pending.is_empty() && open {
-                match rx.recv_timeout(STOP_POLL) {
-                    Ok(event) => Some(event),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Some(Event::Closed),
-                }
-            } else {
-                rx.try_recv()
-            };
-            match event {
-                Some(Event::Request(id, req)) => {
-                    progressed = true;
-                    match handle_request(id, req, &mut client, &admin, &config, &mut pending) {
-                        Action::NoResponseYet => {}
-                        Action::Respond(resp) => {
-                            if !write_response(&mut stream, &mut buf, id, resp) {
-                                break 'serve;
-                            }
-                        }
-                        Action::ShutdownDaemon(resp) => {
-                            let _ = write_response(&mut stream, &mut buf, id, resp);
-                            let _ = shutdown_tx.send(());
-                            break 'serve;
-                        }
-                    }
-                }
-                Some(Event::Closed) => {
+        // Nothing in flight: the request queue is the only event source.
+        let first = if pending.is_empty() {
+            match rx.recv_timeout(STOP_POLL) {
+                Ok(event) => Some(event),
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Some(Event::Closed),
+            }
+        } else {
+            None
+        };
+        // Ingest everything queued (one lock for the backlog).
+        for event in first.into_iter().chain(rx.try_iter()) {
+            let (id, req) = match event {
+                Event::Request(id, req) => (id, req),
+                Event::Closed => {
                     open = false;
                     break;
                 }
-                None => break,
+            };
+            let (resp, shutdown) =
+                match handle_request(id, req, &mut client, &admin, &config, &mut pending) {
+                    Action::NoResponseYet => continue,
+                    Action::Respond(resp) => (resp, false),
+                    Action::ShutdownDaemon(resp) => (resp, true),
+                };
+            if !push_response(&mut out, id, resp) {
+                break 'serve;
+            }
+            if shutdown {
+                let _ = flush(&mut stream, &mut out);
+                let _ = shutdown_tx.send(());
+                break 'serve;
             }
         }
-        // Harvest store completions for in-flight data operations.
+        // Wait for the store — or for the reader's wake — and harvest.
         if !pending.is_empty() {
-            match client.poll() {
+            match client.poll_wait(STOP_POLL) {
                 Ok(completions) => {
                     for completion in completions {
                         let Some(id) = pending.remove(&completion.ticket) else {
                             continue;
                         };
-                        progressed = true;
                         let resp = match completion.outcome {
                             OpOutcome::Write { tag } => Response::Written { tag },
                             OpOutcome::Read { value, .. } => Response::Value { bytes: value },
                         };
-                        if !write_response(&mut stream, &mut buf, id, resp) {
+                        if !push_response(&mut out, id, resp) {
                             break 'serve;
                         }
                     }
@@ -272,22 +315,21 @@ fn run_connection(
                         let resp = Response::Error {
                             message: message.clone(),
                         };
-                        if !write_response(&mut stream, &mut buf, id, resp) {
+                        if !push_response(&mut out, id, resp) {
                             break;
                         }
                     }
+                    let _ = flush(&mut stream, &mut out);
                     break 'serve;
                 }
             }
-            if !progressed {
-                std::thread::sleep(POLL_PAUSE);
-            }
+        }
+        if !flush(&mut stream, &mut out) {
+            break;
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
-    if let Ok(reader) = reader {
-        let _ = reader.join();
-    }
+    let _ = reader.join();
 }
 
 /// What the worker does right after handling one request.
@@ -310,7 +352,8 @@ fn handle_request(
 ) -> Action {
     match req {
         Request::Write { obj, value } => {
-            let ticket = client.submit_write(obj, &value);
+            // The decoded bytes are owned: frame them without another copy.
+            let ticket = client.submit_write_value(obj, Value::new(value));
             pending.insert(ticket, id);
             Action::NoResponseYet
         }
@@ -385,13 +428,21 @@ fn admin_op(
     }
 }
 
-/// Encodes and writes one response frame; `false` when the stream is dead.
-fn write_response(stream: &mut TcpStream, buf: &mut Vec<u8>, id: u64, resp: Response) -> bool {
-    buf.clear();
-    if wire::encode_frame(&Frame::Response { id, resp }, buf).is_err() {
-        return false;
+/// Appends one response frame to the turn's buffer; `false` when it cannot
+/// be encoded (oversize), which ends the session.
+fn push_response(out: &mut Vec<u8>, id: u64, resp: Response) -> bool {
+    wire::encode_frame(&Frame::Response { id, resp }, out).is_ok()
+}
+
+/// Writes whatever the turn buffered in one `write_all` and resets the
+/// buffer; `false` when the stream is dead.
+fn flush(stream: &mut TcpStream, out: &mut Vec<u8>) -> bool {
+    if out.is_empty() {
+        return true;
     }
-    stream.write_all(buf).is_ok()
+    let written = stream.write_all(out).is_ok();
+    out.clear();
+    written
 }
 
 /// The layer byte of a [`RepairLayer`] as used by [`Request::Kill`] /

@@ -6,12 +6,12 @@
 use lds_cluster::api::{
     ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle, Topology,
 };
-use lds_cluster::{HealConfig, OpOutcome, RepairError};
+use lds_cluster::{FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
 use lds_core::backend::BackendKind;
 use lds_core::tag::Tag;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Builder validation: every invalid combination is an InvalidConfig at
@@ -258,6 +258,128 @@ fn atomicity_contract_holds_generically_over_both_topologies() {
     for clusters in [1usize, 2] {
         let store = build(clusters);
         atomicity_contract(&mut store.client_with_depth(8));
+        store.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------
+// `poll_wait`: the deadline-bounded wait and its waker.
+// ---------------------------------------------------------------------
+
+/// The `poll_wait` contract, written once against the trait. `store` delays
+/// every TAG-RESP by `TAG_DELAY`, so a write cannot complete — and its
+/// client cannot receive anything at all — sooner than that.
+fn poll_wait_contract<S: Store>(store: &StoreHandle, client: &mut S) {
+    // Nothing outstanding: returns at once, however long the wait allowed.
+    let started = Instant::now();
+    assert!(client
+        .poll_wait(Duration::from_secs(30))
+        .unwrap()
+        .is_empty());
+    assert!(started.elapsed() < Duration::from_secs(10));
+
+    // Expiry is not an error and aborts nothing.
+    let tickets: Vec<_> = (0..4u64)
+        .map(|k| client.submit_write(ObjectId(k), format!("v{k}").as_bytes()))
+        .collect();
+    let started = Instant::now();
+    let harvested = client.poll_wait(TAG_DELAY / 8).unwrap();
+    assert!(harvested.is_empty(), "nothing can have completed yet");
+    assert!(
+        started.elapsed() >= TAG_DELAY / 8,
+        "waited out its deadline"
+    );
+    assert_eq!(client.pending_ops(), tickets.len(), "expiry aborted ops");
+
+    // Later calls harvest every ticket, each exactly once.
+    let mut done = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while done.len() < tickets.len() {
+        assert!(Instant::now() < deadline, "tickets were not redeemable");
+        done.extend(client.poll_wait(Duration::from_secs(1)).unwrap());
+    }
+    let mut got: Vec<_> = done.iter().map(|c| c.ticket).collect();
+    got.sort();
+    assert_eq!(got, tickets);
+    assert_eq!(client.pending_ops(), 0);
+
+    // With every quorum out of reach an operation stalls for good and, one
+    // straggling reply apart, its client never receives another message.
+    let admin = store.admin();
+    for cluster in 0..store.clusters() {
+        for index in 0..3 {
+            admin
+                .kill(ServerRef::l1(index).in_cluster(cluster))
+                .unwrap();
+        }
+    }
+    for k in 0..4u64 {
+        client.submit_write(ObjectId(k), b"stalled");
+    }
+    loop {
+        // Until one full, undisturbed expiry: the stragglers are in.
+        let started = Instant::now();
+        assert!(client.poll_wait(TAG_DELAY * 2).unwrap().is_empty());
+        if started.elapsed() >= TAG_DELAY * 2 {
+            break;
+        }
+    }
+
+    // So only a wake can end a long wait early: one delivered while the
+    // client is blocked ...
+    let waker = client.waker();
+    let blocked = std::thread::spawn({
+        let waker = waker.clone();
+        move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.wake();
+        }
+    });
+    let started = Instant::now();
+    assert!(client
+        .poll_wait(Duration::from_secs(120))
+        .unwrap()
+        .is_empty());
+    assert!(started.elapsed() < Duration::from_secs(60), "wake was lost");
+    blocked.join().unwrap();
+    // ... and one delivered before it blocks, which must not be lost either.
+    std::thread::spawn(move || waker.wake()).join().unwrap();
+    let started = Instant::now();
+    assert!(client
+        .poll_wait(Duration::from_secs(120))
+        .unwrap()
+        .is_empty());
+    assert!(
+        started.elapsed() < Duration::from_secs(60),
+        "early wake lost"
+    );
+    assert_eq!(client.pending_ops(), 4, "a wake aborts nothing");
+
+    // The contrast: a `wait_next` timeout aborts every outstanding op.
+    client.set_timeout(Duration::from_millis(50));
+    assert_eq!(client.wait_next().unwrap_err(), StoreError::Timeout);
+    assert_eq!(client.pending_ops(), 0);
+}
+
+/// How long the `poll_wait` stores hold every TAG-RESP back.
+const TAG_DELAY: Duration = Duration::from_millis(400);
+
+#[test]
+fn poll_wait_contract_holds_over_both_topologies() {
+    for clusters in [1usize, 2] {
+        let plan = FaultPlan::seeded(7).rule(
+            FaultRule::new()
+                .classes(&["TAG-RESP"])
+                .delay_prob(1.0)
+                .delay_window(TAG_DELAY, TAG_DELAY),
+        );
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Mbr)
+            .clusters(clusters)
+            .fault_plan(plan)
+            .build()
+            .unwrap();
+        poll_wait_contract(&store, &mut store.client_with_depth(8));
         store.shutdown();
     }
 }
