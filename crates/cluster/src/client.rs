@@ -940,7 +940,10 @@ impl ClusterClient {
                         obj: obj.0,
                         outcome: OpOutcome::Read {
                             tag,
-                            value: value.as_bytes().to_vec(),
+                            // A decoded read arrives as the only handle
+                            // on its buffer and is moved out; a value an
+                            // L1 list or the read cache shares is copied.
+                            value: value.into_vec(),
                         },
                         latency,
                     });

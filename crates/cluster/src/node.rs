@@ -592,16 +592,23 @@ fn run_node<P>(
     }
 
     'run: loop {
-        // Only blocked (idle) shards publish stats, so probing them never
-        // contends with the protocol hot path. The beat timestamp proves
-        // this shard reached its inbox again: the heartbeat monitor's pings
-        // force even idle (blocked) shards through here once per interval.
-        publish(&process, &mut obs);
-        obs.publish_classes();
+        // The beat timestamp proves this shard reached its inbox again: the
+        // heartbeat monitor's pings force even idle (blocked) shards through
+        // here once per interval.
         beat.store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        let first = match inbox.rx.recv() {
-            Ok(e) => e,
-            Err(_) => break 'run,
+        // Only a shard about to block (its inbox is empty) publishes stats:
+        // the gauges walk every object's maps, which a shard with a backlog
+        // must not pay once per batch.
+        let first = match inbox.rx.try_recv() {
+            Some(e) => e,
+            None => {
+                publish(&process, &mut obs);
+                obs.publish_classes();
+                match inbox.rx.recv() {
+                    Ok(e) => e,
+                    Err(_) => break 'run,
+                }
+            }
         };
         // One timestamp per batch: the clock feeds event timestamps only,
         // and a batch is processed within microseconds.

@@ -13,6 +13,65 @@
 use crate::error::CodeError;
 use lds_gf::{bulk, Gf256, Matrix};
 
+/// Checks that `inputs` are `coeffs_len` buffers of `symbol_len` bytes each.
+fn check_inputs(coeffs_len: usize, inputs: &[&[u8]], symbol_len: usize) -> Result<(), CodeError> {
+    if coeffs_len != inputs.len() {
+        return Err(CodeError::MalformedShare(format!(
+            "coefficient count {coeffs_len} does not match input count {}",
+            inputs.len()
+        )));
+    }
+    if let Some(buf) = inputs.iter().find(|buf| buf.len() != symbol_len) {
+        return Err(CodeError::MalformedShare(format!(
+            "input buffer of {} bytes, expected {symbol_len}",
+            buf.len()
+        )));
+    }
+    Ok(())
+}
+
+/// `out ^= Σ_i coeffs[i] · inputs[i]`, skipping zero coefficients and running
+/// the rest through the fused multi-source kernel. The kernels only ever
+/// accumulate, so every public entry point of this module zeroes its output
+/// exactly once — when it allocates or sizes it — and then calls this.
+/// `terms` is the reusable term list (one allocation per operation, not per
+/// output symbol). Counts and lengths are the caller's to check.
+fn accumulate<'a>(
+    coeffs: &[Gf256],
+    inputs: impl Iterator<Item = &'a [u8]>,
+    out: &mut [u8],
+    terms: &mut Vec<(Gf256, &'a [u8])>,
+) {
+    terms.clear();
+    terms.extend(
+        coeffs
+            .iter()
+            .copied()
+            .zip(inputs)
+            .filter(|(c, _)| !c.is_zero()),
+    );
+    bulk::mul_add_slices(terms, out);
+}
+
+/// Sizes `out` to `coeffs.rows()` symbols of `symbol_len` bytes (prior
+/// contents discarded, capacity reused, zeroed once) and accumulates
+/// `Σ_m coeffs[r][m] · inputs[m]` into output symbol `r`. The caller has
+/// checked that `inputs` yields `coeffs.cols()` buffers of `symbol_len > 0`
+/// bytes.
+fn apply_rows<'a>(
+    coeffs: &Matrix,
+    inputs: impl Iterator<Item = &'a [u8]> + Clone,
+    symbol_len: usize,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.resize(coeffs.rows() * symbol_len, 0);
+    let mut terms = Vec::with_capacity(coeffs.cols());
+    for (r, sym) in out.chunks_exact_mut(symbol_len).enumerate() {
+        accumulate(coeffs.row(r), inputs.clone(), sym, &mut terms);
+    }
+}
+
 /// Computes `Σ_i coeffs[i] · inputs[i]` over byte buffers of length
 /// `symbol_len`.
 ///
@@ -26,14 +85,15 @@ pub fn combine(
     inputs: &[&[u8]],
     symbol_len: usize,
 ) -> Result<Vec<u8>, CodeError> {
+    check_inputs(coeffs.len(), inputs, symbol_len)?;
     let mut out = vec![0u8; symbol_len];
-    combine_into(coeffs, inputs, &mut out)?;
+    let mut terms = Vec::with_capacity(coeffs.len());
+    accumulate(coeffs, inputs.iter().copied(), &mut out, &mut terms);
     Ok(out)
 }
 
 /// Computes `Σ_i coeffs[i] · inputs[i]` into a caller-provided buffer, which
-/// is overwritten. Zero coefficients are skipped, and the remaining terms are
-/// applied through the fused multi-source kernel.
+/// is overwritten.
 ///
 /// # Errors
 ///
@@ -41,49 +101,38 @@ pub fn combine(
 /// `out.len()` or the number of coefficients differs from the number of
 /// inputs.
 pub fn combine_into(coeffs: &[Gf256], inputs: &[&[u8]], out: &mut [u8]) -> Result<(), CodeError> {
-    let mut scratch = Vec::with_capacity(coeffs.len());
-    combine_into_scratch(coeffs, inputs, out, &mut scratch)
+    check_inputs(coeffs.len(), inputs, out.len())?;
+    out.fill(0);
+    let mut terms = Vec::with_capacity(coeffs.len());
+    accumulate(coeffs, inputs.iter().copied(), out, &mut terms);
+    Ok(())
 }
 
-/// [`combine_into`] with a caller-provided term-list scratch, so hot loops
-/// that combine once per output symbol (decode, repair) allocate the list
-/// once per operation instead of once per symbol.
+/// Applies a coefficient matrix to `coeffs.cols()` separate input symbols of
+/// `symbol_len` bytes: `out` is resized to `coeffs.rows()` symbols (prior
+/// contents discarded, capacity reused), where output symbol `r` is
+/// `Σ_m coeffs[r][m] · inputs[m]`.
+///
+/// This is the decode / repair shape of the plan-cached codecs: the inputs
+/// are the symbols of the collected shares or helper payloads, borrowed where
+/// they lie, and `out` is the buffer the caller keeps.
 ///
 /// # Errors
 ///
-/// As for [`combine_into`].
-pub fn combine_into_scratch<'a>(
-    coeffs: &[Gf256],
-    inputs: &[&'a [u8]],
-    out: &mut [u8],
-    scratch: &mut Vec<(Gf256, &'a [u8])>,
+/// Returns [`CodeError::MalformedShare`] if `symbol_len` is zero, the number
+/// of inputs differs from `coeffs.cols()`, or an input is not `symbol_len`
+/// bytes long.
+pub fn apply_symbols_into(
+    coeffs: &Matrix,
+    inputs: &[&[u8]],
+    symbol_len: usize,
+    out: &mut Vec<u8>,
 ) -> Result<(), CodeError> {
-    if coeffs.len() != inputs.len() {
-        return Err(CodeError::MalformedShare(format!(
-            "coefficient count {} does not match input count {}",
-            coeffs.len(),
-            inputs.len()
-        )));
+    if symbol_len == 0 {
+        return Err(CodeError::MalformedShare("zero-length symbols".into()));
     }
-    for buf in inputs {
-        if buf.len() != out.len() {
-            return Err(CodeError::MalformedShare(format!(
-                "input buffer of {} bytes, expected {}",
-                buf.len(),
-                out.len()
-            )));
-        }
-    }
-    out.fill(0);
-    scratch.clear();
-    scratch.extend(
-        coeffs
-            .iter()
-            .zip(inputs)
-            .filter(|(c, _)| !c.is_zero())
-            .map(|(c, s)| (*c, *s)),
-    );
-    bulk::mul_add_slices(scratch, out);
+    check_inputs(coeffs.cols(), inputs, symbol_len)?;
+    apply_rows(coeffs, inputs.iter().copied(), symbol_len, out);
     Ok(())
 }
 
@@ -332,31 +381,30 @@ impl BufMatrix {
 }
 
 /// Applies a coefficient matrix to a flat buffer of `coeffs.cols()` symbols:
-/// `dst` receives `coeffs.rows()` symbols, where output symbol `r` is
-/// `Σ_m coeffs[r][m] · src_symbol(m)`. `dst` is overwritten.
+/// `dst` is resized to `coeffs.rows()` symbols (prior contents discarded,
+/// capacity reused), where output symbol `r` is
+/// `Σ_m coeffs[r][m] · src_symbol(m)`.
 ///
-/// This is the steady-state data path of the plan-cached codecs: the source
-/// is a framed value (or a set of collected share symbols flattened by the
-/// caller) and no intermediate buffers are created.
+/// This is the steady-state encode path of the plan-cached codecs: the source
+/// is a framed value and no intermediate buffers are created.
 ///
 /// # Errors
 ///
-/// Returns [`CodeError::MalformedShare`] if `src` / `dst` lengths do not
-/// match `coeffs.cols() · symbol_len` / `coeffs.rows() · symbol_len`.
+/// Returns [`CodeError::MalformedShare`] if `src` is not
+/// `coeffs.cols() · symbol_len` bytes long.
 pub fn apply_into(
     coeffs: &Matrix,
     src: &[u8],
     symbol_len: usize,
-    dst: &mut [u8],
+    dst: &mut Vec<u8>,
 ) -> Result<(), CodeError> {
-    if src.len() != coeffs.cols() * symbol_len || dst.len() != coeffs.rows() * symbol_len {
+    if src.len() != coeffs.cols() * symbol_len {
         return Err(CodeError::MalformedShare(format!(
             "apply_into dimension mismatch: {}x{} coefficients, {} source bytes, \
-             {} destination bytes, symbol_len {symbol_len}",
+             symbol_len {symbol_len}",
             coeffs.rows(),
             coeffs.cols(),
-            src.len(),
-            dst.len()
+            src.len()
         )));
     }
     // Tiny symbols (small values framed into B ≈ symbol-per-byte pieces):
@@ -365,20 +413,12 @@ pub fn apply_into(
     // output symbol. This is the hot path of `encode_l2_elements_into` on
     // symbol_len ≈ 1 values.
     if symbol_len <= bulk::SMALL_SYMBOL_MAX {
+        dst.clear();
+        dst.resize(coeffs.rows() * symbol_len, 0);
         bulk::apply_small(coeffs, src, symbol_len, dst);
         return Ok(());
     }
-    dst.fill(0);
-    let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(coeffs.cols());
-    for (r, out) in dst.chunks_exact_mut(symbol_len).enumerate() {
-        terms.clear();
-        for (m, &c) in coeffs.row(r).iter().enumerate() {
-            if !c.is_zero() {
-                terms.push((c, &src[m * symbol_len..(m + 1) * symbol_len]));
-            }
-        }
-        bulk::mul_add_slices(&terms, out);
-    }
+    apply_rows(coeffs, src.chunks_exact(symbol_len), symbol_len, dst);
     Ok(())
 }
 
@@ -502,8 +542,84 @@ mod tests {
             );
         }
 
-        let mut wrong = vec![0u8; 2 * symbol_len];
-        assert!(apply_into(&coeffs, &src, symbol_len, &mut wrong).is_err());
+        assert!(apply_into(&coeffs, &src[1..], symbol_len, &mut dst).is_err());
+    }
+
+    /// Deterministic filler for the tests below.
+    fn bytes(len: usize, seed: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i + seed) * 37 % 251) as u8).collect()
+    }
+
+    /// Reference product through the byte-at-a-time oracle.
+    fn reference(coeffs: &Matrix, inputs: &[&[u8]], symbol_len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; coeffs.rows() * symbol_len];
+        for (r, sym) in out.chunks_exact_mut(symbol_len).enumerate() {
+            for (&c, input) in coeffs.row(r).iter().zip(inputs) {
+                bulk::scalar_mul_add_slice(c, input, sym);
+            }
+        }
+        out
+    }
+
+    /// The kernels only accumulate, so each entry point zeroes its output
+    /// exactly once. This is what notices a zeroing pass removed too many:
+    /// whatever a caller-provided buffer held before — and whether it was
+    /// shorter, longer or the right size — the result is the same, for
+    /// zero, one and many non-zero coefficients and for lengths on both
+    /// sides of the 16- and 32-byte vector widths (and of the tiny-symbol
+    /// path's threshold).
+    #[test]
+    fn results_do_not_depend_on_prior_output_contents() {
+        let cols = 6;
+        let dense = Matrix::vandermonde(4, cols);
+        let single = Matrix::from_fn(4, cols, |r, c| {
+            if c == (r + 1) % cols {
+                Gf256::new(r as u8 + 2)
+            } else {
+                Gf256::ZERO
+            }
+        });
+        let zero = Matrix::zero(4, cols);
+        for symbol_len in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
+            let src = bytes(cols * symbol_len, symbol_len);
+            let inputs: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
+            for (name, coeffs) in [("dense", &dense), ("single", &single), ("zero", &zero)] {
+                let expected = reference(coeffs, &inputs, symbol_len);
+                let ctx = format!("{name} coefficients, symbol_len {symbol_len}");
+                for stale_len in [0, 3, expected.len(), expected.len() + 40] {
+                    let mut out = vec![0xAA; stale_len];
+                    apply_into(coeffs, &src, symbol_len, &mut out).unwrap();
+                    assert_eq!(out, expected, "apply_into, {ctx}, stale {stale_len}");
+                    let mut out = vec![0xAA; stale_len];
+                    apply_symbols_into(coeffs, &inputs, symbol_len, &mut out).unwrap();
+                    assert_eq!(
+                        out, expected,
+                        "apply_symbols_into, {ctx}, stale {stale_len}"
+                    );
+                }
+                let row = coeffs.row(1);
+                let expected_row = &expected[symbol_len..2 * symbol_len];
+                let mut out = vec![0xAA; symbol_len];
+                combine_into(row, &inputs, &mut out).unwrap();
+                assert_eq!(out, expected_row, "combine_into, {ctx}");
+                assert_eq!(
+                    combine(row, &inputs, symbol_len).unwrap(),
+                    expected_row,
+                    "combine, {ctx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn apply_symbols_into_validates_inputs() {
+        let coeffs = Matrix::vandermonde(2, 3);
+        let a = [1u8; 4];
+        let mut out = vec![7u8; 5];
+        assert!(apply_symbols_into(&coeffs, &[&a, &a], 4, &mut out).is_err());
+        assert!(apply_symbols_into(&coeffs, &[&a, &a, &a[..3]], 4, &mut out).is_err());
+        assert!(apply_symbols_into(&coeffs, &[&[], &[], &[]], 0, &mut out).is_err());
+        assert_eq!(out, [7u8; 5], "rejected before the output is touched");
     }
 
     #[test]

@@ -39,11 +39,11 @@
 //! * **repair**: `Ψ_rep⁻¹` is memoized per sorted helper set.
 
 use crate::error::CodeError;
-use crate::linear::{apply_into, combine, combine_into_scratch};
+use crate::linear::{apply_into, apply_symbols_into, combine};
 use crate::params::{CodeKind, CodeParams};
 use crate::plan::PlanCache;
 use crate::share::{HelperData, Share};
-use crate::striping::{frame, frame_into, unframe_into};
+use crate::striping::{frame, frame_into, unframe_in_place};
 use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
 use lds_gf::{bulk, Gf256, Matrix};
 use std::sync::Arc;
@@ -330,8 +330,6 @@ impl ErasureCode for ProductMatrixMbr {
         self.check_index(index)?;
         let framed = frame(data, self.params.file_size());
         let g = self.encode_plan(index)?;
-        out.clear();
-        out.resize(self.params.alpha() * framed.symbol_len, 0);
         apply_into(&g, &framed.padded, framed.symbol_len, out)
     }
 
@@ -351,11 +349,8 @@ impl ErasureCode for ProductMatrixMbr {
         // span — the per-write hot path encodes n2 elements back to back, so
         // re-framing per element dominated small-value encodes.
         let framed = frame(data, self.params.file_size());
-        let alpha = self.params.alpha();
         for (s, out) in outs.iter_mut().enumerate() {
             let g = self.encode_plan(start + s)?;
-            out.clear();
-            out.resize(alpha * framed.symbol_len, 0);
             apply_into(&g, &framed.padded, framed.symbol_len, out)?;
         }
         Ok(())
@@ -378,11 +373,8 @@ impl ErasureCode for ProductMatrixMbr {
         // in the caller's pooled scratch — striping encodes many chunks back
         // to back and reuses one frame allocation across all of them.
         let symbol_len = frame_into(data, self.params.file_size(), scratch);
-        let alpha = self.params.alpha();
         for (s, out) in outs.iter_mut().enumerate() {
             let g = self.encode_plan(start + s)?;
-            out.clear();
-            out.resize(alpha * symbol_len, 0);
             apply_into(&g, scratch, symbol_len, out)?;
         }
         Ok(())
@@ -430,17 +422,15 @@ impl ErasureCode for ProductMatrixMbr {
             .decode
             .get_or_build(&indices, |ids| self.decode_matrix(ids))?;
 
-        // Collected symbol (r, c) sits at input position r·α + c.
+        // Collected symbol (r, c) sits at input position r·α + c. The message
+        // symbols are decoded straight into `out`, then unframed where they
+        // are.
         let inputs: Vec<&[u8]> = chosen
             .iter()
             .flat_map(|s| (0..alpha).map(|a| s.symbol(a, alpha)))
             .collect();
-        let mut padded = vec![0u8; self.params.file_size() * symbol_len];
-        let mut scratch = Vec::with_capacity(inputs.len());
-        for (m, sym) in padded.chunks_exact_mut(symbol_len).enumerate() {
-            combine_into_scratch(dm.row(m), &inputs, sym, &mut scratch)?;
-        }
-        unframe_into(&padded, out)
+        apply_symbols_into(&dm, &inputs, symbol_len, out)?;
+        unframe_in_place(out)
     }
 }
 
@@ -500,11 +490,8 @@ impl RegeneratingCode for ProductMatrixMbr {
 
         // Node content ψ_f M = (M ψ_fᵗ)ᵗ because M is symmetric.
         let inputs: Vec<&[u8]> = chosen.iter().map(|h| h.data.as_slice()).collect();
-        let mut buf = vec![0u8; d * symbol_len];
-        let mut scratch = Vec::with_capacity(inputs.len());
-        for (a, sym) in buf.chunks_exact_mut(symbol_len).enumerate() {
-            combine_into_scratch(inv.row(a), &inputs, sym, &mut scratch)?;
-        }
+        let mut buf = Vec::new();
+        apply_symbols_into(&inv, &inputs, symbol_len, &mut buf)?;
         Ok(Share::new(failed_index, buf))
     }
 

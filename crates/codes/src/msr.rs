@@ -34,11 +34,11 @@
 //! parameter ranges that satisfy it.
 
 use crate::error::CodeError;
-use crate::linear::{apply_into, combine, combine_into_scratch, BufMatrix};
+use crate::linear::{apply_into, apply_symbols_into, combine, BufMatrix};
 use crate::params::{CodeKind, CodeParams};
 use crate::plan::PlanCache;
 use crate::share::{HelperData, Share};
-use crate::striping::{frame, unframe_into};
+use crate::striping::{frame, unframe_in_place};
 use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
 use lds_gf::{bulk, Gf256, Matrix};
 use std::sync::Arc;
@@ -246,10 +246,12 @@ impl ProductMatrixMsr {
         })
     }
 
-    fn reassemble(&self, s1: &BufMatrix, s2: &BufMatrix) -> Vec<u8> {
+    /// Writes the framed message (the upper triangles of `S1`, then `S2`)
+    /// into `padded`, discarding its prior contents.
+    fn reassemble_into(&self, s1: &BufMatrix, s2: &BufMatrix, padded: &mut Vec<u8>) {
         let alpha = self.params.alpha();
-        let symbol_len = s1.symbol_len();
-        let mut padded = Vec::with_capacity(self.params.file_size() * symbol_len);
+        padded.clear();
+        padded.reserve(self.params.file_size() * s1.symbol_len());
         for block in [s1, s2] {
             for r in 0..alpha {
                 for c in r..alpha {
@@ -257,7 +259,6 @@ impl ProductMatrixMsr {
                 }
             }
         }
-        padded
     }
 }
 
@@ -321,8 +322,6 @@ impl ErasureCode for ProductMatrixMsr {
             .plans
             .encode
             .get_or_build(&[index], |_| Ok(self.expanded_generator(index)))?;
-        out.clear();
-        out.resize(self.params.alpha() * framed.symbol_len, 0);
         apply_into(&g, &framed.padded, framed.symbol_len, out)
     }
 
@@ -433,8 +432,8 @@ impl ErasureCode for ProductMatrixMsr {
         let s1 = take_rows(&phi_s1)?.left_mul(&plan.phi_sub_inv)?;
         let s2 = take_rows(&phi_s2)?.left_mul(&plan.phi_sub_inv)?;
 
-        let padded = self.reassemble(&s1, &s2);
-        unframe_into(&padded, out)
+        self.reassemble_into(&s1, &s2, out);
+        unframe_in_place(out)
     }
 }
 
@@ -500,11 +499,8 @@ impl RegeneratingCode for ProductMatrixMsr {
         });
 
         let inputs: Vec<&[u8]> = chosen.iter().map(|h| h.data.as_slice()).collect();
-        let mut buf = vec![0u8; alpha * symbol_len];
-        let mut scratch = Vec::with_capacity(inputs.len());
-        for (a, sym) in buf.chunks_exact_mut(symbol_len).enumerate() {
-            combine_into_scratch(folded.row(a), &inputs, sym, &mut scratch)?;
-        }
+        let mut buf = Vec::new();
+        apply_symbols_into(&folded, &inputs, symbol_len, &mut buf)?;
         Ok(Share::new(failed_index, buf))
     }
 

@@ -13,11 +13,11 @@
 //! no matrix inversion.
 
 use crate::error::CodeError;
-use crate::linear::combine_into_scratch;
+use crate::linear::apply_symbols_into;
 use crate::params::{CodeKind, CodeParams};
 use crate::plan::PlanCache;
 use crate::share::{HelperData, Share};
-use crate::striping::{frame, unframe_into};
+use crate::striping::{frame, unframe_in_place};
 use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
 use lds_gf::{bulk, Gf256, Matrix};
 use std::sync::Arc;
@@ -173,14 +173,11 @@ impl ErasureCode for ReedSolomon {
         let inv = self.decode_plans.get_or_build(&indices, |ids| {
             Ok(self.generator.select_rows(ids).inverse()?)
         })?;
-        // Message symbol m = Σ_j inv[m, j] * share_j.
+        // Message symbol m = Σ_j inv[m, j] * share_j, decoded straight into
+        // `out` and unframed where it is.
         let inputs: Vec<&[u8]> = chosen.iter().map(|s| s.data.as_slice()).collect();
-        let mut padded = vec![0u8; k * symbol_len];
-        let mut scratch = Vec::with_capacity(inputs.len());
-        for (m, sym) in padded.chunks_exact_mut(symbol_len).enumerate() {
-            combine_into_scratch(inv.row(m), &inputs, sym, &mut scratch)?;
-        }
-        unframe_into(&padded, out)
+        apply_symbols_into(&inv, &inputs, symbol_len, out)?;
+        unframe_in_place(out)
     }
 }
 

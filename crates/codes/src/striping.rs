@@ -65,43 +65,54 @@ pub fn frame_into(data: &[u8], file_size: usize, out: &mut Vec<u8>) -> usize {
     symbol_len
 }
 
-/// Inverse of [`frame`]: strips the header and padding.
+/// Reads and validates the length header of a framed buffer: the number of
+/// value bytes that follow it.
+///
+/// The header is decoded data — a coded element that crossed a socket can
+/// make it anything — so the bound is checked without overflow.
+fn payload_len(padded: &[u8]) -> Result<usize, CodeError> {
+    let Some(header) = padded.first_chunk::<HEADER_LEN>() else {
+        return Err(CodeError::CorruptPayload(format!(
+            "framed buffer of {} bytes is shorter than the {HEADER_LEN}-byte header",
+            padded.len()
+        )));
+    };
+    let len = u64::from_le_bytes(*header);
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_add(HEADER_LEN));
+    match end {
+        Some(end) if end <= padded.len() => Ok(end - HEADER_LEN),
+        _ => Err(CodeError::CorruptPayload(format!(
+            "length header {len} exceeds framed buffer of {} bytes",
+            padded.len()
+        ))),
+    }
+}
+
+/// Inverse of [`frame`]: strips the header and padding into a fresh buffer.
 ///
 /// # Errors
 ///
 /// Returns [`CodeError::CorruptPayload`] if the buffer is too short or the
 /// header describes a length that does not fit in the buffer.
 pub fn unframe(padded: &[u8]) -> Result<Vec<u8>, CodeError> {
-    let mut out = Vec::new();
-    unframe_into(padded, &mut out)?;
-    Ok(out)
+    let len = payload_len(padded)?;
+    Ok(padded[HEADER_LEN..HEADER_LEN + len].to_vec())
 }
 
-/// Buffer-reuse variant of [`unframe`]: writes the value into `out` (cleared
-/// first, capacity reused). This is what keeps the codecs' `decode_into`
-/// free of a second full-value allocation.
+/// Inverse of [`frame`] without a second buffer: `buf` holds the framed
+/// bytes on entry and exactly the value on return (the payload is shifted
+/// over the header, the padding truncated). This is what lets the codecs
+/// decode the message symbols straight into the buffer the caller keeps.
 ///
 /// # Errors
 ///
-/// As for [`unframe`]; `out` is untouched on error.
-pub fn unframe_into(padded: &[u8], out: &mut Vec<u8>) -> Result<(), CodeError> {
-    if padded.len() < HEADER_LEN {
-        return Err(CodeError::CorruptPayload(format!(
-            "framed buffer of {} bytes is shorter than the {HEADER_LEN}-byte header",
-            padded.len()
-        )));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header.copy_from_slice(&padded[..HEADER_LEN]);
-    let len = u64::from_le_bytes(header) as usize;
-    if HEADER_LEN + len > padded.len() {
-        return Err(CodeError::CorruptPayload(format!(
-            "length header {len} exceeds framed buffer of {} bytes",
-            padded.len()
-        )));
-    }
-    out.clear();
-    out.extend_from_slice(&padded[HEADER_LEN..HEADER_LEN + len]);
+/// As for [`unframe`]; `buf` is untouched on error.
+pub fn unframe_in_place(buf: &mut Vec<u8>) -> Result<(), CodeError> {
+    let len = payload_len(buf)?;
+    buf.copy_within(HEADER_LEN..HEADER_LEN + len, 0);
+    buf.truncate(len);
     Ok(())
 }
 
@@ -131,6 +142,9 @@ mod tests {
                     data,
                     "fs={file_size} len={len}"
                 );
+                let mut buf = framed.padded;
+                unframe_in_place(&mut buf).unwrap();
+                assert_eq!(buf, data, "in place, fs={file_size} len={len}");
             }
         }
     }
@@ -177,6 +191,45 @@ mod tests {
             unframe(&framed),
             Err(CodeError::CorruptPayload(_))
         ));
+    }
+
+    /// The header is decoded data: whatever it claims, the answer is an
+    /// error — never a wrapped bound in release or an overflow panic in
+    /// debug — and the caller's buffer is left as it was.
+    #[test]
+    fn hostile_length_headers_are_rejected_without_touching_the_buffer() {
+        let framed = frame(b"payload", 3).padded;
+        let payload_len = framed.len() - HEADER_LEN;
+        for claimed in [
+            u64::MAX,
+            (usize::MAX - 3) as u64,
+            (usize::MAX - HEADER_LEN + 1) as u64,
+            payload_len as u64 + 1,
+        ] {
+            let mut buf = framed.clone();
+            buf[..HEADER_LEN].copy_from_slice(&claimed.to_le_bytes());
+            let before = buf.clone();
+            assert!(
+                matches!(unframe(&buf), Err(CodeError::CorruptPayload(_))),
+                "header {claimed}"
+            );
+            assert!(
+                matches!(
+                    unframe_in_place(&mut buf),
+                    Err(CodeError::CorruptPayload(_))
+                ),
+                "header {claimed}"
+            );
+            assert_eq!(buf, before, "header {claimed}: buffer untouched");
+        }
+        // The largest length that does fit is still accepted.
+        let mut buf = framed.clone();
+        buf[..HEADER_LEN].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        unframe_in_place(&mut buf).unwrap();
+        assert_eq!(buf, framed[HEADER_LEN..]);
+        let mut short = vec![1, 2, 3];
+        assert!(unframe_in_place(&mut short).is_err());
+        assert_eq!(short, [1, 2, 3]);
     }
 
     #[test]

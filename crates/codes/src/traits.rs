@@ -103,11 +103,13 @@ pub trait ErasureCode: Send + Sync {
     }
 
     /// Buffer-reuse variant of [`ErasureCode::decode`]: writes the decoded
-    /// value into `out` (cleared first, capacity reused).
+    /// value into `out` (cleared first, capacity reused). The bulk-kernel
+    /// codecs decode the framed message straight into `out` and unframe it
+    /// there, so no second value-sized buffer exists.
     ///
     /// # Errors
     ///
-    /// As for [`ErasureCode::decode`].
+    /// As for [`ErasureCode::decode`]; `out` then holds unspecified bytes.
     fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
         let value = self.decode(shares)?;
         out.clear();

@@ -127,6 +127,54 @@ proptest! {
         prop_assert_eq!(code.decode(&[one]).unwrap(), value);
     }
 
+    /// Decoding straight into the caller's buffer must not let what the
+    /// buffer held before (or how long it was) leak into the value: the
+    /// codecs zero each output byte once, and this is what notices a zeroing
+    /// pass removed too many.
+    #[test]
+    fn decode_into_ignores_prior_output_contents(
+        k in 2usize..=4,
+        value in proptest::collection::vec(any::<u8>(), 0..1500),
+        stale in 0usize..2000,
+        seed in any::<u64>(),
+    ) {
+        for code in &coded_codecs(k) {
+            let shares = code.encode(&value).unwrap();
+            let subset = pick_subset(code.params().n(), k, seed);
+            let chosen: Vec<Share> = subset.iter().map(|&i| shares[i].clone()).collect();
+            let mut out = vec![0xAA; stale];
+            code.decode_into(&chosen, &mut out).unwrap();
+            prop_assert!(out == value, "{}: decoded bytes differ", code.params());
+        }
+    }
+
+    /// A reader decodes whatever `k` servers sent it. Shares of well-formed
+    /// length but arbitrary content decode to an arbitrary framed buffer —
+    /// length header included — and the answer must be a value that fits or
+    /// an error, never a panic (run in debug and `--release`: overflow
+    /// checks differ).
+    #[test]
+    fn decode_of_arbitrary_share_bytes_never_panics(
+        k in 2usize..=4,
+        symbol_len in 1usize..40,
+        noise in proptest::collection::vec(any::<u8>(), 4 * 5 * 40),
+    ) {
+        for code in &coded_codecs(k) {
+            let share_len = code.params().alpha() * symbol_len;
+            let shares: Vec<Share> = noise
+                .chunks_exact(share_len)
+                .take(k)
+                .enumerate()
+                .map(|(i, bytes)| Share::new(i, bytes.to_vec()))
+                .collect();
+            prop_assert_eq!(shares.len(), k);
+            let mut out = Vec::new();
+            if code.decode_into(&shares, &mut out).is_ok() {
+                prop_assert!(out.len() <= k * share_len, "{}", code.params());
+            }
+        }
+    }
+
     #[test]
     fn mbr_share_sizes_respect_mbr_point((n, k, d, value) in mbr_case()) {
         // alpha = d * beta: per-node storage equals total repair download.
@@ -135,6 +183,16 @@ proptest! {
         let helper = code.helper_data(&shares[0], (1) % n).unwrap();
         prop_assert_eq!(shares[0].data.len(), d * helper.data.len());
     }
+}
+
+/// One instance of each coded codec whose `decode_into` writes the caller's
+/// buffer directly, all with the same `k`.
+fn coded_codecs(k: usize) -> [Box<dyn ErasureCode>; 3] {
+    [
+        Box::new(ProductMatrixMbr::with_dimensions(k + 4, k, k + 1).unwrap()),
+        Box::new(ReedSolomon::with_dimensions(k + 4, k).unwrap()),
+        Box::new(ProductMatrixMsr::with_dimensions(2 * k + 2, k).unwrap()),
+    ]
 }
 
 /// Deterministically picks `count` distinct indices out of `0..n` from a seed.

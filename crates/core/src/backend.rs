@@ -219,9 +219,9 @@ pub trait BackendCodec: Send + Sync {
     fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError>;
 
     /// Buffer-reuse variant of [`BackendCodec::decode_from_l1`]: writes the
-    /// decoded value into `out` (cleared first, capacity reused). Readers
-    /// call this with a per-client scratch buffer, so repeated decode
-    /// attempts while responses trickle in do not re-allocate.
+    /// decoded value into `out` (cleared first, capacity reused). The coded
+    /// backends decode straight into `out`, so the buffer a reader passes is
+    /// the one its value keeps; on error `out` holds unspecified bytes.
     ///
     /// # Errors
     ///

@@ -101,15 +101,14 @@ struct ReadOp {
     responders: HashSet<ProcessId>,
     /// Full (tag, value) responses received.
     value_responses: BTreeMap<Tag, Value>,
-    /// Coded responses received, grouped by tag and deduplicated by share
-    /// index.
-    coded_responses: BTreeMap<Tag, HashMap<usize, Share>>,
+    /// Coded responses received, grouped by tag, one share per share index
+    /// (a later response for an index replaces the earlier one). Kept as the
+    /// slice the decoder takes, so a decode borrows the payloads where they
+    /// are and a failed attempt leaves them in place for the next response.
+    coded_responses: BTreeMap<Tag, Vec<Share>>,
     /// The selected result, fixed when entering put-tag.
     result: Option<(Tag, Value)>,
     put_tag_acks: HashSet<ProcessId>,
-    /// Scratch buffer reused across decode attempts while get-data responses
-    /// trickle in (a failed attempt keeps its capacity for the next one).
-    decode_scratch: Vec<u8>,
 }
 
 /// The reader client automaton.
@@ -266,7 +265,6 @@ impl ReaderClient {
                 coded_responses: BTreeMap::new(),
                 result: None,
                 put_tag_acks: HashSet::new(),
-                decode_scratch: Vec::new(),
             },
         );
         ctx.send_all(
@@ -369,11 +367,11 @@ impl ReaderClient {
                 current.value_responses.insert(t, v);
             }
             (Some(t), ReadPayload::Coded(share)) => {
-                current
-                    .coded_responses
-                    .entry(t)
-                    .or_default()
-                    .insert(share.index, share);
+                let shares = current.coded_responses.entry(t).or_default();
+                match shares.iter_mut().find(|s| s.index == share.index) {
+                    Some(slot) => *slot = share,
+                    None => shares.push(share),
+                }
             }
             _ => {} // (⊥, ⊥): counts towards the responder set only
         }
@@ -393,14 +391,12 @@ impl ReaderClient {
                 break;
             }
             if shares.len() >= decode_threshold {
-                let share_vec: Vec<Share> = shares.values().cloned().collect();
                 // Stripe-aware decode: elements regenerated from a striped
                 // write carry a per-stripe layout and are decoded stripe by
-                // stripe; monolithic elements take the direct path.
-                if stripe::decode_from_l1_into(&*backend, &share_vec, &mut current.decode_scratch)
-                    .is_ok()
-                {
-                    let bytes = std::mem::take(&mut current.decode_scratch);
+                // stripe; monolithic elements take the direct path. The
+                // buffer decoded into is the one the value keeps.
+                let mut bytes = Vec::new();
+                if stripe::decode_from_l1_into(&*backend, shares, &mut bytes).is_ok() {
                     best = Some((*t, Value::new(bytes), false));
                     break;
                 }
@@ -688,6 +684,78 @@ mod tests {
             other => panic!("unexpected event {other:?}"),
         }
         assert_eq!(r.reads_served_from_l1(), 0);
+    }
+
+    #[test]
+    fn failed_decode_keeps_the_responses_for_the_next_one() {
+        let (params, membership, backend) = setup();
+        let mut r = ReaderClient::new(ClientId(14), params, membership, Arc::clone(&backend));
+        let tag = Tag::new(4, ClientId(2));
+        let op = start_and_reach_get_data(&mut r, tag);
+
+        let value = Value::new((0..1000).map(|i| (i * 7 % 251) as u8).collect());
+        let c1_share = |l1: usize| {
+            let helpers: Vec<_> = (0..3)
+                .map(|i| {
+                    let elem = backend.encode_l2_element(&value, i).unwrap();
+                    backend.helper_for_l1(&elem, i, l1).unwrap()
+                })
+                .collect();
+            backend.regenerate_l1(l1, &helpers).unwrap()
+        };
+        let coded = |share: Share| LdsMessage::DataResp {
+            obj: ObjectId(0),
+            op,
+            tag: Some(tag),
+            payload: ReadPayload::Coded(share),
+        };
+
+        // Responder quorum (3) with k = 2 coded elements for one tag, but
+        // server 1's element lost its tail: the decode fails on mismatched
+        // lengths and the read keeps waiting.
+        let mut truncated = c1_share(1);
+        truncated.data.truncate(truncated.data.len() - 3);
+        step(
+            &mut r,
+            ProcessId(3),
+            LdsMessage::DataResp {
+                obj: ObjectId(0),
+                op,
+                tag: None,
+                payload: ReadPayload::None,
+            },
+        );
+        step(&mut r, ProcessId(0), coded(c1_share(0)));
+        let (out, _) = step(&mut r, ProcessId(1), coded(truncated));
+        assert!(out.is_empty(), "a failed decode must not complete get-data");
+        assert!(r.is_busy());
+
+        // Server 1's element arrives again, intact (a duplicated DATA-RESP):
+        // it replaces the damaged one, and server 0's element — which the
+        // failed attempt borrowed, not consumed — is still there to decode
+        // with.
+        let (out, _) = step(&mut r, ProcessId(1), coded(c1_share(1)));
+        assert_eq!(out.len(), 4);
+        assert!(out
+            .iter()
+            .all(|(_, m)| matches!(m, LdsMessage::PutTag { tag: t, .. } if *t == tag)));
+
+        let mut events = Vec::new();
+        for i in 0..3 {
+            let (_, evs) = step(
+                &mut r,
+                ProcessId(i),
+                LdsMessage::AckPutTag {
+                    obj: ObjectId(0),
+                    op,
+                },
+            );
+            events.extend(evs);
+        }
+        match &events[0] {
+            ProtocolEvent::ReadCompleted { value: v, .. } => assert_eq!(v, &value),
+            other => panic!("unexpected event {other:?}"),
+        }
     }
 
     #[test]

@@ -343,8 +343,7 @@ impl L2Server {
     }
 
     fn entry(&mut self, obj: ObjectId) -> &mut (Tag, Share) {
-        let index = self.index;
-        let backend = Arc::clone(&self.backend);
+        let (index, backend) = (self.index, &self.backend);
         self.objects
             .entry(obj)
             .or_insert_with(|| (Tag::initial(), backend.initial_l2_element(index)))
@@ -529,9 +528,14 @@ impl Process<LdsMessage, ProtocolEvent> for L2Server {
                 let Some(l1_index) = self.membership.l1_index_of(from) else {
                     return; // not an L1 server; ignore
                 };
-                let (tag, element) = self.entry(obj).clone();
+                // The helper is computed from the stored element where it
+                // lies: β bytes out, no copy of the α-times-larger element.
+                let backend = Arc::clone(&self.backend);
+                let index = self.index;
+                let (tag, element) = self.entry(obj);
+                let tag = *tag;
                 // Stripe-aware: a striped element yields a striped helper.
-                match stripe::helper_for_l1(&*self.backend, &element, self.index, l1_index) {
+                match stripe::helper_for_l1(&*backend, element, index, l1_index) {
                     Ok(helper) => ctx.send(
                         from,
                         LdsMessage::SendHelperElem {

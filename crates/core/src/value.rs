@@ -45,6 +45,19 @@ impl Value {
         &self.bytes[self.start..self.end]
     }
 
+    /// The value's bytes as an owned buffer: the backing `Vec` itself when
+    /// this is the only handle on a view of the whole buffer (a freshly
+    /// decoded read is exactly that, so returning it to the caller moves
+    /// nothing), a copy of the visible bytes otherwise (a value shared with
+    /// a server list, a cache or another client, or a sub-slice).
+    pub fn into_vec(self) -> Vec<u8> {
+        if self.start == 0 && self.end == self.bytes.len() {
+            Arc::try_unwrap(self.bytes).unwrap_or_else(|shared| shared.as_ref().clone())
+        } else {
+            self.as_bytes().to_vec()
+        }
+    }
+
     /// Length in bytes — the unit the paper's costs are normalised by.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -193,6 +206,41 @@ mod tests {
         assert_eq!(from_slice, from_vec);
         assert_eq!(from_slice.as_ref(), b"xy");
         assert!(format!("{from_slice:?}").contains("2 bytes"));
+    }
+
+    #[test]
+    fn into_vec_moves_a_unique_full_view_and_copies_anything_else() {
+        // Sole handle on the whole buffer: the same heap allocation comes
+        // back, nothing is copied.
+        let bytes: Vec<u8> = (0u8..200).collect();
+        let ptr = bytes.as_ptr();
+        let expected = bytes.clone();
+        let moved = Value::new(bytes).into_vec();
+        assert_eq!(moved, expected);
+        assert_eq!(moved.as_ptr(), ptr, "unique full view is moved");
+
+        // A second handle forces a copy and is left intact.
+        let a = Value::new((0u8..50).collect());
+        let b = a.clone();
+        let copied = a.into_vec();
+        assert_eq!(copied, b.as_bytes());
+        assert_ne!(copied.as_ptr(), b.as_bytes().as_ptr());
+        assert_eq!(b.len(), 50);
+        // ... and once it is the last handle it moves after all.
+        let ptr = b.as_bytes().as_ptr();
+        let moved = b.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
+
+        // A sub-slice returns exactly its visible bytes, even as the only
+        // handle, and leaves a surviving parent untouched.
+        let parent = Value::new((0u8..100).collect());
+        let mid = parent.slice(10..20);
+        assert_eq!(mid.into_vec(), (10u8..20).collect::<Vec<_>>());
+        assert_eq!(parent.len(), 100);
+        let tail = parent.slice(90..100);
+        drop(parent);
+        assert_eq!(tail.into_vec(), (90u8..100).collect::<Vec<_>>());
+        assert!(Value::initial().into_vec().is_empty());
     }
 
     #[test]
