@@ -1,9 +1,9 @@
 //! `exp_throughput` — end-to-end ops/sec of the threaded cluster runtime.
 //!
-//! Drives closed-loop clients — written ONCE against the unified
-//! [`Store`] trait, so the same `drive_client` code runs over a single
-//! [`lds_cluster::Cluster`] and over a sharded multi-cluster deployment;
-//! the topology is just the builder's `clusters` axis — and records ops/sec
+//! Drives closed-loop clients — written against the [`Store`] trait, and
+//! the same `StoreClient` serves one [`lds_cluster::Cluster`] or a
+//! multi-cluster deployment; the cluster count is just the builder's
+//! `clusters` axis — and records ops/sec
 //! with p50/p99 latency to `BENCH_CLUSTER.json`. Three sweep axes:
 //!
 //! * **topology** — `clients × pipeline depth × server shards × cluster
@@ -286,8 +286,8 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             },
             wl,
         });
-        // The multi-cluster facade rides in the smoke sweep so CI
-        // exercises ShardedCluster end to end.
+        // A multi-cluster point rides in the smoke sweep so CI exercises
+        // the client's cross-cluster routing end to end.
         points.push(Point {
             axis: "topology",
             cfg: Config {
@@ -365,7 +365,7 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
             (4, 32, 2, 1, Tuned),
             (8, 32, 2, 1, Tuned),
             // Scale-out: the same best configs over N independent
-            // clusters behind the ShardedClient facade.
+            // clusters, each client routing by consistent hash.
             (4, 32, 2, multi_clusters, Tuned),
             (8, 32, 2, multi_clusters, Tuned),
         ] {
@@ -728,9 +728,9 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
     out.push_str("  \"_meta\": {\n");
     out.push_str(
         "    \"description\": \"End-to-end throughput of the threaded cluster runtime: \
-         closed-loop clients driving the pipelined ClusterClient API against sharded L1 \
-         servers; points with clusters > 1 run N independent L1/L2 groups behind the \
-         ShardedClient facade (object space partitioned by consistent hash). Three axes: \
+         closed-loop clients driving the pipelined Store API against sharded L1 \
+         servers; points with clusters > 1 run N independent L1/L2 groups, every client \
+         routing each operation by consistent hash of its object. Three axes: \
          axis=topology sweeps clients/depth/shards/clusters/backend at the base workload \
          (baseline = single-in-flight depth 1, unsharded, single-cluster, paper-faithful \
          flow — the pre-pipelining runtime; profile=tuned flips the documented \

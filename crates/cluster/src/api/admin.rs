@@ -1,20 +1,15 @@
 //! The `Admin` control plane: crash injection, online repair, liveness,
 //! inbox-depth probes and metrics, consolidated behind one handle.
 //!
-//! Before this facade, the control plane was scattered across ad-hoc methods
-//! (`kill_l1`/`kill_l2`, `repair_l1`/`repair_l2` duplicated on both
-//! `Cluster` and `ShardedCluster`, `l1_is_live`, `metadata_entries` and
-//! inbox-depth probes) with the shard dimension handled differently per
-//! call. [`Admin`] addresses every server with one [`ServerRef`] — layer,
-//! index and (on a sharded topology) cluster shard — and is the single seam
-//! a future failure detector drives: observe [`Admin::liveness`], decide,
-//! call [`Admin::repair`].
+//! [`Admin`] addresses every server of the deployment with one
+//! [`ServerRef`] — layer, index and cluster — and is the single seam a
+//! failure detector drives: observe [`Admin::liveness`], decide, call
+//! [`Admin::repair`].
 
-use crate::api::{StoreError, Topo, Topology};
+use crate::api::StoreError;
 use crate::node::Cluster;
 use crate::obs::{HistSnapshot, TraceDump};
 use crate::repair::{RepairLayer, RepairReport};
-use crate::sharded::ShardedCluster;
 use crate::transport::MESSAGE_CLASSES;
 use std::fmt;
 use std::fmt::Write as _;
@@ -484,10 +479,10 @@ impl MetricsSnapshot {
 /// The consolidated control plane of a store: one handle for crash
 /// injection ([`Admin::kill`]), online repair ([`Admin::repair`]), liveness
 /// ([`Admin::liveness`]), inbox-depth probes and a [`MetricsSnapshot`] —
-/// over both topologies, with the shard dimension carried by [`ServerRef`].
+/// for every cluster of the deployment, the cluster index carried by
+/// [`ServerRef`].
 ///
-/// Obtained from [`StoreHandle::admin`](crate::api::StoreHandle::admin) (or
-/// `Cluster::admin` / `ShardedCluster::admin` on the engine types).
+/// Obtained from [`StoreHandle::admin`](crate::api::StoreHandle::admin).
 /// Cheaply cloneable; all methods take `&self`.
 ///
 /// ```rust
@@ -508,61 +503,29 @@ impl MetricsSnapshot {
 /// ```
 #[derive(Clone)]
 pub struct Admin {
-    topo: Topo,
+    /// The deployment's clusters, in cluster-index order (never empty).
+    clusters: Arc<[Arc<Cluster>]>,
 }
 
 impl Admin {
-    pub(crate) fn for_cluster(cluster: Arc<Cluster>) -> Admin {
-        Admin {
-            topo: Topo::Single(cluster),
-        }
+    pub(crate) fn new(clusters: Arc<[Arc<Cluster>]>) -> Admin {
+        Admin { clusters }
     }
 
-    pub(crate) fn for_sharded(sharded: Arc<ShardedCluster>) -> Admin {
-        Admin {
-            topo: Topo::Sharded(sharded),
-        }
-    }
-
-    /// The deployment's topology.
-    pub fn topology(&self) -> Topology {
-        match &self.topo {
-            Topo::Single(_) => Topology::Single,
-            Topo::Sharded(s) => Topology::Sharded {
-                clusters: s.shard_count(),
-            },
-        }
-    }
-
-    /// Every cluster shard, in shard-index order — the one topology fan-out
-    /// every probe below iterates.
-    fn shards(&self) -> Vec<&Arc<Cluster>> {
-        match &self.topo {
-            Topo::Single(c) => vec![c],
-            Topo::Sharded(s) => (0..s.shard_count()).map(|c| s.shard(c)).collect(),
-        }
-    }
-
-    /// Number of cluster shards this admin oversees.
+    /// Number of clusters this admin oversees.
     pub fn clusters(&self) -> usize {
-        match &self.topo {
-            Topo::Single(_) => 1,
-            Topo::Sharded(s) => s.shard_count(),
-        }
+        self.clusters.len()
     }
 
     fn cluster(&self, server: ServerRef) -> Result<&Cluster, StoreError> {
-        let clusters = self.clusters();
-        if server.cluster >= clusters {
-            return Err(StoreError::InvalidConfig(format!(
-                "server {server} names cluster shard {} of a {clusters}-shard deployment",
-                server.cluster
-            )));
+        match self.clusters.get(server.cluster) {
+            Some(cluster) => Ok(cluster),
+            None => Err(StoreError::InvalidConfig(format!(
+                "server {server} names cluster shard {} of a {}-shard deployment",
+                server.cluster,
+                self.clusters.len()
+            ))),
         }
-        Ok(match &self.topo {
-            Topo::Single(c) => c,
-            Topo::Sharded(s) => s.shard(server.cluster),
-        })
     }
 
     fn check_index(&self, server: ServerRef) -> Result<(), StoreError> {
@@ -688,7 +651,7 @@ impl Admin {
                 .collect();
             (l1, l2)
         };
-        let (l1, l2) = self.shards().into_iter().map(|c| per_cluster(c)).unzip();
+        let (l1, l2) = self.clusters.iter().map(|c| per_cluster(c)).unzip();
         Liveness { l1, l2 }
     }
 
@@ -702,7 +665,7 @@ impl Admin {
                 .map(|j| cluster.l1_inbox_depth(j))
                 .collect::<Vec<_>>()
         };
-        self.shards().into_iter().map(|c| per_cluster(c)).collect()
+        self.clusters.iter().map(|c| per_cluster(c)).collect()
     }
 
     /// Client operations currently admitted per L1 key partition (bounded
@@ -715,7 +678,7 @@ impl Admin {
                 .map(|p| cluster.l1_admitted_ops(p))
                 .collect::<Vec<_>>()
         };
-        self.shards().into_iter().map(|c| per_cluster(c)).collect()
+        self.clusters.iter().map(|c| per_cluster(c)).collect()
     }
 
     /// The largest queue length any single worker-shard inbox of each L1
@@ -728,7 +691,7 @@ impl Admin {
                 .map(|j| cluster.l1_max_inbox_depth(j))
                 .collect::<Vec<_>>()
         };
-        self.shards().into_iter().map(|c| per_cluster(c)).collect()
+        self.clusters.iter().map(|c| per_cluster(c)).collect()
     }
 
     /// Reports of every successful online repair since the store started —
@@ -736,18 +699,14 @@ impl Admin {
     /// logs concatenated in shard-index order (repairs of different shards
     /// are independent and carry no global ordering).
     pub fn repair_reports(&self) -> Vec<RepairReport> {
-        self.shards()
-            .into_iter()
-            .flat_map(|c| c.repair_log())
-            .collect()
+        self.clusters.iter().flat_map(|c| c.repair_log()).collect()
     }
 
     /// A point-in-time aggregate of the deployment's occupancy and health
     /// metrics — the payload a metrics endpoint would export.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let clusters = self.shards();
         let mut snapshot = MetricsSnapshot {
-            clusters: clusters.len(),
+            clusters: self.clusters.len(),
             l1_metadata_entries: 0,
             l1_temporary_bytes: 0,
             l1_inbox_depth: 0,
@@ -782,7 +741,7 @@ impl Admin {
             phase_data_latency: HistSnapshot::empty(),
             phase_commit_latency: HistSnapshot::empty(),
         };
-        for (c, cluster) in clusters.into_iter().enumerate() {
+        for (c, cluster) in self.clusters.iter().enumerate() {
             let params = cluster.params();
             snapshot.l1_metadata_entries += cluster.total_l1_metadata_entries();
             snapshot.l1_temporary_bytes += cluster.total_l1_temporary_bytes();
@@ -873,7 +832,7 @@ impl Admin {
     /// [`TraceDump::tail_jsonl`].
     pub fn trace_dump(&self) -> TraceDump {
         let mut dump = TraceDump::default();
-        for cluster in self.shards() {
+        for cluster in self.clusters.iter() {
             dump.merge(cluster.recorder().dump());
         }
         dump

@@ -1,10 +1,9 @@
 //! The fluent `StoreBuilder`: one validated construction path for every
-//! topology and profile.
+//! cluster count and profile.
 
-use crate::api::{StoreError, StoreHandle, Topo};
+use crate::api::{StoreError, StoreHandle};
 use crate::heal::{HealConfig, HealRuntime};
 use crate::node::{Cluster, ClusterOptions, HostScope};
-use crate::sharded::ShardedCluster;
 use crate::transport::{FaultPlan, Transport};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
@@ -15,11 +14,9 @@ use std::time::Duration;
 
 /// Fluent, validating builder for a running LDS store.
 ///
-/// Replaces the forked construction paths (`Cluster::start_with` /
-/// `ShardedCluster::start_with` with hand-assembled `ClusterOptions` /
-/// `L1Options` / `L2Options` literals) with one chain that picks the
-/// concrete topology from a single [`clusters`](StoreBuilder::clusters)
-/// axis and validates the *whole* configuration at
+/// One chain sets the number of clusters
+/// ([`clusters`](StoreBuilder::clusters)), the profile and every knob of
+/// [`ClusterOptions`], and validates the *whole* configuration at
 /// [`build()`](StoreBuilder::build) time — invalid quorum arithmetic,
 /// impossible code parameters and zero-sized knobs are reported as
 /// [`StoreError::InvalidConfig`] before any thread is spawned, instead of
@@ -61,21 +58,13 @@ pub struct StoreBuilder {
     explicit_params: Option<SystemParams>,
     backend: BackendKind,
     clusters: usize,
-    l1_shards: usize,
-    l2_shards: usize,
-    pipeline_depth: usize,
-    inbox_cap: Option<usize>,
-    read_cache_entries: usize,
-    repair_timeout: Duration,
-    repair_log_cap: usize,
+    /// What every cluster is launched with; the defaults are
+    /// [`ClusterOptions::default`]'s.
+    options: ClusterOptions,
     heal: Option<HealConfig>,
     fault_plan: Option<FaultPlan>,
     transport: Option<Arc<dyn Transport>>,
     host_scope: Option<HostScope>,
-    trace: bool,
-    trace_events: usize,
-    l1: L1Options,
-    l2: L2Options,
 }
 
 impl std::fmt::Debug for StoreBuilder {
@@ -87,9 +76,7 @@ impl std::fmt::Debug for StoreBuilder {
             .field("d", &self.d)
             .field("backend", &self.backend)
             .field("clusters", &self.clusters)
-            .field("l1_shards", &self.l1_shards)
-            .field("l2_shards", &self.l2_shards)
-            .field("pipeline_depth", &self.pipeline_depth)
+            .field("options", &self.options)
             .field("heal", &self.heal)
             .field("transport", &self.transport.as_ref().map(|_| "custom"))
             .field("host_scope", &self.host_scope)
@@ -107,21 +94,11 @@ impl Default for StoreBuilder {
             explicit_params: None,
             backend: BackendKind::Mbr,
             clusters: 1,
-            l1_shards: 1,
-            l2_shards: 1,
-            pipeline_depth: 16,
-            inbox_cap: None,
-            read_cache_entries: 0,
-            repair_timeout: crate::node::DEFAULT_REPAIR_TIMEOUT,
-            repair_log_cap: crate::node::DEFAULT_REPAIR_LOG_CAP,
+            options: ClusterOptions::default(),
             heal: None,
             fault_plan: None,
             transport: None,
             host_scope: None,
-            trace: false,
-            trace_events: crate::obs::DEFAULT_TRACE_EVENTS,
-            l1: L1Options::default(),
-            l2: L2Options::default(),
         }
     }
 }
@@ -172,8 +149,8 @@ impl StoreBuilder {
     /// Resets any previous [`high_throughput`](StoreBuilder::high_throughput)
     /// profile but keeps topology, depth and bounded-inbox settings.
     pub fn paper_faithful(mut self) -> StoreBuilder {
-        self.l1 = L1Options::default();
-        self.l2 = L2Options::default();
+        self.options.l1 = L1Options::default();
+        self.options.l2 = L2Options::default();
         self
     }
 
@@ -185,11 +162,11 @@ impl StoreBuilder {
     /// not (covered by the cluster stress tests).
     pub fn high_throughput(mut self, shards: usize) -> StoreBuilder {
         let profile = ClusterOptions::high_throughput(shards);
-        self.l1 = profile.l1;
-        self.l2 = profile.l2;
-        self.l1_shards = profile.l1_shards;
-        self.l2_shards = profile.l2_shards;
-        self.pipeline_depth = profile.pipeline_depth;
+        self.options.l1 = profile.l1;
+        self.options.l2 = profile.l2;
+        self.options.l1_shards = profile.l1_shards;
+        self.options.l2_shards = profile.l2_shards;
+        self.options.pipeline_depth = profile.pipeline_depth;
         self
     }
 
@@ -198,28 +175,28 @@ impl StoreBuilder {
     /// are processed in parallel within one node. `1` reproduces the
     /// original single-threaded servers.
     pub fn shards(mut self, shards: usize) -> StoreBuilder {
-        self.l1_shards = shards;
-        self.l2_shards = shards;
+        self.options.l1_shards = shards;
+        self.options.l2_shards = shards;
         self
     }
 
     /// Worker shards per L1 server only (L1 holds all mutable protocol
     /// state, so it is usually the layer worth sharding).
     pub fn l1_shards(mut self, shards: usize) -> StoreBuilder {
-        self.l1_shards = shards;
+        self.options.l1_shards = shards;
         self
     }
 
     /// Worker shards per L2 server only.
     pub fn l2_shards(mut self, shards: usize) -> StoreBuilder {
-        self.l2_shards = shards;
+        self.options.l2_shards = shards;
         self
     }
 
-    /// Independent cluster shards — the scale-out topology axis. `1` (the
-    /// default) builds a single [`Cluster`]; `n > 1` builds a
-    /// [`ShardedCluster`] of `n` fully independent L1/L2 memberships with
-    /// keys placed by consistent hash ([`crate::cluster_of`]).
+    /// Independent clusters — the scale-out axis (default `1`). The
+    /// deployment runs `n` [`Cluster`]s, each a fully independent L1/L2
+    /// membership with its own failure budget, with keys placed by
+    /// consistent hash ([`crate::cluster_of`]).
     pub fn clusters(mut self, clusters: usize) -> StoreBuilder {
         self.clusters = clusters;
         self
@@ -229,7 +206,7 @@ impl StoreBuilder {
     /// [`StoreHandle::client`](crate::api::StoreHandle::client) keeps in
     /// flight.
     pub fn pipeline_depth(mut self, depth: usize) -> StoreBuilder {
-        self.pipeline_depth = depth;
+        self.options.pipeline_depth = depth;
         self
     }
 
@@ -240,7 +217,7 @@ impl StoreBuilder {
     /// of the value size. `0` (the default) disables striping. The logical
     /// operation stays atomic — one tag covers all stripes.
     pub fn stripe_threshold(mut self, threshold: usize) -> StoreBuilder {
-        self.l1.stripe_threshold = threshold;
+        self.options.l1.stripe_threshold = threshold;
         self
     }
 
@@ -249,7 +226,7 @@ impl StoreBuilder {
     /// [`stripe_threshold`](StoreBuilder::stripe_threshold); must be
     /// non-zero (validated at `build()`).
     pub fn stripe_size(mut self, size: usize) -> StoreBuilder {
-        self.l1.stripe_size = size;
+        self.options.l1.stripe_size = size;
         self
     }
 
@@ -260,7 +237,7 @@ impl StoreBuilder {
     /// phase skipped, so linearizability is untouched. `0` (the default)
     /// disables the cache.
     pub fn read_cache(mut self, entries: usize) -> StoreBuilder {
-        self.read_cache_entries = entries;
+        self.options.read_cache_entries = entries;
         self
     }
 
@@ -271,7 +248,7 @@ impl StoreBuilder {
     /// still opt out per call with
     /// [`Admin::repair_with_timeout`](crate::api::Admin::repair_with_timeout).
     pub fn repair_timeout(mut self, timeout: Duration) -> StoreBuilder {
-        self.repair_timeout = timeout;
+        self.options.repair_timeout = timeout;
         self
     }
 
@@ -284,7 +261,7 @@ impl StoreBuilder {
     /// [`MetricsSnapshot::repairs_completed`](crate::api::MetricsSnapshot::repairs_completed)
     /// stays exact regardless.
     pub fn repair_log_cap(mut self, cap: usize) -> StoreBuilder {
-        self.repair_log_cap = cap;
+        self.options.repair_log_cap = cap;
         self
     }
 
@@ -350,7 +327,7 @@ impl StoreBuilder {
     /// Off by default — and when off, every recording site in the hot path
     /// costs exactly one branch on a cached flag.
     pub fn trace(mut self, on: bool) -> StoreBuilder {
-        self.trace = on;
+        self.options.trace = on;
         self
     }
 
@@ -358,7 +335,7 @@ impl StoreBuilder {
     /// [`crate::obs::DEFAULT_TRACE_EVENTS`]); older events are overwritten
     /// ring-style. Only meaningful with [`trace`](StoreBuilder::trace).
     pub fn trace_events(mut self, events: usize) -> StoreBuilder {
-        self.trace_events = events;
+        self.options.trace_events = events;
         self
     }
 
@@ -368,7 +345,7 @@ impl StoreBuilder {
     /// [`crate::api::Store::try_submit_read`] return
     /// [`StoreError::WouldBlock`] instead of queueing without limit.
     pub fn inbox_cap(mut self, cap: usize) -> StoreBuilder {
-        self.inbox_cap = Some(cap);
+        self.options.inbox_cap = Some(cap);
         self
     }
 
@@ -391,27 +368,28 @@ impl StoreBuilder {
                 "at least one cluster shard is required".into(),
             ));
         }
-        if self.l1_shards == 0 || self.l2_shards == 0 {
+        let options = self.options;
+        if options.l1_shards == 0 || options.l2_shards == 0 {
             return Err(StoreError::InvalidConfig(
                 "worker shard counts must be at least 1".into(),
             ));
         }
-        if self.pipeline_depth == 0 {
+        if options.pipeline_depth == 0 {
             return Err(StoreError::InvalidConfig(
                 "pipeline depth must be at least 1".into(),
             ));
         }
-        if self.inbox_cap == Some(0) {
+        if options.inbox_cap == Some(0) {
             return Err(StoreError::InvalidConfig(
                 "inbox_cap must be at least 1 when set".into(),
             ));
         }
-        if self.l1.stripe_threshold > 0 && self.l1.stripe_size == 0 {
+        if options.l1.stripe_threshold > 0 && options.l1.stripe_size == 0 {
             return Err(StoreError::InvalidConfig(
                 "stripe_size must be at least 1 when striping is enabled".into(),
             ));
         }
-        if self.repair_timeout.is_zero() {
+        if options.repair_timeout.is_zero() {
             return Err(StoreError::InvalidConfig(
                 "repair_timeout must be non-zero".into(),
             ));
@@ -453,63 +431,45 @@ impl StoreBuilder {
                 ));
             }
         }
-        let options = ClusterOptions {
-            l1_shards: self.l1_shards,
-            l2_shards: self.l2_shards,
-            l1: self.l1,
-            l2: self.l2,
-            pipeline_depth: self.pipeline_depth,
-            inbox_cap: self.inbox_cap,
-            read_cache_entries: self.read_cache_entries,
-            repair_timeout: self.repair_timeout,
-            repair_log_cap: self.repair_log_cap,
-            trace: self.trace,
-            trace_events: self.trace_events,
-        };
-        let topo = if self.clusters > 1 {
-            Topo::Sharded(ShardedCluster::launch_with_plan(
-                self.clusters,
-                params,
-                self.backend,
-                options,
-                self.fault_plan.as_ref(),
-            )?)
-        } else if let Some(transport) = self.transport {
-            // Default scope: every server local (a single-daemon network
-            // deployment, e.g. a lone `ldsd` serving network clients).
-            let scope = self.host_scope.unwrap_or_else(|| HostScope {
+        // An explicit transport without a scope is a single-daemon network
+        // deployment (a lone `ldsd` serving network clients): every server
+        // local.
+        let scope = self.host_scope.or_else(|| {
+            self.transport.as_ref().map(|_| HostScope {
                 l1: (0..params.n1()).collect(),
                 l2: (0..params.n2()).collect(),
                 client_base: 1,
                 client_step: 1,
-            });
-            Topo::Single(Cluster::launch_scoped(
-                params,
-                self.backend,
-                options,
-                transport,
-                scope,
-            )?)
-        } else {
-            Topo::Single(Cluster::launch_with_plan(
-                params,
-                self.backend,
-                options,
-                self.fault_plan.as_ref(),
-            )?)
-        };
-        let heal = self.heal.map(|config| {
-            let shards: Vec<Arc<Cluster>> = match &topo {
-                Topo::Single(c) => vec![Arc::clone(c)],
-                Topo::Sharded(s) => (0..s.shard_count())
-                    .map(|c| Arc::clone(s.shard(c)))
-                    .collect(),
-            };
-            HealRuntime::launch(shards, config)
+            })
         });
+        let mut clusters: Vec<Arc<Cluster>> = Vec::with_capacity(self.clusters);
+        for c in 0..self.clusters {
+            // Every cluster gets its own fault-injecting transport with an
+            // independent fault stream: cluster `c` runs the plan reseeded
+            // with a golden-ratio offset of `c`, so identical clusters do not
+            // inject identical faults in lockstep (cluster 0 keeps the plan's
+            // original seed).
+            let plan = self.fault_plan.as_ref().map(|plan| {
+                plan.reseeded(
+                    plan.seed
+                        .wrapping_add((c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                )
+            });
+            clusters.push(Cluster::launch(
+                params,
+                self.backend,
+                options,
+                plan.as_ref(),
+                self.transport.clone(),
+                scope.clone(),
+                clusters.first().map(|first| first.client_numbers()),
+            )?);
+        }
+        let heal = self
+            .heal
+            .map(|config| HealRuntime::launch(clusters.clone(), config));
         Ok(StoreHandle {
-            topo,
-            backend: self.backend,
+            clusters: clusters.into(),
             heal,
         })
     }

@@ -1,6 +1,5 @@
 //! The unified error type of the [`Store`](crate::api::Store) facade.
 
-use crate::client::{ClientError, WouldBlock};
 use crate::repair::RepairError;
 use std::fmt;
 
@@ -8,12 +7,10 @@ use std::fmt;
 /// [`StoreBuilder`](crate::api::StoreBuilder) and the
 /// [`Admin`](crate::api::Admin) control plane, in one enum.
 ///
-/// Before this facade existed, callers had to juggle
-/// [`ClientError`] (blocking/pipelined waits), [`WouldBlock`] (non-blocking
-/// admission refusals), [`RepairError`] (control plane) and
-/// [`lds_core::params::InvalidParams`] / backend construction panics
-/// (configuration). `StoreError` absorbs all four, with `source()` chains
-/// where an underlying error exists.
+/// The data plane reports its failures as `StoreError` variants directly;
+/// [`RepairError`] (control plane), [`lds_core::params::InvalidParams`] and
+/// [`lds_codes::CodeError`] (configuration) convert into it, with `source()`
+/// chains where an underlying error exists.
 ///
 /// The enum is `#[non_exhaustive]`: future failure classes (e.g. resharding
 /// handover errors) can be added without breaking matches that already
@@ -82,22 +79,6 @@ impl std::error::Error for StoreError {
     }
 }
 
-impl From<ClientError> for StoreError {
-    fn from(e: ClientError) -> Self {
-        match e {
-            ClientError::Timeout => StoreError::Timeout,
-            ClientError::Disconnected => StoreError::Disconnected,
-            ClientError::UnknownTicket => StoreError::UnknownTicket,
-        }
-    }
-}
-
-impl From<WouldBlock> for StoreError {
-    fn from(_: WouldBlock) -> Self {
-        StoreError::WouldBlock
-    }
-}
-
 impl From<RepairError> for StoreError {
     fn from(e: RepairError) -> Self {
         StoreError::Repair(e)
@@ -123,19 +104,13 @@ mod tests {
 
     #[test]
     fn conversions_map_every_legacy_error() {
-        assert_eq!(StoreError::from(ClientError::Timeout), StoreError::Timeout);
-        assert_eq!(
-            StoreError::from(ClientError::Disconnected),
-            StoreError::Disconnected
-        );
-        assert_eq!(
-            StoreError::from(ClientError::UnknownTicket),
-            StoreError::UnknownTicket
-        );
-        assert_eq!(StoreError::from(WouldBlock), StoreError::WouldBlock);
         assert_eq!(
             StoreError::from(RepairError::NotCrashed),
             StoreError::Repair(RepairError::NotCrashed)
+        );
+        assert_eq!(
+            StoreError::from(lds_core::params::InvalidParams("k > d".into())),
+            StoreError::InvalidConfig("k > d".into())
         );
     }
 

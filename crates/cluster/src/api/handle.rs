@@ -1,38 +1,15 @@
-//! The built store: one handle over either topology.
+//! The built store: one handle over a deployment of `N ≥ 1` clusters.
 
-use crate::api::{Admin, ObjectId, Store, StoreError};
-use crate::client::{ClusterClient, Completion, OpTicket, Waker};
+use crate::api::{Admin, StoreClient};
 use crate::node::{Cluster, ClusterOptions};
-use crate::sharded::{ShardedClient, ShardedCluster};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_core::tag::Tag;
-use lds_core::value::Value;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Which concrete deployment a [`StoreHandle`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// One `n1 + n2` membership ([`Cluster`]).
-    Single,
-    /// `clusters` independent memberships behind a consistent hash
-    /// ([`ShardedCluster`]).
-    Sharded {
-        /// Number of independent cluster shards.
-        clusters: usize,
-    },
-}
-
-#[derive(Clone)]
-pub(crate) enum Topo {
-    Single(Arc<Cluster>),
-    Sharded(Arc<ShardedCluster>),
-}
 
 /// A running LDS store, built by
-/// [`StoreBuilder::build`](crate::api::StoreBuilder::build): one handle type
-/// whether the deployment is a single cluster or N sharded clusters.
+/// [`StoreBuilder::build`](crate::api::StoreBuilder::build): `N ≥ 1`
+/// independent clusters, all launched with the same parameters, backend and
+/// options, with keys placed by [`cluster_of`](crate::cluster_of).
 ///
 /// `StoreHandle` is cheaply cloneable (it wraps shared ownership of the
 /// deployment) and `Send + Sync`, so application threads clone it and create
@@ -57,8 +34,8 @@ pub(crate) enum Topo {
 /// ```
 #[derive(Clone)]
 pub struct StoreHandle {
-    pub(crate) topo: Topo,
-    pub(crate) backend: BackendKind,
+    /// The deployment's clusters, in cluster-index order (never empty).
+    pub(crate) clusters: Arc<[Arc<Cluster>]>,
     /// The self-healing control plane, when built with
     /// [`StoreBuilder::self_heal`](crate::api::StoreBuilder::self_heal).
     pub(crate) heal: Option<Arc<crate::heal::HealRuntime>>,
@@ -67,51 +44,32 @@ pub struct StoreHandle {
 impl std::fmt::Debug for StoreHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreHandle")
-            .field("topology", &self.topology())
-            .field("backend", &self.backend)
+            .field("clusters", &self.clusters())
+            .field("backend", &self.backend())
             .field("params", &self.params())
             .finish_non_exhaustive()
     }
 }
 
 impl StoreHandle {
-    /// The deployment's topology.
-    pub fn topology(&self) -> Topology {
-        match &self.topo {
-            Topo::Single(_) => Topology::Single,
-            Topo::Sharded(s) => Topology::Sharded {
-                clusters: s.shard_count(),
-            },
-        }
-    }
-
-    /// Number of independent cluster shards (1 on a single cluster).
+    /// Number of independent clusters in the deployment.
     pub fn clusters(&self) -> usize {
-        match &self.topo {
-            Topo::Single(_) => 1,
-            Topo::Sharded(s) => s.shard_count(),
-        }
+        self.clusters.len()
     }
 
     /// The per-cluster system parameters.
     pub fn params(&self) -> SystemParams {
-        match &self.topo {
-            Topo::Single(c) => c.params(),
-            Topo::Sharded(s) => s.shard(0).params(),
-        }
+        self.clusters[0].params()
     }
 
     /// The erasure-code backend the store encodes with.
     pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.clusters[0].backend_kind()
     }
 
     /// The options every cluster was started with.
     pub fn options(&self) -> ClusterOptions {
-        match &self.topo {
-            Topo::Single(c) => c.options(),
-            Topo::Sharded(s) => s.options(),
-        }
+        self.clusters[0].options()
     }
 
     /// Creates a data-plane client with the store's default pipeline depth.
@@ -120,27 +78,20 @@ impl StoreHandle {
     }
 
     /// Creates a data-plane client keeping at most `depth` operations in
-    /// flight (on a sharded topology the budget is split across the
-    /// per-shard handles).
+    /// flight — one budget for the whole deployment, however the client's
+    /// keys spread over its clusters.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
     pub fn client_with_depth(&self, depth: usize) -> StoreClient {
-        let inner = match &self.topo {
-            Topo::Single(c) => ClientInner::Single(Box::new(c.client_with_depth(depth))),
-            Topo::Sharded(s) => ClientInner::Sharded(Box::new(s.client_with_depth(depth))),
-        };
-        StoreClient { inner }
+        StoreClient::new(&self.clusters, depth)
     }
 
     /// The control-plane handle: crash injection, online repair, liveness
     /// and metrics (see [`Admin`]).
     pub fn admin(&self) -> Admin {
-        match &self.topo {
-            Topo::Single(c) => Admin::for_cluster(Arc::clone(c)),
-            Topo::Sharded(s) => Admin::for_sharded(Arc::clone(s)),
-        }
+        Admin::new(Arc::clone(&self.clusters))
     }
 
     /// Stops every server thread of every cluster and waits for them to
@@ -152,136 +103,8 @@ impl StoreHandle {
         if let Some(heal) = &self.heal {
             heal.stop();
         }
-        match &self.topo {
-            Topo::Single(c) => c.shutdown(),
-            Topo::Sharded(s) => s.shutdown(),
+        for cluster in self.clusters.iter() {
+            cluster.shutdown();
         }
-    }
-}
-
-enum ClientInner {
-    Single(Box<ClusterClient>),
-    Sharded(Box<ShardedClient>),
-}
-
-/// A topology-erased data-plane client produced by [`StoreHandle::client`].
-///
-/// Implements [`Store`] by delegating to the underlying [`ClusterClient`] or
-/// [`ShardedClient`]; import the trait to use it:
-///
-/// ```rust
-/// use lds_cluster::api::{ObjectId, Store, StoreBuilder};
-///
-/// let store = StoreBuilder::new().high_throughput(2).build().unwrap();
-/// let mut client = store.client_with_depth(8);
-/// let tickets: Vec<_> = (0..8u64)
-///     .map(|k| client.submit_write(ObjectId(k), &[k as u8; 16]))
-///     .collect();
-/// let completions = client.wait_all().unwrap();
-/// assert_eq!(completions.len(), tickets.len());
-/// store.shutdown();
-/// ```
-pub struct StoreClient {
-    inner: ClientInner,
-}
-
-macro_rules! delegate {
-    ($self:ident, $client:ident => $body:expr) => {
-        match &mut $self.inner {
-            ClientInner::Single($client) => $body,
-            ClientInner::Sharded($client) => $body,
-        }
-    };
-    (ref $self:ident, $client:ident => $body:expr) => {
-        match &$self.inner {
-            ClientInner::Single($client) => $body,
-            ClientInner::Sharded($client) => $body,
-        }
-    };
-}
-
-impl Store for StoreClient {
-    fn write(&mut self, key: ObjectId, value: &[u8]) -> Result<Tag, StoreError> {
-        delegate!(self, c => Store::write(c.as_mut(), key, value))
-    }
-
-    fn read(&mut self, key: ObjectId) -> Result<Vec<u8>, StoreError> {
-        delegate!(self, c => Store::read(c.as_mut(), key))
-    }
-
-    fn submit_write(&mut self, key: ObjectId, value: &[u8]) -> OpTicket {
-        delegate!(self, c => Store::submit_write(c.as_mut(), key, value))
-    }
-
-    fn submit_write_value(&mut self, key: ObjectId, value: Value) -> OpTicket {
-        delegate!(self, c => Store::submit_write_value(c.as_mut(), key, value))
-    }
-
-    fn submit_read(&mut self, key: ObjectId) -> OpTicket {
-        delegate!(self, c => Store::submit_read(c.as_mut(), key))
-    }
-
-    fn try_submit_write(&mut self, key: ObjectId, value: &[u8]) -> Result<OpTicket, StoreError> {
-        delegate!(self, c => Store::try_submit_write(c.as_mut(), key, value))
-    }
-
-    fn try_submit_read(&mut self, key: ObjectId) -> Result<OpTicket, StoreError> {
-        delegate!(self, c => Store::try_submit_read(c.as_mut(), key))
-    }
-
-    fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
-        delegate!(self, c => Store::poll(c.as_mut()))
-    }
-
-    fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError> {
-        delegate!(self, c => Store::poll_wait(c.as_mut(), max_wait))
-    }
-
-    fn waker(&self) -> Waker {
-        delegate!(ref self, c => Store::waker(c.as_ref()))
-    }
-
-    fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {
-        delegate!(self, c => Store::wait(c.as_mut(), ticket))
-    }
-
-    fn wait_next(&mut self) -> Result<Vec<Completion>, StoreError> {
-        delegate!(self, c => Store::wait_next(c.as_mut()))
-    }
-
-    fn wait_all(&mut self) -> Result<Vec<Completion>, StoreError> {
-        delegate!(self, c => Store::wait_all(c.as_mut()))
-    }
-
-    fn cancel_all(&mut self) {
-        delegate!(self, c => Store::cancel_all(c.as_mut()))
-    }
-
-    fn set_timeout(&mut self, timeout: Duration) {
-        delegate!(self, c => Store::set_timeout(c.as_mut(), timeout))
-    }
-
-    fn pending_ops(&self) -> usize {
-        delegate!(ref self, c => Store::pending_ops(c.as_ref()))
-    }
-
-    fn in_flight(&self) -> usize {
-        delegate!(ref self, c => Store::in_flight(c.as_ref()))
-    }
-
-    fn depth(&self) -> usize {
-        delegate!(ref self, c => Store::depth(c.as_ref()))
-    }
-
-    fn last_tag(&self) -> Option<Tag> {
-        delegate!(ref self, c => Store::last_tag(c.as_ref()))
-    }
-
-    fn cache_hits(&self) -> u64 {
-        delegate!(ref self, c => Store::cache_hits(c.as_ref()))
-    }
-
-    fn cache_misses(&self) -> u64 {
-        delegate!(ref self, c => Store::cache_misses(c.as_ref()))
     }
 }

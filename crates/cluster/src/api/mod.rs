@@ -1,5 +1,5 @@
-//! The versioned public API of the LDS store: one facade over every
-//! topology.
+//! The public API of the LDS store: one builder, one client type and one
+//! control plane over a deployment of `N ≥ 1` clusters.
 //!
 //! This module is the surface applications program against; everything else
 //! in the crate is engine. It is layered exactly as the paper frames the
@@ -7,21 +7,21 @@
 //! machinery — and consists of:
 //!
 //! * [`StoreBuilder`] — the fluent, validating construction path. One
-//!   [`clusters`](StoreBuilder::clusters) axis picks the concrete topology
-//!   (a single [`crate::Cluster`] or a consistent-hash
-//!   [`crate::ShardedCluster`]); named profiles
+//!   [`clusters`](StoreBuilder::clusters) axis sets how many independent
+//!   [`crate::Cluster`]s the deployment runs (keys placed by
+//!   [`crate::cluster_of`]); named profiles
 //!   ([`paper_faithful`](StoreBuilder::paper_faithful),
 //!   [`high_throughput`](StoreBuilder::high_throughput)) replace
 //!   hand-assembled options literals; every invalid combination is caught at
 //!   [`build()`](StoreBuilder::build) before a thread spawns.
-//! * [`Store`] — the unified data-plane trait: blocking `write`/`read` plus
-//!   the pipelined `submit`/`try_submit`/`poll`/`wait` family, with typed
-//!   [`ObjectId`] keys and borrowed `&[u8]` values. Implemented by
-//!   [`crate::ClusterClient`], [`crate::ShardedClient`] and the
-//!   topology-erased [`StoreClient`], so examples, benches and tests are
-//!   generic over where the bytes live.
+//! * [`Store`] — the data-plane trait: blocking `write`/`read` plus the
+//!   pipelined `submit`/`try_submit`/`poll`/`wait` family, with typed
+//!   [`ObjectId`] keys and borrowed `&[u8]` values.
 //! * [`StoreHandle`] / [`StoreClient`] — the built deployment and its
-//!   clients, one type each regardless of topology.
+//!   clients. `StoreClient` is the crate's one [`Store`] implementation: the
+//!   protocol is one atomic register per object, so a client of `N`
+//!   clusters is the single-cluster client plus routing (see
+//!   [`crate::client`]).
 //! * [`StoreError`] — every failure of the data plane, the builder and the
 //!   control plane in one `#[non_exhaustive]` enum with error-source
 //!   chains.
@@ -36,7 +36,7 @@
 //! ```rust
 //! use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 //!
-//! // Build: topology and profile are builder axes, validated together.
+//! // Build: cluster count and profile are builder axes, validated together.
 //! let store = StoreBuilder::new().high_throughput(2).clusters(2).build().unwrap();
 //!
 //! // Data plane: typed keys, borrowed values, pipelined submission.
@@ -47,7 +47,7 @@
 //! assert_eq!(client.wait_all().unwrap().len(), 8);
 //! assert_eq!(client.read(ObjectId(3)).unwrap(), b"value 3");
 //!
-//! // Control plane: kill a back-end server in shard 1, repair it online.
+//! // Control plane: kill a back-end server in cluster 1, repair it online.
 //! let admin = store.admin();
 //! admin.kill(ServerRef::l2(0).in_cluster(1)).unwrap();
 //! let report = admin.repair(ServerRef::l2(0).in_cluster(1)).unwrap();
@@ -66,12 +66,12 @@ mod store;
 pub use admin::{Admin, Liveness, MetricsSnapshot, ServerRef};
 pub use builder::StoreBuilder;
 pub use error::StoreError;
-pub(crate) use handle::Topo;
-pub use handle::{StoreClient, StoreHandle, Topology};
+pub use handle::StoreHandle;
 pub use store::Store;
 
-/// The handle [`Store::waker`] returns (re-exported from the engine client).
-pub use crate::client::Waker;
+/// The client type and the handle [`Store::waker`] returns (defined in
+/// [`crate::client`]).
+pub use crate::client::{StoreClient, Waker};
 
 /// The typed object key of the [`Store`] data plane (re-exported from
 /// `lds_core`): a `u64` newtype with `From<u64>` for ergonomic literals.

@@ -1,30 +1,26 @@
-//! The unified data-plane trait: one `Store` interface over every topology.
+//! The data-plane trait: one `Store` interface, whatever the deployment.
 //!
 //! [`Store`] captures the full client-facing read/write interface of the LDS
-//! system — the paper's "one client-facing register" framing — so code
-//! written against it runs unchanged over a single [`Cluster`]
-//! ([`crate::ClusterClient`]), a [`crate::ShardedCluster`]
-//! ([`crate::ShardedClient`]) or the topology-erased
-//! [`StoreClient`](crate::api::StoreClient) produced by
-//! [`StoreHandle::client`](crate::api::StoreHandle::client).
+//! system — the paper's "one client-facing register" framing. Its one
+//! implementation in this crate is [`StoreClient`](crate::api::StoreClient),
+//! produced by [`StoreHandle::client`](crate::api::StoreHandle::client) for
+//! a deployment of any number of clusters.
 
 use crate::api::{ObjectId, StoreError};
-use crate::client::{ClusterClient, Completion, OpTicket, Waker};
-use crate::sharded::ShardedClient;
+use crate::client::{Completion, OpTicket, Waker};
 use lds_core::tag::Tag;
 use lds_core::value::Value;
 use std::time::Duration;
 
 /// The unified LDS data plane: blocking `write`/`read` plus the pipelined
 /// `submit`/`try_submit`/`poll`/`wait` family, with typed [`ObjectId`] keys
-/// and borrowed `&[u8]` values, over any topology.
+/// and borrowed `&[u8]` values.
 ///
-/// Implemented by [`ClusterClient`] (one `n1 + n2` membership),
-/// [`crate::ShardedClient`] (N independent memberships behind a consistent
-/// hash) and [`StoreClient`](crate::api::StoreClient) (either, chosen at
-/// [`StoreBuilder::build`](crate::api::StoreBuilder::build) time) — so every
-/// example, bench and test can be generic over where the bytes actually
-/// live.
+/// Implemented by [`StoreClient`](crate::api::StoreClient), which serves one
+/// `n1 + n2` membership or `N` independent ones behind a consistent hash
+/// ([`StoreBuilder::clusters`](crate::api::StoreBuilder::clusters)) with the
+/// same code — so every example, bench and test is written once, against
+/// the trait, wherever the bytes actually live.
 ///
 /// # Semantics
 ///
@@ -39,7 +35,7 @@ use std::time::Duration;
 /// ```rust
 /// use lds_cluster::api::{ObjectId, Store, StoreBuilder};
 ///
-/// /// Generic over topology: works against any `Store` implementation.
+/// /// Works against any `Store` implementation.
 /// fn smoke<S: Store>(client: &mut S) {
 ///     let tag = client.write(ObjectId(7), b"hello").unwrap();
 ///     assert_eq!(client.last_tag(), Some(tag));
@@ -195,110 +191,3 @@ pub trait Store {
     /// `cache_hits + cache_misses` is then every completed cached read.
     fn cache_misses(&self) -> u64;
 }
-
-/// Implements [`Store`] for an engine client type whose inherent methods
-/// already provide the whole data plane under raw-`u64` / owned-`Vec`
-/// signatures. Both engine clients get token-identical impls, so a new
-/// trait method is added in exactly one place.
-macro_rules! impl_store_for_engine_client {
-    ($client:ty) => {
-        impl Store for $client {
-            fn write(&mut self, key: ObjectId, value: &[u8]) -> Result<Tag, StoreError> {
-                let ticket = self.submit_write_value(key.raw(), Value::from(value));
-                match <$client>::wait(self, ticket)?.outcome {
-                    crate::OpOutcome::Write { tag } => Ok(tag),
-                    crate::OpOutcome::Read { .. } => {
-                        unreachable!("write ticket yielded a read outcome")
-                    }
-                }
-            }
-
-            fn read(&mut self, key: ObjectId) -> Result<Vec<u8>, StoreError> {
-                Ok(<$client>::read(self, key.raw())?)
-            }
-
-            fn submit_write(&mut self, key: ObjectId, value: &[u8]) -> OpTicket {
-                self.submit_write_value(key.raw(), Value::from(value))
-            }
-
-            fn submit_write_value(&mut self, key: ObjectId, value: Value) -> OpTicket {
-                <$client>::submit_write_value(self, key.raw(), value)
-            }
-
-            fn submit_read(&mut self, key: ObjectId) -> OpTicket {
-                <$client>::submit_read(self, key.raw())
-            }
-
-            fn try_submit_write(
-                &mut self,
-                key: ObjectId,
-                value: &[u8],
-            ) -> Result<OpTicket, StoreError> {
-                Ok(<$client>::try_submit_write(self, key.raw(), value)?)
-            }
-
-            fn try_submit_read(&mut self, key: ObjectId) -> Result<OpTicket, StoreError> {
-                Ok(<$client>::try_submit_read(self, key.raw())?)
-            }
-
-            fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
-                Ok(<$client>::poll(self)?)
-            }
-
-            fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError> {
-                Ok(<$client>::poll_wait(self, max_wait)?)
-            }
-
-            fn waker(&self) -> Waker {
-                <$client>::waker(self)
-            }
-
-            fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {
-                Ok(<$client>::wait(self, ticket)?)
-            }
-
-            fn wait_next(&mut self) -> Result<Vec<Completion>, StoreError> {
-                Ok(<$client>::wait_next(self)?)
-            }
-
-            fn wait_all(&mut self) -> Result<Vec<Completion>, StoreError> {
-                Ok(<$client>::wait_all(self)?)
-            }
-
-            fn cancel_all(&mut self) {
-                <$client>::cancel_all(self);
-            }
-
-            fn set_timeout(&mut self, timeout: Duration) {
-                <$client>::set_timeout(self, timeout);
-            }
-
-            fn pending_ops(&self) -> usize {
-                <$client>::pending_ops(self)
-            }
-
-            fn in_flight(&self) -> usize {
-                <$client>::in_flight(self)
-            }
-
-            fn depth(&self) -> usize {
-                <$client>::depth(self)
-            }
-
-            fn last_tag(&self) -> Option<Tag> {
-                <$client>::last_tag(self)
-            }
-
-            fn cache_hits(&self) -> u64 {
-                <$client>::cache_hits(self)
-            }
-
-            fn cache_misses(&self) -> u64 {
-                <$client>::cache_misses(self)
-            }
-        }
-    };
-}
-
-impl_store_for_engine_client!(ClusterClient);
-impl_store_for_engine_client!(ShardedClient);

@@ -1,33 +1,51 @@
-//! Client handles for the thread-based cluster: blocking and pipelined.
+//! The data-plane client: one type, blocking and pipelined, over a
+//! deployment of any number of clusters.
 //!
-//! A [`ClusterClient`] hosts the writer and reader automata from `lds-core`
-//! and pumps their messages over the cluster's channels. Two usage styles
-//! share one handle:
+//! A [`StoreClient`] hosts the writer and reader automata from `lds-core`
+//! and pumps their messages over the deployment's channels. It is the one
+//! implementation of the [`Store`] trait in this crate, and three usage
+//! styles share one handle:
 //!
-//! * **Blocking** — [`ClusterClient::write`] / [`ClusterClient::read`] block
-//!   until the operation completes, exactly like the original API. They are
-//!   thin wrappers over the pipelined path with an immediate wait.
-//! * **Pipelined** — [`ClusterClient::submit_write`] /
-//!   [`ClusterClient::submit_read`] enqueue an operation and return an
-//!   [`OpTicket`] immediately; up to `depth` operations run concurrently.
-//!   Completions are harvested with [`ClusterClient::poll`] (non-blocking),
-//!   [`ClusterClient::wait`] (one ticket) or [`ClusterClient::wait_all`].
-//!
-//! On a bounded-inbox cluster ([`crate::ClusterOptions::inbox_cap`]) there is
-//! a third, fully non-blocking style: [`ClusterClient::try_submit_write`] /
-//! [`ClusterClient::try_submit_read`] either start the operation immediately
-//! or return [`WouldBlock`] — they never queue, so a slow or saturated server
-//! shard pushes back on the submitter instead of letting work pile up.
+//! * **Blocking** — [`Store::write`] / [`Store::read`] block until the
+//!   operation completes. They are thin wrappers over the pipelined path
+//!   with an immediate wait.
+//! * **Pipelined** — [`Store::submit_write`] / [`Store::submit_read`]
+//!   enqueue an operation and return an [`OpTicket`] immediately; up to
+//!   `depth` operations run concurrently. Completions are harvested with
+//!   [`Store::poll`] (non-blocking), [`Store::poll_wait`] (deadline-bounded),
+//!   [`Store::wait`] (one ticket) or [`Store::wait_all`].
+//! * **Non-blocking** — [`Store::try_submit_write`] /
+//!   [`Store::try_submit_read`] either start the operation immediately or
+//!   return [`StoreError::WouldBlock`] — they never queue, so a slow or
+//!   saturated server shard ([`crate::ClusterOptions::inbox_cap`]) pushes
+//!   back on the submitter instead of letting work pile up.
 //!
 //! Operations on the *same* object are executed in submission order (FIFO
 //! per object, one in flight at a time) — this keeps the per-writer tag
 //! sequence monotonic and gives read-your-writes for a client's own
 //! submissions. Operations on distinct objects proceed concurrently, which
 //! is where the throughput comes from.
+//!
+//! # One client over `N` clusters
+//!
+//! The protocol is one atomic register per object, and every object lives
+//! on exactly one cluster ([`cluster_of`]), so the only thing a client of
+//! `N > 1` clusters does differently is *route*: each automaton step's
+//! outgoing messages go to the cluster that owns the step's object. All
+//! operation state — the two automata, the inbox, the ticket counter, the
+//! dispatch queue, the pipeline budget, the read cache — exists once per
+//! client; only what belongs to a cluster (its router, admission budget,
+//! metrics registry and flight recorder) is held once per cluster.
+//! The client registers its one inbox with every cluster's router, and
+//! every client-bound message carries its object and operation id, so a
+//! reply from any cluster finds its operation.
 
+use crate::api::{Store, StoreError};
 use crate::node::{Admission, Cluster};
 use crate::obs::{phase, EventKind, ObsMetrics, TraceHandle};
-use crate::router::{Envelope, Inbox, RouterHandle};
+use crate::router::{DepthGauge, Envelope, Inbox, RouterHandle};
+use crate::sharded::cluster_of;
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::reader::ReaderClient;
 use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
@@ -40,60 +58,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Errors returned by cluster client operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientError {
-    /// The operation did not complete within the client's timeout — with
-    /// more than `f1` / `f2` servers killed this is the expected outcome.
-    /// Every outstanding operation of the handle is aborted.
-    Timeout,
-    /// The cluster channels were disconnected (cluster already shut down).
-    Disconnected,
-    /// The awaited ticket does not correspond to an outstanding or completed
-    /// operation of this handle (already harvested, aborted, or foreign).
-    UnknownTicket,
-}
-
-impl fmt::Display for ClientError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClientError::Timeout => write!(f, "operation timed out"),
-            ClientError::Disconnected => write!(f, "cluster is shut down"),
-            ClientError::UnknownTicket => write!(f, "ticket is not outstanding on this handle"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-/// A non-blocking submission was refused: the pipeline is full, an earlier
-/// operation on the same object is still outstanding, or (on a bounded-inbox
-/// cluster) the object's partition has no admission budget / a destination
-/// shard inbox is at its depth limit. Nothing was enqueued — harvest some
-/// completions (or back off) and retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WouldBlock;
-
-impl fmt::Display for WouldBlock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "submission would exceed the pipeline or inbox budget")
-    }
-}
-
-impl std::error::Error for WouldBlock {}
-
-/// Identifies one submitted operation of a [`ClusterClient`]. Tickets are
+/// Identifies one submitted operation of a [`StoreClient`]. Tickets are
 /// handed out in submission order and are unique per handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpTicket(u64);
-
-impl OpTicket {
-    /// Crate-internal constructor for facade handles that mint their own
-    /// ticket space (e.g. [`crate::ShardedClient`]).
-    pub(crate) fn from_raw(n: u64) -> OpTicket {
-        OpTicket(n)
-    }
-}
 
 impl fmt::Display for OpTicket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -150,9 +118,8 @@ pub struct Completion {
 
 /// Makes a client blocked in `poll_wait` return, from any thread.
 ///
-/// Obtained from [`ClusterClient::waker`] (or
-/// [`Store::waker`](crate::api::Store::waker)); cloneable and `Send`. A wake
-/// is sticky: one delivered while the client is *not* blocked makes its next
+/// Obtained from [`Store::waker`]; cloneable and `Send`. A wake is sticky:
+/// one delivered while the client is *not* blocked makes its next
 /// `poll_wait` return without blocking, so the usual "queue the work, then
 /// wake the consumer" hand-off cannot lose a wake-up. Wakes do not
 /// accumulate — any number of them before a `poll_wait` cost it one early
@@ -161,27 +128,19 @@ pub struct Completion {
 pub struct Waker {
     /// Checked by `poll_wait` before it blocks, cleared when it returns.
     woken: Arc<AtomicBool>,
-    /// The inbox of every engine client behind the handle; a blocked
-    /// `recv_timeout` returns on the [`Envelope::Ping`] dropped into it.
-    inboxes: Vec<crossbeam::channel::Sender<Envelope>>,
+    /// The client's inbox: a blocked `recv_timeout` returns on the
+    /// [`Envelope::Ping`] dropped into it. Sent directly, not through a
+    /// router — a fault plan must not be able to drop a local wake-up.
+    inbox: Sender<Envelope>,
 }
 
 impl Waker {
-    pub(crate) fn new(
-        woken: Arc<AtomicBool>,
-        inboxes: Vec<crossbeam::channel::Sender<Envelope>>,
-    ) -> Waker {
-        Waker { woken, inboxes }
-    }
-
     /// Wakes the client (see the type docs).
     pub fn wake(&self) {
         // SeqCst, flag before ping: a `poll_wait` that swallows the ping
         // while draining its inbox must already see the flag.
         self.woken.store(true, Ordering::SeqCst);
-        for inbox in &self.inboxes {
-            let _ = inbox.send(Envelope::Ping);
-        }
+        let _ = self.inbox.send(Envelope::Ping);
     }
 }
 
@@ -214,27 +173,62 @@ struct InFlight {
     phase_started: Instant,
 }
 
-impl InFlight {
-    fn new(ticket: OpTicket, submitted: Instant) -> InFlight {
-        InFlight {
-            ticket,
-            submitted,
-            phase: phase::TAG,
-            phase_started: Instant::now(),
-        }
+/// What a client holds once per cluster of its deployment (see the
+/// [module docs](self)); an operation uses the lane of the cluster that
+/// owns its object.
+struct Lane {
+    cluster: Arc<Cluster>,
+    route: RouterHandle,
+    /// Bounded-inbox admission state (None on an unbounded cluster).
+    admission: Option<Admission>,
+    /// The cluster's always-on latency/cache metrics registry.
+    obs: Arc<ObsMetrics>,
+    /// This handle's ring in the cluster's flight recorder (one branch per
+    /// record when tracing is off).
+    trace: TraceHandle,
+}
+
+impl Lane {
+    /// Moves `f` into phase `next`: the phase it leaves is recorded into the
+    /// cluster's histograms and the transition traced.
+    fn advance(&mut self, f: &mut InFlight, obj: ObjectId, next: u64) {
+        let now = Instant::now();
+        let us = now.saturating_duration_since(f.phase_started).as_micros() as u64;
+        self.obs.record_phase(f.phase, us);
+        f.phase = next;
+        f.phase_started = now;
+        self.trace
+            .record(EventKind::OpPhase, obj.0, next, f.ticket.0);
     }
 }
 
-/// A client of a running [`Cluster`] supporting blocking and pipelined
-/// operation. See the [module docs](self) for the two usage styles.
-pub struct ClusterClient {
-    cluster: Arc<Cluster>,
+/// A data-plane client of a running store, produced by
+/// [`StoreHandle::client`](crate::api::StoreHandle::client): the one
+/// [`Store`] implementation, whatever the number of clusters (see the
+/// [module docs](self)). Import the trait to use it:
+///
+/// ```rust
+/// use lds_cluster::api::{ObjectId, Store, StoreBuilder};
+///
+/// let store = StoreBuilder::new().high_throughput(2).build().unwrap();
+/// let mut client = store.client_with_depth(8);
+/// let tickets: Vec<_> = (0..8u64)
+///     .map(|k| client.submit_write(ObjectId(k), &[k as u8; 16]))
+///     .collect();
+/// let completions = client.wait_all().unwrap();
+/// assert_eq!(completions.len(), tickets.len());
+/// store.shutdown();
+/// ```
+pub struct StoreClient {
+    /// One lane per cluster, in cluster-index order.
+    lanes: Vec<Lane>,
     /// This handle's client number — the identity the fair admission queue
     /// tracks turns by.
     client_num: u64,
     pid: ProcessId,
     inbox: Inbox,
-    route: RouterHandle,
+    /// A sender into `inbox`, for [`Waker`]s.
+    inbox_tx: Sender<Envelope>,
     writer: WriterClient,
     reader: ReaderClient,
     depth: usize,
@@ -245,7 +239,7 @@ pub struct ClusterClient {
     /// admission).
     queue: VecDeque<QueuedOp>,
     /// Objects with a dispatched, unfinished operation. Each entry holds
-    /// exactly one admission token when the cluster is bounded.
+    /// exactly one admission token when its cluster is bounded.
     busy_objects: HashSet<ObjectId>,
     write_ops: HashMap<OpId, InFlight>,
     read_ops: HashMap<OpId, InFlight>,
@@ -253,8 +247,6 @@ pub struct ClusterClient {
     completions: Vec<Completion>,
     /// Tag of the last completed operation, useful for assertions.
     last_tag: Option<Tag>,
-    /// Bounded-inbox admission state (None on an unbounded cluster).
-    admission: Option<Admission>,
     /// Whether the last dispatch scan left an operation waiting on
     /// *admission* (as opposed to pipeline depth or per-object FIFO, which
     /// are always unblocked by one of this client's own inbox messages).
@@ -268,48 +260,60 @@ pub struct ClusterClient {
     /// Objects whose queued ops were skipped for admission in the current
     /// dispatch scan (preserves same-object FIFO across admission retries).
     scratch_deferred: HashSet<ObjectId>,
-    /// The cluster's always-on latency/cache metrics registry.
-    obs: Arc<ObsMetrics>,
-    /// This handle's flight-recorder ring (one branch per record when
-    /// tracing is off).
-    trace: TraceHandle,
-    /// Read-cache hit/miss counts already folded into `obs`, so repeated
-    /// flushes add only the delta.
+    /// Read-cache hit/miss counts already folded into a metrics registry,
+    /// so repeated flushes add only the delta.
     flushed_cache_hits: u64,
     flushed_cache_misses: u64,
-    /// Set by this handle's [`Waker`]s; see [`ClusterClient::poll_wait`].
+    /// Set by this handle's [`Waker`]s; see [`Store::poll_wait`].
     woken: Arc<AtomicBool>,
 }
 
-impl ClusterClient {
-    pub(crate) fn new(
-        cluster: Arc<Cluster>,
-        id: ClientId,
-        pid: ProcessId,
-        inbox: Inbox,
-        depth: usize,
-    ) -> Self {
+impl StoreClient {
+    /// A client of the deployment made of `clusters` (at least one; all
+    /// launched with the same parameters, backend and options) that keeps
+    /// at most `depth` operations in flight.
+    pub(crate) fn new(clusters: &[Arc<Cluster>], depth: usize) -> Self {
         assert!(depth > 0, "pipeline depth must be at least 1");
-        let options = cluster.options();
-        let mut writer = WriterClient::new(id, cluster.params(), cluster.membership().clone());
+        let first = &clusters[0];
+        let options = first.options();
+        let client_num = first.alloc_client_number();
+        let id = ClientId(client_num);
+        let pid = first.client_pid(client_num);
+        let mut writer = WriterClient::new(id, first.params(), first.membership().clone());
         writer.set_striping(options.l1.stripe_threshold, options.l1.stripe_size);
         let mut reader = ReaderClient::new(
             id,
-            cluster.params(),
-            cluster.membership().clone(),
-            cluster.backend(),
+            first.params(),
+            first.membership().clone(),
+            first.backend(),
         );
         reader.set_cache_entries(options.read_cache_entries);
-        let route = cluster.router().handle();
-        let admission = cluster.admission();
-        let obs = Arc::clone(cluster.obs_metrics());
-        let trace = cluster.recorder().handle();
-        ClusterClient {
-            cluster,
-            client_num: id.0,
+        let (inbox_tx, rx) = unbounded();
+        let depth_gauge = Arc::new(DepthGauge::default());
+        let lanes = clusters
+            .iter()
+            .map(|cluster| {
+                cluster
+                    .router()
+                    .register_sender(pid, inbox_tx.clone(), Arc::clone(&depth_gauge));
+                Lane {
+                    cluster: Arc::clone(cluster),
+                    route: cluster.router().handle(),
+                    admission: cluster.admission(),
+                    obs: Arc::clone(cluster.obs_metrics()),
+                    trace: cluster.recorder().handle(),
+                }
+            })
+            .collect();
+        StoreClient {
+            lanes,
+            client_num,
             pid,
-            inbox,
-            route,
+            inbox: Inbox {
+                rx,
+                depth: depth_gauge,
+            },
+            inbox_tx,
             writer,
             reader,
             depth,
@@ -321,301 +325,38 @@ impl ClusterClient {
             read_ops: HashMap::new(),
             completions: Vec::new(),
             last_tag: None,
-            admission,
             admission_blocked: false,
             scratch_out: Vec::with_capacity(64),
             scratch_events: Vec::with_capacity(8),
             scratch_inbox: Vec::with_capacity(64),
             scratch_deferred: HashSet::new(),
-            obs,
-            trace,
             flushed_cache_hits: 0,
             flushed_cache_misses: 0,
             woken: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Sets the timeout for each blocking wait ([`ClusterClient::write`],
-    /// [`ClusterClient::read`], [`ClusterClient::wait`],
-    /// [`ClusterClient::wait_all`]).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
+    /// The lane of the cluster that owns `obj`. With one cluster this is 0
+    /// before any hashing.
+    #[inline]
+    fn lane_of(&self, obj: ObjectId) -> usize {
+        cluster_of(obj.0, self.lanes.len())
     }
 
-    /// The maximum number of operations this handle keeps in flight.
-    pub fn depth(&self) -> usize {
-        self.depth
+    /// The timestamp automaton steps run at (it feeds event timestamps
+    /// only, so any one cluster's clock serves every lane).
+    fn now(&self) -> SimTime {
+        self.lanes[0].cluster.elapsed()
     }
 
-    /// The tag of this client's most recently completed operation.
-    pub fn last_tag(&self) -> Option<Tag> {
-        self.last_tag
-    }
-
-    /// Reads served from this handle's tag-validated cache (the committed-tag
-    /// quorum confirmed the cached tag, so the data-transfer phase was
-    /// skipped). Always 0 unless [`crate::ClusterOptions::read_cache_entries`]
-    /// is non-zero.
-    pub fn cache_hits(&self) -> u64 {
-        self.reader.cache_hits()
-    }
-
-    /// Reads that ran the full data-transfer phase although this handle's
-    /// cache is enabled (the quorum-confirmed tag was newer than — or absent
-    /// from — the cache). Always 0 when the cache is disabled, so
-    /// `hits / (hits + misses)` is a meaningful hit ratio.
-    pub fn cache_misses(&self) -> u64 {
-        self.reader.cache_misses()
-    }
-
-    /// Operations submitted but not yet harvested: queued + in flight +
-    /// completed-but-unharvested.
-    pub fn pending_ops(&self) -> usize {
-        self.queue.len() + self.in_flight() + self.completions.len()
-    }
-
-    /// Operations currently dispatched into the automata.
-    pub fn in_flight(&self) -> usize {
-        self.write_ops.len() + self.read_ops.len()
-    }
-
-    // ------------------------------------------------------------------
-    // Pipelined API.
-    // ------------------------------------------------------------------
-
-    /// Enqueues a write of `value` to object `obj` and returns its ticket.
-    /// The operation starts immediately if a pipeline slot is free, no
-    /// earlier operation on `obj` is outstanding and (on a bounded cluster)
-    /// the partition has admission budget; otherwise it waits in the
-    /// client-local queue. For backpressure that refuses instead of queueing
-    /// use [`ClusterClient::try_submit_write`].
-    pub fn submit_write(&mut self, obj: u64, value: Vec<u8>) -> OpTicket {
-        self.submit_write_value(obj, Value::new(value))
-    }
-
-    /// Enqueues a write of an already-framed [`Value`] — the zero-copy
-    /// submission path: a `Value` holds its bytes behind an `Arc`, so
-    /// callers that already share the payload (or submit the same value to
-    /// several objects) hand it over without another copy. This is what the
-    /// [`crate::api::Store`] implementations build on.
-    pub fn submit_write_value(&mut self, obj: u64, value: Value) -> OpTicket {
-        self.submit(ObjectId(obj), OpKind::Write(value))
-    }
-
-    /// Enqueues a read of object `obj` and returns its ticket.
-    pub fn submit_read(&mut self, obj: u64) -> OpTicket {
-        self.submit(ObjectId(obj), OpKind::Read)
-    }
-
-    /// Starts a write of `value` to object `obj` right now, or refuses with
-    /// [`WouldBlock`] — never queues. Refusal means the pipeline is at
-    /// depth, an earlier operation on `obj` is still outstanding, or the
-    /// bounded cluster's partition budget / inbox depth limit is exhausted
-    /// (i.e. the servers responsible for `obj` are saturated: back off).
-    pub fn try_submit_write(&mut self, obj: u64, value: &[u8]) -> Result<OpTicket, WouldBlock> {
-        self.try_submit(ObjectId(obj), || OpKind::Write(Value::new(value.to_vec())))
-    }
-
-    /// Starts a read of object `obj` right now, or refuses with
-    /// [`WouldBlock`] — never queues. See
-    /// [`ClusterClient::try_submit_write`] for the refusal conditions.
-    pub fn try_submit_read(&mut self, obj: u64) -> Result<OpTicket, WouldBlock> {
-        self.try_submit(ObjectId(obj), || OpKind::Read)
-    }
-
-    /// Processes every message that is already available without blocking
-    /// and returns the completions harvested so far (possibly empty).
-    pub fn poll(&mut self) -> Result<Vec<Completion>, ClientError> {
-        self.pump_available()?;
-        // Queued operations held back by partition admission are started by
-        // *this* client when budget frees (another client's completion sends
-        // us no message), so a poll-driven loop must retry dispatch here or
-        // it would spin forever without ever starting them.
-        if self.admission_blocked {
-            self.try_dispatch();
-        }
-        Ok(std::mem::take(&mut self.completions))
-    }
-
-    /// Blocks up to `max_wait` for the next message batch and returns
-    /// whatever completions were harvested (possibly none; the call may also
-    /// return earlier than `max_wait` while queued operations await
-    /// admission on a bounded cluster, and returns at once when nothing is
-    /// outstanding). Unlike [`ClusterClient::wait_next`], expiry of
-    /// `max_wait` is *not* an error and does not abort outstanding
-    /// operations: every ticket stays redeemable. A [`Waker::wake`] from
-    /// another thread makes the call return early (or not block at all if
-    /// it came first). This is the deadline-bounded wait an event loop needs
-    /// — the `ldsd` RPC worker blocks here — and the building block
-    /// [`crate::ShardedClient`] multiplexes its per-shard handles with.
-    pub fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, ClientError> {
-        self.pump_available()?;
-        if self.completions.is_empty()
-            && self.outstanding() > 0
-            && !self.woken.load(Ordering::SeqCst)
-        {
-            match self.inbox.rx.recv_timeout(self.bounded_wait(max_wait)) {
-                Ok(envelope) => {
-                    self.consume_envelope(envelope)?;
-                    self.pump_available()?;
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // Queued-but-unadmitted operations are dispatched by this
-                    // client, not by an incoming message: retry admission.
-                    self.try_dispatch();
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(ClientError::Disconnected)
-                }
-            }
-        }
-        // Cleared on the way out, never before blocking. A wake this swap
-        // overwrites happened before the return, so whatever it announced
-        // is visible to the caller's own re-check; a later one stays set.
-        self.woken.swap(false, Ordering::SeqCst);
-        Ok(std::mem::take(&mut self.completions))
-    }
-
-    /// A handle that wakes this client out of [`ClusterClient::poll_wait`]
-    /// from another thread.
-    pub fn waker(&self) -> Waker {
-        Waker::new(Arc::clone(&self.woken), vec![self.inbox_sender()])
-    }
-
-    /// A sender into this client's own inbox (for [`Waker`]s).
-    pub(crate) fn inbox_sender(&self) -> crossbeam::channel::Sender<Envelope> {
-        self.cluster
-            .router()
-            .inbox_sender(self.pid)
-            .expect("a live client stays registered until it is dropped")
-    }
-
-    /// Blocks until at least one completion is available (or every pending
-    /// operation has completed) and returns all harvested completions.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Timeout`] aborts every outstanding operation of this
-    /// handle; [`ClientError::Disconnected`] after cluster shutdown.
-    pub fn wait_next(&mut self) -> Result<Vec<Completion>, ClientError> {
-        let deadline = Instant::now() + self.timeout;
-        self.pump_available()?;
-        while self.completions.is_empty() && self.outstanding() > 0 {
-            self.pump_blocking(deadline)?;
-        }
-        Ok(std::mem::take(&mut self.completions))
-    }
-
-    /// Blocks until the operation behind `ticket` completes and returns its
-    /// completion. Completions of other operations harvested along the way
-    /// are retained for later `poll`/`wait` calls.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::UnknownTicket`] if the ticket is not outstanding;
-    /// [`ClientError::Timeout`] (which aborts every outstanding operation)
-    /// or [`ClientError::Disconnected`] as for [`ClusterClient::wait_all`].
-    pub fn wait(&mut self, ticket: OpTicket) -> Result<Completion, ClientError> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            self.pump_available()?;
-            if let Some(i) = self.completions.iter().position(|c| c.ticket == ticket) {
-                return Ok(self.completions.remove(i));
-            }
-            if !self.is_outstanding(ticket) {
-                return Err(ClientError::UnknownTicket);
-            }
-            self.pump_blocking(deadline)?;
-        }
-    }
-
-    /// Blocks until every submitted operation has completed and returns all
-    /// harvested completions in ticket order.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Timeout`] aborts every outstanding operation of this
-    /// handle; [`ClientError::Disconnected`] after cluster shutdown.
-    pub fn wait_all(&mut self) -> Result<Vec<Completion>, ClientError> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            self.pump_available()?;
-            if self.outstanding() == 0 {
-                let mut done = std::mem::take(&mut self.completions);
-                done.sort_by_key(|c| c.ticket);
-                return Ok(done);
-            }
-            self.pump_blocking(deadline)?;
-        }
-    }
-
-    /// Abandons every outstanding operation of this handle: queued
-    /// operations are dropped, in-flight automaton state is cancelled, and
-    /// their tickets are forgotten (admission tokens are returned on a
-    /// bounded cluster). Already-harvested completions are retained. The
-    /// handle remains usable.
-    pub fn cancel_all(&mut self) {
-        self.writer.cancel_all();
-        self.reader.cancel_all();
-        self.queue.clear();
-        self.admission_blocked = false;
-        if let Some(admission) = self.admission.clone() {
-            for obj in self.busy_objects.drain() {
-                admission.release(obj);
-            }
-            // Abandoned queued operations must not hold a fairness turn.
-            admission.forget(self.client_num);
-        } else {
-            self.busy_objects.clear();
-        }
-        self.write_ops.clear();
-        self.read_ops.clear();
-    }
-
-    // ------------------------------------------------------------------
-    // Blocking wrappers.
-    // ------------------------------------------------------------------
-
-    /// Writes `value` to object `obj`, blocking until the write is atomic-
-    /// committed (acknowledged by `f1 + k` L1 servers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Timeout`] if the operation does not complete in
-    /// time (e.g. too many servers were killed) and
-    /// [`ClientError::Disconnected`] after shutdown.
-    pub fn write(&mut self, obj: u64, value: Vec<u8>) -> Result<Tag, ClientError> {
-        let ticket = self.submit_write(obj, value);
-        let completion = self.wait(ticket)?;
-        match completion.outcome {
-            OpOutcome::Write { tag } => Ok(tag),
-            OpOutcome::Read { .. } => unreachable!("write ticket yielded a read outcome"),
-        }
-    }
-
-    /// Reads object `obj`, blocking until the read completes, and returns the
-    /// value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Timeout`] or [`ClientError::Disconnected`] as
-    /// for [`ClusterClient::write`].
-    pub fn read(&mut self, obj: u64) -> Result<Vec<u8>, ClientError> {
-        let ticket = self.submit_read(obj);
-        let completion = self.wait(ticket)?;
-        match completion.outcome {
-            OpOutcome::Read { value, .. } => Ok(value),
-            OpOutcome::Write { .. } => unreachable!("read ticket yielded a write outcome"),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Internals.
-    // ------------------------------------------------------------------
-
-    fn submit(&mut self, obj: ObjectId, kind: OpKind) -> OpTicket {
+    fn mint_ticket(&mut self) -> OpTicket {
         let ticket = OpTicket(self.next_ticket);
         self.next_ticket += 1;
+        ticket
+    }
+
+    fn submit(&mut self, obj: ObjectId, kind: OpKind) -> OpTicket {
+        let ticket = self.mint_ticket();
         self.queue.push_back(QueuedOp {
             ticket,
             obj,
@@ -630,28 +371,41 @@ impl ClusterClient {
         &mut self,
         obj: ObjectId,
         kind: impl FnOnce() -> OpKind,
-    ) -> Result<OpTicket, WouldBlock> {
+    ) -> Result<OpTicket, StoreError> {
         // Harvest whatever already arrived so completed ops free their slots
         // before we judge fullness. A disconnected cluster is reported by the
         // next poll/wait, not here (this path stays infallible w.r.t. I/O).
         let _ = self.pump_available();
         if self.in_flight() >= self.depth {
-            return Err(WouldBlock);
+            return Err(StoreError::WouldBlock);
         }
         if self.busy_objects.contains(&obj) || self.queue.iter().any(|q| q.obj == obj) {
-            return Err(WouldBlock);
+            return Err(StoreError::WouldBlock);
         }
-        if let Some(admission) = &self.admission {
+        let lane = self.lane_of(obj);
+        if let Some(admission) = &self.lanes[lane].admission {
             // `try_submit_*` never queues, so it must not take a waiter-queue
             // slot either — but it still yields to queued waiters, which is
             // what stops a greedy try-submit loop from starving them.
             if !admission.try_admit(self.client_num, obj, false) {
-                return Err(WouldBlock);
+                return Err(StoreError::WouldBlock);
             }
         }
-        let ticket = OpTicket(self.next_ticket);
-        self.next_ticket += 1;
-        self.start_op(ticket, obj, kind(), Instant::now());
+        let op = QueuedOp {
+            ticket: self.mint_ticket(),
+            obj,
+            kind: kind(),
+            submitted: Instant::now(),
+        };
+        let ticket = op.ticket;
+        let mut outgoing = std::mem::take(&mut self.scratch_out);
+        let mut events = std::mem::take(&mut self.scratch_events);
+        self.begin(lane, op, self.now(), &mut outgoing, &mut events);
+        self.lanes[lane]
+            .route
+            .send_batch(self.pid, outgoing.drain(..));
+        self.scratch_out = outgoing;
+        self.scratch_events = events;
         Ok(ticket)
     }
 
@@ -666,35 +420,41 @@ impl ClusterClient {
             || self.read_ops.values().any(|f| f.ticket == ticket)
     }
 
-    /// Dispatches one operation into its automaton right now. The caller has
-    /// already checked the pipeline depth, per-object FIFO and admission.
-    fn start_op(&mut self, ticket: OpTicket, obj: ObjectId, kind: OpKind, submitted: Instant) {
-        let mut outgoing = std::mem::take(&mut self.scratch_out);
-        let mut events = std::mem::take(&mut self.scratch_events);
-        let now = self.cluster.elapsed();
-        {
-            let mut ctx = Context::standalone(self.pid, now, &mut outgoing, &mut events);
-            let in_flight = InFlight::new(ticket, submitted);
-            match kind {
-                OpKind::Write(value) => {
-                    self.trace
-                        .record(EventKind::OpSubmitted, obj.0, 0, ticket.0);
-                    let op = self.writer.start_write(obj, value, &mut ctx);
-                    self.write_ops.insert(op, in_flight);
-                }
-                OpKind::Read => {
-                    self.trace
-                        .record(EventKind::OpSubmitted, obj.0, 1, ticket.0);
-                    let op = self.reader.start_read(obj, &mut ctx);
-                    self.read_ops.insert(op, in_flight);
-                }
+    /// Dispatches `op` into its automaton right now: traces the submission,
+    /// starts the automaton (its first messages land in `outgoing`, which
+    /// the caller sends through `lane`) and books the operation as in
+    /// flight on its object. The caller has already checked the pipeline
+    /// depth, per-object FIFO and admission.
+    fn begin(
+        &mut self,
+        lane: usize,
+        op: QueuedOp,
+        now: SimTime,
+        outgoing: &mut Vec<(ProcessId, LdsMessage)>,
+        events: &mut Vec<(SimTime, ProcessId, ProtocolEvent)>,
+    ) {
+        let mut ctx = Context::standalone(self.pid, now, outgoing, events);
+        let in_flight = InFlight {
+            ticket: op.ticket,
+            submitted: op.submitted,
+            phase: phase::TAG,
+            phase_started: Instant::now(),
+        };
+        let trace = &mut self.lanes[lane].trace;
+        match op.kind {
+            OpKind::Write(value) => {
+                trace.record(EventKind::OpSubmitted, op.obj.0, 0, op.ticket.0);
+                let id = self.writer.start_write(op.obj, value, &mut ctx);
+                self.write_ops.insert(id, in_flight);
+            }
+            OpKind::Read => {
+                trace.record(EventKind::OpSubmitted, op.obj.0, 1, op.ticket.0);
+                let id = self.reader.start_read(op.obj, &mut ctx);
+                self.read_ops.insert(id, in_flight);
             }
         }
-        self.busy_objects.insert(obj);
+        self.busy_objects.insert(op.obj);
         debug_assert!(events.is_empty(), "dispatch cannot complete an op");
-        self.route.send_batch(self.pid, outgoing.drain(..));
-        self.scratch_out = outgoing;
-        self.scratch_events = events;
     }
 
     /// Starts as many queued operations as the pipeline depth, per-object
@@ -710,7 +470,10 @@ impl ClusterClient {
         }
         let mut outgoing = std::mem::take(&mut self.scratch_out);
         let mut events = std::mem::take(&mut self.scratch_events);
-        let now = self.cluster.elapsed();
+        let now = self.now();
+        // The lane `outgoing` is bound for: consecutive starts on one
+        // cluster share a flush, so with one cluster the whole scan does.
+        let mut flush_lane = 0;
         let mut i = 0;
         while i < self.queue.len() {
             if self.in_flight() >= self.depth {
@@ -721,7 +484,8 @@ impl ClusterClient {
                 i += 1;
                 continue;
             }
-            if let Some(admission) = &self.admission {
+            let lane = self.lane_of(obj);
+            if let Some(admission) = &self.lanes[lane].admission {
                 if self.scratch_deferred.contains(&obj)
                     || !admission.try_admit(self.client_num, obj, true)
                 {
@@ -730,39 +494,32 @@ impl ClusterClient {
                     continue;
                 }
             }
-            let q = self.queue.remove(i).expect("index checked");
-            let mut ctx = Context::standalone(self.pid, now, &mut outgoing, &mut events);
-            let in_flight = InFlight::new(q.ticket, q.submitted);
-            match q.kind {
-                OpKind::Write(value) => {
-                    self.trace
-                        .record(EventKind::OpSubmitted, q.obj.0, 0, q.ticket.0);
-                    let op = self.writer.start_write(q.obj, value, &mut ctx);
-                    self.write_ops.insert(op, in_flight);
-                }
-                OpKind::Read => {
-                    self.trace
-                        .record(EventKind::OpSubmitted, q.obj.0, 1, q.ticket.0);
-                    let op = self.reader.start_read(q.obj, &mut ctx);
-                    self.read_ops.insert(op, in_flight);
-                }
+            if lane != flush_lane {
+                self.lanes[flush_lane]
+                    .route
+                    .send_batch(self.pid, outgoing.drain(..));
+                flush_lane = lane;
             }
-            self.busy_objects.insert(q.obj);
+            let op = self.queue.remove(i).expect("index checked");
+            self.begin(lane, op, now, &mut outgoing, &mut events);
         }
         self.admission_blocked = !self.scratch_deferred.is_empty();
         self.scratch_deferred.clear();
-        debug_assert!(events.is_empty(), "dispatch cannot complete an op");
-        self.route.send_batch(self.pid, outgoing.drain(..));
+        self.lanes[flush_lane]
+            .route
+            .send_batch(self.pid, outgoing.drain(..));
         self.scratch_out = outgoing;
         self.scratch_events = events;
     }
 
     /// Feeds one protocol message into the owning automaton, forwards its
-    /// outgoing batch, and harvests any completion.
+    /// outgoing batch to the cluster that owns the message's object, and
+    /// harvests any completion.
     fn deliver(&mut self, from: ProcessId, msg: LdsMessage) {
         let mut outgoing = std::mem::take(&mut self.scratch_out);
         let mut events = std::mem::take(&mut self.scratch_events);
-        let now = self.cluster.elapsed();
+        let lane = self.lane_of(msg.object());
+        let now = self.now();
         let mut ctx = Context::standalone(self.pid, now, &mut outgoing, &mut events);
         match &msg {
             LdsMessage::TagResp { .. } | LdsMessage::AckPutData { .. } => {
@@ -778,12 +535,14 @@ impl ClusterClient {
             // Anything else is not addressed to a client automaton.
             _ => {}
         }
-        self.note_phases(&outgoing);
-        self.route.send_batch(self.pid, outgoing.drain(..));
+        self.note_phases(lane, &outgoing);
+        self.lanes[lane]
+            .route
+            .send_batch(self.pid, outgoing.drain(..));
         self.scratch_out = outgoing;
         let completed = !events.is_empty();
         for (_, _, event) in events.drain(..) {
-            self.finish(event);
+            self.finish(lane, event);
         }
         self.scratch_events = events;
         if completed {
@@ -795,87 +554,43 @@ impl ClusterClient {
 
     /// Phase stamps: the first PUT-DATA/PUT-STRIPE (write) or QUERY-DATA /
     /// PUT-TAG (read) an automaton step produced marks a phase boundary for
-    /// its operation — the elapsed phase is recorded into the cluster's
-    /// histograms and the transition traced. The writer fans PUT-DATA out to
-    /// every L1 server, so only the first message of a kind advances the
+    /// its operation (see [`Lane::advance`]). The writer fans PUT-DATA out
+    /// to every L1 server, so only the first message of a kind advances the
     /// phase (later ones see the already-advanced state and do nothing).
-    fn note_phases(&mut self, outgoing: &[(ProcessId, LdsMessage)]) {
+    fn note_phases(&mut self, lane: usize, outgoing: &[(ProcessId, LdsMessage)]) {
+        let lane = &mut self.lanes[lane];
         for (_, msg) in outgoing {
-            match msg {
+            let (ops, op, obj, next) = match msg {
                 // Write: tag-quorum round done, data transfer starts. The
                 // commit wait (PUT-DATA fan-out through ACK-PUT-DATA quorum)
                 // is part of the data phase — the client only observes the
                 // final ack.
                 LdsMessage::PutData { op, obj, .. } | LdsMessage::PutStripe { op, obj, .. } => {
-                    if let Some(f) = self.write_ops.get_mut(op) {
-                        if f.phase == phase::TAG {
-                            let now = Instant::now();
-                            let us =
-                                now.saturating_duration_since(f.phase_started).as_micros() as u64;
-                            self.obs.record_phase(phase::TAG, us);
-                            f.phase = phase::DATA;
-                            f.phase_started = now;
-                            self.trace
-                                .record(EventKind::OpPhase, obj.0, phase::DATA, f.ticket.0);
-                        }
-                    }
+                    (&mut self.write_ops, op, obj, phase::DATA)
                 }
                 // Read: committed-tag quorum done, data transfer starts.
-                LdsMessage::QueryData { op, obj, .. } => {
-                    if let Some(f) = self.read_ops.get_mut(op) {
-                        if f.phase == phase::TAG {
-                            let now = Instant::now();
-                            let us =
-                                now.saturating_duration_since(f.phase_started).as_micros() as u64;
-                            self.obs.record_phase(phase::TAG, us);
-                            f.phase = phase::DATA;
-                            f.phase_started = now;
-                            self.trace
-                                .record(EventKind::OpPhase, obj.0, phase::DATA, f.ticket.0);
-                        }
-                    }
-                }
+                LdsMessage::QueryData { op, obj, .. } => (&mut self.read_ops, op, obj, phase::DATA),
                 // Read: value decoded, tag write-back (commit) starts. A
                 // cache-hit read goes straight from the tag phase to the
                 // commit phase — it never transferred data, so only the tag
                 // sample is recorded.
-                LdsMessage::PutTag { op, obj, .. } => {
-                    if let Some(f) = self.read_ops.get_mut(op) {
-                        if f.phase == phase::TAG || f.phase == phase::DATA {
-                            let now = Instant::now();
-                            let us =
-                                now.saturating_duration_since(f.phase_started).as_micros() as u64;
-                            self.obs.record_phase(f.phase, us);
-                            f.phase = phase::COMMIT;
-                            f.phase_started = now;
-                            self.trace
-                                .record(EventKind::OpPhase, obj.0, phase::COMMIT, f.ticket.0);
-                        }
-                    }
+                LdsMessage::PutTag { op, obj, .. } => (&mut self.read_ops, op, obj, phase::COMMIT),
+                _ => continue,
+            };
+            if let Some(f) = ops.get_mut(op) {
+                if f.phase < next {
+                    lane.advance(f, *obj, next);
                 }
-                _ => {}
             }
         }
     }
 
-    /// Folds this handle's read-cache hit/miss counters into the shared
-    /// metrics registry (delta since the previous flush).
-    fn flush_cache_counters(&mut self) {
-        let hits = self.reader.cache_hits();
-        let misses = self.reader.cache_misses();
-        if hits != self.flushed_cache_hits || misses != self.flushed_cache_misses {
-            self.obs.add_cache_traffic(
-                hits - self.flushed_cache_hits,
-                misses - self.flushed_cache_misses,
-            );
-            self.flushed_cache_hits = hits;
-            self.flushed_cache_misses = misses;
-        }
-    }
-
-    fn finish(&mut self, event: ProtocolEvent) {
+    /// Books the completion an automaton reported: the operation's object
+    /// and admission token are freed, its open phase and end-to-end latency
+    /// recorded, and the [`Completion`] queued for harvest.
+    fn finish(&mut self, lane: usize, event: ProtocolEvent) {
         let now = Instant::now();
-        match event {
+        let (f, obj, outcome) = match event {
             ProtocolEvent::WriteCompleted {
                 op,
                 obj,
@@ -883,33 +598,14 @@ impl ClusterClient {
                 value,
                 ..
             } => {
-                if let Some(f) = self.write_ops.remove(&op) {
-                    self.busy_objects.remove(&obj);
-                    if let Some(admission) = &self.admission {
-                        admission.release(obj);
-                    }
-                    // A committed write fixes (tag → value): seed the read
-                    // cache so this handle's next read of the object can skip
-                    // the data-transfer phase if the tag is still current.
-                    self.reader.cache_insert(obj, tag, value);
-                    self.last_tag = Some(tag);
-                    let latency = now.saturating_duration_since(f.submitted);
-                    // Close the open phase (normally the data phase, which
-                    // includes the commit wait) and the end-to-end sample.
-                    self.obs.record_phase(
-                        f.phase,
-                        now.saturating_duration_since(f.phase_started).as_micros() as u64,
-                    );
-                    let us = latency.as_micros() as u64;
-                    self.obs.write_us.record(us);
-                    self.trace.record(EventKind::OpCompleted, obj.0, 0, us);
-                    self.completions.push(Completion {
-                        ticket: f.ticket,
-                        obj: obj.0,
-                        outcome: OpOutcome::Write { tag },
-                        latency,
-                    });
-                }
+                let Some(f) = self.write_ops.remove(&op) else {
+                    return;
+                };
+                // A committed write fixes (tag → value): seed the read
+                // cache so this handle's next read of the object can skip
+                // the data-transfer phase if the tag is still current.
+                self.reader.cache_insert(obj, tag, value);
+                (f, obj, OpOutcome::Write { tag })
             }
             ProtocolEvent::ReadCompleted {
                 op,
@@ -918,42 +614,77 @@ impl ClusterClient {
                 value,
                 ..
             } => {
-                if let Some(f) = self.read_ops.remove(&op) {
-                    self.busy_objects.remove(&obj);
-                    if let Some(admission) = &self.admission {
-                        admission.release(obj);
-                    }
-                    self.last_tag = Some(tag);
-                    let latency = now.saturating_duration_since(f.submitted);
-                    // Close the open phase (normally the commit phase: the
-                    // PUT-TAG write-back quorum) and the end-to-end sample.
-                    self.obs.record_phase(
-                        f.phase,
-                        now.saturating_duration_since(f.phase_started).as_micros() as u64,
-                    );
-                    let us = latency.as_micros() as u64;
-                    self.obs.read_us.record(us);
-                    self.trace.record(EventKind::OpCompleted, obj.0, 1, us);
-                    self.flush_cache_counters();
-                    self.completions.push(Completion {
-                        ticket: f.ticket,
-                        obj: obj.0,
-                        outcome: OpOutcome::Read {
-                            tag,
-                            // A decoded read arrives as the only handle
-                            // on its buffer and is moved out; a value an
-                            // L1 list or the read cache shares is copied.
-                            value: value.into_vec(),
-                        },
-                        latency,
-                    });
-                }
+                let Some(f) = self.read_ops.remove(&op) else {
+                    return;
+                };
+                // A decoded read arrives as the only handle on its buffer
+                // and is moved out; a value an L1 list or the read cache
+                // shares is copied.
+                let value = value.into_vec();
+                (f, obj, OpOutcome::Read { tag, value })
+            }
+        };
+        self.busy_objects.remove(&obj);
+        self.last_tag = Some(outcome.tag());
+        let lane = &mut self.lanes[lane];
+        if let Some(admission) = &lane.admission {
+            admission.release(obj);
+        }
+        // Close the open phase (a write's data phase, which includes the
+        // commit wait; a read's commit phase, the PUT-TAG write-back quorum)
+        // and the end-to-end sample.
+        lane.obs.record_phase(
+            f.phase,
+            now.saturating_duration_since(f.phase_started).as_micros() as u64,
+        );
+        let latency = now.saturating_duration_since(f.submitted);
+        let us = latency.as_micros() as u64;
+        match outcome {
+            OpOutcome::Write { .. } => {
+                lane.obs.write_us.record(us);
+                lane.trace.record(EventKind::OpCompleted, obj.0, 0, us);
+            }
+            OpOutcome::Read { .. } => {
+                lane.obs.read_us.record(us);
+                lane.trace.record(EventKind::OpCompleted, obj.0, 1, us);
+                // Fold this handle's read-cache hit/miss counters into the
+                // cluster's registry (delta since the previous flush).
+                let hits = self.reader.cache_hits();
+                let misses = self.reader.cache_misses();
+                lane.obs.add_cache_traffic(
+                    hits - self.flushed_cache_hits,
+                    misses - self.flushed_cache_misses,
+                );
+                self.flushed_cache_hits = hits;
+                self.flushed_cache_misses = misses;
+            }
+        }
+        self.completions.push(Completion {
+            ticket: f.ticket,
+            obj: obj.0,
+            outcome,
+            latency,
+        });
+    }
+
+    /// Returns the admission token of every dispatched operation and gives
+    /// up this client's place in every waiter queue (abandoned queued
+    /// operations must not hold a fairness turn).
+    fn release_admission(&self) {
+        for &obj in &self.busy_objects {
+            if let Some(admission) = &self.lanes[self.lane_of(obj)].admission {
+                admission.release(obj);
+            }
+        }
+        for lane in &self.lanes {
+            if let Some(admission) = &lane.admission {
+                admission.forget(self.client_num);
             }
         }
     }
 
     /// Processes one claimed envelope (updating the inbox gauge).
-    fn consume_envelope(&mut self, envelope: Envelope) -> Result<(), ClientError> {
+    fn consume_envelope(&mut self, envelope: Envelope) -> Result<(), StoreError> {
         match envelope {
             Envelope::Protocol { from, msg } => {
                 self.inbox.depth.sub(1);
@@ -967,7 +698,7 @@ impl ClusterClient {
                 }
                 Ok(())
             }
-            Envelope::Stop => Err(ClientError::Disconnected),
+            Envelope::Stop => Err(StoreError::Disconnected),
             // A `Waker`'s ping (clients are never heartbeat-monitored): it
             // only had to end a blocking receive.
             Envelope::Ping => Ok(()),
@@ -976,7 +707,7 @@ impl ClusterClient {
 
     /// Processes every already-queued inbox message without blocking. The
     /// backlog is claimed in batches (one channel-lock acquisition each).
-    fn pump_available(&mut self) -> Result<(), ClientError> {
+    fn pump_available(&mut self) -> Result<(), StoreError> {
         loop {
             let mut batch = std::mem::take(&mut self.scratch_inbox);
             batch.extend(self.inbox.rx.try_iter());
@@ -1002,145 +733,279 @@ impl ClusterClient {
     /// so parking unboundedly on the inbox would sleep through it.
     const ADMISSION_RETRY: Duration = Duration::from_micros(500);
 
-    /// The longest this client may park on its inbox without re-attempting
-    /// dispatch of queued operations. Only admission-deferred queues need
-    /// the retry cadence; operations waiting on pipeline depth or per-object
-    /// FIFO are unblocked by one of this client's own completion messages,
-    /// which wakes the `recv` directly.
-    fn bounded_wait(&self, wanted: Duration) -> Duration {
-        if self.admission_blocked {
-            wanted.min(Self::ADMISSION_RETRY)
+    /// Blocks on the inbox for at most `max_wait` and processes what
+    /// arrives. Returns `false` when the wait expired with nothing received
+    /// — after re-attempting dispatch, since queued-but-unadmitted
+    /// operations are started by this client, not by an incoming message.
+    /// Only admission-deferred queues cap the wait at the retry cadence;
+    /// operations waiting on pipeline depth or per-object FIFO are unblocked
+    /// by one of this client's own completion messages, which wakes the
+    /// `recv` directly.
+    fn pump_blocking(&mut self, max_wait: Duration) -> Result<bool, StoreError> {
+        let wait = if self.admission_blocked {
+            max_wait.min(Self::ADMISSION_RETRY)
         } else {
-            wanted
-        }
-    }
-
-    /// Blocks for the next inbox message (up to `deadline`), processes it and
-    /// then drains whatever else arrived.
-    fn pump_blocking(&mut self, deadline: Instant) -> Result<(), ClientError> {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or_else(|| self.abort_timeout())?;
-        match self.inbox.rx.recv_timeout(self.bounded_wait(remaining)) {
+            max_wait
+        };
+        match self.inbox.rx.recv_timeout(wait) {
             Ok(envelope) => {
                 self.consume_envelope(envelope)?;
-                self.pump_available()
+                self.pump_available()?;
+                Ok(true)
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                // Re-attempt admission of queued operations; only a true
-                // deadline expiry is a timeout.
+            Err(RecvTimeoutError::Timeout) => {
                 self.try_dispatch();
-                if Instant::now() >= deadline {
-                    Err(self.abort_timeout())
-                } else {
-                    Ok(())
-                }
+                Ok(false)
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(ClientError::Disconnected)
-            }
+            Err(RecvTimeoutError::Disconnected) => Err(StoreError::Disconnected),
         }
     }
 
-    /// Aborts every outstanding operation (timeout semantics: the handle is
-    /// reusable afterwards, but in-flight operations are abandoned and their
-    /// tickets forgotten).
-    fn abort_timeout(&mut self) -> ClientError {
+    /// [`StoreClient::pump_blocking`] against a blocking wait's deadline:
+    /// once it has passed, every outstanding operation is aborted (the
+    /// handle is reusable afterwards, but their tickets are forgotten).
+    fn pump_until(&mut self, deadline: Instant) -> Result<(), StoreError> {
+        if let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
+            if self.pump_blocking(remaining)? || Instant::now() < deadline {
+                return Ok(());
+            }
+        }
         self.cancel_all();
-        ClientError::Timeout
+        Err(StoreError::Timeout)
     }
 }
 
-impl Drop for ClusterClient {
+impl Store for StoreClient {
+    fn write(&mut self, key: ObjectId, value: &[u8]) -> Result<Tag, StoreError> {
+        let ticket = self.submit_write(key, value);
+        match self.wait(ticket)?.outcome {
+            OpOutcome::Write { tag } => Ok(tag),
+            OpOutcome::Read { .. } => unreachable!("write ticket yielded a read outcome"),
+        }
+    }
+
+    fn read(&mut self, key: ObjectId) -> Result<Vec<u8>, StoreError> {
+        let ticket = self.submit_read(key);
+        match self.wait(ticket)?.outcome {
+            OpOutcome::Read { value, .. } => Ok(value),
+            OpOutcome::Write { .. } => unreachable!("read ticket yielded a write outcome"),
+        }
+    }
+
+    fn submit_write(&mut self, key: ObjectId, value: &[u8]) -> OpTicket {
+        self.submit(key, OpKind::Write(Value::from(value)))
+    }
+
+    fn submit_write_value(&mut self, key: ObjectId, value: Value) -> OpTicket {
+        self.submit(key, OpKind::Write(value))
+    }
+
+    fn submit_read(&mut self, key: ObjectId) -> OpTicket {
+        self.submit(key, OpKind::Read)
+    }
+
+    fn try_submit_write(&mut self, key: ObjectId, value: &[u8]) -> Result<OpTicket, StoreError> {
+        self.try_submit(key, || OpKind::Write(Value::from(value)))
+    }
+
+    fn try_submit_read(&mut self, key: ObjectId) -> Result<OpTicket, StoreError> {
+        self.try_submit(key, || OpKind::Read)
+    }
+
+    fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
+        self.pump_available()?;
+        // Queued operations held back by partition admission are started by
+        // *this* client when budget frees (another client's completion sends
+        // us no message), so a poll-driven loop must retry dispatch here or
+        // it would spin forever without ever starting them.
+        if self.admission_blocked {
+            self.try_dispatch();
+        }
+        Ok(std::mem::take(&mut self.completions))
+    }
+
+    fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError> {
+        self.pump_available()?;
+        if self.completions.is_empty()
+            && self.outstanding() > 0
+            && !self.woken.load(Ordering::SeqCst)
+        {
+            self.pump_blocking(max_wait)?;
+        }
+        // Cleared on the way out, never before blocking. A wake this swap
+        // overwrites happened before the return, so whatever it announced
+        // is visible to the caller's own re-check; a later one stays set.
+        self.woken.swap(false, Ordering::SeqCst);
+        Ok(std::mem::take(&mut self.completions))
+    }
+
+    fn waker(&self) -> Waker {
+        Waker {
+            woken: Arc::clone(&self.woken),
+            inbox: self.inbox_tx.clone(),
+        }
+    }
+
+    fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {
+        let deadline = Instant::now() + self.timeout;
+        loop {
+            self.pump_available()?;
+            if let Some(i) = self.completions.iter().position(|c| c.ticket == ticket) {
+                return Ok(self.completions.remove(i));
+            }
+            if !self.is_outstanding(ticket) {
+                return Err(StoreError::UnknownTicket);
+            }
+            self.pump_until(deadline)?;
+        }
+    }
+
+    fn wait_next(&mut self) -> Result<Vec<Completion>, StoreError> {
+        let deadline = Instant::now() + self.timeout;
+        self.pump_available()?;
+        while self.completions.is_empty() && self.outstanding() > 0 {
+            self.pump_until(deadline)?;
+        }
+        Ok(std::mem::take(&mut self.completions))
+    }
+
+    fn wait_all(&mut self) -> Result<Vec<Completion>, StoreError> {
+        let deadline = Instant::now() + self.timeout;
+        loop {
+            self.pump_available()?;
+            if self.outstanding() == 0 {
+                let mut done = std::mem::take(&mut self.completions);
+                done.sort_by_key(|c| c.ticket);
+                return Ok(done);
+            }
+            self.pump_until(deadline)?;
+        }
+    }
+
+    fn cancel_all(&mut self) {
+        self.writer.cancel_all();
+        self.reader.cancel_all();
+        self.queue.clear();
+        self.admission_blocked = false;
+        self.release_admission();
+        self.busy_objects.clear();
+        self.write_ops.clear();
+        self.read_ops.clear();
+    }
+
+    fn set_timeout(&mut self, timeout: Duration) {
+        self.timeout = timeout;
+    }
+
+    fn pending_ops(&self) -> usize {
+        self.outstanding() + self.completions.len()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.write_ops.len() + self.read_ops.len()
+    }
+
+    fn depth(&self) -> usize {
+        self.depth
+    }
+
+    fn last_tag(&self) -> Option<Tag> {
+        self.last_tag
+    }
+
+    fn cache_hits(&self) -> u64 {
+        self.reader.cache_hits()
+    }
+
+    fn cache_misses(&self) -> u64 {
+        self.reader.cache_misses()
+    }
+}
+
+impl Drop for StoreClient {
     fn drop(&mut self) {
         // Return any held admission tokens before disappearing, or a dropped
         // handle would shrink the partition budget forever.
-        if let Some(admission) = self.admission.clone() {
-            for obj in self.busy_objects.drain() {
-                admission.release(obj);
-            }
-            admission.forget(self.client_num);
+        self.release_admission();
+        for lane in &self.lanes {
+            lane.cluster.router().deregister(self.pid);
         }
-        self.cluster.router().deregister(self.pid);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::ClusterOptions;
-    use crate::repair::RepairLayer;
+    use crate::api::{ServerRef, StoreBuilder, StoreHandle};
     use lds_core::backend::BackendKind;
-    use lds_core::params::SystemParams;
 
-    fn small_cluster() -> Arc<Cluster> {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        Cluster::launch(params, BackendKind::Mbr, ClusterOptions::default()).unwrap()
+    fn small_store() -> StoreHandle {
+        StoreBuilder::new().build().unwrap()
     }
 
     #[test]
     fn write_then_read_over_threads() {
-        let cluster = small_cluster();
-        let mut writer = cluster.client();
-        let mut reader = cluster.client();
-        let tag = writer.write(0, b"threaded".to_vec()).unwrap();
+        let store = small_store();
+        let mut writer = store.client();
+        let mut reader = store.client();
+        let tag = writer.write(ObjectId(0), b"threaded").unwrap();
         assert_eq!(writer.last_tag(), Some(tag));
-        let value = reader.read(0).unwrap();
+        let value = reader.read(ObjectId(0)).unwrap();
         assert_eq!(value, b"threaded");
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn sequential_writes_are_ordered_by_tags() {
-        let cluster = small_cluster();
-        let mut client = cluster.client();
-        let t1 = client.write(0, b"one".to_vec()).unwrap();
-        let t2 = client.write(0, b"two".to_vec()).unwrap();
+        let store = small_store();
+        let mut client = store.client();
+        let t1 = client.write(ObjectId(0), b"one").unwrap();
+        let t2 = client.write(ObjectId(0), b"two").unwrap();
         assert!(t2 > t1);
-        assert_eq!(client.read(0).unwrap(), b"two");
-        cluster.shutdown();
+        assert_eq!(client.read(ObjectId(0)).unwrap(), b"two");
+        store.shutdown();
     }
 
     #[test]
     fn tolerates_allowed_failures() {
-        let cluster = small_cluster();
-        let mut client = cluster.client();
-        cluster.kill_server(RepairLayer::L1, 0);
-        cluster.kill_server(RepairLayer::L2, 4);
-        client.write(3, b"still alive".to_vec()).unwrap();
-        assert_eq!(client.read(3).unwrap(), b"still alive");
-        cluster.shutdown();
+        let store = small_store();
+        let mut client = store.client();
+        store.admin().kill(ServerRef::l1(0)).unwrap();
+        store.admin().kill(ServerRef::l2(4)).unwrap();
+        client.write(ObjectId(3), b"still alive").unwrap();
+        assert_eq!(client.read(ObjectId(3)).unwrap(), b"still alive");
+        store.shutdown();
     }
 
     #[test]
     fn too_many_failures_time_out() {
-        let cluster = small_cluster();
-        let mut client = cluster.client();
+        let store = small_store();
+        let mut client = store.client();
         client.set_timeout(Duration::from_millis(300));
         // f1 = 1 but we kill 3 of the 4 L1 servers: quorums are unreachable.
-        cluster.kill_server(RepairLayer::L1, 0);
-        cluster.kill_server(RepairLayer::L1, 1);
-        cluster.kill_server(RepairLayer::L1, 2);
+        for j in 0..3 {
+            store.admin().kill(ServerRef::l1(j)).unwrap();
+        }
         assert_eq!(
-            client.write(0, b"doomed".to_vec()),
-            Err(ClientError::Timeout)
+            client.write(ObjectId(0), b"doomed"),
+            Err(StoreError::Timeout)
         );
         assert_eq!(client.pending_ops(), 0, "timeout aborts outstanding ops");
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn concurrent_clients_from_multiple_threads() {
-        let cluster = small_cluster();
+        let store = small_store();
         let mut handles = Vec::new();
         for t in 0..4u64 {
-            let cluster = Arc::clone(&cluster);
+            let store = store.clone();
             handles.push(std::thread::spawn(move || {
-                let mut client = cluster.client();
+                let mut client = store.client();
                 for i in 0..5u64 {
                     let value = format!("writer-{t}-{i}").into_bytes();
-                    client.write(0, value).unwrap();
-                    let read = client.read(0).unwrap();
+                    client.write(ObjectId(0), &value).unwrap();
+                    let read = client.read(ObjectId(0)).unwrap();
                     assert!(!read.is_empty());
                 }
             }));
@@ -1148,28 +1013,26 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn pipelined_ops_across_objects_complete() {
-        let cluster = small_cluster();
-        let mut client = cluster.client_with_depth(8);
+        let store = small_store();
+        let mut client = store.client_with_depth(8);
         let mut tickets = Vec::new();
         for obj in 0..8u64 {
-            tickets.push(client.submit_write(obj, format!("v{obj}").into_bytes()));
+            tickets.push(client.submit_write(ObjectId(obj), format!("v{obj}").as_bytes()));
         }
         // More submissions than the depth allows: the rest queue up.
         for obj in 0..8u64 {
-            tickets.push(client.submit_read(obj));
+            tickets.push(client.submit_read(ObjectId(obj)));
         }
         let completions = client.wait_all().unwrap();
         assert_eq!(completions.len(), 16);
         // Ticket order is submission order.
         let got: Vec<OpTicket> = completions.iter().map(|c| c.ticket).collect();
-        let mut sorted = got.clone();
-        sorted.sort();
-        assert_eq!(got, sorted);
+        assert_eq!(got, tickets);
         // Every read (second half) observed its object's write (first half):
         // same-object FIFO means the read dispatched only after the write
         // completed.
@@ -1181,17 +1044,17 @@ mod tests {
                 other => panic!("expected read outcome, got {other:?}"),
             }
         }
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn same_object_submissions_run_fifo() {
-        let cluster = small_cluster();
-        let mut client = cluster.client_with_depth(8);
+        let store = small_store();
+        let mut client = store.client_with_depth(8);
         for i in 0..6u64 {
-            client.submit_write(0, format!("gen-{i}").into_bytes());
+            client.submit_write(ObjectId(0), format!("gen-{i}").as_bytes());
         }
-        client.submit_read(0);
+        client.submit_read(ObjectId(0));
         let completions = client.wait_all().unwrap();
         assert_eq!(completions.len(), 7);
         // Writes committed in submission order: tags strictly increase.
@@ -1204,15 +1067,15 @@ mod tests {
             OpOutcome::Read { value, .. } => assert_eq!(value, b"gen-5"),
             other => panic!("expected read outcome, got {other:?}"),
         }
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn poll_is_nonblocking_and_wait_harvests_the_rest() {
-        let cluster = small_cluster();
-        let mut client = cluster.client_with_depth(4);
-        let t0 = client.submit_write(0, b"a".to_vec());
-        let t1 = client.submit_write(1, b"b".to_vec());
+        let store = small_store();
+        let mut client = store.client_with_depth(4);
+        let t0 = client.submit_write(ObjectId(0), b"a");
+        let t1 = client.submit_write(ObjectId(1), b"b");
         // poll() never blocks; harvest whatever is ready.
         let mut harvested: Vec<Completion> = client.poll().unwrap();
         // Waiting on the second ticket retains the first one's completion if
@@ -1225,33 +1088,27 @@ mod tests {
         seen.sort();
         assert_eq!(seen, vec![t0, t1]);
         // An already-harvested ticket is unknown.
-        assert_eq!(client.wait(t0), Err(ClientError::UnknownTicket));
-        cluster.shutdown();
+        assert_eq!(client.wait(t0), Err(StoreError::UnknownTicket));
+        store.shutdown();
     }
 
     #[test]
     fn pipelined_client_on_sharded_cluster() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Mbr,
-            ClusterOptions {
-                l1_shards: 3,
-                l2_shards: 2,
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        let mut client = cluster.client_with_depth(16);
+        let store = StoreBuilder::new()
+            .l1_shards(3)
+            .l2_shards(2)
+            .build()
+            .unwrap();
+        let mut client = store.client_with_depth(16);
         for round in 0..3u64 {
             for obj in 0..16u64 {
-                client.submit_write(obj, format!("r{round}-o{obj}").into_bytes());
+                client.submit_write(ObjectId(obj), format!("r{round}-o{obj}").as_bytes());
             }
             let completions = client.wait_all().unwrap();
             assert_eq!(completions.len(), 16);
         }
         for obj in 0..16u64 {
-            client.submit_read(obj);
+            client.submit_read(ObjectId(obj));
         }
         let reads = client.wait_all().unwrap();
         for c in &reads {
@@ -1262,19 +1119,19 @@ mod tests {
                 other => panic!("expected read outcome, got {other:?}"),
             }
         }
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn poll_wait_times_out_without_aborting() {
-        let cluster = small_cluster();
-        let mut client = cluster.client_with_depth(4);
+        let store = small_store();
+        let mut client = store.client_with_depth(4);
         // Nothing outstanding: returns immediately, empty.
         assert!(client
             .poll_wait(Duration::from_millis(50))
             .unwrap()
             .is_empty());
-        let t = client.submit_write(0, b"x".to_vec());
+        let t = client.submit_write(ObjectId(0), b"x");
         // Harvest with short waits only; the op must survive expiries.
         let mut got = Vec::new();
         for _ in 0..200 {
@@ -1285,46 +1142,52 @@ mod tests {
         }
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].ticket, t);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn try_submit_respects_pipeline_and_fifo() {
-        let cluster = small_cluster();
-        let mut client = cluster.client_with_depth(2);
-        let t0 = client.try_submit_write(0, b"a").unwrap();
+        let store = small_store();
+        let mut client = store.client_with_depth(2);
+        let t0 = client.try_submit_write(ObjectId(0), b"a").unwrap();
         // Same object: refused while the first op is in flight.
-        assert_eq!(client.try_submit_write(0, b"b"), Err(WouldBlock));
-        let _t1 = client.try_submit_write(1, b"c").unwrap();
+        assert_eq!(
+            client.try_submit_write(ObjectId(0), b"b"),
+            Err(StoreError::WouldBlock)
+        );
+        let _t1 = client.try_submit_write(ObjectId(1), b"c").unwrap();
         // Depth 2 reached: anything else is refused.
-        assert_eq!(client.try_submit_read(2), Err(WouldBlock));
+        assert_eq!(
+            client.try_submit_read(ObjectId(2)),
+            Err(StoreError::WouldBlock)
+        );
         let completions = client.wait_all().unwrap();
         assert_eq!(completions.len(), 2);
         assert_eq!(completions[0].ticket, t0);
-        cluster.shutdown();
+        store.shutdown();
+    }
+
+    /// One partition (`l1_shards = 1`) with an admission budget of 1.
+    fn one_slot_store() -> StoreHandle {
+        StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .inbox_cap(1)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn poll_only_client_recovers_admission_after_budget_frees() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Replication,
-            ClusterOptions {
-                inbox_cap: Some(1),
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        let mut holder = cluster.client_with_depth(4);
-        let mut poller = cluster.client_with_depth(4);
+        let store = one_slot_store();
+        let mut holder = store.client_with_depth(4);
+        let mut poller = store.client_with_depth(4);
         // The holder takes the partition's only admission slot and does not
         // harvest, so the slot stays occupied even after the op completes
         // server-side.
-        let held = holder.submit_write(0, b"hold the slot".to_vec());
+        let held = holder.submit_write(ObjectId(0), b"hold the slot");
         std::thread::sleep(Duration::from_millis(50));
         // The poller's submission is queued, deferred on admission.
-        let queued = poller.submit_write(1, b"queued behind budget".to_vec());
+        let queued = poller.submit_write(ObjectId(1), b"queued behind budget");
         assert_eq!(poller.in_flight(), 0, "no budget: op must stay queued");
         // Harvesting on the holder releases the budget — without sending the
         // poller any message.
@@ -1342,43 +1205,34 @@ mod tests {
         }
         assert_eq!(done.len(), 1, "poll-only client livelocked on admission");
         assert_eq!(done[0].ticket, queued);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn try_submit_hits_admission_cap_on_bounded_cluster() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Replication,
-            ClusterOptions {
-                inbox_cap: Some(1),
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        // One partition (l1_shards = 1) with budget 1: with an op in flight,
-        // a second client's submission on any object is refused.
-        let mut a = cluster.client_with_depth(4);
-        let mut b = cluster.client_with_depth(4);
-        let t = a.try_submit_write(0, b"hold the slot").unwrap();
-        let refused = b.try_submit_write(1, b"pushed back");
+        let store = one_slot_store();
+        // With an op in flight, a second client's submission on any object
+        // is refused.
+        let mut a = store.client_with_depth(4);
+        let mut b = store.client_with_depth(4);
+        let t = a.try_submit_write(ObjectId(0), b"hold the slot").unwrap();
+        let refused = b.try_submit_write(ObjectId(1), b"pushed back");
         // Either the slot is still held (refused) or op 0 already completed;
         // in the common case the refusal is observed.
-        if refused == Err(WouldBlock) {
-            assert_eq!(cluster.l1_admitted_ops(0), 1);
+        if refused == Err(StoreError::WouldBlock) {
+            assert_eq!(store.admin().admitted_ops()[0][0], 1);
         }
         a.wait(t).unwrap();
         // After completion the budget frees up and b gets through.
-        let mut t2 = b.try_submit_write(1, b"now it fits");
+        let mut t2 = b.try_submit_write(ObjectId(1), b"now it fits");
         for _ in 0..1000 {
             if t2.is_ok() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
-            t2 = b.try_submit_write(1, b"now it fits");
+            t2 = b.try_submit_write(ObjectId(1), b"now it fits");
         }
         b.wait(t2.expect("budget freed after completion")).unwrap();
-        cluster.shutdown();
+        store.shutdown();
     }
 }

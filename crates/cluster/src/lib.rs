@@ -15,11 +15,11 @@
 //! * message routing uses an **epoch-swapped immutable snapshot** table:
 //!   steady-state sends take no lock at all, and each node flushes its
 //!   outgoing messages as one batch per protocol step;
-//! * clients are handles ([`ClusterClient`]) usable from any thread, with
+//! * clients are handles ([`StoreClient`]) usable from any thread, with
 //!   both blocking and **pipelined** operation;
 //! * servers can be killed at runtime to exercise crash-fault tolerance, and
-//!   **repaired online** ([`Cluster::repair_l1`] / [`Cluster::repair_l2`]):
-//!   a replacement rejoins under the same process id, regenerates its state
+//!   **repaired online** ([`Admin::kill`] / [`Admin::repair`]): a
+//!   replacement rejoins under the same process id, regenerates its state
 //!   from live helpers — at MBR repair bandwidth for L2 coded elements —
 //!   catches up in-flight writes, and restores the failure budget, all under
 //!   concurrent client traffic (see the [`repair`] module);
@@ -35,25 +35,26 @@
 //!   ([`router::Envelope::Batch`]);
 //! * with [`ClusterOptions::inbox_cap`] the cluster runs with **bounded
 //!   inboxes**: a saturated or slow shard pushes back on
-//!   [`ClusterClient::try_submit_write`] / [`ClusterClient::try_submit_read`]
-//!   (they return [`WouldBlock`]) instead of queueing without limit;
-//! * [`ShardedCluster`] scales out *beyond one membership*: the object space
-//!   is partitioned by consistent hash ([`cluster_of`]) over N independent
-//!   clusters — each with its own L1/L2 group, router and failure budget —
-//!   behind a [`ShardedClient`] facade with the same pipelined API.
+//!   [`Store::try_submit_write`] / [`Store::try_submit_read`] (they return
+//!   [`StoreError::WouldBlock`]) instead of queueing without limit;
+//! * a deployment scales out *beyond one membership* with
+//!   [`StoreBuilder::clusters`]: the object space is partitioned by
+//!   consistent hash ([`cluster_of`]) over N independent [`Cluster`]s — each
+//!   with its own L1/L2 group, router and failure budget — served by the
+//!   same [`StoreClient`] as a single cluster is (the [`client`] module says
+//!   why one client type suffices).
 //!
 //! # The public surface: the [`api`] module
 //!
-//! Applications program against the [`api`] facade — [`StoreBuilder`] to
-//! construct (one `clusters(n)` axis picks the topology, named profiles
+//! Applications program against the [`api`] module — [`StoreBuilder`] to
+//! construct (one `clusters(n)` axis sets the cluster count, named profiles
 //! replace options literals, everything validated at `build()`), the
 //! [`Store`] trait for the data plane (typed [`ObjectId`] keys, borrowed
 //! `&[u8]` values, blocking and pipelined operation), and [`Admin`] for the
-//! control plane (crash injection, online repair, liveness, metrics). The
-//! engine types below remain public for tuning and inspection, but their
-//! old entry points (`Cluster::start*`, `ShardedCluster::start*`,
-//! `repair_l1/l2`, `kill_l1/l2`, `l1_is_live/l2_is_live`) are deprecated
-//! thin wrappers over the same internals.
+//! control plane (crash injection, online repair, liveness, metrics). It is
+//! the only way in: a [`Cluster`] is launched by the builder, its clients
+//! are created by [`StoreHandle::client`], and its servers are killed and
+//! repaired through [`Admin`].
 //!
 //! # Blocking usage
 //!
@@ -117,15 +118,15 @@ pub mod transport;
 
 pub use api::{
     Admin, Liveness, MetricsSnapshot, ObjectId, ServerRef, Store, StoreBuilder, StoreClient,
-    StoreError, StoreHandle, Topology,
+    StoreError, StoreHandle,
 };
-pub use client::{ClientError, ClusterClient, Completion, OpOutcome, OpTicket, Waker, WouldBlock};
+pub use client::{Completion, OpOutcome, OpTicket, Waker};
 pub use heal::HealConfig;
 pub use node::{msgs_per_op_bound, Cluster, ClusterOptions, HostScope};
 pub use obs::{EventKind, FlightRecorder, HistSnapshot, TraceDump, TraceEvent, TraceHandle};
 pub use repair::{RepairError, RepairLayer, RepairReport};
 pub use router::shard_of;
-pub use sharded::{cluster_of, ShardedClient, ShardedCluster};
+pub use sharded::cluster_of;
 pub use transport::{
     Decision, Endpoint, FaultCounters, FaultPlan, FaultRule, InProcTransport, PartitionDirection,
     PartitionSpec, SimTransport, Transport,

@@ -12,16 +12,16 @@
 //! `cap` client operations in flight, and dispatching a new operation also
 //! requires every destination worker inbox to be below its depth limit. A
 //! slow or saturated shard therefore pushes back on
-//! [`crate::ClusterClient::try_submit_write`] /
-//! [`crate::ClusterClient::try_submit_read`] (they return
-//! [`crate::WouldBlock`]) instead of queueing without limit. Server-to-server
+//! [`Store::try_submit_write`](crate::api::Store::try_submit_write) /
+//! [`Store::try_submit_read`](crate::api::Store::try_submit_read) (they
+//! return [`StoreError::WouldBlock`](crate::api::StoreError::WouldBlock))
+//! instead of queueing without limit. Server-to-server
 //! traffic is never blocked — the channels stay unbounded so the protocol
 //! cannot deadlock on a full peer inbox — but because every internal message
 //! is caused by an admitted client operation, each worker inbox stays within
 //! a small protocol-constant multiple of the cap (asserted by the
 //! cross-shard stress tests).
 
-use crate::client::ClusterClient;
 use crate::obs::{EventKind, FlightRecorder, ObsMetrics, TraceHandle, DEFAULT_TRACE_EVENTS};
 use crate::repair::{RepairError, RepairLayer, RepairReport};
 use crate::router::{DepthGauge, Envelope, Inbox, Router};
@@ -31,7 +31,7 @@ use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::params::SystemParams;
 use lds_core::server1::{L1ObsCounters, L1Options, L1Server};
 use lds_core::server2::{L2ObsCounters, L2Options, L2Server};
-use lds_core::tag::{ClientId, ObjectId};
+use lds_core::tag::ObjectId;
 use lds_sim::{Context, Process, ProcessId, SimTime};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -53,14 +53,16 @@ pub struct ClusterOptions {
     /// L2 server protocol options.
     pub l2: L2Options,
     /// Default maximum number of operations a client created by
-    /// [`Cluster::client`] keeps in flight.
+    /// [`StoreHandle::client`](crate::api::StoreHandle::client) keeps in
+    /// flight.
     pub pipeline_depth: usize,
     /// Bounded-inbox mode: the maximum number of client operations admitted
     /// concurrently per L1 object partition (`None` = unbounded, the
     /// default). With a cap, a saturated or slow partition makes
-    /// [`crate::ClusterClient::try_submit_write`] /
-    /// [`crate::ClusterClient::try_submit_read`] return
-    /// [`crate::WouldBlock`], and queued `submit_*` operations simply wait
+    /// [`Store::try_submit_write`](crate::api::Store::try_submit_write) /
+    /// [`Store::try_submit_read`](crate::api::Store::try_submit_read) return
+    /// [`StoreError::WouldBlock`](crate::api::StoreError::WouldBlock), and
+    /// queued `submit_*` operations simply wait
     /// for a slot; each worker-shard inbox is thereby bounded to a small
     /// multiple of `cap × `[`msgs_per_op_bound`] messages instead of growing
     /// without limit under overload.
@@ -127,12 +129,6 @@ pub struct HostScope {
     pub client_step: u64,
 }
 
-/// Default for [`ClusterOptions::repair_timeout`].
-pub(crate) const DEFAULT_REPAIR_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Default for [`ClusterOptions::repair_log_cap`].
-pub(crate) const DEFAULT_REPAIR_LOG_CAP: usize = 1024;
-
 impl Default for ClusterOptions {
     fn default() -> Self {
         ClusterOptions {
@@ -143,8 +139,8 @@ impl Default for ClusterOptions {
             pipeline_depth: 16,
             inbox_cap: None,
             read_cache_entries: 0,
-            repair_timeout: DEFAULT_REPAIR_TIMEOUT,
-            repair_log_cap: DEFAULT_REPAIR_LOG_CAP,
+            repair_timeout: Duration::from_secs(60),
+            repair_log_cap: 1024,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
         }
@@ -172,12 +168,7 @@ impl ClusterOptions {
                 ack_code_elem: false,
             },
             pipeline_depth: 32,
-            inbox_cap: None,
-            read_cache_entries: 0,
-            repair_timeout: DEFAULT_REPAIR_TIMEOUT,
-            repair_log_cap: DEFAULT_REPAIR_LOG_CAP,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
+            ..ClusterOptions::default()
         }
     }
 }
@@ -217,7 +208,7 @@ const FRONT_GRACE: Duration = Duration::from_millis(10);
 
 /// The shared admission state of a bounded-inbox cluster: one in-flight
 /// operation budget per L1 object partition plus read access to every L1
-/// worker inbox gauge. Cloned into each [`ClusterClient`].
+/// worker inbox gauge. Cloned into each [`crate::api::StoreClient`].
 ///
 /// Budget grants are **turn-fair**: a client refused for lack of budget
 /// joins the partition's waiter queue, and freed budget is granted in queue
@@ -663,11 +654,10 @@ fn run_node<P>(
 }
 
 /// A running in-process LDS cluster: `n1 + n2` server processes (each split
-/// into one or more worker shard threads) plus any number of clients created
-/// through [`Cluster::client`]. Servers can be crash-killed at runtime
-/// ([`Cluster::kill_l1`] / [`Cluster::kill_l2`]) and later regenerated
-/// *online* ([`Cluster::repair_l1`] / [`Cluster::repair_l2`]), restoring the
-/// failure budget.
+/// into one or more worker shard threads). A deployment is one or more of
+/// these behind a [`StoreHandle`](crate::api::StoreHandle), which creates the
+/// clients; servers are crash-killed and regenerated *online* — restoring the
+/// failure budget — through [`Admin`](crate::api::Admin).
 pub struct Cluster {
     params: SystemParams,
     membership: Membership,
@@ -697,7 +687,11 @@ pub struct Cluster {
     /// attached once by [`crate::api::StoreBuilder`] when the `self_heal`
     /// profile is on (see [`crate::heal`]).
     heal: std::sync::OnceLock<Arc<crate::heal::HealState>>,
-    next_client: AtomicU64,
+    /// The next client number. One counter for the whole deployment: a
+    /// client registers one process id with every cluster's router, and
+    /// repair coordinators draw from the same space, so the clusters of a
+    /// multi-cluster deployment share it.
+    client_numbers: Arc<AtomicU64>,
     /// Stride between allocated client numbers (1 in-process; the daemon
     /// count on a multi-daemon deployment — see [`HostScope`]).
     client_step: u64,
@@ -934,46 +928,21 @@ fn spawn_l2_shards(
 }
 
 impl Cluster {
-    /// Starts the cluster with default options (one shard per server).
+    /// Boots every server thread of one cluster and returns the shared
+    /// handle — the engine entry point behind
+    /// [`StoreBuilder::build`](crate::api::StoreBuilder::build), which
+    /// validates everything but the backend construction surfaced here.
     ///
-    /// # Panics
-    ///
-    /// Panics if the backend cannot be constructed for `params`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::StoreBuilder, which validates the whole \
-                configuration at build() time and returns a unified StoreHandle"
-    )]
-    pub fn start(params: SystemParams, backend_kind: BackendKind) -> Arc<Cluster> {
-        Cluster::launch(params, backend_kind, ClusterOptions::default())
-            .expect("backend construction for validated parameters")
-    }
-
-    /// Starts the cluster: spawns `l1_shards` threads per L1 server and
-    /// `l2_shards` threads per L2 server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend cannot be constructed for `params` or a shard
-    /// count is zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::StoreBuilder, which validates the whole \
-                configuration at build() time and returns a unified StoreHandle"
-    )]
-    pub fn start_with(
-        params: SystemParams,
-        backend_kind: BackendKind,
-        options: ClusterOptions,
-    ) -> Arc<Cluster> {
-        Cluster::launch(params, backend_kind, options)
-            .expect("backend construction for validated parameters")
-    }
-
-    /// Engine entry point behind [`crate::api::StoreBuilder`] (and the
-    /// deprecated `start`/`start_with` wrappers): boots every server thread
-    /// and returns the shared handle, surfacing backend-construction
-    /// failures instead of panicking.
+    /// * `fault_plan` — when present the router runs over a seeded
+    ///   [`SimTransport`](crate::transport::SimTransport) instead of the
+    ///   default fault-free in-process transport.
+    /// * `transport` + `scope` — a *partial* cluster over an explicit
+    ///   transport: only the servers named by `scope` get worker threads
+    ///   here; the rest of the shared membership lives on peer processes
+    ///   reached through `transport`.
+    /// * `client_numbers` — the deployment's client-number counter, for
+    ///   every cluster after the first (`None` starts one at the scope's
+    ///   base).
     ///
     /// # Panics
     ///
@@ -983,54 +952,10 @@ impl Cluster {
         params: SystemParams,
         backend_kind: BackendKind,
         options: ClusterOptions,
-    ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
-        Cluster::launch_with_plan(params, backend_kind, options, None)
-    }
-
-    /// [`Cluster::launch`] with an optional fault plan: when present the
-    /// router is built over a seeded [`SimTransport`](crate::transport::
-    /// SimTransport) instead of the default fault-free in-process transport.
-    pub(crate) fn launch_with_plan(
-        params: SystemParams,
-        backend_kind: BackendKind,
-        options: ClusterOptions,
-        fault_plan: Option<&crate::transport::FaultPlan>,
-    ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
-        Cluster::launch_inner(params, backend_kind, options, fault_plan, None, None)
-    }
-
-    /// Launches a *partial* cluster over an explicit transport: only the
-    /// servers named by `scope` get worker threads here; the rest of the
-    /// shared membership lives on peer processes reached through
-    /// `transport`. Behind
-    /// [`StoreBuilder::transport`](crate::api::StoreBuilder::transport).
-    pub(crate) fn launch_scoped(
-        params: SystemParams,
-        backend_kind: BackendKind,
-        options: ClusterOptions,
-        transport: Arc<dyn crate::transport::Transport>,
-        scope: HostScope,
-    ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
-        Cluster::launch_inner(
-            params,
-            backend_kind,
-            options,
-            None,
-            Some(transport),
-            Some(scope),
-        )
-    }
-
-    /// The single launch implementation behind [`Cluster::launch_with_plan`]
-    /// (every server local) and [`Cluster::launch_scoped`] (a [`HostScope`]
-    /// slice over an explicit transport).
-    fn launch_inner(
-        params: SystemParams,
-        backend_kind: BackendKind,
-        options: ClusterOptions,
         fault_plan: Option<&crate::transport::FaultPlan>,
         transport: Option<Arc<dyn crate::transport::Transport>>,
         scope: Option<HostScope>,
+        client_numbers: Option<Arc<AtomicU64>>,
     ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
         assert!(options.l1_shards > 0, "l1_shards must be at least 1");
         assert!(options.l2_shards > 0, "l2_shards must be at least 1");
@@ -1162,7 +1087,7 @@ impl Cluster {
             repair_log: Mutex::new(RepairLog::new(options.repair_log_cap)),
             beats,
             heal: std::sync::OnceLock::new(),
-            next_client: AtomicU64::new(client_base),
+            client_numbers: client_numbers.unwrap_or_else(|| Arc::new(AtomicU64::new(client_base))),
             client_step,
             hosted,
             started,
@@ -1315,28 +1240,22 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// Creates a client handle with the cluster's default pipeline depth.
-    ///
-    /// The handle supports both the blocking [`ClusterClient::write`] /
-    /// [`ClusterClient::read`] calls and the pipelined
-    /// [`ClusterClient::submit_write`] / [`ClusterClient::submit_read`] /
-    /// [`ClusterClient::wait_all`] API. Each client gets a fresh client id
-    /// and its own inbox.
-    pub fn client(self: &Arc<Self>) -> ClusterClient {
-        self.client_with_depth(self.options.pipeline_depth)
+    /// The deployment-wide client-number counter (see
+    /// [`Cluster::launch`]).
+    pub(crate) fn client_numbers(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.client_numbers)
     }
 
-    /// Creates a client handle that keeps at most `depth` operations in
-    /// flight.
-    pub fn client_with_depth(self: &Arc<Self>, depth: usize) -> ClusterClient {
-        let client_number = self
-            .next_client
-            .fetch_add(self.client_step, Ordering::Relaxed);
-        let client_id = ClientId(client_number);
-        // Client process ids live above all server ids.
-        let pid = ProcessId(self.params.n1() + self.params.n2() + client_number as usize);
-        let inbox = self.router.register(pid);
-        ClusterClient::new(Arc::clone(self), client_id, pid, inbox, depth)
+    /// Draws the next client number of the deployment.
+    pub(crate) fn alloc_client_number(&self) -> u64 {
+        self.client_numbers
+            .fetch_add(self.client_step, Ordering::Relaxed)
+    }
+
+    /// The process id of client `number`: client process ids live above all
+    /// server ids.
+    pub(crate) fn client_pid(&self, number: u64) -> ProcessId {
+        ProcessId(self.params.n1() + self.params.n2() + number as usize)
     }
 
     /// Engine crash injection: stops every worker shard of the server with
@@ -1371,10 +1290,8 @@ impl Cluster {
 
     /// Engine entry point for online repair of either layer: regenerates the
     /// killed server `index` while client traffic keeps flowing and records
-    /// the report in the cluster's repair log. This is the single
-    /// implementation behind [`crate::api::Admin::repair`] and the
-    /// deprecated `repair_l1` / `repair_l2` wrappers of both [`Cluster`] and
-    /// [`crate::ShardedCluster`].
+    /// the report in the cluster's repair log. Behind
+    /// [`crate::api::Admin::repair`] and the self-healing supervisor.
     pub(crate) fn repair_server(
         &self,
         layer: RepairLayer,
@@ -1414,100 +1331,6 @@ impl Cluster {
     pub(crate) fn repairs_completed(&self) -> u64 {
         let log = self.repair_log.lock();
         log.dropped + log.reports.len() as u64
-    }
-
-    /// Kills the L1 server with code index `index` (crash failure): every
-    /// shard stops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::Admin::kill with ServerRef::l1(index)"
-    )]
-    pub fn kill_l1(&self, index: usize) {
-        self.kill_server(RepairLayer::L1, index);
-    }
-
-    /// Kills the L2 server with index `index` (crash failure): every shard
-    /// stops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::Admin::kill with ServerRef::l2(index)"
-    )]
-    pub fn kill_l2(&self, index: usize) {
-        self.kill_server(RepairLayer::L2, index);
-    }
-
-    /// Whether the L1 server with code index `index` is live (never killed,
-    /// or killed and successfully repaired).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::Admin::is_live / Admin::liveness"
-    )]
-    pub fn l1_is_live(&self, index: usize) -> bool {
-        self.server_is_live(RepairLayer::L1, index)
-    }
-
-    /// Whether the L2 server with index `index` is live.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::Admin::is_live / Admin::liveness"
-    )]
-    pub fn l2_is_live(&self, index: usize) -> bool {
-        self.server_is_live(RepairLayer::L2, index)
-    }
-
-    /// Regenerates the killed L1 server `index` **online** (metadata
-    /// reconstruction from live peers), restoring the `f1` failure budget.
-    ///
-    /// # Errors
-    ///
-    /// [`RepairError::NotCrashed`] if the server was not killed,
-    /// [`RepairError::TooFewHelpers`] if the live peers cannot cover the
-    /// reconstruction, [`RepairError::Timeout`] if the repair stalls (the
-    /// target is returned to the crashed state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::Admin::repair with ServerRef::l1(index)"
-    )]
-    pub fn repair_l1(&self, index: usize) -> Result<RepairReport, RepairError> {
-        self.repair_server(RepairLayer::L1, index)
-    }
-
-    /// Regenerates the killed L2 server `index` **online** at the backend's
-    /// repair bandwidth (MBR ships `β`-sized helper symbols), restoring the
-    /// `f2` failure budget.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::repair_l1`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use lds_cluster::api::Admin::repair with ServerRef::l2(index)"
-    )]
-    pub fn repair_l2(&self, index: usize) -> Result<RepairReport, RepairError> {
-        self.repair_server(RepairLayer::L2, index)
-    }
-
-    /// The control-plane handle for this cluster: crash injection, online
-    /// repair, liveness, inbox-depth probes and a metrics snapshot through
-    /// one [`crate::api::Admin`] facade.
-    pub fn admin(self: &Arc<Self>) -> crate::api::Admin {
-        crate::api::Admin::for_cluster(Arc::clone(self))
     }
 
     /// The backend kind this cluster encodes with.
@@ -1566,10 +1389,7 @@ impl Cluster {
     /// Allocates a fresh process id above all server and client ids (repair
     /// coordinators draw from the same number space as clients).
     pub(crate) fn alloc_aux_pid(&self) -> ProcessId {
-        let n = self
-            .next_client
-            .fetch_add(self.client_step, Ordering::Relaxed);
-        ProcessId(self.params.n1() + self.params.n2() + n as usize)
+        self.client_pid(self.alloc_client_number())
     }
 
     /// Whether this process hosts the worker threads of server `pid`
@@ -1709,120 +1529,77 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The deprecated pre-facade entry points must keep working until they
-    /// are removed — this is the ONE in-repo call site that exercises them
-    /// on purpose (everything else goes through `api::StoreBuilder` /
-    /// `api::Admin`; CI's `-D deprecated` step enforces that).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_compat_wrappers_still_work() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::start(params, BackendKind::Replication);
-        let mut client = cluster.client();
-        client.write(0, b"compat".to_vec()).unwrap();
-        cluster.kill_l2(1);
-        assert!(!cluster.l2_is_live(1));
-        cluster.repair_l2(1).unwrap();
-        assert!(cluster.l2_is_live(1));
-        cluster.kill_l1(0);
-        assert!(!cluster.l1_is_live(0));
-        cluster.repair_l1(0).unwrap();
-        assert!(cluster.l1_is_live(0));
-        assert_eq!(client.read(0).unwrap(), b"compat");
-        drop(client);
-        cluster.shutdown();
-
-        let sharded = crate::ShardedCluster::start_with(
-            2,
-            params,
-            BackendKind::Replication,
-            ClusterOptions::default(),
-        );
-        let mut client = sharded.client();
-        client.write(3, b"sharded compat".to_vec()).unwrap();
-        sharded.shard(1).kill_l2(0);
-        sharded.repair_l2(1, 0).unwrap();
-        assert_eq!(client.read(3).unwrap(), b"sharded compat");
-        drop(client);
-        sharded.shutdown();
-    }
+    use crate::api::{ServerRef, Store, StoreBuilder, StoreError};
 
     #[test]
     fn cluster_starts_and_shuts_down() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(params, BackendKind::Mbr, ClusterOptions::default()).unwrap();
+        let store = StoreBuilder::new().build().unwrap();
+        let cluster = &store.clusters[0];
         assert_eq!(cluster.params().n1(), 4);
         assert_eq!(cluster.membership().n2(), 5);
         assert_eq!(cluster.router().len(), 9);
-        cluster.shutdown();
+        store.shutdown();
         // All server inboxes are deregistered after shutdown.
         assert_eq!(cluster.router().len(), 0);
     }
 
     #[test]
     fn sharded_cluster_starts_and_shuts_down() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Mbr,
-            ClusterOptions {
-                l1_shards: 4,
-                l2_shards: 2,
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
+        let store = StoreBuilder::new()
+            .l1_shards(4)
+            .l2_shards(2)
+            .build()
+            .unwrap();
+        let cluster = &store.clusters[0];
         // Shards do not change the process count.
         assert_eq!(cluster.router().len(), 9);
-        let mut client = cluster.client();
-        client.write(11, b"sharded".to_vec()).unwrap();
-        assert_eq!(client.read(11).unwrap(), b"sharded");
+        let mut client = store.client();
+        client.write(ObjectId(11), b"sharded").unwrap();
+        assert_eq!(client.read(ObjectId(11)).unwrap(), b"sharded");
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
         assert_eq!(cluster.router().len(), 0);
     }
 
     #[test]
     fn stats_probes_publish_after_idle() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster =
-            Cluster::launch(params, BackendKind::Replication, ClusterOptions::default()).unwrap();
-        let mut client = cluster.client();
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .build()
+            .unwrap();
+        let mut client = store.client();
         for i in 0..5u64 {
-            client.write(i, vec![7u8; 64]).unwrap();
+            client.write(ObjectId(i), &[7u8; 64]).unwrap();
         }
         // Give the shards a moment to drain their inboxes and publish.
         std::thread::sleep(std::time::Duration::from_millis(100));
-        let entries = cluster.total_l1_metadata_entries();
+        let entries = store.clusters[0].total_l1_metadata_entries();
         assert!(entries > 0, "metadata probe never published");
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn kill_and_repair_l2_restores_budget() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(params, BackendKind::Mbr, ClusterOptions::default()).unwrap();
-        let mut client = cluster.client();
+        let store = StoreBuilder::new().build().unwrap();
+        let admin = store.admin();
+        let mut client = store.client();
         for obj in 0..4u64 {
             client
-                .write(obj, format!("pre-crash {obj}").into_bytes())
+                .write(ObjectId(obj), format!("pre-crash {obj}").as_bytes())
                 .unwrap();
         }
         // A live server cannot be "repaired".
         assert!(matches!(
-            cluster.repair_server(RepairLayer::L2, 1),
-            Err(crate::RepairError::NotCrashed)
+            admin.repair(ServerRef::l2(1)),
+            Err(StoreError::Repair(RepairError::NotCrashed))
         ));
-        cluster.kill_server(RepairLayer::L2, 1);
-        assert!(!cluster.server_is_live(RepairLayer::L2, 1));
-        client.write(9, b"during the outage".to_vec()).unwrap();
+        admin.kill(ServerRef::l2(1)).unwrap();
+        assert_eq!(admin.is_live(ServerRef::l2(1)), Ok(false));
+        client.write(ObjectId(9), b"during the outage").unwrap();
 
-        let report = cluster
-            .repair_server(RepairLayer::L2, 1)
-            .expect("repair succeeds");
-        assert!(cluster.server_is_live(RepairLayer::L2, 1));
+        let report = admin.repair(ServerRef::l2(1)).expect("repair succeeds");
+        assert_eq!(admin.is_live(ServerRef::l2(1)), Ok(true));
         assert_eq!(report.index, 1);
         assert_eq!(report.helpers, 4);
         assert!(report.objects >= 1, "committed objects regenerated");
@@ -1833,68 +1610,64 @@ mod tests {
             report.fallback_bytes
         );
         // Budget restored: a *different* L2 crash is tolerated again.
-        cluster.kill_server(RepairLayer::L2, 3);
-        client.write(2, b"after repair".to_vec()).unwrap();
-        assert_eq!(client.read(2).unwrap(), b"after repair");
+        admin.kill(ServerRef::l2(3)).unwrap();
+        client.write(ObjectId(2), b"after repair").unwrap();
+        assert_eq!(client.read(ObjectId(2)).unwrap(), b"after repair");
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn kill_and_repair_l1_restores_budget() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Replication,
-            ClusterOptions {
-                l1_shards: 2,
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        let mut client = cluster.client();
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .l1_shards(2)
+            .build()
+            .unwrap();
+        let admin = store.admin();
+        let mut client = store.client();
         for obj in 0..6u64 {
             client
-                .write(obj, format!("metadata {obj}").into_bytes())
+                .write(ObjectId(obj), format!("metadata {obj}").as_bytes())
                 .unwrap();
         }
-        cluster.kill_server(RepairLayer::L1, 0);
-        client.write(7, b"written while down".to_vec()).unwrap();
+        admin.kill(ServerRef::l1(0)).unwrap();
+        client.write(ObjectId(7), b"written while down").unwrap();
 
-        let report = cluster
-            .repair_server(RepairLayer::L1, 0)
-            .expect("repair succeeds");
-        assert_eq!(report.layer, crate::RepairLayer::L1);
+        let report = admin.repair(ServerRef::l1(0)).expect("repair succeeds");
+        assert_eq!(report.layer, RepairLayer::L1);
         assert!(report.objects >= 6, "all written objects reconstructed");
         // Budget restored: a different L1 crash is tolerated again.
-        cluster.kill_server(RepairLayer::L1, 2);
+        admin.kill(ServerRef::l1(2)).unwrap();
         for obj in 0..6u64 {
             assert_eq!(
-                client.read(obj).unwrap(),
+                client.read(ObjectId(obj)).unwrap(),
                 format!("metadata {obj}").into_bytes()
             );
         }
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn concurrent_repairs_of_one_server_take_a_single_claim() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster =
-            Cluster::launch(params, BackendKind::Replication, ClusterOptions::default()).unwrap();
-        let mut client = cluster.client();
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .build()
+            .unwrap();
+        let admin = store.admin();
+        let mut client = store.client();
         for obj in 0..3u64 {
-            client.write(obj, vec![obj as u8; 32]).unwrap();
+            client.write(ObjectId(obj), &[obj as u8; 32]).unwrap();
         }
-        cluster.kill_server(RepairLayer::L2, 2);
+        admin.kill(ServerRef::l2(2)).unwrap();
         // Two coordinators race on the same repair: exactly one drives it;
         // the loser is refused (claim held) or finds the server already
         // repaired (claim released after the winner finished).
         let racers: Vec<_> = (0..2)
             .map(|_| {
-                let cluster = Arc::clone(&cluster);
-                std::thread::spawn(move || cluster.repair_server(RepairLayer::L2, 2))
+                let admin = admin.clone();
+                std::thread::spawn(move || admin.repair(ServerRef::l2(2)))
             })
             .collect();
         let outcomes: Vec<_> = racers.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1902,15 +1675,17 @@ mod tests {
         assert_eq!(ok, 1, "exactly one concurrent repair wins: {outcomes:?}");
         assert!(outcomes.iter().any(|o| matches!(
             o,
-            Err(crate::RepairError::RepairInProgress) | Err(crate::RepairError::NotCrashed)
+            Err(StoreError::Repair(
+                RepairError::RepairInProgress | RepairError::NotCrashed
+            ))
         )));
         // The survivor is healthy: budget restored, traffic flows.
-        assert!(cluster.server_is_live(RepairLayer::L2, 2));
-        cluster.kill_server(RepairLayer::L2, 0);
-        client.write(9, b"post-race".to_vec()).unwrap();
-        assert_eq!(client.read(9).unwrap(), b"post-race");
+        assert_eq!(admin.is_live(ServerRef::l2(2)), Ok(true));
+        admin.kill(ServerRef::l2(0)).unwrap();
+        client.write(ObjectId(9), b"post-race").unwrap();
+        assert_eq!(client.read(ObjectId(9)).unwrap(), b"post-race");
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
@@ -1951,43 +1726,43 @@ mod tests {
 
     #[test]
     fn bounded_cluster_round_trips_and_tracks_admission() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Replication,
-            ClusterOptions {
-                inbox_cap: Some(2),
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(cluster.inbox_cap(), Some(2));
-        let mut client = cluster.client();
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .inbox_cap(2)
+            .build()
+            .unwrap();
+        assert_eq!(store.clusters[0].inbox_cap(), Some(2));
+        let mut client = store.client();
         for i in 0..6u64 {
             client
-                .write(i, format!("bounded {i}").into_bytes())
+                .write(ObjectId(i), format!("bounded {i}").as_bytes())
                 .unwrap();
-            assert_eq!(client.read(i).unwrap(), format!("bounded {i}").into_bytes());
+            assert_eq!(
+                client.read(ObjectId(i)).unwrap(),
+                format!("bounded {i}").into_bytes()
+            );
         }
         // Blocking operations complete one at a time: the budget drains back
         // to zero between them.
-        assert_eq!(cluster.l1_admitted_ops(0), 0);
+        assert_eq!(store.clusters[0].l1_admitted_ops(0), 0);
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
     }
 
     #[test]
     fn inbox_depth_probes_settle_to_zero() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster =
-            Cluster::launch(params, BackendKind::Replication, ClusterOptions::default()).unwrap();
-        let mut client = cluster.client();
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .build()
+            .unwrap();
+        let mut client = store.client();
         for i in 0..8u64 {
-            client.submit_write(i, vec![3u8; 32]);
+            client.submit_write(ObjectId(i), &[3u8; 32]);
         }
         client.wait_all().unwrap();
         // Everything the workload enqueued was eventually claimed.
         std::thread::sleep(std::time::Duration::from_millis(100));
+        let cluster = &store.clusters[0];
         for j in 0..cluster.params().n1() {
             assert_eq!(cluster.l1_inbox_depth(j), 0, "server {j} inbox drained");
             assert!(
@@ -1996,6 +1771,6 @@ mod tests {
             );
         }
         drop(client);
-        cluster.shutdown();
+        store.shutdown();
     }
 }

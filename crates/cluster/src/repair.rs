@@ -3,8 +3,9 @@
 //!
 //! # Protocol
 //!
-//! The coordinator (the thread calling [`Cluster::repair_l1`] /
-//! [`Cluster::repair_l2`]) drives the handover:
+//! The coordinator (the thread calling
+//! [`Admin::repair`](crate::api::Admin::repair), or the self-healing
+//! supervisor) drives the handover:
 //!
 //! 1. **Join** the dead server's worker threads. Every one of them has
 //!    deregistered the process id on exit, so all stale routing state is

@@ -335,12 +335,24 @@ impl Router {
         inboxes
     }
 
-    /// A direct sender into `pid`'s first inbox shard, bypassing the
-    /// transport — what a client's [`Waker`](crate::client::Waker) pings
-    /// through (a fault plan must not be able to drop a local wake-up).
-    pub(crate) fn inbox_sender(&self, pid: ProcessId) -> Option<Sender<Envelope>> {
-        let table = self.shared.table.lock();
-        table.get(&pid).map(|route| route.shards[0].tx.clone())
+    /// Registers `pid` with an inbox that already exists: `tx` feeds it and
+    /// `depth` is its gauge. A client owns one inbox and registers it with
+    /// the router of every cluster of its deployment, so replies from any
+    /// of them arrive on the one channel the client blocks on.
+    pub(crate) fn register_sender(
+        &self,
+        pid: ProcessId,
+        tx: Sender<Envelope>,
+        depth: Arc<DepthGauge>,
+    ) {
+        self.mutate(|table| {
+            table.insert(
+                pid,
+                Route {
+                    shards: vec![ShardInbox { tx, depth }].into(),
+                },
+            );
+        });
     }
 
     /// Whether `pid` is currently registered (i.e. not crashed/deregistered).

@@ -174,7 +174,7 @@ fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
     let before = LARGE_BYTES.load(Ordering::Relaxed);
     let mut events = net.run(READER, LdsMessage::InvokeRead { obj });
     let returned = match events.pop() {
-        // What `ClusterClient` does with the event to build `OpOutcome::Read`.
+        // What the cluster client does with the event to build `OpOutcome::Read`.
         Some(ProtocolEvent::ReadCompleted { value, .. }) => value.into_vec(),
         other => panic!("expected one ReadCompleted, got {other:?}"),
     };

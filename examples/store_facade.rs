@@ -1,6 +1,6 @@
 //! The `Store` facade end to end: one generic workload function runs
 //! unchanged over a single cluster and over a sharded multi-cluster
-//! deployment — the topology is a builder axis, not an API fork.
+//! deployment — the cluster count is a builder axis, not an API fork.
 //!
 //! Demonstrates the three layers of the public API:
 //!
@@ -18,7 +18,7 @@ use lds_core::backend::BackendKind;
 
 /// A mixed workload written ONCE against the `Store` trait: pipelined
 /// writes, a non-blocking burst that respects backpressure, and blocking
-/// read-back. Works identically over any topology.
+/// read-back. Works identically over any number of clusters.
 fn run_workload<S: Store>(client: &mut S, keys: u64) -> usize {
     // Pipelined: fill the window, then drain.
     for k in 0..keys {
@@ -49,8 +49,8 @@ fn run_workload<S: Store>(client: &mut S, keys: u64) -> usize {
 
 fn demo(label: &str, store: &StoreHandle) {
     println!(
-        "[{label}] topology = {:?}, backend = {}, n1 = {}, n2 = {}",
-        store.topology(),
+        "[{label}] clusters = {}, backend = {}, n1 = {}, n2 = {}",
+        store.clusters(),
         store.backend(),
         store.params().n1(),
         store.params().n2()
@@ -87,7 +87,7 @@ fn demo(label: &str, store: &StoreHandle) {
 }
 
 fn main() {
-    // The same builder chain, differing only in the topology axis.
+    // The same builder chain, differing only in the `clusters` axis.
     let single = StoreBuilder::new()
         .failures(1, 1)
         .code(2, 3)

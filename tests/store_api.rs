@@ -1,12 +1,10 @@
 //! Contract tests for the `Store` facade itself: builder validation,
-//! `StoreError` mapping on the non-blocking path, topology-generic
-//! atomicity (one test body over both topologies), and the `Admin` control
-//! plane.
+//! `StoreError` mapping on the non-blocking path, atomicity and the
+//! per-client contracts (`last_tag`, the pipeline budget) over one, two and
+//! three clusters, and the `Admin` control plane.
 
-use lds_cluster::api::{
-    ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle, Topology,
-};
-use lds_cluster::{FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
+use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle};
+use lds_cluster::{cluster_of, FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
 use lds_core::backend::BackendKind;
 use lds_core::tag::Tag;
 use std::collections::HashMap;
@@ -127,8 +125,8 @@ fn builder_axes_reach_the_deployment() {
         .clusters(3)
         .build()
         .unwrap();
-    assert_eq!(store.topology(), Topology::Sharded { clusters: 3 });
     assert_eq!(store.clusters(), 3);
+    assert_eq!(store.admin().clusters(), 3);
     assert_eq!(store.backend(), BackendKind::Replication);
     assert_eq!(store.params().n1(), 4);
     let options = store.options();
@@ -137,7 +135,6 @@ fn builder_axes_reach_the_deployment() {
     store.shutdown();
 
     let single = StoreBuilder::new().build().unwrap();
-    assert_eq!(single.topology(), Topology::Single);
     assert_eq!(single.clusters(), 1);
     single.shutdown();
 }
@@ -202,7 +199,7 @@ fn try_submit_maps_wouldblock_under_full_admission_budget() {
 
 // ---------------------------------------------------------------------
 // Store-generic atomicity: ONE test body, generic over `impl Store`, run
-// against both topologies.
+// against one, two and three clusters.
 // ---------------------------------------------------------------------
 
 /// The atomicity contract, written once against the trait: per-key FIFO
@@ -245,8 +242,8 @@ fn atomicity_contract<S: Store>(client: &mut S) {
 
 #[test]
 fn atomicity_contract_holds_generically_over_both_topologies() {
-    // One generic body, instantiated against the facade client of a
-    // single-cluster and of a 2-shard deployment.
+    // Three clusters is the first count where one pipeline budget of 8 and
+    // an even per-cluster split of it differ.
     let build = |clusters: usize| -> StoreHandle {
         StoreBuilder::new()
             .backend(BackendKind::Mbr)
@@ -255,11 +252,90 @@ fn atomicity_contract_holds_generically_over_both_topologies() {
             .build()
             .unwrap()
     };
-    for clusters in [1usize, 2] {
+    for clusters in [1usize, 2, 3] {
         let store = build(clusters);
         atomicity_contract(&mut store.client_with_depth(8));
         store.shutdown();
     }
+}
+
+// ---------------------------------------------------------------------
+// What is per client stays per client on a multi-cluster deployment.
+// ---------------------------------------------------------------------
+
+/// The first `count` keys (from 0 upwards) that `pick` accepts.
+fn keys_where(count: usize, pick: impl Fn(u64) -> bool) -> Vec<ObjectId> {
+    (0u64..)
+        .filter(|&k| pick(k))
+        .take(count)
+        .map(ObjectId)
+        .collect()
+}
+
+/// `last_tag` is the tag of the handle's most recently completed operation
+/// — not the largest tag it has seen on any cluster.
+#[test]
+fn last_tag_is_the_most_recent_operations_on_a_multi_cluster_client() {
+    let store = StoreBuilder::new()
+        .backend(BackendKind::Replication)
+        .clusters(2)
+        .build()
+        .unwrap();
+    let on_0 = keys_where(1, |k| cluster_of(k, 2) == 0)[0];
+    let on_1 = keys_where(1, |k| cluster_of(k, 2) == 1)[0];
+    let mut client = store.client();
+    let mut older = None;
+    for round in 0..3u8 {
+        older = Some(client.write(on_0, &[round]).unwrap());
+    }
+    // Tags of different objects are unordered in time: the first write to a
+    // fresh key mints a smaller tag than the third write to another.
+    let newest = client
+        .write(on_1, b"first write on the other cluster")
+        .unwrap();
+    assert!(
+        Some(newest) < older,
+        "the scenario needs the newer tag smaller"
+    );
+    assert_eq!(client.last_tag(), Some(newest));
+    drop(client);
+    store.shutdown();
+}
+
+/// `depth` is one budget per client: `client_with_depth(4)` keeps 4
+/// operations in flight however its keys spread over three clusters — not
+/// `ceil(4 / 3) = 2` per cluster (6 when the keys spread, 2 when they all
+/// hash to one cluster).
+#[test]
+fn pipeline_depth_is_one_budget_across_clusters() {
+    const CLUSTERS: usize = 3;
+    let store = StoreBuilder::new()
+        .backend(BackendKind::Replication)
+        .clusters(CLUSTERS)
+        .build()
+        .unwrap();
+    // No write quorum anywhere: nothing completes, so what is in flight
+    // stays in flight.
+    let admin = store.admin();
+    for c in 0..CLUSTERS {
+        for j in 0..3 {
+            admin.kill(ServerRef::l1(j).in_cluster(c)).unwrap();
+        }
+    }
+    let spread: Vec<ObjectId> = (0..12).map(ObjectId).collect();
+    assert!((0..CLUSTERS).all(|c| spread.iter().any(|k| cluster_of(k.raw(), CLUSTERS) == c)));
+    let one_cluster = keys_where(12, |k| cluster_of(k, CLUSTERS) == 1);
+    for keys in [spread, one_cluster] {
+        let mut client = store.client_with_depth(4);
+        assert_eq!(client.depth(), 4);
+        for &key in &keys {
+            client.submit_write(key, b"stalled");
+        }
+        assert_eq!(client.in_flight(), 4);
+        assert_eq!(client.pending_ops(), 12);
+        client.cancel_all();
+    }
+    store.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -366,7 +442,7 @@ const TAG_DELAY: Duration = Duration::from_millis(400);
 
 #[test]
 fn poll_wait_contract_holds_over_both_topologies() {
-    for clusters in [1usize, 2] {
+    for clusters in [1usize, 2, 3] {
         let plan = FaultPlan::seeded(7).rule(
             FaultRule::new()
                 .classes(&["TAG-RESP"])
