@@ -442,7 +442,8 @@ pub struct ServerInternals {
     pub peak_round_bytes: usize,
     /// Messages received across all server shards, by protocol class
     /// (dense [`LdsMessage::class_index`] order, heartbeat pings last —
-    /// pair with [`crate::transport::MESSAGE_CLASSES`] for names).
+    /// slot `i` is named [`MESSAGE_CLASSES`](lds_core::messages::MESSAGE_CLASSES)`[i]`,
+    /// the array generated from the same protocol table as the index).
     pub msgs_by_class: [u64; LdsMessage::NUM_CLASSES],
 }
 

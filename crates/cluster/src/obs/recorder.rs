@@ -49,8 +49,10 @@ pub const DEFAULT_TRACE_EVENTS: usize = 4096;
 /// | `RepairBackoff` | layer | server index | backoff µs |
 /// | `RepairPark` | layer | server index | 0 |
 ///
-/// Message class indices follow
-/// [`MESSAGE_CLASSES`](crate::transport::MESSAGE_CLASSES). The stripe/GC
+/// Message class indices are [`LdsMessage::class_index`](lds_core::LdsMessage::class_index)
+/// values (`PING` last) and are named by
+/// [`MESSAGE_CLASSES`](lds_core::messages::MESSAGE_CLASSES), the protocol
+/// table's own class-name array. The stripe/GC
 /// server-internal events are *aggregated*: worker shards fold their
 /// counters in when they idle, so one event may cover several protocol
 /// steps (the deltas are in `b`/`c`).

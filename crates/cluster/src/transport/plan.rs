@@ -13,35 +13,12 @@ use std::time::Duration;
 
 /// Every message class a [`FaultRule`] may target: the `kind()` strings of
 /// the LDS wire messages plus `"PING"` for the heartbeat monitor's liveness
-/// probes. Rule validation rejects class names outside this list, so a typo
-/// like `"COMMITTAG"` fails at `build()` instead of silently matching
+/// probes, in `class_index()` order. This is the protocol table's own
+/// class-name array (`lds_core::messages`), re-exported — there is no second
+/// list to keep in step. Rule validation rejects class names outside it, so
+/// a typo like `"COMMITTAG"` fails at `build()` instead of silently matching
 /// nothing.
-pub const MESSAGE_CLASSES: &[&str] = &[
-    "INVOKE-WRITE",
-    "INVOKE-READ",
-    "QUERY-TAG",
-    "TAG-RESP",
-    "PUT-DATA",
-    "PUT-STRIPE",
-    "ACK-PUT-DATA",
-    "BCAST-SEND",
-    "COMMIT-TAG",
-    "QUERY-COMM-TAG",
-    "COMM-TAG-RESP",
-    "QUERY-DATA",
-    "DATA-RESP",
-    "PUT-TAG",
-    "ACK-PUT-TAG",
-    "WRITE-CODE-ELEM",
-    "WRITE-CODE-STRIPE",
-    "ACK-CODE-ELEM",
-    "QUERY-CODE-ELEM",
-    "SEND-HELPER-ELEM",
-    "REPAIR-HELP",
-    "REPAIR-SHARE",
-    "REPAIR-DONE",
-    "PING",
-];
+pub use lds_core::messages::MESSAGE_CLASSES;
 
 /// One endpoint of a cluster link, named in deployment terms rather than raw
 /// process ids (which are an internal detail of the runtime's pid layout).

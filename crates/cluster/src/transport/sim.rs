@@ -19,7 +19,7 @@ use crate::obs::{EventKind, TraceHandle};
 use crate::router::DirectSender;
 use lds_core::messages::LdsMessage;
 use lds_core::params::SystemParams;
-use lds_sim::{DataSize, ProcessId};
+use lds_sim::ProcessId;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -57,10 +57,28 @@ impl PidSet {
     }
 }
 
-/// A [`FaultRule`](super::FaultRule) with endpoints resolved and the
-/// cumulative probability thresholds scaled to the `u64` draw space.
+/// The class index of a liveness ping: the final slot of
+/// [`MESSAGE_CLASSES`], after every [`LdsMessage::class_index`].
+const PING_CLASS: usize = LdsMessage::NUM_CLASSES - 1;
+
+// A rule's class filter is one bit per class index.
+const _: () = assert!(LdsMessage::NUM_CLASSES <= u64::BITS as usize);
+
+/// The bit set over class indices that a rule's class names denote. Names
+/// outside [`MESSAGE_CLASSES`] (rejected by `FaultPlan::validate`) denote
+/// nothing.
+fn class_mask(names: &[String]) -> u64 {
+    names
+        .iter()
+        .filter_map(|name| MESSAGE_CLASSES.iter().position(|class| class == name))
+        .fold(0, |mask, class| mask | 1 << class)
+}
+
+/// A [`FaultRule`](super::FaultRule) with class names resolved to a bit set
+/// over class indices, endpoints to process ids, and the cumulative
+/// probability thresholds scaled to the `u64` draw space.
 struct CompiledRule {
-    classes: Option<Vec<String>>,
+    classes: Option<u64>,
     from: Option<PidSet>,
     to: Option<PidSet>,
     t_drop: u64,
@@ -72,14 +90,12 @@ struct CompiledRule {
 }
 
 impl CompiledRule {
-    /// Whether the rule's filters match a message of `kind` on the link
-    /// `from → to`. `from == None` is a liveness ping's external sender: it
-    /// only matches rules with no sender filter.
-    fn matches(&self, from: Option<ProcessId>, to: ProcessId, kind: &str) -> bool {
-        if let Some(classes) = &self.classes {
-            if !classes.iter().any(|c| c == kind) {
-                return false;
-            }
+    /// Whether the rule's filters match a message of class index `class` on
+    /// the link `from → to`. `from == None` is a liveness ping's external
+    /// sender: it only matches rules with no sender filter.
+    fn matches(&self, from: Option<ProcessId>, to: ProcessId, class: usize) -> bool {
+        if self.classes.is_some_and(|mask| mask & (1 << class) == 0) {
+            return false;
         }
         if let Some(set) = &self.from {
             match from {
@@ -226,7 +242,7 @@ impl SimTransport {
                 let sum_delay = sum_dup + r.delay;
                 let sum_reorder = sum_delay + r.reorder;
                 CompiledRule {
-                    classes: r.classes.clone(),
+                    classes: r.classes.as_deref().map(class_mask),
                     from: r.from.as_deref().map(|e| PidSet::resolve(e, params)),
                     to: r.to.as_deref().map(|e| PidSet::resolve(e, params)),
                     t_drop: threshold(r.drop),
@@ -270,14 +286,15 @@ impl SimTransport {
     /// Records one injected fault (`decision` per the [`EventKind`] payload
     /// table: 0 drop, 1 duplicate, 2 delay, 3 partition). Cold path — only
     /// reached when a fault fires.
-    fn trace_fault(&self, decision: u64, to: ProcessId, kind: &str) {
+    fn trace_fault(&self, decision: u64, to: ProcessId, class: usize) {
         let mut slot = self.trace.lock().expect("trace slot poisoned");
         if let Some(trace) = slot.as_mut() {
-            let class = MESSAGE_CLASSES
-                .iter()
-                .position(|c| *c == kind)
-                .unwrap_or(MESSAGE_CLASSES.len()) as u64;
-            trace.record(EventKind::TransportFault, decision, class, to.0 as u64);
+            trace.record(
+                EventKind::TransportFault,
+                decision,
+                class as u64,
+                to.0 as u64,
+            );
         }
     }
 
@@ -297,38 +314,38 @@ impl SimTransport {
 
     /// The shared adjudication path: partitions first (no random draw),
     /// then the first matching probabilistic rule.
-    fn decide_link(&self, from: Option<ProcessId>, to: ProcessId, kind: &str) -> Decision {
+    fn decide_link(&self, from: Option<ProcessId>, to: ProcessId, class: usize) -> Decision {
         if !self.partitions.is_empty() {
             let elapsed = self.epoch.elapsed();
             for partition in &self.partitions {
                 if partition.active(elapsed) && partition.blocks(from, to) {
                     self.counters.partitioned.fetch_add(1, Ordering::Relaxed);
-                    self.trace_fault(3, to, kind);
+                    self.trace_fault(3, to, class);
                     return Decision::Drop;
                 }
             }
         }
         for rule in &self.rules {
-            if !rule.matches(from, to, kind) {
+            if !rule.matches(from, to, class) {
                 continue;
             }
             let r = self.draw();
             return if r < rule.t_drop {
                 self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(0, to, kind);
+                self.trace_fault(0, to, class);
                 Decision::Drop
             } else if r < rule.t_dup {
                 self.counters.duplicated.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(1, to, kind);
+                self.trace_fault(1, to, class);
                 Decision::Duplicate
             } else if r < rule.t_delay {
                 self.counters.delayed.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(2, to, kind);
+                self.trace_fault(2, to, class);
                 Decision::Delay(self.sample_delay(rule, r))
             } else if r < rule.t_reorder {
                 self.counters.reordered.fetch_add(1, Ordering::Relaxed);
                 // A reorder manifests as a (short) delayed redelivery.
-                self.trace_fault(2, to, kind);
+                self.trace_fault(2, to, class);
                 Decision::Delay(self.sample_delay(rule, r))
             } else {
                 Decision::Deliver
@@ -359,11 +376,11 @@ impl Transport for SimTransport {
     }
 
     fn decide(&self, from: ProcessId, to: ProcessId, msg: &LdsMessage) -> Decision {
-        self.decide_link(Some(from), to, msg.kind())
+        self.decide_link(Some(from), to, msg.class_index())
     }
 
     fn decide_ping(&self, to: ProcessId) -> Decision {
-        self.decide_link(None, to, "PING")
+        self.decide_link(None, to, PING_CLASS)
     }
 
     fn hold(&self, from: ProcessId, to: ProcessId, msg: LdsMessage, delay: Duration) {
@@ -513,8 +530,17 @@ mod tests {
             t.decide(ProcessId(9), ProcessId(0), &other),
             Decision::Deliver
         );
+        // A liveness ping is a class of its own, named like any other.
+        assert_eq!(t.decide_ping(ProcessId(0)), Decision::Deliver);
         let c = t.fault_counters();
         assert_eq!((c.dropped, c.duplicated), (1, 1));
+        let pings = FaultPlan::seeded(7).rule(FaultRule::new().classes(&["PING"]).drop_prob(1.0));
+        let t = SimTransport::new(&pings, &params());
+        assert_eq!(t.decide_ping(ProcessId(0)), Decision::Drop);
+        assert_eq!(
+            t.decide(ProcessId(9), ProcessId(0), &msg()),
+            Decision::Deliver
+        );
     }
 
     #[test]

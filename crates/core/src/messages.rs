@@ -4,47 +4,60 @@
 //! server) plus the harness commands that start client operations. Message
 //! names follow the paper's pseudocode (Figs. 1–3).
 //!
+//! [`LdsMessage`] is declared once, as a table: each row states a class's
+//! discriminant, kind string, doc comments and fields, and everything that
+//! is a function of the class alone — [`LdsMessage::class_index`], the kind
+//! string, [`MESSAGE_CLASSES`], [`LdsMessage::NUM_CLASSES`], the wire codec
+//! ([`crate::wire`]) and the cost-model size — is generated from that row.
+//!
 //! The [`lds_sim::DataSize`] implementation encodes the paper's cost model
 //! (§II-d): only object data (values, coded elements, helper payloads) counts;
-//! tags, counters and other metadata are free.
+//! tags, counters and other metadata are free. It is the sum of the fields'
+//! payload bytes, so a new data-bearing field is counted without being named
+//! anywhere but in its row.
 
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
+use crate::wire::{wire_enum, Wire, WireError};
 use lds_codes::{HelperData, Share};
 use lds_sim::{DataSize, ProcessId, SimTime};
 
-/// Payload of a [`LdsMessage::RepairShare`]: what one live server contributes
-/// to the online regeneration of a crashed peer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RepairPayload {
-    /// L2 → replacement L2: a repair symbol for the failed server's coded
-    /// element, computed from the helper's own committed `(tag, element)`
-    /// pair. With an MBR backend this is the bandwidth-optimal `β`-sized
-    /// helper; other backends ship enough for decode-and-re-encode.
-    Element {
-        /// Tag of the element the helper symbol was computed from.
-        tag: Tag,
-        /// Length of the helper's full stored element in bytes — what this
-        /// payload would have cost under the decode-and-re-encode fallback.
-        /// Summed by the replacement into the repair's `fallback_bytes`
-        /// accounting (covering every payload, whether or not its object
-        /// ultimately reaches a repair quorum).
-        element_len: u64,
-        /// The repair symbol.
-        helper: HelperData,
-    },
-    /// L1 → replacement L1: one live peer's per-object metadata snapshot —
-    /// the committed tag plus every `(tag, value?)` entry of its list `L`.
-    /// The union over a quorum of peers covers every tag the crashed server
-    /// could have acknowledged, which is what keeps get-tag quorums monotonic
-    /// after the rejoin.
-    Meta {
-        /// The peer's committed tag `t_c` for the object.
-        tc: Tag,
-        /// The peer's list entries (`None` encodes `⊥`, a tag whose value
-        /// was already offloaded to L2).
-        entries: Vec<(Tag, Option<Value>)>,
-    },
+wire_enum! {
+    /// Payload of a [`LdsMessage::RepairShare`]: what one live server contributes
+    /// to the online regeneration of a crashed peer.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RepairPayload {
+        /// L2 → replacement L2: a repair symbol for the failed server's coded
+        /// element, computed from the helper's own committed `(tag, element)`
+        /// pair. With an MBR backend this is the bandwidth-optimal `β`-sized
+        /// helper; other backends ship enough for decode-and-re-encode.
+        0 => Element {
+            /// Tag of the element the helper symbol was computed from.
+            tag: Tag,
+            /// Length of the helper's full stored element in bytes — what this
+            /// payload would have cost under the decode-and-re-encode fallback.
+            /// Summed by the replacement into the repair's `fallback_bytes`
+            /// accounting (covering every payload, whether or not its object
+            /// ultimately reaches a repair quorum).
+            element_len: u64,
+            /// The repair symbol.
+            helper: HelperData,
+        },
+        /// L1 → replacement L1: one live peer's per-object metadata snapshot —
+        /// the committed tag plus every `(tag, value?)` entry of its list `L`.
+        /// The union over a quorum of peers covers every tag the crashed server
+        /// could have acknowledged, which is what keeps get-tag quorums monotonic
+        /// after the rejoin. Tags are free in the cost model; only the live
+        /// values count.
+        1 => Meta {
+            /// The peer's committed tag `t_c` for the object.
+            tc: Tag,
+            /// The peer's list entries (`None` encodes `⊥`, a tag whose value
+            /// was already offloaded to L2).
+            entries: Vec<(Tag, Option<Value>)>,
+        },
+    }
+    unknown value => WireError::UnknownDiscriminant { what: "RepairPayload", value }
 }
 
 /// Payload of a server's response to a reader's `QUERY-DATA` (or of a late
@@ -59,21 +72,76 @@ pub enum ReadPayload {
     None,
 }
 
-/// All LDS protocol messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LdsMessage {
+/// Declares [`LdsMessage`] from the protocol table below. A row states one
+/// message class once — `discriminant "KIND" => Variant { fields }`, with its
+/// doc comments — and is forwarded to [`wire_enum!`] for the enum, its codec
+/// and its cost-model size; the per-class lookups are generated here. Every
+/// row must carry an `obj` field: the cluster runtime routes by it.
+macro_rules! protocol_messages {
+    ($(
+        $(#[$doc:meta])*
+        $class:literal $kind:literal => $variant:ident { $($fields:tt)* }
+    ),* $(,)?) => {
+        wire_enum! {
+            /// All LDS protocol messages.
+            #[derive(Debug, Clone, PartialEq)]
+            pub enum LdsMessage {
+                $( $(#[$doc])* $class => $variant { $($fields)* } ),*
+            }
+            unknown class => WireError::UnknownClass { class }
+        }
+
+        /// The name of every message class, indexed by
+        /// [`LdsMessage::class_index`]: the [`DataSize::kind`] strings of the
+        /// protocol messages in table order, then `"PING"` — the transport's
+        /// payload-free liveness probe, which has no message body — as the
+        /// final class. The one list behind fault-plan class names, trace
+        /// events and the `lds_messages_total` metric labels.
+        pub const MESSAGE_CLASSES: &[&str] = &[$($kind,)* "PING"];
+
+        impl LdsMessage {
+            /// Number of message classes: every [`LdsMessage::class_index`]
+            /// value plus the transport-level `"PING"` probe at index
+            /// `NUM_CLASSES - 1`.
+            pub const NUM_CLASSES: usize = MESSAGE_CLASSES.len();
+
+            /// Dense per-class index of this message — its row's discriminant,
+            /// which is also its class byte on the wire and its position in
+            /// [`MESSAGE_CLASSES`]. Observability counters and fault rules
+            /// index by this instead of comparing [`DataSize::kind`] strings.
+            pub fn class_index(&self) -> usize {
+                match self {
+                    $( LdsMessage::$variant { .. } => $class, )*
+                }
+            }
+
+            /// The object this message concerns.
+            ///
+            /// Every protocol message carries its object id; the cluster
+            /// runtime uses it to route messages to the server shard owning
+            /// the object's partition.
+            pub fn object(&self) -> ObjectId {
+                match self {
+                    $( LdsMessage::$variant { obj, .. } => *obj, )*
+                }
+            }
+        }
+    };
+}
+
+protocol_messages! {
     // ------------------------------------------------------------------
     // Harness commands (injected from `ProcessId::EXTERNAL`, no link cost).
     // ------------------------------------------------------------------
     /// Ask a writer client to perform a write operation.
-    InvokeWrite {
+    0 "INVOKE-WRITE" => InvokeWrite {
         /// Target object.
         obj: ObjectId,
         /// Value to write.
         value: Value,
     },
     /// Ask a reader client to perform a read operation.
-    InvokeRead {
+    1 "INVOKE-READ" => InvokeRead {
         /// Target object.
         obj: ObjectId,
     },
@@ -82,7 +150,7 @@ pub enum LdsMessage {
     // Writer <-> L1 (Fig. 1 / Fig. 2).
     // ------------------------------------------------------------------
     /// Writer `get-tag` query.
-    QueryTag {
+    2 "QUERY-TAG" => QueryTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -90,7 +158,7 @@ pub enum LdsMessage {
     },
     /// Server response to [`LdsMessage::QueryTag`]: the maximum tag in its
     /// list.
-    TagResp {
+    3 "TAG-RESP" => TagResp {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -99,7 +167,7 @@ pub enum LdsMessage {
         tag: Tag,
     },
     /// Writer `put-data`: the new `(tag, value)` pair.
-    PutData {
+    4 "PUT-DATA" => PutData {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -116,7 +184,7 @@ pub enum LdsMessage {
     /// assembles the stripes (order-independently) and processes the
     /// completed set exactly as a `PutData` — one tag covers all stripes, so
     /// the per-object metadata still treats the logical write atomically.
-    PutStripe {
+    5 "PUT-STRIPE" => PutStripe {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -133,7 +201,7 @@ pub enum LdsMessage {
     /// Server acknowledgment of a write (sent from `put-data-resp` when the
     /// tag is stale, or from `broadcast-resp` once enough COMMIT-TAG
     /// broadcasts have been consumed).
-    AckPutData {
+    6 "ACK-PUT-DATA" => AckPutData {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -147,7 +215,7 @@ pub enum LdsMessage {
     // ------------------------------------------------------------------
     /// First hop: the broadcasting server sends to the fixed relay set
     /// `S_{f1+1}`.
-    BcastSend {
+    7 "BCAST-SEND" => BcastSend {
         /// Target object.
         obj: ObjectId,
         /// The committed tag being announced.
@@ -157,7 +225,7 @@ pub enum LdsMessage {
     },
     /// Second hop: a relay forwards to every L1 server; consuming this
     /// message triggers the `broadcast-resp` action.
-    BcastDeliver {
+    8 "COMMIT-TAG" => BcastDeliver {
         /// Target object.
         obj: ObjectId,
         /// The committed tag being announced.
@@ -170,14 +238,14 @@ pub enum LdsMessage {
     // Reader <-> L1 (Fig. 1 / Fig. 2).
     // ------------------------------------------------------------------
     /// Reader `get-committed-tag` query.
-    QueryCommTag {
+    9 "QUERY-COMM-TAG" => QueryCommTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
         op: OpId,
     },
     /// Server response to [`LdsMessage::QueryCommTag`]: its committed tag.
-    CommTagResp {
+    10 "COMM-TAG-RESP" => CommTagResp {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -186,7 +254,7 @@ pub enum LdsMessage {
         tag: Tag,
     },
     /// Reader `get-data` request for tag at least `treq`.
-    QueryData {
+    11 "QUERY-DATA" => QueryData {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -197,7 +265,7 @@ pub enum LdsMessage {
     /// Server response to [`LdsMessage::QueryData`] — possibly sent later
     /// than the request if the reader was registered and served during a
     /// subsequent `broadcast-resp` / `put-tag-resp`.
-    DataResp {
+    12 "DATA-RESP" => DataResp {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -209,7 +277,7 @@ pub enum LdsMessage {
     },
     /// Reader `put-tag` write-back (tag only — no value, which is what keeps
     /// the read cost low).
-    PutTag {
+    13 "PUT-TAG" => PutTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -218,7 +286,7 @@ pub enum LdsMessage {
         tag: Tag,
     },
     /// Server acknowledgment of a [`LdsMessage::PutTag`].
-    AckPutTag {
+    14 "ACK-PUT-TAG" => AckPutTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -229,7 +297,7 @@ pub enum LdsMessage {
     // L1 <-> L2 internal operations (Fig. 2 / Fig. 3).
     // ------------------------------------------------------------------
     /// `write-to-L2`: an L1 server offloads a coded element to an L2 server.
-    WriteCodeElem {
+    15 "WRITE-CODE-ELEM" => WriteCodeElem {
         /// Target object.
         obj: ObjectId,
         /// Tag of the value the element encodes.
@@ -244,7 +312,7 @@ pub enum LdsMessage {
     /// it exactly as one [`LdsMessage::WriteCodeElem`]. Streaming per-stripe
     /// parts is what keeps the L1 offload's peak scratch at
     /// O(stripe × n2) instead of O(value × n2).
-    WriteCodeStripe {
+    16 "WRITE-CODE-STRIPE" => WriteCodeStripe {
         /// Target object.
         obj: ObjectId,
         /// Tag of the value the element encodes.
@@ -257,7 +325,7 @@ pub enum LdsMessage {
         part: Share,
     },
     /// L2 acknowledgment of a [`LdsMessage::WriteCodeElem`].
-    AckCodeElem {
+    17 "ACK-CODE-ELEM" => AckCodeElem {
         /// Target object.
         obj: ObjectId,
         /// The acknowledged tag.
@@ -265,7 +333,7 @@ pub enum LdsMessage {
     },
     /// `regenerate-from-L2`: an L1 server asks an L2 server for helper data
     /// on behalf of reader `reader` / operation `op`.
-    QueryCodeElem {
+    18 "QUERY-CODE-ELEM" => QueryCodeElem {
         /// Target object.
         obj: ObjectId,
         /// The reader being served (metadata, used to key the helper set).
@@ -275,7 +343,7 @@ pub enum LdsMessage {
     },
     /// L2 response to [`LdsMessage::QueryCodeElem`]: helper data computed
     /// from its stored coded element.
-    SendHelperElem {
+    19 "SEND-HELPER-ELEM" => SendHelperElem {
         /// Target object.
         obj: ObjectId,
         /// The reader being served.
@@ -297,7 +365,7 @@ pub enum LdsMessage {
     /// replacement. Delivered to *every* worker shard of each helper (see
     /// [`LdsMessage::fanout`]); the `obj` field exists only to satisfy the
     /// uniform routing interface.
-    RepairHelp {
+    20 "REPAIR-HELP" => RepairHelp {
         /// Routing placeholder (fan-out messages address a process, not an
         /// object).
         obj: ObjectId,
@@ -307,7 +375,7 @@ pub enum LdsMessage {
     /// One live server's per-object repair contribution, sent to the
     /// replacement server. Routed by `obj`, so with sharded servers each
     /// contribution arrives directly at the worker shard owning the object.
-    RepairShare {
+    21 "REPAIR-SHARE" => RepairShare {
         /// The object this contribution restores.
         obj: ObjectId,
         /// The contribution (coded helper symbol for L2, metadata snapshot
@@ -318,7 +386,7 @@ pub enum LdsMessage {
     /// sends it (fan-out, after all its [`LdsMessage::RepairShare`]s) to tell
     /// every replacement shard it is done; a finished replacement shard sends
     /// it to the repair coordinator with the accounting fields filled in.
-    RepairDone {
+    22 "REPAIR-DONE" => RepairDone {
         /// Routing placeholder.
         obj: ObjectId,
         /// Shares contributed (helper → replacement) or objects restored
@@ -336,38 +404,6 @@ pub enum LdsMessage {
 }
 
 impl LdsMessage {
-    /// The object this message concerns.
-    ///
-    /// Every protocol message carries its object id; the cluster runtime uses
-    /// it to route messages to the server shard owning the object's partition.
-    pub fn object(&self) -> ObjectId {
-        match self {
-            LdsMessage::InvokeWrite { obj, .. }
-            | LdsMessage::InvokeRead { obj }
-            | LdsMessage::QueryTag { obj, .. }
-            | LdsMessage::TagResp { obj, .. }
-            | LdsMessage::PutData { obj, .. }
-            | LdsMessage::PutStripe { obj, .. }
-            | LdsMessage::AckPutData { obj, .. }
-            | LdsMessage::BcastSend { obj, .. }
-            | LdsMessage::BcastDeliver { obj, .. }
-            | LdsMessage::QueryCommTag { obj, .. }
-            | LdsMessage::CommTagResp { obj, .. }
-            | LdsMessage::QueryData { obj, .. }
-            | LdsMessage::DataResp { obj, .. }
-            | LdsMessage::PutTag { obj, .. }
-            | LdsMessage::AckPutTag { obj, .. }
-            | LdsMessage::WriteCodeElem { obj, .. }
-            | LdsMessage::WriteCodeStripe { obj, .. }
-            | LdsMessage::AckCodeElem { obj, .. }
-            | LdsMessage::QueryCodeElem { obj, .. }
-            | LdsMessage::SendHelperElem { obj, .. }
-            | LdsMessage::RepairHelp { obj, .. }
-            | LdsMessage::RepairShare { obj, .. }
-            | LdsMessage::RepairDone { obj, .. } => *obj,
-        }
-    }
-
     /// Whether the message addresses a whole *process* rather than one
     /// object, and must therefore be delivered to **every** worker shard of
     /// a sharded destination (the cluster transport's per-object routing
@@ -408,98 +444,15 @@ impl LdsMessage {
     pub fn is_metadata(&self) -> bool {
         self.data_size() == 0
     }
-
-    /// Dense per-class index of this message, aligned with the class-name
-    /// order of the cluster transport's `MESSAGE_CLASSES` (which appends
-    /// `"PING"` — a non-protocol liveness probe — as the final class,
-    /// [`LdsMessage::NUM_CLASSES`]`- 1`). Observability counters index by
-    /// this instead of comparing the [`DataSize::kind`] strings.
-    pub fn class_index(&self) -> usize {
-        match self {
-            LdsMessage::InvokeWrite { .. } => 0,
-            LdsMessage::InvokeRead { .. } => 1,
-            LdsMessage::QueryTag { .. } => 2,
-            LdsMessage::TagResp { .. } => 3,
-            LdsMessage::PutData { .. } => 4,
-            LdsMessage::PutStripe { .. } => 5,
-            LdsMessage::AckPutData { .. } => 6,
-            LdsMessage::BcastSend { .. } => 7,
-            LdsMessage::BcastDeliver { .. } => 8,
-            LdsMessage::QueryCommTag { .. } => 9,
-            LdsMessage::CommTagResp { .. } => 10,
-            LdsMessage::QueryData { .. } => 11,
-            LdsMessage::DataResp { .. } => 12,
-            LdsMessage::PutTag { .. } => 13,
-            LdsMessage::AckPutTag { .. } => 14,
-            LdsMessage::WriteCodeElem { .. } => 15,
-            LdsMessage::WriteCodeStripe { .. } => 16,
-            LdsMessage::AckCodeElem { .. } => 17,
-            LdsMessage::QueryCodeElem { .. } => 18,
-            LdsMessage::SendHelperElem { .. } => 19,
-            LdsMessage::RepairHelp { .. } => 20,
-            LdsMessage::RepairShare { .. } => 21,
-            LdsMessage::RepairDone { .. } => 22,
-        }
-    }
-
-    /// Number of message classes: every [`LdsMessage::class_index`] value
-    /// plus the transport-level `"PING"` probe at index `NUM_CLASSES - 1`.
-    pub const NUM_CLASSES: usize = 24;
 }
 
 impl DataSize for LdsMessage {
     fn data_size(&self) -> usize {
-        match self {
-            LdsMessage::PutData { value, .. } => value.len(),
-            LdsMessage::PutStripe { stripe, .. } => stripe.len(),
-            LdsMessage::InvokeWrite { value, .. } => value.len(),
-            LdsMessage::DataResp { payload, .. } => match payload {
-                ReadPayload::Value(v) => v.len(),
-                ReadPayload::Coded(share) => share.data.len(),
-                ReadPayload::None => 0,
-            },
-            LdsMessage::WriteCodeElem { element, .. } => element.data.len(),
-            LdsMessage::WriteCodeStripe { part, .. } => part.data.len(),
-            LdsMessage::SendHelperElem { helper, .. } => helper.data.len(),
-            LdsMessage::RepairShare { payload, .. } => match payload {
-                RepairPayload::Element { helper, .. } => helper.data.len(),
-                // Tags are free; only live values count, per the cost model.
-                RepairPayload::Meta { entries, .. } => entries
-                    .iter()
-                    .filter_map(|(_, v)| v.as_ref().map(Value::len))
-                    .sum(),
-            },
-            // Everything else is metadata (tags, acks, queries, broadcasts).
-            _ => 0,
-        }
+        self.payload()
     }
 
     fn kind(&self) -> &'static str {
-        match self {
-            LdsMessage::InvokeWrite { .. } => "INVOKE-WRITE",
-            LdsMessage::InvokeRead { .. } => "INVOKE-READ",
-            LdsMessage::QueryTag { .. } => "QUERY-TAG",
-            LdsMessage::TagResp { .. } => "TAG-RESP",
-            LdsMessage::PutData { .. } => "PUT-DATA",
-            LdsMessage::PutStripe { .. } => "PUT-STRIPE",
-            LdsMessage::AckPutData { .. } => "ACK-PUT-DATA",
-            LdsMessage::BcastSend { .. } => "BCAST-SEND",
-            LdsMessage::BcastDeliver { .. } => "COMMIT-TAG",
-            LdsMessage::QueryCommTag { .. } => "QUERY-COMM-TAG",
-            LdsMessage::CommTagResp { .. } => "COMM-TAG-RESP",
-            LdsMessage::QueryData { .. } => "QUERY-DATA",
-            LdsMessage::DataResp { .. } => "DATA-RESP",
-            LdsMessage::PutTag { .. } => "PUT-TAG",
-            LdsMessage::AckPutTag { .. } => "ACK-PUT-TAG",
-            LdsMessage::WriteCodeElem { .. } => "WRITE-CODE-ELEM",
-            LdsMessage::WriteCodeStripe { .. } => "WRITE-CODE-STRIPE",
-            LdsMessage::AckCodeElem { .. } => "ACK-CODE-ELEM",
-            LdsMessage::QueryCodeElem { .. } => "QUERY-CODE-ELEM",
-            LdsMessage::SendHelperElem { .. } => "SEND-HELPER-ELEM",
-            LdsMessage::RepairHelp { .. } => "REPAIR-HELP",
-            LdsMessage::RepairShare { .. } => "REPAIR-SHARE",
-            LdsMessage::RepairDone { .. } => "REPAIR-DONE",
-        }
+        MESSAGE_CLASSES[self.class_index()]
     }
 }
 

@@ -15,20 +15,31 @@
 //! * Every integer is **little-endian**. `usize` fields travel as `u64`.
 //! * Byte strings and vectors carry a `u32` length/count prefix.
 //! * `Option<T>` is a `u8` flag (0 = `None`, 1 = `Some`) followed by `T`.
-//! * An [`LdsMessage`] body starts with its [`LdsMessage::class_index`] as
-//!   a `u8`, followed by the variant's fields in declaration order.
+//! * A struct is its fields in declaration order; an enum — [`LdsMessage`]
+//!   (whose discriminant is its [`LdsMessage::class_index`]), [`Request`],
+//!   [`Response`] and the payload enums — is a `u8` discriminant followed
+//!   by the variant's fields in declaration order.
 //!
-//! The codec is hand-rolled (no serde — the build has no crates.io access)
-//! and hardened against untrusted input: every read is bounds-checked, a
-//! frame longer than [`MAX_FRAME`] is rejected before any allocation, and
-//! corrupt length prefixes can never cause an out-of-bounds access or an
-//! attacker-sized allocation — decoding returns [`WireError`], never
-//! panics.
+//! That list is the whole format. Each field type has exactly one codec
+//! impl (the crate-private `Wire` trait below) and the three enums are
+//! declared through the `wire_enum!` table macro, which generates their
+//! encode and decode from the declaration — so no message has a
+//! hand-written codec arm that could disagree with its definition. Only the
+//! five [`Frame`] kinds and the framing functions are written out, because
+//! they validate input (magic, version, length cap, trailing bytes) rather
+//! than describe structure.
+//!
+//! The codec is self-contained (no serde — the build has no crates.io
+//! access) and hardened against untrusted input: every read is
+//! bounds-checked, a frame longer than [`MAX_FRAME`] is rejected before any
+//! allocation, and corrupt length prefixes can never cause an out-of-bounds
+//! access or an attacker-sized allocation — decoding returns [`WireError`],
+//! never panics.
 //!
 //! Encoding appends to a caller-owned `Vec<u8>` so writer threads can reuse
 //! one buffer per link.
 
-use crate::messages::{LdsMessage, ReadPayload, RepairPayload};
+use crate::messages::{LdsMessage, ReadPayload};
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::share::{HelperData, Share};
@@ -139,84 +150,177 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A client → daemon RPC request (the network `Store`/`Admin` plane).
-///
-/// Requests are asynchronous: the client stamps each with a connection-local
-/// id ([`Frame::Request`]) and matches the daemon's [`Frame::Response`] by
-/// that id, which is what makes pipelined submits a single code path.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Request {
-    /// Write `value` under `obj` (blocking semantics decided by the client).
-    Write {
-        /// Target object.
-        obj: ObjectId,
-        /// The bytes to write.
-        value: Vec<u8>,
-    },
-    /// Read the latest committed value of `obj`.
-    Read {
-        /// Target object.
-        obj: ObjectId,
-    },
-    /// Crash the server at (`layer`, `index`) — admin crash injection.
-    /// Valid only on the daemon hosting that server.
-    Kill {
-        /// 0 = L1, 1 = L2.
-        layer: u8,
-        /// Index within the layer.
-        index: u64,
-    },
-    /// Repair the server at (`layer`, `index`) — admin online repair.
-    /// Valid only on the daemon hosting that server.
-    Repair {
-        /// 0 = L1, 1 = L2.
-        layer: u8,
-        /// Index within the layer.
-        index: u64,
-    },
-    /// Report per-layer liveness as this daemon observes it.
-    Liveness,
-    /// Ask the daemon to shut down cleanly (teardown path for tests and
-    /// drills; a production deployment would gate this).
-    Shutdown,
+// ---------------------------------------------------------------------------
+// The enums that cross the wire, declared as tables
+// ---------------------------------------------------------------------------
+
+/// Declares an enum whose wire form *is* its declaration: each row states a
+/// variant's discriminant byte, doc comments and fields once, and the enum,
+/// its [`Wire`] codec (discriminant, then the fields in order) and its
+/// cost-model size (the fields' payloads summed) are generated from it. The
+/// trailing `unknown` clause names the error for a discriminant no row has.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $disc:literal => $variant:ident $({
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+        unknown $value:ident => $unknown:expr
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({
+                    $( $(#[$fmeta])* $field: $ty ),*
+                })?
+            ),*
+        }
+
+        // A discriminant is a position (`MESSAGE_CLASSES`, per-class
+        // counters and fault-rule bit sets index by it): reject a table
+        // whose rows are not numbered 0..N in declaration order.
+        const _: () = {
+            let discriminants: &[u8] = &[$($disc),*];
+            let mut i = 0;
+            while i < discriminants.len() {
+                assert!(
+                    discriminants[i] as usize == i,
+                    "discriminants must be 0..N in declaration order"
+                );
+                i += 1;
+            }
+        };
+
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 1;
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(
+                        Self::$variant $({ $($field),* })? => {
+                            buf.push($disc);
+                            $($( $crate::wire::Wire::put($field, buf); )*)?
+                        }
+                    )*
+                }
+            }
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(match <u8 as $crate::wire::Wire>::get(r)? {
+                    $(
+                        $disc => Self::$variant $({
+                            $( $field: $crate::wire::Wire::get(r)? ),*
+                        })?,
+                    )*
+                    $value => return Err($unknown),
+                })
+            }
+            #[inline]
+            fn payload(&self) -> usize {
+                match self {
+                    $(
+                        Self::$variant $({ $($field),* })? => {
+                            0 $($( + $crate::wire::Wire::payload($field) )*)?
+                        }
+                    )*
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+wire_enum! {
+    /// A client → daemon RPC request (the network `Store`/`Admin` plane).
+    ///
+    /// Requests are asynchronous: the client stamps each with a connection-local
+    /// id ([`Frame::Request`]) and matches the daemon's [`Frame::Response`] by
+    /// that id, which is what makes pipelined submits a single code path.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Request {
+        /// Write `value` under `obj` (blocking semantics decided by the client).
+        0 => Write {
+            /// Target object.
+            obj: ObjectId,
+            /// The bytes to write.
+            value: Vec<u8>,
+        },
+        /// Read the latest committed value of `obj`.
+        1 => Read {
+            /// Target object.
+            obj: ObjectId,
+        },
+        /// Crash the server at (`layer`, `index`) — admin crash injection.
+        /// Valid only on the daemon hosting that server.
+        2 => Kill {
+            /// 0 = L1, 1 = L2.
+            layer: u8,
+            /// Index within the layer.
+            index: u64,
+        },
+        /// Repair the server at (`layer`, `index`) — admin online repair.
+        /// Valid only on the daemon hosting that server.
+        3 => Repair {
+            /// 0 = L1, 1 = L2.
+            layer: u8,
+            /// Index within the layer.
+            index: u64,
+        },
+        /// Report per-layer liveness as this daemon observes it.
+        4 => Liveness,
+        /// Ask the daemon to shut down cleanly (teardown path for tests and
+        /// drills; a production deployment would gate this).
+        5 => Shutdown,
+    }
+    unknown value => WireError::UnknownDiscriminant { what: "Request", value }
 }
 
-/// A daemon → client RPC response, matched to its [`Request`] by id.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Response {
-    /// A write committed under `tag`.
-    Written {
-        /// The tag the write committed under.
-        tag: Tag,
-    },
-    /// A read returned these bytes.
-    Value {
-        /// The committed value.
-        bytes: Vec<u8>,
-    },
-    /// The kill was injected.
-    Killed,
-    /// The repair completed, restoring `objects` objects.
-    Repaired {
-        /// Number of objects restored.
-        objects: u64,
-    },
-    /// Liveness counts as this daemon observes them.
-    Liveness {
-        /// Live L1 servers.
-        live_l1: u64,
-        /// Live L2 servers.
-        live_l2: u64,
-    },
-    /// The daemon acknowledges the shutdown and will exit.
-    ShuttingDown,
-    /// The request failed; `message` is the daemon-side error rendering.
-    Error {
-        /// Human-readable failure description.
-        message: String,
-    },
+wire_enum! {
+    /// A daemon → client RPC response, matched to its [`Request`] by id.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Response {
+        /// A write committed under `tag`.
+        0 => Written {
+            /// The tag the write committed under.
+            tag: Tag,
+        },
+        /// A read returned these bytes.
+        1 => Value {
+            /// The committed value.
+            bytes: Vec<u8>,
+        },
+        /// The kill was injected.
+        2 => Killed,
+        /// The repair completed, restoring `objects` objects.
+        3 => Repaired {
+            /// Number of objects restored.
+            objects: u64,
+        },
+        /// Liveness counts as this daemon observes them.
+        4 => Liveness {
+            /// Live L1 servers.
+            live_l1: u64,
+            /// Live L2 servers.
+            live_l2: u64,
+        },
+        /// The daemon acknowledges the shutdown and will exit.
+        5 => ShuttingDown,
+        /// The request failed; `message` is the daemon-side error rendering
+        /// (rejected on arrival unless valid UTF-8).
+        6 => Error {
+            /// Human-readable failure description.
+            message: String,
+        },
+    }
+    unknown value => WireError::UnknownDiscriminant { what: "Response", value }
 }
 
 /// One unit of traffic on a TCP link (see the [module docs](self) for the
@@ -264,7 +368,7 @@ pub enum Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Frame kinds
+// Framing (hand-written: it validates input, it does not describe structure)
 // ---------------------------------------------------------------------------
 
 const KIND_HELLO: u8 = 0;
@@ -272,10 +376,6 @@ const KIND_MSG: u8 = 1;
 const KIND_PING: u8 = 2;
 const KIND_REQUEST: u8 = 3;
 const KIND_RESPONSE: u8 = 4;
-
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
 
 /// Appends one length-prefixed frame to `buf`.
 ///
@@ -287,29 +387,29 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> Result<(), WireError> {
     match frame {
         Frame::Hello { daemon } => {
             buf.push(KIND_HELLO);
-            put_u32(buf, WIRE_MAGIC);
-            put_u16(buf, WIRE_VERSION);
-            put_u64(buf, *daemon);
+            WIRE_MAGIC.put(buf);
+            WIRE_VERSION.put(buf);
+            daemon.put(buf);
         }
         Frame::Msg { from, to, msg } => {
             buf.push(KIND_MSG);
-            put_u64(buf, *from);
-            put_u64(buf, *to);
-            encode_message(msg, buf);
+            from.put(buf);
+            to.put(buf);
+            msg.put(buf);
         }
         Frame::Ping { to } => {
             buf.push(KIND_PING);
-            put_u64(buf, *to);
+            to.put(buf);
         }
         Frame::Request { id, req } => {
             buf.push(KIND_REQUEST);
-            put_u64(buf, *id);
-            encode_request(req, buf);
+            id.put(buf);
+            req.put(buf);
         }
         Frame::Response { id, resp } => {
             buf.push(KIND_RESPONSE);
-            put_u64(buf, *id);
-            encode_response(resp, buf);
+            id.put(buf);
+            resp.put(buf);
         }
     }
     let payload = buf.len() - start - HEADER_LEN;
@@ -342,37 +442,35 @@ pub fn frame_len(header: [u8; HEADER_LEN]) -> Result<usize, WireError> {
 /// Decodes one frame body (the bytes *after* the length prefix — kind byte
 /// first). The body must be consumed exactly; leftover bytes are an error.
 pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
-    let mut r = Reader::new(body);
-    let kind = r.u8()?;
-    let frame = match kind {
+    let r = &mut Reader::new(body);
+    let frame = match u8::get(r)? {
         KIND_HELLO => {
-            let magic = r.u32()?;
+            let magic = u32::get(r)?;
             if magic != WIRE_MAGIC {
                 return Err(WireError::BadMagic { got: magic });
             }
-            let version = r.u16()?;
+            let version = u16::get(r)?;
             if version != WIRE_VERSION {
                 return Err(WireError::BadVersion { got: version });
             }
-            Frame::Hello { daemon: r.u64()? }
+            Frame::Hello {
+                daemon: Wire::get(r)?,
+            }
         }
-        KIND_MSG => {
-            let from = r.u64()?;
-            let to = r.u64()?;
-            let msg = decode_message(&mut r)?;
-            Frame::Msg { from, to, msg }
-        }
-        KIND_PING => Frame::Ping { to: r.u64()? },
-        KIND_REQUEST => {
-            let id = r.u64()?;
-            let req = decode_request(&mut r)?;
-            Frame::Request { id, req }
-        }
-        KIND_RESPONSE => {
-            let id = r.u64()?;
-            let resp = decode_response(&mut r)?;
-            Frame::Response { id, resp }
-        }
+        KIND_MSG => Frame::Msg {
+            from: Wire::get(r)?,
+            to: Wire::get(r)?,
+            msg: Wire::get(r)?,
+        },
+        KIND_PING => Frame::Ping { to: Wire::get(r)? },
+        KIND_REQUEST => Frame::Request {
+            id: Wire::get(r)?,
+            req: Wire::get(r)?,
+        },
+        KIND_RESPONSE => Frame::Response {
+            id: Wire::get(r)?,
+            resp: Wire::get(r)?,
+        },
         kind => return Err(WireError::UnknownFrame { kind }),
     };
     r.finish()?;
@@ -419,618 +517,76 @@ pub fn decode_framed(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// LdsMessage
+// The codec: one impl per type that crosses the wire
 // ---------------------------------------------------------------------------
 
-/// Appends the body encoding of one protocol message (class byte + fields)
-/// to `buf`. The inverse of [`decode_message`] — used by [`Frame::Msg`] and
-/// directly testable per class.
-pub fn encode_message(msg: &LdsMessage, buf: &mut Vec<u8>) {
-    buf.push(msg.class_index() as u8);
-    match msg {
-        LdsMessage::InvokeWrite { obj, value } => {
-            put_u64(buf, obj.0);
-            put_value(buf, value);
-        }
-        LdsMessage::InvokeRead { obj } => put_u64(buf, obj.0),
-        LdsMessage::QueryTag { obj, op } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-        }
-        LdsMessage::TagResp { obj, op, tag } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, tag);
-        }
-        LdsMessage::PutData {
-            obj,
-            op,
-            tag,
-            value,
-        } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, tag);
-            put_value(buf, value);
-        }
-        LdsMessage::PutStripe {
-            obj,
-            op,
-            tag,
-            seq,
-            count,
-            stripe,
-        } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, tag);
-            put_u32(buf, *seq);
-            put_u32(buf, *count);
-            put_value(buf, stripe);
-        }
-        LdsMessage::AckPutData { obj, op, tag } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, tag);
-        }
-        LdsMessage::BcastSend { obj, tag, origin }
-        | LdsMessage::BcastDeliver { obj, tag, origin } => {
-            put_u64(buf, obj.0);
-            put_tag(buf, tag);
-            put_u64(buf, origin.0 as u64);
-        }
-        LdsMessage::QueryCommTag { obj, op } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-        }
-        LdsMessage::CommTagResp { obj, op, tag } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, tag);
-        }
-        LdsMessage::QueryData { obj, op, treq } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, treq);
-        }
-        LdsMessage::DataResp {
-            obj,
-            op,
-            tag,
-            payload,
-        } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_opt_tag(buf, tag);
-            match payload {
-                ReadPayload::Value(v) => {
-                    buf.push(0);
-                    put_value(buf, v);
-                }
-                ReadPayload::Coded(share) => {
-                    buf.push(1);
-                    put_share(buf, share);
-                }
-                ReadPayload::None => buf.push(2),
-            }
-        }
-        LdsMessage::PutTag { obj, op, tag } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-            put_tag(buf, tag);
-        }
-        LdsMessage::AckPutTag { obj, op } => {
-            put_u64(buf, obj.0);
-            put_op(buf, op);
-        }
-        LdsMessage::WriteCodeElem { obj, tag, element } => {
-            put_u64(buf, obj.0);
-            put_tag(buf, tag);
-            put_share(buf, element);
-        }
-        LdsMessage::WriteCodeStripe {
-            obj,
-            tag,
-            seq,
-            count,
-            part,
-        } => {
-            put_u64(buf, obj.0);
-            put_tag(buf, tag);
-            put_u32(buf, *seq);
-            put_u32(buf, *count);
-            put_share(buf, part);
-        }
-        LdsMessage::AckCodeElem { obj, tag } => {
-            put_u64(buf, obj.0);
-            put_tag(buf, tag);
-        }
-        LdsMessage::QueryCodeElem { obj, reader, op } => {
-            put_u64(buf, obj.0);
-            put_u64(buf, reader.0 as u64);
-            put_op(buf, op);
-        }
-        LdsMessage::SendHelperElem {
-            obj,
-            reader,
-            op,
-            tag,
-            helper,
-        } => {
-            put_u64(buf, obj.0);
-            put_u64(buf, reader.0 as u64);
-            put_op(buf, op);
-            put_tag(buf, tag);
-            put_helper(buf, helper);
-        }
-        LdsMessage::RepairHelp { obj, failed } => {
-            put_u64(buf, obj.0);
-            put_u64(buf, failed.0 as u64);
-        }
-        LdsMessage::RepairShare { obj, payload } => {
-            put_u64(buf, obj.0);
-            match payload {
-                RepairPayload::Element {
-                    tag,
-                    element_len,
-                    helper,
-                } => {
-                    buf.push(0);
-                    put_tag(buf, tag);
-                    put_u64(buf, *element_len);
-                    put_helper(buf, helper);
-                }
-                RepairPayload::Meta { tc, entries } => {
-                    buf.push(1);
-                    put_tag(buf, tc);
-                    put_u32(buf, entries.len() as u32);
-                    for (tag, value) in entries {
-                        put_tag(buf, tag);
-                        match value {
-                            Some(v) => {
-                                buf.push(1);
-                                put_value(buf, v);
-                            }
-                            None => buf.push(0),
-                        }
-                    }
-                }
-            }
-        }
-        LdsMessage::RepairDone {
-            obj,
-            objects,
-            bytes_by_helper,
-            fallback_bytes,
-        } => {
-            put_u64(buf, obj.0);
-            put_u64(buf, *objects);
-            put_u32(buf, bytes_by_helper.len() as u32);
-            for (pid, bytes) in bytes_by_helper {
-                put_u64(buf, pid.0 as u64);
-                put_u64(buf, *bytes);
-            }
-            put_u64(buf, *fallback_bytes);
+/// The one codec of a type that crosses the wire.
+///
+/// The format is purely structural: a struct is its fields in declaration
+/// order, an enum is a discriminant byte followed by the fields of the
+/// variant, and each field type has exactly one impl below. A message's wire
+/// form and cost-model size are therefore functions of its declaration —
+/// nothing per message is written by hand.
+pub(crate) trait Wire: Sized {
+    /// Fewest bytes any encoding of the type occupies: what a claimed
+    /// element count is multiplied by ([`Reader::count`]) before a vector
+    /// is sized from it.
+    const MIN_LEN: usize;
+
+    /// Appends the encoding to `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
+
+    /// Decodes one value; every read is bounds-checked.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Object-data bytes carried, per the paper's cost model (§II-d): the
+    /// length of a value, coded element or helper payload. Tags, counters
+    /// and other metadata are free; containers sum their contents.
+    #[inline]
+    fn payload(&self) -> usize {
+        0
+    }
+
+    /// Appends the elements of a counted vector (the count is already
+    /// written). `u8` overrides this and [`Wire::get_all`] with one copy.
+    fn put_all(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.put(buf);
         }
     }
-}
 
-/// Decodes one protocol message from `r` (class byte first). The inverse of
-/// [`encode_message`].
-pub fn decode_message(r: &mut Reader<'_>) -> Result<LdsMessage, WireError> {
-    let class = r.u8()?;
-    let msg = match class {
-        0 => LdsMessage::InvokeWrite {
-            obj: ObjectId(r.u64()?),
-            value: get_value(r)?,
-        },
-        1 => LdsMessage::InvokeRead {
-            obj: ObjectId(r.u64()?),
-        },
-        2 => LdsMessage::QueryTag {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-        },
-        3 => LdsMessage::TagResp {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-        },
-        4 => LdsMessage::PutData {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-            value: get_value(r)?,
-        },
-        5 => LdsMessage::PutStripe {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-            seq: r.u32()?,
-            count: r.u32()?,
-            stripe: get_value(r)?,
-        },
-        6 => LdsMessage::AckPutData {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-        },
-        7 => LdsMessage::BcastSend {
-            obj: ObjectId(r.u64()?),
-            tag: get_tag(r)?,
-            origin: get_pid(r)?,
-        },
-        8 => LdsMessage::BcastDeliver {
-            obj: ObjectId(r.u64()?),
-            tag: get_tag(r)?,
-            origin: get_pid(r)?,
-        },
-        9 => LdsMessage::QueryCommTag {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-        },
-        10 => LdsMessage::CommTagResp {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-        },
-        11 => LdsMessage::QueryData {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            treq: get_tag(r)?,
-        },
-        12 => {
-            let obj = ObjectId(r.u64()?);
-            let op = get_op(r)?;
-            let tag = get_opt_tag(r)?;
-            let payload = match r.u8()? {
-                0 => ReadPayload::Value(get_value(r)?),
-                1 => ReadPayload::Coded(get_share(r)?),
-                2 => ReadPayload::None,
-                value => {
-                    return Err(WireError::UnknownDiscriminant {
-                        what: "ReadPayload",
-                        value,
-                    })
-                }
-            };
-            LdsMessage::DataResp {
-                obj,
-                op,
-                tag,
-                payload,
-            }
+    /// Decodes `count` elements, `count` having passed [`Reader::count`].
+    fn get_all(r: &mut Reader<'_>, count: usize) -> Result<Vec<Self>, WireError> {
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::get(r)?);
         }
-        13 => LdsMessage::PutTag {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-        },
-        14 => LdsMessage::AckPutTag {
-            obj: ObjectId(r.u64()?),
-            op: get_op(r)?,
-        },
-        15 => LdsMessage::WriteCodeElem {
-            obj: ObjectId(r.u64()?),
-            tag: get_tag(r)?,
-            element: get_share(r)?,
-        },
-        16 => LdsMessage::WriteCodeStripe {
-            obj: ObjectId(r.u64()?),
-            tag: get_tag(r)?,
-            seq: r.u32()?,
-            count: r.u32()?,
-            part: get_share(r)?,
-        },
-        17 => LdsMessage::AckCodeElem {
-            obj: ObjectId(r.u64()?),
-            tag: get_tag(r)?,
-        },
-        18 => LdsMessage::QueryCodeElem {
-            obj: ObjectId(r.u64()?),
-            reader: get_pid(r)?,
-            op: get_op(r)?,
-        },
-        19 => LdsMessage::SendHelperElem {
-            obj: ObjectId(r.u64()?),
-            reader: get_pid(r)?,
-            op: get_op(r)?,
-            tag: get_tag(r)?,
-            helper: get_helper(r)?,
-        },
-        20 => LdsMessage::RepairHelp {
-            obj: ObjectId(r.u64()?),
-            failed: get_pid(r)?,
-        },
-        21 => {
-            let obj = ObjectId(r.u64()?);
-            let payload = match r.u8()? {
-                0 => RepairPayload::Element {
-                    tag: get_tag(r)?,
-                    element_len: r.u64()?,
-                    helper: get_helper(r)?,
-                },
-                1 => {
-                    let tc = get_tag(r)?;
-                    let count = r.count(/* min bytes per entry: tag + flag */ 17)?;
-                    let mut entries = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let tag = get_tag(r)?;
-                        let value = match r.u8()? {
-                            0 => None,
-                            1 => Some(get_value(r)?),
-                            value => {
-                                return Err(WireError::UnknownDiscriminant {
-                                    what: "Option<Value>",
-                                    value,
-                                })
-                            }
-                        };
-                        entries.push((tag, value));
-                    }
-                    RepairPayload::Meta { tc, entries }
-                }
-                value => {
-                    return Err(WireError::UnknownDiscriminant {
-                        what: "RepairPayload",
-                        value,
-                    })
-                }
-            };
-            LdsMessage::RepairShare { obj, payload }
-        }
-        22 => {
-            let obj = ObjectId(r.u64()?);
-            let objects = r.u64()?;
-            let count = r.count(16)?;
-            let mut bytes_by_helper = Vec::with_capacity(count);
-            for _ in 0..count {
-                let pid = get_pid(r)?;
-                let bytes = r.u64()?;
-                bytes_by_helper.push((pid, bytes));
-            }
-            let fallback_bytes = r.u64()?;
-            LdsMessage::RepairDone {
-                obj,
-                objects,
-                bytes_by_helper,
-                fallback_bytes,
-            }
-        }
-        class => return Err(WireError::UnknownClass { class }),
-    };
-    Ok(msg)
-}
-
-// ---------------------------------------------------------------------------
-// Request / Response
-// ---------------------------------------------------------------------------
-
-const REQ_WRITE: u8 = 0;
-const REQ_READ: u8 = 1;
-const REQ_KILL: u8 = 2;
-const REQ_REPAIR: u8 = 3;
-const REQ_LIVENESS: u8 = 4;
-const REQ_SHUTDOWN: u8 = 5;
-
-fn encode_request(req: &Request, buf: &mut Vec<u8>) {
-    match req {
-        Request::Write { obj, value } => {
-            buf.push(REQ_WRITE);
-            put_u64(buf, obj.0);
-            put_bytes(buf, value);
-        }
-        Request::Read { obj } => {
-            buf.push(REQ_READ);
-            put_u64(buf, obj.0);
-        }
-        Request::Kill { layer, index } => {
-            buf.push(REQ_KILL);
-            buf.push(*layer);
-            put_u64(buf, *index);
-        }
-        Request::Repair { layer, index } => {
-            buf.push(REQ_REPAIR);
-            buf.push(*layer);
-            put_u64(buf, *index);
-        }
-        Request::Liveness => buf.push(REQ_LIVENESS),
-        Request::Shutdown => buf.push(REQ_SHUTDOWN),
+        Ok(items)
     }
 }
-
-fn decode_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
-    Ok(match r.u8()? {
-        REQ_WRITE => Request::Write {
-            obj: ObjectId(r.u64()?),
-            value: get_bytes(r)?,
-        },
-        REQ_READ => Request::Read {
-            obj: ObjectId(r.u64()?),
-        },
-        REQ_KILL => Request::Kill {
-            layer: r.u8()?,
-            index: r.u64()?,
-        },
-        REQ_REPAIR => Request::Repair {
-            layer: r.u8()?,
-            index: r.u64()?,
-        },
-        REQ_LIVENESS => Request::Liveness,
-        REQ_SHUTDOWN => Request::Shutdown,
-        value => {
-            return Err(WireError::UnknownDiscriminant {
-                what: "Request",
-                value,
-            })
-        }
-    })
-}
-
-const RESP_WRITTEN: u8 = 0;
-const RESP_VALUE: u8 = 1;
-const RESP_KILLED: u8 = 2;
-const RESP_REPAIRED: u8 = 3;
-const RESP_LIVENESS: u8 = 4;
-const RESP_SHUTTING_DOWN: u8 = 5;
-const RESP_ERROR: u8 = 6;
-
-fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
-    match resp {
-        Response::Written { tag } => {
-            buf.push(RESP_WRITTEN);
-            put_tag(buf, tag);
-        }
-        Response::Value { bytes } => {
-            buf.push(RESP_VALUE);
-            put_bytes(buf, bytes);
-        }
-        Response::Killed => buf.push(RESP_KILLED),
-        Response::Repaired { objects } => {
-            buf.push(RESP_REPAIRED);
-            put_u64(buf, *objects);
-        }
-        Response::Liveness { live_l1, live_l2 } => {
-            buf.push(RESP_LIVENESS);
-            put_u64(buf, *live_l1);
-            put_u64(buf, *live_l2);
-        }
-        Response::ShuttingDown => buf.push(RESP_SHUTTING_DOWN),
-        Response::Error { message } => {
-            buf.push(RESP_ERROR);
-            put_bytes(buf, message.as_bytes());
-        }
-    }
-}
-
-fn decode_response(r: &mut Reader<'_>) -> Result<Response, WireError> {
-    Ok(match r.u8()? {
-        RESP_WRITTEN => Response::Written { tag: get_tag(r)? },
-        RESP_VALUE => Response::Value {
-            bytes: get_bytes(r)?,
-        },
-        RESP_KILLED => Response::Killed,
-        RESP_REPAIRED => Response::Repaired { objects: r.u64()? },
-        RESP_LIVENESS => Response::Liveness {
-            live_l1: r.u64()?,
-            live_l2: r.u64()?,
-        },
-        RESP_SHUTTING_DOWN => Response::ShuttingDown,
-        RESP_ERROR => Response::Error {
-            message: String::from_utf8(get_bytes(r)?).map_err(|_| WireError::BadUtf8)?,
-        },
-        value => {
-            return Err(WireError::UnknownDiscriminant {
-                what: "Response",
-                value,
-            })
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Primitive writers
-// ---------------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-fn put_value(buf: &mut Vec<u8>, value: &Value) {
-    put_bytes(buf, value.as_bytes());
-}
-
-fn put_tag(buf: &mut Vec<u8>, tag: &Tag) {
-    put_u64(buf, tag.z);
-    put_u64(buf, tag.writer.0);
-}
-
-fn put_opt_tag(buf: &mut Vec<u8>, tag: &Option<Tag>) {
-    match tag {
-        Some(t) => {
-            buf.push(1);
-            put_tag(buf, t);
-        }
-        None => buf.push(0),
-    }
-}
-
-fn put_op(buf: &mut Vec<u8>, op: &OpId) {
-    put_u64(buf, op.client.0);
-    put_u64(buf, op.seq);
-}
-
-fn put_share(buf: &mut Vec<u8>, share: &Share) {
-    put_u64(buf, share.index as u64);
-    put_bytes(buf, &share.data);
-    put_layout(buf, &share.layout);
-}
-
-fn put_helper(buf: &mut Vec<u8>, helper: &HelperData) {
-    put_u64(buf, helper.helper_index as u64);
-    put_u64(buf, helper.failed_index as u64);
-    put_bytes(buf, &helper.data);
-    put_layout(buf, &helper.layout);
-}
-
-fn put_layout(buf: &mut Vec<u8>, layout: &Option<Vec<usize>>) {
-    match layout {
-        Some(lens) => {
-            buf.push(1);
-            put_u32(buf, lens.len() as u32);
-            for &len in lens {
-                put_u64(buf, len as u64);
-            }
-        }
-        None => buf.push(0),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive readers
-// ---------------------------------------------------------------------------
 
 /// A bounds-checked cursor over a frame body. Every accessor returns
 /// [`WireError::Truncated`] instead of reading past the end, so decoding
 /// hostile input can never panic.
-#[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Starts a cursor at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Succeeds only if the buffer was consumed exactly.
-    pub fn finish(&self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes {
-                extra: self.remaining(),
-            })
+    fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
         }
     }
 
@@ -1043,32 +599,17 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
     }
 
     /// Reads a `u32` element count and validates it against the bytes
     /// actually remaining (each element needs at least `min_elem_bytes`),
     /// so a corrupt count can never size an allocation.
     fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
+        let count = u32::get(self)? as usize;
         if count.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
             return Err(WireError::Truncated);
         }
@@ -1076,87 +617,220 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn get_bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
-    let len = r.u32()? as usize;
-    Ok(r.take(len)?.to_vec())
+/// Appends a `u32` count followed by the elements.
+fn put_counted<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
+    (items.len() as u32).put(buf);
+    T::put_all(items, buf);
 }
 
-fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
-    Ok(Value::new(get_bytes(r)?))
-}
-
-fn get_tag(r: &mut Reader<'_>) -> Result<Tag, WireError> {
-    let z = r.u64()?;
-    let writer = ClientId(r.u64()?);
-    Ok(Tag { z, writer })
-}
-
-fn get_opt_tag(r: &mut Reader<'_>) -> Result<Option<Tag>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_tag(r)?)),
-        value => Err(WireError::UnknownDiscriminant {
-            what: "Option<Tag>",
-            value,
-        }),
+impl Wire for u8 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(1)?[0])
+    }
+    fn put_all(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+    fn get_all(r: &mut Reader<'_>, count: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(count)?.to_vec())
     }
 }
 
-fn get_op(r: &mut Reader<'_>) -> Result<OpId, WireError> {
-    let client = ClientId(r.u64()?);
-    let seq = r.u64()?;
-    Ok(OpId { client, seq })
-}
-
-fn get_pid(r: &mut Reader<'_>) -> Result<ProcessId, WireError> {
-    Ok(ProcessId(r.u64()? as usize))
-}
-
-fn get_share(r: &mut Reader<'_>) -> Result<Share, WireError> {
-    let index = r.u64()? as usize;
-    let data = get_bytes(r)?;
-    let layout = get_layout(r)?;
-    Ok(Share {
-        index,
-        data,
-        layout,
-    })
-}
-
-fn get_helper(r: &mut Reader<'_>) -> Result<HelperData, WireError> {
-    let helper_index = r.u64()? as usize;
-    let failed_index = r.u64()? as usize;
-    let data = get_bytes(r)?;
-    let layout = get_layout(r)?;
-    Ok(HelperData {
-        helper_index,
-        failed_index,
-        data,
-        layout,
-    })
-}
-
-fn get_layout(r: &mut Reader<'_>) -> Result<Option<Vec<usize>>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let count = r.count(8)?;
-            let mut lens = Vec::with_capacity(count);
-            for _ in 0..count {
-                lens.push(r.u64()? as usize);
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
             }
-            Ok(Some(lens))
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$ty>::from_le_bytes(r.array()?))
+            }
         }
-        value => Err(WireError::UnknownDiscriminant {
-            what: "Option<Vec<usize>>",
-            value,
-        }),
+    )*};
+}
+wire_int!(u16, u32, u64);
+
+/// `usize` travels as `u64`.
+impl Wire for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+/// A counted vector — and, through the `u8` overrides, a byte string.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_counted(self, buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = r.count(T::MIN_LEN)?;
+        T::get_all(r, count)
+    }
+    fn payload(&self) -> usize {
+        self.iter().map(Wire::payload).sum()
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_counted(self.as_bytes(), buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(Vec::get(r)?).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(inner) => {
+                buf.push(1);
+                inner.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            value => Err(WireError::UnknownDiscriminant {
+                what: "Option",
+                value,
+            }),
+        }
+    }
+    #[inline]
+    fn payload(&self) -> usize {
+        self.as_ref().map_or(0, Wire::payload)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+    #[inline]
+    fn payload(&self) -> usize {
+        self.0.payload() + self.1.payload()
+    }
+}
+
+/// The codec of a struct whose fields are all wire types, listed in wire
+/// order. `carries $data` names the byte field that is the struct's object
+/// data; without it the struct is metadata (payload 0).
+macro_rules! wire_struct {
+    ($name:ident { $($field:tt: $ty:ty),* } $(carries $data:ident)?) => {
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty>::MIN_LEN)*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name { $($field: Wire::get(r)?),* })
+            }
+            $(
+                #[inline]
+                fn payload(&self) -> usize {
+                    self.$data.len()
+                }
+            )?
+        }
+    };
+}
+wire_struct!(ObjectId { 0: u64 });
+wire_struct!(ClientId { 0: u64 });
+wire_struct!(ProcessId { 0: usize });
+wire_struct!(Tag {
+    z: u64,
+    writer: ClientId
+});
+wire_struct!(OpId {
+    client: ClientId,
+    seq: u64
+});
+wire_struct!(Share {
+    index: usize,
+    data: Vec<u8>,
+    layout: Option<Vec<usize>>
+} carries data);
+wire_struct!(HelperData {
+    helper_index: usize,
+    failed_index: usize,
+    data: Vec<u8>,
+    layout: Option<Vec<usize>>
+} carries data);
+
+impl Wire for Value {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_counted(self.as_bytes(), buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Value::new(Vec::get(r)?))
+    }
+    #[inline]
+    fn payload(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Wire for ReadPayload {
+    const MIN_LEN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            ReadPayload::Value(value) => {
+                buf.push(0);
+                value.put(buf);
+            }
+            ReadPayload::Coded(share) => {
+                buf.push(1);
+                share.put(buf);
+            }
+            ReadPayload::None => buf.push(2),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(ReadPayload::Value(Wire::get(r)?)),
+            1 => Ok(ReadPayload::Coded(Wire::get(r)?)),
+            2 => Ok(ReadPayload::None),
+            value => Err(WireError::UnknownDiscriminant {
+                what: "ReadPayload",
+                value,
+            }),
+        }
+    }
+    #[inline]
+    fn payload(&self) -> usize {
+        match self {
+            ReadPayload::Value(value) => value.payload(),
+            ReadPayload::Coded(share) => share.payload(),
+            ReadPayload::None => 0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::RepairPayload;
 
     fn roundtrip(frame: Frame) {
         let mut buf = Vec::new();
@@ -1246,26 +920,53 @@ mod tests {
 
     #[test]
     fn corrupt_count_cannot_allocate() {
-        // A RepairDone claiming u32::MAX helper entries in a tiny frame.
-        let mut buf = Vec::new();
-        encode_frame(
-            &Frame::Msg {
-                from: 0,
-                to: 1,
-                msg: LdsMessage::RepairDone {
-                    obj: ObjectId(0),
+        // Each of the three counted vectors, claiming u32::MAX entries in a
+        // tiny frame. Every count sits after header(4) + kind(1) + from(8)
+        // + to(8) + class(1) + obj(8), then:
+        let prefix = HEADER_LEN + 1 + 8 + 8 + 1 + 8;
+        let (obj, tag) = (ObjectId(0), Tag::initial());
+        let cases = [
+            (
+                LdsMessage::RepairDone {
+                    obj,
                     objects: 0,
                     bytes_by_helper: vec![],
                     fallback_bytes: 0,
                 },
-            },
-            &mut buf,
-        )
-        .unwrap();
-        // The entry count sits after header(4) + kind(1) + from(8) + to(8)
-        // + class(1) + obj(8) + objects(8).
-        let count_at = HEADER_LEN + 1 + 8 + 8 + 1 + 8 + 8;
-        buf[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode_framed(&buf), Err(WireError::Truncated)));
+                prefix + 8, // objects(8)
+            ),
+            (
+                LdsMessage::WriteCodeElem {
+                    obj,
+                    tag,
+                    element: Share::striped(0, vec![], vec![]),
+                },
+                prefix + 16 + 8 + 4 + 1, // tag(16) + index(8) + data len(4) + layout flag(1)
+            ),
+            (
+                LdsMessage::RepairShare {
+                    obj,
+                    payload: RepairPayload::Meta {
+                        tc: tag,
+                        entries: vec![],
+                    },
+                },
+                prefix + 1 + 16, // payload shape(1) + tc(16)
+            ),
+        ];
+        for (msg, count_at) in cases {
+            let mut buf = Vec::new();
+            encode_frame(
+                &Frame::Msg {
+                    from: 0,
+                    to: 1,
+                    msg,
+                },
+                &mut buf,
+            )
+            .unwrap();
+            buf[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(decode_framed(&buf), Err(WireError::Truncated)));
+        }
     }
 }

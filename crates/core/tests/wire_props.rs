@@ -5,20 +5,22 @@
 //! chopped into `read` results.
 
 use lds_codes::share::{HelperData, Share};
-use lds_core::messages::{LdsMessage, ReadPayload, RepairPayload};
+use lds_core::messages::{LdsMessage, ReadPayload, RepairPayload, MESSAGE_CLASSES};
 use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
 use lds_core::value::Value;
 use lds_core::wire::{
     decode_framed, encode_frame, read_frame, Frame, Request, Response, WireError, HEADER_LEN,
     MAX_FRAME, READ_BUF_LEN,
 };
-use lds_sim::ProcessId;
+use lds_sim::{DataSize, ProcessId};
 use proptest::prelude::*;
 use std::io::{BufReader, Read};
 
-/// Number of `LdsMessage` classes the constructor below covers (the PING
-/// pseudo-class is transport-only and has no message body).
-const CLASSES: usize = 23;
+/// Number of `LdsMessage` classes (the PING pseudo-class is transport-only
+/// and has no message body). Taken from the protocol table, so a new row
+/// without a generator arm below fails every test here instead of being
+/// skipped.
+const CLASSES: usize = LdsMessage::NUM_CLASSES - 1;
 
 /// Deterministically builds one message of class `class` from generated
 /// primitives, exercising every field of every variant. `bytes` lands in
@@ -146,6 +148,26 @@ fn message_for(class: usize, a: u64, b: u64, bytes: Vec<u8>, flag: bool) -> LdsM
     }
 }
 
+/// Checks everything the protocol table derives for `msg`, built by
+/// `message_for(class, a, _, <len bytes>, _)`: its index and name agree with
+/// the table position, its cost-model size is exactly the payload bytes the
+/// generator put in, and the router's classification follows from that.
+fn assert_class_facts(msg: &LdsMessage, class: usize, a: u64, len: usize) {
+    assert_eq!(msg.class_index(), class);
+    assert_eq!(MESSAGE_CLASSES[class], msg.kind());
+    // The classes with a payload slot; every other class is metadata.
+    let carried = match class {
+        0 | 4 | 5 | 15 | 16 | 19 | 21 => len,
+        12 if a % 3 != 2 => len,
+        _ => 0,
+    };
+    let kind = msg.kind();
+    assert_eq!(msg.data_size(), carried, "{kind}: cost-model size");
+    assert_eq!(msg.is_metadata(), carried == 0, "{kind}");
+    let repair = kind.starts_with("REPAIR-");
+    assert_eq!(msg.batchable(), carried == 0 && !repair, "{kind}");
+}
+
 /// Edge payload sizes: empty, tiny, symbol-odd, and around typical stripe
 /// boundaries.
 const EDGE_SIZES: &[usize] = &[0, 1, 3, 16, 255, 256, 1024, 4096];
@@ -157,6 +179,7 @@ fn every_class_roundtrips_at_edge_sizes() {
             let payload: Vec<u8> = (0..size).map(|i| (i * 31 + class) as u8).collect();
             for flag in [false, true] {
                 let msg = message_for(class, 0xDEAD_BEEF, 0x1234, payload.clone(), flag);
+                assert_class_facts(&msg, class, 0xDEAD_BEEF, size);
                 let frame = Frame::Msg {
                     from: 3,
                     to: 11,
@@ -208,7 +231,10 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
         flag in any::<bool>(),
     ) {
+        let len = bytes.len();
         let msg = message_for(class, a, b, bytes, flag);
+        // All three `DATA-RESP` payload shapes occur here (`a % 3`).
+        assert_class_facts(&msg, class, a, len);
         let frame = Frame::Msg { from: a % 64, to: b % 64, msg };
         let mut buf = Vec::new();
         encode_frame(&frame, &mut buf).unwrap();
