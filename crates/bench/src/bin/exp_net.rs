@@ -183,6 +183,11 @@ fn render_json(rows: &[Row], smoke: bool) -> String {
     out.push_str(&format!("    \"generated\": \"{}\",\n", today_utc()));
     out.push_str("    \"transport\": \"tcp\",\n");
     out.push_str(&format!("    \"host_cores\": {},\n", host_cores()));
+    // Coding cost differs severalfold between kernel levels.
+    out.push_str(&format!(
+        "    \"gf_kernel\": \"{}\",\n",
+        lds_gf::bulk::kernel()
+    ));
     out.push_str(&format!(
         "    \"params\": \"f1=1 f2=1 k=2 d=3 (n1=4, n2=5) striped over {DAEMONS} daemons; \
          pipelined depth {DEPTH}; objects cycle over a 64-key pool per mode\"\n"

@@ -755,6 +755,11 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
     out.push_str(&format!("    \"schema_version\": {SCHEMA_VERSION},\n"));
     out.push_str(&format!("    \"generated\": \"{}\",\n", today_utc()));
     out.push_str(&format!("    \"host_cores\": {},\n", host_cores()));
+    // Coding cost differs severalfold between kernel levels.
+    out.push_str(&format!(
+        "    \"gf_kernel\": \"{}\",\n",
+        lds_gf::bulk::kernel()
+    ));
     out.push_str("    \"transport\": \"inproc\",\n");
     out.push_str(
         "    \"transport_note\": \"All recorded numbers run on the default fault-free \

@@ -188,10 +188,15 @@ pub struct MetricsSnapshot {
     pub gc_evicted_entries: u64,
     /// Value bytes released by committed-tag garbage collection.
     pub gc_evicted_bytes: u64,
-    /// Largest single-round scratch footprint any L1 shard's encode buffer
-    /// pool ever reached, in bytes (see
-    /// [`PoolStats`](lds_codes::PoolStats)).
+    /// Largest single-round footprint any L1 shard's encode buffer pool
+    /// ever reached, in bytes (see [`PoolStats`](lds_codes::PoolStats)).
     pub peak_round_bytes: usize,
+    /// The instruction-set level this process's GF(2^8) coding kernels run
+    /// at ([`lds_codes::gf_kernel`]): `"gfni"`, `"avx2"`, `"ssse3"` or
+    /// `"portable"`. Encode and decode cost differ severalfold between
+    /// levels, so a latency or throughput figure is attributable only with
+    /// it.
+    pub gf_kernel: &'static str,
     /// Messages received across every server shard, by protocol class
     /// (names per [`MESSAGE_CLASSES`]; heartbeat pings last). Published at
     /// shard idle, reset to zero by a repair (Prometheus-style).
@@ -418,8 +423,14 @@ impl MetricsSnapshot {
         family(
             "lds_pool_peak_round_bytes",
             "gauge",
-            "Largest single-round scratch footprint any L1 encode pool reached.",
+            "Largest single-round footprint any L1 encode pool reached.",
             &plain(self.peak_round_bytes as f64),
+        );
+        family(
+            "lds_gf_kernel",
+            "gauge",
+            "Instruction-set level of the GF(2^8) coding kernels (constant 1, level in the label).",
+            &[(format!("{{level=\"{}\"}}", self.gf_kernel), 1.0)],
         );
         let classes: Vec<(String, f64)> = self
             .messages_by_class
@@ -734,6 +745,7 @@ impl Admin {
             gc_evicted_entries: 0,
             gc_evicted_bytes: 0,
             peak_round_bytes: 0,
+            gf_kernel: lds_codes::gf_kernel(),
             messages_by_class: MESSAGE_CLASSES.iter().map(|&name| (name, 0u64)).collect(),
             write_latency: HistSnapshot::empty(),
             read_latency: HistSnapshot::empty(),

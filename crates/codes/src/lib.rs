@@ -23,12 +23,17 @@
 //! # Execution model: bulk kernels + memoized plans
 //!
 //! Every operation is expressed as *coefficient matrix × striped payload*
-//! and executed by the fused slice kernels in [`lds_gf::bulk`] (vectorized
-//! nibble-table multiply on x86-64, four-way fused table lookups elsewhere):
+//! and executed by the one overwriting, strip-mined kernel in
+//! [`lds_gf::bulk`] (GFNI, AVX2 or SSSE3 on x86-64 by CPUID, table lookups
+//! elsewhere; [`gf_kernel`] names the level):
 //!
 //! * **encode** — each node's *expanded generator* (the `α × B` map from
-//!   message symbols to that node's coded symbols) is memoized per node; a
-//!   share is one [`linear::apply_into`] over the framed value.
+//!   message symbols to that node's coded symbols) has `d`-odd terms per
+//!   row and is listed straight from the encoding matrix; the generators of
+//!   a whole span of nodes are stacked into a single kernel call
+//!   ([`traits::ErasureCode::encode_share_span_into`], the one encode
+//!   primitive), which reads the value once, where it lies, and writes
+//!   every coded byte once.
 //! * **decode** — plans are memoized per **sorted survivor set**
 //!   ([`plan::PlanCache`]). For MBR the whole pipeline (Φ_K⁻¹, the Δ_K
 //!   correction and the T-block transposition) is flattened into a single
@@ -37,7 +42,7 @@
 //!   intermediate buffers. For RS and MSR the per-set inverses are cached
 //!   and the data path runs on flat [`linear::BufMatrix`] storage.
 //! * **repair** — `Ψ_rep⁻¹` is memoized per sorted helper set; helper
-//!   payloads and regenerated shares are single fused passes.
+//!   payloads and regenerated shares are single kernel calls.
 //!
 //! The byte-at-a-time reference implementation is kept in [`scalar`] as the
 //! property-test oracle (bulk results are asserted byte-identical) and as
@@ -88,6 +93,10 @@ pub mod striping;
 pub mod traits;
 
 pub use error::CodeError;
+/// The instruction-set level the codecs' GF(2^8) kernels run at on this CPU
+/// (`"gfni"`, `"avx2"`, `"ssse3"` or `"portable"`): what a coding throughput
+/// figure has to be quoted with.
+pub use lds_gf::bulk::kernel as gf_kernel;
 pub use params::{CodeKind, CodeParams};
 pub use share::{HelperData, Share};
 pub use stripe::{BufPool, PoolStats};

@@ -3,21 +3,35 @@
 //! Codes in this crate express every operation (encode, decode, helper
 //! computation, repair) as multiplication of a small coefficient matrix over
 //! GF(2^8) with a vector or matrix of *symbol buffers* (byte strings of equal
-//! length). [`BufMatrix`] is that matrix-of-buffers; since the bulk-kernel
-//! refactor it stores all buffers in one contiguous row-major allocation, so
-//! a whole row of buffers can be fed to the fused kernels in
-//! [`lds_gf::bulk`] as a single slice, and [`BufMatrix::left_mul_into`] /
-//! [`combine_into`] write into caller-provided storage without temporary
-//! allocations.
+//! length). All of them end in the one overwriting matrix × payload kernel
+//! of [`lds_gf::bulk`] ([`bulk::apply_rows_into`] and its `Vec` form): the
+//! sources are borrowed where they lie, every output byte is written once,
+//! and an output buffer is sized over the bytes written — nothing here zeroes
+//! a buffer or accumulates into one.
+//!
+//! * `encode_span` — the encode all three coded codecs share (their
+//!   [`encode_share_span_into`](crate::traits::ErasureCode::encode_share_span_into)):
+//!   the generator rows of a span of nodes stacked into a single kernel
+//!   call, so one pass over the value yields every element of the span, with
+//!   the message symbols taken from the value itself
+//!   (`striping::BorrowedFrame`) whenever it is long enough for that to pay.
+//! * [`combine`], [`apply_symbols_into`] — helper computation, and the decode
+//!   / repair shape over symbols borrowed from shares and helper payloads.
+//! * [`BufMatrix`] — a matrix of buffers in one contiguous row-major
+//!   allocation, for the multi-step MSR decode.
 
 use crate::error::CodeError;
-use lds_gf::{bulk, Gf256, Matrix};
+use crate::params::CodeParams;
+use crate::striping::{frame, BorrowedFrame};
+use lds_gf::bulk::{self, RowTerms};
+use lds_gf::{Gf256, Matrix};
 
-/// Checks that `inputs` are `coeffs_len` buffers of `symbol_len` bytes each.
+/// Checks that `inputs` are `coeffs_len ≥ 1` buffers of `symbol_len` bytes
+/// each.
 fn check_inputs(coeffs_len: usize, inputs: &[&[u8]], symbol_len: usize) -> Result<(), CodeError> {
-    if coeffs_len != inputs.len() {
+    if coeffs_len != inputs.len() || inputs.is_empty() {
         return Err(CodeError::MalformedShare(format!(
-            "coefficient count {coeffs_len} does not match input count {}",
+            "coefficient count {coeffs_len} does not match input count {}, or both are zero",
             inputs.len()
         )));
     }
@@ -30,46 +44,11 @@ fn check_inputs(coeffs_len: usize, inputs: &[&[u8]], symbol_len: usize) -> Resul
     Ok(())
 }
 
-/// `out ^= Σ_i coeffs[i] · inputs[i]`, skipping zero coefficients and running
-/// the rest through the fused multi-source kernel. The kernels only ever
-/// accumulate, so every public entry point of this module zeroes its output
-/// exactly once — when it allocates or sizes it — and then calls this.
-/// `terms` is the reusable term list (one allocation per operation, not per
-/// output symbol). Counts and lengths are the caller's to check.
-fn accumulate<'a>(
-    coeffs: &[Gf256],
-    inputs: impl Iterator<Item = &'a [u8]>,
-    out: &mut [u8],
-    terms: &mut Vec<(Gf256, &'a [u8])>,
-) {
-    terms.clear();
-    terms.extend(
-        coeffs
-            .iter()
-            .copied()
-            .zip(inputs)
-            .filter(|(c, _)| !c.is_zero()),
-    );
-    bulk::mul_add_slices(terms, out);
-}
-
-/// Sizes `out` to `coeffs.rows()` symbols of `symbol_len` bytes (prior
-/// contents discarded, capacity reused, zeroed once) and accumulates
-/// `Σ_m coeffs[r][m] · inputs[m]` into output symbol `r`. The caller has
-/// checked that `inputs` yields `coeffs.cols()` buffers of `symbol_len > 0`
-/// bytes.
-fn apply_rows<'a>(
-    coeffs: &Matrix,
-    inputs: impl Iterator<Item = &'a [u8]> + Clone,
-    symbol_len: usize,
-    out: &mut Vec<u8>,
-) {
-    out.clear();
-    out.resize(coeffs.rows() * symbol_len, 0);
-    let mut terms = Vec::with_capacity(coeffs.cols());
-    for (r, sym) in out.chunks_exact_mut(symbol_len).enumerate() {
-        accumulate(coeffs.row(r), inputs.clone(), sym, &mut terms);
-    }
+/// The one-row product `Σ_i coeffs[i] · inputs[i]`.
+fn single_row(coeffs: &[Gf256]) -> RowTerms {
+    let mut rows = RowTerms::with_capacity(coeffs.len(), 1, coeffs.len());
+    rows.push_row(coeffs.iter().copied().enumerate());
+    rows
 }
 
 /// Computes `Σ_i coeffs[i] · inputs[i]` over byte buffers of length
@@ -78,17 +57,16 @@ fn apply_rows<'a>(
 /// # Errors
 ///
 /// Returns [`CodeError::MalformedShare`] if input lengths disagree with
-/// `symbol_len` or the number of coefficients differs from the number of
-/// inputs.
+/// `symbol_len`, the number of coefficients differs from the number of
+/// inputs, or there are none.
 pub fn combine(
     coeffs: &[Gf256],
     inputs: &[&[u8]],
     symbol_len: usize,
 ) -> Result<Vec<u8>, CodeError> {
     check_inputs(coeffs.len(), inputs, symbol_len)?;
-    let mut out = vec![0u8; symbol_len];
-    let mut terms = Vec::with_capacity(coeffs.len());
-    accumulate(coeffs, inputs.iter().copied(), &mut out, &mut terms);
+    let mut out = Vec::new();
+    bulk::apply_rows_into_vecs(&single_row(coeffs), inputs, std::slice::from_mut(&mut out));
     Ok(out)
 }
 
@@ -97,14 +75,10 @@ pub fn combine(
 ///
 /// # Errors
 ///
-/// Returns [`CodeError::MalformedShare`] if input lengths disagree with
-/// `out.len()` or the number of coefficients differs from the number of
-/// inputs.
+/// As for [`combine`], with `out.len()` as the symbol length.
 pub fn combine_into(coeffs: &[Gf256], inputs: &[&[u8]], out: &mut [u8]) -> Result<(), CodeError> {
     check_inputs(coeffs.len(), inputs, out.len())?;
-    out.fill(0);
-    let mut terms = Vec::with_capacity(coeffs.len());
-    accumulate(coeffs, inputs.iter().copied(), out, &mut terms);
+    bulk::apply_rows_into(&single_row(coeffs), inputs, out);
     Ok(())
 }
 
@@ -132,7 +106,100 @@ pub fn apply_symbols_into(
         return Err(CodeError::MalformedShare("zero-length symbols".into()));
     }
     check_inputs(coeffs.cols(), inputs, symbol_len)?;
-    apply_rows(coeffs, inputs.iter().copied(), symbol_len, out);
+    let rows = RowTerms::from_matrix(coeffs);
+    bulk::apply_rows_into_vecs(&rows, inputs, std::slice::from_mut(out));
+    Ok(())
+}
+
+/// Applies coefficient rows to a flat buffer of `rows.cols()` symbols of
+/// `symbol_len` bytes each: output symbol `r` is
+/// `Σ_m rows[r][m] · src_symbol(m)`, and the output symbols are spread evenly
+/// over `outs` (each buffer's prior contents discarded, capacity reused).
+///
+/// This is the encode path over a framed value. Tiny symbols (small values
+/// framed into `B` pieces of a byte or a few) go through one gathered kernel
+/// call for the whole product, so per-symbol overhead is paid once per
+/// application instead of once per output symbol — the hot path of
+/// `encode_l2_elements_into` on `symbol_len ≈ 1` values.
+///
+/// # Errors
+///
+/// Returns [`CodeError::MalformedShare`] if `src` is not
+/// `rows.cols() · symbol_len` bytes long or the rows do not spread evenly
+/// over `outs`.
+pub fn apply_into(
+    rows: &RowTerms,
+    src: &[u8],
+    symbol_len: usize,
+    outs: &mut [Vec<u8>],
+) -> Result<(), CodeError> {
+    if src.len() != rows.cols() * symbol_len || !rows.rows().is_multiple_of(outs.len()) {
+        return Err(CodeError::MalformedShare(format!(
+            "apply_into dimension mismatch: {}x{} coefficients, {} source bytes, \
+             symbol_len {symbol_len}, {} outputs",
+            rows.rows(),
+            rows.cols(),
+            src.len(),
+            outs.len()
+        )));
+    }
+    if symbol_len <= bulk::SMALL_SYMBOL_MAX {
+        bulk::apply_small(rows, src, symbol_len, outs);
+    } else {
+        let symbols: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
+        bulk::apply_rows_into_vecs(rows, &symbols, outs);
+    }
+    Ok(())
+}
+
+/// Encodes `data` for the nodes `start..start + outs.len()` of a code, one
+/// output buffer per node (prior contents discarded, capacity reused): the
+/// shared body of every coded codec's
+/// [`encode_share_span_into`](crate::traits::ErasureCode::encode_share_span_into).
+///
+/// `push_generator_rows(i, rows)` appends node `i`'s `α` generator rows over
+/// the `B = params.file_size()` message symbols. The rows of the whole span
+/// are stacked and applied in one kernel call, so the value is read once
+/// however many elements are produced — the `write-to-L2` of an L1 server
+/// produces all `n2` — and it is read where it lies unless it is short
+/// ([`BorrowedFrame`]). The rows are built per call, straight from the
+/// code's encoding matrix: `α · d` terms per node, so nothing is memoised
+/// and a whole-code encode at paper scale (`n = 200`) costs no plan memory.
+///
+/// # Errors
+///
+/// Returns [`CodeError::IndexOutOfRange`] if the span leaves `0..n`.
+pub(crate) fn encode_span(
+    params: &CodeParams,
+    data: &[u8],
+    start: usize,
+    outs: &mut [Vec<u8>],
+    push_generator_rows: impl Fn(usize, &mut RowTerms),
+) -> Result<(), CodeError> {
+    let n = params.n();
+    if outs.is_empty() {
+        return Ok(());
+    }
+    for index in [start, start.saturating_add(outs.len() - 1)] {
+        if index >= n {
+            return Err(CodeError::IndexOutOfRange { index, n });
+        }
+    }
+    // A generator row has at most `d` terms (`k` for Reed–Solomon, whose
+    // parameters say `d = k`).
+    let file_size = params.file_size();
+    let row_count = outs.len() * params.alpha();
+    let mut rows = RowTerms::with_capacity(file_size, row_count, row_count * params.d());
+    for index in start..start + outs.len() {
+        push_generator_rows(index, &mut rows);
+    }
+    match BorrowedFrame::new(data, file_size) {
+        Some(borrowed) => bulk::apply_rows_into_vecs(&rows, &borrowed.pieces(), outs),
+        None => {
+            let framed = frame(data, file_size);
+            apply_into(&rows, &framed.padded, framed.symbol_len, outs)?;
+        }
+    }
     Ok(())
 }
 
@@ -298,28 +365,9 @@ impl BufMatrix {
         Ok(())
     }
 
-    /// Left-multiplication by a coefficient matrix: `coeffs (m×r) · self (r×c)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] if `coeffs.cols() != self.rows()`.
-    pub fn left_mul(&self, coeffs: &Matrix) -> Result<BufMatrix, CodeError> {
-        let mut out = BufMatrix::zero(coeffs.rows(), self.cols, self.symbol_len);
-        self.left_mul_into(coeffs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Left-multiplication into a caller-provided matrix (overwritten).
-    ///
-    /// Because each input row's buffers are contiguous, row `r` of the output
-    /// is computed as a single fused multi-source accumulation over whole
-    /// input rows — one pass over `cols · symbol_len` bytes per group of four
-    /// coefficients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] if dimensions disagree.
-    pub fn left_mul_into(&self, coeffs: &Matrix, out: &mut BufMatrix) -> Result<(), CodeError> {
+    /// The rows of the matrix as kernel sources, after checking that
+    /// `coeffs (m×r) · self (r×c)` is defined.
+    fn left_mul_sources(&self, coeffs: &Matrix) -> Result<Vec<&[u8]>, CodeError> {
         if coeffs.cols() != self.rows {
             return Err(CodeError::MalformedShare(format!(
                 "coefficient matrix has {} columns but BufMatrix has {} rows",
@@ -327,28 +375,55 @@ impl BufMatrix {
                 self.rows
             )));
         }
+        Ok((0..self.rows).map(|k| self.row_bytes(k)).collect())
+    }
+
+    /// Left-multiplication by a coefficient matrix: `coeffs (m×r) · self (r×c)`.
+    ///
+    /// Because each input row's buffers are contiguous, a row of the output
+    /// is one kernel row over whole input rows, and the product is a single
+    /// kernel call into storage that is sized, not zeroed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::MalformedShare`] if `coeffs.cols() != self.rows()`.
+    pub fn left_mul(&self, coeffs: &Matrix) -> Result<BufMatrix, CodeError> {
+        let sources = self.left_mul_sources(coeffs)?;
+        let mut data = Vec::new();
+        bulk::apply_rows_into_vecs(
+            &RowTerms::from_matrix(coeffs),
+            &sources,
+            std::slice::from_mut(&mut data),
+        );
+        Ok(BufMatrix {
+            rows: coeffs.rows(),
+            cols: self.cols,
+            symbol_len: self.symbol_len,
+            data,
+        })
+    }
+
+    /// Left-multiplication into a caller-provided matrix (overwritten).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::MalformedShare`] if dimensions disagree.
+    pub fn left_mul_into(&self, coeffs: &Matrix, out: &mut BufMatrix) -> Result<(), CodeError> {
+        let sources = self.left_mul_sources(coeffs)?;
         if out.rows != coeffs.rows() || out.cols != self.cols || out.symbol_len != self.symbol_len {
             return Err(CodeError::MalformedShare(
                 "left_mul_into output dimension mismatch".into(),
             ));
         }
-        out.data.fill(0);
-        let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(self.rows);
-        for r in 0..coeffs.rows() {
-            terms.clear();
-            for k in 0..self.rows {
-                let c = coeffs[(r, k)];
-                if !c.is_zero() {
-                    terms.push((c, self.row_bytes(k)));
-                }
-            }
-            let w = self.cols * self.symbol_len;
-            bulk::mul_add_slices(&terms, &mut out.data[r * w..(r + 1) * w]);
-        }
+        bulk::apply_rows_into(&RowTerms::from_matrix(coeffs), &sources, &mut out.data);
         Ok(())
     }
 
     /// Right-multiplication by a coefficient matrix: `self (r×c) · coeffs (c×m)`.
+    ///
+    /// Output buffer `(r, j)` is `Σ_k coeffs[k][j] · self(r, k)`: one kernel
+    /// row over the buffers of input row `r`, and the whole product one
+    /// kernel call.
     ///
     /// # Errors
     ///
@@ -361,65 +436,27 @@ impl BufMatrix {
                 self.cols
             )));
         }
-        let mut out = BufMatrix::zero(self.rows, coeffs.cols(), self.symbol_len);
-        let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(self.cols);
+        if self.rows == 0 {
+            return Ok(BufMatrix::zero(0, coeffs.cols(), self.symbol_len));
+        }
+        let row_count = self.rows * coeffs.cols();
+        let mut rows =
+            RowTerms::with_capacity(self.rows * self.cols, row_count, row_count * self.cols);
         for r in 0..self.rows {
-            for c in 0..coeffs.cols() {
-                terms.clear();
-                for k in 0..self.cols {
-                    let coeff = coeffs[(k, c)];
-                    if !coeff.is_zero() {
-                        terms.push((coeff, self.get(r, k)));
-                    }
-                }
-                let o = (r * coeffs.cols() + c) * self.symbol_len;
-                bulk::mul_add_slices(&terms, &mut out.data[o..o + self.symbol_len]);
+            for j in 0..coeffs.cols() {
+                rows.push_row((0..self.cols).map(|k| (r * self.cols + k, coeffs[(k, j)])));
             }
         }
-        Ok(out)
+        let sources: Vec<&[u8]> = self.data.chunks_exact(self.symbol_len.max(1)).collect();
+        let mut data = Vec::new();
+        bulk::apply_rows_into_vecs(&rows, &sources, std::slice::from_mut(&mut data));
+        Ok(BufMatrix {
+            rows: self.rows,
+            cols: coeffs.cols(),
+            symbol_len: self.symbol_len,
+            data,
+        })
     }
-}
-
-/// Applies a coefficient matrix to a flat buffer of `coeffs.cols()` symbols:
-/// `dst` is resized to `coeffs.rows()` symbols (prior contents discarded,
-/// capacity reused), where output symbol `r` is
-/// `Σ_m coeffs[r][m] · src_symbol(m)`.
-///
-/// This is the steady-state encode path of the plan-cached codecs: the source
-/// is a framed value and no intermediate buffers are created.
-///
-/// # Errors
-///
-/// Returns [`CodeError::MalformedShare`] if `src` is not
-/// `coeffs.cols() · symbol_len` bytes long.
-pub fn apply_into(
-    coeffs: &Matrix,
-    src: &[u8],
-    symbol_len: usize,
-    dst: &mut Vec<u8>,
-) -> Result<(), CodeError> {
-    if src.len() != coeffs.cols() * symbol_len {
-        return Err(CodeError::MalformedShare(format!(
-            "apply_into dimension mismatch: {}x{} coefficients, {} source bytes, \
-             symbol_len {symbol_len}",
-            coeffs.rows(),
-            coeffs.cols(),
-            src.len()
-        )));
-    }
-    // Tiny symbols (small values framed into B ≈ symbol-per-byte pieces):
-    // one gathered kernel call for the whole product, so per-symbol dispatch
-    // overhead is paid once per matrix application instead of once per
-    // output symbol. This is the hot path of `encode_l2_elements_into` on
-    // symbol_len ≈ 1 values.
-    if symbol_len <= bulk::SMALL_SYMBOL_MAX {
-        dst.clear();
-        dst.resize(coeffs.rows() * symbol_len, 0);
-        bulk::apply_small(coeffs, src, symbol_len, dst);
-        return Ok(());
-    }
-    apply_rows(coeffs, src.chunks_exact(symbol_len), symbol_len, dst);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -528,8 +565,9 @@ mod tests {
             .map(|i| (i * 37 % 251) as u8)
             .collect();
         let coeffs = Matrix::vandermonde(3, cols);
+        let terms = RowTerms::from_matrix(&coeffs);
         let mut dst = vec![0u8; 3 * symbol_len];
-        apply_into(&coeffs, &src, symbol_len, &mut dst).unwrap();
+        apply_into(&terms, &src, symbol_len, std::slice::from_mut(&mut dst)).unwrap();
 
         // Reference: the same product through BufMatrix.
         let rows: Vec<Vec<u8>> = src.chunks_exact(symbol_len).map(|s| s.to_vec()).collect();
@@ -542,7 +580,13 @@ mod tests {
             );
         }
 
-        assert!(apply_into(&coeffs, &src[1..], symbol_len, &mut dst).is_err());
+        let mut one = [dst];
+        assert!(apply_into(&terms, &src[1..], symbol_len, &mut one).is_err());
+        assert!(apply_into(&terms, &src, symbol_len, &mut vec![Vec::new(); 2]).is_err());
+        // One buffer per output symbol.
+        let mut spread = vec![vec![0xAA; 2]; 3];
+        apply_into(&terms, &src, symbol_len, &mut spread).unwrap();
+        assert_eq!(spread.concat(), one[0]);
     }
 
     /// Deterministic filler for the tests below.
@@ -561,11 +605,10 @@ mod tests {
         out
     }
 
-    /// The kernels only accumulate, so each entry point zeroes its output
-    /// exactly once. This is what notices a zeroing pass removed too many:
-    /// whatever a caller-provided buffer held before — and whether it was
-    /// shorter, longer or the right size — the result is the same, for
-    /// zero, one and many non-zero coefficients and for lengths on both
+    /// The kernel overwrites: no entry point zeroes its output, and none may
+    /// read it. Whatever a caller-provided buffer held before — and whether
+    /// it was shorter, longer or the right size — the result is the same,
+    /// for zero, one and many non-zero coefficients and for lengths on both
     /// sides of the 16- and 32-byte vector widths (and of the tiny-symbol
     /// path's threshold).
     #[test]
@@ -588,7 +631,8 @@ mod tests {
                 let ctx = format!("{name} coefficients, symbol_len {symbol_len}");
                 for stale_len in [0, 3, expected.len(), expected.len() + 40] {
                     let mut out = vec![0xAA; stale_len];
-                    apply_into(coeffs, &src, symbol_len, &mut out).unwrap();
+                    let rows = RowTerms::from_matrix(coeffs);
+                    apply_into(&rows, &src, symbol_len, std::slice::from_mut(&mut out)).unwrap();
                     assert_eq!(out, expected, "apply_into, {ctx}, stale {stale_len}");
                     let mut out = vec![0xAA; stale_len];
                     apply_symbols_into(coeffs, &inputs, symbol_len, &mut out).unwrap();
@@ -609,6 +653,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `BufMatrix` products go through the same overwriting kernel: a stale
+    /// `left_mul_into` output is replaced, and a `right_mul` by a dense
+    /// matrix agrees with the oracle buffer by buffer.
+    #[test]
+    fn buf_matrix_products_overwrite_and_match_the_oracle() {
+        for symbol_len in [1usize, 33, 100] {
+            let m = sample(4, 3, symbol_len, 0x3c);
+            let left = Matrix::vandermonde(5, 4);
+            let mut out = BufMatrix::zero(5, 3, symbol_len);
+            out.data.fill(0xAA);
+            m.left_mul_into(&left, &mut out).unwrap();
+            assert_eq!(out, m.left_mul(&left).unwrap());
+            let row_inputs: Vec<&[u8]> = (0..4).map(|k| m.row_bytes(k)).collect();
+            assert_eq!(out.data, reference(&left, &row_inputs, 3 * symbol_len));
+
+            let right = Matrix::vandermonde(3, 2);
+            let product = m.right_mul(&right).unwrap();
+            assert_eq!((product.rows(), product.cols()), (4, 2));
+            for r in 0..4 {
+                let inputs: Vec<&[u8]> = (0..3).map(|k| m.get(r, k)).collect();
+                let expected = reference(&right.transpose(), &inputs, symbol_len);
+                assert_eq!(product.row_bytes(r), expected, "row {r}, sl {symbol_len}");
+            }
+        }
+        assert!(sample(4, 3, 8, 0)
+            .left_mul_into(&Matrix::identity(4), &mut BufMatrix::zero(4, 2, 8))
+            .is_err());
     }
 
     #[test]

@@ -24,13 +24,17 @@
 //!
 //! # Bulk-kernel execution
 //!
-//! All three operations run as single fused matrix-×-striped-payload
-//! applications over [`lds_gf::bulk`] kernels, driven by memoized plans:
+//! All three operations run as single matrix × striped-payload applications
+//! of the overwriting [`lds_gf::bulk`] kernel:
 //!
-//! * **encode**: the per-node *expanded generator* `G_i` (`α × B`,
-//!   `G_i[a][m] = Σ_{j : msgidx(j,a)=m} ψ_i[j]`) maps the framed value's `B`
-//!   message symbols straight to the node's `α` coded symbols. `G_i` is
-//!   memoized per node.
+//! * **encode**: node `i`'s *expanded generator* `G_i` (`α × B`; row `a`
+//!   has the entry `ψ_i[j]` at the message symbol stored at `M[j][a]`, `d`
+//!   terms or fewer) maps the value's `B` message symbols straight to the
+//!   node's `α` coded symbols. The generators of a whole span of nodes —
+//!   all `n2` back-end elements of a `write-to-L2` — are stacked into one
+//!   kernel call (`linear::encode_span`), so the value is read once
+//!   and, unless it is short, read where it lies. The rows are listed from
+//!   `Ψ` per call (`α · d` terms per node); nothing is memoised for encode.
 //! * **decode**: for each sorted survivor set the whole linear map from the
 //!   `k·α` collected symbols back to the `B` message symbols is flattened
 //!   into one `B × kα` matrix (composing `Φ_K⁻¹`, `Δ_K` and the `T`
@@ -39,20 +43,19 @@
 //! * **repair**: `Ψ_rep⁻¹` is memoized per sorted helper set.
 
 use crate::error::CodeError;
-use crate::linear::{apply_into, apply_symbols_into, combine};
+use crate::linear::{apply_symbols_into, combine, encode_span};
 use crate::params::{CodeKind, CodeParams};
 use crate::plan::PlanCache;
 use crate::share::{HelperData, Share};
-use crate::striping::{frame, frame_into, unframe_in_place};
+use crate::striping::unframe_in_place;
 use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
-use lds_gf::{bulk, Gf256, Matrix};
+use lds_gf::bulk::RowTerms;
+use lds_gf::Matrix;
 use std::sync::Arc;
 
 /// Memoized plans shared by all clones of one code instance.
 #[derive(Debug, Default)]
 struct MbrPlans {
-    /// Node index → expanded generator `G_i` (`α × B`).
-    encode: PlanCache<Matrix>,
     /// Sorted survivor set → flattened decode matrix (`B × k·α`).
     decode: PlanCache<Matrix>,
     /// Sorted helper set → `Ψ_rep⁻¹` (`d × d`).
@@ -106,11 +109,6 @@ impl ProductMatrixMbr {
     /// Number of memoized repair plans.
     pub fn cached_repair_plans(&self) -> usize {
         self.plans.repair.len()
-    }
-
-    /// Number of memoized per-node encode generators.
-    pub fn cached_encode_plans(&self) -> usize {
-        self.plans.encode.len()
     }
 
     /// Builds and memoizes the decode plan for a `k`-element survivor set
@@ -195,29 +193,20 @@ impl ProductMatrixMbr {
         }
     }
 
-    /// Builds the expanded generator `G_i` mapping the `B` message symbols to
-    /// node `i`'s `α` coded symbols: coded symbol `a` of node `i` is
-    /// `Σ_j ψ_i[j] · M[j][a]` and `M[j][a]` is message symbol
-    /// `message_index(j, a)` (or zero).
-    fn expanded_generator(&self, index: usize) -> Matrix {
-        let d = self.params.d();
-        let b = self.params.file_size();
-        let mut g = Matrix::zero(self.params.alpha(), b);
-        for j in 0..d {
-            let coeff = self.psi[(index, j)];
-            for a in 0..self.params.alpha() {
-                if let Some(m) = self.message_index(j, a) {
-                    g[(a, m)] += coeff;
-                }
-            }
+    /// Appends the `α` rows of node `index`'s expanded generator `G_i`: coded
+    /// symbol `a` of the node is `Σ_j ψ_i[j] · M[j][a]`, and `M[j][a]` is
+    /// message symbol `message_index(j, a)` (or zero). Column `a` of the
+    /// symmetric `M` holds each message symbol at most once, so a row lists
+    /// every source once.
+    fn push_generator_rows(&self, index: usize, rows: &mut RowTerms) {
+        let psi = self.psi.row(index);
+        for a in 0..self.params.alpha() {
+            rows.push_row(
+                psi.iter()
+                    .enumerate()
+                    .filter_map(|(j, &coeff)| self.message_index(j, a).map(|m| (m, coeff))),
+            );
         }
-        g
-    }
-
-    fn encode_plan(&self, index: usize) -> Result<Arc<Matrix>, CodeError> {
-        self.plans
-            .encode
-            .get_or_build(&[index], |_| Ok(self.expanded_generator(index)))
     }
 
     /// Builds the flattened decode matrix for a sorted survivor set: a
@@ -285,99 +274,15 @@ impl ErasureCode for ProductMatrixMbr {
         &self.params
     }
 
-    fn encode(&self, data: &[u8]) -> Result<Vec<Share>, CodeError> {
-        // Bulk encode builds the per-symbol term lists directly from Ψ and
-        // the message-matrix index map — no per-node generator is cached, so
-        // paper-scale instances (n = 200) do not blow up the plan cache.
-        let framed = frame(data, self.params.file_size());
-        let d = self.params.d();
-        let alpha = self.params.alpha();
-        let sl = framed.symbol_len;
-        let mut shares = Vec::with_capacity(self.params.n());
-        let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(d);
-        for i in 0..self.params.n() {
-            let mut buf = vec![0u8; alpha * sl];
-            for (a, sym) in buf.chunks_exact_mut(sl).enumerate() {
-                terms.clear();
-                for j in 0..d {
-                    let coeff = self.psi[(i, j)];
-                    if coeff.is_zero() {
-                        continue;
-                    }
-                    if let Some(m) = self.message_index(j, a) {
-                        terms.push((coeff, &framed.padded[m * sl..(m + 1) * sl]));
-                    }
-                }
-                bulk::mul_add_slices(&terms, sym);
-            }
-            shares.push(Share::new(i, buf));
-        }
-        Ok(shares)
-    }
-
-    fn encode_share(&self, data: &[u8], index: usize) -> Result<Share, CodeError> {
-        let mut out = Vec::new();
-        self.encode_share_into(data, index, &mut out)?;
-        Ok(Share::new(index, out))
-    }
-
-    fn encode_share_into(
-        &self,
-        data: &[u8],
-        index: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        self.check_index(index)?;
-        let framed = frame(data, self.params.file_size());
-        let g = self.encode_plan(index)?;
-        apply_into(&g, &framed.padded, framed.symbol_len, out)
-    }
-
     fn encode_share_span_into(
         &self,
         data: &[u8],
         start: usize,
         outs: &mut [Vec<u8>],
     ) -> Result<(), CodeError> {
-        let count = outs.len();
-        if count == 0 {
-            return Ok(());
-        }
-        self.check_index(start)?;
-        self.check_index(start + count - 1)?;
-        // One framing (header + padding copy + allocation) for the whole
-        // span — the per-write hot path encodes n2 elements back to back, so
-        // re-framing per element dominated small-value encodes.
-        let framed = frame(data, self.params.file_size());
-        for (s, out) in outs.iter_mut().enumerate() {
-            let g = self.encode_plan(start + s)?;
-            apply_into(&g, &framed.padded, framed.symbol_len, out)?;
-        }
-        Ok(())
-    }
-
-    fn encode_share_span_scratch(
-        &self,
-        data: &[u8],
-        start: usize,
-        outs: &mut [Vec<u8>],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        let count = outs.len();
-        if count == 0 {
-            return Ok(());
-        }
-        self.check_index(start)?;
-        self.check_index(start + count - 1)?;
-        // Same shape as `encode_share_span_into`, but the framed buffer lives
-        // in the caller's pooled scratch — striping encodes many chunks back
-        // to back and reuses one frame allocation across all of them.
-        let symbol_len = frame_into(data, self.params.file_size(), scratch);
-        for (s, out) in outs.iter_mut().enumerate() {
-            let g = self.encode_plan(start + s)?;
-            apply_into(&g, scratch, symbol_len, out)?;
-        }
-        Ok(())
+        encode_span(&self.params, data, start, outs, |index, rows| {
+            self.push_generator_rows(index, rows)
+        })
     }
 
     fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
@@ -535,7 +440,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(code.encode_share(&value, i).unwrap(), shares[i]);
         }
-        assert_eq!(code.cached_encode_plans(), 10);
     }
 
     #[test]
@@ -736,7 +640,10 @@ mod tests {
     #[test]
     fn span_encode_matches_per_share_encode() {
         let code = ProductMatrixMbr::with_dimensions(10, 3, 5).unwrap();
-        for len in [0usize, 1, 17, 333] {
+        // B = 12: tiny symbols up to 333 bytes, the kernel over a framed
+        // copy at 700, over the value itself from 30 000 (without and with
+        // whole middle strips).
+        for len in [0usize, 1, 17, 333, 700, 30_000, 60_000] {
             let value = sample_value(len);
             // Span over the "L2 half" of a layered deployment, with stale
             // buffer contents that must be discarded.
@@ -754,26 +661,6 @@ mod tests {
         // Out-of-range spans are rejected.
         let mut outs = vec![Vec::new(); 3];
         assert!(code.encode_share_span_into(b"x", 8, &mut outs).is_err());
-    }
-
-    #[test]
-    fn span_encode_scratch_matches_span_encode() {
-        let code = ProductMatrixMbr::with_dimensions(10, 3, 5).unwrap();
-        let mut scratch = vec![0xCC; 7]; // stale scratch must be discarded
-        for len in [0usize, 1, 17, 333] {
-            let value = sample_value(len);
-            let mut expected: Vec<Vec<u8>> = vec![Vec::new(); 6];
-            code.encode_share_span_into(&value, 4, &mut expected)
-                .unwrap();
-            let mut outs: Vec<Vec<u8>> = (0..6).map(|_| vec![0xEE; 2]).collect();
-            code.encode_share_span_scratch(&value, 4, &mut outs, &mut scratch)
-                .unwrap();
-            assert_eq!(outs, expected, "len={len}");
-        }
-        let mut outs = vec![Vec::new(); 3];
-        assert!(code
-            .encode_share_span_scratch(b"x", 8, &mut outs, &mut scratch)
-            .is_err());
     }
 
     #[test]

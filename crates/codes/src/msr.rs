@@ -21,10 +21,12 @@
 //!   the `λ_i` are distinct; each row of `Φ_K S1` / `Φ_K S2` is then solved
 //!   from the off-diagonal entries, and finally `S1`, `S2` themselves.
 //!
-//! All data-path arithmetic runs on the bulk slice kernels; the matrix
-//! inversions a decode or repair needs (`k` recover-row inverses, the
-//! `Φ_sub` inverse, `Ψ_rep⁻¹`) are memoized per sorted index set so they are
-//! paid once per quorum, not once per operation.
+//! All data-path arithmetic runs on the bulk slice kernels, encode as one
+//! kernel call over the stacked generator rows of a span of nodes
+//! (`linear::encode_span`). The matrix inversions a decode or repair needs
+//! (`k` recover-row inverses, the `Φ_sub` inverse, `Ψ_rep⁻¹`) are memoized
+//! per sorted index set so they are paid once per quorum, not once per
+//! operation.
 //!
 //! # Field-size limit
 //!
@@ -34,13 +36,14 @@
 //! parameter ranges that satisfy it.
 
 use crate::error::CodeError;
-use crate::linear::{apply_into, apply_symbols_into, combine, BufMatrix};
+use crate::linear::{apply_symbols_into, combine, encode_span, BufMatrix};
 use crate::params::{CodeKind, CodeParams};
 use crate::plan::PlanCache;
 use crate::share::{HelperData, Share};
-use crate::striping::{frame, unframe_in_place};
+use crate::striping::unframe_in_place;
 use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
-use lds_gf::{bulk, Gf256, Matrix};
+use lds_gf::bulk::{self, RowTerms};
+use lds_gf::{Gf256, Matrix};
 use std::sync::Arc;
 
 /// Everything a decode needs that depends only on the survivor set.
@@ -57,8 +60,6 @@ struct MsrDecodePlan {
 /// Memoized plans shared by all clones of one code instance.
 #[derive(Debug, Default)]
 struct MsrPlans {
-    /// Node index → expanded generator (`α × B`).
-    encode: PlanCache<Matrix>,
     /// Sorted survivor set → decode plan.
     decode: PlanCache<MsrDecodePlan>,
     /// Sorted helper set → `Ψ_rep⁻¹` (`d × d`).
@@ -212,20 +213,19 @@ impl ProductMatrixMsr {
         which * tri + lo * (2 * alpha - lo + 1) / 2 + (hi - lo)
     }
 
-    /// Expanded generator for node `i`: coded symbol `a` is
+    /// Appends the `α` generator rows of node `index`: coded symbol `a` is
     /// `Σ_j φ_i[j]·S1[j][a] + λ_i·φ_i[j]·S2[j][a]` over the message symbols.
-    fn expanded_generator(&self, index: usize) -> Matrix {
+    fn push_generator_rows(&self, index: usize, rows: &mut RowTerms) {
         let alpha = self.params.alpha();
-        let mut g = Matrix::zero(alpha, self.params.file_size());
-        for j in 0..alpha {
-            let c1 = self.phi[(index, j)];
-            let c2 = self.lambda[index] * c1;
-            for a in 0..alpha {
-                g[(a, self.message_index(0, j, a))] += c1;
-                g[(a, self.message_index(1, j, a))] += c2;
-            }
+        let lambda = self.lambda[index];
+        for a in 0..alpha {
+            rows.push_row(self.phi.row(index).iter().enumerate().flat_map(|(j, &c)| {
+                [
+                    (self.message_index(0, j, a), c),
+                    (self.message_index(1, j, a), lambda * c),
+                ]
+            }));
         }
-        g
     }
 
     fn decode_plan(&self, survivors: &[usize]) -> Result<MsrDecodePlan, CodeError> {
@@ -276,53 +276,15 @@ impl ErasureCode for ProductMatrixMsr {
         &self.params
     }
 
-    fn encode(&self, data: &[u8]) -> Result<Vec<Share>, CodeError> {
-        // Direct bulk encode (no per-node plan is cached for full encodes).
-        let framed = frame(data, self.params.file_size());
-        let alpha = self.params.alpha();
-        let sl = framed.symbol_len;
-        let mut shares = Vec::with_capacity(self.params.n());
-        let mut terms: Vec<(Gf256, &[u8])> = Vec::with_capacity(2 * alpha);
-        for i in 0..self.params.n() {
-            let mut buf = vec![0u8; alpha * sl];
-            for (a, sym) in buf.chunks_exact_mut(sl).enumerate() {
-                terms.clear();
-                for j in 0..alpha {
-                    let c1 = self.phi[(i, j)];
-                    if c1.is_zero() {
-                        continue;
-                    }
-                    let m1 = self.message_index(0, j, a);
-                    let m2 = self.message_index(1, j, a);
-                    terms.push((c1, &framed.padded[m1 * sl..(m1 + 1) * sl]));
-                    terms.push((self.lambda[i] * c1, &framed.padded[m2 * sl..(m2 + 1) * sl]));
-                }
-                bulk::mul_add_slices(&terms, sym);
-            }
-            shares.push(Share::new(i, buf));
-        }
-        Ok(shares)
-    }
-
-    fn encode_share(&self, data: &[u8], index: usize) -> Result<Share, CodeError> {
-        let mut out = Vec::new();
-        self.encode_share_into(data, index, &mut out)?;
-        Ok(Share::new(index, out))
-    }
-
-    fn encode_share_into(
+    fn encode_share_span_into(
         &self,
         data: &[u8],
-        index: usize,
-        out: &mut Vec<u8>,
+        start: usize,
+        outs: &mut [Vec<u8>],
     ) -> Result<(), CodeError> {
-        self.check_index(index)?;
-        let framed = frame(data, self.params.file_size());
-        let g = self
-            .plans
-            .encode
-            .get_or_build(&[index], |_| Ok(self.expanded_generator(index)))?;
-        apply_into(&g, &framed.padded, framed.symbol_len, out)
+        encode_span(&self.params, data, start, outs, |index, rows| {
+            self.push_generator_rows(index, rows)
+        })
     }
 
     fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {

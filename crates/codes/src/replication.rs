@@ -58,9 +58,18 @@ impl ErasureCode for Replication {
         &self.params
     }
 
-    fn encode_share(&self, data: &[u8], index: usize) -> Result<Share, CodeError> {
-        self.check_index(index)?;
-        Ok(Share::new(index, data.to_vec()))
+    fn encode_share_span_into(
+        &self,
+        data: &[u8],
+        start: usize,
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), CodeError> {
+        for (s, out) in outs.iter_mut().enumerate() {
+            self.check_index(start.saturating_add(s))?;
+            out.clear();
+            out.extend_from_slice(data);
+        }
+        Ok(())
     }
 
     fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {

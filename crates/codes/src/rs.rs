@@ -7,19 +7,20 @@
 //! behaviour the regenerating-code literature (and the paper's choice of MBR
 //! codes) improves upon. Having it here lets the benchmarks quantify the gap.
 //!
-//! Encoding applies the cached generator row with the fused bulk kernels;
-//! decoding memoizes the inverse of the selected generator rows per sorted
-//! survivor set ([`crate::plan::PlanCache`]), so steady-state decodes perform
-//! no matrix inversion.
+//! Encoding applies the generator rows of a span of nodes in one kernel
+//! call over the value (`linear::encode_span`); decoding memoizes the
+//! inverse of the selected generator rows per sorted survivor set
+//! ([`crate::plan::PlanCache`]), so steady-state decodes perform no matrix
+//! inversion.
 
 use crate::error::CodeError;
-use crate::linear::apply_symbols_into;
+use crate::linear::{apply_symbols_into, encode_span};
 use crate::params::{CodeKind, CodeParams};
 use crate::plan::PlanCache;
 use crate::share::{HelperData, Share};
-use crate::striping::{frame, unframe_in_place};
+use crate::striping::unframe_in_place;
 use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
-use lds_gf::{bulk, Gf256, Matrix};
+use lds_gf::Matrix;
 use std::sync::Arc;
 
 /// A Reed–Solomon code with parameters from [`CodeParams::reed_solomon`].
@@ -110,36 +111,17 @@ impl ErasureCode for ReedSolomon {
         &self.params
     }
 
-    fn encode_share(&self, data: &[u8], index: usize) -> Result<Share, CodeError> {
-        let mut out = Vec::new();
-        self.encode_share_into(data, index, &mut out)?;
-        Ok(Share::new(index, out))
-    }
-
-    fn encode_share_into(
+    fn encode_share_span_into(
         &self,
         data: &[u8],
-        index: usize,
-        out: &mut Vec<u8>,
+        start: usize,
+        outs: &mut [Vec<u8>],
     ) -> Result<(), CodeError> {
-        self.check_index(index)?;
-        let k = self.params.k();
-        let framed = frame(data, k);
-        out.clear();
-        out.resize(framed.symbol_len, 0);
-        // Apply the generator row directly from the cached matrix (no
-        // temporary row matrix): out = Σ_m row[m] · msg_symbol(m).
-        let sl = framed.symbol_len;
-        let terms: Vec<(Gf256, &[u8])> = self
-            .generator
-            .row(index)
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_zero())
-            .map(|(m, &c)| (c, &framed.padded[m * sl..(m + 1) * sl]))
-            .collect();
-        bulk::mul_add_slices(&terms, out);
-        Ok(())
+        // α = 1: a node's one generator row is its row of the Vandermonde
+        // matrix over the k message symbols.
+        encode_span(&self.params, data, start, outs, |index, rows| {
+            rows.push_row(self.generator.row(index).iter().copied().enumerate())
+        })
     }
 
     fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {

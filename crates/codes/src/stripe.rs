@@ -1,16 +1,15 @@
-//! Scratch-buffer pooling for the chunk-striped encode path.
+//! Buffer accounting for the chunk-striped encode path.
 //!
-//! Striping splits a large value into fixed-size chunks that are framed and
-//! encoded independently (see [`crate::striping::frame_into`]). The encoder
-//! therefore needs the same set of scratch buffers — one padded frame plus
-//! `n2` per-element outputs — once per stripe, back to back. [`BufPool`]
-//! recycles those buffers across stripes and instruments the checkout
+//! Striping splits a large value into fixed-size chunks that are encoded
+//! independently. Per stripe the encoder needs `n2` per-element output
+//! buffers and nothing else — it reads the stripe where it lies in the
+//! value. [`BufPool`] hands those buffers out and instruments the checkout
 //! pattern, so the bounded-peak-allocation property of the striped write
-//! path (live scratch ≈ stripe × n2, independent of the value size) is a
+//! path (live buffers ≈ stripe × n2, independent of the value size) is a
 //! testable number rather than a comment.
 //!
 //! Buffers leave the pool in one of two ways: [`BufPool::put`] returns a
-//! buffer for reuse (the frame scratch, reused every stripe), while
+//! buffer for reuse (an encode that failed gives its buffers back), while
 //! [`BufPool::detach`] records that a buffer's ownership moved elsewhere for
 //! good — the per-element outputs become message payloads and never come
 //! back. Both settle the buffer's bytes into the live accounting, and the
@@ -30,8 +29,8 @@ pub struct PoolStats {
     pub detached: u64,
     /// Peak bytes simultaneously checked out over any single round (a round
     /// closes when every outstanding buffer has been put back or detached).
-    /// For the striped encode this is one stripe's frame plus its `n2`
-    /// element outputs — the O(stripe × n2) bound.
+    /// For the striped encode this is the `n2` element outputs of one stripe
+    /// — the O(stripe × n2) bound.
     pub peak_round_bytes: usize,
 }
 

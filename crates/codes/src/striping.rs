@@ -8,6 +8,7 @@
 //! (`symbol_len = padded_len / B`), and the code operates on those buffers.
 
 use crate::error::CodeError;
+use lds_gf::bulk;
 
 /// Length of the framing header in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -21,6 +22,20 @@ pub struct Framed {
     pub symbol_len: usize,
 }
 
+/// Symbol length and trailing padding of a `data_len`-byte value framed for
+/// `file_size` message symbols. The padding is shorter than `file_size`
+/// bytes unless the value is too short to give every symbol a byte.
+///
+/// # Panics
+///
+/// Panics if `file_size == 0`.
+fn geometry(data_len: usize, file_size: usize) -> (usize, usize) {
+    assert!(file_size > 0, "file_size must be positive");
+    let total = HEADER_LEN + data_len;
+    let symbol_len = total.div_ceil(file_size).max(1);
+    (symbol_len, symbol_len * file_size - total)
+}
+
 /// Frames `data` for a code with `file_size` message symbols.
 ///
 /// The result always has at least one byte per symbol, so zero-length values
@@ -30,39 +45,81 @@ pub struct Framed {
 ///
 /// Panics if `file_size == 0`.
 pub fn frame(data: &[u8], file_size: usize) -> Framed {
-    assert!(file_size > 0, "file_size must be positive");
-    let total = HEADER_LEN + data.len();
-    let symbol_len = total.div_ceil(file_size).max(1);
-    let padded_len = symbol_len * file_size;
-    let mut padded = Vec::with_capacity(padded_len);
+    let (symbol_len, pad) = geometry(data.len(), file_size);
+    let mut padded = Vec::with_capacity(symbol_len * file_size);
     padded.extend_from_slice(&(data.len() as u64).to_le_bytes());
     padded.extend_from_slice(data);
-    padded.resize(padded_len, 0);
+    padded.resize(padded.len() + pad, 0);
     Framed { padded, symbol_len }
 }
 
-/// Buffer-reuse variant of [`frame`]: frames `data` into `out` (cleared
-/// first, capacity reused) and returns the derived `symbol_len`.
+/// A value framed without the framed copy: the message symbols as pieces a
+/// matrix kernel can read where they lie ([`lds_gf::bulk::apply_rows_into`]
+/// takes its sources in exactly this form).
 ///
-/// This is the entry point the chunk-striped write path uses with a
-/// [`crate::stripe::BufPool`] scratch buffer: striping a large value encodes
-/// many stripes back to back, and re-allocating the padded frame for every
-/// stripe would dominate the encode itself.
-///
-/// # Panics
-///
-/// Panics if `file_size == 0`.
-pub fn frame_into(data: &[u8], file_size: usize, out: &mut Vec<u8>) -> usize {
-    assert!(file_size > 0, "file_size must be positive");
-    let total = HEADER_LEN + data.len();
-    let symbol_len = total.div_ceil(file_size).max(1);
-    let padded_len = symbol_len * file_size;
-    out.clear();
-    out.reserve(padded_len);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    out.extend_from_slice(data);
-    out.resize(padded_len, 0);
-    symbol_len
+/// In the framed layout `len:u64 ‖ data ‖ padding`, message symbol `m` is
+/// bytes `[m·sl, (m+1)·sl)`: the header only shifts the value by
+/// [`HEADER_LEN`] and the padding only follows it, so every symbol is a slice
+/// of `data` except where symbol 0 holds the header and the last symbol the
+/// padding. Those two *edges* — the first [`bulk::STRIP`] bytes of symbol 0
+/// and the last partial strip of the last symbol — are copied into a scratch
+/// buffer; the value itself is borrowed. Each symbol is handed over in three
+/// pieces (head strip, whole middle strips, tail) cut at the same offsets, so
+/// every piece but the last is a whole number of kernel strips and the
+/// pieces cost the kernel nothing.
+pub(crate) struct BorrowedFrame<'a> {
+    data: &'a [u8],
+    file_size: usize,
+    symbol_len: usize,
+    /// Bytes `[0, STRIP)` of symbol 0, then the tail of the last symbol.
+    edges: Vec<u8>,
+}
+
+impl<'a> BorrowedFrame<'a> {
+    /// Frames `data` for `file_size` message symbols, or returns `None` when
+    /// a symbol is shorter than one strip plus the padding: such a value is
+    /// a few KiB, the copy [`frame`] makes of it is cheap, and the caller
+    /// should make it.
+    pub(crate) fn new(data: &'a [u8], file_size: usize) -> Option<Self> {
+        let (symbol_len, pad) = geometry(data.len(), file_size);
+        let past_head = symbol_len.checked_sub(bulk::STRIP + pad)?;
+        // The tail is what whole middle strips leave over, and the padding.
+        let tail_data = past_head % bulk::STRIP;
+        let mut edges = Vec::with_capacity(bulk::STRIP + tail_data + pad);
+        edges.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        edges.extend_from_slice(&data[..bulk::STRIP - HEADER_LEN]);
+        edges.extend_from_slice(&data[data.len() - tail_data..]);
+        edges.resize(edges.len() + pad, 0);
+        Some(BorrowedFrame {
+            data,
+            file_size,
+            symbol_len,
+            edges,
+        })
+    }
+
+    /// The `file_size` symbols in three pieces each, piece-major: heads
+    /// (one strip), middles (whole strips, possibly none), tails.
+    pub(crate) fn pieces(&self) -> Vec<&[u8]> {
+        let (head, tail) = self.edges.split_at(bulk::STRIP);
+        let middle = self.symbol_len - self.edges.len();
+        let last = self.file_size - 1;
+        // Framed byte `i ≥ HEADER_LEN` is `data[i − HEADER_LEN]`.
+        let framed = |start: usize, len: usize| &self.data[start - HEADER_LEN..][..len];
+        let symbols = (0..self.file_size).map(|m| m * self.symbol_len);
+        let mut pieces = Vec::with_capacity(3 * self.file_size);
+        pieces.push(head);
+        pieces.extend(symbols.clone().skip(1).map(|at| framed(at, head.len())));
+        pieces.extend(symbols.clone().map(|at| framed(at + head.len(), middle)));
+        let tail_at = self.symbol_len - tail.len();
+        pieces.extend(
+            symbols
+                .take(last)
+                .map(|at| framed(at + tail_at, tail.len())),
+        );
+        pieces.push(tail);
+        pieces
+    }
 }
 
 /// Reads and validates the length header of a framed buffer: the number of
@@ -150,17 +207,52 @@ mod tests {
     }
 
     #[test]
-    fn frame_into_matches_frame_and_reuses_capacity() {
-        let mut out = vec![0xAA; 3]; // stale contents must be discarded
-        for file_size in [1usize, 5, 36] {
-            for len in [0usize, 1, 8, 100] {
-                let data: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
-                let sl = frame_into(&data, file_size, &mut out);
-                let fresh = frame(&data, file_size);
-                assert_eq!(sl, fresh.symbol_len, "fs={file_size} len={len}");
-                assert_eq!(out, fresh.padded, "fs={file_size} len={len}");
+    fn borrowed_frame_pieces_are_the_framed_symbols() {
+        let strip = bulk::STRIP;
+        let mut borrowed = 0;
+        for file_size in [1usize, 2, 5, 12] {
+            // Symbols just short of a strip, of exactly one, with an empty
+            // and a non-empty middle, and with every padding 0..file_size.
+            for symbol_len in [strip - 1, strip, strip + 1, 2 * strip - 1, 3 * strip + 77] {
+                for pad in 0..file_size.min(4) {
+                    let len = symbol_len * file_size - pad - HEADER_LEN;
+                    let data: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+                    let framed = frame(&data, file_size);
+                    assert_eq!(framed.symbol_len, symbol_len);
+                    let Some(frame) = BorrowedFrame::new(&data, file_size) else {
+                        assert!(symbol_len < strip + pad, "fs={file_size} sl={symbol_len}");
+                        continue;
+                    };
+                    borrowed += 1;
+                    let pieces = frame.pieces();
+                    assert_eq!(pieces.len(), 3 * file_size);
+                    for m in 0..file_size {
+                        let parts = [pieces[m], pieces[file_size + m], pieces[2 * file_size + m]];
+                        assert!(
+                            parts.concat() == symbol(&framed, m),
+                            "fs={file_size} sl={symbol_len} pad={pad} symbol {m}"
+                        );
+                        // Same cuts for every symbol, at whole strips.
+                        assert_eq!(parts[0].len(), strip);
+                        assert_eq!(parts[1].len() % strip, 0);
+                        assert!(parts[2].len() < strip + file_size);
+                        // Only the two edges are copies.
+                        let copied =
+                            |p: &[u8]| !p.is_empty() && !data.as_ptr_range().contains(&p.as_ptr());
+                        assert_eq!(copied(parts[0]), m == 0);
+                        assert!(!copied(parts[1]));
+                        assert_eq!(copied(parts[2]), m == file_size - 1 && !parts[2].is_empty());
+                    }
+                }
             }
         }
+        assert!(
+            borrowed >= 30,
+            "only {borrowed} cases took the borrowed form"
+        );
+        // Short values are framed the ordinary way.
+        assert!(BorrowedFrame::new(&[7; 4096], 5).is_none());
+        assert!(BorrowedFrame::new(&[], 5).is_none());
     }
 
     #[test]

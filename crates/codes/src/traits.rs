@@ -10,15 +10,37 @@ pub trait ErasureCode: Send + Sync {
     /// The `(n, k, d)(α, β)` parameters of this code instance.
     fn params(&self) -> &CodeParams;
 
+    /// Encodes the shares of the contiguous node span `start..start +
+    /// outs.len()`, one output buffer per node (each buffer's prior contents
+    /// discarded, capacity reused). Every other encode entry point is this
+    /// one with a span of `n` or 1; the span is the primitive because the
+    /// LDS `write-to-L2` encodes all `n2` back-end elements of one value at
+    /// once, and the coded codecs produce a whole span in a single pass over
+    /// the value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::IndexOutOfRange`] if the span leaves `0..n`.
+    fn encode_share_span_into(
+        &self,
+        data: &[u8],
+        start: usize,
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), CodeError>;
+
     /// Encodes a value into all `n` shares.
     ///
     /// # Errors
     ///
     /// Returns an error if the value cannot be framed for this code.
     fn encode(&self, data: &[u8]) -> Result<Vec<Share>, CodeError> {
-        (0..self.params().n())
-            .map(|i| self.encode_share(data, i))
-            .collect()
+        let mut outs = vec![Vec::new(); self.params().n()];
+        self.encode_share_span_into(data, 0, &mut outs)?;
+        Ok(outs
+            .into_iter()
+            .enumerate()
+            .map(|(index, data)| Share::new(index, data))
+            .collect())
     }
 
     /// Encodes only the share for node `index`. Used by L1 servers, which
@@ -27,21 +49,15 @@ pub trait ErasureCode: Send + Sync {
     /// # Errors
     ///
     /// Returns [`CodeError::IndexOutOfRange`] if `index >= n`.
-    fn encode_share(&self, data: &[u8], index: usize) -> Result<Share, CodeError>;
-
-    /// Decodes the value from at least `k` distinct shares.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::NotEnoughShares`] when fewer than `k` distinct
-    /// shares are supplied, or [`CodeError::MalformedShare`] /
-    /// [`CodeError::CorruptPayload`] for inconsistent inputs.
-    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError>;
+    fn encode_share(&self, data: &[u8], index: usize) -> Result<Share, CodeError> {
+        let mut out = Vec::new();
+        self.encode_share_into(data, index, &mut out)?;
+        Ok(Share::new(index, out))
+    }
 
     /// Buffer-reuse variant of [`ErasureCode::encode_share`]: writes the
-    /// coded bytes of share `index` into `out` (cleared first, capacity
-    /// reused). The default implementation delegates to `encode_share`;
-    /// the bulk-kernel codecs override it to write into `out` directly.
+    /// coded bytes of share `index` into `out` (prior contents discarded,
+    /// capacity reused).
     ///
     /// # Errors
     ///
@@ -52,55 +68,17 @@ pub trait ErasureCode: Send + Sync {
         index: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodeError> {
-        let share = self.encode_share(data, index)?;
-        out.clear();
-        out.extend_from_slice(&share.data);
-        Ok(())
+        self.encode_share_span_into(data, index, std::slice::from_mut(out))
     }
 
-    /// Encodes the shares of the contiguous node span `start..start +
-    /// outs.len()`, one output buffer per node (each cleared first, capacity
-    /// reused). The default delegates to [`ErasureCode::encode_share_into`]
-    /// per node; codecs with a framing step override it to frame the value
-    /// **once** for the whole span — the shape of the LDS `write-to-L2`,
-    /// which encodes all `n2` back-end elements of one value back to back.
+    /// Decodes the value from at least `k` distinct shares.
     ///
     /// # Errors
     ///
-    /// As for [`ErasureCode::encode_share_into`].
-    fn encode_share_span_into(
-        &self,
-        data: &[u8],
-        start: usize,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodeError> {
-        for (s, out) in outs.iter_mut().enumerate() {
-            self.encode_share_into(data, start + s, out)?;
-        }
-        Ok(())
-    }
-
-    /// Like [`ErasureCode::encode_share_span_into`], but frames the value
-    /// into a caller-owned `scratch` buffer instead of allocating one. The
-    /// chunk-striped write path calls this once per stripe with the same
-    /// [`crate::stripe::BufPool`]-managed scratch, so framing costs no
-    /// allocation after the first stripe. The default ignores `scratch` and
-    /// delegates to `encode_share_span_into`; codecs with a framing step
-    /// override it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ErasureCode::encode_share_span_into`].
-    fn encode_share_span_scratch(
-        &self,
-        data: &[u8],
-        start: usize,
-        outs: &mut [Vec<u8>],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        let _ = scratch;
-        self.encode_share_span_into(data, start, outs)
-    }
+    /// Returns [`CodeError::NotEnoughShares`] when fewer than `k` distinct
+    /// shares are supplied, or [`CodeError::MalformedShare`] /
+    /// [`CodeError::CorruptPayload`] for inconsistent inputs.
+    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError>;
 
     /// Buffer-reuse variant of [`ErasureCode::decode`]: writes the decoded
     /// value into `out` (cleared first, capacity reused). The bulk-kernel

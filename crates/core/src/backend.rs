@@ -84,10 +84,8 @@ pub trait BackendCodec: Send + Sync {
     fn encode_l2_element(&self, value: &Value, l2_index: usize) -> Result<Share, CodeError>;
 
     /// Buffer-reuse variant of [`BackendCodec::encode_l2_element`]: writes the
-    /// coded bytes into `out` (cleared first, capacity reused). Coded
-    /// backends route this through the code's `encode_share_into`, so the
-    /// steady-state write path performs no temporary-matrix or per-symbol
-    /// allocation.
+    /// coded bytes into `out` (prior contents discarded, capacity reused).
+    /// Coded backends route this through the code's `encode_share_into`.
     ///
     /// # Errors
     ///
@@ -105,10 +103,11 @@ pub trait BackendCodec: Send + Sync {
     }
 
     /// Encodes the coded elements of **every** L2 server for `value` into
-    /// `outs` (one buffer per server, each cleared first, capacity reused).
-    /// This is the per-write hot path of `write-to-L2`; the MBR backend
-    /// overrides the per-element default to frame the value once for all
-    /// `n2` elements instead of once per element.
+    /// `outs` (one buffer per server, prior contents discarded, capacity
+    /// reused). This is the per-write hot path of `write-to-L2`; every coded
+    /// backend overrides the per-element default with the code's span encode,
+    /// which produces all `n2` elements in one pass over the value, reading
+    /// it where it lies and writing each element byte once.
     ///
     /// # Errors
     ///
@@ -123,26 +122,6 @@ pub trait BackendCodec: Send + Sync {
             self.encode_l2_element_into(value, i, out)?;
         }
         Ok(())
-    }
-
-    /// Like [`BackendCodec::encode_l2_elements_into`], but frames the value
-    /// into the caller-owned `scratch` buffer instead of allocating one per
-    /// call. The chunk-striped offload path encodes many stripes back to
-    /// back with one pooled scratch; the default ignores `scratch`, and the
-    /// MBR backend overrides it to route through the code's scratch-framing
-    /// span encode.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BackendCodec::encode_l2_elements_into`].
-    fn encode_l2_elements_scratch(
-        &self,
-        value: &Value,
-        outs: &mut [Vec<u8>],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        let _ = scratch;
-        self.encode_l2_elements_into(value, outs)
     }
 
     /// The coded element held by L2 server `l2_index` for the initial value
@@ -318,18 +297,8 @@ impl BackendCodec for MbrBackend {
         value: &Value,
         outs: &mut [Vec<u8>],
     ) -> Result<(), CodeError> {
-        // One framing for all n2 elements (see `encode_share_span_into`).
         self.code
             .encode_share_span_into(value.as_bytes(), self.n1, outs)
-    }
-    fn encode_l2_elements_scratch(
-        &self,
-        value: &Value,
-        outs: &mut [Vec<u8>],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        self.code
-            .encode_share_span_scratch(value.as_bytes(), self.n1, outs, scratch)
     }
     fn initial_l2_element(&self, l2_index: usize) -> Share {
         self.code
@@ -415,6 +384,14 @@ impl BackendCodec for RsBackend {
         self.code
             .encode_share_into(value.as_bytes(), self.n1 + l2_index, out)
     }
+    fn encode_l2_elements_into(
+        &self,
+        value: &Value,
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), CodeError> {
+        self.code
+            .encode_share_span_into(value.as_bytes(), self.n1, outs)
+    }
     fn initial_l2_element(&self, l2_index: usize) -> Share {
         self.code
             .encode_share(Value::initial().as_bytes(), self.n1 + l2_index)
@@ -491,6 +468,14 @@ impl BackendCodec for MsrBackend {
     ) -> Result<(), CodeError> {
         self.code
             .encode_share_into(value.as_bytes(), self.n1 + l2_index, out)
+    }
+    fn encode_l2_elements_into(
+        &self,
+        value: &Value,
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), CodeError> {
+        self.code
+            .encode_share_span_into(value.as_bytes(), self.n1, outs)
     }
     fn initial_l2_element(&self, l2_index: usize) -> Share {
         self.code
@@ -777,30 +762,6 @@ mod tests {
                     "{kind} element {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn scratch_l2_encode_matches_bulk_encode() {
-        let p = params();
-        let value = Value::from("scratch-framed write-to-L2 payload");
-        let mut scratch = vec![0xBB; 5]; // stale scratch must be discarded
-        for kind in [
-            BackendKind::Mbr,
-            BackendKind::MsrPoint,
-            BackendKind::ProductMatrixMsr,
-            BackendKind::Replication,
-        ] {
-            let backend = make_backend(kind, &p).unwrap();
-            let mut expected: Vec<Vec<u8>> = vec![Vec::new(); backend.n2()];
-            backend
-                .encode_l2_elements_into(&value, &mut expected)
-                .unwrap();
-            let mut outs: Vec<Vec<u8>> = (0..backend.n2()).map(|_| vec![0xAA; 3]).collect();
-            backend
-                .encode_l2_elements_scratch(&value, &mut outs, &mut scratch)
-                .unwrap();
-            assert_eq!(outs, expected, "{kind}");
         }
     }
 

@@ -61,8 +61,8 @@ pub struct L1Options {
     /// Values of at least this many bytes take the chunk-striped data path:
     /// the writer streams them as per-stripe [`LdsMessage::PutStripe`]
     /// messages and the server's `write-to-L2` offload encodes stripe by
-    /// stripe into pooled scratch buffers, keeping peak encode memory at
-    /// O(stripe × n2) instead of O(value × n2). `0` disables striping
+    /// stripe into pool-accounted element buffers, keeping peak encode
+    /// memory at O(stripe × n2) instead of O(value × n2). `0` disables striping
     /// (the paper-faithful monolithic path).
     pub stripe_threshold: usize,
     /// Stripe size in bytes for the striped data path. Ignored while
@@ -313,8 +313,8 @@ pub struct L1Server {
     objects: HashMap<ObjectId, ObjectState>,
     /// In-progress chunk-striped writes, keyed by object then tag.
     stripes: HashMap<ObjectId, BTreeMap<Tag, StripeAssembly>>,
-    /// Scratch-buffer pool for the striped `write-to-L2` encode path. The
-    /// per-stripe frame scratch and the `n2` element output buffers all come
+    /// Buffer pool for the striped `write-to-L2` encode path. The `n2`
+    /// element output buffers of a stripe — all the encode allocates — come
     /// from here, so its peak-round accounting *is* the offload's peak
     /// allocation.
     pool: BufPool,
@@ -451,11 +451,11 @@ impl L1Server {
             .sum()
     }
 
-    /// Scratch-pool statistics for the striped `write-to-L2` path.
+    /// Buffer-pool statistics for the striped `write-to-L2` path.
     ///
     /// `peak_round_bytes` is the peak number of buffer bytes simultaneously
     /// checked out of the pool — i.e. the offload's peak encode allocation
-    /// (one frame scratch plus `n2` element outputs per stripe).
+    /// (the `n2` element outputs of one stripe).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -664,12 +664,11 @@ impl L1Server {
         }
         let n1 = self.backend.n1();
         if self.options.stripe_threshold > 0 && value.len() >= self.options.stripe_threshold {
-            // Chunk-striped offload: encode stripe by stripe into pooled
-            // scratch buffers and stream each stripe's n2 encodes as
-            // WRITE-CODE-STRIPE messages. Peak allocation is one frame
-            // scratch plus n2 element outputs per stripe — O(stripe × n2)
-            // instead of O(value × n2) — and the L2 servers reassemble the
-            // parts under the single tag.
+            // Chunk-striped offload: encode stripe by stripe and stream each
+            // stripe's n2 encodes as WRITE-CODE-STRIPE messages. Peak
+            // allocation is the n2 element outputs of one stripe —
+            // O(stripe × n2) instead of O(value × n2) — and the L2 servers
+            // reassemble the parts under the single tag.
             let backend = Arc::clone(&self.backend);
             let l2 = self.membership.l2.clone();
             let stripe_size = self.options.stripe_size;
@@ -706,10 +705,9 @@ impl L1Server {
             }
         }
         // Encode all n2 elements in one call, straight into the buffers the
-        // messages will own: the MBR backend frames the value once for the
-        // whole batch (instead of once per element — the dominant redundant
-        // work of small-value writes), and the plan-cached codec creates no
-        // temporaries inside.
+        // messages will own: the coded backends produce the whole batch in
+        // one pass over the value, read where it lies, and write every
+        // element byte once.
         let mut bufs: Vec<Vec<u8>> = (0..self.membership.n2()).map(|_| Vec::new()).collect();
         match self.backend.encode_l2_elements_into(value, &mut bufs) {
             Ok(()) => {
@@ -2081,11 +2079,11 @@ mod tests {
             "striped offload replaces the monolithic element messages"
         );
         let stats = s.pool_stats();
-        assert!(stats.reused > 0, "frame scratch is reused across stripes");
-        // Peak = one stripe's frame scratch + its n2 element encodes, far
-        // below a whole-value encode (whose scratch alone is ~210 bytes).
+        assert_eq!(stats.detached, 20, "every element buffer left as a payload");
+        // Peak = the n2 element encodes of one stripe (5 × 45 bytes), far
+        // below a whole-value encode (5 × 126 bytes).
         assert!(
-            stats.peak_round_bytes <= 400,
+            stats.peak_round_bytes <= 225,
             "peak {} exceeds the per-stripe bound",
             stats.peak_round_bytes
         );
@@ -2095,8 +2093,8 @@ mod tests {
     /// completes with peak encode allocation proportional to
     /// `stripe_size × n2`, not `value × n2`. The replication backend keeps
     /// the test fast (its element is a plain copy), while the pool
-    /// instrumentation measures exactly what the MBR path would allocate
-    /// per round: every scratch and output buffer comes from the pool.
+    /// instrumentation measures exactly what a coded path would allocate
+    /// per round: every output buffer comes from the pool.
     #[test]
     fn sixteen_mib_striped_write_has_bounded_peak_allocation() {
         let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
@@ -2146,10 +2144,9 @@ mod tests {
             .count();
         assert_eq!(parts, stripes * 5);
         let stats = s.pool_stats();
-        assert!(stats.reused > 0);
-        // Peak ≈ stripe × n2 (plus the unused frame scratch); the monolithic
-        // path would hold value × n2 = 80 MiB here.
-        let bound = 2 * stripe::DEFAULT_STRIPE_SIZE * 5;
+        // Peak = stripe × n2 exactly (no frame scratch any more); the
+        // monolithic path would hold value × n2 = 80 MiB here.
+        let bound = stripe::DEFAULT_STRIPE_SIZE * 5;
         assert!(
             stats.peak_round_bytes <= bound,
             "peak {} exceeds stripe-proportional bound {}",

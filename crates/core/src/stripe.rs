@@ -42,12 +42,12 @@ pub fn stripe_spans(len: usize, stripe_size: usize) -> Vec<Range<usize>> {
 /// coded part as soon as it is computed — the shape that lets delivery
 /// overlap with the encode of the next stripe.
 ///
-/// Scratch discipline: per stripe the function takes `n2` element buffers
-/// plus one frame scratch from `pool`, detaches the element buffers into the
-/// emitted [`Share`]s (they become message payloads), and puts the frame
-/// scratch back for the next stripe. The pool's
-/// [`peak_round_bytes`](lds_codes::PoolStats::peak_round_bytes) therefore
-/// measures exactly one stripe's simultaneous scratch.
+/// Buffer discipline: per stripe the function takes `n2` element buffers
+/// from `pool` and detaches them into the emitted [`Share`]s (they become
+/// message payloads). The encode reads the stripe where it lies in the
+/// value, so the element buffers are all it allocates and the pool's
+/// [`peak_round_bytes`](lds_codes::PoolStats::peak_round_bytes) measures
+/// exactly one stripe's `n2` elements.
 ///
 /// `emit` receives `(l2_index, seq, count, part)` with `seq ∈ 0..count` and
 /// parts emitted in stripe order.
@@ -72,20 +72,17 @@ where
     let n2 = backend.n2();
     for (seq, span) in spans.into_iter().enumerate() {
         let stripe = value.slice(span);
-        let mut scratch = pool.take();
         let mut bufs: Vec<Vec<u8>> = (0..n2).map(|_| pool.take()).collect();
-        if let Err(err) = backend.encode_l2_elements_scratch(&stripe, &mut bufs, &mut scratch) {
+        if let Err(err) = backend.encode_l2_elements_into(&stripe, &mut bufs) {
             for buf in bufs {
                 pool.put(buf);
             }
-            pool.put(scratch);
             return Err(err);
         }
         for (i, buf) in bufs.into_iter().enumerate() {
             pool.detach(buf.len());
             emit(i, seq as u32, count, Share::new(n1 + i, buf));
         }
-        pool.put(scratch);
     }
     Ok(())
 }
@@ -380,10 +377,16 @@ mod tests {
                     }
                 }
             }
-            // The frame scratch is recycled across stripes and rounds stay
-            // bounded by one stripe's worth of buffers.
+            // Every buffer taken became a message payload, and a round never
+            // held more than one stripe's n2 elements (the largest stripe is
+            // 64 bytes: at most 8 + 64 + padding bytes per element).
             let stats = pool.stats();
-            assert!(stats.reused > 0, "{kind}: frame scratch must be reused");
+            assert_eq!(stats.detached, stats.taken, "{kind}");
+            assert!(
+                stats.peak_round_bytes <= backend.n2() * (8 + STRIPE + 12),
+                "{kind}: peak {}",
+                stats.peak_round_bytes
+            );
         }
     }
 

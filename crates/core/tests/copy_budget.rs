@@ -1,16 +1,19 @@
-//! Copy budget of the cold-read data path.
+//! Copy budget of the data paths.
 //!
 //! The paper prices an idle read that regenerates from the back-end at
 //! `costs::read_cost(params, 0)` values communicated (Lemma V.3: 6.4 |v| for
-//! `f1 = f2 = 1, k = 2, d = 3`). The implementation may allocate that — each
-//! helper, each regenerated element is a message payload — plus the value it
-//! returns, and nothing else of that order: payload bytes are borrowed or
-//! moved at every other hand-off.
+//! `f1 = f2 = 1, k = 2, d = 3`) and a write at `costs::write_cost` (Lemma
+//! V.2: 16.0 |v|, of which the `n1` `PUT-DATA` copies share one buffer). The
+//! implementation may allocate what it communicates — each helper, each
+//! coded element is a message payload — plus the value a read returns or the
+//! copy a write makes of the caller's bytes, and nothing else of that order:
+//! payload bytes are borrowed or moved at every other hand-off, and the
+//! codec reads the value where it lies.
 //!
-//! One cold 256 KiB MBR read is driven through bare automata (no threads, no
-//! router, FIFO delivery) under a counting global allocator, so the figure is
-//! a count that repeats exactly, not a timing. This file holds exactly one
-//! test: the counter is process-wide.
+//! One 256 KiB operation is driven through bare automata (no threads, no
+//! router, FIFO delivery) under a counting global allocator, so each figure
+//! is a count that repeats exactly, not a timing. The counter is
+//! process-wide, so the tests of this file take turns.
 
 use lds_core::backend::{make_backend, BackendKind};
 use lds_core::costs;
@@ -23,6 +26,7 @@ use lds_sim::{Context, Process, ProcessId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Allocations below this size are bookkeeping (maps, queues, the test
 /// harness itself); payload buffers of a 256 KiB value are all far above it.
@@ -71,6 +75,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Held by a test for as long as it runs: the counter is process-wide.
+static TURN: Mutex<()> = Mutex::new(());
+
+const VALUE_LEN: usize = 256 << 10;
+
+fn norm(bytes: usize) -> f64 {
+    bytes as f64 / VALUE_LEN as f64
+}
+
 const WRITER: ProcessId = ProcessId(9);
 const READER: ProcessId = ProcessId(10);
 
@@ -88,6 +101,61 @@ struct Net {
 }
 
 impl Net {
+    /// The benchmark's deployment (`f1 = f2 = 1`, `k = 2`, `d = 3`: n1 = 4,
+    /// n2 = 5) over `kind`, plans warm. The harness's own queues are sized
+    /// up front, so they never grow inside a measurement.
+    fn new(kind: BackendKind) -> (Net, SystemParams, MutexGuard<'static, ()>) {
+        let turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
+        let (n1, n2) = (params.n1(), params.n2());
+        let membership = Membership::new(
+            (0..n1).map(ProcessId).collect(),
+            (n1..n1 + n2).map(ProcessId).collect(),
+        );
+        let backend = make_backend(kind, &params).unwrap();
+        backend.warm_plans();
+        let net = Net {
+            l1: (0..n1)
+                .map(|j| {
+                    L1Server::new(
+                        j,
+                        params,
+                        membership.clone(),
+                        backend.clone(),
+                        L1Options::default(),
+                    )
+                })
+                .collect(),
+            l2: (0..n2)
+                .map(|i| L2Server::new(i, membership.clone(), backend.clone()))
+                .collect(),
+            writer: WriterClient::new(ClientId(1), params, membership.clone()),
+            reader: ReaderClient::new(ClientId(2), params, membership.clone(), backend.clone()),
+            queue: VecDeque::with_capacity(1024),
+            outgoing: Vec::with_capacity(1024),
+            events: Vec::with_capacity(16),
+            coded_bytes_delivered: 0,
+        };
+        (net, params, turn)
+    }
+
+    /// Writes `written` to `obj` and lets every message settle: all four L1
+    /// servers offload to L2, collect their acks and drop the value. Returns
+    /// the bytes requested in large allocations on the way, the client's
+    /// copy of the caller's bytes included.
+    fn write(&mut self, obj: ObjectId, written: &[u8]) -> usize {
+        let before = LARGE_BYTES.load(Ordering::Relaxed);
+        // What `Store::submit_write(&[u8])` does with the caller's slice.
+        let value = Value::new(written.to_vec());
+        let events = self.run(WRITER, LdsMessage::InvokeWrite { obj, value });
+        let large = LARGE_BYTES.load(Ordering::Relaxed) - before;
+        assert!(matches!(events[..], [ProtocolEvent::WriteCompleted { .. }]));
+        for server in &self.l1 {
+            assert_eq!(server.temporary_storage_bytes(), 0, "value still in L1");
+        }
+        large
+    }
+
     /// Delivers `first` and everything it causes, in FIFO order, until no
     /// message is left; returns the client events emitted on the way.
     fn run(&mut self, to: ProcessId, first: LdsMessage) -> Vec<ProtocolEvent> {
@@ -98,6 +166,9 @@ impl Net {
             match &msg {
                 LdsMessage::SendHelperElem { helper, .. } => {
                     self.coded_bytes_delivered += helper.data.len();
+                }
+                LdsMessage::WriteCodeElem { element, .. } => {
+                    self.coded_bytes_delivered += element.data.len();
                 }
                 LdsMessage::DataResp {
                     payload: ReadPayload::Coded(share),
@@ -121,55 +192,57 @@ impl Net {
     }
 }
 
+fn sample_value() -> Vec<u8> {
+    (0..VALUE_LEN).map(|i| (i * 131 % 251) as u8).collect()
+}
+
+/// One write on `kind`: every coded element is an allocation of its own (it
+/// becomes a message payload, then the L2 server's stored element), the
+/// client copies the caller's bytes once, and that is all — no framed copy
+/// of the value per L1 server, let alone per element.
+fn write_allocates_its_elements_and_the_client_copy(kind: BackendKind, budget_norm: f64) {
+    let (mut net, params, _turn) = Net::new(kind);
+    let written = sample_value();
+    let large = net.write(ObjectId(7), &written);
+    let elements = net.coded_bytes_delivered;
+    println!(
+        "{kind} write of {VALUE_LEN} B: {large} B in allocations >= {LARGE} B = {:.2} |v|; \
+         {elements} B = {:.2} |v| in coded elements (write_cost communicates {:.2} |v|)",
+        norm(large),
+        norm(elements),
+        costs::write_cost(&params),
+    );
+    // Anything less means the counter is not counting.
+    assert!(large >= elements + VALUE_LEN);
+    assert!(
+        norm(large) <= budget_norm,
+        "{kind} write allocated {:.2} |v| in large buffers, budget {budget_norm:.2} |v|",
+        norm(large)
+    );
+}
+
+/// MBR, the paper's code: 4 × 5 elements of 0.6 |v| and the client copy make
+/// 13.0 |v| (17.0 when each L1 server framed the value into a copy first).
+#[test]
+fn mbr_write_allocates_its_elements_and_the_client_copy() {
+    write_allocates_its_elements_and_the_client_copy(BackendKind::Mbr, 13.1);
+}
+
+/// Product-matrix MSR at the same parameters (`α = 1`, `B = 2`): 4 × 5
+/// elements of 0.5 |v| and the client copy make 11.0 |v| (31.0 when the
+/// value was framed into a copy once per element).
+#[test]
+fn msr_write_allocates_its_elements_and_the_client_copy() {
+    write_allocates_its_elements_and_the_client_copy(BackendKind::ProductMatrixMsr, 11.1);
+}
+
 #[test]
 fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
-    const VALUE_LEN: usize = 256 << 10;
-    let params = SystemParams::for_failures(1, 1, 2, 3).unwrap(); // n1=4, n2=5
-    let (n1, n2) = (params.n1(), params.n2());
-    let membership = Membership::new(
-        (0..n1).map(ProcessId).collect(),
-        (n1..n1 + n2).map(ProcessId).collect(),
-    );
-    let backend = make_backend(BackendKind::Mbr, &params).unwrap();
-    backend.warm_plans();
-    let mut net = Net {
-        l1: (0..n1)
-            .map(|j| {
-                L1Server::new(
-                    j,
-                    params,
-                    membership.clone(),
-                    backend.clone(),
-                    L1Options::default(),
-                )
-            })
-            .collect(),
-        l2: (0..n2)
-            .map(|i| L2Server::new(i, membership.clone(), backend.clone()))
-            .collect(),
-        writer: WriterClient::new(ClientId(1), params, membership.clone()),
-        reader: ReaderClient::new(ClientId(2), params, membership.clone(), backend.clone()),
-        queue: VecDeque::new(),
-        outgoing: Vec::new(),
-        events: Vec::new(),
-        coded_bytes_delivered: 0,
-    };
-
-    // Write, and let every message settle: all four L1 servers offload to L2,
-    // collect their acks and drop the value — the next read is cold.
-    let written: Vec<u8> = (0..VALUE_LEN).map(|i| (i * 131 % 251) as u8).collect();
+    let (mut net, params, _turn) = Net::new(BackendKind::Mbr);
+    let written = sample_value();
     let obj = ObjectId(7);
-    let events = net.run(
-        WRITER,
-        LdsMessage::InvokeWrite {
-            obj,
-            value: Value::new(written.clone()),
-        },
-    );
-    assert!(matches!(events[..], [ProtocolEvent::WriteCompleted { .. }]));
-    for server in &net.l1 {
-        assert_eq!(server.temporary_storage_bytes(), 0, "value still in L1");
-    }
+    net.write(obj, &written);
+    net.coded_bytes_delivered = 0;
 
     let before = LARGE_BYTES.load(Ordering::Relaxed);
     let mut events = net.run(READER, LdsMessage::InvokeRead { obj });
@@ -187,7 +260,6 @@ fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
         "the read was not cold"
     );
 
-    let norm = |bytes: usize| bytes as f64 / VALUE_LEN as f64;
     let modelled = costs::read_cost(&params, 0);
     println!(
         "cold read of {VALUE_LEN} B: {large} B in allocations >= {LARGE} B = {:.2} |v|; \

@@ -15,9 +15,11 @@
 //!
 //! The [`bulk`] module holds the slice kernels every hot path runs on: a
 //! compile-time 256 × 256 multiplication table, `u128`-word XOR for the
-//! `c = 1` path, and a fused multi-source multiply-accumulate that applies up
-//! to four coefficient/source pairs per pass over the destination. The
-//! byte-at-a-time scalar path is kept alongside as the property-test oracle.
+//! `c = 1` path, and one overwriting, strip-mined matrix × payload product
+//! ([`bulk::apply_rows_into`]) whose inner loop exists once per
+//! instruction-set level (GFNI, AVX2, SSSE3, portable; chosen from CPUID,
+//! named by [`bulk::kernel`]). The byte-at-a-time scalar path is kept
+//! alongside as the test oracle.
 //!
 //! # Example
 //!
@@ -34,9 +36,10 @@
 //!
 //! [`lds-codes`]: ../lds_codes/index.html
 
-// Unsafe code is banned everywhere except the explicitly allowed SIMD
-// kernels in `bulk::x86`, which need `core::arch` intrinsics and raw-pointer
-// loads; they are gated behind runtime feature detection.
+// Unsafe code is banned everywhere except the explicitly allowed kernels in
+// `bulk::arch`, which need `core::arch` intrinsics, raw-pointer loads and
+// stores, and `Vec::set_len` over bytes just written; they are gated behind
+// runtime feature detection and length checks.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -73,7 +73,7 @@ fn run() -> i32 {
     };
     let config = daemon.config();
     println!(
-        "ldsd: daemon {} of {} up — mesh {}, rpc {}, http {} (L1 {:?}, L2 {:?})",
+        "ldsd: daemon {} of {} up — mesh {}, rpc {}, http {} (L1 {:?}, L2 {:?}), gf kernel {}",
         config.daemon_index,
         config.daemon_addrs.len(),
         config.daemon.listen,
@@ -81,6 +81,7 @@ fn run() -> i32 {
         daemon.http_addr(),
         config.host_scope().l1,
         config.host_scope().l2,
+        daemon.store().admin().metrics().gf_kernel,
     );
 
     // Serve until a client sends the Shutdown RPC.

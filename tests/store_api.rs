@@ -673,6 +673,18 @@ fn prometheus_exposition_is_well_formed() {
         types.contains_key("lds_live_servers") && types.contains_key("lds_heal_repairs_succeeded"),
         "expected families missing: {types:?}"
     );
+    // The coding kernel's level is one labelled sample of constant 1.
+    let kernel: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("lds_gf_kernel{"))
+        .collect();
+    let levels = ["gfni", "avx2", "ssse3", "portable"];
+    assert!(
+        matches!(kernel[..], [line] if levels
+            .iter()
+            .any(|level| line == format!("lds_gf_kernel{{level=\"{level}\"}} 1"))),
+        "lds_gf_kernel samples: {kernel:?}"
+    );
     store.shutdown();
 }
 
