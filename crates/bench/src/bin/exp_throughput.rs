@@ -31,6 +31,10 @@
 //!     [--out PATH]      output file (default BENCH_CLUSTER.json)
 //!     [--ops N]         operations per client (overrides the preset)
 //!     [--clusters N]    cluster shards on the multi-cluster points (default 2)
+//! cargo run --release -p lds-bench --bin exp_throughput -- --objects
+//!     the working-set axis only (table on stdout, no file): the
+//!     `small_mixed`-shaped closed loop of `lds_benchmark` at 1024, 4096 and
+//!     65 536 objects, plus a depth-1 idle write/read probe
 //! ```
 
 use lds_bench::{fmt3, host_cores, print_table, today_utc, SCHEMA_VERSION};
@@ -168,10 +172,12 @@ fn main() {
     let mut out_path = "BENCH_CLUSTER.json".to_string();
     let mut ops_override: Option<usize> = None;
     let mut multi_clusters = 2usize;
+    let mut objects_axis = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            "--objects" => objects_axis = true,
             "--out" => out_path = args.next().expect("--out needs a path"),
             "--ops" => {
                 ops_override = Some(
@@ -191,6 +197,11 @@ fn main() {
             }
             other => panic!("unknown argument {other:?}"),
         }
+    }
+
+    if objects_axis {
+        run_objects_axis(ops_override);
+        return;
     }
 
     let points = if smoke {
@@ -253,6 +264,86 @@ fn main() {
         "benchmark output is malformed"
     );
     println!("\nwrote {} ({} bytes)", out_path, written.len());
+}
+
+/// The working-set axis: throughput must not depend on how many objects the
+/// servers hold (a server going idle reads running totals, it does not walk
+/// its objects), so the 4096- and 65 536-object rows should sit within 10 %
+/// of the 1024-object row. Shaped like `lds_benchmark`'s `small_mixed`: two
+/// clients at depth 8, 256 B values, half reads, Zipfian θ = 0.9, the
+/// high-throughput profile with two shards per server. Followed by what one
+/// blocking client sees on the idle deployment — the path where every hop
+/// finds its receiver parked.
+fn run_objects_axis(ops_override: Option<usize>) {
+    let cfg = Config {
+        backend: BackendKind::Mbr,
+        clients: 2,
+        depth: 8,
+        shards: 2,
+        clusters: 1,
+        profile: Profile::Tuned,
+    };
+    let mut rows = Vec::new();
+    let mut reference = None;
+    for objects in [1024u64, 4096, 65_536] {
+        let wl = Workload {
+            theta: 0.9,
+            ..Workload::base(objects, 256, ops_override.unwrap_or(40_000))
+        };
+        let point = Point {
+            axis: "objects",
+            cfg,
+            wl,
+        };
+        let (summary, _, _) = run_point(point, false);
+        eprintln!(
+            " objects={objects:>6}  {:>9.0} ops/s  p50={:>7.0}us p99={:>7.0}us",
+            summary.ops_per_sec, summary.p50_us, summary.p99_us
+        );
+        let reference = *reference.get_or_insert(summary.ops_per_sec);
+        rows.push(vec![
+            objects.to_string(),
+            format!("{:.0}", summary.ops_per_sec),
+            format!("{:.2}", summary.ops_per_sec / reference.max(1e-9)),
+            format!("{:.0}", summary.p50_us),
+            format!("{:.0}", summary.p99_us),
+        ]);
+    }
+    print_table(
+        "working-set axis (2 clients x depth 8, 256 B, rf 0.5, theta 0.9, tuned, 2 shards)",
+        &["objects", "ops/s", "vs 1024", "p50 us", "p99 us"],
+        &rows,
+    );
+
+    let store = StoreBuilder::new()
+        .failures(1, 1)
+        .code(2, 3)
+        .high_throughput(cfg.shards)
+        .build()
+        .expect("validated sweep configuration");
+    let mut client = store.client_with_depth(1);
+    let value = vec![0x5Au8; 256];
+    let mut median_us = |write: bool| {
+        let mut rec = LatencyRecorder::new();
+        for i in 0..400u64 {
+            let start = Instant::now();
+            if write {
+                client.write(ObjectId(i % 64), &value).expect("idle write");
+            } else {
+                client.read(ObjectId(i % 64)).expect("idle read");
+            }
+            rec.record(start.elapsed());
+        }
+        rec.percentile(50.0).as_secs_f64() * 1e6
+    };
+    let (write_us, read_us) = (median_us(true), median_us(false));
+    println!(
+        "\n  idle probe (one blocking client, 256 B, median of 400): \
+         write {write_us:.0} us, read {read_us:.0} us  [host_cores = {}]",
+        host_cores()
+    );
+    drop(client);
+    store.shutdown();
 }
 
 /// The CI smoke sweep: the topology points of PR 2–5 plus one large-value

@@ -198,9 +198,29 @@ pub struct MetricsSnapshot {
     /// it.
     pub gf_kernel: &'static str,
     /// Messages received across every server shard, by protocol class
-    /// (names per [`MESSAGE_CLASSES`]; heartbeat pings last). Published at
-    /// shard idle, reset to zero by a repair (Prometheus-style).
+    /// (names per [`MESSAGE_CLASSES`]; heartbeat pings last). Published
+    /// when the shard's worker goes idle and at least every 10 ms while it
+    /// does not; reset to zero by a repair (Prometheus-style).
     pub messages_by_class: Vec<(&'static str, u64)>,
+    /// Worker threads running the deployment's server-shard automata:
+    /// `min(cores, hosted automata)` per cluster. The four `executor_*`
+    /// counters below are sums over them, published like
+    /// `messages_by_class`.
+    pub executor_workers: usize,
+    /// Automaton activations: turns in which a worker found at least one
+    /// envelope in a hosted automaton's inbox and stepped it through the
+    /// whole backlog.
+    pub executor_turns: u64,
+    /// Envelopes those turns claimed; `envelopes ÷ turns` is how many
+    /// arrivals one activation amortises.
+    pub executor_envelopes: u64,
+    /// Times a worker found every hosted inbox empty and parked.
+    pub executor_parks: u64,
+    /// Wake-ups senders actually issued (one `unpark` each). Every other
+    /// enqueue into a server inbox found its worker awake and cost one
+    /// atomic load; `wakeups ÷ operations` is the system-call share of the
+    /// message path.
+    pub executor_wakeups: u64,
     /// End-to-end write latency histogram, µs buckets (≤ 12.5 % relative
     /// error — see [`crate::obs::hist`]).
     pub write_latency: HistSnapshot,
@@ -431,6 +451,36 @@ impl MetricsSnapshot {
             "gauge",
             "Instruction-set level of the GF(2^8) coding kernels (constant 1, level in the label).",
             &[(format!("{{level=\"{}\"}}", self.gf_kernel), 1.0)],
+        );
+        family(
+            "lds_executor_workers",
+            "gauge",
+            "Worker threads running the server-shard automata.",
+            &plain(self.executor_workers as f64),
+        );
+        family(
+            "lds_executor_turns",
+            "counter",
+            "Automaton activations (turns that claimed at least one envelope).",
+            &plain(self.executor_turns as f64),
+        );
+        family(
+            "lds_executor_envelopes",
+            "counter",
+            "Envelopes claimed from server inboxes by executor turns.",
+            &plain(self.executor_envelopes as f64),
+        );
+        family(
+            "lds_executor_parks",
+            "counter",
+            "Times an executor worker found every inbox empty and parked.",
+            &plain(self.executor_parks as f64),
+        );
+        family(
+            "lds_executor_wakeups",
+            "counter",
+            "Wake-ups (unparks) senders issued to parked executor workers.",
+            &plain(self.executor_wakeups as f64),
         );
         let classes: Vec<(String, f64)> = self
             .messages_by_class
@@ -747,6 +797,11 @@ impl Admin {
             peak_round_bytes: 0,
             gf_kernel: lds_codes::gf_kernel(),
             messages_by_class: MESSAGE_CLASSES.iter().map(|&name| (name, 0u64)).collect(),
+            executor_workers: 0,
+            executor_turns: 0,
+            executor_envelopes: 0,
+            executor_parks: 0,
+            executor_wakeups: 0,
             write_latency: HistSnapshot::empty(),
             read_latency: HistSnapshot::empty(),
             phase_tag_latency: HistSnapshot::empty(),
@@ -799,6 +854,12 @@ impl Admin {
             {
                 slot.1 += count;
             }
+            let executor = cluster.executor_stats();
+            snapshot.executor_workers += executor.workers;
+            snapshot.executor_turns += executor.turns;
+            snapshot.executor_envelopes += executor.envelopes;
+            snapshot.executor_parks += executor.parks;
+            snapshot.executor_wakeups += executor.wakeups;
             let obs = cluster.obs_metrics();
             snapshot.cache_hits += obs.cache_hits.load(Ordering::Relaxed);
             snapshot.cache_misses += obs.cache_misses.load(Ordering::Relaxed);

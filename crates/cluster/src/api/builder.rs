@@ -463,6 +463,7 @@ impl StoreBuilder {
                 self.transport.clone(),
                 scope.clone(),
                 clusters.first().map(|first| first.client_numbers()),
+                None,
             )?);
         }
         let heal = self

@@ -1,0 +1,426 @@
+//! The run-to-completion executor under the server automata.
+//!
+//! An L1 or L2 server shard is a reactive automaton: everything it does is a
+//! step on receipt of one message, and a step takes well under a
+//! microsecond. Giving each one an OS thread makes almost every message a
+//! futex wake on the sending side and a futex wait on the receiving side —
+//! an order of magnitude more than the step. So a cluster runs its hosted
+//! automata as [`Task`]s on `W = min(cores, tasks)` **worker threads**:
+//!
+//! * **Placement** is fixed at install time by the cluster (a pure function
+//!   of server and shard — [`Cluster`](crate::Cluster) computes it, launch
+//!   and repair share it), so a task never migrates and its state needs no
+//!   lock. With `cores ≥ tasks` every worker hosts exactly one task: the
+//!   thread-per-shard layout this executor replaced.
+//! * A **sweep** gives every hosted task one [`Task::turn`]: claim the whole
+//!   backlog of its inbox, step the automaton through it, flush what the
+//!   steps produced. A worker that found work sweeps again.
+//! * Each worker has a **doorbell** ([`Bell`]). The router rings it after
+//!   every enqueue into an inbox the worker hosts: one atomic load while the
+//!   worker is awake, one `unpark` when it is parked. Between tasks of one
+//!   worker, and towards any busy worker, a message costs no system call.
+//! * A worker **parks** only when a sweep found nothing: it raises the
+//!   bell's `parked` flag, *then* re-checks every inbox, its install list
+//!   and the quit flag, then parks. A sender enqueues, *then* reads the
+//!   flag. Whichever of the two comes second sees the other (the inbox
+//!   check goes through the channel's lock; the flag is `SeqCst`), so no
+//!   wake-up is lost; an `unpark` that arrives before the `park` leaves a
+//!   token that makes the `park` return at once.
+//! * Going idle **publishes** the gauges of every task that took a step
+//!   since the last publish, and so does every [`PUBLISH_EVERY_MICROS`] of
+//!   uninterrupted work — a saturated worker never goes idle, and its
+//!   gauges must not freeze.
+//!
+//! There is no spin before parking: on the depth-1 idle probes it was
+//! within noise or worse.
+
+use crate::router::{Router, RouterHandle};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
+use std::time::Instant;
+
+/// The longest a worker that never goes idle runs between two publishes of
+/// its tasks' gauges.
+const PUBLISH_EVERY_MICROS: u64 = 10_000;
+
+/// What one [`Task::turn`] did.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Turn {
+    /// Envelopes claimed from the task's inbox.
+    pub(crate) envelopes: usize,
+    /// The task saw a stop request: the worker finishes and drops it.
+    pub(crate) stop: bool,
+}
+
+/// A reactive automaton hosted by a worker thread.
+pub(crate) trait Task: Send {
+    /// Claims the inbox's backlog, steps through it and flushes the produced
+    /// messages through `handle`. `now_micros` is the worker's clock for the
+    /// sweep (microseconds since cluster start). Never blocks.
+    fn turn(&mut self, now_micros: u64, handle: &mut RouterHandle) -> Turn;
+    /// Whether the inbox holds anything (the pre-park check).
+    fn has_mail(&self) -> bool;
+    /// Publishes the task's gauges if a step ran since the last publish.
+    fn publish(&mut self);
+    /// Runs once, after the turn that saw the stop request and before the
+    /// task is dropped: the last publish and the deregistration.
+    fn finish(&mut self, router: &Router);
+}
+
+/// A worker thread's doorbell (see the [module docs](self)).
+#[derive(Default)]
+pub(crate) struct Bell {
+    /// Raised by the worker before its pre-park check, lowered by whoever
+    /// wakes it (or by the worker itself when the check finds work).
+    parked: AtomicBool,
+    /// The worker's thread, attached by the worker before it first raises
+    /// `parked`.
+    thread: OnceLock<Thread>,
+    /// Times the worker parked.
+    parks: AtomicU64,
+    /// Wake-ups actually sent.
+    rings: AtomicU64,
+}
+
+impl Bell {
+    /// Called after an enqueue: wakes the worker if it is parked. The load
+    /// keeps the common case — a busy worker — free of a write to the shared
+    /// line; the swap makes exactly one of several ringers send the wake-up.
+    pub(crate) fn ring(&self) {
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
+            self.rings.fetch_add(1, Ordering::Relaxed);
+            if let Some(thread) = self.thread.get() {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// Parks the calling worker unless `has_work` — which is evaluated
+    /// *after* the flag is raised, the half of the protocol that makes a
+    /// concurrent [`Bell::ring`] unmissable. A spurious return from `park`
+    /// is harmless: the worker sweeps again.
+    fn park_unless(&self, has_work: impl FnOnce() -> bool) {
+        self.parked.store(true, Ordering::SeqCst);
+        if !has_work() {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            std::thread::park();
+        }
+        self.parked.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Held by every task of one server; see [`Finished`].
+#[derive(Clone)]
+pub(crate) struct Running {
+    _token: Sender<()>,
+}
+
+/// Resolves once every task holding a clone of the paired [`Running`] token
+/// has been dropped — which a worker does right after [`Task::finish`]. This
+/// is what "joining a server" means on the executor: repair waits on it
+/// before it re-registers a pid, or a late deregistration would remove the
+/// replacement's route.
+pub(crate) struct Finished(Receiver<()>);
+
+/// A fresh completion signal for the tasks of one server.
+pub(crate) fn completion() -> (Running, Finished) {
+    let (tx, rx) = unbounded();
+    (Running { _token: tx }, Finished(rx))
+}
+
+impl Finished {
+    /// Blocks until every [`Running`] clone is gone.
+    pub(crate) fn wait(self) {
+        // Nothing is ever sent: `recv` returns when the last sender drops.
+        let _ = self.0.recv();
+    }
+}
+
+/// The executor's own counters, summed over its workers.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ExecutorStats {
+    /// Worker threads.
+    pub(crate) workers: usize,
+    /// Task turns that claimed at least one envelope.
+    pub(crate) turns: u64,
+    /// Envelopes claimed by those turns.
+    pub(crate) envelopes: u64,
+    /// Times a worker found every inbox empty and parked.
+    pub(crate) parks: u64,
+    /// Wake-ups senders actually issued (an `unpark` each); every other
+    /// enqueue found its worker awake and paid one atomic load.
+    pub(crate) wakeups: u64,
+}
+
+/// What a worker shares with the threads that install tasks on it, ring it
+/// and read its counters.
+#[derive(Default)]
+struct Worker {
+    bell: Arc<Bell>,
+    /// Tasks waiting to be adopted at the top of the next sweep.
+    installs: Mutex<Vec<Box<dyn Task>>>,
+    quit: AtomicBool,
+    /// The worker's local counts as of its last publish.
+    turns: AtomicU64,
+    envelopes: AtomicU64,
+}
+
+impl Worker {
+    fn run(&self, router: Router, started: Instant) {
+        // Before `parked` is ever raised, so a ringer always finds it.
+        let _ = self.bell.thread.set(std::thread::current());
+        let mut handle = router.handle();
+        let mut tasks: Vec<Box<dyn Task>> = Vec::new();
+        let (mut turns, mut envelopes) = (0u64, 0u64);
+        let mut published_at = 0u64;
+        loop {
+            tasks.append(&mut self.installs.lock());
+            let now = started.elapsed().as_micros() as u64;
+            let claimed_before = envelopes;
+            tasks.retain_mut(|task| {
+                let turn = task.turn(now, &mut handle);
+                if turn.envelopes > 0 {
+                    turns += 1;
+                    envelopes += turn.envelopes as u64;
+                }
+                if turn.stop {
+                    task.finish(&router);
+                }
+                !turn.stop
+            });
+            let worked = envelopes != claimed_before;
+            if worked && now - published_at < PUBLISH_EVERY_MICROS {
+                continue;
+            }
+            for task in &mut tasks {
+                task.publish();
+            }
+            self.turns.store(turns, Ordering::Relaxed);
+            self.envelopes.store(envelopes, Ordering::Relaxed);
+            published_at = now;
+            if worked {
+                continue;
+            }
+            self.bell.park_unless(|| {
+                self.quit.load(Ordering::SeqCst)
+                    || !self.installs.lock().is_empty()
+                    || tasks.iter().any(|task| task.has_mail())
+            });
+            if self.quit.load(Ordering::SeqCst) {
+                return;
+            }
+        }
+    }
+}
+
+/// The worker threads of one cluster.
+pub(crate) struct Executor {
+    workers: Vec<Arc<Worker>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Executor {
+    /// Starts `workers` worker threads (`lds-worker-<i>`) sending through
+    /// `router`, their clocks counting from `started`.
+    pub(crate) fn start(workers: usize, router: &Router, started: Instant) -> Executor {
+        let workers: Vec<Arc<Worker>> = (0..workers).map(|_| Arc::default()).collect();
+        let threads = workers
+            .iter()
+            .enumerate()
+            .map(|(i, worker)| {
+                let (worker, router) = (Arc::clone(worker), router.clone());
+                std::thread::Builder::new()
+                    .name(format!("lds-worker-{i}"))
+                    .spawn(move || worker.run(router, started))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        Executor {
+            workers,
+            threads: Mutex::new(threads),
+        }
+    }
+
+    /// Number of worker threads.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// The doorbell of worker `worker`: every inbox of a task installed
+    /// there must ring it.
+    pub(crate) fn bell(&self, worker: usize) -> Arc<Bell> {
+        Arc::clone(&self.workers[worker].bell)
+    }
+
+    /// Hands `task` to worker `worker`, which adopts it at the top of its
+    /// next sweep and keeps it until a turn reports a stop.
+    pub(crate) fn install(&self, worker: usize, task: Box<dyn Task>) {
+        let worker = &self.workers[worker];
+        worker.installs.lock().push(task);
+        worker.bell.ring();
+    }
+
+    /// Stops and joins the worker threads, dropping whatever tasks they
+    /// still host. Idempotent.
+    pub(crate) fn shutdown(&self) {
+        for worker in &self.workers {
+            worker.quit.store(true, Ordering::SeqCst);
+            worker.bell.ring();
+        }
+        for thread in self.threads.lock().drain(..) {
+            let _ = thread.join();
+        }
+    }
+
+    /// The counters as last published (going idle, or every 10 ms of work).
+    pub(crate) fn stats(&self) -> ExecutorStats {
+        let mut stats = ExecutorStats {
+            workers: self.workers.len(),
+            ..ExecutorStats::default()
+        };
+        for worker in &self.workers {
+            stats.turns += worker.turns.load(Ordering::Relaxed);
+            stats.envelopes += worker.envelopes.load(Ordering::Relaxed);
+            stats.parks += worker.bell.parks.load(Ordering::Relaxed);
+            stats.wakeups += worker.bell.rings.load(Ordering::Relaxed);
+        }
+        stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// A task without an inbox: claims one "envelope" per turn while `busy`,
+    /// stops when told to, and reports what the worker did with it.
+    #[derive(Default)]
+    struct Probe {
+        busy: AtomicBool,
+        stop: AtomicBool,
+        publishes: AtomicUsize,
+        finished: AtomicBool,
+    }
+
+    struct ProbeTask {
+        probe: Arc<Probe>,
+        /// `finish` blocks until this yields (or disconnects).
+        gate: Option<Receiver<()>>,
+        _running: Running,
+    }
+
+    impl Task for ProbeTask {
+        fn turn(&mut self, _now_micros: u64, _handle: &mut RouterHandle) -> Turn {
+            let stop = self.probe.stop.load(Ordering::SeqCst);
+            let busy = self.probe.busy.load(Ordering::SeqCst);
+            Turn {
+                envelopes: usize::from(stop || busy),
+                stop,
+            }
+        }
+        fn has_mail(&self) -> bool {
+            self.probe.stop.load(Ordering::SeqCst) || self.probe.busy.load(Ordering::SeqCst)
+        }
+        fn publish(&mut self) {
+            self.probe.publishes.fetch_add(1, Ordering::SeqCst);
+        }
+        fn finish(&mut self, _router: &Router) {
+            if let Some(gate) = &self.gate {
+                let _ = gate.recv();
+            }
+            self.probe.finished.store(true, Ordering::SeqCst);
+        }
+    }
+
+    fn install_probe(executor: &Executor, gate: Option<Receiver<()>>) -> (Arc<Probe>, Finished) {
+        let probe = Arc::new(Probe::default());
+        let (running, finished) = completion();
+        executor.install(
+            0,
+            Box::new(ProbeTask {
+                probe: Arc::clone(&probe),
+                gate,
+                _running: running,
+            }),
+        );
+        (probe, finished)
+    }
+
+    #[test]
+    fn a_worker_that_never_goes_idle_still_publishes() {
+        let executor = Executor::start(1, &Router::new(), Instant::now());
+        let (probe, finished) = install_probe(&executor, None);
+        probe.busy.store(true, Ordering::SeqCst);
+        executor.workers[0].bell.ring();
+        // Continuous work: every turn claims an envelope, so the worker
+        // never reaches its idle publish. The 10 ms rule must publish the
+        // task's gauges and the executor's own counters regardless.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while probe.publishes.load(Ordering::SeqCst) < 3 || executor.stats().turns == 0 {
+            assert!(Instant::now() < deadline, "a busy worker never published");
+            std::thread::yield_now();
+        }
+        assert_eq!(executor.stats().parks, 0, "the worker was busy throughout");
+        probe.stop.store(true, Ordering::SeqCst);
+        finished.wait();
+        assert!(probe.finished.load(Ordering::SeqCst));
+        executor.shutdown();
+    }
+
+    #[test]
+    fn finished_resolves_only_after_finish_has_run() {
+        let executor = Executor::start(1, &Router::new(), Instant::now());
+        let (gate_tx, gate_rx) = unbounded();
+        let (probe, finished) = install_probe(&executor, Some(gate_rx));
+        probe.stop.store(true, Ordering::SeqCst);
+        executor.workers[0].bell.ring();
+        let (woken_tx, woken_rx) = unbounded();
+        let waiter = {
+            let probe = Arc::clone(&probe);
+            std::thread::spawn(move || {
+                finished.wait();
+                let _ = woken_tx.send(probe.finished.load(Ordering::SeqCst));
+            })
+        };
+        // The task is stuck inside `finish` (deregistration, in a cluster):
+        // whoever waits to re-register its pid must still be waiting.
+        assert!(
+            woken_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "Finished resolved while the task's finish was still running"
+        );
+        gate_tx.send(()).unwrap();
+        assert_eq!(
+            woken_rx.recv(),
+            Ok(true),
+            "finish ran before the waiter woke"
+        );
+        waiter.join().unwrap();
+        executor.shutdown();
+    }
+
+    #[test]
+    fn an_idle_worker_parks_and_an_install_wakes_it() {
+        let executor = Executor::start(2, &Router::new(), Instant::now());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while executor.stats().parks < 2 {
+            assert!(Instant::now() < deadline, "idle workers never parked");
+            std::thread::yield_now();
+        }
+        // Parked on an empty task list: the install's ring is the only
+        // thing that can make worker 0 adopt the task and see its stop.
+        let (probe, finished) = install_probe(&executor, None);
+        probe.stop.store(true, Ordering::SeqCst);
+        executor.workers[0].bell.ring();
+        finished.wait();
+        assert!(executor.stats().wakeups >= 1);
+        // Shutting down twice is fine (a store's shutdown may run again
+        // when tests tear down).
+        executor.shutdown();
+        executor.shutdown();
+    }
+}

@@ -6,11 +6,12 @@
 //! [`StoreBuilder::self_heal`](crate::api::StoreBuilder::self_heal)):
 //!
 //! * **Beats** — every server worker shard stamps a per-process beat slot
-//!   each time it reaches its inbox (see `run_node`). Idle shards block on
-//!   `recv()`, so the monitor *pings* every server once per
+//!   in each executor turn that claimed an envelope from *its own* inbox
+//!   (never on behalf of the worker thread's other shards). An idle shard
+//!   claims nothing, so the monitor *pings* every server once per
 //!   [`HealConfig::beat_interval`] ([`crate::router::Envelope::Ping`] —
-//!   no protocol work, no depth accounting) to force even an idle server
-//!   through its loop. A crashed server is deregistered from the router, its
+//!   no protocol work, no depth accounting): claiming the ping is the beat.
+//!   A crashed server is deregistered from the router, its
 //!   pings are dropped, and its beat goes stale — the detector needs no
 //!   extra state beyond what crash injection and repair already maintain.
 //! * **Suspicion monitor** — a thread that compares each server's beat age

@@ -12,8 +12,8 @@ use std::sync::Arc;
 /// re-evaluates each server's suspicion flag from its beat age. Runs until
 /// `stop` is raised.
 ///
-/// The ping forces even an idle (recv-blocked) server through its node loop,
-/// which is what refreshes the beat; a crashed server's pings are dropped at
+/// The ping gives even an idle server an envelope to claim, which is what
+/// refreshes the beat; a crashed server's pings are dropped at
 /// the router, so its beat ages past the threshold and it becomes suspected.
 /// A repaired replacement publishes into the same beat slot, so suspicion
 /// clears on its first wake-up — no repair-completion callback is needed.

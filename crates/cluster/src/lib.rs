@@ -8,10 +8,16 @@
 //! threads and crossbeam channels, giving a deployment with genuine
 //! concurrency and non-deterministic message interleavings:
 //!
-//! * every L1 and L2 server runs as one or more **worker shards** — threads
-//!   that own disjoint partitions of the object space (hash-routed), so
-//!   independent objects are processed in parallel inside one node
-//!   ([`ClusterOptions::l1_shards`] / [`ClusterOptions::l2_shards`]);
+//! * every L1 and L2 server runs as one or more **worker shards** —
+//!   automata that own disjoint partitions of the object space
+//!   (hash-routed), so independent objects are processed in parallel inside
+//!   one node ([`ClusterOptions::l1_shards`] /
+//!   [`ClusterOptions::l2_shards`]);
+//! * the shard automata of a cluster run **to completion on
+//!   `min(cores, shards)` worker threads**: a worker sweeps the inboxes it
+//!   hosts and parks only when all are empty, a sender rings the worker
+//!   after enqueueing — one atomic load while it is awake — so a message
+//!   between busy servers costs no system call;
 //! * message routing uses an **epoch-swapped immutable snapshot** table:
 //!   steady-state sends take no lock at all, and each node flushes its
 //!   outgoing messages as one batch per protocol step;
@@ -29,7 +35,7 @@
 //!   suspicion feeding [`api::Admin::liveness`] — and repairs itself: a
 //!   supervisor drives online repairs under a concurrency budget with
 //!   jittered exponential backoff (see the [`heal`] module);
-//! * node wake-ups flush all outgoing traffic in one pass, coalescing
+//! * a shard's turn flushes all outgoing traffic in one pass, coalescing
 //!   same-destination metadata — notably the per-write **COMMIT-TAG
 //!   broadcasts** — into one multi-message envelope per peer per flush
 //!   ([`router::Envelope::Batch`]);
@@ -108,6 +114,7 @@
 
 pub mod api;
 pub mod client;
+mod executor;
 pub mod heal;
 pub mod node;
 pub mod obs;

@@ -1,4 +1,4 @@
-//! Server node threads and the [`Cluster`] handle.
+//! Server-shard tasks and the [`Cluster`] handle.
 //!
 //! Each L1/L2 server process may run as several *worker shards*: identical
 //! automaton instances that own disjoint partitions of the object space
@@ -6,6 +6,8 @@
 //! state inside the server's per-object map, so cross-shard invariants are
 //! trivial — a shard simply never sees messages for objects it does not own
 //! — and independent objects are processed in parallel inside one node.
+//! Every hosted shard is a task of the cluster's executor (`executor.rs`):
+//! `min(cores, shards)` worker threads run them to completion.
 //!
 //! When [`ClusterOptions::inbox_cap`] is set, the cluster runs with *bounded
 //! inboxes*: every L1 object partition has an admission budget of at most
@@ -22,22 +24,22 @@
 //! a small protocol-constant multiple of the cap (asserted by the
 //! cross-shard stress tests).
 
+use crate::executor::{completion, Executor, ExecutorStats, Finished, Running, Task, Turn};
 use crate::obs::{EventKind, FlightRecorder, ObsMetrics, TraceHandle, DEFAULT_TRACE_EVENTS};
 use crate::repair::{RepairError, RepairLayer, RepairReport};
-use crate::router::{DepthGauge, Envelope, Inbox, Router};
+use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
 use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::membership::Membership;
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::params::SystemParams;
-use lds_core::server1::{L1ObsCounters, L1Options, L1Server};
-use lds_core::server2::{L2ObsCounters, L2Options, L2Server};
+use lds_core::server1::{L1Options, L1Server};
+use lds_core::server2::{L2Options, L2Server};
 use lds_core::tag::ObjectId;
 use lds_sim::{Context, Process, ProcessId, SimTime};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Cluster`].
@@ -108,7 +110,7 @@ pub struct ClusterOptions {
 /// deployments over a real-network transport (see
 /// [`TcpTransport`](crate::transport::TcpTransport)).
 ///
-/// A scoped cluster spawns worker threads only for the listed server
+/// A scoped cluster runs automata only for the listed server
 /// indices; every other pid of the shared membership lives on a peer daemon
 /// and is reached through the transport. Client (and auxiliary) process ids
 /// are allocated as `base + k·step` so they stay globally unique without
@@ -388,11 +390,12 @@ impl Admission {
     }
 }
 
-/// Occupancy numbers one server shard publishes whenever its inbox drains
-/// (so reading them never contends with the protocol hot path).
+/// Occupancy numbers one server shard publishes when its worker goes idle,
+/// and at least every 10 ms while it does not (so reading them never
+/// contends with the protocol hot path).
 ///
 /// The internals counters (assemblies, GC, message classes) follow the same
-/// idle-publish discipline: they are *absolute* values of the shard's server
+/// publish discipline: they are *absolute* values of the shard's server
 /// automaton, stored wholesale at each publish. A repaired (replacement)
 /// server starts its counters from zero — readers should treat dips as
 /// Prometheus-style counter resets.
@@ -447,11 +450,10 @@ pub struct ServerInternals {
     pub msgs_by_class: [u64; LdsMessage::NUM_CLASSES],
 }
 
-/// Per-thread observability context threaded through [`run_node`]: this
-/// shard's flight-recorder handle plus locally accumulated message-class
-/// counts, published to the shard's stats slots only when the inbox drains
-/// (the same idle-publish discipline as the occupancy gauges — counting on
-/// the hot path is a plain array increment).
+/// Per-shard observability context of a [`NodeTask`]: the shard's
+/// flight-recorder handle plus locally accumulated message-class counts,
+/// published to the shard's stats slots with the occupancy gauges (counting
+/// on the hot path is a plain array increment).
 pub(crate) struct NodeObs {
     trace: TraceHandle,
     class_counts: [u64; LdsMessage::NUM_CLASSES],
@@ -517,125 +519,93 @@ impl RepairLog {
     }
 }
 
-/// Drives one server automaton from its inbox until a stop request arrives.
-///
-/// The outgoing/events buffers are allocated once and reused for every step.
-/// Outgoing messages are flushed **once per wake-up** (the blocking message
-/// plus the entire claimed backlog): one routing-epoch check for everything,
-/// and all same-destination metadata produced by the batch — most notably
-/// the COMMIT-TAG broadcasts of every write in it — coalesces into one
-/// multi-message envelope per peer (see
-/// [`crate::router::RouterHandle::send_batch`]).
-#[allow(clippy::too_many_arguments)]
-fn run_node<P>(
-    mut process: P,
+/// One server-shard automaton as an executor [`Task`]: what the protocol needs
+/// between two steps — the automaton, its inbox, the server's beat slot — and
+/// the buffers every step reuses.
+struct NodeTask<P, F> {
+    process: P,
     pid: ProcessId,
-    router: Router,
     inbox: Inbox,
-    started: Instant,
+    /// The server's liveness beat (shared by its shards).
     beat: Arc<AtomicU64>,
-    mut obs: NodeObs,
-    mut publish: impl FnMut(&P, &mut NodeObs),
-) where
-    P: Process<LdsMessage, ProtocolEvent>,
-{
-    let mut handle = router.handle();
-    let mut outgoing: Vec<(ProcessId, LdsMessage)> = Vec::with_capacity(64);
-    let mut events: Vec<(SimTime, ProcessId, ProtocolEvent)> = Vec::new();
+    obs: NodeObs,
+    /// Stores the automaton's gauges into the shard's stats slots.
+    publish: F,
+    outgoing: Vec<(ProcessId, LdsMessage)>,
+    events: Vec<(SimTime, ProcessId, ProtocolEvent)>,
+    /// Whether anything happened since the last publish. Starts raised, so a
+    /// replacement's first publish zeroes the slots it inherits.
+    dirty: bool,
+    _running: Running,
+}
 
-    /// Processes one envelope, appending produced messages to `outgoing`
-    /// (the caller flushes). Returns `true` when a stop was requested.
-    fn consume<P: Process<LdsMessage, ProtocolEvent>>(
-        process: &mut P,
-        pid: ProcessId,
-        now: SimTime,
-        depth: &DepthGauge,
-        outgoing: &mut Vec<(ProcessId, LdsMessage)>,
-        events: &mut Vec<(SimTime, ProcessId, ProtocolEvent)>,
-        obs: &mut NodeObs,
-        envelope: Envelope,
-    ) -> bool {
-        let mut step = |from: ProcessId, msg: LdsMessage| {
+impl<P, F> Task for NodeTask<P, F>
+where
+    P: Process<LdsMessage, ProtocolEvent> + Send,
+    F: FnMut(&P, &mut NodeObs) + Send,
+{
+    /// Outgoing messages are flushed **once per turn**, after the whole
+    /// claimed backlog: one routing-epoch check for everything, and all
+    /// same-destination metadata the backlog produced — most notably the
+    /// COMMIT-TAG broadcasts of every write in it — coalesces into one
+    /// multi-message envelope per peer (see [`RouterHandle::send_batch`]).
+    fn turn(&mut self, now_micros: u64, handle: &mut RouterHandle) -> Turn {
+        // One timestamp per turn: the clock feeds event timestamps only, and
+        // a backlog is processed within microseconds.
+        let now = SimTime::new(now_micros as f64 / 1e6);
+        let NodeTask {
+            process,
+            pid,
+            inbox,
+            obs,
+            outgoing,
+            events,
+            ..
+        } = self;
+        let pid = *pid;
+        let mut step = |obs: &mut NodeObs, from: ProcessId, msg: LdsMessage| {
+            obs.count(&msg);
             let mut ctx = Context::standalone(pid, now, outgoing, events);
             process.on_message(from, msg, &mut ctx);
             // Server automata do not emit client events.
             events.clear();
         };
-        match envelope {
-            Envelope::Stop => return true,
-            // A heartbeat probe: the wake-up itself is the beat (the caller
-            // refreshes the beat timestamp each iteration); no protocol work
-            // and no depth accounting.
-            Envelope::Ping => obs.count_ping(),
-            Envelope::Protocol { from, msg } => {
-                depth.sub(1);
-                obs.count(&msg);
-                step(from, msg);
-            }
-            Envelope::Batch { from, msgs } => {
-                depth.sub(msgs.len());
-                for msg in msgs {
-                    obs.count(&msg);
-                    step(from, msg);
-                }
-            }
-        }
-        false
-    }
-
-    'run: loop {
-        // The beat timestamp proves this shard reached its inbox again: the
-        // heartbeat monitor's pings force even idle (blocked) shards through
-        // here once per interval.
-        beat.store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        // Only a shard about to block (its inbox is empty) publishes stats:
-        // the gauges walk every object's maps, which a shard with a backlog
-        // must not pay once per batch.
-        let first = match inbox.rx.try_recv() {
-            Some(e) => e,
-            None => {
-                publish(&process, &mut obs);
-                obs.publish_classes();
-                match inbox.rx.recv() {
-                    Ok(e) => e,
-                    Err(_) => break 'run,
-                }
-            }
-        };
-        // One timestamp per batch: the clock feeds event timestamps only,
-        // and a batch is processed within microseconds.
-        let now = SimTime::new(started.elapsed().as_secs_f64());
-        let mut stop = consume(
-            &mut process,
-            pid,
-            now,
-            &inbox.depth,
-            &mut outgoing,
-            &mut events,
-            &mut obs,
-            first,
-        );
-        if !stop {
-            // Drain the backlog as one batch: a single channel-lock
-            // acquisition claims every queued envelope.
-            for envelope in inbox.rx.try_iter() {
-                if consume(
-                    &mut process,
-                    pid,
-                    now,
-                    &inbox.depth,
-                    &mut outgoing,
-                    &mut events,
-                    &mut obs,
-                    envelope,
-                ) {
-                    stop = true;
+        let mut turn = Turn::default();
+        // A single channel-lock acquisition claims every queued envelope.
+        for envelope in inbox.rx.try_iter() {
+            turn.envelopes += 1;
+            match envelope {
+                Envelope::Stop => {
+                    turn.stop = true;
                     break;
                 }
+                // A heartbeat probe: claiming it is the beat; no protocol
+                // work and no depth accounting.
+                Envelope::Ping => obs.count_ping(),
+                Envelope::Protocol { from, msg } => {
+                    inbox.depth.sub(1);
+                    step(obs, from, msg);
+                }
+                Envelope::Batch { from, msgs } => {
+                    inbox.depth.sub(msgs.len());
+                    for msg in msgs {
+                        step(obs, from, msg);
+                    }
+                }
             }
         }
+        if turn.envelopes == 0 {
+            return turn;
+        }
+        // The beat proves *this* automaton's inbox is being served — the
+        // monitor's pings force even an idle one through here once per
+        // interval. A turn that claimed nothing must not stamp it: the
+        // traffic of the worker's other tasks would keep a partitioned
+        // server's beat fresh.
+        self.beat.store(now_micros, Ordering::Relaxed);
+        self.dirty = true;
         if obs.trace.enabled() {
-            for (dest, msg) in &outgoing {
+            for (dest, msg) in outgoing.iter() {
                 obs.trace.record(
                     EventKind::RouterSend,
                     msg.class_index() as u64,
@@ -645,17 +615,104 @@ fn run_node<P>(
             }
         }
         handle.send_batch(pid, outgoing.drain(..));
-        if stop {
-            break 'run;
+        turn
+    }
+
+    fn has_mail(&self) -> bool {
+        !self.inbox.rx.is_empty()
+    }
+
+    fn publish(&mut self) {
+        if std::mem::take(&mut self.dirty) {
+            (self.publish)(&self.process, &mut self.obs);
+            self.obs.publish_classes();
         }
     }
-    publish(&process, &mut obs);
-    obs.publish_classes();
-    router.deregister(pid);
+
+    fn finish(&mut self, router: &Router) {
+        self.dirty = true;
+        self.publish();
+        router.deregister(self.pid);
+    }
 }
 
-/// A running in-process LDS cluster: `n1 + n2` server processes (each split
-/// into one or more worker shard threads). A deployment is one or more of
+/// Stores the stripe-assembly counters `[opened, completed, dropped]` (both
+/// layers keep them) and, while tracing, records how far each moved since
+/// the last publish as one coarse event — the hot path is never touched.
+fn publish_assemblies(obs: &mut NodeObs, pid: ProcessId, now: [u64; 3], prev: &mut [u64; 3]) {
+    const KINDS: [EventKind; 3] = [
+        EventKind::StripeOpen,
+        EventKind::StripeComplete,
+        EventKind::StripeDrop,
+    ];
+    let NodeObs { trace, stats, .. } = obs;
+    let slots = [
+        &stats.assemblies_opened,
+        &stats.assemblies_completed,
+        &stats.assemblies_dropped,
+    ];
+    for i in 0..3 {
+        slots[i].store(now[i], Ordering::Relaxed);
+        if trace.enabled() && now[i] > prev[i] {
+            trace.record(KINDS[i], pid.0 as u64, now[i] - prev[i], 0);
+        }
+    }
+    *prev = now;
+}
+
+/// The publish step of an L1 shard: occupancy (field reads — the automaton
+/// keeps running totals) and the internals counters.
+fn l1_publisher(pid: ProcessId) -> impl FnMut(&L1Server, &mut NodeObs) + Send {
+    let mut prev_assemblies = [0; 3];
+    let (mut gc_entries, mut gc_bytes) = (0, 0);
+    move |p, obs| {
+        let c = p.obs_counters();
+        let assemblies = [
+            c.assemblies_opened,
+            c.assemblies_completed,
+            c.assembly_parts_dropped,
+        ];
+        publish_assemblies(obs, pid, assemblies, &mut prev_assemblies);
+        let NodeObs { trace, stats, .. } = obs;
+        let relaxed = Ordering::Relaxed;
+        stats.temp_bytes.store(p.temporary_storage_bytes(), relaxed);
+        stats.metadata_entries.store(p.metadata_entries(), relaxed);
+        stats
+            .peak_round_bytes
+            .store(p.pool_stats().peak_round_bytes, relaxed);
+        stats
+            .gc_evicted_entries
+            .store(c.gc_evicted_entries, relaxed);
+        stats.gc_evicted_bytes.store(c.gc_evicted_bytes, relaxed);
+        if trace.enabled() && c.gc_evicted_entries > gc_entries {
+            trace.record(
+                EventKind::GcEvict,
+                pid.0 as u64,
+                c.gc_evicted_entries - gc_entries,
+                c.gc_evicted_bytes - gc_bytes,
+            );
+        }
+        (gc_entries, gc_bytes) = (c.gc_evicted_entries, c.gc_evicted_bytes);
+    }
+}
+
+/// The publish step of an L2 shard: the internals counters.
+fn l2_publisher(pid: ProcessId) -> impl FnMut(&L2Server, &mut NodeObs) + Send {
+    let mut prev = [0; 3];
+    move |p, obs| {
+        let c = p.obs_counters();
+        let assemblies = [
+            c.assemblies_opened,
+            c.assemblies_completed,
+            c.assemblies_dropped,
+        ];
+        publish_assemblies(obs, pid, assemblies, &mut prev);
+    }
+}
+
+/// A running in-process LDS cluster: `n1 + n2` server processes, each split
+/// into one or more worker-shard automata, all run by the cluster's executor
+/// (`min(cores, automata)` worker threads). A deployment is one or more of
 /// these behind a [`StoreHandle`](crate::api::StoreHandle), which creates the
 /// clients; servers are crash-killed and regenerated *online* — restoring the
 /// failure budget — through [`Admin`](crate::api::Admin).
@@ -664,9 +721,16 @@ pub struct Cluster {
     membership: Membership,
     backend: Arc<dyn BackendCodec>,
     router: Router,
-    /// Worker-shard join handles per server process, so a single crashed
-    /// server can be joined (and replaced) without touching the others.
-    handles: Mutex<HashMap<ProcessId, Vec<JoinHandle<()>>>>,
+    /// The worker threads running every hosted server-shard automaton.
+    executor: Executor,
+    /// First executor slot of each server (indexed by pid): hosted servers
+    /// occupy consecutive slots, one per worker shard, and slot `n` runs on
+    /// worker `n mod W` — see [`Cluster::worker_of`].
+    slot_base: Vec<usize>,
+    /// Completion signal of each hosted server's current tasks, so a single
+    /// crashed server can be waited for (and replaced) without touching the
+    /// others.
+    finished: Mutex<HashMap<ProcessId, Finished>>,
     /// Servers killed via the crash-injection API and not yet repaired,
     /// with a per-pid kill generation (bumped on every kill, so a repair
     /// that races a *new* kill can tell the difference).
@@ -681,7 +745,7 @@ pub struct Cluster {
     repair_log: Mutex<RepairLog>,
     /// Per-server liveness beats, indexed by pid (`0..n1 + n2`):
     /// microseconds since [`Cluster::started`] at the last time any worker
-    /// shard of that server reached its inbox. The `Arc`s survive repair —
+    /// shard of that server claimed an envelope from its own inbox. The `Arc`s survive repair —
     /// a replacement publishes into the same slot.
     beats: Vec<Arc<AtomicU64>>,
     /// Suspicion/repair bookkeeping of the self-healing control plane,
@@ -721,234 +785,31 @@ pub struct Cluster {
     obs: Arc<ObsMetrics>,
 }
 
-/// Spawns the worker-shard threads of one L1 server (fresh or replacement).
-#[allow(clippy::too_many_arguments)]
-fn spawn_l1_shards(
-    j: usize,
-    pid: ProcessId,
-    params: SystemParams,
-    membership: &Membership,
-    backend: &Arc<dyn BackendCodec>,
-    options: &ClusterOptions,
-    router: &Router,
-    started: Instant,
-    beat: &Arc<AtomicU64>,
-    stats: &[Arc<ShardStats>],
-    recorder: &Arc<FlightRecorder>,
-    inboxes: Vec<Inbox>,
-    rebuild: Option<(usize, ProcessId)>,
-) -> Vec<JoinHandle<()>> {
-    // A fresh (or replacement) server counts as beating from the moment it
-    // spawns, so the heartbeat monitor never suspects a server for the gap
-    // between spawn and its first wake-up.
-    beat.store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-    let mut handles = Vec::with_capacity(inboxes.len());
-    for (s, inbox) in inboxes.into_iter().enumerate() {
-        let server = match rebuild {
-            None => L1Server::new(
-                j,
-                params,
-                membership.clone(),
-                Arc::clone(backend),
-                options.l1,
-            ),
-            Some((expected_dones, report_to)) => L1Server::rebuilding(
-                j,
-                params,
-                membership.clone(),
-                Arc::clone(backend),
-                options.l1,
-                expected_dones,
-                report_to,
-            ),
-        };
-        let stats = Arc::clone(&stats[s]);
-        let trace = recorder.handle();
-        let router = router.clone();
-        let beat = Arc::clone(beat);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("lds-l1-{j}.{s}"))
-                .spawn(move || {
-                    let obs = NodeObs::new(trace, Arc::clone(&stats));
-                    // Previously published internals counters, so tracing
-                    // can emit per-wake-up *deltas* as coarse events (the
-                    // hot path itself is never touched).
-                    let mut prev = L1ObsCounters::default();
-                    run_node(
-                        server,
-                        pid,
-                        router,
-                        inbox,
-                        started,
-                        beat,
-                        obs,
-                        move |p: &L1Server, obs: &mut NodeObs| {
-                            stats
-                                .temp_bytes
-                                .store(p.temporary_storage_bytes(), Ordering::Relaxed);
-                            stats
-                                .metadata_entries
-                                .store(p.metadata_entries(), Ordering::Relaxed);
-                            stats
-                                .peak_round_bytes
-                                .store(p.pool_stats().peak_round_bytes, Ordering::Relaxed);
-                            let c = p.obs_counters();
-                            stats
-                                .assemblies_opened
-                                .store(c.assemblies_opened, Ordering::Relaxed);
-                            stats
-                                .assemblies_completed
-                                .store(c.assemblies_completed, Ordering::Relaxed);
-                            stats
-                                .assemblies_dropped
-                                .store(c.assembly_parts_dropped, Ordering::Relaxed);
-                            stats
-                                .gc_evicted_entries
-                                .store(c.gc_evicted_entries, Ordering::Relaxed);
-                            stats
-                                .gc_evicted_bytes
-                                .store(c.gc_evicted_bytes, Ordering::Relaxed);
-                            if obs.trace.enabled() {
-                                let p = pid.0 as u64;
-                                let opened = c.assemblies_opened - prev.assemblies_opened;
-                                if opened > 0 {
-                                    obs.trace.record(EventKind::StripeOpen, p, opened, 0);
-                                }
-                                let done = c.assemblies_completed - prev.assemblies_completed;
-                                if done > 0 {
-                                    obs.trace.record(EventKind::StripeComplete, p, done, 0);
-                                }
-                                let dropped =
-                                    c.assembly_parts_dropped - prev.assembly_parts_dropped;
-                                if dropped > 0 {
-                                    obs.trace.record(EventKind::StripeDrop, p, dropped, 0);
-                                }
-                                let gc = c.gc_evicted_entries - prev.gc_evicted_entries;
-                                if gc > 0 {
-                                    obs.trace.record(
-                                        EventKind::GcEvict,
-                                        p,
-                                        gc,
-                                        c.gc_evicted_bytes - prev.gc_evicted_bytes,
-                                    );
-                                }
-                                prev = c;
-                            }
-                        },
-                    )
-                })
-                .expect("spawn L1 thread"),
-        );
-    }
-    handles
-}
-
-/// Spawns the worker-shard threads of one L2 server (fresh or replacement).
-#[allow(clippy::too_many_arguments)]
-fn spawn_l2_shards(
-    i: usize,
-    pid: ProcessId,
-    membership: &Membership,
-    backend: &Arc<dyn BackendCodec>,
-    options: &ClusterOptions,
-    router: &Router,
-    started: Instant,
-    beat: &Arc<AtomicU64>,
-    stats: &[Arc<ShardStats>],
-    recorder: &Arc<FlightRecorder>,
-    inboxes: Vec<Inbox>,
-    rebuild: Option<(usize, ProcessId)>,
-) -> Vec<JoinHandle<()>> {
-    beat.store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-    let mut handles = Vec::with_capacity(inboxes.len());
-    for (s, inbox) in inboxes.into_iter().enumerate() {
-        let server = match rebuild {
-            None => L2Server::with_options(i, membership.clone(), Arc::clone(backend), options.l2),
-            Some((expected_dones, report_to)) => L2Server::rebuilding(
-                i,
-                membership.clone(),
-                Arc::clone(backend),
-                options.l2,
-                expected_dones,
-                report_to,
-            ),
-        };
-        let stats = Arc::clone(&stats[s]);
-        let trace = recorder.handle();
-        let router = router.clone();
-        let beat = Arc::clone(beat);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("lds-l2-{i}.{s}"))
-                .spawn(move || {
-                    let obs = NodeObs::new(trace, Arc::clone(&stats));
-                    let mut prev = L2ObsCounters::default();
-                    run_node(
-                        server,
-                        pid,
-                        router,
-                        inbox,
-                        started,
-                        beat,
-                        obs,
-                        move |p: &L2Server, obs: &mut NodeObs| {
-                            let c = p.obs_counters();
-                            stats
-                                .assemblies_opened
-                                .store(c.assemblies_opened, Ordering::Relaxed);
-                            stats
-                                .assemblies_completed
-                                .store(c.assemblies_completed, Ordering::Relaxed);
-                            stats
-                                .assemblies_dropped
-                                .store(c.assemblies_dropped, Ordering::Relaxed);
-                            if obs.trace.enabled() {
-                                let p = pid.0 as u64;
-                                let opened = c.assemblies_opened - prev.assemblies_opened;
-                                if opened > 0 {
-                                    obs.trace.record(EventKind::StripeOpen, p, opened, 0);
-                                }
-                                let done = c.assemblies_completed - prev.assemblies_completed;
-                                if done > 0 {
-                                    obs.trace.record(EventKind::StripeComplete, p, done, 0);
-                                }
-                                let dropped = c.assemblies_dropped - prev.assemblies_dropped;
-                                if dropped > 0 {
-                                    obs.trace.record(EventKind::StripeDrop, p, dropped, 0);
-                                }
-                                prev = c;
-                            }
-                        },
-                    )
-                })
-                .expect("spawn L2 thread"),
-        );
-    }
-    handles
-}
-
 impl Cluster {
-    /// Boots every server thread of one cluster and returns the shared
-    /// handle — the engine entry point behind
-    /// [`StoreBuilder::build`](crate::api::StoreBuilder::build), which
+    /// Boots one cluster — its executor and every hosted server-shard
+    /// automaton — and returns the shared handle: the engine entry point
+    /// behind [`StoreBuilder::build`](crate::api::StoreBuilder::build), which
     /// validates everything but the backend construction surfaced here.
     ///
     /// * `fault_plan` — when present the router runs over a seeded
     ///   [`SimTransport`](crate::transport::SimTransport) instead of the
     ///   default fault-free in-process transport.
     /// * `transport` + `scope` — a *partial* cluster over an explicit
-    ///   transport: only the servers named by `scope` get worker threads
-    ///   here; the rest of the shared membership lives on peer processes
-    ///   reached through `transport`.
+    ///   transport: only the servers named by `scope` run here; the rest of
+    ///   the shared membership lives on peer processes reached through
+    ///   `transport`.
     /// * `client_numbers` — the deployment's client-number counter, for
     ///   every cluster after the first (`None` starts one at the scope's
     ///   base).
+    /// * `workers` — overrides the core count the executor is sized from
+    ///   (tests only; the builder passes `None`): the cluster runs
+    ///   `min(cores, hosted shard automata)` worker threads.
     ///
     /// # Panics
     ///
     /// Panics if a shard count is zero (the builder validates this before
     /// calling).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch(
         params: SystemParams,
         backend_kind: BackendKind,
@@ -957,6 +818,7 @@ impl Cluster {
         transport: Option<Arc<dyn crate::transport::Transport>>,
         scope: Option<HostScope>,
         client_numbers: Option<Arc<AtomicU64>>,
+        workers: Option<usize>,
     ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
         assert!(options.l1_shards > 0, "l1_shards must be at least 1");
         assert!(options.l2_shards > 0, "l2_shards must be at least 1");
@@ -967,10 +829,9 @@ impl Cluster {
         backend.warm_plans();
         let recorder = FlightRecorder::new(options.trace, options.trace_events);
         let obs = ObsMetrics::new();
-        let l1: Vec<ProcessId> = (0..params.n1()).map(ProcessId).collect();
-        let l2: Vec<ProcessId> = (params.n1()..params.n1() + params.n2())
-            .map(ProcessId)
-            .collect();
+        let (n1, n2) = (params.n1(), params.n2());
+        let l1: Vec<ProcessId> = (0..n1).map(ProcessId).collect();
+        let l2: Vec<ProcessId> = (n1..n1 + n2).map(ProcessId).collect();
         let membership = Membership::new(l1.clone(), l2.clone());
         let router = match (&transport, fault_plan) {
             (Some(transport), _) => Router::with_transport(Arc::clone(transport)),
@@ -990,11 +851,11 @@ impl Cluster {
             Some(scope) => {
                 let mut set = HashSet::new();
                 for &j in &scope.l1 {
-                    assert!(j < params.n1(), "scoped L1 index {j} out of range");
+                    assert!(j < n1, "scoped L1 index {j} out of range");
                     set.insert(l1[j]);
                 }
                 for &i in &scope.l2 {
-                    assert!(i < params.n2(), "scoped L2 index {i} out of range");
+                    assert!(i < n2, "scoped L2 index {i} out of range");
                     set.insert(l2[i]);
                 }
                 assert!(scope.client_step > 0, "client_step must be non-zero");
@@ -1003,103 +864,75 @@ impl Cluster {
         };
         let is_hosted = |pid: ProcessId| hosted.as_ref().is_none_or(|set| set.contains(&pid));
         let started = Instant::now();
-        let mut handles: HashMap<ProcessId, Vec<JoinHandle<()>>> = HashMap::new();
-        let mut l1_stats = Vec::with_capacity(params.n1());
-        let mut l2_stats = Vec::with_capacity(params.n2());
-        let mut l1_inboxes = Vec::with_capacity(params.n1());
-        let beats: Vec<Arc<AtomicU64>> = (0..params.n1() + params.n2())
-            .map(|_| Arc::new(AtomicU64::new(0)))
+        // Hosted automata take consecutive executor slots in pid order.
+        let mut tasks = 0;
+        let slot_base: Vec<usize> = (0..n1 + n2)
+            .map(|p| {
+                let base = tasks;
+                if is_hosted(ProcessId(p)) {
+                    tasks += if p < n1 {
+                        options.l1_shards
+                    } else {
+                        options.l2_shards
+                    };
+                }
+                base
+            })
             .collect();
+        let cores =
+            workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let executor = Executor::start(cores.min(tasks), &router, started);
 
-        for (j, &pid) in l1.iter().enumerate() {
-            let gauges: Vec<Arc<DepthGauge>> = (0..options.l1_shards)
-                .map(|_| Arc::new(DepthGauge::default()))
-                .collect();
-            let stats: Vec<Arc<ShardStats>> = (0..options.l1_shards)
-                .map(|_| Arc::new(ShardStats::default()))
-                .collect();
-            // Remote servers (scoped deployments) keep their stats/gauge
-            // slots — indexed by layer position everywhere — but get no
-            // inbox and no threads here.
-            if is_hosted(pid) {
-                let inboxes = router.register_sharded_with(pid, &gauges);
-                handles.insert(
-                    pid,
-                    spawn_l1_shards(
-                        j,
-                        pid,
-                        params,
-                        &membership,
-                        &backend,
-                        &options,
-                        &router,
-                        started,
-                        &beats[pid.0],
-                        &stats,
-                        &recorder,
-                        inboxes,
-                        None,
-                    ),
-                );
-            }
-            l1_stats.push(stats);
-            l1_inboxes.push(gauges);
-        }
-        for (i, &pid) in l2.iter().enumerate() {
-            let stats: Vec<Arc<ShardStats>> = (0..options.l2_shards)
-                .map(|_| Arc::new(ShardStats::default()))
-                .collect();
-            if is_hosted(pid) {
-                let inboxes = router.register_sharded(pid, options.l2_shards);
-                handles.insert(
-                    pid,
-                    spawn_l2_shards(
-                        i,
-                        pid,
-                        &membership,
-                        &backend,
-                        &options,
-                        &router,
-                        started,
-                        &beats[pid.0],
-                        &stats,
-                        &recorder,
-                        inboxes,
-                        None,
-                    ),
-                );
-            }
-            l2_stats.push(stats);
-        }
-
-        let l1_inboxes = Arc::new(l1_inboxes);
+        // Remote servers (scoped deployments) keep their stats/gauge slots —
+        // indexed by layer position everywhere — but get no inbox and no
+        // tasks here.
+        let shard_stats = |servers: usize, shards: usize| -> Vec<Vec<Arc<ShardStats>>> {
+            (0..servers)
+                .map(|_| (0..shards).map(|_| Arc::default()).collect())
+                .collect()
+        };
+        let l1_inboxes: Arc<Vec<Vec<Arc<DepthGauge>>>> = Arc::new(
+            (0..n1)
+                .map(|_| (0..options.l1_shards).map(|_| Arc::default()).collect())
+                .collect(),
+        );
         let admission = options
             .inbox_cap
             .map(|cap| Admission::new(cap, options.l1_shards, &params, Arc::clone(&l1_inboxes)));
 
-        Ok(Arc::new(Cluster {
+        let cluster = Arc::new(Cluster {
             params,
             membership,
             backend,
             router,
-            handles: Mutex::new(handles),
+            executor,
+            slot_base,
+            finished: Mutex::new(HashMap::new()),
             killed: Mutex::new(HashMap::new()),
             repairing: Mutex::new(HashSet::new()),
             repair_log: Mutex::new(RepairLog::new(options.repair_log_cap)),
-            beats,
+            beats: (0..n1 + n2).map(|_| Arc::default()).collect(),
             heal: std::sync::OnceLock::new(),
             client_numbers: client_numbers.unwrap_or_else(|| Arc::new(AtomicU64::new(client_base))),
             client_step,
             hosted,
             started,
             options,
-            l1_stats,
-            l2_stats,
+            l1_stats: shard_stats(n1, options.l1_shards),
+            l2_stats: shard_stats(n2, options.l2_shards),
             l1_inboxes,
             admission,
             recorder,
             obs,
-        }))
+        });
+        for (layer, count) in [(RepairLayer::L1, n1), (RepairLayer::L2, n2)] {
+            for index in 0..count {
+                if cluster.hosts_server(cluster.server_pid(layer, index)) {
+                    cluster.install_server(layer, index, None);
+                }
+            }
+        }
+        Ok(cluster)
     }
 
     /// The cluster's system parameters.
@@ -1339,9 +1172,10 @@ impl Cluster {
         self.backend.kind()
     }
 
-    /// Stops every server thread and waits for them to exit, then stops the
-    /// transport's background machinery (a fault-injecting transport runs a
-    /// delay pump; pending held messages are discarded).
+    /// Stops every hosted server automaton, waits for each to finish, stops
+    /// the executor's worker threads, then stops the transport's background
+    /// machinery (a fault-injecting transport runs a delay pump; pending
+    /// held messages are discarded).
     pub fn shutdown(&self) {
         for &pid in self.membership.l1.iter().chain(self.membership.l2.iter()) {
             // Scoped deployments stop only their own servers; peers own
@@ -1350,14 +1184,17 @@ impl Cluster {
                 self.router.send_stop(pid);
             }
         }
-        let mut handles = self.handles.lock();
-        for (_, server_handles) in handles.drain() {
-            for handle in server_handles {
-                let _ = handle.join();
-            }
+        let finished: Vec<Finished> = self.finished.lock().drain().map(|(_, f)| f).collect();
+        for server in finished {
+            server.wait();
         }
-        drop(handles);
+        self.executor.shutdown();
         self.router.transport().shutdown();
+    }
+
+    /// The executor's counters (see [`ExecutorStats`]), as last published.
+    pub(crate) fn executor_stats(&self) -> ExecutorStats {
+        self.executor.stats()
     }
 
     /// Counters of every fault the cluster's transport has injected so far
@@ -1370,13 +1207,15 @@ impl Cluster {
     // Crate-internal hooks for the repair coordinator (see `repair.rs`).
     // ------------------------------------------------------------------
 
-    /// Takes (and thereby claims) the join handles of one server process.
-    pub(crate) fn take_handles(&self, pid: ProcessId) -> Option<Vec<JoinHandle<()>>> {
-        self.handles.lock().remove(&pid)
-    }
-
-    pub(crate) fn store_handles(&self, pid: ProcessId, handles: Vec<JoinHandle<()>>) {
-        self.handles.lock().insert(pid, handles);
+    /// Waits until every task of server `pid`'s current incarnation has run
+    /// its [`Task::finish`] and been dropped — the executor's equivalent of
+    /// joining the server's threads. The caller must have stopped the server
+    /// (or know it was); returns at once for a server nobody is running.
+    pub(crate) fn await_server_exit(&self, pid: ProcessId) {
+        let finished = self.finished.lock().remove(&pid);
+        if let Some(finished) = finished {
+            finished.wait();
+        }
     }
 
     pub(crate) fn killed_set(&self) -> &Mutex<HashMap<ProcessId, u64>> {
@@ -1393,7 +1232,7 @@ impl Cluster {
         self.client_pid(self.alloc_client_number())
     }
 
-    /// Whether this process hosts the worker threads of server `pid`
+    /// Whether this process hosts the shard automata of server `pid`
     /// (always true on an in-process deployment; a scoped multi-daemon
     /// deployment hosts only its [`HostScope`] slice).
     pub(crate) fn hosts_server(&self, pid: ProcessId) -> bool {
@@ -1473,57 +1312,115 @@ impl Cluster {
         }
     }
 
-    /// Re-registers and respawns the killed server `pid` as a rebuilding
-    /// replacement, reusing its depth gauges and stats slots.
-    pub(crate) fn respawn_rebuilding(
+    /// The executor worker that runs shard `shard` of server `pid`: a pure
+    /// function of the two, shared by launch and repair — a replacement's
+    /// inboxes must ring the worker its tasks are installed on.
+    fn worker_of(&self, pid: ProcessId, shard: usize) -> usize {
+        (self.slot_base[pid.0] + shard) % self.executor.workers()
+    }
+
+    /// Registers server `index` of `layer` and installs its worker-shard
+    /// automata on the executor: fresh at launch; as a *rebuilding*
+    /// replacement — `rebuild` is `(expected_dones, report_to)` — for the
+    /// rejoin half of online repair, reusing the predecessor's depth gauges
+    /// and stats slots.
+    pub(crate) fn install_server(
         &self,
         layer: RepairLayer,
         index: usize,
-        expected_dones: usize,
-        report_to: ProcessId,
+        rebuild: Option<(usize, ProcessId)>,
     ) {
+        let pid = self.server_pid(layer, index);
+        let (membership, backend) = (&self.membership, &self.backend);
         match layer {
             RepairLayer::L1 => {
-                let pid = self.membership.l1[index];
-                let gauges = &self.l1_inboxes[index];
-                let inboxes = self.router.register_sharded_with(pid, gauges);
-                let handles = spawn_l1_shards(
-                    index,
-                    pid,
-                    self.params,
-                    &self.membership,
-                    &self.backend,
-                    &self.options,
-                    &self.router,
-                    self.started,
-                    &self.beats[pid.0],
-                    &self.l1_stats[index],
-                    &self.recorder,
-                    inboxes,
-                    Some((expected_dones, report_to)),
-                );
-                self.store_handles(pid, handles);
+                let (params, options) = (self.params, self.options.l1);
+                let server = || match rebuild {
+                    None => L1Server::new(
+                        index,
+                        params,
+                        membership.clone(),
+                        Arc::clone(backend),
+                        options,
+                    ),
+                    Some((expected_dones, report_to)) => L1Server::rebuilding(
+                        index,
+                        params,
+                        membership.clone(),
+                        Arc::clone(backend),
+                        options,
+                        expected_dones,
+                        report_to,
+                    ),
+                };
+                let (gauges, stats) = (&self.l1_inboxes[index], &self.l1_stats[index]);
+                self.install_shards(pid, gauges, stats, server, || l1_publisher(pid));
             }
             RepairLayer::L2 => {
-                let pid = self.membership.l2[index];
-                let inboxes = self.router.register_sharded(pid, self.options.l2_shards);
-                let handles = spawn_l2_shards(
-                    index,
-                    pid,
-                    &self.membership,
-                    &self.backend,
-                    &self.options,
-                    &self.router,
-                    self.started,
-                    &self.beats[pid.0],
-                    &self.l2_stats[index],
-                    &self.recorder,
-                    inboxes,
-                    Some((expected_dones, report_to)),
-                );
-                self.store_handles(pid, handles);
+                let options = self.options.l2;
+                let server = || match rebuild {
+                    None => L2Server::with_options(
+                        index,
+                        membership.clone(),
+                        Arc::clone(backend),
+                        options,
+                    ),
+                    Some((expected_dones, report_to)) => L2Server::rebuilding(
+                        index,
+                        membership.clone(),
+                        Arc::clone(backend),
+                        options,
+                        expected_dones,
+                        report_to,
+                    ),
+                };
+                let gauges: Vec<Arc<DepthGauge>> = (0..self.options.l2_shards)
+                    .map(|_| Arc::default())
+                    .collect();
+                let stats = &self.l2_stats[index];
+                self.install_shards(pid, &gauges, stats, server, || l2_publisher(pid));
             }
         }
+    }
+
+    /// Registers `pid` with one inbox per gauge — each ringing the worker
+    /// its shard is placed on — and installs one [`NodeTask`] per shard.
+    fn install_shards<P, F>(
+        &self,
+        pid: ProcessId,
+        gauges: &[Arc<DepthGauge>],
+        stats: &[Arc<ShardStats>],
+        automaton: impl Fn() -> P,
+        publisher: impl Fn() -> F,
+    ) where
+        P: Process<LdsMessage, ProtocolEvent> + Send,
+        F: FnMut(&P, &mut NodeObs) + Send + 'static,
+    {
+        // A fresh (or replacement) server counts as beating from the moment
+        // it is installed, so the heartbeat monitor never suspects a server
+        // for the gap between install and its first envelope.
+        let beat = &self.beats[pid.0];
+        beat.store(self.now_micros(), Ordering::Relaxed);
+        let bell_of = |s| Some(self.executor.bell(self.worker_of(pid, s)));
+        let inboxes = self.router.register_shards(pid, gauges, bell_of);
+        let (running, finished) = completion();
+        for (s, inbox) in inboxes.into_iter().enumerate() {
+            let task = NodeTask {
+                process: automaton(),
+                pid,
+                inbox,
+                beat: Arc::clone(beat),
+                obs: NodeObs::new(self.recorder.handle(), Arc::clone(&stats[s])),
+                publish: publisher(),
+                outgoing: Vec::with_capacity(64),
+                events: Vec::new(),
+                dirty: true,
+                _running: running.clone(),
+            };
+            self.executor
+                .install(self.worker_of(pid, s), Box::new(task));
+        }
+        self.finished.lock().insert(pid, finished);
     }
 }
 
@@ -1576,6 +1473,104 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(100));
         let entries = store.clusters[0].total_l1_metadata_entries();
         assert!(entries > 0, "metadata probe never published");
+        drop(client);
+        store.shutdown();
+    }
+
+    /// A one-cluster store whose executor is sized as on a `cores`-core
+    /// machine (the parameter the builder does not expose).
+    fn store_on(cores: usize, options: ClusterOptions) -> crate::api::StoreHandle {
+        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
+        let cluster = Cluster::launch(
+            params,
+            BackendKind::Mbr,
+            options,
+            None,
+            None,
+            None,
+            None,
+            Some(cores),
+        )
+        .unwrap();
+        crate::api::StoreHandle {
+            clusters: vec![cluster].into(),
+            heal: None,
+        }
+    }
+
+    #[test]
+    fn one_worker_two_workers_and_a_worker_per_task_behave_alike() {
+        let options = ClusterOptions {
+            l1_shards: 2,
+            l2_shards: 2,
+            ..ClusterOptions::default()
+        };
+        let tasks = 2 * (4 + 5);
+        for cores in [1, 2, usize::MAX] {
+            let store = store_on(cores, options);
+            let cluster = &store.clusters[0];
+            assert_eq!(cluster.executor_stats().workers, cores.min(tasks));
+            let admin = store.admin();
+            let mut client = store.client();
+            let value = |obj: u64, round: u8| vec![round ^ obj as u8; 200 + obj as usize];
+            for obj in 0..8u64 {
+                client.write(ObjectId(obj), &value(obj, 1)).unwrap();
+            }
+            admin.kill(ServerRef::l1(0)).unwrap();
+            admin.kill(ServerRef::l2(1)).unwrap();
+            for obj in 0..8u64 {
+                assert_eq!(client.read(ObjectId(obj)).unwrap(), value(obj, 1));
+                client.write(ObjectId(obj), &value(obj, 2)).unwrap();
+            }
+            admin.repair(ServerRef::l1(0)).expect("L1 repair");
+            admin.repair(ServerRef::l2(1)).expect("L2 repair");
+            // Budget restored: the replacements carry a different crash.
+            admin.kill(ServerRef::l1(2)).unwrap();
+            admin.kill(ServerRef::l2(3)).unwrap();
+            for obj in 0..8u64 {
+                assert_eq!(client.read(ObjectId(obj)).unwrap(), value(obj, 2));
+            }
+            drop(client);
+            store.shutdown();
+            assert_eq!(cluster.router().len(), 0, "cores = {cores}");
+        }
+    }
+
+    #[test]
+    fn a_crash_leaves_the_workers_other_automata_serving() {
+        // One worker hosts all nine automata.
+        let store = store_on(1, ClusterOptions::default());
+        let cluster = &store.clusters[0];
+        let admin = store.admin();
+        let mut client = store.client();
+        client.write(ObjectId(1), b"before the crash").unwrap();
+        let dead = cluster.server_pid(RepairLayer::L2, 1);
+        admin.kill(ServerRef::l2(1)).unwrap();
+        // What repair does first. Once it returns, the dead task has run its
+        // `finish`: the pid is deregistered, so re-registering it cannot be
+        // undone by a late deregistration.
+        cluster.await_server_exit(dead);
+        assert!(!cluster.router().contains(dead));
+        // Its eight co-tenants never noticed.
+        client.write(ObjectId(2), b"during the outage").unwrap();
+        assert_eq!(client.read(ObjectId(1)).unwrap(), b"before the crash");
+        // The replacement is installed on the running worker and goes live.
+        admin.repair(ServerRef::l2(1)).expect("repair succeeds");
+        assert!(cluster.router().contains(dead));
+        assert_eq!(cluster.executor_stats().workers, 1);
+        admin.kill(ServerRef::l2(3)).unwrap();
+        client.write(ObjectId(3), b"after the repair").unwrap();
+        for (obj, value) in [
+            (1, &b"before the crash"[..]),
+            (2, b"during the outage"),
+            (3, b"after the repair"),
+        ] {
+            assert_eq!(client.read(ObjectId(obj)).unwrap(), value);
+        }
+        assert!(
+            cluster.router().contains(dead),
+            "the replacement's route survived"
+        );
         drop(client);
         store.shutdown();
     }

@@ -7,9 +7,10 @@
 //! [`Admin::repair`](crate::api::Admin::repair), or the self-healing
 //! supervisor) drives the handover:
 //!
-//! 1. **Join** the dead server's worker threads. Every one of them has
-//!    deregistered the process id on exit, so all stale routing state is
-//!    retired before the replacement appears.
+//! 1. **Wait** for the dead server's shard tasks to finish on their
+//!    executor workers. Every one of them deregisters the process id as it
+//!    finishes, so all stale routing state is retired before the
+//!    replacement appears.
 //! 2. **Rejoin**: a fresh automaton in *rebuilding mode* re-registers under
 //!    the same process id — an epoch-bumped inbox swap, so router handles
 //!    whose snapshot predates the crash drop their sends (disconnected old
@@ -160,7 +161,7 @@ impl std::error::Error for RepairError {}
 /// ever clears the killed state, so re-reading it after the claim is
 /// authoritative — a racer that loses the claim and retries after the
 /// winner finished sees the server live and backs off, instead of
-/// "repairing" (and wedging on the worker threads of) a healthy server.
+/// "repairing" (and wedging on the running tasks of) a healthy server.
 struct RepairClaim<'a> {
     cluster: &'a Cluster,
     pid: ProcessId,
@@ -230,14 +231,9 @@ pub(crate) fn repair_server(
     let _claim = RepairClaim::acquire(cluster, pid)?;
     let started = Instant::now();
 
-    // 1. Join the dead server's shard threads: every deregister (and any
-    //    straggling sends into the dying inboxes) completes before the
-    //    replacement re-registers the pid.
-    if let Some(handles) = cluster.take_handles(pid) {
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
+    // 1. Wait for the dead server's shard tasks to finish: every deregister
+    //    completes before the replacement re-registers the pid.
+    cluster.await_server_exit(pid);
 
     // 2. Determine the live helper set.
     let helpers: Vec<ProcessId> = {
@@ -276,7 +272,7 @@ pub(crate) fn repair_server(
     let coordinator = cluster.alloc_aux_pid();
     let inbox = cluster.router().register(coordinator);
     let expected_dones = helpers.len() * shards;
-    cluster.respawn_rebuilding(layer, index, expected_dones, coordinator);
+    cluster.install_server(layer, index, Some((expected_dones, coordinator)));
 
     // 4. Ask every live peer for help (fan-out to each of its shards).
     for &helper in &helpers {
@@ -347,11 +343,7 @@ pub(crate) fn repair_server(
         // The repair stalled (e.g. a helper died mid-stream): return the
         // target to the crashed state so the caller can retry later.
         cluster.router().send_stop(pid);
-        if let Some(handles) = cluster.take_handles(pid) {
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
+        cluster.await_server_exit(pid);
         return Err(RepairError::Timeout);
     }
 

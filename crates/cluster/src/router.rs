@@ -29,8 +29,9 @@
 //!   probes; the channels themselves stay unbounded so server-to-server
 //!   traffic can never deadlock on a full peer inbox.
 
+use crate::executor::Bell;
 use crate::transport::{Decision, InProcTransport, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use lds_core::messages::LdsMessage;
 use lds_core::tag::ObjectId;
 use lds_sim::ProcessId;
@@ -60,11 +61,11 @@ pub enum Envelope {
         /// The messages, in send order. All route to the same worker shard.
         msgs: Vec<LdsMessage>,
     },
-    /// Ask the receiving node thread to stop (used for shutdown and for
-    /// simulating crash failures).
+    /// Ask the receiving server task (or client) to stop (used for shutdown
+    /// and for simulating crash failures).
     Stop,
     /// A liveness probe from the heartbeat monitor (see the `heal` module):
-    /// wakes a blocked node thread so it refreshes its beat timestamp.
+    /// gives an idle server shard an envelope to claim, which stamps its beat.
     /// Carries no protocol payload, steps no automaton, and is not counted
     /// by the inbox depth gauges.
     Ping,
@@ -143,6 +144,24 @@ pub struct Inbox {
 struct ShardInbox {
     tx: Sender<Envelope>,
     depth: Arc<DepthGauge>,
+    /// The doorbell of the executor worker hosting the shard. Inboxes whose
+    /// owner blocks on the channel itself (clients, repair coordinators)
+    /// have none.
+    bell: Option<Arc<Bell>>,
+}
+
+impl ShardInbox {
+    /// Enqueues `envelope`, then rings the hosting worker — in that order,
+    /// the sender's half of the executor's park protocol. Every enqueue into
+    /// a server inbox goes through here: one that does not ring can leave
+    /// its worker parked on a non-empty inbox.
+    fn send(&self, envelope: Envelope) -> Result<(), SendError<Envelope>> {
+        self.tx.send(envelope)?;
+        if let Some(bell) = &self.bell {
+            bell.ring();
+        }
+        Ok(())
+    }
 }
 
 /// The inboxes of one destination process: one sender per worker shard.
@@ -186,7 +205,7 @@ impl DirectSender {
             let snapshot = Arc::clone(&shared.table.lock());
             if let Some(route) = snapshot.get(&to) {
                 for shard in route.shards.iter() {
-                    let _ = shard.tx.send(Envelope::Ping);
+                    let _ = shard.send(Envelope::Ping);
                 }
             }
         }
@@ -209,8 +228,8 @@ pub fn shard_of(obj: ObjectId, shards: usize) -> usize {
 
 /// Routes envelopes to per-process inboxes.
 ///
-/// The router is shared by all node threads and clients; registration happens
-/// before threads start, but clients may also register later (each client
+/// The router is shared by all executor workers and clients; servers register
+/// as they are installed, and clients may also register later (each client
 /// gets its own inbox). Hot-path sends go through [`Router::handle`].
 #[derive(Clone)]
 pub struct Router {
@@ -309,15 +328,27 @@ impl Router {
     ///
     /// Panics if `gauges` is empty.
     pub fn register_sharded_with(&self, pid: ProcessId, gauges: &[Arc<DepthGauge>]) -> Vec<Inbox> {
+        self.register_shards(pid, gauges, |_| None)
+    }
+
+    /// [`Router::register_sharded_with`] for inboxes drained by executor
+    /// tasks: every send into shard `s` rings `bell_of(s)` after enqueueing.
+    pub(crate) fn register_shards(
+        &self,
+        pid: ProcessId,
+        gauges: &[Arc<DepthGauge>],
+        bell_of: impl Fn(usize) -> Option<Arc<Bell>>,
+    ) -> Vec<Inbox> {
         assert!(!gauges.is_empty(), "a process needs at least one shard");
         let mut senders = Vec::with_capacity(gauges.len());
         let mut inboxes = Vec::with_capacity(gauges.len());
-        for depth in gauges {
+        for (s, depth) in gauges.iter().enumerate() {
             depth.reset();
             let (tx, rx) = unbounded();
             senders.push(ShardInbox {
                 tx,
                 depth: Arc::clone(depth),
+                bell: bell_of(s),
             });
             inboxes.push(Inbox {
                 rx,
@@ -349,7 +380,12 @@ impl Router {
             table.insert(
                 pid,
                 Route {
-                    shards: vec![ShardInbox { tx, depth }].into(),
+                    shards: vec![ShardInbox {
+                        tx,
+                        depth,
+                        bell: None,
+                    }]
+                    .into(),
                 },
             );
         });
@@ -385,7 +421,7 @@ impl Router {
         let snapshot = Arc::clone(&self.shared.table.lock());
         if let Some(route) = snapshot.get(&to) {
             for shard in route.shards.iter() {
-                let _ = shard.tx.send(Envelope::Stop);
+                let _ = shard.send(Envelope::Stop);
             }
         }
     }
@@ -410,7 +446,7 @@ impl Router {
         let snapshot = Arc::clone(&self.shared.table.lock());
         if let Some(route) = snapshot.get(&to) {
             for shard in route.shards.iter() {
-                let _ = shard.tx.send(Envelope::Ping);
+                let _ = shard.send(Envelope::Ping);
             }
         }
     }
@@ -478,7 +514,6 @@ impl RouterHandle {
                 for shard in route.shards.iter() {
                     shard.depth.add(1);
                     if shard
-                        .tx
                         .send(Envelope::Protocol {
                             from,
                             msg: msg.clone(),
@@ -492,7 +527,7 @@ impl RouterHandle {
             }
             let shard = &route.shards[shard_of(msg.object(), route.shards.len())];
             shard.depth.add(1);
-            if shard.tx.send(Envelope::Protocol { from, msg }).is_err() {
+            if shard.send(Envelope::Protocol { from, msg }).is_err() {
                 shard.depth.sub(1);
             }
         }
@@ -532,8 +567,8 @@ impl RouterHandle {
     }
 
     /// Sends a batch of protocol messages, checking the routing epoch once
-    /// for the whole batch. This is what node threads use to flush the
-    /// outgoing buffer of one wake-up.
+    /// for the whole batch. This is what server tasks use to flush the
+    /// outgoing buffer of one turn.
     ///
     /// Metadata messages ([`LdsMessage::is_metadata`]) are grouped by
     /// destination worker shard — preserving their relative send order — and
@@ -607,7 +642,7 @@ impl RouterHandle {
             if group.len() == 1 {
                 let msg = group.pop().expect("singleton group");
                 shard.depth.add(1);
-                if shard.tx.send(Envelope::Protocol { from, msg }).is_err() {
+                if shard.send(Envelope::Protocol { from, msg }).is_err() {
                     shard.depth.sub(1);
                 }
                 if self.vec_pool.len() < VEC_POOL_LIMIT {
@@ -616,11 +651,7 @@ impl RouterHandle {
             } else {
                 let n = group.len();
                 shard.depth.add(n);
-                if shard
-                    .tx
-                    .send(Envelope::Batch { from, msgs: group })
-                    .is_err()
-                {
+                if shard.send(Envelope::Batch { from, msgs: group }).is_err() {
                     shard.depth.sub(n);
                 }
             }

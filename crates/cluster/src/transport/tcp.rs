@@ -5,7 +5,7 @@
 //! and fault-injection transports:
 //!
 //! ```text
-//!               sender thread (node loop / client)
+//!               sender thread (executor worker / client)
 //!                         │ take_remote(from, to, msg)   (msg is moved)
 //!                         ▼
 //!    local pid? ──yes──► handed back, routed to the in-process inbox

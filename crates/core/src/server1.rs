@@ -195,6 +195,17 @@ impl ObjectState {
             + self.regen.len()
     }
 
+    /// What this object contributes to the server's running totals:
+    /// `(temporary value bytes, metadata entries)`.
+    fn footprint(&self) -> (usize, usize) {
+        let bytes = self
+            .list
+            .values()
+            .filter_map(|v| v.as_ref().map(Value::len))
+            .sum();
+        (bytes, self.metadata_entries())
+    }
+
     /// The highest tag strictly below `below` whose value is still present.
     fn latest_value_below(&self, below: Tag) -> Option<(Tag, Value)> {
         self.list
@@ -311,6 +322,11 @@ pub struct L1Server {
     backend: Arc<dyn BackendCodec>,
     options: L1Options,
     objects: HashMap<ObjectId, ObjectState>,
+    /// Running totals of [`ObjectState::footprint`] over `objects`
+    /// (temporary value bytes, metadata entries), kept by
+    /// [`Process::on_message`]: the hosting runtime reads them every time a
+    /// server goes idle, which must not cost a walk over every object.
+    totals: (usize, usize),
     /// In-progress chunk-striped writes, keyed by object then tag.
     stripes: HashMap<ObjectId, BTreeMap<Tag, StripeAssembly>>,
     /// Buffer pool for the striped `write-to-L2` encode path. The `n2`
@@ -351,6 +367,7 @@ impl L1Server {
             backend,
             options,
             objects: HashMap::new(),
+            totals: (0, 0),
             stripes: HashMap::new(),
             pool: BufPool::new(),
             obs: L1ObsCounters::default(),
@@ -405,11 +422,19 @@ impl L1Server {
     /// Total bytes of values currently held in temporary storage across all
     /// objects (the paper's L1 storage cost, un-normalised).
     pub fn temporary_storage_bytes(&self) -> usize {
+        debug_assert_eq!(self.totals, self.recounted_totals());
+        self.totals.0
+    }
+
+    /// The full walk the running totals replace: every object's footprint,
+    /// summed. Recomputes the totals after the steps that touch every
+    /// object; otherwise the oracle the totals are checked against in tests
+    /// and debug builds.
+    fn recounted_totals(&self) -> (usize, usize) {
         self.objects
             .values()
-            .flat_map(|s| s.list.values())
-            .filter_map(|v| v.as_ref().map(Value::len))
-            .sum()
+            .map(ObjectState::footprint)
+            .fold((0, 0), |(b, e), (db, de)| (b + db, e + de))
     }
 
     /// Number of (tag, value) entries whose value is still present, across
@@ -435,10 +460,8 @@ impl L1Server {
     /// — not to the total number of operations ever performed. The cluster
     /// stress tests assert exactly that bound over sustained runs.
     pub fn metadata_entries(&self) -> usize {
-        self.objects
-            .values()
-            .map(ObjectState::metadata_entries)
-            .sum()
+        debug_assert_eq!(self.totals, self.recounted_totals());
+        self.totals.1
     }
 
     /// Number of stripe parts currently buffered in incomplete striped-write
@@ -1194,6 +1217,33 @@ impl Process<LdsMessage, ProtocolEvent> for L1Server {
         {
             return;
         }
+        // Keep the running totals: a step changes the footprint of its
+        // message's object only — except the process-addressed repair
+        // messages (a finalising rebuild commits every reconstructed
+        // object), after which everything is recounted.
+        if msg.fanout() {
+            self.step(from, msg, ctx);
+            self.totals = self.recounted_totals();
+        } else {
+            let obj = msg.object();
+            let footprint = |s: &Self| s.objects.get(&obj).map_or((0, 0), ObjectState::footprint);
+            let before = footprint(self);
+            self.step(from, msg, ctx);
+            let after = footprint(self);
+            self.totals.0 = self.totals.0 + after.0 - before.0;
+            self.totals.1 = self.totals.1 + after.1 - before.1;
+        }
+    }
+}
+
+impl L1Server {
+    /// One protocol step: the action the paper's automaton takes on `msg`.
+    fn step(
+        &mut self,
+        from: ProcessId,
+        msg: LdsMessage,
+        ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
+    ) {
         match msg {
             LdsMessage::QueryTag { obj, op } => self.on_query_tag(from, obj, op, ctx),
             LdsMessage::PutData {
@@ -2244,5 +2294,195 @@ mod tests {
         }
         assert_eq!(s.committed_tag(ObjectId(7)), t);
         assert_eq!(s.committed_tag(ObjectId(8)), Tag::initial());
+    }
+
+    /// The running totals behind `temporary_storage_bytes` /
+    /// `metadata_entries` against the full walk, after every step of random
+    /// executions of a whole deployment.
+    mod running_totals {
+        use super::*;
+        use crate::{ClientId, L2Server, ReaderClient, WriterClient};
+        use proptest::prelude::*;
+
+        const N1: usize = 4;
+        const OBJECTS: usize = 8;
+        /// Writers at pids 9 and 10 (the second one stripes), readers at 11
+        /// and 12, a repair coordinator nobody hosts at 13.
+        const WRITERS: usize = 9;
+        const READERS: usize = 11;
+        const COORDINATOR: ProcessId = ProcessId(13);
+
+        fn options() -> L1Options {
+            L1Options {
+                stripe_threshold: 16,
+                stripe_size: 8,
+                ..L1Options::default()
+            }
+        }
+
+        /// Bare automata and the messages in flight between them.
+        struct Net {
+            l1: Vec<L1Server>,
+            l2: Vec<L2Server>,
+            writers: Vec<WriterClient>,
+            readers: Vec<ReaderClient>,
+            pending: Vec<(ProcessId, ProcessId, LdsMessage)>,
+            /// L1 steps whose totals were compared with the walk.
+            checked: usize,
+        }
+
+        impl Net {
+            fn new() -> Net {
+                let (params, membership, backend) = setup();
+                let mut writers: Vec<WriterClient> = (1..=2)
+                    .map(|c| WriterClient::new(ClientId(c), params, membership.clone()))
+                    .collect();
+                writers[1].set_striping(16, 8);
+                Net {
+                    l1: (0..N1)
+                        .map(|j| {
+                            L1Server::new(j, params, membership.clone(), backend.clone(), options())
+                        })
+                        .collect(),
+                    l2: (0..params.n2())
+                        .map(|i| L2Server::new(i, membership.clone(), backend.clone()))
+                        .collect(),
+                    writers,
+                    readers: (3..=4)
+                        .map(|c| {
+                            ReaderClient::new(
+                                ClientId(c),
+                                params,
+                                membership.clone(),
+                                backend.clone(),
+                            )
+                        })
+                        .collect(),
+                    pending: Vec::new(),
+                    checked: 0,
+                }
+            }
+
+            /// Invokes an operation chosen by `choice`, unless its client is
+            /// still busy on the object.
+            fn invoke(&mut self, choice: usize) {
+                let obj = ObjectId((choice / 4 % OBJECTS) as u64);
+                let client = choice % 4;
+                let (busy, msg) = if client < 2 {
+                    let value = Value::new(vec![choice as u8; choice / 64 % 40]);
+                    (
+                        self.writers[client].is_object_busy(obj),
+                        LdsMessage::InvokeWrite { obj, value },
+                    )
+                } else {
+                    (
+                        self.readers[client - 2].is_object_busy(obj),
+                        LdsMessage::InvokeRead { obj },
+                    )
+                };
+                if !busy {
+                    let to = ProcessId(WRITERS + client);
+                    self.pending.push((ProcessId::EXTERNAL, to, msg));
+                    self.deliver(self.pending.len() - 1);
+                }
+            }
+
+            /// Delivers the oldest message of the channel `pending[k]` is on
+            /// (channels are FIFO, as in the cluster runtime) and checks the
+            /// totals of the L1 server that took the step.
+            fn deliver(&mut self, k: usize) {
+                let (from, to) = (self.pending[k].0, self.pending[k].1);
+                let first = self
+                    .pending
+                    .iter()
+                    .position(|(f, t, _)| (*f, *t) == (from, to))
+                    .expect("pending[k] is on that channel");
+                let (_, _, msg) = self.pending.remove(first);
+                let (mut outgoing, mut events) = (Vec::new(), Vec::new());
+                let mut ctx =
+                    Context::standalone(to, lds_sim::SimTime::ZERO, &mut outgoing, &mut events);
+                match to.0 {
+                    j if j < N1 => {
+                        let server = &mut self.l1[j];
+                        server.on_message(from, msg, &mut ctx);
+                        assert_eq!(server.totals, server.recounted_totals(), "L1 {j}");
+                        self.checked += 1;
+                    }
+                    i if i < WRITERS => self.l2[i - N1].on_message(from, msg, &mut ctx),
+                    w if w < READERS => self.writers[w - WRITERS].on_message(from, msg, &mut ctx),
+                    r if r < COORDINATOR.0 => {
+                        self.readers[r - READERS].on_message(from, msg, &mut ctx)
+                    }
+                    _ => {} // the coordinator's completion report
+                }
+                self.pending
+                    .extend(outgoing.into_iter().map(|(dest, m)| (to, dest, m)));
+            }
+
+            /// Crashes L1 server `j` — its state and the messages on their
+            /// way to it are lost — and starts its rebuilding replacement.
+            fn crash_and_rebuild(&mut self, j: usize) {
+                let (params, membership, backend) = setup();
+                self.pending.retain(|(_, to, _)| *to != ProcessId(j));
+                self.l1[j] = L1Server::rebuilding(
+                    j,
+                    params,
+                    membership,
+                    backend,
+                    options(),
+                    N1 - 1,
+                    COORDINATOR,
+                );
+                for helper in (0..N1).filter(|&h| h != j) {
+                    let help = LdsMessage::RepairHelp {
+                        obj: ObjectId(0),
+                        failed: ProcessId(j),
+                    };
+                    self.pending.push((COORDINATOR, ProcessId(helper), help));
+                }
+            }
+
+            fn settle(&mut self) {
+                while !self.pending.is_empty() {
+                    self.deliver(0);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Writes (monolithic and striped), reads served from L1 and
+            /// regenerated from L2, and one crash with a rebuild from
+            /// `RepairHelp` / `RepairShare` / `RepairDone`, interleaved at
+            /// random.
+            #[test]
+            fn totals_match_the_full_walk_after_every_step(
+                choices in proptest::collection::vec(any::<u32>(), 400..900),
+                crash_at in 150usize..400,
+                crashed in 0usize..N1,
+            ) {
+                let mut net = Net::new();
+                for (n, choice) in choices.into_iter().enumerate() {
+                    let choice = choice as usize;
+                    if n == crash_at {
+                        net.crash_and_rebuild(crashed);
+                    } else if choice.is_multiple_of(5) || net.pending.is_empty() {
+                        net.invoke(choice / 5);
+                    } else {
+                        net.deliver(choice / 5 % net.pending.len());
+                    }
+                }
+                net.settle();
+                prop_assert!(!net.l1[crashed].is_rebuilding(), "the rebuild finished");
+                // Everything is offloaded by now: these reads are cold.
+                for obj in 0..OBJECTS {
+                    net.invoke(2 + 4 * obj);
+                }
+                net.settle();
+                prop_assert!(net.checked > 200, "only {} L1 steps", net.checked);
+                prop_assert!(net.l1.iter().all(|s| s.metadata_entries() > 0));
+            }
+        }
     }
 }

@@ -181,6 +181,18 @@ pub mod channel {
                 .pop_front()
         }
 
+        /// Whether the channel holds no message right now (matches the
+        /// `crossbeam` API). Goes through the queue lock, so a check that
+        /// follows a store on the calling thread is ordered after every
+        /// `send` whose message it does not see.
+        pub fn is_empty(&self) -> bool {
+            self.inner
+                .queue
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .is_empty()
+        }
+
         /// An iterator over the messages that are in the channel right now;
         /// never blocks. The whole backlog is claimed under one lock, so
         /// draining N messages costs one lock acquisition instead of N
@@ -297,6 +309,16 @@ mod tests {
         let rest: Vec<i32> = rx.try_iter().collect();
         assert_eq!(rest, vec![2, 3, 4, 5]);
         assert!(rx.try_iter().next().is_none());
+    }
+
+    #[test]
+    fn is_empty_follows_sends_and_claims() {
+        let (tx, rx) = unbounded();
+        assert!(rx.is_empty());
+        tx.send(1).unwrap();
+        assert!(!rx.is_empty());
+        assert_eq!(rx.try_iter().count(), 1);
+        assert!(rx.is_empty());
     }
 
     #[test]

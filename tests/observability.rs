@@ -128,3 +128,112 @@ fn flight_recorder_traces_ops_when_on_and_stays_empty_when_off() {
     assert!(store.admin().trace_dump().is_empty());
     store.shutdown();
 }
+
+/// Total of the per-class message counters, as published.
+fn messages_total(m: &lds_cluster::MetricsSnapshot) -> u64 {
+    m.messages_by_class.iter().map(|(_, count)| count).sum()
+}
+
+#[test]
+fn gauges_keep_advancing_while_one_object_is_saturated() {
+    let store = StoreBuilder::new().build().unwrap();
+    let admin = store.admin();
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let load = {
+        let (store, stop) = (store.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut client = store.client();
+            let mut ops = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                client.write(ObjectId(7), &ops.to_le_bytes()).unwrap();
+                client.read(ObjectId(7)).unwrap();
+                ops += 2;
+            }
+            ops
+        })
+    };
+    // Sampled mid-run, 50 ms apart: the servers publish when their worker
+    // goes idle and at least every 10 ms while it does not, so every sample
+    // has moved on from the previous one.
+    let mut last = 0;
+    for sample in 0..5 {
+        std::thread::sleep(Duration::from_millis(50));
+        let total = messages_total(&admin.metrics());
+        assert!(total > last, "sample {sample}: {total} after {last}");
+        last = total;
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let ops = load.join().unwrap();
+    // A write is 96 messages at the servers, a read of an offloaded value 64.
+    assert!(
+        last <= ops * 96,
+        "{last} messages counted for {ops} operations"
+    );
+    store.shutdown();
+}
+
+#[test]
+fn executor_counters_show_batched_turns_and_rare_parks() {
+    let store = StoreBuilder::new().high_throughput(2).build().unwrap();
+    let admin = store.admin();
+    let before = admin.metrics();
+    assert_eq!(
+        before.executor_workers,
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(18),
+        "min(cores, 9 servers x 2 shards)"
+    );
+    // Closed loop, depth 8, 2400 operations over 64 objects.
+    let mut client = store.client_with_depth(8);
+    let mut completed = 0usize;
+    for op in 0..2400u64 {
+        let obj = ObjectId(op * 7 % 64);
+        if op % 2 == 0 {
+            client.submit_write(obj, &[op as u8; 256]);
+        } else {
+            client.submit_read(obj);
+        }
+        while client.in_flight() >= 8 {
+            completed += client.wait_next().unwrap().len();
+        }
+    }
+    completed += client.wait_all().unwrap().len();
+    assert_eq!(completed, 2400);
+    drop(client);
+    // The executor's counters publish like the gauges; the deployment is
+    // going idle, so wait for them to settle.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut m = admin.metrics();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let next = admin.metrics();
+        let settled = next.executor_envelopes == m.executor_envelopes;
+        m = next;
+        if (settled && m.executor_envelopes > 0) || Instant::now() >= deadline {
+            break;
+        }
+    }
+    let (turns, envelopes) = (m.executor_turns, m.executor_envelopes);
+    let parks = m.executor_parks - before.executor_parks;
+    assert!(
+        turns > 0 && envelopes > turns,
+        "{envelopes} envelopes in {turns} turns"
+    );
+    assert!(
+        (parks as f64) < 2.0 * completed as f64,
+        "{parks} parks for {completed} operations"
+    );
+    assert!(
+        m.executor_wakeups > 0,
+        "the first submit found its worker parked"
+    );
+    let text = m.to_prometheus();
+    for family in ["workers", "turns", "envelopes", "parks", "wakeups"] {
+        assert!(
+            text.contains(&format!("# TYPE lds_executor_{family} ")),
+            "{family}"
+        );
+    }
+    store.shutdown();
+}
