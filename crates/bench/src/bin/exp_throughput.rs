@@ -40,6 +40,7 @@
 use lds_bench::{fmt3, host_cores, print_table, today_utc, SCHEMA_VERSION};
 use lds_cluster::api::{ObjectId, Store, StoreBuilder};
 use lds_core::backend::BackendKind;
+use lds_core::Profile;
 use lds_workload::throughput::{LatencyRecorder, ThroughputSummary};
 use lds_workload::{ValueGenerator, ZipfianGenerator};
 use std::time::{Duration, Instant};
@@ -52,23 +53,11 @@ const STRIPE_THRESHOLD: usize = 1 << 20;
 /// points.
 const READ_CACHE_ENTRIES: usize = 32;
 
-/// Protocol-cost profile of a sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Profile {
-    /// Paper-faithful message flow (relayed broadcast, every server
-    /// offloads, values gc'ed after offload, L2 acks on).
-    Faithful,
-    /// [`StoreBuilder::high_throughput`]: every protocol-cost knob flipped
-    /// towards fewer messages per operation.
-    Tuned,
-}
-
-impl Profile {
-    fn label(self) -> &'static str {
-        match self {
-            Profile::Faithful => "faithful",
-            Profile::Tuned => "tuned",
-        }
+/// The `profile` column of the recorded rows.
+fn profile_label(profile: Profile) -> &'static str {
+    match profile {
+        Profile::PaperFaithful => "faithful",
+        Profile::HighThroughput => "tuned",
     }
 }
 
@@ -91,7 +80,7 @@ impl Config {
         self.depth == 1
             && self.shards == 1
             && self.clusters == 1
-            && self.profile == Profile::Faithful
+            && self.profile == Profile::PaperFaithful
     }
 }
 
@@ -220,7 +209,7 @@ fn main() {
              phases(tag/data/commit p50us)={}/{}/{}",
             point.axis,
             point.cfg.backend.to_string(),
-            point.cfg.profile.label(),
+            profile_label(point.cfg.profile),
             point.cfg.clients,
             point.cfg.depth,
             point.cfg.shards,
@@ -281,7 +270,7 @@ fn run_objects_axis(ops_override: Option<usize>) {
         depth: 8,
         shards: 2,
         clusters: 1,
-        profile: Profile::Tuned,
+        profile: Profile::HighThroughput,
     };
     let mut rows = Vec::new();
     let mut reference = None;
@@ -361,7 +350,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
                 depth: 1,
                 shards: 1,
                 clusters: 1,
-                profile: Profile::Faithful,
+                profile: Profile::PaperFaithful,
             },
             wl,
         });
@@ -373,7 +362,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
                 depth: 4,
                 shards: 2,
                 clusters: 1,
-                profile: Profile::Tuned,
+                profile: Profile::HighThroughput,
             },
             wl,
         });
@@ -387,7 +376,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
                 depth: 4,
                 shards: 2,
                 clusters: multi_clusters.max(2),
-                profile: Profile::Tuned,
+                profile: Profile::HighThroughput,
             },
             wl,
         });
@@ -402,7 +391,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             depth: 2,
             shards: 1,
             clusters: 1,
-            profile: Profile::Tuned,
+            profile: Profile::HighThroughput,
         },
         wl: Workload {
             stripe: true,
@@ -418,7 +407,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             depth: 4,
             shards: 2,
             clusters: 1,
-            profile: Profile::Tuned,
+            profile: Profile::HighThroughput,
         },
         wl: Workload {
             theta: 0.99,
@@ -442,23 +431,23 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         BackendKind::ProductMatrixMsr,
         BackendKind::Replication,
     ] {
-        use Profile::*;
+        use Profile::{HighThroughput, PaperFaithful};
         for (clients, depth, shards, clusters, profile) in [
             // Single-in-flight references: one blocking op at a time.
-            (1, 1, 1, 1, Faithful),
-            (4, 1, 1, 1, Faithful), // <- the baseline speedups compare against
+            (1, 1, 1, 1, PaperFaithful),
+            (4, 1, 1, 1, PaperFaithful), // <- the baseline speedups compare against
             // Pipelining and sharding alone (paper-faithful messages).
-            (4, 8, 1, 1, Faithful),
-            (4, 8, 2, 1, Faithful),
-            (8, 16, 2, 1, Faithful),
+            (4, 8, 1, 1, PaperFaithful),
+            (4, 8, 2, 1, PaperFaithful),
+            (8, 16, 2, 1, PaperFaithful),
             // The high-throughput profile on top.
-            (4, 32, 1, 1, Tuned),
-            (4, 32, 2, 1, Tuned),
-            (8, 32, 2, 1, Tuned),
+            (4, 32, 1, 1, HighThroughput),
+            (4, 32, 2, 1, HighThroughput),
+            (8, 32, 2, 1, HighThroughput),
             // Scale-out: the same best configs over N independent
             // clusters, each client routing by consistent hash.
-            (4, 32, 2, multi_clusters, Tuned),
-            (8, 32, 2, multi_clusters, Tuned),
+            (4, 32, 2, multi_clusters, HighThroughput),
+            (8, 32, 2, multi_clusters, HighThroughput),
         ] {
             if clusters == 1
                 && seen.iter().any(|c| {
@@ -498,7 +487,7 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         depth: 8,
         shards: 2,
         clusters: 1,
-        profile: Profile::Tuned,
+        profile: Profile::HighThroughput,
     };
     for (value_size, ops) in [
         (256, 400),
@@ -532,7 +521,7 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         depth: 16,
         shards: 2,
         clusters: 1,
-        profile: Profile::Tuned,
+        profile: Profile::HighThroughput,
     };
     for theta in [0.0, 0.9, 0.99] {
         for read_fraction in [0.5, 0.95] {
@@ -573,8 +562,8 @@ fn run_point(point: Point, trace: bool) -> (ThroughputSummary, u64, PhasePcts) {
     // threads only add scheduling overhead.
     let builder = StoreBuilder::new().failures(1, 1).code(2, 3);
     let builder = match cfg.profile {
-        Profile::Faithful => builder.paper_faithful().l1_shards(cfg.shards),
-        Profile::Tuned => builder.high_throughput(cfg.shards).l2_shards(1),
+        Profile::PaperFaithful => builder.paper_faithful().l1_shards(cfg.shards),
+        Profile::HighThroughput => builder.high_throughput(cfg.shards).l2_shards(1),
     };
     let builder = builder
         .stripe_threshold(if wl.stripe { STRIPE_THRESHOLD } else { 0 })
@@ -655,7 +644,7 @@ fn run_obs_ab(ops_override: Option<usize>, smoke: bool) -> ObsAb {
             depth: 4,
             shards: 2,
             clusters: 1,
-            profile: Profile::Tuned,
+            profile: Profile::HighThroughput,
         },
         // More ops than the sweep points: the pair exists to resolve a
         // few-percent delta, so it needs a longer window than a smoke point.
@@ -731,7 +720,7 @@ fn print_results(results: &[PointResult]) {
             vec![
                 r.point.axis.to_string(),
                 r.point.cfg.backend.to_string(),
-                r.point.cfg.profile.label().to_string(),
+                profile_label(r.point.cfg.profile).to_string(),
                 r.point.cfg.clients.to_string(),
                 r.point.cfg.depth.to_string(),
                 r.point.cfg.shards.to_string(),
@@ -765,7 +754,7 @@ fn print_results(results: &[PointResult]) {
             fmt3(baseline.summary.ops_per_sec),
             fmt3(best.summary.ops_per_sec),
             fmt3(best.summary.ops_per_sec / baseline.summary.ops_per_sec.max(1e-9)),
-            best.point.cfg.profile.label(),
+            profile_label(best.point.cfg.profile),
             best.point.cfg.clients,
             best.point.cfg.depth,
             best.point.cfg.shards,
@@ -824,9 +813,9 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
          routing each operation by consistent hash of its object. Three axes: \
          axis=topology sweeps clients/depth/shards/clusters/backend at the base workload \
          (baseline = single-in-flight depth 1, unsharded, single-cluster, paper-faithful \
-         flow — the pre-pipelining runtime; profile=tuned flips the documented \
-         protocol-cost knobs, atomicity preserved and covered by the cluster stress \
-         tests). axis=size sweeps value_size 256 B..16 MiB at one tuned topology with the \
+         flow — the pre-pipelining runtime; profile=tuned is Profile::HighThroughput, \
+         atomicity preserved and covered by the cluster stress tests). axis=size sweeps \
+         value_size 256 B..16 MiB at one tuned topology with the \
          chunk-striped large-value path off/on (stripe=true: values >= 1 MiB are split \
          into 256 KiB stripes, streamed as PUT-STRIPE and erasure-coded per stripe from a \
          reusable buffer pool, bounding peak encode memory by the stripe, not the value). \
@@ -924,14 +913,14 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
              \"best_config\": \"{} clients={} depth={} shards={} clusters={}\" }}{}\n",
             backend,
             baseline.summary.ops_per_sec,
-            baseline.point.cfg.profile.label(),
+            profile_label(baseline.point.cfg.profile),
             baseline.point.cfg.clients,
             baseline.point.cfg.depth,
             baseline.point.cfg.shards,
             baseline.point.cfg.clusters,
             best.summary.ops_per_sec,
             best.summary.ops_per_sec / baseline.summary.ops_per_sec.max(1e-9),
-            best.point.cfg.profile.label(),
+            profile_label(best.point.cfg.profile),
             best.point.cfg.clients,
             best.point.cfg.depth,
             best.point.cfg.shards,
@@ -955,7 +944,7 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
              \"phase_commit_p50_us\": {}, \"phase_commit_p99_us\": {} }}{}\n",
             r.point.axis,
             r.point.cfg.backend,
-            r.point.cfg.profile.label(),
+            profile_label(r.point.cfg.profile),
             r.point.cfg.clients,
             r.point.cfg.depth,
             r.point.cfg.shards,

@@ -3,27 +3,26 @@
 //! The benchmark harness reproducing every figure and analytical result of
 //! the LDS paper's evaluation (§V), plus the wall-clock cluster throughput
 //! sweep. See `ARCHITECTURE.md` and `README.md` at the repository root for
-//! the experiment index and the reproduction commands behind
-//! `BENCH_CODES.json` / `BENCH_CLUSTER.json`.
+//! the experiment index and the reproduction commands behind the
+//! `BENCH_*.json` files.
 //!
-//! Two kinds of targets live here:
+//! The **experiment binaries** (`cargo run -p lds-bench --bin exp_*`) print
+//! the paper's tables/series as aligned text tables, comparing measured values
+//! from the simulator against the closed-form predictions:
+//! - `exp_costs` — write/read communication cost and L2 storage cost versus
+//!   `n1` (Lemmas V.2, V.3);
+//! - `exp_latency` — operation latencies versus `µ = τ2/τ1` (Lemma V.4);
+//! - `exp_fig6` — L1/L2 storage versus the number of objects `N` (Fig. 6 /
+//!   Lemma V.5), including the replication-in-L2 comparison;
+//! - `exp_mbr_vs_msr` — the MBR / MSR-point ablation (Remarks 1, 2);
+//! - `exp_baselines` — LDS versus the single-layer ABD and CAS baselines;
+//! - `exp_throughput` — wall-clock ops/sec of the threaded cluster
+//!   runtime (pipelined clients × worker shards × cluster shards ×
+//!   backend), recorded into `BENCH_CLUSTER.json`.
 //!
-//! * **Experiment binaries** (`cargo run -p lds-bench --bin exp_*`) print the
-//!   paper's tables/series as aligned text tables, comparing measured values
-//!   from the simulator against the closed-form predictions:
-//!   - `exp_costs` — write/read communication cost and L2 storage cost versus
-//!     `n1` (Lemmas V.2, V.3);
-//!   - `exp_latency` — operation latencies versus `µ = τ2/τ1` (Lemma V.4);
-//!   - `exp_fig6` — L1/L2 storage versus the number of objects `N` (Fig. 6 /
-//!     Lemma V.5), including the replication-in-L2 comparison;
-//!   - `exp_mbr_vs_msr` — the MBR / MSR-point ablation (Remarks 1, 2);
-//!   - `exp_baselines` — LDS versus the single-layer ABD and CAS baselines;
-//!   - `exp_throughput` — wall-clock ops/sec of the threaded cluster
-//!     runtime (pipelined clients × worker shards × cluster shards ×
-//!     backend), recorded into `BENCH_CLUSTER.json`.
-//! * **Criterion benches** (`cargo bench -p lds-bench`) measure raw code
-//!   throughput (encode / decode / repair) and end-to-end simulated protocol
-//!   operations.
+//! Raw code throughput (encode / decode / repair) and the simulated protocol
+//! step are timed by the `gf.*`, `codes.*` and `core.sim_step_ns` rungs of
+//! `lds_benchmark`'s ladder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,11 +71,8 @@ pub fn fmt3(x: f64) -> String {
 /// Version of the recorded `BENCH_*.json` schema, asserted by the CI smoke
 /// checks and by a CI check over the committed files, so a future change to
 /// the recorded fields fails loudly instead of silently breaking consumers
-/// of the JSON. The `exp_throughput` and `exp_repair` writers stamp it into
-/// `_meta.schema_version` themselves; `BENCH_CODES.json` is post-processed
-/// by hand from criterion JSON lines (see its `_meta.command`), so whoever
-/// regenerates it must carry the stamp forward — CI refuses the file
-/// without it.
+/// of the JSON. The `exp_throughput`, `exp_repair` and `exp_net` writers
+/// stamp it into `_meta.schema_version` themselves.
 ///
 /// History: 1 = the unversioned PR 2–4 layout (implicit); 2 = identical
 /// layout plus this explicit stamp; 3 = `BENCH_CLUSTER.json` result rows

@@ -6,9 +6,7 @@ use crate::heal::{HealConfig, HealRuntime};
 use crate::node::{Cluster, ClusterOptions, HostScope};
 use crate::transport::{FaultPlan, Transport};
 use lds_core::backend::BackendKind;
-use lds_core::params::SystemParams;
-use lds_core::server1::L1Options;
-use lds_core::server2::L2Options;
+use lds_core::params::{Profile, SystemParams};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -143,30 +141,29 @@ impl StoreBuilder {
         self
     }
 
-    /// Paper-faithful message flow (the default): relayed COMMIT-TAG
-    /// broadcast, every server offloads, values garbage-collected after
-    /// offload, L2 write acks on — the exact cost accounting of the paper.
-    /// Resets any previous [`high_throughput`](StoreBuilder::high_throughput)
-    /// profile but keeps topology, depth and bounded-inbox settings.
+    /// [`Profile::PaperFaithful`] (the default): the paper's automata message
+    /// for message — relayed COMMIT-TAG broadcast, every L1 server offloads,
+    /// L2 acknowledges, the value becomes `⊥` after `f2 + d` acks — so the
+    /// cost model of §V holds exactly. Sets the profile and nothing else:
+    /// shards, depth, striping and every other setting keep their values, in
+    /// whichever order the calls are made.
     pub fn paper_faithful(mut self) -> StoreBuilder {
-        self.options.l1 = L1Options::default();
-        self.options.l2 = L2Options::default();
+        self.options.profile = Profile::PaperFaithful;
         self
     }
 
-    /// The high-throughput profile: every protocol-cost knob flipped
-    /// towards fewer messages per operation (direct COMMIT-TAG broadcast,
-    /// inline self-delivery, committed-value caching, `f1 + 1` offloaders,
-    /// no L2 write acks) plus `shards` worker shards per server and pipeline
-    /// depth 32. Paper-exact cost accounting is traded away; atomicity is
-    /// not (covered by the cluster stress tests).
+    /// [`Profile::HighThroughput`]: direct COMMIT-TAG broadcast with inline
+    /// self-delivery, `f1 + 1` offloaders, no L2 write acks (so every L1
+    /// server keeps the committed value and serves reads without
+    /// `regenerate-from-L2`) — plus `shards` worker shards per server and
+    /// pipeline depth 32. Paper-exact cost accounting is traded away;
+    /// atomicity is not (`tests/atomicity.rs`, the cluster stress tests).
+    /// Touches the profile, the shard counts and the depth only.
     pub fn high_throughput(mut self, shards: usize) -> StoreBuilder {
-        let profile = ClusterOptions::high_throughput(shards);
-        self.options.l1 = profile.l1;
-        self.options.l2 = profile.l2;
-        self.options.l1_shards = profile.l1_shards;
-        self.options.l2_shards = profile.l2_shards;
-        self.options.pipeline_depth = profile.pipeline_depth;
+        self.options.profile = Profile::HighThroughput;
+        self.options.l1_shards = shards;
+        self.options.l2_shards = shards;
+        self.options.pipeline_depth = 32;
         self
     }
 
@@ -217,7 +214,7 @@ impl StoreBuilder {
     /// of the value size. `0` (the default) disables striping. The logical
     /// operation stays atomic — one tag covers all stripes.
     pub fn stripe_threshold(mut self, threshold: usize) -> StoreBuilder {
-        self.options.l1.stripe_threshold = threshold;
+        self.options.stripe_threshold = threshold;
         self
     }
 
@@ -226,7 +223,7 @@ impl StoreBuilder {
     /// [`stripe_threshold`](StoreBuilder::stripe_threshold); must be
     /// non-zero (validated at `build()`).
     pub fn stripe_size(mut self, size: usize) -> StoreBuilder {
-        self.options.l1.stripe_size = size;
+        self.options.stripe_size = size;
         self
     }
 
@@ -384,7 +381,7 @@ impl StoreBuilder {
                 "inbox_cap must be at least 1 when set".into(),
             ));
         }
-        if options.l1.stripe_threshold > 0 && options.l1.stripe_size == 0 {
+        if options.stripe_threshold > 0 && options.stripe_size == 0 {
             return Err(StoreError::InvalidConfig(
                 "stripe_size must be at least 1 when striping is enabled".into(),
             ));

@@ -280,7 +280,7 @@ impl StoreClient {
         let id = ClientId(client_num);
         let pid = first.client_pid(client_num);
         let mut writer = WriterClient::new(id, first.params(), first.membership().clone());
-        writer.set_striping(options.l1.stripe_threshold, options.l1.stripe_size);
+        writer.set_striping(options.stripe_threshold, options.stripe_size);
         let mut reader = ReaderClient::new(
             id,
             first.params(),

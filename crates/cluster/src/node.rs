@@ -31,9 +31,9 @@ use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
 use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::membership::Membership;
 use lds_core::messages::{LdsMessage, ProtocolEvent};
-use lds_core::params::SystemParams;
+use lds_core::params::{Profile, SystemParams};
 use lds_core::server1::{L1Options, L1Server};
-use lds_core::server2::{L2Options, L2Server};
+use lds_core::server2::L2Server;
 use lds_core::tag::ObjectId;
 use lds_sim::{Context, Process, ProcessId, SimTime};
 use parking_lot::Mutex;
@@ -50,10 +50,18 @@ pub struct ClusterOptions {
     pub l1_shards: usize,
     /// Worker shards per L2 server.
     pub l2_shards: usize,
-    /// L1 server protocol options.
-    pub l1: L1Options,
-    /// L2 server protocol options.
-    pub l2: L2Options,
+    /// Which message flow both server layers run — the only protocol
+    /// selector; set through
+    /// [`StoreBuilder::paper_faithful`](crate::api::StoreBuilder::paper_faithful)
+    /// (the default) or
+    /// [`StoreBuilder::high_throughput`](crate::api::StoreBuilder::high_throughput).
+    pub profile: Profile,
+    /// Values of at least this many bytes take the chunk-striped data path
+    /// ([`L1Options::stripe_threshold`]); `0` (the default) disables it.
+    pub stripe_threshold: usize,
+    /// Stripe size in bytes of the striped data path
+    /// ([`L1Options::stripe_size`]).
+    pub stripe_size: usize,
     /// Default maximum number of operations a client created by
     /// [`StoreHandle::client`](crate::api::StoreHandle::client) keeps in
     /// flight.
@@ -69,7 +77,8 @@ pub struct ClusterOptions {
     /// multiple of `cap × `[`msgs_per_op_bound`] messages instead of growing
     /// without limit under overload.
     ///
-    /// Note: a chunk-striped write (see [`L1Options::stripe_threshold`])
+    /// Note: a chunk-striped write (see
+    /// [`stripe_threshold`](ClusterOptions::stripe_threshold))
     /// counts as **one** admitted operation but deposits one message per
     /// stripe, so its inbox footprint exceeds the nominal
     /// `msgs_per_op_bound` budget. The channels stay unbounded — this
@@ -136,8 +145,9 @@ impl Default for ClusterOptions {
         ClusterOptions {
             l1_shards: 1,
             l2_shards: 1,
-            l1: L1Options::default(),
-            l2: L2Options::default(),
+            profile: Profile::PaperFaithful,
+            stripe_threshold: 0,
+            stripe_size: lds_core::stripe::DEFAULT_STRIPE_SIZE,
             pipeline_depth: 16,
             inbox_cap: None,
             read_cache_entries: 0,
@@ -145,32 +155,6 @@ impl Default for ClusterOptions {
             repair_log_cap: 1024,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
-        }
-    }
-}
-
-impl ClusterOptions {
-    /// The high-throughput profile: every protocol-cost knob flipped towards
-    /// fewer messages per operation (direct COMMIT-TAG broadcast, inline
-    /// self-delivery, committed-value caching, `f1 + 1` offloaders, no L2
-    /// write acks) plus `shards` worker shards per server. Paper-exact cost
-    /// accounting is traded away; atomicity is not (see the stress tests).
-    pub fn high_throughput(shards: usize) -> Self {
-        ClusterOptions {
-            l1_shards: shards,
-            l2_shards: shards,
-            l1: L1Options {
-                direct_broadcast: true,
-                cache_committed_value: true,
-                frugal_offload: true,
-                inline_self_broadcast: true,
-                ..L1Options::default()
-            },
-            l2: L2Options {
-                ack_code_elem: false,
-            },
-            pipeline_depth: 32,
-            ..ClusterOptions::default()
         }
     }
 }
@@ -183,9 +167,11 @@ impl ClusterOptions {
 /// the COMMIT-TAG broadcast fan-in — as a relay up to `n1` `BCAST-SEND`s
 /// (one per originating server) and up to `n1 · (f1 + 1)` `BCAST-DELIVER`s
 /// (every relay forwards every origin's broadcast), i.e. `n1 · (f1 + 2)`
-/// total; direct-broadcast mode is strictly smaller — and up to `n2` L2
-/// offload acks. A read (`QUERY-COMM-TAG` + `QUERY-DATA` + `PUT-TAG` + `n2`
-/// helper responses) is strictly smaller again.
+/// total — and up to `n2` L2 offload acks. That is the
+/// [`Profile::PaperFaithful`] flow; [`Profile::HighThroughput`] is strictly
+/// smaller (`n1 − 1` direct `BCAST-DELIVER`s, no `BCAST-SEND`, no acks), so
+/// one bound serves both. A read (`QUERY-COMM-TAG` + `QUERY-DATA` +
+/// `PUT-TAG` + `n2` helper responses) is strictly smaller again.
 pub fn msgs_per_op_bound(params: &SystemParams) -> usize {
     2 + params.n1() * (params.f1() + 2) + params.n2()
 }
@@ -1334,7 +1320,12 @@ impl Cluster {
         let (membership, backend) = (&self.membership, &self.backend);
         match layer {
             RepairLayer::L1 => {
-                let (params, options) = (self.params, self.options.l1);
+                let params = self.params;
+                let options = L1Options {
+                    profile: self.options.profile,
+                    stripe_threshold: self.options.stripe_threshold,
+                    stripe_size: self.options.stripe_size,
+                };
                 let server = || match rebuild {
                     None => L1Server::new(
                         index,
@@ -1357,19 +1348,14 @@ impl Cluster {
                 self.install_shards(pid, gauges, stats, server, || l1_publisher(pid));
             }
             RepairLayer::L2 => {
-                let options = self.options.l2;
+                let profile = self.options.profile;
                 let server = || match rebuild {
-                    None => L2Server::with_options(
-                        index,
-                        membership.clone(),
-                        Arc::clone(backend),
-                        options,
-                    ),
+                    None => L2Server::new(index, membership.clone(), Arc::clone(backend), profile),
                     Some((expected_dones, report_to)) => L2Server::rebuilding(
                         index,
                         membership.clone(),
                         Arc::clone(backend),
-                        options,
+                        profile,
                         expected_dones,
                         report_to,
                     ),

@@ -33,7 +33,7 @@
 //! use lds_cluster::api::{Store, StoreBuilder};
 //! use lds_cluster::{cluster_of, OpOutcome};
 //!
-//! // Two independent L1/L2 groups behind one client, high-throughput knobs.
+//! // Two independent L1/L2 groups behind one client, high-throughput profile.
 //! let store = StoreBuilder::new().high_throughput(2).clusters(2).build().unwrap();
 //! let mut client = store.client_with_depth(8);
 //! for obj in 0..8u64 {

@@ -45,8 +45,8 @@
 //!   payloads and regenerated shares are single kernel calls.
 //!
 //! The byte-at-a-time reference implementation is kept in [`scalar`] as the
-//! property-test oracle (bulk results are asserted byte-identical) and as
-//! the baseline for `BENCH_CODES.json`. The `*_into` trait methods
+//! property-test oracle (bulk results are asserted byte-identical). The
+//! `*_into` trait methods
 //! ([`traits::ErasureCode::encode_share_into`],
 //! [`traits::ErasureCode::decode_into`]) expose the buffer-reuse entry
 //! points the storage layers build on.

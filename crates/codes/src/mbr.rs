@@ -111,33 +111,6 @@ impl ProductMatrixMbr {
         self.plans.repair.len()
     }
 
-    /// Builds and memoizes the decode plan for a `k`-element survivor set
-    /// without decoding anything — used by cluster start-up to pre-warm the
-    /// steady-state quorums.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::NotEnoughShares`] if `survivors` does not contain
-    /// exactly `k` distinct indices, or an index/inversion error.
-    pub fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
-        let mut key = survivors.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.k() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.k(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.plans
-            .decode
-            .get_or_build(&key, |ids| self.decode_matrix(ids))
-            .map(|_| ())
-    }
-
     /// Builds and memoizes the repair plan for a `d`-element helper set.
     ///
     /// # Errors
@@ -283,6 +256,25 @@ impl ErasureCode for ProductMatrixMbr {
         encode_span(&self.params, data, start, outs, |index, rows| {
             self.push_generator_rows(index, rows)
         })
+    }
+
+    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
+        let mut key = survivors.to_vec();
+        key.sort_unstable();
+        key.dedup();
+        if key.len() != self.params.k() {
+            return Err(CodeError::NotEnoughShares {
+                needed: self.params.k(),
+                got: key.len(),
+            });
+        }
+        for &i in &key {
+            self.check_index(i)?;
+        }
+        self.plans
+            .decode
+            .get_or_build(&key, |ids| self.decode_matrix(ids))
+            .map(|_| ())
     }
 
     fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {

@@ -69,31 +69,6 @@ impl ReedSolomon {
         self.decode_plans.len()
     }
 
-    /// Builds and memoizes the decode plan for a `k`-element survivor set
-    /// without decoding anything.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::NotEnoughShares`] if `survivors` does not contain
-    /// exactly `k` distinct indices, or an index/inversion error.
-    pub fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
-        let mut key = survivors.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.k() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.k(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.decode_plans
-            .get_or_build(&key, |ids| Ok(self.generator.select_rows(ids).inverse()?))
-            .map(|_| ())
-    }
-
     fn check_index(&self, index: usize) -> Result<(), CodeError> {
         if index >= self.params.n() {
             Err(CodeError::IndexOutOfRange {
@@ -122,6 +97,24 @@ impl ErasureCode for ReedSolomon {
         encode_span(&self.params, data, start, outs, |index, rows| {
             rows.push_row(self.generator.row(index).iter().copied().enumerate())
         })
+    }
+
+    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
+        let mut key = survivors.to_vec();
+        key.sort_unstable();
+        key.dedup();
+        if key.len() != self.params.k() {
+            return Err(CodeError::NotEnoughShares {
+                needed: self.params.k(),
+                got: key.len(),
+            });
+        }
+        for &i in &key {
+            self.check_index(i)?;
+        }
+        self.decode_plans
+            .get_or_build(&key, |ids| Ok(self.generator.select_rows(ids).inverse()?))
+            .map(|_| ())
     }
 
     fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {

@@ -7,13 +7,9 @@
 //! re-inverts its coefficient matrix from scratch, and intermediate symbol
 //! buffers are individually allocated.
 //!
-//! It exists for two reasons:
-//!
-//! 1. **Oracle** — property tests assert that the plan-cached bulk codec
-//!    ([`crate::mbr::ProductMatrixMbr`]) produces byte-identical shares,
-//!    values and repairs.
-//! 2. **Baseline** — the `codes` benchmark measures the bulk pipeline's
-//!    speedup against this path (`BENCH_CODES.json` at the repository root).
+//! It exists as the **oracle**: property tests assert that the plan-cached
+//! bulk codec ([`crate::mbr::ProductMatrixMbr`]) produces byte-identical
+//! shares, values and repairs.
 //!
 //! The construction itself (generator matrices, share layout) is shared with
 //! the bulk codec, so the two are codeword-compatible by design.

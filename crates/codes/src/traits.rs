@@ -71,6 +71,20 @@ pub trait ErasureCode: Send + Sync {
         self.encode_share_span_into(data, index, std::slice::from_mut(out))
     }
 
+    /// Builds and memoizes the decode plan (the survivor-set inversion) for
+    /// exactly `k` distinct share indices without decoding anything — called
+    /// at cluster start-up to pre-warm the steady-state quorums. Codes that
+    /// decode without a per-set plan do nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::NotEnoughShares`] if `survivors` does not contain
+    /// exactly `k` distinct indices, or an index/inversion error.
+    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
+        let _ = survivors;
+        Ok(())
+    }
+
     /// Decodes the value from at least `k` distinct shares.
     ///
     /// # Errors

@@ -24,7 +24,7 @@ use crate::value::Value;
 use lds_codes::mbr::ProductMatrixMbr;
 use lds_codes::msr::ProductMatrixMsr;
 use lds_codes::rs::ReedSolomon;
-use lds_codes::{CodeError, CodeParams, ErasureCode, HelperData, RegeneratingCode, Share};
+use lds_codes::{CodeError, CodeParams, HelperData, RegeneratingCode, Share};
 use std::fmt;
 use std::sync::Arc;
 
@@ -237,11 +237,11 @@ pub fn make_backend(
     match kind {
         BackendKind::Mbr => {
             let code = ProductMatrixMbr::new(CodeParams::mbr(n, k, d)?)?;
-            Ok(Arc::new(MbrBackend { code, n1, n2, d }))
+            Ok(Arc::new(CodedBackend { code, kind, n1, n2 }))
         }
         BackendKind::MsrPoint => {
             let code = ReedSolomon::new(CodeParams::reed_solomon(n, k)?)?;
-            Ok(Arc::new(RsBackend { code, n1, n2 }))
+            Ok(Arc::new(CodedBackend { code, kind, n1, n2 }))
         }
         BackendKind::ProductMatrixMsr => {
             if d < 2 * k - 2 {
@@ -250,23 +250,26 @@ pub fn make_backend(
                 )));
             }
             let code = ProductMatrixMsr::new(CodeParams::msr(n, k)?)?;
-            Ok(Arc::new(MsrBackend { code, n1, n2 }))
+            Ok(Arc::new(CodedBackend { code, kind, n1, n2 }))
         }
         BackendKind::Replication => Ok(Arc::new(ReplicationBackend { n1, n2 })),
     }
 }
 
-/// MBR-coded back-end (the paper's design).
-struct MbrBackend {
-    code: ProductMatrixMbr,
+/// A regenerating-code back-end: the paper's MBR design, the MDS
+/// (Reed–Solomon) minimum-storage point with naive whole-element repair, and
+/// the true product-matrix MSR code differ only in `code`. Every operation
+/// forwards to it with L2 server `i` mapped to code symbol `n1 + i`.
+struct CodedBackend<C> {
+    code: C,
+    kind: BackendKind,
     n1: usize,
     n2: usize,
-    d: usize,
 }
 
-impl BackendCodec for MbrBackend {
+impl<C: RegeneratingCode> BackendCodec for CodedBackend<C> {
     fn kind(&self) -> BackendKind {
-        BackendKind::Mbr
+        self.kind
     }
     fn n1(&self) -> usize {
         self.n1
@@ -278,183 +281,8 @@ impl BackendCodec for MbrBackend {
         self.code.params().k()
     }
     fn repair_threshold(&self) -> usize {
-        self.d
-    }
-    fn encode_l2_element(&self, value: &Value, l2_index: usize) -> Result<Share, CodeError> {
-        self.code.encode_share(value.as_bytes(), self.n1 + l2_index)
-    }
-    fn encode_l2_element_into(
-        &self,
-        value: &Value,
-        l2_index: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        self.code
-            .encode_share_into(value.as_bytes(), self.n1 + l2_index, out)
-    }
-    fn encode_l2_elements_into(
-        &self,
-        value: &Value,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodeError> {
-        self.code
-            .encode_share_span_into(value.as_bytes(), self.n1, outs)
-    }
-    fn initial_l2_element(&self, l2_index: usize) -> Share {
-        self.code
-            .encode_share(Value::initial().as_bytes(), self.n1 + l2_index)
-            .expect("initial value encoding cannot fail for valid indices")
-    }
-    fn helper_for_l1(
-        &self,
-        l2_element: &Share,
-        _l2_index: usize,
-        l1_index: usize,
-    ) -> Result<HelperData, CodeError> {
-        self.code.helper_data(l2_element, l1_index)
-    }
-    fn regenerate_l1(&self, l1_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        self.code.repair(l1_index, helpers)
-    }
-    fn helper_for_l2(
-        &self,
-        l2_element: &Share,
-        _l2_index: usize,
-        failed_l2_index: usize,
-    ) -> Result<HelperData, CodeError> {
-        self.code.helper_data(l2_element, self.n1 + failed_l2_index)
-    }
-    fn regenerate_l2(&self, l2_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        self.code.repair(self.n1 + l2_index, helpers)
-    }
-    fn prepare_l2_repair(&self, helper_l2_indices: &[usize]) -> Result<(), CodeError> {
-        let indices: Vec<usize> = helper_l2_indices.iter().map(|&i| self.n1 + i).collect();
-        ProductMatrixMbr::prepare_repair(&self.code, &indices)
-    }
-    fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
-        self.code.decode(shares)
-    }
-    fn decode_from_l1_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
-        self.code.decode_into(shares, out)
-    }
-    fn warm_plans(&self) {
-        // The canonical steady-state quorums: readers decode from the first k
-        // L1 elements, L1 servers regenerate from the first d L2 helpers.
-        let _ = self
-            .code
-            .prepare_decode(&(0..self.code.params().k()).collect::<Vec<_>>());
-        let _ = self
-            .code
-            .prepare_repair(&(self.n1..self.n1 + self.d).collect::<Vec<_>>());
-    }
-}
-
-/// MDS (Reed–Solomon) back-end: minimum storage, naive repair.
-struct RsBackend {
-    code: ReedSolomon,
-    n1: usize,
-    n2: usize,
-}
-
-impl BackendCodec for RsBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::MsrPoint
-    }
-    fn n1(&self) -> usize {
-        self.n1
-    }
-    fn n2(&self) -> usize {
-        self.n2
-    }
-    fn decode_threshold(&self) -> usize {
-        self.code.params().k()
-    }
-    fn repair_threshold(&self) -> usize {
-        self.code.params().k()
-    }
-    fn encode_l2_element(&self, value: &Value, l2_index: usize) -> Result<Share, CodeError> {
-        self.code.encode_share(value.as_bytes(), self.n1 + l2_index)
-    }
-    fn encode_l2_element_into(
-        &self,
-        value: &Value,
-        l2_index: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        self.code
-            .encode_share_into(value.as_bytes(), self.n1 + l2_index, out)
-    }
-    fn encode_l2_elements_into(
-        &self,
-        value: &Value,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodeError> {
-        self.code
-            .encode_share_span_into(value.as_bytes(), self.n1, outs)
-    }
-    fn initial_l2_element(&self, l2_index: usize) -> Share {
-        self.code
-            .encode_share(Value::initial().as_bytes(), self.n1 + l2_index)
-            .expect("initial value encoding cannot fail for valid indices")
-    }
-    fn helper_for_l1(
-        &self,
-        l2_element: &Share,
-        _l2_index: usize,
-        l1_index: usize,
-    ) -> Result<HelperData, CodeError> {
-        self.code.helper_data(l2_element, l1_index)
-    }
-    fn regenerate_l1(&self, l1_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        self.code.repair(l1_index, helpers)
-    }
-    fn helper_for_l2(
-        &self,
-        l2_element: &Share,
-        _l2_index: usize,
-        failed_l2_index: usize,
-    ) -> Result<HelperData, CodeError> {
-        // Naive repair: the helper ships its whole element.
-        self.code.helper_data(l2_element, self.n1 + failed_l2_index)
-    }
-    fn regenerate_l2(&self, l2_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        // Decode-and-re-encode fallback, inside the code's naive repair.
-        self.code.repair(self.n1 + l2_index, helpers)
-    }
-    fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
-        self.code.decode(shares)
-    }
-    fn decode_from_l1_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
-        self.code.decode_into(shares, out)
-    }
-    fn warm_plans(&self) {
-        let _ = self
-            .code
-            .prepare_decode(&(0..self.code.params().k()).collect::<Vec<_>>());
-    }
-}
-
-/// True product-matrix MSR back-end (`d_code = 2k − 2`).
-struct MsrBackend {
-    code: ProductMatrixMsr,
-    n1: usize,
-    n2: usize,
-}
-
-impl BackendCodec for MsrBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ProductMatrixMsr
-    }
-    fn n1(&self) -> usize {
-        self.n1
-    }
-    fn n2(&self) -> usize {
-        self.n2
-    }
-    fn decode_threshold(&self) -> usize {
-        self.code.params().k()
-    }
-    fn repair_threshold(&self) -> usize {
+        // The code's own repair degree: d for MBR, 2k − 2 for product-matrix
+        // MSR, k for Reed–Solomon's decode-and-re-encode.
         self.code.params().d()
     }
     fn encode_l2_element(&self, value: &Value, l2_index: usize) -> Result<Share, CodeError> {
@@ -506,7 +334,7 @@ impl BackendCodec for MsrBackend {
     }
     fn prepare_l2_repair(&self, helper_l2_indices: &[usize]) -> Result<(), CodeError> {
         let indices: Vec<usize> = helper_l2_indices.iter().map(|&i| self.n1 + i).collect();
-        ProductMatrixMsr::prepare_repair(&self.code, &indices)
+        self.code.prepare_repair(&indices)
     }
     fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
         self.code.decode(shares)
@@ -515,13 +343,16 @@ impl BackendCodec for MsrBackend {
         self.code.decode_into(shares, out)
     }
     fn warm_plans(&self) {
-        let d_code = self.code.params().d();
+        // The canonical steady-state quorums: readers decode from the first k
+        // L1 elements, L1 servers regenerate from the first `repair_threshold`
+        // L2 helpers (a no-op for codes that repair without a per-set plan).
+        let params = self.code.params();
         let _ = self
             .code
-            .prepare_decode(&(0..self.code.params().k()).collect::<Vec<_>>());
+            .prepare_decode(&(0..params.k()).collect::<Vec<_>>());
         let _ = self
             .code
-            .prepare_repair(&(self.n1..self.n1 + d_code).collect::<Vec<_>>());
+            .prepare_repair(&(self.n1..self.n1 + params.d()).collect::<Vec<_>>());
     }
 }
 

@@ -53,7 +53,7 @@ pub use backend::{BackendCodec, BackendKind};
 pub use consistency::{History, Operation, OperationKind};
 pub use membership::Membership;
 pub use messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
-pub use params::SystemParams;
+pub use params::{Profile, SystemParams};
 pub use reader::ReaderClient;
 pub use server1::L1Server;
 pub use server2::L2Server;

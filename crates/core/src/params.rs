@@ -182,6 +182,36 @@ impl fmt::Display for SystemParams {
     }
 }
 
+/// Which message flow the server automata run — the one protocol selector.
+///
+/// The two profiles differ in exactly these places (everything else,
+/// including every client phase and every wire byte, is shared):
+///
+/// | | `PaperFaithful` | `HighThroughput` |
+/// |---|---|---|
+/// | COMMIT-TAG broadcast route | through the `f1 + 1` relay set (`BCAST-SEND` → `BCAST-DELIVER`) | straight to every L1 server (`BCAST-DELIVER` only) |
+/// | a server's own copy of its broadcast | a message through the network | consumed inside the step that broadcasts |
+/// | who runs `write-to-L2` | every L1 server | the first `f1 + 1` L1 servers |
+/// | L2 acknowledges `WRITE-CODE-ELEM` | yes | no |
+/// | L1 replaces a committed value by `⊥` | after `f2 + d` L2 acks | never by acks — when a higher tag commits |
+///
+/// `PaperFaithful` is Figs. 2–3 of the paper message for message, so the
+/// cost model of §V holds exactly. `HighThroughput` trades that accounting,
+/// and the broadcast primitive's all-or-nothing delivery when the
+/// broadcaster crashes mid-send, for fewer messages per operation;
+/// atomicity holds in both, and both run under the `History` checker in the
+/// simulator (`tests/atomicity.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profile {
+    /// The paper's automata, message for message (the default everywhere a
+    /// profile is configured).
+    PaperFaithful,
+    /// Direct broadcast with inline self-delivery, `f1 + 1` offloaders, no
+    /// L2 write acks: every L1 server keeps the committed value, so reads are
+    /// served from L1 without `regenerate-from-L2`.
+    HighThroughput,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 use crate::backend::BackendCodec;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
-use crate::params::SystemParams;
+use crate::params::{Profile, SystemParams};
 use crate::stripe;
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
@@ -22,42 +22,15 @@ use lds_sim::{Context, Process, ProcessId};
 use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Tuning options for an L1 server.
-///
-/// All options default to the paper-faithful behavior; the cluster runtime's
-/// high-throughput profile enables them to trade paper-exact cost accounting
-/// for fewer messages per operation.
+/// What an L1 server is configured with: the protocol [`Profile`] and the
+/// large-value striping of the data path. The default is the paper's
+/// automaton with striping off.
 #[derive(Debug, Clone, Copy)]
 pub struct L1Options {
-    /// If true, the COMMIT-TAG broadcast is sent directly to all L1 servers
-    /// instead of through the `f1 + 1` relay set. This loses tolerance to the
-    /// broadcaster crashing mid-broadcast but reduces the metadata message
-    /// count from `O(f1·n1)` to `O(n1)` per write — useful for large sweeps.
-    pub direct_broadcast: bool,
-    /// If true, the committed value is *kept* in temporary storage after
-    /// `write-to-L2` completes (edge-cache style) instead of being replaced
-    /// by `⊥`. Reads are then served from L1 without `regenerate-from-L2`;
-    /// the cost is one live value per object per server (values below the
-    /// committed tag are still garbage-collected on every commit). The
-    /// paper's L1 storage-cost accounting assumes this is off.
-    pub cache_committed_value: bool,
-    /// If true, only the first `f1 + 1` L1 servers perform `write-to-L2`
-    /// (each offload delivers *all* `n2` coded elements, and at least one of
-    /// the `f1 + 1` offloaders is correct, so L2 durability is preserved
-    /// under `f1` crashes). The remaining servers skip the `n2` messages and
-    /// `n2` acks per write; since they never receive offload acks, they keep
-    /// the committed value until the next commit — combine with
-    /// [`L1Options::cache_committed_value`] so reads stay fast everywhere.
-    pub frugal_offload: bool,
-    /// If true, a server consumes its own broadcast (and, as a relay, its
-    /// own forward) *inline* within the same protocol step instead of
-    /// sending itself a message through the network. Every state this
-    /// produces is reachable in the message-passing execution by delivering
-    /// the self-addressed message first; the observable effect is that a
-    /// server acknowledges a PUT-DATA as soon as it has stored the value
-    /// with its committed tag advanced to it (the pre-existing "broadcast
-    /// raced ahead" path), rather than waiting for the commit quorum.
-    pub inline_self_broadcast: bool,
+    /// Which message flow the server runs (see [`Profile`] for the
+    /// differences, all of which live in `broadcast_commit`, `write_to_l2`
+    /// and the L2 server's `commit_element`).
+    pub profile: Profile,
     /// Values of at least this many bytes take the chunk-striped data path:
     /// the writer streams them as per-stripe [`LdsMessage::PutStripe`]
     /// messages and the server's `write-to-L2` offload encodes stripe by
@@ -73,10 +46,7 @@ pub struct L1Options {
 impl Default for L1Options {
     fn default() -> Self {
         L1Options {
-            direct_broadcast: false,
-            cache_committed_value: false,
-            frugal_offload: false,
-            inline_self_broadcast: false,
+            profile: Profile::PaperFaithful,
             stripe_threshold: 0,
             stripe_size: stripe::DEFAULT_STRIPE_SIZE,
         }
@@ -504,29 +474,29 @@ impl L1Server {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         let origin = ctx.id();
-        if self.options.direct_broadcast {
-            let msg = LdsMessage::BcastDeliver { obj, tag, origin };
-            if self.options.inline_self_broadcast {
+        match self.options.profile {
+            // The paper's primitive: through the f1 + 1 relays.
+            Profile::PaperFaithful => {
+                let relays = self.membership.broadcast_relays(self.params.f1());
                 ctx.send_all(
-                    self.membership.l1.iter().copied().filter(|&p| p != origin),
-                    msg,
+                    relays.iter().copied(),
+                    LdsMessage::BcastSend { obj, tag, origin },
+                );
+            }
+            // Straight to every other server; this server's own copy is
+            // consumed here, inside the step. Every state that produces is
+            // reachable in the message-passing execution by delivering the
+            // self-addressed message first: the tag commits at once, so the
+            // PUT-DATA that got here stores its value through the "broadcast
+            // raced ahead" arm of `on_put_data` and is acknowledged without
+            // waiting for the commit quorum.
+            Profile::HighThroughput => {
+                let peers = self.membership.l1.iter().copied();
+                ctx.send_all(
+                    peers.filter(|&p| p != origin),
+                    LdsMessage::BcastDeliver { obj, tag, origin },
                 );
                 self.on_bcast_deliver(obj, tag, origin, ctx);
-            } else {
-                ctx.send_all(self.membership.l1.iter().copied(), msg);
-            }
-        } else {
-            let relays = self.membership.broadcast_relays(self.params.f1());
-            let inline_relay = self.options.inline_self_broadcast && relays.contains(&origin);
-            ctx.send_all(
-                relays
-                    .iter()
-                    .copied()
-                    .filter(|&p| !inline_relay || p != origin),
-                LdsMessage::BcastSend { obj, tag, origin },
-            );
-            if inline_relay {
-                self.on_bcast_send(obj, tag, origin, ctx);
             }
         }
     }
@@ -546,14 +516,10 @@ impl L1Server {
             .or_default()
             .insert(origin)
         {
-            let msg = LdsMessage::BcastDeliver { obj, tag, origin };
-            if self.options.inline_self_broadcast {
-                let me = ctx.id();
-                ctx.send_all(self.membership.l1.iter().copied().filter(|&p| p != me), msg);
-                self.on_bcast_deliver(obj, tag, origin, ctx);
-            } else {
-                ctx.send_all(self.membership.l1.iter().copied(), msg);
-            }
+            ctx.send_all(
+                self.membership.l1.iter().copied(),
+                LdsMessage::BcastDeliver { obj, tag, origin },
+            );
         }
     }
 
@@ -672,10 +638,10 @@ impl L1Server {
         value: &Value,
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
-        if self.options.frugal_offload && self.index > self.params.f1() {
-            // Offloading is left to the first f1+1 servers; this server keeps
-            // the committed value (it never receives offload acks, so the
-            // value survives until the next commit's gc).
+        if self.options.profile == Profile::HighThroughput && self.index > self.params.f1() {
+            // Offloading is left to the first f1 + 1 servers: each offload
+            // delivers all n2 coded elements and at least one offloader is
+            // correct, so L2 durability holds under f1 crashes.
             return;
         }
         {
@@ -760,16 +726,15 @@ impl L1Server {
         }
     }
 
-    fn on_ack_code_elem(&mut self, obj: ObjectId, tag: Tag) {
+    /// ACK-CODE-ELEM from an L2 server (sent in the paper profile only; with
+    /// no acks the value stays until a higher tag commits).
+    fn on_l2_write_ack(&mut self, obj: ObjectId, tag: Tag) {
         let quorum = self.params.l2_quorum();
-        let cache = self.options.cache_committed_value;
         let st = self.state(obj);
         let counter = st.write_counter.entry(tag).or_insert(0);
         *counter += 1;
-        if *counter == quorum && !cache {
+        if *counter == quorum {
             // write-to-L2 complete: garbage-collect the value (keep the tag).
-            // With the edge-cache option the value stays until the next
-            // commit's gc instead, so reads skip regenerate-from-L2.
             if let Some(entry) = st.list.get_mut(&tag) {
                 *entry = None;
             }
@@ -1267,7 +1232,7 @@ impl L1Server {
             LdsMessage::QueryCommTag { obj, op } => self.on_query_comm_tag(from, obj, op, ctx),
             LdsMessage::QueryData { obj, op, treq } => self.on_query_data(from, obj, op, treq, ctx),
             LdsMessage::PutTag { obj, op, tag } => self.on_put_tag(from, obj, op, tag, ctx),
-            LdsMessage::AckCodeElem { obj, tag } => self.on_ack_code_elem(obj, tag),
+            LdsMessage::AckCodeElem { obj, tag } => self.on_l2_write_ack(obj, tag),
             LdsMessage::SendHelperElem {
                 obj,
                 reader,
@@ -1729,43 +1694,83 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn direct_broadcast_option_skips_relays() {
+    fn high_throughput_server(index: usize) -> L1Server {
         let (params, membership, backend) = setup();
-        let mut s = L1Server::new(
-            0,
-            params,
-            membership,
-            backend,
-            L1Options {
-                direct_broadcast: true,
-                ..L1Options::default()
-            },
-        );
-        let out = step(
-            &mut s,
-            ProcessId(100),
-            LdsMessage::PutData {
-                obj: ObjectId(0),
-                op: OpId::default(),
-                tag: Tag::new(1, crate::tag::ClientId(1)),
-                value: Value::from("v"),
-            },
-        );
-        let delivers = out
+        let options = L1Options {
+            profile: Profile::HighThroughput,
+            ..L1Options::default()
+        };
+        L1Server::new(index, params, membership, backend, options)
+    }
+
+    fn put_data(s: &mut L1Server, obj: ObjectId, tag: Tag) -> Vec<(ProcessId, LdsMessage)> {
+        let put = LdsMessage::PutData {
+            obj,
+            op: OpId::default(),
+            tag,
+            value: Value::from("v"),
+        };
+        step(s, ProcessId(100), put)
+    }
+
+    #[test]
+    fn high_throughput_broadcasts_directly_and_consumes_its_own_copy() {
+        let mut s = high_throughput_server(0);
+        let (obj, tag) = (ObjectId(0), Tag::new(1, crate::tag::ClientId(1)));
+        let out = put_data(&mut s, obj, tag);
+        let delivered_to: Vec<ProcessId> = out
             .iter()
             .filter(|(_, m)| matches!(m, LdsMessage::BcastDeliver { .. }))
-            .count();
+            .map(|(to, _)| *to)
+            .collect();
         assert_eq!(
-            delivers, 4,
-            "direct mode sends COMMIT-TAG to all n1 servers"
+            delivered_to,
+            [ProcessId(1), ProcessId(2), ProcessId(3)],
+            "COMMIT-TAG goes straight to the other n1 - 1 servers"
         );
-        assert_eq!(
+        assert!(!out
+            .iter()
+            .any(|(_, m)| matches!(m, LdsMessage::BcastSend { .. })));
+        // Its own copy was consumed inside the step: the tag is committed,
+        // so the value was stored through the "broadcast raced ahead" arm,
+        // which acknowledges the writer at once.
+        assert_eq!(s.committed_tag(obj), tag);
+        assert!(out
+            .iter()
+            .any(|(to, m)| *to == ProcessId(100) && matches!(m, LdsMessage::AckPutData { .. })));
+    }
+
+    #[test]
+    fn high_throughput_non_offloader_sends_no_elements_and_serves_reads_from_its_list() {
+        let (obj, tag) = (ObjectId(0), Tag::new(1, crate::tag::ClientId(1)));
+        let elements = |out: &[(ProcessId, LdsMessage)]| {
             out.iter()
-                .filter(|(_, m)| matches!(m, LdsMessage::BcastSend { .. }))
-                .count(),
-            0
+                .filter(|(_, m)| matches!(m, LdsMessage::WriteCodeElem { .. }))
+                .count()
+        };
+        // f1 = 1: servers 0 and 1 offload, 2 and 3 do not.
+        let mut offloader = high_throughput_server(1);
+        assert_eq!(elements(&put_data(&mut offloader, obj, tag)), 5);
+        let mut s = high_throughput_server(2);
+        assert_eq!(elements(&put_data(&mut s, obj, tag)), 0);
+        assert_eq!(s.committed_tag(obj), tag);
+        // No offload, hence no L2 acks: the committed value stays in the
+        // list and a read of the committed tag is answered from it.
+        assert_eq!(s.live_list_entries(), 1);
+        let out = step(
+            &mut s,
+            ProcessId(80),
+            LdsMessage::QueryData {
+                obj,
+                op: OpId::default(),
+                treq: tag,
+            },
         );
+        assert!(matches!(
+            &out[..],
+            [(ProcessId(80), LdsMessage::DataResp { tag: Some(t), payload: ReadPayload::Value(v), .. })]
+                if *t == tag && v.as_bytes() == b"v"
+        ));
     }
 
     #[test]
@@ -2345,7 +2350,14 @@ mod tests {
                         })
                         .collect(),
                     l2: (0..params.n2())
-                        .map(|i| L2Server::new(i, membership.clone(), backend.clone()))
+                        .map(|i| {
+                            L2Server::new(
+                                i,
+                                membership.clone(),
+                                backend.clone(),
+                                Profile::PaperFaithful,
+                            )
+                        })
                         .collect(),
                     writers,
                     readers: (3..=4)

@@ -38,6 +38,7 @@
 use crate::backend::BackendCodec;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, RepairPayload};
+use crate::params::Profile;
 use crate::stripe;
 use crate::tag::{ObjectId, Tag};
 use lds_codes::{HelperData, Share};
@@ -45,34 +46,14 @@ use lds_sim::{Context, Process, ProcessId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Tuning options for an L2 server.
-#[derive(Debug, Clone, Copy)]
-pub struct L2Options {
-    /// Whether `WRITE-CODE-ELEM` messages are acknowledged. The acks only
-    /// feed the L1 servers' offload counters, whose sole effect is
-    /// garbage-collecting the temporary value — with
-    /// [`crate::server1::L1Options::cache_committed_value`] enabled that path
-    /// is inert, so the high-throughput cluster profile suppresses the
-    /// `n2` ack messages per offload entirely. Defaults to `true`
-    /// (paper-faithful).
-    pub ack_code_elem: bool,
-}
-
-impl Default for L2Options {
-    fn default() -> Self {
-        L2Options {
-            ack_code_elem: true,
-        }
-    }
-}
-
 /// In-progress assembly of one striped coded element (the parts of a
 /// [`LdsMessage::WriteCodeStripe`] stream for one `(obj, tag, sender)`).
 ///
 /// Keying by the *sender* mirrors the monolithic path, where every offloading
 /// L1 server delivers its own `WRITE-CODE-ELEM` and receives its own ack:
-/// without `frugal_offload`, all `n1` servers stream the same `(obj, tag)`
-/// concurrently, and a shared assembly would interleave their streams —
+/// all `n1` servers ([`Profile::PaperFaithful`]; the first `f1 + 1` under
+/// [`Profile::HighThroughput`]) stream the same `(obj, tag)` concurrently,
+/// and a shared assembly would interleave their streams —
 /// completing once with mixed parts (acking only one sender) and stranding
 /// the leftovers forever. Per-sender assemblies each complete after exactly
 /// `count` deliveries and remove themselves, so each offloader's
@@ -129,7 +110,8 @@ pub struct L2Server {
     index: usize,
     membership: Membership,
     backend: Arc<dyn BackendCodec>,
-    options: L2Options,
+    /// Decides one thing here: whether `WRITE-CODE-ELEM` is acknowledged.
+    profile: Profile,
     /// Per-object `(tag, coded element)` — exactly one pair per object.
     objects: HashMap<ObjectId, (Tag, Share)>,
     /// Striped elements still being assembled, per object, tag and sender.
@@ -141,24 +123,19 @@ pub struct L2Server {
 }
 
 impl L2Server {
-    /// Creates the L2 server with layer index `index` and default options.
-    pub fn new(index: usize, membership: Membership, backend: Arc<dyn BackendCodec>) -> Self {
-        L2Server::with_options(index, membership, backend, L2Options::default())
-    }
-
-    /// Creates the L2 server with explicit options.
-    pub fn with_options(
+    /// Creates the L2 server with layer index `index`.
+    pub fn new(
         index: usize,
         membership: Membership,
         backend: Arc<dyn BackendCodec>,
-        options: L2Options,
+        profile: Profile,
     ) -> Self {
         assert!(index < membership.n2(), "L2 index out of range");
         L2Server {
             index,
             membership,
             backend,
-            options,
+            profile,
             objects: HashMap::new(),
             assemblies: HashMap::new(),
             obs: L2ObsCounters::default(),
@@ -175,11 +152,11 @@ impl L2Server {
         index: usize,
         membership: Membership,
         backend: Arc<dyn BackendCodec>,
-        options: L2Options,
+        profile: Profile,
         expected_dones: usize,
         report_to: ProcessId,
     ) -> Self {
-        let mut server = L2Server::with_options(index, membership, backend, options);
+        let mut server = L2Server::new(index, membership, backend, profile);
         server.rebuild = Some(L2Rebuild {
             expected_dones,
             dones: 0,
@@ -242,8 +219,8 @@ impl L2Server {
         self.obs
     }
 
-    /// Stores `element` for `obj` if `tag` is the highest seen, acking the
-    /// write when configured — the single commit point shared by the
+    /// Stores `element` for `obj` if `tag` is the highest seen and, in the
+    /// paper profile, acknowledges the write — the single commit point shared by the
     /// monolithic `WRITE-CODE-ELEM` and the completion of a striped stream.
     fn commit_element(
         &mut self,
@@ -257,7 +234,10 @@ impl L2Server {
         if tag > entry.0 {
             *entry = (tag, element);
         }
-        if self.options.ack_code_elem {
+        // The acks only feed the L1 offload counters, whose sole effect is
+        // replacing the committed value by ⊥; `HighThroughput` keeps that
+        // value to serve reads from L1, so it saves the n2 acks per offload.
+        if self.profile == Profile::PaperFaithful {
             ctx.send(from, LdsMessage::AckCodeElem { obj, tag });
         }
     }
@@ -586,6 +566,19 @@ mod tests {
         )
     }
 
+    fn paper_server(
+        index: usize,
+        membership: &Membership,
+        backend: &Arc<dyn BackendCodec>,
+    ) -> L2Server {
+        L2Server::new(
+            index,
+            membership.clone(),
+            Arc::clone(backend),
+            Profile::PaperFaithful,
+        )
+    }
+
     fn step(
         server: &mut L2Server,
         from: ProcessId,
@@ -604,9 +597,24 @@ mod tests {
     }
 
     #[test]
+    fn high_throughput_stores_the_element_without_acknowledging() {
+        let (membership, backend) = setup();
+        let mut s = L2Server::new(0, membership, Arc::clone(&backend), Profile::HighThroughput);
+        let (obj, tag) = (ObjectId(0), Tag::new(1, ClientId(1)));
+        let element = backend.encode_l2_element(&Value::from("v"), 0).unwrap();
+        let out = step(
+            &mut s,
+            ProcessId(1),
+            LdsMessage::WriteCodeElem { obj, tag, element },
+        );
+        assert!(out.is_empty());
+        assert_eq!(s.stored_tag(obj), tag);
+    }
+
+    #[test]
     fn stores_only_the_highest_tag() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(0, membership, Arc::clone(&backend));
+        let mut s = paper_server(0, &membership, &backend);
         let obj = ObjectId(0);
         let v1 = Value::from("first");
         let v2 = Value::from("second");
@@ -646,7 +654,7 @@ mod tests {
     #[test]
     fn striped_stream_assembles_into_one_element_with_one_ack() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = paper_server(1, &membership, &backend);
         let obj = ObjectId(2);
         let tag = Tag::new(1, ClientId(1));
         let value = Value::new((0..100u8).collect());
@@ -741,16 +749,15 @@ mod tests {
     #[test]
     fn interleaved_streams_from_two_senders_assemble_independently() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = paper_server(1, &membership, &backend);
         let obj = ObjectId(4);
         let tag = Tag::new(2, ClientId(1));
         let value = Value::new((0..100u8).collect());
         let parts = striped_parts(&backend, &value, 32, 1);
         assert_eq!(parts.len(), 4);
 
-        // Without frugal_offload every L1 server offloads, so two senders
-        // stream the same (obj, tag) concurrently — interleaved part by
-        // part. Each stream must assemble independently and earn its own
+        // Every offloading L1 server streams the same (obj, tag), so two
+        // senders' parts arrive interleaved. Each stream must assemble independently and earn its own
         // ack, exactly as two monolithic WRITE-CODE-ELEMs would.
         let senders = [membership.l1[0], membership.l1[1]];
         let mut acks = Vec::new();
@@ -786,7 +793,7 @@ mod tests {
     #[test]
     fn monolithic_element_supersedes_partial_stream_from_same_sender() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = paper_server(1, &membership, &backend);
         let obj = ObjectId(5);
         let tag = Tag::new(3, ClientId(2));
         let value = Value::new((0..100u8).collect());
@@ -861,7 +868,7 @@ mod tests {
     #[test]
     fn stripe_with_disagreeing_count_is_rejected() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = paper_server(1, &membership, &backend);
         let obj = ObjectId(6);
         let tag = Tag::new(1, ClientId(3));
         let value = Value::new((0..100u8).collect());
@@ -923,7 +930,7 @@ mod tests {
     #[test]
     fn helper_data_is_computed_for_the_requesting_l1_server() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(2, membership.clone(), Arc::clone(&backend));
+        let mut s = paper_server(2, &membership, &backend);
         let obj = ObjectId(3);
         let value = Value::from("helper source");
         let tag = Tag::new(4, ClientId(2));
@@ -963,7 +970,7 @@ mod tests {
     #[test]
     fn unknown_objects_answer_with_initial_element() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership.clone(), backend);
+        let mut s = paper_server(1, &membership, &backend);
         let out = step(
             &mut s,
             membership.l1[0],
@@ -983,7 +990,7 @@ mod tests {
     #[test]
     fn queries_from_non_l1_processes_are_ignored() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership, backend);
+        let mut s = paper_server(1, &membership, &backend);
         let out = step(
             &mut s,
             ProcessId(999),
@@ -999,7 +1006,7 @@ mod tests {
     #[test]
     fn helpers_stream_repair_shares_then_a_done_marker() {
         let (membership, backend) = setup();
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = paper_server(1, &membership, &backend);
         let tag = Tag::new(3, ClientId(1));
         for obj in 0..3u64 {
             let value = Value::from(format!("obj {obj}").as_str());
@@ -1081,7 +1088,7 @@ mod tests {
             failed_index,
             membership.clone(),
             Arc::clone(&backend),
-            L2Options::default(),
+            Profile::PaperFaithful,
             helpers.len(),
             coordinator,
         );
@@ -1214,7 +1221,7 @@ mod tests {
             failed_index,
             membership.clone(),
             Arc::clone(&backend),
-            L2Options::default(),
+            Profile::PaperFaithful,
             1,
             coordinator,
         );
@@ -1274,7 +1281,7 @@ mod tests {
             failed_index,
             membership.clone(),
             Arc::clone(&backend),
-            L2Options::default(),
+            Profile::PaperFaithful,
             helpers.len(),
             ProcessId(99),
         );

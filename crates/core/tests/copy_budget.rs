@@ -19,8 +19,8 @@ use lds_core::backend::{make_backend, BackendKind};
 use lds_core::costs;
 use lds_core::server1::L1Options;
 use lds_core::{
-    ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, ProtocolEvent, ReadPayload,
-    ReaderClient, SystemParams, Value, WriterClient,
+    ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, Profile, ProtocolEvent,
+    ReadPayload, ReaderClient, SystemParams, Value, WriterClient,
 };
 use lds_sim::{Context, Process, ProcessId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -127,7 +127,14 @@ impl Net {
                 })
                 .collect(),
             l2: (0..n2)
-                .map(|i| L2Server::new(i, membership.clone(), backend.clone()))
+                .map(|i| {
+                    L2Server::new(
+                        i,
+                        membership.clone(),
+                        backend.clone(),
+                        Profile::PaperFaithful,
+                    )
+                })
                 .collect(),
             writer: WriterClient::new(ClientId(1), params, membership.clone()),
             reader: ReaderClient::new(ClientId(2), params, membership.clone(), backend.clone()),

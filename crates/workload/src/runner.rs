@@ -4,7 +4,7 @@ use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::consistency::History;
 use lds_core::membership::{Membership, CLIENT_GROUP, L1_GROUP, L2_GROUP};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
-use lds_core::params::SystemParams;
+use lds_core::params::{Profile, SystemParams};
 use lds_core::reader::ReaderClient;
 use lds_core::server1::{L1Options, L1Server};
 use lds_core::server2::L2Server;
@@ -33,9 +33,9 @@ pub struct RunnerConfig {
     /// `[(1 − jitter)·τ, τ]`. Zero gives the deterministic bounded-latency
     /// model used in the paper's latency analysis.
     pub jitter: f64,
-    /// Use the direct (non-relayed) COMMIT-TAG broadcast. See
-    /// [`L1Options::direct_broadcast`].
-    pub direct_broadcast: bool,
+    /// Which message flow the servers run (default
+    /// [`Profile::PaperFaithful`]).
+    pub profile: Profile,
 }
 
 impl RunnerConfig {
@@ -50,7 +50,7 @@ impl RunnerConfig {
             tau1: 1.0,
             tau2: 10.0,
             jitter: 0.0,
-            direct_broadcast: false,
+            profile: Profile::PaperFaithful,
         }
     }
 
@@ -84,9 +84,9 @@ impl RunnerConfig {
         self
     }
 
-    /// Enables the direct (cheaper, less fault-tolerant) broadcast.
-    pub fn direct_broadcast(mut self, on: bool) -> Self {
-        self.direct_broadcast = on;
+    /// Sets the protocol profile of every server.
+    pub fn profile(mut self, profile: Profile) -> Self {
+        self.profile = profile;
         self
     }
 
@@ -155,7 +155,7 @@ impl SimRunner {
             .collect();
         let membership = Membership::new(l1.clone(), l2.clone());
         let options = L1Options {
-            direct_broadcast: config.direct_broadcast,
+            profile: config.profile,
             ..L1Options::default()
         };
 
@@ -169,7 +169,7 @@ impl SimRunner {
             );
         }
         for (i, &expected) in l2.iter().enumerate() {
-            let server = L2Server::new(i, membership.clone(), Arc::clone(&backend));
+            let server = L2Server::new(i, membership.clone(), Arc::clone(&backend), config.profile);
             let pid = sim.spawn(server, L2_GROUP);
             assert_eq!(
                 pid, expected,
@@ -444,18 +444,21 @@ mod tests {
     }
 
     #[test]
-    fn direct_broadcast_reduces_message_count() {
-        let run = |direct: bool| {
-            let mut runner = SimRunner::new(
-                RunnerConfig::new(small_params())
-                    .seed(9)
-                    .direct_broadcast(direct),
-            );
+    fn high_throughput_sends_fewer_messages_for_the_same_history() {
+        let run = |profile: Profile| {
+            let mut runner =
+                SimRunner::new(RunnerConfig::new(small_params()).seed(9).profile(profile));
             let w = runner.add_writer();
+            let r = runner.add_reader();
             runner.invoke_write(w, 0.0, b"x".to_vec());
-            runner.run().metrics.messages_sent()
+            runner.invoke_read(r, 100.0);
+            let report = runner.run();
+            report.history.check_atomicity().unwrap();
+            let read = report.history.operations().iter().find(|o| !o.is_write());
+            assert_eq!(read.unwrap().value().as_bytes(), b"x");
+            report.metrics.messages_sent()
         };
-        assert!(run(true) < run(false));
+        assert!(run(Profile::HighThroughput) < run(Profile::PaperFaithful));
     }
 
     #[test]

@@ -116,7 +116,12 @@ pub mod channel {
         fn drop(&mut self) {
             if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake blocked receivers so they observe the
-                // disconnection.
+                // disconnection. A receiver checks `senders` and then waits
+                // without releasing the queue lock in between, so passing
+                // through that lock first puts the notification either before
+                // its check or after its wait began — never in the gap, where
+                // it would be lost and the receiver would wait forever.
+                drop(self.inner.queue.lock().unwrap_or_else(|p| p.into_inner()));
                 self.inner.ready.notify_all();
             }
         }
@@ -291,6 +296,35 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    /// A `recv` blocked on an empty channel returns when another thread
+    /// drops the last sender (what `lds_cluster`'s "join a server" waits on).
+    /// The barrier releases both sides together so the drop lands around the
+    /// receiver's disconnection check; a lost wake-up shows as a hang (with
+    /// the notification outside the queue lock, within ~10⁶ rounds).
+    #[test]
+    fn blocked_recv_wakes_when_the_last_sender_drops() {
+        use std::sync::{mpsc, Arc, Barrier};
+        let barrier = Arc::new(Barrier::new(2));
+        let (hand_over, senders) = mpsc::channel::<Sender<()>>();
+        let dropper = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                for tx in senders {
+                    barrier.wait();
+                    drop(tx);
+                }
+            })
+        };
+        for _ in 0..50_000 {
+            let (tx, rx) = unbounded::<()>();
+            hand_over.send(tx).unwrap();
+            barrier.wait();
+            assert_eq!(rx.recv(), Err(RecvError));
+        }
+        drop(hand_over);
+        dropper.join().unwrap();
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //!   Cluster and simulator start-up call `warm_plans()` so the first
 //!   operation already runs at steady-state speed.
 //!
-//! `BENCH_CODES.json` at the repository root records the measured effect
-//! (≈ 8–10× on MBR encode / decode at 64 KiB versus the scalar path).
+//! The `gf.*` and `codes.*` rungs of `lds_benchmark`'s `--trace 1` ladder
+//! time these paths.
 //!
 //! # The scale-out cluster runtime and the `Store` facade
 //!

@@ -4,7 +4,7 @@
 //! atomic.
 
 use lds_core::backend::BackendKind;
-use lds_core::params::SystemParams;
+use lds_core::params::{Profile, SystemParams};
 use lds_workload::generator::{ClosedLoopWorkload, ValueGenerator};
 use lds_workload::runner::{RunnerConfig, SimRunner};
 use proptest::prelude::*;
@@ -140,29 +140,44 @@ fn multi_object_workloads_are_atomic_per_object() {
     report.history.check_atomicity().unwrap();
 }
 
+/// The profile the cluster runtime ships as `high_throughput(n)`, under the
+/// real checker: per seed, one object, three objects, and three objects with
+/// an L1 server (an offloader on half the seeds) crashed before the first
+/// message arrives.
 #[test]
-fn direct_broadcast_variant_preserves_atomicity() {
-    let mut runner = SimRunner::new(
-        RunnerConfig::new(small_params())
-            .seed(31)
-            .direct_broadcast(true)
-            .jitter(0.4),
-    );
-    for _ in 0..2 {
-        runner.add_writer();
+fn high_throughput_profile_preserves_atomicity() {
+    for seed in 0..16u64 {
+        for (objects, crashed) in [(1, None), (3, None), (3, Some(seed as usize % 4))] {
+            let mut runner = SimRunner::new(
+                RunnerConfig::new(small_params())
+                    .seed(seed)
+                    .profile(Profile::HighThroughput)
+                    .jitter(0.4),
+            );
+            for _ in 0..2 {
+                runner.add_writer();
+                runner.add_reader();
+            }
+            if let Some(index) = crashed {
+                runner.crash_l1(index, 0.0);
+            }
+            let workload = ClosedLoopWorkload {
+                writes_per_writer: 4,
+                reads_per_reader: 4,
+                value_size: 64,
+                think_time: 0.5,
+                objects,
+                seed: seed + 100,
+            };
+            let report = workload.run(&mut runner);
+            let case = format!("seed {seed}, {objects} objects, crashed L1 {crashed:?}");
+            assert_eq!(report.history.len(), 16, "liveness ({case})");
+            report
+                .history
+                .check_atomicity()
+                .unwrap_or_else(|v| panic!("atomicity violated ({case}): {v}"));
+        }
     }
-    runner.add_reader();
-    let workload = ClosedLoopWorkload {
-        writes_per_writer: 4,
-        reads_per_reader: 4,
-        value_size: 64,
-        think_time: 0.5,
-        objects: 1,
-        seed: 8,
-    };
-    let report = workload.run(&mut runner);
-    assert_eq!(report.history.len(), 12);
-    report.history.check_atomicity().unwrap();
 }
 
 proptest! {

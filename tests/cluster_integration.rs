@@ -19,8 +19,8 @@ fn params() -> SystemParams {
 }
 
 /// The store profiles every stress test runs under: paper-faithful
-/// messaging, the high-throughput knob set, and the high-throughput set with
-/// the large-value data paths forced on — a tiny stripe threshold makes
+/// messaging, the high-throughput profile, and the high-throughput profile
+/// with the large-value data paths forced on — a tiny stripe threshold makes
 /// every test value take the chunk-striped PUT-STRIPE/WriteCodeStripe path,
 /// and the tag-validated read cache is enabled — so the atomicity assertions
 /// cover the striped and cached flows too.

@@ -7,6 +7,7 @@ use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder, StoreError, Sto
 use lds_cluster::{cluster_of, FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
 use lds_core::backend::BackendKind;
 use lds_core::tag::Tag;
+use lds_core::Profile;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -137,6 +138,38 @@ fn builder_axes_reach_the_deployment() {
     let single = StoreBuilder::new().build().unwrap();
     assert_eq!(single.clusters(), 1);
     single.shutdown();
+}
+
+/// The profile methods set the profile (plus shards and depth for
+/// `high_throughput`) and nothing else, so they commute with the striping
+/// settings: before the profile was a field of its own, `high_throughput`
+/// after `stripe_threshold`/`stripe_size` silently built an unstriped store.
+#[test]
+fn profile_and_striping_commute() {
+    let striping_first = StoreBuilder::new()
+        .stripe_threshold(4096)
+        .stripe_size(1024)
+        .high_throughput(2);
+    let profile_first = StoreBuilder::new()
+        .high_throughput(2)
+        .stripe_threshold(4096)
+        .stripe_size(1024);
+    for (builder, profile) in [
+        (striping_first.clone(), Profile::HighThroughput),
+        (profile_first.clone(), Profile::HighThroughput),
+        (striping_first.paper_faithful(), Profile::PaperFaithful),
+        (profile_first.paper_faithful(), Profile::PaperFaithful),
+    ] {
+        let store = builder.build().unwrap();
+        let options = store.options();
+        assert_eq!(options.profile, profile);
+        assert_eq!(
+            (options.stripe_threshold, options.stripe_size),
+            (4096, 1024)
+        );
+        assert_eq!((options.l1_shards, options.pipeline_depth), (2, 32));
+        store.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------

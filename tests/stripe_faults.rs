@@ -23,8 +23,8 @@ use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::server1::{L1Options, L1Server};
 use lds_core::stripe;
 use lds_core::{
-    ClientId, L2Server, LdsMessage, Membership, ObjectId, OpId, ReadPayload, SystemParams, Tag,
-    Value,
+    ClientId, L2Server, LdsMessage, Membership, ObjectId, OpId, Profile, ReadPayload, SystemParams,
+    Tag, Value,
 };
 use lds_sim::{Context, Process, ProcessId};
 use lds_workload::seed::{chaos_seed, repro_guard};
@@ -43,6 +43,16 @@ fn setup() -> (SystemParams, Membership, Arc<dyn BackendCodec>) {
     let membership = Membership::new(l1, l2);
     let backend = make_backend(BackendKind::Mbr, &params).unwrap();
     (params, membership, backend)
+}
+
+/// L2 server 1 of the paper profile (the one that acknowledges).
+fn l2_server(membership: &Membership, backend: &Arc<dyn BackendCodec>) -> L2Server {
+    L2Server::new(
+        1,
+        membership.clone(),
+        Arc::clone(backend),
+        Profile::PaperFaithful,
+    )
 }
 
 // Both helpers run the automaton standalone: the pid only stamps outgoing
@@ -343,7 +353,7 @@ fn duplicated_write_code_stripe_streams_store_the_exact_element() {
         let count = parts[0].1;
         let (schedule, min_mult) = duplicate_and_shuffle(&parts, &mut rng);
 
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = l2_server(&membership, &backend);
         let obj = ObjectId(trial);
         let tag = Tag::new(1, ClientId(1));
         let sender = membership.l1[0];
@@ -380,7 +390,7 @@ fn duplicated_write_code_stripe_streams_store_the_exact_element() {
         // like a control server that took the same stream cleanly (in
         // order, each part once). A *monolithic* control would not do: a
         // striped element is intentionally stored with its stripe layout.
-        let mut control = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut control = l2_server(&membership, &backend);
         for (seq, count, part) in parts.clone() {
             step_l2(
                 &mut control,
@@ -454,7 +464,7 @@ fn interleaved_duplicated_streams_from_two_senders_stay_isolated() {
             schedule.push(streams[pick].remove(0));
         }
 
-        let mut s = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut s = l2_server(&membership, &backend);
         let obj = ObjectId(trial);
         let tag = Tag::new(3, ClientId(2));
         let mut acks_by_sender = [0usize; 2];
@@ -486,7 +496,7 @@ fn interleaved_duplicated_streams_from_two_senders_stay_isolated() {
         assert_eq!(s.stored_tag(obj), tag);
 
         // Clean-stream control, as above: same parts, one sender, in order.
-        let mut control = L2Server::new(1, membership.clone(), Arc::clone(&backend));
+        let mut control = l2_server(&membership, &backend);
         for (seq, count, part) in parts.clone() {
             step_l2(
                 &mut control,
