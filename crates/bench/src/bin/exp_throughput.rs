@@ -1,7 +1,7 @@
 //! `exp_throughput` — end-to-end ops/sec of the threaded cluster runtime.
 //!
 //! Drives closed-loop clients — written against the [`Store`] trait, and
-//! the same `StoreClient` serves one [`lds_cluster::Cluster`] or a
+//! the same `StoreClient` serves one cluster or a
 //! multi-cluster deployment; the cluster count is just the builder's
 //! `clusters` axis — and records ops/sec
 //! with p50/p99 latency to `BENCH_CLUSTER.json`. Three sweep axes:

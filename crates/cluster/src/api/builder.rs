@@ -191,7 +191,7 @@ impl StoreBuilder {
     }
 
     /// Independent clusters — the scale-out axis (default `1`). The
-    /// deployment runs `n` [`Cluster`]s, each a fully independent L1/L2
+    /// deployment runs `n` clusters, each a fully independent L1/L2
     /// membership with its own failure budget, with keys placed by
     /// consistent hash ([`crate::cluster_of`]).
     pub fn clusters(mut self, clusters: usize) -> StoreBuilder {
@@ -322,17 +322,11 @@ impl StoreBuilder {
     /// assembly, GC, suspicion/repair) into bounded per-thread rings,
     /// merged on demand by [`Admin::trace_dump`](crate::api::Admin::trace_dump).
     /// Off by default — and when off, every recording site in the hot path
-    /// costs exactly one branch on a cached flag.
+    /// costs exactly one branch on a cached flag. A ring keeps its thread's
+    /// last [`DEFAULT_TRACE_EVENTS`](crate::obs::DEFAULT_TRACE_EVENTS)
+    /// events; older ones are overwritten.
     pub fn trace(mut self, on: bool) -> StoreBuilder {
         self.options.trace = on;
-        self
-    }
-
-    /// Events retained per recording thread while tracing is on (default
-    /// [`crate::obs::DEFAULT_TRACE_EVENTS`]); older events are overwritten
-    /// ring-style. Only meaningful with [`trace`](StoreBuilder::trace).
-    pub fn trace_events(mut self, events: usize) -> StoreBuilder {
-        self.options.trace_events = events;
         self
     }
 

@@ -8,7 +8,7 @@
 //!
 //! * [`StoreBuilder`] — the fluent, validating construction path. One
 //!   [`clusters`](StoreBuilder::clusters) axis sets how many independent
-//!   [`crate::Cluster`]s the deployment runs (keys placed by
+//!   clusters the deployment runs (keys placed by
 //!   [`crate::cluster_of`]); named profiles
 //!   ([`paper_faithful`](StoreBuilder::paper_faithful),
 //!   [`high_throughput`](StoreBuilder::high_throughput)) replace
@@ -63,11 +63,15 @@ mod error;
 mod handle;
 mod store;
 
-pub use admin::{Admin, Liveness, MetricsSnapshot, ServerRef};
+pub use admin::{Admin, Liveness, ServerRef};
 pub use builder::StoreBuilder;
 pub use error::StoreError;
 pub use handle::StoreHandle;
 pub use store::Store;
+
+/// What [`Admin::metrics`] returns (generated from the metrics table in
+/// [`crate::obs::metrics`]).
+pub use crate::obs::MetricsSnapshot;
 
 /// The client type and the handle [`Store::waker`] returns (defined in
 /// [`crate::client`]).

@@ -43,8 +43,7 @@
 use crate::api::{Store, StoreError};
 use crate::node::{Admission, Cluster};
 use crate::obs::{phase, EventKind, ObsMetrics, TraceHandle};
-use crate::router::{DepthGauge, Envelope, Inbox, RouterHandle};
-use crate::sharded::cluster_of;
+use crate::router::{cluster_of, DepthGauge, Envelope, Inbox, RouterHandle};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::reader::ReaderClient;
@@ -1233,6 +1232,130 @@ mod tests {
             t2 = b.try_submit_write(ObjectId(1), b"now it fits");
         }
         b.wait(t2.expect("budget freed after completion")).unwrap();
+        store.shutdown();
+    }
+
+    fn clusters_store(clusters: usize, backend: BackendKind) -> StoreHandle {
+        StoreBuilder::new()
+            .backend(backend)
+            .clusters(clusters)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn facade_routes_blocking_ops_to_owning_shards() {
+        let store = clusters_store(2, BackendKind::Replication);
+        let mut client = store.client();
+        for obj in 0..8u64 {
+            let tag = client
+                .write(ObjectId(obj), format!("value {obj}").as_bytes())
+                .unwrap();
+            assert!(tag > Tag::initial());
+            assert_eq!(
+                client.read(ObjectId(obj)).unwrap(),
+                format!("value {obj}").into_bytes()
+            );
+        }
+        // Both clusters saw traffic: each served the writes of its own keys
+        // and of no others.
+        let m = store.admin().metrics();
+        assert_eq!(m.write_latency.count(), 8);
+        for c in 0..2 {
+            let owned = (0..8u64).filter(|&obj| cluster_of(obj, 2) == c).count();
+            assert!(owned > 0, "8 consecutive objects span both clusters");
+            let served = store.clusters[c].snapshot(c).write_latency.count();
+            assert_eq!(served, owned as u64, "cluster {c}");
+        }
+        drop(client);
+        store.shutdown();
+    }
+
+    #[test]
+    fn facade_pipelines_across_shards_and_orders_tickets() {
+        let store = clusters_store(3, BackendKind::Mbr);
+        let mut client = store.client_with_depth(12);
+        for obj in 0..12u64 {
+            client.submit_write(ObjectId(obj), format!("w{obj}").as_bytes());
+        }
+        for obj in 0..12u64 {
+            client.submit_read(ObjectId(obj));
+        }
+        let completions = client.wait_all().unwrap();
+        assert_eq!(completions.len(), 24);
+        // wait_all returns submission order.
+        let tickets: Vec<OpTicket> = completions.iter().map(|c| c.ticket).collect();
+        let mut sorted = tickets.clone();
+        sorted.sort();
+        assert_eq!(tickets, sorted);
+        // Same-object FIFO holds across clusters: every read (second half)
+        // observes its object's write (first half).
+        for c in &completions[12..] {
+            match &c.outcome {
+                OpOutcome::Read { value, .. } => {
+                    assert_eq!(value, &format!("w{}", c.obj).into_bytes());
+                }
+                other => panic!("expected read outcome, got {other:?}"),
+            }
+        }
+        drop(client);
+        store.shutdown();
+    }
+
+    #[test]
+    fn facade_wait_and_poll_mirror_cluster_client() {
+        let store = clusters_store(2, BackendKind::Replication);
+        let mut client = store.client_with_depth(8);
+        let t0 = client.submit_write(ObjectId(0), b"a");
+        let t1 = client.submit_write(ObjectId(1), b"b");
+        let c1 = client.wait(t1).unwrap();
+        assert_eq!(c1.ticket, t1);
+        let c0 = client.wait(t0).unwrap();
+        assert_eq!(c0.ticket, t0);
+        assert_eq!(client.wait(t0), Err(StoreError::UnknownTicket));
+        assert_eq!(client.pending_ops(), 0);
+        drop(client);
+        store.shutdown();
+    }
+
+    #[test]
+    fn facade_survives_tolerated_failures_per_shard() {
+        let store = clusters_store(2, BackendKind::Mbr);
+        // Kill f1 = 1 L1 server in *each* cluster: every partition still has
+        // its quorums.
+        let admin = store.admin();
+        admin.kill(ServerRef::l1(0).in_cluster(0)).unwrap();
+        admin.kill(ServerRef::l1(3).in_cluster(1)).unwrap();
+        let mut client = store.client();
+        for obj in 0..6u64 {
+            client.write(ObjectId(obj), b"resilient").unwrap();
+            assert_eq!(client.read(ObjectId(obj)).unwrap(), b"resilient");
+        }
+        drop(client);
+        store.shutdown();
+    }
+
+    #[test]
+    fn facade_wait_next_harvests_from_any_shard() {
+        let store = clusters_store(2, BackendKind::Replication);
+        let mut client = store.client_with_depth(8);
+        for obj in 0..8u64 {
+            client.submit_write(ObjectId(obj), &[obj as u8; 8]);
+        }
+        let mut harvested = 0;
+        while harvested < 8 {
+            let batch = client.wait_next().unwrap();
+            assert!(
+                !batch.is_empty(),
+                "wait_next returned empty with work outstanding"
+            );
+            harvested += batch.len();
+        }
+        assert!(
+            client.wait_next().unwrap().is_empty(),
+            "nothing outstanding"
+        );
+        drop(client);
         store.shutdown();
     }
 }

@@ -8,7 +8,7 @@
 //! automata as [`Task`]s on `W = min(cores, tasks)` **worker threads**:
 //!
 //! * **Placement** is fixed at install time by the cluster (a pure function
-//!   of server and shard — [`Cluster`](crate::Cluster) computes it, launch
+//!   of server and shard — [`Cluster`](crate::node::Cluster) computes it, launch
 //!   and repair share it), so a task never migrates and its state needs no
 //!   lock. With `cores ≥ tasks` every worker hosts exactly one task: the
 //!   thread-per-shard layout this executor replaced.

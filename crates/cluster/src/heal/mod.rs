@@ -42,6 +42,7 @@
 mod monitor;
 mod supervisor;
 
+use crate::api::ServerRef;
 use crate::node::Cluster;
 use crate::repair::RepairLayer;
 use lds_sim::ProcessId;
@@ -120,22 +121,22 @@ impl HealConfig {
 
 /// Per-cluster bookkeeping the healing loop shares with the `Admin` facade:
 /// suspicion flags (fed into `Admin::liveness`), heal counters and the
-/// current per-target backoffs (fed into `MetricsSnapshot`). Attached to the
-/// [`Cluster`] once by the builder.
+/// current per-target backoffs (read by `Cluster::snapshot` into
+/// `MetricsSnapshot`). Attached to the [`Cluster`] once by the builder.
 pub(crate) struct HealState {
     /// Suspicion flag per server process, indexed by pid (`0..n1 + n2`).
     suspected: Vec<AtomicBool>,
     /// Transitions into the suspected state since launch.
-    suspicions_raised: AtomicU64,
+    pub(crate) suspicions_raised: AtomicU64,
     /// Repair attempts the supervisor started.
-    repairs_attempted: AtomicU64,
+    pub(crate) repairs_attempted: AtomicU64,
     /// Attempts that completed successfully.
-    repairs_succeeded: AtomicU64,
+    pub(crate) repairs_succeeded: AtomicU64,
     /// Attempts that failed and entered (or escalated) backoff.
-    repairs_backed_off: AtomicU64,
+    pub(crate) repairs_backed_off: AtomicU64,
     /// Transitions into the parked state (a layer degraded beyond its
     /// repair quorum, so the supervisor waits instead of attempting).
-    parked_events: AtomicU64,
+    pub(crate) parked_events: AtomicU64,
     /// Current backoff delay per target, while one is pending.
     backoffs: Mutex<HashMap<(RepairLayer, usize), Duration>>,
 }
@@ -181,26 +182,6 @@ impl HealState {
         self.parked_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn suspicions_raised(&self) -> u64 {
-        self.suspicions_raised.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn repairs_attempted(&self) -> u64 {
-        self.repairs_attempted.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn repairs_succeeded(&self) -> u64 {
-        self.repairs_succeeded.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn repairs_backed_off(&self) -> u64 {
-        self.repairs_backed_off.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn parked_events(&self) -> u64 {
-        self.parked_events.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn set_backoff(&self, layer: RepairLayer, index: usize, delay: Duration) {
         self.backoffs.lock().insert((layer, index), delay);
     }
@@ -209,10 +190,20 @@ impl HealState {
         self.backoffs.lock().remove(&(layer, index));
     }
 
-    /// The current backoff delays, one entry per target with a pending one.
-    pub(crate) fn backoff_snapshot(&self) -> Vec<((RepairLayer, usize), Duration)> {
-        let mut entries: Vec<_> = self.backoffs.lock().iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_by_key(|((layer, index), _)| (*layer == RepairLayer::L2, *index));
+    /// The current backoff delays of this cluster (number `cluster` of the
+    /// deployment), one entry per target with a pending one.
+    pub(crate) fn backoff_snapshot(&self, cluster: usize) -> Vec<(ServerRef, Duration)> {
+        let target = |layer, index| ServerRef {
+            cluster,
+            layer,
+            index,
+        };
+        let backoffs = self.backoffs.lock();
+        let mut entries: Vec<_> = backoffs
+            .iter()
+            .map(|(&(layer, index), &delay)| (target(layer, index), delay))
+            .collect();
+        entries.sort_by_key(|(target, _)| (target.layer == RepairLayer::L2, target.index));
         entries
     }
 }

@@ -212,7 +212,7 @@ pub(super) fn run_supervisor(clusters: &[Arc<Cluster>], config: &HealConfig, sto
                 let handle = std::thread::Builder::new()
                     .name(format!("lds-heal-repair-{layer}-{index}"))
                     .spawn(move || {
-                        let outcome = cluster.repair_server(layer, index);
+                        let outcome = cluster.repair_server(layer, index, None);
                         let _ = done_tx.send((key, outcome));
                     })
                     .expect("spawn heal repair worker");

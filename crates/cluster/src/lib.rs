@@ -45,7 +45,7 @@
 //!   [`StoreError::WouldBlock`]) instead of queueing without limit;
 //! * a deployment scales out *beyond one membership* with
 //!   [`StoreBuilder::clusters`]: the object space is partitioned by
-//!   consistent hash ([`cluster_of`]) over N independent [`Cluster`]s — each
+//!   consistent hash ([`cluster_of`]) over N independent clusters — each
 //!   with its own L1/L2 group, router and failure budget — served by the
 //!   same [`StoreClient`] as a single cluster is (the [`client`] module says
 //!   why one client type suffices).
@@ -58,7 +58,7 @@
 //! [`Store`] trait for the data plane (typed [`ObjectId`] keys, borrowed
 //! `&[u8]` values, blocking and pipelined operation), and [`Admin`] for the
 //! control plane (crash injection, online repair, liveness, metrics). It is
-//! the only way in: a [`Cluster`] is launched by the builder, its clients
+//! the only way in: a cluster is launched by the builder, its clients
 //! are created by [`StoreHandle::client`], and its servers are killed and
 //! repaired through [`Admin`].
 //!
@@ -120,7 +120,6 @@ pub mod node;
 pub mod obs;
 pub mod repair;
 pub mod router;
-pub mod sharded;
 pub mod transport;
 
 pub use api::{
@@ -129,11 +128,10 @@ pub use api::{
 };
 pub use client::{Completion, OpOutcome, OpTicket, Waker};
 pub use heal::HealConfig;
-pub use node::{msgs_per_op_bound, Cluster, ClusterOptions, HostScope};
+pub use node::{msgs_per_op_bound, ClusterOptions, HostScope};
 pub use obs::{EventKind, FlightRecorder, HistSnapshot, TraceDump, TraceEvent, TraceHandle};
 pub use repair::{RepairError, RepairLayer, RepairReport};
-pub use router::shard_of;
-pub use sharded::cluster_of;
+pub use router::{cluster_of, shard_of};
 pub use transport::{
     Decision, Endpoint, FaultCounters, FaultPlan, FaultRule, InProcTransport, PartitionDirection,
     PartitionSpec, SimTransport, Transport,

@@ -1,4 +1,5 @@
-//! Server-shard tasks and the [`Cluster`] handle.
+//! Server-shard tasks, [`ClusterOptions`] and the crate-internal `Cluster`
+//! engine behind every [`StoreHandle`](crate::api::StoreHandle).
 //!
 //! Each L1/L2 server process may run as several *worker shards*: identical
 //! automaton instances that own disjoint partitions of the object space
@@ -24,10 +25,14 @@
 //! a small protocol-constant multiple of the cap (asserted by the
 //! cross-shard stress tests).
 
-use crate::executor::{completion, Executor, ExecutorStats, Finished, Running, Task, Turn};
-use crate::obs::{EventKind, FlightRecorder, ObsMetrics, TraceHandle, DEFAULT_TRACE_EVENTS};
+use crate::executor::{completion, Executor, Finished, Running, Task, Turn};
+use crate::heal::HealState;
+use crate::obs::{
+    EventKind, FlightRecorder, MetricsSnapshot, ObsMetrics, TraceHandle, DEFAULT_TRACE_EVENTS,
+};
 use crate::repair::{RepairError, RepairLayer, RepairReport};
 use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
+use crate::transport::MESSAGE_CLASSES;
 use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::membership::Membership;
 use lds_core::messages::{LdsMessage, ProtocolEvent};
@@ -42,7 +47,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for a [`Cluster`].
+/// Tuning knobs of every cluster of a deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
     /// Worker shards per L1 server. Each shard owns a disjoint object
@@ -110,9 +115,6 @@ pub struct ClusterOptions {
     /// recording site pays exactly one cached-flag branch and no ring is
     /// allocated.
     pub trace: bool,
-    /// Events retained per recording thread while tracing is on (default
-    /// [`DEFAULT_TRACE_EVENTS`]).
-    pub trace_events: usize,
 }
 
 /// Which slice of a deployment one process hosts, for multi-daemon
@@ -154,7 +156,6 @@ impl Default for ClusterOptions {
             repair_timeout: Duration::from_secs(60),
             repair_log_cap: 1024,
             trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
         }
     }
 }
@@ -376,22 +377,20 @@ impl Admission {
     }
 }
 
-/// Occupancy numbers one server shard publishes when its worker goes idle,
-/// and at least every 10 ms while it does not (so reading them never
-/// contends with the protocol hot path).
+/// The slots one server shard publishes its numbers into when its worker
+/// goes idle, and at least every 10 ms while it does not — so reading them
+/// ([`Cluster::snapshot`]) never contends with the protocol hot path.
 ///
-/// The internals counters (assemblies, GC, message classes) follow the same
-/// publish discipline: they are *absolute* values of the shard's server
-/// automaton, stored wholesale at each publish. A repaired (replacement)
-/// server starts its counters from zero — readers should treat dips as
-/// Prometheus-style counter resets.
+/// Every slot holds an *absolute* value of the shard's automaton, stored
+/// wholesale at each publish. A repaired (replacement) server starts its
+/// counters from zero — readers should treat dips as Prometheus-style
+/// counter resets.
 #[derive(Default)]
 struct ShardStats {
-    temp_bytes: AtomicUsize,
-    metadata_entries: AtomicUsize,
-    /// Peak single-round scratch bytes of the shard's encode buffer pool
-    /// (L1 only; zero on L2 shards).
-    peak_round_bytes: AtomicUsize,
+    temp_bytes: AtomicU64,
+    metadata_entries: AtomicU64,
+    /// Largest single round of striped-encode output buffers (L1 only).
+    peak_round_bytes: AtomicU64,
     assemblies_opened: AtomicU64,
     assemblies_completed: AtomicU64,
     /// L1: malformed/mismatched stripe *parts* dropped; L2: whole
@@ -403,37 +402,6 @@ struct ShardStats {
     /// [`LdsMessage::class_index`] order; heartbeat pings in the final
     /// slot).
     msgs_by_class: [AtomicU64; LdsMessage::NUM_CLASSES],
-}
-
-/// Server-internals counters aggregated over every shard of every server,
-/// as last published at idle (see the per-shard `ShardStats` for reset
-/// semantics: counters restart at zero after a repair).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ServerInternals {
-    /// Stripe assemblies opened at L1 (cross-sender PUT-STRIPE reassembly).
-    pub l1_assemblies_opened: u64,
-    /// Stripe assemblies fully reassembled at L1.
-    pub l1_assemblies_completed: u64,
-    /// Malformed or mismatched stripe parts dropped at L1.
-    pub l1_stripe_parts_dropped: u64,
-    /// Code-stripe assemblies opened at L2 (WRITE-CODE-STRIPE reassembly).
-    pub l2_assemblies_opened: u64,
-    /// Code-stripe assemblies fully reassembled at L2.
-    pub l2_assemblies_completed: u64,
-    /// Whole assemblies dropped at L2 (superseded or malformed).
-    pub l2_assemblies_dropped: u64,
-    /// Temporary-store entries garbage-collected below the committed tag.
-    pub gc_evicted_entries: u64,
-    /// Value bytes released by committed-tag garbage collection.
-    pub gc_evicted_bytes: u64,
-    /// Largest single-round scratch footprint any L1 shard's encode buffer
-    /// pool ever reached, in bytes.
-    pub peak_round_bytes: usize,
-    /// Messages received across all server shards, by protocol class
-    /// (dense [`LdsMessage::class_index`] order, heartbeat pings last —
-    /// slot `i` is named [`MESSAGE_CLASSES`](lds_core::messages::MESSAGE_CLASSES)`[i]`,
-    /// the array generated from the same protocol table as the index).
-    pub msgs_by_class: [u64; LdsMessage::NUM_CLASSES],
 }
 
 /// Per-shard observability context of a [`NodeTask`]: the shard's
@@ -661,11 +629,15 @@ fn l1_publisher(pid: ProcessId) -> impl FnMut(&L1Server, &mut NodeObs) + Send {
         publish_assemblies(obs, pid, assemblies, &mut prev_assemblies);
         let NodeObs { trace, stats, .. } = obs;
         let relaxed = Ordering::Relaxed;
-        stats.temp_bytes.store(p.temporary_storage_bytes(), relaxed);
-        stats.metadata_entries.store(p.metadata_entries(), relaxed);
+        stats
+            .temp_bytes
+            .store(p.temporary_storage_bytes() as u64, relaxed);
+        stats
+            .metadata_entries
+            .store(p.metadata_entries() as u64, relaxed);
         stats
             .peak_round_bytes
-            .store(p.pool_stats().peak_round_bytes, relaxed);
+            .store(p.peak_round_bytes() as u64, relaxed);
         stats
             .gc_evicted_entries
             .store(c.gc_evicted_entries, relaxed);
@@ -702,7 +674,7 @@ fn l2_publisher(pid: ProcessId) -> impl FnMut(&L2Server, &mut NodeObs) + Send {
 /// these behind a [`StoreHandle`](crate::api::StoreHandle), which creates the
 /// clients; servers are crash-killed and regenerated *online* — restoring the
 /// failure budget — through [`Admin`](crate::api::Admin).
-pub struct Cluster {
+pub(crate) struct Cluster {
     params: SystemParams,
     membership: Membership,
     backend: Arc<dyn BackendCodec>,
@@ -813,7 +785,7 @@ impl Cluster {
         // the canonical quorums) so the first client operation runs at
         // steady-state speed.
         backend.warm_plans();
-        let recorder = FlightRecorder::new(options.trace, options.trace_events);
+        let recorder = FlightRecorder::new(options.trace, DEFAULT_TRACE_EVENTS);
         let obs = ObsMetrics::new();
         let (n1, n2) = (params.n1(), params.n2());
         let l1: Vec<ProcessId> = (0..n1).map(ProcessId).collect();
@@ -922,17 +894,17 @@ impl Cluster {
     }
 
     /// The cluster's system parameters.
-    pub fn params(&self) -> SystemParams {
+    pub(crate) fn params(&self) -> SystemParams {
         self.params
     }
 
     /// The cluster's membership.
-    pub fn membership(&self) -> &Membership {
+    pub(crate) fn membership(&self) -> &Membership {
         &self.membership
     }
 
     /// The options the cluster was started with.
-    pub fn options(&self) -> ClusterOptions {
+    pub(crate) fn options(&self) -> ClusterOptions {
         self.options
     }
 
@@ -963,71 +935,91 @@ impl Cluster {
         &self.obs
     }
 
-    /// Server-internals counters aggregated across every shard of both
-    /// layers, as last published at idle. Counters of a repaired server
-    /// restart from zero (Prometheus-style reset).
-    pub(crate) fn server_internals(&self) -> ServerInternals {
-        let mut out = ServerInternals::default();
-        for stats in self.l1_stats.iter().flatten() {
-            out.l1_assemblies_opened += stats.assemblies_opened.load(Ordering::Relaxed);
-            out.l1_assemblies_completed += stats.assemblies_completed.load(Ordering::Relaxed);
-            out.l1_stripe_parts_dropped += stats.assemblies_dropped.load(Ordering::Relaxed);
-            out.gc_evicted_entries += stats.gc_evicted_entries.load(Ordering::Relaxed);
-            out.gc_evicted_bytes += stats.gc_evicted_bytes.load(Ordering::Relaxed);
-            out.peak_round_bytes = out
-                .peak_round_bytes
-                .max(stats.peak_round_bytes.load(Ordering::Relaxed));
-            for (total, slot) in out.msgs_by_class.iter_mut().zip(&stats.msgs_by_class) {
-                *total += slot.load(Ordering::Relaxed);
+    /// This cluster's [`MetricsSnapshot`] (cluster `index` of the
+    /// deployment): every field read once, from the slot its counting thread
+    /// publishes into — the shard stats slots, the inbox gauges, the repair
+    /// log, the heal loop's and the executor's counters, the transport, the
+    /// client-side registry. The one place a metric's value comes from; what
+    /// the fields mean and how clusters fold is the table in `obs/metrics.rs`.
+    pub(crate) fn snapshot(&self, index: usize) -> MetricsSnapshot {
+        let load = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
+        let (l1_shards, l2_shards) = (
+            self.l1_stats.iter().flatten(),
+            self.l2_stats.iter().flatten(),
+        );
+        let l1 = |slot: fn(&ShardStats) -> &AtomicU64| -> u64 {
+            l1_shards.clone().map(|s| load(slot(s))).sum()
+        };
+        let l2 = |slot: fn(&ShardStats) -> &AtomicU64| -> u64 {
+            l2_shards.clone().map(|s| load(slot(s))).sum()
+        };
+        let mut messages_by_class: Vec<_> = MESSAGE_CLASSES.iter().map(|&c| (c, 0)).collect();
+        for stats in l1_shards.clone().chain(l2_shards.clone()) {
+            for (total, slot) in messages_by_class.iter_mut().zip(&stats.msgs_by_class) {
+                total.1 += load(slot);
             }
         }
-        for stats in self.l2_stats.iter().flatten() {
-            out.l2_assemblies_opened += stats.assemblies_opened.load(Ordering::Relaxed);
-            out.l2_assemblies_completed += stats.assemblies_completed.load(Ordering::Relaxed);
-            out.l2_assemblies_dropped += stats.assemblies_dropped.load(Ordering::Relaxed);
-            for (total, slot) in out.msgs_by_class.iter_mut().zip(&stats.msgs_by_class) {
-                *total += slot.load(Ordering::Relaxed);
-            }
+        let live = |layer| self.live_servers(layer).filter(|&live| live).count();
+        let heal = self.heal.get();
+        let healed = |slot: fn(&HealState) -> &AtomicU64| heal.map_or(0, |h| load(slot(h)));
+        let (repairs_completed, repair_reports_dropped) = {
+            let log = self.repair_log.lock();
+            (log.dropped as usize + log.reports.len(), log.dropped)
+        };
+        let gauges = self.l1_inboxes.iter().flatten();
+        let admitted = self.admission.iter().flat_map(|a| a.admitted.iter());
+        let executor = self.executor.stats();
+        MetricsSnapshot {
+            clusters: 1,
+            l1_metadata_entries: l1(|s| &s.metadata_entries) as usize,
+            l1_temporary_bytes: l1(|s| &s.temp_bytes) as usize,
+            l1_inbox_depth: gauges.clone().map(|g| g.current()).sum(),
+            max_l1_inbox_depth: gauges.map(|g| g.max_seen()).max().unwrap_or(0),
+            admitted_ops: admitted.map(|a| a.load(Ordering::Relaxed)).sum(),
+            live_l1: live(RepairLayer::L1),
+            live_l2: live(RepairLayer::L2),
+            repairs_completed,
+            repair_reports_dropped,
+            heal_suspicions_raised: healed(|h| &h.suspicions_raised),
+            heal_repairs_attempted: healed(|h| &h.repairs_attempted),
+            heal_repairs_succeeded: healed(|h| &h.repairs_succeeded),
+            heal_repairs_backed_off: healed(|h| &h.repairs_backed_off),
+            heal_parked_events: healed(|h| &h.parked_events),
+            heal_backoffs: heal.map_or_else(Vec::new, |h| h.backoff_snapshot(index)),
+            transport_faults: self.router.transport().fault_counters(),
+            cache_hits: load(&self.obs.cache_hits),
+            cache_misses: load(&self.obs.cache_misses),
+            l1_assemblies_opened: l1(|s| &s.assemblies_opened),
+            l1_assemblies_completed: l1(|s| &s.assemblies_completed),
+            l1_stripe_parts_dropped: l1(|s| &s.assemblies_dropped),
+            l2_assemblies_opened: l2(|s| &s.assemblies_opened),
+            l2_assemblies_completed: l2(|s| &s.assemblies_completed),
+            l2_assemblies_dropped: l2(|s| &s.assemblies_dropped),
+            gc_evicted_entries: l1(|s| &s.gc_evicted_entries),
+            gc_evicted_bytes: l1(|s| &s.gc_evicted_bytes),
+            peak_round_bytes: l1_shards
+                .clone()
+                .map(|s| load(&s.peak_round_bytes) as usize)
+                .max()
+                .unwrap_or(0),
+            gf_kernel: lds_codes::gf_kernel(),
+            executor_workers: executor.workers,
+            executor_turns: executor.turns,
+            executor_envelopes: executor.envelopes,
+            executor_parks: executor.parks,
+            executor_wakeups: executor.wakeups,
+            messages_by_class,
+            write_latency: self.obs.write_us.snapshot(),
+            read_latency: self.obs.read_us.snapshot(),
+            phase_tag_latency: self.obs.phase_tag_us.snapshot(),
+            phase_data_latency: self.obs.phase_data_us.snapshot(),
+            phase_commit_latency: self.obs.phase_commit_us.snapshot(),
         }
-        out
-    }
-
-    /// Bytes of values held in the temporary storage of L1 server `index`
-    /// (summed over its shards), as last published when the shards idled.
-    pub fn l1_temporary_bytes(&self, index: usize) -> usize {
-        self.l1_stats[index]
-            .iter()
-            .map(|s| s.temp_bytes.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Per-tag metadata entries held by L1 server `index` (summed over its
-    /// shards), as last published when the shards idled. Bounded over long
-    /// runs thanks to committed-tag garbage collection.
-    pub fn l1_metadata_entries(&self, index: usize) -> usize {
-        self.l1_stats[index]
-            .iter()
-            .map(|s| s.metadata_entries.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total temporary-storage bytes across every L1 server.
-    pub fn total_l1_temporary_bytes(&self) -> usize {
-        (0..self.l1_stats.len())
-            .map(|j| self.l1_temporary_bytes(j))
-            .sum()
-    }
-
-    /// Total per-tag metadata entries across every L1 server.
-    pub fn total_l1_metadata_entries(&self) -> usize {
-        (0..self.l1_stats.len())
-            .map(|j| self.l1_metadata_entries(j))
-            .sum()
     }
 
     /// Messages currently queued in the inboxes of L1 server `index`
     /// (summed over its worker shards).
-    pub fn l1_inbox_depth(&self, index: usize) -> usize {
+    pub(crate) fn l1_inbox_depth(&self, index: usize) -> usize {
         self.l1_inboxes[index].iter().map(|d| d.current()).sum()
     }
 
@@ -1037,7 +1029,7 @@ impl Cluster {
     /// `inbox_cap × `[`msgs_per_op_bound`]` × 2` (admission stops below
     /// `cap × bound` queued messages, and the at-most-`cap` admitted
     /// operations in flight can each add one more complement).
-    pub fn l1_max_inbox_depth(&self, index: usize) -> usize {
+    pub(crate) fn l1_max_inbox_depth(&self, index: usize) -> usize {
         self.l1_inboxes[index]
             .iter()
             .map(|d| d.max_seen())
@@ -1045,15 +1037,10 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// The configured bounded-inbox admission cap, if any.
-    pub fn inbox_cap(&self) -> Option<usize> {
-        self.options.inbox_cap
-    }
-
     /// Client operations currently admitted on L1 partition `shard`
     /// (bounded-inbox mode only; zero otherwise). Never exceeds
-    /// [`Cluster::inbox_cap`].
-    pub fn l1_admitted_ops(&self, shard: usize) -> usize {
+    /// [`ClusterOptions::inbox_cap`].
+    pub(crate) fn l1_admitted_ops(&self, shard: usize) -> usize {
         self.admission
             .as_ref()
             .map(|a| a.admitted_on(shard))
@@ -1086,10 +1073,7 @@ impl Cluster {
     ///
     /// Panics if the index is out of range.
     pub(crate) fn kill_server(&self, layer: RepairLayer, index: usize) {
-        let pid = match layer {
-            RepairLayer::L1 => self.membership.l1[index],
-            RepairLayer::L2 => self.membership.l2[index],
-        };
+        let pid = self.server_pid(layer, index);
         *self.killed.lock().entry(pid).or_insert(0) += 1;
         self.router.send_stop(pid);
     }
@@ -1101,29 +1085,17 @@ impl Cluster {
     ///
     /// Panics if the index is out of range.
     pub(crate) fn server_is_live(&self, layer: RepairLayer, index: usize) -> bool {
-        let pid = match layer {
-            RepairLayer::L1 => self.membership.l1[index],
-            RepairLayer::L2 => self.membership.l2[index],
-        };
+        let pid = self.server_pid(layer, index);
         !self.killed.lock().contains_key(&pid)
     }
 
     /// Engine entry point for online repair of either layer: regenerates the
     /// killed server `index` while client traffic keeps flowing and records
-    /// the report in the cluster's repair log. Behind
-    /// [`crate::api::Admin::repair`] and the self-healing supervisor.
+    /// the report in the cluster's repair log. `timeout` overrides
+    /// [`ClusterOptions::repair_timeout`] for this call. Behind
+    /// [`crate::api::Admin::repair`], [`crate::api::Admin::repair_with_timeout`]
+    /// and the self-healing supervisor.
     pub(crate) fn repair_server(
-        &self,
-        layer: RepairLayer,
-        index: usize,
-    ) -> Result<RepairReport, RepairError> {
-        self.repair_server_with(layer, index, None)
-    }
-
-    /// [`Cluster::repair_server`] with an optional per-call timeout override
-    /// of [`ClusterOptions::repair_timeout`] (`None` uses the configured
-    /// value). Behind [`crate::api::Admin::repair_with_timeout`].
-    pub(crate) fn repair_server_with(
         &self,
         layer: RepairLayer,
         index: usize,
@@ -1141,20 +1113,8 @@ impl Cluster {
         self.repair_log.lock().reports.iter().cloned().collect()
     }
 
-    /// Reports evicted from the bounded repair log so far.
-    pub(crate) fn repair_reports_dropped(&self) -> u64 {
-        self.repair_log.lock().dropped
-    }
-
-    /// Successful repairs since launch — retained reports plus evicted ones,
-    /// so the count stays exact however small the log cap is.
-    pub(crate) fn repairs_completed(&self) -> u64 {
-        let log = self.repair_log.lock();
-        log.dropped + log.reports.len() as u64
-    }
-
     /// The backend kind this cluster encodes with.
-    pub fn backend_kind(&self) -> BackendKind {
+    pub(crate) fn backend_kind(&self) -> BackendKind {
         self.backend.kind()
     }
 
@@ -1162,7 +1122,7 @@ impl Cluster {
     /// the executor's worker threads, then stops the transport's background
     /// machinery (a fault-injecting transport runs a delay pump; pending
     /// held messages are discarded).
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         for &pid in self.membership.l1.iter().chain(self.membership.l2.iter()) {
             // Scoped deployments stop only their own servers; peers own
             // (and stop) theirs.
@@ -1176,17 +1136,6 @@ impl Cluster {
         }
         self.executor.shutdown();
         self.router.transport().shutdown();
-    }
-
-    /// The executor's counters (see [`ExecutorStats`]), as last published.
-    pub(crate) fn executor_stats(&self) -> ExecutorStats {
-        self.executor.stats()
-    }
-
-    /// Counters of every fault the cluster's transport has injected so far
-    /// (all zero on the default in-process transport).
-    pub fn fault_counters(&self) -> crate::transport::FaultCounters {
-        self.router.transport().fault_counters()
     }
 
     // ------------------------------------------------------------------
@@ -1267,16 +1216,22 @@ impl Cluster {
         self.router.send_ping(pid);
     }
 
-    /// Whether `server` is live *as observed*: the heartbeat monitor's
-    /// (non-)suspicion when the self-healing control plane is attached, the
-    /// engine's crash-injection ground truth otherwise. This is what
-    /// [`crate::api::Admin::liveness`] reports; [`crate::api::Admin::is_live`]
-    /// always reads the ground truth.
-    pub(crate) fn server_is_live_observed(&self, layer: RepairLayer, index: usize) -> bool {
-        match self.heal.get() {
+    /// Liveness of every server of `layer`, in index order, *as observed* —
+    /// the one view behind [`Admin::liveness`](crate::api::Admin::liveness),
+    /// the `Liveness` RPC and the `live_l1`/`live_l2` metrics: the heartbeat
+    /// monitor's (non-)suspicion when the self-healing control plane is
+    /// attached, the engine's crash-injection ground truth otherwise
+    /// ([`Admin::is_live`](crate::api::Admin::is_live) always reads the
+    /// latter).
+    pub(crate) fn live_servers(&self, layer: RepairLayer) -> impl Iterator<Item = bool> + '_ {
+        let servers = match layer {
+            RepairLayer::L1 => self.params.n1(),
+            RepairLayer::L2 => self.params.n2(),
+        };
+        (0..servers).map(move |index| match self.heal.get() {
             Some(state) => !state.is_suspected(self.server_pid(layer, index)),
             None => self.server_is_live(layer, index),
-        }
+        })
     }
 
     /// Live (never-killed or repaired) servers in `layer`, by ground truth.
@@ -1457,7 +1412,7 @@ mod tests {
         }
         // Give the shards a moment to drain their inboxes and publish.
         std::thread::sleep(std::time::Duration::from_millis(100));
-        let entries = store.clusters[0].total_l1_metadata_entries();
+        let entries = store.admin().metrics().l1_metadata_entries;
         assert!(entries > 0, "metadata probe never published");
         drop(client);
         store.shutdown();
@@ -1495,7 +1450,7 @@ mod tests {
         for cores in [1, 2, usize::MAX] {
             let store = store_on(cores, options);
             let cluster = &store.clusters[0];
-            assert_eq!(cluster.executor_stats().workers, cores.min(tasks));
+            assert_eq!(cluster.executor.stats().workers, cores.min(tasks));
             let admin = store.admin();
             let mut client = store.client();
             let value = |obj: u64, round: u8| vec![round ^ obj as u8; 200 + obj as usize];
@@ -1543,7 +1498,7 @@ mod tests {
         // The replacement is installed on the running worker and goes live.
         admin.repair(ServerRef::l2(1)).expect("repair succeeds");
         assert!(cluster.router().contains(dead));
-        assert_eq!(cluster.executor_stats().workers, 1);
+        assert_eq!(cluster.executor.stats().workers, 1);
         admin.kill(ServerRef::l2(3)).unwrap();
         client.write(ObjectId(3), b"after the repair").unwrap();
         for (obj, value) in [
@@ -1713,7 +1668,7 @@ mod tests {
             .inbox_cap(2)
             .build()
             .unwrap();
-        assert_eq!(store.clusters[0].inbox_cap(), Some(2));
+        assert_eq!(store.options().inbox_cap, Some(2));
         let mut client = store.client();
         for i in 0..6u64 {
             client
@@ -1753,6 +1708,63 @@ mod tests {
             );
         }
         drop(client);
+        store.shutdown();
+    }
+
+    /// What only a misbehaving sender can make move: stripe parts whose
+    /// headers disagree on the stream's stripe count are dropped by both
+    /// layers, counted (`l1_stripe_parts_dropped`, `l2_assemblies_dropped`)
+    /// and traced (`stripe_drop`). No client or server here sends such
+    /// parts, so they are injected at the router, below the public API —
+    /// `tests/observability.rs` covers every other name of the two tables.
+    #[test]
+    fn mismatched_stripe_parts_are_counted_and_traced() {
+        use lds_core::tag::{ClientId, OpId, Tag};
+        let store = StoreBuilder::new().trace(true).build().unwrap();
+        let cluster = &store.clusters[0];
+        let (obj, tag) = (ObjectId(5), Tag::new(1, ClientId(77)));
+        let (sender, l1, l2) = (ProcessId(77), ProcessId(0), cluster.membership().l2[0]);
+        for (seq, count) in [(0, 3), (1, 4)] {
+            let stripe = lds_core::value::Value::new(vec![1; 8]);
+            let op = OpId::default();
+            let put = LdsMessage::PutStripe {
+                obj,
+                op,
+                tag,
+                seq,
+                count,
+                stripe,
+            };
+            cluster.router().send(sender, l1, put);
+            let part = lds_codes::Share::new(0, vec![2; 8]);
+            let write = LdsMessage::WriteCodeStripe {
+                obj,
+                tag,
+                seq,
+                count,
+                part,
+            };
+            cluster.router().send(sender, l2, write);
+        }
+        let admin = store.admin();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let traced = |kind| admin.trace_dump().events().iter().any(|e| e.kind == kind);
+        loop {
+            let m = admin.metrics();
+            let counted = (m.l1_stripe_parts_dropped, m.l2_assemblies_dropped) == (1, 1);
+            if counted && traced(EventKind::StripeDrop) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "drops never published: {m:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            (
+                admin.metrics().l1_assemblies_opened,
+                admin.metrics().l2_assemblies_opened
+            ),
+            (1, 1)
+        );
         store.shutdown();
     }
 }

@@ -1,4 +1,16 @@
-//! Observability: the flight recorder and the histogram metrics registry.
+//! Observability: two tables, the instruments that feed them, and nothing
+//! hand-synchronised in between.
+//!
+//! Every metric family is one row of the metrics table ([`metrics`]) and
+//! every trace event one row of the event table ([`events`]); the rows
+//! generate [`MetricsSnapshot`] with its fold and Prometheus exposition,
+//! [`EventKind`] with its names, and README's reference section. A number
+//! takes two steps from where it is counted to where it is read: the
+//! counting thread publishes it into a slot (a server shard's stats slots,
+//! the [`ObsMetrics`] registry, the executor's and the heal loop's
+//! counters), and `Cluster::snapshot` reads the slots straight into the
+//! generated struct, which [`crate::api::Admin::metrics`] folds over the
+//! clusters.
 //!
 //! Two instruments with different cost models:
 //!
@@ -6,8 +18,7 @@
 //!   log-bucketed latency [`Histogram`]s (per-phase and end-to-end client
 //!   latencies) plus the read-cache hit/miss counters; recording is a pair
 //!   of relaxed atomic adds per sample, so the registry needs no off
-//!   switch. Snapshots fold into [`crate::MetricsSnapshot`] and the
-//!   Prometheus exposition.
+//!   switch.
 //! * The **flight recorder** ([`FlightRecorder`]) is opt-in
 //!   ([`crate::api::StoreBuilder::trace`]). When off, every recording site
 //!   pays exactly one cached-flag branch — the same trick the router uses
@@ -16,17 +27,17 @@
 //!   trace_dump`] merges the rings into a time-ordered JSONL-exportable
 //!   [`TraceDump`].
 //!
-//! The event taxonomy (what is recorded where) is documented on
-//! [`EventKind`]; ARCHITECTURE.md's "Observability" section walks the
-//! design.
+//! ARCHITECTURE.md's "Observability" section walks the design.
 
+pub mod events;
 pub mod hist;
+pub mod metrics;
 pub mod recorder;
 
+pub use events::EventKind;
 pub use hist::{HistSnapshot, Histogram};
-pub use recorder::{
-    EventKind, FlightRecorder, TraceDump, TraceEvent, TraceHandle, DEFAULT_TRACE_EVENTS,
-};
+pub use metrics::{Family, MetricsSnapshot};
+pub use recorder::{FlightRecorder, TraceDump, TraceEvent, TraceHandle, DEFAULT_TRACE_EVENTS};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,7 +58,7 @@ pub mod phase {
 
 /// The always-on per-cluster metrics registry: end-to-end and per-phase
 /// client latency histograms plus read-cache traffic counters. Shared by
-/// every client of a [`crate::Cluster`]; recording is wait-free.
+/// every client of a cluster; recording is wait-free.
 pub struct ObsMetrics {
     /// End-to-end write latency (µs), submit to completion.
     pub write_us: Histogram,

@@ -18,9 +18,11 @@
 //!    not a complete log — exactly what a post-mortem wants.
 //!
 //! Events are quadruples `(kind, a, b, c)` of word-sized payloads; the
-//! meaning of `a/b/c` per kind is documented on [`EventKind`]. Timestamps
-//! are microseconds since the recorder's epoch (cluster start).
+//! meaning of `a/b/c` per kind is one row of the event table
+//! ([`crate::obs::events`]). Timestamps are microseconds since the
+//! recorder's epoch (cluster start).
 
+use super::events::EventKind;
 use parking_lot::Mutex;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,112 +30,6 @@ use std::time::Instant;
 
 /// Default events retained per recording thread.
 pub const DEFAULT_TRACE_EVENTS: usize = 4096;
-
-/// What a trace event describes. The `a`/`b`/`c` payload words per kind:
-///
-/// | kind | a | b | c |
-/// |---|---|---|---|
-/// | `OpSubmitted` | object id | 0 = write, 1 = read | ticket |
-/// | `OpPhase` | object id | phase entered (see [`phase_name`]) | ticket |
-/// | `OpCompleted` | object id | 0 = write, 1 = read | latency µs |
-/// | `RouterSend` | message class index | from pid | to pid |
-/// | `TransportFault` | 0 drop, 1 duplicate, 2 delay, 3 partition | message class index | to pid |
-/// | `StripeOpen` | server pid | assemblies opened since last event | 0 |
-/// | `StripeComplete` | server pid | assemblies completed since last event | 0 |
-/// | `StripeDrop` | server pid | assemblies/parts dropped since last event | 0 |
-/// | `GcEvict` | server pid | entries evicted since last event | bytes evicted since last event |
-/// | `HealSuspect` | layer (0 = L1, 1 = L2) | server index | 0 |
-/// | `HealClear` | layer | server index | 0 |
-/// | `RepairStart` | layer | server index | 0 |
-/// | `RepairOk` | layer | server index | 0 |
-/// | `RepairBackoff` | layer | server index | backoff µs |
-/// | `RepairPark` | layer | server index | 0 |
-///
-/// Message class indices are [`LdsMessage::class_index`](lds_core::LdsMessage::class_index)
-/// values (`PING` last) and are named by
-/// [`MESSAGE_CLASSES`](lds_core::messages::MESSAGE_CLASSES), the protocol
-/// table's own class-name array. The stripe/GC
-/// server-internal events are *aggregated*: worker shards fold their
-/// counters in when they idle, so one event may cover several protocol
-/// steps (the deltas are in `b`/`c`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum EventKind {
-    /// A client operation entered the pipeline.
-    OpSubmitted = 0,
-    /// A client operation crossed a protocol-phase boundary.
-    OpPhase = 1,
-    /// A client operation completed.
-    OpCompleted = 2,
-    /// A protocol message was handed to the router.
-    RouterSend = 3,
-    /// The fault-injecting transport acted on a message.
-    TransportFault = 4,
-    /// L1/L2 stripe or element assemblies were opened.
-    StripeOpen = 5,
-    /// Assemblies completed (all chunks arrived).
-    StripeComplete = 6,
-    /// Assemblies dropped (malformed, superseded, or crash-lost).
-    StripeDrop = 7,
-    /// Committed-tag garbage collection evicted metadata.
-    GcEvict = 8,
-    /// The heartbeat monitor started suspecting a server.
-    HealSuspect = 9,
-    /// The heartbeat monitor cleared a suspicion.
-    HealClear = 10,
-    /// The heal supervisor dispatched a repair attempt.
-    RepairStart = 11,
-    /// A supervised repair succeeded.
-    RepairOk = 12,
-    /// A repair failed and its target entered backoff.
-    RepairBackoff = 13,
-    /// A repair target was parked (not enough live helpers).
-    RepairPark = 14,
-}
-
-impl EventKind {
-    /// The wire/JSONL name of this kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::OpSubmitted => "op_submitted",
-            EventKind::OpPhase => "op_phase",
-            EventKind::OpCompleted => "op_completed",
-            EventKind::RouterSend => "router_send",
-            EventKind::TransportFault => "transport_fault",
-            EventKind::StripeOpen => "stripe_open",
-            EventKind::StripeComplete => "stripe_complete",
-            EventKind::StripeDrop => "stripe_drop",
-            EventKind::GcEvict => "gc_evict",
-            EventKind::HealSuspect => "heal_suspect",
-            EventKind::HealClear => "heal_clear",
-            EventKind::RepairStart => "repair_start",
-            EventKind::RepairOk => "repair_ok",
-            EventKind::RepairBackoff => "repair_backoff",
-            EventKind::RepairPark => "repair_park",
-        }
-    }
-
-    fn from_u64(v: u64) -> Option<EventKind> {
-        Some(match v {
-            0 => EventKind::OpSubmitted,
-            1 => EventKind::OpPhase,
-            2 => EventKind::OpCompleted,
-            3 => EventKind::RouterSend,
-            4 => EventKind::TransportFault,
-            5 => EventKind::StripeOpen,
-            6 => EventKind::StripeComplete,
-            7 => EventKind::StripeDrop,
-            8 => EventKind::GcEvict,
-            9 => EventKind::HealSuspect,
-            10 => EventKind::HealClear,
-            11 => EventKind::RepairStart,
-            12 => EventKind::RepairOk,
-            13 => EventKind::RepairBackoff,
-            14 => EventKind::RepairPark,
-            _ => return None,
-        })
-    }
-}
 
 /// The name of the client-op phase code carried by [`EventKind::OpPhase`].
 pub fn phase_name(code: u64) -> &'static str {

@@ -88,7 +88,6 @@ pub mod replication;
 pub mod rs;
 pub mod scalar;
 pub mod share;
-pub mod stripe;
 pub mod striping;
 pub mod traits;
 
@@ -99,5 +98,4 @@ pub use error::CodeError;
 pub use lds_gf::bulk::kernel as gf_kernel;
 pub use params::{CodeKind, CodeParams};
 pub use share::{HelperData, Share};
-pub use stripe::{BufPool, PoolStats};
 pub use traits::{ErasureCode, RegeneratingCode};

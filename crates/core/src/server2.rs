@@ -661,9 +661,8 @@ mod tests {
         const STRIPE: usize = 32;
 
         // Collect the parts for L2 index 1 from the striped encoder.
-        let mut pool = lds_codes::BufPool::new();
         let mut parts = Vec::new();
-        crate::stripe::encode_elements_striped(&*backend, &value, STRIPE, &mut pool, {
+        crate::stripe::encode_elements_striped(&*backend, &value, STRIPE, {
             let parts = &mut parts;
             move |l2, seq, count, part| {
                 if l2 == 1 {
@@ -732,9 +731,8 @@ mod tests {
         stripe: usize,
         l2_index: usize,
     ) -> Vec<(u32, u32, Share)> {
-        let mut pool = lds_codes::BufPool::new();
         let mut parts = Vec::new();
-        crate::stripe::encode_elements_striped(&**backend, value, stripe, &mut pool, {
+        crate::stripe::encode_elements_striped(&**backend, value, stripe, {
             let parts = &mut parts;
             move |l2, seq, count, part| {
                 if l2 == l2_index {

@@ -16,7 +16,7 @@
 
 use crate::backend::BackendCodec;
 use crate::value::Value;
-use lds_codes::{BufPool, CodeError, HelperData, Share};
+use lds_codes::{CodeError, HelperData, Share};
 use std::ops::Range;
 
 /// Default stripe size for the chunk-striped write path: 256 KiB keeps one
@@ -42,12 +42,12 @@ pub fn stripe_spans(len: usize, stripe_size: usize) -> Vec<Range<usize>> {
 /// coded part as soon as it is computed — the shape that lets delivery
 /// overlap with the encode of the next stripe.
 ///
-/// Buffer discipline: per stripe the function takes `n2` element buffers
-/// from `pool` and detaches them into the emitted [`Share`]s (they become
-/// message payloads). The encode reads the stripe where it lies in the
-/// value, so the element buffers are all it allocates and the pool's
-/// [`peak_round_bytes`](lds_codes::PoolStats::peak_round_bytes) measures
-/// exactly one stripe's `n2` elements.
+/// Buffer discipline: per stripe the function allocates the `n2` element
+/// buffers the emitted [`Share`]s then own (they become message payloads)
+/// and nothing else — the encode reads the stripe where it lies in the
+/// value. Those buffers are one *round*; the function returns the bytes of
+/// the largest round, the encode's peak allocation: one stripe's `n2`
+/// elements, whatever the value's size.
 ///
 /// `emit` receives `(l2_index, seq, count, part)` with `seq ∈ 0..count` and
 /// parts emitted in stripe order.
@@ -60,31 +60,25 @@ pub fn encode_elements_striped<F>(
     backend: &dyn BackendCodec,
     value: &Value,
     stripe_size: usize,
-    pool: &mut BufPool,
     mut emit: F,
-) -> Result<(), CodeError>
+) -> Result<usize, CodeError>
 where
     F: FnMut(usize, u32, u32, Share),
 {
     let spans = stripe_spans(value.len(), stripe_size);
     let count = spans.len() as u32;
     let n1 = backend.n1();
-    let n2 = backend.n2();
+    let mut peak_round_bytes = 0;
     for (seq, span) in spans.into_iter().enumerate() {
         let stripe = value.slice(span);
-        let mut bufs: Vec<Vec<u8>> = (0..n2).map(|_| pool.take()).collect();
-        if let Err(err) = backend.encode_l2_elements_into(&stripe, &mut bufs) {
-            for buf in bufs {
-                pool.put(buf);
-            }
-            return Err(err);
-        }
+        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); backend.n2()];
+        backend.encode_l2_elements_into(&stripe, &mut bufs)?;
+        peak_round_bytes = peak_round_bytes.max(bufs.iter().map(Vec::len).sum());
         for (i, buf) in bufs.into_iter().enumerate() {
-            pool.detach(buf.len());
             emit(i, seq as u32, count, Share::new(n1 + i, buf));
         }
     }
-    Ok(())
+    Ok(peak_round_bytes)
 }
 
 /// Assembles the per-stripe parts of one L2 server's element (in stripe
@@ -333,18 +327,19 @@ mod tests {
             BackendKind::Replication,
         ] {
             let backend = make_backend(kind, &p).unwrap();
-            let mut pool = BufPool::new();
+            let mut peak_round_bytes = 0;
             for len in [0usize, 1, STRIPE - 1, STRIPE, STRIPE + 1, 3 * STRIPE + 7] {
                 let value = sample_value(len);
 
                 // Striped write path → per-L2 assembled elements.
                 let mut parts: BTreeMap<usize, Vec<Share>> = BTreeMap::new();
-                encode_elements_striped(&*backend, &value, STRIPE, &mut pool, |l2, seq, _, p| {
+                let peak = encode_elements_striped(&*backend, &value, STRIPE, |l2, seq, _, p| {
                     let slot = parts.entry(l2).or_default();
                     assert_eq!(slot.len(), seq as usize, "parts arrive in stripe order");
                     slot.push(p);
                 })
                 .unwrap();
+                peak_round_bytes = peak_round_bytes.max(peak);
                 let elements: Vec<Share> = parts
                     .into_iter()
                     .map(|(l2, parts)| assemble_share(backend.n1() + l2, parts))
@@ -377,15 +372,12 @@ mod tests {
                     }
                 }
             }
-            // Every buffer taken became a message payload, and a round never
-            // held more than one stripe's n2 elements (the largest stripe is
-            // 64 bytes: at most 8 + 64 + padding bytes per element).
-            let stats = pool.stats();
-            assert_eq!(stats.detached, stats.taken, "{kind}");
+            // A round never held more than one stripe's n2 elements (the
+            // largest stripe is 64 bytes: at most 8 + 64 + padding bytes per
+            // element).
             assert!(
-                stats.peak_round_bytes <= backend.n2() * (8 + STRIPE + 12),
-                "{kind}: peak {}",
-                stats.peak_round_bytes
+                peak_round_bytes <= backend.n2() * (8 + STRIPE + 12),
+                "{kind}: peak {peak_round_bytes}"
             );
         }
     }
@@ -397,9 +389,8 @@ mod tests {
         let value = sample_value(3 * STRIPE + 5);
         for kind in [BackendKind::Mbr, BackendKind::Replication] {
             let backend = make_backend(kind, &p).unwrap();
-            let mut pool = BufPool::new();
             let mut parts: BTreeMap<usize, Vec<Share>> = BTreeMap::new();
-            encode_elements_striped(&*backend, &value, STRIPE, &mut pool, |l2, _, _, p| {
+            encode_elements_striped(&*backend, &value, STRIPE, |l2, _, _, p| {
                 parts.entry(l2).or_default().push(p);
             })
             .unwrap();

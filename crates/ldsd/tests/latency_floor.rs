@@ -1,27 +1,40 @@
-//! Latency floor of the RPC path, and response integrity under coalescing.
+//! Latency floor of the RPC path, response integrity under coalescing, and
+//! one liveness view per daemon.
 //!
 //! Three daemons in this process, meshed over loopback TCP. An idle blocking
 //! read crosses three client phases; while the RPC worker slept 1 ms between
 //! polls each phase cost at least that, so a median under 3 ms was out of
-//! reach. An event-driven worker answers in a fraction of a millisecond. The
-//! bound asserted here (2 ms) sits between the two with room for a loaded
-//! test host.
+//! reach. An event-driven worker answers in a fraction of a millisecond.
+//! What is asserted is a *ratio*: the median idle read over TCP against the
+//! median of the same read on an in-process store of the same parameters,
+//! measured in the same test on the same host in the same build. A busy or
+//! slow host stretches both; a sleep on the RPC path stretches one.
 //!
 //! The second half pipelines a window of mixed operations per connection:
 //! the worker writes every response of one turn in a single `write`, so each
 //! must still carry its own request's id and value.
+//!
+//! The last test runs the daemons self-healing and holds each daemon's
+//! `/metrics` and its `Liveness` RPC to one answer through a kill and its
+//! supervised repair.
 
+use lds_cluster::api::{Store, StoreBuilder};
 use lds_cluster::ObjectId;
 use ldsd::{Config, Daemon, NetClient};
 use std::collections::VecDeque;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const DAEMONS: usize = 3;
 const SERVERS: usize = 9;
 const VALUE_LEN: usize = 4096;
 
-fn start_daemons() -> Vec<Daemon> {
+/// The tests take turns: one measures latency on an otherwise idle process.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn start_daemons(heal: bool) -> Vec<Daemon> {
     let listeners: Vec<TcpListener> = (0..3 * DAEMONS)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind a loopback port"))
         .collect();
@@ -37,7 +50,7 @@ fn start_daemons() -> Vec<Daemon> {
             let mut text = format!(
                 "[daemon]\nlisten = \"127.0.0.1:{}\"\nclient_listen = \"127.0.0.1:{}\"\n\
                  http_listen = \"127.0.0.1:{}\"\n\n[cluster]\nf1 = 1\nf2 = 1\nk = 2\nd = 3\n\
-                 backend = \"mbr\"\n\n[heal]\nenabled = false\n\n[membership]\n",
+                 backend = \"mbr\"\n\n[heal]\nenabled = {heal}\n\n[membership]\n",
                 mesh[index], rpc[index], http[index]
             );
             for pid in 0..SERVERS {
@@ -55,9 +68,36 @@ fn value_of(obj: u64, version: u64) -> Vec<u8> {
         .collect()
 }
 
+/// The median of 300 idle blocking reads over `OBJECTS` warm objects.
+fn median_idle_read(mut read: impl FnMut(u64) -> Vec<u8>) -> Duration {
+    let mut latencies: Vec<Duration> = (0..300u64)
+        .map(|i| {
+            let obj = i % OBJECTS;
+            let started = Instant::now();
+            let value = read(obj);
+            let took = started.elapsed();
+            assert_eq!(value, value_of(obj, 0), "read {i} of object {obj}");
+            took
+        })
+        .collect();
+    latencies.sort();
+    latencies[latencies.len() / 2]
+}
+
+const OBJECTS: u64 = 16;
+
+/// How many in-process idle reads one idle read over TCP may cost. On the
+/// 2-core reference host an unoptimised build measures 1.4-1.7 ms against
+/// 0.55-0.83 ms (ratio 2.0-3.0; optimisation speeds the automata up more
+/// than the system calls) and an optimised one 0.56-0.92 ms against
+/// 0.17-0.20 ms (3.0-4.8). Three 1 ms sleeps on top make that at least 5.3
+/// and 18, so each build's bound sits between its two cases.
+const TCP_OVER_IN_PROCESS: u32 = if cfg!(debug_assertions) { 4 } else { 8 };
+
 #[test]
 fn idle_reads_are_not_quantised_and_pipelined_responses_do_not_cross() {
-    let daemons = start_daemons();
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let daemons = start_daemons(false);
     let connect = |index: usize| {
         NetClient::connect_retry(daemons[index].client_addr(), Duration::from_secs(30))
             .expect("daemon accepts connections")
@@ -66,7 +106,6 @@ fn idle_reads_are_not_quantised_and_pipelined_responses_do_not_cross() {
     let mut via_d1 = connect(1);
 
     // --- latency floor: blocking reads on an idle deployment -------------
-    const OBJECTS: u64 = 16;
     for obj in 0..OBJECTS {
         via_d0.write(ObjectId(obj), &value_of(obj, 0)).unwrap();
     }
@@ -74,21 +113,27 @@ fn idle_reads_are_not_quantised_and_pipelined_responses_do_not_cross() {
         // Warm-up (mesh links connected, codec plans built), unmeasured.
         assert_eq!(via_d1.read(ObjectId(obj)).unwrap(), value_of(obj, 0));
     }
-    let mut latencies: Vec<Duration> = (0..300u64)
-        .map(|i| {
-            let obj = i % OBJECTS;
-            let started = Instant::now();
-            let value = via_d1.read(ObjectId(obj)).unwrap();
-            let took = started.elapsed();
-            assert_eq!(value, value_of(obj, 0), "read {i} of object {obj}");
-            took
-        })
-        .collect();
-    latencies.sort();
-    let median = latencies[latencies.len() / 2];
+    let over_tcp = median_idle_read(|obj| via_d1.read(ObjectId(obj)).unwrap());
+    // The baseline: the same deployment without sockets, daemons idle.
+    let store = StoreBuilder::new()
+        .failures(1, 1)
+        .code(2, 3)
+        .backend(lds_core::BackendKind::Mbr)
+        .build()
+        .unwrap();
+    let mut local = store.client();
+    for obj in 0..OBJECTS {
+        local.write(ObjectId(obj), &value_of(obj, 0)).unwrap();
+        assert_eq!(local.read(ObjectId(obj)).unwrap(), value_of(obj, 0));
+    }
+    let in_process = median_idle_read(|obj| local.read(ObjectId(obj)).unwrap());
+    drop(local);
+    store.shutdown();
+    println!("median idle 4 KiB read: {over_tcp:?} over TCP, {in_process:?} in process");
     assert!(
-        median < Duration::from_millis(2),
-        "median idle 4 KiB read took {median:?}: the RPC path is sleeping between phases again"
+        over_tcp <= in_process * TCP_OVER_IN_PROCESS,
+        "median idle 4 KiB read took {over_tcp:?} over TCP against {in_process:?} in process: \
+         the RPC path is sleeping between phases again"
     );
 
     // --- integrity: a window of 8 mixed operations per connection --------
@@ -150,4 +195,65 @@ fn idle_reads_are_not_quantised_and_pipelined_responses_do_not_cross() {
         "daemons took {:?} to stop",
         started.elapsed()
     );
+}
+
+/// One `GET /metrics` against a daemon, and the value of one sample in it.
+fn scrape(daemon: &Daemon, sample: &str) -> u64 {
+    let mut stream = TcpStream::connect(daemon.http_addr()).expect("http port accepts");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let line = response
+        .lines()
+        .find(|line| line.starts_with(sample))
+        .unwrap_or_else(|| panic!("{sample} missing from /metrics"));
+    line.rsplit(' ').next().unwrap().parse().unwrap()
+}
+
+/// On every daemon of a self-healing deployment, `lds_live_servers` and the
+/// `Liveness` RPC are one view: the daemon that hosts a killed server shows
+/// it live in both until its monitor suspects it, down in both until the
+/// replacement beats; a daemon that does not host it never sees it down in
+/// either (each daemon observes the servers it hosts).
+#[test]
+fn metrics_and_the_liveness_rpc_agree_on_every_daemon_through_a_repair() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let daemons = start_daemons(true);
+    let mut clients: Vec<NetClient> = daemons
+        .iter()
+        .map(|d| NetClient::connect_retry(d.client_addr(), Duration::from_secs(30)).unwrap())
+        .collect();
+    clients[0].write(ObjectId(1), &value_of(1, 0)).unwrap();
+    // L2 server 1 is pid 5, hosted by daemon 5 % 3 = 2; daemon 0 is a peer.
+    let (owner, peer, l2_servers) = (2, 0, 5);
+    clients[owner].kill(1, 1).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut seen_down = false;
+    loop {
+        for index in [owner, peer] {
+            // Liveness moves on its own; a scrape counts when the RPC gave
+            // the same answer before and after it.
+            let before = clients[index].liveness().unwrap().1;
+            let scraped = scrape(&daemons[index], "lds_live_servers{layer=\"l2\"}");
+            let after = clients[index].liveness().unwrap().1;
+            if before == after {
+                assert_eq!(scraped, after, "daemon {index}");
+            }
+            if index == owner {
+                seen_down |= after < l2_servers;
+            } else {
+                assert_eq!(after, l2_servers, "a peer observes only its own servers");
+            }
+        }
+        if seen_down && clients[owner].liveness().unwrap().1 == l2_servers {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the owner never healed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(clients[peer].read(ObjectId(1)).unwrap(), value_of(1, 0));
+    drop(clients);
+    daemons.into_iter().for_each(Daemon::stop);
 }

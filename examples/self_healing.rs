@@ -19,14 +19,14 @@ use lds_cluster::HealConfig;
 use lds_core::backend::BackendKind;
 use std::time::{Duration, Instant};
 
-/// Every server live by engine ground truth AND unsuspected by the
-/// heartbeat monitor. Right after a kill, `liveness()` alone still reports
-/// all-live for one detection window (the monitor has not missed enough
-/// beats yet), so a heal-wait must check both views.
+/// Every server this example kills is back by engine ground truth
+/// (`is_live`) AND nothing is suspected by the heartbeat monitor
+/// (`liveness()`, which the `live_l1`/`live_l2` metrics count too). Right
+/// after a kill the monitor still reports all-live for one detection window
+/// (it has not missed enough beats yet), so a heal-wait must check both.
 fn fully_healed(admin: &Admin) -> bool {
-    let m = admin.metrics();
-    let p = (m.live_l1, m.live_l2);
-    p == (4, 5) && admin.liveness().all_live()
+    let killed = [ServerRef::l1(0), ServerRef::l2(2), ServerRef::l2(4)];
+    killed.iter().all(|&server| admin.is_live(server).unwrap()) && admin.liveness().all_live()
 }
 
 fn main() {

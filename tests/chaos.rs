@@ -260,18 +260,21 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
     );
 
     // The whole point: with zero manual repair calls, the monitor +
-    // supervisor must restore every server. Ground truth (engine live
-    // counts) AND the suspicion-fed detector view must both report whole —
-    // `liveness()` alone is trivially all-live for one detection window
-    // after a kill. The bound is generous against detection latency
-    // (60 ms) + backoff (max 1 s) + repair time.
+    // supervisor must restore every server. Ground truth (`is_live`: the
+    // engine's crash-injection state) AND the suspicion-fed detector view
+    // (`liveness()`, which the live-server metrics count too) must both
+    // report whole — the detector alone is trivially all-live for one
+    // detection window after a kill. The bound is generous against
+    // detection latency (60 ms) + backoff (max 1 s) + repair time.
     let heal_deadline = Instant::now() + Duration::from_secs(60);
+    let servers: Vec<ServerRef> = (0..CLUSTERS)
+        .flat_map(|c| {
+            let l1 = (0..p.n1()).map(move |j| ServerRef::l1(j).in_cluster(c));
+            l1.chain((0..p.n2()).map(move |i| ServerRef::l2(i).in_cluster(c)))
+        })
+        .collect();
     loop {
-        let m = admin.metrics();
-        if m.live_l1 == CLUSTERS * p.n1()
-            && m.live_l2 == CLUSTERS * p.n2()
-            && admin.liveness().all_live()
-        {
+        if servers.iter().all(|&s| admin.is_live(s).unwrap()) && admin.liveness().all_live() {
             break;
         }
         assert!(

@@ -3,7 +3,7 @@
 //! per-client contracts (`last_tag`, the pipeline budget) over one, two and
 //! three clusters, and the `Admin` control plane.
 
-use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle};
+use lds_cluster::api::{Admin, ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle};
 use lds_cluster::{cluster_of, FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
 use lds_core::backend::BackendKind;
 use lds_core::tag::Tag;
@@ -519,6 +519,13 @@ fn admin_rejects_out_of_range_server_refs() {
     store.shutdown();
 }
 
+/// `(live L1, live L2)` servers as [`Admin::liveness`] reports them.
+fn observed_live(admin: &Admin) -> (usize, usize) {
+    let liveness = admin.liveness();
+    let live = |layer: &[Vec<bool>]| layer.iter().flatten().filter(|&&live| live).count();
+    (live(&liveness.l1), live(&liveness.l2))
+}
+
 #[test]
 fn admin_metrics_and_liveness_reflect_the_deployment() {
     let store = StoreBuilder::new()
@@ -542,7 +549,9 @@ fn admin_metrics_and_liveness_reflect_the_deployment() {
     let liveness = admin.liveness();
     assert!(!liveness.all_live());
     assert_eq!(liveness.crashed(), vec![victim]);
-    assert_eq!(admin.metrics().live_l2, 2 * params.n2() - 1);
+    let metrics = admin.metrics();
+    assert_eq!(metrics.live_l2, 2 * params.n2() - 1);
+    assert_eq!((metrics.live_l1, metrics.live_l2), observed_live(&admin));
 
     // Data still flows (f2 = 1 tolerated); then repair restores liveness.
     let mut client = store.client();
@@ -553,6 +562,43 @@ fn admin_metrics_and_liveness_reflect_the_deployment() {
     assert_eq!(admin.repair_reports().len(), 1);
     assert_eq!(admin.metrics().repairs_completed, 1);
     drop(client);
+    store.shutdown();
+}
+
+/// `live_l1`/`live_l2` and `Admin::liveness` are one view at every moment of
+/// a crash's life on a self-healing store — still "live" until the monitor
+/// suspects the victim, down until the replacement beats — not the
+/// crash-injection map in one and the monitor's suspicion in the other.
+#[test]
+fn metrics_and_liveness_agree_from_a_kill_to_its_supervised_repair() {
+    let store = StoreBuilder::new()
+        .self_heal_with(HealConfig {
+            beat_interval: Duration::from_millis(10),
+            ..HealConfig::default()
+        })
+        .build()
+        .unwrap();
+    let admin = store.admin();
+    let all = (store.params().n1(), store.params().n2());
+    admin.kill(ServerRef::l2(1)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut seen_down = false;
+    loop {
+        // Liveness moves on its own; a sample counts when it held still
+        // around the snapshot.
+        let before = observed_live(&admin);
+        let metrics = admin.metrics();
+        let after = observed_live(&admin);
+        if before == after {
+            assert_eq!((metrics.live_l1, metrics.live_l2), before);
+        }
+        seen_down |= after.1 < all.1;
+        if seen_down && after == all && metrics.heal_repairs_succeeded == 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never healed: {metrics:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     store.shutdown();
 }
 

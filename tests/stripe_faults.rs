@@ -130,9 +130,8 @@ fn striped_parts(
     value: &Value,
     l2_index: usize,
 ) -> Vec<(u32, u32, lds_codes::Share)> {
-    let mut pool = lds_codes::BufPool::new();
     let mut parts = Vec::new();
-    stripe::encode_elements_striped(&**backend, value, STRIPE, &mut pool, {
+    stripe::encode_elements_striped(&**backend, value, STRIPE, {
         let parts = &mut parts;
         move |l2, seq, count, part| {
             if l2 == l2_index {
