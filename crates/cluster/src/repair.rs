@@ -264,7 +264,7 @@ pub(crate) fn repair_server(
             .collect();
         canonical.sort_unstable();
         canonical.truncate(needed);
-        let _ = cluster.backend().prepare_l2_repair(&canonical);
+        let _ = cluster.backend().prepare_l2_repair(index, &canonical);
     }
 
     // 3. Rejoin: the replacement must be registered before any helper

@@ -12,44 +12,52 @@
 //!   code at `d = 2k − 2`, used for the Remark 1 / Remark 2 ablations.
 //! * [`rs::ReedSolomon`] — a classic MDS erasure code, the baseline used by
 //!   single-layer coded atomic-storage algorithms (CAS).
-//! * [`replication::Replication`] — full replication, the baseline whose L2
-//!   storage cost the paper contrasts in Fig. 6.
 //!
 //! All codes operate on arbitrary byte strings via striping
 //! ([`striping`]): the value is prefixed with its length, padded to a
 //! multiple of the code's file size `B`, and each code symbol becomes a
 //! buffer of `symbol_len` bytes.
 //!
-//! # Execution model: bulk kernels + memoized plans
+//! # Execution model: three constructions, one engine
 //!
-//! Every operation is expressed as *coefficient matrix × striped payload*
-//! and executed by the one overwriting, strip-mined kernel in
-//! [`lds_gf::bulk`] (GFNI, AVX2 or SSSE3 on x86-64 by CPUID, table lookups
-//! elsewhere; [`gf_kernel`] names the level):
+//! In the product-matrix framework of ref. \[25\] MBR and MSR are the *same*
+//! linear code `C = Ψ · M` and differ only in `Ψ` and in how the message
+//! fills `M`; Reed–Solomon is the `α = 1` case. Each module therefore holds
+//! only a [`linear::Construction`] — what is mathematically the code's own:
 //!
-//! * **encode** — each node's *expanded generator* (the `α × B` map from
-//!   message symbols to that node's coded symbols) has `d`-odd terms per
-//!   row and is listed straight from the encoding matrix; the generators of
-//!   a whole span of nodes are stacked into a single kernel call
-//!   ([`traits::ErasureCode::encode_share_span_into`], the one encode
-//!   primitive), which reads the value once, where it lies, and writes
-//!   every coded byte once.
-//! * **decode** — plans are memoized per **sorted survivor set**
-//!   ([`plan::PlanCache`]). For MBR the whole pipeline (Φ_K⁻¹, the Δ_K
-//!   correction and the T-block transposition) is flattened into a single
-//!   `B × kα` matrix at plan-build time, so a steady-state decode is one
-//!   fused pass over the collected symbols with no inversion and no
-//!   intermediate buffers. For RS and MSR the per-set inverses are cached
-//!   and the data path runs on flat [`linear::BufMatrix`] storage.
-//! * **repair** — `Ψ_rep⁻¹` is memoized per sorted helper set; helper
-//!   payloads and regenerated shares are single kernel calls.
+//! | | `Ψ` / generator | message layout | decode matrix | helper row | repair matrix |
+//! |---|---|---|---|---|---|
+//! | [`mbr::Mbr`] | `n × d` Vandermonde | `M = [[S, T], [Tᵗ, 0]]`, `d × d` symmetric | `Φ_K⁻¹`, `Δ_K` and the `T` transposition flattened to `B × kα` (`kα > B`) | `ψ_f` | `Ψ_rep⁻¹`, `d × d` |
+//! | [`msr::Msr`] | `[Φ ΛΦ]`, `Φ` `n × α` Vandermonde | `M = [S1; S2]`, both `α × α` symmetric | inverse of the survivors' stacked generator (`B = kα`) | `φ_f` | `[I λ_f I] · Ψ_rep⁻¹`, `α × d` |
+//! | [`rs::Rs`] | `n × k` Vandermonde `G` | the `k` message symbols | `G_K⁻¹` (the same default) | `[1]` | `g_f · G_K⁻¹`, `1 × k` |
+//!
+//! and [`linear::LinearCode`] implements [`ErasureCode`] and
+//! [`RegeneratingCode`] over any construction, once. Every operation is a
+//! *coefficient matrix × striped payload* product executed by the one
+//! overwriting, strip-mined kernel in [`lds_gf::bulk`] (GFNI, AVX2 or SSSE3
+//! on x86-64 by CPUID, table lookups elsewhere; [`gf_kernel`] names the
+//! level):
+//!
+//! * **encode** — the generator rows of a whole span of nodes (`d` terms or
+//!   fewer per row, listed straight from the construction) are stacked into
+//!   a single kernel call ([`traits::ErasureCode::encode_share_span_into`],
+//!   the one encode primitive), which reads the value once, where it lies,
+//!   and writes every coded byte once.
+//! * **decode, helper, repair** — the engine checks and sorts the inputs,
+//!   looks up the plan — the construction's matrix compiled to
+//!   [`lds_gf::bulk::RowTerms`], memoized per **sorted index set**
+//!   ([`plan::PlanCache`]; helper rows are compiled when the code is built)
+//!   — and makes one kernel call over the symbols borrowed where they lie in
+//!   the shares, straight into the buffer the caller keeps. A warm operation
+//!   inverts nothing, builds no matrix and copies no symbol. Striped shares
+//!   and helper payloads ([`Share::layout`]) run stripe by stripe through
+//!   the same plan.
 //!
 //! The byte-at-a-time reference implementation is kept in [`scalar`] as the
-//! property-test oracle (bulk results are asserted byte-identical). The
-//! `*_into` trait methods
-//! ([`traits::ErasureCode::encode_share_into`],
-//! [`traits::ErasureCode::decode_into`]) expose the buffer-reuse entry
-//! points the storage layers build on.
+//! property-test oracle (bulk results are asserted byte-identical); the
+//! plan algebra itself (`decode_matrix × stacked generator = I`,
+//! `repair_matrix × helper rows = generator of the failed node`) is a
+//! property test over all three constructions.
 //!
 //! # Example
 //!
@@ -84,7 +92,6 @@ pub mod mbr;
 pub mod msr;
 pub mod params;
 pub mod plan;
-pub mod replication;
 pub mod rs;
 pub mod scalar;
 pub mod share;

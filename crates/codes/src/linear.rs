@@ -1,114 +1,395 @@
-//! Linear combinations of symbol buffers.
+//! The one linear-code engine under MBR, MSR and Reed–Solomon.
 //!
-//! Codes in this crate express every operation (encode, decode, helper
-//! computation, repair) as multiplication of a small coefficient matrix over
-//! GF(2^8) with a vector or matrix of *symbol buffers* (byte strings of equal
-//! length). All of them end in the one overwriting matrix × payload kernel
-//! of [`lds_gf::bulk`] ([`bulk::apply_rows_into`] and its `Vec` form): the
-//! sources are borrowed where they lie, every output byte is written once,
-//! and an output buffer is sized over the bytes written — nothing here zeroes
-//! a buffer or accumulates into one.
+//! All three are linear codes over GF(2^8): node `i` stores `G_i · m`, its
+//! `α` generator rows applied to the `B` message symbols of the framed value,
+//! and decode, helper computation and repair are again small coefficient
+//! matrices applied to symbols. A [`Construction`] supplies only those
+//! matrices; [`LinearCode`] implements [`ErasureCode`] and
+//! [`RegeneratingCode`] over any construction, once:
 //!
-//! * `encode_span` — the encode all three coded codecs share (their
-//!   [`encode_share_span_into`](crate::traits::ErasureCode::encode_share_span_into)):
-//!   the generator rows of a span of nodes stacked into a single kernel
-//!   call, so one pass over the value yields every element of the span, with
-//!   the message symbols taken from the value itself
-//!   (`striping::BorrowedFrame`) whenever it is long enough for that to pay.
-//! * [`combine`], [`apply_symbols_into`] — helper computation, and the decode
-//!   / repair shape over symbols borrowed from shares and helper payloads.
-//! * [`BufMatrix`] — a matrix of buffers in one contiguous row-major
-//!   allocation, for the multi-step MSR decode.
+//! * **checks** — index range, first-`k` / first-`d` distinct selection,
+//!   agreement on the failed node, equal non-zero symbol lengths, equal
+//!   stripe structure;
+//! * **plans** — the decode matrix of a sorted survivor set and the repair
+//!   matrix of a failed node and sorted helper set are compiled to
+//!   [`RowTerms`] when first needed and memoized ([`PlanCache`]), and so is
+//!   the helper row of a failed node. A warm operation inverts nothing and
+//!   builds no matrix;
+//! * **execution** — one call of the overwriting kernel
+//!   ([`bulk::apply_rows_into_vecs`]) per stripe over symbols borrowed where
+//!   they lie in the shares and helper payloads ([`Share::segments`]), the
+//!   result written straight into the buffer the caller keeps (and, for
+//!   decode, unframed there). Nothing here accumulates into a buffer or
+//!   copies a symbol, and only the second and later stripes of a striped
+//!   input are zero-extended before the kernel writes them.
+//!
+//! A striped share or helper payload (one with a `layout`) is the
+//! concatenation of independent per-stripe encodes: every operation runs
+//! stripe by stripe through the same plan and returns a striped result, so
+//! callers need no mode switch.
 
 use crate::error::CodeError;
 use crate::params::CodeParams;
-use crate::striping::{frame, BorrowedFrame};
+use crate::plan::PlanCache;
+use crate::share::{HelperData, Share};
+use crate::striping::{frame, unframe_in_place, BorrowedFrame};
+use crate::traits::{ErasureCode, RegeneratingCode};
 use lds_gf::bulk::{self, RowTerms};
 use lds_gf::{Gf256, Matrix};
+use std::sync::{Arc, OnceLock};
 
-/// Checks that `inputs` are `coeffs_len ≥ 1` buffers of `symbol_len` bytes
-/// each.
-fn check_inputs(coeffs_len: usize, inputs: &[&[u8]], symbol_len: usize) -> Result<(), CodeError> {
-    if coeffs_len != inputs.len() || inputs.is_empty() {
-        return Err(CodeError::MalformedShare(format!(
-            "coefficient count {coeffs_len} does not match input count {}, or both are zero",
-            inputs.len()
-        )));
+/// What is mathematically a code's own: its generator and the coefficient
+/// matrices that undo it. Stacked symbols are node-major — symbol `a` of the
+/// `r`-th listed node sits at position `r·α + a` — and node lists are sorted
+/// and in range; [`LinearCode`] sees to both.
+pub trait Construction: Send + Sync {
+    /// The `(n, k, d)(α, β)` parameters.
+    fn params(&self) -> &CodeParams;
+
+    /// Appends the `α` generator rows of `node` over the `B` message symbols.
+    fn push_generator_rows(&self, node: usize, rows: &mut RowTerms);
+
+    /// The `α` coefficients a helper applies to its own symbols to produce
+    /// its (`β = 1` symbol) payload towards the repair of node `failed`. They
+    /// depend on `failed` alone — the property `regenerate-from-L2` needs.
+    fn helper_coefficients(&self, failed: usize) -> &[Gf256];
+
+    /// The `α × d` matrix taking the payloads of `helpers` to the content of
+    /// node `failed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::LinearAlgebra`] if the helper set is singular.
+    fn repair_matrix(&self, failed: usize, helpers: &[usize]) -> Result<Matrix, CodeError>;
+
+    /// Whether [`Construction::repair_matrix`] ignores `failed`: one plan per
+    /// helper set then serves every node, instead of one per node and set.
+    fn repair_matrix_serves_every_node(&self) -> bool {
+        false
     }
-    if let Some(buf) = inputs.iter().find(|buf| buf.len() != symbol_len) {
-        return Err(CodeError::MalformedShare(format!(
-            "input buffer of {} bytes, expected {symbol_len}",
-            buf.len()
-        )));
+
+    /// The generator rows of `nodes`, stacked: `nodes.len()·α × B`.
+    fn stacked_generator(&self, nodes: &[usize]) -> Matrix {
+        generator_rows(self, nodes.iter().copied()).to_matrix()
     }
-    Ok(())
+
+    /// The `B × k·α` matrix taking the stacked symbols of `k` survivors back
+    /// to the message symbols. Where `B = k·α` (MSR, Reed–Solomon) the
+    /// stacked generator is square and this is its inverse.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::LinearAlgebra`] if the survivor set is singular.
+    fn decode_matrix(&self, survivors: &[usize]) -> Result<Matrix, CodeError> {
+        Ok(self.stacked_generator(survivors).inverse()?)
+    }
 }
 
-/// The one-row product `Σ_i coeffs[i] · inputs[i]`.
-fn single_row(coeffs: &[Gf256]) -> RowTerms {
-    let mut rows = RowTerms::with_capacity(coeffs.len(), 1, coeffs.len());
-    rows.push_row(coeffs.iter().copied().enumerate());
+/// The generator rows of `nodes`, one after the other. A row has at most `d`
+/// terms (`k` for Reed–Solomon, whose parameters say `d = k`).
+fn generator_rows<C: Construction + ?Sized>(
+    construction: &C,
+    nodes: impl ExactSizeIterator<Item = usize>,
+) -> RowTerms {
+    let params = construction.params();
+    let row_count = nodes.len() * params.alpha();
+    let mut rows = RowTerms::with_capacity(params.file_size(), row_count, row_count * params.d());
+    for node in nodes {
+        construction.push_generator_rows(node, &mut rows);
+    }
     rows
 }
 
-/// Computes `Σ_i coeffs[i] · inputs[i]` over byte buffers of length
-/// `symbol_len`.
-///
-/// # Errors
-///
-/// Returns [`CodeError::MalformedShare`] if input lengths disagree with
-/// `symbol_len`, the number of coefficients differs from the number of
-/// inputs, or there are none.
-pub fn combine(
-    coeffs: &[Gf256],
-    inputs: &[&[u8]],
-    symbol_len: usize,
-) -> Result<Vec<u8>, CodeError> {
-    check_inputs(coeffs.len(), inputs, symbol_len)?;
-    let mut out = Vec::new();
-    bulk::apply_rows_into_vecs(&single_row(coeffs), inputs, std::slice::from_mut(&mut out));
-    Ok(out)
+/// Compiled plans shared by all clones of one code instance.
+#[derive(Debug)]
+struct Plans {
+    /// Failed node → its helper row over the `α` symbols of a share, compiled
+    /// when first asked for.
+    helper: Vec<OnceLock<RowTerms>>,
+    /// Sorted survivor set → decode matrix.
+    decode: PlanCache<RowTerms>,
+    /// Failed node (0 where one matrix serves every node), then the sorted
+    /// helper set → repair matrix.
+    repair: PlanCache<RowTerms>,
 }
 
-/// Computes `Σ_i coeffs[i] · inputs[i]` into a caller-provided buffer, which
-/// is overwritten.
-///
-/// # Errors
-///
-/// As for [`combine`], with `out.len()` as the symbol length.
-pub fn combine_into(coeffs: &[Gf256], inputs: &[&[u8]], out: &mut [u8]) -> Result<(), CodeError> {
-    check_inputs(coeffs.len(), inputs, out.len())?;
-    bulk::apply_rows_into(&single_row(coeffs), inputs, out);
-    Ok(())
+/// A linear code: a [`Construction`] and the memoized plans of its decode
+/// and repair index sets. Clones share the plans.
+#[derive(Debug, Clone)]
+pub struct LinearCode<C> {
+    construction: C,
+    plans: Arc<Plans>,
 }
 
-/// Applies a coefficient matrix to `coeffs.cols()` separate input symbols of
-/// `symbol_len` bytes: `out` is resized to `coeffs.rows()` symbols (prior
-/// contents discarded, capacity reused), where output symbol `r` is
-/// `Σ_m coeffs[r][m] · inputs[m]`.
-///
-/// This is the decode / repair shape of the plan-cached codecs: the inputs
-/// are the symbols of the collected shares or helper payloads, borrowed where
-/// they lie, and `out` is the buffer the caller keeps.
-///
-/// # Errors
-///
-/// Returns [`CodeError::MalformedShare`] if `symbol_len` is zero, the number
-/// of inputs differs from `coeffs.cols()`, or an input is not `symbol_len`
-/// bytes long.
-pub fn apply_symbols_into(
-    coeffs: &Matrix,
-    inputs: &[&[u8]],
-    symbol_len: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), CodeError> {
-    if symbol_len == 0 {
-        return Err(CodeError::MalformedShare("zero-length symbols".into()));
+impl<C: Construction> LinearCode<C> {
+    pub(crate) fn over(construction: C) -> Self {
+        let plans = Plans {
+            helper: (0..construction.params().n())
+                .map(|_| OnceLock::new())
+                .collect(),
+            decode: PlanCache::new(),
+            repair: PlanCache::new(),
+        };
+        LinearCode {
+            construction,
+            plans: Arc::new(plans),
+        }
     }
-    check_inputs(coeffs.cols(), inputs, symbol_len)?;
-    let rows = RowTerms::from_matrix(coeffs);
-    bulk::apply_rows_into_vecs(&rows, inputs, std::slice::from_mut(out));
+
+    /// The construction underneath (its matrices are what the plans compile).
+    pub fn construction(&self) -> &C {
+        &self.construction
+    }
+
+    /// Number of memoized decode plans (for tests and warm-up assertions).
+    pub fn cached_decode_plans(&self) -> usize {
+        self.plans.decode.len()
+    }
+
+    /// Number of memoized repair plans.
+    pub fn cached_repair_plans(&self) -> usize {
+        self.plans.repair.len()
+    }
+
+    fn check_index(&self, index: usize) -> Result<(), CodeError> {
+        let n = self.params().n();
+        if index < n {
+            Ok(())
+        } else {
+            Err(CodeError::IndexOutOfRange { index, n })
+        }
+    }
+
+    /// The first `need` of `items` with distinct node indices, sorted by
+    /// index — the order the plans are keyed and built in.
+    fn select<'a, T>(
+        &self,
+        items: &'a [T],
+        index_of: impl Fn(&T) -> usize,
+        need: usize,
+    ) -> Result<Vec<&'a T>, CodeError> {
+        let mut chosen: Vec<&T> = Vec::with_capacity(need);
+        for item in items {
+            if chosen.len() == need {
+                break;
+            }
+            if !chosen.iter().any(|c| index_of(c) == index_of(item)) {
+                chosen.push(item);
+            }
+        }
+        if chosen.len() < need {
+            return Err(CodeError::NotEnoughShares {
+                needed: need,
+                got: chosen.len(),
+            });
+        }
+        for item in &chosen {
+            self.check_index(index_of(item))?;
+        }
+        chosen.sort_by_key(|item| index_of(item));
+        Ok(chosen)
+    }
+
+    fn helper_plan(&self, failed: usize) -> &RowTerms {
+        self.plans.helper[failed].get_or_init(|| {
+            let coeffs = self.construction.helper_coefficients(failed);
+            debug_assert_eq!(coeffs.len(), self.params().alpha());
+            let mut row = RowTerms::with_capacity(coeffs.len(), 1, coeffs.len());
+            row.push_row(coeffs.iter().copied().enumerate());
+            row
+        })
+    }
+
+    fn decode_plan(
+        &self,
+        survivors: impl Iterator<Item = usize>,
+    ) -> Result<Arc<RowTerms>, CodeError> {
+        let key: Vec<usize> = survivors.collect();
+        self.plans.decode.get_or_build(&key, |ids| {
+            let matrix = self.construction.decode_matrix(ids)?;
+            Ok(RowTerms::from_matrix(&matrix))
+        })
+    }
+
+    fn repair_plan(
+        &self,
+        failed: usize,
+        helpers: impl Iterator<Item = usize>,
+    ) -> Result<Arc<RowTerms>, CodeError> {
+        let shared = self.construction.repair_matrix_serves_every_node();
+        let class = if shared { 0 } else { failed };
+        let key: Vec<usize> = std::iter::once(class).chain(helpers).collect();
+        self.plans.repair.get_or_build(&key, |key| {
+            let matrix = self.construction.repair_matrix(failed, &key[1..])?;
+            Ok(RowTerms::from_matrix(&matrix))
+        })
+    }
+}
+
+/// The kernel sources of every stripe: `parts[p]` holds the segments of
+/// participant `p` (a share or a helper payload), and stripe `s` of each is
+/// cut into `width` symbols, participant-major.
+fn stripe_symbols<'a>(
+    parts: &[Vec<&'a [u8]>],
+    width: usize,
+) -> Result<Vec<Vec<&'a [u8]>>, CodeError> {
+    let stripes = parts[0].len();
+    if stripes == 0 || parts.iter().any(|p| p.len() != stripes) {
+        return Err(CodeError::MalformedShare(format!(
+            "inputs disagree on their stripe count, or have none: {:?}",
+            parts.iter().map(Vec::len).collect::<Vec<_>>()
+        )));
+    }
+    (0..stripes)
+        .map(|s| {
+            let len = parts[0][s].len();
+            if len == 0 || !len.is_multiple_of(width) || parts.iter().any(|p| p[s].len() != len) {
+                return Err(CodeError::MalformedShare(format!(
+                    "stripe {s}: inputs must have one non-zero length divisible by {width}, \
+                     got {:?}",
+                    parts.iter().map(|p| p[s].len()).collect::<Vec<_>>()
+                )));
+            }
+            Ok(parts
+                .iter()
+                .flat_map(|p| p[s].chunks_exact(len / width))
+                .collect())
+        })
+        .collect()
+}
+
+/// Applies `rows` to each stripe's symbols and concatenates the results in
+/// `out` (prior contents discarded, capacity reused), `finish`ing each one
+/// where it lies — `finish(out, start)` owns the bytes from `start` on. The
+/// first stripe — the only one of a monolithic input — is written without
+/// being zeroed first.
+fn apply_stripes(
+    rows: &RowTerms,
+    stripes: &[Vec<&[u8]>],
+    out: &mut Vec<u8>,
+    finish: impl Fn(&mut Vec<u8>, usize) -> Result<(), CodeError>,
+) -> Result<(), CodeError> {
+    let total: usize = stripes.iter().map(|symbols| symbols[0].len()).sum();
+    out.clear();
+    out.reserve(rows.rows() * total);
+    for symbols in stripes {
+        let start = out.len();
+        if start == 0 {
+            bulk::apply_rows_into_vecs(rows, symbols, std::slice::from_mut(out));
+        } else {
+            out.resize(start + rows.rows() * symbols[0].len(), 0);
+            bulk::apply_rows_into(rows, symbols, &mut out[start..]);
+        }
+        finish(out, start)?;
+    }
     Ok(())
+}
+
+/// [`apply_stripes`] into a fresh buffer, with the stripe lengths if
+/// `striped` — the payload and layout of a helper or a repaired share.
+fn apply_to_payload(
+    rows: &RowTerms,
+    stripes: &[Vec<&[u8]>],
+    striped: bool,
+) -> Result<(Vec<u8>, Option<Vec<usize>>), CodeError> {
+    let mut data = Vec::new();
+    apply_stripes(rows, stripes, &mut data, |_, _| Ok(()))?;
+    let lens = stripes.iter().map(|symbols| rows.rows() * symbols[0].len());
+    Ok((data, striped.then(|| lens.collect())))
+}
+
+impl<C: Construction> ErasureCode for LinearCode<C> {
+    fn params(&self) -> &CodeParams {
+        self.construction.params()
+    }
+
+    /// The generator rows of the whole span are stacked and applied in one
+    /// kernel call, so the value is read once however many elements are
+    /// produced — the `write-to-L2` of an L1 server produces all `n2` — and
+    /// it is read where it lies unless it is short
+    /// (`striping::BorrowedFrame`). The rows are listed per call, straight
+    /// from the construction (`α · d` terms per node): nothing is memoized,
+    /// and a whole-code encode at paper scale (`n = 200`) costs no plan
+    /// memory.
+    fn encode_share_span_into(
+        &self,
+        data: &[u8],
+        start: usize,
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), CodeError> {
+        let Some(last) = outs.len().checked_sub(1) else {
+            return Ok(());
+        };
+        self.check_index(start)?;
+        self.check_index(start.saturating_add(last))?;
+        let rows = generator_rows(&self.construction, start..start + outs.len());
+        let file_size = self.params().file_size();
+        match BorrowedFrame::new(data, file_size) {
+            Some(borrowed) => bulk::apply_rows_into_vecs(&rows, &borrowed.pieces(), outs),
+            None => {
+                let framed = frame(data, file_size);
+                apply_into(&rows, &framed.padded, framed.symbol_len, outs)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
+        let chosen = self.select(survivors, |&i| i, self.params().k())?;
+        self.decode_plan(chosen.into_iter().copied()).map(drop)
+    }
+
+    fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
+        let params = self.params();
+        let chosen = self.select(shares, |s| s.index, params.k())?;
+        let parts: Vec<Vec<&[u8]>> = chosen.iter().map(|s| s.segments()).collect();
+        let stripes = stripe_symbols(&parts, params.alpha())?;
+        let plan = self.decode_plan(chosen.iter().map(|s| s.index))?;
+        // The value is the concatenation of the stripes' values.
+        apply_stripes(&plan, &stripes, out, unframe_in_place)
+    }
+}
+
+impl<C: Construction> RegeneratingCode for LinearCode<C> {
+    fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError> {
+        self.check_index(helper.index)?;
+        self.check_index(failed_index)?;
+        let stripes = stripe_symbols(&[helper.segments()], self.params().alpha())?;
+        let plan = self.helper_plan(failed_index);
+        let (data, layout) = apply_to_payload(plan, &stripes, helper.layout.is_some())?;
+        Ok(HelperData {
+            helper_index: helper.index,
+            failed_index,
+            data,
+            layout,
+        })
+    }
+
+    fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
+        self.check_index(failed_index)?;
+        let chosen = self.select(helpers, |h| h.helper_index, self.params().d())?;
+        if chosen.iter().any(|h| h.failed_index != failed_index) {
+            return Err(CodeError::MalformedShare(
+                "helper payloads disagree on the failed node index".into(),
+            ));
+        }
+        let parts: Vec<Vec<&[u8]>> = chosen.iter().map(|h| h.segments()).collect();
+        let stripes = stripe_symbols(&parts, 1)?;
+        let plan = self.repair_plan(failed_index, chosen.iter().map(|h| h.helper_index))?;
+        let (data, layout) = apply_to_payload(&plan, &stripes, chosen[0].layout.is_some())?;
+        Ok(Share {
+            index: failed_index,
+            data,
+            layout,
+        })
+    }
+
+    fn prepare_repair(&self, failed_index: usize, helpers: &[usize]) -> Result<(), CodeError> {
+        self.check_index(failed_index)?;
+        let chosen = self.select(helpers, |&i| i, self.params().d())?;
+        self.repair_plan(failed_index, chosen.into_iter().copied())
+            .map(drop)
+    }
 }
 
 /// Applies coefficient rows to a flat buffer of `rows.cols()` symbols of
@@ -127,7 +408,7 @@ pub fn apply_symbols_into(
 /// Returns [`CodeError::MalformedShare`] if `src` is not
 /// `rows.cols() · symbol_len` bytes long or the rows do not spread evenly
 /// over `outs`.
-pub fn apply_into(
+fn apply_into(
     rows: &RowTerms,
     src: &[u8],
     symbol_len: usize,
@@ -152,442 +433,12 @@ pub fn apply_into(
     Ok(())
 }
 
-/// Encodes `data` for the nodes `start..start + outs.len()` of a code, one
-/// output buffer per node (prior contents discarded, capacity reused): the
-/// shared body of every coded codec's
-/// [`encode_share_span_into`](crate::traits::ErasureCode::encode_share_span_into).
-///
-/// `push_generator_rows(i, rows)` appends node `i`'s `α` generator rows over
-/// the `B = params.file_size()` message symbols. The rows of the whole span
-/// are stacked and applied in one kernel call, so the value is read once
-/// however many elements are produced — the `write-to-L2` of an L1 server
-/// produces all `n2` — and it is read where it lies unless it is short
-/// ([`BorrowedFrame`]). The rows are built per call, straight from the
-/// code's encoding matrix: `α · d` terms per node, so nothing is memoised
-/// and a whole-code encode at paper scale (`n = 200`) costs no plan memory.
-///
-/// # Errors
-///
-/// Returns [`CodeError::IndexOutOfRange`] if the span leaves `0..n`.
-pub(crate) fn encode_span(
-    params: &CodeParams,
-    data: &[u8],
-    start: usize,
-    outs: &mut [Vec<u8>],
-    push_generator_rows: impl Fn(usize, &mut RowTerms),
-) -> Result<(), CodeError> {
-    let n = params.n();
-    if outs.is_empty() {
-        return Ok(());
-    }
-    for index in [start, start.saturating_add(outs.len() - 1)] {
-        if index >= n {
-            return Err(CodeError::IndexOutOfRange { index, n });
-        }
-    }
-    // A generator row has at most `d` terms (`k` for Reed–Solomon, whose
-    // parameters say `d = k`).
-    let file_size = params.file_size();
-    let row_count = outs.len() * params.alpha();
-    let mut rows = RowTerms::with_capacity(file_size, row_count, row_count * params.d());
-    for index in start..start + outs.len() {
-        push_generator_rows(index, &mut rows);
-    }
-    match BorrowedFrame::new(data, file_size) {
-        Some(borrowed) => bulk::apply_rows_into_vecs(&rows, &borrowed.pieces(), outs),
-        None => {
-            let framed = frame(data, file_size);
-            apply_into(&rows, &framed.padded, framed.symbol_len, outs)?;
-        }
-    }
-    Ok(())
-}
-
-/// A dense matrix whose entries are equal-length byte buffers (symbols).
-///
-/// Conceptually each buffer is a column vector of `symbol_len` independent
-/// GF(2^8) elements; all arithmetic is applied elementwise across buffers.
-/// Storage is one flat row-major allocation: buffer `(r, c)` occupies bytes
-/// `[(r·cols + c)·symbol_len, (r·cols + c + 1)·symbol_len)`, and the buffers
-/// of row `r` are contiguous.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BufMatrix {
-    rows: usize,
-    cols: usize,
-    symbol_len: usize,
-    data: Vec<u8>,
-}
-
-impl BufMatrix {
-    /// Creates a matrix of zero-filled buffers.
-    pub fn zero(rows: usize, cols: usize, symbol_len: usize) -> Self {
-        BufMatrix {
-            rows,
-            cols,
-            symbol_len,
-            data: vec![0u8; rows * cols * symbol_len],
-        }
-    }
-
-    /// Creates a matrix from row-major buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] if the number of buffers or any
-    /// buffer length is inconsistent.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<Vec<u8>>) -> Result<Self, CodeError> {
-        if data.len() != rows * cols {
-            return Err(CodeError::MalformedShare(format!(
-                "expected {} buffers, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        let symbol_len = data.first().map(Vec::len).unwrap_or(0);
-        if data.iter().any(|b| b.len() != symbol_len) {
-            return Err(CodeError::MalformedShare(
-                "buffers have differing lengths".into(),
-            ));
-        }
-        let mut flat = Vec::with_capacity(rows * cols * symbol_len);
-        for buf in &data {
-            flat.extend_from_slice(buf);
-        }
-        Ok(BufMatrix {
-            rows,
-            cols,
-            symbol_len,
-            data: flat,
-        })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Length of each buffer.
-    pub fn symbol_len(&self) -> usize {
-        self.symbol_len
-    }
-
-    #[inline]
-    fn offset(&self, r: usize, c: usize) -> usize {
-        assert!(
-            r < self.rows && c < self.cols,
-            "BufMatrix index out of bounds"
-        );
-        (r * self.cols + c) * self.symbol_len
-    }
-
-    /// Borrows the buffer at `(r, c)`.
-    pub fn get(&self, r: usize, c: usize) -> &[u8] {
-        let o = self.offset(r, c);
-        &self.data[o..o + self.symbol_len]
-    }
-
-    /// Mutably borrows the buffer at `(r, c)`.
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut [u8] {
-        let o = self.offset(r, c);
-        &mut self.data[o..o + self.symbol_len]
-    }
-
-    /// Overwrites the buffer at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length differs from the matrix symbol length.
-    pub fn set(&mut self, r: usize, c: usize, buf: &[u8]) {
-        assert_eq!(buf.len(), self.symbol_len, "buffer length mismatch");
-        self.get_mut(r, c).copy_from_slice(buf);
-    }
-
-    /// Borrows all of row `r`'s buffers as one contiguous slice of
-    /// `cols · symbol_len` bytes.
-    pub fn row_bytes(&self, r: usize) -> &[u8] {
-        assert!(r < self.rows, "BufMatrix row out of bounds");
-        let w = self.cols * self.symbol_len;
-        &self.data[r * w..(r + 1) * w]
-    }
-
-    /// Mutable borrow of row `r`'s contiguous bytes.
-    pub fn row_bytes_mut(&mut self, r: usize) -> &mut [u8] {
-        assert!(r < self.rows, "BufMatrix row out of bounds");
-        let w = self.cols * self.symbol_len;
-        &mut self.data[r * w..(r + 1) * w]
-    }
-
-    /// Consumes the matrix and returns its flat row-major bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> BufMatrix {
-        let mut out = BufMatrix::zero(self.cols, self.rows, self.symbol_len);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Elementwise XOR (addition in GF(2^8)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] on dimension mismatch.
-    pub fn add(&self, other: &BufMatrix) -> Result<BufMatrix, CodeError> {
-        let mut out = self.clone();
-        out.add_assign(other)?;
-        Ok(out)
-    }
-
-    /// In-place elementwise XOR: `self ^= other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] on dimension mismatch.
-    pub fn add_assign(&mut self, other: &BufMatrix) -> Result<(), CodeError> {
-        if self.rows != other.rows || self.cols != other.cols || self.symbol_len != other.symbol_len
-        {
-            return Err(CodeError::MalformedShare(
-                "BufMatrix addition dimension mismatch".into(),
-            ));
-        }
-        bulk::xor_slice(&other.data, &mut self.data);
-        Ok(())
-    }
-
-    /// The rows of the matrix as kernel sources, after checking that
-    /// `coeffs (m×r) · self (r×c)` is defined.
-    fn left_mul_sources(&self, coeffs: &Matrix) -> Result<Vec<&[u8]>, CodeError> {
-        if coeffs.cols() != self.rows {
-            return Err(CodeError::MalformedShare(format!(
-                "coefficient matrix has {} columns but BufMatrix has {} rows",
-                coeffs.cols(),
-                self.rows
-            )));
-        }
-        Ok((0..self.rows).map(|k| self.row_bytes(k)).collect())
-    }
-
-    /// Left-multiplication by a coefficient matrix: `coeffs (m×r) · self (r×c)`.
-    ///
-    /// Because each input row's buffers are contiguous, a row of the output
-    /// is one kernel row over whole input rows, and the product is a single
-    /// kernel call into storage that is sized, not zeroed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] if `coeffs.cols() != self.rows()`.
-    pub fn left_mul(&self, coeffs: &Matrix) -> Result<BufMatrix, CodeError> {
-        let sources = self.left_mul_sources(coeffs)?;
-        let mut data = Vec::new();
-        bulk::apply_rows_into_vecs(
-            &RowTerms::from_matrix(coeffs),
-            &sources,
-            std::slice::from_mut(&mut data),
-        );
-        Ok(BufMatrix {
-            rows: coeffs.rows(),
-            cols: self.cols,
-            symbol_len: self.symbol_len,
-            data,
-        })
-    }
-
-    /// Left-multiplication into a caller-provided matrix (overwritten).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] if dimensions disagree.
-    pub fn left_mul_into(&self, coeffs: &Matrix, out: &mut BufMatrix) -> Result<(), CodeError> {
-        let sources = self.left_mul_sources(coeffs)?;
-        if out.rows != coeffs.rows() || out.cols != self.cols || out.symbol_len != self.symbol_len {
-            return Err(CodeError::MalformedShare(
-                "left_mul_into output dimension mismatch".into(),
-            ));
-        }
-        bulk::apply_rows_into(&RowTerms::from_matrix(coeffs), &sources, &mut out.data);
-        Ok(())
-    }
-
-    /// Right-multiplication by a coefficient matrix: `self (r×c) · coeffs (c×m)`.
-    ///
-    /// Output buffer `(r, j)` is `Σ_k coeffs[k][j] · self(r, k)`: one kernel
-    /// row over the buffers of input row `r`, and the whole product one
-    /// kernel call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::MalformedShare`] if `self.cols() != coeffs.rows()`.
-    pub fn right_mul(&self, coeffs: &Matrix) -> Result<BufMatrix, CodeError> {
-        if coeffs.rows() != self.cols {
-            return Err(CodeError::MalformedShare(format!(
-                "coefficient matrix has {} rows but BufMatrix has {} columns",
-                coeffs.rows(),
-                self.cols
-            )));
-        }
-        if self.rows == 0 {
-            return Ok(BufMatrix::zero(0, coeffs.cols(), self.symbol_len));
-        }
-        let row_count = self.rows * coeffs.cols();
-        let mut rows =
-            RowTerms::with_capacity(self.rows * self.cols, row_count, row_count * self.cols);
-        for r in 0..self.rows {
-            for j in 0..coeffs.cols() {
-                rows.push_row((0..self.cols).map(|k| (r * self.cols + k, coeffs[(k, j)])));
-            }
-        }
-        let sources: Vec<&[u8]> = self.data.chunks_exact(self.symbol_len.max(1)).collect();
-        let mut data = Vec::new();
-        bulk::apply_rows_into_vecs(&rows, &sources, std::slice::from_mut(&mut data));
-        Ok(BufMatrix {
-            rows: self.rows,
-            cols: coeffs.cols(),
-            symbol_len: self.symbol_len,
-            data,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(rows: usize, cols: usize, symbol_len: usize, seed: u8) -> BufMatrix {
-        let data: Vec<Vec<u8>> = (0..rows * cols)
-            .map(|i| {
-                (0..symbol_len)
-                    .map(|j| (i as u8).wrapping_mul(7) ^ (j as u8) ^ seed)
-                    .collect()
-            })
-            .collect();
-        BufMatrix::from_rows(rows, cols, data).unwrap()
-    }
-
-    #[test]
-    fn combine_matches_manual() {
-        let a = vec![1u8, 2, 3];
-        let b = vec![4u8, 5, 6];
-        let coeffs = vec![Gf256::new(3), Gf256::new(7)];
-        let out = combine(&coeffs, &[&a, &b], 3).unwrap();
-        for i in 0..3 {
-            let expected = Gf256::new(3) * Gf256::new(a[i]) + Gf256::new(7) * Gf256::new(b[i]);
-            assert_eq!(out[i], expected.value());
-        }
-    }
-
-    #[test]
-    fn combine_validates_inputs() {
-        let a = vec![1u8, 2, 3];
-        assert!(combine(&[Gf256::ONE], &[&a, &a], 3).is_err());
-        assert!(combine(&[Gf256::ONE, Gf256::ONE], &[&a, &a[..2]], 3).is_err());
-    }
-
-    #[test]
-    fn combine_into_overwrites_destination() {
-        let a = vec![9u8; 4];
-        let mut out = vec![0xFF; 4];
-        combine_into(&[Gf256::ONE], &[&a], &mut out).unwrap();
-        assert_eq!(out, a);
-    }
-
-    #[test]
-    fn left_mul_by_identity_is_noop() {
-        let m = sample(4, 3, 16, 0x55);
-        let id = Matrix::identity(4);
-        assert_eq!(m.left_mul(&id).unwrap(), m);
-    }
-
-    #[test]
-    fn right_mul_by_identity_is_noop() {
-        let m = sample(4, 3, 16, 0x21);
-        let id = Matrix::identity(3);
-        assert_eq!(m.right_mul(&id).unwrap(), m);
-    }
-
-    #[test]
-    fn left_mul_then_inverse_roundtrips() {
-        let m = sample(4, 2, 8, 0x10);
-        let coeffs = Matrix::vandermonde(4, 4);
-        let encoded = m.left_mul(&coeffs).unwrap();
-        let decoded = encoded.left_mul(&coeffs.inverse().unwrap()).unwrap();
-        assert_eq!(decoded, m);
-    }
-
-    #[test]
-    fn left_mul_associates_with_coefficient_product() {
-        let m = sample(3, 2, 8, 0x01); // 3 rows of buffers
-        let b = Matrix::vandermonde(4, 3); // 4x3
-        let a = Matrix::vandermonde(2, 4); // 2x4
-        let left = m.left_mul(&b).unwrap().left_mul(&a).unwrap();
-        let right = m.left_mul(&a.checked_mul(&b).unwrap()).unwrap();
-        assert_eq!(left, right);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = sample(3, 5, 4, 0x77);
-        assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn add_is_xor() {
-        let a = sample(2, 2, 4, 0x0f);
-        let b = sample(2, 2, 4, 0xf0);
-        let sum = a.add(&b).unwrap();
-        assert_eq!(sum.add(&b).unwrap(), a, "adding twice cancels in GF(2^8)");
-    }
-
-    #[test]
-    fn row_bytes_is_contiguous_row() {
-        let m = sample(3, 4, 5, 0x31);
-        let row = m.row_bytes(1);
-        for c in 0..4 {
-            assert_eq!(&row[c * 5..(c + 1) * 5], m.get(1, c));
-        }
-    }
-
-    #[test]
-    fn apply_into_matches_left_mul() {
-        let symbol_len = 9;
-        let cols = 5;
-        let src: Vec<u8> = (0..cols * symbol_len)
-            .map(|i| (i * 37 % 251) as u8)
-            .collect();
-        let coeffs = Matrix::vandermonde(3, cols);
-        let terms = RowTerms::from_matrix(&coeffs);
-        let mut dst = vec![0u8; 3 * symbol_len];
-        apply_into(&terms, &src, symbol_len, std::slice::from_mut(&mut dst)).unwrap();
-
-        // Reference: the same product through BufMatrix.
-        let rows: Vec<Vec<u8>> = src.chunks_exact(symbol_len).map(|s| s.to_vec()).collect();
-        let m = BufMatrix::from_rows(cols, 1, rows).unwrap();
-        let product = m.left_mul(&coeffs).unwrap();
-        for r in 0..3 {
-            assert_eq!(
-                &dst[r * symbol_len..(r + 1) * symbol_len],
-                product.get(r, 0)
-            );
-        }
-
-        let mut one = [dst];
-        assert!(apply_into(&terms, &src[1..], symbol_len, &mut one).is_err());
-        assert!(apply_into(&terms, &src, symbol_len, &mut vec![Vec::new(); 2]).is_err());
-        // One buffer per output symbol.
-        let mut spread = vec![vec![0xAA; 2]; 3];
-        apply_into(&terms, &src, symbol_len, &mut spread).unwrap();
-        assert_eq!(spread.concat(), one[0]);
-    }
+    use crate::mbr::ProductMatrixMbr;
+    use crate::msr::ProductMatrixMsr;
+    use crate::rs::ReedSolomon;
 
     /// Deterministic filler for the tests below.
     fn bytes(len: usize, seed: usize) -> Vec<u8> {
@@ -605,12 +456,35 @@ mod tests {
         out
     }
 
+    /// `apply_into` is the left product `coeffs · symbols`, here against the
+    /// byte-at-a-time oracle.
+    #[test]
+    fn apply_into_matches_left_mul() {
+        let symbol_len = 9;
+        let cols = 5;
+        let src = bytes(cols * symbol_len, 0);
+        let coeffs = Matrix::vandermonde(3, cols);
+        let terms = RowTerms::from_matrix(&coeffs);
+        let inputs: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
+        let mut one = [vec![0u8; 3 * symbol_len]];
+        apply_into(&terms, &src, symbol_len, &mut one).unwrap();
+        assert_eq!(one[0], reference(&coeffs, &inputs, symbol_len));
+
+        assert!(apply_into(&terms, &src[1..], symbol_len, &mut one).is_err());
+        assert!(apply_into(&terms, &src, symbol_len, &mut vec![Vec::new(); 2]).is_err());
+        // One buffer per output symbol.
+        let mut spread = vec![vec![0xAA; 2]; 3];
+        apply_into(&terms, &src, symbol_len, &mut spread).unwrap();
+        assert_eq!(spread.concat(), one[0]);
+    }
+
     /// The kernel overwrites: no entry point zeroes its output, and none may
     /// read it. Whatever a caller-provided buffer held before — and whether
     /// it was shorter, longer or the right size — the result is the same,
     /// for zero, one and many non-zero coefficients and for lengths on both
     /// sides of the 16- and 32-byte vector widths (and of the tiny-symbol
-    /// path's threshold).
+    /// path's threshold), through the encode entry and through the one the
+    /// decode, helper and repair paths share.
     #[test]
     fn results_do_not_depend_on_prior_output_contents() {
         let cols = 6;
@@ -626,85 +500,91 @@ mod tests {
         for symbol_len in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
             let src = bytes(cols * symbol_len, symbol_len);
             let inputs: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
+            // The same symbols again as a second stripe.
+            let stripes = [inputs.clone(), inputs.clone()];
             for (name, coeffs) in [("dense", &dense), ("single", &single), ("zero", &zero)] {
                 let expected = reference(coeffs, &inputs, symbol_len);
                 let ctx = format!("{name} coefficients, symbol_len {symbol_len}");
+                let rows = RowTerms::from_matrix(coeffs);
                 for stale_len in [0, 3, expected.len(), expected.len() + 40] {
                     let mut out = vec![0xAA; stale_len];
-                    let rows = RowTerms::from_matrix(coeffs);
                     apply_into(&rows, &src, symbol_len, std::slice::from_mut(&mut out)).unwrap();
                     assert_eq!(out, expected, "apply_into, {ctx}, stale {stale_len}");
                     let mut out = vec![0xAA; stale_len];
-                    apply_symbols_into(coeffs, &inputs, symbol_len, &mut out).unwrap();
+                    apply_stripes(&rows, &stripes, &mut out, |_, _| Ok(())).unwrap();
                     assert_eq!(
-                        out, expected,
-                        "apply_symbols_into, {ctx}, stale {stale_len}"
+                        out,
+                        [&expected[..], &expected[..]].concat(),
+                        "apply_stripes, {ctx}, stale {stale_len}"
                     );
                 }
-                let row = coeffs.row(1);
-                let expected_row = &expected[symbol_len..2 * symbol_len];
-                let mut out = vec![0xAA; symbol_len];
-                combine_into(row, &inputs, &mut out).unwrap();
-                assert_eq!(out, expected_row, "combine_into, {ctx}");
-                assert_eq!(
-                    combine(row, &inputs, symbol_len).unwrap(),
-                    expected_row,
-                    "combine, {ctx}"
-                );
             }
         }
     }
 
-    /// `BufMatrix` products go through the same overwriting kernel: a stale
-    /// `left_mul_into` output is replaced, and a `right_mul` by a dense
-    /// matrix agrees with the oracle buffer by buffer.
-    #[test]
-    fn buf_matrix_products_overwrite_and_match_the_oracle() {
-        for symbol_len in [1usize, 33, 100] {
-            let m = sample(4, 3, symbol_len, 0x3c);
-            let left = Matrix::vandermonde(5, 4);
-            let mut out = BufMatrix::zero(5, 3, symbol_len);
-            out.data.fill(0xAA);
-            m.left_mul_into(&left, &mut out).unwrap();
-            assert_eq!(out, m.left_mul(&left).unwrap());
-            let row_inputs: Vec<&[u8]> = (0..4).map(|k| m.row_bytes(k)).collect();
-            assert_eq!(out.data, reference(&left, &row_inputs, 3 * symbol_len));
+    /// Value `s` of a striped element is encoded on its own; the element is
+    /// the concatenation.
+    fn striped_shares(code: &dyn ErasureCode, values: &[Vec<u8>]) -> Vec<Share> {
+        let per_value: Vec<Vec<Share>> = values.iter().map(|v| code.encode(v).unwrap()).collect();
+        (0..code.params().n())
+            .map(|i| {
+                let parts: Vec<&[u8]> = per_value.iter().map(|s| &s[i].data[..]).collect();
+                Share::striped(i, parts.concat(), parts.iter().map(|p| p.len()).collect())
+            })
+            .collect()
+    }
 
-            let right = Matrix::vandermonde(3, 2);
-            let product = m.right_mul(&right).unwrap();
-            assert_eq!((product.rows(), product.cols()), (4, 2));
-            for r in 0..4 {
-                let inputs: Vec<&[u8]> = (0..3).map(|k| m.get(r, k)).collect();
-                let expected = reference(&right.transpose(), &inputs, symbol_len);
-                assert_eq!(product.row_bytes(r), expected, "row {r}, sl {symbol_len}");
-            }
+    /// A striped input runs stripe by stripe through one plan: the striped
+    /// helper, repair and decode results are the concatenated monolithic
+    /// ones, and inputs that disagree on their stripes are refused.
+    fn striped_inputs_run_stripe_by_stripe<C: Construction>(code: &LinearCode<C>) {
+        let ctx = code.params().to_string();
+        let (k, d) = (code.params().k(), code.params().d());
+        let values = [bytes(700, 1), bytes(0, 2), bytes(4100, 3)];
+        let striped = striped_shares(code, &values);
+        let mono: Vec<Vec<Share>> = values.iter().map(|v| code.encode(v).unwrap()).collect();
+
+        let mut out = vec![0xAA; 9];
+        code.decode_into(&striped[1..1 + k], &mut out).unwrap();
+        assert_eq!(out, values.concat(), "{ctx}");
+        assert_eq!(code.cached_decode_plans(), 1, "{ctx}");
+
+        let failed = 0;
+        let helpers: Vec<HelperData> = (1..1 + d)
+            .map(|h| code.helper_data(&striped[h], failed).unwrap())
+            .collect();
+        for (h, helper) in helpers.iter().enumerate() {
+            let parts: Vec<Vec<u8>> = mono
+                .iter()
+                .map(|shares| code.helper_data(&shares[1 + h], failed).unwrap().data)
+                .collect();
+            assert_eq!(helper.data, parts.concat(), "{ctx}");
+            let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
+            assert_eq!(helper.layout.as_deref(), Some(&lens[..]), "{ctx}");
         }
-        assert!(sample(4, 3, 8, 0)
-            .left_mul_into(&Matrix::identity(4), &mut BufMatrix::zero(4, 2, 8))
-            .is_err());
+        assert_eq!(code.repair(failed, &helpers).unwrap(), striped[failed]);
+        assert_eq!(code.cached_repair_plans(), 1, "{ctx}");
+
+        let mut mixed = striped[1..1 + k].to_vec();
+        mixed[k - 1] = mono[0][k].clone();
+        assert!(matches!(
+            code.decode_into(&mixed, &mut out),
+            Err(CodeError::MalformedShare(_))
+        ));
+        let mut mixed = helpers.clone();
+        mixed[0] = code.helper_data(&mono[0][1], failed).unwrap();
+        assert!(matches!(
+            code.repair(failed, &mixed),
+            Err(CodeError::MalformedShare(_))
+        ));
+        let hollow = Share::striped(1, Vec::new(), Vec::new());
+        assert!(code.helper_data(&hollow, failed).is_err(), "{ctx}");
     }
 
     #[test]
-    fn apply_symbols_into_validates_inputs() {
-        let coeffs = Matrix::vandermonde(2, 3);
-        let a = [1u8; 4];
-        let mut out = vec![7u8; 5];
-        assert!(apply_symbols_into(&coeffs, &[&a, &a], 4, &mut out).is_err());
-        assert!(apply_symbols_into(&coeffs, &[&a, &a, &a[..3]], 4, &mut out).is_err());
-        assert!(apply_symbols_into(&coeffs, &[&[], &[], &[]], 0, &mut out).is_err());
-        assert_eq!(out, [7u8; 5], "rejected before the output is touched");
-    }
-
-    #[test]
-    fn dimension_mismatches_rejected() {
-        let m = sample(3, 2, 4, 0);
-        let bad = Matrix::identity(2);
-        assert!(m.left_mul(&bad).is_err());
-        let bad_right = Matrix::identity(3);
-        assert!(m.right_mul(&bad_right).is_err());
-        let other = sample(3, 3, 4, 0);
-        assert!(m.add(&other).is_err());
-        assert!(BufMatrix::from_rows(2, 2, vec![vec![0; 2]; 3]).is_err());
-        assert!(BufMatrix::from_rows(1, 2, vec![vec![0; 2], vec![0; 3]]).is_err());
+    fn striped_inputs_run_stripe_by_stripe_through_one_plan() {
+        striped_inputs_run_stripe_by_stripe(&ProductMatrixMbr::with_dimensions(9, 2, 3).unwrap());
+        striped_inputs_run_stripe_by_stripe(&ProductMatrixMsr::with_dimensions(10, 4).unwrap());
+        striped_inputs_run_stripe_by_stripe(&ReedSolomon::with_dimensions(9, 2).unwrap());
     }
 }

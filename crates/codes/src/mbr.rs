@@ -22,54 +22,38 @@
 //!   collected rows are `[Φ_K S + Δ_K Tᵗ, Φ_K T]`; `Φ_K` is invertible, so
 //!   first recover `T`, then `S`.
 //!
-//! # Bulk-kernel execution
+//! # What the construction supplies
 //!
-//! All three operations run as single matrix × striped-payload applications
-//! of the overwriting [`lds_gf::bulk`] kernel:
+//! [`Mbr`] lists, for the shared engine ([`crate::linear`]):
 //!
-//! * **encode**: node `i`'s *expanded generator* `G_i` (`α × B`; row `a`
+//! * **generator**: node `i`'s `α × B` expanded generator `G_i` — row `a`
 //!   has the entry `ψ_i[j]` at the message symbol stored at `M[j][a]`, `d`
-//!   terms or fewer) maps the value's `B` message symbols straight to the
-//!   node's `α` coded symbols. The generators of a whole span of nodes —
-//!   all `n2` back-end elements of a `write-to-L2` — are stacked into one
-//!   kernel call (`linear::encode_span`), so the value is read once
-//!   and, unless it is short, read where it lies. The rows are listed from
-//!   `Ψ` per call (`α · d` terms per node); nothing is memoised for encode.
-//! * **decode**: for each sorted survivor set the whole linear map from the
-//!   `k·α` collected symbols back to the `B` message symbols is flattened
-//!   into one `B × kα` matrix (composing `Φ_K⁻¹`, `Δ_K` and the `T`
-//!   transposition at the coefficient level) and memoized, so steady-state
-//!   decodes perform no inversion and allocate nothing but the output.
-//! * **repair**: `Ψ_rep⁻¹` is memoized per sorted helper set.
+//!   terms or fewer;
+//! * **decode matrix**: `k·α > B` here, so the stacked generator is not
+//!   square; instead the whole map from the `k·α` collected symbols back to
+//!   the `B` message symbols (`Φ_K⁻¹`, the `Δ_K` correction and the `T`
+//!   transposition, composed at the coefficient level) is flattened into one
+//!   `B × k·α` matrix;
+//! * **helper row**: `ψ_f`;
+//! * **repair matrix**: `Ψ_rep⁻¹` (`d × d`), the same for every failed node.
 
 use crate::error::CodeError;
-use crate::linear::{apply_symbols_into, combine, encode_span};
+use crate::linear::{Construction, LinearCode};
 use crate::params::{CodeKind, CodeParams};
-use crate::plan::PlanCache;
-use crate::share::{HelperData, Share};
-use crate::striping::unframe_in_place;
-use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
 use lds_gf::bulk::RowTerms;
-use lds_gf::Matrix;
-use std::sync::Arc;
+use lds_gf::{Gf256, Matrix};
 
-/// Memoized plans shared by all clones of one code instance.
-#[derive(Debug, Default)]
-struct MbrPlans {
-    /// Sorted survivor set → flattened decode matrix (`B × k·α`).
-    decode: PlanCache<Matrix>,
-    /// Sorted helper set → `Ψ_rep⁻¹` (`d × d`).
-    repair: PlanCache<Matrix>,
-}
-
-/// A product-matrix MBR code instance.
+/// The product-matrix MBR construction: the Vandermonde `Ψ` and the layout
+/// of the message in the symmetric `M`.
 #[derive(Debug, Clone)]
-pub struct ProductMatrixMbr {
+pub struct Mbr {
     params: CodeParams,
     /// `n × d` Vandermonde encoding matrix Ψ.
     psi: Matrix,
-    plans: Arc<MbrPlans>,
 }
+
+/// A product-matrix MBR code instance.
+pub type ProductMatrixMbr = LinearCode<Mbr>;
 
 impl ProductMatrixMbr {
     /// Creates an MBR code from validated [`CodeParams::mbr`] parameters.
@@ -85,11 +69,7 @@ impl ProductMatrixMbr {
             )));
         }
         let psi = Matrix::vandermonde(params.n(), params.d());
-        Ok(ProductMatrixMbr {
-            params,
-            psi,
-            plans: Arc::new(MbrPlans::default()),
-        })
+        Ok(LinearCode::over(Mbr { params, psi }))
     }
 
     /// Convenience constructor from `(n, k, d)`.
@@ -100,53 +80,9 @@ impl ProductMatrixMbr {
     pub fn with_dimensions(n: usize, k: usize, d: usize) -> Result<Self, CodeError> {
         Self::new(CodeParams::mbr(n, k, d)?)
     }
+}
 
-    /// Number of memoized decode plans (for tests and warm-up assertions).
-    pub fn cached_decode_plans(&self) -> usize {
-        self.plans.decode.len()
-    }
-
-    /// Number of memoized repair plans.
-    pub fn cached_repair_plans(&self) -> usize {
-        self.plans.repair.len()
-    }
-
-    /// Builds and memoizes the repair plan for a `d`-element helper set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::NotEnoughShares`] if `helpers` does not contain
-    /// exactly `d` distinct indices, or an index/inversion error.
-    pub fn prepare_repair(&self, helpers: &[usize]) -> Result<(), CodeError> {
-        let mut key = helpers.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.d() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.d(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.plans
-            .repair
-            .get_or_build(&key, |ids| Ok(self.psi.select_rows(ids).inverse()?))
-            .map(|_| ())
-    }
-
-    fn check_index(&self, index: usize) -> Result<(), CodeError> {
-        if index >= self.params.n() {
-            Err(CodeError::IndexOutOfRange {
-                index,
-                n: self.params.n(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
+impl Mbr {
     /// Maps a position of the `d × d` message matrix to the index of the
     /// message symbol stored there (`None` for the zero block).
     fn message_index(&self, r: usize, c: usize) -> Option<usize> {
@@ -165,6 +101,12 @@ impl ProductMatrixMbr {
             None
         }
     }
+}
+
+impl Construction for Mbr {
+    fn params(&self) -> &CodeParams {
+        &self.params
+    }
 
     /// Appends the `α` rows of node `index`'s expanded generator `G_i`: coded
     /// symbol `a` of the node is `Σ_j ψ_i[j] · M[j][a]`, and `M[j][a]` is
@@ -180,6 +122,21 @@ impl ProductMatrixMbr {
                     .filter_map(|(j, &coeff)| self.message_index(j, a).map(|m| (m, coeff))),
             );
         }
+    }
+
+    /// `h = (ψ_helper M) ψ_fᵗ = Σ_a content[a] · ψ_f[a]`.
+    fn helper_coefficients(&self, failed: usize) -> &[Gf256] {
+        self.psi.row(failed)
+    }
+
+    /// `Ψ_rep (M ψ_fᵗ) = h ⇒ M ψ_fᵗ = Ψ_rep⁻¹ h`, and the node's content
+    /// `ψ_f M` is `(M ψ_fᵗ)ᵗ` because `M` is symmetric.
+    fn repair_matrix(&self, _failed: usize, helpers: &[usize]) -> Result<Matrix, CodeError> {
+        Ok(self.psi.select_rows(helpers).inverse()?)
+    }
+
+    fn repair_matrix_serves_every_node(&self) -> bool {
+        true
     }
 
     /// Builds the flattened decode matrix for a sorted survivor set: a
@@ -242,164 +199,10 @@ impl ProductMatrixMbr {
     }
 }
 
-impl ErasureCode for ProductMatrixMbr {
-    fn params(&self) -> &CodeParams {
-        &self.params
-    }
-
-    fn encode_share_span_into(
-        &self,
-        data: &[u8],
-        start: usize,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodeError> {
-        encode_span(&self.params, data, start, outs, |index, rows| {
-            self.push_generator_rows(index, rows)
-        })
-    }
-
-    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
-        let mut key = survivors.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.k() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.k(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.plans
-            .decode
-            .get_or_build(&key, |ids| self.decode_matrix(ids))
-            .map(|_| ())
-    }
-
-    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
-        let mut out = Vec::new();
-        self.decode_into(shares, &mut out)?;
-        Ok(out)
-    }
-
-    fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
-        let k = self.params.k();
-        let alpha = self.params.alpha();
-        let usable = dedup_by_index(shares);
-        if usable.len() < k {
-            return Err(CodeError::NotEnoughShares {
-                needed: k,
-                got: usable.len(),
-            });
-        }
-        let mut chosen: Vec<&Share> = usable[..k].to_vec();
-        for s in &chosen {
-            self.check_index(s.index)?;
-            if s.data.is_empty() || !s.data.len().is_multiple_of(alpha) {
-                return Err(CodeError::MalformedShare(format!(
-                    "share {} has length {} not divisible by alpha={alpha}",
-                    s.index,
-                    s.data.len()
-                )));
-            }
-        }
-        let symbol_len = chosen[0].data.len() / alpha;
-        if chosen.iter().any(|s| s.data.len() != alpha * symbol_len) {
-            return Err(CodeError::MalformedShare(
-                "MBR shares must have equal length".into(),
-            ));
-        }
-
-        // The plan key is the sorted survivor set; order the inputs to match.
-        chosen.sort_by_key(|s| s.index);
-        let indices: Vec<usize> = chosen.iter().map(|s| s.index).collect();
-        let dm = self
-            .plans
-            .decode
-            .get_or_build(&indices, |ids| self.decode_matrix(ids))?;
-
-        // Collected symbol (r, c) sits at input position r·α + c. The message
-        // symbols are decoded straight into `out`, then unframed where they
-        // are.
-        let inputs: Vec<&[u8]> = chosen
-            .iter()
-            .flat_map(|s| (0..alpha).map(|a| s.symbol(a, alpha)))
-            .collect();
-        apply_symbols_into(&dm, &inputs, symbol_len, out)?;
-        unframe_in_place(out)
-    }
-}
-
-impl RegeneratingCode for ProductMatrixMbr {
-    fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError> {
-        self.check_index(helper.index)?;
-        self.check_index(failed_index)?;
-        let alpha = self.params.alpha();
-        if helper.data.is_empty() || !helper.data.len().is_multiple_of(alpha) {
-            return Err(CodeError::MalformedShare(format!(
-                "helper share has length {} not divisible by alpha={alpha}",
-                helper.data.len()
-            )));
-        }
-        let symbol_len = helper.data.len() / alpha;
-        // h = (ψ_helper M) ψ_fᵗ = Σ_a content[a] · ψ_f[a].
-        let coeffs = self.psi.row(failed_index);
-        let inputs: Vec<&[u8]> = (0..alpha).map(|a| helper.symbol(a, alpha)).collect();
-        let data = combine(coeffs, &inputs, symbol_len)?;
-        Ok(HelperData::new(helper.index, failed_index, data))
-    }
-
-    fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        self.check_index(failed_index)?;
-        let d = self.params.d();
-        let usable = dedup_helpers(helpers);
-        if usable.len() < d {
-            return Err(CodeError::NotEnoughShares {
-                needed: d,
-                got: usable.len(),
-            });
-        }
-        let mut chosen: Vec<&HelperData> = usable[..d].to_vec();
-        for h in &chosen {
-            self.check_index(h.helper_index)?;
-            if h.failed_index != failed_index {
-                return Err(CodeError::MalformedShare(
-                    "helper payloads disagree on the failed node index".into(),
-                ));
-            }
-        }
-        let symbol_len = chosen[0].data.len();
-        if symbol_len == 0 || chosen.iter().any(|h| h.data.len() != symbol_len) {
-            return Err(CodeError::MalformedShare(
-                "helper payloads must have equal length".into(),
-            ));
-        }
-
-        // Ψ_rep (M ψ_fᵗ) = h  ⇒  M ψ_fᵗ = Ψ_rep⁻¹ h; the inverse is memoized
-        // per sorted helper set.
-        chosen.sort_by_key(|h| h.helper_index);
-        let indices: Vec<usize> = chosen.iter().map(|h| h.helper_index).collect();
-        let inv = self
-            .plans
-            .repair
-            .get_or_build(&indices, |ids| Ok(self.psi.select_rows(ids).inverse()?))?;
-
-        // Node content ψ_f M = (M ψ_fᵗ)ᵗ because M is symmetric.
-        let inputs: Vec<&[u8]> = chosen.iter().map(|h| h.data.as_slice()).collect();
-        let mut buf = Vec::new();
-        apply_symbols_into(&inv, &inputs, symbol_len, &mut buf)?;
-        Ok(Share::new(failed_index, buf))
-    }
-
-    fn prepare_repair(&self, helpers: &[usize]) -> Result<(), CodeError> {
-        ProductMatrixMbr::prepare_repair(self, helpers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ErasureCode, HelperData, RegeneratingCode, Share};
 
     fn sample_value(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 197 % 256) as u8).collect()
@@ -408,6 +211,7 @@ mod tests {
     #[test]
     fn message_index_covers_exactly_file_size() {
         let code = ProductMatrixMbr::with_dimensions(12, 4, 6).unwrap();
+        let (code, params) = (code.construction(), code.params());
         let mut seen = std::collections::HashSet::new();
         for r in 0..6 {
             for c in 0..6 {
@@ -420,8 +224,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen.len(), code.params().file_size());
-        assert_eq!(*seen.iter().max().unwrap(), code.params().file_size() - 1);
+        assert_eq!(seen.len(), params.file_size());
+        assert_eq!(*seen.iter().max().unwrap(), params.file_size() - 1);
     }
 
     #[test]

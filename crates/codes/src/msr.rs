@@ -16,17 +16,18 @@
 //! * **Repair** of node `f`: helper `i` sends `ψ_i M φ_fᵗ` (one symbol);
 //!   `d` helpers yield `M φ_fᵗ = [S1 φ_fᵗ; S2 φ_fᵗ]` and the failed content
 //!   is `(S1 φ_fᵗ)ᵗ + λ_f (S2 φ_fᵗ)ᵗ`.
-//! * **Data collection** from `k` nodes: compute `C = Y Φ_Kᵗ`; off-diagonal
-//!   entries decouple into `P = Φ_K S1 Φ_Kᵗ` and `Q = Φ_K S2 Φ_Kᵗ` because
-//!   the `λ_i` are distinct; each row of `Φ_K S1` / `Φ_K S2` is then solved
-//!   from the off-diagonal entries, and finally `S1`, `S2` themselves.
+//! * **Data collection** from `k` nodes: `B = kα`, so the `k·α` collected
+//!   symbols are `B` equations in the `B` message symbols — the survivors'
+//!   stacked generator is square, and invertible because any `k` nodes
+//!   determine the message.
 //!
-//! All data-path arithmetic runs on the bulk slice kernels, encode as one
-//! kernel call over the stacked generator rows of a span of nodes
-//! (`linear::encode_span`). The matrix inversions a decode or repair needs
-//! (`k` recover-row inverses, the `Φ_sub` inverse, `Ψ_rep⁻¹`) are memoized
-//! per sorted index set so they are paid once per quorum, not once per
-//! operation.
+//! # What the construction supplies
+//!
+//! [`Msr`] lists, for the shared engine ([`crate::linear`]): the **generator**
+//! rows `φ_i S1 + λ_i φ_i S2` over the two symmetric blocks; the **helper
+//! row** `φ_f`; the **repair matrix** `[I  λ_f I] · Ψ_rep⁻¹` (`α × d`, the
+//! `λ_f` recombination folded in). The **decode matrix** is the engine's
+//! default, the inverse of the stacked generator.
 //!
 //! # Field-size limit
 //!
@@ -36,39 +37,15 @@
 //! parameter ranges that satisfy it.
 
 use crate::error::CodeError;
-use crate::linear::{apply_symbols_into, combine, encode_span, BufMatrix};
+use crate::linear::{Construction, LinearCode};
 use crate::params::{CodeKind, CodeParams};
-use crate::plan::PlanCache;
-use crate::share::{HelperData, Share};
-use crate::striping::unframe_in_place;
-use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
-use lds_gf::bulk::{self, RowTerms};
+use lds_gf::bulk::RowTerms;
 use lds_gf::{Gf256, Matrix};
-use std::sync::Arc;
 
-/// Everything a decode needs that depends only on the survivor set.
-#[derive(Debug)]
-struct MsrDecodePlan {
-    /// `Φ_Kᵗ` (`α × k`) for `C = Y Φ_Kᵗ`.
-    phi_k_t: Matrix,
-    /// For each survivor position `i`: `(Φ_{K∖i}ᵗ)⁻¹` (`α × α`).
-    recover_invs: Vec<Matrix>,
-    /// Inverse of the first `α` rows of `Φ_K`.
-    phi_sub_inv: Matrix,
-}
-
-/// Memoized plans shared by all clones of one code instance.
-#[derive(Debug, Default)]
-struct MsrPlans {
-    /// Sorted survivor set → decode plan.
-    decode: PlanCache<MsrDecodePlan>,
-    /// Sorted helper set → `Ψ_rep⁻¹` (`d × d`).
-    repair: PlanCache<Matrix>,
-}
-
-/// A product-matrix MSR code instance (`d = 2k − 2`).
+/// The product-matrix MSR construction (`d = 2k − 2`): `Ψ = [Φ ΛΦ]` and the
+/// layout of the message in the symmetric `S1`, `S2`.
 #[derive(Debug, Clone)]
-pub struct ProductMatrixMsr {
+pub struct Msr {
     params: CodeParams,
     /// `n × α` Vandermonde matrix Φ.
     phi: Matrix,
@@ -76,8 +53,10 @@ pub struct ProductMatrixMsr {
     lambda: Vec<Gf256>,
     /// `n × d` composite encoding matrix Ψ = [Φ ΛΦ].
     psi: Matrix,
-    plans: Arc<MsrPlans>,
 }
+
+/// A product-matrix MSR code instance (`d = 2k − 2`).
+pub type ProductMatrixMsr = LinearCode<Msr>;
 
 impl ProductMatrixMsr {
     /// Creates an MSR code from validated [`CodeParams::msr`] parameters.
@@ -114,13 +93,12 @@ impl ProductMatrixMsr {
                 lambda[r] * phi[(r, c - alpha)]
             }
         });
-        Ok(ProductMatrixMsr {
+        Ok(LinearCode::over(Msr {
             params,
             phi,
             lambda,
             psi,
-            plans: Arc::new(MsrPlans::default()),
-        })
+        }))
     }
 
     /// Convenience constructor from `(n, k)`.
@@ -131,53 +109,9 @@ impl ProductMatrixMsr {
     pub fn with_dimensions(n: usize, k: usize) -> Result<Self, CodeError> {
         Self::new(CodeParams::msr(n, k)?)
     }
+}
 
-    /// Number of memoized decode plans (for tests and warm-up assertions).
-    pub fn cached_decode_plans(&self) -> usize {
-        self.plans.decode.len()
-    }
-
-    /// Number of memoized repair plans.
-    pub fn cached_repair_plans(&self) -> usize {
-        self.plans.repair.len()
-    }
-
-    /// Builds and memoizes the repair plan for a `d`-element helper set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::NotEnoughShares`] if `helpers` does not contain
-    /// exactly `d` distinct indices, or an index/inversion error.
-    pub fn prepare_repair(&self, helpers: &[usize]) -> Result<(), CodeError> {
-        let mut key = helpers.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.d() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.d(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.plans
-            .repair
-            .get_or_build(&key, |ids| Ok(self.psi.select_rows(ids).inverse()?))
-            .map(|_| ())
-    }
-
-    fn check_index(&self, index: usize) -> Result<(), CodeError> {
-        if index >= self.params.n() {
-            Err(CodeError::IndexOutOfRange {
-                index,
-                n: self.params.n(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
+impl Msr {
     /// Index of message symbol at position `(r, c)` of the symmetric matrix
     /// `S1` (`which = 0`) or `S2` (`which = 1`).
     fn message_index(&self, which: usize, r: usize, c: usize) -> usize {
@@ -185,6 +119,21 @@ impl ProductMatrixMsr {
         let (lo, hi) = if r <= c { (r, c) } else { (c, r) };
         let tri = alpha * (alpha + 1) / 2;
         which * tri + lo * (2 * alpha - lo + 1) / 2 + (hi - lo)
+    }
+}
+
+/// Greatest common divisor (used only for a diagnostic message).
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+impl Construction for Msr {
+    fn params(&self) -> &CodeParams {
+        &self.params
     }
 
     /// Appends the `α` generator rows of node `index`: coded symbol `a` is
@@ -202,271 +151,28 @@ impl ProductMatrixMsr {
         }
     }
 
-    fn decode_plan(&self, survivors: &[usize]) -> Result<MsrDecodePlan, CodeError> {
-        let k = self.params.k();
-        let phi_k = self.phi.select_rows(survivors);
-        let mut recover_invs = Vec::with_capacity(k);
-        for i in 0..k {
-            let others: Vec<usize> = (0..k).filter(|&j| j != i).collect();
-            recover_invs.push(phi_k.select_rows(&others).transpose().inverse()?);
-        }
+    /// `h = (ψ_helper M) φ_fᵗ = Σ_a content[a] · φ_f[a]`.
+    fn helper_coefficients(&self, failed: usize) -> &[Gf256] {
+        self.phi.row(failed)
+    }
+
+    /// `Ψ_rep (M φ_fᵗ) = h ⇒ M φ_fᵗ = Ψ_rep⁻¹ h = [S1 φ_fᵗ; S2 φ_fᵗ]`, and
+    /// the failed node's content is `(S1 φ_fᵗ)ᵗ + λ_f (S2 φ_fᵗ)ᵗ`: row `a` of
+    /// the inverse plus `λ_f` times row `α + a`.
+    fn repair_matrix(&self, failed: usize, helpers: &[usize]) -> Result<Matrix, CodeError> {
         let alpha = self.params.alpha();
-        let first_alpha: Vec<usize> = (0..alpha).collect();
-        let phi_sub_inv = phi_k.select_rows(&first_alpha).inverse()?;
-        Ok(MsrDecodePlan {
-            phi_k_t: phi_k.transpose(),
-            recover_invs,
-            phi_sub_inv,
-        })
-    }
-
-    /// Writes the framed message (the upper triangles of `S1`, then `S2`)
-    /// into `padded`, discarding its prior contents.
-    fn reassemble_into(&self, s1: &BufMatrix, s2: &BufMatrix, padded: &mut Vec<u8>) {
-        let alpha = self.params.alpha();
-        padded.clear();
-        padded.reserve(self.params.file_size() * s1.symbol_len());
-        for block in [s1, s2] {
-            for r in 0..alpha {
-                for c in r..alpha {
-                    padded.extend_from_slice(block.get(r, c));
-                }
-            }
-        }
-    }
-}
-
-/// Greatest common divisor (used only for a diagnostic message).
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-impl ErasureCode for ProductMatrixMsr {
-    fn params(&self) -> &CodeParams {
-        &self.params
-    }
-
-    fn encode_share_span_into(
-        &self,
-        data: &[u8],
-        start: usize,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodeError> {
-        encode_span(&self.params, data, start, outs, |index, rows| {
-            self.push_generator_rows(index, rows)
-        })
-    }
-
-    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
-        let mut key = survivors.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.k() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.k(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.plans
-            .decode
-            .get_or_build(&key, |ids| self.decode_plan(ids))
-            .map(|_| ())
-    }
-
-    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
-        let mut out = Vec::new();
-        self.decode_into(shares, &mut out)?;
-        Ok(out)
-    }
-
-    fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
-        let k = self.params.k();
-        let alpha = self.params.alpha();
-        let usable = dedup_by_index(shares);
-        if usable.len() < k {
-            return Err(CodeError::NotEnoughShares {
-                needed: k,
-                got: usable.len(),
-            });
-        }
-        let mut chosen: Vec<&Share> = usable[..k].to_vec();
-        for s in &chosen {
-            self.check_index(s.index)?;
-            if s.data.is_empty() || !s.data.len().is_multiple_of(alpha) {
-                return Err(CodeError::MalformedShare(format!(
-                    "share {} has length {} not divisible by alpha={alpha}",
-                    s.index,
-                    s.data.len()
-                )));
-            }
-        }
-        let symbol_len = chosen[0].data.len() / alpha;
-        if chosen.iter().any(|s| s.data.len() != alpha * symbol_len) {
-            return Err(CodeError::MalformedShare(
-                "MSR shares must have equal length".into(),
-            ));
-        }
-        chosen.sort_by_key(|s| s.index);
-        let indices: Vec<usize> = chosen.iter().map(|s| s.index).collect();
-        let plan = self
-            .plans
-            .decode
-            .get_or_build(&indices, |ids| self.decode_plan(ids))?;
-        let lambda_k: Vec<Gf256> = indices.iter().map(|&i| self.lambda[i]).collect();
-
-        // Y (k × α): the collected node contents (flat copy, one allocation).
-        let mut y = BufMatrix::zero(k, alpha, symbol_len);
-        for (r, s) in chosen.iter().enumerate() {
-            y.row_bytes_mut(r).copy_from_slice(&s.data);
-        }
-
-        // C = Y Φ_Kᵗ (k × k): C_ij = P_ij + λ_i Q_ij.
-        let c = y.right_mul(&plan.phi_k_t)?;
-
-        // Recover the off-diagonal entries of P and Q.
-        let mut p = BufMatrix::zero(k, k, symbol_len);
-        let mut q = BufMatrix::zero(k, k, symbol_len);
-        for i in 0..k {
-            for j in 0..k {
-                if i == j {
-                    continue;
-                }
-                let denom = lambda_k[i] + lambda_k[j];
-                if denom.is_zero() {
-                    return Err(CodeError::LinearAlgebra(
-                        "duplicate lambda values encountered during MSR decode".into(),
-                    ));
-                }
-                // Q_ij = (C_ij + C_ji) / (λ_i + λ_j).
-                let mut q_ij = c.get(i, j).to_vec();
-                bulk::xor_slice(c.get(j, i), &mut q_ij);
-                bulk::scale_slice(denom.inverse(), &mut q_ij);
-                // P_ij = C_ij + λ_i Q_ij.
-                let mut p_ij = c.get(i, j).to_vec();
-                bulk::mul_add_slice(lambda_k[i], &q_ij, &mut p_ij);
-                q.set(i, j, &q_ij);
-                p.set(i, j, &p_ij);
-            }
-        }
-
-        // From the off-diagonal rows recover Φ_K S1 and Φ_K S2 row by row:
-        // for each i, [X_ij]_{j≠i} = (φ_i S) Φ_{K∖i}ᵗ with Φ_{K∖i} invertible
-        // (the inverses are part of the memoized plan).
-        let recover_rows = |x: &BufMatrix| -> Result<BufMatrix, CodeError> {
-            let mut out = BufMatrix::zero(k, alpha, symbol_len);
-            let mut row = BufMatrix::zero(1, alpha, symbol_len);
-            for i in 0..k {
-                let others: Vec<usize> = (0..k).filter(|&j| j != i).collect();
-                for (pos, &j) in others.iter().enumerate() {
-                    row.set(0, pos, x.get(i, j));
-                }
-                let solved = row.right_mul(&plan.recover_invs[i])?; // 1 × α = φ_i S
-                out.row_bytes_mut(i).copy_from_slice(solved.row_bytes(0));
-            }
-            Ok(out)
-        };
-
-        let phi_s1 = recover_rows(&p)?;
-        let phi_s2 = recover_rows(&q)?;
-
-        // Any α rows of Φ_K are invertible; the plan inverts the first α.
-        let take_rows = |m: &BufMatrix| -> Result<BufMatrix, CodeError> {
-            let mut out = BufMatrix::zero(alpha, alpha, symbol_len);
-            for r in 0..alpha {
-                out.row_bytes_mut(r).copy_from_slice(m.row_bytes(r));
-            }
-            Ok(out)
-        };
-        let s1 = take_rows(&phi_s1)?.left_mul(&plan.phi_sub_inv)?;
-        let s2 = take_rows(&phi_s2)?.left_mul(&plan.phi_sub_inv)?;
-
-        self.reassemble_into(&s1, &s2, out);
-        unframe_in_place(out)
-    }
-}
-
-impl RegeneratingCode for ProductMatrixMsr {
-    fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError> {
-        self.check_index(helper.index)?;
-        self.check_index(failed_index)?;
-        let alpha = self.params.alpha();
-        if helper.data.is_empty() || !helper.data.len().is_multiple_of(alpha) {
-            return Err(CodeError::MalformedShare(format!(
-                "helper share has length {} not divisible by alpha={alpha}",
-                helper.data.len()
-            )));
-        }
-        let symbol_len = helper.data.len() / alpha;
-        // h = (ψ_helper M) φ_fᵗ = Σ_a content[a] · φ_f[a].
-        let coeffs = self.phi.row(failed_index);
-        let inputs: Vec<&[u8]> = (0..alpha).map(|a| helper.symbol(a, alpha)).collect();
-        let data = combine(coeffs, &inputs, symbol_len)?;
-        Ok(HelperData::new(helper.index, failed_index, data))
-    }
-
-    fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        self.check_index(failed_index)?;
-        let d = self.params.d();
-        let alpha = self.params.alpha();
-        let usable = dedup_helpers(helpers);
-        if usable.len() < d {
-            return Err(CodeError::NotEnoughShares {
-                needed: d,
-                got: usable.len(),
-            });
-        }
-        let mut chosen: Vec<&HelperData> = usable[..d].to_vec();
-        for h in &chosen {
-            self.check_index(h.helper_index)?;
-            if h.failed_index != failed_index {
-                return Err(CodeError::MalformedShare(
-                    "helper payloads disagree on the failed node index".into(),
-                ));
-            }
-        }
-        let symbol_len = chosen[0].data.len();
-        if symbol_len == 0 || chosen.iter().any(|h| h.data.len() != symbol_len) {
-            return Err(CodeError::MalformedShare(
-                "helper payloads must have equal length".into(),
-            ));
-        }
-
-        // Ψ_rep (M φ_fᵗ) = h ⇒ M φ_fᵗ = Ψ_rep⁻¹ h = [S1 φ_fᵗ; S2 φ_fᵗ]; the
-        // failed node's content is (S1 φ_fᵗ)ᵗ + λ_f (S2 φ_fᵗ)ᵗ. Folding the
-        // λ_f recombination into the inverse's rows gives a single α × d
-        // coefficient application per repair.
-        chosen.sort_by_key(|h| h.helper_index);
-        let indices: Vec<usize> = chosen.iter().map(|h| h.helper_index).collect();
-        let inv = self
-            .plans
-            .repair
-            .get_or_build(&indices, |ids| Ok(self.psi.select_rows(ids).inverse()?))?;
-        let lambda_f = self.lambda[failed_index];
-        let folded = Matrix::from_fn(alpha, d, |a, j| {
+        let inv = self.psi.select_rows(helpers).inverse()?;
+        let lambda_f = self.lambda[failed];
+        Ok(Matrix::from_fn(alpha, self.params.d(), |a, j| {
             inv[(a, j)] + lambda_f * inv[(alpha + a, j)]
-        });
-
-        let inputs: Vec<&[u8]> = chosen.iter().map(|h| h.data.as_slice()).collect();
-        let mut buf = Vec::new();
-        apply_symbols_into(&folded, &inputs, symbol_len, &mut buf)?;
-        Ok(Share::new(failed_index, buf))
-    }
-
-    fn prepare_repair(&self, helpers: &[usize]) -> Result<(), CodeError> {
-        ProductMatrixMsr::prepare_repair(self, helpers)
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ErasureCode, HelperData, RegeneratingCode, Share};
 
     fn sample_value(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 89 % 256) as u8).collect()
@@ -511,9 +217,8 @@ mod tests {
                 "failed {failed}"
             );
         }
-        // Three failures over two distinct helper sets: the Ψ_rep inverse is
-        // shared whenever the helper set repeats.
-        assert!(code.cached_repair_plans() <= 3);
+        // One compiled plan per failed node and helper set (λ_f is folded in).
+        assert_eq!(code.cached_repair_plans(), 3);
     }
 
     #[test]

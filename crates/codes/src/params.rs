@@ -27,8 +27,6 @@ pub enum CodeKind {
     /// Maximum-distance-separable Reed–Solomon code (no sub-packetization,
     /// `α = 1`, naive repair contacts `k` nodes).
     ReedSolomon,
-    /// Full replication (`k = 1`).
-    Replication,
 }
 
 impl fmt::Display for CodeKind {
@@ -37,7 +35,6 @@ impl fmt::Display for CodeKind {
             CodeKind::Mbr => "MBR",
             CodeKind::Msr => "MSR",
             CodeKind::ReedSolomon => "RS",
-            CodeKind::Replication => "replication",
         };
         f.write_str(s)
     }
@@ -46,8 +43,8 @@ impl fmt::Display for CodeKind {
 /// Validated parameters of a code: `(n, k, d)` plus the derived per-node
 /// storage `α`, repair bandwidth `β` and file size `B` (all in symbols).
 ///
-/// Construct through [`CodeParams::mbr`], [`CodeParams::msr`],
-/// [`CodeParams::reed_solomon`] or [`CodeParams::replication`]; the
+/// Construct through [`CodeParams::mbr`], [`CodeParams::msr`] or
+/// [`CodeParams::reed_solomon`]; the
 /// constructors reject parameter combinations the corresponding construction
 /// cannot support.
 ///
@@ -165,28 +162,6 @@ impl CodeParams {
         })
     }
 
-    /// Parameters for `n`-fold replication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::InvalidParameters`] if `n == 0`.
-    pub fn replication(n: usize) -> Result<Self, CodeError> {
-        if n == 0 {
-            return Err(CodeError::InvalidParameters(
-                "replication requires n >= 1".into(),
-            ));
-        }
-        Ok(CodeParams {
-            kind: CodeKind::Replication,
-            n,
-            k: 1,
-            d: 1,
-            alpha: 1,
-            beta: 1,
-            file_size: 1,
-        })
-    }
-
     /// The code family / operating point.
     pub fn kind(&self) -> CodeKind {
         self.kind
@@ -284,7 +259,6 @@ mod tests {
         assert!(CodeParams::msr(4, 3).is_err());
         assert!(CodeParams::reed_solomon(4, 5).is_err());
         assert!(CodeParams::reed_solomon(4, 0).is_err());
-        assert!(CodeParams::replication(0).is_err());
     }
 
     #[test]
@@ -302,10 +276,6 @@ mod tests {
         // RS stores 1/k per node.
         let p = CodeParams::reed_solomon(10, 5).unwrap();
         assert!((p.storage_overhead_per_node() - 0.2).abs() < 1e-12);
-
-        // Replication stores the whole value on every node.
-        let p = CodeParams::replication(7).unwrap();
-        assert!((p.storage_overhead_per_node() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -322,6 +292,6 @@ mod tests {
     fn display_is_nonempty() {
         let p = CodeParams::mbr(10, 3, 5).unwrap();
         assert!(p.to_string().contains("MBR"));
-        assert!(CodeKind::Replication.to_string().contains("repl"));
+        assert!(CodeKind::ReedSolomon.to_string().contains("RS"));
     }
 }

@@ -1,37 +1,37 @@
 //! Reed–Solomon erasure coding over GF(2^8).
 //!
 //! The generator matrix is the `n × k` Vandermonde matrix, whose every `k × k`
-//! sub-matrix is invertible, so any `k` shares decode. Repair is "naive": the
-//! code also implements [`RegeneratingCode`] by letting each helper ship its
-//! whole share and reconstructing via decode-then-re-encode — exactly the
-//! behaviour the regenerating-code literature (and the paper's choice of MBR
-//! codes) improves upon. Having it here lets the benchmarks quantify the gap.
+//! sub-matrix is invertible, so any `k` shares decode. Repair is "naive" in
+//! what it moves: the code also implements
+//! [`RegeneratingCode`](crate::RegeneratingCode) by letting each of `k`
+//! helpers ship its whole share — exactly the behaviour the
+//! regenerating-code literature (and the paper's choice of MBR codes)
+//! improves upon. Having it here lets the benchmarks quantify the gap.
 //!
-//! Encoding applies the generator rows of a span of nodes in one kernel
-//! call over the value (`linear::encode_span`); decoding memoizes the
-//! inverse of the selected generator rows per sorted survivor set
-//! ([`crate::plan::PlanCache`]), so steady-state decodes perform no matrix
-//! inversion.
+//! # What the construction supplies
+//!
+//! [`Rs`] lists, for the shared engine ([`crate::linear`]): the one
+//! **generator** row `g_i` of a node (`α = 1`); the **helper row** `[1]` (the
+//! share itself); the **repair matrix** `g_f · G_K⁻¹`, one `1 × k` row. The
+//! **decode matrix** is the engine's default, the inverse `G_K⁻¹` of the
+//! stacked generator.
 
 use crate::error::CodeError;
-use crate::linear::{apply_symbols_into, encode_span};
+use crate::linear::{Construction, LinearCode};
 use crate::params::{CodeKind, CodeParams};
-use crate::plan::PlanCache;
-use crate::share::{HelperData, Share};
-use crate::striping::unframe_in_place;
-use crate::traits::{dedup_by_index, dedup_helpers, ErasureCode, RegeneratingCode};
-use lds_gf::Matrix;
-use std::sync::Arc;
+use lds_gf::bulk::RowTerms;
+use lds_gf::{Gf256, Matrix};
 
-/// A Reed–Solomon code with parameters from [`CodeParams::reed_solomon`].
+/// The Reed–Solomon construction: the Vandermonde generator.
 #[derive(Debug, Clone)]
-pub struct ReedSolomon {
+pub struct Rs {
     params: CodeParams,
     /// `n × k` Vandermonde generator matrix.
     generator: Matrix,
-    /// Sorted-survivor-set → inverse of the selected generator rows.
-    decode_plans: Arc<PlanCache<Matrix>>,
 }
+
+/// A Reed–Solomon code with parameters from [`CodeParams::reed_solomon`].
+pub type ReedSolomon = LinearCode<Rs>;
 
 impl ReedSolomon {
     /// Creates a Reed–Solomon code instance.
@@ -47,11 +47,7 @@ impl ReedSolomon {
             )));
         }
         let generator = Matrix::vandermonde(params.n(), params.k());
-        Ok(ReedSolomon {
-            params,
-            generator,
-            decode_plans: Arc::new(PlanCache::new()),
-        })
+        Ok(LinearCode::over(Rs { params, generator }))
     }
 
     /// Convenience constructor from `(n, k)`.
@@ -62,139 +58,35 @@ impl ReedSolomon {
     pub fn with_dimensions(n: usize, k: usize) -> Result<Self, CodeError> {
         Self::new(CodeParams::reed_solomon(n, k)?)
     }
-
-    /// Number of decode plans currently memoized (for tests and warm-up
-    /// assertions).
-    pub fn cached_decode_plans(&self) -> usize {
-        self.decode_plans.len()
-    }
-
-    fn check_index(&self, index: usize) -> Result<(), CodeError> {
-        if index >= self.params.n() {
-            Err(CodeError::IndexOutOfRange {
-                index,
-                n: self.params.n(),
-            })
-        } else {
-            Ok(())
-        }
-    }
 }
 
-impl ErasureCode for ReedSolomon {
+impl Construction for Rs {
     fn params(&self) -> &CodeParams {
         &self.params
     }
 
-    fn encode_share_span_into(
-        &self,
-        data: &[u8],
-        start: usize,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodeError> {
-        // α = 1: a node's one generator row is its row of the Vandermonde
-        // matrix over the k message symbols.
-        encode_span(&self.params, data, start, outs, |index, rows| {
-            rows.push_row(self.generator.row(index).iter().copied().enumerate())
-        })
+    fn push_generator_rows(&self, index: usize, rows: &mut RowTerms) {
+        rows.push_row(self.generator.row(index).iter().copied().enumerate());
     }
 
-    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
-        let mut key = survivors.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if key.len() != self.params.k() {
-            return Err(CodeError::NotEnoughShares {
-                needed: self.params.k(),
-                got: key.len(),
-            });
-        }
-        for &i in &key {
-            self.check_index(i)?;
-        }
-        self.decode_plans
-            .get_or_build(&key, |ids| Ok(self.generator.select_rows(ids).inverse()?))
-            .map(|_| ())
+    fn helper_coefficients(&self, _failed: usize) -> &[Gf256] {
+        &[Gf256::ONE]
     }
 
-    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
-        let mut out = Vec::new();
-        self.decode_into(shares, &mut out)?;
-        Ok(out)
-    }
-
-    fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
-        let k = self.params.k();
-        let usable = dedup_by_index(shares);
-        if usable.len() < k {
-            return Err(CodeError::NotEnoughShares {
-                needed: k,
-                got: usable.len(),
-            });
-        }
-        let mut chosen: Vec<&Share> = usable[..k].to_vec();
-        for s in &chosen {
-            self.check_index(s.index)?;
-        }
-        let symbol_len = chosen[0].data.len();
-        if chosen.iter().any(|s| s.data.len() != symbol_len) || symbol_len == 0 {
-            return Err(CodeError::MalformedShare(
-                "RS shares must have equal, non-zero length".into(),
-            ));
-        }
-        // The plan key is the sorted survivor set; order the inputs to match.
-        chosen.sort_by_key(|s| s.index);
-        let indices: Vec<usize> = chosen.iter().map(|s| s.index).collect();
-        let inv = self.decode_plans.get_or_build(&indices, |ids| {
-            Ok(self.generator.select_rows(ids).inverse()?)
-        })?;
-        // Message symbol m = Σ_j inv[m, j] * share_j, decoded straight into
-        // `out` and unframed where it is.
-        let inputs: Vec<&[u8]> = chosen.iter().map(|s| s.data.as_slice()).collect();
-        apply_symbols_into(&inv, &inputs, symbol_len, out)?;
-        unframe_in_place(out)
-    }
-}
-
-impl RegeneratingCode for ReedSolomon {
-    fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError> {
-        self.check_index(helper.index)?;
-        self.check_index(failed_index)?;
-        // Naive repair: the helper contributes its entire share.
-        Ok(HelperData::new(
-            helper.index,
-            failed_index,
-            helper.data.clone(),
-        ))
-    }
-
-    fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        self.check_index(failed_index)?;
-        let k = self.params.k();
-        let usable = dedup_helpers(helpers);
-        if usable.len() < k {
-            return Err(CodeError::NotEnoughShares {
-                needed: k,
-                got: usable.len(),
-            });
-        }
-        if usable.iter().any(|h| h.failed_index != failed_index) {
-            return Err(CodeError::MalformedShare(
-                "helper payloads disagree on the failed node index".into(),
-            ));
-        }
-        let shares: Vec<Share> = usable
-            .iter()
-            .map(|h| Share::new(h.helper_index, h.data.clone()))
-            .collect();
-        let value = self.decode(&shares)?;
-        self.encode_share(&value, failed_index)
+    /// The helpers' shares are `G_K · m`, so `m = G_K⁻¹ · shares` and the
+    /// failed share is `g_f · m`.
+    fn repair_matrix(&self, failed: usize, helpers: &[usize]) -> Result<Matrix, CodeError> {
+        Ok(self
+            .generator
+            .select_rows(&[failed])
+            .checked_mul(&self.decode_matrix(helpers)?)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ErasureCode, HelperData, RegeneratingCode, Share};
 
     fn sample_value(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 131 % 256) as u8).collect()

@@ -24,16 +24,16 @@ use lds_gf::{Gf256, Matrix};
 
 /// A matrix of individually allocated symbol buffers, as the seed used.
 #[derive(Clone)]
-struct ScalarBufMatrix {
+struct SymbolMatrix {
     rows: usize,
     cols: usize,
     symbol_len: usize,
     data: Vec<Vec<u8>>,
 }
 
-impl ScalarBufMatrix {
+impl SymbolMatrix {
     fn zero(rows: usize, cols: usize, symbol_len: usize) -> Self {
-        ScalarBufMatrix {
+        SymbolMatrix {
             rows,
             cols,
             symbol_len,
@@ -50,13 +50,13 @@ impl ScalarBufMatrix {
     }
 
     /// `coeffs (m×r) · self (r×c)` with scalar per-element arithmetic.
-    fn left_mul(&self, coeffs: &Matrix) -> Result<ScalarBufMatrix, CodeError> {
+    fn left_mul(&self, coeffs: &Matrix) -> Result<SymbolMatrix, CodeError> {
         if coeffs.cols() != self.rows {
             return Err(CodeError::MalformedShare(
                 "scalar left_mul dimension mismatch".into(),
             ));
         }
-        let mut out = ScalarBufMatrix::zero(coeffs.rows(), self.cols, self.symbol_len);
+        let mut out = SymbolMatrix::zero(coeffs.rows(), self.cols, self.symbol_len);
         for r in 0..coeffs.rows() {
             for k in 0..self.rows {
                 let c = coeffs[(r, k)];
@@ -70,7 +70,7 @@ impl ScalarBufMatrix {
         Ok(out)
     }
 
-    fn add(&self, other: &ScalarBufMatrix) -> ScalarBufMatrix {
+    fn add(&self, other: &SymbolMatrix) -> SymbolMatrix {
         let mut out = self.clone();
         for (dst, src) in out.data.iter_mut().zip(&other.data) {
             scalar_mul_add_slice(Gf256::ONE, src, dst);
@@ -78,8 +78,8 @@ impl ScalarBufMatrix {
         out
     }
 
-    fn transpose(&self) -> ScalarBufMatrix {
-        let mut out = ScalarBufMatrix::zero(self.cols, self.rows, self.symbol_len);
+    fn transpose(&self) -> SymbolMatrix {
+        let mut out = SymbolMatrix::zero(self.cols, self.rows, self.symbol_len);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.set(c, r, self.get(r, c).to_vec());
@@ -141,9 +141,9 @@ impl ScalarMbr {
         }
     }
 
-    fn message_matrix(&self, framed: &Framed) -> ScalarBufMatrix {
+    fn message_matrix(&self, framed: &Framed) -> SymbolMatrix {
         let d = self.params.d();
-        let mut m = ScalarBufMatrix::zero(d, d, framed.symbol_len);
+        let mut m = SymbolMatrix::zero(d, d, framed.symbol_len);
         for r in 0..d {
             for c in 0..d {
                 if let Some(idx) = self.message_index(r, c) {
@@ -211,7 +211,7 @@ impl ScalarMbr {
             ));
         }
 
-        let mut y = ScalarBufMatrix::zero(k, d, symbol_len);
+        let mut y = SymbolMatrix::zero(k, d, symbol_len);
         for (r, s) in chosen.iter().enumerate() {
             for a in 0..alpha {
                 y.set(r, a, s.symbol(a, alpha).to_vec());
@@ -222,7 +222,7 @@ impl ScalarMbr {
         let rows = self.psi.select_rows(&indices);
         let phi_k = rows.select_cols(&(0..k).collect::<Vec<_>>());
         let phi_inv = phi_k.inverse()?; // fresh inversion on every decode
-        let mut y1 = ScalarBufMatrix::zero(k, k, symbol_len);
+        let mut y1 = SymbolMatrix::zero(k, k, symbol_len);
         for r in 0..k {
             for c in 0..k {
                 y1.set(r, c, y.get(r, c).to_vec());
@@ -231,7 +231,7 @@ impl ScalarMbr {
 
         let (s_block, t_block) = if d > k {
             let delta_k = rows.select_cols(&(k..d).collect::<Vec<_>>());
-            let mut y2 = ScalarBufMatrix::zero(k, d - k, symbol_len);
+            let mut y2 = SymbolMatrix::zero(k, d - k, symbol_len);
             for r in 0..k {
                 for c in k..d {
                     y2.set(r, c - k, y.get(r, c).to_vec());

@@ -71,50 +71,47 @@ pub trait ErasureCode: Send + Sync {
         self.encode_share_span_into(data, index, std::slice::from_mut(out))
     }
 
-    /// Builds and memoizes the decode plan (the survivor-set inversion) for
-    /// exactly `k` distinct share indices without decoding anything — called
-    /// at cluster start-up to pre-warm the steady-state quorums. Codes that
-    /// decode without a per-set plan do nothing.
+    /// Builds and memoizes the decode plan of the first `k` distinct indices
+    /// of `survivors` without decoding anything — called at cluster start-up
+    /// to pre-warm the steady-state quorums.
     ///
     /// # Errors
     ///
-    /// Returns [`CodeError::NotEnoughShares`] if `survivors` does not contain
-    /// exactly `k` distinct indices, or an index/inversion error.
-    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
-        let _ = survivors;
-        Ok(())
-    }
+    /// Returns [`CodeError::NotEnoughShares`] if `survivors` holds fewer than
+    /// `k` distinct indices, or an index/inversion error.
+    fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError>;
 
     /// Decodes the value from at least `k` distinct shares.
     ///
     /// # Errors
     ///
-    /// Returns [`CodeError::NotEnoughShares`] when fewer than `k` distinct
-    /// shares are supplied, or [`CodeError::MalformedShare`] /
-    /// [`CodeError::CorruptPayload`] for inconsistent inputs.
-    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError>;
+    /// As for [`ErasureCode::decode_into`].
+    fn decode(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
+        let mut out = Vec::new();
+        self.decode_into(shares, &mut out)?;
+        Ok(out)
+    }
 
-    /// Buffer-reuse variant of [`ErasureCode::decode`]: writes the decoded
-    /// value into `out` (cleared first, capacity reused). The bulk-kernel
-    /// codecs decode the framed message straight into `out` and unframe it
-    /// there, so no second value-sized buffer exists.
+    /// Decodes the value from the first `k` distinct shares into `out`
+    /// (prior contents discarded, capacity reused): the framed message is
+    /// decoded straight into `out` and unframed there, so no second
+    /// value-sized buffer exists. Striped shares decode stripe by stripe to
+    /// the concatenation of the stripes' values.
     ///
     /// # Errors
     ///
-    /// As for [`ErasureCode::decode`]; `out` then holds unspecified bytes.
-    fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
-        let value = self.decode(shares)?;
-        out.clear();
-        out.extend_from_slice(&value);
-        Ok(())
-    }
+    /// Returns [`CodeError::NotEnoughShares`] when fewer than `k` distinct
+    /// shares are supplied, or [`CodeError::MalformedShare`] /
+    /// [`CodeError::CorruptPayload`] for inconsistent inputs; `out` then
+    /// holds unspecified bytes.
+    fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError>;
 }
 
 /// A regenerating code: an erasure code that additionally supports repair of
 /// a single node from `β`-sized helper payloads computed by any `d` survivors.
 pub trait RegeneratingCode: ErasureCode {
     /// Computes the helper payload that node `helper.index` contributes to
-    /// repairing `failed_index`.
+    /// repairing `failed_index` (striped if the share is).
     ///
     /// The product-matrix constructions guarantee this depends only on the
     /// helper's own content and the failed index (not on the identity of the
@@ -127,8 +124,8 @@ pub trait RegeneratingCode: ErasureCode {
     /// on invalid inputs.
     fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError>;
 
-    /// Reconstructs the exact content of node `failed_index` from `d` helper
-    /// payloads.
+    /// Reconstructs the exact content of node `failed_index` from the first
+    /// `d` distinct helper payloads (striped if they are).
     ///
     /// # Errors
     ///
@@ -137,20 +134,16 @@ pub trait RegeneratingCode: ErasureCode {
     /// payloads are inconsistent.
     fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError>;
 
-    /// Builds and memoizes the repair plan (the helper-set inversion) for a
-    /// set of helper indices without repairing anything, so a node-repair
-    /// driver can pay the one-time inversion before streaming per-object
-    /// payloads. Codes whose repair needs no per-set plan (e.g. naive
-    /// decode-and-re-encode) accept any index set and do nothing.
+    /// Builds and memoizes the plan that repairs node `failed_index` from
+    /// the first `d` distinct indices of `helpers` without repairing
+    /// anything, so start-up or a node-repair driver pays the one-time
+    /// inversion before payloads stream in.
     ///
     /// # Errors
     ///
-    /// Returns [`CodeError::NotEnoughShares`] or an index/inversion error
-    /// when the set cannot form a valid repair plan for this code.
-    fn prepare_repair(&self, helpers: &[usize]) -> Result<(), CodeError> {
-        let _ = helpers;
-        Ok(())
-    }
+    /// Returns [`CodeError::NotEnoughShares`] if `helpers` holds fewer than
+    /// `d` distinct indices, or an index/inversion error.
+    fn prepare_repair(&self, failed_index: usize, helpers: &[usize]) -> Result<(), CodeError>;
 }
 
 /// Deduplicates shares by index, preserving first occurrence order.

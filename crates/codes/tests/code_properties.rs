@@ -1,11 +1,12 @@
 //! Property-based tests of the erasure / regenerating code invariants that
 //! the LDS protocol relies on.
 
+use lds_codes::linear::{Construction, LinearCode};
 use lds_codes::mbr::ProductMatrixMbr;
 use lds_codes::msr::ProductMatrixMsr;
-use lds_codes::replication::Replication;
 use lds_codes::rs::ReedSolomon;
 use lds_codes::{ErasureCode, HelperData, RegeneratingCode, Share};
+use lds_gf::Matrix;
 use proptest::prelude::*;
 
 /// Strategy yielding small but varied MBR parameters and a value.
@@ -115,18 +116,6 @@ proptest! {
         prop_assert_eq!(code.decode(&chosen).unwrap(), value);
     }
 
-    #[test]
-    fn replication_any_share_decodes(
-        n in 1usize..10,
-        value in proptest::collection::vec(any::<u8>(), 0..200),
-        pick in any::<usize>(),
-    ) {
-        let code = Replication::with_replicas(n).unwrap();
-        let shares = code.encode(&value).unwrap();
-        let one = shares[pick % n].clone();
-        prop_assert_eq!(code.decode(&[one]).unwrap(), value);
-    }
-
     /// Decoding straight into the caller's buffer must not let what the
     /// buffer held before (or how long it was) leak into the value: the
     /// codecs zero each output byte once, and this is what notices a zeroing
@@ -175,6 +164,25 @@ proptest! {
         }
     }
 
+    /// The algebra the kernels are then trusted with, payload-free: for every
+    /// construction the decode matrix of a survivor set undoes that set's
+    /// stacked generator, and the repair matrix of a helper set takes the
+    /// rows the helpers compute (their helper row times their generator) to
+    /// the failed node's generator. For MSR and RS, whose decode matrix is
+    /// the engine's generic inverse, this is the check independent of any
+    /// round trip.
+    #[test]
+    fn plans_invert_the_generator_for_every_construction(seed in any::<u64>()) {
+        plan_identities(&ProductMatrixMbr::with_dimensions(9, 2, 3).unwrap(), seed)?;
+        plan_identities(&ProductMatrixMbr::with_dimensions(9, 4, 4).unwrap(), seed)?;
+        plan_identities(&ProductMatrixMbr::with_dimensions(12, 4, 6).unwrap(), seed)?;
+        plan_identities(&ProductMatrixMsr::with_dimensions(5, 2).unwrap(), seed)?;
+        plan_identities(&ProductMatrixMsr::with_dimensions(10, 4).unwrap(), seed)?;
+        plan_identities(&ProductMatrixMsr::with_dimensions(20, 10).unwrap(), seed)?;
+        plan_identities(&ReedSolomon::with_dimensions(9, 2).unwrap(), seed)?;
+        plan_identities(&ReedSolomon::with_dimensions(8, 5).unwrap(), seed)?;
+    }
+
     #[test]
     fn mbr_share_sizes_respect_mbr_point((n, k, d, value) in mbr_case()) {
         // alpha = d * beta: per-node storage equals total repair download.
@@ -183,6 +191,46 @@ proptest! {
         let helper = code.helper_data(&shares[0], (1) % n).unwrap();
         prop_assert_eq!(shares[0].data.len(), d * helper.data.len());
     }
+}
+
+fn plan_identities<C: Construction>(code: &LinearCode<C>, seed: u64) -> Result<(), TestCaseError> {
+    let construction = code.construction();
+    let params = *code.params();
+    let mut survivors = pick_subset(params.n(), params.k(), seed);
+    survivors.sort_unstable();
+    let undone = construction
+        .decode_matrix(&survivors)
+        .unwrap()
+        .checked_mul(&construction.stacked_generator(&survivors))
+        .unwrap();
+    prop_assert!(
+        undone == Matrix::identity(params.file_size()),
+        "{params}: decode_matrix({survivors:?}) x stacked generator is not the identity"
+    );
+
+    let failed = (seed >> 8) as usize % params.n();
+    let mut helpers = pick_subset_excluding(params.n(), params.d(), failed, seed ^ 0x5bd1_e995);
+    helpers.sort_unstable();
+    let coefficients = construction.helper_coefficients(failed).to_vec();
+    let helper_rows = helpers
+        .iter()
+        .map(|&h| {
+            Matrix::from_vec(1, params.alpha(), coefficients.clone())
+                .checked_mul(&construction.stacked_generator(&[h]))
+                .unwrap()
+        })
+        .reduce(|above, row| above.vconcat(&row))
+        .unwrap();
+    let repaired = construction
+        .repair_matrix(failed, &helpers)
+        .unwrap()
+        .checked_mul(&helper_rows)
+        .unwrap();
+    prop_assert!(
+        repaired == construction.stacked_generator(&[failed]),
+        "{params}: repair_matrix({failed}, {helpers:?}) x helper rows is not node {failed}'s generator"
+    );
+    Ok(())
 }
 
 /// One instance of each coded codec whose `decode_into` writes the caller's

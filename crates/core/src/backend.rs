@@ -58,6 +58,11 @@ impl fmt::Display for BackendKind {
 ///
 /// Indices `0..n1` denote L1 servers (code `C1`), indices `n1..n1+n2` denote
 /// L2 servers (code `C2`), matching the paper's numbering `s_1 … s_{n1+n2}`.
+///
+/// Helper computation, regeneration and decode accept striped elements and
+/// payloads (the chunk-striped large-value path, [`crate::stripe`]) as they
+/// accept monolithic ones: they run stripe by stripe and a striped input
+/// gives a striped result, so callers need no mode switch.
 pub trait BackendCodec: Send + Sync {
     /// The code family.
     fn kind(&self) -> BackendKind;
@@ -155,7 +160,7 @@ pub trait BackendCodec: Send + Sync {
     /// element. The MBR backend ships the bandwidth-optimal `β`-sized
     /// product-matrix helper (`1/α` of its element); the MSR backend its
     /// exact-repair symbol; Reed–Solomon and replication fall back to
-    /// shipping the whole element for decode-and-re-encode.
+    /// shipping the whole element.
     ///
     /// # Errors
     ///
@@ -176,16 +181,20 @@ pub trait BackendCodec: Send + Sync {
     /// Returns a [`CodeError`] if too few or inconsistent helpers are given.
     fn regenerate_l2(&self, l2_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError>;
 
-    /// Builds and memoizes the repair plan for regenerating an L2 element
-    /// from the given helper **L2 indices** (the one-time matrix inversion),
-    /// so a node-repair run pays it before per-object payloads stream in.
-    /// Backends whose repair needs no per-set plan do nothing.
+    /// Builds and memoizes the repair plan for regenerating the element of
+    /// L2 server `failed_l2_index` from the given helper **L2 indices** (the
+    /// one-time matrix inversion), so a node-repair run pays it before
+    /// per-object payloads stream in. Replication needs no plan.
     ///
     /// # Errors
     ///
     /// Returns a [`CodeError`] when the index set cannot form a repair plan.
-    fn prepare_l2_repair(&self, helper_l2_indices: &[usize]) -> Result<(), CodeError> {
-        let _ = helper_l2_indices;
+    fn prepare_l2_repair(
+        &self,
+        failed_l2_index: usize,
+        helper_l2_indices: &[usize],
+    ) -> Result<(), CodeError> {
+        let _ = (failed_l2_index, helper_l2_indices);
         Ok(())
     }
 
@@ -213,10 +222,10 @@ pub trait BackendCodec: Send + Sync {
     }
 
     /// Primes the codec's memoized plans for the steady-state index sets:
-    /// the per-node encode generators and the canonical first-`k` /
-    /// first-`d` decode and repair quorums. Called once at cluster / runner
-    /// start-up so the first client operation does not pay the one-time
-    /// inversion cost.
+    /// the canonical first-`k` decode quorum and every L1 server's
+    /// regeneration from the first `d` L2 helpers. Called once at cluster /
+    /// runner start-up so the first client operation does not pay the
+    /// one-time inversion cost.
     fn warm_plans(&self) {}
 }
 
@@ -282,7 +291,7 @@ impl<C: RegeneratingCode> BackendCodec for CodedBackend<C> {
     }
     fn repair_threshold(&self) -> usize {
         // The code's own repair degree: d for MBR, 2k − 2 for product-matrix
-        // MSR, k for Reed–Solomon's decode-and-re-encode.
+        // MSR, k for Reed–Solomon's whole-share repair.
         self.code.params().d()
     }
     fn encode_l2_element(&self, value: &Value, l2_index: usize) -> Result<Share, CodeError> {
@@ -332,9 +341,14 @@ impl<C: RegeneratingCode> BackendCodec for CodedBackend<C> {
     fn regenerate_l2(&self, l2_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
         self.code.repair(self.n1 + l2_index, helpers)
     }
-    fn prepare_l2_repair(&self, helper_l2_indices: &[usize]) -> Result<(), CodeError> {
+    fn prepare_l2_repair(
+        &self,
+        failed_l2_index: usize,
+        helper_l2_indices: &[usize],
+    ) -> Result<(), CodeError> {
         let indices: Vec<usize> = helper_l2_indices.iter().map(|&i| self.n1 + i).collect();
-        self.code.prepare_repair(&indices)
+        self.code
+            .prepare_repair(self.n1 + failed_l2_index, &indices)
     }
     fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
         self.code.decode(shares)
@@ -344,15 +358,16 @@ impl<C: RegeneratingCode> BackendCodec for CodedBackend<C> {
     }
     fn warm_plans(&self) {
         // The canonical steady-state quorums: readers decode from the first k
-        // L1 elements, L1 servers regenerate from the first `repair_threshold`
-        // L2 helpers (a no-op for codes that repair without a per-set plan).
+        // L1 elements, every L1 server regenerates its own from the first
+        // `repair_threshold` L2 helpers.
         let params = self.code.params();
         let _ = self
             .code
             .prepare_decode(&(0..params.k()).collect::<Vec<_>>());
-        let _ = self
-            .code
-            .prepare_repair(&(self.n1..self.n1 + params.d()).collect::<Vec<_>>());
+        let helpers: Vec<usize> = (self.n1..self.n1 + params.d()).collect();
+        for l1_index in 0..self.n1 {
+            let _ = self.code.prepare_repair(l1_index, &helpers);
+        }
     }
 }
 
@@ -404,17 +419,10 @@ impl BackendCodec for ReplicationBackend {
                 n: self.n1,
             });
         }
-        Ok(HelperData::new(
-            self.n1 + l2_index,
-            l1_index,
-            l2_element.data.clone(),
-        ))
+        Ok(self.replica_as_helper(l2_element, l2_index, l1_index))
     }
     fn regenerate_l1(&self, l1_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        let first = helpers
-            .first()
-            .ok_or(CodeError::NotEnoughShares { needed: 1, got: 0 })?;
-        Ok(Share::new(l1_index, first.data.clone()))
+        Self::replica_from_helpers(l1_index, helpers)
     }
     fn helper_for_l2(
         &self,
@@ -428,20 +436,13 @@ impl BackendCodec for ReplicationBackend {
                 n: self.n2,
             });
         }
-        // The replica itself is the repair payload.
-        Ok(HelperData::new(
-            self.n1 + l2_index,
-            self.n1 + failed_l2_index,
-            l2_element.data.clone(),
-        ))
+        Ok(self.replica_as_helper(l2_element, l2_index, self.n1 + failed_l2_index))
     }
     fn regenerate_l2(&self, l2_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
-        let first = helpers
-            .first()
-            .ok_or(CodeError::NotEnoughShares { needed: 1, got: 0 })?;
-        Ok(Share::new(self.n1 + l2_index, first.data.clone()))
+        Self::replica_from_helpers(self.n1 + l2_index, helpers)
     }
     fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
+        // The stripes of a replica are the stripes of the value.
         let first = shares
             .first()
             .ok_or(CodeError::NotEnoughShares { needed: 1, got: 0 })?;
@@ -449,9 +450,33 @@ impl BackendCodec for ReplicationBackend {
     }
 }
 
+impl ReplicationBackend {
+    /// The replica itself (and its stripe layout) is the helper payload.
+    fn replica_as_helper(&self, replica: &Share, l2_index: usize, failed: usize) -> HelperData {
+        HelperData {
+            helper_index: self.n1 + l2_index,
+            failed_index: failed,
+            data: replica.data.clone(),
+            layout: replica.layout.clone(),
+        }
+    }
+
+    fn replica_from_helpers(index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
+        let first = helpers
+            .first()
+            .ok_or(CodeError::NotEnoughShares { needed: 1, got: 0 })?;
+        Ok(Share {
+            index,
+            data: first.data.clone(),
+            layout: first.layout.clone(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lds_codes::linear::{Construction, LinearCode};
 
     fn params() -> SystemParams {
         SystemParams::for_failures(1, 1, 3, 5).unwrap() // n1=5, n2=7, k=3, d=5
@@ -541,7 +566,7 @@ mod tests {
             let helpers_l2: Vec<usize> = (0..7).filter(|&i| i != failed).collect();
             // Warm the plan for the canonical set, as the repair driver does.
             backend
-                .prepare_l2_repair(&helpers_l2[..backend.repair_threshold()])
+                .prepare_l2_repair(failed, &helpers_l2[..backend.repair_threshold()])
                 .unwrap();
             let helpers: Vec<HelperData> = helpers_l2
                 .iter()
@@ -555,6 +580,60 @@ mod tests {
             let direct = backend.encode_l2_element(&value, failed).unwrap();
             assert_eq!(regenerated, direct, "{kind}: exact element regeneration");
         }
+    }
+
+    /// `warm_plans` covers the steady state of every coded backend: after it,
+    /// every L1 server's regeneration from the first `d` L2 helpers and the
+    /// decode of the first `k` regenerated elements build no plan.
+    #[test]
+    fn warm_plans_leave_nothing_to_build_on_the_canonical_quorums() {
+        fn check<C: Construction + Clone>(code: LinearCode<C>, kind: BackendKind) {
+            let (n1, n2) = (params().n1(), params().n2());
+            let backend = CodedBackend {
+                code: code.clone(),
+                kind,
+                n1,
+                n2,
+            };
+            let plans = || (code.cached_decode_plans(), code.cached_repair_plans());
+            assert_eq!(plans(), (0, 0), "{kind}");
+            backend.warm_plans();
+            let warm = plans();
+            // MBR's `Ψ_rep⁻¹` serves every L1 server; MSR and RS fold the
+            // failed node into the plan.
+            let repair_plans = if kind == BackendKind::Mbr { 1 } else { n1 };
+            assert_eq!(warm, (1, repair_plans), "{kind}");
+
+            let value = Value::from("nothing left to invert");
+            let c1: Vec<Share> = (0..n1)
+                .map(|l1| {
+                    let helpers: Vec<HelperData> = (0..backend.repair_threshold())
+                        .map(|i| {
+                            let element = backend.encode_l2_element(&value, i).unwrap();
+                            backend.helper_for_l1(&element, i, l1).unwrap()
+                        })
+                        .collect();
+                    backend.regenerate_l1(l1, &helpers).unwrap()
+                })
+                .collect();
+            let decoded = backend.decode_from_l1(&c1[..backend.decode_threshold()]);
+            assert_eq!(decoded.unwrap(), value.as_bytes(), "{kind}");
+            assert_eq!(plans(), warm, "{kind}: a warm operation built a plan");
+        }
+        let p = params();
+        let (n, k, d) = (p.code_length(), p.k(), p.d());
+        check(
+            ProductMatrixMbr::with_dimensions(n, k, d).unwrap(),
+            BackendKind::Mbr,
+        );
+        check(
+            ReedSolomon::with_dimensions(n, k).unwrap(),
+            BackendKind::MsrPoint,
+        );
+        check(
+            ProductMatrixMsr::with_dimensions(n, k).unwrap(),
+            BackendKind::ProductMatrixMsr,
+        );
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::backend::BackendCodec;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload};
 use crate::params::SystemParams;
-use crate::stripe;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::Share;
@@ -391,12 +390,11 @@ impl ReaderClient {
                 break;
             }
             if shares.len() >= decode_threshold {
-                // Stripe-aware decode: elements regenerated from a striped
-                // write carry a per-stripe layout and are decoded stripe by
-                // stripe; monolithic elements take the direct path. The
-                // buffer decoded into is the one the value keeps.
+                // Elements regenerated from a striped write carry a
+                // per-stripe layout and decode stripe by stripe. The buffer
+                // decoded into is the one the value keeps.
                 let mut bytes = Vec::new();
-                if stripe::decode_from_l1_into(&*backend, shares, &mut bytes).is_ok() {
+                if backend.decode_from_l1_into(shares, &mut bytes).is_ok() {
                     best = Some((*t, Value::new(bytes), false));
                     break;
                 }

@@ -964,7 +964,7 @@ impl L1Server {
         let mut regenerated = None;
         for (t, helpers) in by_tag.iter().rev() {
             if helpers.len() >= repair_threshold {
-                if let Ok(share) = stripe::regenerate_l1(&*backend, my_index, helpers) {
+                if let Ok(share) = backend.regenerate_l1(my_index, helpers) {
                     regenerated = Some((*t, share));
                     break;
                 }

@@ -351,7 +351,10 @@ impl L2Server {
             if *tag == Tag::initial() {
                 continue; // replacements start from the initial element anyway
             }
-            match stripe::helper_for_l2(&*self.backend, element, self.index, failed_index) {
+            match self
+                .backend
+                .helper_for_l2(element, self.index, failed_index)
+            {
                 Ok(helper) => {
                     ctx.send(
                         failed,
@@ -445,7 +448,7 @@ impl L2Server {
                 // (and across repairs) instead of one inversion per arrival
                 // order.
                 helpers.sort_by_key(|h| h.helper_index);
-                match stripe::regenerate_l2(&*self.backend, self.index, &helpers) {
+                match self.backend.regenerate_l2(self.index, &helpers) {
                     Ok(share) => {
                         objects_restored += 1;
                         let entry = self.entry(obj);
@@ -515,7 +518,7 @@ impl Process<LdsMessage, ProtocolEvent> for L2Server {
                 let (tag, element) = self.entry(obj);
                 let tag = *tag;
                 // Stripe-aware: a striped element yields a striped helper.
-                match stripe::helper_for_l1(&*backend, element, index, l1_index) {
+                match backend.helper_for_l1(element, index, l1_index) {
                     Ok(helper) => ctx.send(
                         from,
                         LdsMessage::SendHelperElem {

@@ -6,17 +6,14 @@
 //! overlaps with the delivery of stripe `s − 1`. A striped coded element is
 //! simply the concatenation of the per-stripe encodes with a
 //! [`Share::layout`] recording the stripe boundaries — self-describing, so
-//! every consumer (helper computation, regeneration, decode) can split the
-//! element back into its stripes and run the ordinary backend operation
-//! stripe-wise. One tag still covers the whole logical write; striping never
-//! appears in the protocol's metadata.
-//!
-//! All functions here accept monolithic inputs (`layout == None`) and fall
-//! through to the direct backend call, so callers need no mode switch.
+//! every consumer (helper computation, regeneration, decode: the
+//! [`BackendCodec`] operations themselves) runs stripe-wise over the segments
+//! where they lie. One tag still covers the whole logical write; striping
+//! never appears in the protocol's metadata.
 
 use crate::backend::BackendCodec;
 use crate::value::Value;
-use lds_codes::{CodeError, HelperData, Share};
+use lds_codes::{CodeError, Share};
 use std::ops::Range;
 
 /// Default stripe size for the chunk-striped write path: 256 KiB keeps one
@@ -99,197 +96,12 @@ pub fn assemble_share(index: usize, parts: Vec<Share>) -> Share {
     Share::striped(index, data, layout)
 }
 
-/// Stripe count shared by a set of striped shares/helpers, or `None` when
-/// every input is monolithic.
-fn common_stripes<'a, I>(layouts: I) -> Result<Option<usize>, CodeError>
-where
-    I: Iterator<Item = Option<&'a Vec<usize>>>,
-{
-    let mut stripes: Option<usize> = None;
-    for layout in layouts {
-        let this = layout.map(Vec::len);
-        match (stripes, this) {
-            (None, t) => stripes = t,
-            (Some(a), Some(b)) if a != b => {
-                return Err(CodeError::MalformedShare(format!(
-                    "inconsistent stripe counts {a} vs {b}"
-                )));
-            }
-            (Some(_), Some(_)) => {}
-            (Some(a), None) => {
-                return Err(CodeError::MalformedShare(format!(
-                    "monolithic share mixed into a {a}-stripe set"
-                )));
-            }
-        }
-    }
-    Ok(stripes)
-}
-
-/// Stripe-aware [`BackendCodec::helper_for_l1`]: a helper computed from a
-/// striped element is the concatenation of the per-stripe helpers, with its
-/// own layout.
-///
-/// # Errors
-///
-/// As for the backend call.
-pub fn helper_for_l1(
-    backend: &dyn BackendCodec,
-    l2_element: &Share,
-    l2_index: usize,
-    l1_index: usize,
-) -> Result<HelperData, CodeError> {
-    match &l2_element.layout {
-        None => backend.helper_for_l1(l2_element, l2_index, l1_index),
-        Some(_) => {
-            let mut data = Vec::new();
-            let mut layout = Vec::new();
-            let mut indices = None;
-            for seg in l2_element.segments() {
-                let part = Share::new(l2_element.index, seg.to_vec());
-                let helper = backend.helper_for_l1(&part, l2_index, l1_index)?;
-                layout.push(helper.data.len());
-                data.extend_from_slice(&helper.data);
-                indices.get_or_insert((helper.helper_index, helper.failed_index));
-            }
-            let (hi, fi) = indices.expect("striped element has at least one segment");
-            Ok(HelperData::striped(hi, fi, data, layout))
-        }
-    }
-}
-
-/// Stripe-aware [`BackendCodec::regenerate_l1`].
-///
-/// # Errors
-///
-/// As for the backend call, plus [`CodeError::MalformedShare`] when helper
-/// stripe structures disagree.
-pub fn regenerate_l1(
-    backend: &dyn BackendCodec,
-    l1_index: usize,
-    helpers: &[HelperData],
-) -> Result<Share, CodeError> {
-    match common_stripes(helpers.iter().map(|h| h.layout.as_ref()))? {
-        None => backend.regenerate_l1(l1_index, helpers),
-        Some(stripes) => {
-            let segmented: Vec<Vec<&[u8]>> = helpers.iter().map(HelperData::segments).collect();
-            let mut parts = Vec::with_capacity(stripes);
-            for s in 0..stripes {
-                let stripe_helpers: Vec<HelperData> = helpers
-                    .iter()
-                    .zip(&segmented)
-                    .map(|(h, segs)| {
-                        HelperData::new(h.helper_index, h.failed_index, segs[s].to_vec())
-                    })
-                    .collect();
-                parts.push(backend.regenerate_l1(l1_index, &stripe_helpers)?);
-            }
-            let index = parts[0].index;
-            Ok(assemble_share(index, parts))
-        }
-    }
-}
-
-/// Stripe-aware [`BackendCodec::helper_for_l2`] (online L2 repair).
-///
-/// # Errors
-///
-/// As for the backend call.
-pub fn helper_for_l2(
-    backend: &dyn BackendCodec,
-    l2_element: &Share,
-    l2_index: usize,
-    failed_l2_index: usize,
-) -> Result<HelperData, CodeError> {
-    match &l2_element.layout {
-        None => backend.helper_for_l2(l2_element, l2_index, failed_l2_index),
-        Some(_) => {
-            let mut data = Vec::new();
-            let mut layout = Vec::new();
-            let mut indices = None;
-            for seg in l2_element.segments() {
-                let part = Share::new(l2_element.index, seg.to_vec());
-                let helper = backend.helper_for_l2(&part, l2_index, failed_l2_index)?;
-                layout.push(helper.data.len());
-                data.extend_from_slice(&helper.data);
-                indices.get_or_insert((helper.helper_index, helper.failed_index));
-            }
-            let (hi, fi) = indices.expect("striped element has at least one segment");
-            Ok(HelperData::striped(hi, fi, data, layout))
-        }
-    }
-}
-
-/// Stripe-aware [`BackendCodec::regenerate_l2`] (online L2 repair).
-///
-/// # Errors
-///
-/// As for the backend call, plus [`CodeError::MalformedShare`] when helper
-/// stripe structures disagree.
-pub fn regenerate_l2(
-    backend: &dyn BackendCodec,
-    l2_index: usize,
-    helpers: &[HelperData],
-) -> Result<Share, CodeError> {
-    match common_stripes(helpers.iter().map(|h| h.layout.as_ref()))? {
-        None => backend.regenerate_l2(l2_index, helpers),
-        Some(stripes) => {
-            let segmented: Vec<Vec<&[u8]>> = helpers.iter().map(HelperData::segments).collect();
-            let mut parts = Vec::with_capacity(stripes);
-            for s in 0..stripes {
-                let stripe_helpers: Vec<HelperData> = helpers
-                    .iter()
-                    .zip(&segmented)
-                    .map(|(h, segs)| {
-                        HelperData::new(h.helper_index, h.failed_index, segs[s].to_vec())
-                    })
-                    .collect();
-                parts.push(backend.regenerate_l2(l2_index, &stripe_helpers)?);
-            }
-            let index = parts[0].index;
-            Ok(assemble_share(index, parts))
-        }
-    }
-}
-
-/// Stripe-aware [`BackendCodec::decode_from_l1_into`]: decodes each stripe
-/// from the corresponding segments of the (striped) C1 elements and
-/// concatenates the per-stripe values — "readers reassemble stripes".
-///
-/// # Errors
-///
-/// As for the backend call, plus [`CodeError::MalformedShare`] when share
-/// stripe structures disagree.
-pub fn decode_from_l1_into(
-    backend: &dyn BackendCodec,
-    shares: &[Share],
-    out: &mut Vec<u8>,
-) -> Result<(), CodeError> {
-    match common_stripes(shares.iter().map(|s| s.layout.as_ref()))? {
-        None => backend.decode_from_l1_into(shares, out),
-        Some(stripes) => {
-            let segmented: Vec<Vec<&[u8]>> = shares.iter().map(Share::segments).collect();
-            out.clear();
-            let mut stripe_out = Vec::new();
-            for s in 0..stripes {
-                let stripe_shares: Vec<Share> = shares
-                    .iter()
-                    .zip(&segmented)
-                    .map(|(share, segs)| Share::new(share.index, segs[s].to_vec()))
-                    .collect();
-                backend.decode_from_l1_into(&stripe_shares, &mut stripe_out)?;
-                out.extend_from_slice(&stripe_out);
-            }
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{make_backend, BackendKind};
     use crate::params::SystemParams;
+    use lds_codes::HelperData;
     use std::collections::BTreeMap;
 
     #[test]
@@ -353,12 +165,12 @@ mod tests {
                         .iter()
                         .enumerate()
                         .take(backend.repair_threshold())
-                        .map(|(i, e)| helper_for_l1(&*backend, e, i, l1).unwrap())
+                        .map(|(i, e)| backend.helper_for_l1(e, i, l1).unwrap())
                         .collect();
-                    c1.push(regenerate_l1(&*backend, l1, &helpers).unwrap());
+                    c1.push(backend.regenerate_l1(l1, &helpers).unwrap());
                 }
                 let mut decoded = Vec::new();
-                decode_from_l1_into(&*backend, &c1, &mut decoded).unwrap();
+                backend.decode_from_l1_into(&c1, &mut decoded).unwrap();
                 assert_eq!(decoded, value.as_bytes(), "{kind} len={len}");
 
                 // Byte-identical with the monolithic path: a small value
@@ -402,9 +214,9 @@ mod tests {
             let helpers: Vec<HelperData> = (0..backend.n2())
                 .filter(|&i| i != failed)
                 .take(backend.repair_threshold())
-                .map(|i| helper_for_l2(&*backend, &elements[i], i, failed).unwrap())
+                .map(|i| backend.helper_for_l2(&elements[i], i, failed).unwrap())
                 .collect();
-            let regenerated = regenerate_l2(&*backend, failed, &helpers).unwrap();
+            let regenerated = backend.regenerate_l2(failed, &helpers).unwrap();
             assert_eq!(regenerated, elements[failed], "{kind}");
         }
     }
@@ -412,10 +224,12 @@ mod tests {
     #[test]
     fn inconsistent_stripe_structures_are_rejected() {
         let p = SystemParams::for_failures(1, 1, 3, 5).unwrap();
-        let backend = make_backend(BackendKind::Replication, &p).unwrap();
-        let striped = Share::striped(5, vec![1, 2], vec![1, 1]);
-        let mono = Share::new(6, vec![1, 2]);
+        let backend = make_backend(BackendKind::Mbr, &p).unwrap(); // k = 3, α = 5
+        let striped = |i| Share::striped(i, vec![1; 10], vec![5, 5]);
+        let mono = Share::new(2, vec![1; 10]);
         let mut out = Vec::new();
-        assert!(decode_from_l1_into(&*backend, &[striped, mono], &mut out).is_err());
+        assert!(backend
+            .decode_from_l1_into(&[striped(0), striped(1), mono], &mut out)
+            .is_err());
     }
 }

@@ -20,7 +20,7 @@ use lds_core::costs;
 use lds_core::server1::L1Options;
 use lds_core::{
     ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, Profile, ProtocolEvent,
-    ReadPayload, ReaderClient, SystemParams, Value, WriterClient,
+    ReadPayload, ReaderClient, RepairPayload, SystemParams, Value, WriterClient,
 };
 use lds_sim::{Context, Process, ProcessId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -86,6 +86,11 @@ fn norm(bytes: usize) -> f64 {
 
 const WRITER: ProcessId = ProcessId(9);
 const READER: ProcessId = ProcessId(10);
+/// Where a replacement L2 server reports its repair; nothing is behind it.
+const COORDINATOR: ProcessId = ProcessId(11);
+
+/// Stripe size of the striped cases: a 256 KiB value is four stripes.
+const STRIPE: usize = 64 << 10;
 
 /// The bare automata of one deployment and a FIFO queue between them.
 struct Net {
@@ -102,9 +107,28 @@ struct Net {
 
 impl Net {
     /// The benchmark's deployment (`f1 = f2 = 1`, `k = 2`, `d = 3`: n1 = 4,
-    /// n2 = 5) over `kind`, plans warm. The harness's own queues are sized
-    /// up front, so they never grow inside a measurement.
+    /// n2 = 5) over `kind`, plans warm, values stored whole.
     fn new(kind: BackendKind) -> (Net, SystemParams, MutexGuard<'static, ()>) {
+        Net::with_options(kind, L1Options::default())
+    }
+
+    /// The same deployment whose L1 servers offload every value in
+    /// [`STRIPE`]-byte stripes, so L2 stores striped elements.
+    fn striped(kind: BackendKind) -> (Net, SystemParams, MutexGuard<'static, ()>) {
+        let options = L1Options {
+            stripe_threshold: 1,
+            stripe_size: STRIPE,
+            ..L1Options::default()
+        };
+        Net::with_options(kind, options)
+    }
+
+    /// The harness's own queues are sized up front, so they never grow
+    /// inside a measurement.
+    fn with_options(
+        kind: BackendKind,
+        options: L1Options,
+    ) -> (Net, SystemParams, MutexGuard<'static, ()>) {
         let turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
         let (n1, n2) = (params.n1(), params.n2());
@@ -116,15 +140,7 @@ impl Net {
         backend.warm_plans();
         let net = Net {
             l1: (0..n1)
-                .map(|j| {
-                    L1Server::new(
-                        j,
-                        params,
-                        membership.clone(),
-                        backend.clone(),
-                        L1Options::default(),
-                    )
-                })
+                .map(|j| L1Server::new(j, params, membership.clone(), backend.clone(), options))
                 .collect(),
             l2: (0..n2)
                 .map(|i| {
@@ -177,6 +193,13 @@ impl Net {
                 LdsMessage::WriteCodeElem { element, .. } => {
                     self.coded_bytes_delivered += element.data.len();
                 }
+                LdsMessage::WriteCodeStripe { part, .. } => {
+                    self.coded_bytes_delivered += part.data.len();
+                }
+                LdsMessage::RepairShare {
+                    payload: RepairPayload::Element { helper, .. },
+                    ..
+                } => self.coded_bytes_delivered += helper.data.len(),
                 LdsMessage::DataResp {
                     payload: ReadPayload::Coded(share),
                     ..
@@ -188,6 +211,7 @@ impl Net {
             match to {
                 WRITER => self.writer.on_message(from, msg, &mut ctx),
                 READER => self.reader.on_message(from, msg, &mut ctx),
+                COORDINATOR => {}
                 ProcessId(i) if i < n1 => self.l1[i].on_message(from, msg, &mut ctx),
                 ProcessId(i) => self.l2[i - n1].on_message(from, msg, &mut ctx),
             }
@@ -243,9 +267,8 @@ fn msr_write_allocates_its_elements_and_the_client_copy() {
     write_allocates_its_elements_and_the_client_copy(BackendKind::ProductMatrixMsr, 11.1);
 }
 
-#[test]
-fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
-    let (mut net, params, _turn) = Net::new(BackendKind::Mbr);
+/// One cold MBR read of a value stored as `net` stores it.
+fn cold_read((mut net, params, _turn): (Net, SystemParams, MutexGuard<'static, ()>)) {
     let written = sample_value();
     let obj = ObjectId(7);
     net.write(obj, &written);
@@ -285,6 +308,78 @@ fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
     assert!(
         large <= budget,
         "cold read allocated {:.2} |v| in large buffers, budget {:.2} |v|",
+        norm(large),
+        norm(budget)
+    );
+}
+
+#[test]
+fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
+    cold_read(Net::new(BackendKind::Mbr));
+}
+
+/// The same budget holds when L2 stores the element in four stripes: the
+/// helpers, the regenerated elements and the value are computed stripe by
+/// stripe from the segments where they lie. (34.8 |v| when every segment was
+/// copied into a `Share` or `HelperData` of its own for the codec.)
+#[test]
+fn cold_read_of_a_striped_element_keeps_the_budget() {
+    cold_read(Net::striped(BackendKind::Mbr));
+}
+
+/// Online repair of an L2 server whose peers store striped elements: the
+/// `d + 1` live peers each ship a β-sized striped helper (a fifth of a value)
+/// and the replacement regenerates its element from them — what is
+/// communicated and the element, nothing else: 1.40 |v|. (6.60 |v| with a
+/// copy of every segment handed to the codec.)
+#[test]
+fn striped_l2_repair_allocates_its_helpers_and_the_element() {
+    let (mut net, params, _turn) = Net::striped(BackendKind::Mbr);
+    let obj = ObjectId(7);
+    net.write(obj, &sample_value());
+    net.coded_bytes_delivered = 0;
+    let (n1, failed) = (params.n1(), 2);
+    let lost = std::mem::replace(
+        &mut net.l2[failed],
+        L2Server::rebuilding(
+            failed,
+            Membership::new(
+                (0..n1).map(ProcessId).collect(),
+                (n1..n1 + params.n2()).map(ProcessId).collect(),
+            ),
+            make_backend(BackendKind::Mbr, &params).unwrap(),
+            Profile::PaperFaithful,
+            params.n2() - 1,
+            COORDINATOR,
+        ),
+    );
+    let element = lost.storage_bytes();
+
+    let before = LARGE_BYTES.load(Ordering::Relaxed);
+    for helper in (0..params.n2()).filter(|&i| i != failed) {
+        let help = LdsMessage::RepairHelp {
+            obj: ObjectId(0),
+            failed: ProcessId(n1 + failed),
+        };
+        net.run(ProcessId(n1 + helper), help);
+    }
+    let large = LARGE_BYTES.load(Ordering::Relaxed) - before;
+    assert!(!net.l2[failed].is_rebuilding());
+    assert_eq!(net.l2[failed].storage_bytes(), element);
+    assert_eq!(net.l2[failed].stored_tag(obj), lost.stored_tag(obj));
+
+    let helpers = net.coded_bytes_delivered;
+    println!(
+        "striped L2 repair of a {element} B element: {large} B in allocations >= {LARGE} B = \
+         {:.2} |v|; {helpers} B = {:.2} |v| of helper payload delivered",
+        norm(large),
+        norm(helpers),
+    );
+    assert!(large >= helpers + element);
+    let budget = (helpers + element) * 11 / 10;
+    assert!(
+        large <= budget,
+        "striped L2 repair allocated {:.2} |v| in large buffers, budget {:.2} |v|",
         norm(large),
         norm(budget)
     );

@@ -27,6 +27,17 @@ const CLASSES: usize = LdsMessage::NUM_CLASSES - 1;
 /// whatever payload slot the class has (value, stripe, share, helper), so
 /// driving its length through edge sizes exercises the codec's
 /// length-prefix handling per class.
+///
+/// This list is written by hand, not generated from `protocol_messages!`,
+/// on purpose. The table already generates the enum, its codec, its names
+/// and its cost-model sizes; what it generates is what these tests check, so
+/// the instances and the expectations ([`assert_class_facts`]: which classes
+/// carry payload, which `DATA-RESP` shapes do) have to come from somewhere
+/// else. A generated instance arm would also have to be public, unhidden
+/// code in `lds_core` (an integration test cannot see `cfg(test)` items) and
+/// a sampling trait over a dozen field types, for this one caller. The table
+/// still guards the list: [`CLASSES`] comes from it, so a new row without an
+/// arm here fails every test of this file.
 fn message_for(class: usize, a: u64, b: u64, bytes: Vec<u8>, flag: bool) -> LdsMessage {
     let obj = ObjectId(a ^ 0x9E37);
     let op = OpId::new(ClientId(b), a);

@@ -23,15 +23,13 @@
 //!   into a framed buffer.
 //! * [`mul_add_slices`] — `dst ^= Σ c_i · src_i`, the same row kernels with
 //!   every group accumulating.
-//! * [`xor_slice`], [`mul_slice`], [`mul_add_slice`], [`scale_slice`] — the
-//!   one-source forms.
+//! * [`xor_slice`], [`mul_add_slice`], [`scale_slice`] — the one-source forms.
 //! * [`apply_small`] — the gathered table loop for symbols of at most
 //!   [`SMALL_SYMBOL_MAX`] bytes, where per-row overhead, not arithmetic,
 //!   decides the cost.
-//! * [`scalar_mul_slice`] / [`scalar_mul_add_slice`] — the byte-at-a-time
-//!   reference path written with the `Gf256` operator overloads. It is kept
-//!   as the test oracle (every kernel level must be byte-identical to it)
-//!   and as the "before" side of the `codes` benchmark.
+//! * [`scalar_mul_add_slice`] — the byte-at-a-time reference path written
+//!   with the `Gf256` operator overloads. It is kept as the test oracle:
+//!   every kernel level must be byte-identical to it.
 //!
 //! The inner loop exists once per instruction-set level, as a *row kernel*
 //! (up to four terms into one destination, monomorphised on the term count
@@ -93,20 +91,6 @@ pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// `dst[i] = c · src[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "mul_slice length mismatch");
-    if c == Gf256::ONE {
-        dst.copy_from_slice(src);
-        return;
-    }
-    arch::combine(arch::Level::detected(), &[(c, src)], dst, false);
-}
-
 /// `buf[i] = c · buf[i]` in place.
 pub fn scale_slice(c: Gf256, buf: &mut [u8]) {
     if c == Gf256::ONE {
@@ -145,7 +129,7 @@ pub fn mul_add_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
 ///
 /// Panics if any source length differs from `dst`'s.
 pub fn mul_add_slices(terms: &[(Gf256, &[u8])], dst: &mut [u8]) {
-    arch::combine(arch::Level::detected(), terms, dst, true);
+    arch::combine(arch::Level::detected(), terms, dst);
 }
 
 /// Bytes of every source multiplied into all output rows before the next
@@ -213,6 +197,17 @@ impl RowTerms {
             rows.push_row(row.iter().copied().enumerate());
         }
         rows
+    }
+
+    /// The rows as a dense matrix (the terms of one source add up).
+    pub fn to_matrix(&self) -> Matrix {
+        let mut dense = Matrix::zero(self.rows(), self.cols);
+        for r in 0..self.rows() {
+            for term in self.row(r) {
+                dense[(r, term.col as usize)] += Gf256::new(term.coef);
+            }
+        }
+        dense
     }
 
     /// Appends a row given as `(source index, coefficient)` pairs. Zero
@@ -646,28 +641,19 @@ mod arch {
         }
     }
 
-    /// `dst = Σ_t terms[t].0 · terms[t].1` at a given level, or `dst ^= …`
-    /// when `accumulate`.
-    pub(crate) fn combine(
-        level: Level,
-        terms: &[(Gf256, &[u8])],
-        dst: &mut [u8],
-        accumulate: bool,
-    ) {
+    /// `dst ^= Σ_t terms[t].0 · terms[t].1` at a given level.
+    pub(crate) fn combine(level: Level, terms: &[(Gf256, &[u8])], dst: &mut [u8]) {
         level.assert_supported();
         let len = dst.len();
         for (_, src) in terms {
             assert_eq!(src.len(), len, "source and destination lengths differ");
         }
-        if terms.is_empty() && !accumulate {
-            dst.fill(0);
-        }
-        for (g, group) in terms.chunks(MAX_TERMS).enumerate() {
+        for group in terms.chunks(MAX_TERMS) {
             let group = group.iter().map(|(c, src)| (c.value(), src.as_ptr()));
             // SAFETY: `assert_supported` checked the level against CPUID;
             // every source was asserted to be `len` bytes long, `dst` is
             // `len` bytes of an exclusive borrow, so it overlaps no source.
-            unsafe { pass(level, group, dst.as_mut_ptr(), len, accumulate || g > 0) };
+            unsafe { pass(level, group, dst.as_mut_ptr(), len, true) };
         }
     }
 
@@ -886,11 +872,8 @@ mod arch {
                         for (c, src) in &row0 {
                             scalar_mul_add_slice(*c, src, &mut acc_expected);
                         }
-                        combine(level, &row0, &mut acc, true);
+                        combine(level, &row0, &mut acc);
                         assert!(acc == acc_expected, "accumulating combine, {ctx}");
-                        let mut assigned = vec![0xAA; len];
-                        combine(level, &row0, &mut assigned, false);
-                        assert!(assigned == expected[..len], "assigning combine, {ctx}");
                     }
                 }
             }
@@ -902,7 +885,7 @@ mod arch {
                 println!("this CPU supports every level: nothing to refuse");
                 return;
             };
-            let refused = std::panic::catch_unwind(|| combine(above, &[], &mut [], true));
+            let refused = std::panic::catch_unwind(|| combine(above, &[], &mut []));
             assert!(refused.is_err(), "{} ran unsupported", above.name());
         }
     }
@@ -971,19 +954,6 @@ pub fn apply_small(rows: &RowTerms, src: &[u8], symbol_len: usize, outs: &mut [V
     }
 }
 
-/// Byte-at-a-time `dst[i] = c · src[i]` through the `Gf256` operators — the
-/// reference oracle for [`mul_slice`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn scalar_mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "scalar_mul_slice length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = (c * Gf256::new(*s)).value();
-    }
-}
-
 /// Byte-at-a-time `dst[i] ^= c · src[i]` through the `Gf256` operators — the
 /// reference oracle for every kernel of this module.
 ///
@@ -1044,20 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_matches_scalar() {
-        for c in [0u8, 1, 2, 0x53, 0xff] {
-            for len in [0usize, 1, 7, 8, 9, 63, 200] {
-                let src = sample(len, 3);
-                let mut dst = vec![0xAA; len];
-                let mut expected = vec![0xAA; len];
-                mul_slice(Gf256::new(c), &src, &mut dst);
-                scalar_mul_slice(Gf256::new(c), &src, &mut expected);
-                assert_eq!(dst, expected, "c={c} len={len}");
-            }
-        }
-    }
-
-    #[test]
     fn mul_add_slice_matches_scalar() {
         for c in [0u8, 1, 2, 0x1d, 0x80, 0xfe] {
             for len in [0usize, 1, 5, 8, 16, 17, 255] {
@@ -1105,6 +1061,7 @@ mod tests {
         assert_eq!(row(0), [(1, 2)]);
         assert_eq!(row(1), []);
         assert_eq!(row(2), [(0, 5), (2, 7)]);
+        assert_eq!(rows.to_matrix(), m);
     }
 
     #[test]
@@ -1179,7 +1136,7 @@ mod tests {
         for c in [0u8, 1, 0x9c] {
             let mut buf = sample(40, 9);
             let mut expected = vec![0; 40];
-            scalar_mul_slice(Gf256::new(c), &buf.clone(), &mut expected);
+            scalar_mul_add_slice(Gf256::new(c), &buf, &mut expected);
             scale_slice(Gf256::new(c), &mut buf);
             assert_eq!(buf, expected, "c={c}");
         }

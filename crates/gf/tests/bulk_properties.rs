@@ -14,18 +14,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn mul_slice_matches_scalar_oracle(
-        c in gf(),
-        src in proptest::collection::vec(any::<u8>(), 0..200),
-    ) {
-        let mut bulk_out = vec![0xA5u8; src.len()];
-        let mut scalar_out = vec![0xA5u8; src.len()];
-        bulk::mul_slice(c, &src, &mut bulk_out);
-        bulk::scalar_mul_slice(c, &src, &mut scalar_out);
-        prop_assert_eq!(bulk_out, scalar_out);
-    }
-
-    #[test]
     fn mul_add_slice_matches_scalar_oracle(
         c in gf(),
         src in proptest::collection::vec(any::<u8>(), 0..200),

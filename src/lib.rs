@@ -30,11 +30,12 @@
 //!   detected at runtime) SSSE3/AVX2 nibble-table kernels that multiply 16 or
 //!   32 bytes per shuffle-pair. The byte-at-a-time scalar path is retained as
 //!   the property-test oracle.
-//! * **Codec plans** ([`codes::plan`]) — decode and repair invert coefficient
-//!   matrices that depend only on the survivor / helper *index sets*, so each
-//!   inversion (and, for MBR, the entire flattened decode matrix) is memoized
-//!   per sorted index set. Steady-state operations perform no matrix
-//!   inversion and no temporary matrix allocation.
+//! * **One engine, compiled plans** ([`codes::linear`], [`codes::plan`]) —
+//!   MBR, MSR and Reed–Solomon are constructions under one implementation of
+//!   the code traits. Decode and repair matrices depend only on the survivor
+//!   / helper *index sets*, so each is built once, compiled to the kernel's
+//!   row form and memoized per sorted index set. Steady-state operations
+//!   perform no matrix inversion and no temporary matrix allocation.
 //! * **Buffer-reuse APIs** — `encode_share_into` / `decode_into` on the code
 //!   traits, routed through [`core::backend::BackendCodec`]'s
 //!   `encode_l2_element_into` / `decode_from_l1_into`, let the L1 server's
