@@ -11,6 +11,11 @@
 //! the RPC hop — and the regression guard that the in-process default
 //! stays untouched by the deployment path.
 //!
+//! Each pipelined TCP row also says **where** its cost went: a per-thread-
+//! role census ([`lds_bench::threads`]: CPU ticks and context switches per
+//! operation, link threads next to workers next to readers) and how many
+//! frames the mesh put into one socket write (`frames_per_write`).
+//!
 //! Usage:
 //!
 //! ```text
@@ -20,6 +25,7 @@
 //!     [--ops N]      operations per point (overrides preset)
 //! ```
 
+use lds_bench::threads::{Census, RoleUsage};
 use lds_bench::{fmt3, host_cores, print_table, today_utc, SCHEMA_VERSION};
 use lds_cluster::api::{ObjectId, Store, StoreBuilder};
 use lds_core::backend::BackendKind;
@@ -41,6 +47,25 @@ struct Row {
     value_size: usize,
     ops: usize,
     elapsed: Duration,
+    /// Pipelined TCP rows: where the cost went.
+    attribution: Option<Attribution>,
+}
+
+/// What the process's threads and the daemons' mesh links did during one
+/// row.
+struct Attribution {
+    /// `None` where there is no procfs to read.
+    roles: Option<Vec<RoleUsage>>,
+    frames_sent: u64,
+    writes: u64,
+}
+
+/// Frames sent and socket writes made, summed over the daemons' links.
+fn mesh_writes(daemons: &[Daemon]) -> (u64, u64) {
+    daemons
+        .iter()
+        .map(Daemon::link_stats)
+        .fold((0, 0), |(f, w), s| (f + s.frames_sent, w + s.writes))
 }
 
 impl Row {
@@ -73,7 +98,13 @@ fn daemon_config(index: usize, mesh: &[u16], rpc: &[u16], http: &[u16]) -> Confi
 }
 
 /// Blocking and pipelined write+read workloads through one [`NetClient`].
-fn run_tcp(client: &mut NetClient, value_size: usize, ops: usize, rows: &mut Vec<Row>) {
+fn run_tcp(
+    client: &mut NetClient,
+    daemons: &[Daemon],
+    value_size: usize,
+    ops: usize,
+    rows: &mut Vec<Row>,
+) {
     let value = vec![0xA5u8; value_size];
     // Blocking: one op in flight, alternating write/read.
     let start = Instant::now();
@@ -91,8 +122,11 @@ fn run_tcp(client: &mut NetClient, value_size: usize, ops: usize, rows: &mut Vec
         value_size,
         ops,
         elapsed: start.elapsed(),
+        attribution: None,
     });
     // Pipelined: keep DEPTH writes in flight.
+    let census = Census::take();
+    let (frames_before, writes_before) = mesh_writes(daemons);
     let start = Instant::now();
     let mut inflight = std::collections::VecDeque::new();
     for op in 0..ops {
@@ -106,12 +140,19 @@ fn run_tcp(client: &mut NetClient, value_size: usize, ops: usize, rows: &mut Vec
     for id in inflight {
         client.wait_written(id).expect("pipelined drain");
     }
+    let elapsed = start.elapsed();
+    let (frames, writes) = mesh_writes(daemons);
     rows.push(Row {
         transport: "tcp",
         mode: "pipelined",
         value_size,
         ops,
-        elapsed: start.elapsed(),
+        elapsed,
+        attribution: Some(Attribution {
+            roles: census.and_then(|before| Some(Census::take()?.since(&before))),
+            frames_sent: frames - frames_before,
+            writes: writes - writes_before,
+        }),
     });
 }
 
@@ -140,6 +181,7 @@ fn run_inproc(value_size: usize, ops: usize, rows: &mut Vec<Row>) {
         value_size,
         ops,
         elapsed: start.elapsed(),
+        attribution: None,
     });
     let mut piped = store.client_with_depth(DEPTH);
     let start = Instant::now();
@@ -158,10 +200,81 @@ fn run_inproc(value_size: usize, ops: usize, rows: &mut Vec<Row>) {
         value_size,
         ops,
         elapsed: start.elapsed(),
+        attribution: None,
     });
     drop(client);
     drop(piped);
     store.shutdown();
+}
+
+/// The extra fields of a pipelined TCP row: totals over the row's
+/// operations (CPU in clock ticks of 10 ms).
+fn render_attribution(a: &Attribution) -> String {
+    let roles: Vec<String> = a
+        .roles
+        .iter()
+        .flatten()
+        .map(|r| {
+            format!(
+                "{{\"role\": \"{}\", \"threads\": {}, \"user_ticks\": {}, \
+                 \"system_ticks\": {}, \"voluntary_switches\": {}, \
+                 \"involuntary_switches\": {}}}",
+                r.role,
+                r.threads,
+                r.user_ticks,
+                r.system_ticks,
+                r.voluntary_switches,
+                r.involuntary_switches
+            )
+        })
+        .collect();
+    format!(
+        ", \"frames_sent\": {}, \"socket_writes\": {}, \"frames_per_write\": {:.2}, \
+         \"threads_by_role\": [{}]",
+        a.frames_sent,
+        a.writes,
+        a.frames_sent as f64 / a.writes.max(1) as f64,
+        roles.join(", ")
+    )
+}
+
+/// Prints who did the work of one pipelined TCP row, per operation.
+fn print_attribution(row: &Row, a: &Attribution) {
+    let ops = row.ops as f64;
+    let mut table: Vec<Vec<String>> = Vec::new();
+    let mut switches = 0;
+    for r in a.roles.iter().flatten() {
+        switches += r.voluntary_switches;
+        table.push(vec![
+            r.role.clone(),
+            r.threads.to_string(),
+            // A tick is 10 ms.
+            format!("{:.1}", r.user_ticks as f64 * 1e4 / ops),
+            format!("{:.1}", r.system_ticks as f64 * 1e4 / ops),
+            format!("{:.2}", r.voluntary_switches as f64 / ops),
+            format!("{:.2}", r.involuntary_switches as f64 / ops),
+        ]);
+    }
+    print_table(
+        &format!(
+            "tcp pipelined, {} B values, per operation: {:.2} voluntary switches, \
+             {:.1} mesh frames in {:.1} socket writes ({:.2} frames per write)",
+            row.value_size,
+            switches as f64 / ops,
+            a.frames_sent as f64 / ops,
+            a.writes as f64 / ops,
+            a.frames_sent as f64 / a.writes.max(1) as f64,
+        ),
+        &[
+            "role",
+            "threads",
+            "user us",
+            "system us",
+            "vol sw",
+            "invol sw",
+        ],
+        &table,
+    );
 }
 
 fn render_json(rows: &[Row], smoke: bool) -> String {
@@ -197,13 +310,16 @@ fn render_json(rows: &[Row], smoke: bool) -> String {
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"transport\": \"{}\", \"mode\": \"{}\", \"value_size\": {}, \
-             \"ops\": {}, \"elapsed_ms\": {:.3}, \"ops_per_sec\": {:.1}}}{}\n",
+             \"ops\": {}, \"elapsed_ms\": {:.3}, \"ops_per_sec\": {:.1}{}}}{}\n",
             row.transport,
             row.mode,
             row.value_size,
             row.ops,
             row.elapsed.as_secs_f64() * 1e3,
             row.ops_per_sec(),
+            row.attribution
+                .as_ref()
+                .map_or(String::new(), render_attribution),
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -250,7 +366,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for &value_size in value_sizes {
-        run_tcp(&mut client, value_size, ops, &mut rows);
+        run_tcp(&mut client, &daemons, value_size, ops, &mut rows);
         run_inproc(value_size, ops, &mut rows);
     }
     drop(client);
@@ -276,6 +392,12 @@ fn main() {
         &["transport", "mode", "value", "ops", "ms", "ops/sec"],
         &table,
     );
+
+    for row in &rows {
+        if let Some(attribution) = &row.attribution {
+            print_attribution(row, attribution);
+        }
+    }
 
     let json = render_json(&rows, smoke);
     std::fs::write(&out_path, &json).expect("write benchmark output");

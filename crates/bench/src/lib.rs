@@ -20,12 +20,17 @@
 //!   runtime (pipelined clients × worker shards × cluster shards ×
 //!   backend), recorded into `BENCH_CLUSTER.json`.
 //!
+//! [`threads`] is the per-thread-role CPU and context-switch census
+//! `exp_net` attributes its TCP rows with.
+//!
 //! Raw code throughput (encode / decode / repair) and the simulated protocol
 //! step are timed by the `gf.*`, `codes.*` and `core.sim_step_ns` rungs of
 //! `lds_benchmark`'s ladder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod threads;
 
 use std::fmt::Display;
 

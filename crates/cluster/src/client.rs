@@ -363,7 +363,16 @@ impl StoreClient {
             submitted: Instant::now(),
         });
         self.try_dispatch();
+        self.flush();
         ticket
+    }
+
+    /// Ends a burst of sends (see [`RouterHandle::send_batch`]): this client
+    /// is about to return to its caller or to block on its inbox.
+    fn flush(&mut self) {
+        for lane in &mut self.lanes {
+            lane.route.flush();
+        }
     }
 
     fn try_submit(
@@ -403,6 +412,7 @@ impl StoreClient {
         self.lanes[lane]
             .route
             .send_batch(self.pid, outgoing.drain(..));
+        self.lanes[lane].route.flush();
         self.scratch_out = outgoing;
         self.scratch_events = events;
         Ok(ticket)
@@ -705,7 +715,9 @@ impl StoreClient {
     }
 
     /// Processes every already-queued inbox message without blocking. The
-    /// backlog is claimed in batches (one channel-lock acquisition each).
+    /// backlog is claimed in batches (one channel-lock acquisition each, an
+    /// envelope [`StoreClient::pump_blocking`] received at the head of the
+    /// first), and what a batch made the automata send is flushed once.
     fn pump_available(&mut self) -> Result<(), StoreError> {
         loop {
             let mut batch = std::mem::take(&mut self.scratch_inbox);
@@ -721,6 +733,7 @@ impl StoreClient {
                     break;
                 }
             }
+            self.flush();
             self.scratch_inbox = batch;
             result?;
         }
@@ -748,12 +761,13 @@ impl StoreClient {
         };
         match self.inbox.rx.recv_timeout(wait) {
             Ok(envelope) => {
-                self.consume_envelope(envelope)?;
+                self.scratch_inbox.push(envelope);
                 self.pump_available()?;
                 Ok(true)
             }
             Err(RecvTimeoutError::Timeout) => {
                 self.try_dispatch();
+                self.flush();
                 Ok(false)
             }
             Err(RecvTimeoutError::Disconnected) => Err(StoreError::Disconnected),
@@ -819,6 +833,7 @@ impl Store for StoreClient {
         // it would spin forever without ever starting them.
         if self.admission_blocked {
             self.try_dispatch();
+            self.flush();
         }
         Ok(std::mem::take(&mut self.completions))
     }

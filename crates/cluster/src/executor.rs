@@ -98,6 +98,12 @@ impl Bell {
         }
     }
 
+    /// Whether the worker has raised `parked` and nobody has rung since.
+    #[cfg(test)]
+    pub(crate) fn is_parked(&self) -> bool {
+        self.parked.load(Ordering::SeqCst)
+    }
+
     /// Parks the calling worker unless `has_work` — which is evaluated
     /// *after* the flag is raised, the half of the protocol that makes a
     /// concurrent [`Bell::ring`] unmissable. A spurious return from `park`
@@ -191,6 +197,9 @@ impl Worker {
                 }
                 !turn.stop
             });
+            // The sweep is the burst: what its turns buffered for other
+            // daemons leaves now, in one write per peer.
+            handle.flush();
             let worked = envelopes != claimed_before;
             if worked && now - published_at < PUBLISH_EVERY_MICROS {
                 continue;

@@ -153,14 +153,19 @@ struct ShardInbox {
 impl ShardInbox {
     /// Enqueues `envelope`, then rings the hosting worker — in that order,
     /// the sender's half of the executor's park protocol. Every enqueue into
-    /// a server inbox goes through here: one that does not ring can leave
-    /// its worker parked on a non-empty inbox.
+    /// a server inbox is followed by a ring, here or (for a burst, once it
+    /// is all enqueued) in [`DirectSender::deliver_many`]: one that is not
+    /// can leave its worker parked on a non-empty inbox.
     fn send(&self, envelope: Envelope) -> Result<(), SendError<Envelope>> {
         self.tx.send(envelope)?;
+        self.ring();
+        Ok(())
+    }
+
+    fn ring(&self) {
         if let Some(bell) = &self.bell {
             bell.ring();
         }
-        Ok(())
     }
 }
 
@@ -193,10 +198,30 @@ pub struct DirectSender {
 }
 
 impl DirectSender {
-    pub(crate) fn deliver(&self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
-        if let Some(shared) = self.shared.upgrade() {
-            let snapshot = Arc::clone(&shared.table.lock());
-            RouterHandle::route(&snapshot, from, to, msg);
+    /// Delivers a burst of `(from, to, msg)` against one routing snapshot:
+    /// every message is enqueued first, then each distinct worker doorbell
+    /// among the destinations is rung once — the worker wakes to the whole
+    /// burst instead of to its first message.
+    pub(crate) fn deliver_many(
+        &self,
+        msgs: impl IntoIterator<Item = (ProcessId, ProcessId, LdsMessage)>,
+    ) {
+        let Some(shared) = self.shared.upgrade() else {
+            return;
+        };
+        let snapshot = Arc::clone(&shared.table.lock());
+        let mut bells: Vec<&Arc<Bell>> = Vec::new();
+        for (from, to, msg) in msgs {
+            RouterHandle::enqueue(&snapshot, from, to, msg, &mut |shard| {
+                if let Some(bell) = &shard.bell {
+                    if !bells.iter().any(|rung| Arc::ptr_eq(rung, bell)) {
+                        bells.push(bell);
+                    }
+                }
+            });
+        }
+        for bell in bells {
+            bell.ring();
         }
     }
 
@@ -312,10 +337,16 @@ impl Router {
             epoch: AtomicU64::new(0),
             transport,
         });
-        shared.transport.attach(DirectSender {
-            shared: Arc::downgrade(&shared),
-        });
-        Router { shared }
+        let router = Router { shared };
+        router.shared.transport.attach(router.direct());
+        router
+    }
+
+    /// A delivery path into this router that bypasses its transport.
+    pub(crate) fn direct(&self) -> DirectSender {
+        DirectSender {
+            shared: Arc::downgrade(&self.shared),
+        }
     }
 
     /// The transport under this router.
@@ -340,6 +371,7 @@ impl Router {
         RouterHandle {
             epoch: self.shared.epoch.load(Ordering::Acquire),
             faulty: self.shared.transport.is_faulty(),
+            unflushed: false,
             shared: Arc::clone(&self.shared),
             snapshot,
             groups: Vec::new(),
@@ -461,11 +493,13 @@ impl Router {
 
     /// Sends a protocol message; silently drops it if the destination is not
     /// registered (crashed). This is the slow path used by tests and one-off
-    /// sends; loops should use a [`RouterHandle`].
+    /// sends (it flushes the transport itself); loops should use a
+    /// [`RouterHandle`].
     pub fn send(&self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
         let snapshot = Arc::clone(&self.shared.table.lock());
         if self.shared.transport.is_faulty() {
             RouterHandle::dispatch(&self.shared.transport, &snapshot, from, to, msg);
+            self.shared.transport.flush();
         } else {
             RouterHandle::route(&snapshot, from, to, msg);
         }
@@ -488,7 +522,10 @@ impl Router {
     pub fn send_ping(&self, to: ProcessId) {
         let transport = &self.shared.transport;
         if transport.is_faulty() {
-            match transport.decide_ping(to) {
+            let decision = transport.decide_ping(to);
+            // A transport that took the ping for a remote daemon buffered it.
+            transport.flush();
+            match decision {
                 Decision::Drop => return,
                 Decision::Delay(delay) => {
                     transport.hold_ping(to, delay);
@@ -530,6 +567,9 @@ pub struct RouterHandle {
     /// predictable branch keeps the hot path exactly what it was before the
     /// transport seam existed.
     faulty: bool,
+    /// The transport kept a message of this handle's
+    /// ([`Transport::take_remote`]) since its last flush.
+    unflushed: bool,
     snapshot: Arc<Table>,
     /// Scratch for [`RouterHandle::send_batch`]: per-destination-shard
     /// message groups of the flush in progress (linear scan — a flush rarely
@@ -562,30 +602,41 @@ impl RouterHandle {
     }
 
     fn route(table: &Table, from: ProcessId, to: ProcessId, msg: LdsMessage) {
-        if let Some(route) = table.get(&to) {
-            if msg.fanout() && route.shards.len() > 1 {
-                // Process-addressed messages (repair help / done markers)
-                // reach every worker shard of the destination.
-                for shard in route.shards.iter() {
-                    shard.depth.add(1);
-                    if shard
-                        .send(Envelope::Protocol {
-                            from,
-                            msg: msg.clone(),
-                        })
-                        .is_err()
-                    {
-                        shard.depth.sub(1);
-                    }
-                }
-                return;
-            }
-            let shard = &route.shards[shard_of(msg.object(), route.shards.len())];
+        Self::enqueue(table, from, to, msg, &mut ShardInbox::ring);
+    }
+
+    /// Enqueues `msg` on the shard (or, for a fan-out message, on every
+    /// shard) of `to` that owns it, and tells `wake` about each inbox that
+    /// took an envelope: the caller owes that inbox's doorbell a ring.
+    fn enqueue<'t>(
+        table: &'t Table,
+        from: ProcessId,
+        to: ProcessId,
+        msg: LdsMessage,
+        wake: &mut impl FnMut(&'t ShardInbox),
+    ) {
+        let Some(route) = table.get(&to) else {
+            return;
+        };
+        let mut put = |shard: &'t ShardInbox, msg: LdsMessage| {
             shard.depth.add(1);
-            if shard.send(Envelope::Protocol { from, msg }).is_err() {
-                shard.depth.sub(1);
+            match shard.tx.send(Envelope::Protocol { from, msg }) {
+                Ok(()) => wake(shard),
+                Err(_) => shard.depth.sub(1),
             }
+        };
+        if msg.fanout() && route.shards.len() > 1 {
+            // Process-addressed messages (repair help / done markers)
+            // reach every worker shard of the destination.
+            for shard in route.shards.iter() {
+                put(shard, msg.clone());
+            }
+            return;
         }
+        put(
+            &route.shards[shard_of(msg.object(), route.shards.len())],
+            msg,
+        );
     }
 
     /// Routes one message through a faulty transport's decision.
@@ -611,11 +662,12 @@ impl RouterHandle {
     }
 
     /// Sends a protocol message; silently drops it if the destination is not
-    /// registered (crashed).
+    /// registered (crashed). A one-off: it flushes the transport itself.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
         self.refresh();
         if self.faulty {
             Self::dispatch(&self.shared.transport, &self.snapshot, from, to, msg);
+            self.shared.transport.flush();
         } else {
             Self::route(&self.snapshot, from, to, msg);
         }
@@ -635,6 +687,16 @@ impl RouterHandle {
     /// therefore overtake metadata from the same flush, which the automata —
     /// built for an asynchronous network that reorders freely — tolerate by
     /// construction (the simulator delivers with random per-message delays).
+    ///
+    /// Messages for another daemon are only **buffered** by the transport
+    /// ([`Transport::take_remote`]); they leave when somebody calls
+    /// [`RouterHandle::flush`]. Whoever owns the handle owes that call at
+    /// the end of its burst, before it waits for anything: an executor
+    /// worker after every sweep, a [`StoreClient`](crate::api::StoreClient)
+    /// after every claimed inbox batch and every dispatch. A flush pushes
+    /// out whatever any thread has buffered, so a late one costs latency,
+    /// never a message — but a sender that goes to sleep without one can
+    /// strand its last burst until another thread flushes.
     pub fn send_batch(
         &mut self,
         from: ProcessId,
@@ -651,6 +713,7 @@ impl RouterHandle {
                 // (it may overtake the batched original — exactly what a
                 // real network duplicate could do).
                 let Some(msg) = self.shared.transport.take_remote(from, to, msg) else {
+                    self.unflushed = true;
                     continue;
                 };
                 match self.shared.transport.decide(from, to, &msg) {
@@ -712,6 +775,18 @@ impl RouterHandle {
             }
         }
         self.groups = groups;
+    }
+
+    /// Ends a burst of [`RouterHandle::send_batch`] calls: if the transport
+    /// kept any of its messages for another daemon, it writes out what it
+    /// has buffered ([`Transport::flush`]). One branch otherwise — always,
+    /// on the default in-process transport.
+    #[inline]
+    pub fn flush(&mut self) {
+        if self.unflushed {
+            self.unflushed = false;
+            self.shared.transport.flush();
+        }
     }
 }
 

@@ -7,7 +7,9 @@
 //!
 //! ```text
 //!   Router / RouterHandle
-//!            │ take_remote(from, to, msg), then decide(from, to, &msg)
+//!            │ per message: take_remote(from, to, msg), then
+//!            │              decide(from, to, &msg)
+//!            │ per burst:   flush()
 //!            ▼
 //!        Transport ──► InProcTransport   (default: deliver, zero overhead)
 //!                  ──► SimTransport      (seeded fault plan: drop / dup /
@@ -15,6 +17,19 @@
 //!                  ──► TcpTransport      (real network: per-peer TCP links
 //!                                         for a multi-daemon deployment)
 //! ```
+//!
+//! A transport that carries messages elsewhere only *buffers* them in
+//! [`Transport::take_remote`]; [`Transport::flush`] is where they leave.
+//! The one-off paths ([`Router::send`](crate::router::Router::send),
+//! [`Router::send_ping`](crate::router::Router::send_ping),
+//! [`RouterHandle::send`](crate::router::RouterHandle::send)) flush
+//! themselves; after
+//! [`RouterHandle::send_batch`](crate::router::RouterHandle::send_batch)
+//! the handle's owner calls
+//! [`RouterHandle::flush`](crate::router::RouterHandle::flush) at the end of
+//! its burst — an executor worker once per sweep, a client once per claimed
+//! inbox batch and per dispatch — so everything one burst produced for one
+//! peer is one socket write.
 //!
 //! The default [`InProcTransport`] answers [`Decision::Deliver`] for
 //! everything and reports [`Transport::is_faulty`]` == false`; the router
@@ -37,7 +52,7 @@ pub use plan::{
     Endpoint, FaultPlan, FaultRule, PartitionDirection, PartitionSpec, MESSAGE_CLASSES,
 };
 pub use sim::SimTransport;
-pub use tcp::{TcpTopology, TcpTransport};
+pub use tcp::{LinkStats, TcpTopology, TcpTransport};
 
 use lds_core::messages::LdsMessage;
 use lds_sim::ProcessId;
@@ -106,6 +121,7 @@ pub trait Transport: Send + Sync {
     /// elsewhere ([`TcpTransport`]) keeps the message — ownership crosses
     /// the seam, so a payload is never cloned just to be sent — and returns
     /// `None`; every other message comes straight back for local routing.
+    /// A kept message may sit in a buffer until [`Transport::flush`].
     fn take_remote(&self, _from: ProcessId, _to: ProcessId, msg: LdsMessage) -> Option<LdsMessage> {
         Some(msg)
     }
@@ -122,6 +138,12 @@ pub trait Transport: Send + Sync {
     fn decide_ping(&self, _to: ProcessId) -> Decision {
         Decision::Deliver
     }
+
+    /// Sends what [`Transport::take_remote`] and [`Transport::decide_ping`]
+    /// buffered since the last flush. Called by whoever produced a burst of
+    /// messages, at its end (see the [module docs](self)); must not block.
+    /// Transports that deliver in process have nothing to flush.
+    fn flush(&self) {}
 
     /// Takes custody of a message the transport decided to
     /// [`Delay`](Decision::Delay); the transport re-injects it through its
@@ -178,6 +200,7 @@ mod tests {
             Some(msg)
         );
         assert_eq!(t.decide_ping(ProcessId(1)), Decision::Deliver);
+        t.flush();
         assert_eq!(t.fault_counters(), FaultCounters::default());
         assert_eq!(t.fault_counters().total(), 0);
         t.shutdown();

@@ -410,7 +410,9 @@ impl Transport for SimTransport {
                         let held = queue.heap.pop().expect("peeked entry");
                         drop(queue);
                         match held.payload {
-                            Payload::Msg { from, to, msg } => sender.deliver(from, to, msg),
+                            Payload::Msg { from, to, msg } => {
+                                sender.deliver_many([(from, to, msg)])
+                            }
                             Payload::Ping { to } => sender.deliver_ping(to),
                         }
                         queue = pump.queue.lock().expect("pump queue poisoned");

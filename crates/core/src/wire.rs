@@ -118,6 +118,9 @@ pub enum WireError {
     BadUtf8,
     /// A `Frame::Hello` was expected but another kind arrived.
     ExpectedHello,
+    /// A striped share's or helper's stripe lengths do not add up to the
+    /// bytes it carries.
+    BadLayout,
 }
 
 impl fmt::Display for WireError {
@@ -144,6 +147,7 @@ impl fmt::Display for WireError {
             }
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::ExpectedHello => write!(f, "expected a Hello handshake frame"),
+            WireError::BadLayout => write!(f, "stripe layout does not cover the coded bytes"),
         }
     }
 }
@@ -734,16 +738,19 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
 /// The codec of a struct whose fields are all wire types, listed in wire
 /// order. `carries $data` names the byte field that is the struct's object
-/// data; without it the struct is metadata (payload 0).
+/// data; without it the struct is metadata (payload 0). `striped by $layout`
+/// names the stripe lengths that must add up to that data.
 macro_rules! wire_struct {
-    ($name:ident { $($field:tt: $ty:ty),* } $(carries $data:ident)?) => {
+    ($name:ident { $($field:tt: $ty:ty),* } $(carries $data:ident $(striped by $layout:ident)?)?) => {
         impl Wire for $name {
             const MIN_LEN: usize = 0 $(+ <$ty>::MIN_LEN)*;
             fn put(&self, buf: &mut Vec<u8>) {
                 $(self.$field.put(buf);)*
             }
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($name { $($field: Wire::get(r)?),* })
+                let value = $name { $($field: Wire::get(r)?),* };
+                $($(stripes_cover(value.$layout.as_deref(), value.$data.len())?;)?)?
+                Ok(value)
             }
             $(
                 #[inline]
@@ -769,13 +776,29 @@ wire_struct!(Share {
     index: usize,
     data: Vec<u8>,
     layout: Option<Vec<usize>>
-} carries data);
+} carries data striped by layout);
 wire_struct!(HelperData {
     helper_index: usize,
     failed_index: usize,
     data: Vec<u8>,
     layout: Option<Vec<usize>>
-} carries data);
+} carries data striped by layout);
+
+/// What `Share::striped` / `HelperData::striped` assert on construction,
+/// checked on bytes from the network: `segments()` slices by these lengths.
+fn stripes_cover(layout: Option<&[usize]>, len: usize) -> Result<(), WireError> {
+    let Some(stripes) = layout else {
+        return Ok(());
+    };
+    let total = stripes
+        .iter()
+        .try_fold(0usize, |sum, &stripe| sum.checked_add(stripe));
+    if total == Some(len) {
+        Ok(())
+    } else {
+        Err(WireError::BadLayout)
+    }
+}
 
 impl Wire for Value {
     const MIN_LEN: usize = u32::MIN_LEN;

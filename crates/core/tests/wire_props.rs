@@ -462,3 +462,49 @@ fn unknown_class_is_an_error() {
         );
     }
 }
+
+/// A striped share or helper is sliced by its stripe lengths
+/// (`segments()`), so lengths that do not add up to the coded bytes must not
+/// get past the decoder: short, long, and a pair that only adds up modulo
+/// 2^64.
+#[test]
+fn stripe_layouts_that_do_not_cover_the_bytes_are_an_error() {
+    let striped = [
+        LdsMessage::WriteCodeElem {
+            obj: ObjectId(1),
+            tag: Tag::new(2, ClientId(3)),
+            element: Share::striped(4, vec![7; 8], vec![4, 4]),
+        },
+        LdsMessage::SendHelperElem {
+            obj: ObjectId(1),
+            reader: ProcessId(9),
+            op: OpId::new(ClientId(3), 5),
+            tag: Tag::new(2, ClientId(3)),
+            helper: HelperData::striped(5, 1, vec![7; 8], vec![4, 4]),
+        },
+    ];
+    for msg in striped {
+        let frame = Frame::Msg {
+            from: 0,
+            to: 1,
+            msg,
+        };
+        let mut buf = Vec::new();
+        encode_frame(&frame, &mut buf).unwrap();
+        // Well-formed, it round-trips.
+        assert_eq!(decode_framed(&buf), Ok((frame, buf.len())));
+        // The two stripe lengths are the frame's last two u64s.
+        let first = buf.len() - 16;
+        let cases: [(u64, u64); 3] = [(4, 3), (4, 5), (u64::MAX, 9)];
+        for (a, b) in cases {
+            let mut hostile = buf.clone();
+            hostile[first..first + 8].copy_from_slice(&a.to_le_bytes());
+            hostile[first + 8..].copy_from_slice(&b.to_le_bytes());
+            assert_eq!(
+                decode_framed(&hostile),
+                Err(WireError::BadLayout),
+                "stripes {a} + {b} over 8 bytes"
+            );
+        }
+    }
+}

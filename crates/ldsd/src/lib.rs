@@ -35,7 +35,7 @@ pub use config::{Config, ConfigError};
 pub use net_client::{NetClient, NetError};
 pub use rpc::layer_byte;
 
-use lds_cluster::transport::{TcpTransport, Transport};
+use lds_cluster::transport::{LinkStats, TcpTransport, Transport};
 use lds_cluster::{StoreBuilder, StoreError, StoreHandle};
 use std::fmt;
 use std::net::SocketAddr;
@@ -88,6 +88,7 @@ impl From<StoreError> for DaemonError {
 /// transport, the client RPC listener and the HTTP endpoint.
 pub struct Daemon {
     config: Arc<Config>,
+    transport: Arc<TcpTransport>,
     store: Arc<StoreHandle>,
     rpc: Option<rpc::RpcServer>,
     http: Option<http::HttpServer>,
@@ -111,7 +112,7 @@ impl Daemon {
             .code(config.cluster.k, config.cluster.d)
             .backend(config.cluster.backend)
             .pipeline_depth(config.cluster.pipeline_depth)
-            .transport(transport as Arc<dyn Transport>)
+            .transport(Arc::clone(&transport) as Arc<dyn Transport>)
             .host_scope(config.host_scope());
         if config.heal.enabled {
             builder = builder.self_heal_with(config.heal.to_heal_config());
@@ -149,6 +150,7 @@ impl Daemon {
 
         Ok(Daemon {
             config,
+            transport,
             store,
             rpc: Some(rpc),
             http: Some(http),
@@ -178,6 +180,12 @@ impl Daemon {
     /// local facade next to the network one).
     pub fn store(&self) -> &Arc<StoreHandle> {
         &self.store
+    }
+
+    /// What this daemon's mesh links have written so far (frames, socket
+    /// writes, stalls) and what they still hold.
+    pub fn link_stats(&self) -> LinkStats {
+        self.transport.link_stats()
     }
 
     /// Blocks until a client asks this daemon to shut down
