@@ -700,13 +700,6 @@ impl StoreClient {
                 self.deliver(from, msg);
                 Ok(())
             }
-            Envelope::Batch { from, msgs } => {
-                self.inbox.depth.sub(msgs.len());
-                for msg in msgs {
-                    self.deliver(from, msg);
-                }
-                Ok(())
-            }
             Envelope::Stop => Err(StoreError::Disconnected),
             // A `Waker`'s ping (clients are never heartbeat-monitored): it
             // only had to end a blocking receive.

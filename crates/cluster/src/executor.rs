@@ -13,7 +13,8 @@
 //!   lock. With `cores ≥ tasks` every worker hosts exactly one task: the
 //!   thread-per-shard layout this executor replaced.
 //! * A **sweep** gives every hosted task one [`Task::turn`]: claim the whole
-//!   backlog of its inbox, step the automaton through it, flush what the
+//!   backlog of its inbox (envelopes, each one protocol message or a stop /
+//!   ping control envelope), step the automaton through it, flush what the
 //!   steps produced. A worker that found work sweeps again.
 //! * Each worker has a **doorbell** ([`Bell`]). The router rings it after
 //!   every enqueue into an inbox the worker hosts: one atomic load while the
@@ -49,7 +50,8 @@ const PUBLISH_EVERY_MICROS: u64 = 10_000;
 /// What one [`Task::turn`] did.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Turn {
-    /// Envelopes claimed from the task's inbox.
+    /// Envelopes claimed from the task's inbox: each is one protocol
+    /// message, a stop request or a heartbeat ping.
     pub(crate) envelopes: usize,
     /// The task saw a stop request: the worker finishes and drops it.
     pub(crate) stop: bool,
@@ -152,7 +154,8 @@ pub(crate) struct ExecutorStats {
     pub(crate) workers: usize,
     /// Task turns that claimed at least one envelope.
     pub(crate) turns: u64,
-    /// Envelopes claimed by those turns.
+    /// Envelopes (one message each, or a control envelope) claimed by
+    /// those turns.
     pub(crate) envelopes: u64,
     /// Times a worker found every inbox empty and parked.
     pub(crate) parks: u64,

@@ -35,10 +35,12 @@
 //!   suspicion feeding [`api::Admin::liveness`] — and repairs itself: a
 //!   supervisor drives online repairs under a concurrency budget with
 //!   jittered exponential backoff (see the [`heal`] module);
-//! * a shard's turn flushes all outgoing traffic in one pass, coalescing
+//! * a shard's turn flushes all outgoing traffic in one pass, grouping
 //!   same-destination metadata — notably the per-write **COMMIT-TAG
-//!   broadcasts** — into one multi-message envelope per peer per flush
-//!   ([`router::Envelope::Batch`]);
+//!   broadcasts** — into one locked append per peer shard per flush, with
+//!   one wake-up ([`router::RouterHandle::send_batch`]); an envelope is
+//!   one message, so the in-process message path allocates nothing beyond
+//!   the payloads;
 //! * with [`ClusterOptions::inbox_cap`] the cluster runs with **bounded
 //!   inboxes**: a saturated or slow shard pushes back on
 //!   [`Store::try_submit_write`] / [`Store::try_submit_read`] (they return

@@ -501,8 +501,8 @@ where
     /// Outgoing messages are flushed **once per turn**, after the whole
     /// claimed backlog: one routing-epoch check for everything, and all
     /// same-destination metadata the backlog produced — most notably the
-    /// COMMIT-TAG broadcasts of every write in it — coalesces into one
-    /// multi-message envelope per peer (see [`RouterHandle::send_batch`]).
+    /// COMMIT-TAG broadcasts of every write in it — reaches each peer shard
+    /// in one locked append (see [`RouterHandle::send_batch`]).
     fn turn(&mut self, now_micros: u64, handle: &mut RouterHandle) -> Turn {
         // One timestamp per turn: the clock feeds event timestamps only, and
         // a backlog is processed within microseconds.
@@ -539,12 +539,6 @@ where
                 Envelope::Protocol { from, msg } => {
                     inbox.depth.sub(1);
                     step(obs, from, msg);
-                }
-                Envelope::Batch { from, msgs } => {
-                    inbox.depth.sub(msgs.len());
-                    for msg in msgs {
-                        step(obs, from, msg);
-                    }
                 }
             }
         }

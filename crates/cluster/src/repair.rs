@@ -301,34 +301,25 @@ pub(crate) fn repair_server(
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'wait,
         };
-        let mut consume = |from: ProcessId, msg: LdsMessage| {
-            if from != pid {
-                return;
-            }
-            if let LdsMessage::RepairDone {
-                objects: restored,
-                bytes_by_helper,
-                fallback_bytes: fallback,
-                ..
-            } = msg
-            {
-                reports += 1;
-                objects += restored;
-                fallback_bytes += fallback;
-                for (helper, bytes) in bytes_by_helper {
-                    *by_helper.entry(helper).or_insert(0) += bytes;
-                }
-            }
-        };
         match envelope {
             Envelope::Protocol { from, msg } => {
                 inbox.depth.sub(1);
-                consume(from, msg);
-            }
-            Envelope::Batch { from, msgs } => {
-                inbox.depth.sub(msgs.len());
-                for msg in msgs {
-                    consume(from, msg);
+                if from != pid {
+                    continue;
+                }
+                if let LdsMessage::RepairDone {
+                    objects: restored,
+                    bytes_by_helper,
+                    fallback_bytes: fallback,
+                    ..
+                } = msg
+                {
+                    reports += 1;
+                    objects += restored;
+                    fallback_bytes += fallback;
+                    for (helper, bytes) in bytes_by_helper {
+                        *by_helper.entry(helper).or_insert(0) += bytes;
+                    }
                 }
             }
             Envelope::Stop => break 'wait,

@@ -16,12 +16,14 @@
 //!
 //! Two mechanisms added for the scale-out runtime live here as well:
 //!
-//! * **Multi-message envelopes** — [`RouterHandle::send_batch`] groups the
-//!   messages of one flush by destination shard and delivers each group as a
-//!   single [`Envelope::Batch`]. A node that processes a backlog of writes
-//!   emits one COMMIT-TAG broadcast *per write per peer*; grouping collapses
-//!   them into one envelope per peer per flush, so the receiving shard pays
-//!   one channel hand-off (lock + wake-up) for the whole batch.
+//! * **Grouped delivery** — [`RouterHandle::send_batch`] groups the
+//!   metadata messages of one flush by destination shard and appends each
+//!   group to the shard's inbox in one locked step, as plain
+//!   [`Envelope::Protocol`]s, ringing the shard's worker once. A node that
+//!   processes a backlog of writes emits one COMMIT-TAG broadcast *per write
+//!   per peer*; grouping makes them one channel hand-off (lock + wake-up)
+//!   per peer per flush. No envelope carries a second message, so the group
+//!   buffers stay with the sender and nothing on the way allocates.
 //! * **Inbox depth gauges** — every worker-shard inbox tracks how many
 //!   protocol messages are queued ([`DepthGauge`]), maintained by the sender
 //!   on enqueue and by the owning worker as it claims messages. The gauges
@@ -50,17 +52,6 @@ pub enum Envelope {
         /// The message.
         msg: LdsMessage,
     },
-    /// Several protocol messages from one sender to one worker shard,
-    /// delivered as a unit. Produced by [`RouterHandle::send_batch`] when a
-    /// flush contains more than one message for the same destination shard —
-    /// most prominently the per-write COMMIT-TAG metadata broadcasts of a
-    /// batch of writes. Messages preserve their send order.
-    Batch {
-        /// Sending process.
-        from: ProcessId,
-        /// The messages, in send order. All route to the same worker shard.
-        msgs: Vec<LdsMessage>,
-    },
     /// Ask the receiving server task (or client) to stop (used for shutdown
     /// and for simulating crash failures).
     Stop,
@@ -76,7 +67,6 @@ impl Envelope {
     pub fn message_count(&self) -> usize {
         match self {
             Envelope::Protocol { .. } => 1,
-            Envelope::Batch { msgs, .. } => msgs.len(),
             Envelope::Stop | Envelope::Ping => 0,
         }
     }
@@ -153,13 +143,28 @@ struct ShardInbox {
 impl ShardInbox {
     /// Enqueues `envelope`, then rings the hosting worker — in that order,
     /// the sender's half of the executor's park protocol. Every enqueue into
-    /// a server inbox is followed by a ring, here or (for a burst, once it
-    /// is all enqueued) in [`DirectSender::deliver_many`]: one that is not
-    /// can leave its worker parked on a non-empty inbox.
+    /// a server inbox is followed by a ring, here, in
+    /// [`ShardInbox::send_group`] or (for a burst, once it is all enqueued)
+    /// in [`DirectSender::deliver_many`]: one that is not can leave its
+    /// worker parked on a non-empty inbox.
     fn send(&self, envelope: Envelope) -> Result<(), SendError<Envelope>> {
         self.tx.send(envelope)?;
         self.ring();
         Ok(())
+    }
+
+    /// Enqueues the messages of `group` (leaving it empty), in order, as one
+    /// locked append of protocol envelopes from `from`, counted by the
+    /// depth gauge first — then rings once.
+    fn send_group(&self, from: ProcessId, group: &mut Vec<LdsMessage>) {
+        let n = group.len();
+        self.depth.add(n);
+        let envelopes = group.drain(..).map(|msg| Envelope::Protocol { from, msg });
+        if self.tx.send_iter(envelopes).is_ok() {
+            self.ring();
+        } else {
+            self.depth.sub(n);
+        }
     }
 
     fn ring(&self) {
@@ -577,8 +582,7 @@ pub struct RouterHandle {
     /// the destination's shard array so the flush needs no second table
     /// lookup (the snapshot cannot change within one `send_batch`).
     groups: Vec<FlushGroup>,
-    /// Recycled group buffers (only singleton groups come back — a
-    /// multi-message group's buffer moves into its [`Envelope::Batch`]).
+    /// Recycled (empty) group buffers.
     vec_pool: Vec<Vec<LdsMessage>>,
 }
 
@@ -679,14 +683,17 @@ impl RouterHandle {
     ///
     /// Metadata messages ([`LdsMessage::is_metadata`]) are grouped by
     /// destination worker shard — preserving their relative send order — and
-    /// each group with more than one message is delivered as a single
-    /// [`Envelope::Batch`]: the COMMIT-TAG broadcasts of every write
-    /// processed in one flush reach each peer as one envelope instead of one
-    /// per write. Data-carrying messages (values, coded elements, helper
-    /// payloads) are routed immediately as their own envelopes; they may
-    /// therefore overtake metadata from the same flush, which the automata —
-    /// built for an asynchronous network that reorders freely — tolerate by
-    /// construction (the simulator delivers with random per-message delays).
+    /// each group is appended to its shard's inbox in one locked step, as
+    /// consecutive [`Envelope::Protocol`]s, with one ring of the shard's
+    /// worker: the COMMIT-TAG broadcasts of every write processed in one
+    /// flush reach each peer in one channel hand-off instead of one per
+    /// write. The group buffers come from and return to a per-handle pool,
+    /// so a warm handle delivers without allocating. Data-carrying messages
+    /// (values, coded elements, helper payloads) are routed immediately as
+    /// their own envelopes; they may therefore overtake metadata from the
+    /// same flush, which the automata — built for an asynchronous network
+    /// that reorders freely — tolerate by construction (the simulator
+    /// delivers with random per-message delays).
     ///
     /// Messages for another daemon are only **buffered** by the transport
     /// ([`Transport::take_remote`]); they leave when somebody calls
@@ -709,9 +716,9 @@ impl RouterHandle {
             let msg = if self.faulty {
                 // Each message of the flush is adjudicated individually,
                 // before grouping: a dropped or delayed message never joins
-                // a batch envelope, and a duplicate is routed immediately
-                // (it may overtake the batched original — exactly what a
-                // real network duplicate could do).
+                // a group, and a duplicate is routed immediately (it may
+                // overtake the grouped original — exactly what a real
+                // network duplicate could do).
                 let Some(msg) = self.shared.transport.take_remote(from, to, msg) else {
                     self.unflushed = true;
                     continue;
@@ -756,22 +763,9 @@ impl RouterHandle {
             }
         }
         for (_, shard, shards, mut group) in groups.drain(..) {
-            let shard = &shards[shard];
-            if group.len() == 1 {
-                let msg = group.pop().expect("singleton group");
-                shard.depth.add(1);
-                if shard.send(Envelope::Protocol { from, msg }).is_err() {
-                    shard.depth.sub(1);
-                }
-                if self.vec_pool.len() < VEC_POOL_LIMIT {
-                    self.vec_pool.push(group);
-                }
-            } else {
-                let n = group.len();
-                shard.depth.add(n);
-                if shard.send(Envelope::Batch { from, msgs: group }).is_err() {
-                    shard.depth.sub(n);
-                }
+            shards[shard].send_group(from, &mut group);
+            if self.vec_pool.len() < VEC_POOL_LIMIT {
+                self.vec_pool.push(group);
             }
         }
         self.groups = groups;
@@ -793,7 +787,9 @@ impl RouterHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
     use lds_core::tag::ObjectId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn register_send_and_deregister() {
@@ -888,72 +884,119 @@ mod tests {
         assert_eq!(used.len(), shards);
     }
 
+    /// Waits until every bell of `executor`'s workers is raised (it found
+    /// nothing to do and parked).
+    fn all_parked(executor: &Executor) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(0..executor.workers()).all(|w| executor.bell(w).is_parked()) {
+            assert!(Instant::now() < deadline, "idle workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Claims everything queued on `inbox` as a server turn does (one
+    /// `try_iter`, the gauge decremented per message claimed), checking that
+    /// the gauge then reads zero.
+    fn drain(inbox: &Inbox) -> Vec<(ProcessId, LdsMessage)> {
+        let claimed: Vec<_> = inbox
+            .rx
+            .try_iter()
+            .map(|envelope| match envelope {
+                Envelope::Protocol { from, msg } => {
+                    inbox.depth.sub(1);
+                    (from, msg)
+                }
+                other => panic!("unexpected envelope {other:?}"),
+            })
+            .collect();
+        assert_eq!(inbox.depth.current(), 0, "gauge after the drain");
+        claimed
+    }
+
+    fn objects(claimed: &[(ProcessId, LdsMessage)]) -> Vec<u64> {
+        claimed.iter().map(|(_, msg)| msg.object().0).collect()
+    }
+
+    /// A flush's metadata for one destination shard is one locked append of
+    /// plain protocol envelopes: announced by one ring — a parked worker
+    /// gets exactly one wake-up for the group — counted by the gauge, in
+    /// send order and contiguous in the inbox, behind any data message of
+    /// the same flush (which is routed, and rings, at once).
     #[test]
     fn batch_send_groups_per_destination_shard() {
         let router = Router::new();
-        let inbox_a = router.register(ProcessId(1));
+        let executor = Executor::start(1, &router, Instant::now());
+        let gauge = [Arc::new(DepthGauge::default())];
+        let bell = executor.bell(0);
+        let inbox_a = router
+            .register_shards(ProcessId(1), &gauge, |_| Some(Arc::clone(&bell)))
+            .pop()
+            .unwrap();
         let inbox_b = router.register(ProcessId(2));
         let mut handle = router.handle();
+        let read = |o| LdsMessage::InvokeRead { obj: ObjectId(o) };
+        handle.send(ProcessId(9), ProcessId(1), read(100));
+        all_parked(&executor);
+        let wakeups = executor.stats().wakeups;
         let batch = vec![
-            (ProcessId(1), LdsMessage::InvokeRead { obj: ObjectId(0) }),
-            (ProcessId(2), LdsMessage::InvokeRead { obj: ObjectId(1) }),
-            (ProcessId(1), LdsMessage::InvokeRead { obj: ObjectId(2) }),
+            (ProcessId(1), read(0)),
+            (ProcessId(2), read(1)),
+            (ProcessId(1), read(2)),
+            (ProcessId(1), read(3)),
         ];
         handle.send_batch(ProcessId(0), batch);
-        // The two messages for process 1 coalesce into one Batch envelope,
-        // preserving their order; the single message for process 2 stays a
-        // plain Protocol envelope.
-        match inbox_a.rx.try_recv().unwrap() {
-            Envelope::Batch { from, msgs } => {
-                assert_eq!(from, ProcessId(0));
-                assert_eq!(msgs.len(), 2);
-                assert!(matches!(msgs[0], LdsMessage::InvokeRead { obj } if obj == ObjectId(0)));
-                assert!(matches!(msgs[1], LdsMessage::InvokeRead { obj } if obj == ObjectId(2)));
-            }
-            other => panic!("expected a batch, got {other:?}"),
-        }
-        assert_eq!(inbox_a.depth.current(), 2, "gauge counts messages");
-        assert!(matches!(
-            inbox_b.rx.try_recv().unwrap(),
-            Envelope::Protocol { .. }
-        ));
-        assert!(inbox_b.rx.try_recv().is_none());
+        assert_eq!(
+            executor.stats().wakeups,
+            wakeups + 1,
+            "one wake-up for the group"
+        );
+        let data = LdsMessage::InvokeWrite {
+            obj: ObjectId(50),
+            value: lds_core::Value::new(vec![7; 4]),
+        };
+        assert!(!data.batchable());
+        let batch = vec![
+            (ProcessId(1), read(4)),
+            (ProcessId(1), data),
+            (ProcessId(1), read(5)),
+        ];
+        handle.send_batch(ProcessId(0), batch);
+        assert_eq!(inbox_a.depth.current(), 7, "gauge counts messages");
+        let claimed = drain(&inbox_a);
+        assert_eq!(objects(&claimed), [100, 0, 2, 3, 50, 4, 5]);
+        assert!(claimed[1..].iter().all(|(from, _)| *from == ProcessId(0)));
+        assert_eq!(objects(&drain(&inbox_b)), [1]);
+        executor.shutdown();
     }
 
+    /// Sixteen messages over sixteen objects to a two-shard process: each
+    /// shard receives exactly the messages of the objects it owns, in send
+    /// order, and its worker is rung once.
     #[test]
     fn batch_send_respects_shard_partitions() {
         let router = Router::new();
         let shards = 2;
-        let inboxes = router.register_sharded(ProcessId(3), shards);
+        let executor = Executor::start(shards, &router, Instant::now());
+        let gauges: Vec<_> = (0..shards)
+            .map(|_| Arc::new(DepthGauge::default()))
+            .collect();
+        let inboxes = router.register_shards(ProcessId(3), &gauges, |s| Some(executor.bell(s)));
         let mut handle = router.handle();
-        // Sixteen messages over sixteen objects: each lands in the shard that
-        // owns its object, grouped into at most one envelope per shard.
+        all_parked(&executor);
+        let wakeups = executor.stats().wakeups;
         let batch: Vec<_> = (0..16u64)
             .map(|o| (ProcessId(3), LdsMessage::InvokeRead { obj: ObjectId(o) }))
             .collect();
         handle.send_batch(ProcessId(0), batch);
-        let mut total = 0;
+        assert_eq!(executor.stats().wakeups, wakeups + shards as u64);
         for (s, inbox) in inboxes.iter().enumerate() {
-            let mut envelopes = 0;
-            while let Some(envelope) = inbox.rx.try_recv() {
-                envelopes += 1;
-                match envelope {
-                    Envelope::Protocol { msg, .. } => {
-                        assert_eq!(shard_of(msg.object(), shards), s);
-                        total += 1;
-                    }
-                    Envelope::Batch { msgs, .. } => {
-                        for msg in &msgs {
-                            assert_eq!(shard_of(msg.object(), shards), s);
-                        }
-                        total += msgs.len();
-                    }
-                    Envelope::Stop | Envelope::Ping => panic!("unexpected control envelope"),
-                }
-            }
-            assert!(envelopes <= 1, "one envelope per shard per flush");
+            let owned: Vec<u64> = (0..16u64)
+                .filter(|&o| shard_of(ObjectId(o), shards) == s)
+                .collect();
+            assert_eq!(inbox.depth.current(), owned.len());
+            assert_eq!(objects(&drain(inbox)), owned, "shard {s}");
         }
-        assert_eq!(total, 16);
+        executor.shutdown();
     }
 
     #[test]
@@ -1007,7 +1050,7 @@ mod tests {
                 if msg.object() == ObjectId(7)),
             "stale handle delivers to the replacement"
         );
-        // Batches take the same epoch check: metadata grouping included.
+        // Grouped sends take the same epoch check.
         stale.send_batch(
             ProcessId(2),
             vec![
@@ -1163,11 +1206,6 @@ mod tests {
                 Envelope::Protocol { msg, .. } => {
                     assert!(matches!(msg, LdsMessage::InvokeRead { .. }));
                 }
-                Envelope::Batch { msgs, .. } => {
-                    assert!(msgs
-                        .iter()
-                        .all(|m| matches!(m, LdsMessage::InvokeRead { .. })));
-                }
                 other => panic!("unexpected envelope {other:?}"),
             }
         }
@@ -1182,7 +1220,6 @@ mod tests {
     #[test]
     fn delayed_messages_are_reinjected_by_the_pump() {
         use crate::transport::{FaultPlan, FaultRule, SimTransport};
-        use std::time::Duration;
         let params = lds_core::params::SystemParams::for_failures(1, 1, 2, 3).unwrap();
         let plan = FaultPlan::seeded(1).rule(
             FaultRule::new()

@@ -17,11 +17,13 @@
 //!   builds no matrix;
 //! * **execution** — one call of the overwriting kernel
 //!   ([`bulk::apply_rows_into_vecs`]) per stripe over symbols borrowed where
-//!   they lie in the shares and helper payloads ([`Share::segments`]), the
-//!   result written straight into the buffer the caller keeps (and, for
+//!   they lie in the shares and helper payloads (cut by their `layout`),
+//!   the result written straight into the buffer the caller keeps (and, for
 //!   decode, unframed there). Nothing here accumulates into a buffer or
 //!   copies a symbol, and only the second and later stripes of a striped
-//!   input are zero-extended before the kernel writes them.
+//!   input are zero-extended before the kernel writes them. The index sets
+//!   and symbol lists of a call live inline (`Few`), so an operation on
+//!   monolithic inputs allocates its output and nothing else.
 //!
 //! A striped share or helper payload (one with a `layout`) is the
 //! concatenation of independent per-stripe encodes: every operation runs
@@ -36,6 +38,7 @@ use crate::striping::{frame, unframe_in_place, BorrowedFrame};
 use crate::traits::{ErasureCode, RegeneratingCode};
 use lds_gf::bulk::{self, RowTerms};
 use lds_gf::{Gf256, Matrix};
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 /// What is mathematically a code's own: its generator and the coefficient
@@ -160,21 +163,24 @@ impl<C: Construction> LinearCode<C> {
         }
     }
 
-    /// The first `need` of `items` with distinct node indices, sorted by
-    /// index — the order the plans are keyed and built in.
-    fn select<'a, T>(
+    /// The positions in `items` of the first `need` with distinct node
+    /// indices, sorted by index — the order the plans are keyed and built in.
+    fn select<T>(
         &self,
-        items: &'a [T],
+        items: &[T],
         index_of: impl Fn(&T) -> usize,
         need: usize,
-    ) -> Result<Vec<&'a T>, CodeError> {
-        let mut chosen: Vec<&T> = Vec::with_capacity(need);
-        for item in items {
+    ) -> Result<Few<usize>, CodeError> {
+        let mut chosen = Few::default();
+        for (pos, item) in items.iter().enumerate() {
             if chosen.len() == need {
                 break;
             }
-            if !chosen.iter().any(|c| index_of(c) == index_of(item)) {
-                chosen.push(item);
+            if !chosen
+                .iter()
+                .any(|&c| index_of(&items[c]) == index_of(item))
+            {
+                chosen.push(pos);
             }
         }
         if chosen.len() < need {
@@ -183,10 +189,10 @@ impl<C: Construction> LinearCode<C> {
                 got: chosen.len(),
             });
         }
-        for item in &chosen {
-            self.check_index(index_of(item))?;
+        for &pos in chosen.iter() {
+            self.check_index(index_of(&items[pos]))?;
         }
-        chosen.sort_by_key(|item| index_of(item));
+        chosen.sort_unstable_by_key(|&pos| index_of(&items[pos]));
         Ok(chosen)
     }
 
@@ -204,7 +210,7 @@ impl<C: Construction> LinearCode<C> {
         &self,
         survivors: impl Iterator<Item = usize>,
     ) -> Result<Arc<RowTerms>, CodeError> {
-        let key: Vec<usize> = survivors.collect();
+        let key: Few<usize> = survivors.collect();
         self.plans.decode.get_or_build(&key, |ids| {
             let matrix = self.construction.decode_matrix(ids)?;
             Ok(RowTerms::from_matrix(&matrix))
@@ -218,7 +224,7 @@ impl<C: Construction> LinearCode<C> {
     ) -> Result<Arc<RowTerms>, CodeError> {
         let shared = self.construction.repair_matrix_serves_every_node();
         let class = if shared { 0 } else { failed };
-        let key: Vec<usize> = std::iter::once(class).chain(helpers).collect();
+        let key: Few<usize> = std::iter::once(class).chain(helpers).collect();
         self.plans.repair.get_or_build(&key, |key| {
             let matrix = self.construction.repair_matrix(failed, &key[1..])?;
             Ok(RowTerms::from_matrix(&matrix))
@@ -226,59 +232,159 @@ impl<C: Construction> LinearCode<C> {
     }
 }
 
-/// The kernel sources of every stripe: `parts[p]` holds the segments of
-/// participant `p` (a share or a helper payload), and stripe `s` of each is
-/// cut into `width` symbols, participant-major.
-fn stripe_symbols<'a>(
-    parts: &[Vec<&'a [u8]>],
-    width: usize,
-) -> Result<Vec<Vec<&'a [u8]>>, CodeError> {
-    let stripes = parts[0].len();
-    if stripes == 0 || parts.iter().any(|p| p.len() != stripes) {
-        return Err(CodeError::MalformedShare(format!(
-            "inputs disagree on their stripe count, or have none: {:?}",
-            parts.iter().map(Vec::len).collect::<Vec<_>>()
-        )));
-    }
-    (0..stripes)
-        .map(|s| {
-            let len = parts[0][s].len();
-            if len == 0 || !len.is_multiple_of(width) || parts.iter().any(|p| p[s].len() != len) {
-                return Err(CodeError::MalformedShare(format!(
-                    "stripe {s}: inputs must have one non-zero length divisible by {width}, \
-                     got {:?}",
-                    parts.iter().map(|p| p[s].len()).collect::<Vec<_>>()
-                )));
-            }
-            Ok(parts
-                .iter()
-                .flat_map(|p| p[s].chunks_exact(len / width))
-                .collect())
-        })
-        .collect()
+/// Inline room of a [`Few`]. The deployed codes need a handful: `k·α = 6`
+/// symbols for an `(n, 2, 3)` MBR decode, 12 for a `(10, 4)` MSR one.
+const FEW: usize = 16;
+
+/// A list held inline up to [`FEW`] items and on the heap beyond: the index
+/// sets, payloads and symbol lists one codec call builds.
+enum Few<T> {
+    Inline([T; FEW], usize),
+    Heap(Vec<T>),
 }
 
-/// Applies `rows` to each stripe's symbols and concatenates the results in
-/// `out` (prior contents discarded, capacity reused), `finish`ing each one
-/// where it lies — `finish(out, start)` owns the bytes from `start` on. The
-/// first stripe — the only one of a monolithic input — is written without
-/// being zeroed first.
+impl<T: Default> Default for Few<T> {
+    fn default() -> Self {
+        Few::Inline(std::array::from_fn(|_| T::default()), 0)
+    }
+}
+
+impl<T: Default> Few<T> {
+    fn push(&mut self, item: T) {
+        match self {
+            Few::Inline(items, len) if *len < FEW => {
+                items[*len] = item;
+                *len += 1;
+            }
+            Few::Inline(items, _) => {
+                let mut heap: Vec<T> = items.iter_mut().map(std::mem::take).collect();
+                heap.push(item);
+                *self = Few::Heap(heap);
+            }
+            Few::Heap(items) => items.push(item),
+        }
+    }
+}
+
+impl<T: Default> FromIterator<T> for Few<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut few = Few::default();
+        for item in iter {
+            few.push(item);
+        }
+        few
+    }
+}
+
+impl<T> Deref for Few<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Few::Inline(items, len) => &items[..*len],
+            Few::Heap(items) => items,
+        }
+    }
+}
+
+impl<T> DerefMut for Few<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Few::Inline(items, len) => &mut items[..*len],
+            Few::Heap(items) => items,
+        }
+    }
+}
+
+/// The per-stripe byte lengths of a payload: its `layout`, or its whole
+/// length as one stripe when it has none.
+fn stripe_lens<'a>(
+    data: &[u8],
+    layout: Option<&'a [usize]>,
+) -> impl Iterator<Item = usize> + Clone + 'a {
+    let whole = layout.is_none().then_some(data.len());
+    layout.unwrap_or_default().iter().copied().chain(whole)
+}
+
+/// The kernel sources of a call: the payloads of the chosen shares or
+/// helper data and the stripe layout they share, each stripe of each
+/// payload to be cut into `width` symbols.
+struct Stripes<'a> {
+    payloads: Few<&'a [u8]>,
+    layout: Option<&'a [usize]>,
+    width: usize,
+}
+
+impl<'a> Stripes<'a> {
+    /// Checks that `parts` — the `(data, layout)` of each input, at least
+    /// one — agree stripe by stripe on one non-zero length divisible by
+    /// `width`.
+    fn new(
+        mut parts: impl Iterator<Item = (&'a [u8], Option<&'a [usize]>)>,
+        width: usize,
+    ) -> Result<Self, CodeError> {
+        let (first, layout) = parts.next().expect("a codec call has an input");
+        let lens = stripe_lens(first, layout);
+        if lens.clone().next().is_none()
+            || lens
+                .clone()
+                .any(|len| len == 0 || !len.is_multiple_of(width))
+        {
+            return Err(CodeError::MalformedShare(format!(
+                "stripes must have non-zero lengths divisible by {width}, got {:?}",
+                lens.collect::<Vec<_>>()
+            )));
+        }
+        let mut payloads = Few::default();
+        payloads.push(first);
+        for (data, other) in parts {
+            if !stripe_lens(data, other).eq(lens.clone()) {
+                return Err(CodeError::MalformedShare(format!(
+                    "inputs disagree on their stripes: {:?} and {:?}",
+                    lens.collect::<Vec<_>>(),
+                    stripe_lens(data, other).collect::<Vec<_>>()
+                )));
+            }
+            payloads.push(data);
+        }
+        Ok(Stripes {
+            payloads,
+            layout,
+            width,
+        })
+    }
+}
+
+/// Applies `rows` to each stripe's symbols — input-major — and
+/// concatenates the results in `out` (prior contents discarded, capacity
+/// reused), `finish`ing each one where it lies — `finish(out, start)` owns
+/// the bytes from `start` on. The first stripe — the only one of a
+/// monolithic input — is written without being zeroed first.
 fn apply_stripes(
     rows: &RowTerms,
-    stripes: &[Vec<&[u8]>],
+    stripes: Stripes<'_>,
     out: &mut Vec<u8>,
-    finish: impl Fn(&mut Vec<u8>, usize) -> Result<(), CodeError>,
+    mut finish: impl FnMut(&mut Vec<u8>, usize) -> Result<(), CodeError>,
 ) -> Result<(), CodeError> {
-    let total: usize = stripes.iter().map(|symbols| symbols[0].len()).sum();
+    let Stripes {
+        payloads,
+        layout,
+        width,
+    } = stripes;
     out.clear();
-    out.reserve(rows.rows() * total);
-    for symbols in stripes {
+    out.reserve(rows.rows() * payloads[0].len() / width);
+    let mut offset = 0;
+    for len in stripe_lens(payloads[0], layout) {
+        let symbols: Few<&[u8]> = payloads
+            .iter()
+            .flat_map(|p| p[offset..offset + len].chunks_exact(len / width))
+            .collect();
+        offset += len;
         let start = out.len();
         if start == 0 {
-            bulk::apply_rows_into_vecs(rows, symbols, std::slice::from_mut(out));
+            bulk::apply_rows_into_vecs(rows, &symbols, std::slice::from_mut(out));
         } else {
             out.resize(start + rows.rows() * symbols[0].len(), 0);
-            bulk::apply_rows_into(rows, symbols, &mut out[start..]);
+            bulk::apply_rows_into(rows, &symbols, &mut out[start..]);
         }
         finish(out, start)?;
     }
@@ -289,13 +395,17 @@ fn apply_stripes(
 /// `striped` — the payload and layout of a helper or a repaired share.
 fn apply_to_payload(
     rows: &RowTerms,
-    stripes: &[Vec<&[u8]>],
+    stripes: Stripes<'_>,
     striped: bool,
 ) -> Result<(Vec<u8>, Option<Vec<usize>>), CodeError> {
-    let mut data = Vec::new();
-    apply_stripes(rows, stripes, &mut data, |_, _| Ok(()))?;
-    let lens = stripes.iter().map(|symbols| rows.rows() * symbols[0].len());
-    Ok((data, striped.then(|| lens.collect())))
+    let (mut data, mut lens) = (Vec::new(), Vec::new());
+    apply_stripes(rows, stripes, &mut data, |out, start| {
+        if striped {
+            lens.push(out.len() - start);
+        }
+        Ok(())
+    })?;
+    Ok((data, striped.then_some(lens)))
 }
 
 impl<C: Construction> ErasureCode for LinearCode<C> {
@@ -336,17 +446,19 @@ impl<C: Construction> ErasureCode for LinearCode<C> {
 
     fn prepare_decode(&self, survivors: &[usize]) -> Result<(), CodeError> {
         let chosen = self.select(survivors, |&i| i, self.params().k())?;
-        self.decode_plan(chosen.into_iter().copied()).map(drop)
+        self.decode_plan(chosen.iter().map(|&c| survivors[c]))
+            .map(drop)
     }
 
     fn decode_into(&self, shares: &[Share], out: &mut Vec<u8>) -> Result<(), CodeError> {
         let params = self.params();
         let chosen = self.select(shares, |s| s.index, params.k())?;
-        let parts: Vec<Vec<&[u8]>> = chosen.iter().map(|s| s.segments()).collect();
-        let stripes = stripe_symbols(&parts, params.alpha())?;
-        let plan = self.decode_plan(chosen.iter().map(|s| s.index))?;
+        let chosen = || chosen.iter().map(|&c| &shares[c]);
+        let parts = chosen().map(|s| (&s.data[..], s.layout.as_deref()));
+        let stripes = Stripes::new(parts, params.alpha())?;
+        let plan = self.decode_plan(chosen().map(|s| s.index))?;
         // The value is the concatenation of the stripes' values.
-        apply_stripes(&plan, &stripes, out, unframe_in_place)
+        apply_stripes(&plan, stripes, out, unframe_in_place)
     }
 }
 
@@ -354,9 +466,10 @@ impl<C: Construction> RegeneratingCode for LinearCode<C> {
     fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError> {
         self.check_index(helper.index)?;
         self.check_index(failed_index)?;
-        let stripes = stripe_symbols(&[helper.segments()], self.params().alpha())?;
+        let part = (&helper.data[..], helper.layout.as_deref());
+        let stripes = Stripes::new(std::iter::once(part), self.params().alpha())?;
         let plan = self.helper_plan(failed_index);
-        let (data, layout) = apply_to_payload(plan, &stripes, helper.layout.is_some())?;
+        let (data, layout) = apply_to_payload(plan, stripes, helper.layout.is_some())?;
         Ok(HelperData {
             helper_index: helper.index,
             failed_index,
@@ -368,15 +481,17 @@ impl<C: Construction> RegeneratingCode for LinearCode<C> {
     fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
         self.check_index(failed_index)?;
         let chosen = self.select(helpers, |h| h.helper_index, self.params().d())?;
-        if chosen.iter().any(|h| h.failed_index != failed_index) {
+        let chosen = || chosen.iter().map(|&c| &helpers[c]);
+        if chosen().any(|h| h.failed_index != failed_index) {
             return Err(CodeError::MalformedShare(
                 "helper payloads disagree on the failed node index".into(),
             ));
         }
-        let parts: Vec<Vec<&[u8]>> = chosen.iter().map(|h| h.segments()).collect();
-        let stripes = stripe_symbols(&parts, 1)?;
-        let plan = self.repair_plan(failed_index, chosen.iter().map(|h| h.helper_index))?;
-        let (data, layout) = apply_to_payload(&plan, &stripes, chosen[0].layout.is_some())?;
+        let parts = chosen().map(|h| (&h.data[..], h.layout.as_deref()));
+        let stripes = Stripes::new(parts, 1)?;
+        let plan = self.repair_plan(failed_index, chosen().map(|h| h.helper_index))?;
+        let striped = chosen().next().is_some_and(|h| h.layout.is_some());
+        let (data, layout) = apply_to_payload(&plan, stripes, striped)?;
         Ok(Share {
             index: failed_index,
             data,
@@ -387,7 +502,7 @@ impl<C: Construction> RegeneratingCode for LinearCode<C> {
     fn prepare_repair(&self, failed_index: usize, helpers: &[usize]) -> Result<(), CodeError> {
         self.check_index(failed_index)?;
         let chosen = self.select(helpers, |&i| i, self.params().d())?;
-        self.repair_plan(failed_index, chosen.into_iter().copied())
+        self.repair_plan(failed_index, chosen.iter().map(|&c| helpers[c]))
             .map(drop)
     }
 }
@@ -501,7 +616,9 @@ mod tests {
             let src = bytes(cols * symbol_len, symbol_len);
             let inputs: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
             // The same symbols again as a second stripe.
-            let stripes = [inputs.clone(), inputs.clone()];
+            let twice = [&src[..], &src[..]].concat();
+            let lens = [src.len(); 2];
+            let stripes = || Stripes::new(std::iter::once((&twice[..], Some(&lens[..]))), cols);
             for (name, coeffs) in [("dense", &dense), ("single", &single), ("zero", &zero)] {
                 let expected = reference(coeffs, &inputs, symbol_len);
                 let ctx = format!("{name} coefficients, symbol_len {symbol_len}");
@@ -511,7 +628,7 @@ mod tests {
                     apply_into(&rows, &src, symbol_len, std::slice::from_mut(&mut out)).unwrap();
                     assert_eq!(out, expected, "apply_into, {ctx}, stale {stale_len}");
                     let mut out = vec![0xAA; stale_len];
-                    apply_stripes(&rows, &stripes, &mut out, |_, _| Ok(())).unwrap();
+                    apply_stripes(&rows, stripes().unwrap(), &mut out, |_, _| Ok(())).unwrap();
                     assert_eq!(
                         out,
                         [&expected[..], &expected[..]].concat(),

@@ -54,12 +54,6 @@ impl Share {
         }
     }
 
-    /// Borrows the per-stripe segments of a striped share, or the whole
-    /// payload as a single segment for a monolithic one.
-    pub fn segments(&self) -> Vec<&[u8]> {
-        segments_of(&self.data, self.layout.as_deref())
-    }
-
     /// Length of the coded payload in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -98,23 +92,6 @@ impl fmt::Debug for Share {
             self.index,
             self.data.len()
         )
-    }
-}
-
-/// Splits `data` into per-stripe segments according to `layout`, or returns
-/// it whole when there is no layout.
-fn segments_of<'a>(data: &'a [u8], layout: Option<&[usize]>) -> Vec<&'a [u8]> {
-    match layout {
-        None => vec![data],
-        Some(lens) => {
-            let mut segs = Vec::with_capacity(lens.len());
-            let mut off = 0;
-            for &len in lens {
-                segs.push(&data[off..off + len]);
-                off += len;
-            }
-            segs
-        }
     }
 }
 
@@ -174,11 +151,6 @@ impl HelperData {
         }
     }
 
-    /// Borrows the per-stripe segments (one segment when monolithic).
-    pub fn segments(&self) -> Vec<&[u8]> {
-        segments_of(&self.data, self.layout.as_deref())
-    }
-
     /// Length of the helper payload in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -231,19 +203,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert!(!h.is_empty());
         assert!(format!("{h:?}").contains("helper: 7"));
-    }
-
-    #[test]
-    fn striped_share_segments() {
-        let mono = Share::new(0, vec![1, 2, 3]);
-        assert_eq!(mono.segments(), vec![&[1u8, 2, 3][..]]);
-        let striped = Share::striped(2, vec![1, 2, 3, 4, 5], vec![2, 0, 3]);
-        assert_eq!(
-            striped.segments(),
-            vec![&[1u8, 2][..], &[][..], &[3u8, 4, 5][..]]
-        );
-        let helper = HelperData::striped(1, 0, vec![9, 8], vec![1, 1]);
-        assert_eq!(helper.segments().len(), 2);
     }
 
     #[test]

@@ -420,8 +420,9 @@ impl LdsMessage {
         )
     }
 
-    /// Whether the cluster transport may *aggregate* this message into a
-    /// multi-message envelope (delaying it to the end of the flush).
+    /// Whether the cluster transport may *group* this message with the
+    /// others of its flush for the same destination shard (delaying it to
+    /// the end of the flush).
     ///
     /// Metadata is batchable — that is the COMMIT-TAG coalescing
     /// optimisation — with two exceptions: fan-out messages (their routing
@@ -438,9 +439,9 @@ impl LdsMessage {
     ///
     /// The cluster transport uses this to decide what may be **aggregated**:
     /// metadata messages produced by one flush — most prominently the
-    /// per-write COMMIT-TAG broadcasts — coalesce into one multi-message
-    /// envelope per peer, while data-carrying messages (values, coded
-    /// elements, helper payloads) always travel as their own envelope.
+    /// per-write COMMIT-TAG broadcasts — reach each peer shard in one
+    /// locked append, while data-carrying messages (values, coded elements,
+    /// helper payloads) are routed the moment they are sent.
     pub fn is_metadata(&self) -> bool {
         self.data_size() == 0
     }

@@ -95,9 +95,9 @@ struct RegenState {
 /// Per-object server state (the paper's `L`, `Γ`, `t_c` and counters).
 ///
 /// All per-tag bookkeeping lives in ordered maps so that everything below the
-/// committed tag can be garbage-collected in one cheap `split_off` when `t_c`
-/// advances — without GC, `commitCounter`, the broadcast dedup sets and the
-/// list keys themselves grow forever on a long-running workload.
+/// committed tag can be garbage-collected from the front, in place, when
+/// `t_c` advances — without GC, `commitCounter`, the broadcast dedup sets and
+/// the list keys themselves grow forever on a long-running workload.
 #[derive(Debug, Clone)]
 struct ObjectState {
     /// The list `L`: tag → value (`None` represents `⊥`).
@@ -203,44 +203,50 @@ impl ObjectState {
         below: Tag,
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) -> (u64, u64) {
-        let kept = self.list.split_off(&below);
-        let stale_list = std::mem::replace(&mut self.list, kept);
-        let mut entries = stale_list.len() as u64;
-        let bytes: u64 = stale_list
-            .values()
-            .filter_map(|v| v.as_ref().map(|v| v.len() as u64))
-            .sum();
+        let mut entries = 0u64;
+        let mut bytes = 0u64;
+        while let Some(stale) = self.list.first_entry().filter(|e| *e.key() < below) {
+            entries += 1;
+            bytes += stale.remove().map_or(0, |v| v.len() as u64);
+        }
         self.list.entry(below).or_insert(None);
 
-        let kept = self.pending_write.split_off(&below);
-        let stale = std::mem::replace(&mut self.pending_write, kept);
-        entries += stale.len() as u64;
-        for (tag, (writer, op)) in stale {
+        // Before `acked` itself is pruned.
+        while let Some(stale) = self
+            .pending_write
+            .first_entry()
+            .filter(|e| *e.key() < below)
+        {
+            entries += 1;
+            let (tag, (writer, op)) = stale.remove_entry();
             if !self.acked.contains(&tag) {
                 ctx.send(writer, LdsMessage::AckPutData { obj, op, tag });
             }
         }
 
-        let kept = self.commit_count.split_off(&below);
-        entries += (std::mem::replace(&mut self.commit_count, kept)).len() as u64;
-        let kept = self.acked.split_off(&below);
-        entries += (std::mem::replace(&mut self.acked, kept)).len() as u64;
-        let kept = self.write_counter.split_off(&below);
-        entries += (std::mem::replace(&mut self.write_counter, kept)).len() as u64;
-        let kept = self.offloaded.split_off(&below);
-        entries += (std::mem::replace(&mut self.offloaded, kept)).len() as u64;
-        let kept = self.relayed.split_off(&below);
-        entries += std::mem::replace(&mut self.relayed, kept)
-            .values()
-            .map(|s| s.len() as u64)
-            .sum::<u64>();
-        let kept = self.consumed.split_off(&below);
-        entries += std::mem::replace(&mut self.consumed, kept)
-            .values()
-            .map(|s| s.len() as u64)
-            .sum::<u64>();
+        entries += prune_below(&mut self.commit_count, below, |_| 1);
+        entries += prune_below(&mut self.write_counter, below, |_| 1);
+        entries += prune_below(&mut self.relayed, below, |s| s.len() as u64);
+        entries += prune_below(&mut self.consumed, below, |s| s.len() as u64);
+        for set in [&mut self.acked, &mut self.offloaded] {
+            while set.first().is_some_and(|t| *t < below) {
+                set.pop_first();
+                entries += 1;
+            }
+        }
         (entries, bytes)
     }
+}
+
+/// Removes the entries of `map` keyed below `below` in place — no node is
+/// allocated, and emptied nodes are kept for the next tag — and returns
+/// their summed `weight`.
+fn prune_below<V>(map: &mut BTreeMap<Tag, V>, below: Tag, weight: impl Fn(&V) -> u64) -> u64 {
+    let mut pruned = 0;
+    while let Some(stale) = map.first_entry().filter(|e| *e.key() < below) {
+        pruned += weight(&stale.remove());
+    }
+    pruned
 }
 
 /// Accumulated state of a replacement L1 server while it reconstructs its

@@ -785,7 +785,7 @@ wire_struct!(HelperData {
 } carries data striped by layout);
 
 /// What `Share::striped` / `HelperData::striped` assert on construction,
-/// checked on bytes from the network: `segments()` slices by these lengths.
+/// checked on bytes from the network: the codec slices by these lengths.
 fn stripes_cover(layout: Option<&[usize]>, len: usize) -> Result<(), WireError> {
     let Some(stripes) = layout else {
         return Ok(());

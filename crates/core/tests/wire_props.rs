@@ -463,10 +463,10 @@ fn unknown_class_is_an_error() {
     }
 }
 
-/// A striped share or helper is sliced by its stripe lengths
-/// (`segments()`), so lengths that do not add up to the coded bytes must not
-/// get past the decoder: short, long, and a pair that only adds up modulo
-/// 2^64.
+/// A striped share or helper is sliced by its stripe lengths (the codec
+/// cuts each stripe where its `layout` says), so lengths that do not add up
+/// to the coded bytes must not get past the decoder: short, long, and a
+/// pair that only adds up modulo 2^64.
 #[test]
 fn stripe_layouts_that_do_not_cover_the_bytes_are_an_error() {
     let striped = [

@@ -50,11 +50,11 @@
 //!
 //! The [`cluster`] crate turns the same automata into a throughput-oriented
 //! deployment: pipelined clients, per-object worker-shard servers, an
-//! epoch-swapped lock-free routing snapshot, batched COMMIT-TAG metadata
-//! broadcast (multi-message envelopes per peer per flush), bounded inboxes
-//! with backpressure, online node repair at regenerating-code bandwidth,
-//! and — beyond a single `n1 + n2` membership — **multi-cluster sharding**
-//! by consistent hash across N independent clusters.
+//! epoch-swapped lock-free routing snapshot, grouped COMMIT-TAG metadata
+//! broadcast (one locked inbox append per peer shard per flush), bounded
+//! inboxes with backpressure, online node repair at regenerating-code
+//! bandwidth, and — beyond a single `n1 + n2` membership — **multi-cluster
+//! sharding** by consistent hash across N independent clusters.
 //!
 //! Applications program against the [`cluster::api`] facade:
 //! [`cluster::api::StoreBuilder`] constructs a deployment (one
