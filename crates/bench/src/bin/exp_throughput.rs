@@ -10,9 +10,7 @@
 //!   shards × backend`, at the base workload (small uniform values, 50/50
 //!   read/write). The `(depth = 1, shards = 1, clusters = 1)` point of each
 //!   backend is the pre-PR-2 baseline the recorded speedups compare against.
-//! * **size** — value sizes 256 B → 16 MiB at a fixed tuned topology, with
-//!   the chunk-striped data path off and (at ≥ 1 MiB) on, so the JSON
-//!   records what striping buys at which size.
+//! * **size** — value sizes 256 B → 16 MiB at a fixed tuned topology.
 //! * **skew** — Zipfian key skew θ ∈ {0, 0.9, 0.99} × read fraction
 //!   ∈ {0.5, 0.95} at small values, with the tag-validated client read
 //!   cache off and (at θ = 0.99) on. Cache-on and cache-off points replay
@@ -44,10 +42,6 @@ use lds_core::Profile;
 use lds_workload::throughput::{LatencyRecorder, ThroughputSummary};
 use lds_workload::{ValueGenerator, ZipfianGenerator};
 use std::time::{Duration, Instant};
-
-/// Values at or above this size take the striped data path on `stripe: true`
-/// points (the builder's default 256 KiB stripe size applies).
-const STRIPE_THRESHOLD: usize = 1 << 20;
 
 /// Entries in the per-client tag-validated read cache on `read_cache: true`
 /// points.
@@ -94,8 +88,6 @@ struct Workload {
     theta: f64,
     /// Fraction of operations that are reads (the rest are writes).
     read_fraction: f64,
-    /// Chunk-striped data path for values ≥ [`STRIPE_THRESHOLD`].
-    stripe: bool,
     /// Tag-validated per-client read cache ([`READ_CACHE_ENTRIES`] entries).
     read_cache: bool,
 }
@@ -108,7 +100,6 @@ impl Workload {
             ops_per_client,
             theta: 0.0,
             read_fraction: 0.5,
-            stripe: false,
             read_cache: false,
         }
     }
@@ -126,7 +117,7 @@ struct Point {
 /// Protocol-phase latency percentiles over one point's measured window
 /// (µs), from the cluster's always-on phase histograms diffed across the
 /// window: tag = the first quorum round (QUERY-TAG / QUERY-COMM-TAG), data
-/// = the transfer phase (PUT-DATA/PUT-STRIPE fan-out incl. the commit wait
+/// = the transfer phase (PUT-DATA fan-out incl. the commit wait
 /// for writes, QUERY-DATA for reads), commit = the read's PUT-TAG
 /// write-back round.
 #[derive(Debug, Clone, Copy, Default)]
@@ -204,7 +195,7 @@ fn main() {
         let (summary, cache_hits, phases) = run_point(point, false);
         eprintln!(
             "{:>8} {:>18} {:>8}  clients={} depth={:>2} shards={} clusters={}  \
-             vsize={:>8} theta={:.2} rf={:.2} stripe={} cache={}  \
+             vsize={:>8} theta={:.2} rf={:.2} cache={}  \
              {:>9.0} ops/s  p50={:>7.0}us p99={:>7.0}us  hits={}  \
              phases(tag/data/commit p50us)={}/{}/{}",
             point.axis,
@@ -217,7 +208,6 @@ fn main() {
             point.wl.value_size,
             point.wl.theta,
             point.wl.read_fraction,
-            point.wl.stripe,
             point.wl.read_cache,
             summary.ops_per_sec,
             summary.p50_us,
@@ -335,8 +325,8 @@ fn run_objects_axis(ops_override: Option<usize>) {
     store.shutdown();
 }
 
-/// The CI smoke sweep: the topology points of PR 2–5 plus one large-value
-/// striped point and one skewed cache-on point, so both new data paths run
+/// The CI smoke sweep: a few topology points plus one 4 MiB point
+/// and one skewed cache-on point, so large values and the read cache run
 /// end to end on every commit.
 fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point> {
     let wl = Workload::base(16, 64, ops_override.unwrap_or(40));
@@ -381,8 +371,8 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             wl,
         });
     }
-    // Large-value striped path: 4 MiB values through PUT-STRIPE framing and
-    // pooled per-stripe encodes.
+    // Large values: 4 MiB through one PUT-DATA per L1 server and one coded
+    // element per L2 server.
     points.push(Point {
         axis: "size",
         cfg: Config {
@@ -393,10 +383,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             clusters: 1,
             profile: Profile::HighThroughput,
         },
-        wl: Workload {
-            stripe: true,
-            ..Workload::base(2, 4 << 20, ops_override.unwrap_or(40).min(6))
-        },
+        wl: Workload::base(2, 4 << 20, ops_override.unwrap_or(40).min(6)),
     });
     // Skewed hot-object path: θ = 0.99 with the tag-validated read cache on.
     points.push(Point {
@@ -420,7 +407,7 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
 }
 
 /// The full recorded sweep: the PR 2–5 topology grid, the value-size axis
-/// (striping off/on) and the skew axis (read cache off/on).
+/// and the skew axis (read cache off/on).
 fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point> {
     let base_wl = Workload::base(64, 256, ops_override.unwrap_or(400));
     let mut points = Vec::new();
@@ -478,9 +465,7 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         }
     }
 
-    // Value-size axis: one fixed tuned topology, sizes from 256 B to 16 MiB,
-    // the striped path off everywhere and on at >= 1 MiB (values below the
-    // 1 MiB threshold never stripe, so an "on" point there is a no-op).
+    // Value-size axis: one fixed tuned topology, sizes from 256 B to 16 MiB.
     let size_cfg = Config {
         backend: BackendKind::Mbr,
         clients: 2,
@@ -503,13 +488,6 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
             cfg: size_cfg,
             wl,
         });
-        if value_size >= STRIPE_THRESHOLD {
-            points.push(Point {
-                axis: "size",
-                cfg: size_cfg,
-                wl: Workload { stripe: true, ..wl },
-            });
-        }
     }
 
     // Skew axis: small values, Zipfian key choice, read-heavy and balanced
@@ -566,7 +544,6 @@ fn run_point(point: Point, trace: bool) -> (ThroughputSummary, u64, PhasePcts) {
         Profile::HighThroughput => builder.high_throughput(cfg.shards).l2_shards(1),
     };
     let builder = builder
-        .stripe_threshold(if wl.stripe { STRIPE_THRESHOLD } else { 0 })
         .read_cache(if wl.read_cache { READ_CACHE_ENTRIES } else { 0 })
         .trace(trace);
     let store = builder
@@ -664,7 +641,7 @@ fn run_obs_ab(ops_override: Option<usize>, smoke: bool) -> ObsAb {
 /// probability `read_fraction`) until its quota completes. Generic over
 /// [`Store`], so the exact same loop measures every topology. The key and
 /// read/write choice streams depend only on `(workload, seed)`, so twin
-/// points that differ in a server-side knob (striping, read cache) replay
+/// points that differ in a server-side knob (the read cache) replay
 /// identical operation sequences.
 fn drive_client<S: Store>(
     client: &mut S,
@@ -728,7 +705,6 @@ fn print_results(results: &[PointResult]) {
                 r.point.wl.value_size.to_string(),
                 format!("{:.2}", r.point.wl.theta),
                 format!("{:.2}", r.point.wl.read_fraction),
-                if r.point.wl.stripe { "on" } else { "-" }.to_string(),
                 if r.point.wl.read_cache { "on" } else { "-" }.to_string(),
                 r.cache_hits.to_string(),
                 format!("{:.0}", r.summary.ops_per_sec),
@@ -741,7 +717,7 @@ fn print_results(results: &[PointResult]) {
         "cluster throughput (closed loop)",
         &[
             "axis", "backend", "profile", "clients", "depth", "shards", "clusters", "vsize",
-            "theta", "rf", "stripe", "cache", "hits", "ops/s", "p50 us", "p99 us",
+            "theta", "rf", "cache", "hits", "ops/s", "p50 us", "p99 us",
         ],
         &rows,
     );
@@ -815,15 +791,12 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
          (baseline = single-in-flight depth 1, unsharded, single-cluster, paper-faithful \
          flow — the pre-pipelining runtime; profile=tuned is Profile::HighThroughput, \
          atomicity preserved and covered by the cluster stress tests). axis=size sweeps \
-         value_size 256 B..16 MiB at one tuned topology with the \
-         chunk-striped large-value path off/on (stripe=true: values >= 1 MiB are split \
-         into 256 KiB stripes, streamed as PUT-STRIPE and erasure-coded per stripe from a \
-         reusable buffer pool, bounding peak encode memory by the stripe, not the value). \
+         value_size 256 B..16 MiB at one tuned topology. \
          axis=skew sweeps Zipfian theta x read_fraction at small values with the \
          tag-validated client read cache off/on (read_cache=true: a read whose \
          quorum-confirmed committed tag matches the cached tag skips the data-transfer \
          phase; the tag quorum and put-tag write-back still run, so atomicity is \
-         untouched). Cache/stripe twin points replay identical per-client op sequences \
+         untouched). Cache twin points replay identical per-client op sequences \
          (same seeds). See host_cores for how much hardware parallelism backed the \
          recorded numbers: on 1 core, sharding/multi-cluster gains come from fewer \
          messages and batched processing, not parallelism.\",\n",
@@ -874,14 +847,14 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
     );
     out.push_str(
         "    \"workload\": \"per result row: value_size bytes, Zipfian theta (0 = \
-         uniform), read_fraction of ops, stripe/read_cache on/off, cache_hits = reads \
+         uniform), read_fraction of ops, read_cache on/off, cache_hits = reads \
          that skipped the data phase; latency measured submit->completion\",\n",
     );
     out.push_str(
         "    \"phase_note\": \"phase_{tag,data,commit}_{p50,p99}_us come from the \
          cluster's always-on log-bucketed phase histograms (<= 12.5% relative error), \
          diffed across the measured window: tag = the first quorum round (QUERY-TAG / \
-         QUERY-COMM-TAG), data = the transfer phase (PUT-DATA/PUT-STRIPE fan-out incl. \
+         QUERY-COMM-TAG), data = the transfer phase (PUT-DATA fan-out incl. \
          the write's commit wait, or QUERY-DATA for reads), commit = the read's PUT-TAG \
          write-back round. Writes contribute tag+data samples, reads tag+data+commit \
          (cache-hit reads skip data), so phase counts differ from op counts.\",\n",
@@ -936,7 +909,7 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
             "    {{ \"axis\": \"{}\", \"backend\": \"{}\", \"profile\": \"{}\", \
              \"clients\": {}, \"depth\": {}, \"shards\": {}, \"clusters\": {}, \
              \"value_size\": {}, \"theta\": {:.2}, \"read_fraction\": {:.2}, \
-             \"stripe\": {}, \"read_cache\": {}, \"cache_hits\": {}, \
+             \"read_cache\": {}, \"cache_hits\": {}, \
              \"ops\": {}, \"elapsed_s\": {:.4}, \"ops_per_sec\": {:.1}, \"p50_us\": {:.1}, \
              \"p99_us\": {:.1}, \"mean_us\": {:.1}, \
              \"phase_tag_p50_us\": {}, \"phase_tag_p99_us\": {}, \
@@ -952,7 +925,6 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
             r.point.wl.value_size,
             r.point.wl.theta,
             r.point.wl.read_fraction,
-            r.point.wl.stripe,
             r.point.wl.read_cache,
             r.cache_hits,
             r.summary.ops,

@@ -207,26 +207,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Values of at least `threshold` bytes take the striped data path:
-    /// writers stream them as fixed-size stripes (`PUT-STRIPE`) and L1
-    /// servers erasure-code each stripe independently into pooled scratch
-    /// buffers, so peak encode memory is bounded by the stripe size instead
-    /// of the value size. `0` (the default) disables striping. The logical
-    /// operation stays atomic — one tag covers all stripes.
-    pub fn stripe_threshold(mut self, threshold: usize) -> StoreBuilder {
-        self.options.stripe_threshold = threshold;
-        self
-    }
-
-    /// Stripe size in bytes for the striped data path (default 256 KiB).
-    /// Only meaningful together with a non-zero
-    /// [`stripe_threshold`](StoreBuilder::stripe_threshold); must be
-    /// non-zero (validated at `build()`).
-    pub fn stripe_size(mut self, size: usize) -> StoreBuilder {
-        self.options.stripe_size = size;
-        self
-    }
-
     /// Tag-validated client read cache: each client handle remembers the
     /// last committed `(tag, value)` of up to `entries` recently accessed
     /// objects. A read still runs the committed-tag quorum round; only when
@@ -318,8 +298,8 @@ impl StoreBuilder {
 
     /// Turns on the protocol flight recorder: every server shard, client
     /// and heal thread records structured events (op lifecycle and phase
-    /// transitions, router sends, injected transport faults, stripe
-    /// assembly, GC, suspicion/repair) into bounded per-thread rings,
+    /// transitions, router sends, injected transport faults, GC,
+    /// suspicion/repair) into bounded per-thread rings,
     /// merged on demand by [`Admin::trace_dump`](crate::api::Admin::trace_dump).
     /// Off by default — and when off, every recording site in the hot path
     /// costs exactly one branch on a cached flag. A ring keeps its thread's
@@ -373,11 +353,6 @@ impl StoreBuilder {
         if options.inbox_cap == Some(0) {
             return Err(StoreError::InvalidConfig(
                 "inbox_cap must be at least 1 when set".into(),
-            ));
-        }
-        if options.stripe_threshold > 0 && options.stripe_size == 0 {
-            return Err(StoreError::InvalidConfig(
-                "stripe_size must be at least 1 when striping is enabled".into(),
             ));
         }
         if options.repair_timeout.is_zero() {

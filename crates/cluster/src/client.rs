@@ -278,8 +278,7 @@ impl StoreClient {
         let client_num = first.alloc_client_number();
         let id = ClientId(client_num);
         let pid = first.client_pid(client_num);
-        let mut writer = WriterClient::new(id, first.params(), first.membership().clone());
-        writer.set_striping(options.stripe_threshold, options.stripe_size);
+        let writer = WriterClient::new(id, first.params(), first.membership().clone());
         let mut reader = ReaderClient::new(
             id,
             first.params(),
@@ -561,7 +560,7 @@ impl StoreClient {
         }
     }
 
-    /// Phase stamps: the first PUT-DATA/PUT-STRIPE (write) or QUERY-DATA /
+    /// Phase stamps: the first PUT-DATA (write) or QUERY-DATA /
     /// PUT-TAG (read) an automaton step produced marks a phase boundary for
     /// its operation (see [`Lane::advance`]). The writer fans PUT-DATA out
     /// to every L1 server, so only the first message of a kind advances the
@@ -574,9 +573,7 @@ impl StoreClient {
                 // commit wait (PUT-DATA fan-out through ACK-PUT-DATA quorum)
                 // is part of the data phase — the client only observes the
                 // final ack.
-                LdsMessage::PutData { op, obj, .. } | LdsMessage::PutStripe { op, obj, .. } => {
-                    (&mut self.write_ops, op, obj, phase::DATA)
-                }
+                LdsMessage::PutData { op, obj, .. } => (&mut self.write_ops, op, obj, phase::DATA),
                 // Read: committed-tag quorum done, data transfer starts.
                 LdsMessage::QueryData { op, obj, .. } => (&mut self.read_ops, op, obj, phase::DATA),
                 // Read: value decoded, tag write-back (commit) starts. A

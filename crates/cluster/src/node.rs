@@ -37,7 +37,7 @@ use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::membership::Membership;
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::params::{Profile, SystemParams};
-use lds_core::server1::{L1Options, L1Server};
+use lds_core::server1::L1Server;
 use lds_core::server2::L2Server;
 use lds_core::tag::ObjectId;
 use lds_sim::{Context, Process, ProcessId, SimTime};
@@ -61,12 +61,6 @@ pub struct ClusterOptions {
     /// (the default) or
     /// [`StoreBuilder::high_throughput`](crate::api::StoreBuilder::high_throughput).
     pub profile: Profile,
-    /// Values of at least this many bytes take the chunk-striped data path
-    /// ([`L1Options::stripe_threshold`]); `0` (the default) disables it.
-    pub stripe_threshold: usize,
-    /// Stripe size in bytes of the striped data path
-    /// ([`L1Options::stripe_size`]).
-    pub stripe_size: usize,
     /// Default maximum number of operations a client created by
     /// [`StoreHandle::client`](crate::api::StoreHandle::client) keeps in
     /// flight.
@@ -81,14 +75,6 @@ pub struct ClusterOptions {
     /// for a slot; each worker-shard inbox is thereby bounded to a small
     /// multiple of `cap × `[`msgs_per_op_bound`] messages instead of growing
     /// without limit under overload.
-    ///
-    /// Note: a chunk-striped write (see
-    /// [`stripe_threshold`](ClusterOptions::stripe_threshold))
-    /// counts as **one** admitted operation but deposits one message per
-    /// stripe, so its inbox footprint exceeds the nominal
-    /// `msgs_per_op_bound` budget. The channels stay unbounded — this
-    /// cannot deadlock — it only loosens the per-inbox depth bound for
-    /// large-value workloads.
     pub inbox_cap: Option<usize>,
     /// Capacity (in objects) of each client's tag-validated read cache;
     /// `0` (the default) disables it. When the read's committed-tag quorum
@@ -148,8 +134,6 @@ impl Default for ClusterOptions {
             l1_shards: 1,
             l2_shards: 1,
             profile: Profile::PaperFaithful,
-            stripe_threshold: 0,
-            stripe_size: lds_core::stripe::DEFAULT_STRIPE_SIZE,
             pipeline_depth: 16,
             inbox_cap: None,
             read_cache_entries: 0,
@@ -389,13 +373,9 @@ impl Admission {
 struct ShardStats {
     temp_bytes: AtomicU64,
     metadata_entries: AtomicU64,
-    /// Largest single round of striped-encode output buffers (L1 only).
+    /// Bytes of the largest set of `n2` coded elements one `write-to-L2`
+    /// produced (L1 only).
     peak_round_bytes: AtomicU64,
-    assemblies_opened: AtomicU64,
-    assemblies_completed: AtomicU64,
-    /// L1: malformed/mismatched stripe *parts* dropped; L2: whole
-    /// assemblies dropped (GC'd or malformed).
-    assemblies_dropped: AtomicU64,
     gc_evicted_entries: AtomicU64,
     gc_evicted_bytes: AtomicU64,
     /// Messages this shard received, by protocol class (dense
@@ -584,43 +564,12 @@ where
     }
 }
 
-/// Stores the stripe-assembly counters `[opened, completed, dropped]` (both
-/// layers keep them) and, while tracing, records how far each moved since
-/// the last publish as one coarse event — the hot path is never touched.
-fn publish_assemblies(obs: &mut NodeObs, pid: ProcessId, now: [u64; 3], prev: &mut [u64; 3]) {
-    const KINDS: [EventKind; 3] = [
-        EventKind::StripeOpen,
-        EventKind::StripeComplete,
-        EventKind::StripeDrop,
-    ];
-    let NodeObs { trace, stats, .. } = obs;
-    let slots = [
-        &stats.assemblies_opened,
-        &stats.assemblies_completed,
-        &stats.assemblies_dropped,
-    ];
-    for i in 0..3 {
-        slots[i].store(now[i], Ordering::Relaxed);
-        if trace.enabled() && now[i] > prev[i] {
-            trace.record(KINDS[i], pid.0 as u64, now[i] - prev[i], 0);
-        }
-    }
-    *prev = now;
-}
-
 /// The publish step of an L1 shard: occupancy (field reads — the automaton
 /// keeps running totals) and the internals counters.
 fn l1_publisher(pid: ProcessId) -> impl FnMut(&L1Server, &mut NodeObs) + Send {
-    let mut prev_assemblies = [0; 3];
     let (mut gc_entries, mut gc_bytes) = (0, 0);
     move |p, obs| {
         let c = p.obs_counters();
-        let assemblies = [
-            c.assemblies_opened,
-            c.assemblies_completed,
-            c.assembly_parts_dropped,
-        ];
-        publish_assemblies(obs, pid, assemblies, &mut prev_assemblies);
         let NodeObs { trace, stats, .. } = obs;
         let relaxed = Ordering::Relaxed;
         stats
@@ -645,20 +594,6 @@ fn l1_publisher(pid: ProcessId) -> impl FnMut(&L1Server, &mut NodeObs) + Send {
             );
         }
         (gc_entries, gc_bytes) = (c.gc_evicted_entries, c.gc_evicted_bytes);
-    }
-}
-
-/// The publish step of an L2 shard: the internals counters.
-fn l2_publisher(pid: ProcessId) -> impl FnMut(&L2Server, &mut NodeObs) + Send {
-    let mut prev = [0; 3];
-    move |p, obs| {
-        let c = p.obs_counters();
-        let assemblies = [
-            c.assemblies_opened,
-            c.assemblies_completed,
-            c.assemblies_dropped,
-        ];
-        publish_assemblies(obs, pid, assemblies, &mut prev);
     }
 }
 
@@ -944,9 +879,6 @@ impl Cluster {
         let l1 = |slot: fn(&ShardStats) -> &AtomicU64| -> u64 {
             l1_shards.clone().map(|s| load(slot(s))).sum()
         };
-        let l2 = |slot: fn(&ShardStats) -> &AtomicU64| -> u64 {
-            l2_shards.clone().map(|s| load(slot(s))).sum()
-        };
         let mut messages_by_class: Vec<_> = MESSAGE_CLASSES.iter().map(|&c| (c, 0)).collect();
         for stats in l1_shards.clone().chain(l2_shards.clone()) {
             for (total, slot) in messages_by_class.iter_mut().zip(&stats.msgs_by_class) {
@@ -983,12 +915,6 @@ impl Cluster {
             transport_faults: self.router.transport().fault_counters(),
             cache_hits: load(&self.obs.cache_hits),
             cache_misses: load(&self.obs.cache_misses),
-            l1_assemblies_opened: l1(|s| &s.assemblies_opened),
-            l1_assemblies_completed: l1(|s| &s.assemblies_completed),
-            l1_stripe_parts_dropped: l1(|s| &s.assemblies_dropped),
-            l2_assemblies_opened: l2(|s| &s.assemblies_opened),
-            l2_assemblies_completed: l2(|s| &s.assemblies_completed),
-            l2_assemblies_dropped: l2(|s| &s.assemblies_dropped),
             gc_evicted_entries: l1(|s| &s.gc_evicted_entries),
             gc_evicted_bytes: l1(|s| &s.gc_evicted_bytes),
             peak_round_bytes: l1_shards
@@ -1270,25 +1196,21 @@ impl Cluster {
         match layer {
             RepairLayer::L1 => {
                 let params = self.params;
-                let options = L1Options {
-                    profile: self.options.profile,
-                    stripe_threshold: self.options.stripe_threshold,
-                    stripe_size: self.options.stripe_size,
-                };
+                let profile = self.options.profile;
                 let server = || match rebuild {
                     None => L1Server::new(
                         index,
                         params,
                         membership.clone(),
                         Arc::clone(backend),
-                        options,
+                        profile,
                     ),
                     Some((expected_dones, report_to)) => L1Server::rebuilding(
                         index,
                         params,
                         membership.clone(),
                         Arc::clone(backend),
-                        options,
+                        profile,
                         expected_dones,
                         report_to,
                     ),
@@ -1313,7 +1235,9 @@ impl Cluster {
                     .map(|_| Arc::default())
                     .collect();
                 let stats = &self.l2_stats[index];
-                self.install_shards(pid, &gauges, stats, server, || l2_publisher(pid));
+                // An L2 shard publishes its message-class counts only.
+                let publisher = || |_: &L2Server, _: &mut NodeObs| {};
+                self.install_shards(pid, &gauges, stats, server, publisher);
             }
         }
     }
@@ -1702,63 +1626,6 @@ mod tests {
             );
         }
         drop(client);
-        store.shutdown();
-    }
-
-    /// What only a misbehaving sender can make move: stripe parts whose
-    /// headers disagree on the stream's stripe count are dropped by both
-    /// layers, counted (`l1_stripe_parts_dropped`, `l2_assemblies_dropped`)
-    /// and traced (`stripe_drop`). No client or server here sends such
-    /// parts, so they are injected at the router, below the public API —
-    /// `tests/observability.rs` covers every other name of the two tables.
-    #[test]
-    fn mismatched_stripe_parts_are_counted_and_traced() {
-        use lds_core::tag::{ClientId, OpId, Tag};
-        let store = StoreBuilder::new().trace(true).build().unwrap();
-        let cluster = &store.clusters[0];
-        let (obj, tag) = (ObjectId(5), Tag::new(1, ClientId(77)));
-        let (sender, l1, l2) = (ProcessId(77), ProcessId(0), cluster.membership().l2[0]);
-        for (seq, count) in [(0, 3), (1, 4)] {
-            let stripe = lds_core::value::Value::new(vec![1; 8]);
-            let op = OpId::default();
-            let put = LdsMessage::PutStripe {
-                obj,
-                op,
-                tag,
-                seq,
-                count,
-                stripe,
-            };
-            cluster.router().send(sender, l1, put);
-            let part = lds_codes::Share::new(0, vec![2; 8]);
-            let write = LdsMessage::WriteCodeStripe {
-                obj,
-                tag,
-                seq,
-                count,
-                part,
-            };
-            cluster.router().send(sender, l2, write);
-        }
-        let admin = store.admin();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let traced = |kind| admin.trace_dump().events().iter().any(|e| e.kind == kind);
-        loop {
-            let m = admin.metrics();
-            let counted = (m.l1_stripe_parts_dropped, m.l2_assemblies_dropped) == (1, 1);
-            if counted && traced(EventKind::StripeDrop) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "drops never published: {m:?}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(
-            (
-                admin.metrics().l1_assemblies_opened,
-                admin.metrics().l2_assemblies_opened
-            ),
-            (1, 1)
-        );
         store.shutdown();
     }
 }

@@ -9,10 +9,10 @@
 //! Message class indices are
 //! [`LdsMessage::class_index`](lds_core::LdsMessage::class_index) values
 //! (`PING` last), named by
-//! [`MESSAGE_CLASSES`](lds_core::messages::MESSAGE_CLASSES). The stripe and
-//! GC events are *aggregated*: a server shard records how far its counters
-//! moved since its last publish, so one event may cover several protocol
-//! steps (the deltas are in `b`/`c`).
+//! [`MESSAGE_CLASSES`](lds_core::messages::MESSAGE_CLASSES). The GC event
+//! is *aggregated*: a server shard records how far its counters moved since
+//! its last publish, so one event may cover several protocol steps (the
+//! deltas are in `b`/`c`).
 
 macro_rules! events {
     ($( $kind:ident = $code:literal $name:literal $help:literal [$a:literal, $b:literal, $c:literal]; )*) => {
@@ -69,24 +69,18 @@ events! {
         ["message class index", "from pid", "to pid"];
     TransportFault = 4 "transport_fault" "The fault-injecting transport acted on a message."
         ["0 = drop, 1 = duplicate, 2 = delay, 3 = partition", "message class index", "to pid"];
-    StripeOpen = 5 "stripe_open" "L1/L2 stripe assemblies were opened."
-        ["server pid", "assemblies opened since the last event", "0"];
-    StripeComplete = 6 "stripe_complete" "Stripe assemblies completed (every part arrived)."
-        ["server pid", "assemblies completed since the last event", "0"];
-    StripeDrop = 7 "stripe_drop" "Stripe assemblies or parts were dropped (malformed or superseded)."
-        ["server pid", "assemblies/parts dropped since the last event", "0"];
-    GcEvict = 8 "gc_evict" "Committed-tag garbage collection evicted temporary-store entries."
+    GcEvict = 5 "gc_evict" "Committed-tag garbage collection evicted temporary-store entries."
         ["server pid", "entries evicted since the last event", "bytes evicted since the last event"];
-    HealSuspect = 9 "heal_suspect" "The heartbeat monitor started suspecting a server."
+    HealSuspect = 6 "heal_suspect" "The heartbeat monitor started suspecting a server."
         ["layer (0 = L1, 1 = L2)", "server index", "0"];
-    HealClear = 10 "heal_clear" "The heartbeat monitor cleared a suspicion."
+    HealClear = 7 "heal_clear" "The heartbeat monitor cleared a suspicion."
         ["layer (0 = L1, 1 = L2)", "server index", "0"];
-    RepairStart = 11 "repair_start" "The heal supervisor dispatched a repair attempt."
+    RepairStart = 8 "repair_start" "The heal supervisor dispatched a repair attempt."
         ["layer (0 = L1, 1 = L2)", "server index", "0"];
-    RepairOk = 12 "repair_ok" "A supervised repair succeeded."
+    RepairOk = 9 "repair_ok" "A supervised repair succeeded."
         ["layer (0 = L1, 1 = L2)", "server index", "0"];
-    RepairBackoff = 13 "repair_backoff" "A supervised repair failed and its target entered backoff."
+    RepairBackoff = 10 "repair_backoff" "A supervised repair failed and its target entered backoff."
         ["layer (0 = L1, 1 = L2)", "server index", "backoff µs"];
-    RepairPark = 14 "repair_park" "A repair target was parked (too few live helpers for a quorum)."
+    RepairPark = 11 "repair_park" "A repair target was parked (too few live helpers for a quorum)."
         ["layer (0 = L1, 1 = L2)", "server index", "0"];
 }

@@ -173,27 +173,14 @@ metrics! {
         "lds_read_cache_hit_ratio" gauge
             "Fraction of cache-enabled reads served from the read cache."
             = cache_hit_ratio();
-        "lds_assemblies" counter "Stripe assemblies by layer and outcome."
-            /// Cross-sender `PUT-STRIPE` reassemblies opened at L1.
-            l1_assemblies_opened: u64 = sum "{layer=\"l1\",event=\"opened\"}";
-            /// Fully reassembled at L1.
-            l1_assemblies_completed: u64 = sum "{layer=\"l1\",event=\"completed\"}";
-            /// Malformed or mismatched stripe *parts* dropped at L1.
-            l1_stripe_parts_dropped: u64 = sum "{layer=\"l1\",event=\"parts_dropped\"}";
-            /// `WRITE-CODE-STRIPE` reassemblies opened at L2.
-            l2_assemblies_opened: u64 = sum "{layer=\"l2\",event=\"opened\"}";
-            /// Fully reassembled at L2.
-            l2_assemblies_completed: u64 = sum "{layer=\"l2\",event=\"completed\"}";
-            /// Whole assemblies dropped at L2 (superseded or malformed).
-            l2_assemblies_dropped: u64 = sum "{layer=\"l2\",event=\"dropped\"}";
         "lds_gc_evicted_entries" counter "Temporary-store entries evicted by committed-tag GC."
             gc_evicted_entries: u64 = sum "";
         "lds_gc_evicted_bytes" counter "Value bytes released by committed-tag GC."
             gc_evicted_bytes: u64 = sum "";
         "lds_pool_peak_round_bytes" gauge
-            "Largest single-round footprint any L1 encode pool reached."
-            /// The `n2` element buffers of one stripe of a striped
-            /// `write-to-L2`: bounded by the stripe size, not the value size.
+            "Bytes of the n2 coded elements of the largest write-to-L2 offload any L1 server made."
+            /// What one offload holds at once: its `n2` element buffers all
+            /// leave in the step that encoded them.
             peak_round_bytes: usize = max "";
         "lds_gf_kernel" gauge
             "Instruction-set level of the GF(2^8) coding kernels (constant 1, level in the label)."

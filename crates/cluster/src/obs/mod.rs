@@ -47,7 +47,7 @@ use std::sync::Arc;
 pub mod phase {
     /// Tag discovery: the first quorum round (`QUERY-TAG` / `QUERY-COMM-TAG`).
     pub const TAG: u64 = 0;
-    /// Data transfer: `PUT-DATA`/`PUT-STRIPE` out (writes) or `QUERY-DATA`
+    /// Data transfer: `PUT-DATA` out (writes) or `QUERY-DATA`
     /// in flight (reads).
     pub const DATA: u64 = 1;
     /// Commit: the read's `PUT-TAG` write-back round. A write's commit wait

@@ -381,7 +381,11 @@ mod tests {
     fn jsonl_resolves_names() {
         let rec = FlightRecorder::new(true, 64);
         let mut h = rec.handle();
-        h.record(EventKind::TransportFault, 0, 8, 3);
+        let commit_tag = crate::transport::MESSAGE_CLASSES
+            .iter()
+            .position(|&c| c == "COMMIT-TAG")
+            .unwrap();
+        h.record(EventKind::TransportFault, 0, commit_tag as u64, 3);
         h.record(EventKind::OpPhase, 9, 2, 4);
         let jsonl = rec.dump().to_jsonl();
         assert!(jsonl.contains(r#""decision":"drop""#), "{jsonl}");

@@ -299,7 +299,7 @@ fn validate_endpoints(endpoints: &[Endpoint], params: &SystemParams) -> Result<(
 /// let plan = FaultPlan::seeded(0xC4A0_5EED)
 ///     .rule(
 ///         FaultRule::new()
-///             .classes(&["PUT-STRIPE", "WRITE-CODE-STRIPE"])
+///             .classes(&["PUT-DATA", "WRITE-CODE-ELEM"])
 ///             .duplicate_prob(0.3),
 ///     )
 ///     .partition(
@@ -389,8 +389,8 @@ mod tests {
             "INVOKE-READ"
         );
         assert!(MESSAGE_CLASSES.contains(&"COMMIT-TAG"));
-        assert!(MESSAGE_CLASSES.contains(&"PUT-STRIPE"));
-        assert!(MESSAGE_CLASSES.contains(&"WRITE-CODE-STRIPE"));
+        assert!(MESSAGE_CLASSES.contains(&"PUT-DATA"));
+        assert!(MESSAGE_CLASSES.contains(&"WRITE-CODE-ELEM"));
         assert!(MESSAGE_CLASSES.contains(&"REPAIR-SHARE"));
         assert!(MESSAGE_CLASSES.contains(&"PING"));
     }

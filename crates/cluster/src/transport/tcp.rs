@@ -788,7 +788,6 @@ mod tests {
     use crate::executor::{Executor, Task, Turn};
     use crate::node::HostScope;
     use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
-    use lds_codes::Share;
     use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
     use lds_core::value::Value;
     use lds_core::wire::Request;
@@ -1280,9 +1279,9 @@ mod tests {
     /// A burst ends at anything that is not a message — a ping, a frame
     /// that does not belong on the mesh, an undecodable frame, the end of
     /// the stream — and what preceded it is delivered, in order. The
-    /// undecodable frame here is a striped coded element whose stripe
-    /// lengths do not cover its bytes: it costs its sender the connection
-    /// and this daemon nothing.
+    /// undecodable frame here is a message of a class no row of the protocol
+    /// table has: it costs its sender the connection and this daemon
+    /// nothing.
     #[test]
     fn a_burst_delivers_what_preceded_its_interruption() {
         let topo = two_daemon_topology();
@@ -1293,18 +1292,9 @@ mod tests {
             encoded(&Frame::Msg { from, to, msg })
         };
         let hello = encoded(&Frame::Hello { daemon: 1 });
-        let mut hostile = encoded(&Frame::Msg {
-            from: 1,
-            to: 0,
-            msg: LdsMessage::WriteCodeElem {
-                obj: ObjectId(42),
-                tag: Tag::new(1, ClientId(9)),
-                element: Share::striped(0, vec![7; 8], vec![4, 4]),
-            },
-        });
-        // The last stripe length is the frame's last u64: 4 + 5 ≠ 8.
-        let last = hostile.len() - 8;
-        hostile[last] = 5;
+        let mut hostile = msg(4);
+        // The class byte follows the length, the kind and the two pids.
+        hostile[wire::HEADER_LEN + 1 + 8 + 8] = u8::MAX;
         let stray = encoded(&Frame::Request {
             id: 1,
             req: Request::Read { obj: ObjectId(42) },

@@ -58,12 +58,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
         },
         cache_hits: 1,
         cache_misses: 2,
-        l1_assemblies_opened: 21,
-        l1_assemblies_completed: 20,
-        l1_stripe_parts_dropped: 1,
-        l2_assemblies_opened: 31,
-        l2_assemblies_completed: 29,
-        l2_assemblies_dropped: 2,
         gc_evicted_entries: 400,
         gc_evicted_bytes: 123_456_789,
         peak_round_bytes: 1_310_720,

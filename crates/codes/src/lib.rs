@@ -33,7 +33,7 @@
 //!
 //! and [`linear::LinearCode`] implements [`ErasureCode`] and
 //! [`RegeneratingCode`] over any construction, once. Every operation is a
-//! *coefficient matrix × striped payload* product executed by the one
+//! *coefficient matrix × payload symbols* product executed by the one
 //! overwriting, strip-mined kernel in [`lds_gf::bulk`] (GFNI, AVX2 or SSSE3
 //! on x86-64 by CPUID, table lookups elsewhere; [`gf_kernel`] names the
 //! level):
@@ -49,9 +49,7 @@
 //!   ([`plan::PlanCache`]; helper rows are compiled when the code is built)
 //!   — and makes one kernel call over the symbols borrowed where they lie in
 //!   the shares, straight into the buffer the caller keeps. A warm operation
-//!   inverts nothing, builds no matrix and copies no symbol. Striped shares
-//!   and helper payloads ([`Share::layout`]) run stripe by stripe through
-//!   the same plan.
+//!   inverts nothing, builds no matrix and copies no symbol.
 //!
 //! The byte-at-a-time reference implementation is kept in [`scalar`] as the
 //! property-test oracle (bulk results are asserted byte-identical); the

@@ -8,27 +8,19 @@
 //! [`RegeneratingCode`] over any construction, once:
 //!
 //! * **checks** — index range, first-`k` / first-`d` distinct selection,
-//!   agreement on the failed node, equal non-zero symbol lengths, equal
-//!   stripe structure;
+//!   agreement on the failed node, equal non-zero symbol lengths;
 //! * **plans** — the decode matrix of a sorted survivor set and the repair
 //!   matrix of a failed node and sorted helper set are compiled to
 //!   [`RowTerms`] when first needed and memoized ([`PlanCache`]), and so is
 //!   the helper row of a failed node. A warm operation inverts nothing and
 //!   builds no matrix;
 //! * **execution** — one call of the overwriting kernel
-//!   ([`bulk::apply_rows_into_vecs`]) per stripe over symbols borrowed where
-//!   they lie in the shares and helper payloads (cut by their `layout`),
-//!   the result written straight into the buffer the caller keeps (and, for
-//!   decode, unframed there). Nothing here accumulates into a buffer or
-//!   copies a symbol, and only the second and later stripes of a striped
-//!   input are zero-extended before the kernel writes them. The index sets
-//!   and symbol lists of a call live inline (`Few`), so an operation on
-//!   monolithic inputs allocates its output and nothing else.
-//!
-//! A striped share or helper payload (one with a `layout`) is the
-//! concatenation of independent per-stripe encodes: every operation runs
-//! stripe by stripe through the same plan and returns a striped result, so
-//! callers need no mode switch.
+//!   ([`bulk::apply_rows_into_vecs`]) over symbols borrowed where they lie
+//!   in the shares and helper payloads, the result written straight into
+//!   the buffer the caller keeps (and, for decode, unframed there). Nothing
+//!   here accumulates into a buffer or copies a symbol. The index sets and
+//!   symbol lists of a call live inline (`Few`), so an operation allocates
+//!   its output and nothing else.
 
 use crate::error::CodeError;
 use crate::params::CodeParams;
@@ -295,117 +287,36 @@ impl<T> DerefMut for Few<T> {
     }
 }
 
-/// The per-stripe byte lengths of a payload: its `layout`, or its whole
-/// length as one stripe when it has none.
-fn stripe_lens<'a>(
-    data: &[u8],
-    layout: Option<&'a [usize]>,
-) -> impl Iterator<Item = usize> + Clone + 'a {
-    let whole = layout.is_none().then_some(data.len());
-    layout.unwrap_or_default().iter().copied().chain(whole)
-}
-
-/// The kernel sources of a call: the payloads of the chosen shares or
-/// helper data and the stripe layout they share, each stripe of each
-/// payload to be cut into `width` symbols.
-struct Stripes<'a> {
-    payloads: Few<&'a [u8]>,
-    layout: Option<&'a [usize]>,
+/// The kernel sources of a call: each of `payloads` (at least one) cut into
+/// `width` symbols, after checking that they share one non-zero length
+/// divisible by `width`.
+fn symbols<'a>(
+    payloads: impl Iterator<Item = &'a [u8]>,
     width: usize,
-}
-
-impl<'a> Stripes<'a> {
-    /// Checks that `parts` — the `(data, layout)` of each input, at least
-    /// one — agree stripe by stripe on one non-zero length divisible by
-    /// `width`.
-    fn new(
-        mut parts: impl Iterator<Item = (&'a [u8], Option<&'a [usize]>)>,
-        width: usize,
-    ) -> Result<Self, CodeError> {
-        let (first, layout) = parts.next().expect("a codec call has an input");
-        let lens = stripe_lens(first, layout);
-        if lens.clone().next().is_none()
-            || lens
-                .clone()
-                .any(|len| len == 0 || !len.is_multiple_of(width))
-        {
+) -> Result<Few<&'a [u8]>, CodeError> {
+    let mut symbols = Few::default();
+    let mut len = None;
+    for payload in payloads {
+        let expected = *len.get_or_insert(payload.len());
+        if payload.len() != expected || expected == 0 || !expected.is_multiple_of(width) {
             return Err(CodeError::MalformedShare(format!(
-                "stripes must have non-zero lengths divisible by {width}, got {:?}",
-                lens.collect::<Vec<_>>()
+                "payloads must share one non-zero length divisible by {width}: {expected} then {}",
+                payload.len()
             )));
         }
-        let mut payloads = Few::default();
-        payloads.push(first);
-        for (data, other) in parts {
-            if !stripe_lens(data, other).eq(lens.clone()) {
-                return Err(CodeError::MalformedShare(format!(
-                    "inputs disagree on their stripes: {:?} and {:?}",
-                    lens.collect::<Vec<_>>(),
-                    stripe_lens(data, other).collect::<Vec<_>>()
-                )));
-            }
-            payloads.push(data);
+        for symbol in payload.chunks_exact(expected / width) {
+            symbols.push(symbol);
         }
-        Ok(Stripes {
-            payloads,
-            layout,
-            width,
-        })
     }
+    Ok(symbols)
 }
 
-/// Applies `rows` to each stripe's symbols — input-major — and
-/// concatenates the results in `out` (prior contents discarded, capacity
-/// reused), `finish`ing each one where it lies — `finish(out, start)` owns
-/// the bytes from `start` on. The first stripe — the only one of a
-/// monolithic input — is written without being zeroed first.
-fn apply_stripes(
-    rows: &RowTerms,
-    stripes: Stripes<'_>,
-    out: &mut Vec<u8>,
-    mut finish: impl FnMut(&mut Vec<u8>, usize) -> Result<(), CodeError>,
-) -> Result<(), CodeError> {
-    let Stripes {
-        payloads,
-        layout,
-        width,
-    } = stripes;
-    out.clear();
-    out.reserve(rows.rows() * payloads[0].len() / width);
-    let mut offset = 0;
-    for len in stripe_lens(payloads[0], layout) {
-        let symbols: Few<&[u8]> = payloads
-            .iter()
-            .flat_map(|p| p[offset..offset + len].chunks_exact(len / width))
-            .collect();
-        offset += len;
-        let start = out.len();
-        if start == 0 {
-            bulk::apply_rows_into_vecs(rows, &symbols, std::slice::from_mut(out));
-        } else {
-            out.resize(start + rows.rows() * symbols[0].len(), 0);
-            bulk::apply_rows_into(rows, &symbols, &mut out[start..]);
-        }
-        finish(out, start)?;
-    }
-    Ok(())
-}
-
-/// [`apply_stripes`] into a fresh buffer, with the stripe lengths if
-/// `striped` — the payload and layout of a helper or a repaired share.
-fn apply_to_payload(
-    rows: &RowTerms,
-    stripes: Stripes<'_>,
-    striped: bool,
-) -> Result<(Vec<u8>, Option<Vec<usize>>), CodeError> {
-    let (mut data, mut lens) = (Vec::new(), Vec::new());
-    apply_stripes(rows, stripes, &mut data, |out, start| {
-        if striped {
-            lens.push(out.len() - start);
-        }
-        Ok(())
-    })?;
-    Ok((data, striped.then_some(lens)))
+/// Applies `rows` to `symbols` into a fresh buffer: the payload of a helper
+/// or a repaired share.
+fn apply_to_payload(rows: &RowTerms, symbols: &[&[u8]]) -> Vec<u8> {
+    let mut data = Vec::new();
+    bulk::apply_rows_into_vecs(rows, symbols, std::slice::from_mut(&mut data));
+    data
 }
 
 impl<C: Construction> ErasureCode for LinearCode<C> {
@@ -454,11 +365,10 @@ impl<C: Construction> ErasureCode for LinearCode<C> {
         let params = self.params();
         let chosen = self.select(shares, |s| s.index, params.k())?;
         let chosen = || chosen.iter().map(|&c| &shares[c]);
-        let parts = chosen().map(|s| (&s.data[..], s.layout.as_deref()));
-        let stripes = Stripes::new(parts, params.alpha())?;
+        let symbols = symbols(chosen().map(|s| &s.data[..]), params.alpha())?;
         let plan = self.decode_plan(chosen().map(|s| s.index))?;
-        // The value is the concatenation of the stripes' values.
-        apply_stripes(&plan, stripes, out, unframe_in_place)
+        bulk::apply_rows_into_vecs(&plan, &symbols, std::slice::from_mut(out));
+        unframe_in_place(out)
     }
 }
 
@@ -466,16 +376,9 @@ impl<C: Construction> RegeneratingCode for LinearCode<C> {
     fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError> {
         self.check_index(helper.index)?;
         self.check_index(failed_index)?;
-        let part = (&helper.data[..], helper.layout.as_deref());
-        let stripes = Stripes::new(std::iter::once(part), self.params().alpha())?;
-        let plan = self.helper_plan(failed_index);
-        let (data, layout) = apply_to_payload(plan, stripes, helper.layout.is_some())?;
-        Ok(HelperData {
-            helper_index: helper.index,
-            failed_index,
-            data,
-            layout,
-        })
+        let symbols = symbols(std::iter::once(&helper.data[..]), self.params().alpha())?;
+        let data = apply_to_payload(self.helper_plan(failed_index), &symbols);
+        Ok(HelperData::new(helper.index, failed_index, data))
     }
 
     fn repair(&self, failed_index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
@@ -487,16 +390,9 @@ impl<C: Construction> RegeneratingCode for LinearCode<C> {
                 "helper payloads disagree on the failed node index".into(),
             ));
         }
-        let parts = chosen().map(|h| (&h.data[..], h.layout.as_deref()));
-        let stripes = Stripes::new(parts, 1)?;
+        let symbols = symbols(chosen().map(|h| &h.data[..]), 1)?;
         let plan = self.repair_plan(failed_index, chosen().map(|h| h.helper_index))?;
-        let striped = chosen().next().is_some_and(|h| h.layout.is_some());
-        let (data, layout) = apply_to_payload(&plan, stripes, striped)?;
-        Ok(Share {
-            index: failed_index,
-            data,
-            layout,
-        })
+        Ok(Share::new(failed_index, apply_to_payload(&plan, &symbols)))
     }
 
     fn prepare_repair(&self, failed_index: usize, helpers: &[usize]) -> Result<(), CodeError> {
@@ -551,9 +447,6 @@ fn apply_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mbr::ProductMatrixMbr;
-    use crate::msr::ProductMatrixMsr;
-    use crate::rs::ReedSolomon;
 
     /// Deterministic filler for the tests below.
     fn bytes(len: usize, seed: usize) -> Vec<u8> {
@@ -615,10 +508,6 @@ mod tests {
         for symbol_len in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
             let src = bytes(cols * symbol_len, symbol_len);
             let inputs: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
-            // The same symbols again as a second stripe.
-            let twice = [&src[..], &src[..]].concat();
-            let lens = [src.len(); 2];
-            let stripes = || Stripes::new(std::iter::once((&twice[..], Some(&lens[..]))), cols);
             for (name, coeffs) in [("dense", &dense), ("single", &single), ("zero", &zero)] {
                 let expected = reference(coeffs, &inputs, symbol_len);
                 let ctx = format!("{name} coefficients, symbol_len {symbol_len}");
@@ -628,80 +517,11 @@ mod tests {
                     apply_into(&rows, &src, symbol_len, std::slice::from_mut(&mut out)).unwrap();
                     assert_eq!(out, expected, "apply_into, {ctx}, stale {stale_len}");
                     let mut out = vec![0xAA; stale_len];
-                    apply_stripes(&rows, stripes().unwrap(), &mut out, |_, _| Ok(())).unwrap();
-                    assert_eq!(
-                        out,
-                        [&expected[..], &expected[..]].concat(),
-                        "apply_stripes, {ctx}, stale {stale_len}"
-                    );
+                    let symbols = symbols(std::iter::once(&src[..]), cols).unwrap();
+                    bulk::apply_rows_into_vecs(&rows, &symbols, std::slice::from_mut(&mut out));
+                    assert_eq!(out, expected, "payload symbols, {ctx}, stale {stale_len}");
                 }
             }
         }
-    }
-
-    /// Value `s` of a striped element is encoded on its own; the element is
-    /// the concatenation.
-    fn striped_shares(code: &dyn ErasureCode, values: &[Vec<u8>]) -> Vec<Share> {
-        let per_value: Vec<Vec<Share>> = values.iter().map(|v| code.encode(v).unwrap()).collect();
-        (0..code.params().n())
-            .map(|i| {
-                let parts: Vec<&[u8]> = per_value.iter().map(|s| &s[i].data[..]).collect();
-                Share::striped(i, parts.concat(), parts.iter().map(|p| p.len()).collect())
-            })
-            .collect()
-    }
-
-    /// A striped input runs stripe by stripe through one plan: the striped
-    /// helper, repair and decode results are the concatenated monolithic
-    /// ones, and inputs that disagree on their stripes are refused.
-    fn striped_inputs_run_stripe_by_stripe<C: Construction>(code: &LinearCode<C>) {
-        let ctx = code.params().to_string();
-        let (k, d) = (code.params().k(), code.params().d());
-        let values = [bytes(700, 1), bytes(0, 2), bytes(4100, 3)];
-        let striped = striped_shares(code, &values);
-        let mono: Vec<Vec<Share>> = values.iter().map(|v| code.encode(v).unwrap()).collect();
-
-        let mut out = vec![0xAA; 9];
-        code.decode_into(&striped[1..1 + k], &mut out).unwrap();
-        assert_eq!(out, values.concat(), "{ctx}");
-        assert_eq!(code.cached_decode_plans(), 1, "{ctx}");
-
-        let failed = 0;
-        let helpers: Vec<HelperData> = (1..1 + d)
-            .map(|h| code.helper_data(&striped[h], failed).unwrap())
-            .collect();
-        for (h, helper) in helpers.iter().enumerate() {
-            let parts: Vec<Vec<u8>> = mono
-                .iter()
-                .map(|shares| code.helper_data(&shares[1 + h], failed).unwrap().data)
-                .collect();
-            assert_eq!(helper.data, parts.concat(), "{ctx}");
-            let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
-            assert_eq!(helper.layout.as_deref(), Some(&lens[..]), "{ctx}");
-        }
-        assert_eq!(code.repair(failed, &helpers).unwrap(), striped[failed]);
-        assert_eq!(code.cached_repair_plans(), 1, "{ctx}");
-
-        let mut mixed = striped[1..1 + k].to_vec();
-        mixed[k - 1] = mono[0][k].clone();
-        assert!(matches!(
-            code.decode_into(&mixed, &mut out),
-            Err(CodeError::MalformedShare(_))
-        ));
-        let mut mixed = helpers.clone();
-        mixed[0] = code.helper_data(&mono[0][1], failed).unwrap();
-        assert!(matches!(
-            code.repair(failed, &mixed),
-            Err(CodeError::MalformedShare(_))
-        ));
-        let hollow = Share::striped(1, Vec::new(), Vec::new());
-        assert!(code.helper_data(&hollow, failed).is_err(), "{ctx}");
-    }
-
-    #[test]
-    fn striped_inputs_run_stripe_by_stripe_through_one_plan() {
-        striped_inputs_run_stripe_by_stripe(&ProductMatrixMbr::with_dimensions(9, 2, 3).unwrap());
-        striped_inputs_run_stripe_by_stripe(&ProductMatrixMsr::with_dimensions(10, 4).unwrap());
-        striped_inputs_run_stripe_by_stripe(&ReedSolomon::with_dimensions(9, 2).unwrap());
     }
 }

@@ -7,51 +7,18 @@ use std::fmt;
 /// A share carries the node index it was encoded for and `α · symbol_len`
 /// bytes of coded data (symbol-major layout: symbol `a` occupies bytes
 /// `[a·symbol_len, (a+1)·symbol_len)`).
-///
-/// A *striped* share (the chunk-striped large-value path) is the
-/// concatenation of several independent per-stripe encodes of one value; the
-/// optional `layout` records each stripe's byte length inside `data`, so
-/// every consumer (helper computation, regeneration, decode) can operate
-/// stripe-wise without any out-of-band metadata. `layout == None` is the
-/// ordinary monolithic share.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Share {
     /// Index of the storage node this share belongs to, in `0..n`.
     pub index: usize,
-    /// Coded bytes (`α` symbols, each `symbol_len` bytes); for a striped
-    /// share, the concatenation of the per-stripe coded bytes.
+    /// Coded bytes (`α` symbols, each `symbol_len` bytes).
     pub data: Vec<u8>,
-    /// Per-stripe byte lengths inside `data` (`None` = monolithic).
-    pub layout: Option<Vec<usize>>,
 }
 
 impl Share {
-    /// Creates a (monolithic) share.
+    /// Creates a share.
     pub fn new(index: usize, data: Vec<u8>) -> Self {
-        Share {
-            index,
-            data,
-            layout: None,
-        }
-    }
-
-    /// Creates a striped share from concatenated per-stripe bytes and their
-    /// lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout lengths do not sum to `data.len()`.
-    pub fn striped(index: usize, data: Vec<u8>, layout: Vec<usize>) -> Self {
-        assert_eq!(
-            layout.iter().sum::<usize>(),
-            data.len(),
-            "stripe layout must cover the share bytes exactly"
-        );
-        Share {
-            index,
-            data,
-            layout: Some(layout),
-        }
+        Share { index, data }
     }
 
     /// Length of the coded payload in bytes.
@@ -101,9 +68,6 @@ impl fmt::Debug for Share {
 /// the index of the failed node — a property the LDS protocol relies on
 /// (paper §II-c) because an L1 server collects the *first* `d` responses and
 /// helpers cannot know which other nodes will participate.
-///
-/// Like [`Share`], a helper computed from a striped share carries a `layout`
-/// of per-stripe byte lengths so regeneration can run stripe-wise.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct HelperData {
     /// Index of the surviving node that computed this helper payload.
@@ -112,42 +76,15 @@ pub struct HelperData {
     pub failed_index: usize,
     /// Helper bytes (`β` symbols, each `symbol_len` bytes).
     pub data: Vec<u8>,
-    /// Per-stripe byte lengths inside `data` (`None` = monolithic).
-    pub layout: Option<Vec<usize>>,
 }
 
 impl HelperData {
-    /// Creates a (monolithic) helper-data record.
+    /// Creates a helper-data record.
     pub fn new(helper_index: usize, failed_index: usize, data: Vec<u8>) -> Self {
         HelperData {
             helper_index,
             failed_index,
             data,
-            layout: None,
-        }
-    }
-
-    /// Creates a striped helper-data record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout lengths do not sum to `data.len()`.
-    pub fn striped(
-        helper_index: usize,
-        failed_index: usize,
-        data: Vec<u8>,
-        layout: Vec<usize>,
-    ) -> Self {
-        assert_eq!(
-            layout.iter().sum::<usize>(),
-            data.len(),
-            "stripe layout must cover the helper bytes exactly"
-        );
-        HelperData {
-            helper_index,
-            failed_index,
-            data,
-            layout: Some(layout),
         }
     }
 
@@ -203,12 +140,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert!(!h.is_empty());
         assert!(format!("{h:?}").contains("helper: 7"));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the share bytes")]
-    fn striped_share_rejects_bad_layout() {
-        let _ = Share::striped(0, vec![1, 2, 3], vec![1, 1]);
     }
 
     #[test]

@@ -158,24 +158,18 @@ pub fn unframe(padded: &[u8]) -> Result<Vec<u8>, CodeError> {
     Ok(padded[HEADER_LEN..HEADER_LEN + len].to_vec())
 }
 
-/// Inverse of [`frame`] without a second buffer: `buf[start..]` holds the
-/// framed bytes on entry and exactly the value on return (the payload is
-/// shifted over the header, the padding truncated); the bytes before `start`
-/// are left alone. This is what lets the codecs decode the message symbols
-/// straight into the buffer the caller keeps, and a striped decode append
-/// each stripe's value to the ones already there.
+/// Inverse of [`frame`] without a second buffer: `buf` holds the framed
+/// bytes on entry and exactly the value on return (the payload is shifted
+/// over the header, the padding truncated). This is what lets the codecs
+/// decode the message symbols straight into the buffer the caller keeps.
 ///
 /// # Errors
 ///
 /// As for [`unframe`]; `buf` is untouched on error.
-///
-/// # Panics
-///
-/// Panics if `start > buf.len()`.
-pub fn unframe_in_place(buf: &mut Vec<u8>, start: usize) -> Result<(), CodeError> {
-    let len = payload_len(&buf[start..])?;
-    buf.copy_within(start + HEADER_LEN..start + HEADER_LEN + len, start);
-    buf.truncate(start + len);
+pub fn unframe_in_place(buf: &mut Vec<u8>) -> Result<(), CodeError> {
+    let len = payload_len(buf)?;
+    buf.copy_within(HEADER_LEN..HEADER_LEN + len, 0);
+    buf.truncate(len);
     Ok(())
 }
 
@@ -206,7 +200,7 @@ mod tests {
                     "fs={file_size} len={len}"
                 );
                 let mut buf = framed.padded;
-                unframe_in_place(&mut buf, 0).unwrap();
+                unframe_in_place(&mut buf).unwrap();
                 assert_eq!(buf, data, "in place, fs={file_size} len={len}");
             }
         }
@@ -313,7 +307,7 @@ mod tests {
             );
             assert!(
                 matches!(
-                    unframe_in_place(&mut buf, 0),
+                    unframe_in_place(&mut buf),
                     Err(CodeError::CorruptPayload(_))
                 ),
                 "header {claimed}"
@@ -323,10 +317,10 @@ mod tests {
         // The largest length that does fit is still accepted.
         let mut buf = framed.clone();
         buf[..HEADER_LEN].copy_from_slice(&(payload_len as u64).to_le_bytes());
-        unframe_in_place(&mut buf, 0).unwrap();
+        unframe_in_place(&mut buf).unwrap();
         assert_eq!(buf, framed[HEADER_LEN..]);
         let mut short = vec![1, 2, 3];
-        assert!(unframe_in_place(&mut short, 0).is_err());
+        assert!(unframe_in_place(&mut short).is_err());
         assert_eq!(short, [1, 2, 3]);
     }
 

@@ -95,8 +95,7 @@ pub trait ErasureCode: Send + Sync {
     /// Decodes the value from the first `k` distinct shares into `out`
     /// (prior contents discarded, capacity reused): the framed message is
     /// decoded straight into `out` and unframed there, so no second
-    /// value-sized buffer exists. Striped shares decode stripe by stripe to
-    /// the concatenation of the stripes' values.
+    /// value-sized buffer exists.
     ///
     /// # Errors
     ///
@@ -111,7 +110,7 @@ pub trait ErasureCode: Send + Sync {
 /// a single node from `β`-sized helper payloads computed by any `d` survivors.
 pub trait RegeneratingCode: ErasureCode {
     /// Computes the helper payload that node `helper.index` contributes to
-    /// repairing `failed_index` (striped if the share is).
+    /// repairing `failed_index`.
     ///
     /// The product-matrix constructions guarantee this depends only on the
     /// helper's own content and the failed index (not on the identity of the
@@ -125,7 +124,7 @@ pub trait RegeneratingCode: ErasureCode {
     fn helper_data(&self, helper: &Share, failed_index: usize) -> Result<HelperData, CodeError>;
 
     /// Reconstructs the exact content of node `failed_index` from the first
-    /// `d` distinct helper payloads (striped if they are).
+    /// `d` distinct helper payloads.
     ///
     /// # Errors
     ///

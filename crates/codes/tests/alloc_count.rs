@@ -1,12 +1,10 @@
 //! Allocations per codec call.
 //!
 //! What a helper, regenerate or decode call builds besides its result — the
-//! shares it picks, the symbols of each stripe, the key of its plan — is a
-//! handful of indices and slices. On monolithic inputs (every element the
-//! deployed store keeps below its stripe threshold, which is every element
-//! of the benchmark's workloads) that scaffolding lives on the stack, so a
-//! warm call allocates its output and nothing else: one buffer for a helper
-//! or a regenerated element, none for a decode into a buffer with room.
+//! shares it picks, the symbols of each, the key of its plan — is a handful
+//! of indices and slices. That scaffolding lives on the stack, so a warm
+//! call allocates its output and nothing else: one buffer for a helper or a
+//! regenerated element, none for a decode into a buffer with room.
 //!
 //! Counted under a counting global allocator at the benchmark's code
 //! dimensions (`n2 = 5`, `k = 2`, `d = 3`), so each figure repeats exactly.

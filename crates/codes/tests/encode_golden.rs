@@ -52,7 +52,7 @@ fn digests(code: &dyn ErasureCode, start: usize, count: usize) -> Vec<u64> {
 }
 
 /// Compares against the recorded table (`per_row` elements per value or
-/// stripe); on a mismatch the panic message is the computed table.
+/// piece); on a mismatch the panic message is the computed table.
 fn check(name: &str, per_row: usize, got: &[u64], recorded: &[u64]) {
     if got != recorded {
         let rows: Vec<String> = got
@@ -127,24 +127,24 @@ fn span_encode_equals_per_share_and_whole_code_encode() {
     }
 }
 
-/// The striped write path encodes each stripe of the value on its own, from
-/// a sub-slice that starts wherever the stripe boundary falls: the stripe's
-/// elements are the monolithic elements of a copy of that stripe, whatever
-/// the alignment of the slice they were read from.
+/// A value may start anywhere in memory — a payload borrowed from a frame
+/// buffer usually starts unaligned. The elements of a sub-slice that starts
+/// at an odd offset are those of an aligned copy of it, and their bytes are
+/// pinned like the others.
 #[test]
-fn striped_elements_are_the_monolithic_elements_of_each_stripe() {
-    const STRIPE: usize = 65_537; // odd: every later stripe starts unaligned
+fn unaligned_sources_encode_like_aligned_copies() {
+    const PIECE: usize = 65_537; // odd: every later piece starts unaligned
     let code = ProductMatrixMbr::with_dimensions(9, 2, 3).unwrap();
     let data = value(262_145);
-    let mut striped = Vec::new();
-    for stripe in data.chunks(STRIPE) {
-        let from_slice = span(&code, stripe, 4, 5);
-        let copy = stripe.to_vec(); // starts at an allocation, aligned
+    let mut pieces = Vec::new();
+    for piece in data.chunks(PIECE) {
+        let from_slice = span(&code, piece, 4, 5);
+        let copy = piece.to_vec(); // starts at an allocation, aligned
         let from_copy = span(&code, &copy, 4, 5);
-        assert!(from_slice == from_copy, "stripe at offset differs");
-        striped.extend(from_slice.iter().map(|element| fnv1a(element)));
+        assert!(from_slice == from_copy, "piece at offset differs");
+        pieces.extend(from_slice.iter().map(|element| fnv1a(element)));
     }
-    check("MBR(9,2,3) striped", 5, &striped, &MBR_9_2_3_STRIPED);
+    check("MBR(9,2,3) pieces", 5, &pieces, &MBR_9_2_3_PIECES);
 }
 
 #[rustfmt::skip]
@@ -187,7 +187,7 @@ const RS_9_2: [u64; 50] = [
     0x44755f4e1ba31cbd, 0x9cb5834647f1db72, 0x64f07354d55af88e, 0xb3a71314482b6e0c, 0x5003bcc5ddbde0be,
 ];
 #[rustfmt::skip]
-const MBR_9_2_3_STRIPED: [u64; 20] = [
+const MBR_9_2_3_PIECES: [u64; 20] = [
     0x0e05f261480734e8, 0x73557a8bceb284cc, 0x9d1ec5a3f7c22c63, 0x00598a56b167807a, 0x4d0cec98622df08e,
     0x07f0db1159b1448d, 0x9644593a90643ba2, 0xe83b3228046e3fc9, 0xde0b6e52ee6524ef, 0xe3493f442bd08bdd,
     0x54b8161ff5a197da, 0x9f0d94a703ed4205, 0x5f982ae92467a2c8, 0x34822a3aad17ef45, 0xf0ed65ea15406bce,

@@ -58,11 +58,6 @@ impl fmt::Display for BackendKind {
 ///
 /// Indices `0..n1` denote L1 servers (code `C1`), indices `n1..n1+n2` denote
 /// L2 servers (code `C2`), matching the paper's numbering `s_1 … s_{n1+n2}`.
-///
-/// Helper computation, regeneration and decode accept striped elements and
-/// payloads (the chunk-striped large-value path, [`crate::stripe`]) as they
-/// accept monolithic ones: they run stripe by stripe and a striped input
-/// gives a striped result, so callers need no mode switch.
 pub trait BackendCodec: Send + Sync {
     /// The code family.
     fn kind(&self) -> BackendKind;
@@ -442,7 +437,6 @@ impl BackendCodec for ReplicationBackend {
         Self::replica_from_helpers(self.n1 + l2_index, helpers)
     }
     fn decode_from_l1(&self, shares: &[Share]) -> Result<Vec<u8>, CodeError> {
-        // The stripes of a replica are the stripes of the value.
         let first = shares
             .first()
             .ok_or(CodeError::NotEnoughShares { needed: 1, got: 0 })?;
@@ -451,25 +445,16 @@ impl BackendCodec for ReplicationBackend {
 }
 
 impl ReplicationBackend {
-    /// The replica itself (and its stripe layout) is the helper payload.
+    /// The replica itself is the helper payload.
     fn replica_as_helper(&self, replica: &Share, l2_index: usize, failed: usize) -> HelperData {
-        HelperData {
-            helper_index: self.n1 + l2_index,
-            failed_index: failed,
-            data: replica.data.clone(),
-            layout: replica.layout.clone(),
-        }
+        HelperData::new(self.n1 + l2_index, failed, replica.data.clone())
     }
 
     fn replica_from_helpers(index: usize, helpers: &[HelperData]) -> Result<Share, CodeError> {
         let first = helpers
             .first()
             .ok_or(CodeError::NotEnoughShares { needed: 1, got: 0 })?;
-        Ok(Share {
-            index,
-            data: first.data.clone(),
-            layout: first.layout.clone(),
-        })
+        Ok(Share::new(index, first.data.clone()))
     }
 }
 

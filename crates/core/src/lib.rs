@@ -43,7 +43,6 @@ pub mod params;
 pub mod reader;
 pub mod server1;
 pub mod server2;
-pub mod stripe;
 pub mod tag;
 pub mod value;
 pub mod wire;

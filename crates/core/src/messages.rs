@@ -177,31 +177,10 @@ protocol_messages! {
         /// The value being written.
         value: Value,
     },
-    /// One stripe of a chunk-striped `put-data` (large-value streaming
-    /// path). The writer splits a value above its stripe threshold into
-    /// `count` fixed-size chunks and streams them as `PutStripe { seq: 0..count }`
-    /// instead of one monolithic [`LdsMessage::PutData`]; the L1 server
-    /// assembles the stripes (order-independently) and processes the
-    /// completed set exactly as a `PutData` — one tag covers all stripes, so
-    /// the per-object metadata still treats the logical write atomically.
-    5 "PUT-STRIPE" => PutStripe {
-        /// Target object.
-        obj: ObjectId,
-        /// Operation id.
-        op: OpId,
-        /// The new tag (identical across all stripes of the write).
-        tag: Tag,
-        /// Stripe sequence number, `0..count`.
-        seq: u32,
-        /// Total number of stripes in this write.
-        count: u32,
-        /// This stripe's bytes (an `Arc`-slice view of the source value).
-        stripe: Value,
-    },
     /// Server acknowledgment of a write (sent from `put-data-resp` when the
     /// tag is stale, or from `broadcast-resp` once enough COMMIT-TAG
     /// broadcasts have been consumed).
-    6 "ACK-PUT-DATA" => AckPutData {
+    5 "ACK-PUT-DATA" => AckPutData {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -215,7 +194,7 @@ protocol_messages! {
     // ------------------------------------------------------------------
     /// First hop: the broadcasting server sends to the fixed relay set
     /// `S_{f1+1}`.
-    7 "BCAST-SEND" => BcastSend {
+    6 "BCAST-SEND" => BcastSend {
         /// Target object.
         obj: ObjectId,
         /// The committed tag being announced.
@@ -225,7 +204,7 @@ protocol_messages! {
     },
     /// Second hop: a relay forwards to every L1 server; consuming this
     /// message triggers the `broadcast-resp` action.
-    8 "COMMIT-TAG" => BcastDeliver {
+    7 "COMMIT-TAG" => BcastDeliver {
         /// Target object.
         obj: ObjectId,
         /// The committed tag being announced.
@@ -238,14 +217,14 @@ protocol_messages! {
     // Reader <-> L1 (Fig. 1 / Fig. 2).
     // ------------------------------------------------------------------
     /// Reader `get-committed-tag` query.
-    9 "QUERY-COMM-TAG" => QueryCommTag {
+    8 "QUERY-COMM-TAG" => QueryCommTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
         op: OpId,
     },
     /// Server response to [`LdsMessage::QueryCommTag`]: its committed tag.
-    10 "COMM-TAG-RESP" => CommTagResp {
+    9 "COMM-TAG-RESP" => CommTagResp {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -254,7 +233,7 @@ protocol_messages! {
         tag: Tag,
     },
     /// Reader `get-data` request for tag at least `treq`.
-    11 "QUERY-DATA" => QueryData {
+    10 "QUERY-DATA" => QueryData {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -265,7 +244,7 @@ protocol_messages! {
     /// Server response to [`LdsMessage::QueryData`] — possibly sent later
     /// than the request if the reader was registered and served during a
     /// subsequent `broadcast-resp` / `put-tag-resp`.
-    12 "DATA-RESP" => DataResp {
+    11 "DATA-RESP" => DataResp {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -277,7 +256,7 @@ protocol_messages! {
     },
     /// Reader `put-tag` write-back (tag only — no value, which is what keeps
     /// the read cost low).
-    13 "PUT-TAG" => PutTag {
+    12 "PUT-TAG" => PutTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id.
@@ -286,7 +265,7 @@ protocol_messages! {
         tag: Tag,
     },
     /// Server acknowledgment of a [`LdsMessage::PutTag`].
-    14 "ACK-PUT-TAG" => AckPutTag {
+    13 "ACK-PUT-TAG" => AckPutTag {
         /// Target object.
         obj: ObjectId,
         /// Operation id echoed back.
@@ -297,7 +276,7 @@ protocol_messages! {
     // L1 <-> L2 internal operations (Fig. 2 / Fig. 3).
     // ------------------------------------------------------------------
     /// `write-to-L2`: an L1 server offloads a coded element to an L2 server.
-    15 "WRITE-CODE-ELEM" => WriteCodeElem {
+    14 "WRITE-CODE-ELEM" => WriteCodeElem {
         /// Target object.
         obj: ObjectId,
         /// Tag of the value the element encodes.
@@ -305,27 +284,8 @@ protocol_messages! {
         /// The coded element `c_{n1+i}`.
         element: Share,
     },
-    /// One stripe's worth of a coded element (`write-to-L2`, chunk-striped
-    /// path): the encode of stripe `seq` for one L2 server. The L2 server
-    /// assembles all `count` parts into a single striped [`Share`] (with a
-    /// per-stripe layout) under the write's tag, then stores and acknowledges
-    /// it exactly as one [`LdsMessage::WriteCodeElem`]. Streaming per-stripe
-    /// parts is what keeps the L1 offload's peak scratch at
-    /// O(stripe × n2) instead of O(value × n2).
-    16 "WRITE-CODE-STRIPE" => WriteCodeStripe {
-        /// Target object.
-        obj: ObjectId,
-        /// Tag of the value the element encodes.
-        tag: Tag,
-        /// Stripe sequence number, `0..count`.
-        seq: u32,
-        /// Total number of stripes in this element.
-        count: u32,
-        /// The encode of stripe `seq` for this L2 server's index.
-        part: Share,
-    },
     /// L2 acknowledgment of a [`LdsMessage::WriteCodeElem`].
-    17 "ACK-CODE-ELEM" => AckCodeElem {
+    15 "ACK-CODE-ELEM" => AckCodeElem {
         /// Target object.
         obj: ObjectId,
         /// The acknowledged tag.
@@ -333,7 +293,7 @@ protocol_messages! {
     },
     /// `regenerate-from-L2`: an L1 server asks an L2 server for helper data
     /// on behalf of reader `reader` / operation `op`.
-    18 "QUERY-CODE-ELEM" => QueryCodeElem {
+    16 "QUERY-CODE-ELEM" => QueryCodeElem {
         /// Target object.
         obj: ObjectId,
         /// The reader being served (metadata, used to key the helper set).
@@ -343,7 +303,7 @@ protocol_messages! {
     },
     /// L2 response to [`LdsMessage::QueryCodeElem`]: helper data computed
     /// from its stored coded element.
-    19 "SEND-HELPER-ELEM" => SendHelperElem {
+    17 "SEND-HELPER-ELEM" => SendHelperElem {
         /// Target object.
         obj: ObjectId,
         /// The reader being served.
@@ -365,7 +325,7 @@ protocol_messages! {
     /// replacement. Delivered to *every* worker shard of each helper (see
     /// [`LdsMessage::fanout`]); the `obj` field exists only to satisfy the
     /// uniform routing interface.
-    20 "REPAIR-HELP" => RepairHelp {
+    18 "REPAIR-HELP" => RepairHelp {
         /// Routing placeholder (fan-out messages address a process, not an
         /// object).
         obj: ObjectId,
@@ -375,7 +335,7 @@ protocol_messages! {
     /// One live server's per-object repair contribution, sent to the
     /// replacement server. Routed by `obj`, so with sharded servers each
     /// contribution arrives directly at the worker shard owning the object.
-    21 "REPAIR-SHARE" => RepairShare {
+    19 "REPAIR-SHARE" => RepairShare {
         /// The object this contribution restores.
         obj: ObjectId,
         /// The contribution (coded helper symbol for L2, metadata snapshot
@@ -386,7 +346,7 @@ protocol_messages! {
     /// sends it (fan-out, after all its [`LdsMessage::RepairShare`]s) to tell
     /// every replacement shard it is done; a finished replacement shard sends
     /// it to the repair coordinator with the accounting fields filled in.
-    22 "REPAIR-DONE" => RepairDone {
+    20 "REPAIR-DONE" => RepairDone {
         /// Routing placeholder.
         obj: ObjectId,
         /// Shares contributed (helper → replacement) or objects restored
@@ -609,37 +569,6 @@ mod tests {
             element: Share::new(0, vec![1, 2, 3])
         }
         .is_metadata());
-    }
-
-    #[test]
-    fn stripe_messages_carry_data_and_route_by_object() {
-        let obj = ObjectId(4);
-        let op = OpId::new(ClientId(2), 1);
-        let tag = Tag::new(3, ClientId(2));
-        let put = LdsMessage::PutStripe {
-            obj,
-            op,
-            tag,
-            seq: 1,
-            count: 4,
-            stripe: Value::new(vec![0u8; 64]),
-        };
-        assert_eq!(put.data_size(), 64);
-        assert_eq!(put.kind(), "PUT-STRIPE");
-        assert_eq!(put.object(), obj);
-        assert!(!put.is_metadata() && !put.batchable() && !put.fanout());
-
-        let wcs = LdsMessage::WriteCodeStripe {
-            obj,
-            tag,
-            seq: 0,
-            count: 4,
-            part: Share::new(5, vec![0u8; 10]),
-        };
-        assert_eq!(wcs.data_size(), 10);
-        assert_eq!(wcs.kind(), "WRITE-CODE-STRIPE");
-        assert_eq!(wcs.object(), obj);
-        assert!(!wcs.is_metadata() && !wcs.batchable() && !wcs.fanout());
     }
 
     #[test]

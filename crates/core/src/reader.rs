@@ -390,9 +390,7 @@ impl ReaderClient {
                 break;
             }
             if shares.len() >= decode_threshold {
-                // Elements regenerated from a striped write carry a
-                // per-stripe layout and decode stripe by stripe. The buffer
-                // decoded into is the one the value keeps.
+                // The buffer decoded into is the one the value keeps.
                 let mut bytes = Vec::new();
                 if backend.decode_from_l1_into(shares, &mut bytes).is_ok() {
                     best = Some((*t, Value::new(bytes), false));

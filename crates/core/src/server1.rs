@@ -14,66 +14,12 @@ use crate::backend::BackendCodec;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
 use crate::params::{Profile, SystemParams};
-use crate::stripe;
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::{HelperData, Share};
 use lds_sim::{Context, Process, ProcessId};
 use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-
-/// What an L1 server is configured with: the protocol [`Profile`] and the
-/// large-value striping of the data path. The default is the paper's
-/// automaton with striping off.
-#[derive(Debug, Clone, Copy)]
-pub struct L1Options {
-    /// Which message flow the server runs (see [`Profile`] for the
-    /// differences, all of which live in `broadcast_commit`, `write_to_l2`
-    /// and the L2 server's `commit_element`).
-    pub profile: Profile,
-    /// Values of at least this many bytes take the chunk-striped data path:
-    /// the writer streams them as per-stripe [`LdsMessage::PutStripe`]
-    /// messages and the server's `write-to-L2` offload encodes stripe by
-    /// stripe into that stripe's `n2` element buffers, keeping peak encode
-    /// memory at O(stripe × n2) instead of O(value × n2). `0` disables striping
-    /// (the paper-faithful monolithic path).
-    pub stripe_threshold: usize,
-    /// Stripe size in bytes for the striped data path. Ignored while
-    /// [`L1Options::stripe_threshold`] is `0`.
-    pub stripe_size: usize,
-}
-
-impl Default for L1Options {
-    fn default() -> Self {
-        L1Options {
-            profile: Profile::PaperFaithful,
-            stripe_threshold: 0,
-            stripe_size: stripe::DEFAULT_STRIPE_SIZE,
-        }
-    }
-}
-
-/// An in-progress chunk-striped write: the stripes of one logical
-/// [`LdsMessage::PutStripe`] stream, collected until all `count` have
-/// arrived and the completed value can run through the normal
-/// `put-data-resp` action.
-///
-/// Assemblies are **never pruned**: the writer sends every stripe of a write
-/// to every L1 server unconditionally, so each assembly completes after
-/// exactly `count` deliveries and removes itself. Dropping one early (e.g.
-/// because its tag went stale while in flight) could strand later stripes as
-/// a permanent partial entry and lose the writer's ack.
-#[derive(Debug, Clone)]
-struct StripeAssembly {
-    /// Expected number of stripes.
-    count: u32,
-    /// Received stripes by sequence number (order-independent).
-    parts: BTreeMap<u32, Value>,
-    /// The writer process to acknowledge.
-    from: ProcessId,
-    /// The write operation id.
-    op: OpId,
-}
 
 /// A reader registered in Γ, waiting to be served.
 #[derive(Debug, Clone)]
@@ -276,13 +222,6 @@ struct L1Rebuild {
 /// publishes deltas to its metrics registry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct L1ObsCounters {
-    /// Striped-write assemblies opened (first part of a new (object, tag)).
-    pub assemblies_opened: u64,
-    /// Assemblies that received all their parts and reassembled.
-    pub assemblies_completed: u64,
-    /// Stripe parts rejected without being buffered (malformed header or a
-    /// stripe-count disagreement with the open assembly).
-    pub assembly_parts_dropped: u64,
     /// Per-tag metadata entries pruned by committed-tag garbage collection.
     pub gc_evicted_entries: u64,
     /// Bytes of temporarily stored values released by garbage collection.
@@ -296,17 +235,18 @@ pub struct L1Server {
     params: SystemParams,
     membership: Membership,
     backend: Arc<dyn BackendCodec>,
-    options: L1Options,
+    /// Which message flow the server runs (see [`Profile`] for the
+    /// differences, all of which live in `broadcast_commit`, `write_to_l2`
+    /// and the L2 server's `commit_element`).
+    profile: Profile,
     objects: HashMap<ObjectId, ObjectState>,
     /// Running totals of [`ObjectState::footprint`] over `objects`
     /// (temporary value bytes, metadata entries), kept by
     /// [`Process::on_message`]: the hosting runtime reads them every time a
     /// server goes idle, which must not cost a walk over every object.
     totals: (usize, usize),
-    /// In-progress chunk-striped writes, keyed by object then tag.
-    stripes: HashMap<ObjectId, BTreeMap<Tag, StripeAssembly>>,
-    /// Largest round of element buffers any striped `write-to-L2` encode
-    /// held at once (see [`stripe::encode_elements_striped`]).
+    /// Bytes of the largest set of `n2` element buffers one `write-to-L2`
+    /// produced.
     peak_round_bytes: usize,
     /// Monotonic counters for the observability registry.
     obs: L1ObsCounters,
@@ -321,7 +261,7 @@ impl L1Server {
         params: SystemParams,
         membership: Membership,
         backend: Arc<dyn BackendCodec>,
-        options: L1Options,
+        profile: Profile,
     ) -> Self {
         assert!(index < params.n1(), "L1 index out of range");
         assert_eq!(
@@ -339,10 +279,9 @@ impl L1Server {
             params,
             membership,
             backend,
-            options,
+            profile,
             objects: HashMap::new(),
             totals: (0, 0),
-            stripes: HashMap::new(),
             peak_round_bytes: 0,
             obs: L1ObsCounters::default(),
             rebuild: None,
@@ -359,11 +298,11 @@ impl L1Server {
         params: SystemParams,
         membership: Membership,
         backend: Arc<dyn BackendCodec>,
-        options: L1Options,
+        profile: Profile,
         expected_dones: usize,
         report_to: ProcessId,
     ) -> Self {
-        let mut server = L1Server::new(index, params, membership, backend, options);
+        let mut server = L1Server::new(index, params, membership, backend, profile);
         server.rebuild = Some(L1Rebuild {
             expected_dones,
             dones: 0,
@@ -438,24 +377,15 @@ impl L1Server {
         self.totals.1
     }
 
-    /// Number of stripe parts currently buffered in incomplete striped-write
-    /// assemblies, across all objects.
-    pub fn pending_stripe_parts(&self) -> usize {
-        self.stripes
-            .values()
-            .flat_map(|by_tag| by_tag.values())
-            .map(|a| a.parts.len())
-            .sum()
-    }
-
-    /// The striped `write-to-L2` path's peak encode allocation so far: the
-    /// `n2` element outputs of one stripe, the only buffers it allocates.
+    /// The largest `write-to-L2` offload so far: the bytes of the `n2`
+    /// element buffers it produced. Every offload's elements leave in the
+    /// same step, so this is the offload's peak heap beyond the value.
     pub fn peak_round_bytes(&self) -> usize {
         self.peak_round_bytes
     }
 
-    /// The server's monotonic observability counters (stripe assembly
-    /// lifecycle, garbage-collection evictions).
+    /// The server's monotonic observability counters (garbage-collection
+    /// evictions).
     pub fn obs_counters(&self) -> L1ObsCounters {
         self.obs
     }
@@ -475,7 +405,7 @@ impl L1Server {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         let origin = ctx.id();
-        match self.options.profile {
+        match self.profile {
             // The paper's primitive: through the f1 + 1 relays.
             Profile::PaperFaithful => {
                 let relays = self.membership.broadcast_relays(self.params.f1());
@@ -639,7 +569,7 @@ impl L1Server {
         value: &Value,
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
-        if self.options.profile == Profile::HighThroughput && self.index > self.params.f1() {
+        if self.profile == Profile::HighThroughput && self.index > self.params.f1() {
             // Offloading is left to the first f1 + 1 servers: each offload
             // delivers all n2 coded elements and at least one offloader is
             // correct, so L2 durability holds under f1 crashes.
@@ -653,49 +583,6 @@ impl L1Server {
             st.write_counter.entry(tag).or_insert(0);
         }
         let n1 = self.backend.n1();
-        if self.options.stripe_threshold > 0 && value.len() >= self.options.stripe_threshold {
-            // Chunk-striped offload: encode stripe by stripe and stream each
-            // stripe's n2 encodes as WRITE-CODE-STRIPE messages. Peak
-            // allocation is the n2 element outputs of one stripe —
-            // O(stripe × n2) instead of O(value × n2) — and the L2 servers
-            // reassemble the parts under the single tag.
-            let backend = Arc::clone(&self.backend);
-            let l2 = self.membership.l2.clone();
-            let stripe_size = self.options.stripe_size;
-            let result = stripe::encode_elements_striped(
-                &*backend,
-                value,
-                stripe_size,
-                |i, seq, count, part| {
-                    ctx.send(
-                        l2[i],
-                        LdsMessage::WriteCodeStripe {
-                            obj,
-                            tag,
-                            seq,
-                            count,
-                            part,
-                        },
-                    );
-                },
-            );
-            match result {
-                Ok(round_bytes) => {
-                    self.peak_round_bytes = self.peak_round_bytes.max(round_bytes);
-                    return;
-                }
-                Err(err) => {
-                    // Fall through to the monolithic path (which has its own
-                    // per-element fallback) rather than losing the offload.
-                    // Stripes emitted before the failure are not recalled;
-                    // the L2 servers drop a partial assembly from this sender
-                    // when the monolithic WRITE-CODE-ELEM for the same
-                    // (obj, tag) arrives behind it on the same channel, so no
-                    // stranded partial stream survives the fallback.
-                    debug_assert!(false, "striped write-to-L2 encoding failure: {err}");
-                }
-            }
-        }
         // Encode all n2 elements in one call, straight into the buffers the
         // messages will own: the coded backends produce the whole batch in
         // one pass over the value, read where it lies, and write every
@@ -703,6 +590,8 @@ impl L1Server {
         let mut bufs: Vec<Vec<u8>> = (0..self.membership.n2()).map(|_| Vec::new()).collect();
         match self.backend.encode_l2_elements_into(value, &mut bufs) {
             Ok(()) => {
+                let produced = bufs.iter().map(Vec::len).sum();
+                self.peak_round_bytes = self.peak_round_bytes.max(produced);
                 for (i, (buf, &l2)) in bufs.into_iter().zip(self.membership.l2.iter()).enumerate() {
                     let element = Share::new(n1 + i, buf);
                     ctx.send(l2, LdsMessage::WriteCodeElem { obj, tag, element });
@@ -714,6 +603,7 @@ impl L1Server {
                 // so one bad element loses only its own message (like a
                 // crashed link endpoint), not the whole offload.
                 debug_assert!(false, "write-to-L2 bulk encoding failure: {err}");
+                let mut produced = 0;
                 for (i, &l2) in self.membership.l2.iter().enumerate() {
                     let mut buf = Vec::new();
                     if self
@@ -721,10 +611,12 @@ impl L1Server {
                         .encode_l2_element_into(value, i, &mut buf)
                         .is_ok()
                     {
+                        produced += buf.len();
                         let element = Share::new(n1 + i, buf);
                         ctx.send(l2, LdsMessage::WriteCodeElem { obj, tag, element });
                     }
                 }
+                self.peak_round_bytes = self.peak_round_bytes.max(produced);
             }
         }
     }
@@ -795,68 +687,6 @@ impl L1Server {
             st.acked.insert(tag);
             ctx.send(from, LdsMessage::AckPutData { obj, op, tag });
         }
-    }
-
-    /// One stripe of a chunk-striped write arrived. Stripes are buffered
-    /// (order-independently) per (object, tag); once all `count` are present
-    /// the reassembled value runs through the normal `put-data-resp` action,
-    /// so commit broadcasting, reader service, acks and `write-to-L2` treat
-    /// the logical write exactly like a monolithic PUT-DATA.
-    ///
-    /// Reassembly is zero-copy in-process: the writer's stripes are
-    /// `Arc`-slice views of one source buffer, which [`Value::concat`]
-    /// rejoins without copying when they are contiguous.
-    #[allow(clippy::too_many_arguments)]
-    fn on_put_stripe(
-        &mut self,
-        from: ProcessId,
-        obj: ObjectId,
-        op: OpId,
-        tag: Tag,
-        seq: u32,
-        count: u32,
-        stripe: Value,
-        ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
-    ) {
-        // A malformed header can never reassemble the value; drop it (in
-        // release builds too) rather than buffer a part that would complete
-        // a corrupt assembly or strand it forever.
-        if count == 0 || seq >= count {
-            self.obs.assembly_parts_dropped += 1;
-            debug_assert!(false, "malformed stripe header: seq {seq}, count {count}");
-            return;
-        }
-        let by_tag = self.stripes.entry(obj).or_default();
-        let opened = !by_tag.contains_key(&tag);
-        let assembly = by_tag.entry(tag).or_insert_with(|| StripeAssembly {
-            count,
-            parts: BTreeMap::new(),
-            from,
-            op,
-        });
-        if opened {
-            self.obs.assemblies_opened += 1;
-        }
-        if assembly.count != count {
-            // The stripe count is fixed per logical write (the tag binds the
-            // stream to one writer and one value); a disagreeing part would
-            // reassemble a corrupt value, so reject it like any other
-            // malformed message.
-            self.obs.assembly_parts_dropped += 1;
-            return;
-        }
-        assembly.parts.insert(seq, stripe);
-        if assembly.parts.len() < assembly.count as usize {
-            return;
-        }
-        self.obs.assemblies_completed += 1;
-        let assembly = by_tag.remove(&tag).expect("assembly present");
-        if by_tag.is_empty() {
-            self.stripes.remove(&obj);
-        }
-        let parts: Vec<Value> = assembly.parts.into_values().collect();
-        let value = Value::concat(&parts);
-        self.on_put_data(assembly.from, obj, assembly.op, tag, value, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -1220,14 +1050,6 @@ impl L1Server {
                 tag,
                 value,
             } => self.on_put_data(from, obj, op, tag, value, ctx),
-            LdsMessage::PutStripe {
-                obj,
-                op,
-                tag,
-                seq,
-                count,
-                stripe,
-            } => self.on_put_stripe(from, obj, op, tag, seq, count, stripe, ctx),
             LdsMessage::BcastSend { obj, tag, origin } => self.on_bcast_send(obj, tag, origin, ctx),
             LdsMessage::BcastDeliver { obj, tag, origin } => {
                 self.on_bcast_deliver(obj, tag, origin, ctx)
@@ -1272,7 +1094,7 @@ mod tests {
 
     fn make_server(index: usize) -> L1Server {
         let (params, membership, backend) = setup();
-        L1Server::new(index, params, membership, backend, L1Options::default())
+        L1Server::new(index, params, membership, backend, Profile::PaperFaithful)
     }
 
     /// Drives one message into the server and returns the outgoing messages.
@@ -1586,7 +1408,7 @@ mod tests {
             params,
             membership.clone(),
             Arc::clone(&backend),
-            L1Options::default(),
+            Profile::PaperFaithful,
         );
         let obj = ObjectId(0);
         let reader = ProcessId(90);
@@ -1651,7 +1473,7 @@ mod tests {
             params,
             membership.clone(),
             Arc::clone(&backend),
-            L1Options::default(),
+            Profile::PaperFaithful,
         );
         let obj = ObjectId(0);
         let reader = ProcessId(91);
@@ -1699,11 +1521,7 @@ mod tests {
 
     fn high_throughput_server(index: usize) -> L1Server {
         let (params, membership, backend) = setup();
-        let options = L1Options {
-            profile: Profile::HighThroughput,
-            ..L1Options::default()
-        };
-        L1Server::new(index, params, membership, backend, options)
+        L1Server::new(index, params, membership, backend, Profile::HighThroughput)
     }
 
     fn put_data(s: &mut L1Server, obj: ObjectId, tag: Tag) -> Vec<(ProcessId, LdsMessage)> {
@@ -1779,7 +1597,13 @@ mod tests {
     #[test]
     fn helpers_snapshot_metadata_then_mark_done() {
         let (params, membership, backend) = setup();
-        let mut s = L1Server::new(0, params, membership.clone(), backend, L1Options::default());
+        let mut s = L1Server::new(
+            0,
+            params,
+            membership.clone(),
+            backend,
+            Profile::PaperFaithful,
+        );
         let obj = ObjectId(4);
         let tag = Tag::new(2, crate::tag::ClientId(5));
         step(
@@ -1840,7 +1664,7 @@ mod tests {
             params,
             membership.clone(),
             Arc::clone(&backend),
-            L1Options::default(),
+            Profile::PaperFaithful,
             2, // two helper peers, one shard each
             coordinator,
         );
@@ -1958,7 +1782,7 @@ mod tests {
             params,
             membership.clone(),
             backend,
-            L1Options::default(),
+            Profile::PaperFaithful,
             1,
             ProcessId(99),
         );
@@ -2001,269 +1825,52 @@ mod tests {
         assert!(matches!(out[0].1, LdsMessage::TagResp { tag: t, .. } if t == tag));
     }
 
+    /// `peak_round_bytes` is the bytes of the `n2` element buffers of the
+    /// largest offload: for a 256 KiB value under the (5, 2, 3) MBR code,
+    /// five elements of `α = 3` symbols of `⌈(8 + 262 144) / B⌉ = 52 431`
+    /// bytes (`B = 5`), 3.00 |v|.
     #[test]
-    fn striped_put_assembles_out_of_order_and_acts_like_put_data() {
+    fn peak_round_bytes_is_the_n2_elements_of_the_largest_offload() {
         let mut s = make_server(0);
         let obj = ObjectId(0);
-        let op = OpId::default();
-        let tag = Tag::new(1, crate::tag::ClientId(3));
-        let writer = ProcessId(77);
-        let source = Value::new((0u16..300).map(|b| b as u8).collect());
-        let spans = stripe::stripe_spans(source.len(), 128);
-        let count = spans.len() as u32;
-        assert_eq!(count, 3);
-
-        // Deliver the stripes out of order; nothing happens until the last.
-        let mut order: Vec<usize> = (0..spans.len()).collect();
-        order.rotate_left(1);
-        let mut all_out = Vec::new();
-        for (delivered, &i) in order.iter().enumerate() {
-            assert_eq!(s.pending_stripe_parts(), delivered);
-            all_out.extend(step(
-                &mut s,
-                writer,
-                LdsMessage::PutStripe {
+        let offload = |s: &mut L1Server, z: u64, len: usize| {
+            let tag = Tag::new(z, crate::tag::ClientId(3));
+            step(
+                s,
+                ProcessId(77),
+                LdsMessage::PutData {
                     obj,
-                    op,
+                    op: OpId::default(),
                     tag,
-                    seq: i as u32,
-                    count,
-                    stripe: source.slice(spans[i].clone()),
+                    value: Value::new(vec![7u8; len]),
                 },
-            ));
-            if delivered + 1 < order.len() {
-                assert!(all_out.is_empty(), "incomplete assembly stays silent");
+            );
+            let mut out = Vec::new();
+            for origin in 0..3 {
+                out.extend(step(
+                    s,
+                    ProcessId(origin),
+                    LdsMessage::BcastDeliver {
+                        obj,
+                        tag,
+                        origin: ProcessId(origin),
+                    },
+                ));
             }
-        }
-        assert_eq!(s.pending_stripe_parts(), 0, "completed assembly is dropped");
-        // The completed write behaves exactly like a monolithic PUT-DATA:
-        // broadcasts to the f1+1 relays, value stored whole.
-        assert_eq!(
-            all_out
-                .iter()
-                .filter(|(_, m)| matches!(m, LdsMessage::BcastSend { .. }))
-                .count(),
-            2
-        );
-        assert_eq!(s.live_list_entries(), 1);
-        assert_eq!(s.temporary_storage_bytes(), 300);
-
-        // Committing then serves readers and acks as usual.
-        let mut commit_out = Vec::new();
-        for origin in 0..3 {
-            commit_out.extend(step(
-                &mut s,
-                ProcessId(origin),
-                LdsMessage::BcastDeliver {
-                    obj,
-                    tag,
-                    origin: ProcessId(origin),
-                },
-            ));
-        }
-        assert!(commit_out
-            .iter()
-            .any(|(to, m)| *to == writer && matches!(m, LdsMessage::AckPutData { .. })));
-        let out = step(
-            &mut s,
-            ProcessId(80),
-            LdsMessage::QueryData {
-                obj,
-                op: OpId::default(),
-                treq: tag,
-            },
-        );
-        match &out[0].1 {
-            LdsMessage::DataResp {
-                payload: ReadPayload::Value(v),
-                ..
-            } => assert_eq!(v.as_bytes(), source.as_bytes()),
-            other => panic!("expected value response, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn striped_offload_streams_stripe_parts_from_the_pool() {
-        let (params, membership, backend) = setup();
-        let mut s = L1Server::new(
-            0,
-            params,
-            membership,
-            backend,
-            L1Options {
-                stripe_threshold: 1,
-                stripe_size: 64,
-                ..L1Options::default()
-            },
-        );
-        let obj = ObjectId(0);
-        let tag = Tag::new(1, crate::tag::ClientId(3));
-        step(
-            &mut s,
-            ProcessId(77),
-            LdsMessage::PutData {
-                obj,
-                op: OpId::default(),
-                tag,
-                value: Value::new(vec![7u8; 200]),
-            },
-        );
-        let mut all_out = Vec::new();
-        for origin in 0..3 {
-            all_out.extend(step(
-                &mut s,
-                ProcessId(origin),
-                LdsMessage::BcastDeliver {
-                    obj,
-                    tag,
-                    origin: ProcessId(origin),
-                },
-            ));
-        }
-        // 200 bytes at stripe 64 → 4 stripes × n2 = 5 L2 servers.
-        let parts: Vec<_> = all_out
-            .iter()
-            .filter_map(|(_, m)| match m {
-                LdsMessage::WriteCodeStripe { count, .. } => Some(*count),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(parts.len(), 20);
-        assert!(parts.iter().all(|&c| c == 4));
-        assert!(
-            !all_out
-                .iter()
-                .any(|(_, m)| matches!(m, LdsMessage::WriteCodeElem { .. })),
-            "striped offload replaces the monolithic element messages"
-        );
-        // Peak = the n2 element encodes of one stripe (5 × 45 bytes), far
-        // below a whole-value encode (5 × 126 bytes).
-        let peak = s.peak_round_bytes();
-        assert!(
-            (1..=225).contains(&peak),
-            "peak {peak} exceeds the per-stripe bound"
-        );
-    }
-
-    /// Acceptance criterion: a 16 MiB write through the striped path
-    /// completes with peak encode allocation proportional to
-    /// `stripe_size × n2`, not `value × n2`. The replication backend keeps
-    /// the test fast (its element is a plain copy), while the peak counter
-    /// measures exactly what a coded path would allocate per round: the
-    /// element output buffers are all the encode allocates.
-    #[test]
-    fn sixteen_mib_striped_write_has_bounded_peak_allocation() {
-        let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let l1: Vec<ProcessId> = (0..4).map(ProcessId).collect();
-        let l2: Vec<ProcessId> = (4..9).map(ProcessId).collect();
-        let membership = Membership::new(l1, l2);
-        let backend = make_backend(BackendKind::Replication, &params).unwrap();
-        let mut s = L1Server::new(
-            0,
-            params,
-            membership,
-            backend,
-            L1Options {
-                stripe_threshold: 1 << 20,
-                ..L1Options::default()
-            },
-        );
-        let obj = ObjectId(0);
-        let tag = Tag::new(1, crate::tag::ClientId(1));
-        const VALUE_LEN: usize = 16 << 20;
-        step(
-            &mut s,
-            ProcessId(77),
-            LdsMessage::PutData {
-                obj,
-                op: OpId::default(),
-                tag,
-                value: Value::new(vec![0xabu8; VALUE_LEN]),
-            },
-        );
-        let mut all_out = Vec::new();
-        for origin in 0..3 {
-            all_out.extend(step(
-                &mut s,
-                ProcessId(origin),
-                LdsMessage::BcastDeliver {
-                    obj,
-                    tag,
-                    origin: ProcessId(origin),
-                },
-            ));
-        }
-        let stripes = VALUE_LEN / stripe::DEFAULT_STRIPE_SIZE; // 64
-        let parts = all_out
-            .iter()
-            .filter(|(_, m)| matches!(m, LdsMessage::WriteCodeStripe { .. }))
-            .count();
-        assert_eq!(parts, stripes * 5);
-        // Peak = stripe × n2 exactly (no frame scratch any more); the
-        // monolithic path would hold value × n2 = 80 MiB here.
-        let (peak, bound) = (s.peak_round_bytes(), stripe::DEFAULT_STRIPE_SIZE * 5);
-        assert!(
-            (1..=bound).contains(&peak),
-            "peak {peak} exceeds stripe-proportional bound {bound}"
-        );
-    }
-
-    #[test]
-    fn put_stripe_with_disagreeing_count_is_rejected() {
-        let mut s = make_server(0);
-        let obj = ObjectId(0);
-        let tag = Tag::new(1, crate::tag::ClientId(1));
-        let writer = ProcessId(77);
-        let op = OpId::default();
-        let out = step(
-            &mut s,
-            writer,
-            LdsMessage::PutStripe {
-                obj,
-                op,
-                tag,
-                seq: 0,
-                count: 2,
-                stripe: Value::from("he"),
-            },
-        );
-        assert!(out.is_empty());
-        assert_eq!(s.pending_stripe_parts(), 1);
-        // A part whose count disagrees with the open assembly is dropped
-        // instead of corrupting (or prematurely completing) it.
-        let out = step(
-            &mut s,
-            writer,
-            LdsMessage::PutStripe {
-                obj,
-                op,
-                tag,
-                seq: 1,
-                count: 3,
-                stripe: Value::from("xx"),
-            },
-        );
-        assert!(out.is_empty());
-        assert_eq!(s.pending_stripe_parts(), 1);
-        // The well-formed final part completes the stream and runs the
-        // normal put-data action (commit broadcast to the f1+1 relays).
-        let out = step(
-            &mut s,
-            writer,
-            LdsMessage::PutStripe {
-                obj,
-                op,
-                tag,
-                seq: 1,
-                count: 2,
-                stripe: Value::from("llo"),
-            },
-        );
-        assert!(out
-            .iter()
-            .any(|(_, m)| matches!(m, LdsMessage::BcastSend { .. })));
-        assert_eq!(s.pending_stripe_parts(), 0);
-        assert_eq!(s.temporary_storage_bytes(), 5);
+            out.into_iter()
+                .filter_map(|(_, m)| match m {
+                    LdsMessage::WriteCodeElem { element, .. } => Some(element.len()),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(s.peak_round_bytes(), 0, "nothing offloaded yet");
+        let elements = offload(&mut s, 1, 256 << 10);
+        assert_eq!(elements, [157_293; 5], "one WRITE-CODE-ELEM per L2 server");
+        assert_eq!(s.peak_round_bytes(), 786_465);
+        // A smaller offload later leaves the maximum where it was.
+        offload(&mut s, 2, 4096);
+        assert_eq!(s.peak_round_bytes(), 786_465);
     }
 
     #[test]
@@ -2309,19 +1916,11 @@ mod tests {
 
         const N1: usize = 4;
         const OBJECTS: usize = 8;
-        /// Writers at pids 9 and 10 (the second one stripes), readers at 11
-        /// and 12, a repair coordinator nobody hosts at 13.
+        /// Writers at pids 9 and 10, readers at 11 and 12, a repair
+        /// coordinator nobody hosts at 13.
         const WRITERS: usize = 9;
         const READERS: usize = 11;
         const COORDINATOR: ProcessId = ProcessId(13);
-
-        fn options() -> L1Options {
-            L1Options {
-                stripe_threshold: 16,
-                stripe_size: 8,
-                ..L1Options::default()
-            }
-        }
 
         /// Bare automata and the messages in flight between them.
         struct Net {
@@ -2337,14 +1936,19 @@ mod tests {
         impl Net {
             fn new() -> Net {
                 let (params, membership, backend) = setup();
-                let mut writers: Vec<WriterClient> = (1..=2)
+                let writers: Vec<WriterClient> = (1..=2)
                     .map(|c| WriterClient::new(ClientId(c), params, membership.clone()))
                     .collect();
-                writers[1].set_striping(16, 8);
                 Net {
                     l1: (0..N1)
                         .map(|j| {
-                            L1Server::new(j, params, membership.clone(), backend.clone(), options())
+                            L1Server::new(
+                                j,
+                                params,
+                                membership.clone(),
+                                backend.clone(),
+                                Profile::PaperFaithful,
+                            )
                         })
                         .collect(),
                     l2: (0..params.n2())
@@ -2439,7 +2043,7 @@ mod tests {
                     params,
                     membership,
                     backend,
-                    options(),
+                    Profile::PaperFaithful,
                     N1 - 1,
                     COORDINATOR,
                 );
@@ -2462,7 +2066,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Writes (monolithic and striped), reads served from L1 and
+            /// Writes, reads served from L1 and
             /// regenerated from L2, and one crash with a rebuild from
             /// `RepairHelp` / `RepairShare` / `RepairDone`, interleaved at
             /// random.

@@ -39,34 +39,11 @@ use crate::backend::BackendCodec;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, RepairPayload};
 use crate::params::Profile;
-use crate::stripe;
 use crate::tag::{ObjectId, Tag};
 use lds_codes::{HelperData, Share};
 use lds_sim::{Context, Process, ProcessId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// In-progress assembly of one striped coded element (the parts of a
-/// [`LdsMessage::WriteCodeStripe`] stream for one `(obj, tag, sender)`).
-///
-/// Keying by the *sender* mirrors the monolithic path, where every offloading
-/// L1 server delivers its own `WRITE-CODE-ELEM` and receives its own ack:
-/// all `n1` servers ([`Profile::PaperFaithful`]; the first `f1 + 1` under
-/// [`Profile::HighThroughput`]) stream the same `(obj, tag)` concurrently,
-/// and a shared assembly would interleave their streams —
-/// completing once with mixed parts (acking only one sender) and stranding
-/// the leftovers forever. Per-sender assemblies each complete after exactly
-/// `count` deliveries and remove themselves, so each offloader's
-/// `writeCounter` advances and memory stays bounded by the number of
-/// in-flight striped offloads. The only early pruning is a monolithic
-/// `WRITE-CODE-ELEM` from the same sender for the same tag, which supersedes
-/// a partial stream left by the L1 striped-encode fallback.
-struct ElementAssembly {
-    /// Total number of stripes announced by the stream.
-    count: u32,
-    /// Parts received so far, keyed by stripe sequence (arrival order free).
-    parts: BTreeMap<u32, Share>,
-}
 
 /// Accumulated state of a replacement server while it regenerates from its
 /// helpers (see the [module docs](self)).
@@ -87,22 +64,6 @@ struct L2Rebuild {
     fallback_bytes: u64,
 }
 
-/// Monotonic observability counters an L2 server accumulates as it runs
-/// (the L2 counterpart of `L1ObsCounters`): striped element-assembly
-/// lifecycle, read by the hosting runtime between protocol steps.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct L2ObsCounters {
-    /// Element assemblies opened (first stripe of a new (object, tag,
-    /// sender) stream).
-    pub assemblies_opened: u64,
-    /// Assemblies that received all their parts and committed an element.
-    pub assemblies_completed: u64,
-    /// Assemblies discarded: superseded by a monolithic `WRITE-CODE-ELEM`
-    /// from the same sender, plus stripe parts rejected unbuffered
-    /// (malformed header or stripe-count disagreement).
-    pub assemblies_dropped: u64,
-}
-
 /// The L2 server automaton.
 pub struct L2Server {
     /// This server's index `i` (0-based position in the L2 list; its code
@@ -114,10 +75,6 @@ pub struct L2Server {
     profile: Profile,
     /// Per-object `(tag, coded element)` — exactly one pair per object.
     objects: HashMap<ObjectId, (Tag, Share)>,
-    /// Striped elements still being assembled, per object, tag and sender.
-    assemblies: HashMap<ObjectId, BTreeMap<(Tag, ProcessId), ElementAssembly>>,
-    /// Monotonic counters for the observability registry.
-    obs: L2ObsCounters,
     /// `Some` while this server is a replacement regenerating from helpers.
     rebuild: Option<L2Rebuild>,
 }
@@ -137,8 +94,6 @@ impl L2Server {
             backend,
             profile,
             objects: HashMap::new(),
-            assemblies: HashMap::new(),
-            obs: L2ObsCounters::default(),
             rebuild: None,
         }
     }
@@ -203,25 +158,8 @@ impl L2Server {
         self.objects.len()
     }
 
-    /// Striped-element parts currently buffered across all in-progress
-    /// assemblies (diagnostics; 0 in steady state).
-    pub fn pending_stripe_parts(&self) -> usize {
-        self.assemblies
-            .values()
-            .flat_map(BTreeMap::values)
-            .map(|a| a.parts.len())
-            .sum()
-    }
-
-    /// The server's monotonic observability counters (element-assembly
-    /// lifecycle).
-    pub fn obs_counters(&self) -> L2ObsCounters {
-        self.obs
-    }
-
-    /// Stores `element` for `obj` if `tag` is the highest seen and, in the
-    /// paper profile, acknowledges the write — the single commit point shared by the
-    /// monolithic `WRITE-CODE-ELEM` and the completion of a striped stream.
+    /// `write-to-L2-resp`: stores `element` for `obj` if `tag` is the
+    /// highest seen and, in the paper profile, acknowledges the write.
     fn commit_element(
         &mut self,
         from: ProcessId,
@@ -239,86 +177,6 @@ impl L2Server {
         // value to serve reads from L1, so it saves the n2 acks per offload.
         if self.profile == Profile::PaperFaithful {
             ctx.send(from, LdsMessage::AckCodeElem { obj, tag });
-        }
-    }
-
-    /// Accumulates one stripe of a striped coded element; on the last part,
-    /// assembles and commits the element exactly as one `WRITE-CODE-ELEM`
-    /// (one ack per logical element *per sender*, so each offloading L1
-    /// server's accounting is unchanged). Processed even while rebuilding,
-    /// like the monolithic write path.
-    #[allow(clippy::too_many_arguments)]
-    fn on_write_code_stripe(
-        &mut self,
-        from: ProcessId,
-        obj: ObjectId,
-        tag: Tag,
-        seq: u32,
-        count: u32,
-        part: Share,
-        ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
-    ) {
-        // A malformed header can never assemble a correct element; dropping
-        // it (in release builds too) beats buffering parts that would either
-        // complete a corrupt assembly or strand it forever.
-        if count == 0 || seq >= count {
-            self.obs.assemblies_dropped += 1;
-            debug_assert!(false, "malformed stripe header: seq {seq}, count {count}");
-            return;
-        }
-        let by_key = self.assemblies.entry(obj).or_default();
-        let opened = !by_key.contains_key(&(tag, from));
-        let assembly = by_key
-            .entry((tag, from))
-            .or_insert_with(|| ElementAssembly {
-                count,
-                parts: BTreeMap::new(),
-            });
-        if opened {
-            self.obs.assemblies_opened += 1;
-        }
-        if assembly.count != count {
-            // The stripe count is fixed per stream; a disagreeing part would
-            // silently assemble a corrupt element, so reject it. (Reachable
-            // only through a misbehaving sender — one L1 server encodes one
-            // value with one stripe size — hence no debug_assert: tolerated
-            // like any other malformed message.)
-            self.obs.assemblies_dropped += 1;
-            return;
-        }
-        assembly.parts.insert(seq, part);
-        if assembly.parts.len() < assembly.count as usize {
-            return;
-        }
-        self.obs.assemblies_completed += 1;
-        let assembly = self
-            .assemblies
-            .get_mut(&obj)
-            .and_then(|by_key| by_key.remove(&(tag, from)))
-            .expect("assembly present");
-        if let Some(by_key) = self.assemblies.get(&obj) {
-            if by_key.is_empty() {
-                self.assemblies.remove(&obj);
-            }
-        }
-        let index = self.membership.n1() + self.index;
-        let parts: Vec<Share> = assembly.parts.into_values().collect();
-        let element = stripe::assemble_share(index, parts);
-        self.commit_element(from, obj, tag, element, ctx);
-    }
-
-    /// Discards a partial striped assembly for `(obj, tag)` from `sender`:
-    /// a monolithic `WRITE-CODE-ELEM` from the same sender for the same tag
-    /// supersedes its stream (the L1 striped-encode fallback re-sends the
-    /// whole element monolithically after an encode failure mid-stream).
-    fn drop_assembly(&mut self, obj: ObjectId, tag: Tag, sender: ProcessId) {
-        if let Some(by_key) = self.assemblies.get_mut(&obj) {
-            if by_key.remove(&(tag, sender)).is_some() {
-                self.obs.assemblies_dropped += 1;
-            }
-            if by_key.is_empty() {
-                self.assemblies.remove(&obj);
-            }
         }
     }
 
@@ -489,17 +347,8 @@ impl Process<LdsMessage, ProtocolEvent> for L2Server {
             // Processed even while rebuilding — this is how a replacement
             // catches up on writes that are in flight during its repair.
             LdsMessage::WriteCodeElem { obj, tag, element } => {
-                self.drop_assembly(obj, tag, from);
-                self.commit_element(from, obj, tag, element, ctx);
+                self.commit_element(from, obj, tag, element, ctx)
             }
-            // Striped write-to-L2: assemble, then commit as one element.
-            LdsMessage::WriteCodeStripe {
-                obj,
-                tag,
-                seq,
-                count,
-                part,
-            } => self.on_write_code_stripe(from, obj, tag, seq, count, part, ctx),
             // regenerate-from-L2-resp: compute helper data for the requesting
             // L1 server's code index and send it back with the stored tag.
             LdsMessage::QueryCodeElem { obj, reader, op } => {
@@ -517,7 +366,6 @@ impl Process<LdsMessage, ProtocolEvent> for L2Server {
                 let index = self.index;
                 let (tag, element) = self.entry(obj);
                 let tag = *tag;
-                // Stripe-aware: a striped element yields a striped helper.
                 match backend.helper_for_l1(element, index, l1_index) {
                     Ok(helper) => ctx.send(
                         from,
@@ -652,280 +500,6 @@ mod tests {
         assert_eq!(s.stored_tag(obj), t2);
         assert_eq!(s.storage_bytes(), e2.data.len());
         assert_eq!(s.object_count(), 1);
-    }
-
-    #[test]
-    fn striped_stream_assembles_into_one_element_with_one_ack() {
-        let (membership, backend) = setup();
-        let mut s = paper_server(1, &membership, &backend);
-        let obj = ObjectId(2);
-        let tag = Tag::new(1, ClientId(1));
-        let value = Value::new((0..100u8).collect());
-        const STRIPE: usize = 32;
-
-        // Collect the parts for L2 index 1 from the striped encoder.
-        let mut parts = Vec::new();
-        crate::stripe::encode_elements_striped(&*backend, &value, STRIPE, {
-            let parts = &mut parts;
-            move |l2, seq, count, part| {
-                if l2 == 1 {
-                    parts.push((seq, count, part));
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(parts.len(), 4);
-
-        // Deliver out of order: only the final part triggers the ack.
-        parts.rotate_left(1);
-        let mut acks = 0;
-        for (i, (seq, count, part)) in parts.into_iter().enumerate() {
-            let out = step(
-                &mut s,
-                membership.l1[0],
-                LdsMessage::WriteCodeStripe {
-                    obj,
-                    tag,
-                    seq,
-                    count,
-                    part,
-                },
-            );
-            if i < 3 {
-                assert!(out.is_empty(), "no ack before the stream completes");
-                assert!(s.pending_stripe_parts() > 0);
-            } else {
-                assert!(matches!(out[0].1, LdsMessage::AckCodeElem { tag: t, .. } if t == tag));
-                acks += 1;
-            }
-        }
-        assert_eq!(acks, 1, "one logical element, one ack");
-        assert_eq!(
-            s.pending_stripe_parts(),
-            0,
-            "assembly removed on completion"
-        );
-        assert_eq!(s.stored_tag(obj), tag);
-
-        // The stored striped element answers queries with a striped helper
-        // that regenerates exactly like the monolithic element's would.
-        let out = step(
-            &mut s,
-            membership.l1[0],
-            LdsMessage::QueryCodeElem {
-                obj,
-                reader: ProcessId(50),
-                op: crate::tag::OpId::default(),
-            },
-        );
-        match &out[0].1 {
-            LdsMessage::SendHelperElem { helper, .. } => {
-                assert!(helper.layout.is_some(), "striped element, striped helper");
-            }
-            other => panic!("expected helper response, got {other:?}"),
-        }
-    }
-
-    /// Collects the striped parts addressed to L2 index `l2_index` for
-    /// `value` at stripe size `stripe`.
-    fn striped_parts(
-        backend: &Arc<dyn BackendCodec>,
-        value: &Value,
-        stripe: usize,
-        l2_index: usize,
-    ) -> Vec<(u32, u32, Share)> {
-        let mut parts = Vec::new();
-        crate::stripe::encode_elements_striped(&**backend, value, stripe, {
-            let parts = &mut parts;
-            move |l2, seq, count, part| {
-                if l2 == l2_index {
-                    parts.push((seq, count, part));
-                }
-            }
-        })
-        .unwrap();
-        parts
-    }
-
-    #[test]
-    fn interleaved_streams_from_two_senders_assemble_independently() {
-        let (membership, backend) = setup();
-        let mut s = paper_server(1, &membership, &backend);
-        let obj = ObjectId(4);
-        let tag = Tag::new(2, ClientId(1));
-        let value = Value::new((0..100u8).collect());
-        let parts = striped_parts(&backend, &value, 32, 1);
-        assert_eq!(parts.len(), 4);
-
-        // Every offloading L1 server streams the same (obj, tag), so two
-        // senders' parts arrive interleaved. Each stream must assemble independently and earn its own
-        // ack, exactly as two monolithic WRITE-CODE-ELEMs would.
-        let senders = [membership.l1[0], membership.l1[1]];
-        let mut acks = Vec::new();
-        for (seq, count, part) in parts {
-            for &sender in &senders {
-                let out = step(
-                    &mut s,
-                    sender,
-                    LdsMessage::WriteCodeStripe {
-                        obj,
-                        tag,
-                        seq,
-                        count,
-                        part: part.clone(),
-                    },
-                );
-                for (to, msg) in out {
-                    if matches!(msg, LdsMessage::AckCodeElem { tag: t, .. } if t == tag) {
-                        acks.push(to);
-                    }
-                }
-            }
-        }
-        assert_eq!(acks, senders.to_vec(), "one ack per offloading sender");
-        assert_eq!(
-            s.pending_stripe_parts(),
-            0,
-            "both assemblies completed and were removed"
-        );
-        assert_eq!(s.stored_tag(obj), tag);
-    }
-
-    #[test]
-    fn monolithic_element_supersedes_partial_stream_from_same_sender() {
-        let (membership, backend) = setup();
-        let mut s = paper_server(1, &membership, &backend);
-        let obj = ObjectId(5);
-        let tag = Tag::new(3, ClientId(2));
-        let value = Value::new((0..100u8).collect());
-        let parts = striped_parts(&backend, &value, 32, 1);
-
-        // The L1 striped-encode fallback: a few stripes go out, the encode
-        // fails, and the whole element is re-sent monolithically behind them
-        // on the same channel. A second sender's partial stream is unrelated
-        // and must survive.
-        for (seq, count, part) in parts.iter().take(2).cloned() {
-            step(
-                &mut s,
-                membership.l1[0],
-                LdsMessage::WriteCodeStripe {
-                    obj,
-                    tag,
-                    seq,
-                    count,
-                    part,
-                },
-            );
-            step(
-                &mut s,
-                membership.l1[1],
-                LdsMessage::WriteCodeStripe {
-                    obj,
-                    tag,
-                    seq,
-                    count,
-                    part: parts[seq as usize].2.clone(),
-                },
-            );
-        }
-        assert_eq!(s.pending_stripe_parts(), 4);
-        let element = backend.encode_l2_element(&value, 1).unwrap();
-        let out = step(
-            &mut s,
-            membership.l1[0],
-            LdsMessage::WriteCodeElem { obj, tag, element },
-        );
-        assert!(matches!(out[0].1, LdsMessage::AckCodeElem { tag: t, .. } if t == tag));
-        assert_eq!(s.stored_tag(obj), tag);
-        assert_eq!(
-            s.pending_stripe_parts(),
-            2,
-            "sender 0's partial stream is dropped; sender 1's survives"
-        );
-
-        // Sender 1 finishes its stream and still earns its own ack.
-        let mut acks = 0;
-        for (seq, count, part) in parts.into_iter().skip(2) {
-            let out = step(
-                &mut s,
-                membership.l1[1],
-                LdsMessage::WriteCodeStripe {
-                    obj,
-                    tag,
-                    seq,
-                    count,
-                    part,
-                },
-            );
-            acks += out
-                .iter()
-                .filter(|(_, m)| matches!(m, LdsMessage::AckCodeElem { .. }))
-                .count();
-        }
-        assert_eq!(acks, 1);
-        assert_eq!(s.pending_stripe_parts(), 0);
-    }
-
-    #[test]
-    fn stripe_with_disagreeing_count_is_rejected() {
-        let (membership, backend) = setup();
-        let mut s = paper_server(1, &membership, &backend);
-        let obj = ObjectId(6);
-        let tag = Tag::new(1, ClientId(3));
-        let value = Value::new((0..100u8).collect());
-        let parts = striped_parts(&backend, &value, 32, 1);
-        let sender = membership.l1[0];
-
-        let (seq, count, part) = parts[0].clone();
-        step(
-            &mut s,
-            sender,
-            LdsMessage::WriteCodeStripe {
-                obj,
-                tag,
-                seq,
-                count,
-                part,
-            },
-        );
-        assert_eq!(s.pending_stripe_parts(), 1);
-        // A part whose count disagrees with the open assembly is dropped
-        // instead of corrupting (or prematurely completing) it.
-        let out = step(
-            &mut s,
-            sender,
-            LdsMessage::WriteCodeStripe {
-                obj,
-                tag,
-                seq: 1,
-                count: count - 1,
-                part: parts[1].2.clone(),
-            },
-        );
-        assert!(out.is_empty());
-        assert_eq!(s.pending_stripe_parts(), 1);
-        // The well-formed remainder of the stream still completes.
-        let mut acks = 0;
-        for (seq, count, part) in parts.into_iter().skip(1) {
-            let out = step(
-                &mut s,
-                sender,
-                LdsMessage::WriteCodeStripe {
-                    obj,
-                    tag,
-                    seq,
-                    count,
-                    part,
-                },
-            );
-            acks += out
-                .iter()
-                .filter(|(_, m)| matches!(m, LdsMessage::AckCodeElem { .. }))
-                .count();
-        }
-        assert_eq!(acks, 1);
-        assert_eq!(s.pending_stripe_parts(), 0);
-        assert_eq!(s.stored_tag(obj), tag);
     }
 
     #[test]

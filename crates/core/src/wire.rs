@@ -53,7 +53,7 @@ pub const WIRE_MAGIC: u32 = 0x0153_444C;
 /// Wire-format version negotiated in the handshake. Bumped on any breaking
 /// change to the frame layout; a peer speaking a different version is
 /// rejected at [`Frame::Hello`] time with [`WireError::BadVersion`].
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard cap on one frame's payload (`kind` byte + body), in bytes.
 ///
@@ -118,9 +118,6 @@ pub enum WireError {
     BadUtf8,
     /// A `Frame::Hello` was expected but another kind arrived.
     ExpectedHello,
-    /// A striped share's or helper's stripe lengths do not add up to the
-    /// bytes it carries.
-    BadLayout,
 }
 
 impl fmt::Display for WireError {
@@ -147,7 +144,6 @@ impl fmt::Display for WireError {
             }
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::ExpectedHello => write!(f, "expected a Hello handshake frame"),
-            WireError::BadLayout => write!(f, "stripe layout does not cover the coded bytes"),
         }
     }
 }
@@ -738,19 +734,16 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
 /// The codec of a struct whose fields are all wire types, listed in wire
 /// order. `carries $data` names the byte field that is the struct's object
-/// data; without it the struct is metadata (payload 0). `striped by $layout`
-/// names the stripe lengths that must add up to that data.
+/// data; without it the struct is metadata (payload 0).
 macro_rules! wire_struct {
-    ($name:ident { $($field:tt: $ty:ty),* } $(carries $data:ident $(striped by $layout:ident)?)?) => {
+    ($name:ident { $($field:tt: $ty:ty),* } $(carries $data:ident)?) => {
         impl Wire for $name {
             const MIN_LEN: usize = 0 $(+ <$ty>::MIN_LEN)*;
             fn put(&self, buf: &mut Vec<u8>) {
                 $(self.$field.put(buf);)*
             }
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                let value = $name { $($field: Wire::get(r)?),* };
-                $($(stripes_cover(value.$layout.as_deref(), value.$data.len())?;)?)?
-                Ok(value)
+                Ok($name { $($field: Wire::get(r)?),* })
             }
             $(
                 #[inline]
@@ -774,31 +767,13 @@ wire_struct!(OpId {
 });
 wire_struct!(Share {
     index: usize,
-    data: Vec<u8>,
-    layout: Option<Vec<usize>>
-} carries data striped by layout);
+    data: Vec<u8>
+} carries data);
 wire_struct!(HelperData {
     helper_index: usize,
     failed_index: usize,
-    data: Vec<u8>,
-    layout: Option<Vec<usize>>
-} carries data striped by layout);
-
-/// What `Share::striped` / `HelperData::striped` assert on construction,
-/// checked on bytes from the network: the codec slices by these lengths.
-fn stripes_cover(layout: Option<&[usize]>, len: usize) -> Result<(), WireError> {
-    let Some(stripes) = layout else {
-        return Ok(());
-    };
-    let total = stripes
-        .iter()
-        .try_fold(0usize, |sum, &stripe| sum.checked_add(stripe));
-    if total == Some(len) {
-        Ok(())
-    } else {
-        Err(WireError::BadLayout)
-    }
-}
+    data: Vec<u8>
+} carries data);
 
 impl Wire for Value {
     const MIN_LEN: usize = u32::MIN_LEN;
@@ -962,9 +937,9 @@ mod tests {
                 LdsMessage::WriteCodeElem {
                     obj,
                     tag,
-                    element: Share::striped(0, vec![], vec![]),
+                    element: Share::new(0, vec![]),
                 },
-                prefix + 16 + 8 + 4 + 1, // tag(16) + index(8) + data len(4) + layout flag(1)
+                prefix + 16 + 8, // tag(16) + index(8)
             ),
             (
                 LdsMessage::RepairShare {

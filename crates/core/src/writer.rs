@@ -23,7 +23,6 @@
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent};
 use crate::params::SystemParams;
-use crate::stripe;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_sim::{Context, Process, ProcessId, SimTime};
@@ -61,12 +60,6 @@ pub struct WriterClient {
     ops: HashMap<OpId, WriteOp>,
     busy_objects: HashSet<ObjectId>,
     completed: u64,
-    /// Values of at least this many bytes are streamed as per-stripe
-    /// [`LdsMessage::PutStripe`] messages instead of one monolithic
-    /// PUT-DATA. `0` disables striping.
-    stripe_threshold: usize,
-    /// Stripe size for the striped path.
-    stripe_size: usize,
 }
 
 impl WriterClient {
@@ -85,28 +78,7 @@ impl WriterClient {
             ops: HashMap::new(),
             busy_objects: HashSet::new(),
             completed: 0,
-            stripe_threshold: 0,
-            stripe_size: stripe::DEFAULT_STRIPE_SIZE,
         }
-    }
-
-    /// Enables (or, with `threshold == 0`, disables) the chunk-striped
-    /// large-value data path: values of at least `threshold` bytes are split
-    /// into `stripe_size`-byte stripes and streamed as
-    /// [`LdsMessage::PutStripe`] messages — `Arc`-slice views of the source
-    /// value, so no copy is made on the writer side. Must match the L1
-    /// servers' [`crate::server1::L1Options`] stripe configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold > 0` and `stripe_size == 0`.
-    pub fn set_striping(&mut self, threshold: usize, stripe_size: usize) {
-        assert!(
-            threshold == 0 || stripe_size > 0,
-            "stripe_size must be positive when striping is enabled"
-        );
-        self.stripe_threshold = threshold;
-        self.stripe_size = stripe_size;
     }
 
     /// The writer's client id.
@@ -225,37 +197,13 @@ impl WriterClient {
         current.tag = Some(new_tag);
         current.phase = WritePhase::PutData;
         let (obj, op, value) = (current.obj, current.op, current.value.clone());
-        if self.stripe_threshold > 0 && value.len() >= self.stripe_threshold {
-            // Chunk-striped put-data: stream the value stripe by stripe to
-            // all L1 servers. Each stripe is a zero-copy `Arc`-slice view of
-            // the source value; the servers reassemble the set under the
-            // single tag and then behave exactly as for a monolithic
-            // PUT-DATA, so the logical write stays atomic.
-            let spans = stripe::stripe_spans(value.len(), self.stripe_size);
-            let count = spans.len() as u32;
-            for (seq, span) in spans.into_iter().enumerate() {
-                let stripe = value.slice(span);
-                ctx.send_all(
-                    self.membership.l1.iter().copied(),
-                    LdsMessage::PutStripe {
-                        obj,
-                        op,
-                        tag: new_tag,
-                        seq: seq as u32,
-                        count,
-                        stripe,
-                    },
-                );
-            }
-        } else {
-            let msg = LdsMessage::PutData {
-                obj,
-                op,
-                tag: new_tag,
-                value,
-            };
-            ctx.send_all(self.membership.l1.iter().copied(), msg);
-        }
+        let msg = LdsMessage::PutData {
+            obj,
+            op,
+            tag: new_tag,
+            value,
+        };
+        ctx.send_all(self.membership.l1.iter().copied(), msg);
     }
 
     fn on_ack_put_data(
@@ -403,45 +351,13 @@ mod tests {
         assert_eq!(w.completed_ops(), 1);
     }
 
+    /// However large the value, put-data is one PUT-DATA per L1 server,
+    /// and every one of them carries the writer's buffer, not a copy.
     #[test]
-    fn large_value_streams_as_stripes_and_completes() {
+    fn large_value_is_one_put_data_per_server_sharing_the_writers_buffer() {
         let (params, membership) = setup();
         let mut w = WriterClient::new(ClientId(9), params, membership);
-        w.set_striping(100, 64);
-
-        // A small value still goes monolithic.
-        let (out, _) = step(
-            &mut w,
-            ProcessId::EXTERNAL,
-            LdsMessage::InvokeWrite {
-                obj: ObjectId(0),
-                value: Value::new(vec![1u8; 99]),
-            },
-        );
-        let op_small = match &out[0].1 {
-            LdsMessage::QueryTag { op, .. } => *op,
-            _ => unreachable!(),
-        };
-        let mut small_out = Vec::new();
-        for i in 0..3 {
-            let (out, _) = step(
-                &mut w,
-                ProcessId(i),
-                LdsMessage::TagResp {
-                    obj: ObjectId(0),
-                    op: op_small,
-                    tag: Tag::initial(),
-                },
-            );
-            small_out.extend(out);
-        }
-        assert!(small_out
-            .iter()
-            .all(|(_, m)| matches!(m, LdsMessage::PutData { .. })));
-
-        // A 200-byte value splits into 4 stripes of ≤64 bytes, each sent to
-        // all 4 L1 servers, with no monolithic PUT-DATA.
-        let source = Value::new((0u16..200).map(|b| b as u8).collect());
+        let source = Value::new((0..1 << 20).map(|b| b as u8).collect());
         let (out, _) = step(
             &mut w,
             ProcessId::EXTERNAL,
@@ -467,51 +383,13 @@ mod tests {
             );
             put_out.extend(out);
         }
-        assert_eq!(put_out.len(), 16, "4 stripes × 4 servers");
-        assert!(put_out
-            .iter()
-            .all(|(_, m)| matches!(m, LdsMessage::PutStripe { .. })));
-        // One server's stripes reassemble to the source value, and the
-        // stripes are zero-copy views of the writer's buffer.
-        let mut tag = Tag::initial();
-        let mine: Vec<Value> = put_out
-            .iter()
-            .filter(|(to, _)| *to == ProcessId(0))
-            .map(|(_, m)| match m {
-                LdsMessage::PutStripe {
-                    seq,
-                    count,
-                    stripe,
-                    tag: t,
-                    ..
-                } => {
-                    assert_eq!(*count, 4);
-                    tag = *t;
-                    (*seq, stripe.clone())
-                }
-                _ => unreachable!(),
-            })
-            .collect::<std::collections::BTreeMap<u32, Value>>()
-            .into_values()
-            .collect();
-        assert_eq!(Value::concat(&mine).as_bytes(), source.as_bytes());
-
-        // Acks against the stripes' tag complete the write normally.
-        let mut events = Vec::new();
-        for i in 0..3 {
-            let (_, evs) = step(
-                &mut w,
-                ProcessId(i),
-                LdsMessage::AckPutData {
-                    obj: ObjectId(1),
-                    op,
-                    tag,
-                },
-            );
-            events.extend(evs);
+        assert_eq!(put_out.len(), 4, "one PUT-DATA per L1 server");
+        for (_, msg) in &put_out {
+            let LdsMessage::PutData { value, .. } = msg else {
+                panic!("expected PUT-DATA, got {msg:?}");
+            };
+            assert_eq!(value.as_bytes().as_ptr(), source.as_bytes().as_ptr());
         }
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], ProtocolEvent::WriteCompleted { .. }));
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!
 //! One 256 KiB operation is driven through bare automata (no threads, no
 //! router, FIFO delivery) under a counting global allocator, so each figure
-//! is a count that repeats exactly, not a timing. The counter is
+//! is a count that repeats exactly, not a timing. The allocator also keeps
+//! the live heap and its peak, which prices memory rather than traffic: what
+//! one offload, or one whole write, holds at once. The counters are
 //! process-wide, so the tests of this file take turns.
 
 use lds_core::backend::{make_backend, BackendKind};
 use lds_core::costs;
-use lds_core::server1::L1Options;
 use lds_core::{
     ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, Profile, ProtocolEvent,
     ReadPayload, ReaderClient, RepairPayload, SystemParams, Value, WriterClient,
@@ -35,6 +36,13 @@ const LARGE: usize = 4096;
 /// Bytes requested by allocations of at least [`LARGE`] bytes.
 static LARGE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+/// Bytes currently allocated, whatever their size.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Highest [`LIVE`] since a test last reset it ([`Peak`]).
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Highest [`LIVE`] during the current automaton step ([`Net::run`]).
+static STEP_PEAK: AtomicUsize = AtomicUsize::new(0);
+
 struct CountingAlloc;
 
 fn count(size: usize) {
@@ -43,18 +51,48 @@ fn count(size: usize) {
     }
 }
 
+fn grow(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+    STEP_PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(by: usize) {
+    LIVE.fetch_sub(by, Ordering::Relaxed);
+}
+
+/// The live heap's growth above where it stood when the window opened.
+struct Peak {
+    base: usize,
+}
+
+impl Peak {
+    fn open(peak: &AtomicUsize) -> Peak {
+        let base = LIVE.load(Ordering::Relaxed);
+        peak.store(base, Ordering::Relaxed);
+        Peak { base }
+    }
+
+    fn above_base(&self, peak: &AtomicUsize) -> usize {
+        peak.load(Ordering::Relaxed) - self.base
+    }
+}
+
 // SAFETY: every method hands its arguments to `System` unchanged and returns
 // what `System` returns, so `System`'s guarantees are this allocator's. The
-// only addition is a relaxed atomic add, which neither allocates nor unwinds.
+// only additions are relaxed atomic updates, which neither allocate nor
+// unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -62,11 +100,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grown buffer may move: charge its whole new size.
         count(new_size);
+        match new_size.checked_sub(layout.size()) {
+            Some(more) => grow(more),
+            None => shrink(layout.size() - new_size),
+        }
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -89,9 +132,6 @@ const READER: ProcessId = ProcessId(10);
 /// Where a replacement L2 server reports its repair; nothing is behind it.
 const COORDINATOR: ProcessId = ProcessId(11);
 
-/// Stripe size of the striped cases: a 256 KiB value is four stripes.
-const STRIPE: usize = 64 << 10;
-
 /// The bare automata of one deployment and a FIFO queue between them.
 struct Net {
     l1: Vec<L1Server>,
@@ -103,32 +143,16 @@ struct Net {
     events: Vec<(SimTime, ProcessId, ProtocolEvent)>,
     /// Payload bytes of the helpers and coded elements delivered so far.
     coded_bytes_delivered: usize,
+    /// The largest live-heap growth of one L1 step that sent the coded
+    /// elements of a `write-to-L2`: what one offload holds at once.
+    offload_peak: usize,
 }
 
 impl Net {
     /// The benchmark's deployment (`f1 = f2 = 1`, `k = 2`, `d = 3`: n1 = 4,
-    /// n2 = 5) over `kind`, plans warm, values stored whole.
+    /// n2 = 5) over `kind`, plans warm. The harness's own queues are sized
+    /// up front, so they never grow inside a measurement.
     fn new(kind: BackendKind) -> (Net, SystemParams, MutexGuard<'static, ()>) {
-        Net::with_options(kind, L1Options::default())
-    }
-
-    /// The same deployment whose L1 servers offload every value in
-    /// [`STRIPE`]-byte stripes, so L2 stores striped elements.
-    fn striped(kind: BackendKind) -> (Net, SystemParams, MutexGuard<'static, ()>) {
-        let options = L1Options {
-            stripe_threshold: 1,
-            stripe_size: STRIPE,
-            ..L1Options::default()
-        };
-        Net::with_options(kind, options)
-    }
-
-    /// The harness's own queues are sized up front, so they never grow
-    /// inside a measurement.
-    fn with_options(
-        kind: BackendKind,
-        options: L1Options,
-    ) -> (Net, SystemParams, MutexGuard<'static, ()>) {
         let turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
         let (n1, n2) = (params.n1(), params.n2());
@@ -140,7 +164,15 @@ impl Net {
         backend.warm_plans();
         let net = Net {
             l1: (0..n1)
-                .map(|j| L1Server::new(j, params, membership.clone(), backend.clone(), options))
+                .map(|j| {
+                    L1Server::new(
+                        j,
+                        params,
+                        membership.clone(),
+                        backend.clone(),
+                        Profile::PaperFaithful,
+                    )
+                })
                 .collect(),
             l2: (0..n2)
                 .map(|i| {
@@ -158,6 +190,7 @@ impl Net {
             outgoing: Vec::with_capacity(1024),
             events: Vec::with_capacity(16),
             coded_bytes_delivered: 0,
+            offload_peak: 0,
         };
         (net, params, turn)
     }
@@ -193,9 +226,6 @@ impl Net {
                 LdsMessage::WriteCodeElem { element, .. } => {
                     self.coded_bytes_delivered += element.data.len();
                 }
-                LdsMessage::WriteCodeStripe { part, .. } => {
-                    self.coded_bytes_delivered += part.data.len();
-                }
                 LdsMessage::RepairShare {
                     payload: RepairPayload::Element { helper, .. },
                     ..
@@ -206,6 +236,7 @@ impl Net {
                 } => self.coded_bytes_delivered += share.data.len(),
                 _ => {}
             }
+            let step = Peak::open(&STEP_PEAK);
             let mut ctx =
                 Context::standalone(to, SimTime::ZERO, &mut self.outgoing, &mut self.events);
             match to {
@@ -214,6 +245,13 @@ impl Net {
                 COORDINATOR => {}
                 ProcessId(i) if i < n1 => self.l1[i].on_message(from, msg, &mut ctx),
                 ProcessId(i) => self.l2[i - n1].on_message(from, msg, &mut ctx),
+            }
+            let offloaded = self
+                .outgoing
+                .iter()
+                .any(|(_, m)| matches!(m, LdsMessage::WriteCodeElem { .. }));
+            if offloaded {
+                self.offload_peak = self.offload_peak.max(step.above_base(&STEP_PEAK));
             }
             self.queue
                 .extend(self.outgoing.drain(..).map(|(dest, m)| (to, dest, m)));
@@ -318,23 +356,14 @@ fn cold_read_allocates_what_it_communicates_plus_the_value_it_returns() {
     cold_read(Net::new(BackendKind::Mbr));
 }
 
-/// The same budget holds when L2 stores the element in four stripes: the
-/// helpers, the regenerated elements and the value are computed stripe by
-/// stripe from the segments where they lie. (34.8 |v| when every segment was
-/// copied into a `Share` or `HelperData` of its own for the codec.)
+/// Online repair of an L2 server: the `n2 − 1` live peers each ship a
+/// β-sized helper (a fifth of a value) and the replacement regenerates its
+/// element from them — what is communicated and the element, nothing else:
+/// 367 017 B = 1.40 |v| (the same 1.40 |v| as when the peers stored their
+/// elements in four stripes: 367 052 B).
 #[test]
-fn cold_read_of_a_striped_element_keeps_the_budget() {
-    cold_read(Net::striped(BackendKind::Mbr));
-}
-
-/// Online repair of an L2 server whose peers store striped elements: the
-/// `d + 1` live peers each ship a β-sized striped helper (a fifth of a value)
-/// and the replacement regenerates its element from them — what is
-/// communicated and the element, nothing else: 1.40 |v|. (6.60 |v| with a
-/// copy of every segment handed to the codec.)
-#[test]
-fn striped_l2_repair_allocates_its_helpers_and_the_element() {
-    let (mut net, params, _turn) = Net::striped(BackendKind::Mbr);
+fn l2_repair_allocates_its_helpers_and_the_element() {
+    let (mut net, params, _turn) = Net::new(BackendKind::Mbr);
     let obj = ObjectId(7);
     net.write(obj, &sample_value());
     net.coded_bytes_delivered = 0;
@@ -370,7 +399,7 @@ fn striped_l2_repair_allocates_its_helpers_and_the_element() {
 
     let helpers = net.coded_bytes_delivered;
     println!(
-        "striped L2 repair of a {element} B element: {large} B in allocations >= {LARGE} B = \
+        "L2 repair of a {element} B element: {large} B in allocations >= {LARGE} B = \
          {:.2} |v|; {helpers} B = {:.2} |v| of helper payload delivered",
         norm(large),
         norm(helpers),
@@ -379,8 +408,45 @@ fn striped_l2_repair_allocates_its_helpers_and_the_element() {
     let budget = (helpers + element) * 11 / 10;
     assert!(
         large <= budget,
-        "striped L2 repair allocated {:.2} |v| in large buffers, budget {:.2} |v|",
+        "L2 repair allocated {:.2} |v| in large buffers, budget {:.2} |v|",
         norm(large),
         norm(budget)
+    );
+}
+
+/// What a write holds at once, measured on the live heap. One L1 offload
+/// step holds the `n2` coded elements it sends — 5 × 0.6 |v| = 786 465 B,
+/// which is what `L1Server::peak_round_bytes` reports — and nothing else of
+/// that order: the encode reads the value where it lies, copying only the
+/// two 2 KiB edge strips of the frame (792 108 B = 3.02 |v| in all). A
+/// whole write through the FIFO harness peaks at the client copy plus the
+/// elements of all four offloads, in flight together before the first
+/// reaches L2: 1 + 4 × 3 = 13.00 |v|, plus bookkeeping (13.08 |v|).
+#[test]
+fn a_write_holds_its_elements_and_the_client_copy_at_once() {
+    let (mut net, _params, _turn) = Net::new(BackendKind::Mbr);
+    let written = sample_value();
+    let window = Peak::open(&PEAK);
+    net.write(ObjectId(7), &written);
+    let write_peak = window.above_base(&PEAK);
+    let round = net.l1.iter().map(L1Server::peak_round_bytes).max().unwrap();
+    println!(
+        "MBR write of {VALUE_LEN} B: one offload step peaks {} B = {:.2} |v| above its start \
+         ({round} B of elements); the whole write peaks {write_peak} B = {:.2} |v|",
+        net.offload_peak,
+        norm(net.offload_peak),
+        norm(write_peak),
+    );
+    assert_eq!(round, 786_465, "5 elements of 157 293 B");
+    assert!(
+        (round..=round + 2 * LARGE).contains(&net.offload_peak),
+        "an offload step held {:.2} |v|, its elements are {:.2} |v|",
+        norm(net.offload_peak),
+        norm(round)
+    );
+    assert!(
+        (13 * VALUE_LEN..=13 * VALUE_LEN + VALUE_LEN / 10).contains(&write_peak),
+        "a write held {:.2} |v| at once, budget 13.10 |v|",
+        norm(write_peak)
     );
 }

@@ -19,7 +19,6 @@
 //! sets.
 
 use lds_core::backend::{make_backend, BackendKind};
-use lds_core::server1::L1Options;
 use lds_core::{
     ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, Profile, ProtocolEvent,
     SystemParams, Value, WriterClient,
@@ -88,13 +87,9 @@ impl Net {
         );
         let backend = make_backend(BackendKind::Mbr, &params).unwrap();
         backend.warm_plans();
-        let options = L1Options {
-            profile,
-            ..L1Options::default()
-        };
         Net {
             l1: (0..n1)
-                .map(|j| L1Server::new(j, params, membership.clone(), backend.clone(), options))
+                .map(|j| L1Server::new(j, params, membership.clone(), backend.clone(), profile))
                 .collect(),
             l2: (0..n2)
                 .map(|i| L2Server::new(i, membership.clone(), backend.clone(), profile))

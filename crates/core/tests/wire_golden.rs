@@ -1,5 +1,5 @@
 //! Golden frames: the exact bytes `encode_frame` produces under
-//! `WIRE_VERSION = 1`, for one fixed message of every `LdsMessage` class
+//! `WIRE_VERSION = 2`, for one fixed message of every `LdsMessage` class
 //! (each with its optional parts absent and present), every RPC
 //! request/response, `Hello` and `Ping`.
 //!
@@ -7,7 +7,7 @@
 //! it is *the same codec as before*. A byte that moves here is a wire-format
 //! break: bump `WIRE_VERSION`, then replace the literal with the `got` of the
 //! failing assertion. The test touches public API only, so it compiles
-//! unchanged against any commit that speaks version 1.
+//! unchanged against any commit that speaks version 2.
 
 use lds_codes::share::{HelperData, Share};
 use lds_core::messages::{LdsMessage, ReadPayload, RepairPayload};
@@ -19,27 +19,18 @@ use lds_sim::{DataSize, ProcessId};
 /// The 6-byte payload every data-bearing golden message carries.
 const PAYLOAD: [u8; 6] = [0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5];
 
-/// One fixed message per class. `flag` turns the optional parts on: the
-/// stripe `layout` of shares and helpers, `DATA-RESP`'s tag, and the
-/// `Element` shape of `REPAIR-SHARE` (off: the `Meta` shape).
+/// One fixed message per class. `flag` turns the optional parts on:
+/// `DATA-RESP`'s tag and coded payload, the `Element` shape of
+/// `REPAIR-SHARE` (off: the `Meta` shape) and `REPAIR-DONE`'s per-helper
+/// bytes.
 fn message(class: usize, flag: bool) -> LdsMessage {
     let obj = ObjectId(0x0102);
     let op = OpId::new(ClientId(0x0A), 0x0B);
     let tag = Tag::new(0x0C, ClientId(0x0D));
     let pid = ProcessId(0x0E);
     let value = Value::new(PAYLOAD.to_vec());
-    let layout = flag.then(|| vec![2, 4]);
-    let share = Share {
-        index: 5,
-        data: PAYLOAD.to_vec(),
-        layout: layout.clone(),
-    };
-    let helper = HelperData {
-        helper_index: 6,
-        failed_index: 7,
-        data: PAYLOAD.to_vec(),
-        layout,
-    };
+    let share = Share::new(5, PAYLOAD.to_vec());
+    let helper = HelperData::new(6, 7, PAYLOAD.to_vec());
     match class {
         0 => LdsMessage::InvokeWrite { obj, value },
         1 => LdsMessage::InvokeRead { obj },
@@ -51,29 +42,21 @@ fn message(class: usize, flag: bool) -> LdsMessage {
             tag,
             value,
         },
-        5 => LdsMessage::PutStripe {
-            obj,
-            op,
-            tag,
-            seq: 1,
-            count: 3,
-            stripe: value,
-        },
-        6 => LdsMessage::AckPutData { obj, op, tag },
-        7 => LdsMessage::BcastSend {
+        5 => LdsMessage::AckPutData { obj, op, tag },
+        6 => LdsMessage::BcastSend {
             obj,
             tag,
             origin: pid,
         },
-        8 => LdsMessage::BcastDeliver {
+        7 => LdsMessage::BcastDeliver {
             obj,
             tag,
             origin: pid,
         },
-        9 => LdsMessage::QueryCommTag { obj, op },
-        10 => LdsMessage::CommTagResp { obj, op, tag },
-        11 => LdsMessage::QueryData { obj, op, treq: tag },
-        12 => LdsMessage::DataResp {
+        8 => LdsMessage::QueryCommTag { obj, op },
+        9 => LdsMessage::CommTagResp { obj, op, tag },
+        10 => LdsMessage::QueryData { obj, op, treq: tag },
+        11 => LdsMessage::DataResp {
             obj,
             op,
             tag: flag.then_some(tag),
@@ -83,35 +66,28 @@ fn message(class: usize, flag: bool) -> LdsMessage {
                 ReadPayload::None
             },
         },
-        13 => LdsMessage::PutTag { obj, op, tag },
-        14 => LdsMessage::AckPutTag { obj, op },
-        15 => LdsMessage::WriteCodeElem {
+        12 => LdsMessage::PutTag { obj, op, tag },
+        13 => LdsMessage::AckPutTag { obj, op },
+        14 => LdsMessage::WriteCodeElem {
             obj,
             tag,
             element: share,
         },
-        16 => LdsMessage::WriteCodeStripe {
-            obj,
-            tag,
-            seq: 2,
-            count: 4,
-            part: share,
-        },
-        17 => LdsMessage::AckCodeElem { obj, tag },
-        18 => LdsMessage::QueryCodeElem {
+        15 => LdsMessage::AckCodeElem { obj, tag },
+        16 => LdsMessage::QueryCodeElem {
             obj,
             reader: pid,
             op,
         },
-        19 => LdsMessage::SendHelperElem {
+        17 => LdsMessage::SendHelperElem {
             obj,
             reader: pid,
             op,
             tag,
             helper,
         },
-        20 => LdsMessage::RepairHelp { obj, failed: pid },
-        21 => LdsMessage::RepairShare {
+        18 => LdsMessage::RepairHelp { obj, failed: pid },
+        19 => LdsMessage::RepairShare {
             obj,
             payload: if flag {
                 RepairPayload::Element {
@@ -126,7 +102,7 @@ fn message(class: usize, flag: bool) -> LdsMessage {
                 }
             },
         },
-        22 => LdsMessage::RepairDone {
+        20 => LdsMessage::RepairDone {
             obj,
             objects: 0x12,
             bytes_by_helper: if flag {
@@ -247,45 +223,41 @@ const GOLDEN: &[(&str, &str)] = &[
     ("TAG-RESP/1", "3a0000000103000000000000000b000000000000000302010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
     ("PUT-DATA/0", "440000000103000000000000000b000000000000000402010000000000000a000000000000000b000000000000000c000000000000000d0000000000000006000000a0a1a2a3a4a5"),
     ("PUT-DATA/1", "440000000103000000000000000b000000000000000402010000000000000a000000000000000b000000000000000c000000000000000d0000000000000006000000a0a1a2a3a4a5"),
-    ("PUT-STRIPE/0", "4c0000000103000000000000000b000000000000000502010000000000000a000000000000000b000000000000000c000000000000000d00000000000000010000000300000006000000a0a1a2a3a4a5"),
-    ("PUT-STRIPE/1", "4c0000000103000000000000000b000000000000000502010000000000000a000000000000000b000000000000000c000000000000000d00000000000000010000000300000006000000a0a1a2a3a4a5"),
-    ("ACK-PUT-DATA/0", "3a0000000103000000000000000b000000000000000602010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("ACK-PUT-DATA/1", "3a0000000103000000000000000b000000000000000602010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("BCAST-SEND/0", "320000000103000000000000000b000000000000000702010000000000000c000000000000000d000000000000000e00000000000000"),
-    ("BCAST-SEND/1", "320000000103000000000000000b000000000000000702010000000000000c000000000000000d000000000000000e00000000000000"),
-    ("COMMIT-TAG/0", "320000000103000000000000000b000000000000000802010000000000000c000000000000000d000000000000000e00000000000000"),
-    ("COMMIT-TAG/1", "320000000103000000000000000b000000000000000802010000000000000c000000000000000d000000000000000e00000000000000"),
-    ("QUERY-COMM-TAG/0", "2a0000000103000000000000000b000000000000000902010000000000000a000000000000000b00000000000000"),
-    ("QUERY-COMM-TAG/1", "2a0000000103000000000000000b000000000000000902010000000000000a000000000000000b00000000000000"),
-    ("COMM-TAG-RESP/0", "3a0000000103000000000000000b000000000000000a02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("COMM-TAG-RESP/1", "3a0000000103000000000000000b000000000000000a02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("QUERY-DATA/0", "3a0000000103000000000000000b000000000000000b02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("QUERY-DATA/1", "3a0000000103000000000000000b000000000000000b02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("DATA-RESP/0", "2c0000000103000000000000000b000000000000000c02010000000000000a000000000000000b000000000000000002"),
-    ("DATA-RESP/1", "630000000103000000000000000b000000000000000c02010000000000000a000000000000000b00000000000000010c000000000000000d0000000000000001050000000000000006000000a0a1a2a3a4a5010200000002000000000000000400000000000000"),
-    ("PUT-TAG/0", "3a0000000103000000000000000b000000000000000d02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("PUT-TAG/1", "3a0000000103000000000000000b000000000000000d02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
-    ("ACK-PUT-TAG/0", "2a0000000103000000000000000b000000000000000e02010000000000000a000000000000000b00000000000000"),
-    ("ACK-PUT-TAG/1", "2a0000000103000000000000000b000000000000000e02010000000000000a000000000000000b00000000000000"),
-    ("WRITE-CODE-ELEM/0", "3d0000000103000000000000000b000000000000000f02010000000000000c000000000000000d00000000000000050000000000000006000000a0a1a2a3a4a500"),
-    ("WRITE-CODE-ELEM/1", "510000000103000000000000000b000000000000000f02010000000000000c000000000000000d00000000000000050000000000000006000000a0a1a2a3a4a5010200000002000000000000000400000000000000"),
-    ("WRITE-CODE-STRIPE/0", "450000000103000000000000000b000000000000001002010000000000000c000000000000000d000000000000000200000004000000050000000000000006000000a0a1a2a3a4a500"),
-    ("WRITE-CODE-STRIPE/1", "590000000103000000000000000b000000000000001002010000000000000c000000000000000d000000000000000200000004000000050000000000000006000000a0a1a2a3a4a5010200000002000000000000000400000000000000"),
-    ("ACK-CODE-ELEM/0", "2a0000000103000000000000000b000000000000001102010000000000000c000000000000000d00000000000000"),
-    ("ACK-CODE-ELEM/1", "2a0000000103000000000000000b000000000000001102010000000000000c000000000000000d00000000000000"),
-    ("QUERY-CODE-ELEM/0", "320000000103000000000000000b000000000000001202010000000000000e000000000000000a000000000000000b00000000000000"),
-    ("QUERY-CODE-ELEM/1", "320000000103000000000000000b000000000000001202010000000000000e000000000000000a000000000000000b00000000000000"),
-    ("SEND-HELPER-ELEM/0", "5d0000000103000000000000000b000000000000001302010000000000000e000000000000000a000000000000000b000000000000000c000000000000000d000000000000000600000000000000070000000000000006000000a0a1a2a3a4a500"),
-    ("SEND-HELPER-ELEM/1", "710000000103000000000000000b000000000000001302010000000000000e000000000000000a000000000000000b000000000000000c000000000000000d000000000000000600000000000000070000000000000006000000a0a1a2a3a4a5010200000002000000000000000400000000000000"),
-    ("REPAIR-HELP/0", "220000000103000000000000000b000000000000001402010000000000000e00000000000000"),
-    ("REPAIR-HELP/1", "220000000103000000000000000b000000000000001402010000000000000e00000000000000"),
-    ("REPAIR-SHARE/0", "5b0000000103000000000000000b00000000000000150201000000000000010c000000000000000d00000000000000020000000c000000000000000d000000000000000106000000a0a1a2a3a4a51000000000000000110000000000000000"),
-    ("REPAIR-SHARE/1", "620000000103000000000000000b00000000000000150201000000000000000c000000000000000d000000000000000f000000000000000600000000000000070000000000000006000000a0a1a2a3a4a5010200000002000000000000000400000000000000"),
-    ("REPAIR-DONE/0", "2e0000000103000000000000000b000000000000001602010000000000001200000000000000000000001600000000000000"),
-    ("REPAIR-DONE/1", "4e0000000103000000000000000b000000000000001602010000000000001200000000000000020000000e000000000000001300000000000000140000000000000015000000000000001600000000000000"),
-    ("DATA-RESP/value", "460000000103000000000000000b000000000000000c02010000000000000a000000000000000b00000000000000010c000000000000000d000000000000000006000000a0a1a2a3a4a5"),
-    ("hello", "0f000000004c44530101000200000000000000"),
-    ("hello/client", "0f000000004c4453010100ffffffffffffffff"),
+    ("ACK-PUT-DATA/0", "3a0000000103000000000000000b000000000000000502010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("ACK-PUT-DATA/1", "3a0000000103000000000000000b000000000000000502010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("BCAST-SEND/0", "320000000103000000000000000b000000000000000602010000000000000c000000000000000d000000000000000e00000000000000"),
+    ("BCAST-SEND/1", "320000000103000000000000000b000000000000000602010000000000000c000000000000000d000000000000000e00000000000000"),
+    ("COMMIT-TAG/0", "320000000103000000000000000b000000000000000702010000000000000c000000000000000d000000000000000e00000000000000"),
+    ("COMMIT-TAG/1", "320000000103000000000000000b000000000000000702010000000000000c000000000000000d000000000000000e00000000000000"),
+    ("QUERY-COMM-TAG/0", "2a0000000103000000000000000b000000000000000802010000000000000a000000000000000b00000000000000"),
+    ("QUERY-COMM-TAG/1", "2a0000000103000000000000000b000000000000000802010000000000000a000000000000000b00000000000000"),
+    ("COMM-TAG-RESP/0", "3a0000000103000000000000000b000000000000000902010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("COMM-TAG-RESP/1", "3a0000000103000000000000000b000000000000000902010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("QUERY-DATA/0", "3a0000000103000000000000000b000000000000000a02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("QUERY-DATA/1", "3a0000000103000000000000000b000000000000000a02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("DATA-RESP/0", "2c0000000103000000000000000b000000000000000b02010000000000000a000000000000000b000000000000000002"),
+    ("DATA-RESP/1", "4e0000000103000000000000000b000000000000000b02010000000000000a000000000000000b00000000000000010c000000000000000d0000000000000001050000000000000006000000a0a1a2a3a4a5"),
+    ("PUT-TAG/0", "3a0000000103000000000000000b000000000000000c02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("PUT-TAG/1", "3a0000000103000000000000000b000000000000000c02010000000000000a000000000000000b000000000000000c000000000000000d00000000000000"),
+    ("ACK-PUT-TAG/0", "2a0000000103000000000000000b000000000000000d02010000000000000a000000000000000b00000000000000"),
+    ("ACK-PUT-TAG/1", "2a0000000103000000000000000b000000000000000d02010000000000000a000000000000000b00000000000000"),
+    ("WRITE-CODE-ELEM/0", "3c0000000103000000000000000b000000000000000e02010000000000000c000000000000000d00000000000000050000000000000006000000a0a1a2a3a4a5"),
+    ("WRITE-CODE-ELEM/1", "3c0000000103000000000000000b000000000000000e02010000000000000c000000000000000d00000000000000050000000000000006000000a0a1a2a3a4a5"),
+    ("ACK-CODE-ELEM/0", "2a0000000103000000000000000b000000000000000f02010000000000000c000000000000000d00000000000000"),
+    ("ACK-CODE-ELEM/1", "2a0000000103000000000000000b000000000000000f02010000000000000c000000000000000d00000000000000"),
+    ("QUERY-CODE-ELEM/0", "320000000103000000000000000b000000000000001002010000000000000e000000000000000a000000000000000b00000000000000"),
+    ("QUERY-CODE-ELEM/1", "320000000103000000000000000b000000000000001002010000000000000e000000000000000a000000000000000b00000000000000"),
+    ("SEND-HELPER-ELEM/0", "5c0000000103000000000000000b000000000000001102010000000000000e000000000000000a000000000000000b000000000000000c000000000000000d000000000000000600000000000000070000000000000006000000a0a1a2a3a4a5"),
+    ("SEND-HELPER-ELEM/1", "5c0000000103000000000000000b000000000000001102010000000000000e000000000000000a000000000000000b000000000000000c000000000000000d000000000000000600000000000000070000000000000006000000a0a1a2a3a4a5"),
+    ("REPAIR-HELP/0", "220000000103000000000000000b000000000000001202010000000000000e00000000000000"),
+    ("REPAIR-HELP/1", "220000000103000000000000000b000000000000001202010000000000000e00000000000000"),
+    ("REPAIR-SHARE/0", "5b0000000103000000000000000b00000000000000130201000000000000010c000000000000000d00000000000000020000000c000000000000000d000000000000000106000000a0a1a2a3a4a51000000000000000110000000000000000"),
+    ("REPAIR-SHARE/1", "4d0000000103000000000000000b00000000000000130201000000000000000c000000000000000d000000000000000f000000000000000600000000000000070000000000000006000000a0a1a2a3a4a5"),
+    ("REPAIR-DONE/0", "2e0000000103000000000000000b000000000000001402010000000000001200000000000000000000001600000000000000"),
+    ("REPAIR-DONE/1", "4e0000000103000000000000000b000000000000001402010000000000001200000000000000020000000e000000000000001300000000000000140000000000000015000000000000001600000000000000"),
+    ("DATA-RESP/value", "460000000103000000000000000b000000000000000b02010000000000000a000000000000000b00000000000000010c000000000000000d000000000000000006000000a0a1a2a3a4a5"),
+    ("hello", "0f000000004c44530102000200000000000000"),
+    ("hello/client", "0f000000004c4453010200ffffffffffffffff"),
     ("ping", "09000000020e00000000000000"),
     ("request/0", "1c00000003190000000000000000020100000000000006000000a0a1a2a3a4a5"),
     ("request/1", "12000000031900000000000000010201000000000000"),

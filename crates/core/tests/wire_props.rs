@@ -24,7 +24,7 @@ const CLASSES: usize = LdsMessage::NUM_CLASSES - 1;
 
 /// Deterministically builds one message of class `class` from generated
 /// primitives, exercising every field of every variant. `bytes` lands in
-/// whatever payload slot the class has (value, stripe, share, helper), so
+/// whatever payload slot the class has (value, share, helper), so
 /// driving its length through edge sizes exercises the codec's
 /// length-prefix handling per class.
 ///
@@ -42,18 +42,8 @@ fn message_for(class: usize, a: u64, b: u64, bytes: Vec<u8>, flag: bool) -> LdsM
     let obj = ObjectId(a ^ 0x9E37);
     let op = OpId::new(ClientId(b), a);
     let tag = Tag::new(a, ClientId(b ^ 1));
-    let layout = flag.then(|| vec![bytes.len()]);
-    let share = Share {
-        index: (b % 97) as usize,
-        data: bytes.clone(),
-        layout: layout.clone(),
-    };
-    let helper = HelperData {
-        helper_index: (a % 89) as usize,
-        failed_index: (b % 83) as usize,
-        data: bytes.clone(),
-        layout,
-    };
+    let share = Share::new((b % 97) as usize, bytes.clone());
+    let helper = HelperData::new((a % 89) as usize, (b % 83) as usize, bytes.clone());
     match class {
         0 => LdsMessage::InvokeWrite {
             obj,
@@ -68,29 +58,21 @@ fn message_for(class: usize, a: u64, b: u64, bytes: Vec<u8>, flag: bool) -> LdsM
             tag,
             value: Value::new(bytes),
         },
-        5 => LdsMessage::PutStripe {
-            obj,
-            op,
-            tag,
-            seq: (a % 7) as u32,
-            count: (a % 7 + 1) as u32,
-            stripe: Value::new(bytes),
-        },
-        6 => LdsMessage::AckPutData { obj, op, tag },
-        7 => LdsMessage::BcastSend {
+        5 => LdsMessage::AckPutData { obj, op, tag },
+        6 => LdsMessage::BcastSend {
             obj,
             tag,
             origin: ProcessId(b as usize % 1024),
         },
-        8 => LdsMessage::BcastDeliver {
+        7 => LdsMessage::BcastDeliver {
             obj,
             tag,
             origin: ProcessId(a as usize % 1024),
         },
-        9 => LdsMessage::QueryCommTag { obj, op },
-        10 => LdsMessage::CommTagResp { obj, op, tag },
-        11 => LdsMessage::QueryData { obj, op, treq: tag },
-        12 => LdsMessage::DataResp {
+        8 => LdsMessage::QueryCommTag { obj, op },
+        9 => LdsMessage::CommTagResp { obj, op, tag },
+        10 => LdsMessage::QueryData { obj, op, treq: tag },
+        11 => LdsMessage::DataResp {
             obj,
             op,
             tag: flag.then_some(tag),
@@ -100,38 +82,31 @@ fn message_for(class: usize, a: u64, b: u64, bytes: Vec<u8>, flag: bool) -> LdsM
                 _ => ReadPayload::None,
             },
         },
-        13 => LdsMessage::PutTag { obj, op, tag },
-        14 => LdsMessage::AckPutTag { obj, op },
-        15 => LdsMessage::WriteCodeElem {
+        12 => LdsMessage::PutTag { obj, op, tag },
+        13 => LdsMessage::AckPutTag { obj, op },
+        14 => LdsMessage::WriteCodeElem {
             obj,
             tag,
             element: share,
         },
-        16 => LdsMessage::WriteCodeStripe {
-            obj,
-            tag,
-            seq: (b % 5) as u32,
-            count: (b % 5 + 1) as u32,
-            part: share,
-        },
-        17 => LdsMessage::AckCodeElem { obj, tag },
-        18 => LdsMessage::QueryCodeElem {
+        15 => LdsMessage::AckCodeElem { obj, tag },
+        16 => LdsMessage::QueryCodeElem {
             obj,
             reader: ProcessId(a as usize % 1024),
             op,
         },
-        19 => LdsMessage::SendHelperElem {
+        17 => LdsMessage::SendHelperElem {
             obj,
             reader: ProcessId(b as usize % 1024),
             op,
             tag,
             helper,
         },
-        20 => LdsMessage::RepairHelp {
+        18 => LdsMessage::RepairHelp {
             obj,
             failed: ProcessId(a as usize % 1024),
         },
-        21 => LdsMessage::RepairShare {
+        19 => LdsMessage::RepairShare {
             obj,
             payload: if flag {
                 RepairPayload::Element {
@@ -149,7 +124,7 @@ fn message_for(class: usize, a: u64, b: u64, bytes: Vec<u8>, flag: bool) -> LdsM
                 }
             },
         },
-        22 => LdsMessage::RepairDone {
+        20 => LdsMessage::RepairDone {
             obj,
             objects: a,
             bytes_by_helper: vec![(ProcessId(b as usize % 1024), a), (ProcessId(7), b)],
@@ -168,8 +143,8 @@ fn assert_class_facts(msg: &LdsMessage, class: usize, a: u64, len: usize) {
     assert_eq!(MESSAGE_CLASSES[class], msg.kind());
     // The classes with a payload slot; every other class is metadata.
     let carried = match class {
-        0 | 4 | 5 | 15 | 16 | 19 | 21 => len,
-        12 if a % 3 != 2 => len,
+        0 | 4 | 14 | 17 | 19 => len,
+        11 if a % 3 != 2 => len,
         _ => 0,
     };
     let kind = msg.kind();
@@ -179,8 +154,7 @@ fn assert_class_facts(msg: &LdsMessage, class: usize, a: u64, len: usize) {
     assert_eq!(msg.batchable(), carried == 0 && !repair, "{kind}");
 }
 
-/// Edge payload sizes: empty, tiny, symbol-odd, and around typical stripe
-/// boundaries.
+/// Edge payload sizes: empty, tiny, symbol-odd, and around powers of two.
 const EDGE_SIZES: &[usize] = &[0, 1, 3, 16, 255, 256, 1024, 4096];
 
 #[test]
@@ -215,7 +189,7 @@ fn every_class_roundtrips_at_edge_sizes() {
 fn large_payload_roundtrips() {
     // One megabyte through the data-bearing classes.
     let payload = vec![0xA5u8; 1 << 20];
-    for class in [0usize, 4, 5, 12, 15, 16, 19, 21] {
+    for class in [0usize, 4, 11, 14, 17, 19] {
         let msg = message_for(class, 1, 2, payload.clone(), true);
         let frame = Frame::Msg {
             from: 0,
@@ -453,58 +427,12 @@ fn unknown_class_is_an_error() {
     encode_frame(&frame, &mut buf).unwrap();
     // The class byte sits after header + kind + from + to.
     let class_at = HEADER_LEN + 1 + 8 + 8;
-    for bad in [23u8, 42, 255] {
+    for bad in [LdsMessage::NUM_CLASSES as u8 - 1, 42, 255] {
         let mut corrupt = buf.clone();
         corrupt[class_at] = bad;
         assert_eq!(
             decode_framed(&corrupt),
             Err(WireError::UnknownClass { class: bad })
         );
-    }
-}
-
-/// A striped share or helper is sliced by its stripe lengths (the codec
-/// cuts each stripe where its `layout` says), so lengths that do not add up
-/// to the coded bytes must not get past the decoder: short, long, and a
-/// pair that only adds up modulo 2^64.
-#[test]
-fn stripe_layouts_that_do_not_cover_the_bytes_are_an_error() {
-    let striped = [
-        LdsMessage::WriteCodeElem {
-            obj: ObjectId(1),
-            tag: Tag::new(2, ClientId(3)),
-            element: Share::striped(4, vec![7; 8], vec![4, 4]),
-        },
-        LdsMessage::SendHelperElem {
-            obj: ObjectId(1),
-            reader: ProcessId(9),
-            op: OpId::new(ClientId(3), 5),
-            tag: Tag::new(2, ClientId(3)),
-            helper: HelperData::striped(5, 1, vec![7; 8], vec![4, 4]),
-        },
-    ];
-    for msg in striped {
-        let frame = Frame::Msg {
-            from: 0,
-            to: 1,
-            msg,
-        };
-        let mut buf = Vec::new();
-        encode_frame(&frame, &mut buf).unwrap();
-        // Well-formed, it round-trips.
-        assert_eq!(decode_framed(&buf), Ok((frame, buf.len())));
-        // The two stripe lengths are the frame's last two u64s.
-        let first = buf.len() - 16;
-        let cases: [(u64, u64); 3] = [(4, 3), (4, 5), (u64::MAX, 9)];
-        for (a, b) in cases {
-            let mut hostile = buf.clone();
-            hostile[first..first + 8].copy_from_slice(&a.to_le_bytes());
-            hostile[first + 8..].copy_from_slice(&b.to_le_bytes());
-            assert_eq!(
-                decode_framed(&hostile),
-                Err(WireError::BadLayout),
-                "stripes {a} + {b} over 8 bytes"
-            );
-        }
     }
 }

@@ -6,7 +6,7 @@ use lds_core::membership::{Membership, CLIENT_GROUP, L1_GROUP, L2_GROUP};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::params::{Profile, SystemParams};
 use lds_core::reader::ReaderClient;
-use lds_core::server1::{L1Options, L1Server};
+use lds_core::server1::L1Server;
 use lds_core::server2::L2Server;
 use lds_core::tag::{ClientId, ObjectId};
 use lds_core::value::Value;
@@ -154,14 +154,15 @@ impl SimRunner {
             .map(ProcessId)
             .collect();
         let membership = Membership::new(l1.clone(), l2.clone());
-        let options = L1Options {
-            profile: config.profile,
-            ..L1Options::default()
-        };
 
         for (j, &expected) in l1.iter().enumerate() {
-            let server =
-                L1Server::new(j, params, membership.clone(), Arc::clone(&backend), options);
+            let server = L1Server::new(
+                j,
+                params,
+                membership.clone(),
+                Arc::clone(&backend),
+                config.profile,
+            );
             let pid = sim.spawn(server, L1_GROUP);
             assert_eq!(
                 pid, expected,

@@ -20,10 +20,8 @@ fn params() -> SystemParams {
 
 /// The store profiles every stress test runs under: paper-faithful
 /// messaging, the high-throughput profile, and the high-throughput profile
-/// with the large-value data paths forced on — a tiny stripe threshold makes
-/// every test value take the chunk-striped PUT-STRIPE/WriteCodeStripe path,
-/// and the tag-validated read cache is enabled — so the atomicity assertions
-/// cover the striped and cached flows too.
+/// with the tag-validated read cache enabled — so the atomicity assertions
+/// cover the cached flow too.
 fn stress_profiles(backend: BackendKind) -> Vec<(&'static str, StoreHandle)> {
     vec![
         (
@@ -46,13 +44,11 @@ fn stress_profiles(backend: BackendKind) -> Vec<(&'static str, StoreHandle)> {
                 .unwrap(),
         ),
         (
-            "striped+cached",
+            "cached",
             StoreBuilder::new()
                 .params(params())
                 .backend(backend)
                 .high_throughput(2)
-                .stripe_threshold(4)
-                .stripe_size(4)
                 .read_cache(8)
                 .build()
                 .unwrap(),
@@ -363,38 +359,51 @@ fn l1_metadata_and_storage_stay_bounded_over_sustained_run() {
 /// a blocking client. Freed budget is granted in waiter-queue order, so
 /// after the blocking client's first refusal the greedy one is held back
 /// until the blocking client has had its turn.
+///
+/// The blocking client starts only once the greedy one holds its first
+/// grant, so the competition is real however the threads are scheduled: on
+/// one CPU the greedy thread may otherwise not run at all before the
+/// blocking client is done.
 #[test]
 fn greedy_pipelined_client_cannot_starve_a_blocking_one() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let store = StoreBuilder::new()
         .params(params())
         .backend(BackendKind::Replication)
         .inbox_cap(1) // a single admission slot per partition
         .build()
         .unwrap();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let granted = Arc::new(AtomicU64::new(0));
     // The greedy client: re-submits the moment anything completes, across a
     // pool of objects, through the never-queueing try_submit path.
     let greedy = {
         let store = store.clone();
-        let stop = Arc::clone(&stop);
+        let (stop, granted) = (Arc::clone(&stop), Arc::clone(&granted));
         std::thread::spawn(move || {
             let mut client = store.client_with_depth(8);
-            let mut submitted = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            while !stop.load(Ordering::Relaxed) {
                 for obj in 100..108u64 {
                     if client
                         .try_submit_write(ObjectId(obj), b"greedy traffic")
                         .is_ok()
                     {
-                        submitted += 1;
+                        granted.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 let _ = client.poll().expect("greedy poll");
             }
             let _ = client.wait_all();
-            submitted
         })
     };
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while granted.load(Ordering::Relaxed) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "greedy client was never granted a slot"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // The blocking client: sequential writes that must all complete within
     // the timeout despite the greedy competition for the single slot.
     let mut blocking = store.client();
@@ -404,10 +413,10 @@ fn greedy_pipelined_client_cannot_starve_a_blocking_one() {
             .write(ObjectId(7), format!("blocking {i}").as_bytes())
             .expect("blocking client starved by greedy pipelined client");
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let greedy_submitted = greedy.join().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    greedy.join().unwrap();
     assert!(
-        greedy_submitted > 0,
+        granted.load(Ordering::Relaxed) > 0,
         "greedy client made progress too (fairness, not lockout)"
     );
     assert_eq!(blocking.read(ObjectId(7)).unwrap(), b"blocking 24".to_vec());
@@ -415,12 +424,13 @@ fn greedy_pipelined_client_cannot_starve_a_blocking_one() {
     store.shutdown();
 }
 
-/// Large values round-trip byte-identically through the chunk-striped data
-/// path on every backend, at stripe-boundary edge sizes — including one
-/// below the threshold (monolithic) and one that is not a stripe multiple.
+/// Large values round-trip byte-identically on every backend, at sizes on
+/// both sides of a 4 KiB boundary, a ragged multiple of it, 64 KiB and
+/// 1 MiB — each one `PUT-DATA` per L1 server and one `WRITE-CODE-ELEM` per
+/// L2 server.
 #[test]
-fn large_values_roundtrip_through_the_striped_path_on_every_backend() {
-    const STRIPE: usize = 1 << 12;
+fn large_values_roundtrip_on_every_backend() {
+    const KIB4: usize = 1 << 12;
     for backend in [
         BackendKind::Mbr,
         BackendKind::MsrPoint,
@@ -430,24 +440,23 @@ fn large_values_roundtrip_through_the_striped_path_on_every_backend() {
         let store = StoreBuilder::new()
             .params(params())
             .backend(backend)
-            .stripe_threshold(STRIPE)
-            .stripe_size(STRIPE)
             .build()
             .unwrap();
         let mut writer = store.client();
         let mut reader = store.client();
         for (obj, len) in [
-            (1u64, STRIPE - 1),  // below threshold: monolithic path
-            (2, STRIPE),         // exactly one stripe
-            (3, 5 * STRIPE + 7), // several stripes + ragged tail
-            (4, 16 * STRIPE),    // 64 KiB, stripe-aligned
+            (1u64, KIB4 - 1),
+            (2, KIB4),
+            (3, 5 * KIB4 + 7),
+            (4, 16 * KIB4),
+            (5, 1 << 20),
         ] {
             let value: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
             writer.write(ObjectId(obj), &value).unwrap();
             assert_eq!(
                 reader.read(ObjectId(obj)).unwrap(),
                 value,
-                "{backend:?}: {len}-byte value corrupted through the striped path"
+                "{backend:?}: {len}-byte value corrupted"
             );
         }
         store.shutdown();

@@ -331,17 +331,10 @@ fn fast_heal() -> HealConfig {
 }
 
 /// Every name the two tables declare is emitted by something a user can do:
-/// writes, reads, a cached read, a striped write, overwrites (GC), a kill
-/// and its supervised repair, a repair that times out into backoff, a layer
+/// writes, reads, a cached read, a large write, overwrites (GC), a kill and
+/// its supervised repair, a repair that times out into backoff, a layer
 /// degraded below its repair quorum, and a fault-plan drop. A family or
 /// event this run cannot move has no business in the table.
-///
-/// Two samples and one event are exempt because only a *misbehaving sender*
-/// moves them: `lds_assemblies{layer="l1",event="parts_dropped"}`,
-/// `lds_assemblies{layer="l2",event="dropped"}` and `stripe_drop` count
-/// stripe parts whose headers disagree, which no client or server of this
-/// code base sends. `node::tests::mismatched_stripe_parts_are_counted_and_traced`
-/// injects such parts below the public API and covers all three.
 #[test]
 fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
     let mut seen = Seen::default();
@@ -349,8 +342,6 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
     // One self-healing store for the data paths and the repair that works.
     let store = StoreBuilder::new()
         .read_cache(8)
-        .stripe_threshold(2048)
-        .stripe_size(512)
         .inbox_cap(32)
         .repair_log_cap(0)
         .self_heal_with(fast_heal())
@@ -364,7 +355,7 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
             writer.write(ObjectId(obj), &[round; 64]).unwrap();
         }
     }
-    writer.write(ObjectId(9), &[7; 8192]).unwrap(); // 16 stripes
+    writer.write(ObjectId(9), &[7; 8192]).unwrap();
     let mut reader = store.client();
     for _ in 0..2 {
         // The second round is served from the tag-validated cache.
@@ -447,7 +438,7 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
     }
     for &kind in EventKind::ALL {
         assert!(
-            seen.events.contains(kind.name()) || kind == EventKind::StripeDrop,
+            seen.events.contains(kind.name()),
             "{} never recorded",
             kind.name()
         );

@@ -1,6 +1,6 @@
 //! Adversarial protocol tests on the seeded fault-injection transport: the
 //! cluster runs under a declarative [`FaultPlan`] — scheduled partitions,
-//! duplicated stripe streams, delayed/reordered commit broadcasts, lossy
+//! duplicated data messages, delayed/reordered commit broadcasts, lossy
 //! links — and every test asserts the LDS guarantees hold anyway:
 //! atomicity (per-object monotone tags, no lost acked write), liveness
 //! within the `f1`/`f2` failure budget, bounded metadata, and a self-heal
@@ -154,26 +154,24 @@ fn an_outbound_only_partition_looks_like_a_crash_and_is_tolerated() {
     store.shutdown();
 }
 
-/// Duplicated stripe streams: every PUT-STRIPE / WRITE-CODE-STRIPE part and
-/// COMMIT-TAG may be delivered twice, so the per-`(obj, tag, sender)`
-/// assembly state sees repeated offsets and repeated finals. Values must
-/// still round-trip byte-identically and the duplicates must not leak
-/// assembly residue into L1 metadata or temporary storage.
+/// Duplicated data messages: every PUT-DATA, WRITE-CODE-ELEM and COMMIT-TAG
+/// may be delivered twice, so L1 sees a value again after it committed or
+/// offloaded it and L2 stores and acknowledges an element twice. Values
+/// must still round-trip byte-identically and the duplicates must not leak
+/// into L1 metadata or temporary storage.
 #[test]
-fn duplicated_stripe_streams_never_corrupt_values_or_leak_state() {
-    const STRIPE: usize = 1 << 10;
+fn duplicated_data_messages_never_corrupt_values_or_leak_state() {
+    const KIB: usize = 1 << 10;
     let seed = chaos_seed(DEFAULT_SEED);
     let _repro = repro_guard(seed, "partition");
     let plan = FaultPlan::seeded(seed).rule(
         FaultRule::new()
-            .classes(&["PUT-STRIPE", "WRITE-CODE-STRIPE", "COMMIT-TAG"])
+            .classes(&["PUT-DATA", "WRITE-CODE-ELEM", "COMMIT-TAG"])
             .duplicate_prob(0.3),
     );
     let store = StoreBuilder::new()
         .params(params())
         .backend(BackendKind::Mbr)
-        .stripe_threshold(STRIPE)
-        .stripe_size(STRIPE)
         .fault_plan(plan)
         .build()
         .unwrap();
@@ -181,12 +179,9 @@ fn duplicated_stripe_streams_never_corrupt_values_or_leak_state() {
     let mut reader = store.client();
     writer.set_timeout(Duration::from_secs(30));
     reader.set_timeout(Duration::from_secs(30));
+    let sizes = [KIB - 1, 3 * KIB + 17, 16 * KIB];
     for round in 0..4usize {
-        for (obj, len) in [
-            (1u64, STRIPE - 1),   // below threshold: monolithic control
-            (2, 3 * STRIPE + 17), // several stripes + ragged tail
-            (3, 16 * STRIPE),     // 16 KiB, stripe-aligned
-        ] {
+        for (obj, len) in (1u64..).zip(sizes) {
             let value: Vec<u8> = (0..len)
                 .map(|i| ((i * 31 + round * 7 + obj as usize) % 251) as u8)
                 .collect();
@@ -194,7 +189,7 @@ fn duplicated_stripe_streams_never_corrupt_values_or_leak_state() {
             assert_eq!(
                 reader.read(ObjectId(obj)).unwrap(),
                 value,
-                "round {round}: {len}-byte value corrupted under duplicated stripes"
+                "round {round}: {len}-byte value corrupted under duplicated data messages"
             );
         }
     }
@@ -208,15 +203,15 @@ fn duplicated_stripe_streams_never_corrupt_values_or_leak_state() {
     );
     assert!(
         m.l1_metadata_entries < 200,
-        "duplicated stripe parts leaked metadata: {} entries for 12 writes",
+        "duplicated data messages leaked metadata: {} entries for 12 writes",
         m.l1_metadata_entries
     );
     // Temporary storage is bounded by committed values plus in-flight slack,
-    // never by the number of (duplicated) parts that flowed through.
-    let committed: usize = (STRIPE - 1) + (3 * STRIPE + 17) + 16 * STRIPE;
+    // never by the number of (duplicated) messages that flowed through.
+    let committed: usize = sizes.iter().sum();
     assert!(
         m.l1_temporary_bytes <= 8 * committed,
-        "duplicated stripe parts leaked temporary bytes: {}",
+        "duplicated data messages leaked temporary bytes: {}",
         m.l1_temporary_bytes
     );
     store.shutdown();
@@ -289,7 +284,9 @@ fn commit_tags_reordered_behind_data_keep_reads_atomic() {
 /// own fault counter is non-zero.
 #[test]
 fn fault_matrix_point() {
-    const STRIPE: usize = 512;
+    /// Every write carries a value of this many bytes, so every family has
+    /// data traffic to act on.
+    const LEN: usize = 1037;
     let seed = chaos_seed(DEFAULT_SEED);
     let _repro = repro_guard(seed, "partition");
     let family = std::env::var("LDS_FAULT_PLAN").unwrap_or_else(|_| "duplicate".to_string());
@@ -309,15 +306,10 @@ fn fault_matrix_point() {
                 .delay_prob(0.3)
                 .delay_window(Duration::ZERO, Duration::from_millis(3)),
         ),
-        // At-least-once delivery on the idempotent stream messages.
+        // At-least-once delivery on the data messages and the broadcast.
         "duplicate" => FaultPlan::seeded(seed).rule(
             FaultRule::new()
-                .classes(&[
-                    "PUT-STRIPE",
-                    "WRITE-CODE-STRIPE",
-                    "COMMIT-TAG",
-                    "BCAST-SEND",
-                ])
+                .classes(&["PUT-DATA", "WRITE-CODE-ELEM", "COMMIT-TAG", "BCAST-SEND"])
                 .duplicate_prob(0.25),
         ),
         // A mid-run split that heals.
@@ -331,8 +323,6 @@ fn fault_matrix_point() {
     let store = StoreBuilder::new()
         .params(params())
         .backend(BackendKind::Mbr)
-        .stripe_threshold(STRIPE)
-        .stripe_size(STRIPE)
         .fault_plan(plan)
         .build()
         .unwrap();
@@ -347,9 +337,8 @@ fn fault_matrix_point() {
     while rounds < 10 || built.elapsed() < Duration::from_millis(600) {
         let round = rounds;
         for obj in 0..3u64 {
-            // Stripe-crossing values so every family has stream traffic.
             let fill = (17 * round + obj) as u8;
-            client.submit_write(ObjectId(obj), &vec![fill; 2 * STRIPE + 13]);
+            client.submit_write(ObjectId(obj), &vec![fill; LEN]);
         }
         for completion in client
             .wait_all()
@@ -374,7 +363,7 @@ fn fault_matrix_point() {
             client
                 .read(ObjectId(obj))
                 .expect("reads complete under the fault plan"),
-            vec![fill; 2 * STRIPE + 13],
+            vec![fill; LEN],
             "[{family}] an acked write was lost"
         );
     }

@@ -141,31 +141,31 @@ fn builder_axes_reach_the_deployment() {
 }
 
 /// The profile methods set the profile (plus shards and depth for
-/// `high_throughput`) and nothing else, so they commute with the striping
-/// settings: before the profile was a field of its own, `high_throughput`
-/// after `stripe_threshold`/`stripe_size` silently built an unstriped store.
+/// `high_throughput`) and nothing else, so they commute with every other
+/// setting: before the profile was a field of its own, `high_throughput`
+/// after another data-path setting silently reset it.
 #[test]
-fn profile_and_striping_commute() {
-    let striping_first = StoreBuilder::new()
-        .stripe_threshold(4096)
-        .stripe_size(1024)
+fn profile_methods_commute_with_other_settings() {
+    let settings_first = StoreBuilder::new()
+        .read_cache(64)
+        .inbox_cap(8)
         .high_throughput(2);
     let profile_first = StoreBuilder::new()
         .high_throughput(2)
-        .stripe_threshold(4096)
-        .stripe_size(1024);
+        .read_cache(64)
+        .inbox_cap(8);
     for (builder, profile) in [
-        (striping_first.clone(), Profile::HighThroughput),
+        (settings_first.clone(), Profile::HighThroughput),
         (profile_first.clone(), Profile::HighThroughput),
-        (striping_first.paper_faithful(), Profile::PaperFaithful),
+        (settings_first.paper_faithful(), Profile::PaperFaithful),
         (profile_first.paper_faithful(), Profile::PaperFaithful),
     ] {
         let store = builder.build().unwrap();
         let options = store.options();
         assert_eq!(options.profile, profile);
         assert_eq!(
-            (options.stripe_threshold, options.stripe_size),
-            (4096, 1024)
+            (options.read_cache_entries, options.inbox_cap),
+            (64, Some(8))
         );
         assert_eq!((options.l1_shards, options.pipeline_depth), (2, 32));
         store.shutdown();
