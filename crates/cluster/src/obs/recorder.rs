@@ -23,6 +23,7 @@
 //! recorder's epoch (cluster start).
 
 use super::events::EventKind;
+use super::phase;
 use parking_lot::Mutex;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,12 +32,14 @@ use std::time::Instant;
 /// Default events retained per recording thread.
 pub const DEFAULT_TRACE_EVENTS: usize = 4096;
 
-/// The name of the client-op phase code carried by [`EventKind::OpPhase`].
+/// The name of the client-op phase code carried by [`EventKind::OpPhase`]
+/// (one of [`phase`]'s constants; `"?"` for any other code).
 pub fn phase_name(code: u64) -> &'static str {
     match code {
-        1 => "data",
-        2 => "commit",
-        _ => "tag",
+        phase::TAG => "tag",
+        phase::DATA => "data",
+        phase::COMMIT => "commit",
+        _ => "?",
     }
 }
 
@@ -420,6 +423,14 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn phase_names_decode_the_phase_constants() {
+        assert_eq!(phase_name(phase::TAG), "tag");
+        assert_eq!(phase_name(phase::DATA), "data");
+        assert_eq!(phase_name(phase::COMMIT), "commit");
+        assert_eq!(phase_name(99), "?");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! of a sharded deployment while pipelined writers and readers keep
 //! streaming — and *nobody calls `Admin::repair`*. The heartbeat monitor
 //! must detect every crash, the auto-repair supervisor must regenerate
-//! every victim, every accepted operation must complete, atomicity must
-//! hold throughout, and the failure budget must be whole again at the end.
+//! every victim, every accepted operation must complete, the recorded
+//! history must pass `History::check_atomicity`, and the failure budget
+//! must be whole again at the end — under both protocol profiles.
 //!
 //! On top of the crash storm the deployment runs under a mild seeded
 //! [`FaultPlan`]: COMMIT-TAG broadcasts are occasionally duplicated and tag
@@ -12,16 +13,16 @@
 //! schedule the protocol survives is adversarial *and* the injected-fault
 //! counters in the metrics snapshot are exercised end to end.
 
-use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder, StoreHandle};
-use lds_cluster::{EventKind, FaultPlan, FaultRule, HealConfig, OpOutcome, RepairLayer};
+mod common;
+
+use common::{profiles, Recorder, Workload};
+use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
+use lds_cluster::{EventKind, FaultPlan, FaultRule, HealConfig, RepairLayer};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_core::tag::Tag;
 use lds_workload::chaos::{ChaosLayer, ChaosSchedule, ChaosScheduleConfig, ChaosTarget};
 use lds_workload::seed::{chaos_seed, repro_guard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fixed default seed so CI replays the same schedule; override with
@@ -30,6 +31,9 @@ const CHAOS_SEED: u64 = 0xC4A0_5EED;
 
 const CLUSTERS: usize = 2;
 const TOTAL_KILLS: usize = 22;
+
+/// The objects the recorded workload's writers contend on.
+const WORKLOAD_OBJECTS: [u64; 6] = [10, 11, 12, 20, 21, 22];
 
 fn params() -> SystemParams {
     SystemParams::for_failures(1, 1, 2, 3).unwrap() // n1=4, n2=5, k=2, d=3
@@ -47,92 +51,14 @@ fn server_ref(target: &ChaosTarget) -> ServerRef {
     }
 }
 
-/// Pipelined writers (disjoint objects, self-describing `o{obj}-s{seq}`
-/// values, per-object tag monotonicity asserted) plus a pipelined reader
-/// asserting per-object tag and writer-sequence monotonicity — the
-/// atomicity watchdogs that run underneath the kill schedule. Any failed
-/// operation panics the owning thread and fails the test at join time.
-#[allow(clippy::type_complexity)]
-fn spawn_workload(
-    store: &StoreHandle,
-    writers: u64,
-    objects_per_writer: u64,
-) -> (Vec<std::thread::JoinHandle<()>>, Arc<AtomicBool>) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for w in 0..writers {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            let mut client = store.client_with_depth(8);
-            client.set_timeout(Duration::from_secs(30));
-            let objects: Vec<u64> = (0..objects_per_writer).map(|o| 10 * (w + 1) + o).collect();
-            let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-            let mut seq = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                for &obj in &objects {
-                    client.submit_write(ObjectId(obj), format!("o{obj}-s{seq}").as_bytes());
-                }
-                for completion in client.wait_all().expect("writes survive the chaos window") {
-                    let OpOutcome::Write { tag } = completion.outcome else {
-                        panic!("writer harvested a read");
-                    };
-                    if let Some(prev) = last_tag.insert(completion.obj, tag) {
-                        assert!(
-                            tag > prev,
-                            "write tags went backwards on {}",
-                            completion.obj
-                        );
-                    }
-                }
-                seq += 1;
-            }
-        }));
-    }
-    {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            let mut client = store.client_with_depth(4);
-            client.set_timeout(Duration::from_secs(30));
-            let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-            let mut last_seq: HashMap<u64, u64> = HashMap::new();
-            while !stop.load(Ordering::Relaxed) {
-                for w in 0..writers {
-                    client.submit_read(ObjectId(10 * (w + 1)));
-                }
-                for completion in client.wait_all().expect("reads survive the chaos window") {
-                    let OpOutcome::Read { tag, value } = completion.outcome else {
-                        panic!("reader harvested a write");
-                    };
-                    if let Some(prev) = last_tag.insert(completion.obj, tag) {
-                        assert!(
-                            tag >= prev,
-                            "read tags went backwards on {}",
-                            completion.obj
-                        );
-                    }
-                    if value.is_empty() {
-                        continue; // initial value
-                    }
-                    let text = String::from_utf8(value).unwrap();
-                    let seq: u64 = text.split("-s").nth(1).unwrap().parse().unwrap();
-                    let prev = last_seq.entry(completion.obj).or_insert(0);
-                    assert!(
-                        seq >= *prev,
-                        "writer sequence went backwards on {}: {seq} < {prev}",
-                        completion.obj
-                    );
-                    *prev = seq;
-                }
-            }
-        }));
-    }
-    (handles, stop)
-}
-
 #[test]
 fn self_healing_store_survives_a_seeded_kill_schedule() {
+    for (label, builder) in profiles() {
+        storm(label, builder);
+    }
+}
+
+fn storm(label: &str, builder: StoreBuilder) {
     let seed = chaos_seed(CHAOS_SEED);
     let _repro = repro_guard(seed, "chaos");
     let p = params();
@@ -153,7 +79,7 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
                 .delay_prob(0.2)
                 .delay_window(Duration::ZERO, Duration::from_millis(3)),
         );
-    let store = StoreBuilder::new()
+    let store = builder
         .params(p)
         .backend(BackendKind::Mbr)
         .clusters(CLUSTERS)
@@ -181,22 +107,14 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
 
     // A settled population plus the workload's own objects, so repairs
     // always have committed state to regenerate.
-    let mut setup = store.client_with_depth(8);
+    let recorder = Recorder::new();
+    let mut client = recorder.wrap(store.client_with_depth(8));
+    client.set_timeout(Duration::from_secs(30));
     for obj in 100..116u64 {
-        setup.submit_write(ObjectId(obj), &vec![obj as u8; 512]);
+        client.submit_write(ObjectId(obj), &vec![obj as u8; 512]);
     }
-    setup.wait_all().unwrap();
-    for w in 1..=2u64 {
-        for o in 0..3u64 {
-            setup
-                .write(
-                    ObjectId(10 * w + o),
-                    format!("o{}-s0", 10 * w + o).as_bytes(),
-                )
-                .unwrap();
-        }
-    }
-    let (handles, stop) = spawn_workload(&store, 2, 3);
+    client.wait_all().unwrap();
+    let workload = Workload::spawn(&store, &recorder, 2, &WORKLOAD_OBJECTS);
     std::thread::sleep(Duration::from_millis(100));
 
     let mut schedule = ChaosSchedule::new(ChaosScheduleConfig {
@@ -216,7 +134,7 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
     while !schedule.is_done() {
         assert!(
             Instant::now() < schedule_deadline,
-            "kill schedule stalled: the supervisor is not restoring budget \
+            "[{label}] kill schedule stalled: the supervisor is not restoring budget \
              ({} of {TOTAL_KILLS} kills injected)",
             schedule.kills_emitted()
         );
@@ -245,7 +163,7 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
                 .count();
             assert!(
                 dead_l1 <= p.f1() && dead_l2 <= p.f2(),
-                "failure budget exceeded on cluster {cluster}: {dead_l1} L1 / {dead_l2} L2 down"
+                "[{label}] failure budget exceeded on cluster {cluster}: {dead_l1} L1 / {dead_l2} L2 down"
             );
         }
     }
@@ -279,42 +197,21 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
         }
         assert!(
             Instant::now() < heal_deadline,
-            "self-heal did not restore the failure budget: still down {:?}",
+            "[{label}] self-heal did not restore the failure budget: still down {:?}",
             admin.liveness().crashed()
         );
         std::thread::sleep(Duration::from_millis(25));
     }
 
     // Every accepted op completed (a failed op panics its thread here).
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e));
-    }
+    workload.finish();
 
-    // Committed state survived ≥ 20 kills.
-    let mut client = store.client();
-    client.set_timeout(Duration::from_secs(30));
-    for obj in 100..116u64 {
-        assert_eq!(
-            client.read(ObjectId(obj)).expect("read after the storm"),
-            vec![obj as u8; 512],
-            "settled object {obj} lost its committed value"
-        );
+    // Committed state survived ≥ 20 kills: read everything back, and let
+    // the checker judge every operation of the storm.
+    for obj in (100..116u64).chain(WORKLOAD_OBJECTS) {
+        client.read(ObjectId(obj)).expect("read after the storm");
     }
-    for w in 1..=2u64 {
-        for o in 0..3u64 {
-            let obj = 10 * w + o;
-            let value = client.read(ObjectId(obj)).expect("read after the storm");
-            assert!(
-                String::from_utf8(value)
-                    .unwrap()
-                    .starts_with(&format!("o{obj}-s")),
-                "object {obj} lost its committed value"
-            );
-        }
-    }
+    recorder.check();
 
     // The supervisor's reap (where successes are counted) trails the actual
     // repair by up to a beat interval — poll briefly instead of racing it.
@@ -325,12 +222,12 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
         if m.heal_repairs_succeeded >= kills || Instant::now() >= metrics_deadline {
             assert!(
                 m.heal_suspicions_raised >= kills,
-                "every kill must raise a suspicion: {} < {kills}",
+                "[{label}] every kill must raise a suspicion: {} < {kills}",
                 m.heal_suspicions_raised
             );
             assert!(
                 m.heal_repairs_succeeded >= kills,
-                "every kill must be healed by the supervisor: {} < {kills}",
+                "[{label}] every kill must be healed by the supervisor: {} < {kills}",
                 m.heal_repairs_succeeded
             );
             assert!(m.heal_repairs_attempted >= m.heal_repairs_succeeded);
@@ -380,6 +277,5 @@ fn self_healing_store_survives_a_seeded_kill_schedule() {
     }
 
     drop(client);
-    drop(setup);
     store.shutdown();
 }

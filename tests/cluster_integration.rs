@@ -3,14 +3,19 @@
 //! provide atomic storage over real threads and channels, under concurrency
 //! and crash failures — including the pipelined client API and per-object
 //! server sharding, in both the paper-faithful and the high-throughput
-//! store profiles.
+//! store profiles. Concurrent runs end in `History::check_atomicity` over
+//! everything their clients completed.
 
+mod common;
+
+use common::{profiles, Recorder};
 use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle};
 use lds_cluster::OpOutcome;
 use lds_core::backend::BackendKind;
+use lds_core::consistency::{AtomicityViolation, History, Operation, OperationKind};
 use lds_core::params::SystemParams;
 use lds_core::tag::Tag;
-use std::collections::HashMap;
+use lds_core::value::Value;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,42 +23,20 @@ fn params() -> SystemParams {
     SystemParams::for_failures(1, 1, 2, 3).unwrap()
 }
 
-/// The store profiles every stress test runs under: paper-faithful
-/// messaging, the high-throughput profile, and the high-throughput profile
-/// with the tag-validated read cache enabled — so the atomicity assertions
-/// cover the cached flow too.
+/// The store profiles every stress test runs under: both protocol profiles
+/// with two shards per server, and the high-throughput profile with the
+/// tag-validated read cache enabled — so the atomicity assertions cover the
+/// cached flow too.
 fn stress_profiles(backend: BackendKind) -> Vec<(&'static str, StoreHandle)> {
-    vec![
-        (
-            "faithful",
-            StoreBuilder::new()
-                .params(params())
-                .backend(backend)
-                .paper_faithful()
-                .shards(2)
-                .build()
-                .unwrap(),
-        ),
-        (
-            "high-throughput",
-            StoreBuilder::new()
-                .params(params())
-                .backend(backend)
-                .high_throughput(2)
-                .build()
-                .unwrap(),
-        ),
-        (
-            "cached",
-            StoreBuilder::new()
-                .params(params())
-                .backend(backend)
-                .high_throughput(2)
-                .read_cache(8)
-                .build()
-                .unwrap(),
-        ),
-    ]
+    let cached = StoreBuilder::new().high_throughput(2).read_cache(8);
+    profiles()
+        .into_iter()
+        .chain([("cached", cached)])
+        .map(|(label, builder)| {
+            let builder = builder.params(params()).backend(backend).shards(2);
+            (label, builder.build().unwrap())
+        })
+        .collect()
 }
 
 #[test]
@@ -73,68 +56,82 @@ fn read_your_writes_across_clients() {
     store.shutdown();
 }
 
+/// Two writers race on one object while a third client reads it.
 #[test]
 fn monotonic_reads_under_concurrent_writers() {
     let store = StoreBuilder::new().params(params()).build().unwrap();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
-    // Two writers race on the same object with self-describing values.
-    let mut writer_handles = Vec::new();
+    let recorder = Recorder::new();
+    let mut writers = Vec::new();
     for w in 0..2u64 {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        writer_handles.push(std::thread::spawn(move || {
-            let mut client = store.client();
-            let mut i = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) && i < 30 {
-                let value = format!("{:020}:{w}", i).into_bytes();
+        let (store, recorder) = (store.clone(), recorder.clone());
+        writers.push(std::thread::spawn(move || {
+            let mut client = recorder.wrap(store.client());
+            for i in 0..30u64 {
+                let value = format!("{i:020}:{w}").into_bytes();
                 client.write(ObjectId(0), &value).unwrap();
-                i += 1;
             }
         }));
     }
-
-    // A reader checks that observed tags never go backwards, and that each
-    // writer's sequence numbers are observed in order (the consequences of
-    // atomicity for sequential reads by one client). Sequence numbers of
-    // *different* writers are not globally ordered: a slow writer may commit
-    // its i-th value with a newer tag than a fast writer's much later value.
-    let reader_store = store.clone();
-    let reader = std::thread::spawn(move || {
-        let mut client = reader_store.client();
-        let mut last_tag = None;
-        let mut last_seq_per_writer = [-1i64; 2];
-        for _ in 0..40 {
-            let value = client.read(ObjectId(0)).unwrap();
-            let tag = client.last_tag().unwrap();
-            if let Some(last) = last_tag {
-                assert!(
-                    tag >= last,
-                    "observed tags went backwards: {tag:?} < {last:?}"
-                );
-            }
-            last_tag = Some(tag);
-            if value.is_empty() {
-                continue; // initial value
-            }
-            let text = String::from_utf8(value).unwrap();
-            let mut parts = text.split(':');
-            let seq: i64 = parts.next().unwrap().parse().unwrap();
-            let writer: usize = parts.next().unwrap().parse().unwrap();
-            assert!(
-                seq >= last_seq_per_writer[writer],
-                "writer {writer}'s sequence went backwards: {seq} < {}",
-                last_seq_per_writer[writer]
-            );
-            last_seq_per_writer[writer] = seq;
-        }
-    });
-
-    reader.join().unwrap();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for handle in writer_handles {
-        handle.join().unwrap();
+    let mut reader = recorder.wrap(store.client());
+    for _ in 0..40 {
+        reader.read(ObjectId(0)).unwrap();
     }
+    for handle in writers {
+        handle
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    }
+    recorder.check();
+    store.shutdown();
+}
+
+/// The oracle bites on runtime histories: a recorded run passes, and the
+/// same history fails once doctored (a) to serve a read the value of a
+/// write that a newer, already completed write superseded before the read
+/// was invoked, or (b) to serve a read bytes no write produced.
+#[test]
+fn the_atomicity_oracle_rejects_doctored_runtime_histories() {
+    let store = StoreBuilder::new().params(params()).build().unwrap();
+    let recorder = Recorder::new();
+    let mut writer = recorder.wrap(store.client());
+    let mut reader = recorder.wrap(store.client());
+    reader.read(ObjectId(0)).unwrap();
+    writer.write(ObjectId(0), b"old").unwrap();
+    writer.write(ObjectId(0), b"new").unwrap();
+    reader.read(ObjectId(0)).unwrap();
+    recorder.check();
+
+    // One operation at a time, so the log is in real-time order, and each
+    // operation is recorded as preceding the next.
+    let ops = recorder.history().operations().to_vec();
+    for (a, b) in ops.iter().zip(&ops[1..]) {
+        assert!(a.precedes(b), "{a:?} then {b:?}");
+    }
+    let (initial, old, new, last) = (&ops[0], &ops[1], &ops[2], &ops[3]);
+    assert!(initial.tag.is_initial() && old.tag < new.tag);
+    let doctored = |read: &Operation, tag: Tag, value: &Value| {
+        let mut history = History::new();
+        for op in &ops {
+            let mut op = op.clone();
+            if op.op == read.op {
+                (op.tag, op.kind) = (tag, OperationKind::Read(value.clone()));
+            }
+            history.record(op);
+        }
+        history.check_atomicity()
+    };
+    assert_eq!(
+        doctored(last, old.tag, old.value()),
+        Err(AtomicityViolation::RealTimeViolation {
+            earlier: new.op,
+            later: last.op
+        })
+    );
+    assert_eq!(
+        doctored(initial, initial.tag, &Value::from("ghost")),
+        Err(AtomicityViolation::UnknownValue { read: initial.op })
+    );
+    drop((writer, reader));
     store.shutdown();
 }
 
@@ -171,52 +168,37 @@ fn operations_survive_tolerated_crashes_but_not_more() {
 }
 
 /// Multi-client, multi-object stress through the pipelined client API on a
-/// sharded cluster: checks per-object tag monotonicity, per-writer order and
-/// read-your-writes under load, in both store profiles.
+/// sharded cluster, in every stress profile: each client's private objects
+/// hold the per-key FIFO contract (a read queued behind two writes returns
+/// the second), a fifth client keeps reading the object every client
+/// writes, and the whole run ends in the atomicity checker.
 #[test]
 fn pipelined_multi_object_stress_preserves_atomicity() {
-    for (_label, store) in stress_profiles(BackendKind::Mbr) {
+    const SHARED: ObjectId = ObjectId(7);
+    for (label, store) in stress_profiles(BackendKind::Mbr) {
         let rounds = 6u64;
+        let recorder = Recorder::new();
         let mut handles = Vec::new();
         for c in 0..4u64 {
-            let store = store.clone();
+            let (store, recorder) = (store.clone(), recorder.clone());
             handles.push(std::thread::spawn(move || {
-                let mut client = store.client_with_depth(8);
+                let mut client = recorder.wrap(store.client_with_depth(8));
                 // Four private objects plus one object shared by every client.
                 let private: Vec<u64> = (0..4).map(|o| 10 * (c + 1) + o).collect();
-                let shared = ObjectId(7);
-                let mut last_write_tag: HashMap<u64, Tag> = HashMap::new();
                 for round in 0..rounds {
                     for &obj in &private {
-                        // Two queued writes and a read per object per round:
-                        // same-object FIFO makes the read observe the second.
                         client.submit_write(ObjectId(obj), format!("{obj}-{round}-a").as_bytes());
                         client.submit_write(ObjectId(obj), format!("{obj}-{round}-b").as_bytes());
                         client.submit_read(ObjectId(obj));
                     }
-                    client.submit_write(shared, format!("shared-{c}-{round}").as_bytes());
+                    client.submit_write(SHARED, format!("shared-{c}-{round}").as_bytes());
                     for completion in client.wait_all().expect("round completes") {
-                        match &completion.outcome {
-                            OpOutcome::Write { tag } => {
-                                // Per-writer, per-object order: this client's
-                                // write tags on one object strictly increase.
-                                if let Some(prev) = last_write_tag.insert(completion.obj, *tag) {
-                                    assert!(
-                                        *tag > prev,
-                                        "client {c} write tags went backwards on obj {}",
-                                        completion.obj
-                                    );
-                                }
-                            }
-                            OpOutcome::Read { value, .. } => {
-                                // Read-your-writes through the pipeline: the
-                                // read was queued behind both writes.
-                                assert_eq!(
-                                    value,
-                                    &format!("{}-{round}-b", completion.obj).into_bytes(),
-                                    "client {c} read stale private data"
-                                );
-                            }
+                        if let OpOutcome::Read { value, .. } = &completion.outcome {
+                            assert_eq!(
+                                value,
+                                &format!("{}-{round}-b", completion.obj).into_bytes(),
+                                "[{label}] client {c} read stale private data"
+                            );
                         }
                     }
                 }
@@ -227,38 +209,15 @@ fn pipelined_multi_object_stress_preserves_atomicity() {
                 }
             }));
         }
-        // A checker on the shared object: tags must never go backwards and
-        // each writer's round counter must be non-decreasing.
-        let checker_store = store.clone();
-        let checker = std::thread::spawn(move || {
-            let mut client = checker_store.client();
-            let mut last_tag: Option<Tag> = None;
-            let mut last_round: HashMap<u64, u64> = HashMap::new();
-            for _ in 0..40 {
-                let value = client.read(ObjectId(7)).expect("shared read");
-                let tag = client.last_tag().unwrap();
-                if let Some(prev) = last_tag {
-                    assert!(tag >= prev, "shared tags went backwards");
-                }
-                last_tag = Some(tag);
-                if value.is_empty() {
-                    continue; // initial value
-                }
-                let text = String::from_utf8(value).unwrap();
-                let mut parts = text.split('-').skip(1);
-                let writer: u64 = parts.next().unwrap().parse().unwrap();
-                let round: u64 = parts.next().unwrap().parse().unwrap();
-                let prev = last_round.entry(writer).or_insert(0);
-                assert!(round >= *prev, "writer {writer} round went backwards");
-                *prev = round;
-            }
-        });
+        let mut reader = recorder.wrap(store.client());
+        for _ in 0..40 {
+            reader.read(SHARED).expect("shared read");
+        }
         for h in handles {
             h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
         }
-        checker
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        recorder.check();
+        drop(reader);
         store.shutdown();
     }
 }

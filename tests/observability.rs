@@ -517,7 +517,8 @@ fn assert_valid_exposition(text: &str) {
 #[test]
 fn exposition_is_valid_prometheus_text_for_every_family() {
     assert_valid_exposition(&MetricsSnapshot::empty().to_prometheus());
-    let store = StoreBuilder::new().build().unwrap();
+    // Two clusters: the exposition of a merged snapshot.
+    let store = StoreBuilder::new().clusters(2).build().unwrap();
     let mut client = store.client();
     for i in 0..20u64 {
         client.write(ObjectId(i % 4), &i.to_le_bytes()).unwrap();
@@ -526,7 +527,19 @@ fn exposition_is_valid_prometheus_text_for_every_family() {
     let metrics = store.admin().metrics();
     assert_eq!(metrics.write_latency.count(), 20);
     assert_eq!(metrics.read_latency.count(), 20);
-    assert_valid_exposition(&metrics.to_prometheus());
+    let text = metrics.to_prometheus();
+    assert_valid_exposition(&text);
+    // The coding kernel's level is one labelled sample of constant 1.
+    let kernel: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("lds_gf_kernel{"))
+        .collect();
+    assert!(
+        matches!(kernel[..], [line] if ["gfni", "avx2", "ssse3", "portable"]
+            .iter()
+            .any(|level| line == format!("lds_gf_kernel{{level=\"{level}\"}} 1"))),
+        "lds_gf_kernel samples: {kernel:?}"
+    );
     store.shutdown();
 }
 

@@ -2,25 +2,25 @@
 //! cluster runs under a declarative [`FaultPlan`] — scheduled partitions,
 //! duplicated data messages, delayed/reordered commit broadcasts, lossy
 //! links — and every test asserts the LDS guarantees hold anyway:
-//! atomicity (per-object monotone tags, no lost acked write), liveness
-//! within the `f1`/`f2` failure budget, bounded metadata, and a self-heal
-//! control plane that distinguishes *slow* from *dead*.
+//! atomicity (`History::check_atomicity` over the recorded operations),
+//! liveness within the `f1`/`f2` failure budget, bounded metadata, and a
+//! self-heal control plane that distinguishes *slow* from *dead*.
 //!
 //! Every test is seeded through `lds_workload::seed::chaos_seed`; on a
 //! failure the [`repro_guard`] prints the one-line `LDS_CHAOS_SEED=…`
 //! command that replays it. The CI fault matrix rotates seeds and selects
 //! plan families via `LDS_FAULT_PLAN` (see [`fault_matrix_point`]).
 
+mod common;
+
+use common::{profiles, Recorder};
 use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 use lds_cluster::{
-    Endpoint, EventKind, FaultPlan, FaultRule, HealConfig, OpOutcome, PartitionDirection,
-    PartitionSpec,
+    Endpoint, EventKind, FaultPlan, FaultRule, HealConfig, PartitionDirection, PartitionSpec,
 };
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_core::tag::Tag;
 use lds_workload::seed::{chaos_seed, repro_guard};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Same default seed as the chaos harness, so one exported `LDS_CHAOS_SEED`
@@ -34,88 +34,75 @@ fn params() -> SystemParams {
 /// A symmetric partition isolating one server of each layer — exactly the
 /// `f1`/`f2` crash budget the paper tolerates — must not block a single
 /// operation: writes keep acking at the `n1 - f1` quorum, reads keep
-/// completing, tags stay monotone per object, and the only faults the
-/// transport records are partition drops.
+/// completing, the recorded history is atomic, and the only faults the
+/// transport records are partition drops. Runs under both profiles.
 #[test]
 fn a_partitioned_minority_cannot_block_writes_or_reads() {
-    let seed = chaos_seed(DEFAULT_SEED);
-    let _repro = repro_guard(seed, "partition");
-    let plan = FaultPlan::seeded(seed)
-        .partition(PartitionSpec::isolate(&[Endpoint::L1(0), Endpoint::L2(4)]));
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Mbr)
-        .fault_plan(plan)
-        .trace(true)
-        .build()
-        .unwrap();
-    // On failure the guard prints the repro seed line plus the last trace
-    // events (messages blocked at the split included).
-    let _repro = {
-        let admin = store.admin();
-        _repro.with_trace(move || Some(admin.trace_dump().tail_jsonl(64)))
-    };
+    for (label, builder) in profiles() {
+        let seed = chaos_seed(DEFAULT_SEED);
+        let _repro = repro_guard(seed, "partition");
+        let plan = FaultPlan::seeded(seed)
+            .partition(PartitionSpec::isolate(&[Endpoint::L1(0), Endpoint::L2(4)]));
+        let store = builder
+            .params(params())
+            .backend(BackendKind::Mbr)
+            .fault_plan(plan)
+            .trace(true)
+            .build()
+            .unwrap();
+        // On failure the guard prints the repro seed line plus the last trace
+        // events (messages blocked at the split included).
+        let _repro = {
+            let admin = store.admin();
+            _repro.with_trace(move || Some(admin.trace_dump().tail_jsonl(64)))
+        };
 
-    let mut client = store.client_with_depth(8);
-    client.set_timeout(Duration::from_secs(30));
-    let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-    let rounds = 12u64;
-    for round in 0..rounds {
-        for obj in 0..4u64 {
-            client.submit_write(ObjectId(obj), format!("o{obj}-r{round}").as_bytes());
-        }
-        for completion in client.wait_all().expect("writes complete across the split") {
-            let OpOutcome::Write { tag } = completion.outcome else {
-                panic!("writer harvested a read");
-            };
-            if let Some(prev) = last_tag.insert(completion.obj, tag) {
-                assert!(
-                    tag > prev,
-                    "write tags went backwards on {}",
-                    completion.obj
-                );
+        let recorder = Recorder::new();
+        let mut client = recorder.wrap(store.client_with_depth(8));
+        client.set_timeout(Duration::from_secs(30));
+        for round in 0..12u64 {
+            for obj in 0..4u64 {
+                client.submit_write(ObjectId(obj), format!("o{obj}-r{round}").as_bytes());
             }
+            client.wait_all().expect("writes complete across the split");
         }
-    }
-    let mut reader = store.client();
-    reader.set_timeout(Duration::from_secs(30));
-    for obj in 0..4u64 {
-        assert_eq!(
+        let mut reader = recorder.wrap(store.client());
+        reader.set_timeout(Duration::from_secs(30));
+        for obj in 0..4u64 {
             reader
                 .read(ObjectId(obj))
-                .expect("reads complete across the split"),
-            format!("o{obj}-r{}", rounds - 1).into_bytes(),
-            "an acked write was lost behind the partition"
-        );
-    }
+                .expect("reads complete across the split");
+        }
+        recorder.check();
 
-    let faults = store.admin().metrics().transport_faults;
-    assert!(
-        faults.partitioned > 0,
-        "the partition never blocked anything: {faults:?}"
-    );
-    assert_eq!(
-        faults.dropped + faults.duplicated + faults.delayed + faults.reordered,
-        0,
-        "a partition-only plan must not inject probabilistic faults: {faults:?}"
-    );
-    // The recorder saw the same story: partition fault events (kind code 3)
-    // and nothing but partitions among the transport faults.
-    let dump = store.admin().trace_dump();
-    let partition_faults = dump
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::TransportFault)
-        .collect::<Vec<_>>();
-    assert!(
-        !partition_faults.is_empty(),
-        "the trace must carry the partition's blocked messages"
-    );
-    assert!(
-        partition_faults.iter().all(|e| e.a == 3),
-        "a partition-only plan must trace only partition faults"
-    );
-    store.shutdown();
+        let faults = store.admin().metrics().transport_faults;
+        assert!(
+            faults.partitioned > 0,
+            "[{label}] the partition never blocked anything: {faults:?}"
+        );
+        assert_eq!(
+            faults.dropped + faults.duplicated + faults.delayed + faults.reordered,
+            0,
+            "[{label}] a partition-only plan must not inject probabilistic faults: {faults:?}"
+        );
+        // The recorder saw the same story: partition fault events (kind code
+        // 3) and nothing but partitions among the transport faults.
+        let dump = store.admin().trace_dump();
+        let partition_faults = dump
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::TransportFault)
+            .collect::<Vec<_>>();
+        assert!(
+            !partition_faults.is_empty(),
+            "the trace must carry the partition's blocked messages"
+        );
+        assert!(
+            partition_faults.iter().all(|e| e.a == 3),
+            "a partition-only plan must trace only partition faults"
+        );
+        store.shutdown();
+    }
 }
 
 /// An outbound-only partition: the victim hears the cluster but its replies
@@ -219,9 +206,8 @@ fn duplicated_data_messages_never_corrupt_values_or_leak_state() {
 
 /// Every COMMIT-TAG and broadcast relay is held 1–5 ms, so data routinely
 /// overtakes the metadata that commits it. Sequential read-after-write must
-/// still observe the latest value and tags must never regress — the
-/// `QUERY-COMM-TAG` round and the gossip broadcast primitive have to absorb
-/// the reordering.
+/// still be atomic — the `QUERY-COMM-TAG` round and the gossip broadcast
+/// primitive have to absorb the reordering.
 #[test]
 fn commit_tags_reordered_behind_data_keep_reads_atomic() {
     let seed = chaos_seed(DEFAULT_SEED);
@@ -239,35 +225,20 @@ fn commit_tags_reordered_behind_data_keep_reads_atomic() {
         .fault_plan(plan)
         .build()
         .unwrap();
-    let mut writer = store.client_with_depth(1);
-    let mut reader = store.client_with_depth(1);
+    let recorder = Recorder::new();
+    let mut writer = recorder.wrap(store.client());
+    let mut reader = recorder.wrap(store.client());
     writer.set_timeout(Duration::from_secs(30));
     reader.set_timeout(Duration::from_secs(30));
-    let mut last_read_tag: Option<Tag> = None;
     for i in 0..30u64 {
-        let value = format!("commit-{i}").into_bytes();
-        writer.submit_write(ObjectId(9), &value);
-        let write = writer.wait_all().expect("write under delayed commits");
-        let OpOutcome::Write { tag: write_tag } = write[0].outcome else {
-            panic!("writer harvested a read");
-        };
-        reader.submit_read(ObjectId(9));
-        let read = reader.wait_all().expect("read under delayed commits");
-        let OpOutcome::Read { tag, value: seen } = &read[0].outcome else {
-            panic!("reader harvested a write");
-        };
-        assert_eq!(
-            *seen, value,
-            "read-after-write violated while COMMIT-TAG lagged the data"
-        );
-        assert!(
-            *tag >= write_tag,
-            "read returned an older tag than the acked write"
-        );
-        if let Some(prev) = last_read_tag.replace(*tag) {
-            assert!(*tag >= prev, "read tags regressed under reordering");
-        }
+        writer
+            .write(ObjectId(9), format!("commit-{i}").as_bytes())
+            .expect("write under delayed commits");
+        reader
+            .read(ObjectId(9))
+            .expect("read under delayed commits");
     }
+    recorder.check();
     let faults = store.admin().metrics().transport_faults;
     assert!(
         faults.delayed > 0 && faults.reordered > 0,
@@ -279,9 +250,9 @@ fn commit_tags_reordered_behind_data_keep_reads_atomic() {
 /// One point of the CI fault matrix: `LDS_FAULT_PLAN` picks the plan family
 /// (`drop` | `delay` | `duplicate` | `partition`, defaulting to
 /// `duplicate`), `LDS_CHAOS_SEED` the seed — CI rotates both. The same
-/// workload and the same assertions run under every family: all operations
-/// complete, tags stay monotone, committed values survive, and the family's
-/// own fault counter is non-zero.
+/// workload and the same assertions run under every family and both
+/// profiles: all operations complete, the recorded history is atomic, and
+/// the family's own fault counter is non-zero.
 #[test]
 fn fault_matrix_point() {
     /// Every write carries a value of this many bytes, so every family has
@@ -320,63 +291,51 @@ fn fault_matrix_point() {
         ),
         other => panic!("unknown LDS_FAULT_PLAN {other:?}"),
     };
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Mbr)
-        .fault_plan(plan)
-        .build()
-        .unwrap();
-    let built = Instant::now();
-    let mut client = store.client_with_depth(4);
-    client.set_timeout(Duration::from_secs(30));
-    let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-    let mut rounds = 0u64;
-    // At least 10 rounds, and keep going until the scheduled faults (the
-    // partition window ends at 400 ms) have had live traffic to act on — a
-    // fast machine must not outrun the plan.
-    while rounds < 10 || built.elapsed() < Duration::from_millis(600) {
-        let round = rounds;
-        for obj in 0..3u64 {
-            let fill = (17 * round + obj) as u8;
-            client.submit_write(ObjectId(obj), &vec![fill; LEN]);
-        }
-        for completion in client
-            .wait_all()
-            .expect("writes complete under the fault plan")
-        {
-            let OpOutcome::Write { tag } = completion.outcome else {
-                panic!("writer harvested a read");
-            };
-            if let Some(prev) = last_tag.insert(completion.obj, tag) {
-                assert!(
-                    tag > prev,
-                    "write tags went backwards on {}",
-                    completion.obj
-                );
+    for (label, builder) in profiles() {
+        let store = builder
+            .params(params())
+            .backend(BackendKind::Mbr)
+            .fault_plan(plan.clone())
+            .build()
+            .unwrap();
+        let built = Instant::now();
+        let recorder = Recorder::new();
+        let mut client = recorder.wrap(store.client_with_depth(4));
+        client.set_timeout(Duration::from_secs(30));
+        let mut rounds = 0u64;
+        // At least 10 rounds, and keep going until the scheduled faults (the
+        // partition window ends at 400 ms) have had live traffic to act on —
+        // a fast machine must not outrun the plan.
+        while rounds < 10 || built.elapsed() < Duration::from_millis(600) {
+            for obj in 0..3u64 {
+                let fill = (17 * rounds + obj) as u8;
+                client.submit_write(ObjectId(obj), &vec![fill; LEN]);
             }
+            client
+                .wait_all()
+                .expect("writes complete under the fault plan");
+            rounds += 1;
         }
-        rounds += 1;
-    }
-    for obj in 0..3u64 {
-        let fill = (17 * (rounds - 1) + obj) as u8;
-        assert_eq!(
+        for obj in 0..3u64 {
             client
                 .read(ObjectId(obj))
-                .expect("reads complete under the fault plan"),
-            vec![fill; LEN],
-            "[{family}] an acked write was lost"
+                .expect("reads complete under the fault plan");
+        }
+        recorder.check();
+        let faults = store.admin().metrics().transport_faults;
+        let fired = match family.as_str() {
+            "drop" => faults.dropped,
+            "delay" => faults.delayed,
+            "duplicate" => faults.duplicated,
+            "partition" => faults.partitioned,
+            _ => unreachable!(),
+        };
+        assert!(
+            fired > 0,
+            "[{family}, {label}] the plan never injected: {faults:?}"
         );
+        store.shutdown();
     }
-    let faults = store.admin().metrics().transport_faults;
-    let fired = match family.as_str() {
-        "drop" => faults.dropped,
-        "delay" => faults.delayed,
-        "duplicate" => faults.duplicated,
-        "partition" => faults.partitioned,
-        _ => unreachable!(),
-    };
-    assert!(fired > 0, "[{family}] the plan never injected: {faults:?}");
-    store.shutdown();
 }
 
 /// Slow is not dead: a plan that only *delays* traffic — every liveness

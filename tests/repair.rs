@@ -1,117 +1,42 @@
 //! Integration tests for **online node repair & rejoin**, driven through
 //! the `Admin` control plane: a killed server is regenerated while
-//! pipelined writers and readers keep streaming, atomicity invariants hold
-//! throughout, the failure budget is restored (a subsequent crash is
-//! tolerated), and the recorded MBR repair bandwidth undercuts the
-//! full-object decode fallback.
+//! pipelined writers and readers keep streaming, the recorded history passes
+//! `History::check_atomicity`, the failure budget is restored (a subsequent
+//! crash is tolerated), and the recorded MBR repair bandwidth undercuts the
+//! full-object decode fallback — under both protocol profiles.
 
-use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder, StoreHandle};
-use lds_cluster::{OpOutcome, RepairLayer};
+mod common;
+
+use common::{profiles, Recorder, Workload};
+use lds_cluster::api::{ObjectId, ServerRef, Store, StoreHandle};
+use lds_cluster::RepairLayer;
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_core::tag::Tag;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn params() -> SystemParams {
     SystemParams::for_failures(1, 1, 2, 3).unwrap() // n1=4, n2=5, k=2, d=3
 }
 
-/// Spawns `writers` pipelined writer threads (each owning disjoint objects,
-/// writing self-describing `o{obj}-s{seq}` values and asserting per-object
-/// tag monotonicity) plus one pipelined reader thread asserting that per
-/// object, both the observed tag and the writer sequence number never go
-/// backwards. Returns the join handles and the shared stop flag.
-#[allow(clippy::type_complexity)]
-fn spawn_workload(
-    store: &StoreHandle,
-    writers: u64,
-    objects_per_writer: u64,
-) -> (Vec<std::thread::JoinHandle<()>>, Arc<AtomicBool>) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for w in 0..writers {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            let mut client = store.client_with_depth(8);
-            client.set_timeout(Duration::from_secs(30));
-            let objects: Vec<u64> = (0..objects_per_writer).map(|o| 10 * (w + 1) + o).collect();
-            let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-            let mut seq = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                for &obj in &objects {
-                    client.submit_write(ObjectId(obj), format!("o{obj}-s{seq}").as_bytes());
-                }
-                for completion in client.wait_all().expect("writes survive repair window") {
-                    let OpOutcome::Write { tag } = completion.outcome else {
-                        panic!("writer harvested a read");
-                    };
-                    if let Some(prev) = last_tag.insert(completion.obj, tag) {
-                        assert!(
-                            tag > prev,
-                            "write tags went backwards on {}",
-                            completion.obj
-                        );
-                    }
-                }
-                seq += 1;
-            }
-        }));
-    }
-    {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            let mut client = store.client_with_depth(4);
-            client.set_timeout(Duration::from_secs(30));
-            let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-            let mut last_seq: HashMap<u64, u64> = HashMap::new();
-            while !stop.load(Ordering::Relaxed) {
-                for w in 0..writers {
-                    client.submit_read(ObjectId(10 * (w + 1)));
-                }
-                for completion in client.wait_all().expect("reads survive repair window") {
-                    let OpOutcome::Read { tag, value } = completion.outcome else {
-                        panic!("reader harvested a write");
-                    };
-                    if let Some(prev) = last_tag.insert(completion.obj, tag) {
-                        assert!(
-                            tag >= prev,
-                            "read tags went backwards on {}",
-                            completion.obj
-                        );
-                    }
-                    if value.is_empty() {
-                        continue; // initial value
-                    }
-                    let text = String::from_utf8(value).unwrap();
-                    let seq: u64 = text.split("-s").nth(1).unwrap().parse().unwrap();
-                    let prev = last_seq.entry(completion.obj).or_insert(0);
-                    assert!(
-                        seq >= *prev,
-                        "writer sequence went backwards on {}: {seq} < {prev}",
-                        completion.obj
-                    );
-                    *prev = seq;
-                }
-            }
-        }));
-    }
-    (handles, stop)
-}
+/// The objects the recorded workload's writers contend on.
+const WORKLOAD_OBJECTS: [u64; 6] = [10, 11, 12, 20, 21, 22];
 
 #[test]
 fn online_l2_repair_under_pipelined_load_at_mbr_bandwidth() {
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Mbr)
-        .l1_shards(2)
-        .l2_shards(2) // exercises the repair fan-out across worker shards
-        .build()
-        .unwrap();
+    for (label, builder) in profiles() {
+        let store = builder
+            .params(params())
+            .backend(BackendKind::Mbr)
+            .l1_shards(2)
+            .l2_shards(2) // exercises the repair fan-out across worker shards
+            .build()
+            .unwrap();
+        l2_repair_under_load(label, &store);
+        store.shutdown();
+    }
+}
+
+fn l2_repair_under_load(label: &str, store: &StoreHandle) {
     let admin = store.admin();
     // Settled pre-crash state so the repair has committed objects to move:
     // a 20-object 1-KiB population that no concurrent writer touches. (The
@@ -120,22 +45,14 @@ fn online_l2_repair_under_pipelined_load_at_mbr_bandwidth() {
     // repair quorum; those are caught up by the concurrent WRITE-CODE-ELEM
     // stream instead, and any *completed* offload keeps n2 - f2 live
     // holders regardless, so quorums stay safe either way.)
-    let mut setup = store.client_with_depth(8);
+    let recorder = Recorder::new();
+    let mut client = recorder.wrap(store.client_with_depth(8));
+    client.set_timeout(Duration::from_secs(30));
     for obj in 100..120u64 {
-        setup.submit_write(ObjectId(obj), &vec![obj as u8; 1024]);
+        client.submit_write(ObjectId(obj), &vec![obj as u8; 1024]);
     }
-    setup.wait_all().unwrap();
-    for w in 1..=2u64 {
-        for o in 0..3u64 {
-            setup
-                .write(
-                    ObjectId(10 * w + o),
-                    format!("o{}-s0", 10 * w + o).as_bytes(),
-                )
-                .unwrap();
-        }
-    }
-    let (handles, stop) = spawn_workload(&store, 2, 3);
+    client.wait_all().unwrap();
+    let workload = Workload::spawn(store, &recorder, 2, &WORKLOAD_OBJECTS);
     std::thread::sleep(Duration::from_millis(150));
 
     // Crash an L2 server mid-stream, let the workload run degraded…
@@ -147,10 +64,10 @@ fn online_l2_repair_under_pipelined_load_at_mbr_bandwidth() {
         .repair(ServerRef::l2(1))
         .expect("online L2 repair succeeds");
     assert_eq!(report.layer, RepairLayer::L2);
-    assert_eq!(report.helpers, 4, "all live L2 peers helped");
+    assert_eq!(report.helpers, 4, "[{label}] all live L2 peers helped");
     assert!(
         report.objects >= 20,
-        "the settled population regenerated ({} objects)",
+        "[{label}] the settled population regenerated ({} objects)",
         report.objects
     );
     // The paper's claim, measured: MBR repair bandwidth per object is
@@ -160,14 +77,14 @@ fn online_l2_repair_under_pipelined_load_at_mbr_bandwidth() {
     // 1/alpha = 1/d = 1/3 with only small noise from the hot objects.
     assert!(
         report.bytes_total < report.fallback_bytes,
-        "MBR repair moved {} B, full-decode fallback {} B",
+        "[{label}] MBR repair moved {} B, full-decode fallback {} B",
         report.bytes_total,
         report.fallback_bytes
     );
     assert!(report.bytes_per_object() > 0.0);
     assert!(
         report.bandwidth_ratio() < 0.5,
-        "expected a clear MBR saving, got ratio {}",
+        "[{label}] expected a clear MBR saving, got ratio {}",
         report.bandwidth_ratio()
     );
     // The control plane remembers the repair.
@@ -179,62 +96,34 @@ fn online_l2_repair_under_pipelined_load_at_mbr_bandwidth() {
     std::thread::sleep(Duration::from_millis(100));
     admin.kill(ServerRef::l2(3)).unwrap();
     std::thread::sleep(Duration::from_millis(200));
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e));
-    }
+    workload.finish();
     // Reads after the second crash exercise the repaired server's elements:
     // with another L2 server dead, every regenerate-from-L2 quorum now
     // includes the replacement's regenerated shares.
-    let mut client = store.client();
-    client.set_timeout(Duration::from_secs(30));
-    for obj in 100..120u64 {
-        assert_eq!(
-            client.read(ObjectId(obj)).expect("read after second crash"),
-            vec![obj as u8; 1024],
-            "settled object {obj} lost its committed value"
-        );
+    for obj in (100..120u64).chain(WORKLOAD_OBJECTS) {
+        client.read(ObjectId(obj)).expect("read after second crash");
     }
-    for w in 1..=2u64 {
-        for o in 0..3u64 {
-            let obj = 10 * w + o;
-            let value = client.read(ObjectId(obj)).expect("read after second crash");
-            assert!(
-                String::from_utf8(value)
-                    .unwrap()
-                    .starts_with(&format!("o{obj}-s")),
-                "object {obj} lost its committed value"
-            );
-        }
-    }
-    drop(client);
-    drop(setup);
-    store.shutdown();
+    recorder.check();
 }
 
 #[test]
 fn online_l1_repair_under_pipelined_load_restores_budget() {
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Mbr)
-        .l1_shards(2)
-        .build()
-        .unwrap();
-    let admin = store.admin();
-    let mut setup = store.client();
-    for w in 1..=2u64 {
-        for o in 0..3u64 {
-            setup
-                .write(
-                    ObjectId(10 * w + o),
-                    format!("o{}-s0", 10 * w + o).as_bytes(),
-                )
-                .unwrap();
-        }
+    for (label, builder) in profiles() {
+        let store = builder
+            .params(params())
+            .backend(BackendKind::Mbr)
+            .l1_shards(2)
+            .build()
+            .unwrap();
+        l1_repair_under_load(label, &store);
+        store.shutdown();
     }
-    let (handles, stop) = spawn_workload(&store, 2, 3);
+}
+
+fn l1_repair_under_load(label: &str, store: &StoreHandle) {
+    let admin = store.admin();
+    let recorder = Recorder::new();
+    let workload = Workload::spawn(store, &recorder, 2, &WORKLOAD_OBJECTS);
     std::thread::sleep(Duration::from_millis(150));
 
     admin.kill(ServerRef::l1(0)).unwrap();
@@ -244,10 +133,10 @@ fn online_l1_repair_under_pipelined_load_restores_budget() {
         .repair(ServerRef::l1(0))
         .expect("online L1 repair succeeds");
     assert_eq!(report.layer, RepairLayer::L1);
-    assert_eq!(report.helpers, 3, "all live L1 peers helped");
+    assert_eq!(report.helpers, 3, "[{label}] all live L1 peers helped");
     assert!(
         report.objects >= 6,
-        "committed metadata reconstructed for every object"
+        "[{label}] committed metadata reconstructed for every object"
     );
 
     // Budget restored: a SUBSEQUENT L1 failure is tolerated — and with only
@@ -256,31 +145,15 @@ fn online_l1_repair_under_pipelined_load_restores_budget() {
     std::thread::sleep(Duration::from_millis(100));
     admin.kill(ServerRef::l1(2)).unwrap();
     std::thread::sleep(Duration::from_millis(200));
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e));
-    }
-    let mut client = store.client();
+    workload.finish();
+    let mut client = recorder.wrap(store.client());
     client.set_timeout(Duration::from_secs(30));
-    for w in 1..=2u64 {
-        for o in 0..3u64 {
-            let obj = 10 * w + o;
-            let value = client
-                .read(ObjectId(obj))
-                .expect("read through the repaired quorum");
-            assert!(
-                String::from_utf8(value)
-                    .unwrap()
-                    .starts_with(&format!("o{obj}-s")),
-                "object {obj} lost its committed value"
-            );
-        }
+    for obj in WORKLOAD_OBJECTS {
+        client
+            .read(ObjectId(obj))
+            .expect("read through the repaired quorum");
     }
-    drop(client);
-    drop(setup);
-    store.shutdown();
+    recorder.check();
 }
 
 /// Repairing on a sharded topology: each cluster shard has its own failure
@@ -289,33 +162,34 @@ fn online_l1_repair_under_pipelined_load_restores_budget() {
 /// dimension through the same `Admin` facade.
 #[test]
 fn sharded_store_repairs_one_shard_independently() {
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Mbr)
-        .clusters(2)
-        .build()
-        .unwrap();
-    let admin = store.admin();
-    let mut client = store.client();
-    for obj in 0..8u64 {
-        client
-            .write(ObjectId(obj), format!("v{obj}").as_bytes())
+    for (label, builder) in profiles() {
+        let store = builder
+            .params(params())
+            .backend(BackendKind::Mbr)
+            .clusters(2)
+            .build()
             .unwrap();
+        let admin = store.admin();
+        let recorder = Recorder::new();
+        let mut client = recorder.wrap(store.client());
+        for obj in 0..8u64 {
+            client
+                .write(ObjectId(obj), format!("v{obj}").as_bytes())
+                .unwrap();
+        }
+        admin.kill(ServerRef::l2(2).in_cluster(0)).unwrap();
+        let report = admin
+            .repair(ServerRef::l2(2).in_cluster(0))
+            .expect("shard-local repair");
+        assert!(report.bytes_total < report.fallback_bytes, "[{label}]");
+        // Shard 0's budget is whole again; shard 1 was never touched.
+        admin.kill(ServerRef::l2(0).in_cluster(0)).unwrap();
+        admin.kill(ServerRef::l2(1).in_cluster(1)).unwrap();
+        for obj in 0..8u64 {
+            client.read(ObjectId(obj)).unwrap();
+        }
+        recorder.check();
+        drop(client);
+        store.shutdown();
     }
-    admin.kill(ServerRef::l2(2).in_cluster(0)).unwrap();
-    let report = admin
-        .repair(ServerRef::l2(2).in_cluster(0))
-        .expect("shard-local repair");
-    assert!(report.bytes_total < report.fallback_bytes);
-    // Shard 0's budget is whole again; shard 1 was never touched.
-    admin.kill(ServerRef::l2(0).in_cluster(0)).unwrap();
-    admin.kill(ServerRef::l2(1).in_cluster(1)).unwrap();
-    for obj in 0..8u64 {
-        assert_eq!(
-            client.read(ObjectId(obj)).unwrap(),
-            format!("v{obj}").into_bytes()
-        );
-    }
-    drop(client);
-    store.shutdown();
 }

@@ -1,17 +1,20 @@
 //! Cross-shard stress tests for the scale-out sharded topology behind the
 //! `Store` facade: multi-client pipelined writes/reads spanning several
-//! independent clusters, asserting (a) the per-object atomicity guarantees
-//! survive the facade unchanged and (b) the bounded-inbox backpressure
-//! actually bounds — admission never exceeds the configured cap and no
-//! worker inbox grows past its derived depth limit, while `try_submit_*`
-//! pushes back with `StoreError::WouldBlock` instead of queueing.
+//! independent clusters, asserting (a) the recorded history passes
+//! `History::check_atomicity` exactly as on one cluster and (b) the
+//! bounded-inbox backpressure actually bounds — admission never exceeds the
+//! configured cap and no worker inbox grows past its derived depth limit,
+//! while `try_submit_*` pushes back with `StoreError::WouldBlock` instead of
+//! queueing.
 
+mod common;
+
+use common::{profiles, Recorder};
 use lds_cluster::api::{ObjectId, Store, StoreBuilder, StoreError};
 use lds_cluster::{cluster_of, msgs_per_op_bound, OpOutcome};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
 use lds_core::tag::Tag;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,110 +23,72 @@ fn params() -> SystemParams {
     SystemParams::for_failures(1, 1, 2, 3).unwrap()
 }
 
-/// Multi-client pipelined writes and reads over a 2-shard sharded store
-/// (high-throughput profile): per-object atomicity holds exactly as on a
-/// single cluster — same-client same-object operations are FIFO with
-/// strictly increasing write tags, every read observes a tag-monotonic
-/// history per object, and writer sequence numbers are never observed out
-/// of order.
+/// Multi-client pipelined writes and reads over a 2-cluster store, under
+/// both profiles: three writers and two readers contend on objects that
+/// span both clusters, and everything they complete is atomic.
 #[test]
 fn cross_shard_pipelined_atomicity_under_concurrent_clients() {
     const SHARDS: usize = 2;
     const OBJECTS: u64 = 12;
     const WRITERS: usize = 3;
     const WRITES_PER_WRITER: usize = 48;
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Mbr)
-        .high_throughput(2)
-        .clusters(SHARDS)
-        .build()
-        .unwrap();
     // The object set must genuinely span both shards or the test shows
     // nothing about the facade.
     assert!((0..OBJECTS).any(|o| cluster_of(o, SHARDS) == 0));
     assert!((0..OBJECTS).any(|o| cluster_of(o, SHARDS) == 1));
-
-    let mut writer_handles = Vec::new();
-    for w in 0..WRITERS {
-        let store = store.clone();
-        writer_handles.push(std::thread::spawn(move || {
-            let mut client = store.client_with_depth(8);
-            client.set_timeout(Duration::from_secs(60));
-            for i in 0..WRITES_PER_WRITER {
-                let obj = (w as u64 + 3 * i as u64) % OBJECTS;
-                client.submit_write(ObjectId(obj), format!("{i:020}:{w}").as_bytes());
-                if client.pending_ops() >= 8 {
-                    client.wait_next().expect("writer pipeline");
-                }
-            }
-            let done = client.wait_all().expect("writer drain");
-            // Same-object writes of one client commit in submission order
-            // with strictly increasing tags.
-            let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-            for c in &done {
-                let tag = c.outcome.tag();
-                if let Some(prev) = last_tag.insert(c.obj, tag) {
-                    assert!(tag > prev, "same-object write tags went backwards");
-                }
-            }
-        }));
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut reader_handles = Vec::new();
-    for _ in 0..2 {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        reader_handles.push(std::thread::spawn(move || {
-            let mut client = store.client_with_depth(8);
-            client.set_timeout(Duration::from_secs(60));
-            let mut last_tag: HashMap<u64, Tag> = HashMap::new();
-            let mut last_seq: HashMap<(u64, usize), i64> = HashMap::new();
-            let mut rounds = 0usize;
-            while !stop.load(Ordering::Relaxed) || rounds < 10 {
-                for obj in 0..OBJECTS {
-                    client.submit_read(ObjectId(obj));
-                }
-                for c in client.wait_all().expect("reader drain") {
-                    let OpOutcome::Read { tag, value } = &c.outcome else {
-                        panic!("read ticket yielded a write outcome");
-                    };
-                    // Tag-monotonic per object for one sequential reader.
-                    if let Some(prev) = last_tag.insert(c.obj, *tag) {
-                        assert!(*tag >= prev, "object {} read tags went backwards", c.obj);
+    for (_, builder) in profiles() {
+        let store = builder
+            .params(params())
+            .backend(BackendKind::Mbr)
+            .clusters(SHARDS)
+            .build()
+            .unwrap();
+        let recorder = Recorder::new();
+        let mut writer_handles = Vec::new();
+        for w in 0..WRITERS {
+            let (store, recorder) = (store.clone(), recorder.clone());
+            writer_handles.push(std::thread::spawn(move || {
+                let mut client = recorder.wrap(store.client_with_depth(8));
+                client.set_timeout(Duration::from_secs(60));
+                for i in 0..WRITES_PER_WRITER {
+                    let obj = (w as u64 + 3 * i as u64) % OBJECTS;
+                    client.submit_write(ObjectId(obj), format!("{i:020}:{w}").as_bytes());
+                    if client.pending_ops() >= 8 {
+                        client.wait_next().expect("writer pipeline");
                     }
-                    if value.is_empty() {
-                        continue; // initial value
-                    }
-                    let text = String::from_utf8(value.clone()).unwrap();
-                    let (seq, writer) = text.split_once(':').unwrap();
-                    let seq: i64 = seq.parse().unwrap();
-                    let writer: usize = writer.parse().unwrap();
-                    // A writer's per-object sequence is observed in order.
-                    let key = (c.obj, writer);
-                    if let Some(&prev) = last_seq.get(&key) {
-                        assert!(
-                            seq >= prev,
-                            "writer {writer} seq went backwards on object {}",
-                            c.obj
-                        );
-                    }
-                    last_seq.insert(key, seq);
                 }
-                rounds += 1;
-            }
-        }));
-    }
+                client.wait_all().expect("writer drain");
+            }));
+        }
 
-    for h in writer_handles {
-        h.join().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut reader_handles = Vec::new();
+        for _ in 0..2 {
+            let (store, recorder, stop) = (store.clone(), recorder.clone(), Arc::clone(&stop));
+            reader_handles.push(std::thread::spawn(move || {
+                let mut client = recorder.wrap(store.client_with_depth(8));
+                client.set_timeout(Duration::from_secs(60));
+                let mut rounds = 0usize;
+                while !stop.load(Ordering::Relaxed) || rounds < 10 {
+                    for obj in 0..OBJECTS {
+                        client.submit_read(ObjectId(obj));
+                    }
+                    client.wait_all().expect("reader drain");
+                    rounds += 1;
+                }
+            }));
+        }
+
+        for h in writer_handles {
+            h.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for h in reader_handles {
+            h.join().unwrap();
+        }
+        recorder.check();
+        store.shutdown();
     }
-    stop.store(true, Ordering::Relaxed);
-    for h in reader_handles {
-        h.join().unwrap();
-    }
-    store.shutdown();
 }
 
 /// Overload a bounded 2-shard store through the non-blocking facade path:
