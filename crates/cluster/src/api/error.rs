@@ -87,7 +87,7 @@ impl From<RepairError> for StoreError {
 
 impl From<lds_core::params::InvalidParams> for StoreError {
     fn from(e: lds_core::params::InvalidParams) -> Self {
-        StoreError::InvalidConfig(e.0)
+        StoreError::InvalidConfig(e.to_string())
     }
 }
 
@@ -109,8 +109,8 @@ mod tests {
             StoreError::Repair(RepairError::NotCrashed)
         );
         assert_eq!(
-            StoreError::from(lds_core::params::InvalidParams("k > d".into())),
-            StoreError::InvalidConfig("k > d".into())
+            StoreError::from(lds_core::params::InvalidParams::Constraint("k > d".into())),
+            StoreError::InvalidConfig("invalid LDS system parameters: k > d".into())
         );
     }
 

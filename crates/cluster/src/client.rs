@@ -45,13 +45,14 @@ use crate::node::{Admission, Cluster};
 use crate::obs::{phase, EventKind, ObsMetrics, TraceHandle};
 use crate::router::{cluster_of, DepthGauge, Envelope, Inbox, RouterHandle};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use lds_core::idmap::{IdMap, IdSet};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::reader::ReaderClient;
 use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
 use lds_core::value::Value;
 use lds_core::writer::WriterClient;
 use lds_sim::{Context, ProcessId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -239,9 +240,9 @@ pub struct StoreClient {
     queue: VecDeque<QueuedOp>,
     /// Objects with a dispatched, unfinished operation. Each entry holds
     /// exactly one admission token when its cluster is bounded.
-    busy_objects: HashSet<ObjectId>,
-    write_ops: HashMap<OpId, InFlight>,
-    read_ops: HashMap<OpId, InFlight>,
+    busy_objects: IdSet<ObjectId>,
+    write_ops: IdMap<OpId, InFlight>,
+    read_ops: IdMap<OpId, InFlight>,
     /// Completed but not yet harvested operations.
     completions: Vec<Completion>,
     /// Tag of the last completed operation, useful for assertions.
@@ -258,7 +259,7 @@ pub struct StoreClient {
     scratch_inbox: Vec<Envelope>,
     /// Objects whose queued ops were skipped for admission in the current
     /// dispatch scan (preserves same-object FIFO across admission retries).
-    scratch_deferred: HashSet<ObjectId>,
+    scratch_deferred: IdSet<ObjectId>,
     /// Read-cache hit/miss counts already folded into a metrics registry,
     /// so repeated flushes add only the delta.
     flushed_cache_hits: u64,
@@ -318,16 +319,16 @@ impl StoreClient {
             timeout: Duration::from_secs(10),
             next_ticket: 0,
             queue: VecDeque::new(),
-            busy_objects: HashSet::new(),
-            write_ops: HashMap::new(),
-            read_ops: HashMap::new(),
+            busy_objects: IdSet::default(),
+            write_ops: IdMap::default(),
+            read_ops: IdMap::default(),
             completions: Vec::new(),
             last_tag: None,
             admission_blocked: false,
             scratch_out: Vec::with_capacity(64),
             scratch_events: Vec::with_capacity(8),
             scratch_inbox: Vec::with_capacity(64),
-            scratch_deferred: HashSet::new(),
+            scratch_deferred: IdSet::default(),
             flushed_cache_hits: 0,
             flushed_cache_misses: 0,
             woken: Arc::new(AtomicBool::new(false)),

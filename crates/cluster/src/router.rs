@@ -4,7 +4,7 @@
 //! registration and deregistration build a fresh table and bump the epoch,
 //! while senders go through a [`RouterHandle`] that caches the current
 //! snapshot. On the hot path a send is one relaxed-ish atomic load (the epoch
-//! check) plus a `HashMap` lookup — no lock is taken unless the membership
+//! check) plus an [`IdMap`] lookup — no lock is taken unless the membership
 //! actually changed since the handle last looked. This replaces the previous
 //! design that acquired a `RwLock` on every single send.
 //!
@@ -34,11 +34,11 @@
 use crate::executor::Bell;
 use crate::transport::{Decision, InProcTransport, Transport};
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
+use lds_core::idmap::IdMap;
 use lds_core::messages::LdsMessage;
 use lds_core::tag::ObjectId;
 use lds_sim::ProcessId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -180,7 +180,7 @@ struct Route {
     shards: Arc<[ShardInbox]>,
 }
 
-type Table = HashMap<ProcessId, Route>;
+type Table = IdMap<ProcessId, Route>;
 
 struct Shared {
     /// The current routing table. Mutated copy-on-write under the lock; the
@@ -338,7 +338,7 @@ impl Router {
     /// [`DirectSender`] for re-injecting held messages.
     pub fn with_transport(transport: Arc<dyn Transport>) -> Self {
         let shared = Arc::new(Shared {
-            table: Mutex::new(Arc::new(HashMap::new())),
+            table: Mutex::new(Arc::new(IdMap::default())),
             epoch: AtomicU64::new(0),
             transport,
         });

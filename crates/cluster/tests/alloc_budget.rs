@@ -110,14 +110,21 @@ fn a_warm_grouped_flush_and_its_drain_allocate_nothing() {
 /// Allocations per operation of a blocking depth-1 client on the
 /// benchmark's `small_mixed` deployment (`high_throughput(2)`, MBR,
 /// `f1 = f2 = 1`, `k = 2`, `d = 3`, 256 B values), counted over every
-/// thread of the process. What is left is the client automata, the per-tag
-/// relay/consume dedup sets, the short-value encode's per-call rows and the
-/// payloads themselves. (The parent of the commit that added this file
-/// allocated 48.6 per operation here; this one 18.5.)
+/// thread of the process: 7.5, and all of it payload. Per write/read pair,
+/// each of the two offloaders allocates its 5 coded elements and one framed
+/// copy of the short value it encodes (12); the write allocates the value
+/// and its `Arc` (2), the read the `Vec` it returns (1). Every quorum is a
+/// bitset on the stack, and the encode's generator rows come from the
+/// code's span plan. (The parent of the commit that added this file
+/// allocated 48.6 per operation here; the parent of the commit that made
+/// quorums bitsets, 18.5.) A new allocation on every write or every read
+/// adds 0.5; the budget's last 0.01 is room for the few allocations a
+/// window sometimes catches that are not per operation (at most 3 in 2 000
+/// operations over repeated runs).
 #[test]
 fn a_small_operation_stays_inside_its_allocation_budget() {
     const OPS: u64 = 2000;
-    const BUDGET: f64 = 22.0;
+    const BUDGET: f64 = 7.51;
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let store = StoreBuilder::new()
         .failures(1, 1)
@@ -139,16 +146,23 @@ fn a_small_operation_stays_inside_its_allocation_budget() {
     for i in 0..256 {
         op(i);
     }
-    let before = allocations();
-    for i in 0..OPS {
-        op(i);
-    }
-    let per_op = (allocations() - before) as f64 / OPS as f64;
-    println!("{OPS} depth-1 256 B operations: {per_op:.1} allocations per operation");
+    // The least of three windows, as above.
+    let per_window = (0..3)
+        .map(|_| {
+            let before = allocations();
+            for i in 0..OPS {
+                op(i);
+            }
+            allocations() - before
+        })
+        .min()
+        .unwrap();
+    let per_op = per_window as f64 / OPS as f64;
+    println!("{OPS} depth-1 256 B operations: {per_op:.4} allocations per operation");
     drop(client);
     store.shutdown();
     assert!(
         per_op <= BUDGET,
-        "{per_op:.1} allocations per operation, budget {BUDGET}"
+        "{per_op:.4} allocations per operation, budget {BUDGET}"
     );
 }

@@ -11,9 +11,9 @@
 //!   agreement on the failed node, equal non-zero symbol lengths;
 //! * **plans** — the decode matrix of a sorted survivor set and the repair
 //!   matrix of a failed node and sorted helper set are compiled to
-//!   [`RowTerms`] when first needed and memoized ([`PlanCache`]), and so is
-//!   the helper row of a failed node. A warm operation inverts nothing and
-//!   builds no matrix;
+//!   [`RowTerms`] when first needed and memoized ([`PlanCache`]), and so are
+//!   the helper row of a failed node and the stacked generator rows of an
+//!   encoded span. A warm operation inverts nothing and builds no matrix;
 //! * **execution** — one call of the overwriting kernel
 //!   ([`bulk::apply_rows_into_vecs`]) over symbols borrowed where they lie
 //!   in the shares and helper payloads, the result written straight into
@@ -106,6 +106,9 @@ struct Plans {
     /// Failed node (0 where one matrix serves every node), then the sorted
     /// helper set → repair matrix.
     repair: PlanCache<RowTerms>,
+    /// First node and node count of an encoded span → its stacked
+    /// generator rows.
+    span: PlanCache<RowTerms>,
 }
 
 /// A linear code: a [`Construction`] and the memoized plans of its decode
@@ -124,6 +127,7 @@ impl<C: Construction> LinearCode<C> {
                 .collect(),
             decode: PlanCache::new(),
             repair: PlanCache::new(),
+            span: PlanCache::new(),
         };
         LinearCode {
             construction,
@@ -207,6 +211,15 @@ impl<C: Construction> LinearCode<C> {
             let matrix = self.construction.decode_matrix(ids)?;
             Ok(RowTerms::from_matrix(&matrix))
         })
+    }
+
+    fn span_plan(&self, start: usize, len: usize) -> Arc<RowTerms> {
+        self.plans
+            .span
+            .get_or_build(&[start, len], |_| {
+                Ok(generator_rows(&self.construction, start..start + len))
+            })
+            .expect("listing generator rows cannot fail")
     }
 
     fn repair_plan(
@@ -328,10 +341,16 @@ impl<C: Construction> ErasureCode for LinearCode<C> {
     /// kernel call, so the value is read once however many elements are
     /// produced — the `write-to-L2` of an L1 server produces all `n2` — and
     /// it is read where it lies unless it is short
-    /// (`striping::BorrowedFrame`). The rows are listed per call, straight
-    /// from the construction (`α · d` terms per node): nothing is memoized,
-    /// and a whole-code encode at paper scale (`n = 200`) costs no plan
-    /// memory.
+    /// (`striping::BorrowedFrame`). The stacked rows are memoized per span
+    /// (first node, node count), so a warm encode lists no row. A plan holds
+    /// at most `α · d` eight-byte terms per node. A deployment encodes one
+    /// offload span (its `n2` L2 elements) and up to `n2` single-element
+    /// spans (one per L2 index: initial elements and the per-element
+    /// fallback); at Fig. 6's scale (MBR, `n2 = 100`, `α = d = 80`) each
+    /// side is 8 000 rows × 80 terms, about 5 MB, so about 10 MB in all.
+    /// A whole-code [`ErasureCode::encode`] memoizes its span too: 16 000
+    /// rows, another 10 MB at `n = 200`. Like every plan cache, at most
+    /// `MAX_PLANS` (256) spans are kept.
     fn encode_share_span_into(
         &self,
         data: &[u8],
@@ -343,7 +362,7 @@ impl<C: Construction> ErasureCode for LinearCode<C> {
         };
         self.check_index(start)?;
         self.check_index(start.saturating_add(last))?;
-        let rows = generator_rows(&self.construction, start..start + outs.len());
+        let rows = self.span_plan(start, outs.len());
         let file_size = self.params().file_size();
         match BorrowedFrame::new(data, file_size) {
             Some(borrowed) => bulk::apply_rows_into_vecs(&rows, &borrowed.pieces(), outs),
@@ -438,7 +457,7 @@ fn apply_into(
     if symbol_len <= bulk::SMALL_SYMBOL_MAX {
         bulk::apply_small(rows, src, symbol_len, outs);
     } else {
-        let symbols: Vec<&[u8]> = src.chunks_exact(symbol_len).collect();
+        let symbols: Few<&[u8]> = src.chunks_exact(symbol_len).collect();
         bulk::apply_rows_into_vecs(rows, &symbols, outs);
     }
     Ok(())

@@ -4,7 +4,11 @@
 //! shares it picks, the symbols of each, the key of its plan — is a handful
 //! of indices and slices. That scaffolding lives on the stack, so a warm
 //! call allocates its output and nothing else: one buffer for a helper or a
-//! regenerated element, none for a decode into a buffer with room.
+//! regenerated element, none for a decode into a buffer with room. A warm
+//! encode of a short value's `n2` elements into buffers with room (an L1
+//! server's `write-to-L2`) takes its generator rows from the span plan and
+//! allocates only the framed copy of the value: one, where listing the rows
+//! per call and collecting the symbols made it four.
 //!
 //! Counted under a counting global allocator at the benchmark's code
 //! dimensions (`n2 = 5`, `k = 2`, `d = 3`), so each figure repeats exactly.
@@ -107,6 +111,18 @@ fn allocates_only_the_output<C: RegeneratingCode>(name: &str, code: impl FnOnce(
         (1, 1, 0),
         "{name}: (helper, repair, decode_into) allocations per call"
     );
+
+    // The offload of a 256 B value (`small_mixed`'s): the last `n - k`
+    // elements, as an L1 server encodes its L2 span.
+    let mut elements: Vec<Vec<u8>> = (k..code.params().n())
+        .map(|_| Vec::with_capacity(4096))
+        .collect();
+    let encode = per_call(|| {
+        code.encode_share_span_into(&value[..256], k, &mut elements)
+            .unwrap()
+    });
+    println!("{name}: 256 B span encode {encode} allocations per call");
+    assert_eq!(encode, 1, "{name}: span encode allocations per call");
 }
 
 #[test]

@@ -6,12 +6,14 @@
 //! on a majority); reads are two phases (query `(tag, value)` pairs, then
 //! write back the chosen pair to a majority).
 
+use super::server_index;
 use super::BaselineMessage;
+use crate::membership::ServerSet;
 use crate::messages::ProtocolEvent;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_sim::{Context, Process, ProcessId, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// An ABD replica server.
 #[derive(Default)]
@@ -100,11 +102,14 @@ struct CurrentOp {
     obj: ObjectId,
     phase: Phase,
     invoked_at: SimTime,
+    /// A write's value; for a read, the value of `tag`.
     value: Value,
+    /// The highest tag the query phase has seen, then the tag stored.
     tag: Tag,
-    tag_responses: HashMap<ProcessId, Tag>,
-    value_responses: HashMap<ProcessId, (Tag, Value)>,
-    acks: HashSet<ProcessId>,
+    /// Replicas that answered the query phase.
+    responders: ServerSet,
+    /// Replicas that acknowledged the store phase.
+    acks: ServerSet,
     is_write: bool,
 }
 
@@ -119,7 +124,12 @@ pub struct AbdClient {
 
 impl AbdClient {
     /// Creates a client that talks to the given replicas.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more replicas than a [`ServerSet`] holds.
     pub fn new(id: ClientId, servers: Vec<ProcessId>) -> Self {
+        assert!(servers.len() <= ServerSet::CAPACITY, "too many replicas");
         AbdClient {
             id,
             servers,
@@ -157,9 +167,8 @@ impl Process<BaselineMessage, ProtocolEvent> for AbdClient {
                     invoked_at: ctx.now(),
                     value,
                     tag: Tag::initial(),
-                    tag_responses: HashMap::new(),
-                    value_responses: HashMap::new(),
-                    acks: HashSet::new(),
+                    responders: ServerSet::default(),
+                    acks: ServerSet::default(),
                     is_write: true,
                 });
                 ctx.send_all(
@@ -178,9 +187,8 @@ impl Process<BaselineMessage, ProtocolEvent> for AbdClient {
                     invoked_at: ctx.now(),
                     value: Value::initial(),
                     tag: Tag::initial(),
-                    tag_responses: HashMap::new(),
-                    value_responses: HashMap::new(),
-                    acks: HashSet::new(),
+                    responders: ServerSet::default(),
+                    acks: ServerSet::default(),
                     is_write: false,
                 });
                 ctx.send_all(
@@ -192,23 +200,20 @@ impl Process<BaselineMessage, ProtocolEvent> for AbdClient {
                 let quorum = self.quorum();
                 let servers = self.servers.clone();
                 let id = self.id;
-                let Some(cur) = self.current.as_mut() else {
+                let (Some(cur), Some(server)) =
+                    (self.current.as_mut(), server_index(&servers, from))
+                else {
                     return;
                 };
-                if cur.op != op || cur.phase != Phase::WriteQuery {
+                if cur.op != op || cur.phase != Phase::WriteQuery || !cur.responders.insert(server)
+                {
                     return;
                 }
-                cur.tag_responses.insert(from, tag);
-                if cur.tag_responses.len() < quorum {
+                cur.tag = cur.tag.max(tag);
+                if cur.responders.len() < quorum {
                     return;
                 }
-                let max = cur
-                    .tag_responses
-                    .values()
-                    .max()
-                    .copied()
-                    .unwrap_or_else(Tag::initial);
-                cur.tag = max.next(id);
+                cur.tag = cur.tag.next(id);
                 cur.phase = Phase::WriteStore;
                 let msg = BaselineMessage::Store {
                     obj: cur.obj,
@@ -221,36 +226,34 @@ impl Process<BaselineMessage, ProtocolEvent> for AbdClient {
             BaselineMessage::ValueResp { op, tag, value, .. } => {
                 let quorum = self.quorum();
                 let servers = self.servers.clone();
-                let Some(cur) = self.current.as_mut() else {
+                let (Some(cur), Some(server)) =
+                    (self.current.as_mut(), server_index(&servers, from))
+                else {
                     return;
                 };
-                if cur.op != op || cur.phase != Phase::ReadQuery {
+                if cur.op != op || cur.phase != Phase::ReadQuery || !cur.responders.insert(server) {
                     return;
                 }
-                cur.value_responses.insert(from, (tag, value));
-                if cur.value_responses.len() < quorum {
+                if tag > cur.tag {
+                    (cur.tag, cur.value) = (tag, value);
+                }
+                if cur.responders.len() < quorum {
                     return;
                 }
-                let (tag, value) = cur
-                    .value_responses
-                    .values()
-                    .max_by_key(|(t, _)| *t)
-                    .cloned()
-                    .expect("quorum is non-empty");
-                cur.tag = tag;
-                cur.value = value.clone();
                 cur.phase = Phase::ReadWriteBack;
                 let msg = BaselineMessage::Store {
                     obj: cur.obj,
                     op: cur.op,
-                    tag,
-                    value,
+                    tag: cur.tag,
+                    value: cur.value.clone(),
                 };
                 ctx.send_all(servers, msg);
             }
             BaselineMessage::Ack { op, .. } => {
                 let quorum = self.quorum();
-                let Some(cur) = self.current.as_mut() else {
+                let (Some(cur), Some(server)) =
+                    (self.current.as_mut(), server_index(&self.servers, from))
+                else {
                     return;
                 };
                 if cur.op != op
@@ -258,7 +261,7 @@ impl Process<BaselineMessage, ProtocolEvent> for AbdClient {
                 {
                     return;
                 }
-                cur.acks.insert(from);
+                cur.acks.insert(server);
                 if cur.acks.len() < quorum {
                     return;
                 }

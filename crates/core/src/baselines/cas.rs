@@ -12,14 +12,16 @@
 //! re-implementation of every CAS variant (e.g. gossip-based garbage
 //! collection is omitted).
 
+use super::server_index;
 use super::BaselineMessage;
+use crate::membership::ServerSet;
 use crate::messages::ProtocolEvent;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::rs::ReedSolomon;
 use lds_codes::{ErasureCode, Share};
 use lds_sim::{Context, Process, ProcessId, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Label attached to a stored coded element.
@@ -142,11 +144,14 @@ struct CurrentOp {
     invoked_at: SimTime,
     phase: Phase,
     value: Value,
+    /// The highest tag the query phase has seen, then the operation's tag.
     tag: Tag,
-    tag_responses: HashMap<ProcessId, Tag>,
-    acks: HashSet<ProcessId>,
+    /// Servers that answered the query phase.
+    tag_responders: ServerSet,
+    /// Servers that acknowledged the current write phase.
+    acks: ServerSet,
     elements: HashMap<usize, Share>,
-    elem_responders: HashSet<ProcessId>,
+    elem_responders: ServerSet,
 }
 
 /// A CAS client performing reads and writes.
@@ -165,8 +170,9 @@ impl CasClient {
     /// # Panics
     ///
     /// Panics if the Reed–Solomon code cannot be constructed for
-    /// `(n, k)`.
+    /// `(n, k)`, or if there are more servers than a [`ServerSet`] holds.
     pub fn new(id: ClientId, servers: Vec<ProcessId>, k: usize) -> Self {
+        assert!(servers.len() <= ServerSet::CAPACITY, "too many servers");
         let code = ReedSolomon::with_dimensions(servers.len(), k)
             .expect("valid (n, k) for the CAS baseline");
         CasClient {
@@ -208,10 +214,10 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                     phase: Phase::WriteQueryTag,
                     value,
                     tag: Tag::initial(),
-                    tag_responses: HashMap::new(),
-                    acks: HashSet::new(),
+                    tag_responders: ServerSet::default(),
+                    acks: ServerSet::default(),
                     elements: HashMap::new(),
-                    elem_responders: HashSet::new(),
+                    elem_responders: ServerSet::default(),
                 });
                 ctx.send_all(
                     self.servers.iter().copied(),
@@ -229,10 +235,10 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                     phase: Phase::ReadQueryTag,
                     value: Value::initial(),
                     tag: Tag::initial(),
-                    tag_responses: HashMap::new(),
-                    acks: HashSet::new(),
+                    tag_responders: ServerSet::default(),
+                    acks: ServerSet::default(),
                     elements: HashMap::new(),
-                    elem_responders: HashSet::new(),
+                    elem_responders: ServerSet::default(),
                 });
                 ctx.send_all(
                     self.servers.iter().copied(),
@@ -244,26 +250,23 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                 let servers = self.servers.clone();
                 let id = self.id;
                 let code = Arc::clone(&self.code);
-                let Some(cur) = self.current.as_mut() else {
+                let (Some(cur), Some(server)) =
+                    (self.current.as_mut(), server_index(&servers, from))
+                else {
                     return;
                 };
                 if cur.op != op
                     || !(cur.phase == Phase::WriteQueryTag || cur.phase == Phase::ReadQueryTag)
+                    || !cur.tag_responders.insert(server)
                 {
                     return;
                 }
-                cur.tag_responses.insert(from, tag);
-                if cur.tag_responses.len() < quorum {
+                cur.tag = cur.tag.max(tag);
+                if cur.tag_responders.len() < quorum {
                     return;
                 }
-                let max = cur
-                    .tag_responses
-                    .values()
-                    .max()
-                    .copied()
-                    .unwrap_or_else(Tag::initial);
                 if cur.phase == Phase::WriteQueryTag {
-                    cur.tag = max.next(id);
+                    cur.tag = cur.tag.next(id);
                     cur.phase = Phase::PreWrite;
                     let obj = cur.obj;
                     let op = cur.op;
@@ -284,12 +287,11 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                         );
                     }
                 } else {
-                    cur.tag = max;
                     cur.phase = Phase::CollectElems;
                     let msg = BaselineMessage::QueryElem {
                         obj: cur.obj,
                         op: cur.op,
-                        tag: max,
+                        tag: cur.tag,
                     };
                     ctx.send_all(servers, msg);
                 }
@@ -297,7 +299,9 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
             BaselineMessage::Ack { op, tag, .. } => {
                 let quorum = self.quorum();
                 let servers = self.servers.clone();
-                let Some(cur) = self.current.as_mut() else {
+                let (Some(cur), Some(server)) =
+                    (self.current.as_mut(), server_index(&servers, from))
+                else {
                     return;
                 };
                 if cur.op != op || cur.tag != tag {
@@ -305,9 +309,9 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                 }
                 match cur.phase {
                     Phase::PreWrite => {
-                        cur.acks.insert(from);
+                        cur.acks.insert(server);
                         if cur.acks.len() >= quorum {
-                            cur.acks.clear();
+                            cur.acks = ServerSet::default();
                             cur.phase = Phase::Finalize;
                             let msg = BaselineMessage::Finalize {
                                 obj: cur.obj,
@@ -318,7 +322,7 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                         }
                     }
                     Phase::Finalize => {
-                        cur.acks.insert(from);
+                        cur.acks.insert(server);
                         if cur.acks.len() >= quorum {
                             let done = self.current.take().expect("checked above");
                             ctx.emit(ProtocolEvent::WriteCompleted {
@@ -339,13 +343,15 @@ impl Process<BaselineMessage, ProtocolEvent> for CasClient {
                 let quorum = self.quorum();
                 let k = self.code.params().k();
                 let code = Arc::clone(&self.code);
-                let Some(cur) = self.current.as_mut() else {
+                let (Some(cur), Some(server)) =
+                    (self.current.as_mut(), server_index(&self.servers, from))
+                else {
                     return;
                 };
                 if cur.op != op || cur.phase != Phase::CollectElems || cur.tag != tag {
                     return;
                 }
-                cur.elem_responders.insert(from);
+                cur.elem_responders.insert(server);
                 if let Some(share) = element {
                     cur.elements.insert(share.index, share);
                 }

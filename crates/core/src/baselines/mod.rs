@@ -15,9 +15,16 @@ pub mod cas;
 
 use crate::value::Value;
 use lds_codes::Share;
-use lds_sim::DataSize;
+use lds_sim::{DataSize, ProcessId};
 
 use crate::tag::{ObjectId, OpId, Tag};
+
+/// The position of `from` among a baseline's `servers`: its bit in a
+/// [`ServerSet`](crate::ServerSet). `None` for a process that is not one of
+/// them, whose response counts towards no quorum.
+fn server_index(servers: &[ProcessId], from: ProcessId) -> Option<usize> {
+    servers.iter().position(|&p| p == from)
+}
 
 /// Messages shared by the single-layer baseline protocols.
 #[derive(Debug, Clone, PartialEq)]

@@ -28,7 +28,9 @@
 //!   checkers;
 //! * [`costs`] — the closed-form cost expressions of §V (Lemmas V.2–V.5),
 //!   used by the benchmark harness to compare measured against predicted
-//!   values.
+//!   values;
+//! * [`idmap`] — the seeded id hasher behind every map keyed by an object,
+//!   operation or process id.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +39,7 @@ pub mod backend;
 pub mod baselines;
 pub mod consistency;
 pub mod costs;
+pub mod idmap;
 pub mod membership;
 pub mod messages;
 pub mod params;
@@ -50,7 +53,8 @@ pub mod writer;
 
 pub use backend::{BackendCodec, BackendKind};
 pub use consistency::{History, Operation, OperationKind};
-pub use membership::Membership;
+pub use idmap::{IdMap, IdSet};
+pub use membership::{Membership, ServerSet};
 pub use messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
 pub use params::{Profile, SystemParams};
 pub use reader::ReaderClient;

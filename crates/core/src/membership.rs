@@ -1,4 +1,5 @@
-//! Static membership of a two-layer LDS deployment.
+//! Static membership of a two-layer LDS deployment, and the quorum sets
+//! over it.
 
 use lds_sim::ProcessId;
 
@@ -9,6 +10,50 @@ pub const CLIENT_GROUP: u8 = 0;
 pub const L1_GROUP: u8 = 1;
 /// Process group used for L2 (back-end) servers; L1↔L2 links use τ2.
 pub const L2_GROUP: u8 = 2;
+
+/// A set of servers of one layer, as a bitset over their code indices.
+///
+/// Every quorum the protocol waits for is a number of *distinct* servers of
+/// one layer: `f1 + k` L1 servers in each client phase and COMMIT-TAG
+/// broadcasts consumed, `f2 + d` L2 helpers in `regenerate-from-L2`. A
+/// quorum round is one of these on the stack, its size a popcount. A layer
+/// has at most [`ServerSet::CAPACITY`] servers, which
+/// [`SystemParams`](crate::SystemParams) validates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerSet(u128);
+
+impl ServerSet {
+    /// The largest layer a set can index (Fig. 6 runs `n1 = n2 = 100`).
+    pub const CAPACITY: usize = u128::BITS as usize;
+
+    /// Adds the server with code index `index`; returns whether it was
+    /// absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`ServerSet::CAPACITY`].
+    pub fn insert(&mut self, index: usize) -> bool {
+        assert!(
+            index < Self::CAPACITY,
+            "server index {index} exceeds the {} a ServerSet holds",
+            Self::CAPACITY
+        );
+        let bit = 1u128 << index;
+        let fresh = self.0 & bit == 0;
+        self.0 |= bit;
+        fresh
+    }
+
+    /// Number of servers in the set.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+}
 
 /// The process ids of all servers, in layer order.
 ///
@@ -38,12 +83,14 @@ impl Membership {
         self.l2.len()
     }
 
-    /// The code index (0-based position) of an L1 server process.
+    /// The code index (0-based position) of an L1 server process; `None`
+    /// for any other process.
     pub fn l1_index_of(&self, pid: ProcessId) -> Option<usize> {
         self.l1.iter().position(|&p| p == pid)
     }
 
-    /// The code index (0-based position) of an L2 server process.
+    /// The code index (0-based position) of an L2 server process; `None`
+    /// for any other process.
     pub fn l2_index_of(&self, pid: ProcessId) -> Option<usize> {
         self.l2.iter().position(|&p| p == pid)
     }
@@ -72,6 +119,22 @@ mod tests {
         assert_eq!(m.l1_index_of(ProcessId(9)), None);
         assert_eq!(m.l2_index_of(ProcessId(5)), Some(0));
         assert_eq!(m.l2_index_of(ProcessId(11)), Some(6));
+        assert_eq!(m.l2_index_of(ProcessId(3)), None);
+        // Processes outside both layers: clients, the harness.
+        for outsider in [12, 40, usize::MAX] {
+            assert_eq!(m.l1_index_of(ProcessId(outsider)), None);
+            assert_eq!(m.l2_index_of(ProcessId(outsider)), None);
+        }
+    }
+
+    #[test]
+    fn index_lookup_follows_list_order_not_pid_order() {
+        let m = Membership::new(vec![ProcessId(20), ProcessId(7)], vec![ProcessId(13)]);
+        assert_eq!(m.l1_index_of(ProcessId(20)), Some(0));
+        assert_eq!(m.l1_index_of(ProcessId(7)), Some(1));
+        assert_eq!(m.l2_index_of(ProcessId(13)), Some(0));
+        assert_eq!(m.l1_index_of(ProcessId(6)), None);
+        assert_eq!(m.l1, [ProcessId(20), ProcessId(7)]);
     }
 
     #[test]
@@ -83,5 +146,40 @@ mod tests {
             5,
             "relay set never exceeds n1"
         );
+    }
+
+    #[test]
+    fn server_set_counts_distinct_members() {
+        let mut set = ServerSet::default();
+        assert!(set.is_empty());
+        assert!(set.insert(3));
+        assert!(!set.insert(3), "a duplicate is not fresh");
+        assert_eq!(set.len(), 1);
+        for index in [0, 1, 64, 126] {
+            assert!(set.insert(index));
+        }
+        assert_eq!(set.len(), 5);
+        assert!(!set.insert(64) && set.insert(65));
+    }
+
+    #[test]
+    fn server_set_holds_bits_0_and_127() {
+        let mut set = ServerSet::default();
+        assert!(set.insert(0));
+        assert!(set.insert(ServerSet::CAPACITY - 1));
+        assert_eq!(set.len(), 2);
+        assert!(!set.insert(0) && !set.insert(127));
+        assert_eq!(set.len(), 2);
+        let full = (0..ServerSet::CAPACITY).fold(ServerSet::default(), |mut s, i| {
+            s.insert(i);
+            s
+        });
+        assert_eq!(full.len(), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 128")]
+    fn server_set_rejects_index_128() {
+        ServerSet::default().insert(128);
     }
 }

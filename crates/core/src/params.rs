@@ -1,14 +1,34 @@
 //! System parameters of a two-layer LDS deployment.
 
+use crate::membership::ServerSet;
 use std::fmt;
 
 /// Errors produced when validating [`SystemParams`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidParams(pub String);
+pub enum InvalidParams {
+    /// The paper's relations between layer sizes, fault tolerances and code
+    /// parameters do not hold.
+    Constraint(String),
+    /// A layer has more servers than a [`ServerSet`] indexes.
+    LayerTooLarge {
+        /// The layer: 1 or 2.
+        layer: u8,
+        /// Its size.
+        servers: usize,
+    },
+}
 
 impl fmt::Display for InvalidParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid LDS system parameters: {}", self.0)
+        write!(f, "invalid LDS system parameters: ")?;
+        match self {
+            InvalidParams::Constraint(reason) => write!(f, "{reason}"),
+            InvalidParams::LayerTooLarge { layer, servers } => write!(
+                f,
+                "L{layer} has {servers} servers, more than the {} a quorum set indexes",
+                ServerSet::CAPACITY
+            ),
+        }
     }
 }
 
@@ -45,36 +65,46 @@ impl SystemParams {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidParams`] unless `f1 < n1/2`, `f2 < n2/3`,
-    /// `1 ≤ k ≤ d` and `f2 < d`.
+    /// Returns [`InvalidParams::LayerTooLarge`] if a layer has more than
+    /// [`ServerSet::CAPACITY`] servers, and [`InvalidParams::Constraint`]
+    /// unless `f1 < n1/2`, `f2 < n2/3`, `1 ≤ k ≤ d` and `f2 < d`.
     pub fn new(n1: usize, n2: usize, f1: usize, f2: usize) -> Result<Self, InvalidParams> {
+        for (layer, servers) in [(1, n1), (2, n2)] {
+            if servers > ServerSet::CAPACITY {
+                return Err(InvalidParams::LayerTooLarge { layer, servers });
+            }
+        }
         if n1 == 0 || n2 == 0 {
-            return Err(InvalidParams("both layers need at least one server".into()));
+            return Err(InvalidParams::Constraint(
+                "both layers need at least one server".into(),
+            ));
         }
         if 2 * f1 >= n1 {
-            return Err(InvalidParams(format!(
+            return Err(InvalidParams::Constraint(format!(
                 "need f1 < n1/2 (got f1={f1}, n1={n1})"
             )));
         }
         if 3 * f2 >= n2 {
-            return Err(InvalidParams(format!(
+            return Err(InvalidParams::Constraint(format!(
                 "need f2 < n2/3 (got f2={f2}, n2={n2})"
             )));
         }
         let k = n1 - 2 * f1;
         let d = n2 - 2 * f2;
         if k == 0 {
-            return Err(InvalidParams(
+            return Err(InvalidParams::Constraint(
                 "derived k = n1 - 2*f1 must be at least 1".into(),
             ));
         }
         if k > d {
-            return Err(InvalidParams(format!(
+            return Err(InvalidParams::Constraint(format!(
                 "the MBR code requires k <= d, but n1 - 2*f1 = {k} > n2 - 2*f2 = {d}"
             )));
         }
         if d <= f2 {
-            return Err(InvalidParams(format!("need d > f2 (got d={d}, f2={f2})")));
+            return Err(InvalidParams::Constraint(format!(
+                "need d > f2 (got d={d}, f2={f2})"
+            )));
         }
         Ok(SystemParams {
             n1,
@@ -252,6 +282,34 @@ mod tests {
         assert!(SystemParams::new(5, 0, 1, 0).is_err());
     }
 
+    /// A quorum set is a `u128` over a layer's code indices: 128 servers
+    /// per layer are accepted, 129 are a typed error, whichever layer.
+    #[test]
+    fn layers_above_128_servers_are_rejected() {
+        let p = SystemParams::for_failures(1, 1, 126, 126).unwrap();
+        assert_eq!((p.n1(), p.n2()), (128, 128));
+        assert_eq!(SystemParams::for_failures(1, 1, 2, 126).unwrap().n2(), 128);
+        assert_eq!(
+            SystemParams::for_failures(2, 1, 125, 126),
+            Err(InvalidParams::LayerTooLarge {
+                layer: 1,
+                servers: 129
+            })
+        );
+        assert_eq!(
+            SystemParams::for_failures(1, 1, 2, 127),
+            Err(InvalidParams::LayerTooLarge {
+                layer: 2,
+                servers: 129
+            })
+        );
+        assert!(matches!(
+            SystemParams::symmetric(129, 10),
+            Err(InvalidParams::LayerTooLarge { layer: 1, .. })
+        ));
+        assert_eq!(SystemParams::symmetric(128, 10).unwrap().n1(), 128);
+    }
+
     #[test]
     fn paper_figure_6_parameters_are_valid() {
         // Fig. 6: n1 = n2 = 100, k = d = 80 ⇒ f1 = f2 = 10.
@@ -266,6 +324,13 @@ mod tests {
     fn display_is_informative() {
         let p = SystemParams::symmetric(6, 1).unwrap();
         assert!(p.to_string().contains("n1=6"));
-        assert!(InvalidParams("x".into()).to_string().contains("invalid"));
+        assert!(InvalidParams::Constraint("x".into())
+            .to_string()
+            .contains("invalid"));
+        let too_large = InvalidParams::LayerTooLarge {
+            layer: 2,
+            servers: 129,
+        };
+        assert!(too_large.to_string().contains("L2 has 129 servers"));
     }
 }

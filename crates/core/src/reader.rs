@@ -21,14 +21,15 @@
 //! per-object FIFO semantics for free).
 
 use crate::backend::BackendCodec;
-use crate::membership::Membership;
+use crate::idmap::{IdMap, IdSet};
+use crate::membership::{Membership, ServerSet};
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload};
 use crate::params::SystemParams;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::Share;
 use lds_sim::{Context, Process, ProcessId, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// A small tag-validated LRU of hot objects' committed `(tag, value)` pairs.
@@ -94,12 +95,14 @@ struct ReadOp {
     obj: ObjectId,
     invoked_at: SimTime,
     phase: ReadPhase,
-    comm_tags: HashMap<ProcessId, Tag>,
+    /// L1 servers that answered get-committed-tag; `treq` is the highest
+    /// tag they reported.
+    comm_tag_responders: ServerSet,
     treq: Tag,
     /// Distinct servers that have responded in the get-data phase.
-    responders: HashSet<ProcessId>,
-    /// Full (tag, value) responses received.
-    value_responses: BTreeMap<Tag, Value>,
+    responders: ServerSet,
+    /// The highest full (tag, value) response received.
+    value_response: Option<(Tag, Value)>,
     /// Coded responses received, grouped by tag, one share per share index
     /// (a later response for an index replaces the earlier one). Kept as the
     /// slice the decoder takes, so a decode borrows the payloads where they
@@ -107,7 +110,7 @@ struct ReadOp {
     coded_responses: BTreeMap<Tag, Vec<Share>>,
     /// The selected result, fixed when entering put-tag.
     result: Option<(Tag, Value)>,
-    put_tag_acks: HashSet<ProcessId>,
+    put_tag_acks: ServerSet,
 }
 
 /// The reader client automaton.
@@ -121,8 +124,8 @@ pub struct ReaderClient {
     membership: Membership,
     backend: Arc<dyn BackendCodec>,
     next_seq: u64,
-    ops: HashMap<OpId, ReadOp>,
-    busy_objects: HashSet<ObjectId>,
+    ops: IdMap<OpId, ReadOp>,
+    busy_objects: IdSet<ObjectId>,
     completed: u64,
     /// Number of completed reads that were served purely from L1 value
     /// responses (no coded decode needed) — useful for cache-hit style
@@ -158,8 +161,8 @@ impl ReaderClient {
             membership,
             backend,
             next_seq: 0,
-            ops: HashMap::new(),
-            busy_objects: HashSet::new(),
+            ops: IdMap::default(),
+            busy_objects: IdSet::default(),
             completed: 0,
             served_from_l1: 0,
             cache: ReadCache::default(),
@@ -257,13 +260,13 @@ impl ReaderClient {
                 obj,
                 invoked_at: ctx.now(),
                 phase: ReadPhase::GetCommittedTag,
-                comm_tags: HashMap::new(),
+                comm_tag_responders: ServerSet::default(),
                 treq: Tag::initial(),
-                responders: HashSet::new(),
-                value_responses: BTreeMap::new(),
+                responders: ServerSet::default(),
+                value_response: None,
                 coded_responses: BTreeMap::new(),
                 result: None,
-                put_tag_acks: HashSet::new(),
+                put_tag_acks: ServerSet::default(),
             },
         );
         ctx.send_all(
@@ -299,22 +302,20 @@ impl ReaderClient {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         let quorum = self.params.read_quorum();
-        let Some(current) = self.ops.get_mut(&op) else {
+        let (Some(current), Some(server)) =
+            (self.ops.get_mut(&op), self.membership.l1_index_of(from))
+        else {
             return;
         };
-        if current.phase != ReadPhase::GetCommittedTag {
+        if current.phase != ReadPhase::GetCommittedTag
+            || !current.comm_tag_responders.insert(server)
+        {
             return;
         }
-        current.comm_tags.insert(from, tag);
-        if current.comm_tags.len() < quorum {
+        current.treq = current.treq.max(tag);
+        if current.comm_tag_responders.len() < quorum {
             return;
         }
-        current.treq = current
-            .comm_tags
-            .values()
-            .max()
-            .copied()
-            .unwrap_or_else(Tag::initial);
         // Tag-validated cache: the quorum has fixed `t_req`, and a tag
         // uniquely identifies its value — if the cache holds exactly that
         // pair, the data-transfer phase would return the cached bytes, so
@@ -354,16 +355,19 @@ impl ReaderClient {
         let quorum = self.params.read_quorum();
         let decode_threshold = self.backend.decode_threshold();
         let backend = Arc::clone(&self.backend);
-        let Some(current) = self.ops.get_mut(&op) else {
+        let (Some(current), Some(server)) =
+            (self.ops.get_mut(&op), self.membership.l1_index_of(from))
+        else {
             return;
         };
         if current.phase != ReadPhase::GetData {
             return;
         }
-        current.responders.insert(from);
+        current.responders.insert(server);
+        let best_value = current.value_response.as_ref().map(|(best, _)| *best);
         match (tag, payload) {
-            (Some(t), ReadPayload::Value(v)) => {
-                current.value_responses.insert(t, v);
+            (Some(t), ReadPayload::Value(v)) if best_value.is_none_or(|best| t >= best) => {
+                current.value_response = Some((t, v));
             }
             (Some(t), ReadPayload::Coded(share)) => {
                 let shares = current.coded_responses.entry(t).or_default();
@@ -372,7 +376,9 @@ impl ReaderClient {
                     None => shares.push(share),
                 }
             }
-            _ => {} // (⊥, ⊥): counts towards the responder set only
+            // (⊥, ⊥), or a value older than one already held: counts
+            // towards the responder set only.
+            _ => {}
         }
 
         if current.responders.len() < quorum {
@@ -380,9 +386,8 @@ impl ReaderClient {
         }
         // Candidate from full values.
         let mut best: Option<(Tag, Value, bool)> = current
-            .value_responses
-            .iter()
-            .next_back()
+            .value_response
+            .as_ref()
             .map(|(t, v)| (*t, v.clone(), true));
         // Candidate from coded elements: highest tag with >= k distinct shares.
         for (t, shares) in current.coded_responses.iter().rev() {
@@ -424,13 +429,15 @@ impl ReaderClient {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         let quorum = self.params.read_quorum();
-        let Some(current) = self.ops.get_mut(&op) else {
+        let (Some(current), Some(server)) =
+            (self.ops.get_mut(&op), self.membership.l1_index_of(from))
+        else {
             return;
         };
         if current.phase != ReadPhase::PutTag {
             return;
         }
-        current.put_tag_acks.insert(from);
+        current.put_tag_acks.insert(server);
         if current.put_tag_acks.len() < quorum {
             return;
         }
@@ -791,6 +798,81 @@ mod tests {
         assert!(out
             .iter()
             .any(|(_, m)| matches!(m, LdsMessage::PutTag { .. })));
+    }
+
+    /// Each phase's quorum counts distinct L1 servers: a COMM-TAG-RESP,
+    /// DATA-RESP or ACK-PUT-TAG from an L2 server, a client or the harness
+    /// advances none, and a member answering twice counts once. The
+    /// outsiders report a higher tag, which must not be what the read
+    /// returns.
+    #[test]
+    fn only_distinct_l1_servers_advance_a_quorum() {
+        let (params, membership, backend) = setup();
+        let mut r = ReaderClient::new(ClientId(15), params, membership, backend);
+        let outsiders = [
+            ProcessId(4),
+            ProcessId(8),
+            ProcessId(50),
+            ProcessId::EXTERNAL,
+        ];
+        let obj = ObjectId(0);
+        let (out, _) = step(&mut r, ProcessId::EXTERNAL, LdsMessage::InvokeRead { obj });
+        let LdsMessage::QueryCommTag { op, .. } = out[0].1 else {
+            unreachable!()
+        };
+        let (treq, forged) = (Tag::new(2, ClientId(1)), Tag::new(9, ClientId(1)));
+
+        let comm_tag = |tag| LdsMessage::CommTagResp { obj, op, tag };
+        for (from, tag) in [ProcessId(0), ProcessId(1), ProcessId(1)]
+            .map(|p| (p, treq))
+            .into_iter()
+            .chain(outsiders.map(|p| (p, forged)))
+        {
+            let (out, _) = step(&mut r, from, comm_tag(tag));
+            assert!(
+                out.is_empty(),
+                "COMM-TAG-RESP from {from:?} completed the phase"
+            );
+        }
+        let (out, _) = step(&mut r, ProcessId(2), comm_tag(Tag::initial()));
+        assert!(matches!(out[0].1, LdsMessage::QueryData { treq: t, .. } if t == treq));
+
+        let data = |tag| LdsMessage::DataResp {
+            obj,
+            op,
+            tag: Some(tag),
+            payload: ReadPayload::Value(Value::from(tag.to_string().as_str())),
+        };
+        for (from, tag) in [ProcessId(3), ProcessId(0), ProcessId(0)]
+            .map(|p| (p, treq))
+            .into_iter()
+            .chain(outsiders.map(|p| (p, forged)))
+        {
+            let (out, _) = step(&mut r, from, data(tag));
+            assert!(
+                out.is_empty(),
+                "DATA-RESP from {from:?} completed the phase"
+            );
+        }
+        let (out, _) = step(&mut r, ProcessId(2), data(treq));
+        assert!(matches!(out[0].1, LdsMessage::PutTag { tag: t, .. } if t == treq));
+
+        let ack = LdsMessage::AckPutTag { obj, op };
+        for from in [ProcessId(1), ProcessId(3), ProcessId(3)]
+            .into_iter()
+            .chain(outsiders)
+        {
+            let (_, events) = step(&mut r, from, ack.clone());
+            assert!(
+                events.is_empty(),
+                "ACK-PUT-TAG from {from:?} completed the read"
+            );
+        }
+        let (_, events) = step(&mut r, ProcessId(0), ack);
+        match &events[..] {
+            [ProtocolEvent::ReadCompleted { tag, .. }] => assert_eq!(*tag, treq),
+            other => panic!("unexpected events {other:?}"),
+        }
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //! processes.
 
 use crate::backend::BackendCodec;
-use crate::membership::Membership;
+use crate::idmap::IdMap;
+use crate::membership::{Membership, ServerSet};
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
 use crate::params::{Profile, SystemParams};
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::{HelperData, Share};
 use lds_sim::{Context, Process, ProcessId};
-use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A reader registered in Γ, waiting to be served.
@@ -34,7 +35,8 @@ struct RegisteredReader {
 #[derive(Debug, Clone)]
 struct RegenState {
     treq: Tag,
-    respondents: HashSet<ProcessId>,
+    /// L2 servers that sent helper data.
+    respondents: ServerSet,
     responses: Vec<(Tag, HelperData)>,
 }
 
@@ -62,12 +64,14 @@ struct ObjectState {
     write_counter: BTreeMap<Tag, usize>,
     /// Tags for which this server already initiated `write-to-L2`.
     offloaded: BTreeSet<Tag>,
-    /// Broadcast relay dedup: origins already forwarded, per tag.
-    relayed: BTreeMap<Tag, HashSet<ProcessId>>,
-    /// Broadcast consumption dedup: origins already counted, per tag.
-    consumed: BTreeMap<Tag, HashSet<ProcessId>>,
+    /// Broadcast relay dedup: origins (L1 indices) already forwarded, per
+    /// tag.
+    relayed: BTreeMap<Tag, ServerSet>,
+    /// Broadcast consumption dedup: origins (L1 indices) already counted,
+    /// per tag.
+    consumed: BTreeMap<Tag, ServerSet>,
     /// Outstanding regenerate-from-L2 operations keyed by (reader, op).
-    regen: HashMap<(ProcessId, OpId), RegenState>,
+    regen: IdMap<(ProcessId, OpId), RegenState>,
 }
 
 impl ObjectState {
@@ -85,7 +89,7 @@ impl ObjectState {
             offloaded: BTreeSet::new(),
             relayed: BTreeMap::new(),
             consumed: BTreeMap::new(),
-            regen: HashMap::new(),
+            regen: IdMap::default(),
         }
     }
 
@@ -105,8 +109,8 @@ impl ObjectState {
             + self.pending_write.len()
             + self.write_counter.len()
             + self.offloaded.len()
-            + self.relayed.values().map(HashSet::len).sum::<usize>()
-            + self.consumed.values().map(HashSet::len).sum::<usize>()
+            + self.relayed.values().map(ServerSet::len).sum::<usize>()
+            + self.consumed.values().map(ServerSet::len).sum::<usize>()
             + self.gamma.len()
             + self.regen.len()
     }
@@ -211,7 +215,7 @@ struct L1Rebuild {
     /// Highest committed tag reported per object (applied at finalization
     /// through the normal committed-tag advancement, so gc and write-to-L2
     /// run exactly as for a live commit).
-    reported_tc: HashMap<ObjectId, Tag>,
+    reported_tc: IdMap<ObjectId, Tag>,
     /// Snapshot value bytes received per helper process.
     bytes_by_helper: BTreeMap<ProcessId, u64>,
 }
@@ -239,7 +243,7 @@ pub struct L1Server {
     /// differences, all of which live in `broadcast_commit`, `write_to_l2`
     /// and the L2 server's `commit_element`).
     profile: Profile,
-    objects: HashMap<ObjectId, ObjectState>,
+    objects: IdMap<ObjectId, ObjectState>,
     /// Running totals of [`ObjectState::footprint`] over `objects`
     /// (temporary value bytes, metadata entries), kept by
     /// [`Process::on_message`]: the hosting runtime reads them every time a
@@ -248,6 +252,9 @@ pub struct L1Server {
     /// Bytes of the largest set of `n2` element buffers one `write-to-L2`
     /// produced.
     peak_round_bytes: usize,
+    /// The list of element buffers `write-to-L2` encodes into, kept
+    /// between offloads: the buffers leave in the messages, the list stays.
+    elements: Vec<Vec<u8>>,
     /// Monotonic counters for the observability registry.
     obs: L1ObsCounters,
     /// `Some` while this server is a replacement reconstructing metadata.
@@ -280,9 +287,10 @@ impl L1Server {
             membership,
             backend,
             profile,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             totals: (0, 0),
             peak_round_bytes: 0,
+            elements: Vec::new(),
             obs: L1ObsCounters::default(),
             rebuild: None,
         }
@@ -307,7 +315,7 @@ impl L1Server {
             expected_dones,
             dones: 0,
             report_to,
-            reported_tc: HashMap::new(),
+            reported_tc: IdMap::default(),
             bytes_by_helper: BTreeMap::new(),
         });
         server
@@ -439,13 +447,16 @@ impl L1Server {
         origin: ProcessId,
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
+        let Some(origin_index) = self.membership.l1_index_of(origin) else {
+            return; // only an L1 server broadcasts
+        };
         // Relay role: forward to every L1 server on first reception.
         if self
             .state(obj)
             .relayed
             .entry(tag)
             .or_default()
-            .insert(origin)
+            .insert(origin_index)
         {
             ctx.send_all(
                 self.membership.l1.iter().copied(),
@@ -462,9 +473,12 @@ impl L1Server {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         let commit_quorum = self.params.commit_quorum();
+        let Some(origin_index) = self.membership.l1_index_of(origin) else {
+            return; // only an L1 server broadcasts
+        };
         let st = self.state(obj);
         // Consume each (object, tag, origin) broadcast exactly once.
-        if !st.consumed.entry(tag).or_default().insert(origin) {
+        if !st.consumed.entry(tag).or_default().insert(origin_index) {
             return;
         }
         let count = st.commit_count.entry(tag).or_insert(0);
@@ -587,12 +601,13 @@ impl L1Server {
         // messages will own: the coded backends produce the whole batch in
         // one pass over the value, read where it lies, and write every
         // element byte once.
-        let mut bufs: Vec<Vec<u8>> = (0..self.membership.n2()).map(|_| Vec::new()).collect();
+        let mut bufs = std::mem::take(&mut self.elements);
+        bufs.resize_with(self.membership.n2(), Vec::new);
         match self.backend.encode_l2_elements_into(value, &mut bufs) {
             Ok(()) => {
                 let produced = bufs.iter().map(Vec::len).sum();
                 self.peak_round_bytes = self.peak_round_bytes.max(produced);
-                for (i, (buf, &l2)) in bufs.into_iter().zip(self.membership.l2.iter()).enumerate() {
+                for (i, (buf, &l2)) in bufs.drain(..).zip(&self.membership.l2).enumerate() {
                     let element = Share::new(n1 + i, buf);
                     ctx.send(l2, LdsMessage::WriteCodeElem { obj, tag, element });
                 }
@@ -619,6 +634,7 @@ impl L1Server {
                 self.peak_round_bytes = self.peak_round_bytes.max(produced);
             }
         }
+        self.elements = bufs;
     }
 
     /// ACK-CODE-ELEM from an L2 server (sent in the paper profile only; with
@@ -749,7 +765,7 @@ impl L1Server {
                 (from, op),
                 RegenState {
                     treq,
-                    respondents: HashSet::new(),
+                    respondents: ServerSet::default(),
                     responses: Vec::new(),
                 },
             );
@@ -778,12 +794,15 @@ impl L1Server {
         let repair_threshold = self.backend.repair_threshold();
         let my_index = self.index;
         let backend = Arc::clone(&self.backend);
+        let Some(helper_index) = self.membership.l2_index_of(from) else {
+            return; // helper data comes from L2 servers only
+        };
 
         let st = self.state(obj);
         let Some(regen) = st.regen.get_mut(&(reader, op)) else {
             return; // stale helper response for an already-completed regenerate
         };
-        if !regen.respondents.insert(from) {
+        if !regen.respondents.insert(helper_index) {
             return;
         }
         regen.responses.push((tag, helper));
@@ -1516,6 +1535,99 @@ mod tests {
                 payload: ReadPayload::None,
                 ..
             }
+        ));
+    }
+
+    /// Only an L1 server broadcasts COMMIT-TAG: a BCAST-SEND or
+    /// BCAST-DELIVER whose origin is an L2 server, a client or the harness
+    /// is neither relayed nor consumed, and an origin delivered twice counts
+    /// once towards the commit quorum.
+    #[test]
+    fn broadcasts_from_outside_l1_advance_nothing() {
+        let mut s = make_server(0);
+        let (obj, tag) = (ObjectId(0), Tag::new(1, crate::tag::ClientId(3)));
+        let writer = ProcessId(77);
+        let outsiders = [ProcessId(4), writer, ProcessId::EXTERNAL];
+        let put = LdsMessage::PutData {
+            obj,
+            op: OpId::default(),
+            tag,
+            value: Value::from("v"),
+        };
+        step(&mut s, writer, put);
+        let deliver = |origin| LdsMessage::BcastDeliver { obj, tag, origin };
+        let send = |origin| LdsMessage::BcastSend { obj, tag, origin };
+        for origin in outsiders {
+            assert!(
+                step(&mut s, origin, send(origin)).is_empty(),
+                "{origin:?} relayed"
+            );
+            assert!(step(&mut s, origin, deliver(origin)).is_empty());
+        }
+        assert_eq!(
+            s.committed_tag(obj),
+            Tag::initial(),
+            "an outsider committed"
+        );
+        assert_eq!(step(&mut s, ProcessId(1), send(ProcessId(1))).len(), 4);
+        assert!(step(&mut s, ProcessId(1), send(ProcessId(1))).is_empty());
+
+        let acked = |out: &[(ProcessId, LdsMessage)]| {
+            out.iter()
+                .any(|(to, m)| *to == writer && matches!(m, LdsMessage::AckPutData { .. }))
+        };
+        for origin in [ProcessId(0), ProcessId(1), ProcessId(1)] {
+            assert!(!acked(&step(&mut s, origin, deliver(origin))));
+        }
+        assert_eq!(s.committed_tag(obj), tag);
+        assert!(acked(&step(&mut s, ProcessId(2), deliver(ProcessId(2)))));
+    }
+
+    /// `regenerate-from-L2` waits for `f2 + d` distinct L2 servers: helper
+    /// data from an L1 server, a client or the harness, or a second copy
+    /// from one L2 server, does not count.
+    #[test]
+    fn helpers_from_outside_l2_do_not_count() {
+        let (params, membership, backend) = setup();
+        let mut s = L1Server::new(
+            1,
+            params,
+            membership.clone(),
+            Arc::clone(&backend),
+            Profile::PaperFaithful,
+        );
+        let (obj, op, reader) = (ObjectId(0), OpId::default(), ProcessId(90));
+        let query = LdsMessage::QueryData {
+            obj,
+            op,
+            treq: Tag::initial(),
+        };
+        step(&mut s, reader, query);
+        let value = Value::from("regenerate me");
+        let helper_from = |i: usize| {
+            let elem = backend.encode_l2_element(&value, i).unwrap();
+            LdsMessage::SendHelperElem {
+                obj,
+                reader,
+                op,
+                tag: Tag::new(1, crate::tag::ClientId(1)),
+                helper: backend.helper_for_l1(&elem, i, 1).unwrap(),
+            }
+        };
+        let l2 = membership.l2;
+        let senders = [(l2[0], 0), (l2[0], 0), (l2[1], 1), (l2[2], 2)];
+        let outsiders = [ProcessId(0), reader, ProcessId::EXTERNAL].map(|p| (p, 3));
+        for (from, i) in senders.into_iter().chain(outsiders) {
+            let out = step(&mut s, from, helper_from(i));
+            assert!(
+                out.is_empty(),
+                "helper {i} from {from:?} completed the quorum"
+            );
+        }
+        let out = step(&mut s, l2[3], helper_from(3));
+        assert!(matches!(
+            &out[..],
+            [(to, LdsMessage::DataResp { tag: Some(_), .. })] if *to == reader
         ));
     }
 

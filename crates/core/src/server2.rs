@@ -36,13 +36,14 @@
 //!   replacement's copy.
 
 use crate::backend::BackendCodec;
+use crate::idmap::IdMap;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, RepairPayload};
 use crate::params::Profile;
 use crate::tag::{ObjectId, Tag};
 use lds_codes::{HelperData, Share};
 use lds_sim::{Context, Process, ProcessId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Accumulated state of a replacement server while it regenerates from its
@@ -55,7 +56,7 @@ struct L2Rebuild {
     /// Where to report completion and bandwidth accounting.
     report_to: ProcessId,
     /// Per object, per tag: the helper symbols received.
-    pending: HashMap<ObjectId, BTreeMap<Tag, Vec<HelperData>>>,
+    pending: IdMap<ObjectId, BTreeMap<Tag, Vec<HelperData>>>,
     /// Repair payload bytes received per helper process.
     bytes_by_helper: BTreeMap<ProcessId, u64>,
     /// What the same payloads would have cost as full stored elements
@@ -74,7 +75,7 @@ pub struct L2Server {
     /// Decides one thing here: whether `WRITE-CODE-ELEM` is acknowledged.
     profile: Profile,
     /// Per-object `(tag, coded element)` — exactly one pair per object.
-    objects: HashMap<ObjectId, (Tag, Share)>,
+    objects: IdMap<ObjectId, (Tag, Share)>,
     /// `Some` while this server is a replacement regenerating from helpers.
     rebuild: Option<L2Rebuild>,
 }
@@ -93,7 +94,7 @@ impl L2Server {
             membership,
             backend,
             profile,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             rebuild: None,
         }
     }
@@ -116,7 +117,7 @@ impl L2Server {
             expected_dones,
             dones: 0,
             report_to,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             bytes_by_helper: BTreeMap::new(),
             fallback_bytes: 0,
         });

@@ -20,13 +20,13 @@
 //! *per object*: a new invocation for an object with an outstanding write
 //! panics, exactly like the old single-op well-formedness rule.
 
-use crate::membership::Membership;
+use crate::idmap::{IdMap, IdSet};
+use crate::membership::{Membership, ServerSet};
 use crate::messages::{LdsMessage, ProtocolEvent};
 use crate::params::SystemParams;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_sim::{Context, Process, ProcessId, SimTime};
-use std::collections::{HashMap, HashSet};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WritePhase {
@@ -41,9 +41,11 @@ struct WriteOp {
     value: Value,
     invoked_at: SimTime,
     phase: WritePhase,
-    tag_responses: HashMap<ProcessId, Tag>,
+    /// L1 servers that answered get-tag, and the highest tag they reported.
+    tag_responders: ServerSet,
+    max_tag: Tag,
     tag: Option<Tag>,
-    acks: HashSet<ProcessId>,
+    acks: ServerSet,
 }
 
 /// The writer client automaton.
@@ -57,8 +59,8 @@ pub struct WriterClient {
     params: SystemParams,
     membership: Membership,
     next_seq: u64,
-    ops: HashMap<OpId, WriteOp>,
-    busy_objects: HashSet<ObjectId>,
+    ops: IdMap<OpId, WriteOp>,
+    busy_objects: IdSet<ObjectId>,
     completed: u64,
 }
 
@@ -75,8 +77,8 @@ impl WriterClient {
             params,
             membership,
             next_seq: 0,
-            ops: HashMap::new(),
-            busy_objects: HashSet::new(),
+            ops: IdMap::default(),
+            busy_objects: IdSet::default(),
             completed: 0,
         }
     }
@@ -137,9 +139,10 @@ impl WriterClient {
                 value,
                 invoked_at: ctx.now(),
                 phase: WritePhase::GetTag,
-                tag_responses: HashMap::new(),
+                tag_responders: ServerSet::default(),
+                max_tag: Tag::initial(),
                 tag: None,
-                acks: HashSet::new(),
+                acks: ServerSet::default(),
             },
         );
         ctx.send_all(
@@ -176,24 +179,20 @@ impl WriterClient {
     ) {
         let quorum = self.params.write_quorum();
         let id = self.id;
-        let Some(current) = self.ops.get_mut(&op) else {
+        let (Some(current), Some(server)) =
+            (self.ops.get_mut(&op), self.membership.l1_index_of(from))
+        else {
             return;
         };
-        if current.phase != WritePhase::GetTag {
+        if current.phase != WritePhase::GetTag || !current.tag_responders.insert(server) {
             return;
         }
-        current.tag_responses.insert(from, tag);
-        if current.tag_responses.len() < quorum {
+        current.max_tag = current.max_tag.max(tag);
+        if current.tag_responders.len() < quorum {
             return;
         }
         // Quorum reached: create the new tag and move to put-data.
-        let max_tag = current
-            .tag_responses
-            .values()
-            .max()
-            .copied()
-            .unwrap_or_else(Tag::initial);
-        let new_tag = max_tag.next(id);
+        let new_tag = current.max_tag.next(id);
         current.tag = Some(new_tag);
         current.phase = WritePhase::PutData;
         let (obj, op, value) = (current.obj, current.op, current.value.clone());
@@ -214,13 +213,15 @@ impl WriterClient {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         let quorum = self.params.write_quorum();
-        let Some(current) = self.ops.get_mut(&op) else {
+        let (Some(current), Some(server)) =
+            (self.ops.get_mut(&op), self.membership.l1_index_of(from))
+        else {
             return;
         };
         if current.phase != WritePhase::PutData || current.tag != Some(tag) {
             return;
         }
-        current.acks.insert(from);
+        current.acks.insert(server);
         if current.acks.len() < quorum {
             return;
         }
@@ -445,6 +446,77 @@ mod tests {
         );
         assert!(out.is_empty());
         assert!(w.is_busy());
+    }
+
+    /// A quorum counts distinct L1 servers: neither an L2 server, nor a
+    /// client, nor the harness advances get-tag or put-data, and a member
+    /// answering twice counts once.
+    #[test]
+    fn only_distinct_l1_servers_advance_a_quorum() {
+        let (params, membership) = setup();
+        let mut w = WriterClient::new(ClientId(2), params, membership);
+        let (out, _) = step(
+            &mut w,
+            ProcessId::EXTERNAL,
+            LdsMessage::InvokeWrite {
+                obj: ObjectId(0),
+                value: Value::from("x"),
+            },
+        );
+        let LdsMessage::QueryTag { op, .. } = out[0].1 else {
+            unreachable!()
+        };
+        let outsiders = [
+            ProcessId(4),
+            ProcessId(8),
+            ProcessId(42),
+            ProcessId::EXTERNAL,
+        ];
+        let tag_resp = |z| LdsMessage::TagResp {
+            obj: ObjectId(0),
+            op,
+            tag: Tag::new(z, ClientId(1)),
+        };
+        for from in [ProcessId(0), ProcessId(1), ProcessId(1)] {
+            let (out, _) = step(&mut w, from, tag_resp(7));
+            assert!(out.is_empty(), "TAG-RESP from {from:?} completed get-tag");
+        }
+        for from in outsiders {
+            let (out, _) = step(&mut w, from, tag_resp(99));
+            assert!(out.is_empty(), "TAG-RESP from {from:?} completed get-tag");
+        }
+        // The third distinct L1 server completes get-tag; the outsiders'
+        // tag never entered the maximum.
+        let (out, _) = step(
+            &mut w,
+            ProcessId(3),
+            LdsMessage::TagResp {
+                obj: ObjectId(0),
+                op,
+                tag: Tag::initial(),
+            },
+        );
+        let tag = Tag::new(8, ClientId(2));
+        assert!(matches!(out[0].1, LdsMessage::PutData { tag: t, .. } if t == tag));
+
+        let ack = LdsMessage::AckPutData {
+            obj: ObjectId(0),
+            op,
+            tag,
+        };
+        for from in [ProcessId(2), ProcessId(0), ProcessId(0)]
+            .into_iter()
+            .chain(outsiders)
+        {
+            let (_, events) = step(&mut w, from, ack.clone());
+            assert!(
+                events.is_empty(),
+                "ACK-PUT-DATA from {from:?} completed the write"
+            );
+        }
+        let (_, events) = step(&mut w, ProcessId(3), ack);
+        assert_eq!(events.len(), 1);
+        assert!(!w.is_busy());
     }
 
     #[test]

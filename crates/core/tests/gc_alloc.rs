@@ -14,9 +14,12 @@
 //! pinned: a new allocation anywhere on an L1 server's write path moves it.
 //! The parent of the commit that added this file, which split every map at
 //! `t_c`, allocated [22, 22, 19, 19] per server per write paper-faithful
-//! and [19, 19, 7, 7] high-throughput. What is left of a non-offloading
-//! high-throughput server's two is the per-tag relay and consume dedup
-//! sets.
+//! and [19, 19, 7, 7] high-throughput; the parent of the commit that made
+//! every quorum and dedup set a bitset and memoized the encode's generator
+//! rows, [14, 14, 12, 12] and [12, 12, 2, 2]. What is left is payload: an
+//! offloading server's 5 coded elements and the framed copy of the short
+//! value it encodes. A non-offloading high-throughput server allocates
+//! nothing.
 
 use lds_core::backend::{make_backend, BackendKind};
 use lds_core::{
@@ -141,8 +144,8 @@ impl Net {
 #[test]
 fn a_committed_small_write_allocates_no_btree_nodes_in_gc() {
     for (profile, expected) in [
-        (Profile::PaperFaithful, [14, 14, 12, 12]),
-        (Profile::HighThroughput, [12, 12, 2, 2]),
+        (Profile::PaperFaithful, [6, 6, 6, 6]),
+        (Profile::HighThroughput, [6, 6, 0, 0]),
     ] {
         let mut net = Net::new(profile);
         let obj = ObjectId(3);
