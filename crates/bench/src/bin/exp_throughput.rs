@@ -1,15 +1,14 @@
 //! `exp_throughput` — end-to-end ops/sec of the threaded cluster runtime.
 //!
-//! Drives closed-loop clients — written against the [`Store`] trait, and
-//! the same `StoreClient` serves one cluster or a
-//! multi-cluster deployment; the cluster count is just the builder's
-//! `clusters` axis — and records ops/sec
-//! with p50/p99 latency to `BENCH_CLUSTER.json`. Three sweep axes:
+//! Drives closed-loop clients, written against the [`Store`] trait, and
+//! records ops/sec with p50/p99 latency to `BENCH_CLUSTER.json`. Three sweep
+//! axes:
 //!
-//! * **topology** — `clients × pipeline depth × server shards × cluster
-//!   shards × backend`, at the base workload (small uniform values, 50/50
-//!   read/write). The `(depth = 1, shards = 1, clusters = 1)` point of each
-//!   backend is the pre-PR-2 baseline the recorded speedups compare against.
+//! * **topology** — `clients × pipeline depth × server shards × profile ×
+//!   backend`, at the base workload (small uniform values, 50/50
+//!   read/write). The paper-faithful `(depth = 1, shards = 1)` point of each
+//!   backend is the single-in-flight baseline the recorded speedups compare
+//!   against.
 //! * **size** — value sizes 256 B → 16 MiB at a fixed tuned topology.
 //! * **skew** — Zipfian key skew θ ∈ {0, 0.9, 0.99} × read fraction
 //!   ∈ {0.5, 0.95} at small values, with the tag-validated client read
@@ -17,9 +16,9 @@
 //!   identical per-client key/value sequences (same seeds), so their p99s
 //!   are directly comparable.
 //!
-//! The `_meta` block records the host's core count — on a 1-core container
-//! the sharding/multi-cluster gains come from fewer messages and batched
-//! processing, not parallelism, and the recorded numbers say so themselves.
+//! The `_meta` block records the host's core count — on a 1-core host the
+//! sharding gains come from fewer messages and batched processing, not
+//! parallelism, and the recorded numbers say so themselves.
 //!
 //! Usage:
 //!
@@ -28,7 +27,6 @@
 //! cargo run --release -p lds-bench --bin exp_throughput -- --smoke # CI smoke
 //!     [--out PATH]      output file (default BENCH_CLUSTER.json)
 //!     [--ops N]         operations per client (overrides the preset)
-//!     [--clusters N]    cluster shards on the multi-cluster points (default 2)
 //! cargo run --release -p lds-bench --bin exp_throughput -- --objects
 //!     the working-set axis only (table on stdout, no file): the
 //!     `small_mixed`-shaped closed loop of `lds_benchmark` at 1024, 4096 and
@@ -62,19 +60,14 @@ struct Config {
     clients: usize,
     depth: usize,
     shards: usize,
-    /// Independent cluster shards behind the facade (1 = a single cluster).
-    clusters: usize,
     profile: Profile,
 }
 
 impl Config {
-    /// The single-in-flight, unsharded, single-cluster, paper-faithful
-    /// reference point the speedups are computed against.
+    /// The single-in-flight, unsharded, paper-faithful reference point the
+    /// speedups are computed against.
     fn is_baseline(&self) -> bool {
-        self.depth == 1
-            && self.shards == 1
-            && self.clusters == 1
-            && self.profile == Profile::PaperFaithful
+        self.depth == 1 && self.shards == 1 && self.profile == Profile::PaperFaithful
     }
 }
 
@@ -151,7 +144,6 @@ fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_CLUSTER.json".to_string();
     let mut ops_override: Option<usize> = None;
-    let mut multi_clusters = 2usize;
     let mut objects_axis = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -167,14 +159,6 @@ fn main() {
                         .expect("--ops needs a number"),
                 )
             }
-            "--clusters" => {
-                multi_clusters = args
-                    .next()
-                    .expect("--clusters needs a count")
-                    .parse()
-                    .expect("--clusters needs a number");
-                assert!(multi_clusters >= 1, "--clusters needs at least 1");
-            }
             other => panic!("unknown argument {other:?}"),
         }
     }
@@ -185,16 +169,16 @@ fn main() {
     }
 
     let points = if smoke {
-        smoke_points(ops_override, multi_clusters)
+        smoke_points(ops_override)
     } else {
-        full_points(ops_override, multi_clusters)
+        full_points(ops_override)
     };
 
     let mut results = Vec::with_capacity(points.len());
     for point in points {
         let (summary, cache_hits, phases) = run_point(point, false);
         eprintln!(
-            "{:>8} {:>18} {:>8}  clients={} depth={:>2} shards={} clusters={}  \
+            "{:>8} {:>18} {:>8}  clients={} depth={:>2} shards={}  \
              vsize={:>8} theta={:.2} rf={:.2} cache={}  \
              {:>9.0} ops/s  p50={:>7.0}us p99={:>7.0}us  hits={}  \
              phases(tag/data/commit p50us)={}/{}/{}",
@@ -204,7 +188,6 @@ fn main() {
             point.cfg.clients,
             point.cfg.depth,
             point.cfg.shards,
-            point.cfg.clusters,
             point.wl.value_size,
             point.wl.theta,
             point.wl.read_fraction,
@@ -259,7 +242,6 @@ fn run_objects_axis(ops_override: Option<usize>) {
         clients: 2,
         depth: 8,
         shards: 2,
-        clusters: 1,
         profile: Profile::HighThroughput,
     };
     let mut rows = Vec::new();
@@ -328,7 +310,7 @@ fn run_objects_axis(ops_override: Option<usize>) {
 /// The CI smoke sweep: a few topology points plus one 4 MiB point
 /// and one skewed cache-on point, so large values and the read cache run
 /// end to end on every commit.
-fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point> {
+fn smoke_points(ops_override: Option<usize>) -> Vec<Point> {
     let wl = Workload::base(16, 64, ops_override.unwrap_or(40));
     let mut points = Vec::new();
     for backend in [BackendKind::Mbr, BackendKind::Replication] {
@@ -339,7 +321,6 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
                 clients: 2,
                 depth: 1,
                 shards: 1,
-                clusters: 1,
                 profile: Profile::PaperFaithful,
             },
             wl,
@@ -351,21 +332,6 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
                 clients: 2,
                 depth: 4,
                 shards: 2,
-                clusters: 1,
-                profile: Profile::HighThroughput,
-            },
-            wl,
-        });
-        // A multi-cluster point rides in the smoke sweep so CI exercises
-        // the client's cross-cluster routing end to end.
-        points.push(Point {
-            axis: "topology",
-            cfg: Config {
-                backend,
-                clients: 2,
-                depth: 4,
-                shards: 2,
-                clusters: multi_clusters.max(2),
                 profile: Profile::HighThroughput,
             },
             wl,
@@ -380,7 +346,6 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             clients: 1,
             depth: 2,
             shards: 1,
-            clusters: 1,
             profile: Profile::HighThroughput,
         },
         wl: Workload::base(2, 4 << 20, ops_override.unwrap_or(40).min(6)),
@@ -393,7 +358,6 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
             clients: 2,
             depth: 4,
             shards: 2,
-            clusters: 1,
             profile: Profile::HighThroughput,
         },
         wl: Workload {
@@ -406,12 +370,11 @@ fn smoke_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point
     points
 }
 
-/// The full recorded sweep: the PR 2–5 topology grid, the value-size axis
-/// and the skew axis (read cache off/on).
-fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point> {
+/// The full recorded sweep: the topology grid, the value-size axis and the
+/// skew axis (read cache off/on).
+fn full_points(ops_override: Option<usize>) -> Vec<Point> {
     let base_wl = Workload::base(64, 256, ops_override.unwrap_or(400));
     let mut points = Vec::new();
-    let mut seen: Vec<Config> = Vec::new();
     for backend in [
         BackendKind::Mbr,
         BackendKind::MsrPoint,
@@ -419,44 +382,26 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         BackendKind::Replication,
     ] {
         use Profile::{HighThroughput, PaperFaithful};
-        for (clients, depth, shards, clusters, profile) in [
+        for (clients, depth, shards, profile) in [
             // Single-in-flight references: one blocking op at a time.
-            (1, 1, 1, 1, PaperFaithful),
-            (4, 1, 1, 1, PaperFaithful), // <- the baseline speedups compare against
+            (1, 1, 1, PaperFaithful),
+            (4, 1, 1, PaperFaithful), // <- the baseline speedups compare against
             // Pipelining and sharding alone (paper-faithful messages).
-            (4, 8, 1, 1, PaperFaithful),
-            (4, 8, 2, 1, PaperFaithful),
-            (8, 16, 2, 1, PaperFaithful),
+            (4, 8, 1, PaperFaithful),
+            (4, 8, 2, PaperFaithful),
+            (8, 16, 2, PaperFaithful),
             // The high-throughput profile on top.
-            (4, 32, 1, 1, HighThroughput),
-            (4, 32, 2, 1, HighThroughput),
-            (8, 32, 2, 1, HighThroughput),
-            // Scale-out: the same best configs over N independent
-            // clusters, each client routing by consistent hash.
-            (4, 32, 2, multi_clusters, HighThroughput),
-            (8, 32, 2, multi_clusters, HighThroughput),
+            (4, 32, 1, HighThroughput),
+            (4, 32, 2, HighThroughput),
+            (8, 32, 2, HighThroughput),
         ] {
-            if clusters == 1
-                && seen.iter().any(|c| {
-                    c.backend == backend
-                        && c.clients == clients
-                        && c.depth == depth
-                        && c.shards == shards
-                        && c.clusters == 1
-                        && c.profile == profile
-                })
-            {
-                continue; // --clusters 1 would duplicate existing points
-            }
             let cfg = Config {
                 backend,
                 clients,
                 depth,
                 shards,
-                clusters,
                 profile,
             };
-            seen.push(cfg);
             points.push(Point {
                 axis: "topology",
                 cfg,
@@ -471,7 +416,6 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         clients: 2,
         depth: 8,
         shards: 2,
-        clusters: 1,
         profile: Profile::HighThroughput,
     };
     for (value_size, ops) in [
@@ -498,7 +442,6 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
         clients: 4,
         depth: 16,
         shards: 2,
-        clusters: 1,
         profile: Profile::HighThroughput,
     };
     for theta in [0.0, 0.9, 0.99] {
@@ -530,9 +473,7 @@ fn full_points(ops_override: Option<usize>, multi_clusters: usize) -> Vec<Point>
 
 /// Runs one sweep point and returns its merged summary plus total read-cache
 /// hits across clients. The deployment is built through the `StoreBuilder`
-/// facade: the sweep's `clusters` axis is exactly the builder's
-/// `clusters(n)` axis, and the same [`lds_cluster::api::StoreHandle`] /
-/// generic [`drive_client`] pair covers both topologies.
+/// facade and driven by the generic [`drive_client`].
 fn run_point(point: Point, trace: bool) -> (ThroughputSummary, u64, PhasePcts) {
     let Point { cfg, wl, .. } = point;
     // The sweep's shard dimension is the L1 layer, where all mutable protocol
@@ -548,7 +489,6 @@ fn run_point(point: Point, trace: bool) -> (ThroughputSummary, u64, PhasePcts) {
         .trace(trace);
     let store = builder
         .backend(cfg.backend)
-        .clusters(cfg.clusters)
         .build()
         .expect("validated sweep configuration");
 
@@ -620,7 +560,6 @@ fn run_obs_ab(ops_override: Option<usize>, smoke: bool) -> ObsAb {
             clients: 2,
             depth: 4,
             shards: 2,
-            clusters: 1,
             profile: Profile::HighThroughput,
         },
         // More ops than the sweep points: the pair exists to resolve a
@@ -701,7 +640,6 @@ fn print_results(results: &[PointResult]) {
                 r.point.cfg.clients.to_string(),
                 r.point.cfg.depth.to_string(),
                 r.point.cfg.shards.to_string(),
-                r.point.cfg.clusters.to_string(),
                 r.point.wl.value_size.to_string(),
                 format!("{:.2}", r.point.wl.theta),
                 format!("{:.2}", r.point.wl.read_fraction),
@@ -716,8 +654,8 @@ fn print_results(results: &[PointResult]) {
     print_table(
         "cluster throughput (closed loop)",
         &[
-            "axis", "backend", "profile", "clients", "depth", "shards", "clusters", "vsize",
-            "theta", "rf", "cache", "hits", "ops/s", "p50 us", "p99 us",
+            "axis", "backend", "profile", "clients", "depth", "shards", "vsize", "theta", "rf",
+            "cache", "hits", "ops/s", "p50 us", "p99 us",
         ],
         &rows,
     );
@@ -725,7 +663,7 @@ fn print_results(results: &[PointResult]) {
     println!("\n  speedup of best config over the single-in-flight, unsharded baseline:");
     for (backend, baseline, best) in per_backend_extremes(results) {
         println!(
-            "    {:>18}: {} -> {} ops/s  ({}x, best: {} clients={} depth={} shards={} clusters={})",
+            "    {:>18}: {} -> {} ops/s  ({}x, best: {} clients={} depth={} shards={})",
             backend.to_string(),
             fmt3(baseline.summary.ops_per_sec),
             fmt3(best.summary.ops_per_sec),
@@ -734,7 +672,6 @@ fn print_results(results: &[PointResult]) {
             best.point.cfg.clients,
             best.point.cfg.depth,
             best.point.cfg.shards,
-            best.point.cfg.clusters,
         );
     }
 }
@@ -785,11 +722,9 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
     out.push_str(
         "    \"description\": \"End-to-end throughput of the threaded cluster runtime: \
          closed-loop clients driving the pipelined Store API against sharded L1 \
-         servers; points with clusters > 1 run N independent L1/L2 groups, every client \
-         routing each operation by consistent hash of its object. Three axes: \
-         axis=topology sweeps clients/depth/shards/clusters/backend at the base workload \
-         (baseline = single-in-flight depth 1, unsharded, single-cluster, paper-faithful \
-         flow — the pre-pipelining runtime; profile=tuned is Profile::HighThroughput, \
+         servers. Three axes: axis=topology sweeps clients/depth/shards/profile/backend \
+         at the base workload (baseline = single-in-flight depth 1, unsharded, \
+         paper-faithful flow; profile=tuned is Profile::HighThroughput, \
          atomicity preserved and covered by the cluster stress tests). axis=size sweeps \
          value_size 256 B..16 MiB at one tuned topology. \
          axis=skew sweeps Zipfian theta x read_fraction at small values with the \
@@ -798,8 +733,8 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
          phase; the tag quorum and put-tag write-back still run, so atomicity is \
          untouched). Cache twin points replay identical per-client op sequences \
          (same seeds). See host_cores for how much hardware parallelism backed the \
-         recorded numbers: on 1 core, sharding/multi-cluster gains come from fewer \
-         messages and batched processing, not parallelism.\",\n",
+         recorded numbers: on 1 core, sharding gains come from fewer messages and \
+         batched processing, not parallelism.\",\n",
     );
     out.push_str(&format!(
         "    \"command\": \"cargo run --release -p lds-bench --bin exp_throughput{}\",\n",
@@ -822,28 +757,9 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
          suites, not for benchmarking.\",\n",
     );
     out.push_str(
-        "    \"params\": \"f1=1 f2=1 k=2 d=3 (n1=4, n2=5) per cluster; one deployment per \
+        "    \"params\": \"f1=1 f2=1 k=2 d=3 (n1=4, n2=5); one deployment per \
          point, clients on their own threads; every point warm-writes its object pool \
          before the measured window\",\n",
-    );
-    out.push_str(
-        "    \"mbr_small_value_offload_note\": \"PR 4 (MBR tuned-profile gap): write-to-L2 \
-         now encodes all n2 elements via encode_l2_elements_into, framing the value once \
-         per write instead of once per element. criterion small_value_offload (n1=5 n2=7 \
-         d=5, plan-cache hit path), ns per full 7-element offload before -> after: \
-         64 B: 1963 -> 1633 (-17%), 256 B: 2297 -> 2145 (-7%), 1 KiB: 6628 -> 6159 \
-         (-7%).\",\n",
-    );
-    out.push_str(
-        "    \"mbr_tiny_symbol_note\": \"PR 5 (MBR tuned-profile gap, part 2): matrix \
-         applications at symbol_len <= 32 now run through one gathered table-loop kernel \
-         call (lds_gf::bulk::apply_small, dispatched inside lds_codes::linear::apply_into) \
-         instead of one fused-kernel dispatch per output symbol, removing the per-symbol \
-         dispatch overhead that dominated symbol_len ~ 1 encodes. criterion \
-         small_value_offload (n1=5 n2=7 d=5, plan-cache hit path), ns per full 7-element \
-         span offload before -> after: 16 B: 1567 -> 810 (-48%), 64 B: 1717 -> 1013 \
-         (-41%), 256 B: 2546 -> 1842 (-28%); 1 KiB values (symbol_len = 86) stay on the \
-         vector path and are unchanged.\",\n",
     );
     out.push_str(
         "    \"workload\": \"per result row: value_size bytes, Zipfian theta (0 = \
@@ -860,8 +776,8 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
          (cache-hit reads skip data), so phase counts differ from op counts.\",\n",
     );
     out.push_str(&format!(
-        "    \"obs_ab\": {{ \"config\": \"mbr tuned clients=2 depth=4 shards=2 \
-         clusters=1, small uniform values\", \"trace_off_ops_per_sec\": {:.1}, \
+        "    \"obs_ab\": {{ \"config\": \"mbr tuned clients=2 depth=4 shards=2, \
+         small uniform values\", \"trace_off_ops_per_sec\": {:.1}, \
          \"trace_on_ops_per_sec\": {:.1}, \"on_over_off\": {:.3}, \"note\": \"every \
          other number in this file runs with the flight recorder off (one cached-flag \
          branch per recording site); this A/B pair re-runs one point with tracing off \
@@ -881,23 +797,21 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
     for (i, (backend, baseline, best)) in extremes.iter().enumerate() {
         out.push_str(&format!(
             "    \"{}\": {{ \"baseline_ops_per_sec\": {:.1}, \
-             \"baseline_config\": \"{} clients={} depth={} shards={} clusters={}\", \
+             \"baseline_config\": \"{} clients={} depth={} shards={}\", \
              \"best_ops_per_sec\": {:.1}, \"speedup\": {:.2}, \
-             \"best_config\": \"{} clients={} depth={} shards={} clusters={}\" }}{}\n",
+             \"best_config\": \"{} clients={} depth={} shards={}\" }}{}\n",
             backend,
             baseline.summary.ops_per_sec,
             profile_label(baseline.point.cfg.profile),
             baseline.point.cfg.clients,
             baseline.point.cfg.depth,
             baseline.point.cfg.shards,
-            baseline.point.cfg.clusters,
             best.summary.ops_per_sec,
             best.summary.ops_per_sec / baseline.summary.ops_per_sec.max(1e-9),
             profile_label(best.point.cfg.profile),
             best.point.cfg.clients,
             best.point.cfg.depth,
             best.point.cfg.shards,
-            best.point.cfg.clusters,
             if i + 1 < extremes.len() { "," } else { "" }
         ));
     }
@@ -907,7 +821,7 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{ \"axis\": \"{}\", \"backend\": \"{}\", \"profile\": \"{}\", \
-             \"clients\": {}, \"depth\": {}, \"shards\": {}, \"clusters\": {}, \
+             \"clients\": {}, \"depth\": {}, \"shards\": {}, \
              \"value_size\": {}, \"theta\": {:.2}, \"read_fraction\": {:.2}, \
              \"read_cache\": {}, \"cache_hits\": {}, \
              \"ops\": {}, \"elapsed_s\": {:.4}, \"ops_per_sec\": {:.1}, \"p50_us\": {:.1}, \
@@ -921,7 +835,6 @@ fn render_json(results: &[PointResult], smoke: bool, ab: &ObsAb) -> String {
             r.point.cfg.clients,
             r.point.cfg.depth,
             r.point.cfg.shards,
-            r.point.cfg.clusters,
             r.point.wl.value_size,
             r.point.wl.theta,
             r.point.wl.read_fraction,

@@ -17,8 +17,8 @@
 //! - `exp_mbr_vs_msr` — the MBR / MSR-point ablation (Remarks 1, 2);
 //! - `exp_baselines` — LDS versus the single-layer ABD and CAS baselines;
 //! - `exp_throughput` — wall-clock ops/sec of the threaded cluster
-//!   runtime (pipelined clients × worker shards × cluster shards ×
-//!   backend), recorded into `BENCH_CLUSTER.json`.
+//!   runtime (pipelined clients × worker shards × profile × backend),
+//!   recorded into `BENCH_CLUSTER.json`.
 //!
 //! [`threads`] is the per-thread-role CPU and context-switch census
 //! `exp_net` attributes its TCP rows with.
@@ -79,13 +79,13 @@ pub fn fmt3(x: f64) -> String {
 /// of the JSON. The `exp_throughput`, `exp_repair` and `exp_net` writers
 /// stamp it into `_meta.schema_version` themselves.
 ///
-/// History: 1 = the unversioned PR 2–4 layout (implicit); 2 = identical
+/// History: 1 = the original unversioned layout (implicit); 2 = identical
 /// layout plus this explicit stamp; 3 = `BENCH_CLUSTER.json` result rows
-/// gain the workload axes `{value_size, theta, read_fraction, stripe,
-/// read_cache, cache_hits}` (PR 6 large-value striping + read cache +
-/// skewed workloads — other `BENCH_*.json` layouts are unchanged and carry
-/// the stamp forward); 4 = `BENCH_CLUSTER.json` result rows gain the
-/// protocol-phase latency breakdown `{phase_tag_p50_us, phase_tag_p99_us,
+/// gain the workload axes `{value_size, theta, read_fraction, read_cache,
+/// cache_hits}` (large values, read cache, skewed workloads — other
+/// `BENCH_*.json` layouts are unchanged and carry the stamp forward); 4 =
+/// `BENCH_CLUSTER.json` result rows gain the protocol-phase latency
+/// breakdown `{phase_tag_p50_us, phase_tag_p99_us,
 /// phase_data_p50_us, phase_data_p99_us, phase_commit_p50_us,
 /// phase_commit_p99_us}` (from the cluster's always-on phase histograms,
 /// diffed across the measured window) and `_meta` gains `obs_ab`, a
@@ -96,8 +96,7 @@ pub const SCHEMA_VERSION: u32 = 4;
 
 /// Logical cores available to this process, stamped into `_meta.host_cores`
 /// so recorded numbers carry their parallelism caveat with them: on a
-/// 1-core host, sharding and multi-cluster gains come from batching, not
-/// parallel execution.
+/// 1-core host, sharding gains come from batching, not parallel execution.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

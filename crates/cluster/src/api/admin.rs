@@ -2,7 +2,7 @@
 //! inbox-depth probes and metrics, consolidated behind one handle.
 //!
 //! [`Admin`] addresses every server of the deployment with one
-//! [`ServerRef`] — layer, index and cluster — and is the single seam a
+//! [`ServerRef`] — layer and index — and is the single seam a
 //! failure detector drives: observe [`Admin::liveness`], decide, call
 //! [`Admin::repair`].
 
@@ -14,22 +14,18 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Addresses one server process of a deployment: layer + layer index, plus
-/// the cluster shard on sharded topologies (defaults to shard 0).
+/// Addresses one server process of a deployment: layer + layer index.
 ///
 /// ```rust
 /// use lds_cluster::api::ServerRef;
 /// use lds_cluster::RepairLayer;
 ///
 /// let edge = ServerRef::l1(3);
-/// assert_eq!((edge.layer, edge.index, edge.cluster), (RepairLayer::L1, 3, 0));
-/// let backend = ServerRef::l2(1).in_cluster(2);
-/// assert_eq!((backend.layer, backend.index, backend.cluster), (RepairLayer::L2, 1, 2));
+/// assert_eq!((edge.layer, edge.index), (RepairLayer::L1, 3));
+/// assert_eq!(ServerRef::l2(1).to_string(), "L2[1]");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerRef {
-    /// The cluster shard hosting the server (always 0 on a single cluster).
-    pub cluster: usize,
     /// The server's layer.
     pub layer: RepairLayer,
     /// The server's index within its layer (`0..n1` or `0..n2`).
@@ -37,82 +33,61 @@ pub struct ServerRef {
 }
 
 impl ServerRef {
-    /// The L1 (edge) server with layer index `index`, in cluster shard 0.
+    /// The L1 (edge) server with layer index `index`.
     pub fn l1(index: usize) -> ServerRef {
         ServerRef {
-            cluster: 0,
             layer: RepairLayer::L1,
             index,
         }
     }
 
-    /// The L2 (back-end) server with layer index `index`, in cluster shard 0.
+    /// The L2 (back-end) server with layer index `index`.
     pub fn l2(index: usize) -> ServerRef {
         ServerRef {
-            cluster: 0,
             layer: RepairLayer::L2,
             index,
         }
-    }
-
-    /// The same server in cluster shard `cluster` of a sharded topology.
-    pub fn in_cluster(mut self, cluster: usize) -> ServerRef {
-        self.cluster = cluster;
-        self
     }
 }
 
 impl fmt::Display for ServerRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]@cluster{}", self.layer, self.index, self.cluster)
+        write!(f, "{}[{}]", self.layer, self.index)
     }
 }
 
-/// Liveness of every server, per cluster shard (see [`Admin::liveness`]).
+/// Liveness of every server (see [`Admin::liveness`]).
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    /// `l1[c][j]` is true iff L1 server `j` of cluster shard `c` is live.
-    pub l1: Vec<Vec<bool>>,
-    /// `l2[c][i]` is true iff L2 server `i` of cluster shard `c` is live.
-    pub l2: Vec<Vec<bool>>,
+    /// `l1[j]` is true iff L1 server `j` is live.
+    pub l1: Vec<bool>,
+    /// `l2[i]` is true iff L2 server `i` is live.
+    pub l2: Vec<bool>,
 }
 
 impl Liveness {
-    /// Whether every server of every cluster shard is live.
+    /// Whether every server is live.
     pub fn all_live(&self) -> bool {
-        self.l1.iter().chain(self.l2.iter()).flatten().all(|&b| b)
+        self.l1.iter().chain(&self.l2).all(|&b| b)
     }
 
     /// Crashed servers, as [`ServerRef`]s — the work list a failure detector
     /// would hand to [`Admin::repair`].
     pub fn crashed(&self) -> Vec<ServerRef> {
-        let collect =
-            |layers: &[Vec<bool>], layer: RepairLayer| {
-                layers
-                    .iter()
-                    .enumerate()
-                    .flat_map(move |(c, servers)| {
-                        servers.iter().enumerate().filter(|(_, &live)| !live).map(
-                            move |(index, _)| ServerRef {
-                                cluster: c,
-                                layer,
-                                index,
-                            },
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            };
-        let mut crashed = collect(&self.l1, RepairLayer::L1);
-        crashed.extend(collect(&self.l2, RepairLayer::L2));
-        crashed
+        let crashed = |servers: &[bool], layer| {
+            let down = servers.iter().enumerate().filter(|(_, &live)| !live);
+            down.map(move |(index, _)| ServerRef { layer, index })
+                .collect::<Vec<_>>()
+        };
+        let mut down = crashed(&self.l1, RepairLayer::L1);
+        down.extend(crashed(&self.l2, RepairLayer::L2));
+        down
     }
 }
 
 /// The consolidated control plane of a store: one handle for crash
 /// injection ([`Admin::kill`]), online repair ([`Admin::repair`]), liveness
-/// ([`Admin::liveness`]), inbox-depth probes and a [`MetricsSnapshot`] —
-/// for every cluster of the deployment, the cluster index carried by
-/// [`ServerRef`].
+/// ([`Admin::liveness`]), inbox-depth probes and a [`MetricsSnapshot`].
 ///
 /// Obtained from [`StoreHandle::admin`](crate::api::StoreHandle::admin).
 /// Cheaply cloneable; all methods take `&self`.
@@ -135,36 +110,18 @@ impl Liveness {
 /// ```
 #[derive(Clone)]
 pub struct Admin {
-    /// The deployment's clusters, in cluster-index order (never empty).
-    clusters: Arc<[Arc<Cluster>]>,
+    cluster: Arc<Cluster>,
 }
 
 impl Admin {
-    pub(crate) fn new(clusters: Arc<[Arc<Cluster>]>) -> Admin {
-        Admin { clusters }
-    }
-
-    /// Number of clusters this admin oversees.
-    pub fn clusters(&self) -> usize {
-        self.clusters.len()
-    }
-
-    fn cluster(&self, server: ServerRef) -> Result<&Cluster, StoreError> {
-        match self.clusters.get(server.cluster) {
-            Some(cluster) => Ok(cluster),
-            None => Err(StoreError::InvalidConfig(format!(
-                "server {server} names cluster shard {} of a {}-shard deployment",
-                server.cluster,
-                self.clusters.len()
-            ))),
-        }
+    pub(crate) fn new(cluster: Arc<Cluster>) -> Admin {
+        Admin { cluster }
     }
 
     fn check_index(&self, server: ServerRef) -> Result<(), StoreError> {
-        let cluster = self.cluster(server)?;
         let n = match server.layer {
-            RepairLayer::L1 => cluster.params().n1(),
-            RepairLayer::L2 => cluster.params().n2(),
+            RepairLayer::L1 => self.cluster.params().n1(),
+            RepairLayer::L2 => self.cluster.params().n2(),
         };
         if server.index >= n {
             return Err(StoreError::InvalidConfig(format!(
@@ -180,17 +137,16 @@ impl Admin {
     ///
     /// # Errors
     ///
-    /// [`StoreError::InvalidConfig`] if `server` names a cluster shard or
-    /// index outside the deployment.
+    /// [`StoreError::InvalidConfig`] if `server` names an index outside the
+    /// deployment.
     pub fn kill(&self, server: ServerRef) -> Result<(), StoreError> {
         self.check_index(server)?;
-        self.cluster(server)?
-            .kill_server(server.layer, server.index);
+        self.cluster.kill_server(server.layer, server.index);
         Ok(())
     }
 
-    /// Regenerates the crashed `server` **online**, restoring its cluster's
-    /// failure budget while client traffic keeps flowing:
+    /// Regenerates the crashed `server` **online**, restoring the failure
+    /// budget while client traffic keeps flowing:
     ///
     /// * an **L1** replacement reconstructs its metadata (committed tags and
     ///   lists) from every live L1 peer and catches up in-flight writes from
@@ -217,7 +173,7 @@ impl Admin {
     pub fn repair(&self, server: ServerRef) -> Result<RepairReport, StoreError> {
         self.check_index(server)?;
         Ok(self
-            .cluster(server)?
+            .cluster
             .repair_server(server.layer, server.index, None)?)
     }
 
@@ -244,7 +200,7 @@ impl Admin {
             ));
         }
         Ok(self
-            .cluster(server)?
+            .cluster
             .repair_server(server.layer, server.index, Some(timeout))?)
     }
 
@@ -256,14 +212,11 @@ impl Admin {
     /// [`StoreError::InvalidConfig`] for an out-of-range reference.
     pub fn is_live(&self, server: ServerRef) -> Result<bool, StoreError> {
         self.check_index(server)?;
-        Ok(self
-            .cluster(server)?
-            .server_is_live(server.layer, server.index))
+        Ok(self.cluster.server_is_live(server.layer, server.index))
     }
 
-    /// Liveness of every server of every cluster shard — the observation a
-    /// failure detector feeds back into [`Admin::repair`] (see
-    /// [`Liveness::crashed`]).
+    /// Liveness of every server — the observation a failure detector feeds
+    /// back into [`Admin::repair`] (see [`Liveness::crashed`]).
     ///
     /// On a self-healing deployment
     /// ([`StoreBuilder::self_heal`](crate::api::StoreBuilder::self_heal))
@@ -273,78 +226,59 @@ impl Admin {
     /// repaired server reappears on its first beat. [`Admin::is_live`]
     /// always reads the engine's crash-injection ground truth.
     pub fn liveness(&self) -> Liveness {
-        let layer = |layer| {
-            let per_cluster = |c: &Arc<Cluster>| c.live_servers(layer).collect();
-            self.clusters.iter().map(per_cluster).collect()
-        };
         Liveness {
-            l1: layer(RepairLayer::L1),
-            l2: layer(RepairLayer::L2),
+            l1: self.cluster.live_servers(RepairLayer::L1).collect(),
+            l2: self.cluster.live_servers(RepairLayer::L2).collect(),
         }
     }
 
-    /// Messages currently queued per L1 server inbox: `depths[c][j]` is the
-    /// queue length of L1 server `j` in cluster shard `c` (summed over its
-    /// worker shards). A persistently deep inbox identifies the saturated
-    /// server behind [`StoreError::WouldBlock`] refusals.
-    pub fn inbox_depths(&self) -> Vec<Vec<usize>> {
-        let per_cluster = |cluster: &Cluster| {
-            (0..cluster.params().n1())
-                .map(|j| cluster.l1_inbox_depth(j))
-                .collect::<Vec<_>>()
-        };
-        self.clusters.iter().map(|c| per_cluster(c)).collect()
+    /// Messages currently queued per L1 server inbox: `depths[j]` is the
+    /// queue length of L1 server `j` (summed over its worker shards). A
+    /// persistently deep inbox identifies the saturated server behind
+    /// [`StoreError::WouldBlock`] refusals.
+    pub fn inbox_depths(&self) -> Vec<usize> {
+        let n1 = self.cluster.params().n1();
+        (0..n1).map(|j| self.cluster.l1_inbox_depth(j)).collect()
     }
 
     /// Client operations currently admitted per L1 key partition (bounded
-    /// deployments only; all zeros otherwise): `admitted[c][p]` is the
-    /// budget in use on partition `p` of cluster shard `c`. Never exceeds
-    /// the configured inbox cap.
-    pub fn admitted_ops(&self) -> Vec<Vec<usize>> {
-        let per_cluster = |cluster: &Cluster| {
-            (0..cluster.options().l1_shards)
-                .map(|p| cluster.l1_admitted_ops(p))
-                .collect::<Vec<_>>()
-        };
-        self.clusters.iter().map(|c| per_cluster(c)).collect()
+    /// deployments only; all zeros otherwise): `admitted[p]` is the budget
+    /// in use on partition `p`. Never exceeds the configured inbox cap.
+    pub fn admitted_ops(&self) -> Vec<usize> {
+        let partitions = self.cluster.options().l1_shards;
+        (0..partitions)
+            .map(|p| self.cluster.l1_admitted_ops(p))
+            .collect()
     }
 
     /// The largest queue length any single worker-shard inbox of each L1
-    /// server has ever reached: `depths[c][j]` for server `j` of cluster
-    /// shard `c`. On bounded deployments the stress tests assert this
-    /// against `inbox_cap × msgs_per_op_bound × 2`.
-    pub fn max_inbox_depths(&self) -> Vec<Vec<usize>> {
-        let per_cluster = |cluster: &Cluster| {
-            (0..cluster.params().n1())
-                .map(|j| cluster.l1_max_inbox_depth(j))
-                .collect::<Vec<_>>()
-        };
-        self.clusters.iter().map(|c| per_cluster(c)).collect()
+    /// server has ever reached: `depths[j]` for server `j`. On bounded
+    /// deployments the stress tests assert this against
+    /// `inbox_cap × msgs_per_op_bound × 2`.
+    pub fn max_inbox_depths(&self) -> Vec<usize> {
+        let n1 = self.cluster.params().n1();
+        (0..n1)
+            .map(|j| self.cluster.l1_max_inbox_depth(j))
+            .collect()
     }
 
-    /// Reports of every successful online repair since the store started —
-    /// in completion order *within each cluster shard*, with the per-shard
-    /// logs concatenated in shard-index order (repairs of different shards
-    /// are independent and carry no global ordering).
+    /// Reports of every successful online repair since the store started,
+    /// in completion order.
     pub fn repair_reports(&self) -> Vec<RepairReport> {
-        self.clusters.iter().flat_map(|c| c.repair_log()).collect()
+        self.cluster.repair_log()
     }
 
-    /// A point-in-time aggregate of the deployment's occupancy, health and
-    /// latency metrics — the payload `ldsd`'s `/metrics` exports: every
-    /// cluster's own snapshot (each field read once, from the slot its
-    /// counting thread publishes into), folded with
-    /// [`MetricsSnapshot::merge`]. Which families exist, what they mean and
-    /// how they fold is the metrics table ([`crate::obs::metrics`]).
+    /// A point-in-time snapshot of the deployment's occupancy, health and
+    /// latency metrics — the payload `ldsd`'s `/metrics` exports, each field
+    /// read once, from the slot its counting thread publishes into. Which
+    /// families exist and what they mean is the metrics table
+    /// ([`crate::obs::metrics`]).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshots = self.clusters.iter().enumerate().map(|(c, k)| k.snapshot(c));
-        let mut total = snapshots.next().expect("a deployment has a cluster");
-        snapshots.for_each(|snapshot| total.merge(&snapshot));
-        total
+        self.cluster.snapshot()
     }
 
-    /// Drains the flight recorder of every cluster shard into one
-    /// time-ordered [`TraceDump`] — empty unless the store was built with
+    /// Drains the flight recorder into one time-ordered [`TraceDump`] —
+    /// empty unless the store was built with
     /// [`StoreBuilder::trace`](crate::api::StoreBuilder::trace).
     ///
     /// Each call snapshots what the per-thread rings currently hold — the
@@ -354,10 +288,6 @@ impl Admin {
     /// led up to it. Export with [`TraceDump::to_jsonl`] or
     /// [`TraceDump::tail_jsonl`].
     pub fn trace_dump(&self) -> TraceDump {
-        let mut dump = TraceDump::default();
-        for cluster in self.clusters.iter() {
-            dump.merge(cluster.recorder().dump());
-        }
-        dump
+        self.cluster.recorder().dump()
     }
 }

@@ -1,5 +1,5 @@
 //! The fluent `StoreBuilder`: one validated construction path for every
-//! cluster count and profile.
+//! profile.
 
 use crate::api::{StoreError, StoreHandle};
 use crate::heal::{HealConfig, HealRuntime};
@@ -12,30 +12,28 @@ use std::time::Duration;
 
 /// Fluent, validating builder for a running LDS store.
 ///
-/// One chain sets the number of clusters
-/// ([`clusters`](StoreBuilder::clusters)), the profile and every knob of
-/// [`ClusterOptions`], and validates the *whole* configuration at
+/// One chain sets the code and failure parameters, the profile and every
+/// knob of [`ClusterOptions`], and validates the *whole* configuration at
 /// [`build()`](StoreBuilder::build) time — invalid quorum arithmetic,
 /// impossible code parameters and zero-sized knobs are reported as
 /// [`StoreError::InvalidConfig`] before any thread is spawned, instead of
 /// panicking mid-boot.
 ///
 /// Defaults: `f1 = f2 = 1`, `k = 2`, `d = 3` (the smallest symmetric test
-/// deployment, `n1 = 4`, `n2 = 5`), MBR backend, one cluster, one worker
-/// shard per server, paper-faithful message flow, pipeline depth 16,
+/// deployment, `n1 = 4`, `n2 = 5`), MBR backend, one worker shard per
+/// server, paper-faithful message flow, pipeline depth 16,
 /// unbounded inboxes.
 ///
 /// ```rust
 /// use lds_cluster::api::{Store, StoreBuilder, StoreError};
 /// use lds_core::BackendKind;
 ///
-/// // A two-cluster high-throughput deployment.
+/// // A high-throughput deployment, two worker shards per server.
 /// let store = StoreBuilder::new()
 ///     .failures(1, 1)
 ///     .code(2, 3)
 ///     .backend(BackendKind::Mbr)
 ///     .high_throughput(2)
-///     .clusters(2)
 ///     .build()
 ///     .unwrap();
 /// let mut client = store.client();
@@ -55,8 +53,7 @@ pub struct StoreBuilder {
     d: usize,
     explicit_params: Option<SystemParams>,
     backend: BackendKind,
-    clusters: usize,
-    /// What every cluster is launched with; the defaults are
+    /// What the cluster is launched with; the defaults are
     /// [`ClusterOptions::default`]'s.
     options: ClusterOptions,
     heal: Option<HealConfig>,
@@ -73,7 +70,6 @@ impl std::fmt::Debug for StoreBuilder {
             .field("k", &self.k)
             .field("d", &self.d)
             .field("backend", &self.backend)
-            .field("clusters", &self.clusters)
             .field("options", &self.options)
             .field("heal", &self.heal)
             .field("transport", &self.transport.as_ref().map(|_| "custom"))
@@ -91,7 +87,6 @@ impl Default for StoreBuilder {
             d: 3,
             explicit_params: None,
             backend: BackendKind::Mbr,
-            clusters: 1,
             options: ClusterOptions::default(),
             heal: None,
             fault_plan: None,
@@ -108,8 +103,8 @@ impl StoreBuilder {
         StoreBuilder::default()
     }
 
-    /// Sets the per-layer crash-fault tolerances: each cluster tolerates
-    /// `f1` L1 and `f2` L2 crashes (layer sizes are derived as
+    /// Sets the per-layer crash-fault tolerances: the store tolerates `f1`
+    /// L1 and `f2` L2 crashes (layer sizes are derived as
     /// `n1 = 2·f1 + k`, `n2 = 2·f2 + d`).
     pub fn failures(mut self, f1: usize, f2: usize) -> StoreBuilder {
         self.f1 = f1;
@@ -145,8 +140,8 @@ impl StoreBuilder {
     /// for message — relayed COMMIT-TAG broadcast, every L1 server offloads,
     /// L2 acknowledges, the value becomes `⊥` after `f2 + d` acks — so the
     /// cost model of §V holds exactly. Sets the profile and nothing else:
-    /// shards, depth, striping and every other setting keep their values, in
-    /// whichever order the calls are made.
+    /// shards, depth and every other setting keep their values, in whichever
+    /// order the calls are made.
     pub fn paper_faithful(mut self) -> StoreBuilder {
         self.options.profile = Profile::PaperFaithful;
         self
@@ -190,15 +185,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Independent clusters — the scale-out axis (default `1`). The
-    /// deployment runs `n` clusters, each a fully independent L1/L2
-    /// membership with its own failure budget, with keys placed by
-    /// consistent hash ([`crate::cluster_of`]).
-    pub fn clusters(mut self, clusters: usize) -> StoreBuilder {
-        self.clusters = clusters;
-        self
-    }
-
     /// Default maximum number of operations a client created by
     /// [`StoreHandle::client`](crate::api::StoreHandle::client) keeps in
     /// flight.
@@ -231,7 +217,7 @@ impl StoreBuilder {
 
     /// Bounds the repair-report history behind
     /// [`Admin::repair_reports`](crate::api::Admin::repair_reports) to the
-    /// most recent `cap` reports per cluster shard (default 1024; `0` keeps
+    /// most recent `cap` reports (default 1024; `0` keeps
     /// no history at all). Evictions are counted in
     /// [`MetricsSnapshot::repair_reports_dropped`](crate::api::MetricsSnapshot::repair_reports_dropped),
     /// and
@@ -260,8 +246,8 @@ impl StoreBuilder {
         self
     }
 
-    /// Installs a seeded fault-injecting transport under every cluster
-    /// shard's router (a test/bench profile — see the
+    /// Installs a seeded fault-injecting transport under the router (a
+    /// test/bench profile — see the
     /// [`transport`](crate::transport) module): the plan's per-link
     /// drop/duplicate/delay/reorder rules and scheduled partitions are
     /// applied to every protocol message and liveness ping. The plan is
@@ -280,8 +266,7 @@ impl StoreBuilder {
     /// locally-hosted pids keep the in-process fast path. Almost always
     /// paired with [`host_scope`](StoreBuilder::host_scope) so this process
     /// spawns only its own share of the membership. Mutually exclusive with
-    /// [`fault_plan`](StoreBuilder::fault_plan) and with `clusters > 1`
-    /// (validated at `build()`).
+    /// [`fault_plan`](StoreBuilder::fault_plan) (validated at `build()`).
     pub fn transport(mut self, transport: Arc<dyn Transport>) -> StoreBuilder {
         self.transport = Some(transport);
         self
@@ -311,7 +296,7 @@ impl StoreBuilder {
     }
 
     /// Bounded-inbox mode: at most `cap` client operations admitted
-    /// concurrently per L1 key partition (per cluster shard). A saturated
+    /// concurrently per L1 key partition (worker shard). A saturated
     /// partition makes [`crate::api::Store::try_submit_write`] /
     /// [`crate::api::Store::try_submit_read`] return
     /// [`StoreError::WouldBlock`] instead of queueing without limit.
@@ -327,18 +312,13 @@ impl StoreBuilder {
     /// [`StoreError::InvalidConfig`] if the quorum arithmetic is impossible
     /// (`f1 ≥ n1/2`, `f2 ≥ n2/3`, `k > d`, …), the backend cannot be
     /// constructed for the derived code parameters (e.g. product-matrix MSR
-    /// needs `d ≥ 2k − 2`), or a zero shard / cluster / depth / cap was
+    /// needs `d ≥ 2k − 2`), or a zero shard / depth / cap was
     /// requested. Nothing is spawned on error.
     pub fn build(self) -> Result<StoreHandle, StoreError> {
         let params = match self.explicit_params {
             Some(params) => params,
             None => SystemParams::for_failures(self.f1, self.f2, self.k, self.d)?,
         };
-        if self.clusters == 0 {
-            return Err(StoreError::InvalidConfig(
-                "at least one cluster shard is required".into(),
-            ));
-        }
         let options = self.options;
         if options.l1_shards == 0 || options.l2_shards == 0 {
             return Err(StoreError::InvalidConfig(
@@ -366,17 +346,10 @@ impl StoreBuilder {
         if let Some(plan) = &self.fault_plan {
             plan.validate(&params).map_err(StoreError::InvalidConfig)?;
         }
-        if self.transport.is_some() {
-            if self.fault_plan.is_some() {
-                return Err(StoreError::InvalidConfig(
-                    "transport and fault_plan are mutually exclusive".into(),
-                ));
-            }
-            if self.clusters > 1 {
-                return Err(StoreError::InvalidConfig(
-                    "an explicit transport requires clusters == 1".into(),
-                ));
-            }
+        if self.transport.is_some() && self.fault_plan.is_some() {
+            return Err(StoreError::InvalidConfig(
+                "transport and fault_plan are mutually exclusive".into(),
+            ));
         }
         if let Some(scope) = &self.host_scope {
             if self.transport.is_none() {
@@ -408,36 +381,18 @@ impl StoreBuilder {
                 client_step: 1,
             })
         });
-        let mut clusters: Vec<Arc<Cluster>> = Vec::with_capacity(self.clusters);
-        for c in 0..self.clusters {
-            // Every cluster gets its own fault-injecting transport with an
-            // independent fault stream: cluster `c` runs the plan reseeded
-            // with a golden-ratio offset of `c`, so identical clusters do not
-            // inject identical faults in lockstep (cluster 0 keeps the plan's
-            // original seed).
-            let plan = self.fault_plan.as_ref().map(|plan| {
-                plan.reseeded(
-                    plan.seed
-                        .wrapping_add((c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                )
-            });
-            clusters.push(Cluster::launch(
-                params,
-                self.backend,
-                options,
-                plan.as_ref(),
-                self.transport.clone(),
-                scope.clone(),
-                clusters.first().map(|first| first.client_numbers()),
-                None,
-            )?);
-        }
+        let cluster = Cluster::launch(
+            params,
+            self.backend,
+            options,
+            self.fault_plan.as_ref(),
+            self.transport,
+            scope,
+            None,
+        )?;
         let heal = self
             .heal
-            .map(|config| HealRuntime::launch(clusters.clone(), config));
-        Ok(StoreHandle {
-            clusters: clusters.into(),
-            heal,
-        })
+            .map(|config| HealRuntime::launch(Arc::clone(&cluster), config));
+        Ok(StoreHandle { cluster, heal })
     }
 }

@@ -1,4 +1,4 @@
-//! The built store: one handle over a deployment of `N ≥ 1` clusters.
+//! The built store: one handle over one running cluster.
 
 use crate::api::{Admin, StoreClient};
 use crate::node::{Cluster, ClusterOptions};
@@ -7,9 +7,8 @@ use lds_core::params::SystemParams;
 use std::sync::Arc;
 
 /// A running LDS store, built by
-/// [`StoreBuilder::build`](crate::api::StoreBuilder::build): `N ≥ 1`
-/// independent clusters, all launched with the same parameters, backend and
-/// options, with keys placed by [`cluster_of`](crate::cluster_of).
+/// [`StoreBuilder::build`](crate::api::StoreBuilder::build): one `n1 + n2`
+/// membership and the executor that runs its server shards.
 ///
 /// `StoreHandle` is cheaply cloneable (it wraps shared ownership of the
 /// deployment) and `Send + Sync`, so application threads clone it and create
@@ -34,8 +33,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct StoreHandle {
-    /// The deployment's clusters, in cluster-index order (never empty).
-    pub(crate) clusters: Arc<[Arc<Cluster>]>,
+    /// The running deployment.
+    pub(crate) cluster: Arc<Cluster>,
     /// The self-healing control plane, when built with
     /// [`StoreBuilder::self_heal`](crate::api::StoreBuilder::self_heal).
     pub(crate) heal: Option<Arc<crate::heal::HealRuntime>>,
@@ -44,7 +43,6 @@ pub struct StoreHandle {
 impl std::fmt::Debug for StoreHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreHandle")
-            .field("clusters", &self.clusters())
             .field("backend", &self.backend())
             .field("params", &self.params())
             .finish_non_exhaustive()
@@ -52,24 +50,19 @@ impl std::fmt::Debug for StoreHandle {
 }
 
 impl StoreHandle {
-    /// Number of independent clusters in the deployment.
-    pub fn clusters(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// The per-cluster system parameters.
+    /// The system parameters.
     pub fn params(&self) -> SystemParams {
-        self.clusters[0].params()
+        self.cluster.params()
     }
 
     /// The erasure-code backend the store encodes with.
     pub fn backend(&self) -> BackendKind {
-        self.clusters[0].backend_kind()
+        self.cluster.backend_kind()
     }
 
-    /// The options every cluster was started with.
+    /// The options the store was started with.
     pub fn options(&self) -> ClusterOptions {
-        self.clusters[0].options()
+        self.cluster.options()
     }
 
     /// Creates a data-plane client with the store's default pipeline depth.
@@ -78,24 +71,22 @@ impl StoreHandle {
     }
 
     /// Creates a data-plane client keeping at most `depth` operations in
-    /// flight — one budget for the whole deployment, however the client's
-    /// keys spread over its clusters.
+    /// flight.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
     pub fn client_with_depth(&self, depth: usize) -> StoreClient {
-        StoreClient::new(&self.clusters, depth)
+        StoreClient::new(&self.cluster, depth)
     }
 
     /// The control-plane handle: crash injection, online repair, liveness
     /// and metrics (see [`Admin`]).
     pub fn admin(&self) -> Admin {
-        Admin::new(Arc::clone(&self.clusters))
+        Admin::new(Arc::clone(&self.cluster))
     }
 
-    /// Stops every server thread of every cluster and waits for them to
-    /// exit. On a self-healing deployment the monitor and supervisor are
+    /// Stops every server thread and waits for them to exit. On a self-healing deployment the monitor and supervisor are
     /// stopped (and in-flight auto-repairs drained) first, so no repair
     /// races the teardown. Outstanding client operations fail with
     /// [`StoreError::Disconnected`](crate::api::StoreError::Disconnected).
@@ -103,8 +94,6 @@ impl StoreHandle {
         if let Some(heal) = &self.heal {
             heal.stop();
         }
-        for cluster in self.clusters.iter() {
-            cluster.shutdown();
-        }
+        self.cluster.shutdown();
     }
 }

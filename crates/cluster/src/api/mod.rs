@@ -1,16 +1,13 @@
 //! The public API of the LDS store: one builder, one client type and one
-//! control plane over a deployment of `N ≥ 1` clusters.
+//! control plane.
 //!
 //! This module is the surface applications program against; everything else
 //! in the crate is engine. It is layered exactly as the paper frames the
 //! system — one client-facing read/write interface hiding the two-layer
 //! machinery — and consists of:
 //!
-//! * [`StoreBuilder`] — the fluent, validating construction path. One
-//!   [`clusters`](StoreBuilder::clusters) axis sets how many independent
-//!   clusters the deployment runs (keys placed by
-//!   [`crate::cluster_of`]); named profiles
-//!   ([`paper_faithful`](StoreBuilder::paper_faithful),
+//! * [`StoreBuilder`] — the fluent, validating construction path. Named
+//!   profiles ([`paper_faithful`](StoreBuilder::paper_faithful),
 //!   [`high_throughput`](StoreBuilder::high_throughput)) replace
 //!   hand-assembled options literals; every invalid combination is caught at
 //!   [`build()`](StoreBuilder::build) before a thread spawns.
@@ -18,9 +15,7 @@
 //!   pipelined `submit`/`try_submit`/`poll`/`wait` family, with typed
 //!   [`ObjectId`] keys and borrowed `&[u8]` values.
 //! * [`StoreHandle`] / [`StoreClient`] — the built deployment and its
-//!   clients. `StoreClient` is the crate's one [`Store`] implementation: the
-//!   protocol is one atomic register per object, so a client of `N`
-//!   clusters is the single-cluster client plus routing (see
+//!   clients. `StoreClient` is the crate's one [`Store`] implementation (see
 //!   [`crate::client`]).
 //! * [`StoreError`] — every failure of the data plane, the builder and the
 //!   control plane in one `#[non_exhaustive]` enum with error-source
@@ -36,8 +31,8 @@
 //! ```rust
 //! use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 //!
-//! // Build: cluster count and profile are builder axes, validated together.
-//! let store = StoreBuilder::new().high_throughput(2).clusters(2).build().unwrap();
+//! // Build: profile and shards are builder axes, validated together.
+//! let store = StoreBuilder::new().high_throughput(2).build().unwrap();
 //!
 //! // Data plane: typed keys, borrowed values, pipelined submission.
 //! let mut client = store.client_with_depth(8);
@@ -47,10 +42,10 @@
 //! assert_eq!(client.wait_all().unwrap().len(), 8);
 //! assert_eq!(client.read(ObjectId(3)).unwrap(), b"value 3");
 //!
-//! // Control plane: kill a back-end server in cluster 1, repair it online.
+//! // Control plane: kill a back-end server, repair it online.
 //! let admin = store.admin();
-//! admin.kill(ServerRef::l2(0).in_cluster(1)).unwrap();
-//! let report = admin.repair(ServerRef::l2(0).in_cluster(1)).unwrap();
+//! admin.kill(ServerRef::l2(0)).unwrap();
+//! let report = admin.repair(ServerRef::l2(0)).unwrap();
 //! assert!(admin.liveness().all_live());
 //! assert_eq!(admin.repair_reports().len(), 1);
 //! assert!(report.helpers > 0);

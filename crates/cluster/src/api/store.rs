@@ -3,8 +3,7 @@
 //! [`Store`] captures the full client-facing read/write interface of the LDS
 //! system — the paper's "one client-facing register" framing. Its one
 //! implementation in this crate is [`StoreClient`](crate::api::StoreClient),
-//! produced by [`StoreHandle::client`](crate::api::StoreHandle::client) for
-//! a deployment of any number of clusters.
+//! produced by [`StoreHandle::client`](crate::api::StoreHandle::client).
 
 use crate::api::{ObjectId, StoreError};
 use crate::client::{Completion, OpTicket, Waker};
@@ -16,11 +15,9 @@ use std::time::Duration;
 /// `submit`/`try_submit`/`poll`/`wait` family, with typed [`ObjectId`] keys
 /// and borrowed `&[u8]` values.
 ///
-/// Implemented by [`StoreClient`](crate::api::StoreClient), which serves one
-/// `n1 + n2` membership or `N` independent ones behind a consistent hash
-/// ([`StoreBuilder::clusters`](crate::api::StoreBuilder::clusters)) with the
-/// same code — so every example, bench and test is written once, against
-/// the trait, wherever the bytes actually live.
+/// Implemented by [`StoreClient`](crate::api::StoreClient), whatever the
+/// profile and shard counts — so every example, bench and test is written
+/// once, against the trait.
 ///
 /// # Semantics
 ///

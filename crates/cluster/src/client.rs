@@ -1,5 +1,4 @@
-//! The data-plane client: one type, blocking and pipelined, over a
-//! deployment of any number of clusters.
+//! The data-plane client: one type, blocking and pipelined.
 //!
 //! A [`StoreClient`] hosts the writer and reader automata from `lds-core`
 //! and pumps their messages over the deployment's channels. It is the one
@@ -25,25 +24,11 @@
 //! sequence monotonic and gives read-your-writes for a client's own
 //! submissions. Operations on distinct objects proceed concurrently, which
 //! is where the throughput comes from.
-//!
-//! # One client over `N` clusters
-//!
-//! The protocol is one atomic register per object, and every object lives
-//! on exactly one cluster ([`cluster_of`]), so the only thing a client of
-//! `N > 1` clusters does differently is *route*: each automaton step's
-//! outgoing messages go to the cluster that owns the step's object. All
-//! operation state — the two automata, the inbox, the ticket counter, the
-//! dispatch queue, the pipeline budget, the read cache — exists once per
-//! client; only what belongs to a cluster (its router, admission budget,
-//! metrics registry and flight recorder) is held once per cluster.
-//! The client registers its one inbox with every cluster's router, and
-//! every client-bound message carries its object and operation id, so a
-//! reply from any cluster finds its operation.
 
 use crate::api::{Store, StoreError};
 use crate::node::{Admission, Cluster};
 use crate::obs::{phase, EventKind, ObsMetrics, TraceHandle};
-use crate::router::{cluster_of, DepthGauge, Envelope, Inbox, RouterHandle};
+use crate::router::{DepthGauge, Envelope, Inbox, RouterHandle};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use lds_core::idmap::{IdMap, IdSet};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
@@ -169,43 +154,29 @@ struct InFlight {
     /// the automaton's outgoing messages cross a phase boundary.
     phase: u64,
     /// When the current phase started — each boundary records the elapsed
-    /// phase into the cluster's latency histograms.
+    /// phase into the store's latency histograms.
     phase_started: Instant,
 }
 
-/// What a client holds once per cluster of its deployment (see the
-/// [module docs](self)); an operation uses the lane of the cluster that
-/// owns its object.
-struct Lane {
-    cluster: Arc<Cluster>,
-    route: RouterHandle,
-    /// Bounded-inbox admission state (None on an unbounded cluster).
-    admission: Option<Admission>,
-    /// The cluster's always-on latency/cache metrics registry.
-    obs: Arc<ObsMetrics>,
-    /// This handle's ring in the cluster's flight recorder (one branch per
-    /// record when tracing is off).
-    trace: TraceHandle,
-}
-
-impl Lane {
-    /// Moves `f` into phase `next`: the phase it leaves is recorded into the
-    /// cluster's histograms and the transition traced.
-    fn advance(&mut self, f: &mut InFlight, obj: ObjectId, next: u64) {
+impl InFlight {
+    /// Moves the operation into phase `next`: the phase it leaves is
+    /// recorded into `obs`'s histograms and the transition traced.
+    fn advance(&mut self, obs: &ObsMetrics, trace: &mut TraceHandle, obj: ObjectId, next: u64) {
         let now = Instant::now();
-        let us = now.saturating_duration_since(f.phase_started).as_micros() as u64;
-        self.obs.record_phase(f.phase, us);
-        f.phase = next;
-        f.phase_started = now;
-        self.trace
-            .record(EventKind::OpPhase, obj.0, next, f.ticket.0);
+        let us = now
+            .saturating_duration_since(self.phase_started)
+            .as_micros() as u64;
+        obs.record_phase(self.phase, us);
+        self.phase = next;
+        self.phase_started = now;
+        trace.record(EventKind::OpPhase, obj.0, next, self.ticket.0);
     }
 }
 
 /// A data-plane client of a running store, produced by
 /// [`StoreHandle::client`](crate::api::StoreHandle::client): the one
-/// [`Store`] implementation, whatever the number of clusters (see the
-/// [module docs](self)). Import the trait to use it:
+/// [`Store`] implementation (see the [module docs](self)). Import the trait
+/// to use it:
 ///
 /// ```rust
 /// use lds_cluster::api::{ObjectId, Store, StoreBuilder};
@@ -220,8 +191,15 @@ impl Lane {
 /// store.shutdown();
 /// ```
 pub struct StoreClient {
-    /// One lane per cluster, in cluster-index order.
-    lanes: Vec<Lane>,
+    cluster: Arc<Cluster>,
+    route: RouterHandle,
+    /// Bounded-inbox admission state (None on an unbounded cluster).
+    admission: Option<Admission>,
+    /// The store's always-on latency/cache metrics registry.
+    obs: Arc<ObsMetrics>,
+    /// This handle's ring in the flight recorder (one branch per record
+    /// when tracing is off).
+    trace: TraceHandle,
     /// This handle's client number — the identity the fair admission queue
     /// tracks turns by.
     client_num: u64,
@@ -239,7 +217,7 @@ pub struct StoreClient {
     /// admission).
     queue: VecDeque<QueuedOp>,
     /// Objects with a dispatched, unfinished operation. Each entry holds
-    /// exactly one admission token when its cluster is bounded.
+    /// exactly one admission token when the cluster is bounded.
     busy_objects: IdSet<ObjectId>,
     write_ops: IdMap<OpId, InFlight>,
     read_ops: IdMap<OpId, InFlight>,
@@ -269,43 +247,33 @@ pub struct StoreClient {
 }
 
 impl StoreClient {
-    /// A client of the deployment made of `clusters` (at least one; all
-    /// launched with the same parameters, backend and options) that keeps
-    /// at most `depth` operations in flight.
-    pub(crate) fn new(clusters: &[Arc<Cluster>], depth: usize) -> Self {
+    /// A client of `cluster` that keeps at most `depth` operations in
+    /// flight.
+    pub(crate) fn new(cluster: &Arc<Cluster>, depth: usize) -> Self {
         assert!(depth > 0, "pipeline depth must be at least 1");
-        let first = &clusters[0];
-        let options = first.options();
-        let client_num = first.alloc_client_number();
+        let options = cluster.options();
+        let client_num = cluster.alloc_client_number();
         let id = ClientId(client_num);
-        let pid = first.client_pid(client_num);
-        let writer = WriterClient::new(id, first.params(), first.membership().clone());
+        let pid = cluster.client_pid(client_num);
+        let writer = WriterClient::new(id, cluster.params(), cluster.membership().clone());
         let mut reader = ReaderClient::new(
             id,
-            first.params(),
-            first.membership().clone(),
-            first.backend(),
+            cluster.params(),
+            cluster.membership().clone(),
+            cluster.backend(),
         );
         reader.set_cache_entries(options.read_cache_entries);
         let (inbox_tx, rx) = unbounded();
         let depth_gauge = Arc::new(DepthGauge::default());
-        let lanes = clusters
-            .iter()
-            .map(|cluster| {
-                cluster
-                    .router()
-                    .register_sender(pid, inbox_tx.clone(), Arc::clone(&depth_gauge));
-                Lane {
-                    cluster: Arc::clone(cluster),
-                    route: cluster.router().handle(),
-                    admission: cluster.admission(),
-                    obs: Arc::clone(cluster.obs_metrics()),
-                    trace: cluster.recorder().handle(),
-                }
-            })
-            .collect();
+        cluster
+            .router()
+            .register_sender(pid, inbox_tx.clone(), Arc::clone(&depth_gauge));
         StoreClient {
-            lanes,
+            cluster: Arc::clone(cluster),
+            route: cluster.router().handle(),
+            admission: cluster.admission(),
+            obs: Arc::clone(cluster.obs_metrics()),
+            trace: cluster.recorder().handle(),
             client_num,
             pid,
             inbox: Inbox {
@@ -335,17 +303,10 @@ impl StoreClient {
         }
     }
 
-    /// The lane of the cluster that owns `obj`. With one cluster this is 0
-    /// before any hashing.
-    #[inline]
-    fn lane_of(&self, obj: ObjectId) -> usize {
-        cluster_of(obj.0, self.lanes.len())
-    }
-
     /// The timestamp automaton steps run at (it feeds event timestamps
-    /// only, so any one cluster's clock serves every lane).
+    /// only).
     fn now(&self) -> SimTime {
-        self.lanes[0].cluster.elapsed()
+        self.cluster.elapsed()
     }
 
     fn mint_ticket(&mut self) -> OpTicket {
@@ -363,16 +324,8 @@ impl StoreClient {
             submitted: Instant::now(),
         });
         self.try_dispatch();
-        self.flush();
+        self.route.flush();
         ticket
-    }
-
-    /// Ends a burst of sends (see [`RouterHandle::send_batch`]): this client
-    /// is about to return to its caller or to block on its inbox.
-    fn flush(&mut self) {
-        for lane in &mut self.lanes {
-            lane.route.flush();
-        }
     }
 
     fn try_submit(
@@ -390,8 +343,7 @@ impl StoreClient {
         if self.busy_objects.contains(&obj) || self.queue.iter().any(|q| q.obj == obj) {
             return Err(StoreError::WouldBlock);
         }
-        let lane = self.lane_of(obj);
-        if let Some(admission) = &self.lanes[lane].admission {
+        if let Some(admission) = &self.admission {
             // `try_submit_*` never queues, so it must not take a waiter-queue
             // slot either — but it still yields to queued waiters, which is
             // what stops a greedy try-submit loop from starving them.
@@ -408,11 +360,9 @@ impl StoreClient {
         let ticket = op.ticket;
         let mut outgoing = std::mem::take(&mut self.scratch_out);
         let mut events = std::mem::take(&mut self.scratch_events);
-        self.begin(lane, op, self.now(), &mut outgoing, &mut events);
-        self.lanes[lane]
-            .route
-            .send_batch(self.pid, outgoing.drain(..));
-        self.lanes[lane].route.flush();
+        self.begin(op, self.now(), &mut outgoing, &mut events);
+        self.route.send_batch(self.pid, outgoing.drain(..));
+        self.route.flush();
         self.scratch_out = outgoing;
         self.scratch_events = events;
         Ok(ticket)
@@ -431,12 +381,11 @@ impl StoreClient {
 
     /// Dispatches `op` into its automaton right now: traces the submission,
     /// starts the automaton (its first messages land in `outgoing`, which
-    /// the caller sends through `lane`) and books the operation as in
-    /// flight on its object. The caller has already checked the pipeline
-    /// depth, per-object FIFO and admission.
+    /// the caller sends) and books the operation as in flight on its
+    /// object. The caller has already checked the pipeline depth,
+    /// per-object FIFO and admission.
     fn begin(
         &mut self,
-        lane: usize,
         op: QueuedOp,
         now: SimTime,
         outgoing: &mut Vec<(ProcessId, LdsMessage)>,
@@ -449,15 +398,16 @@ impl StoreClient {
             phase: phase::TAG,
             phase_started: Instant::now(),
         };
-        let trace = &mut self.lanes[lane].trace;
         match op.kind {
             OpKind::Write(value) => {
-                trace.record(EventKind::OpSubmitted, op.obj.0, 0, op.ticket.0);
+                self.trace
+                    .record(EventKind::OpSubmitted, op.obj.0, 0, op.ticket.0);
                 let id = self.writer.start_write(op.obj, value, &mut ctx);
                 self.write_ops.insert(id, in_flight);
             }
             OpKind::Read => {
-                trace.record(EventKind::OpSubmitted, op.obj.0, 1, op.ticket.0);
+                self.trace
+                    .record(EventKind::OpSubmitted, op.obj.0, 1, op.ticket.0);
                 let id = self.reader.start_read(op.obj, &mut ctx);
                 self.read_ops.insert(id, in_flight);
             }
@@ -480,9 +430,6 @@ impl StoreClient {
         let mut outgoing = std::mem::take(&mut self.scratch_out);
         let mut events = std::mem::take(&mut self.scratch_events);
         let now = self.now();
-        // The lane `outgoing` is bound for: consecutive starts on one
-        // cluster share a flush, so with one cluster the whole scan does.
-        let mut flush_lane = 0;
         let mut i = 0;
         while i < self.queue.len() {
             if self.in_flight() >= self.depth {
@@ -493,8 +440,7 @@ impl StoreClient {
                 i += 1;
                 continue;
             }
-            let lane = self.lane_of(obj);
-            if let Some(admission) = &self.lanes[lane].admission {
+            if let Some(admission) = &self.admission {
                 if self.scratch_deferred.contains(&obj)
                     || !admission.try_admit(self.client_num, obj, true)
                 {
@@ -503,31 +449,21 @@ impl StoreClient {
                     continue;
                 }
             }
-            if lane != flush_lane {
-                self.lanes[flush_lane]
-                    .route
-                    .send_batch(self.pid, outgoing.drain(..));
-                flush_lane = lane;
-            }
             let op = self.queue.remove(i).expect("index checked");
-            self.begin(lane, op, now, &mut outgoing, &mut events);
+            self.begin(op, now, &mut outgoing, &mut events);
         }
         self.admission_blocked = !self.scratch_deferred.is_empty();
         self.scratch_deferred.clear();
-        self.lanes[flush_lane]
-            .route
-            .send_batch(self.pid, outgoing.drain(..));
+        self.route.send_batch(self.pid, outgoing.drain(..));
         self.scratch_out = outgoing;
         self.scratch_events = events;
     }
 
-    /// Feeds one protocol message into the owning automaton, forwards its
-    /// outgoing batch to the cluster that owns the message's object, and
-    /// harvests any completion.
+    /// Feeds one protocol message into the owning automaton, sends its
+    /// outgoing batch, and harvests any completion.
     fn deliver(&mut self, from: ProcessId, msg: LdsMessage) {
         let mut outgoing = std::mem::take(&mut self.scratch_out);
         let mut events = std::mem::take(&mut self.scratch_events);
-        let lane = self.lane_of(msg.object());
         let now = self.now();
         let mut ctx = Context::standalone(self.pid, now, &mut outgoing, &mut events);
         match &msg {
@@ -544,14 +480,12 @@ impl StoreClient {
             // Anything else is not addressed to a client automaton.
             _ => {}
         }
-        self.note_phases(lane, &outgoing);
-        self.lanes[lane]
-            .route
-            .send_batch(self.pid, outgoing.drain(..));
+        self.note_phases(&outgoing);
+        self.route.send_batch(self.pid, outgoing.drain(..));
         self.scratch_out = outgoing;
         let completed = !events.is_empty();
         for (_, _, event) in events.drain(..) {
-            self.finish(lane, event);
+            self.finish(event);
         }
         self.scratch_events = events;
         if completed {
@@ -563,11 +497,10 @@ impl StoreClient {
 
     /// Phase stamps: the first PUT-DATA (write) or QUERY-DATA /
     /// PUT-TAG (read) an automaton step produced marks a phase boundary for
-    /// its operation (see [`Lane::advance`]). The writer fans PUT-DATA out
+    /// its operation (see [`InFlight::advance`]). The writer fans PUT-DATA out
     /// to every L1 server, so only the first message of a kind advances the
     /// phase (later ones see the already-advanced state and do nothing).
-    fn note_phases(&mut self, lane: usize, outgoing: &[(ProcessId, LdsMessage)]) {
-        let lane = &mut self.lanes[lane];
+    fn note_phases(&mut self, outgoing: &[(ProcessId, LdsMessage)]) {
         for (_, msg) in outgoing {
             let (ops, op, obj, next) = match msg {
                 // Write: tag-quorum round done, data transfer starts. The
@@ -586,7 +519,7 @@ impl StoreClient {
             };
             if let Some(f) = ops.get_mut(op) {
                 if f.phase < next {
-                    lane.advance(f, *obj, next);
+                    f.advance(&self.obs, &mut self.trace, *obj, next);
                 }
             }
         }
@@ -595,7 +528,7 @@ impl StoreClient {
     /// Books the completion an automaton reported: the operation's object
     /// and admission token are freed, its open phase and end-to-end latency
     /// recorded, and the [`Completion`] queued for harvest.
-    fn finish(&mut self, lane: usize, event: ProtocolEvent) {
+    fn finish(&mut self, event: ProtocolEvent) {
         let now = Instant::now();
         let (f, obj, outcome) = match event {
             ProtocolEvent::WriteCompleted {
@@ -633,14 +566,13 @@ impl StoreClient {
         };
         self.busy_objects.remove(&obj);
         self.last_tag = Some(outcome.tag());
-        let lane = &mut self.lanes[lane];
-        if let Some(admission) = &lane.admission {
+        if let Some(admission) = &self.admission {
             admission.release(obj);
         }
         // Close the open phase (a write's data phase, which includes the
         // commit wait; a read's commit phase, the PUT-TAG write-back quorum)
         // and the end-to-end sample.
-        lane.obs.record_phase(
+        self.obs.record_phase(
             f.phase,
             now.saturating_duration_since(f.phase_started).as_micros() as u64,
         );
@@ -648,17 +580,17 @@ impl StoreClient {
         let us = latency.as_micros() as u64;
         match outcome {
             OpOutcome::Write { .. } => {
-                lane.obs.write_us.record(us);
-                lane.trace.record(EventKind::OpCompleted, obj.0, 0, us);
+                self.obs.write_us.record(us);
+                self.trace.record(EventKind::OpCompleted, obj.0, 0, us);
             }
             OpOutcome::Read { .. } => {
-                lane.obs.read_us.record(us);
-                lane.trace.record(EventKind::OpCompleted, obj.0, 1, us);
+                self.obs.read_us.record(us);
+                self.trace.record(EventKind::OpCompleted, obj.0, 1, us);
                 // Fold this handle's read-cache hit/miss counters into the
-                // cluster's registry (delta since the previous flush).
+                // store's registry (delta since the previous flush).
                 let hits = self.reader.cache_hits();
                 let misses = self.reader.cache_misses();
-                lane.obs.add_cache_traffic(
+                self.obs.add_cache_traffic(
                     hits - self.flushed_cache_hits,
                     misses - self.flushed_cache_misses,
                 );
@@ -675,18 +607,14 @@ impl StoreClient {
     }
 
     /// Returns the admission token of every dispatched operation and gives
-    /// up this client's place in every waiter queue (abandoned queued
+    /// up this client's place in the waiter queue (abandoned queued
     /// operations must not hold a fairness turn).
     fn release_admission(&self) {
-        for &obj in &self.busy_objects {
-            if let Some(admission) = &self.lanes[self.lane_of(obj)].admission {
+        if let Some(admission) = &self.admission {
+            for &obj in &self.busy_objects {
                 admission.release(obj);
             }
-        }
-        for lane in &self.lanes {
-            if let Some(admission) = &lane.admission {
-                admission.forget(self.client_num);
-            }
+            admission.forget(self.client_num);
         }
     }
 
@@ -724,7 +652,7 @@ impl StoreClient {
                     break;
                 }
             }
-            self.flush();
+            self.route.flush();
             self.scratch_inbox = batch;
             result?;
         }
@@ -758,7 +686,7 @@ impl StoreClient {
             }
             Err(RecvTimeoutError::Timeout) => {
                 self.try_dispatch();
-                self.flush();
+                self.route.flush();
                 Ok(false)
             }
             Err(RecvTimeoutError::Disconnected) => Err(StoreError::Disconnected),
@@ -824,7 +752,7 @@ impl Store for StoreClient {
         // it would spin forever without ever starting them.
         if self.admission_blocked {
             self.try_dispatch();
-            self.flush();
+            self.route.flush();
         }
         Ok(std::mem::take(&mut self.completions))
     }
@@ -932,9 +860,7 @@ impl Drop for StoreClient {
         // Return any held admission tokens before disappearing, or a dropped
         // handle would shrink the partition budget forever.
         self.release_admission();
-        for lane in &self.lanes {
-            lane.cluster.router().deregister(self.pid);
-        }
+        self.cluster.router().deregister(self.pid);
     }
 }
 
@@ -1225,7 +1151,7 @@ mod tests {
         // Either the slot is still held (refused) or op 0 already completed;
         // in the common case the refusal is observed.
         if refused == Err(StoreError::WouldBlock) {
-            assert_eq!(store.admin().admitted_ops()[0][0], 1);
+            assert_eq!(store.admin().admitted_ops()[0], 1);
         }
         a.wait(t).unwrap();
         // After completion the budget frees up and b gets through.
@@ -1241,109 +1167,15 @@ mod tests {
         store.shutdown();
     }
 
-    fn clusters_store(clusters: usize, backend: BackendKind) -> StoreHandle {
-        StoreBuilder::new()
-            .backend(backend)
-            .clusters(clusters)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn facade_routes_blocking_ops_to_owning_shards() {
-        let store = clusters_store(2, BackendKind::Replication);
-        let mut client = store.client();
-        for obj in 0..8u64 {
-            let tag = client
-                .write(ObjectId(obj), format!("value {obj}").as_bytes())
-                .unwrap();
-            assert!(tag > Tag::initial());
-            assert_eq!(
-                client.read(ObjectId(obj)).unwrap(),
-                format!("value {obj}").into_bytes()
-            );
-        }
-        // Both clusters saw traffic: each served the writes of its own keys
-        // and of no others.
-        let m = store.admin().metrics();
-        assert_eq!(m.write_latency.count(), 8);
-        for c in 0..2 {
-            let owned = (0..8u64).filter(|&obj| cluster_of(obj, 2) == c).count();
-            assert!(owned > 0, "8 consecutive objects span both clusters");
-            let served = store.clusters[c].snapshot(c).write_latency.count();
-            assert_eq!(served, owned as u64, "cluster {c}");
-        }
-        drop(client);
-        store.shutdown();
-    }
-
-    #[test]
-    fn facade_pipelines_across_shards_and_orders_tickets() {
-        let store = clusters_store(3, BackendKind::Mbr);
-        let mut client = store.client_with_depth(12);
-        for obj in 0..12u64 {
-            client.submit_write(ObjectId(obj), format!("w{obj}").as_bytes());
-        }
-        for obj in 0..12u64 {
-            client.submit_read(ObjectId(obj));
-        }
-        let completions = client.wait_all().unwrap();
-        assert_eq!(completions.len(), 24);
-        // wait_all returns submission order.
-        let tickets: Vec<OpTicket> = completions.iter().map(|c| c.ticket).collect();
-        let mut sorted = tickets.clone();
-        sorted.sort();
-        assert_eq!(tickets, sorted);
-        // Same-object FIFO holds across clusters: every read (second half)
-        // observes its object's write (first half).
-        for c in &completions[12..] {
-            match &c.outcome {
-                OpOutcome::Read { value, .. } => {
-                    assert_eq!(value, &format!("w{}", c.obj).into_bytes());
-                }
-                other => panic!("expected read outcome, got {other:?}"),
-            }
-        }
-        drop(client);
-        store.shutdown();
-    }
-
-    #[test]
-    fn facade_wait_and_poll_mirror_cluster_client() {
-        let store = clusters_store(2, BackendKind::Replication);
-        let mut client = store.client_with_depth(8);
-        let t0 = client.submit_write(ObjectId(0), b"a");
-        let t1 = client.submit_write(ObjectId(1), b"b");
-        let c1 = client.wait(t1).unwrap();
-        assert_eq!(c1.ticket, t1);
-        let c0 = client.wait(t0).unwrap();
-        assert_eq!(c0.ticket, t0);
-        assert_eq!(client.wait(t0), Err(StoreError::UnknownTicket));
-        assert_eq!(client.pending_ops(), 0);
-        drop(client);
-        store.shutdown();
-    }
-
-    #[test]
-    fn facade_survives_tolerated_failures_per_shard() {
-        let store = clusters_store(2, BackendKind::Mbr);
-        // Kill f1 = 1 L1 server in *each* cluster: every partition still has
-        // its quorums.
-        let admin = store.admin();
-        admin.kill(ServerRef::l1(0).in_cluster(0)).unwrap();
-        admin.kill(ServerRef::l1(3).in_cluster(1)).unwrap();
-        let mut client = store.client();
-        for obj in 0..6u64 {
-            client.write(ObjectId(obj), b"resilient").unwrap();
-            assert_eq!(client.read(ObjectId(obj)).unwrap(), b"resilient");
-        }
-        drop(client);
-        store.shutdown();
-    }
-
+    /// `wait_next` never returns empty while work is outstanding, whichever
+    /// worker shard completes first.
     #[test]
     fn facade_wait_next_harvests_from_any_shard() {
-        let store = clusters_store(2, BackendKind::Replication);
+        let store = StoreBuilder::new()
+            .backend(BackendKind::Replication)
+            .shards(2)
+            .build()
+            .unwrap();
         let mut client = store.client_with_depth(8);
         for obj in 0..8u64 {
             client.submit_write(ObjectId(obj), &[obj as u8; 8]);

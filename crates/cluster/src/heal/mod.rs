@@ -119,7 +119,7 @@ impl HealConfig {
     }
 }
 
-/// Per-cluster bookkeeping the healing loop shares with the `Admin` facade:
+/// The bookkeeping the healing loop shares with the `Admin` facade:
 /// suspicion flags (fed into `Admin::liveness`), heal counters and the
 /// current per-target backoffs (read by `Cluster::snapshot` into
 /// `MetricsSnapshot`). Attached to the [`Cluster`] once by the builder.
@@ -190,18 +190,12 @@ impl HealState {
         self.backoffs.lock().remove(&(layer, index));
     }
 
-    /// The current backoff delays of this cluster (number `cluster` of the
-    /// deployment), one entry per target with a pending one.
-    pub(crate) fn backoff_snapshot(&self, cluster: usize) -> Vec<(ServerRef, Duration)> {
-        let target = |layer, index| ServerRef {
-            cluster,
-            layer,
-            index,
-        };
+    /// The current backoff delays, one entry per target with a pending one.
+    pub(crate) fn backoff_snapshot(&self) -> Vec<(ServerRef, Duration)> {
         let backoffs = self.backoffs.lock();
         let mut entries: Vec<_> = backoffs
             .iter()
-            .map(|(&(layer, index), &delay)| (target(layer, index), delay))
+            .map(|(&(layer, index), &delay)| (ServerRef { layer, index }, delay))
             .collect();
         entries.sort_by_key(|(target, _)| (target.layer == RepairLayer::L2, target.index));
         entries
@@ -218,27 +212,26 @@ pub(crate) struct HealRuntime {
 }
 
 impl HealRuntime {
-    /// Attaches fresh [`HealState`] to every cluster shard and spawns the
-    /// monitor and supervisor threads.
-    pub(crate) fn launch(clusters: Vec<Arc<Cluster>>, config: HealConfig) -> Arc<HealRuntime> {
-        for cluster in &clusters {
-            let params = cluster.params();
-            cluster.attach_heal(Arc::new(HealState::new(params.n1() + params.n2())));
-        }
+    /// Attaches fresh [`HealState`] to the cluster and spawns the monitor
+    /// and supervisor threads.
+    pub(crate) fn launch(cluster: Arc<Cluster>, config: HealConfig) -> Arc<HealRuntime> {
+        let params = cluster.params();
+        let state = Arc::new(HealState::new(params.n1() + params.n2()));
+        cluster.attach_heal(Arc::clone(&state));
         let stop = Arc::new(AtomicBool::new(false));
         let monitor = {
-            let clusters = clusters.clone();
+            let (cluster, state) = (Arc::clone(&cluster), Arc::clone(&state));
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("lds-heal-monitor".into())
-                .spawn(move || monitor::run_monitor(&clusters, &config, &stop))
+                .spawn(move || monitor::run_monitor(&cluster, &state, &config, &stop))
                 .expect("spawn heal monitor thread")
         };
         let supervisor = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("lds-heal-supervisor".into())
-                .spawn(move || supervisor::run_supervisor(&clusters, &config, &stop))
+                .spawn(move || supervisor::run_supervisor(&cluster, &state, &config, &stop))
                 .expect("spawn heal supervisor thread")
         };
         Arc::new(HealRuntime {

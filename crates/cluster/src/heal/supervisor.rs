@@ -1,8 +1,8 @@
 //! The auto-repair supervisor thread (see the [module docs](super)).
 
-use super::HealConfig;
+use super::{HealConfig, HealState};
 use crate::node::Cluster;
-use crate::obs::{EventKind, TraceHandle};
+use crate::obs::EventKind;
 use crate::repair::{RepairError, RepairLayer, RepairReport};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One repair target: cluster-shard index plus the server's layer address.
-type TargetKey = (usize, RepairLayer, usize);
+/// One repair target: the server's layer address.
+type TargetKey = (RepairLayer, usize);
 
 /// The layer code of the repair-lifecycle trace events (see
 /// [`EventKind`]'s payload table).
@@ -68,18 +68,21 @@ fn backoff_delay(config: &HealConfig, failures: u32, rng: &mut u64) -> Duration 
 ///   coordinator already finished) clears the target entirely;
 /// * **attempted** — otherwise a worker thread drives
 ///   `Cluster::repair_server`, with at most
-///   [`HealConfig::max_concurrent_repairs`] workers in flight across the
-///   whole deployment.
-pub(super) fn run_supervisor(clusters: &[Arc<Cluster>], config: &HealConfig, stop: &AtomicBool) {
+///   [`HealConfig::max_concurrent_repairs`] workers in flight.
+pub(super) fn run_supervisor(
+    cluster: &Arc<Cluster>,
+    state: &HealState,
+    config: &HealConfig,
+    stop: &AtomicBool,
+) {
     let (done_tx, done_rx) =
         crossbeam::channel::unbounded::<(TargetKey, Result<RepairReport, RepairError>)>();
     let mut in_flight: HashMap<TargetKey, JoinHandle<()>> = HashMap::new();
     let mut backoffs: HashMap<TargetKey, Backoff> = HashMap::new();
     let mut parked: HashSet<TargetKey> = HashSet::new();
     let mut rng = config.jitter_seed;
-    // One flight-recorder handle per cluster shard for the repair
-    // lifecycle events.
-    let mut traces: Vec<TraceHandle> = clusters.iter().map(|c| c.recorder().handle()).collect();
+    let mut trace = cluster.recorder().handle();
+    let params = cluster.params();
 
     loop {
         // Reap finished workers first, so their slots free up this scan.
@@ -87,20 +90,11 @@ pub(super) fn run_supervisor(clusters: &[Arc<Cluster>], config: &HealConfig, sto
             if let Some(handle) = in_flight.remove(&key) {
                 let _ = handle.join();
             }
-            let (cluster_index, layer, index) = key;
-            let cluster = &clusters[cluster_index];
-            let Some(state) = cluster.heal_state() else {
-                continue;
-            };
+            let (layer, index) = key;
             match outcome {
                 Ok(_) => {
                     state.count_success();
-                    traces[cluster_index].record(
-                        EventKind::RepairOk,
-                        layer_code(layer),
-                        index as u64,
-                        0,
-                    );
+                    trace.record(EventKind::RepairOk, layer_code(layer), index as u64, 0);
                     state.clear_backoff(layer, index);
                     backoffs.remove(&key);
                 }
@@ -130,7 +124,7 @@ pub(super) fn run_supervisor(clusters: &[Arc<Cluster>], config: &HealConfig, sto
                         next_attempt: Instant::now(),
                     });
                     let delay = backoff_delay(config, entry.failures, &mut rng);
-                    traces[cluster_index].record(
+                    trace.record(
                         EventKind::RepairBackoff,
                         layer_code(layer),
                         index as u64,
@@ -147,77 +141,60 @@ pub(super) fn run_supervisor(clusters: &[Arc<Cluster>], config: &HealConfig, sto
             break;
         }
 
-        // Scan every cluster shard for suspected servers to heal.
-        'scan: for (cluster_index, cluster) in clusters.iter().enumerate() {
-            let Some(state) = cluster.heal_state() else {
+        // Scan for suspected servers to heal.
+        let servers = (0..params.n1())
+            .map(|j| (RepairLayer::L1, j))
+            .chain((0..params.n2()).map(|i| (RepairLayer::L2, i)));
+        for key @ (layer, index) in servers {
+            let pid = cluster.server_pid(layer, index);
+            // Repairs are driven by the daemon hosting the server (the
+            // replacement's threads must spawn in its process).
+            if !cluster.hosts_server(pid) {
                 continue;
-            };
-            let params = cluster.params();
-            let servers = (0..params.n1())
-                .map(|j| (RepairLayer::L1, j))
-                .chain((0..params.n2()).map(|i| (RepairLayer::L2, i)));
-            for (layer, index) in servers {
-                let pid = cluster.server_pid(layer, index);
-                // Repairs are driven by the daemon hosting the server (the
-                // replacement's threads must spawn in its process).
-                if !cluster.hosts_server(pid) {
-                    continue;
-                }
-                if !state.is_suspected(pid) {
-                    continue;
-                }
-                let key = (cluster_index, layer, index);
-                if in_flight.contains_key(&key) {
-                    continue;
-                }
-                // Ground truth gate: a suspected-but-live server needs no
-                // repair — the monitor clears the suspicion once beats
-                // resume (e.g. after a scheduling stall).
-                if cluster.server_is_live(layer, index) {
-                    continue;
-                }
-                // Degraded layer: fewer live helpers than the repair quorum
-                // means every attempt must fail — park (and count the
-                // transition) instead of spinning, and re-check next scan.
-                if cluster.layer_live_count(layer) < cluster.repair_quorum(layer) {
-                    if parked.insert(key) {
-                        state.count_park();
-                        traces[cluster_index].record(
-                            EventKind::RepairPark,
-                            layer_code(layer),
-                            index as u64,
-                            0,
-                        );
-                    }
-                    continue;
-                }
-                parked.remove(&key);
-                if let Some(backoff) = backoffs.get(&key) {
-                    if Instant::now() < backoff.next_attempt {
-                        continue;
-                    }
-                }
-                if in_flight.len() >= config.max_concurrent_repairs {
-                    break 'scan;
-                }
-                state.count_attempt();
-                traces[cluster_index].record(
-                    EventKind::RepairStart,
-                    layer_code(layer),
-                    index as u64,
-                    0,
-                );
-                let cluster = Arc::clone(cluster);
-                let done_tx = done_tx.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("lds-heal-repair-{layer}-{index}"))
-                    .spawn(move || {
-                        let outcome = cluster.repair_server(layer, index, None);
-                        let _ = done_tx.send((key, outcome));
-                    })
-                    .expect("spawn heal repair worker");
-                in_flight.insert(key, handle);
             }
+            if !state.is_suspected(pid) {
+                continue;
+            }
+            if in_flight.contains_key(&key) {
+                continue;
+            }
+            // Ground truth gate: a suspected-but-live server needs no
+            // repair — the monitor clears the suspicion once beats resume
+            // (e.g. after a scheduling stall).
+            if cluster.server_is_live(layer, index) {
+                continue;
+            }
+            // Degraded layer: fewer live helpers than the repair quorum
+            // means every attempt must fail — park (and count the
+            // transition) instead of spinning, and re-check next scan.
+            if cluster.layer_live_count(layer) < cluster.repair_quorum(layer) {
+                if parked.insert(key) {
+                    state.count_park();
+                    trace.record(EventKind::RepairPark, layer_code(layer), index as u64, 0);
+                }
+                continue;
+            }
+            parked.remove(&key);
+            if let Some(backoff) = backoffs.get(&key) {
+                if Instant::now() < backoff.next_attempt {
+                    continue;
+                }
+            }
+            if in_flight.len() >= config.max_concurrent_repairs {
+                break;
+            }
+            state.count_attempt();
+            trace.record(EventKind::RepairStart, layer_code(layer), index as u64, 0);
+            let cluster = Arc::clone(cluster);
+            let done_tx = done_tx.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("lds-heal-repair-{layer}-{index}"))
+                .spawn(move || {
+                    let outcome = cluster.repair_server(layer, index, None);
+                    let _ = done_tx.send((key, outcome));
+                })
+                .expect("spawn heal repair worker");
+            in_flight.insert(key, handle);
         }
 
         std::thread::sleep(config.beat_interval);

@@ -44,19 +44,13 @@
 //! * with [`ClusterOptions::inbox_cap`] the cluster runs with **bounded
 //!   inboxes**: a saturated or slow shard pushes back on
 //!   [`Store::try_submit_write`] / [`Store::try_submit_read`] (they return
-//!   [`StoreError::WouldBlock`]) instead of queueing without limit;
-//! * a deployment scales out *beyond one membership* with
-//!   [`StoreBuilder::clusters`]: the object space is partitioned by
-//!   consistent hash ([`cluster_of`]) over N independent clusters — each
-//!   with its own L1/L2 group, router and failure budget — served by the
-//!   same [`StoreClient`] as a single cluster is (the [`client`] module says
-//!   why one client type suffices).
+//!   [`StoreError::WouldBlock`]) instead of queueing without limit.
 //!
 //! # The public surface: the [`api`] module
 //!
 //! Applications program against the [`api`] module — [`StoreBuilder`] to
-//! construct (one `clusters(n)` axis sets the cluster count, named profiles
-//! replace options literals, everything validated at `build()`), the
+//! construct (named profiles replace options literals, everything validated
+//! at `build()`), the
 //! [`Store`] trait for the data plane (typed [`ObjectId`] keys, borrowed
 //! `&[u8]` values, blocking and pipelined operation), and [`Admin`] for the
 //! control plane (crash injection, online repair, liveness, metrics). It is
@@ -133,7 +127,7 @@ pub use heal::HealConfig;
 pub use node::{msgs_per_op_bound, ClusterOptions, HostScope};
 pub use obs::{EventKind, FlightRecorder, HistSnapshot, TraceDump, TraceEvent, TraceHandle};
 pub use repair::{RepairError, RepairLayer, RepairReport};
-pub use router::{cluster_of, shard_of};
+pub use router::shard_of;
 pub use transport::{
     Decision, Endpoint, FaultCounters, FaultPlan, FaultRule, InProcTransport, PartitionDirection,
     PartitionSpec, SimTransport, Transport,

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of every cluster of a deployment.
+/// Tuning knobs of a deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
     /// Worker shards per L1 server. Each shard owns a disjoint object
@@ -599,8 +599,8 @@ fn l1_publisher(pid: ProcessId) -> impl FnMut(&L1Server, &mut NodeObs) + Send {
 
 /// A running in-process LDS cluster: `n1 + n2` server processes, each split
 /// into one or more worker-shard automata, all run by the cluster's executor
-/// (`min(cores, automata)` worker threads). A deployment is one or more of
-/// these behind a [`StoreHandle`](crate::api::StoreHandle), which creates the
+/// (`min(cores, automata)` worker threads). A deployment is one of these
+/// behind a [`StoreHandle`](crate::api::StoreHandle), which creates the
 /// clients; servers are crash-killed and regenerated *online* — restoring the
 /// failure budget — through [`Admin`](crate::api::Admin).
 pub(crate) struct Cluster {
@@ -639,11 +639,9 @@ pub(crate) struct Cluster {
     /// attached once by [`crate::api::StoreBuilder`] when the `self_heal`
     /// profile is on (see [`crate::heal`]).
     heal: std::sync::OnceLock<Arc<crate::heal::HealState>>,
-    /// The next client number. One counter for the whole deployment: a
-    /// client registers one process id with every cluster's router, and
-    /// repair coordinators draw from the same space, so the clusters of a
-    /// multi-cluster deployment share it.
-    client_numbers: Arc<AtomicU64>,
+    /// The next client number; repair coordinators draw from the same
+    /// space as clients.
+    client_numbers: AtomicU64,
     /// Stride between allocated client numbers (1 in-process; the daemon
     /// count on a multi-daemon deployment — see [`HostScope`]).
     client_step: u64,
@@ -685,9 +683,6 @@ impl Cluster {
     ///   transport: only the servers named by `scope` run here; the rest of
     ///   the shared membership lives on peer processes reached through
     ///   `transport`.
-    /// * `client_numbers` — the deployment's client-number counter, for
-    ///   every cluster after the first (`None` starts one at the scope's
-    ///   base).
     /// * `workers` — overrides the core count the executor is sized from
     ///   (tests only; the builder passes `None`): the cluster runs
     ///   `min(cores, hosted shard automata)` worker threads.
@@ -696,7 +691,6 @@ impl Cluster {
     ///
     /// Panics if a shard count is zero (the builder validates this before
     /// calling).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch(
         params: SystemParams,
         backend_kind: BackendKind,
@@ -704,7 +698,6 @@ impl Cluster {
         fault_plan: Option<&crate::transport::FaultPlan>,
         transport: Option<Arc<dyn crate::transport::Transport>>,
         scope: Option<HostScope>,
-        client_numbers: Option<Arc<AtomicU64>>,
         workers: Option<usize>,
     ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
         assert!(options.l1_shards > 0, "l1_shards must be at least 1");
@@ -800,7 +793,7 @@ impl Cluster {
             repair_log: Mutex::new(RepairLog::new(options.repair_log_cap)),
             beats: (0..n1 + n2).map(|_| Arc::default()).collect(),
             heal: std::sync::OnceLock::new(),
-            client_numbers: client_numbers.unwrap_or_else(|| Arc::new(AtomicU64::new(client_base))),
+            client_numbers: AtomicU64::new(client_base),
             client_step,
             hosted,
             started,
@@ -864,13 +857,13 @@ impl Cluster {
         &self.obs
     }
 
-    /// This cluster's [`MetricsSnapshot`] (cluster `index` of the
-    /// deployment): every field read once, from the slot its counting thread
-    /// publishes into — the shard stats slots, the inbox gauges, the repair
-    /// log, the heal loop's and the executor's counters, the transport, the
-    /// client-side registry. The one place a metric's value comes from; what
-    /// the fields mean and how clusters fold is the table in `obs/metrics.rs`.
-    pub(crate) fn snapshot(&self, index: usize) -> MetricsSnapshot {
+    /// This cluster's [`MetricsSnapshot`]: every field read once, from the
+    /// slot its counting thread publishes into — the shard stats slots, the
+    /// inbox gauges, the repair log, the heal loop's and the executor's
+    /// counters, the transport, the client-side registry. The one place a
+    /// metric's value comes from; what the fields mean is the table in
+    /// `obs/metrics.rs`.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let load = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
         let (l1_shards, l2_shards) = (
             self.l1_stats.iter().flatten(),
@@ -896,7 +889,6 @@ impl Cluster {
         let admitted = self.admission.iter().flat_map(|a| a.admitted.iter());
         let executor = self.executor.stats();
         MetricsSnapshot {
-            clusters: 1,
             l1_metadata_entries: l1(|s| &s.metadata_entries) as usize,
             l1_temporary_bytes: l1(|s| &s.temp_bytes) as usize,
             l1_inbox_depth: gauges.clone().map(|g| g.current()).sum(),
@@ -911,7 +903,7 @@ impl Cluster {
             heal_repairs_succeeded: healed(|h| &h.repairs_succeeded),
             heal_repairs_backed_off: healed(|h| &h.repairs_backed_off),
             heal_parked_events: healed(|h| &h.parked_events),
-            heal_backoffs: heal.map_or_else(Vec::new, |h| h.backoff_snapshot(index)),
+            heal_backoffs: heal.map_or_else(Vec::new, |h| h.backoff_snapshot()),
             transport_faults: self.router.transport().fault_counters(),
             cache_hits: load(&self.obs.cache_hits),
             cache_misses: load(&self.obs.cache_misses),
@@ -965,12 +957,6 @@ impl Cluster {
             .as_ref()
             .map(|a| a.admitted_on(shard))
             .unwrap_or(0)
-    }
-
-    /// The deployment-wide client-number counter (see
-    /// [`Cluster::launch`]).
-    pub(crate) fn client_numbers(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.client_numbers)
     }
 
     /// Draws the next client number of the deployment.
@@ -1103,12 +1089,6 @@ impl Cluster {
     /// before any monitor thread starts; later calls are ignored.
     pub(crate) fn attach_heal(&self, state: Arc<crate::heal::HealState>) {
         let _ = self.heal.set(state);
-    }
-
-    /// The attached self-healing state, if the deployment was built with
-    /// the `self_heal` profile.
-    pub(crate) fn heal_state(&self) -> Option<&Arc<crate::heal::HealState>> {
-        self.heal.get()
     }
 
     /// The process id of the server with layer index `index`.
@@ -1291,7 +1271,7 @@ mod tests {
     #[test]
     fn cluster_starts_and_shuts_down() {
         let store = StoreBuilder::new().build().unwrap();
-        let cluster = &store.clusters[0];
+        let cluster = &store.cluster;
         assert_eq!(cluster.params().n1(), 4);
         assert_eq!(cluster.membership().n2(), 5);
         assert_eq!(cluster.router().len(), 9);
@@ -1307,7 +1287,7 @@ mod tests {
             .l2_shards(2)
             .build()
             .unwrap();
-        let cluster = &store.clusters[0];
+        let cluster = &store.cluster;
         // Shards do not change the process count.
         assert_eq!(cluster.router().len(), 9);
         let mut client = store.client();
@@ -1336,8 +1316,8 @@ mod tests {
         store.shutdown();
     }
 
-    /// A one-cluster store whose executor is sized as on a `cores`-core
-    /// machine (the parameter the builder does not expose).
+    /// A store whose executor is sized as on a `cores`-core machine (the
+    /// parameter the builder does not expose).
     fn store_on(cores: usize, options: ClusterOptions) -> crate::api::StoreHandle {
         let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
         let cluster = Cluster::launch(
@@ -1347,12 +1327,11 @@ mod tests {
             None,
             None,
             None,
-            None,
             Some(cores),
         )
         .unwrap();
         crate::api::StoreHandle {
-            clusters: vec![cluster].into(),
+            cluster,
             heal: None,
         }
     }
@@ -1367,7 +1346,7 @@ mod tests {
         let tasks = 2 * (4 + 5);
         for cores in [1, 2, usize::MAX] {
             let store = store_on(cores, options);
-            let cluster = &store.clusters[0];
+            let cluster = &store.cluster;
             assert_eq!(cluster.executor.stats().workers, cores.min(tasks));
             let admin = store.admin();
             let mut client = store.client();
@@ -1399,7 +1378,7 @@ mod tests {
     fn a_crash_leaves_the_workers_other_automata_serving() {
         // One worker hosts all nine automata.
         let store = store_on(1, ClusterOptions::default());
-        let cluster = &store.clusters[0];
+        let cluster = &store.cluster;
         let admin = store.admin();
         let mut client = store.client();
         client.write(ObjectId(1), b"before the crash").unwrap();
@@ -1599,7 +1578,7 @@ mod tests {
         }
         // Blocking operations complete one at a time: the budget drains back
         // to zero between them.
-        assert_eq!(store.clusters[0].l1_admitted_ops(0), 0);
+        assert_eq!(store.cluster.l1_admitted_ops(0), 0);
         drop(client);
         store.shutdown();
     }
@@ -1617,7 +1596,7 @@ mod tests {
         client.wait_all().unwrap();
         // Everything the workload enqueued was eventually claimed.
         std::thread::sleep(std::time::Duration::from_millis(100));
-        let cluster = &store.clusters[0];
+        let cluster = &store.cluster;
         for j in 0..cluster.params().n1() {
             assert_eq!(cluster.l1_inbox_depth(j), 0, "server {j} inbox drained");
             assert!(

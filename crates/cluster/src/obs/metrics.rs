@@ -1,14 +1,13 @@
 //! The metrics table: the one declaration of every metric family.
 //!
 //! A row of `metrics!` names a Prometheus family — name, kind, help — and
-//! the [`MetricsSnapshot`] fields that are its samples: field, type, fold
-//! across clusters (`sum` or `max`) and label set. From the rows the macro
-//! generates the struct (the help text is each field's rustdoc),
-//! [`MetricsSnapshot::empty`], [`MetricsSnapshot::merge`],
+//! the [`MetricsSnapshot`] fields that are its samples: field, type and
+//! label set. From the rows the macro generates the struct (the help text
+//! is each field's rustdoc), [`MetricsSnapshot::empty`],
 //! [`MetricsSnapshot::to_prometheus`] and [`MetricsSnapshot::FAMILIES`];
 //! README's "Metrics and trace events" reference is generated from
 //! `FAMILIES`. A field's value has one source:
-//! the assignment in `Cluster::snapshot`. How a field *type* folds and
+//! the assignment in `Cluster::snapshot`. How a field *type* starts and
 //! renders is the `Metric` impl below the table — scalars print one sample
 //! under the row's label set, the five non-scalar types take a label *key*
 //! from the row and print one sample per entry.
@@ -39,7 +38,7 @@ macro_rules! metrics {
         $(#[$attr:meta])*
         pub struct $snapshot:ident {$(
             $family:literal $kind:ident $help:literal
-            $( $(#[$more:meta])* $field:ident: $ty:ty = $fold:ident $labels:literal; )*
+            $( $(#[$more:meta])* $field:ident: $ty:ty = $labels:literal; )*
             $( = $derived:ident(); )?
         )*}
     ) => {
@@ -62,17 +61,9 @@ macro_rules! metrics {
             },)*];
 
             /// The snapshot of a deployment nothing has happened to: every
-            /// count zero, every histogram empty — the unit of
-            /// [`merge`](Self::merge).
+            /// count zero, every histogram empty.
             pub fn empty() -> Self {
                 $snapshot { $($( $field: Metric::zero(), )*)* }
-            }
-
-            /// Folds `other` in, as [`Admin::metrics`](crate::api::Admin::metrics)
-            /// does with the per-cluster snapshots: counts add, high-water
-            /// marks take the maximum, histograms merge.
-            pub fn merge(&mut self, other: &Self) {
-                $($( metrics!(@$fold self.$field, other.$field); )*)*
             }
 
             /// Renders the snapshot in the Prometheus text exposition format:
@@ -86,7 +77,7 @@ macro_rules! metrics {
             /// let text = store.admin().metrics().to_prometheus();
             /// let first = &MetricsSnapshot::FAMILIES[0];
             /// assert!(text.starts_with(&format!("# HELP {} {}\n", first.name, first.help)));
-            /// assert!(text.contains(&format!("# TYPE {} {}\n{} 1\n", first.name, first.kind, first.name)));
+            /// assert!(text.contains(&format!("# TYPE {} {}\n{} 0\n", first.name, first.kind, first.name)));
             /// assert!(text.contains("{layer=\"l1\"} 4\n"), "four live L1 servers");
             /// store.shutdown();
             /// ```
@@ -102,14 +93,12 @@ macro_rules! metrics {
             }
         }
     };
-    (@sum $into:expr, $from:expr) => { $into.add(&$from) };
-    (@max $into:expr, $from:expr) => { $into = $into.max($from) };
 }
 
 metrics! {
     /// A point-in-time snapshot of the deployment's occupancy, health and
-    /// latency metrics ([`Admin::metrics`](crate::api::Admin::metrics)),
-    /// aggregated across every cluster; per-server breakdowns come from
+    /// latency metrics ([`Admin::metrics`](crate::api::Admin::metrics));
+    /// per-server breakdowns come from
     /// [`Admin::inbox_depths`](crate::api::Admin::inbox_depths) and
     /// [`Admin::liveness`](crate::api::Admin::liveness).
     ///
@@ -118,111 +107,109 @@ metrics! {
     /// zero on a repaired server (Prometheus-style reset). The `heal_*`
     /// fields are zero unless the deployment is self-healing.
     pub struct MetricsSnapshot {
-        "lds_clusters" gauge "Independent cluster shards in the deployment."
-            clusters: usize = sum "";
         "lds_l1_metadata_entries" gauge "Per-tag metadata entries across every L1 server."
-            l1_metadata_entries: usize = sum "";
+            l1_metadata_entries: usize = "";
         "lds_l1_temporary_bytes" gauge "Bytes of values in L1 temporary storage."
-            l1_temporary_bytes: usize = sum "";
+            l1_temporary_bytes: usize = "";
         "lds_l1_inbox_depth" gauge "Messages queued across every L1 worker-shard inbox."
-            l1_inbox_depth: usize = sum "";
+            l1_inbox_depth: usize = "";
         "lds_l1_inbox_depth_max" gauge
             "Largest queue length any single L1 worker-shard inbox reached."
-            max_l1_inbox_depth: usize = max "";
+            max_l1_inbox_depth: usize = "";
         "lds_admitted_ops" gauge "Client operations currently admitted (bounded-inbox mode)."
-            admitted_ops: usize = sum "";
+            admitted_ops: usize = "";
         "lds_live_servers" gauge "Live servers per layer."
             /// Live as [`Admin::liveness`](crate::api::Admin::liveness)
-            /// reports it — both count one per-cluster view. On a
-            /// self-healing deployment a server is live iff the heartbeat
-            /// monitor does not suspect it; otherwise iff it is not
-            /// crash-killed. A daemon of a multi-daemon deployment observes
-            /// only the servers it hosts and counts its peers' as live.
-            live_l1: usize = sum "{layer=\"l1\"}";
+            /// reports it — both count one view. On a self-healing
+            /// deployment a server is live iff the heartbeat monitor does
+            /// not suspect it; otherwise iff it is not crash-killed. A
+            /// daemon of a multi-daemon deployment observes only the
+            /// servers it hosts and counts its peers' as live.
+            live_l1: usize = "{layer=\"l1\"}";
             /// See [`live_l1`](Self::live_l1).
-            live_l2: usize = sum "{layer=\"l2\"}";
+            live_l2: usize = "{layer=\"l2\"}";
         "lds_repairs_completed" counter "Successful online repairs since the store started."
             /// Exact even after the bounded report log started evicting.
-            repairs_completed: usize = sum "";
+            repairs_completed: usize = "";
         "lds_repair_reports_dropped" counter "Repair reports evicted from the bounded history log."
-            repair_reports_dropped: u64 = sum "";
+            repair_reports_dropped: u64 = "";
         "lds_heal_suspicions_raised" counter "Suspicion transitions raised by the heartbeat monitor."
-            heal_suspicions_raised: u64 = sum "";
+            heal_suspicions_raised: u64 = "";
         "lds_heal_repairs_attempted" counter "Repair attempts started by the auto-repair supervisor."
-            heal_repairs_attempted: u64 = sum "";
+            heal_repairs_attempted: u64 = "";
         "lds_heal_repairs_succeeded" counter "Supervisor repair attempts that completed successfully."
-            heal_repairs_succeeded: u64 = sum "";
+            heal_repairs_succeeded: u64 = "";
         "lds_heal_repairs_backed_off" counter
             "Supervisor repair attempts that failed into exponential backoff."
-            heal_repairs_backed_off: u64 = sum "";
+            heal_repairs_backed_off: u64 = "";
         "lds_heal_parked" counter "Times the supervisor parked a repair for lack of a quorum."
-            heal_parked_events: u64 = sum "";
+            heal_parked_events: u64 = "";
         "lds_heal_backoff_seconds" gauge
             "Current backoff delay per repair target still waiting one out."
-            heal_backoffs: Vec<(ServerRef, Duration)> = sum "target";
+            heal_backoffs: Vec<(ServerRef, Duration)> = "target";
         "lds_transport_faults" counter "Faults injected by the fault-injecting transport, by kind."
             /// All zero without a
             /// [`StoreBuilder::fault_plan`](crate::api::StoreBuilder::fault_plan).
-            transport_faults: FaultCounters = sum "kind";
+            transport_faults: FaultCounters = "kind";
         "lds_read_cache" counter "Completed reads by cache outcome (cache-enabled clients only)."
             /// Reads served from a client's tag-validated cache (data phase
             /// skipped). Folded in as each read completes.
-            cache_hits: u64 = sum "{result=\"hit\"}";
+            cache_hits: u64 = "{result=\"hit\"}";
             /// Cache-enabled reads that ran the full data-transfer phase.
-            cache_misses: u64 = sum "{result=\"miss\"}";
+            cache_misses: u64 = "{result=\"miss\"}";
         "lds_read_cache_hit_ratio" gauge
             "Fraction of cache-enabled reads served from the read cache."
             = cache_hit_ratio();
         "lds_gc_evicted_entries" counter "Temporary-store entries evicted by committed-tag GC."
-            gc_evicted_entries: u64 = sum "";
+            gc_evicted_entries: u64 = "";
         "lds_gc_evicted_bytes" counter "Value bytes released by committed-tag GC."
-            gc_evicted_bytes: u64 = sum "";
+            gc_evicted_bytes: u64 = "";
         "lds_pool_peak_round_bytes" gauge
             "Bytes of the n2 coded elements of the largest write-to-L2 offload any L1 server made."
             /// What one offload holds at once: its `n2` element buffers all
             /// leave in the step that encoded them.
-            peak_round_bytes: usize = max "";
+            peak_round_bytes: usize = "";
         "lds_gf_kernel" gauge
             "Instruction-set level of the GF(2^8) coding kernels (constant 1, level in the label)."
             /// [`lds_codes::gf_kernel`]: `"gfni"`, `"avx2"`, `"ssse3"` or
             /// `"portable"`. Coding cost differs severalfold between levels,
             /// so a latency figure is attributable only with it.
-            gf_kernel: &'static str = sum "level";
+            gf_kernel: &'static str = "level";
         "lds_executor_workers" gauge "Worker threads running the server-shard automata."
-            /// `min(cores, hosted automata)` per cluster.
-            executor_workers: usize = sum "";
+            /// `min(cores, hosted automata)`.
+            executor_workers: usize = "";
         "lds_executor_turns" counter
             "Automaton activations (turns that claimed at least one envelope)."
-            executor_turns: u64 = sum "";
+            executor_turns: u64 = "";
         "lds_executor_envelopes" counter "Envelopes claimed from server inboxes by executor turns."
             /// `envelopes ÷ turns` is how many arrivals one activation amortises.
-            executor_envelopes: u64 = sum "";
+            executor_envelopes: u64 = "";
         "lds_executor_parks" counter "Times an executor worker found every inbox empty and parked."
-            executor_parks: u64 = sum "";
+            executor_parks: u64 = "";
         "lds_executor_wakeups" counter
             "Wake-ups (unparks) senders issued to parked executor workers."
             /// Every other enqueue found its worker awake and cost one atomic
             /// load; `wakeups ÷ operations` is the message path's system-call
             /// share.
-            executor_wakeups: u64 = sum "";
+            executor_wakeups: u64 = "";
         "lds_messages_total" counter
             "Messages received across every server shard, by protocol class."
             /// Names per [`MESSAGE_CLASSES`], heartbeat pings last.
-            messages_by_class: Vec<(&'static str, u64)> = sum "class";
+            messages_by_class: Vec<(&'static str, u64)> = "class";
         "lds_write_latency_seconds" histogram "End-to-end write latency."
             /// µs buckets, ≤ 12.5 % relative error (see [`crate::obs::hist`]).
-            write_latency: HistSnapshot = sum "le";
+            write_latency: HistSnapshot = "le";
         "lds_read_latency_seconds" histogram "End-to-end read latency."
-            read_latency: HistSnapshot = sum "le";
+            read_latency: HistSnapshot = "le";
         "lds_phase_tag_latency_seconds" histogram "Tag-quorum phase latency (writes and reads)."
             /// The `QUERY-TAG` / `QUERY-COMM-TAG` round, submission to first
             /// data-phase message.
-            phase_tag_latency: HistSnapshot = sum "le";
+            phase_tag_latency: HistSnapshot = "le";
         "lds_phase_data_latency_seconds" histogram
             "Data-transfer phase latency (write commit wait included)."
-            phase_data_latency: HistSnapshot = sum "le";
+            phase_data_latency: HistSnapshot = "le";
         "lds_phase_commit_latency_seconds" histogram "Read commit (PUT-TAG round) phase latency."
-            phase_commit_latency: HistSnapshot = sum "le";
+            phase_commit_latency: HistSnapshot = "le";
     }
 }
 
@@ -239,10 +226,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// How one field type of the table starts, folds under `sum` and renders.
+/// How one field type of the table starts and renders.
 trait Metric {
     fn zero() -> Self;
-    fn add(&mut self, other: &Self);
     /// Writes the field's samples of family `name`. `labels` is the row's
     /// label entry: scalars print it verbatim, the other types use it as
     /// the key of the label their entries differ in.
@@ -259,9 +245,6 @@ macro_rules! scalar_metric {
             fn zero() -> Self {
                 Self::default()
             }
-            fn add(&mut self, other: &Self) {
-                *self += *other;
-            }
             fn render(&self, name: &str, labels: &str, out: &mut String) {
                 let _ = writeln!(out, "{name}{labels} {}", *self as f64);
             }
@@ -270,13 +253,11 @@ macro_rules! scalar_metric {
 }
 scalar_metric!(usize, u64, f64);
 
-/// The kernel level: a constant-1 sample, the level its label. One process
-/// runs one kernel, so every cluster reports the same and folding keeps it.
+/// The kernel level: a constant-1 sample, the level its label.
 impl Metric for &'static str {
     fn zero() -> Self {
         lds_codes::gf_kernel()
     }
-    fn add(&mut self, _: &Self) {}
     fn render(&self, name: &str, key: &str, out: &mut String) {
         keyed(out, name, key, self, 1.0);
     }
@@ -285,13 +266,6 @@ impl Metric for &'static str {
 impl Metric for FaultCounters {
     fn zero() -> Self {
         FaultCounters::default()
-    }
-    fn add(&mut self, other: &Self) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.delayed += other.delayed;
-        self.reordered += other.reordered;
-        self.partitioned += other.partitioned;
     }
     fn render(&self, name: &str, key: &str, out: &mut String) {
         keyed(out, name, key, "dropped", self.dropped as f64);
@@ -307,9 +281,6 @@ impl Metric for Vec<(ServerRef, Duration)> {
     fn zero() -> Self {
         Vec::new()
     }
-    fn add(&mut self, other: &Self) {
-        self.extend_from_slice(other);
-    }
     fn render(&self, name: &str, key: &str, out: &mut String) {
         for (target, delay) in self {
             keyed(out, name, key, target, delay.as_secs_f64());
@@ -321,11 +292,6 @@ impl Metric for Vec<(ServerRef, Duration)> {
 impl Metric for Vec<(&'static str, u64)> {
     fn zero() -> Self {
         MESSAGE_CLASSES.iter().map(|&class| (class, 0)).collect()
-    }
-    fn add(&mut self, other: &Self) {
-        for (slot, (_, count)) in self.iter_mut().zip(other) {
-            slot.1 += count;
-        }
     }
     fn render(&self, name: &str, key: &str, out: &mut String) {
         for (class, count) in self {
@@ -339,9 +305,6 @@ impl Metric for Vec<(&'static str, u64)> {
 impl Metric for HistSnapshot {
     fn zero() -> Self {
         HistSnapshot::empty()
-    }
-    fn add(&mut self, other: &Self) {
-        self.merge(other);
     }
     fn render(&self, name: &str, key: &str, out: &mut String) {
         let mut cumulative = 0u64;

@@ -9,8 +9,7 @@
 //! counting thread publishes it into a slot (a server shard's stats slots,
 //! the [`ObsMetrics`] registry, the executor's and the heal loop's
 //! counters), and `Cluster::snapshot` reads the slots straight into the
-//! generated struct, which [`crate::api::Admin::metrics`] folds over the
-//! clusters.
+//! generated struct that [`crate::api::Admin::metrics`] returns.
 //!
 //! Two instruments with different cost models:
 //!
@@ -54,11 +53,13 @@ pub mod phase {
     /// is folded into its data phase — the client only observes the final
     /// `ACK-PUT-DATA`, which the servers send after commit.
     pub const COMMIT: u64 = 2;
+    /// Each phase's name, indexed by its code.
+    pub const NAMES: [&str; 3] = ["tag", "data", "commit"];
 }
 
-/// The always-on per-cluster metrics registry: end-to-end and per-phase
-/// client latency histograms plus read-cache traffic counters. Shared by
-/// every client of a cluster; recording is wait-free.
+/// The always-on metrics registry: end-to-end and per-phase client latency
+/// histograms plus read-cache traffic counters. Shared by every client of a
+/// store; recording is wait-free.
 pub struct ObsMetrics {
     /// End-to-end write latency (µs), submit to completion.
     pub write_us: Histogram,

@@ -35,12 +35,7 @@ pub const DEFAULT_TRACE_EVENTS: usize = 4096;
 /// The name of the client-op phase code carried by [`EventKind::OpPhase`]
 /// (one of [`phase`]'s constants; `"?"` for any other code).
 pub fn phase_name(code: u64) -> &'static str {
-    match code {
-        phase::TAG => "tag",
-        phase::DATA => "data",
-        phase::COMMIT => "commit",
-        _ => "?",
-    }
+    phase::NAMES.get(code as usize).copied().unwrap_or("?")
 }
 
 /// Words per ring slot: `[seq, ts_us, kind, a, b, c]`.
@@ -188,13 +183,6 @@ impl TraceDump {
     /// Whether the dump holds no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Merges another dump in (for multi-shard deployments), keeping the
-    /// combined events time-ordered.
-    pub fn merge(&mut self, other: TraceDump) {
-        self.events.extend(other.events);
-        self.events.sort_by_key(|e| e.ts_us);
     }
 
     /// The whole dump as JSONL, one event per line.

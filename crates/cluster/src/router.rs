@@ -14,7 +14,7 @@
 //! object is serialized through one worker while distinct objects proceed in
 //! parallel.
 //!
-//! Two mechanisms added for the scale-out runtime live here as well:
+//! Two more mechanisms live here as well:
 //!
 //! * **Grouped delivery** — [`RouterHandle::send_batch`] groups the
 //!   metadata messages of one flush by destination shard and appends each
@@ -256,61 +256,6 @@ pub fn shard_of(obj: ObjectId, shards: usize) -> usize {
     ((h >> 32) as usize) % shards
 }
 
-/// The cluster (of `clusters` many) that owns object `obj`, by jump
-/// consistent hash (Lamping & Veach, 2014).
-///
-/// A deployment built with
-/// [`StoreBuilder::clusters`](crate::api::StoreBuilder::clusters)` > 1`
-/// partitions the object space over independent clusters — each with its own
-/// L1/L2 membership, router and failure budget — and every
-/// [`StoreClient`](crate::api::StoreClient) sends each operation to the
-/// cluster this names. The protocol is one atomic register per object and
-/// an object lives on exactly one cluster, so clusters never coordinate.
-///
-/// Deterministic, uniform, and *consistent*: re-evaluating with `clusters + 1`
-/// moves exactly the expected `1/(clusters + 1)` fraction of keys, all of
-/// them onto the new cluster — which keeps offline resharding cheap.
-/// Independent of the intra-cluster worker-shard hash ([`shard_of`]), so
-/// object partitions inside a cluster stay balanced whatever the cluster
-/// count.
-///
-/// ```rust
-/// use lds_cluster::api::{Store, StoreBuilder};
-/// use lds_cluster::{cluster_of, OpOutcome};
-///
-/// // Two independent L1/L2 groups behind one client, high-throughput profile.
-/// let store = StoreBuilder::new().high_throughput(2).clusters(2).build().unwrap();
-/// let mut client = store.client_with_depth(8);
-/// for obj in 0..8u64 {
-///     client.submit_write(obj.into(), &[obj as u8; 16]);
-/// }
-/// let completions = client.wait_all().unwrap();
-/// assert_eq!(completions.len(), 8);
-/// assert!(completions.iter().all(|c| matches!(c.outcome, OpOutcome::Write { .. })));
-/// // Each cluster owns some of the eight keys.
-/// assert!((0..2).all(|c| (0..8).any(|obj| cluster_of(obj, 2) == c)));
-/// store.shutdown();
-/// ```
-///
-/// # Panics
-///
-/// Panics if `clusters` is zero.
-pub fn cluster_of(obj: u64, clusters: usize) -> usize {
-    assert!(clusters > 0, "at least one cluster shard is required");
-    if clusters == 1 {
-        return 0;
-    }
-    let mut key = obj;
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < clusters as i64 {
-        b = j;
-        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = (((b + 1) as f64) * ((1u64 << 31) as f64 / (((key >> 33) + 1) as f64))) as i64;
-    }
-    b as usize
-}
-
 /// Routes envelopes to per-process inboxes.
 ///
 /// The router is shared by all executor workers and clients; servers register
@@ -459,9 +404,8 @@ impl Router {
     }
 
     /// Registers `pid` with an inbox that already exists: `tx` feeds it and
-    /// `depth` is its gauge. A client owns one inbox and registers it with
-    /// the router of every cluster of its deployment, so replies from any
-    /// of them arrive on the one channel the client blocks on.
+    /// `depth` is its gauge. A client creates its own inbox, keeping a
+    /// sender for its [`Waker`](crate::Waker)s, and registers it here.
     pub(crate) fn register_sender(
         &self,
         pid: ProcessId,
@@ -1285,42 +1229,5 @@ mod tests {
         gauge.sub(4);
         assert_eq!(gauge.current(), 1);
         assert_eq!(gauge.max_seen(), 5);
-    }
-
-    #[test]
-    fn jump_hash_is_uniform_and_consistent() {
-        // Uniform-ish: every shard owns a reasonable share of 10k keys.
-        for clusters in [2usize, 3, 5, 8] {
-            let mut counts = vec![0usize; clusters];
-            for obj in 0..10_000u64 {
-                counts[cluster_of(obj, clusters)] += 1;
-            }
-            for (s, &n) in counts.iter().enumerate() {
-                let expected = 10_000 / clusters;
-                assert!(
-                    n > expected / 2 && n < expected * 2,
-                    "shard {s} of {clusters} owns {n} keys"
-                );
-            }
-        }
-        // Consistent: growing N to N+1 only moves keys onto the new shard.
-        for clusters in 1usize..8 {
-            let mut moved = 0usize;
-            for obj in 0..10_000u64 {
-                let before = cluster_of(obj, clusters);
-                let after = cluster_of(obj, clusters + 1);
-                if before != after {
-                    assert_eq!(after, clusters, "keys only move to the new shard");
-                    moved += 1;
-                }
-            }
-            // Expected moved fraction is 1/(clusters+1).
-            let expected = 10_000 / (clusters + 1);
-            assert!(
-                moved > expected / 2 && moved < expected * 2,
-                "{moved} of 10k keys moved going from {clusters} to {} shards",
-                clusters + 1
-            );
-        }
     }
 }

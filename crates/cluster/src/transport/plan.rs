@@ -6,7 +6,7 @@
 //! and a list of scheduled [`PartitionSpec`]s. The plan is pure data — it is
 //! validated against the deployment's [`SystemParams`] when
 //! [`StoreBuilder::build`](crate::api::StoreBuilder::build) runs, and
-//! compiled into a [`SimTransport`](super::SimTransport) per cluster shard.
+//! compiled into the store's [`SimTransport`](super::SimTransport).
 
 use lds_core::params::SystemParams;
 use std::time::Duration;
@@ -344,16 +344,6 @@ impl FaultPlan {
         self
     }
 
-    /// A copy of the plan under a different seed — used by the sharded
-    /// topology to give every cluster shard an independent fault stream
-    /// derived from the plan's seed.
-    pub fn reseeded(&self, seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            ..self.clone()
-        }
-    }
-
     /// Validates the plan against the deployment's parameters: probabilities
     /// in range and summing to at most 1 per rule, known message classes,
     /// endpoint indices within `n1`/`n2`, delay windows and partition
@@ -454,16 +444,5 @@ mod tests {
             .validate(&params)
             .unwrap_err()
             .contains("before it starts"));
-    }
-
-    #[test]
-    fn reseeding_keeps_rules_and_partitions() {
-        let plan = FaultPlan::seeded(1)
-            .rule(FaultRule::new().drop_prob(0.1))
-            .partition(PartitionSpec::isolate(&[Endpoint::L1(0)]));
-        let reseeded = plan.reseeded(99);
-        assert_eq!(reseeded.seed, 99);
-        assert_eq!(reseeded.rules.len(), 1);
-        assert_eq!(reseeded.partitions.len(), 1);
     }
 }

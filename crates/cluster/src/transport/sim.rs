@@ -494,7 +494,8 @@ mod tests {
             a.fault_counters().total() > 0,
             "some fault fired in 256 draws"
         );
-        let c = SimTransport::new(&plan.reseeded(43), &params());
+        let reseeded = FaultPlan { seed: 43, ..plan };
+        let c = SimTransport::new(&reseeded, &params());
         let decisions_c: Vec<_> = (0..256)
             .map(|_| c.decide(ProcessId(0), ProcessId(1), &msg()))
             .collect();

@@ -27,7 +27,6 @@ fn hist(samples_us: &[u64]) -> HistSnapshot {
 
 fn fixed_snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
-        clusters: 2,
         l1_metadata_entries: 37,
         l1_temporary_bytes: 1 << 20,
         l1_inbox_depth: 5,
@@ -44,10 +43,7 @@ fn fixed_snapshot() -> MetricsSnapshot {
         heal_parked_events: 1,
         heal_backoffs: vec![
             (ServerRef::l1(3), Duration::from_millis(150)),
-            (
-                ServerRef::l2(1).in_cluster(1),
-                Duration::from_micros(2_500_001),
-            ),
+            (ServerRef::l2(1), Duration::from_micros(2_500_001)),
         ],
         transport_faults: FaultCounters {
             dropped: 11,

@@ -372,8 +372,7 @@ fn handle_request(
         })),
         Request::Liveness => {
             let liveness = admin.liveness();
-            let count =
-                |layers: &[Vec<bool>]| layers.iter().flatten().filter(|&&live| live).count() as u64;
+            let count = |layer: &[bool]| layer.iter().filter(|&&live| live).count() as u64;
             Action::Respond(Response::Liveness {
                 live_l1: count(&liveness.l1),
                 live_l2: count(&liveness.l2),

@@ -4,7 +4,7 @@
 //! against a two-layer deployment: each event names a layer and a server
 //! index, spaced by a jittered gap. The schedule is **budget-aware** — given
 //! the set of servers currently down it never proposes a kill that would
-//! exceed a layer's crash-fault budget (`f1` L1 / `f2` L2 per cluster), so a
+//! exceed a layer's crash-fault budget (`f1` L1 / `f2` L2), so a
 //! harness driving it against a live cluster keeps every kill inside the
 //! envelope the protocol tolerates, no matter how slowly repairs catch up.
 //!
@@ -19,7 +19,6 @@
 //!
 //! let mut schedule = ChaosSchedule::new(ChaosScheduleConfig {
 //!     seed: 7,
-//!     clusters: 2,
 //!     n1: 4,
 //!     f1: 1,
 //!     n2: 5,
@@ -43,17 +42,15 @@ use rand::{Rng, SeedableRng};
 /// layer enum without depending on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosLayer {
-    /// The edge/metadata layer (`n1` servers, budget `f1` per cluster).
+    /// The edge/metadata layer (`n1` servers, budget `f1`).
     L1,
-    /// The coded back-end layer (`n2` servers, budget `f2` per cluster).
+    /// The coded back-end layer (`n2` servers, budget `f2`).
     L2,
 }
 
 /// One kill event drawn from a [`ChaosSchedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChaosTarget {
-    /// The cluster shard the victim lives in (`0..clusters`).
-    pub cluster: usize,
     /// The victim's layer.
     pub layer: ChaosLayer,
     /// The victim's index within its layer.
@@ -69,16 +66,13 @@ pub struct ChaosScheduleConfig {
     /// Seed of the deterministic RNG — the same seed replays the same
     /// schedule against the same down-set history.
     pub seed: u64,
-    /// Cluster shards in the deployment.
-    pub clusters: usize,
-    /// L1 servers per cluster.
+    /// L1 servers.
     pub n1: usize,
-    /// L1 crash budget per cluster: at most this many L1 servers of one
-    /// cluster are ever down at once.
+    /// L1 crash budget: at most this many L1 servers are ever down at once.
     pub f1: usize,
-    /// L2 servers per cluster.
+    /// L2 servers.
     pub n2: usize,
-    /// L2 crash budget per cluster.
+    /// L2 crash budget.
     pub f2: usize,
     /// Kills the schedule emits in total before running dry.
     pub total_kills: usize,
@@ -103,12 +97,11 @@ impl ChaosSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if a layer size, the cluster count or `total_kills` is zero,
+    /// Panics if a layer size or `total_kills` is zero,
     /// if a budget is zero or not below its layer size, or if
     /// `max_gap_ms < min_gap_ms` — a schedule that can never emit a legal
     /// kill is a harness bug, not a runtime condition.
     pub fn new(config: ChaosScheduleConfig) -> ChaosSchedule {
-        assert!(config.clusters > 0, "chaos schedule needs a cluster");
         assert!(config.total_kills > 0, "chaos schedule needs kills to emit");
         assert!(
             config.f1 > 0 && config.f1 < config.n1,
@@ -141,50 +134,34 @@ impl ChaosSchedule {
 
     /// Draws the next kill, given the servers currently down.
     ///
-    /// Only targets whose kill keeps every per-cluster layer budget intact
-    /// are candidates (a server already down is never re-killed). Returns
+    /// Only targets whose kill keeps every layer budget intact are
+    /// candidates (a server already down is never re-killed). Returns
     /// `None` — **without consuming an event** — when the schedule is done
-    /// or every layer of every cluster is at its budget; the harness should
-    /// let repairs catch up and call again.
+    /// or every layer is at its budget; the harness should let repairs
+    /// catch up and call again.
     pub fn next_kill(&mut self, down: &[ChaosTarget]) -> Option<ChaosTarget> {
         if self.is_done() {
             return None;
         }
         let c = &self.config;
-        let down_count = |cluster: usize, layer: ChaosLayer| {
-            down.iter()
-                .filter(|t| t.cluster == cluster && t.layer == layer)
-                .count()
-        };
-        let is_down = |cluster: usize, layer: ChaosLayer, index: usize| {
-            down.iter()
-                .any(|t| t.cluster == cluster && t.layer == layer && t.index == index)
-        };
-        let mut candidates: Vec<(usize, ChaosLayer, usize)> = Vec::new();
-        for cluster in 0..c.clusters {
-            if down_count(cluster, ChaosLayer::L1) < c.f1 {
-                for index in 0..c.n1 {
-                    if !is_down(cluster, ChaosLayer::L1, index) {
-                        candidates.push((cluster, ChaosLayer::L1, index));
-                    }
-                }
-            }
-            if down_count(cluster, ChaosLayer::L2) < c.f2 {
-                for index in 0..c.n2 {
-                    if !is_down(cluster, ChaosLayer::L2, index) {
-                        candidates.push((cluster, ChaosLayer::L2, index));
-                    }
-                }
+        let mut candidates: Vec<(ChaosLayer, usize)> = Vec::new();
+        for (layer, n, f) in [(ChaosLayer::L1, c.n1, c.f1), (ChaosLayer::L2, c.n2, c.f2)] {
+            let down_here = || down.iter().filter(|t| t.layer == layer);
+            if down_here().count() < f {
+                candidates.extend(
+                    (0..n)
+                        .filter(|&index| !down_here().any(|t| t.index == index))
+                        .map(|index| (layer, index)),
+                );
             }
         }
         if candidates.is_empty() {
             return None;
         }
-        let (cluster, layer, index) = candidates[self.rng.gen_range(0..candidates.len())];
+        let (layer, index) = candidates[self.rng.gen_range(0..candidates.len())];
         let gap_ms = self.rng.gen_range(c.min_gap_ms..=c.max_gap_ms);
         self.emitted += 1;
         Some(ChaosTarget {
-            cluster,
             layer,
             index,
             gap_ms,
@@ -199,7 +176,6 @@ mod tests {
     fn config(seed: u64) -> ChaosScheduleConfig {
         ChaosScheduleConfig {
             seed,
-            clusters: 2,
             n1: 4,
             f1: 1,
             n2: 5,
@@ -226,33 +202,28 @@ mod tests {
         let mut schedule = ChaosSchedule::new(config(7));
         let mut down: Vec<ChaosTarget> = Vec::new();
         // Kill without ever repairing: the schedule must stop at the budget
-        // (f1 + f2 per cluster = 4 total here), never exceed it, and not
-        // consume events while saturated.
+        // (f1 + f2 = 2 here), never exceed it, and not consume events while
+        // saturated.
         while let Some(kill) = schedule.next_kill(&down) {
             assert!(
-                !down.iter().any(
-                    |t| (t.cluster, t.layer, t.index) == (kill.cluster, kill.layer, kill.index)
-                ),
+                !down
+                    .iter()
+                    .any(|t| (t.layer, t.index) == (kill.layer, kill.index)),
                 "re-killed a down server"
             );
             down.push(kill);
-            for cluster in 0..2 {
-                for (layer, budget) in [(ChaosLayer::L1, 1), (ChaosLayer::L2, 1)] {
-                    let count = down
-                        .iter()
-                        .filter(|t| t.cluster == cluster && t.layer == layer)
-                        .count();
-                    assert!(count <= budget, "budget exceeded on {cluster}/{layer:?}");
-                }
+            for (layer, budget) in [(ChaosLayer::L1, 1), (ChaosLayer::L2, 1)] {
+                let count = down.iter().filter(|t| t.layer == layer).count();
+                assert!(count <= budget, "budget exceeded on {layer:?}");
             }
         }
-        assert_eq!(down.len(), 4);
-        assert_eq!(schedule.kills_emitted(), 4);
+        assert_eq!(down.len(), 2);
+        assert_eq!(schedule.kills_emitted(), 2);
         assert!(!schedule.is_done());
         // Repair everything: the schedule resumes exactly where it left off.
         down.clear();
         assert!(schedule.next_kill(&down).is_some());
-        assert_eq!(schedule.kills_emitted(), 5);
+        assert_eq!(schedule.kills_emitted(), 3);
     }
 
     #[test]
@@ -268,12 +239,8 @@ mod tests {
         let mut schedule = ChaosSchedule::new(config(11));
         let mut seen = std::collections::HashSet::new();
         while let Some(kill) = schedule.next_kill(&[]) {
-            seen.insert((kill.cluster, kill.layer));
+            seen.insert(kill.layer);
         }
-        assert_eq!(
-            seen.len(),
-            4,
-            "25 seeded kills should cover 2 clusters × 2 layers"
-        );
+        assert_eq!(seen.len(), 2, "25 seeded kills should cover both layers");
     }
 }

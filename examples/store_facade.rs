@@ -1,6 +1,7 @@
 //! The `Store` facade end to end: one generic workload function runs
-//! unchanged over a single cluster and over a sharded multi-cluster
-//! deployment — the cluster count is a builder axis, not an API fork.
+//! unchanged under the paper-faithful profile and under the high-throughput
+//! profile with sharded servers — the profile is a builder axis, not an API
+//! fork.
 //!
 //! Demonstrates the three layers of the public API:
 //!
@@ -18,7 +19,7 @@ use lds_core::backend::BackendKind;
 
 /// A mixed workload written ONCE against the `Store` trait: pipelined
 /// writes, a non-blocking burst that respects backpressure, and blocking
-/// read-back. Works identically over any number of clusters.
+/// read-back. Works identically under either profile.
 fn run_workload<S: Store>(client: &mut S, keys: u64) -> usize {
     // Pipelined: fill the window, then drain.
     for k in 0..keys {
@@ -49,8 +50,9 @@ fn run_workload<S: Store>(client: &mut S, keys: u64) -> usize {
 
 fn demo(label: &str, store: &StoreHandle) {
     println!(
-        "[{label}] clusters = {}, backend = {}, n1 = {}, n2 = {}",
-        store.clusters(),
+        "[{label}] profile = {:?}, shards = {}, backend = {}, n1 = {}, n2 = {}",
+        store.options().profile,
+        store.options().l1_shards,
         store.backend(),
         store.params().n1(),
         store.params().n2()
@@ -75,36 +77,30 @@ fn demo(label: &str, store: &StoreHandle) {
 
     let metrics = admin.metrics();
     println!(
-        "[{label}] metrics: {} clusters, {} live L1 + {} live L2, {} repairs, \
-         {} metadata entries",
-        metrics.clusters,
-        metrics.live_l1,
-        metrics.live_l2,
-        metrics.repairs_completed,
-        metrics.l1_metadata_entries
+        "[{label}] metrics: {} live L1 + {} live L2, {} repairs, {} metadata entries",
+        metrics.live_l1, metrics.live_l2, metrics.repairs_completed, metrics.l1_metadata_entries
     );
     store.shutdown();
 }
 
 fn main() {
-    // The same builder chain, differing only in the `clusters` axis.
-    let single = StoreBuilder::new()
+    // The same builder chain, differing only in the profile.
+    let builder = StoreBuilder::new()
         .failures(1, 1)
         .code(2, 3)
-        .backend(BackendKind::Mbr)
+        .backend(BackendKind::Mbr);
+    let faithful = builder
+        .clone()
+        .paper_faithful()
         .build()
         .expect("valid configuration");
-    demo("single", &single);
+    demo("paper-faithful", &faithful);
 
-    let sharded = StoreBuilder::new()
-        .failures(1, 1)
-        .code(2, 3)
-        .backend(BackendKind::Mbr)
+    let tuned = builder
         .high_throughput(2)
-        .clusters(2)
         .build()
         .expect("valid configuration");
-    demo("sharded", &sharded);
+    demo("high-throughput", &tuned);
 
     // Misconfiguration is caught before anything boots.
     match StoreBuilder::new().code(5, 3).build() {

@@ -46,20 +46,18 @@
 //! The `gf.*` and `codes.*` rungs of `lds_benchmark`'s `--trace 1` ladder
 //! time these paths.
 //!
-//! # The scale-out cluster runtime and the `Store` facade
+//! # The threaded cluster runtime and the `Store` facade
 //!
 //! The [`cluster`] crate turns the same automata into a throughput-oriented
 //! deployment: pipelined clients, per-object worker-shard servers, an
 //! epoch-swapped lock-free routing snapshot, grouped COMMIT-TAG metadata
 //! broadcast (one locked inbox append per peer shard per flush), bounded
-//! inboxes with backpressure, online node repair at regenerating-code
-//! bandwidth, and — beyond a single `n1 + n2` membership — **multi-cluster
-//! sharding** by consistent hash across N independent clusters.
+//! inboxes with backpressure, and online node repair at regenerating-code
+//! bandwidth.
 //!
 //! Applications program against the [`cluster::api`] facade:
-//! [`cluster::api::StoreBuilder`] constructs a deployment (one
-//! `clusters(n)` axis picks the topology; named profiles replace options
-//! literals; everything is validated at `build()`), the
+//! [`cluster::api::StoreBuilder`] constructs a deployment (named profiles
+//! replace options literals; everything is validated at `build()`), the
 //! [`cluster::api::Store`] trait is the unified data plane (typed
 //! [`cluster::api::ObjectId`] keys, borrowed `&[u8]` values, blocking +
 //! pipelined + non-blocking submission, one

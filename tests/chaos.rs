@@ -1,6 +1,6 @@
 //! The seeded chaos harness for the **self-healing control plane**: a
 //! deterministic, budget-aware kill schedule crashes servers of both layers
-//! of a sharded deployment while pipelined writers and readers keep
+//! while pipelined writers and readers keep
 //! streaming — and *nobody calls `Admin::repair`*. The heartbeat monitor
 //! must detect every crash, the auto-repair supervisor must regenerate
 //! every victim, every accepted operation must complete, the recorded
@@ -29,7 +29,6 @@ use std::time::{Duration, Instant};
 /// `LDS_CHAOS_SEED` to explore other interleavings locally.
 const CHAOS_SEED: u64 = 0xC4A0_5EED;
 
-const CLUSTERS: usize = 2;
 const TOTAL_KILLS: usize = 22;
 
 /// The objects the recorded workload's writers contend on.
@@ -45,7 +44,6 @@ fn server_ref(target: &ChaosTarget) -> ServerRef {
         ChaosLayer::L2 => RepairLayer::L2,
     };
     ServerRef {
-        cluster: target.cluster,
         layer,
         index: target.index,
     }
@@ -82,7 +80,6 @@ fn storm(label: &str, builder: StoreBuilder) {
     let store = builder
         .params(p)
         .backend(BackendKind::Mbr)
-        .clusters(CLUSTERS)
         .fault_plan(plan)
         .trace(true)
         .repair_timeout(Duration::from_secs(10))
@@ -119,7 +116,6 @@ fn storm(label: &str, builder: StoreBuilder) {
 
     let mut schedule = ChaosSchedule::new(ChaosScheduleConfig {
         seed,
-        clusters: CLUSTERS,
         n1: p.n1(),
         f1: p.f1(),
         n2: p.n2(),
@@ -153,19 +149,17 @@ fn storm(label: &str, builder: StoreBuilder) {
         *kills_per_layer.entry(kill.layer).or_insert(0) += 1;
         down.push(kill);
         // The invariant the schedule promises: never more than f crashed
-        // servers per layer per cluster shard, by engine ground truth.
-        for cluster in 0..CLUSTERS {
-            let dead_l1 = (0..p.n1())
-                .filter(|&j| !admin.is_live(ServerRef::l1(j).in_cluster(cluster)).unwrap())
-                .count();
-            let dead_l2 = (0..p.n2())
-                .filter(|&i| !admin.is_live(ServerRef::l2(i).in_cluster(cluster)).unwrap())
-                .count();
-            assert!(
-                dead_l1 <= p.f1() && dead_l2 <= p.f2(),
-                "[{label}] failure budget exceeded on cluster {cluster}: {dead_l1} L1 / {dead_l2} L2 down"
-            );
-        }
+        // servers per layer, by engine ground truth.
+        let dead_l1 = (0..p.n1())
+            .filter(|&j| !admin.is_live(ServerRef::l1(j)).unwrap())
+            .count();
+        let dead_l2 = (0..p.n2())
+            .filter(|&i| !admin.is_live(ServerRef::l2(i)).unwrap())
+            .count();
+        assert!(
+            dead_l1 <= p.f1() && dead_l2 <= p.f2(),
+            "[{label}] failure budget exceeded: {dead_l1} L1 / {dead_l2} L2 down"
+        );
     }
     assert!(
         schedule.kills_emitted() >= 20,
@@ -185,11 +179,9 @@ fn storm(label: &str, builder: StoreBuilder) {
     // detection window after a kill. The bound is generous against
     // detection latency (60 ms) + backoff (max 1 s) + repair time.
     let heal_deadline = Instant::now() + Duration::from_secs(60);
-    let servers: Vec<ServerRef> = (0..CLUSTERS)
-        .flat_map(|c| {
-            let l1 = (0..p.n1()).map(move |j| ServerRef::l1(j).in_cluster(c));
-            l1.chain((0..p.n2()).map(move |i| ServerRef::l2(i).in_cluster(c)))
-        })
+    let servers: Vec<ServerRef> = (0..p.n1())
+        .map(ServerRef::l1)
+        .chain((0..p.n2()).map(ServerRef::l2))
         .collect();
     loop {
         if servers.iter().all(|&s| admin.is_live(s).unwrap()) && admin.liveness().all_live() {

@@ -517,8 +517,8 @@ fn assert_valid_exposition(text: &str) {
 #[test]
 fn exposition_is_valid_prometheus_text_for_every_family() {
     assert_valid_exposition(&MetricsSnapshot::empty().to_prometheus());
-    // Two clusters: the exposition of a merged snapshot.
-    let store = StoreBuilder::new().clusters(2).build().unwrap();
+    // The exposition of a live store's snapshot.
+    let store = StoreBuilder::new().build().unwrap();
     let mut client = store.client();
     for i in 0..20u64 {
         client.write(ObjectId(i % 4), &i.to_le_bytes()).unwrap();

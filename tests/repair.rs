@@ -155,41 +155,3 @@ fn l1_repair_under_load(label: &str, store: &StoreHandle) {
     }
     recorder.check();
 }
-
-/// Repairing on a sharded topology: each cluster shard has its own failure
-/// budget; repairing a shard's server restores *that shard's* budget while
-/// the other shards never notice. `ServerRef::in_cluster` carries the shard
-/// dimension through the same `Admin` facade.
-#[test]
-fn sharded_store_repairs_one_shard_independently() {
-    for (label, builder) in profiles() {
-        let store = builder
-            .params(params())
-            .backend(BackendKind::Mbr)
-            .clusters(2)
-            .build()
-            .unwrap();
-        let admin = store.admin();
-        let recorder = Recorder::new();
-        let mut client = recorder.wrap(store.client());
-        for obj in 0..8u64 {
-            client
-                .write(ObjectId(obj), format!("v{obj}").as_bytes())
-                .unwrap();
-        }
-        admin.kill(ServerRef::l2(2).in_cluster(0)).unwrap();
-        let report = admin
-            .repair(ServerRef::l2(2).in_cluster(0))
-            .expect("shard-local repair");
-        assert!(report.bytes_total < report.fallback_bytes, "[{label}]");
-        // Shard 0's budget is whole again; shard 1 was never touched.
-        admin.kill(ServerRef::l2(0).in_cluster(0)).unwrap();
-        admin.kill(ServerRef::l2(1).in_cluster(1)).unwrap();
-        for obj in 0..8u64 {
-            client.read(ObjectId(obj)).unwrap();
-        }
-        recorder.check();
-        drop(client);
-        store.shutdown();
-    }
-}

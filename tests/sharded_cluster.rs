@@ -1,8 +1,7 @@
-//! Cross-shard stress tests for the scale-out sharded topology behind the
-//! `Store` facade: multi-client pipelined writes/reads spanning several
-//! independent clusters, asserting (a) the recorded history passes
-//! `History::check_atomicity` exactly as on one cluster and (b) the
-//! bounded-inbox backpressure actually bounds — admission never exceeds the
+//! Cross-shard stress tests for a store whose servers run two worker shards:
+//! multi-client pipelined writes/reads spanning both key partitions,
+//! asserting (a) the recorded history passes `History::check_atomicity` and
+//! (b) the bounded-inbox backpressure actually bounds — admission never exceeds the
 //! configured cap and no worker inbox grows past its derived depth limit,
 //! while `try_submit_*` pushes back with `StoreError::WouldBlock` instead of
 //! queueing.
@@ -11,7 +10,7 @@ mod common;
 
 use common::{profiles, Recorder};
 use lds_cluster::api::{ObjectId, Store, StoreBuilder, StoreError};
-use lds_cluster::{cluster_of, msgs_per_op_bound, OpOutcome};
+use lds_cluster::{msgs_per_op_bound, shard_of, OpOutcome};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
 use lds_core::tag::Tag;
@@ -23,9 +22,9 @@ fn params() -> SystemParams {
     SystemParams::for_failures(1, 1, 2, 3).unwrap()
 }
 
-/// Multi-client pipelined writes and reads over a 2-cluster store, under
-/// both profiles: three writers and two readers contend on objects that
-/// span both clusters, and everything they complete is atomic.
+/// Multi-client pipelined writes and reads over a 2-shard store, under both
+/// profiles: three writers and two readers contend on objects that span
+/// both shards, and everything they complete is atomic.
 #[test]
 fn cross_shard_pipelined_atomicity_under_concurrent_clients() {
     const SHARDS: usize = 2;
@@ -33,14 +32,14 @@ fn cross_shard_pipelined_atomicity_under_concurrent_clients() {
     const WRITERS: usize = 3;
     const WRITES_PER_WRITER: usize = 48;
     // The object set must genuinely span both shards or the test shows
-    // nothing about the facade.
-    assert!((0..OBJECTS).any(|o| cluster_of(o, SHARDS) == 0));
-    assert!((0..OBJECTS).any(|o| cluster_of(o, SHARDS) == 1));
+    // nothing about cross-shard traffic.
+    assert!((0..OBJECTS).any(|o| shard_of(ObjectId(o), SHARDS) == 0));
+    assert!((0..OBJECTS).any(|o| shard_of(ObjectId(o), SHARDS) == 1));
     for (_, builder) in profiles() {
         let store = builder
             .params(params())
             .backend(BackendKind::Mbr)
-            .clusters(SHARDS)
+            .shards(SHARDS)
             .build()
             .unwrap();
         let recorder = Recorder::new();
@@ -107,11 +106,8 @@ fn backpressure_bounds_inbox_depth_and_pushes_back() {
     let store = StoreBuilder::new()
         .params(params())
         .backend(BackendKind::Replication)
-        .high_throughput(2)
-        .l1_shards(2)
-        .l2_shards(2)
+        .high_throughput(SHARDS)
         .inbox_cap(CAP)
-        .clusters(SHARDS)
         .build()
         .unwrap();
     let admin = store.admin();
@@ -126,14 +122,12 @@ fn backpressure_bounds_inbox_depth_and_pushes_back() {
         std::thread::spawn(move || {
             let mut max_admitted = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                for per_cluster in admin.admitted_ops() {
-                    for admitted in per_cluster {
-                        assert!(
-                            admitted <= CAP,
-                            "admission gauge exceeded the cap: {admitted} > {CAP}"
-                        );
-                        max_admitted = max_admitted.max(admitted);
-                    }
+                for admitted in admin.admitted_ops() {
+                    assert!(
+                        admitted <= CAP,
+                        "admission gauge exceeded the cap: {admitted} > {CAP}"
+                    );
+                    max_admitted = max_admitted.max(admitted);
                 }
                 std::thread::yield_now();
             }
@@ -200,21 +194,15 @@ fn backpressure_bounds_inbox_depth_and_pushes_back() {
     // messages, and the at-most-cap admitted ops in flight can add at most
     // one more per-op complement each before completing.
     let limit = CAP * msgs_per_op_bound(&params()) * 2;
-    for (s, per_cluster) in admin.max_inbox_depths().into_iter().enumerate() {
-        for (j, max_depth) in per_cluster.into_iter().enumerate() {
-            assert!(
-                max_depth <= limit,
-                "shard {s} L1 server {j} inbox reached {max_depth} > {limit}"
-            );
-        }
+    for (j, max_depth) in admin.max_inbox_depths().into_iter().enumerate() {
+        assert!(
+            max_depth <= limit,
+            "L1 server {j} inbox reached {max_depth} > {limit}"
+        );
     }
     // Flow control released everything: budgets drain back to zero.
     std::thread::sleep(Duration::from_millis(100));
-    for per_cluster in admin.admitted_ops() {
-        for admitted in per_cluster {
-            assert_eq!(admitted, 0);
-        }
-    }
+    assert!(admin.admitted_ops().iter().all(|&admitted| admitted == 0));
     store.shutdown();
 }
 
@@ -227,7 +215,7 @@ fn bounded_cluster_queued_submissions_complete_in_order() {
         .params(params())
         .backend(BackendKind::Mbr)
         .inbox_cap(1)
-        .clusters(2)
+        .shards(2)
         .build()
         .unwrap();
     let mut client = store.client_with_depth(8);

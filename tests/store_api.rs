@@ -1,14 +1,14 @@
 //! Contract tests for the `Store` facade itself: builder validation,
-//! `StoreError` mapping on the non-blocking path, atomicity and the
-//! per-client contracts (`last_tag`, the pipeline budget) over one, two and
-//! three clusters, and the `Admin` control plane. The atomicity contract
-//! ends in `History::check_atomicity` over the recorded operations.
+//! `StoreError` mapping on the non-blocking path, the atomicity and
+//! `poll_wait` contracts under both protocol profiles, and the `Admin`
+//! control plane. The atomicity contract ends in
+//! `History::check_atomicity` over the recorded operations.
 
 mod common;
 
-use common::Recorder;
+use common::{profiles, Recorder};
 use lds_cluster::api::{Admin, ObjectId, ServerRef, Store, StoreBuilder, StoreError, StoreHandle};
-use lds_cluster::{cluster_of, FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
+use lds_cluster::{FaultPlan, FaultRule, HealConfig, OpOutcome, RepairError};
 use lds_core::backend::BackendKind;
 use lds_core::tag::Tag;
 use lds_core::Profile;
@@ -56,7 +56,6 @@ fn builder_rejects_backend_incompatible_code_parameters() {
 #[test]
 fn builder_rejects_zero_sized_knobs() {
     for (label, result) in [
-        ("clusters", StoreBuilder::new().clusters(0).build()),
         ("shards", StoreBuilder::new().shards(0).build()),
         ("l1_shards", StoreBuilder::new().l1_shards(0).build()),
         ("l2_shards", StoreBuilder::new().l2_shards(0).build()),
@@ -127,21 +126,14 @@ fn builder_axes_reach_the_deployment() {
         .code(2, 3)
         .backend(BackendKind::Replication)
         .high_throughput(2)
-        .clusters(3)
         .build()
         .unwrap();
-    assert_eq!(store.clusters(), 3);
-    assert_eq!(store.admin().clusters(), 3);
     assert_eq!(store.backend(), BackendKind::Replication);
     assert_eq!(store.params().n1(), 4);
     let options = store.options();
     assert_eq!(options.l1_shards, 2);
     assert_eq!(options.pipeline_depth, 32);
     store.shutdown();
-
-    let single = StoreBuilder::new().build().unwrap();
-    assert_eq!(single.clusters(), 1);
-    single.shutdown();
 }
 
 /// The profile methods set the profile (plus shards and depth for
@@ -181,28 +173,25 @@ fn profile_methods_commute_with_other_settings() {
 // budget.
 // ---------------------------------------------------------------------
 
-/// With `inbox_cap(1)` and one partition per cluster, a second client's
-/// `try_submit_*` is refused while the only admission slot is held — and
-/// the refusal arrives as `StoreError::WouldBlock` through the unified
-/// error type, on both topologies. The L1 quorum is killed first so the
-/// held operation can never complete: the budget stays occupied for the
-/// whole test and every refusal below is deterministic.
+/// With `inbox_cap(1)`, a second client's `try_submit_*` is refused while
+/// the key's partition holds its only admission slot — and the refusal
+/// arrives as `StoreError::WouldBlock` through the unified error type, under
+/// both profiles (one partition, and two worker shards). The L1 quorum is
+/// killed first so the held operation can never complete: the budget stays
+/// occupied for the whole test and every refusal below is deterministic.
 #[test]
 fn try_submit_maps_wouldblock_under_full_admission_budget() {
-    for clusters in [1usize, 2] {
-        let store = StoreBuilder::new()
+    for (_, builder) in profiles() {
+        let store = builder
             .backend(BackendKind::Replication)
             .inbox_cap(1)
-            .clusters(clusters)
             .build()
             .unwrap();
         let admin = store.admin();
-        // Kill 3 of the 4 L1 servers in every cluster: no write quorum
-        // anywhere, so admitted operations hold their budget indefinitely.
-        for c in 0..clusters {
-            for j in 0..3 {
-                admin.kill(ServerRef::l1(j).in_cluster(c)).unwrap();
-            }
+        // Kill 3 of the 4 L1 servers: no write quorum, so admitted
+        // operations hold their budget indefinitely.
+        for j in 0..3 {
+            admin.kill(ServerRef::l1(j)).unwrap();
         }
         let mut holder = store.client_with_depth(4);
         let mut pusher = store.client_with_depth(4);
@@ -236,7 +225,7 @@ fn try_submit_maps_wouldblock_under_full_admission_budget() {
 
 // ---------------------------------------------------------------------
 // Store-generic atomicity: ONE test body, generic over `impl Store`, run
-// against one, two and three clusters.
+// under both profiles.
 // ---------------------------------------------------------------------
 
 /// The atomicity contract, written once against the trait. Per-key FIFO is
@@ -278,102 +267,13 @@ fn atomicity_contract<S: Store>(client: &mut S) {
 
 #[test]
 fn atomicity_contract_holds_generically_over_both_topologies() {
-    // Three clusters is the first count where one pipeline budget of 8 and
-    // an even per-cluster split of it differ.
-    let build = |clusters: usize| -> StoreHandle {
-        StoreBuilder::new()
-            .backend(BackendKind::Mbr)
-            .shards(2)
-            .clusters(clusters)
-            .build()
-            .unwrap()
-    };
-    for clusters in [1usize, 2, 3] {
-        let store = build(clusters);
+    for (_, builder) in profiles() {
+        let store = builder.backend(BackendKind::Mbr).build().unwrap();
         let recorder = Recorder::new();
         atomicity_contract(&mut recorder.wrap(store.client_with_depth(8)));
         recorder.check();
         store.shutdown();
     }
-}
-
-// ---------------------------------------------------------------------
-// What is per client stays per client on a multi-cluster deployment.
-// ---------------------------------------------------------------------
-
-/// The first `count` keys (from 0 upwards) that `pick` accepts.
-fn keys_where(count: usize, pick: impl Fn(u64) -> bool) -> Vec<ObjectId> {
-    (0u64..)
-        .filter(|&k| pick(k))
-        .take(count)
-        .map(ObjectId)
-        .collect()
-}
-
-/// `last_tag` is the tag of the handle's most recently completed operation
-/// — not the largest tag it has seen on any cluster.
-#[test]
-fn last_tag_is_the_most_recent_operations_on_a_multi_cluster_client() {
-    let store = StoreBuilder::new()
-        .backend(BackendKind::Replication)
-        .clusters(2)
-        .build()
-        .unwrap();
-    let on_0 = keys_where(1, |k| cluster_of(k, 2) == 0)[0];
-    let on_1 = keys_where(1, |k| cluster_of(k, 2) == 1)[0];
-    let mut client = store.client();
-    let mut older = None;
-    for round in 0..3u8 {
-        older = Some(client.write(on_0, &[round]).unwrap());
-    }
-    // Tags of different objects are unordered in time: the first write to a
-    // fresh key mints a smaller tag than the third write to another.
-    let newest = client
-        .write(on_1, b"first write on the other cluster")
-        .unwrap();
-    assert!(
-        Some(newest) < older,
-        "the scenario needs the newer tag smaller"
-    );
-    assert_eq!(client.last_tag(), Some(newest));
-    drop(client);
-    store.shutdown();
-}
-
-/// `depth` is one budget per client: `client_with_depth(4)` keeps 4
-/// operations in flight however its keys spread over three clusters — not
-/// `ceil(4 / 3) = 2` per cluster (6 when the keys spread, 2 when they all
-/// hash to one cluster).
-#[test]
-fn pipeline_depth_is_one_budget_across_clusters() {
-    const CLUSTERS: usize = 3;
-    let store = StoreBuilder::new()
-        .backend(BackendKind::Replication)
-        .clusters(CLUSTERS)
-        .build()
-        .unwrap();
-    // No write quorum anywhere: nothing completes, so what is in flight
-    // stays in flight.
-    let admin = store.admin();
-    for c in 0..CLUSTERS {
-        for j in 0..3 {
-            admin.kill(ServerRef::l1(j).in_cluster(c)).unwrap();
-        }
-    }
-    let spread: Vec<ObjectId> = (0..12).map(ObjectId).collect();
-    assert!((0..CLUSTERS).all(|c| spread.iter().any(|k| cluster_of(k.raw(), CLUSTERS) == c)));
-    let one_cluster = keys_where(12, |k| cluster_of(k, CLUSTERS) == 1);
-    for keys in [spread, one_cluster] {
-        let mut client = store.client_with_depth(4);
-        assert_eq!(client.depth(), 4);
-        for &key in &keys {
-            client.submit_write(key, b"stalled");
-        }
-        assert_eq!(client.in_flight(), 4);
-        assert_eq!(client.pending_ops(), 12);
-        client.cancel_all();
-    }
-    store.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -420,12 +320,8 @@ fn poll_wait_contract<S: Store>(store: &StoreHandle, client: &mut S) {
     // With every quorum out of reach an operation stalls for good and, one
     // straggling reply apart, its client never receives another message.
     let admin = store.admin();
-    for cluster in 0..store.clusters() {
-        for index in 0..3 {
-            admin
-                .kill(ServerRef::l1(index).in_cluster(cluster))
-                .unwrap();
-        }
+    for index in 0..3 {
+        admin.kill(ServerRef::l1(index)).unwrap();
     }
     for k in 0..4u64 {
         client.submit_write(ObjectId(k), b"stalled");
@@ -480,16 +376,15 @@ const TAG_DELAY: Duration = Duration::from_millis(400);
 
 #[test]
 fn poll_wait_contract_holds_over_both_topologies() {
-    for clusters in [1usize, 2, 3] {
+    for (_, builder) in profiles() {
         let plan = FaultPlan::seeded(7).rule(
             FaultRule::new()
                 .classes(&["TAG-RESP"])
                 .delay_prob(1.0)
                 .delay_window(TAG_DELAY, TAG_DELAY),
         );
-        let store = StoreBuilder::new()
+        let store = builder
             .backend(BackendKind::Mbr)
-            .clusters(clusters)
             .fault_plan(plan)
             .build()
             .unwrap();
@@ -506,12 +401,11 @@ fn poll_wait_contract_holds_over_both_topologies() {
 fn admin_rejects_out_of_range_server_refs() {
     let store = StoreBuilder::new().build().unwrap();
     let admin = store.admin();
-    // Cluster shard out of range on a single-cluster deployment.
+    // Layer index out of range (n1 = 4, n2 = 5).
     assert!(matches!(
-        admin.kill(ServerRef::l1(0).in_cluster(1)),
+        admin.kill(ServerRef::l2(5)),
         Err(StoreError::InvalidConfig(_))
     ));
-    // Layer index out of range (n1 = 4).
     assert!(matches!(
         admin.is_live(ServerRef::l1(99)),
         Err(StoreError::InvalidConfig(_))
@@ -527,7 +421,7 @@ fn admin_rejects_out_of_range_server_refs() {
 /// `(live L1, live L2)` servers as [`Admin::liveness`] reports them.
 fn observed_live(admin: &Admin) -> (usize, usize) {
     let liveness = admin.liveness();
-    let live = |layer: &[Vec<bool>]| layer.iter().flatten().filter(|&&live| live).count();
+    let live = |layer: &[bool]| layer.iter().filter(|&&live| live).count();
     (live(&liveness.l1), live(&liveness.l2))
 }
 
@@ -535,27 +429,24 @@ fn observed_live(admin: &Admin) -> (usize, usize) {
 fn admin_metrics_and_liveness_reflect_the_deployment() {
     let store = StoreBuilder::new()
         .backend(BackendKind::Mbr)
-        .clusters(2)
         .build()
         .unwrap();
     let admin = store.admin();
     let params = store.params();
     let metrics = admin.metrics();
-    assert_eq!(metrics.clusters, 2);
-    assert_eq!(metrics.live_l1, 2 * params.n1());
-    assert_eq!(metrics.live_l2, 2 * params.n2());
+    assert_eq!(metrics.live_l1, params.n1());
+    assert_eq!(metrics.live_l2, params.n2());
     assert_eq!(metrics.repairs_completed, 0);
-    assert_eq!(admin.inbox_depths().len(), 2);
-    assert_eq!(admin.inbox_depths()[0].len(), params.n1());
+    assert_eq!(admin.inbox_depths().len(), params.n1());
 
-    let victim = ServerRef::l2(1).in_cluster(1);
+    let victim = ServerRef::l2(1);
     admin.kill(victim).unwrap();
     assert_eq!(admin.is_live(victim), Ok(false));
     let liveness = admin.liveness();
     assert!(!liveness.all_live());
     assert_eq!(liveness.crashed(), vec![victim]);
     let metrics = admin.metrics();
-    assert_eq!(metrics.live_l2, 2 * params.n2() - 1);
+    assert_eq!(metrics.live_l2, params.n2() - 1);
     assert_eq!((metrics.live_l1, metrics.live_l2), observed_live(&admin));
 
     // Data still flows (f2 = 1 tolerated); then repair restores liveness.
