@@ -6,19 +6,18 @@
 //! the experiment index and the reproduction commands behind the
 //! `BENCH_*.json` files.
 //!
-//! The **experiment binaries** (`cargo run -p lds-bench --bin exp_*`) print
-//! the paper's tables/series as aligned text tables, comparing measured values
-//! from the simulator against the closed-form predictions:
-//! - `exp_costs` — write/read communication cost and L2 storage cost versus
-//!   `n1` (Lemmas V.2, V.3);
-//! - `exp_latency` — operation latencies versus `µ = τ2/τ1` (Lemma V.4);
-//! - `exp_fig6` — L1/L2 storage versus the number of objects `N` (Fig. 6 /
-//!   Lemma V.5), including the replication-in-L2 comparison;
-//! - `exp_mbr_vs_msr` — the MBR / MSR-point ablation (Remarks 1, 2);
-//! - `exp_baselines` — LDS versus the single-layer ABD and CAS baselines;
+//! The **experiment binaries** (`cargo run -p lds-bench --bin exp_*`):
+//! - `exp_paper` — the paper's evaluation as aligned text tables, every row
+//!   checked against `lds_core::costs` (exit status 1 if one breaks):
+//!   communication and storage costs versus `n1` (Lemmas V.2, V.3),
+//!   latencies versus `µ = τ2/τ1` (Lemma V.4), storage versus the number of
+//!   objects (Fig. 6 / Lemma V.5), the MBR / MSR-point ablation (Remarks 1,
+//!   2), the single-layer ABD and CAS algorithms, and online node repair at
+//!   `β/α` of the full-element fallback, recorded into `BENCH_REPAIR.json`;
 //! - `exp_throughput` — wall-clock ops/sec of the threaded cluster
 //!   runtime (pipelined clients × worker shards × profile × backend),
-//!   recorded into `BENCH_CLUSTER.json`.
+//!   recorded into `BENCH_CLUSTER.json`;
+//! - `exp_net` — TCP versus in-process rows, recorded into `BENCH_NET.json`.
 //!
 //! [`threads`] is the per-thread-role CPU and context-switch census
 //! `exp_net` attributes its TCP rows with.
@@ -36,8 +35,7 @@ use std::fmt::Display;
 
 /// Prints an aligned text table: a header row followed by data rows.
 ///
-/// Used by every experiment binary so the output format is uniform and easy
-/// to diff against `EXPERIMENTS.md`.
+/// Used by every experiment binary so the output format is uniform.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
     println!("\n== {title} ==");
     let header_strings: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
@@ -76,7 +74,7 @@ pub fn fmt3(x: f64) -> String {
 /// Version of the recorded `BENCH_*.json` schema, asserted by the CI smoke
 /// checks and by a CI check over the committed files, so a future change to
 /// the recorded fields fails loudly instead of silently breaking consumers
-/// of the JSON. The `exp_throughput`, `exp_repair` and `exp_net` writers
+/// of the JSON. The `exp_throughput`, `exp_paper` and `exp_net` writers
 /// stamp it into `_meta.schema_version` themselves.
 ///
 /// History: 1 = the original unversioned layout (implicit); 2 = identical

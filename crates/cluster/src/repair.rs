@@ -33,7 +33,7 @@
 //!
 //! The coordinator aggregates the per-shard reports into a
 //! [`RepairReport`], whose per-helper byte counts are what
-//! `exp_repair` records into `BENCH_REPAIR.json`.
+//! `exp_paper` records into `BENCH_REPAIR.json`.
 //!
 //! Repair assumes no *additional* failure strikes during the repair window
 //! (the standard regenerating-code repair model); if one does, the
@@ -103,7 +103,8 @@ impl RepairReport {
     }
 
     /// Measured repair traffic as a fraction of the full-element fallback
-    /// (`1.0` = no saving; MBR achieves `≈ 1/α`).
+    /// (`1.0` = no saving; an L2 repair achieves exactly `β/α`, `1/α` for
+    /// MBR: `lds_core::costs::CodeCosts::l2_repair_ratio`).
     pub fn bandwidth_ratio(&self) -> f64 {
         if self.fallback_bytes == 0 {
             1.0

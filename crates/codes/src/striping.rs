@@ -22,6 +22,18 @@ pub struct Framed {
     pub symbol_len: usize,
 }
 
+/// Bytes per message symbol of a `data_len`-byte value framed for
+/// `file_size` message symbols: `⌈(data_len + 8) / file_size⌉`, at least 1.
+/// A coded element or helper is a whole number of such symbols, so this is
+/// the unit every byte count of a coded operation is a multiple of.
+///
+/// # Panics
+///
+/// Panics if `file_size == 0`.
+pub fn symbol_len(data_len: usize, file_size: usize) -> usize {
+    geometry(data_len, file_size).0
+}
+
 /// Symbol length and trailing padding of a `data_len`-byte value framed for
 /// `file_size` message symbols. The padding is shorter than `file_size`
 /// bytes unless the value is too short to give every symbol a byte.

@@ -54,6 +54,29 @@ impl fmt::Display for BackendKind {
     }
 }
 
+impl BackendKind {
+    /// The parameters (`α`, `β`, file size `B`, …) of the code this back-end
+    /// runs at `params`; `None` for replication, which stores the value
+    /// itself. [`make_backend`] builds its codec from them and
+    /// [`crate::costs::CodeCosts`] prices an operation with them.
+    ///
+    /// # Errors
+    ///
+    /// As [`make_backend`].
+    pub fn code_params(self, params: &SystemParams) -> Result<Option<CodeParams>, CodeError> {
+        let (n, k, d) = (params.code_length(), params.k(), params.d());
+        match self {
+            BackendKind::Mbr => CodeParams::mbr(n, k, d).map(Some),
+            BackendKind::MsrPoint => CodeParams::reed_solomon(n, k).map(Some),
+            BackendKind::ProductMatrixMsr if d + 2 < 2 * k => Err(CodeError::InvalidParameters(
+                format!("product-matrix MSR needs d >= 2k - 2, got k={k}, d={d}"),
+            )),
+            BackendKind::ProductMatrixMsr => CodeParams::msr(n, k).map(Some),
+            BackendKind::Replication => Ok(None),
+        }
+    }
+}
+
 /// Operations the LDS protocol needs from the back-end code.
 ///
 /// Indices `0..n1` denote L1 servers (code `C1`), indices `n1..n1+n2` denote
@@ -236,28 +259,28 @@ pub fn make_backend(
     kind: BackendKind,
     params: &SystemParams,
 ) -> Result<Arc<dyn BackendCodec>, CodeError> {
-    let n = params.code_length();
-    let (n1, n2, k, d) = (params.n1(), params.n2(), params.k(), params.d());
-    match kind {
-        BackendKind::Mbr => {
-            let code = ProductMatrixMbr::new(CodeParams::mbr(n, k, d)?)?;
-            Ok(Arc::new(CodedBackend { code, kind, n1, n2 }))
-        }
-        BackendKind::MsrPoint => {
-            let code = ReedSolomon::new(CodeParams::reed_solomon(n, k)?)?;
-            Ok(Arc::new(CodedBackend { code, kind, n1, n2 }))
-        }
-        BackendKind::ProductMatrixMsr => {
-            if d < 2 * k - 2 {
-                return Err(CodeError::InvalidParameters(format!(
-                    "product-matrix MSR needs d >= 2k - 2, got k={k}, d={d}"
-                )));
-            }
-            let code = ProductMatrixMsr::new(CodeParams::msr(n, k)?)?;
-            Ok(Arc::new(CodedBackend { code, kind, n1, n2 }))
-        }
-        BackendKind::Replication => Ok(Arc::new(ReplicationBackend { n1, n2 })),
-    }
+    let (n1, n2) = (params.n1(), params.n2());
+    Ok(match (kind, kind.code_params(params)?) {
+        (BackendKind::Mbr, Some(code)) => Arc::new(CodedBackend {
+            code: ProductMatrixMbr::new(code)?,
+            kind,
+            n1,
+            n2,
+        }),
+        (BackendKind::MsrPoint, Some(code)) => Arc::new(CodedBackend {
+            code: ReedSolomon::new(code)?,
+            kind,
+            n1,
+            n2,
+        }),
+        (BackendKind::ProductMatrixMsr, Some(code)) => Arc::new(CodedBackend {
+            code: ProductMatrixMsr::new(code)?,
+            kind,
+            n1,
+            n2,
+        }),
+        _ => Arc::new(ReplicationBackend { n1, n2 }),
+    })
 }
 
 /// A regenerating-code back-end: the paper's MBR design, the MDS

@@ -12,15 +12,13 @@
 //! On top of the runner:
 //!
 //! * [`measure`] — single-number cost measurements (write cost, read cost at
-//!   `δ = 0` and `δ > 0`, per-object storage) used by the benchmark harness
-//!   to reproduce Lemmas V.2–V.4;
+//!   `δ = 0` and `δ > 0`, per-object storage, latencies), each with the
+//!   closed form of Lemmas V.2–V.4 it must meet and a check that it does;
 //! * [`generator`] — value generators and closed-loop workload drivers;
 //! * [`multi_object`] — the multi-object storage experiment behind Fig. 6 /
 //!   Lemma V.5;
 //! * [`throughput`] — latency/ops-per-second accounting for the wall-clock
 //!   cluster benchmark (`exp_throughput`) and the cluster stress tests;
-//! * [`repair`] — repair-bandwidth accounting for the online node-repair
-//!   benchmark (`exp_repair`);
 //! * [`chaos`] — deterministic, budget-aware kill schedules for the
 //!   self-healing chaos harness (seeded, never exceeding a layer's crash
 //!   budget given the current down-set);
@@ -52,15 +50,13 @@ pub mod chaos;
 pub mod generator;
 pub mod measure;
 pub mod multi_object;
-pub mod repair;
 pub mod runner;
 pub mod seed;
 pub mod throughput;
 
 pub use chaos::{ChaosLayer, ChaosSchedule, ChaosScheduleConfig, ChaosTarget};
 pub use generator::{ClosedLoopWorkload, ValueGenerator, ZipfianGenerator};
-pub use measure::{CostMeasurement, CostReport};
-pub use repair::RepairBandwidth;
+pub use measure::{CostMeasurement, CostReport, Relation};
 pub use runner::{RunReport, RunnerConfig, SimRunner};
 pub use seed::{chaos_seed, repro_guard, ReproGuard};
 pub use throughput::{LatencyRecorder, ThroughputSummary};

@@ -7,7 +7,10 @@
 //! normalised by the value size, and compare against the paper's bounds.
 
 use crate::generator::ValueGenerator;
+use crate::measure::CostMeasurement;
 use crate::runner::{RunnerConfig, SimRunner};
+use lds_core::backend::BackendKind;
+use lds_core::costs::{self, CodeCosts};
 use lds_core::params::SystemParams;
 use lds_core::tag::ObjectId;
 
@@ -30,35 +33,18 @@ pub struct MultiObjectConfig {
     pub seed: u64,
 }
 
-impl MultiObjectConfig {
-    /// A small default suitable for tests.
-    pub fn small(params: SystemParams, objects: usize) -> Self {
-        MultiObjectConfig {
-            params,
-            objects,
-            concurrent_writers: 2,
-            writes_per_writer: 2,
-            value_size: 256,
-            mu: 5.0,
-            seed: 0,
-        }
-    }
-}
-
 /// Result of a multi-object run, in value-size units.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiObjectReport {
     /// Number of objects written.
     pub objects: usize,
-    /// Peak temporary storage observed in L1 during the run.
-    pub peak_l1_storage: f64,
-    /// Final permanent storage in L2 after quiescence.
-    pub final_l2_storage: f64,
-    /// The paper's bound on L1 storage (Lemma V.5): `⌈5 + 2µ⌉·θ·n1`.
-    pub l1_bound: f64,
-    /// The paper's L2 storage value (Lemma V.5): `2·N·n2 / (k + 1)` for the
-    /// symmetric configuration.
-    pub l2_bound: f64,
+    /// Peak temporary storage observed in L1 during the run, at most
+    /// Lemma V.5's bound `⌈5 + 2µ⌉·θ·n1`.
+    pub l1_storage: CostMeasurement,
+    /// Final permanent storage in L2 after quiescence: Lemma V.3's per-object
+    /// cost at the framed length for every object written (Lemma V.5's
+    /// `2·N·n2 / (k + 1)` unframed, in the symmetric configuration).
+    pub l2_storage: CostMeasurement,
 }
 
 /// Runs the multi-object write workload and measures storage.
@@ -104,12 +90,20 @@ pub fn run_multi_object(config: &MultiObjectConfig) -> MultiObjectReport {
     // θ: writes that can overlap within a τ1 window is at most the number of
     // concurrent writers in this workload.
     let theta = config.concurrent_writers as f64;
+    let written = config
+        .objects
+        .min(config.concurrent_writers * config.writes_per_writer);
+    let per_object = CodeCosts::framed(&config.params, BackendKind::Mbr, config.value_size);
     MultiObjectReport {
         objects: config.objects,
-        peak_l1_storage: peak_l1 as f64 / vs,
-        final_l2_storage: report.l2_storage_bytes as f64 / vs,
-        l1_bound: lds_core::costs::l1_storage_bound_multi_object(&config.params, theta, config.mu),
-        l2_bound: lds_core::costs::l2_storage_bound_multi_object(&config.params, config.objects),
+        l1_storage: CostMeasurement::at_most(
+            peak_l1 as f64 / vs,
+            costs::l1_storage_bound_multi_object(&config.params, theta, config.mu),
+        ),
+        l2_storage: CostMeasurement::equals(
+            report.l2_storage_bytes as f64 / vs,
+            written as f64 * per_object.l2_storage(),
+        ),
     }
 }
 
@@ -130,45 +124,34 @@ mod tests {
             params,
         };
         let report = run_multi_object(&config);
-        assert!(report.peak_l1_storage > 0.0, "writes must pass through L1");
         assert!(
-            report.peak_l1_storage <= report.l1_bound,
-            "peak L1 storage {} exceeded the Lemma V.5 bound {}",
-            report.peak_l1_storage,
-            report.l1_bound
+            report.l1_storage.measured > 0.0,
+            "writes must pass through L1"
         );
-        // Final L2 storage: every written object stores 2/(k+1) per server →
-        // 2 n2 / (k+1) per object; unwritten objects may contribute nothing.
-        assert!(report.final_l2_storage > 0.0);
-        assert!(
-            report.final_l2_storage <= report.l2_bound * 1.1,
-            "final L2 storage {} exceeded the bound {}",
-            report.final_l2_storage,
-            report.l2_bound
-        );
-        // After quiescence, L1 temporary storage is empty again.
+        assert!(report.l1_storage.holds(), "{:?}", report.l1_storage);
+        assert!(report.l2_storage.holds(), "{:?}", report.l2_storage);
     }
 
     #[test]
     fn l2_storage_grows_linearly_with_objects() {
         let params = SystemParams::symmetric(6, 1).unwrap();
-        let run = |objects| {
+        let run = |objects, writes_per_writer| {
             let config = MultiObjectConfig {
                 objects,
-                writes_per_writer: objects, // ensure every object is written
+                writes_per_writer,
                 concurrent_writers: 1,
                 value_size: 256,
                 mu: 2.0,
                 seed: 3,
                 params,
             };
-            run_multi_object(&config).final_l2_storage
+            run_multi_object(&config).l2_storage
         };
-        let two = run(2);
-        let four = run(4);
-        assert!(
-            (four / two - 2.0).abs() < 0.3,
-            "L2 storage should scale linearly with N: {two} vs {four}"
-        );
+        // Only written objects are stored: four of four take twice the
+        // storage of two of four, and the same as four of eight.
+        let (two, four) = (run(4, 2), run(4, 4));
+        assert!(two.holds() && four.holds(), "{two:?} {four:?}");
+        assert_eq!(four.measured, 2.0 * two.measured);
+        assert_eq!(run(8, 4).measured, four.measured);
     }
 }

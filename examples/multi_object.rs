@@ -14,7 +14,7 @@ fn main() {
     println!();
     println!(
         "{:>6} {:>14} {:>10} {:>14} {:>10}",
-        "N", "peak L1", "L1 bound", "final L2", "L2 bound"
+        "N", "peak L1", "L1 bound", "final L2", "L2 model"
     );
 
     for objects in [1usize, 2, 4, 8, 16] {
@@ -31,12 +31,12 @@ fn main() {
         println!(
             "{:>6} {:>14.2} {:>10.2} {:>14.2} {:>10.2}",
             objects,
-            report.peak_l1_storage,
-            report.l1_bound,
-            report.final_l2_storage,
-            report.l2_bound
+            report.l1_storage.measured,
+            report.l1_storage.predicted,
+            report.l2_storage.measured,
+            report.l2_storage.predicted
         );
-        assert!(report.peak_l1_storage <= report.l1_bound);
+        assert!(report.l1_storage.holds() && report.l2_storage.holds());
     }
 
     println!();

@@ -12,8 +12,8 @@
 //!   replication.
 //! * [`sim`] — deterministic discrete-event simulation of an asynchronous
 //!   message-passing network with crash faults.
-//! * [`core`] — the LDS protocol (writer / reader / L1 / L2 automata), the ABD
-//!   and CAS baselines, the atomicity checker and the analytical cost model.
+//! * [`core`] — the LDS protocol (writer / reader / L1 / L2 automata), the
+//!   atomicity checker and the analytical cost model.
 //! * [`cluster`] — a thread-based in-process cluster runtime driving the same
 //!   state machines over real channels.
 //! * [`workload`] — workload generators and experiment runners.
