@@ -13,8 +13,9 @@
 //!
 //! Each pipelined TCP row also says **where** its cost went: a per-thread-
 //! role census ([`lds_bench::threads`]: CPU ticks and context switches per
-//! operation, link threads next to workers next to readers) and how many
-//! frames the mesh put into one socket write (`frames_per_write`).
+//! operation, the workers next to the mesh thread next to the RPC threads)
+//! and how many frames the mesh put into one socket write
+//! (`frames_per_write`).
 //!
 //! Usage:
 //!

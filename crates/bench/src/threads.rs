@@ -138,9 +138,11 @@ mod tests {
     #[test]
     fn roles_strip_the_numeric_suffix_only() {
         assert_eq!(role_of("lds-worker-12"), "lds-worker");
-        assert_eq!(role_of("lds-tcp-link-0"), "lds-tcp-link");
-        // 15 bytes of `lds-tcp-writer-1` are what the kernel keeps.
-        assert_eq!(role_of("lds-tcp-writer-"), "lds-tcp-writer");
+        assert_eq!(role_of("lds-tcp-mesh"), "lds-tcp-mesh");
+        // A name the kernel's 15 bytes cut right after its dash.
+        assert_eq!(role_of("lds-worker-"), "lds-worker");
+        // 15 bytes of `lds-heal-supervisor` are what the kernel keeps.
+        assert_eq!(role_of("lds-heal-superv"), "lds-heal-superv");
         assert_eq!(role_of("ldsd-rpc-conn"), "ldsd-rpc-conn");
         assert_eq!(role_of("exp_net"), "exp_net");
         assert_eq!(role_of("tokio7"), "tokio");

@@ -27,6 +27,15 @@ use std::time::Duration;
 /// keys overlap freely. Every completed write is atomic ("linearizable"):
 /// the multi-writer multi-reader register semantics of the paper, per key.
 ///
+/// # Submissions leave at the next poll
+///
+/// `submit_*` and `try_submit_*` only start operations: on a deployment
+/// over the network what they send to other daemons is buffered, and
+/// [`Store::poll`], [`Store::poll_wait`] and every `wait*` write it out
+/// first — one socket write per peer for everything submitted since the
+/// last of them. A caller that submits must therefore poll or wait before
+/// it blocks on anything else. In process there is nothing to write.
+///
 /// # Example
 ///
 /// ```rust

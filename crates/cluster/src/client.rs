@@ -324,7 +324,6 @@ impl StoreClient {
             submitted: Instant::now(),
         });
         self.try_dispatch();
-        self.route.flush();
         ticket
     }
 
@@ -362,7 +361,6 @@ impl StoreClient {
         let mut events = std::mem::take(&mut self.scratch_events);
         self.begin(op, self.now(), &mut outgoing, &mut events);
         self.route.send_batch(self.pid, outgoing.drain(..));
-        self.route.flush();
         self.scratch_out = outgoing;
         self.scratch_events = events;
         Ok(ticket)
@@ -745,6 +743,7 @@ impl Store for StoreClient {
     }
 
     fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
+        self.route.flush();
         self.pump_available()?;
         // Queued operations held back by partition admission are started by
         // *this* client when budget frees (another client's completion sends
@@ -758,6 +757,7 @@ impl Store for StoreClient {
     }
 
     fn poll_wait(&mut self, max_wait: Duration) -> Result<Vec<Completion>, StoreError> {
+        self.route.flush();
         self.pump_available()?;
         if self.completions.is_empty()
             && self.outstanding() > 0
@@ -780,6 +780,7 @@ impl Store for StoreClient {
     }
 
     fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {
+        self.route.flush();
         let deadline = Instant::now() + self.timeout;
         loop {
             self.pump_available()?;
@@ -794,6 +795,7 @@ impl Store for StoreClient {
     }
 
     fn wait_next(&mut self) -> Result<Vec<Completion>, StoreError> {
+        self.route.flush();
         let deadline = Instant::now() + self.timeout;
         self.pump_available()?;
         while self.completions.is_empty() && self.outstanding() > 0 {
@@ -803,6 +805,7 @@ impl Store for StoreClient {
     }
 
     fn wait_all(&mut self) -> Result<Vec<Completion>, StoreError> {
+        self.route.flush();
         let deadline = Instant::now() + self.timeout;
         loop {
             self.pump_available()?;

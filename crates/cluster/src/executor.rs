@@ -27,6 +27,16 @@
 //!   check goes through the channel's lock; the flag is `SeqCst`), so no
 //!   wake-up is lost; an `unpark` that arrives before the `park` leaves a
 //!   token that makes the `park` return at once.
+//! * A worker may also host [`Socket`]s — a TCP deployment's mesh
+//!   connections, dealt to workers by peer. Such a worker waits in
+//!   `poll(2)` on its sockets plus the bell's wake fd instead of parking,
+//!   and a ring writes the wake fd instead of unparking; a frame from a
+//!   peer therefore wakes the thread that runs the automata, and nothing
+//!   else. A sweep serves the sockets first (what they deliver to this
+//!   worker's inboxes is claimed in the same sweep); a worker that never
+//!   goes idle looks at its sockets once per sweep with a poll that does
+//!   not wait, so a saturated worker cannot starve its peers. A worker
+//!   that hosts no socket never makes either system call.
 //! * Going idle **publishes** the gauges of every task that took a step
 //!   since the last publish, and so does every [`PUBLISH_EVERY_MICROS`] of
 //!   uninterrupted work — a saturated worker never goes idle, and its
@@ -36,8 +46,10 @@
 //! within noise or worse.
 
 use crate::router::{Router, RouterHandle};
+use crate::transport::sys::{self, PollFd, WakeFd, POLLIN};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -72,6 +84,18 @@ pub(crate) trait Task: Send {
     fn finish(&mut self, router: &Router);
 }
 
+/// A socket hosted by a worker thread (see the [module docs](self)).
+pub(crate) trait Socket: Send {
+    /// The descriptor and the events ([`sys::POLLIN`], [`sys::POLLOUT`]) to
+    /// wait for now; `None` while there is nothing to wait for on it.
+    fn interest(&mut self) -> Option<(RawFd, i16)>;
+    /// Serves the socket once a poll reported it ready — for its events,
+    /// or with an error or a hang-up, which the next read or write then
+    /// meets. Never blocks. Returns `false` once the socket is done with,
+    /// and the worker drops it.
+    fn serve(&mut self) -> bool;
+}
+
 /// A worker thread's doorbell (see the [module docs](self)).
 #[derive(Default)]
 pub(crate) struct Bell {
@@ -81,6 +105,12 @@ pub(crate) struct Bell {
     /// The worker's thread, attached by the worker before it first raises
     /// `parked`.
     thread: OnceLock<Thread>,
+    /// The wake fd of a worker that hosts sockets, created by the worker
+    /// itself when it adopts its first one — never while it is parked. From
+    /// then on it waits in `poll` and a ring writes this instead of
+    /// unparking: a ringer whose swap interrupted a wait finds it set if
+    /// and only if that wait is a `poll`.
+    wake: OnceLock<WakeFd>,
     /// Times the worker parked.
     parks: AtomicU64,
     /// Wake-ups actually sent.
@@ -94,7 +124,9 @@ impl Bell {
     pub(crate) fn ring(&self) {
         if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
             self.rings.fetch_add(1, Ordering::Relaxed);
-            if let Some(thread) = self.thread.get() {
+            if let Some(wake) = self.wake.get() {
+                wake.wake();
+            } else if let Some(thread) = self.thread.get() {
                 thread.unpark();
             }
         }
@@ -117,6 +149,110 @@ impl Bell {
             std::thread::park();
         }
         self.parked.store(false, Ordering::SeqCst);
+    }
+
+    /// [`Bell::park_unless`] for a worker that hosts sockets: waits in
+    /// `poll` on every socket's interest and on the wake fd, and leaves what
+    /// the wait found in `sockets` for the next sweep.
+    ///
+    /// The wake protocol is the park protocol with the wake fd for the
+    /// thread's token. The worker raises `parked`, *then* checks inboxes,
+    /// installs and the quit flag, *then* asks each socket what it waits
+    /// for (a link that a flush stalled now wants `POLLOUT`), *then* polls.
+    /// A ringer publishes first — an enqueue, a stalled link, an install,
+    /// each under a lock the worker's checks take — *then* loads `parked`;
+    /// both the raise and the load are `SeqCst`, so whichever of the two
+    /// comes second sees the other. If the worker's checks come second they
+    /// find the work and it does not wait. If the ringer's load comes
+    /// second it finds `parked` raised, wins the swap and writes the wake
+    /// fd, which stays readable until drained: a write that lands before
+    /// the `poll` starts makes it return at once. A socket's own readiness
+    /// needs no ring; the kernel reports it whenever it comes.
+    fn poll_unless(&self, wake: &WakeFd, has_work: impl FnOnce() -> bool, sockets: &mut Sockets) {
+        self.parked.store(true, Ordering::SeqCst);
+        if !has_work() {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            sockets.gather();
+            sockets.set.push(PollFd::new(wake.fd(), POLLIN));
+            let polled = sys::wait(&mut sockets.set, -1).is_ok();
+            if sockets.set.pop().as_ref().is_some_and(PollFd::ready) {
+                wake.drain();
+            }
+            sockets.fresh = polled;
+        }
+        self.parked.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The sockets one worker hosts, and the poll set they were last polled
+/// with: one entry per socket, in order.
+#[derive(Default)]
+struct Sockets {
+    hosted: Vec<Box<dyn Socket>>,
+    set: Vec<PollFd>,
+    /// `set` holds what a blocking wait found, not served yet.
+    fresh: bool,
+}
+
+impl Sockets {
+    /// Rebuilds the poll set from every socket's interest now (a
+    /// placeholder the kernel skips for a socket that wants nothing).
+    fn gather(&mut self) {
+        self.set.clear();
+        self.set.extend(self.hosted.iter_mut().map(|socket| {
+            let (fd, events) = socket.interest().unwrap_or((-1, 0));
+            PollFd::new(fd, events)
+        }));
+    }
+
+    /// Serves every socket found ready: by the blocking wait, if it has not
+    /// been served, else by a poll that does not wait. Drops the sockets
+    /// that are done with.
+    fn serve(&mut self) {
+        if self.hosted.is_empty() {
+            return;
+        }
+        if !std::mem::take(&mut self.fresh) {
+            self.gather();
+            if sys::wait(&mut self.set, 0).is_err() {
+                return;
+            }
+        }
+        let mut ready = self.set.iter().map(PollFd::ready);
+        self.hosted
+            .retain_mut(|socket| !ready.next().unwrap_or(false) || socket.serve());
+    }
+}
+
+/// The worker threads of an executor as a transport sees them: where to
+/// put a socket, and whose doorbell to ring when it needs its worker.
+/// Opaque outside this crate; see [`Transport::host`](crate::transport::Transport::host).
+#[derive(Clone)]
+pub struct Workers(Arc<[Arc<Worker>]>);
+
+impl Workers {
+    /// Number of worker threads.
+    pub(crate) fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The doorbell of worker `worker`.
+    pub(crate) fn bell(&self, worker: usize) -> Arc<Bell> {
+        Arc::clone(&self.0[worker].bell)
+    }
+
+    /// Hands `socket` to worker `worker`, which adopts it at the top of its
+    /// next sweep and serves it until it is done with.
+    pub(crate) fn install_socket(&self, worker: usize, socket: Box<dyn Socket>) {
+        let worker = &self.0[worker];
+        worker.installs.lock().sockets.push(socket);
+        worker.bell.ring();
+    }
+}
+
+impl std::fmt::Debug for Workers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Workers").field(&self.0.len()).finish()
     }
 }
 
@@ -157,11 +293,27 @@ pub(crate) struct ExecutorStats {
     /// Envelopes (one message each, or a control envelope) claimed by
     /// those turns.
     pub(crate) envelopes: u64,
-    /// Times a worker found every inbox empty and parked.
+    /// Times a worker found every inbox empty and parked (or, hosting
+    /// sockets, waited in `poll`).
     pub(crate) parks: u64,
-    /// Wake-ups senders actually issued (an `unpark` each); every other
-    /// enqueue found its worker awake and paid one atomic load.
+    /// Wake-ups senders actually issued (an `unpark` or a wake-fd write
+    /// each); every other enqueue found its worker awake and paid one
+    /// atomic load.
     pub(crate) wakeups: u64,
+}
+
+/// Tasks and sockets waiting to be adopted at the top of a worker's next
+/// sweep.
+#[derive(Default)]
+struct Installs {
+    tasks: Vec<Box<dyn Task>>,
+    sockets: Vec<Box<dyn Socket>>,
+}
+
+impl Installs {
+    fn is_empty(&self) -> bool {
+        self.tasks.is_empty() && self.sockets.is_empty()
+    }
 }
 
 /// What a worker shares with the threads that install tasks on it, ring it
@@ -169,8 +321,7 @@ pub(crate) struct ExecutorStats {
 #[derive(Default)]
 struct Worker {
     bell: Arc<Bell>,
-    /// Tasks waiting to be adopted at the top of the next sweep.
-    installs: Mutex<Vec<Box<dyn Task>>>,
+    installs: Mutex<Installs>,
     quit: AtomicBool,
     /// The worker's local counts as of its last publish.
     turns: AtomicU64,
@@ -183,10 +334,20 @@ impl Worker {
         let _ = self.bell.thread.set(std::thread::current());
         let mut handle = router.handle();
         let mut tasks: Vec<Box<dyn Task>> = Vec::new();
+        let mut sockets = Sockets::default();
         let (mut turns, mut envelopes) = (0u64, 0u64);
         let mut published_at = 0u64;
         loop {
-            tasks.append(&mut self.installs.lock());
+            sockets.serve();
+            let mut installs = self.installs.lock();
+            tasks.append(&mut installs.tasks);
+            if !installs.sockets.is_empty() {
+                self.bell.wake.get_or_init(|| {
+                    WakeFd::new().expect("a worker that hosts sockets needs a wake fd")
+                });
+                sockets.hosted.append(&mut installs.sockets);
+            }
+            drop(installs);
             let now = started.elapsed().as_micros() as u64;
             let claimed_before = envelopes;
             tasks.retain_mut(|task| {
@@ -216,11 +377,15 @@ impl Worker {
             if worked {
                 continue;
             }
-            self.bell.park_unless(|| {
+            let has_work = || {
                 self.quit.load(Ordering::SeqCst)
                     || !self.installs.lock().is_empty()
                     || tasks.iter().any(|task| task.has_mail())
-            });
+            };
+            match self.bell.wake.get() {
+                Some(wake) => self.bell.poll_unless(wake, has_work, &mut sockets),
+                None => self.bell.park_unless(has_work),
+            }
             if self.quit.load(Ordering::SeqCst) {
                 return;
             }
@@ -230,7 +395,7 @@ impl Worker {
 
 /// The worker threads of one cluster.
 pub(crate) struct Executor {
-    workers: Vec<Arc<Worker>>,
+    workers: Workers,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -238,7 +403,7 @@ impl Executor {
     /// Starts `workers` worker threads (`lds-worker-<i>`) sending through
     /// `router`, their clocks counting from `started`.
     pub(crate) fn start(workers: usize, router: &Router, started: Instant) -> Executor {
-        let workers: Vec<Arc<Worker>> = (0..workers).map(|_| Arc::default()).collect();
+        let workers: Arc<[Arc<Worker>]> = (0..workers).map(|_| Arc::default()).collect();
         let threads = workers
             .iter()
             .enumerate()
@@ -251,34 +416,39 @@ impl Executor {
             })
             .collect();
         Executor {
-            workers,
+            workers: Workers(workers),
             threads: Mutex::new(threads),
         }
     }
 
     /// Number of worker threads.
     pub(crate) fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers.count()
+    }
+
+    /// The worker threads, for a transport whose sockets they serve.
+    pub(crate) fn handle(&self) -> Workers {
+        self.workers.clone()
     }
 
     /// The doorbell of worker `worker`: every inbox of a task installed
     /// there must ring it.
     pub(crate) fn bell(&self, worker: usize) -> Arc<Bell> {
-        Arc::clone(&self.workers[worker].bell)
+        self.workers.bell(worker)
     }
 
     /// Hands `task` to worker `worker`, which adopts it at the top of its
     /// next sweep and keeps it until a turn reports a stop.
     pub(crate) fn install(&self, worker: usize, task: Box<dyn Task>) {
-        let worker = &self.workers[worker];
-        worker.installs.lock().push(task);
+        let worker = &self.workers.0[worker];
+        worker.installs.lock().tasks.push(task);
         worker.bell.ring();
     }
 
     /// Stops and joins the worker threads, dropping whatever tasks they
     /// still host. Idempotent.
     pub(crate) fn shutdown(&self) {
-        for worker in &self.workers {
+        for worker in self.workers.0.iter() {
             worker.quit.store(true, Ordering::SeqCst);
             worker.bell.ring();
         }
@@ -290,10 +460,10 @@ impl Executor {
     /// The counters as last published (going idle, or every 10 ms of work).
     pub(crate) fn stats(&self) -> ExecutorStats {
         let mut stats = ExecutorStats {
-            workers: self.workers.len(),
+            workers: self.workers.count(),
             ..ExecutorStats::default()
         };
-        for worker in &self.workers {
+        for worker in self.workers.0.iter() {
             stats.turns += worker.turns.load(Ordering::Relaxed);
             stats.envelopes += worker.envelopes.load(Ordering::Relaxed);
             stats.parks += worker.bell.parks.load(Ordering::Relaxed);
@@ -368,7 +538,7 @@ mod tests {
         let executor = Executor::start(1, &Router::new(), Instant::now());
         let (probe, finished) = install_probe(&executor, None);
         probe.busy.store(true, Ordering::SeqCst);
-        executor.workers[0].bell.ring();
+        executor.bell(0).ring();
         // Continuous work: every turn claims an envelope, so the worker
         // never reaches its idle publish. The 10 ms rule must publish the
         // task's gauges and the executor's own counters regardless.
@@ -390,7 +560,7 @@ mod tests {
         let (gate_tx, gate_rx) = unbounded();
         let (probe, finished) = install_probe(&executor, Some(gate_rx));
         probe.stop.store(true, Ordering::SeqCst);
-        executor.workers[0].bell.ring();
+        executor.bell(0).ring();
         let (woken_tx, woken_rx) = unbounded();
         let waiter = {
             let probe = Arc::clone(&probe);
@@ -427,7 +597,7 @@ mod tests {
         // thing that can make worker 0 adopt the task and see its stop.
         let (probe, finished) = install_probe(&executor, None);
         probe.stop.store(true, Ordering::SeqCst);
-        executor.workers[0].bell.ring();
+        executor.bell(0).ring();
         finished.wait();
         assert!(executor.stats().wakeups >= 1);
         // Shutting down twice is fine (a store's shutdown may run again

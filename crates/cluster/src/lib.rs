@@ -105,7 +105,9 @@
 //! store.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
+// The one exception is `transport::sys`: the `poll(2)` / `eventfd(2)`
+// declarations the mesh's readiness loop needs.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

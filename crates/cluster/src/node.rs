@@ -761,7 +761,10 @@ impl Cluster {
             .collect();
         let cores =
             workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let executor = Executor::start(cores.min(tasks), &router, started);
+        // At least one worker, even hosting no automaton: a daemon's mesh
+        // sockets are served by the workers.
+        let executor = Executor::start(cores.min(tasks).max(1), &router, started);
+        router.transport().host(&executor.handle());
 
         // Remote servers (scoped deployments) keep their stats/gauge slots —
         // indexed by layer position everywhere — but get no inbox and no

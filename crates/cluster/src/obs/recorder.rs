@@ -10,7 +10,7 @@
 //!    predictable branch.
 //! 2. **Lock-free when enabled.** Each handle owns its own ring; recording
 //!    never takes a lock or allocates. The only synchronization is a
-//!    per-slot seqlock (word-sized atomics, `#![forbid(unsafe_code)]`-clean)
+//!    per-slot seqlock (word-sized atomics, `unsafe`-free)
 //!    so a concurrent [`FlightRecorder::dump`] can read a consistent slot or
 //!    skip it.
 //! 3. **Bounded.** A ring holds the last `capacity` events its thread

@@ -193,39 +193,113 @@ struct Shared {
     transport: Arc<dyn Transport>,
 }
 
-/// A re-injection path into the router for messages a [`Transport`] held
-/// back (delays/reorders). Deliveries through it bypass the transport's
-/// `decide` — a held message is routed against the *current* snapshot and
-/// cannot be faulted a second time. Holds the router state weakly so a
+/// A delivery path into the router that bypasses its transport: for
+/// messages a [`Transport`] held back (delays/reorders) and for those a mesh
+/// socket received. Deliveries through it skip the transport's `decide` — a
+/// held message is routed against the *current* snapshot and cannot be
+/// faulted a second time. Holds the router state weakly so a
 /// transport's pump thread never keeps a shut-down router alive.
 pub struct DirectSender {
     shared: Weak<Shared>,
 }
 
+/// A burst of `(from, to, msg)` for [`DirectSender::deliver_many`], with
+/// the scratch that delivers it. Kept by its caller from burst to burst, so
+/// a warm one allocates nothing.
+#[derive(Default)]
+pub(crate) struct Burst {
+    msgs: Vec<(ProcessId, ProcessId, LdsMessage)>,
+    /// Per destination inbox — pid and worker shard — its envelopes, in
+    /// arrival order.
+    groups: Vec<(ProcessId, usize, Vec<Envelope>)>,
+    /// Emptied group buffers.
+    pool: Vec<Vec<Envelope>>,
+    bells: Vec<Arc<Bell>>,
+}
+
+impl Burst {
+    pub(crate) fn push(&mut self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
+        self.msgs.push((from, to, msg));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.msgs.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl FromIterator<(ProcessId, ProcessId, LdsMessage)> for Burst {
+    fn from_iter<I: IntoIterator<Item = (ProcessId, ProcessId, LdsMessage)>>(msgs: I) -> Burst {
+        Burst {
+            msgs: msgs.into_iter().collect(),
+            ..Burst::default()
+        }
+    }
+}
+
 impl DirectSender {
-    /// Delivers a burst of `(from, to, msg)` against one routing snapshot:
-    /// every message is enqueued first, then each distinct worker doorbell
-    /// among the destinations is rung once — the worker wakes to the whole
-    /// burst instead of to its first message.
-    pub(crate) fn deliver_many(
-        &self,
-        msgs: impl IntoIterator<Item = (ProcessId, ProcessId, LdsMessage)>,
-    ) {
+    /// Delivers (and empties) `burst` against one routing snapshot. What it
+    /// holds for one inbox is appended in one locked step, in arrival
+    /// order — one wake-up for a client blocked on that inbox — and each
+    /// distinct worker doorbell among the destinations is rung once, after
+    /// all of the burst is enqueued: a worker wakes to the whole burst
+    /// instead of to its first message.
+    pub(crate) fn deliver_many(&self, burst: &mut Burst) {
+        let Burst {
+            msgs,
+            groups,
+            pool,
+            bells,
+        } = burst;
         let Some(shared) = self.shared.upgrade() else {
+            msgs.clear();
             return;
         };
         let snapshot = Arc::clone(&shared.table.lock());
-        let mut bells: Vec<&Arc<Bell>> = Vec::new();
-        for (from, to, msg) in msgs {
-            RouterHandle::enqueue(&snapshot, from, to, msg, &mut |shard| {
-                if let Some(bell) = &shard.bell {
-                    if !bells.iter().any(|rung| Arc::ptr_eq(rung, bell)) {
-                        bells.push(bell);
+        for (from, to, msg) in msgs.drain(..) {
+            let Some(route) = snapshot.get(&to) else {
+                continue; // destination crashed: drop, as for every send
+            };
+            let mut put = |shard: usize, msg: LdsMessage| {
+                let envelope = Envelope::Protocol { from, msg };
+                match groups.iter_mut().find(|(p, s, _)| *p == to && *s == shard) {
+                    Some((_, _, group)) => group.push(envelope),
+                    None => {
+                        let mut group = pool.pop().unwrap_or_default();
+                        group.push(envelope);
+                        groups.push((to, shard, group));
                     }
                 }
-            });
+            };
+            if msg.fanout() && route.shards.len() > 1 {
+                // As in `RouterHandle::enqueue`, every worker shard; shard 0
+                // takes the message itself.
+                for shard in 1..route.shards.len() {
+                    put(shard, msg.clone());
+                }
+                put(0, msg);
+            } else {
+                put(shard_of(msg.object(), route.shards.len()), msg);
+            }
         }
-        for bell in bells {
+        for (to, shard, mut group) in groups.drain(..) {
+            let inbox = &snapshot[&to].shards[shard];
+            let n = group.len();
+            inbox.depth.add(n);
+            if inbox.tx.send_iter(group.drain(..)).is_err() {
+                inbox.depth.sub(n);
+            } else if let Some(bell) = &inbox.bell {
+                if !bells.iter().any(|rung| Arc::ptr_eq(rung, bell)) {
+                    bells.push(Arc::clone(bell));
+                }
+            }
+            pool.push(group);
+        }
+        for bell in bells.drain(..) {
             bell.ring();
         }
     }
@@ -644,7 +718,8 @@ impl RouterHandle {
     /// [`RouterHandle::flush`]. Whoever owns the handle owes that call at
     /// the end of its burst, before it waits for anything: an executor
     /// worker after every sweep, a [`StoreClient`](crate::api::StoreClient)
-    /// after every claimed inbox batch and every dispatch. A flush pushes
+    /// after every claimed inbox batch and at the top of every poll or wait
+    /// (which is where its submissions leave). A flush pushes
     /// out whatever any thread has buffered, so a late one costs latency,
     /// never a message — but a sender that goes to sleep without one can
     /// strand its last burst until another thread flushes.

@@ -28,8 +28,8 @@
 //! the handle's owner calls
 //! [`RouterHandle::flush`](crate::router::RouterHandle::flush) at the end of
 //! its burst — an executor worker once per sweep, a client once per claimed
-//! inbox batch and per dispatch — so everything one burst produced for one
-//! peer is one socket write.
+//! inbox batch and at the top of every poll or wait — so everything one
+//! burst produced for one peer is one socket write.
 //!
 //! The default [`InProcTransport`] answers [`Decision::Deliver`] for
 //! everything and reports [`Transport::is_faulty`]` == false`; the router
@@ -45,8 +45,10 @@
 
 mod plan;
 mod sim;
+pub(crate) mod sys;
 mod tcp;
 
+pub use crate::executor::Workers;
 pub use crate::router::DirectSender;
 pub use plan::{
     Endpoint, FaultPlan, FaultRule, PartitionDirection, PartitionSpec, MESSAGE_CLASSES,
@@ -159,6 +161,12 @@ pub trait Transport: Send + Sync {
     /// when the transport is installed; a transport that never delays can
     /// ignore it.
     fn attach(&self, _sender: DirectSender) {}
+
+    /// Hands the transport the executor's worker threads, for a transport
+    /// whose sockets they serve ([`TcpTransport`]: each worker polls its
+    /// share of the mesh sockets). Called once, after
+    /// [`Transport::attach`], when the deployment's executor has started.
+    fn host(&self, _workers: &Workers) {}
 
     /// Counters of every fault injected so far.
     fn fault_counters(&self) -> FaultCounters {

@@ -16,7 +16,7 @@
 use super::plan::{Endpoint, FaultPlan, PartitionDirection, MESSAGE_CLASSES};
 use super::{Decision, FaultCounters, Transport};
 use crate::obs::{EventKind, TraceHandle};
-use crate::router::DirectSender;
+use crate::router::{Burst, DirectSender};
 use lds_core::messages::LdsMessage;
 use lds_core::params::SystemParams;
 use lds_sim::ProcessId;
@@ -396,6 +396,7 @@ impl Transport for SimTransport {
         let handle = std::thread::Builder::new()
             .name("lds-sim-transport".into())
             .spawn(move || {
+                let mut burst = Burst::default();
                 let mut queue = pump.queue.lock().expect("pump queue poisoned");
                 loop {
                     if queue.stop {
@@ -411,7 +412,8 @@ impl Transport for SimTransport {
                         drop(queue);
                         match held.payload {
                             Payload::Msg { from, to, msg } => {
-                                sender.deliver_many([(from, to, msg)])
+                                burst.push(from, to, msg);
+                                sender.deliver_many(&mut burst);
                             }
                             Payload::Ping { to } => sender.deliver_ping(to),
                         }

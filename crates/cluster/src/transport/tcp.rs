@@ -16,21 +16,31 @@
 //!                         │ flush(), at the end of the sender's burst
 //!                         │ (or once 64 KiB are buffered): one non-blocking
 //!                         │ `write` per non-empty link, made by the thread
-//!                         │ that produced the frames
-//!                         │
-//!                         │     link thread (one per peer): connect with
-//!                         │     backoff + Hello; drains the buffer with
-//!                         │     blocking writes while the link is stalled
+//!                         │ that produced the frames; a full socket stalls
+//!                         │ the link, and the worker hosting it drains the
+//!                         │ rest each time `poll` reports POLLOUT
 //!                         │
 //!                  ═══════╪══════ network ══════════════
 //!                         ▼
-//!                  reader thread (one per accepted conn)
-//!                  BufReader → every frame one `read` yielded → decode
-//!                  → DirectSender::deliver_many → one ring per worker
+//!                  executor worker `peer % W`, waiting in `poll` on its
+//!                  share of the sockets: every byte one `read` yielded →
+//!                  each whole frame decoded → DirectSender::deliver_many:
+//!                  one locked append per inbox, then one ring per worker
+//!                  (its own inboxes are swept next, no ring needed)
 //!                         │
 //!                         ▼
 //!                  destination inboxes on the remote router
 //! ```
+//!
+//! One `lds-tcp-mesh` thread per daemon does what may wait: it accepts
+//! inbound connections and reads each one's `Hello` (within
+//! [`HELLO_TIMEOUT`], never blocking on one peer), connects and reconnects
+//! the outgoing links with exponential backoff, and installs every socket,
+//! non-blocking, on worker `peer % W` ([`Transport::host`]). Both sockets of
+//! a peer therefore live on one worker, which serves them in its own sweep:
+//! a frame from a peer wakes the thread that runs the automata, and nothing
+//! else. Each inbound socket keeps its own partial-frame buffer across
+//! sweeps, so a slow or byte-at-a-time peer never blocks its worker.
 //!
 //! Ownership of a destination pid is decided by [`TcpTopology::owner_of`]:
 //! server pids map through the configured membership, client and auxiliary
@@ -41,26 +51,28 @@
 //! # The link
 //!
 //! A link is one byte buffer of encoded-but-unwritten frames and one
-//! socket under one lock. The lock is held to append and to take the buffer,
-//! never across a system call; at most one thread — the socket's *owner* —
-//! writes what it took, outside the lock, so frames leave in the order they
-//! were appended: per-link FIFO.
+//! non-blocking socket under one lock. The lock is held to append and to
+//! take the buffer, never across a system call; at most one thread — the
+//! socket's *owner* — writes what it took, outside the lock, so frames
+//! leave in the order they were appended: per-link FIFO.
 //!
 //! * **Direct** (the steady state): senders append, and the first
 //!   [`Transport::flush`] to find frames takes the socket, swaps the buffer
-//!   out and pushes it into the non-blocking socket with one `write`;
-//!   whoever flushes meanwhile leaves its frames to that owner, which goes
-//!   round again until the buffer is empty. No other thread is involved. A
-//!   sender that fills the buffer to [`COALESCE_CAP`] flushes it without
-//!   waiting for the end of its burst.
+//!   out and pushes it into the socket with one `write`; whoever flushes
+//!   meanwhile leaves its frames to that owner, which goes round again
+//!   until the buffer is empty. No other thread is involved. A sender that
+//!   fills the buffer to [`COALESCE_CAP`] flushes it without waiting for
+//!   the end of its burst.
 //! * **Stalled**: a flush met a full socket (`WouldBlock` or a partial
-//!   write). Senders keep appending, up to the byte budget, and never touch
-//!   the socket; the link thread alone drains the buffer — the same swap,
-//!   then `write_all` with the socket switched to blocking — and hands
-//!   writing back once the buffer is empty. A link also starts out stalled
-//!   after every (re)connect, so a backlog that built up while it was down
-//!   leaves through the link thread.
-//! * **Down**: no socket. Senders append up to the budget; the link thread
+//!   write) and rang the link's worker. Senders keep appending, up to the
+//!   byte budget, and never touch the socket; the worker polls it for
+//!   `POLLOUT` and drains the buffer with non-blocking writes — the same
+//!   swap, a partly written buffer kept across polls — and hands writing
+//!   back once the buffer is empty. A link also starts out stalled after
+//!   every (re)connect, so a backlog that built up while it was down leaves
+//!   through its worker. Nothing on the send path ever waits for a peer,
+//!   even with one worker (W = 1) owning every socket.
+//! * **Down**: no socket. Senders append up to the budget; the mesh thread
 //!   reconnects with exponential backoff, so a restarted peer daemon
 //!   re-joins the mesh without any coordination.
 //!
@@ -73,21 +85,26 @@
 //! quorum logic, not the transport, provides reliability. Every lost frame
 //! is counted once in [`FaultCounters::dropped`]: a frame over
 //! [`wire::MAX_FRAME`], a frame that would push a link's unwritten backlog
-//! past [`LINK_BACKLOG_CAP`] bytes, and every frame buffered on a link whose
-//! write failed (TCP cannot say which of them the peer still received).
+//! past [`LINK_BACKLOG_CAP`] bytes, every frame buffered on a link whose
+//! write failed (TCP cannot say which of them the peer still received), and
+//! every inbound frame that is undecodable (which also costs its sender the
+//! connection) or does not belong on the mesh.
 
-use super::{Decision, FaultCounters, Transport};
-use crate::router::DirectSender;
+use super::sys::{self, PollFd, WakeFd, POLLIN, POLLOUT};
+use super::{Decision, FaultCounters, Transport, Workers};
+use crate::executor::{Bell, Socket};
+use crate::router::{Burst, DirectSender};
 use lds_core::messages::LdsMessage;
-use lds_core::wire::{self, Frame};
+use lds_core::wire::{self, Frame, HEADER_LEN};
 use lds_sim::ProcessId;
 use std::collections::HashMap;
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -105,9 +122,13 @@ const LINK_BACKLOG_CAP: usize = 32 << 20;
 /// Also the capacity a link buffer keeps (see [`reset`]).
 const COALESCE_CAP: usize = 64 << 10;
 
-/// Most frames a reader hands over in one
+/// Most frames an inbound socket hands over in one
 /// [`DirectSender::deliver_many`], however many one `read` yielded.
 const READ_BURST: usize = 256;
+
+/// An inbound buffer larger than this (it grew for a large frame) is given
+/// back once it is empty.
+const READ_BUF_KEEP: usize = 1 << 20;
 
 /// First reconnect delay; doubles up to [`RECONNECT_MAX`].
 const RECONNECT_BASE: Duration = Duration::from_millis(50);
@@ -115,8 +136,13 @@ const RECONNECT_BASE: Duration = Duration::from_millis(50);
 /// Ceiling on the reconnect backoff.
 const RECONNECT_MAX: Duration = Duration::from_secs(2);
 
-/// How often an idle link thread re-checks the stop flag.
-const STOP_POLL: Duration = Duration::from_millis(100);
+/// How long an accepted connection has to send its whole `Hello` before
+/// the mesh thread drops it.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Room for an encoded `Hello`; a connection whose first frame announces
+/// more is not a peer daemon.
+const HELLO_MAX: usize = 64;
 
 /// The static placement of a deployment's processes onto daemons.
 ///
@@ -174,7 +200,7 @@ impl TcpTopology {
     }
 }
 
-/// Counters shared by every link and reader thread.
+/// Counters shared by every link and socket of a transport.
 #[derive(Default)]
 struct Counters {
     /// Messages lost: over a link's byte budget, oversize, buffered on a
@@ -187,9 +213,10 @@ struct Counters {
     /// Frames handed to a socket by a write that succeeded.
     frames_sent: AtomicU64,
     /// Socket writes that carried them: one per flush of a non-empty link,
-    /// one per buffer the link thread drained.
+    /// one per buffer a worker drained.
     writes: AtomicU64,
-    /// Flushes that met a full socket and left the rest to the link thread.
+    /// Flushes that met a full socket and left the rest to the link's
+    /// worker.
     stalls: AtomicU64,
 }
 
@@ -215,9 +242,10 @@ enum Owner {
     Senders,
     /// A flush, which is writing what it took.
     Flush,
-    /// The link thread: the link is stalled, connecting or down.
+    /// The worker hosting the link, on `POLLOUT`: the link is stalled, or
+    /// (no socket) down.
     #[default]
-    LinkThread,
+    Worker,
 }
 
 /// What a link's lock guards.
@@ -241,8 +269,11 @@ struct LinkState {
 /// One peer link (see "The link" at the top of this source file).
 struct Link {
     state: Mutex<LinkState>,
-    /// The link thread, unparked when the link stalls or its socket fails.
-    thread: OnceLock<Thread>,
+    /// The doorbell of the worker hosting the link, rung when a flush
+    /// stalls it or a new socket is installed.
+    bell: OnceLock<Arc<Bell>>,
+    /// The mesh thread's wake fd, written when the link's socket fails.
+    mesh: Arc<WakeFd>,
     counters: Arc<Counters>,
 }
 
@@ -272,22 +303,37 @@ impl LinkState {
     }
 
     /// The socket failed: everything buffered (plus `in_flight` frames of
-    /// the write that died) is lost and counted, the stream is discarded and
-    /// the link thread reconnects.
+    /// the write that died) is lost and counted, and the stream is
+    /// discarded. The caller wakes the mesh thread, which reconnects.
     fn fail(&mut self, counters: &Counters, in_flight: u64) {
         let lost = in_flight + std::mem::take(&mut self.frames);
         counters.dropped.fetch_add(lost, Ordering::Relaxed);
         reset(&mut self.buf);
         self.stream = None;
-        self.owner = Owner::LinkThread;
+        self.owner = Owner::Worker;
     }
 }
 
 impl Link {
-    fn ring(&self) {
-        if let Some(thread) = self.thread.get() {
-            thread.unpark();
+    fn ring_worker(&self) {
+        if let Some(bell) = self.bell.get() {
+            bell.ring();
         }
+    }
+
+    /// Installs a freshly connected (non-blocking) socket, stalled: the
+    /// link's worker writes the backlog, then hands the socket to the
+    /// senders.
+    fn install(&self, stream: TcpStream) {
+        let mut state = self.state.lock();
+        state.stream = Some(Arc::new(stream));
+        state.owner = Owner::Worker;
+        drop(state);
+        self.ring_worker();
+    }
+
+    fn is_down(&self) -> bool {
+        self.state.lock().stream.is_none()
     }
 
     /// Appends one frame to the backlog, or drops and counts it: oversize,
@@ -315,8 +361,8 @@ impl Link {
     /// Pushes the backlog into the socket, one non-blocking `write` per
     /// round, unless somebody else owns the socket (and will write what this
     /// thread appended). A socket that does not take all of it stalls the
-    /// link; one that fails loses it. Either way the link thread is rung and
-    /// this thread moves on.
+    /// link and rings its worker; one that fails loses it and wakes the
+    /// mesh thread. Either way this thread moves on.
     fn flush(&self) {
         let counters = &*self.counters;
         let mut state = self.state.lock();
@@ -348,21 +394,23 @@ impl Link {
                 Ok(n) => {
                     // The socket is full. What it did not take goes back in
                     // front of what was appended meanwhile, and all of it to
-                    // the link thread.
+                    // the worker.
                     chunk.drain(..n);
                     chunk.extend_from_slice(&state.buf);
                     std::mem::swap(&mut state.buf, &mut chunk);
                     state.give_back(chunk);
                     state.frames += frames;
-                    state.owner = Owner::LinkThread;
+                    state.owner = Owner::Worker;
                     counters.stalls.fetch_add(1, Ordering::Relaxed);
-                    self.ring();
+                    drop(state);
+                    self.ring_worker();
                     return;
                 }
                 Err(_) => {
                     state.give_back(chunk);
                     state.fail(counters, frames);
-                    self.ring();
+                    drop(state);
+                    self.mesh.wake();
                     return;
                 }
             }
@@ -370,8 +418,246 @@ impl Link {
     }
 }
 
-/// Live inbound connections: connection number → a clone of its stream.
-type Inbound = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// The outgoing half of a peer on its worker: while the link is stalled it
+/// waits for `POLLOUT` and drains the buffer with non-blocking writes. A
+/// buffer the socket took only part of is kept here, not put back, so a
+/// long backlog is not copied again at every `POLLOUT`.
+struct Drain {
+    link: Arc<Link>,
+    /// The socket the last [`Socket::interest`] named, held so that its
+    /// descriptor cannot be reused before the poll is over.
+    polled: Option<Arc<TcpStream>>,
+    /// The buffer being written, taken from the link, and its frames; the
+    /// first `written` bytes are in the socket.
+    chunk: Vec<u8>,
+    frames: u64,
+    written: usize,
+}
+
+impl Drain {
+    fn new(link: Arc<Link>) -> Drain {
+        Drain {
+            link,
+            polled: None,
+            chunk: Vec::new(),
+            frames: 0,
+            written: 0,
+        }
+    }
+
+    /// Writes until the link's buffer is empty (and hands the socket back
+    /// to the senders) or the socket is full (and the next `POLLOUT` goes
+    /// on).
+    fn drain(&mut self) {
+        let link = &*self.link;
+        let counters = &*link.counters;
+        loop {
+            let mut state = link.state.lock();
+            if state.owner != Owner::Worker {
+                return;
+            }
+            let Some(stream) = state.stream.clone() else {
+                return;
+            };
+            if self.chunk.is_empty() {
+                if state.buf.is_empty() {
+                    state.owner = Owner::Senders;
+                    return;
+                }
+                (self.chunk, self.frames) = state.take();
+                self.written = 0;
+            }
+            drop(state);
+            let written = match (&*stream).write(&self.chunk[self.written..]) {
+                Ok(0) => Err(ErrorKind::WriteZero.into()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                other => other,
+            };
+            let Ok(n) = written else {
+                let mut state = link.state.lock();
+                state.give_back(std::mem::take(&mut self.chunk));
+                state.fail(counters, self.frames);
+                drop(state);
+                link.mesh.wake();
+                return;
+            };
+            self.written += n;
+            if self.written == self.chunk.len() {
+                counters.writes.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .frames_sent
+                    .fetch_add(self.frames, Ordering::Relaxed);
+                link.state.lock().give_back(std::mem::take(&mut self.chunk));
+            }
+        }
+    }
+}
+
+impl Socket for Drain {
+    fn interest(&mut self) -> Option<(RawFd, i16)> {
+        let state = self.link.state.lock();
+        self.polled = match state.owner {
+            Owner::Worker => state.stream.clone(),
+            Owner::Senders | Owner::Flush => None,
+        };
+        Some((self.polled.as_ref()?.as_raw_fd(), POLLOUT))
+    }
+
+    fn serve(&mut self) -> bool {
+        self.drain();
+        true
+    }
+}
+
+/// Accepted inbound streams by connection number, each a clone of a
+/// socket some worker serves, so shutdown can end them.
+type Tracked = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+/// The incoming half of a peer on its worker: on `POLLIN` it reads once,
+/// decodes every whole frame it has and delivers the messages a burst at a
+/// time ([`DirectSender::deliver_many`]: one locked append per inbox, then
+/// one ring per worker). A burst ends at [`READ_BURST`] messages, at the end of what the
+/// read yielded, or at anything that is not a message — what preceded it
+/// is delivered first. An undecodable frame poisons the connection
+/// (framing is lost): it is dropped and the peer reconnects.
+struct Inbound {
+    stream: TcpStream,
+    /// Read and not decoded yet: `buf[start..end]` — after a serve, at most
+    /// the head of one frame.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    burst: Burst,
+    sender: Arc<DirectSender>,
+    counters: Arc<Counters>,
+    /// This connection's entry in `tracked`, removed when it is dropped.
+    conn: u64,
+    tracked: Tracked,
+}
+
+impl Inbound {
+    /// Serves `stream` (non-blocking, its `Hello` read), tracked in
+    /// `tracked` under `conn`.
+    fn new(
+        stream: TcpStream,
+        sender: Arc<DirectSender>,
+        counters: Arc<Counters>,
+        conn: u64,
+        tracked: Tracked,
+    ) -> Inbound {
+        Inbound {
+            stream,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            burst: Burst::default(),
+            sender,
+            counters,
+            conn,
+            tracked,
+        }
+    }
+
+    /// Makes room for the rest of the frame in progress, and at least a
+    /// read buffer's worth.
+    fn make_room(&mut self) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > READ_BUF_KEEP {
+                self.buf = Vec::new();
+            }
+        } else if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let frame = self.buf[..self.end]
+            .first_chunk::<HEADER_LEN>()
+            .and_then(|header| wire::frame_len(*header).ok())
+            .map_or(0, |len| HEADER_LEN + len);
+        let room = frame.max(self.end + wire::READ_BUF_LEN);
+        if self.buf.len() < room {
+            self.buf.resize(room.max(2 * wire::READ_BUF_LEN), 0);
+        }
+    }
+
+    /// Decodes every whole frame buffered; `false` once one is undecodable.
+    fn decode(&mut self) -> bool {
+        while let Some(&header) = self.buf[self.start..self.end].first_chunk::<HEADER_LEN>() {
+            let Ok(len) = wire::frame_len(header) else {
+                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                return false;
+            };
+            let body = self.start + HEADER_LEN;
+            if body + len > self.end {
+                break;
+            }
+            self.start = body + len;
+            match wire::decode_frame(&self.buf[body..self.start]) {
+                Ok(Frame::Msg { from, to, msg }) => {
+                    let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
+                    self.burst.push(from, to, msg);
+                    if self.burst.len() == READ_BURST {
+                        self.deliver();
+                    }
+                }
+                Ok(Frame::Ping { to }) => {
+                    self.deliver();
+                    self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+                    self.sender.deliver_ping(ProcessId(to as usize));
+                }
+                frame => {
+                    // RPC frames do not belong on the mesh port.
+                    self.deliver();
+                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                    if frame.is_err() {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    fn deliver(&mut self) {
+        if self.burst.is_empty() {
+            return;
+        }
+        let frames = self.burst.len() as u64;
+        self.counters.delivered.fetch_add(frames, Ordering::Relaxed);
+        self.sender.deliver_many(&mut self.burst);
+    }
+}
+
+impl Socket for Inbound {
+    fn interest(&mut self) -> Option<(RawFd, i16)> {
+        Some((self.stream.as_raw_fd(), POLLIN))
+    }
+
+    fn serve(&mut self) -> bool {
+        self.make_room();
+        let open = loop {
+            match (&self.stream).read(&mut self.buf[self.end..]) {
+                Ok(0) => break false,
+                Ok(n) => {
+                    self.end += n;
+                    break true;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => break e.kind() == ErrorKind::WouldBlock,
+            }
+        };
+        let intact = self.decode();
+        self.deliver();
+        open && intact
+    }
+}
+
+impl Drop for Inbound {
+    fn drop(&mut self) {
+        self.tracked.lock().remove(&self.conn);
+    }
+}
 
 /// The TCP transport: real per-peer network links behind the
 /// [`Transport`] seam (threading model at the top of this source file).
@@ -381,18 +667,22 @@ pub struct TcpTransport {
     links: Vec<Option<Arc<Link>>>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
-    /// Accepted inbound streams by connection number, tracked so shutdown
-    /// can unblock their reader threads. A reader drops its own entry when
-    /// it exits, so peer reconnects do not accumulate dead sockets.
-    inbound: Inbound,
+    /// Inbound streams some worker serves; an [`Inbound`] drops its own
+    /// entry, so peer reconnects do not accumulate dead sockets.
+    tracked: Tracked,
     listener: TcpListener,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The mesh thread's wake fd: written when a link fails, and to stop.
+    mesh_wake: Arc<WakeFd>,
+    /// The router's delivery path, from [`Transport::attach`].
+    sender: OnceLock<Arc<DirectSender>>,
+    mesh: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
-    /// Binds the mesh listener at `topo.peers[topo.index]` and starts one
-    /// link thread per remote peer. Reader threads start when the router
-    /// installs the transport ([`Transport::attach`]).
+    /// Binds the mesh listener at `topo.peers[topo.index]`. Nothing
+    /// connects or accepts until the deployment's executor hosts the
+    /// transport ([`Transport::host`]): then the mesh thread starts, and the
+    /// workers serve the sockets.
     ///
     /// Binding eagerly means an unusable listen address is a construction
     /// error the daemon can report, not a background failure.
@@ -404,42 +694,30 @@ impl TcpTransport {
         );
         assert!(topo.index < topo.peers.len(), "daemon index out of range");
         let listener = TcpListener::bind(topo.peers[topo.index])?;
+        let mesh_wake = Arc::new(WakeFd::new()?);
         let counters = Arc::new(Counters::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut links = Vec::with_capacity(topo.peers.len());
-        let mut threads = Vec::new();
-        for (peer, &addr) in topo.peers.iter().enumerate() {
-            if peer == topo.index {
-                links.push(None);
-                continue;
-            }
-            let link = Arc::new(Link {
-                state: Mutex::default(),
-                thread: OnceLock::new(),
-                counters: Arc::clone(&counters),
-            });
-            let handle = std::thread::Builder::new()
-                .name(format!("lds-tcp-link-{peer}"))
-                .spawn({
-                    let link = Arc::clone(&link);
-                    let stop = Arc::clone(&stop);
-                    let me = topo.index as u64;
-                    move || run_link(addr, me, &link, &stop)
+        let links = (0..topo.peers.len())
+            .map(|peer| {
+                (peer != topo.index).then(|| {
+                    Arc::new(Link {
+                        state: Mutex::default(),
+                        bell: OnceLock::new(),
+                        mesh: Arc::clone(&mesh_wake),
+                        counters: Arc::clone(&counters),
+                    })
                 })
-                .expect("spawn tcp link thread");
-            // Nothing can ring the link before `bind` returns.
-            let _ = link.thread.set(handle.thread().clone());
-            links.push(Some(link));
-            threads.push(handle);
-        }
+            })
+            .collect();
         Ok(TcpTransport {
             topo,
             links,
             counters,
-            stop,
-            inbound: Arc::new(Mutex::new(HashMap::new())),
+            stop: Arc::new(AtomicBool::new(false)),
+            tracked: Arc::default(),
             listener,
-            threads: Mutex::new(threads),
+            mesh_wake,
+            sender: OnceLock::new(),
+            mesh: Mutex::new(None),
         })
     }
 
@@ -484,10 +762,10 @@ impl TcpTransport {
         }
     }
 
-    /// Inbound connections currently tracked (live reader threads).
+    /// Inbound connections currently served by a worker.
     #[cfg(test)]
     fn inbound_tracked(&self) -> usize {
-        self.inbound.lock().len()
+        self.tracked.lock().len()
     }
 
     /// The link to the daemon hosting `pid`; `None` when that is this
@@ -532,19 +810,57 @@ impl Transport for TcpTransport {
     }
 
     fn attach(&self, sender: DirectSender) {
+        let _ = self.sender.set(Arc::new(sender));
+    }
+
+    /// Puts each peer's link on worker `peer % W` and starts the mesh
+    /// thread, which puts each peer's inbound connections on the same
+    /// worker.
+    fn host(&self, workers: &Workers) {
+        let mut mesh = self.mesh.lock();
+        if mesh.is_some() {
+            return;
+        }
+        let sender = self
+            .sender
+            .get()
+            .cloned()
+            .expect("the router attaches its transport before an executor hosts it");
+        let mut peers = Vec::new();
+        for (peer, link) in self.links.iter().enumerate() {
+            let Some(link) = link else { continue };
+            let worker = peer % workers.count();
+            let _ = link.bell.set(workers.bell(worker));
+            workers.install_socket(worker, Box::new(Drain::new(Arc::clone(link))));
+            let dial = Dial {
+                addr: self.topo.peers[peer],
+                link: Arc::clone(link),
+                due: Instant::now(),
+                backoff: RECONNECT_BASE,
+            };
+            peers.push(dial);
+        }
         let listener = self
             .listener
             .try_clone()
-            .expect("clone mesh listener for accept thread");
-        let sender = Arc::new(sender);
-        let counters = Arc::clone(&self.counters);
-        let stop = Arc::clone(&self.stop);
-        let inbound = Arc::clone(&self.inbound);
+            .and_then(|listener| listener.set_nonblocking(true).map(|()| listener))
+            .expect("a non-blocking clone of the mesh listener");
+        let thread = Mesh {
+            me: self.topo.index as u64,
+            listener,
+            peers,
+            workers: workers.clone(),
+            sender,
+            counters: Arc::clone(&self.counters),
+            tracked: Arc::clone(&self.tracked),
+            wake: Arc::clone(&self.mesh_wake),
+            stop: Arc::clone(&self.stop),
+        };
         let handle = std::thread::Builder::new()
-            .name("lds-tcp-accept".into())
-            .spawn(move || run_acceptor(listener, sender, counters, stop, inbound))
-            .expect("spawn tcp accept thread");
-        self.threads.lock().push(handle);
+            .name("lds-tcp-mesh".into())
+            .spawn(move || thread.run())
+            .expect("spawn the tcp mesh thread");
+        *mesh = Some(handle);
     }
 
     fn fault_counters(&self) -> FaultCounters {
@@ -556,34 +872,28 @@ impl Transport for TcpTransport {
 
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock link threads: one parked on its doorbell, one inside a
-        // blocking drain of a peer that stopped reading. A link thread that
-        // installs a socket after this pass sees `stop` before it writes.
+        self.mesh_wake.wake();
+        // Joined first: no socket is installed after the pass below.
+        if let Some(mesh) = self.mesh.lock().take() {
+            let _ = mesh.join();
+        }
+        // A worker still serving a socket sees it fail or end.
         for link in self.links.iter().flatten() {
             if let Some(stream) = &link.state.lock().stream {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-            link.ring();
         }
-        // Unblock the acceptor with a throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.local_addr());
-        // Unblock reader threads parked on half-open inbound streams.
-        for stream in self.inbound.lock().values() {
+        for stream in self.tracked.lock().values() {
             let _ = stream.shutdown(Shutdown::Both);
-        }
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
         }
     }
 }
 
 impl Drop for TcpTransport {
-    /// Link threads hold their link, not the transport: tell them to go.
+    /// The mesh thread holds what it needs, not the transport: tell it to go.
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for link in self.links.iter().flatten() {
-            link.ring();
-        }
+        self.mesh_wake.wake();
     }
 }
 
@@ -596,188 +906,203 @@ impl std::fmt::Debug for TcpTransport {
     }
 }
 
-/// Connects to `addr` and introduces this daemon, the socket still
-/// blocking.
+/// Connects to `addr` and introduces this daemon; the socket is returned
+/// non-blocking.
 fn connect(addr: SocketAddr, me: u64) -> std::io::Result<TcpStream> {
     let mut stream = TcpStream::connect_timeout(&addr, RECONNECT_MAX)?;
     let _ = stream.set_nodelay(true);
     let mut hello = Vec::new();
     wire::encode_frame(&Frame::Hello { daemon: me }, &mut hello).expect("a Hello is small");
     stream.write_all(&hello)?;
+    stream.set_nonblocking(true)?;
     Ok(stream)
 }
 
-/// Link-thread body: connect (with backoff) → `Hello` → install the socket,
-/// stalled → drain → hand the socket to the senders → sleep on the doorbell
-/// until a flush stalls the link again (drain, hand back) or a write fails
-/// (reconnect). Senders and this thread share one socket, so switching its
-/// blocking mode here switches it for the senders — who do not touch a
-/// stalled link's socket.
-fn run_link(addr: SocketAddr, me: u64, link: &Link, stop: &AtomicBool) {
-    let counters = &*link.counters;
-    let mut backoff = RECONNECT_BASE;
-    'reconnect: while !stop.load(Ordering::SeqCst) {
-        let Ok(stream) = connect(addr, me).map(Arc::new) else {
-            // Peer not up (yet): the buffer keeps absorbing traffic up to
-            // its budget meanwhile.
-            let waited = std::time::Instant::now();
-            while waited.elapsed() < backoff {
-                if stop.load(Ordering::SeqCst) {
-                    break 'reconnect;
-                }
-                std::thread::sleep(STOP_POLL.min(backoff));
-            }
-            backoff = (backoff * 2).min(RECONNECT_MAX);
-            continue;
+/// One outgoing link as the mesh thread keeps it up.
+struct Dial {
+    addr: SocketAddr,
+    link: Arc<Link>,
+    /// When a link that is down may be dialled next.
+    due: Instant,
+    backoff: Duration,
+}
+
+/// An accepted connection whose `Hello` has not fully arrived.
+struct Pending {
+    stream: TcpStream,
+    hello: [u8; HELLO_MAX],
+    filled: usize,
+    deadline: Instant,
+}
+
+/// What reading a [`Pending`] connection came to.
+enum Hello {
+    /// The `Hello` is not whole yet.
+    Waiting,
+    /// It is, from this daemon.
+    From(u64),
+    /// The connection is not a peer's (or is gone): drop it.
+    Refused,
+}
+
+impl Pending {
+    /// Reads what has arrived of the `Hello`, never past it: what follows
+    /// is the worker's to read.
+    fn read(&mut self, counters: &Counters) -> Hello {
+        let refuse = || {
+            counters.dropped.fetch_add(1, Ordering::Relaxed);
+            Hello::Refused
         };
-        counters.connects.fetch_add(1, Ordering::Relaxed);
-        backoff = RECONNECT_BASE;
-        link.state.lock().stream = Some(Arc::clone(&stream));
-        while !stop.load(Ordering::SeqCst) {
-            let mut state = link.state.lock();
-            if state.stream.is_none() {
-                continue 'reconnect; // a sender's write failed
+        loop {
+            let need = match self.hello[..self.filled].first_chunk::<HEADER_LEN>() {
+                None => HEADER_LEN,
+                Some(&header) => match wire::frame_len(header) {
+                    Ok(len) if HEADER_LEN + len <= HELLO_MAX => HEADER_LEN + len,
+                    _ => return refuse(),
+                },
+            };
+            if self.filled == need && need > HEADER_LEN {
+                return match wire::decode_frame(&self.hello[HEADER_LEN..need]) {
+                    Ok(Frame::Hello { daemon }) => Hello::From(daemon),
+                    _ => refuse(),
+                };
             }
-            if state.owner != Owner::LinkThread {
-                drop(state);
-                std::thread::park_timeout(STOP_POLL);
-                continue;
-            }
-            if state.buf.is_empty() {
-                // Drained: senders write the socket themselves again.
-                match stream.set_nonblocking(true) {
-                    Ok(()) => state.owner = Owner::Senders,
-                    Err(_) => state.fail(counters, 0),
-                }
-                continue;
-            }
-            let (chunk, frames) = state.take();
-            drop(state);
-            let written = stream
-                .set_nonblocking(false)
-                .and_then(|()| (&*stream).write_all(&chunk));
-            let mut state = link.state.lock();
-            state.give_back(chunk);
-            match written {
-                Ok(()) => {
-                    counters.writes.fetch_add(1, Ordering::Relaxed);
-                    counters.frames_sent.fetch_add(frames, Ordering::Relaxed);
-                }
-                Err(_) => state.fail(counters, frames),
+            match (&self.stream).read(&mut self.hello[self.filled..need]) {
+                // Shut down, or gone before it said who it is.
+                Ok(0) => return Hello::Refused,
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Hello::Waiting,
+                Err(_) => return Hello::Refused,
             }
         }
     }
 }
 
-/// Accept-thread body: every inbound connection gets its own reader thread.
-/// Readers are detached: each exits when its stream dies (shutdown closes
-/// every tracked stream) and drops its own tracking entry on the way out.
-fn run_acceptor(
+/// The mesh thread: everything about the sockets that may wait.
+struct Mesh {
+    me: u64,
+    /// Non-blocking.
     listener: TcpListener,
+    peers: Vec<Dial>,
+    workers: Workers,
     sender: Arc<DirectSender>,
     counters: Arc<Counters>,
+    tracked: Tracked,
+    wake: Arc<WakeFd>,
     stop: Arc<AtomicBool>,
-    inbound: Inbound,
-) {
-    for conn in 0u64.. {
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(_) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
+}
+
+impl Mesh {
+    /// Until stopped: dial the links that are down and due, then wait in
+    /// `poll` for a connection, a byte of a `Hello`, a failed link (the wake
+    /// fd), a `Hello`'s deadline or the next dial.
+    fn run(mut self) {
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut set = Vec::new();
+        let mut conns = 0u64;
+        while !self.stop.load(Ordering::SeqCst) {
+            self.dial();
+            let now = Instant::now();
+            let next = self
+                .peers
+                .iter()
+                .filter(|dial| dial.link.is_down())
+                .map(|dial| dial.due)
+                .chain(pending.iter().map(|p| p.deadline))
+                .min();
+            let timeout_ms = next.map_or(-1, |next| {
+                let wait = next
+                    .saturating_duration_since(now)
+                    .as_micros()
+                    .div_ceil(1000);
+                i32::try_from(wait).unwrap_or(i32::MAX)
+            });
+            set.clear();
+            set.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            set.push(PollFd::new(self.wake.fd(), POLLIN));
+            set.extend(
+                pending
+                    .iter()
+                    .map(|p| PollFd::new(p.stream.as_raw_fd(), POLLIN)),
+            );
+            if sys::wait(&mut set, timeout_ms).is_err() {
                 continue;
             }
-        };
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let Ok(tracked) = stream.try_clone() else {
-            // Untracked, shutdown could not unblock its reader: refuse it.
-            continue;
-        };
-        // Tracked before the reader starts, under the lock the reader's own
-        // removal takes: a reader that dies at once still finds its entry.
-        let mut live = inbound.lock();
-        live.insert(conn, tracked);
-        let spawned = std::thread::Builder::new()
-            .name("lds-tcp-reader".into())
-            .spawn({
-                let sender = Arc::clone(&sender);
-                let counters = Arc::clone(&counters);
-                let stop = Arc::clone(&stop);
-                let inbound = Arc::clone(&inbound);
-                move || {
-                    run_reader(stream, &sender, &counters, &stop);
-                    inbound.lock().remove(&conn);
+            if set[1].ready() {
+                self.wake.drain();
+            }
+            let now = Instant::now();
+            let ready = set[2..].iter().map(PollFd::ready);
+            for (mut p, ready) in std::mem::take(&mut pending).into_iter().zip(ready) {
+                match if ready {
+                    p.read(&self.counters)
+                } else {
+                    Hello::Waiting
+                } {
+                    Hello::Waiting if now < p.deadline => pending.push(p),
+                    Hello::Waiting | Hello::Refused => {}
+                    Hello::From(daemon) => {
+                        conns += 1;
+                        self.serve(daemon, conns, p.stream);
+                    }
                 }
-            });
-        if spawned.is_err() {
-            live.remove(&conn);
+            }
+            if set[0].ready() {
+                while let Ok((stream, _)) = self.listener.accept() {
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_nonblocking(true).is_ok() {
+                        pending.push(Pending {
+                            stream,
+                            hello: [0; HELLO_MAX],
+                            filled: 0,
+                            deadline: now + HELLO_TIMEOUT,
+                        });
+                    }
+                }
+            }
         }
     }
-}
 
-/// Whether `buffered` starts with a whole frame: the next `read_frame`
-/// then returns without waiting for the peer.
-fn holds_frame(buffered: &[u8]) -> bool {
-    buffered
-        .split_first_chunk::<{ wire::HEADER_LEN }>()
-        .is_some_and(|(header, rest)| wire::frame_len(*header).is_ok_and(|len| rest.len() >= len))
-}
-
-/// Reader-thread body: validate the `Hello`, then deliver every decoded
-/// frame into the local router, a burst at a time. The stream is read
-/// through a `BufReader`, so one `read` syscall yields every frame the
-/// peer's burst put into one write; the messages among them are handed over
-/// together ([`DirectSender::deliver_many`]: all enqueued, then one ring
-/// per worker). A burst ends where the next frame would have to be waited
-/// for, at [`READ_BURST`] messages, or at anything that is not a message —
-/// what preceded it is delivered first. Any decode error poisons the
-/// connection (framing is lost), so the stream is dropped and the peer
-/// reconnects.
-fn run_reader(stream: TcpStream, sender: &DirectSender, counters: &Counters, stop: &AtomicBool) {
-    let mut stream = BufReader::with_capacity(wire::READ_BUF_LEN, stream);
-    let mut body = Vec::with_capacity(4096);
-    match wire::read_frame(&mut stream, &mut body) {
-        Some(Ok(Frame::Hello { .. })) => {}
-        // Shutdown's throwaway self-connection lands here too: no Hello,
-        // just EOF.
-        _ => return,
+    /// Connects every link that is down and due; a failed attempt doubles
+    /// the link's backoff, a success resets it.
+    fn dial(&mut self) {
+        for dial in &mut self.peers {
+            if !dial.link.is_down() || Instant::now() < dial.due {
+                continue;
+            }
+            match connect(dial.addr, self.me) {
+                Ok(stream) => {
+                    self.counters.connects.fetch_add(1, Ordering::Relaxed);
+                    dial.link.install(stream);
+                    dial.backoff = RECONNECT_BASE;
+                }
+                Err(_) => {
+                    // Peer not up (yet): the buffer keeps absorbing traffic
+                    // up to its budget meanwhile.
+                    dial.due = Instant::now() + dial.backoff;
+                    dial.backoff = (dial.backoff * 2).min(RECONNECT_MAX);
+                }
+            }
+        }
     }
-    let mut burst = Vec::new();
-    let deliver = |burst: &mut Vec<(ProcessId, ProcessId, LdsMessage)>| {
-        counters
-            .delivered
-            .fetch_add(burst.len() as u64, Ordering::Relaxed);
-        sender.deliver_many(burst.drain(..));
-    };
-    while !stop.load(Ordering::Relaxed) {
-        let frame = wire::read_frame(&mut stream, &mut body);
-        if let Some(Ok(Frame::Msg { from, to, msg })) = frame {
-            burst.push((ProcessId(from as usize), ProcessId(to as usize), msg));
-            if burst.len() == READ_BURST || !holds_frame(stream.buffer()) {
-                deliver(&mut burst);
-            }
-            continue;
-        }
-        deliver(&mut burst);
-        match frame {
-            Some(Ok(Frame::Ping { to })) => {
-                counters.delivered.fetch_add(1, Ordering::Relaxed);
-                sender.deliver_ping(ProcessId(to as usize));
-            }
-            Some(Ok(_)) => {
-                // RPC frames do not belong on the mesh port.
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(Err(_)) => {
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            None => return,
-        }
+
+    /// Hands the connection of peer `daemon` to its worker, tracked.
+    fn serve(&self, daemon: u64, conn: u64, stream: TcpStream) {
+        let Ok(tracked) = stream.try_clone() else {
+            // Untracked, shutdown could not end it: refuse it.
+            return;
+        };
+        self.tracked.lock().insert(conn, tracked);
+        let worker = (daemon % self.workers.count() as u64) as usize;
+        let inbound = Inbound::new(
+            stream,
+            Arc::clone(&self.sender),
+            Arc::clone(&self.counters),
+            conn,
+            Arc::clone(&self.tracked),
+        );
+        self.workers.install_socket(worker, Box::new(inbound));
     }
 }
 
@@ -791,9 +1116,8 @@ mod tests {
     use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
     use lds_core::value::Value;
     use lds_core::wire::Request;
-    use std::io::Read;
+    use std::io::{BufReader, Read};
     use std::sync::atomic::AtomicUsize;
-    use std::time::Instant;
 
     const LARGE: usize = 256 << 10;
 
@@ -818,13 +1142,25 @@ mod tests {
         }
     }
 
-    /// One daemon's transport, router and the inbox of the pid it hosts.
-    fn daemon(topo: TcpTopology) -> (Arc<TcpTransport>, Router, Inbox) {
+    /// An executor serving a transport's sockets, stopped when dropped.
+    struct Hosted(Executor);
+
+    impl Drop for Hosted {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
+    /// One daemon's transport, router, the inbox of the pid it hosts and
+    /// the one worker that serves its sockets.
+    fn daemon(topo: TcpTopology) -> (Arc<TcpTransport>, Router, Inbox, Hosted) {
         let pid = ProcessId(topo.index);
         let transport = Arc::new(TcpTransport::bind(topo).unwrap());
         let router = Router::with_transport(transport.clone() as Arc<dyn Transport>);
         let inbox = router.register(pid);
-        (transport, router, inbox)
+        let executor = Executor::start(1, &router, Instant::now());
+        transport.host(&executor.handle());
+        (transport, router, inbox, Hosted(executor))
     }
 
     /// Metadata message `seq` of `sender`, for pid 1.
@@ -879,8 +1215,8 @@ mod tests {
     #[test]
     fn message_crosses_the_wire() {
         let topo = two_daemon_topology();
-        let (ta, ra, _inbox_a) = daemon(topo(0));
-        let (tb, _rb, inbox_b) = daemon(topo(1));
+        let (ta, ra, _inbox_a, _ea) = daemon(topo(0));
+        let (tb, _rb, inbox_b, _eb) = daemon(topo(1));
 
         let msg = LdsMessage::InvokeRead { obj: ObjectId(42) };
         let mut handle = ra.handle();
@@ -910,8 +1246,8 @@ mod tests {
     /// sending transport's final link statistics.
     fn fifo_run(small: u64, large_every: u64) -> LinkStats {
         let topo = two_daemon_topology();
-        let (ta, ra, _inbox_a) = daemon(topo(0));
-        let (tb, _rb, inbox_b) = daemon(topo(1));
+        let (ta, ra, _inbox_a, _ea) = daemon(topo(0));
+        let (tb, _rb, inbox_b, _eb) = daemon(topo(1));
         // From here on only a full socket takes the link from its senders.
         wait_direct(&ta, 1);
 
@@ -1005,7 +1341,7 @@ mod tests {
         const PER_SENDER: u64 = 160;
         let peer = TcpListener::bind(loopback(0)).unwrap();
         let own = TcpListener::bind(loopback(0)).unwrap().local_addr();
-        let (ta, ra, _inbox_a) = daemon(TcpTopology {
+        let (ta, ra, _inbox_a, _ea) = daemon(TcpTopology {
             n1: 1,
             n2: 1,
             index: 0,
@@ -1099,8 +1435,8 @@ mod tests {
     fn a_burst_to_one_peer_is_one_socket_write() {
         const BURST: u64 = 64;
         let topo = two_daemon_topology();
-        let (ta, ra, _inbox_a) = daemon(topo(0));
-        let (tb, _rb, inbox_b) = daemon(topo(1));
+        let (ta, ra, _inbox_a, _ea) = daemon(topo(0));
+        let (tb, _rb, inbox_b, _eb) = daemon(topo(1));
         wait_direct(&ta, 1);
         let before = ta.link_stats();
         assert_eq!(before, LinkStats::default());
@@ -1129,17 +1465,17 @@ mod tests {
         tb.shutdown();
     }
 
-    /// Killing the peer mid-stream: the reader that served it untracks
+    /// Killing the peer mid-stream: the socket that served it untracks
     /// itself, every frame buffered when a write fails is counted as dropped
     /// (so nothing sent is unaccounted for), a dead peer's backlog stops at
-    /// the byte budget, and the link thread reconnects to the restarted peer
+    /// the byte budget, and the mesh thread reconnects to the restarted peer
     /// and sends what the link still holds.
     #[test]
     fn dead_peer_drops_are_counted_and_the_writer_reconnects() {
         const BURST: u64 = 2_000;
         let topo = two_daemon_topology();
-        let (ta, ra, _inbox_a) = daemon(topo(0));
-        let (tb, rb, inbox_b) = daemon(topo(1));
+        let (ta, ra, _inbox_a, _ea) = daemon(topo(0));
+        let (tb, rb, inbox_b, eb) = daemon(topo(1));
         let mut handle = ra.handle();
 
         let (to, msg) = numbered(0);
@@ -1151,13 +1487,14 @@ mod tests {
         assert_eq!(ta.connects(), 1);
         assert_eq!(tb.inbound_tracked(), 1);
 
-        // The peer dies: its reader exits and drops its own tracking entry,
-        // then the listener goes away with the transport.
+        // The peer dies: its worker drops the inbound socket, which drops
+        // its own tracking entry; then the listener goes away with the
+        // transport.
         tb.shutdown();
-        wait_until("the dead link's reader to untrack itself", || {
+        wait_until("the dead link's socket to untrack itself", || {
             tb.inbound_tracked() == 0
         });
-        drop((rb, inbox_b, tb));
+        drop((rb, inbox_b, tb, eb));
 
         // The first write into the dead socket may still "succeed" (the
         // reset comes back after it); that one frame is TCP's to lose.
@@ -1185,8 +1522,8 @@ mod tests {
         let overflowed = ta.fault_counters().dropped - counted;
         assert!((64..192).contains(&overflowed), "{overflowed} of 192");
 
-        let (tb, _rb, inbox_b) = daemon(topo(1));
-        wait_until("the link thread to reconnect", || ta.connects() >= 2);
+        let (tb, _rb, inbox_b, _eb) = daemon(topo(1));
+        wait_until("the mesh thread to reconnect", || ta.connects() >= 2);
         wait_until("every frame to be delivered or counted", || {
             tb.frames_delivered() + (ta.fault_counters().dropped - before) >= BURST + 192
         });
@@ -1261,14 +1598,14 @@ mod tests {
         };
         // Both tasks adopted and served, then the worker goes back to sleep.
         let sender = router.direct();
-        sender.deliver_many(burst(2));
+        sender.deliver_many(&mut burst(2).collect());
         wait_until("the worker to serve both tasks", || {
             claimed.load(Ordering::SeqCst) == 2
         });
         wait_until("the worker to park", || executor.bell(0).is_parked());
 
         let before = executor.stats().wakeups;
-        sender.deliver_many(burst(10));
+        sender.deliver_many(&mut burst(10).collect());
         wait_until("the burst to be claimed", || {
             claimed.load(Ordering::SeqCst) == 12
         });
@@ -1285,7 +1622,7 @@ mod tests {
     #[test]
     fn a_burst_delivers_what_preceded_its_interruption() {
         let topo = two_daemon_topology();
-        let (ta, _ra, inbox_a) = daemon(topo(0));
+        let (ta, _ra, inbox_a, _ea) = daemon(topo(0));
         let msg = |seq| {
             let (_, msg) = numbered(seq);
             let (from, to) = (1, 0);
@@ -1318,7 +1655,7 @@ mod tests {
         let mut rest = Vec::new();
         let _ = conn.read_to_end(&mut rest);
         assert!(rest.is_empty());
-        wait_until("the reader to untrack itself", || ta.inbound_tracked() == 0);
+        wait_until("the socket to untrack itself", || ta.inbound_tracked() == 0);
         // … what came before the hostile frame is not …
         let mut seqs = Vec::new();
         let mut pings = 0;
@@ -1407,6 +1744,212 @@ mod tests {
         for (_, store) in &daemons {
             store.shutdown();
         }
+    }
+
+    /// `submit_*` only buffers what it sends to another daemon: the socket
+    /// write waits for the next `poll`, which makes one per peer for
+    /// everything submitted since.
+    #[test]
+    fn submissions_leave_at_the_next_poll_one_write_per_peer() {
+        // Daemon 0 hosts no server and its one peer never answers, so all
+        // that crosses is the client's, and nothing comes back to make it
+        // send again.
+        let peer = TcpListener::bind(loopback(0)).unwrap();
+        let own = TcpListener::bind(loopback(0)).unwrap().local_addr();
+        let transport = Arc::new(
+            TcpTransport::bind(TcpTopology {
+                n1: 4,
+                n2: 5,
+                index: 0,
+                peers: vec![own.unwrap(), peer.local_addr().unwrap()],
+                server_owner: vec![1; 9],
+            })
+            .unwrap(),
+        );
+        let store = StoreBuilder::new()
+            .failures(1, 1)
+            .code(2, 3)
+            .transport(transport.clone() as Arc<dyn Transport>)
+            .host_scope(HostScope {
+                l1: Vec::new(),
+                l2: Vec::new(),
+                client_base: 1,
+                client_step: 2,
+            })
+            .build()
+            .unwrap();
+        wait_direct(&transport, 1);
+        let mut client = store.client_with_depth(8);
+        let before = transport.link_stats();
+        for obj in 0..8u8 {
+            client.submit_write(ObjectId(obj.into()), &[obj; 64]);
+        }
+        let submitted = transport.link_stats();
+        assert_eq!(submitted.writes, before.writes);
+        assert!(submitted.backlog_bytes > 0);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(transport.link_stats().writes, before.writes);
+
+        assert!(client.poll().unwrap().is_empty());
+        let polled = transport.link_stats();
+        assert_eq!(polled.writes, before.writes + 1, "one peer, one write");
+        assert_eq!(polled.backlog_bytes, 0);
+        drop(client);
+        store.shutdown();
+    }
+
+    /// While a well-behaved link keeps delivering, three hostile
+    /// connections share its worker: one sends its `Hello` and a frame a
+    /// byte at a time, 1 ms apart; one connects and says nothing; one
+    /// follows its `Hello` with garbage. The slow frame arrives whole, the
+    /// garbage is dropped and counted, the silent one is let go after
+    /// [`HELLO_TIMEOUT`], and the link loses nothing and keeps its order.
+    #[test]
+    fn hostile_peers_do_not_disturb_a_well_behaved_link() {
+        const LEAST: u64 = 500;
+        let topo = two_daemon_topology();
+        let (ta, ra, _inbox_a, _ea) = daemon(topo(0));
+        let (tb, _rb, inbox_b, _eb) = daemon(topo(1));
+        wait_direct(&ta, 1);
+        let hello = encoded(&Frame::Hello { daemon: 0 });
+
+        let mut silent = TcpStream::connect(tb.local_addr()).unwrap();
+        let mut garbage = TcpStream::connect(tb.local_addr()).unwrap();
+        garbage
+            .write_all(&[&hello[..], &[0xFF; 64]].concat())
+            .unwrap();
+        let (to, slow_msg) = query_tag(77, 0);
+        let slow_frame = encoded(&Frame::Msg {
+            from: 0,
+            to: to.0 as u64,
+            msg: slow_msg.clone(),
+        });
+        let slow_done = Arc::new(AtomicBool::new(false));
+        let slow = std::thread::spawn({
+            let (addr, done) = (tb.local_addr(), Arc::clone(&slow_done));
+            let bytes = [&hello[..], &slow_frame].concat();
+            move || {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                let _ = conn.set_nodelay(true);
+                for byte in bytes {
+                    conn.write_all(&[byte]).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                done.store(true, Ordering::SeqCst);
+                conn
+            }
+        });
+
+        let mut handle = ra.handle();
+        let mut sent = 0;
+        while sent < LEAST || !slow_done.load(Ordering::SeqCst) {
+            let (to, msg) = numbered(sent);
+            handle.send(ProcessId(0), to, msg);
+            sent += 1;
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let _slow_conn = slow.join().unwrap();
+
+        let (mut next, mut slow_arrived) = (0, false);
+        while next < sent || !slow_arrived {
+            let envelope = inbox_b
+                .rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the link and the slow frame arrive");
+            let Envelope::Protocol { msg, .. } = envelope else {
+                panic!("unexpected envelope {envelope:?}");
+            };
+            match msg {
+                LdsMessage::QueryTag { op, .. } if op.client == ClientId(9) => {
+                    assert_eq!(op.seq, next, "the link lost its order");
+                    next += 1;
+                }
+                msg => {
+                    assert!(!slow_arrived && msg == slow_msg, "unexpected {msg:?}");
+                    slow_arrived = true;
+                }
+            }
+        }
+        assert_eq!(ta.fault_counters().dropped, 0);
+        assert_eq!(tb.fault_counters().dropped, 1, "the garbage, once");
+        assert_eq!(tb.frames_delivered(), sent + 1);
+        // The garbage cost its sender the connection; the silent one is let
+        // go once its Hello is overdue.
+        let mut rest = Vec::new();
+        assert_eq!(garbage.read_to_end(&mut rest).map_or(0, |n| n), 0);
+        silent.set_read_timeout(Some(HELLO_TIMEOUT * 5)).unwrap();
+        assert_eq!(
+            silent.read(&mut [0; 1]).unwrap(),
+            0,
+            "the silent one is closed"
+        );
+        ta.shutdown();
+        tb.shutdown();
+    }
+
+    /// The wake protocol of a worker that polls, under stress: one worker
+    /// (W = 1) hosts an inbox and a socket, and another thread alternates a
+    /// delivery into the inbox (which must ring the worker out of its
+    /// `poll`) with a frame written to the socket (which the kernel must
+    /// report), each time waiting for the worker to claim it — often while
+    /// it is on its way into the wait. A lost ring hangs a round, and the
+    /// deadline fails the test.
+    #[test]
+    fn a_polling_worker_loses_no_ring() {
+        const ROUNDS: usize = 100_000;
+        let router = Router::new();
+        let executor = Executor::start(1, &router, Instant::now());
+        let claimed = Arc::new(AtomicUsize::new(0));
+        let gauges = [Arc::new(DepthGauge::default())];
+        let inbox = router
+            .register_shards(ProcessId(0), &gauges, |_| Some(executor.bell(0)))
+            .pop()
+            .expect("one shard");
+        let sink = Sink {
+            inbox,
+            claimed: Arc::clone(&claimed),
+        };
+        executor.install(0, Box::new(sink));
+        let listener = TcpListener::bind(loopback(0)).unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let _ = peer.set_nodelay(true);
+        let (served, _) = listener.accept().unwrap();
+        served.set_nonblocking(true).unwrap();
+        let inbound = Inbound::new(
+            served,
+            Arc::new(router.direct()),
+            Arc::default(),
+            0,
+            Arc::default(),
+        );
+        executor.handle().install_socket(0, Box::new(inbound));
+
+        let sender = router.direct();
+        let (_, msg) = query_tag(9, 0);
+        let frame = encoded(&Frame::Msg {
+            from: 9,
+            to: 0,
+            msg: msg.clone(),
+        });
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let claim = |count: usize| {
+            while claimed.load(Ordering::SeqCst) < count {
+                assert!(Instant::now() < deadline, "a ring was lost at {count}");
+                std::thread::yield_now();
+            }
+        };
+        for round in 0..ROUNDS {
+            sender.deliver_many(
+                &mut [(ProcessId(9), ProcessId(0), msg.clone())]
+                    .into_iter()
+                    .collect(),
+            );
+            claim(2 * round + 1);
+            peer.write_all(&frame).unwrap();
+            claim(2 * round + 2);
+        }
+        assert!(executor.stats().parks > 0, "the worker never waited");
+        executor.shutdown();
     }
 
     #[test]
