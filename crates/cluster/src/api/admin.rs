@@ -234,32 +234,10 @@ impl Admin {
 
     /// Messages currently queued per L1 server inbox: `depths[j]` is the
     /// queue length of L1 server `j` (summed over its worker shards). A
-    /// persistently deep inbox identifies the saturated server behind
-    /// [`StoreError::WouldBlock`] refusals.
+    /// persistently deep inbox identifies a saturated server.
     pub fn inbox_depths(&self) -> Vec<usize> {
         let n1 = self.cluster.params().n1();
         (0..n1).map(|j| self.cluster.l1_inbox_depth(j)).collect()
-    }
-
-    /// Client operations currently admitted per L1 key partition (bounded
-    /// deployments only; all zeros otherwise): `admitted[p]` is the budget
-    /// in use on partition `p`. Never exceeds the configured inbox cap.
-    pub fn admitted_ops(&self) -> Vec<usize> {
-        let partitions = self.cluster.options().l1_shards;
-        (0..partitions)
-            .map(|p| self.cluster.l1_admitted_ops(p))
-            .collect()
-    }
-
-    /// The largest queue length any single worker-shard inbox of each L1
-    /// server has ever reached: `depths[j]` for server `j`. On bounded
-    /// deployments the stress tests assert this against
-    /// `inbox_cap × msgs_per_op_bound × 2`.
-    pub fn max_inbox_depths(&self) -> Vec<usize> {
-        let n1 = self.cluster.params().n1();
-        (0..n1)
-            .map(|j| self.cluster.l1_max_inbox_depth(j))
-            .collect()
     }
 
     /// Reports of every successful online repair since the store started,

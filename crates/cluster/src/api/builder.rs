@@ -21,8 +21,7 @@ use std::time::Duration;
 ///
 /// Defaults: `f1 = f2 = 1`, `k = 2`, `d = 3` (the smallest symmetric test
 /// deployment, `n1 = 4`, `n2 = 5`), MBR backend, one worker shard per
-/// server, paper-faithful message flow, pipeline depth 16,
-/// unbounded inboxes.
+/// server, paper-faithful message flow, pipeline depth 16.
 ///
 /// ```rust
 /// use lds_cluster::api::{Store, StoreBuilder, StoreError};
@@ -295,16 +294,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Bounded-inbox mode: at most `cap` client operations admitted
-    /// concurrently per L1 key partition (worker shard). A saturated
-    /// partition makes [`crate::api::Store::try_submit_write`] /
-    /// [`crate::api::Store::try_submit_read`] return
-    /// [`StoreError::WouldBlock`] instead of queueing without limit.
-    pub fn inbox_cap(mut self, cap: usize) -> StoreBuilder {
-        self.options.inbox_cap = Some(cap);
-        self
-    }
-
     /// Validates the whole configuration and boots the deployment.
     ///
     /// # Errors
@@ -312,8 +301,8 @@ impl StoreBuilder {
     /// [`StoreError::InvalidConfig`] if the quorum arithmetic is impossible
     /// (`f1 ≥ n1/2`, `f2 ≥ n2/3`, `k > d`, …), the backend cannot be
     /// constructed for the derived code parameters (e.g. product-matrix MSR
-    /// needs `d ≥ 2k − 2`), or a zero shard / depth / cap was
-    /// requested. Nothing is spawned on error.
+    /// needs `d ≥ 2k − 2`), or a zero shard count, pipeline depth or
+    /// repair timeout was requested. Nothing is spawned on error.
     pub fn build(self) -> Result<StoreHandle, StoreError> {
         let params = match self.explicit_params {
             Some(params) => params,
@@ -328,11 +317,6 @@ impl StoreBuilder {
         if options.pipeline_depth == 0 {
             return Err(StoreError::InvalidConfig(
                 "pipeline depth must be at least 1".into(),
-            ));
-        }
-        if options.inbox_cap == Some(0) {
-            return Err(StoreError::InvalidConfig(
-                "inbox_cap must be at least 1 when set".into(),
             ));
         }
         if options.repair_timeout.is_zero() {

@@ -40,10 +40,9 @@ pub enum StoreError {
     /// The awaited ticket does not correspond to an outstanding or completed
     /// operation of this handle (already harvested, aborted, or foreign).
     UnknownTicket,
-    /// A non-blocking submission was refused: the pipeline is full, an
-    /// earlier operation on the same key is still outstanding, or (on a
-    /// bounded store) the key's partition has no admission budget. Nothing
-    /// was enqueued — harvest completions or back off and retry.
+    /// A non-blocking submission was refused: the pipeline is full or an
+    /// earlier operation on the same key is still outstanding. Nothing was
+    /// enqueued — harvest completions and retry.
     WouldBlock,
     /// The requested configuration is invalid; reported by
     /// [`StoreBuilder::build`](crate::api::StoreBuilder::build) before any
@@ -61,9 +60,7 @@ impl fmt::Display for StoreError {
             StoreError::Timeout => write!(f, "operation timed out"),
             StoreError::Disconnected => write!(f, "store is shut down"),
             StoreError::UnknownTicket => write!(f, "ticket is not outstanding on this handle"),
-            StoreError::WouldBlock => {
-                write!(f, "submission would exceed the pipeline or inbox budget")
-            }
+            StoreError::WouldBlock => write!(f, "pipeline full or key busy"),
             StoreError::InvalidConfig(reason) => write!(f, "invalid store configuration: {reason}"),
             StoreError::Repair(e) => write!(f, "online repair failed: {e}"),
         }

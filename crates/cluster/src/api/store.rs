@@ -72,11 +72,10 @@ pub trait Store {
     fn read(&mut self, key: ObjectId) -> Result<Vec<u8>, StoreError>;
 
     /// Enqueues a write of `value` to `key` and returns its ticket
-    /// immediately. The operation starts as soon as a pipeline slot is free,
-    /// no earlier operation on `key` is outstanding and (on a bounded store)
-    /// the key's partition has admission budget; until then it waits in the
-    /// client-local queue. For backpressure that refuses instead of queueing
-    /// use [`Store::try_submit_write`].
+    /// immediately. The operation starts as soon as a pipeline slot is free
+    /// and no earlier operation on `key` is outstanding; until then it waits
+    /// in the client-local queue. For backpressure that refuses instead of
+    /// queueing use [`Store::try_submit_write`].
     fn submit_write(&mut self, key: ObjectId, value: &[u8]) -> OpTicket;
 
     /// Enqueues a write of an already-framed [`Value`] — the zero-copy
@@ -90,10 +89,8 @@ pub trait Store {
     fn submit_read(&mut self, key: ObjectId) -> OpTicket;
 
     /// Starts a write right now or refuses with [`StoreError::WouldBlock`] —
-    /// never queues. Refusal means the pipeline is at depth, an earlier
-    /// operation on `key` is still outstanding, or the bounded store's
-    /// admission budget for `key`'s partition is exhausted (the responsible
-    /// servers are saturated: back off).
+    /// never queues. Refusal means the pipeline is at depth or an earlier
+    /// operation on `key` is still outstanding.
     ///
     /// # Errors
     ///
@@ -164,7 +161,7 @@ pub trait Store {
 
     /// Abandons every outstanding operation of this handle: queued
     /// operations are dropped, in-flight state is cancelled, their tickets
-    /// are forgotten and admission tokens are returned. Already-harvested
+    /// are forgotten. Already-harvested
     /// completions are retained. The handle remains usable.
     fn cancel_all(&mut self);
 

@@ -15,18 +15,23 @@
 //!   [`Store::wait`] (one ticket) or [`Store::wait_all`].
 //! * **Non-blocking** — [`Store::try_submit_write`] /
 //!   [`Store::try_submit_read`] either start the operation immediately or
-//!   return [`StoreError::WouldBlock`] — they never queue, so a slow or
-//!   saturated server shard ([`crate::ClusterOptions::inbox_cap`]) pushes
-//!   back on the submitter instead of letting work pile up.
+//!   return [`StoreError::WouldBlock`] — they never queue, so a full
+//!   pipeline or a busy key pushes back on the submitter instead of letting
+//!   work pile up.
 //!
 //! Operations on the *same* object are executed in submission order (FIFO
 //! per object, one in flight at a time) — this keeps the per-writer tag
 //! sequence monotonic and gives read-your-writes for a client's own
 //! submissions. Operations on distinct objects proceed concurrently, which
 //! is where the throughput comes from.
+//!
+//! One dispatch rule: a queued operation starts when the pipeline has a free
+//! slot and its object has nothing in flight. Only this client's own
+//! completions free either, so every dispatch follows the delivery of one of
+//! its own inbox messages — a blocking wait parks on the inbox until then.
 
 use crate::api::{Store, StoreError};
-use crate::node::{Admission, Cluster};
+use crate::node::Cluster;
 use crate::obs::{phase, EventKind, ObsMetrics, TraceHandle};
 use crate::router::{DepthGauge, Envelope, Inbox, RouterHandle};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
@@ -193,16 +198,11 @@ impl InFlight {
 pub struct StoreClient {
     cluster: Arc<Cluster>,
     route: RouterHandle,
-    /// Bounded-inbox admission state (None on an unbounded cluster).
-    admission: Option<Admission>,
     /// The store's always-on latency/cache metrics registry.
     obs: Arc<ObsMetrics>,
     /// This handle's ring in the flight recorder (one branch per record
     /// when tracing is off).
     trace: TraceHandle,
-    /// This handle's client number — the identity the fair admission queue
-    /// tracks turns by.
-    client_num: u64,
     pid: ProcessId,
     inbox: Inbox,
     /// A sender into `inbox`, for [`Waker`]s.
@@ -213,11 +213,9 @@ pub struct StoreClient {
     timeout: Duration,
     next_ticket: u64,
     /// Submitted operations not yet dispatched into an automaton (waiting
-    /// for a pipeline slot, for their object's previous op, or for inbox
-    /// admission).
+    /// for a pipeline slot or for their object's previous op).
     queue: VecDeque<QueuedOp>,
-    /// Objects with a dispatched, unfinished operation. Each entry holds
-    /// exactly one admission token when the cluster is bounded.
+    /// Objects with a dispatched, unfinished operation.
     busy_objects: IdSet<ObjectId>,
     write_ops: IdMap<OpId, InFlight>,
     read_ops: IdMap<OpId, InFlight>,
@@ -225,19 +223,11 @@ pub struct StoreClient {
     completions: Vec<Completion>,
     /// Tag of the last completed operation, useful for assertions.
     last_tag: Option<Tag>,
-    /// Whether the last dispatch scan left an operation waiting on
-    /// *admission* (as opposed to pipeline depth or per-object FIFO, which
-    /// are always unblocked by one of this client's own inbox messages).
-    /// Only then do blocking waits poll at the admission-retry cadence.
-    admission_blocked: bool,
     /// Scratch buffers reused across automaton steps (hot path: one client
     /// processes tens of messages per completed operation).
     scratch_out: Vec<(ProcessId, LdsMessage)>,
     scratch_events: Vec<(SimTime, ProcessId, ProtocolEvent)>,
     scratch_inbox: Vec<Envelope>,
-    /// Objects whose queued ops were skipped for admission in the current
-    /// dispatch scan (preserves same-object FIFO across admission retries).
-    scratch_deferred: IdSet<ObjectId>,
     /// Read-cache hit/miss counts already folded into a metrics registry,
     /// so repeated flushes add only the delta.
     flushed_cache_hits: u64,
@@ -271,10 +261,8 @@ impl StoreClient {
         StoreClient {
             cluster: Arc::clone(cluster),
             route: cluster.router().handle(),
-            admission: cluster.admission(),
             obs: Arc::clone(cluster.obs_metrics()),
             trace: cluster.recorder().handle(),
-            client_num,
             pid,
             inbox: Inbox {
                 rx,
@@ -292,11 +280,9 @@ impl StoreClient {
             read_ops: IdMap::default(),
             completions: Vec::new(),
             last_tag: None,
-            admission_blocked: false,
             scratch_out: Vec::with_capacity(64),
             scratch_events: Vec::with_capacity(8),
             scratch_inbox: Vec::with_capacity(64),
-            scratch_deferred: IdSet::default(),
             flushed_cache_hits: 0,
             flushed_cache_misses: 0,
             woken: Arc::new(AtomicBool::new(false)),
@@ -342,14 +328,6 @@ impl StoreClient {
         if self.busy_objects.contains(&obj) || self.queue.iter().any(|q| q.obj == obj) {
             return Err(StoreError::WouldBlock);
         }
-        if let Some(admission) = &self.admission {
-            // `try_submit_*` never queues, so it must not take a waiter-queue
-            // slot either — but it still yields to queued waiters, which is
-            // what stops a greedy try-submit loop from starving them.
-            if !admission.try_admit(self.client_num, obj, false) {
-                return Err(StoreError::WouldBlock);
-            }
-        }
         let op = QueuedOp {
             ticket: self.mint_ticket(),
             obj,
@@ -380,8 +358,8 @@ impl StoreClient {
     /// Dispatches `op` into its automaton right now: traces the submission,
     /// starts the automaton (its first messages land in `outgoing`, which
     /// the caller sends) and books the operation as in flight on its
-    /// object. The caller has already checked the pipeline depth,
-    /// per-object FIFO and admission.
+    /// object. The caller has already checked the pipeline depth and
+    /// per-object FIFO.
     fn begin(
         &mut self,
         op: QueuedOp,
@@ -414,15 +392,12 @@ impl StoreClient {
         debug_assert!(events.is_empty(), "dispatch cannot complete an op");
     }
 
-    /// Starts as many queued operations as the pipeline depth, per-object
-    /// FIFO and (on a bounded cluster) partition admission allow. Scanning in
-    /// submission order — with objects deferred on a failed admission staying
-    /// deferred for the rest of the scan — guarantees that of two queued
+    /// Starts as many queued operations as the pipeline depth and per-object
+    /// FIFO allow. Scanning in submission order guarantees that of two queued
     /// operations on the same object, the earlier one always dispatches
-    /// first.
+    /// first (it marks the object busy before the scan reaches the later).
     fn try_dispatch(&mut self) {
         if self.queue.is_empty() {
-            self.admission_blocked = false;
             return;
         }
         let mut outgoing = std::mem::take(&mut self.scratch_out);
@@ -438,20 +413,9 @@ impl StoreClient {
                 i += 1;
                 continue;
             }
-            if let Some(admission) = &self.admission {
-                if self.scratch_deferred.contains(&obj)
-                    || !admission.try_admit(self.client_num, obj, true)
-                {
-                    self.scratch_deferred.insert(obj);
-                    i += 1;
-                    continue;
-                }
-            }
             let op = self.queue.remove(i).expect("index checked");
             self.begin(op, now, &mut outgoing, &mut events);
         }
-        self.admission_blocked = !self.scratch_deferred.is_empty();
-        self.scratch_deferred.clear();
         self.route.send_batch(self.pid, outgoing.drain(..));
         self.scratch_out = outgoing;
         self.scratch_events = events;
@@ -487,8 +451,7 @@ impl StoreClient {
         }
         self.scratch_events = events;
         if completed {
-            // Freed slots / objects / admission budget: queued operations may
-            // start now.
+            // Freed slots / objects: queued operations may start now.
             self.try_dispatch();
         }
     }
@@ -524,8 +487,8 @@ impl StoreClient {
     }
 
     /// Books the completion an automaton reported: the operation's object
-    /// and admission token are freed, its open phase and end-to-end latency
-    /// recorded, and the [`Completion`] queued for harvest.
+    /// is freed, its open phase and end-to-end latency recorded, and the
+    /// [`Completion`] queued for harvest.
     fn finish(&mut self, event: ProtocolEvent) {
         let now = Instant::now();
         let (f, obj, outcome) = match event {
@@ -564,9 +527,6 @@ impl StoreClient {
         };
         self.busy_objects.remove(&obj);
         self.last_tag = Some(outcome.tag());
-        if let Some(admission) = &self.admission {
-            admission.release(obj);
-        }
         // Close the open phase (a write's data phase, which includes the
         // commit wait; a read's commit phase, the PUT-TAG write-back quorum)
         // and the end-to-end sample.
@@ -602,18 +562,6 @@ impl StoreClient {
             outcome,
             latency,
         });
-    }
-
-    /// Returns the admission token of every dispatched operation and gives
-    /// up this client's place in the waiter queue (abandoned queued
-    /// operations must not hold a fairness turn).
-    fn release_admission(&self) {
-        if let Some(admission) = &self.admission {
-            for &obj in &self.busy_objects {
-                admission.release(obj);
-            }
-            admission.forget(self.client_num);
-        }
     }
 
     /// Processes one claimed envelope (updating the inbox gauge).
@@ -656,37 +604,19 @@ impl StoreClient {
         }
     }
 
-    /// On a bounded cluster with operations queued for admission, blocking
-    /// waits are capped at this cadence: the freeing of a partition's budget
-    /// (another client's completion) does not send *this* client a message,
-    /// so parking unboundedly on the inbox would sleep through it.
-    const ADMISSION_RETRY: Duration = Duration::from_micros(500);
-
     /// Blocks on the inbox for at most `max_wait` and processes what
-    /// arrives. Returns `false` when the wait expired with nothing received
-    /// — after re-attempting dispatch, since queued-but-unadmitted
-    /// operations are started by this client, not by an incoming message.
-    /// Only admission-deferred queues cap the wait at the retry cadence;
-    /// operations waiting on pipeline depth or per-object FIFO are unblocked
-    /// by one of this client's own completion messages, which wakes the
-    /// `recv` directly.
+    /// arrives. Returns `false` when the wait expired with nothing received.
+    /// Queued operations wait only on pipeline depth or per-object FIFO,
+    /// which one of this client's own completion messages frees — that
+    /// message wakes the `recv` directly.
     fn pump_blocking(&mut self, max_wait: Duration) -> Result<bool, StoreError> {
-        let wait = if self.admission_blocked {
-            max_wait.min(Self::ADMISSION_RETRY)
-        } else {
-            max_wait
-        };
-        match self.inbox.rx.recv_timeout(wait) {
+        match self.inbox.rx.recv_timeout(max_wait) {
             Ok(envelope) => {
                 self.scratch_inbox.push(envelope);
                 self.pump_available()?;
                 Ok(true)
             }
-            Err(RecvTimeoutError::Timeout) => {
-                self.try_dispatch();
-                self.route.flush();
-                Ok(false)
-            }
+            Err(RecvTimeoutError::Timeout) => Ok(false),
             Err(RecvTimeoutError::Disconnected) => Err(StoreError::Disconnected),
         }
     }
@@ -745,14 +675,6 @@ impl Store for StoreClient {
     fn poll(&mut self) -> Result<Vec<Completion>, StoreError> {
         self.route.flush();
         self.pump_available()?;
-        // Queued operations held back by partition admission are started by
-        // *this* client when budget frees (another client's completion sends
-        // us no message), so a poll-driven loop must retry dispatch here or
-        // it would spin forever without ever starting them.
-        if self.admission_blocked {
-            self.try_dispatch();
-            self.route.flush();
-        }
         Ok(std::mem::take(&mut self.completions))
     }
 
@@ -822,8 +744,6 @@ impl Store for StoreClient {
         self.writer.cancel_all();
         self.reader.cancel_all();
         self.queue.clear();
-        self.admission_blocked = false;
-        self.release_admission();
         self.busy_objects.clear();
         self.write_ops.clear();
         self.read_ops.clear();
@@ -860,9 +780,6 @@ impl Store for StoreClient {
 
 impl Drop for StoreClient {
     fn drop(&mut self) {
-        // Return any held admission tokens before disappearing, or a dropped
-        // handle would shrink the partition budget forever.
-        self.release_admission();
         self.cluster.router().deregister(self.pid);
     }
 }
@@ -1101,72 +1018,26 @@ mod tests {
         store.shutdown();
     }
 
-    /// One partition (`l1_shards = 1`) with an admission budget of 1.
-    fn one_slot_store() -> StoreHandle {
-        StoreBuilder::new()
-            .backend(BackendKind::Replication)
-            .inbox_cap(1)
-            .build()
-            .unwrap()
-    }
-
+    /// Every dispatch follows one of the client's own completions, so a pure
+    /// `poll()` loop — never a blocking wait — drives a depth-1 queue (held
+    /// back by the pipeline and by per-object FIFO) to the end.
     #[test]
-    fn poll_only_client_recovers_admission_after_budget_frees() {
-        let store = one_slot_store();
-        let mut holder = store.client_with_depth(4);
-        let mut poller = store.client_with_depth(4);
-        // The holder takes the partition's only admission slot and does not
-        // harvest, so the slot stays occupied even after the op completes
-        // server-side.
-        let held = holder.submit_write(ObjectId(0), b"hold the slot");
-        std::thread::sleep(Duration::from_millis(50));
-        // The poller's submission is queued, deferred on admission.
-        let queued = poller.submit_write(ObjectId(1), b"queued behind budget");
-        assert_eq!(poller.in_flight(), 0, "no budget: op must stay queued");
-        // Harvesting on the holder releases the budget — without sending the
-        // poller any message.
-        assert_eq!(holder.wait(held).unwrap().ticket, held);
-        // A pure poll() loop (never a blocking wait) must still dispatch and
-        // complete the queued op: poll retries admission when it was the
-        // blocker.
+    fn poll_only_client_drains_its_queue() {
+        let store = small_store();
+        let mut client = store.client_with_depth(1);
+        let tickets: Vec<_> = (0..8u64)
+            .map(|i| client.submit_write(ObjectId(i % 3), format!("w{i}").as_bytes()))
+            .collect();
+        assert_eq!(client.in_flight(), 1, "depth 1: the rest stay queued");
+        let deadline = Instant::now() + Duration::from_secs(10);
         let mut done = Vec::new();
-        for _ in 0..2000 {
-            done.extend(poller.poll().unwrap());
-            if !done.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        while done.len() < tickets.len() && Instant::now() < deadline {
+            done.extend(client.poll().unwrap());
+            std::thread::sleep(Duration::from_micros(200));
         }
-        assert_eq!(done.len(), 1, "poll-only client livelocked on admission");
-        assert_eq!(done[0].ticket, queued);
-        store.shutdown();
-    }
-
-    #[test]
-    fn try_submit_hits_admission_cap_on_bounded_cluster() {
-        let store = one_slot_store();
-        // With an op in flight, a second client's submission on any object
-        // is refused.
-        let mut a = store.client_with_depth(4);
-        let mut b = store.client_with_depth(4);
-        let t = a.try_submit_write(ObjectId(0), b"hold the slot").unwrap();
-        let refused = b.try_submit_write(ObjectId(1), b"pushed back");
-        // Either the slot is still held (refused) or op 0 already completed;
-        // in the common case the refusal is observed.
-        if refused == Err(StoreError::WouldBlock) {
-            assert_eq!(store.admin().admitted_ops()[0], 1);
-        }
-        a.wait(t).unwrap();
-        // After completion the budget frees up and b gets through.
-        let mut t2 = b.try_submit_write(ObjectId(1), b"now it fits");
-        for _ in 0..1000 {
-            if t2.is_ok() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-            t2 = b.try_submit_write(ObjectId(1), b"now it fits");
-        }
-        b.wait(t2.expect("budget freed after completion")).unwrap();
+        let order: Vec<_> = done.iter().map(|c| c.ticket).collect();
+        assert_eq!(order, tickets, "every write completes, in submission order");
+        assert_eq!(client.pending_ops(), 0);
         store.shutdown();
     }
 

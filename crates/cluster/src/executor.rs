@@ -519,8 +519,16 @@ mod tests {
         }
     }
 
-    fn install_probe(executor: &Executor, gate: Option<Receiver<()>>) -> (Arc<Probe>, Finished) {
-        let probe = Arc::new(Probe::default());
+    /// Installs a fresh probe on worker 0, already claiming work if `busy`.
+    fn install_probe(
+        executor: &Executor,
+        gate: Option<Receiver<()>>,
+        busy: bool,
+    ) -> (Arc<Probe>, Finished) {
+        let probe = Arc::new(Probe {
+            busy: AtomicBool::new(busy),
+            ..Probe::default()
+        });
         let (running, finished) = completion();
         executor.install(
             0,
@@ -536,18 +544,28 @@ mod tests {
     #[test]
     fn a_worker_that_never_goes_idle_still_publishes() {
         let executor = Executor::start(1, &Router::new(), Instant::now());
-        let (probe, finished) = install_probe(&executor, None);
-        probe.busy.store(true, Ordering::SeqCst);
-        executor.bell(0).ring();
+        // Busy from its first turn: no park between the install and the
+        // work. The worker may still have parked before the install, on an
+        // empty task list, so parks are counted from the first publish.
+        let (probe, finished) = install_probe(&executor, None, true);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while probe.publishes.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the probe was never turned");
+            std::thread::yield_now();
+        }
+        let parks = executor.stats().parks;
         // Continuous work: every turn claims an envelope, so the worker
         // never reaches its idle publish. The 10 ms rule must publish the
         // task's gauges and the executor's own counters regardless.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while probe.publishes.load(Ordering::SeqCst) < 3 || executor.stats().turns == 0 {
+        while probe.publishes.load(Ordering::SeqCst) < 4 || executor.stats().turns == 0 {
             assert!(Instant::now() < deadline, "a busy worker never published");
             std::thread::yield_now();
         }
-        assert_eq!(executor.stats().parks, 0, "the worker was busy throughout");
+        assert_eq!(
+            executor.stats().parks,
+            parks,
+            "the worker was busy throughout"
+        );
         probe.stop.store(true, Ordering::SeqCst);
         finished.wait();
         assert!(probe.finished.load(Ordering::SeqCst));
@@ -558,7 +576,7 @@ mod tests {
     fn finished_resolves_only_after_finish_has_run() {
         let executor = Executor::start(1, &Router::new(), Instant::now());
         let (gate_tx, gate_rx) = unbounded();
-        let (probe, finished) = install_probe(&executor, Some(gate_rx));
+        let (probe, finished) = install_probe(&executor, Some(gate_rx), false);
         probe.stop.store(true, Ordering::SeqCst);
         executor.bell(0).ring();
         let (woken_tx, woken_rx) = unbounded();
@@ -595,7 +613,7 @@ mod tests {
         }
         // Parked on an empty task list: the install's ring is the only
         // thing that can make worker 0 adopt the task and see its stop.
-        let (probe, finished) = install_probe(&executor, None);
+        let (probe, finished) = install_probe(&executor, None, false);
         probe.stop.store(true, Ordering::SeqCst);
         executor.bell(0).ring();
         finished.wait();

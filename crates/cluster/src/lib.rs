@@ -41,10 +41,10 @@
 //!   one wake-up ([`router::RouterHandle::send_batch`]); an envelope is
 //!   one message, so the in-process message path allocates nothing beyond
 //!   the payloads;
-//! * with [`ClusterOptions::inbox_cap`] the cluster runs with **bounded
-//!   inboxes**: a saturated or slow shard pushes back on
-//!   [`Store::try_submit_write`] / [`Store::try_submit_read`] (they return
-//!   [`StoreError::WouldBlock`]) instead of queueing without limit.
+//! * a client's work in flight is bounded by its own pipeline depth:
+//!   [`Store::try_submit_write`] / [`Store::try_submit_read`] return
+//!   [`StoreError::WouldBlock`] at that depth or on a key with an operation
+//!   in flight; there is no admission step and every inbox is unbounded.
 //!
 //! # The public surface: the [`api`] module
 //!
@@ -126,7 +126,7 @@ pub use api::{
 };
 pub use client::{Completion, OpOutcome, OpTicket, Waker};
 pub use heal::HealConfig;
-pub use node::{msgs_per_op_bound, ClusterOptions, HostScope};
+pub use node::{ClusterOptions, HostScope};
 pub use obs::{EventKind, FlightRecorder, HistSnapshot, TraceDump, TraceEvent, TraceHandle};
 pub use repair::{RepairError, RepairLayer, RepairReport};
 pub use router::shard_of;

@@ -116,8 +116,6 @@ metrics! {
         "lds_l1_inbox_depth_max" gauge
             "Largest queue length any single L1 worker-shard inbox reached."
             max_l1_inbox_depth: usize = "";
-        "lds_admitted_ops" gauge "Client operations currently admitted (bounded-inbox mode)."
-            admitted_ops: usize = "";
         "lds_live_servers" gauge "Live servers per layer."
             /// Live as [`Admin::liveness`](crate::api::Admin::liveness)
             /// reports it — both count one view. On a self-healing

@@ -27,9 +27,9 @@
 //! * **Inbox depth gauges** — every worker-shard inbox tracks how many
 //!   protocol messages are queued ([`DepthGauge`]), maintained by the sender
 //!   on enqueue and by the owning worker as it claims messages. The gauges
-//!   feed the cluster's backpressure admission gate and its observability
-//!   probes; the channels themselves stay unbounded so server-to-server
-//!   traffic can never deadlock on a full peer inbox.
+//!   feed the cluster's observability probes; the channels themselves stay
+//!   unbounded so server-to-server traffic can never deadlock on a full peer
+//!   inbox.
 
 use crate::executor::Bell;
 use crate::transport::{Decision, InProcTransport, Transport};
@@ -74,18 +74,14 @@ impl Envelope {
 
 /// Live occupancy of one worker-shard inbox: the number of protocol messages
 /// currently enqueued (senders increment, the owning worker decrements as it
-/// claims messages) and the high-water mark observed so far.
-///
-/// Gauges are what make the cluster's *bounded inbox* mode enforceable
-/// without bounded channels: admission control reads them before dispatching
-/// new client operations, and the stress tests assert the recorded
-/// high-water mark against the configured cap.
+/// claims messages) and the high-water mark observed so far, exported as
+/// the `lds_l1_inbox_depth` / `lds_l1_inbox_depth_max` metric families.
 #[derive(Debug, Default)]
 pub struct DepthGauge {
     /// Signed so that a [`DepthGauge::reset`] racing a straggler's balanced
     /// add/sub pair (a send to an already-dropped channel) can at worst leave
     /// the counter one below zero — which reads clamp — instead of wrapping
-    /// an unsigned counter to a huge value that would wedge admission.
+    /// an unsigned counter to a huge value.
     cur: AtomicI64,
     max: AtomicUsize,
 }
@@ -432,8 +428,8 @@ impl Router {
     /// [`Router::register_sharded`] with caller-provided depth gauges, one
     /// per shard (each reset to zero first). Online repair re-registers a
     /// replacement server with the *same* gauge objects its predecessor
-    /// used, so long-lived references — the cluster's backpressure admission
-    /// state, observability probes — keep working across the swap.
+    /// used, so long-lived references — the observability probes — keep
+    /// working across the swap.
     ///
     /// # Panics
     ///
@@ -541,7 +537,7 @@ impl Router {
     /// Sends a liveness probe to every shard of a process; silently dropped
     /// if the destination is not registered (crashed) — which is exactly how
     /// a dead server's beat timestamp goes stale. Pings bypass the depth
-    /// gauges: they carry no protocol work and must not perturb admission.
+    /// gauges: they carry no protocol work and must not count as queued.
     pub fn send_ping(&self, to: ProcessId) {
         let transport = &self.shared.transport;
         if transport.is_faulty() {

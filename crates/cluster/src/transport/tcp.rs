@@ -34,7 +34,7 @@
 //!
 //! One `lds-tcp-mesh` thread per daemon does what may wait: it accepts
 //! inbound connections and reads each one's `Hello` (within
-//! [`HELLO_TIMEOUT`], never blocking on one peer), connects and reconnects
+//! [`wire::HELLO_TIMEOUT`], never blocking on one peer), connects and reconnects
 //! the outgoing links with exponential backoff, and installs every socket,
 //! non-blocking, on worker `peer % W` ([`Transport::host`]). Both sockets of
 //! a peer therefore live on one worker, which serves them in its own sweep:
@@ -95,7 +95,7 @@ use super::{Decision, FaultCounters, Transport, Workers};
 use crate::executor::{Bell, Socket};
 use crate::router::{Burst, DirectSender};
 use lds_core::messages::LdsMessage;
-use lds_core::wire::{self, Frame, HEADER_LEN};
+use lds_core::wire::{self, Frame, HEADER_LEN, HELLO_TIMEOUT};
 use lds_sim::ProcessId;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -135,10 +135,6 @@ const RECONNECT_BASE: Duration = Duration::from_millis(50);
 
 /// Ceiling on the reconnect backoff.
 const RECONNECT_MAX: Duration = Duration::from_secs(2);
-
-/// How long an accepted connection has to send its whole `Hello` before
-/// the mesh thread drops it.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Room for an encoded `Hello`; a connection whose first frame announces
 /// more is not a peer daemon.
@@ -1113,6 +1109,7 @@ mod tests {
     use crate::executor::{Executor, Task, Turn};
     use crate::node::HostScope;
     use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
+    use crossbeam::channel::{unbounded, Receiver};
     use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
     use lds_core::value::Value;
     use lds_core::wire::Request;
@@ -1240,16 +1237,42 @@ mod tests {
         tb.shutdown();
     }
 
+    /// A task whose first turn blocks until its gate yields (or
+    /// disconnects): it holds the worker it is installed on, and with it
+    /// every socket that worker serves.
+    struct Gate(Option<Receiver<()>>);
+
+    impl Task for Gate {
+        fn turn(&mut self, _now_micros: u64, _handle: &mut RouterHandle) -> Turn {
+            if let Some(gate) = self.0.take() {
+                let _ = gate.recv();
+            }
+            Turn::default()
+        }
+        fn has_mail(&self) -> bool {
+            self.0.is_some()
+        }
+        fn publish(&mut self) {}
+        fn finish(&mut self, _router: &Router) {}
+    }
+
     /// Sends `small` numbered metadata messages from pid 0 to pid 1, a
     /// [`LARGE`] one after every `large_every`-th, each flushed on its own,
-    /// and checks that all of it arrives, whole and in order. Returns the
-    /// sending transport's final link statistics.
-    fn fifo_run(small: u64, large_every: u64) -> LinkStats {
+    /// and checks that all of it arrives, whole and in order. With
+    /// `stall_first`, the receiver's only worker is held in a [`Gate`] until
+    /// the link has stalled at least once. Returns the sending transport's
+    /// final link statistics.
+    fn fifo_run(small: u64, large_every: u64, stall_first: bool) -> LinkStats {
         let topo = two_daemon_topology();
         let (ta, ra, _inbox_a, _ea) = daemon(topo(0));
-        let (tb, _rb, inbox_b, _eb) = daemon(topo(1));
+        let (tb, _rb, inbox_b, eb) = daemon(topo(1));
         // From here on only a full socket takes the link from its senders.
         wait_direct(&ta, 1);
+        let release = stall_first.then(|| {
+            let (release, gate) = unbounded();
+            eb.0.install(0, Box::new(Gate(Some(gate))));
+            release
+        });
 
         let sender = std::thread::spawn({
             let ta = Arc::clone(&ta);
@@ -1275,6 +1298,12 @@ mod tests {
             }
         });
 
+        if let Some(release) = release {
+            // Nobody reads the socket: the sender fills it and the link
+            // stalls however the host schedules the two daemons.
+            wait_until("the link to stall", || ta.link_stats().stalls > 0);
+            release.send(()).unwrap();
+        }
         let mut next = 0u64;
         let mut larges = 0u64;
         while next < small || larges < small / large_every {
@@ -1318,15 +1347,17 @@ mod tests {
     /// disturbing the order around them.
     #[test]
     fn coalesced_link_is_complete_and_fifo() {
-        fifo_run(10_000, 2_500);
+        fifo_run(10_000, 2_500, false);
     }
 
     /// 50 MiB of large frames among the small ones fill the socket again and
     /// again: the link goes direct → stalled → direct many times, and every
-    /// hand-over keeps the stream whole and in order.
+    /// hand-over keeps the stream whole and in order. The receiver is held
+    /// until the first stall, so at least one hand-over happens by
+    /// construction, not by how busy the host is.
     #[test]
     fn a_link_that_keeps_stalling_is_complete_and_fifo() {
-        let stats = fifo_run(2_000, 10);
+        let stats = fifo_run(2_000, 10, true);
         assert!(stats.stalls > 0, "200 large frames never filled the socket");
     }
 

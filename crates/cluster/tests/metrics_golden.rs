@@ -31,7 +31,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
         l1_temporary_bytes: 1 << 20,
         l1_inbox_depth: 5,
         max_l1_inbox_depth: 56,
-        admitted_ops: 3,
         live_l1: 7,
         live_l2: 9,
         repairs_completed: 4,

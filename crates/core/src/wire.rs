@@ -65,6 +65,10 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// Size of the length prefix preceding every frame.
 pub const HEADER_LEN: usize = 4;
 
+/// How long an accepted connection — a peer daemon on the mesh, or a client
+/// on the RPC port — has to send its `Hello` before it is dropped.
+pub const HELLO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 /// Capacity of the `BufReader` every socket reader wraps its stream in, so
 /// one `read` syscall can yield many small frames. A body larger than this
 /// bypasses the buffer and lands directly in the caller's body buffer.

@@ -276,4 +276,43 @@ mod tests {
         drop(kept);
         daemon.stop();
     }
+
+    /// A connection that never sends its `Hello` is closed and untracked at
+    /// the handshake deadline instead of pinning a thread until shutdown;
+    /// one that handshook may then stay idle for longer than that.
+    #[test]
+    fn a_silent_connection_is_let_go_at_the_hello_deadline() {
+        use lds_core::wire::HELLO_TIMEOUT;
+        use std::io::Read;
+        let daemon = single_daemon();
+        let addr = daemon.client_addr();
+        let mut idle = NetClient::connect_retry(addr, Duration::from_secs(10)).unwrap();
+        idle.write(ObjectId(2), b"idle but alive").unwrap();
+        let rpc = daemon.rpc.as_ref().expect("rpc runs until stop");
+        assert_eq!(rpc.tracked_connections(), 1);
+
+        let started = Instant::now();
+        let mut silent = std::net::TcpStream::connect(addr).unwrap();
+        let margin = Duration::from_secs(3);
+        silent
+            .set_read_timeout(Some(HELLO_TIMEOUT + margin))
+            .unwrap();
+        let closed = silent.read(&mut [0u8; 1]);
+        assert!(
+            matches!(closed, Ok(0)),
+            "a silent connection was not closed: {closed:?}"
+        );
+        while rpc.tracked_connections() != 1 {
+            assert!(
+                started.elapsed() < HELLO_TIMEOUT + margin,
+                "the silent connection is still tracked"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // By now the handshaken client has sat idle past the deadline.
+        assert!(started.elapsed() > HELLO_TIMEOUT);
+        assert_eq!(idle.read(ObjectId(2)).unwrap(), b"idle but alive");
+        drop(idle);
+        daemon.stop();
+    }
 }

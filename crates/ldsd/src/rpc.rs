@@ -20,7 +20,8 @@
 //!
 //! Nothing on this path sleeps or polls on an interval; the only timeouts
 //! are the [`STOP_POLL`] bounds after which a blocked thread re-checks the
-//! stop flag.
+//! stop flag, and [`HELLO_TIMEOUT`], within which a new connection must send
+//! its `Hello`.
 //!
 //! Admin requests targeting a server hosted by a *different* daemon answer
 //! with a [`Response::Error`] naming the owner — repairs must run where the
@@ -30,7 +31,7 @@ use crate::config::Config;
 use lds_cluster::repair::RepairLayer;
 use lds_cluster::{Admin, OpOutcome, OpTicket, ServerRef, Store, StoreClient, StoreHandle, Waker};
 use lds_core::value::Value;
-use lds_core::wire::{self, Frame, Request, Response};
+use lds_core::wire::{self, Frame, Request, Response, HELLO_TIMEOUT};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -223,10 +224,18 @@ fn run_connection(
     };
     let mut read_half = BufReader::with_capacity(wire::READ_BUF_LEN, read_half);
     // The handshake happens on the worker so a half-open connection cannot
-    // occupy a reader pair: no Hello, no session.
+    // occupy a reader pair: no Hello, no session. A connection that stays
+    // silent is let go at the mesh's Hello deadline; after the handshake the
+    // reader blocks on idle clients for as long as they stay connected.
+    if stream.set_read_timeout(Some(HELLO_TIMEOUT)).is_err() {
+        return;
+    }
     match wire::read_frame(&mut read_half, &mut Vec::new()) {
         Some(Ok(Frame::Hello { .. })) => {}
         _ => return,
+    }
+    if stream.set_read_timeout(None).is_err() {
+        return;
     }
     // Every response of one worker turn is encoded here and written once.
     let mut out = Vec::with_capacity(4096);

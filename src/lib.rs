@@ -51,9 +51,8 @@
 //! The [`cluster`] crate turns the same automata into a throughput-oriented
 //! deployment: pipelined clients, per-object worker-shard servers, an
 //! epoch-swapped lock-free routing snapshot, grouped COMMIT-TAG metadata
-//! broadcast (one locked inbox append per peer shard per flush), bounded
-//! inboxes with backpressure, and online node repair at regenerating-code
-//! bandwidth.
+//! broadcast (one locked inbox append per peer shard per flush), and online
+//! node repair at regenerating-code bandwidth.
 //!
 //! Applications program against the [`cluster::api`] facade:
 //! [`cluster::api::StoreBuilder`] constructs a deployment (named profiles

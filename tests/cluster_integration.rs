@@ -16,7 +16,6 @@ use lds_core::consistency::{AtomicityViolation, History, Operation, OperationKin
 use lds_core::params::SystemParams;
 use lds_core::tag::Tag;
 use lds_core::value::Value;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn params() -> SystemParams {
@@ -311,76 +310,6 @@ fn l1_metadata_and_storage_stay_bounded_over_sustained_run() {
         );
         store.shutdown();
     }
-}
-
-/// Regression test for cross-client admission fairness on a bounded-inbox
-/// store: a greedy pipelined client hammering `try_submit_*` must not starve
-/// a blocking client. Freed budget is granted in waiter-queue order, so
-/// after the blocking client's first refusal the greedy one is held back
-/// until the blocking client has had its turn.
-///
-/// The blocking client starts only once the greedy one holds its first
-/// grant, so the competition is real however the threads are scheduled: on
-/// one CPU the greedy thread may otherwise not run at all before the
-/// blocking client is done.
-#[test]
-fn greedy_pipelined_client_cannot_starve_a_blocking_one() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    let store = StoreBuilder::new()
-        .params(params())
-        .backend(BackendKind::Replication)
-        .inbox_cap(1) // a single admission slot per partition
-        .build()
-        .unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let granted = Arc::new(AtomicU64::new(0));
-    // The greedy client: re-submits the moment anything completes, across a
-    // pool of objects, through the never-queueing try_submit path.
-    let greedy = {
-        let store = store.clone();
-        let (stop, granted) = (Arc::clone(&stop), Arc::clone(&granted));
-        std::thread::spawn(move || {
-            let mut client = store.client_with_depth(8);
-            while !stop.load(Ordering::Relaxed) {
-                for obj in 100..108u64 {
-                    if client
-                        .try_submit_write(ObjectId(obj), b"greedy traffic")
-                        .is_ok()
-                    {
-                        granted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let _ = client.poll().expect("greedy poll");
-            }
-            let _ = client.wait_all();
-        })
-    };
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while granted.load(Ordering::Relaxed) == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "greedy client was never granted a slot"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // The blocking client: sequential writes that must all complete within
-    // the timeout despite the greedy competition for the single slot.
-    let mut blocking = store.client();
-    blocking.set_timeout(Duration::from_secs(20));
-    for i in 0..25u64 {
-        blocking
-            .write(ObjectId(7), format!("blocking {i}").as_bytes())
-            .expect("blocking client starved by greedy pipelined client");
-    }
-    stop.store(true, Ordering::Relaxed);
-    greedy.join().unwrap();
-    assert!(
-        granted.load(Ordering::Relaxed) > 0,
-        "greedy client made progress too (fairness, not lockout)"
-    );
-    assert_eq!(blocking.read(ObjectId(7)).unwrap(), b"blocking 24".to_vec());
-    drop(blocking);
-    store.shutdown();
 }
 
 /// Large values round-trip byte-identically on every backend, at sizes on

@@ -342,7 +342,6 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
     // One self-healing store for the data paths and the repair that works.
     let store = StoreBuilder::new()
         .read_cache(8)
-        .inbox_cap(32)
         .repair_log_cap(0)
         .self_heal_with(fast_heal())
         .trace(true)
@@ -370,7 +369,7 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
         }
         let in_flight = seen.observe(&store);
         writer.wait_all().unwrap();
-        if in_flight.l1_inbox_depth > 0 && in_flight.admitted_ops > 0 {
+        if in_flight.l1_inbox_depth > 0 {
             break;
         }
         assert!(Instant::now() < deadline, "never caught work in flight");

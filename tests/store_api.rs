@@ -60,7 +60,6 @@ fn builder_rejects_zero_sized_knobs() {
         ("l1_shards", StoreBuilder::new().l1_shards(0).build()),
         ("l2_shards", StoreBuilder::new().l2_shards(0).build()),
         ("depth", StoreBuilder::new().pipeline_depth(0).build()),
-        ("inbox_cap", StoreBuilder::new().inbox_cap(0).build()),
         (
             "repair_timeout",
             StoreBuilder::new().repair_timeout(Duration::ZERO).build(),
@@ -142,14 +141,8 @@ fn builder_axes_reach_the_deployment() {
 /// after another data-path setting silently reset it.
 #[test]
 fn profile_methods_commute_with_other_settings() {
-    let settings_first = StoreBuilder::new()
-        .read_cache(64)
-        .inbox_cap(8)
-        .high_throughput(2);
-    let profile_first = StoreBuilder::new()
-        .high_throughput(2)
-        .read_cache(64)
-        .inbox_cap(8);
+    let settings_first = StoreBuilder::new().read_cache(64).high_throughput(2);
+    let profile_first = StoreBuilder::new().high_throughput(2).read_cache(64);
     for (builder, profile) in [
         (settings_first.clone(), Profile::HighThroughput),
         (profile_first.clone(), Profile::HighThroughput),
@@ -159,66 +152,8 @@ fn profile_methods_commute_with_other_settings() {
         let store = builder.build().unwrap();
         let options = store.options();
         assert_eq!(options.profile, profile);
-        assert_eq!(
-            (options.read_cache_entries, options.inbox_cap),
-            (64, Some(8))
-        );
+        assert_eq!(options.read_cache_entries, 64);
         assert_eq!((options.l1_shards, options.pipeline_depth), (2, 32));
-        store.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------
-// StoreError mapping on the non-blocking path under a full admission
-// budget.
-// ---------------------------------------------------------------------
-
-/// With `inbox_cap(1)`, a second client's `try_submit_*` is refused while
-/// the key's partition holds its only admission slot — and the refusal
-/// arrives as `StoreError::WouldBlock` through the unified error type, under
-/// both profiles (one partition, and two worker shards). The L1 quorum is
-/// killed first so the held operation can never complete: the budget stays
-/// occupied for the whole test and every refusal below is deterministic.
-#[test]
-fn try_submit_maps_wouldblock_under_full_admission_budget() {
-    for (_, builder) in profiles() {
-        let store = builder
-            .backend(BackendKind::Replication)
-            .inbox_cap(1)
-            .build()
-            .unwrap();
-        let admin = store.admin();
-        // Kill 3 of the 4 L1 servers: no write quorum, so admitted
-        // operations hold their budget indefinitely.
-        for j in 0..3 {
-            admin.kill(ServerRef::l1(j)).unwrap();
-        }
-        let mut holder = store.client_with_depth(4);
-        let mut pusher = store.client_with_depth(4);
-        // Key 0 pins its partition's only admission slot.
-        let _held = holder
-            .try_submit_write(ObjectId(0), b"hold the slot")
-            .unwrap();
-        // Same key, same handle: refused by the per-key FIFO.
-        assert_eq!(
-            holder.try_submit_write(ObjectId(0), b"same key"),
-            Err(StoreError::WouldBlock)
-        );
-        // Another client on the same key's partition: refused — the budget
-        // is exhausted.
-        assert_eq!(
-            pusher.try_submit_write(ObjectId(0), b"pushed back"),
-            Err(StoreError::WouldBlock)
-        );
-        // Abandoning the held operation returns its admission token, and the
-        // pusher's retry is accepted immediately.
-        holder.cancel_all();
-        pusher
-            .try_submit_write(ObjectId(0), b"budget freed")
-            .expect("cancel_all returned the admission token");
-        pusher.cancel_all();
-        drop(holder);
-        drop(pusher);
         store.shutdown();
     }
 }
