@@ -239,9 +239,9 @@ where
 {
     /// Outgoing messages are flushed **once per turn**, after the whole
     /// claimed backlog: one routing-epoch check for everything, and all
-    /// same-destination metadata the backlog produced — most notably the
-    /// COMMIT-TAG broadcasts of every write in it — reaches each peer shard
-    /// in one locked append (see [`RouterHandle::send_batch`]).
+    /// the backlog produced for one peer shard — most notably the
+    /// COMMIT-TAG broadcasts of every write in it — reaches it in one locked
+    /// append, in send order (see [`RouterHandle::send_batch`]).
     fn turn(&mut self, now_micros: u64, handle: &mut RouterHandle) -> Turn {
         // One timestamp per turn: the clock feeds event timestamps only, and
         // a backlog is processed within microseconds.

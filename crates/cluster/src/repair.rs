@@ -276,16 +276,13 @@ pub(crate) fn repair_server(
     cluster.install_server(layer, index, Some((expected_dones, coordinator)));
 
     // 4. Ask every live peer for help (fan-out to each of its shards).
-    for &helper in &helpers {
-        cluster.router().send(
-            coordinator,
-            helper,
-            LdsMessage::RepairHelp {
-                obj: ObjectId(0),
-                failed: pid,
-            },
-        );
-    }
+    let help = LdsMessage::RepairHelp {
+        obj: ObjectId(0),
+        failed: pid,
+    };
+    let mut handle = cluster.router().handle();
+    handle.send_batch(coordinator, helpers.iter().map(|&h| (h, help.clone())));
+    handle.flush();
 
     // 5. Await one completion report per replacement shard.
     let deadline = Instant::now() + timeout;

@@ -16,14 +16,17 @@
 //!
 //! Two more mechanisms live here as well:
 //!
-//! * **Grouped delivery** — [`RouterHandle::send_batch`] groups the
-//!   metadata messages of one flush by destination shard and appends each
-//!   group to the shard's inbox in one locked step, as plain
-//!   [`Envelope::Protocol`]s, ringing the shard's worker once. A node that
-//!   processes a backlog of writes emits one COMMIT-TAG broadcast *per write
-//!   per peer*; grouping makes them one channel hand-off (lock + wake-up)
-//!   per peer per flush. No envelope carries a second message, so the group
-//!   buffers stay with the sender and nothing on the way allocates.
+//! * **One way into an inbox** — every protocol message enters through a
+//!   `Burst`: [`RouterHandle::send_batch`] fills one with what a faulty
+//!   transport let through, `DirectSender::deliver_many` is handed one by
+//!   the transports that re-inject or receive messages. A burst groups its
+//!   messages per destination inbox (pid and worker shard), in send order,
+//!   appends each group in one locked step and then rings each distinct
+//!   worker bell once. A node that processes a backlog of writes emits one
+//!   COMMIT-TAG broadcast *per write per peer*; the burst makes them one
+//!   channel hand-off (lock + wake-up) per peer per flush. No envelope
+//!   carries a second message, so the group buffers stay with the burst and
+//!   nothing on the way allocates.
 //! * **Inbox depth gauges** — every worker-shard inbox tracks how many
 //!   protocol messages are queued ([`DepthGauge`]), maintained by the sender
 //!   on enqueue and by the owning worker as it claims messages. The gauges
@@ -116,7 +119,7 @@ impl DepthGauge {
 }
 
 /// The receiving side of one worker shard: the channel plus its depth gauge.
-/// Returned by [`Router::register`] / [`Router::register_sharded`]; the
+/// Returned by [`Router::register`] / `Router::register_shards`; the
 /// owning worker decrements the gauge (via the node/client loops) for every
 /// protocol message it claims.
 pub struct Inbox {
@@ -137,36 +140,17 @@ struct ShardInbox {
 }
 
 impl ShardInbox {
-    /// Enqueues `envelope`, then rings the hosting worker — in that order,
-    /// the sender's half of the executor's park protocol. Every enqueue into
-    /// a server inbox is followed by a ring, here, in
-    /// [`ShardInbox::send_group`] or (for a burst, once it is all enqueued)
-    /// in [`DirectSender::deliver_many`]: one that is not can leave its
-    /// worker parked on a non-empty inbox.
+    /// Enqueues a control envelope (`Stop`, `Ping`), then rings the hosting
+    /// worker — in that order, the sender's half of the executor's park
+    /// protocol. The other enqueue into an inbox, [`Burst::deliver`], rings
+    /// the same way once its whole burst is in: an enqueue that is not
+    /// followed by a ring can leave its worker parked on a non-empty inbox.
     fn send(&self, envelope: Envelope) -> Result<(), SendError<Envelope>> {
         self.tx.send(envelope)?;
-        self.ring();
-        Ok(())
-    }
-
-    /// Enqueues the messages of `group` (leaving it empty), in order, as one
-    /// locked append of protocol envelopes from `from`, counted by the
-    /// depth gauge first — then rings once.
-    fn send_group(&self, from: ProcessId, group: &mut Vec<LdsMessage>) {
-        let n = group.len();
-        self.depth.add(n);
-        let envelopes = group.drain(..).map(|msg| Envelope::Protocol { from, msg });
-        if self.tx.send_iter(envelopes).is_ok() {
-            self.ring();
-        } else {
-            self.depth.sub(n);
-        }
-    }
-
-    fn ring(&self) {
         if let Some(bell) = &self.bell {
             bell.ring();
         }
+        Ok(())
     }
 }
 
@@ -199,16 +183,18 @@ pub struct DirectSender {
     shared: Weak<Shared>,
 }
 
-/// A burst of `(from, to, msg)` for [`DirectSender::deliver_many`], with
-/// the scratch that delivers it. Kept by its caller from burst to burst, so
-/// a warm one allocates nothing.
+/// A burst of `(from, to, msg)`, with the scratch that delivers it: the one
+/// way a protocol message gets into an inbox. Kept by its owner — a
+/// [`RouterHandle`], a mesh socket, a transport's pump — from burst to
+/// burst, so a warm one allocates nothing.
 #[derive(Default)]
 pub(crate) struct Burst {
     msgs: Vec<(ProcessId, ProcessId, LdsMessage)>,
     /// Per destination inbox — pid and worker shard — its envelopes, in
-    /// arrival order.
+    /// send order (linear scan: a burst rarely addresses more than a couple
+    /// dozen distinct inboxes).
     groups: Vec<(ProcessId, usize, Vec<Envelope>)>,
-    /// Emptied group buffers.
+    /// Emptied group buffers: as many as one burst has ever needed.
     pool: Vec<Vec<Envelope>>,
     bells: Vec<Arc<Bell>>,
 }
@@ -225,40 +211,27 @@ impl Burst {
     pub(crate) fn is_empty(&self) -> bool {
         self.msgs.is_empty()
     }
-}
 
-#[cfg(test)]
-impl FromIterator<(ProcessId, ProcessId, LdsMessage)> for Burst {
-    fn from_iter<I: IntoIterator<Item = (ProcessId, ProcessId, LdsMessage)>>(msgs: I) -> Burst {
-        Burst {
-            msgs: msgs.into_iter().collect(),
-            ..Burst::default()
-        }
-    }
-}
-
-impl DirectSender {
-    /// Delivers (and empties) `burst` against one routing snapshot. What it
-    /// holds for one inbox is appended in one locked step, in arrival
-    /// order — one wake-up for a client blocked on that inbox — and each
-    /// distinct worker doorbell among the destinations is rung once, after
-    /// all of the burst is enqueued: a worker wakes to the whole burst
-    /// instead of to its first message.
-    pub(crate) fn deliver_many(&self, burst: &mut Burst) {
+    /// Delivers (and empties) the burst against `table`. What it holds for
+    /// one inbox is appended in one locked step, in send order and counted
+    /// by the inbox's depth gauge first — one wake-up for a client blocked
+    /// on that inbox. A fan-out message ([`LdsMessage::fanout`]) joins the
+    /// group of every worker shard of its destination in its place, so a
+    /// repair helper's REPAIR-DONE stays behind the REPAIR-SHAREs it ends on
+    /// every shard. Each distinct worker doorbell among the destinations is
+    /// rung once, after all of the burst is enqueued: a worker wakes to the
+    /// whole burst instead of to its first message. A message to a pid the
+    /// table does not hold (crashed) is dropped.
+    fn deliver(&mut self, table: &Table) {
         let Burst {
             msgs,
             groups,
             pool,
             bells,
-        } = burst;
-        let Some(shared) = self.shared.upgrade() else {
-            msgs.clear();
-            return;
-        };
-        let snapshot = Arc::clone(&shared.table.lock());
+        } = self;
         for (from, to, msg) in msgs.drain(..) {
-            let Some(route) = snapshot.get(&to) else {
-                continue; // destination crashed: drop, as for every send
+            let Some(route) = table.get(&to) else {
+                continue;
             };
             let mut put = |shard: usize, msg: LdsMessage| {
                 let envelope = Envelope::Protocol { from, msg };
@@ -272,8 +245,7 @@ impl DirectSender {
                 }
             };
             if msg.fanout() && route.shards.len() > 1 {
-                // As in `RouterHandle::enqueue`, every worker shard; shard 0
-                // takes the message itself.
+                // Every worker shard; shard 0 takes the message itself.
                 for shard in 1..route.shards.len() {
                     put(shard, msg.clone());
                 }
@@ -283,7 +255,7 @@ impl DirectSender {
             }
         }
         for (to, shard, mut group) in groups.drain(..) {
-            let inbox = &snapshot[&to].shards[shard];
+            let inbox = &table[&to].shards[shard];
             let n = group.len();
             inbox.depth.add(n);
             if inbox.tx.send_iter(group.drain(..)).is_err() {
@@ -298,6 +270,29 @@ impl DirectSender {
         for bell in bells.drain(..) {
             bell.ring();
         }
+    }
+}
+
+#[cfg(test)]
+impl FromIterator<(ProcessId, ProcessId, LdsMessage)> for Burst {
+    fn from_iter<I: IntoIterator<Item = (ProcessId, ProcessId, LdsMessage)>>(msgs: I) -> Burst {
+        Burst {
+            msgs: msgs.into_iter().collect(),
+            ..Burst::default()
+        }
+    }
+}
+
+impl DirectSender {
+    /// Delivers (and empties) `burst` against the current routing snapshot
+    /// ([`Burst::deliver`]); drops it if the router is gone.
+    pub(crate) fn deliver_many(&self, burst: &mut Burst) {
+        let Some(shared) = self.shared.upgrade() else {
+            burst.msgs.clear();
+            return;
+        };
+        let snapshot = Arc::clone(&shared.table.lock());
+        burst.deliver(&snapshot);
     }
 
     pub(crate) fn deliver_ping(&self, to: ProcessId) {
@@ -394,52 +389,36 @@ impl Router {
             unflushed: false,
             shared: Arc::clone(&self.shared),
             snapshot,
-            groups: Vec::new(),
-            vec_pool: Vec::new(),
+            burst: Burst::default(),
         }
     }
 
-    /// Registers a process with a single inbox and returns the receiving end.
+    /// Registers a process with a single inbox, whose owner blocks on the
+    /// channel itself, and returns the receiving end.
     pub fn register(&self, pid: ProcessId) -> Inbox {
-        self.register_sharded(pid, 1).pop().expect("one shard")
+        let gauge = [Arc::new(DepthGauge::default())];
+        self.register_shards(pid, &gauge, |_| None)
+            .pop()
+            .expect("one shard")
     }
 
-    /// Registers a process with `shards` worker inboxes and returns them in
-    /// shard order. Messages are routed to the shard owning their object id
-    /// (see [`shard_of`]).
+    /// Registers a process with one worker inbox per gauge of `gauges` (each
+    /// reset to zero first) and returns them in shard order. Messages are
+    /// routed to the shard owning their object id (see [`shard_of`]); every
+    /// delivery into shard `s` rings `bell_of(s)` once it is enqueued.
     ///
     /// Registering an already-registered pid **replaces** its route: this is
-    /// the rejoin half of online repair. Handles whose snapshot predates the
-    /// swap keep the old (disconnected) senders until their next epoch
-    /// check, so their sends drop — exactly like sends to a crashed server —
-    /// and can never land in the replacement's inboxes out of order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn register_sharded(&self, pid: ProcessId, shards: usize) -> Vec<Inbox> {
-        assert!(shards > 0, "a process needs at least one shard");
-        let gauges: Vec<Arc<DepthGauge>> = (0..shards)
-            .map(|_| Arc::new(DepthGauge::default()))
-            .collect();
-        self.register_sharded_with(pid, &gauges)
-    }
-
-    /// [`Router::register_sharded`] with caller-provided depth gauges, one
-    /// per shard (each reset to zero first). Online repair re-registers a
-    /// replacement server with the *same* gauge objects its predecessor
-    /// used, so long-lived references — the observability probes — keep
-    /// working across the swap.
+    /// the rejoin half of online repair, which passes the *same* gauge
+    /// objects its predecessor used, so long-lived references — the
+    /// observability probes — keep working across the swap. Handles whose
+    /// snapshot predates the swap keep the old (disconnected) senders until
+    /// their next epoch check, so their sends drop — exactly like sends to a
+    /// crashed server — and can never land in the replacement's inboxes out
+    /// of order.
     ///
     /// # Panics
     ///
     /// Panics if `gauges` is empty.
-    pub fn register_sharded_with(&self, pid: ProcessId, gauges: &[Arc<DepthGauge>]) -> Vec<Inbox> {
-        self.register_shards(pid, gauges, |_| None)
-    }
-
-    /// [`Router::register_sharded_with`] for inboxes drained by executor
-    /// tasks: every send into shard `s` rings `bell_of(s)` after enqueueing.
     pub(crate) fn register_shards(
         &self,
         pid: ProcessId,
@@ -510,20 +489,6 @@ impl Router {
         });
     }
 
-    /// Sends a protocol message; silently drops it if the destination is not
-    /// registered (crashed). This is the slow path used by tests and one-off
-    /// sends (it flushes the transport itself); loops should use a
-    /// [`RouterHandle`].
-    pub fn send(&self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
-        let snapshot = Arc::clone(&self.shared.table.lock());
-        if self.shared.transport.is_faulty() {
-            RouterHandle::dispatch(&self.shared.transport, &snapshot, from, to, msg);
-            self.shared.transport.flush();
-        } else {
-            RouterHandle::route(&snapshot, from, to, msg);
-        }
-    }
-
     /// Sends a stop request to every shard of a process.
     pub fn send_stop(&self, to: ProcessId) {
         let snapshot = Arc::clone(&self.shared.table.lock());
@@ -590,23 +555,10 @@ pub struct RouterHandle {
     /// ([`Transport::take_remote`]) since its last flush.
     unflushed: bool,
     snapshot: Arc<Table>,
-    /// Scratch for [`RouterHandle::send_batch`]: per-destination-shard
-    /// message groups of the flush in progress (linear scan — a flush rarely
-    /// addresses more than a couple dozen distinct shards). Each group keeps
-    /// the destination's shard array so the flush needs no second table
-    /// lookup (the snapshot cannot change within one `send_batch`).
-    groups: Vec<FlushGroup>,
-    /// Recycled (empty) group buffers.
-    vec_pool: Vec<Vec<LdsMessage>>,
+    /// The burst of the [`RouterHandle::send_batch`] in progress: empty
+    /// between calls, its scratch kept warm.
+    burst: Burst,
 }
-
-/// One in-progress flush group of [`RouterHandle::send_batch`]: destination
-/// process, worker-shard index, the destination's shard array (kept so the
-/// flush needs no second table lookup), and the grouped messages.
-type FlushGroup = (ProcessId, usize, Arc<[ShardInbox]>, Vec<LdsMessage>);
-
-/// Upper bound on recycled group buffers a handle keeps around.
-const VEC_POOL_LIMIT: usize = 32;
 
 impl RouterHandle {
     #[inline]
@@ -619,95 +571,25 @@ impl RouterHandle {
         }
     }
 
-    fn route(table: &Table, from: ProcessId, to: ProcessId, msg: LdsMessage) {
-        Self::enqueue(table, from, to, msg, &mut ShardInbox::ring);
-    }
-
-    /// Enqueues `msg` on the shard (or, for a fan-out message, on every
-    /// shard) of `to` that owns it, and tells `wake` about each inbox that
-    /// took an envelope: the caller owes that inbox's doorbell a ring.
-    fn enqueue<'t>(
-        table: &'t Table,
-        from: ProcessId,
-        to: ProcessId,
-        msg: LdsMessage,
-        wake: &mut impl FnMut(&'t ShardInbox),
-    ) {
-        let Some(route) = table.get(&to) else {
-            return;
-        };
-        let mut put = |shard: &'t ShardInbox, msg: LdsMessage| {
-            shard.depth.add(1);
-            match shard.tx.send(Envelope::Protocol { from, msg }) {
-                Ok(()) => wake(shard),
-                Err(_) => shard.depth.sub(1),
-            }
-        };
-        if msg.fanout() && route.shards.len() > 1 {
-            // Process-addressed messages (repair help / done markers)
-            // reach every worker shard of the destination.
-            for shard in route.shards.iter() {
-                put(shard, msg.clone());
-            }
-            return;
-        }
-        put(
-            &route.shards[shard_of(msg.object(), route.shards.len())],
-            msg,
-        );
-    }
-
-    /// Routes one message through a faulty transport's decision.
-    fn dispatch(
-        transport: &Arc<dyn Transport>,
-        table: &Table,
-        from: ProcessId,
-        to: ProcessId,
-        msg: LdsMessage,
-    ) {
-        let Some(msg) = transport.take_remote(from, to, msg) else {
-            return;
-        };
-        match transport.decide(from, to, &msg) {
-            Decision::Deliver => Self::route(table, from, to, msg),
-            Decision::Drop => {}
-            Decision::Duplicate => {
-                Self::route(table, from, to, msg.clone());
-                Self::route(table, from, to, msg);
-            }
-            Decision::Delay(delay) => transport.hold(from, to, msg, delay),
-        }
-    }
-
     /// Sends a protocol message; silently drops it if the destination is not
-    /// registered (crashed). A one-off: it flushes the transport itself.
+    /// registered (crashed). A one-off: [`RouterHandle::send_batch`] of one
+    /// message, then [`RouterHandle::flush`].
     pub fn send(&mut self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
-        self.refresh();
-        if self.faulty {
-            Self::dispatch(&self.shared.transport, &self.snapshot, from, to, msg);
-            self.shared.transport.flush();
-        } else {
-            Self::route(&self.snapshot, from, to, msg);
-        }
+        self.send_batch(from, [(to, msg)]);
+        self.flush();
     }
 
     /// Sends a batch of protocol messages, checking the routing epoch once
     /// for the whole batch. This is what server tasks use to flush the
     /// outgoing buffer of one turn.
     ///
-    /// Metadata messages ([`LdsMessage::is_metadata`]) are grouped by
-    /// destination worker shard — preserving their relative send order — and
-    /// each group is appended to its shard's inbox in one locked step, as
-    /// consecutive [`Envelope::Protocol`]s, with one ring of the shard's
-    /// worker: the COMMIT-TAG broadcasts of every write processed in one
-    /// flush reach each peer in one channel hand-off instead of one per
-    /// write. The group buffers come from and return to a per-handle pool,
-    /// so a warm handle delivers without allocating. Data-carrying messages
-    /// (values, coded elements, helper payloads) are routed immediately as
-    /// their own envelopes; they may therefore overtake metadata from the
-    /// same flush, which the automata — built for an asynchronous network
-    /// that reorders freely — tolerate by construction (the simulator
-    /// delivers with random per-message delays).
+    /// A faulty transport judges each message on its own first: a dropped,
+    /// delayed or remote message never joins the burst, a duplicate joins it
+    /// twice, next to itself. The survivors are delivered as one `Burst`:
+    /// each destination inbox receives its part in send order, in one locked
+    /// step, and each worker is rung once, after all of it is enqueued — the
+    /// COMMIT-TAG broadcasts of every write processed in one flush reach each
+    /// peer in one channel hand-off instead of one per write.
     ///
     /// Messages for another daemon are only **buffered** by the transport
     /// ([`Transport::take_remote`]); they leave when somebody calls
@@ -725,65 +607,32 @@ impl RouterHandle {
         msgs: impl IntoIterator<Item = (ProcessId, LdsMessage)>,
     ) {
         self.refresh();
-        debug_assert!(self.groups.is_empty());
-        let mut groups = std::mem::take(&mut self.groups);
         for (to, msg) in msgs {
-            let msg = if self.faulty {
-                // Each message of the flush is adjudicated individually,
-                // before grouping: a dropped or delayed message never joins
-                // a group, and a duplicate is routed immediately (it may
-                // overtake the grouped original — exactly what a real
-                // network duplicate could do).
-                let Some(msg) = self.shared.transport.take_remote(from, to, msg) else {
-                    self.unflushed = true;
-                    continue;
-                };
-                match self.shared.transport.decide(from, to, &msg) {
-                    Decision::Deliver => msg,
-                    Decision::Drop => continue,
-                    Decision::Delay(delay) => {
-                        self.shared.transport.hold(from, to, msg, delay);
-                        continue;
-                    }
-                    Decision::Duplicate => {
-                        Self::route(&self.snapshot, from, to, msg.clone());
-                        msg
-                    }
-                }
+            if self.faulty {
+                self.judge(from, to, msg);
             } else {
-                msg
-            };
-            if !msg.batchable() {
-                // Data, fan-out and repair-stream messages dispatch
-                // immediately, in send order: a repair helper's
-                // end-of-stream REPAIR-DONE therefore stays behind the
-                // REPAIR-SHAREs it terminates on every channel.
-                Self::route(&self.snapshot, from, to, msg);
-                continue;
-            }
-            let Some(route) = self.snapshot.get(&to) else {
-                continue; // destination crashed: drop, as for single sends
-            };
-            let shard = shard_of(msg.object(), route.shards.len());
-            match groups
-                .iter_mut()
-                .find(|(p, s, _, _)| *p == to && *s == shard)
-            {
-                Some((_, _, _, group)) => group.push(msg),
-                None => {
-                    let mut group = self.vec_pool.pop().unwrap_or_default();
-                    group.push(msg);
-                    groups.push((to, shard, Arc::clone(&route.shards), group));
-                }
+                self.burst.push(from, to, msg);
             }
         }
-        for (_, shard, shards, mut group) in groups.drain(..) {
-            shards[shard].send_group(from, &mut group);
-            if self.vec_pool.len() < VEC_POOL_LIMIT {
-                self.vec_pool.push(group);
+        self.burst.deliver(&self.snapshot);
+    }
+
+    /// Puts `msg` into the burst as the faulty transport decides.
+    fn judge(&mut self, from: ProcessId, to: ProcessId, msg: LdsMessage) {
+        let transport = &self.shared.transport;
+        let Some(msg) = transport.take_remote(from, to, msg) else {
+            self.unflushed = true;
+            return;
+        };
+        match transport.decide(from, to, &msg) {
+            Decision::Deliver => self.burst.push(from, to, msg),
+            Decision::Drop => {}
+            Decision::Duplicate => {
+                self.burst.push(from, to, msg.clone());
+                self.burst.push(from, to, msg);
             }
+            Decision::Delay(delay) => transport.hold(from, to, msg, delay),
         }
-        self.groups = groups;
     }
 
     /// Ends a burst of [`RouterHandle::send_batch`] calls: if the transport
@@ -859,7 +708,7 @@ mod tests {
     #[test]
     fn stop_envelope_reaches_every_shard() {
         let router = Router::new();
-        let inboxes = router.register_sharded(ProcessId(7), 3);
+        let inboxes = sharded(&router, ProcessId(7), 3);
         router.send_stop(ProcessId(7));
         for inbox in &inboxes {
             assert!(matches!(inbox.rx.recv().unwrap(), Envelope::Stop));
@@ -871,7 +720,7 @@ mod tests {
     fn sharded_routing_partitions_by_object() {
         let router = Router::new();
         let shards = 4;
-        let inboxes = router.register_sharded(ProcessId(5), shards);
+        let inboxes = sharded(&router, ProcessId(5), shards);
         let mut handle = router.handle();
         // Every message for one object lands in the same shard, and the
         // shard matches `shard_of`.
@@ -897,6 +746,15 @@ mod tests {
         let used: std::collections::HashSet<usize> =
             (0..256u64).map(|o| shard_of(ObjectId(o), shards)).collect();
         assert_eq!(used.len(), shards);
+    }
+
+    /// Registers `pid` with `shards` bell-less inboxes, each with a fresh
+    /// gauge.
+    fn sharded(router: &Router, pid: ProcessId, shards: usize) -> Vec<Inbox> {
+        let gauges: Vec<_> = (0..shards)
+            .map(|_| Arc::new(DepthGauge::default()))
+            .collect();
+        router.register_shards(pid, &gauges, |_| None)
     }
 
     /// Waits until every bell of `executor`'s workers is raised (it found
@@ -932,11 +790,10 @@ mod tests {
         claimed.iter().map(|(_, msg)| msg.object().0).collect()
     }
 
-    /// A flush's metadata for one destination shard is one locked append of
+    /// A flush's messages for one destination shard are one locked append of
     /// plain protocol envelopes: announced by one ring — a parked worker
-    /// gets exactly one wake-up for the group — counted by the gauge, in
-    /// send order and contiguous in the inbox, behind any data message of
-    /// the same flush (which is routed, and rings, at once).
+    /// gets exactly one wake-up for the group — counted by the gauge, and in
+    /// send order in the inbox, data messages among the metadata.
     #[test]
     fn batch_send_groups_per_destination_shard() {
         let router = Router::new();
@@ -969,7 +826,6 @@ mod tests {
             obj: ObjectId(50),
             value: lds_core::Value::new(vec![7; 4]),
         };
-        assert!(!data.batchable());
         let batch = vec![
             (ProcessId(1), read(4)),
             (ProcessId(1), data),
@@ -978,7 +834,7 @@ mod tests {
         handle.send_batch(ProcessId(0), batch);
         assert_eq!(inbox_a.depth.current(), 7, "gauge counts messages");
         let claimed = drain(&inbox_a);
-        assert_eq!(objects(&claimed), [100, 0, 2, 3, 50, 4, 5]);
+        assert_eq!(objects(&claimed), [100, 0, 2, 3, 4, 50, 5]);
         assert!(claimed[1..].iter().all(|(from, _)| *from == ProcessId(0)));
         assert_eq!(objects(&drain(&inbox_b)), [1]);
         executor.shutdown();
@@ -1014,6 +870,71 @@ mod tests {
         executor.shutdown();
     }
 
+    /// A handle's `send_batch` and a transport's `deliver_many` take one
+    /// path: the same mixed burst — metadata and a data message for one
+    /// inbox, a fan-out message for a two-shard pid, a message for a
+    /// bell-less inbox — leaves identical inbox contents, each in send
+    /// order, and identical gauges.
+    #[test]
+    fn send_batch_and_deliver_many_fill_inboxes_alike() {
+        let from = ProcessId(9);
+        let read = |o| LdsMessage::InvokeRead { obj: ObjectId(o) };
+        let burst = vec![
+            (ProcessId(1), read(0)),
+            (
+                ProcessId(1),
+                LdsMessage::InvokeWrite {
+                    obj: ObjectId(1),
+                    value: lds_core::Value::new(vec![7; 4]),
+                },
+            ),
+            (
+                ProcessId(2),
+                LdsMessage::RepairDone {
+                    obj: ObjectId(0),
+                    objects: 0,
+                    bytes_by_helper: Vec::new(),
+                    fallback_bytes: 0,
+                },
+            ),
+            (ProcessId(3), read(3)),
+            (ProcessId(1), read(4)),
+            (ProcessId(2), read(5)),
+        ];
+        let deliver = |through_handle: bool| {
+            let router = Router::new();
+            let bell = Arc::new(Bell::default());
+            let mut inboxes = Vec::new();
+            for (pid, shards, belled) in [(1, 1, true), (2, 2, true), (3, 1, false)] {
+                let gauges: Vec<_> = (0..shards)
+                    .map(|_| Arc::new(DepthGauge::default()))
+                    .collect();
+                let bell_of = |_| belled.then(|| Arc::clone(&bell));
+                inboxes.extend(router.register_shards(ProcessId(pid), &gauges, bell_of));
+            }
+            if through_handle {
+                router.handle().send_batch(from, burst.clone());
+            } else {
+                let mut direct: Burst = burst
+                    .iter()
+                    .map(|(to, msg)| (from, *to, msg.clone()))
+                    .collect();
+                router.direct().deliver_many(&mut direct);
+            }
+            inboxes
+                .iter()
+                .map(|inbox| (inbox.depth.current(), drain(inbox)))
+                .collect::<Vec<_>>()
+        };
+        let handle = deliver(true);
+        assert_eq!(handle, deliver(false));
+        assert_eq!(objects(&handle[0].1), [0, 1, 4], "send order");
+        for (depth, claimed) in &handle[1..3] {
+            assert_eq!(*depth, claimed.len());
+            assert!(matches!(claimed[0].1, LdsMessage::RepairDone { .. }));
+        }
+    }
+
     #[test]
     fn deregistered_pid_never_receives_even_while_its_inbox_lives() {
         // Crash model: the routing-table entry is gone but the old receiver
@@ -1029,7 +950,7 @@ mod tests {
             ProcessId(1),
             LdsMessage::InvokeRead { obj: ObjectId(0) },
         );
-        router.send(
+        router.handle().send(
             ProcessId(2),
             ProcessId(1),
             LdsMessage::InvokeRead { obj: ObjectId(0) },
@@ -1085,7 +1006,7 @@ mod tests {
         // replacement's inbox starts empty and its (reused) gauge is reset.
         let router = Router::new();
         let gauges = vec![Arc::new(DepthGauge::default())];
-        let inbox_old = router.register_sharded_with(ProcessId(3), &gauges);
+        let inbox_old = router.register_shards(ProcessId(3), &gauges, |_| None);
         let mut handle = router.handle();
         handle.send(
             ProcessId(2),
@@ -1095,7 +1016,7 @@ mod tests {
         assert_eq!(gauges[0].current(), 1, "queued at crash time");
         router.deregister(ProcessId(3));
         drop(inbox_old); // the crashed thread drops its receiver
-        let inbox_new = router.register_sharded_with(ProcessId(3), &gauges);
+        let inbox_new = router.register_shards(ProcessId(3), &gauges, |_| None);
         assert_eq!(
             gauges[0].current(),
             0,
@@ -1118,7 +1039,7 @@ mod tests {
     fn fanout_messages_reach_every_shard_and_keep_stream_order() {
         let router = Router::new();
         let shards = 3;
-        let inboxes = router.register_sharded(ProcessId(4), shards);
+        let inboxes = sharded(&router, ProcessId(4), shards);
         let mut handle = router.handle();
         // A helper's flush: shares routed by object, then the done marker.
         let mut batch: Vec<(ProcessId, LdsMessage)> = (0..6u64)
@@ -1167,7 +1088,7 @@ mod tests {
     #[test]
     fn pings_reach_every_shard_without_touching_gauges() {
         let router = Router::new();
-        let inboxes = router.register_sharded(ProcessId(6), 2);
+        let inboxes = sharded(&router, ProcessId(6), 2);
         router.send_ping(ProcessId(6));
         for inbox in &inboxes {
             assert!(matches!(inbox.rx.recv().unwrap(), Envelope::Ping));
@@ -1243,7 +1164,7 @@ mod tests {
         );
         let router = Router::with_transport(Arc::new(SimTransport::new(&plan, &params)));
         let inbox = router.register(ProcessId(1));
-        router.send(
+        router.handle().send(
             ProcessId(2),
             ProcessId(1),
             LdsMessage::InvokeRead { obj: ObjectId(0) },
@@ -1267,7 +1188,7 @@ mod tests {
         let params = lds_core::params::SystemParams::for_failures(1, 1, 2, 3).unwrap();
         let plan = FaultPlan::seeded(1).rule(FaultRule::new().drop_prob(1.0));
         let router = Router::with_transport(Arc::new(SimTransport::new(&plan, &params)));
-        let inboxes = router.register_sharded(ProcessId(3), 2);
+        let inboxes = sharded(&router, ProcessId(3), 2);
         router.send_stop(ProcessId(3));
         for inbox in &inboxes {
             assert!(matches!(inbox.rx.recv().unwrap(), Envelope::Stop));

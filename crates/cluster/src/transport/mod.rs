@@ -20,8 +20,7 @@
 //!
 //! A transport that carries messages elsewhere only *buffers* them in
 //! [`Transport::take_remote`]; [`Transport::flush`] is where they leave.
-//! The one-off paths ([`Router::send`](crate::router::Router::send),
-//! [`Router::send_ping`](crate::router::Router::send_ping),
+//! The one-off paths ([`Router::send_ping`](crate::router::Router::send_ping),
 //! [`RouterHandle::send`](crate::router::RouterHandle::send)) flush
 //! themselves; after
 //! [`RouterHandle::send_batch`](crate::router::RouterHandle::send_batch)
@@ -67,8 +66,8 @@ pub enum Decision {
     Deliver,
     /// Silently drop the message (a lossy link, or an active partition).
     Drop,
-    /// Deliver the message twice. The duplicate is routed immediately and
-    /// may overtake the original in a batched flush.
+    /// Deliver the message twice: both copies join the sender's burst,
+    /// next to each other.
     Duplicate,
     /// Hold the message for this long, then re-inject it via
     /// [`Transport::hold`]. Messages queued behind it on the same link

@@ -24,9 +24,9 @@
 //!                         ▼
 //!                  executor worker `peer % W`, waiting in `poll` on its
 //!                  share of the sockets: every byte one `read` yielded →
-//!                  each whole frame decoded → DirectSender::deliver_many:
-//!                  one locked append per inbox, then one ring per worker
-//!                  (its own inboxes are swept next, no ring needed)
+//!                  each whole frame decoded → one router Burst
+//!                  (DirectSender::deliver_many): one locked append per
+//!                  inbox, then one ring per worker
 //!                         │
 //!                         ▼
 //!                  destination inboxes on the remote router
@@ -122,8 +122,8 @@ const LINK_BACKLOG_CAP: usize = 32 << 20;
 /// Also the capacity a link buffer keeps (see [`reset`]).
 const COALESCE_CAP: usize = 64 << 10;
 
-/// Most frames an inbound socket hands over in one
-/// [`DirectSender::deliver_many`], however many one `read` yielded.
+/// Most frames an inbound socket hands over in one [`Burst`], however many
+/// one `read` yielded.
 const READ_BURST: usize = 256;
 
 /// An inbound buffer larger than this (it grew for a large frame) is given
@@ -512,10 +512,10 @@ type Tracked = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// The incoming half of a peer on its worker: on `POLLIN` it reads once,
 /// decodes every whole frame it has and delivers the messages a burst at a
-/// time ([`DirectSender::deliver_many`]: one locked append per inbox, then
-/// one ring per worker). A burst ends at [`READ_BURST`] messages, at the end of what the
-/// read yielded, or at anything that is not a message — what preceded it
-/// is delivered first. An undecodable frame poisons the connection
+/// time ([`DirectSender::deliver_many`] of one [`Burst`]: one locked append
+/// per inbox, then one ring per worker). A burst ends at [`READ_BURST`]
+/// messages, at the end of what the read yielded, or at anything that is not
+/// a message — what preceded it is delivered first. An undecodable frame poisons the connection
 /// (framing is lost): it is dropped and the peer reconnects.
 struct Inbound {
     stream: TcpStream,

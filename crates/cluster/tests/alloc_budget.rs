@@ -1,8 +1,8 @@
 //! Allocation budget of the in-process message path.
 //!
 //! A message between two automata of one process carries its own payload
-//! and nothing else: the router appends a flush's metadata for one shard to
-//! that shard's inbox in one locked step (no envelope holds a `Vec`), a
+//! and nothing else: the router appends a flush's messages for one inbox to
+//! that inbox in one locked step (no envelope holds a `Vec`), a
 //! drained inbox keeps its buffer for the next burst, and an L1 server
 //! prunes committed tags in place. Allocations are counted under a counting
 //! global allocator, so each figure is a count, not a timing. The counter is
@@ -69,7 +69,7 @@ fn drain(inbox: &Inbox) -> usize {
 
 /// One flush of a server turn: eight COMMIT-TAG-like metadata messages for
 /// one peer shard and one for another, then both inboxes drained. Once the
-/// handle's group buffers and the inboxes' buffers are warm, a round
+/// handle's burst buffers and the inboxes' buffers are warm, a round
 /// allocates nothing. (The parent of the commit that added this file
 /// allocated 4 per round: the `Batch` envelope's group `Vec`, and the queue
 /// buffer each drain took away and the next send regrew.)

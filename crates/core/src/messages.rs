@@ -369,41 +369,15 @@ impl LdsMessage {
     /// a sharded destination (the cluster transport's per-object routing
     /// would otherwise hand it to a single shard).
     ///
-    /// Fan-out messages are never aggregated into batches: a repair helper's
-    /// end-of-stream [`LdsMessage::RepairDone`] must stay behind the
-    /// [`LdsMessage::RepairShare`]s it terminates on every channel, which the
-    /// transport guarantees by routing both immediately, in send order.
+    /// A fan-out message takes its place, in send order, among the messages
+    /// of its burst for every shard: a repair helper's end-of-stream
+    /// [`LdsMessage::RepairDone`] stays behind the
+    /// [`LdsMessage::RepairShare`]s it terminates on every channel.
     pub fn fanout(&self) -> bool {
         matches!(
             self,
             LdsMessage::RepairHelp { .. } | LdsMessage::RepairDone { .. }
         )
-    }
-
-    /// Whether the cluster transport may *group* this message with the
-    /// others of its flush for the same destination shard (delaying it to
-    /// the end of the flush).
-    ///
-    /// Metadata is batchable — that is the COMMIT-TAG coalescing
-    /// optimisation — with two exceptions: fan-out messages (their routing
-    /// is per-process, not per-shard), and [`LdsMessage::RepairShare`]
-    /// (even a payload-free metadata snapshot must stay **ahead** of the
-    /// fan-out [`LdsMessage::RepairDone`] that terminates its stream, so
-    /// repair messages always dispatch immediately, in send order).
-    pub fn batchable(&self) -> bool {
-        self.is_metadata() && !self.fanout() && !matches!(self, LdsMessage::RepairShare { .. })
-    }
-
-    /// Whether the message carries no object data — only tags, counters and
-    /// other metadata (the messages the paper's cost model counts as free).
-    ///
-    /// The cluster transport uses this to decide what may be **aggregated**:
-    /// metadata messages produced by one flush — most prominently the
-    /// per-write COMMIT-TAG broadcasts — reach each peer shard in one
-    /// locked append, while data-carrying messages (values, coded elements,
-    /// helper payloads) are routed the moment they are sent.
-    pub fn is_metadata(&self) -> bool {
-        self.data_size() == 0
     }
 }
 
@@ -539,36 +513,48 @@ mod tests {
         let obj = ObjectId(0);
         let op = OpId::new(ClientId(1), 0);
         let tag = Tag::initial();
-        // The aggregatable metadata messages: broadcasts, queries, acks.
-        assert!(LdsMessage::BcastSend {
-            obj,
-            tag,
-            origin: ProcessId(1)
-        }
-        .is_metadata());
-        assert!(LdsMessage::BcastDeliver {
-            obj,
-            tag,
-            origin: ProcessId(1)
-        }
-        .is_metadata());
-        assert!(LdsMessage::QueryTag { obj, op }.is_metadata());
-        assert!(LdsMessage::AckPutData { obj, op, tag }.is_metadata());
-        assert!(LdsMessage::AckCodeElem { obj, tag }.is_metadata());
-        // Data-carrying messages are not aggregated.
-        assert!(!LdsMessage::PutData {
-            obj,
-            op,
-            tag,
-            value: Value::from("payload")
-        }
-        .is_metadata());
-        assert!(!LdsMessage::WriteCodeElem {
-            obj,
-            tag,
-            element: Share::new(0, vec![1, 2, 3])
-        }
-        .is_metadata());
+        // Metadata messages carry no object data: broadcasts, queries, acks.
+        assert_eq!(
+            LdsMessage::BcastSend {
+                obj,
+                tag,
+                origin: ProcessId(1)
+            }
+            .data_size(),
+            0
+        );
+        assert_eq!(
+            LdsMessage::BcastDeliver {
+                obj,
+                tag,
+                origin: ProcessId(1)
+            }
+            .data_size(),
+            0
+        );
+        assert_eq!(LdsMessage::QueryTag { obj, op }.data_size(), 0);
+        assert_eq!(LdsMessage::AckPutData { obj, op, tag }.data_size(), 0);
+        assert_eq!(LdsMessage::AckCodeElem { obj, tag }.data_size(), 0);
+        // Data-carrying messages count their payload.
+        assert!(
+            LdsMessage::PutData {
+                obj,
+                op,
+                tag,
+                value: Value::from("payload")
+            }
+            .data_size()
+                > 0
+        );
+        assert!(
+            LdsMessage::WriteCodeElem {
+                obj,
+                tag,
+                element: Share::new(0, vec![1, 2, 3])
+            }
+            .data_size()
+                > 0
+        );
     }
 
     #[test]
@@ -579,7 +565,7 @@ mod tests {
             obj,
             failed: ProcessId(7),
         };
-        assert!(help.is_metadata());
+        assert_eq!(help.data_size(), 0);
         assert!(help.fanout());
         assert_eq!(help.kind(), "REPAIR-HELP");
 
@@ -589,7 +575,7 @@ mod tests {
             bytes_by_helper: vec![(ProcessId(4), 100)],
             fallback_bytes: 300,
         };
-        assert!(done.is_metadata());
+        assert_eq!(done.data_size(), 0);
         assert!(done.fanout());
 
         // Coded repair symbols count their payload bytes and route by object.
@@ -602,7 +588,6 @@ mod tests {
             },
         };
         assert_eq!(share.data_size(), 3);
-        assert!(!share.is_metadata());
         assert!(!share.fanout());
         assert_eq!(share.object(), obj);
 
@@ -618,26 +603,6 @@ mod tests {
             },
         };
         assert_eq!(meta.data_size(), 4);
-
-        // No repair message may be aggregated — even a payload-free snapshot
-        // must keep its place ahead of the fan-out done marker — while the
-        // COMMIT-TAG broadcasts remain batchable.
-        let empty_meta = LdsMessage::RepairShare {
-            obj,
-            payload: RepairPayload::Meta {
-                tc: tag,
-                entries: vec![(tag, None)],
-            },
-        };
-        assert!(empty_meta.is_metadata() && !empty_meta.batchable());
-        assert!(!help.batchable());
-        assert!(!done.batchable());
-        assert!(LdsMessage::BcastDeliver {
-            obj,
-            tag,
-            origin: ProcessId(1)
-        }
-        .batchable());
     }
 
     #[test]
