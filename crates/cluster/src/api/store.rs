@@ -120,6 +120,7 @@ pub trait Store {
     /// — where a [`Store::wait_next`] timeout aborts them all. It is what an
     /// event loop (the `ldsd` RPC worker) or an open-loop load generator
     /// blocks in; [`Store::waker`] ends the wait early from another thread.
+    /// `Duration::MAX` waits without a deadline.
     ///
     /// # Errors
     ///
@@ -165,7 +166,8 @@ pub trait Store {
     /// completions are retained. The handle remains usable.
     fn cancel_all(&mut self);
 
-    /// Sets the timeout for each blocking wait.
+    /// Sets the timeout for each blocking wait; `Duration::MAX` waits
+    /// without a deadline.
     fn set_timeout(&mut self, timeout: Duration);
 
     /// Operations submitted but not yet harvested: queued + in flight +

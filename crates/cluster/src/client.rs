@@ -34,7 +34,7 @@ use crate::api::{Store, StoreError};
 use crate::node::Cluster;
 use crate::obs::{phase, EventKind, ObsMetrics, TraceHandle};
 use crate::router::{DepthGauge, Envelope, Inbox, RouterHandle};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crate::sync::channel::{unbounded, RecvTimeoutError, Sender};
 use lds_core::idmap::{IdMap, IdSet};
 use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::reader::ReaderClient;
@@ -621,12 +621,16 @@ impl StoreClient {
         }
     }
 
-    /// [`StoreClient::pump_blocking`] against a blocking wait's deadline:
-    /// once it has passed, every outstanding operation is aborted (the
-    /// handle is reusable afterwards, but their tickets are forgotten).
-    fn pump_until(&mut self, deadline: Instant) -> Result<(), StoreError> {
-        if let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
-            if self.pump_blocking(remaining)? || Instant::now() < deadline {
+    /// [`StoreClient::pump_blocking`] against a blocking wait's deadline
+    /// (`None`: a timeout no instant can hold, so no deadline): once it has
+    /// passed, every outstanding operation is aborted (the handle is
+    /// reusable afterwards, but their tickets are forgotten).
+    fn pump_until(&mut self, deadline: Option<Instant>) -> Result<(), StoreError> {
+        let left = deadline.map_or(Some(Duration::MAX), |d| {
+            d.checked_duration_since(Instant::now())
+        });
+        if let Some(left) = left {
+            if self.pump_blocking(left)? || deadline.is_none_or(|d| Instant::now() < d) {
                 return Ok(());
             }
         }
@@ -703,7 +707,7 @@ impl Store for StoreClient {
 
     fn wait(&mut self, ticket: OpTicket) -> Result<Completion, StoreError> {
         self.route.flush();
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now().checked_add(self.timeout);
         loop {
             self.pump_available()?;
             if let Some(i) = self.completions.iter().position(|c| c.ticket == ticket) {
@@ -718,7 +722,7 @@ impl Store for StoreClient {
 
     fn wait_next(&mut self) -> Result<Vec<Completion>, StoreError> {
         self.route.flush();
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now().checked_add(self.timeout);
         self.pump_available()?;
         while self.completions.is_empty() && self.outstanding() > 0 {
             self.pump_until(deadline)?;
@@ -728,7 +732,7 @@ impl Store for StoreClient {
 
     fn wait_all(&mut self) -> Result<Vec<Completion>, StoreError> {
         self.route.flush();
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now().checked_add(self.timeout);
         loop {
             self.pump_available()?;
             if self.outstanding() == 0 {
@@ -993,6 +997,16 @@ mod tests {
         }
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].ticket, t);
+        // A wait of `Duration::MAX` has no deadline, not an instant overflow.
+        let t = client.submit_write(ObjectId(0), b"y");
+        let mut got = Vec::new();
+        while got.is_empty() {
+            got = client.poll_wait(Duration::MAX).unwrap();
+        }
+        assert_eq!(got[0].ticket, t);
+        client.set_timeout(Duration::MAX);
+        client.write(ObjectId(0), b"z").unwrap();
+        assert_eq!(client.read(ObjectId(0)).unwrap(), b"z");
         store.shutdown();
     }
 

@@ -46,9 +46,9 @@
 //! within noise or worse.
 
 use crate::router::{Router, RouterHandle};
+use crate::sync::channel::{unbounded, Receiver, Sender};
+use crate::sync::Mutex;
 use crate::transport::sys::{self, PollFd, WakeFd, POLLIN};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

@@ -45,8 +45,8 @@ mod supervisor;
 use crate::api::ServerRef;
 use crate::node::Cluster;
 use crate::repair::RepairLayer;
+use crate::sync::Mutex;
 use lds_sim::ProcessId;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

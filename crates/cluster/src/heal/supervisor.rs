@@ -4,6 +4,7 @@ use super::{HealConfig, HealState};
 use crate::node::Cluster;
 use crate::obs::EventKind;
 use crate::repair::{RepairError, RepairLayer, RepairReport};
+use crate::sync::channel::unbounded;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,8 +76,7 @@ pub(super) fn run_supervisor(
     config: &HealConfig,
     stop: &AtomicBool,
 ) {
-    let (done_tx, done_rx) =
-        crossbeam::channel::unbounded::<(TargetKey, Result<RepairReport, RepairError>)>();
+    let (done_tx, done_rx) = unbounded::<(TargetKey, Result<RepairReport, RepairError>)>();
     let mut in_flight: HashMap<TargetKey, JoinHandle<()>> = HashMap::new();
     let mut backoffs: HashMap<TargetKey, Backoff> = HashMap::new();
     let mut parked: HashSet<TargetKey> = HashSet::new();

@@ -5,7 +5,7 @@
 //!
 //! The protocol automata in `lds-core` are sans-IO state machines; this crate
 //! drives the *same* implementations used by the simulator over real OS
-//! threads and crossbeam channels, giving a deployment with genuine
+//! threads and [`sync::channel`]s, giving a deployment with genuine
 //! concurrency and non-deterministic message interleavings:
 //!
 //! * every L1 and L2 server runs as one or more **worker shards** —
@@ -118,6 +118,7 @@ pub mod node;
 pub mod obs;
 pub mod repair;
 pub mod router;
+pub mod sync;
 pub mod transport;
 
 pub use api::{

@@ -21,6 +21,7 @@ use crate::obs::{
 };
 use crate::repair::{RepairError, RepairLayer, RepairReport};
 use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
+use crate::sync::Mutex;
 use crate::transport::MESSAGE_CLASSES;
 use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::membership::Membership;
@@ -29,7 +30,6 @@ use lds_core::params::{Profile, SystemParams};
 use lds_core::server1::L1Server;
 use lds_core::server2::L2Server;
 use lds_sim::{Context, Process, ProcessId, SimTime};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1192,7 +1192,10 @@ mod tests {
         admin.kill(ServerRef::l1(0)).unwrap();
         client.write(ObjectId(7), b"written while down").unwrap();
 
-        let report = admin.repair(ServerRef::l1(0)).expect("repair succeeds");
+        // `Duration::MAX` is no deadline, not an instant overflow.
+        let report = admin
+            .repair_with_timeout(ServerRef::l1(0), Duration::MAX)
+            .expect("repair succeeds");
         assert_eq!(report.layer, RepairLayer::L1);
         assert!(report.objects >= 6, "all written objects reconstructed");
         // Budget restored: a different L1 crash is tolerated again.

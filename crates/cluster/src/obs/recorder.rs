@@ -24,7 +24,7 @@
 
 use super::events::EventKind;
 use super::phase;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

@@ -41,6 +41,7 @@
 
 use crate::node::Cluster;
 use crate::router::Envelope;
+use crate::sync::channel::RecvTimeoutError;
 use lds_core::messages::LdsMessage;
 use lds_core::tag::ObjectId;
 use lds_sim::ProcessId;
@@ -285,19 +286,22 @@ pub(crate) fn repair_server(
     handle.flush();
 
     // 5. Await one completion report per replacement shard.
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now().checked_add(timeout);
     let mut reports = 0usize;
     let mut objects = 0u64;
     let mut fallback_bytes = 0u64;
     let mut by_helper: BTreeMap<ProcessId, u64> = BTreeMap::new();
     'wait: while reports < shards {
-        let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+        let remaining = deadline.map_or(Some(Duration::MAX), |d| {
+            d.checked_duration_since(Instant::now())
+        });
+        let Some(remaining) = remaining else {
             break 'wait;
         };
         let envelope = match inbox.rx.recv_timeout(remaining) {
             Ok(envelope) => envelope,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'wait,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break 'wait,
         };
         match envelope {
             Envelope::Protocol { from, msg } => {

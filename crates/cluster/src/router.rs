@@ -35,13 +35,13 @@
 //!   inbox.
 
 use crate::executor::Bell;
+use crate::sync::channel::{unbounded, Receiver, SendError, Sender};
+use crate::sync::Mutex;
 use crate::transport::{Decision, InProcTransport, Transport};
-use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use lds_core::idmap::IdMap;
 use lds_core::messages::LdsMessage;
 use lds_core::tag::ObjectId;
 use lds_sim::ProcessId;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 

@@ -1,28 +1,40 @@
-//! Offline shim for the `crossbeam` crate.
-//!
-//! Provides the subset of `crossbeam::channel` the workspace uses: an
-//! unbounded MPMC channel with cloneable senders and receivers, blocking
-//! `recv`, and `recv_timeout`. Implemented with a mutex-protected queue and a
-//! condition variable; disconnection semantics (all senders dropped ⇒
-//! `Disconnected`) match the real crate.
-//!
-//! One addition the real crate does not have: [`channel::Sender::send_iter`],
-//! a burst enqueued under one lock acquisition. Swapping in the real crate
-//! means replacing its one caller (`lds_cluster`'s router) with a `send` loop.
+//! The message path's two primitives over `std::sync`: the unbounded inbox
+//! [`channel`] every envelope travels through, and a non-poisoning
+//! [`Mutex`]. The runtime blocks and locks through this one module.
+
+use std::sync::{MutexGuard, PoisonError};
+
+/// A mutual-exclusion lock that does not poison: after a panic while it was
+/// held, the next `lock` returns the data as the panicking thread left it.
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// Creates a new mutex.
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    /// Acquires the lock, blocking until it is available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 pub mod channel {
-    //! Multi-producer multi-consumer channels.
+    //! An unbounded multi-producer channel over a mutex-protected queue and
+    //! a condition variable. Its one receiver may be shared between threads.
 
+    use super::Mutex;
     use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, PoisonError};
     use std::time::{Duration, Instant};
 
     /// Largest drained buffer (in messages) kept as a channel's spare; a
     /// larger one — left by a backlog spike — is freed, so a spike cannot pin
     /// its memory for the channel's lifetime.
-    pub(crate) const SPARE_CAP: usize = 1024;
+    pub(super) const SPARE_CAP: usize = 1024;
 
     struct Queue<T> {
         items: VecDeque<T>,
@@ -37,7 +49,7 @@ pub mod channel {
         queue: Mutex<Queue<T>>,
         ready: Condvar,
         senders: AtomicUsize,
-        receivers: AtomicUsize,
+        receiver_dropped: AtomicBool,
         /// Receivers currently blocked in `wait`/`wait_timeout`. Incremented
         /// under the queue lock before waiting, so a sender that pushes and
         /// then reads 0 is guaranteed no receiver was parked at push time —
@@ -46,7 +58,7 @@ pub mod channel {
         waiters: AtomicUsize,
     }
 
-    /// Error returned by [`Sender::send`] when all receivers are gone.
+    /// Error returned by [`Sender::send`] when the receiver is gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
@@ -64,15 +76,6 @@ pub mod channel {
         Disconnected,
     }
 
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => write!(f, "receive timed out"),
-                RecvTimeoutError::Disconnected => write!(f, "channel disconnected"),
-            }
-        }
-    }
-
     /// The sending half of an unbounded channel.
     pub struct Sender<T> {
         inner: Arc<Inner<T>>,
@@ -81,12 +84,6 @@ pub mod channel {
     /// The receiving half of an unbounded channel.
     pub struct Receiver<T> {
         inner: Arc<Inner<T>>,
-    }
-
-    impl<T> Inner<T> {
-        fn lock(&self) -> MutexGuard<'_, Queue<T>> {
-            self.queue.lock().unwrap_or_else(|p| p.into_inner())
-        }
     }
 
     /// Creates an unbounded channel.
@@ -98,7 +95,7 @@ pub mod channel {
             }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
+            receiver_dropped: AtomicBool::new(false),
             waiters: AtomicUsize::new(0),
         });
         (
@@ -110,12 +107,12 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Enqueues a message; fails only if every receiver was dropped.
+        /// Enqueues a message; fails only if the receiver was dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            if self.inner.receivers.load(Ordering::Acquire) == 0 {
+            if self.inner.receiver_dropped.load(Ordering::Acquire) {
                 return Err(SendError(value));
             }
-            self.inner.lock().items.push_back(value);
+            self.inner.queue.lock().items.push_back(value);
             // Only signal when a receiver is actually parked: `waiters` is
             // incremented under the queue lock before waiting, so reading 0
             // here (after push, which synchronized on that same lock) proves
@@ -130,12 +127,12 @@ pub mod channel {
         /// Enqueues every message of `values`, in order, under one lock
         /// acquisition, then checks for parked receivers once: a concurrent
         /// [`Receiver::try_iter`] claims the whole burst or none of it. Fails,
-        /// consuming nothing, only if every receiver was dropped.
+        /// consuming nothing, only if the receiver was dropped.
         pub fn send_iter<I: IntoIterator<Item = T>>(&self, values: I) -> Result<(), SendError<I>> {
-            if self.inner.receivers.load(Ordering::Acquire) == 0 {
+            if self.inner.receiver_dropped.load(Ordering::Acquire) {
                 return Err(SendError(values));
             }
-            self.inner.lock().items.extend(values);
+            self.inner.queue.lock().items.extend(values);
             // As in `send`; all of them, since a burst can feed several.
             if self.inner.waiters.load(Ordering::Acquire) > 0 {
                 self.inner.ready.notify_all();
@@ -162,84 +159,66 @@ pub mod channel {
                 // through that lock first puts the notification either before
                 // its check or after its wait began — never in the gap, where
                 // it would be lost and the receiver would wait forever.
-                drop(self.inner.lock());
+                drop(self.inner.queue.lock());
                 self.inner.ready.notify_all();
             }
         }
     }
 
     impl<T> Receiver<T> {
-        fn disconnected(&self) -> bool {
-            self.inner.senders.load(Ordering::Acquire) == 0
-        }
-
         /// Blocks until a message is available or all senders disconnect.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.inner.lock();
-            loop {
-                if let Some(v) = queue.items.pop_front() {
-                    return Ok(v);
-                }
-                if self.disconnected() {
-                    return Err(RecvError);
-                }
-                self.inner.waiters.fetch_add(1, Ordering::AcqRel);
-                let waited = self.inner.ready.wait(queue);
-                self.inner.waiters.fetch_sub(1, Ordering::AcqRel);
-                queue = waited.unwrap_or_else(|p| p.into_inner());
-            }
+            self.recv_timeout(Duration::MAX).map_err(|_| RecvError)
         }
 
-        /// Waits at most `timeout` for a message.
+        /// Waits at most `timeout` for a message; a timeout too long to
+        /// express as an instant (`Duration::MAX`) has no deadline.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut queue = self.inner.lock();
+            let deadline = Instant::now().checked_add(timeout);
+            let mut queue = self.inner.queue.lock();
             loop {
                 if let Some(v) = queue.items.pop_front() {
                     return Ok(v);
                 }
-                if self.disconnected() {
+                if self.inner.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    return Err(RecvTimeoutError::Timeout);
+                // `Duration::MAX` is an unbounded wait to the condvar too; an
+                // early wake-up only goes round the loop again.
+                let left = match deadline {
+                    Some(deadline) => deadline
+                        .checked_duration_since(Instant::now())
+                        .ok_or(RecvTimeoutError::Timeout)?,
+                    None => Duration::MAX,
                 };
                 self.inner.waiters.fetch_add(1, Ordering::AcqRel);
-                let waited = self.inner.ready.wait_timeout(queue, remaining);
+                let waited = self.inner.ready.wait_timeout(queue, left);
+                queue = waited.unwrap_or_else(PoisonError::into_inner).0;
                 self.inner.waiters.fetch_sub(1, Ordering::AcqRel);
-                let (guard, result) = waited.unwrap_or_else(|p| p.into_inner());
-                queue = guard;
-                if result.timed_out() && queue.items.is_empty() {
-                    if self.disconnected() {
-                        return Err(RecvTimeoutError::Disconnected);
-                    }
-                    return Err(RecvTimeoutError::Timeout);
-                }
             }
         }
 
         /// Removes and returns a message if one is immediately available.
         pub fn try_recv(&self) -> Option<T> {
-            self.inner.lock().items.pop_front()
+            self.inner.queue.lock().items.pop_front()
         }
 
-        /// Whether the channel holds no message right now (matches the
-        /// `crossbeam` API). Goes through the queue lock, so a check that
-        /// follows a store on the calling thread is ordered after every
-        /// `send` whose message it does not see.
+        /// Whether the channel holds no message right now. Goes through the
+        /// queue lock, so a check that follows a store on the calling thread
+        /// is ordered after every `send` whose message it does not see.
         pub fn is_empty(&self) -> bool {
-            self.inner.lock().items.is_empty()
+            self.inner.queue.lock().items.is_empty()
         }
 
         /// An iterator over the messages that are in the channel right now;
         /// never blocks. The whole backlog is claimed under one lock, so
         /// draining N messages costs one lock acquisition instead of N
-        /// (matches the `crossbeam` API; messages arriving while iterating
-        /// are left for the next call). The claimed buffer is replaced by
-        /// the channel's spare and returns as the next spare when the
-        /// iterator drops, so draining allocates nothing.
+        /// (messages arriving while iterating are left for the next call).
+        /// The claimed buffer is replaced by the channel's spare and returns
+        /// as the next spare when the iterator drops, so draining allocates
+        /// nothing.
         pub fn try_iter(&self) -> TryIter<'_, T> {
-            let mut queue = self.inner.lock();
+            let mut queue = self.inner.queue.lock();
             let drained = if queue.items.is_empty() {
                 VecDeque::new()
             } else {
@@ -254,18 +233,17 @@ pub mod channel {
 
         /// `(queue, spare)` buffer capacities, for the tests.
         #[cfg(test)]
-        pub(crate) fn capacities(&self) -> (usize, usize) {
-            let queue = self.inner.lock();
+        pub(super) fn capacities(&self) -> (usize, usize) {
+            let queue = self.inner.queue.lock();
             (queue.items.capacity(), queue.spare.capacity())
         }
     }
 
     /// Iterator returned by [`Receiver::try_iter`]. Dropping it before
     /// exhaustion puts the unconsumed messages back at the front of the
-    /// channel (preserving order), like the real crate's lock-per-`next`
-    /// implementation would have left them there; either way its emptied
-    /// buffer becomes the channel's spare unless that is taken or the
-    /// buffer is larger than the bound.
+    /// channel, in order, ahead of what arrived meanwhile; either way its
+    /// emptied buffer becomes the channel's spare unless that is taken or
+    /// the buffer is larger than the bound.
     pub struct TryIter<'a, T> {
         drained: VecDeque<T>,
         receiver: &'a Receiver<T>,
@@ -288,7 +266,7 @@ pub mod channel {
                 return; // claimed nothing: no buffer to hand back
             }
             let inner = &self.receiver.inner;
-            let mut queue = inner.lock();
+            let mut queue = inner.queue.lock();
             let leftovers = !self.drained.is_empty();
             if leftovers {
                 // Leftovers first, then whatever arrived meanwhile; the
@@ -300,26 +278,18 @@ pub mod channel {
                 queue.spare = std::mem::take(&mut self.drained);
             }
             drop(queue);
-            // Another receiver may have parked while this iterator held the
-            // backlog; wake it, exactly like a send would.
+            // A thread blocked in `recv` on the same shared receiver may have
+            // parked while this iterator held the backlog; wake it, exactly
+            // like a send would.
             if leftovers && inner.waiters.load(Ordering::Acquire) > 0 {
                 inner.ready.notify_one();
             }
         }
     }
 
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.inner.receivers.fetch_add(1, Ordering::Relaxed);
-            Receiver {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.inner.receivers.fetch_sub(1, Ordering::AcqRel);
+            self.inner.receiver_dropped.store(true, Ordering::Release);
         }
     }
 }
@@ -327,7 +297,16 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel::*;
+    use super::Mutex;
+    use std::sync::{Arc, Barrier};
     use std::time::Duration;
+
+    #[test]
+    fn mutex_roundtrip() {
+        let m = Mutex::new(1);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+    }
 
     #[test]
     fn send_recv_roundtrip() {
@@ -336,6 +315,8 @@ mod tests {
         assert_eq!(rx.recv(), Ok(7));
     }
 
+    /// Also: a timeout no instant can hold (`Duration::MAX`) is no
+    /// deadline, not an overflow.
     #[test]
     fn timeout_on_empty_channel() {
         let (tx, rx) = unbounded::<u8>();
@@ -343,9 +324,15 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(RecvTimeoutError::Timeout)
         );
+        tx.send(3).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(3));
         drop(tx);
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(10)),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        assert_eq!(
+            rx.recv_timeout(Duration::MAX),
             Err(RecvTimeoutError::Disconnected)
         );
     }
@@ -360,13 +347,14 @@ mod tests {
     }
 
     /// A `recv` blocked on an empty channel returns when another thread
-    /// drops the last sender (what `lds_cluster`'s "join a server" waits on).
-    /// The barrier releases both sides together so the drop lands around the
-    /// receiver's disconnection check; a lost wake-up shows as a hang (with
-    /// the notification outside the queue lock, within ~10⁶ rounds).
+    /// drops the last sender (what "join a server" waits on). The
+    /// barrier releases both sides together so the drop lands around the
+    /// receiver's disconnection check; a lost wake-up shows as a hang
+    /// (with the notification outside the queue lock, within ~10⁶
+    /// rounds).
     #[test]
     fn blocked_recv_wakes_when_the_last_sender_drops() {
-        use std::sync::{mpsc, Arc, Barrier};
+        use std::sync::mpsc;
         let barrier = Arc::new(Barrier::new(2));
         let (hand_over, senders) = mpsc::channel::<Sender<()>>();
         let dropper = {
@@ -412,7 +400,6 @@ mod tests {
     /// not one critical section — inside it.
     #[test]
     fn a_send_iter_burst_is_claimed_whole_or_not_at_all() {
-        use std::sync::{Arc, Barrier};
         const BURST: usize = 8;
         const ROUNDS: usize = 20_000;
         let barrier = Arc::new(Barrier::new(2));
@@ -447,8 +434,8 @@ mod tests {
     }
 
     /// A partial drain puts the rest back in order ahead of what arrived
-    /// meanwhile, and a drained buffer comes back as the spare that the next
-    /// `try_iter` swaps in.
+    /// meanwhile, and a drained buffer comes back as the spare that the
+    /// next `try_iter` swaps in.
     #[test]
     fn a_partial_drain_requeues_in_order_then_the_spare_is_reused() {
         let (tx, rx) = unbounded();
@@ -490,37 +477,36 @@ mod tests {
         assert!(queue <= SPARE_CAP && spare <= SPARE_CAP);
     }
 
-    /// Two receivers drain concurrently with a bursting sender, so one
-    /// iterator's spare hand-back races the other's claim: every message is
-    /// still delivered exactly once, and each receiver sees its share in
-    /// send order.
+    /// Two threads drain one shared receiver concurrently with a
+    /// bursting sender, so one iterator's spare hand-back races the
+    /// other's claim: every message is still delivered exactly once, and
+    /// each thread sees its share in send order.
     #[test]
     fn spare_hand_back_races_a_concurrent_drain_without_loss() {
-        use std::sync::{Arc, Barrier};
         const BURST: usize = 4;
         const ROUNDS: usize = 10_000;
-        let barrier = Arc::new(Barrier::new(3));
+        let barrier = Barrier::new(3);
         let (tx, rx) = unbounded();
-        let drainer = |rx: Receiver<usize>, barrier: Arc<Barrier>| {
-            std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                for _ in 0..ROUNDS {
-                    barrier.wait();
-                    seen.extend(rx.try_iter());
-                    seen.extend(rx.try_iter());
-                    barrier.wait();
-                }
-                seen
-            })
+        let drain = || {
+            let mut seen = Vec::new();
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                seen.extend(rx.try_iter());
+                seen.extend(rx.try_iter());
+                barrier.wait();
+            }
+            seen
         };
-        let a = drainer(rx.clone(), Arc::clone(&barrier));
-        let b = drainer(rx.clone(), Arc::clone(&barrier));
-        for round in 0..ROUNDS {
-            barrier.wait();
-            tx.send_iter((0..BURST).map(|i| round * BURST + i)).unwrap();
-            barrier.wait();
-        }
-        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(drain);
+            let b = s.spawn(drain);
+            for round in 0..ROUNDS {
+                barrier.wait();
+                tx.send_iter((0..BURST).map(|i| round * BURST + i)).unwrap();
+                barrier.wait();
+            }
+            (a.join().unwrap(), b.join().unwrap())
+        });
         let late: Vec<usize> = rx.try_iter().collect();
         for seen in [&a, &b, &late] {
             assert!(seen.windows(2).all(|w| w[0] < w[1]), "out of order");

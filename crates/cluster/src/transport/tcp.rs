@@ -106,7 +106,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 /// Byte budget of one link's unwritten backlog (buffered plus being
 /// drained). A link that is down or slow beyond it starts dropping
@@ -1109,7 +1109,7 @@ mod tests {
     use crate::executor::{Executor, Task, Turn};
     use crate::node::HostScope;
     use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
-    use crossbeam::channel::{unbounded, Receiver};
+    use crate::sync::channel::{unbounded, Receiver};
     use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
     use lds_core::value::Value;
     use lds_core::wire::Request;

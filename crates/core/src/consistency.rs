@@ -16,6 +16,7 @@
 //! performs an explicit linearization search (exponential in the worst case,
 //! intended for the small histories used in tests).
 
+use crate::idmap::IdMap;
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_sim::SimTime;
@@ -156,43 +157,38 @@ impl History {
         self.operations.is_empty()
     }
 
-    /// Operations restricted to one object, preserving order.
-    pub fn for_object(&self, obj: ObjectId) -> History {
-        History {
-            operations: self
-                .operations
-                .iter()
-                .filter(|o| o.obj == obj)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// The set of objects appearing in the history.
     pub fn objects(&self) -> Vec<ObjectId> {
-        let mut set: Vec<ObjectId> = self.operations.iter().map(|o| o.obj).collect();
-        set.sort();
-        set.dedup();
-        set
+        self.by_object().into_keys().collect()
     }
 
     /// Checks atomicity using the protocol tags (the paper's Lemma 13.16
-    /// conditions), per object.
+    /// conditions), per object, in O(n log n).
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn check_atomicity(&self) -> Result<(), AtomicityViolation> {
-        for obj in self.objects() {
-            self.for_object(obj).check_atomicity_single_object()?;
+        for ops in self.by_object().values() {
+            Self::check_atomicity_single_object(ops)?;
         }
         Ok(())
     }
 
-    fn check_atomicity_single_object(&self) -> Result<(), AtomicityViolation> {
+    /// The operations split by object in one pass: objects ascending, each
+    /// object's operations in recorded order.
+    fn by_object(&self) -> BTreeMap<ObjectId, Vec<&Operation>> {
+        let mut split: BTreeMap<ObjectId, Vec<&Operation>> = BTreeMap::new();
+        for op in &self.operations {
+            split.entry(op.obj).or_default().push(op);
+        }
+        split
+    }
+
+    fn check_atomicity_single_object(ops: &[&Operation]) -> Result<(), AtomicityViolation> {
         // P3 ingredients: map write tags to values; detect duplicates.
-        let mut writes_by_tag: BTreeMap<Tag, (OpId, &Value)> = BTreeMap::new();
-        for op in self.operations.iter().filter(|o| o.is_write()) {
+        let mut writes_by_tag: IdMap<Tag, (OpId, &Value)> = IdMap::default();
+        for op in ops.iter().filter(|o| o.is_write()) {
             if let Some((first, _)) = writes_by_tag.get(&op.tag) {
                 return Err(AtomicityViolation::DuplicateWriteTag {
                     first: *first,
@@ -204,7 +200,7 @@ impl History {
         }
 
         // Every read's (tag, value) must match a write or the initial value.
-        for op in self.operations.iter().filter(|o| !o.is_write()) {
+        for op in ops.iter().filter(|o| !o.is_write()) {
             if op.tag.is_initial() {
                 if !op.value().is_empty() {
                     return Err(AtomicityViolation::UnknownValue { read: op.op });
@@ -220,20 +216,29 @@ impl History {
             }
         }
 
-        // P1: the partial order induced by tags must not contradict real time.
-        // π ≺ φ  iff  tag(π) < tag(φ), or tags are equal and π is a write
-        // while φ is a read.
-        for a in &self.operations {
-            for b in &self.operations {
-                if a.precedes(b) {
-                    let b_before_a =
-                        b.tag < a.tag || (b.tag == a.tag && b.is_write() && !a.is_write());
-                    if b_before_a {
-                        return Err(AtomicityViolation::RealTimeViolation {
-                            earlier: a.op,
-                            later: b.op,
-                        });
-                    }
+        // P1: the partial order induced by tags must not contradict real
+        // time: no `a` that completed before `b` was invoked has `b ≺ a`.
+        // Sorted by response, the operations that completed before `b` are
+        // a prefix (binary search), so `b` meets only its largest key.
+        let mut by_response = ops.to_vec();
+        by_response.sort_unstable_by_key(|o| o.completed_at);
+        // `prefix_max[i]`: an operation of largest key in `by_response[..=i]`.
+        let mut prefix_max: Vec<&Operation> = Vec::with_capacity(by_response.len());
+        for &op in &by_response {
+            let last = prefix_max.last().copied();
+            prefix_max.push(
+                last.filter(|&max| order_key(max) >= order_key(op))
+                    .unwrap_or(op),
+            );
+        }
+        for &b in ops {
+            let before = by_response.partition_point(|a| a.completed_at < b.invoked_at);
+            if let Some(&a) = prefix_max[..before].last() {
+                if order_key(b) < order_key(a) {
+                    return Err(AtomicityViolation::RealTimeViolation {
+                        earlier: a.op,
+                        later: b.op,
+                    });
                 }
             }
         }
@@ -250,18 +255,14 @@ impl History {
     /// or [`AtomicityViolation::UnknownValue`] if a read returned a value
     /// that was never written.
     pub fn check_linearizable_search(&self) -> Result<(), AtomicityViolation> {
-        for obj in self.objects() {
-            self.for_object(obj).search_single_object()?;
+        for ops in self.by_object().values() {
+            Self::search_single_object(ops)?;
         }
         Ok(())
     }
 
-    fn search_single_object(&self) -> Result<(), AtomicityViolation> {
-        let ops = &self.operations;
+    fn search_single_object(ops: &[&Operation]) -> Result<(), AtomicityViolation> {
         let n = ops.len();
-        if n == 0 {
-            return Ok(());
-        }
         // Values must be attributable.
         let written: HashSet<&[u8]> = ops
             .iter()
@@ -280,7 +281,7 @@ impl History {
         let mut memo: HashSet<(Vec<bool>, usize)> = HashSet::new();
         // `usize::MAX` represents the initial value.
         fn dfs(
-            ops: &[Operation],
+            ops: &[&Operation],
             done: &mut Vec<bool>,
             last_written: usize,
             memo: &mut HashSet<(Vec<bool>, usize)>,
@@ -384,6 +385,13 @@ impl History {
         }
         map
     }
+}
+
+/// Where `≺` places an operation: `π ≺ φ` iff `order_key(π) <
+/// order_key(φ)` — a smaller tag, or the same tag with `π` a write and `φ`
+/// a read.
+fn order_key(op: &Operation) -> (Tag, bool) {
+    (op.tag, !op.is_write())
 }
 
 #[cfg(test)]
@@ -551,7 +559,70 @@ mod tests {
         h.record(r2);
         assert_eq!(h.objects(), vec![ObjectId(1), ObjectId(2)]);
         assert!(h.check_atomicity().is_ok());
-        assert_eq!(h.for_object(ObjectId(1)).len(), 2);
+    }
+
+    /// Random two-object histories whose tags and values are consistent
+    /// (so P1 decides), on integer instants 0..6 so that responses and
+    /// invocations tie often: the sweep agrees on every verdict with the
+    /// O(n²) pairwise check it replaced, and a reported pair is a violation.
+    #[test]
+    fn the_sweep_agrees_with_the_pairwise_reference() {
+        let violates = |a: &Operation, b: &Operation| {
+            a.obj == b.obj
+                && a.precedes(b)
+                && (b.tag < a.tag || (b.tag == a.tag && b.is_write() && !a.is_write()))
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut atomic, mut violated) = (0, 0);
+        for _ in 0..20_000 {
+            let mut ops: Vec<Operation> = Vec::new();
+            let mut writes: Vec<(ObjectId, Tag)> = Vec::new();
+            for seq in 0..1 + next(10) {
+                let obj = ObjectId(next(2));
+                let t0 = next(6) as f64;
+                let t1 = t0 + next(3) as f64;
+                let op = if next(2) == 0 {
+                    let tag = Tag::new(1 + next(4), ClientId(1 + next(3)));
+                    if writes.contains(&(obj, tag)) {
+                        continue;
+                    }
+                    writes.push((obj, tag));
+                    write(seq, 1, tag, &tag.to_string(), t0, t1)
+                } else {
+                    let mut seen = vec![Tag::initial()];
+                    seen.extend(writes.iter().filter(|w| w.0 == obj).map(|w| w.1));
+                    let tag = seen[next(seen.len() as u64) as usize];
+                    let value = if tag.is_initial() {
+                        String::new()
+                    } else {
+                        tag.to_string()
+                    };
+                    read(seq, 2, tag, &value, t0, t1)
+                };
+                ops.push(Operation { obj, ..op });
+            }
+            let pairwise = ops.iter().any(|a| ops.iter().any(|b| violates(a, b)));
+            let find = |id| ops.iter().find(|o| o.op == id).unwrap();
+            match (History {
+                operations: ops.clone(),
+            })
+            .check_atomicity()
+            {
+                Ok(()) if !pairwise => atomic += 1,
+                Err(AtomicityViolation::RealTimeViolation { earlier, later }) if pairwise => {
+                    assert!(violates(find(earlier), find(later)));
+                    violated += 1;
+                }
+                sweep => panic!("sweep {sweep:?}, pairwise {pairwise} on {ops:?}"),
+            }
+        }
+        assert!(atomic > 1_000 && violated > 1_000, "{atomic} / {violated}");
     }
 
     #[test]

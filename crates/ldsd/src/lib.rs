@@ -35,6 +35,7 @@ pub use config::{Config, ConfigError};
 pub use net_client::{NetClient, NetError};
 pub use rpc::layer_byte;
 
+use lds_cluster::sync::channel::{unbounded, Receiver, RecvTimeoutError};
 use lds_cluster::transport::{LinkStats, TcpTransport, Transport};
 use lds_cluster::{StoreBuilder, StoreError, StoreHandle};
 use std::fmt;
@@ -92,7 +93,7 @@ pub struct Daemon {
     store: Arc<StoreHandle>,
     rpc: Option<rpc::RpcServer>,
     http: Option<http::HttpServer>,
-    shutdown_rx: crossbeam::channel::Receiver<()>,
+    shutdown_rx: Receiver<()>,
 }
 
 impl Daemon {
@@ -129,7 +130,7 @@ impl Daemon {
             },
         )?;
 
-        let (shutdown_tx, shutdown_rx) = crossbeam::channel::unbounded();
+        let (shutdown_tx, shutdown_rx) = unbounded();
         let rpc = rpc::RpcServer::start(
             config.daemon.client_listen,
             Arc::clone(&store),
@@ -194,8 +195,8 @@ impl Daemon {
     pub fn wait_shutdown(&self, timeout: Duration) -> bool {
         match self.shutdown_rx.recv_timeout(timeout) {
             Ok(()) => true,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => false,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => true,
+            Err(RecvTimeoutError::Timeout) => false,
+            Err(RecvTimeoutError::Disconnected) => true,
         }
     }
 
@@ -225,7 +226,7 @@ impl fmt::Debug for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lds_cluster::ObjectId;
+    use lds_cluster::{ObjectId, StoreClient, Waker};
     use std::net::TcpListener;
     use std::time::Instant;
 
@@ -245,6 +246,19 @@ mod tests {
             text.push_str(&format!("{pid} = \"127.0.0.1:{}\"\n", ports[0]));
         }
         Daemon::start(Config::parse(&text).unwrap()).unwrap()
+    }
+
+    /// The thread-safety contract embedders build on: daemons and store
+    /// handles are shared by reference between threads, clients move to one.
+    #[test]
+    fn handles_are_send_and_sync_where_callers_share_them() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        fn assert_send<T: Send>() {}
+        assert_send_sync::<Daemon>();
+        assert_send_sync::<StoreHandle>();
+        assert_send::<NetClient>();
+        assert_send::<StoreClient>();
+        assert_send::<Waker>();
     }
 
     /// A daemon that serves many short-lived clients must not keep one dead

@@ -29,10 +29,11 @@
 
 use crate::config::Config;
 use lds_cluster::repair::RepairLayer;
+use lds_cluster::sync::channel::{unbounded, RecvTimeoutError, Sender};
+use lds_cluster::sync::Mutex;
 use lds_cluster::{Admin, OpOutcome, OpTicket, ServerRef, Store, StoreClient, StoreHandle, Waker};
 use lds_core::value::Value;
 use lds_core::wire::{self, Frame, Request, Response, HELLO_TIMEOUT};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -80,7 +81,7 @@ impl RpcServer {
         addr: SocketAddr,
         store: Arc<StoreHandle>,
         config: Arc<Config>,
-        shutdown_tx: crossbeam::channel::Sender<()>,
+        shutdown_tx: Sender<()>,
     ) -> std::io::Result<RpcServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -135,7 +136,7 @@ fn run_acceptor(
     listener: TcpListener,
     store: Arc<StoreHandle>,
     config: Arc<Config>,
-    shutdown_tx: crossbeam::channel::Sender<()>,
+    shutdown_tx: Sender<()>,
     stop: Arc<AtomicBool>,
     conns: Conns,
 ) {
@@ -188,11 +189,7 @@ fn run_acceptor(
 
 /// Reader-thread body: decode frames into `tx` until the stream dies,
 /// waking the worker after each one (it may be blocked on the store).
-fn run_reader(
-    mut stream: BufReader<TcpStream>,
-    tx: crossbeam::channel::Sender<Event>,
-    waker: Waker,
-) {
+fn run_reader(mut stream: BufReader<TcpStream>, tx: Sender<Event>, waker: Waker) {
     let mut body = Vec::with_capacity(4096);
     loop {
         let event = match wire::read_frame(&mut stream, &mut body) {
@@ -216,7 +213,7 @@ fn run_connection(
     mut stream: TcpStream,
     store: Arc<StoreHandle>,
     config: Arc<Config>,
-    shutdown_tx: crossbeam::channel::Sender<()>,
+    shutdown_tx: Sender<()>,
     stop: Arc<AtomicBool>,
 ) {
     let Ok(read_half) = stream.try_clone() else {
@@ -248,7 +245,7 @@ fn run_connection(
 
     let mut client = store.client_with_depth(config.cluster.pipeline_depth);
     let admin = store.admin();
-    let (tx, rx) = crossbeam::channel::unbounded::<Event>();
+    let (tx, rx) = unbounded::<Event>();
     // The reader inherits the buffered read half: requests a client
     // pipelined behind its Hello are already in that buffer.
     let waker = client.waker();
@@ -269,8 +266,8 @@ fn run_connection(
         let first = if pending.is_empty() {
             match rx.recv_timeout(STOP_POLL) {
                 Ok(event) => Some(event),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Some(Event::Closed),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => Some(Event::Closed),
             }
         } else {
             None
