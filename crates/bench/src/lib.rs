@@ -1,10 +1,10 @@
 //! # lds-bench
 //!
 //! The benchmark harness reproducing every figure and analytical result of
-//! the LDS paper's evaluation (§V), plus the wall-clock cluster throughput
-//! sweep. See `ARCHITECTURE.md` and `README.md` at the repository root for
-//! the experiment index and the reproduction commands behind the
-//! `BENCH_*.json` files.
+//! the LDS paper's evaluation (§V), plus the TCP-versus-in-process rows.
+//! See `ARCHITECTURE.md` and `README.md` at the repository root for the
+//! experiment index and the reproduction commands behind the `BENCH_*.json`
+//! files.
 //!
 //! The **experiment binaries** (`cargo run -p lds-bench --bin exp_*`):
 //! - `exp_paper` — the paper's evaluation as aligned text tables, every row
@@ -14,17 +14,15 @@
 //!   objects (Fig. 6 / Lemma V.5), the MBR / MSR-point ablation (Remarks 1,
 //!   2), the single-layer ABD and CAS algorithms, and online node repair at
 //!   `β/α` of the full-element fallback, recorded into `BENCH_REPAIR.json`;
-//! - `exp_throughput` — wall-clock ops/sec of the threaded cluster
-//!   runtime (pipelined clients × worker shards × profile × backend),
-//!   recorded into `BENCH_CLUSTER.json`;
 //! - `exp_net` — TCP versus in-process rows, recorded into `BENCH_NET.json`.
 //!
 //! [`threads`] is the per-thread-role CPU and context-switch census
 //! `exp_net` attributes its TCP rows with.
 //!
-//! Raw code throughput (encode / decode / repair) and the simulated protocol
-//! step are timed by the `gf.*`, `codes.*` and `core.sim_step_ns` rungs of
-//! `lds_benchmark`'s ladder.
+//! Timed throughput and latency of the in-process store, and raw code
+//! throughput (encode / decode / repair) and the simulated protocol step,
+//! come from `lds_benchmark` (its workloads and its `gf.*`, `codes.*` and
+//! `core.sim_step_ns` ladder rungs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,22 +72,15 @@ pub fn fmt3(x: f64) -> String {
 /// Version of the recorded `BENCH_*.json` schema, asserted by the CI smoke
 /// checks and by a CI check over the committed files, so a future change to
 /// the recorded fields fails loudly instead of silently breaking consumers
-/// of the JSON. The `exp_throughput`, `exp_paper` and `exp_net` writers
-/// stamp it into `_meta.schema_version` themselves.
+/// of the JSON. The `exp_paper` and `exp_net` writers stamp it into
+/// `_meta.schema_version` themselves.
 ///
 /// History: 1 = the original unversioned layout (implicit); 2 = identical
-/// layout plus this explicit stamp; 3 = `BENCH_CLUSTER.json` result rows
-/// gain the workload axes `{value_size, theta, read_fraction, read_cache,
-/// cache_hits}` (large values, read cache, skewed workloads — other
-/// `BENCH_*.json` layouts are unchanged and carry the stamp forward); 4 =
-/// `BENCH_CLUSTER.json` result rows gain the protocol-phase latency
-/// breakdown `{phase_tag_p50_us, phase_tag_p99_us,
-/// phase_data_p50_us, phase_data_p99_us, phase_commit_p50_us,
-/// phase_commit_p99_us}` (from the cluster's always-on phase histograms,
-/// diffed across the measured window) and `_meta` gains `obs_ab`, a
-/// flight-recorder off/on A/B point documenting the disabled-tracing
-/// overhead (other `BENCH_*.json` layouts are unchanged and carry the
-/// stamp forward).
+/// layout plus this explicit stamp; 3 and 4 added workload-axis and
+/// per-phase latency fields to the rows of the in-process throughput sweep,
+/// which has since been deleted (`lds_benchmark` is the one timed harness
+/// for the in-process store). The remaining files carry the stamp forward
+/// unchanged.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Logical cores available to this process, stamped into `_meta.host_cores`

@@ -192,17 +192,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Tag-validated client read cache: each client handle remembers the
-    /// last committed `(tag, value)` of up to `entries` recently accessed
-    /// objects. A read still runs the committed-tag quorum round; only when
-    /// the quorum-confirmed tag matches the cached tag is the data-transfer
-    /// phase skipped, so linearizability is untouched. `0` (the default)
-    /// disables the cache.
-    pub fn read_cache(mut self, entries: usize) -> StoreBuilder {
-        self.options.read_cache_entries = entries;
-        self
-    }
-
     /// How long an online repair ([`crate::api::Admin::repair`], or one
     /// driven by the self-healing supervisor) may run before the claim is
     /// released and [`crate::RepairError::Timeout`] is returned (default

@@ -182,17 +182,4 @@ pub trait Store {
 
     /// The tag of this handle's most recently completed operation.
     fn last_tag(&self) -> Option<Tag>;
-
-    /// Reads this handle served from its tag-validated cache: the
-    /// committed-tag quorum confirmed the cached tag, so the data-transfer
-    /// phase was skipped. Always 0 unless the store was built with
-    /// [`read_cache`](crate::api::StoreBuilder::read_cache).
-    fn cache_hits(&self) -> u64;
-
-    /// Cache-enabled reads this handle could **not** serve from its cache
-    /// (absent, stale, or overtaken by a newer committed tag), so the full
-    /// data-transfer phase ran. Always 0 without
-    /// [`read_cache`](crate::api::StoreBuilder::read_cache);
-    /// `cache_hits + cache_misses` is then every completed cached read.
-    fn cache_misses(&self) -> u64;
 }

@@ -198,7 +198,7 @@ impl InFlight {
 pub struct StoreClient {
     cluster: Arc<Cluster>,
     route: RouterHandle,
-    /// The store's always-on latency/cache metrics registry.
+    /// The store's always-on latency metrics registry.
     obs: Arc<ObsMetrics>,
     /// This handle's ring in the flight recorder (one branch per record
     /// when tracing is off).
@@ -228,10 +228,6 @@ pub struct StoreClient {
     scratch_out: Vec<(ProcessId, LdsMessage)>,
     scratch_events: Vec<(SimTime, ProcessId, ProtocolEvent)>,
     scratch_inbox: Vec<Envelope>,
-    /// Read-cache hit/miss counts already folded into a metrics registry,
-    /// so repeated flushes add only the delta.
-    flushed_cache_hits: u64,
-    flushed_cache_misses: u64,
     /// Set by this handle's [`Waker`]s; see [`Store::poll_wait`].
     woken: Arc<AtomicBool>,
 }
@@ -241,18 +237,16 @@ impl StoreClient {
     /// flight.
     pub(crate) fn new(cluster: &Arc<Cluster>, depth: usize) -> Self {
         assert!(depth > 0, "pipeline depth must be at least 1");
-        let options = cluster.options();
         let client_num = cluster.alloc_client_number();
         let id = ClientId(client_num);
         let pid = cluster.client_pid(client_num);
         let writer = WriterClient::new(id, cluster.params(), cluster.membership().clone());
-        let mut reader = ReaderClient::new(
+        let reader = ReaderClient::new(
             id,
             cluster.params(),
             cluster.membership().clone(),
             cluster.backend(),
         );
-        reader.set_cache_entries(options.read_cache_entries);
         let (inbox_tx, rx) = unbounded();
         let depth_gauge = Arc::new(DepthGauge::default());
         cluster
@@ -283,8 +277,6 @@ impl StoreClient {
             scratch_out: Vec::with_capacity(64),
             scratch_events: Vec::with_capacity(8),
             scratch_inbox: Vec::with_capacity(64),
-            flushed_cache_hits: 0,
-            flushed_cache_misses: 0,
             woken: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -471,10 +463,7 @@ impl StoreClient {
                 LdsMessage::PutData { op, obj, .. } => (&mut self.write_ops, op, obj, phase::DATA),
                 // Read: committed-tag quorum done, data transfer starts.
                 LdsMessage::QueryData { op, obj, .. } => (&mut self.read_ops, op, obj, phase::DATA),
-                // Read: value decoded, tag write-back (commit) starts. A
-                // cache-hit read goes straight from the tag phase to the
-                // commit phase — it never transferred data, so only the tag
-                // sample is recorded.
+                // Read: value decoded, tag write-back (commit) starts.
                 LdsMessage::PutTag { op, obj, .. } => (&mut self.read_ops, op, obj, phase::COMMIT),
                 _ => continue,
             };
@@ -492,20 +481,10 @@ impl StoreClient {
     fn finish(&mut self, event: ProtocolEvent) {
         let now = Instant::now();
         let (f, obj, outcome) = match event {
-            ProtocolEvent::WriteCompleted {
-                op,
-                obj,
-                tag,
-                value,
-                ..
-            } => {
+            ProtocolEvent::WriteCompleted { op, obj, tag, .. } => {
                 let Some(f) = self.write_ops.remove(&op) else {
                     return;
                 };
-                // A committed write fixes (tag → value): seed the read
-                // cache so this handle's next read of the object can skip
-                // the data-transfer phase if the tag is still current.
-                self.reader.cache_insert(obj, tag, value);
                 (f, obj, OpOutcome::Write { tag })
             }
             ProtocolEvent::ReadCompleted {
@@ -519,8 +498,7 @@ impl StoreClient {
                     return;
                 };
                 // A decoded read arrives as the only handle on its buffer
-                // and is moved out; a value an L1 list or the read cache
-                // shares is copied.
+                // and is moved out; a value an L1 list shares is copied.
                 let value = value.into_vec();
                 (f, obj, OpOutcome::Read { tag, value })
             }
@@ -544,16 +522,6 @@ impl StoreClient {
             OpOutcome::Read { .. } => {
                 self.obs.read_us.record(us);
                 self.trace.record(EventKind::OpCompleted, obj.0, 1, us);
-                // Fold this handle's read-cache hit/miss counters into the
-                // store's registry (delta since the previous flush).
-                let hits = self.reader.cache_hits();
-                let misses = self.reader.cache_misses();
-                self.obs.add_cache_traffic(
-                    hits - self.flushed_cache_hits,
-                    misses - self.flushed_cache_misses,
-                );
-                self.flushed_cache_hits = hits;
-                self.flushed_cache_misses = misses;
             }
         }
         self.completions.push(Completion {
@@ -771,14 +739,6 @@ impl Store for StoreClient {
 
     fn last_tag(&self) -> Option<Tag> {
         self.last_tag
-    }
-
-    fn cache_hits(&self) -> u64 {
-        self.reader.cache_hits()
-    }
-
-    fn cache_misses(&self) -> u64 {
-        self.reader.cache_misses()
     }
 }
 

@@ -53,12 +53,6 @@ pub struct ClusterOptions {
     /// [`StoreHandle::client`](crate::api::StoreHandle::client) keeps in
     /// flight.
     pub pipeline_depth: usize,
-    /// Capacity (in objects) of each client's tag-validated read cache;
-    /// `0` (the default) disables it. When the read's committed-tag quorum
-    /// reports a tag the client has cached, the data-transfer phase is
-    /// skipped entirely — atomicity is unaffected because tag discovery and
-    /// the put-tag write-back still run in full.
-    pub read_cache_entries: usize,
     /// How long a repair coordinator waits for the replacement to report
     /// completion before returning the target to the crashed state with
     /// [`crate::RepairError::Timeout`] (default 60 s). Must be non-zero;
@@ -112,7 +106,6 @@ impl Default for ClusterOptions {
             l2_shards: 1,
             profile: Profile::PaperFaithful,
             pipeline_depth: 16,
-            read_cache_entries: 0,
             repair_timeout: Duration::from_secs(60),
             repair_log_cap: 1024,
             trace: false,
@@ -653,8 +646,6 @@ impl Cluster {
             heal_parked_events: healed(|h| &h.parked_events),
             heal_backoffs: heal.map_or_else(Vec::new, |h| h.backoff_snapshot()),
             transport_faults: self.router.transport().fault_counters(),
-            cache_hits: load(&self.obs.cache_hits),
-            cache_misses: load(&self.obs.cache_misses),
             gc_evicted_entries: l1(|s| &s.gc_evicted_entries),
             gc_evicted_bytes: l1(|s| &s.gc_evicted_bytes),
             peak_round_bytes: l1_shards

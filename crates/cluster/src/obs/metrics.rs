@@ -39,7 +39,6 @@ macro_rules! metrics {
         pub struct $snapshot:ident {$(
             $family:literal $kind:ident $help:literal
             $( $(#[$more:meta])* $field:ident: $ty:ty = $labels:literal; )*
-            $( = $derived:ident(); )?
         )*}
     ) => {
         $(#[$attr])*
@@ -87,7 +86,6 @@ macro_rules! metrics {
                     let _ = writeln!(out, "# HELP {} {}", $family, $help);
                     let _ = writeln!(out, "# TYPE {} {}", $family, stringify!($kind));
                     $( self.$field.render($family, $labels, &mut out); )*
-                    $( self.$derived().render($family, "", &mut out); )?
                 )*
                 out
             }
@@ -149,15 +147,6 @@ metrics! {
             /// All zero without a
             /// [`StoreBuilder::fault_plan`](crate::api::StoreBuilder::fault_plan).
             transport_faults: FaultCounters = "kind";
-        "lds_read_cache" counter "Completed reads by cache outcome (cache-enabled clients only)."
-            /// Reads served from a client's tag-validated cache (data phase
-            /// skipped). Folded in as each read completes.
-            cache_hits: u64 = "{result=\"hit\"}";
-            /// Cache-enabled reads that ran the full data-transfer phase.
-            cache_misses: u64 = "{result=\"miss\"}";
-        "lds_read_cache_hit_ratio" gauge
-            "Fraction of cache-enabled reads served from the read cache."
-            = cache_hit_ratio();
         "lds_gc_evicted_entries" counter "Temporary-store entries evicted by committed-tag GC."
             gc_evicted_entries: u64 = "";
         "lds_gc_evicted_bytes" counter "Value bytes released by committed-tag GC."
@@ -211,19 +200,6 @@ metrics! {
     }
 }
 
-impl MetricsSnapshot {
-    /// Fraction of cache-enabled reads served from the tag-validated cache
-    /// (`hits / (hits + misses)`); 0.0 when no cached read has completed.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// How one field type of the table starts and renders.
 trait Metric {
     fn zero() -> Self;
@@ -249,7 +225,7 @@ macro_rules! scalar_metric {
         }
     )*};
 }
-scalar_metric!(usize, u64, f64);
+scalar_metric!(usize, u64);
 
 /// The kernel level: a constant-1 sample, the level its label.
 impl Metric for &'static str {

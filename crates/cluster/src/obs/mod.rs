@@ -15,9 +15,8 @@
 //!
 //! * The **metrics registry** ([`ObsMetrics`]) is always on. It holds
 //!   log-bucketed latency [`Histogram`]s (per-phase and end-to-end client
-//!   latencies) plus the read-cache hit/miss counters; recording is a pair
-//!   of relaxed atomic adds per sample, so the registry needs no off
-//!   switch.
+//!   latencies); recording is a pair of relaxed atomic adds per sample,
+//!   so the registry needs no off switch.
 //! * The **flight recorder** ([`FlightRecorder`]) is opt-in
 //!   ([`crate::api::StoreBuilder::trace`]). When off, every recording site
 //!   pays exactly one cached-flag branch — the same trick the router uses
@@ -38,7 +37,6 @@ pub use hist::{HistSnapshot, Histogram};
 pub use metrics::{Family, MetricsSnapshot};
 pub use recorder::{FlightRecorder, TraceDump, TraceEvent, TraceHandle, DEFAULT_TRACE_EVENTS};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Client-op phase codes carried by [`EventKind::OpPhase`] events and used
@@ -58,8 +56,7 @@ pub mod phase {
 }
 
 /// The always-on metrics registry: end-to-end and per-phase client latency
-/// histograms plus read-cache traffic counters. Shared by every client of a
-/// store; recording is wait-free.
+/// histograms. Shared by every client of a store; recording is wait-free.
 pub struct ObsMetrics {
     /// End-to-end write latency (µs), submit to completion.
     pub write_us: Histogram,
@@ -72,10 +69,6 @@ pub struct ObsMetrics {
     pub phase_data_us: Histogram,
     /// Read commit (`PUT-TAG` round) latency (µs).
     pub phase_commit_us: Histogram,
-    /// Read-cache hits folded in from completed client reads.
-    pub cache_hits: AtomicU64,
-    /// Read-cache misses folded in from completed client reads.
-    pub cache_misses: AtomicU64,
 }
 
 impl ObsMetrics {
@@ -87,8 +80,6 @@ impl ObsMetrics {
             phase_tag_us: Histogram::new(),
             phase_data_us: Histogram::new(),
             phase_commit_us: Histogram::new(),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
         })
     }
 
@@ -99,17 +90,6 @@ impl ObsMetrics {
             phase::DATA => self.phase_data_us.record(us),
             phase::COMMIT => self.phase_commit_us.record(us),
             _ => self.phase_tag_us.record(us),
-        }
-    }
-
-    /// Adds read-cache traffic observed by one client.
-    #[inline]
-    pub fn add_cache_traffic(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.cache_misses.fetch_add(misses, Ordering::Relaxed);
         }
     }
 }
@@ -128,14 +108,5 @@ mod tests {
         assert_eq!(m.phase_tag_us.snapshot().count(), 1);
         assert_eq!(m.phase_data_us.snapshot().count(), 2);
         assert_eq!(m.phase_commit_us.snapshot().count(), 1);
-    }
-
-    #[test]
-    fn cache_traffic_accumulates() {
-        let m = ObsMetrics::new();
-        m.add_cache_traffic(3, 1);
-        m.add_cache_traffic(0, 2);
-        assert_eq!(m.cache_hits.load(Ordering::Relaxed), 3);
-        assert_eq!(m.cache_misses.load(Ordering::Relaxed), 3);
     }
 }

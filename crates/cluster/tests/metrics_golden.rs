@@ -51,8 +51,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
             reordered: 14,
             partitioned: 15,
         },
-        cache_hits: 1,
-        cache_misses: 2,
         gc_evicted_entries: 400,
         gc_evicted_bytes: 123_456_789,
         peak_round_bytes: 1_310_720,

@@ -215,7 +215,8 @@ impl fmt::Display for SystemParams {
 /// Which message flow the server automata run — the one protocol selector.
 ///
 /// The two profiles differ in exactly these places (everything else,
-/// including every client phase and every wire byte, is shared):
+/// including every client phase and every wire byte, is shared — a read is
+/// always Fig. 3's get-committed-tag, get-data and put-tag):
 ///
 /// | | `PaperFaithful` | `HighThroughput` |
 /// |---|---|---|

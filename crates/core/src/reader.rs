@@ -29,59 +29,8 @@ use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::Share;
 use lds_sim::{Context, Process, ProcessId, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// A small tag-validated LRU of hot objects' committed `(tag, value)` pairs.
-///
-/// The cache never weakens atomicity because it is only consulted *after*
-/// the read's get-committed-tag quorum has fixed `t_req`: a tag uniquely
-/// identifies its value, so when the cached tag equals `t_req` the cached
-/// bytes are exactly what the get-data phase would return — the reader skips
-/// straight to the put-tag write-back (which still runs in full).
-#[derive(Debug, Default)]
-struct ReadCache {
-    /// Capacity in entries; `0` disables the cache.
-    entries: usize,
-    /// LRU order: front = least recently used. One entry per object.
-    items: VecDeque<(ObjectId, Tag, Value)>,
-}
-
-impl ReadCache {
-    /// Returns the cached value for `(obj, tag)` and refreshes its recency.
-    fn lookup(&mut self, obj: ObjectId, tag: Tag) -> Option<Value> {
-        let pos = self
-            .items
-            .iter()
-            .position(|(o, t, _)| *o == obj && *t == tag)?;
-        let entry = self.items.remove(pos).expect("position just found");
-        let value = entry.2.clone();
-        self.items.push_back(entry);
-        Some(value)
-    }
-
-    /// Inserts (or refreshes) the committed pair for `obj`, evicting the
-    /// least recently used entry when full. No-op while disabled.
-    fn insert(&mut self, obj: ObjectId, tag: Tag, value: Value) {
-        if self.entries == 0 {
-            return;
-        }
-        if let Some(pos) = self.items.iter().position(|(o, _, _)| *o == obj) {
-            self.items.remove(pos);
-        }
-        self.items.push_back((obj, tag, value));
-        while self.items.len() > self.entries {
-            self.items.pop_front();
-        }
-    }
-
-    fn resize(&mut self, entries: usize) {
-        self.entries = entries;
-        while self.items.len() > entries {
-            self.items.pop_front();
-        }
-    }
-}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ReadPhase {
@@ -128,18 +77,8 @@ pub struct ReaderClient {
     busy_objects: IdSet<ObjectId>,
     completed: u64,
     /// Number of completed reads that were served purely from L1 value
-    /// responses (no coded decode needed) — useful for cache-hit style
-    /// statistics in the examples.
+    /// responses (no coded decode needed).
     served_from_l1: u64,
-    /// Tag-validated hot-object cache consulted after the committed-tag
-    /// quorum.
-    cache: ReadCache,
-    /// Number of reads whose data-transfer phase was skipped on a cache hit.
-    cache_hits: u64,
-    /// Number of reads that consulted an *enabled* cache and had to pay the
-    /// data transfer anyway (absent object or stale tag). Disabled caches
-    /// count nothing, so `hits / (hits + misses)` is a meaningful ratio.
-    cache_misses: u64,
 }
 
 impl ReaderClient {
@@ -165,39 +104,7 @@ impl ReaderClient {
             busy_objects: IdSet::default(),
             completed: 0,
             served_from_l1: 0,
-            cache: ReadCache::default(),
-            cache_hits: 0,
-            cache_misses: 0,
         }
-    }
-
-    /// Sets the capacity of the tag-validated read cache (`0` disables it,
-    /// dropping any cached entries beyond the new capacity).
-    pub fn set_cache_entries(&mut self, entries: usize) {
-        self.cache.resize(entries);
-    }
-
-    /// Number of reads that skipped the data-transfer phase because the
-    /// quorum-committed tag matched a cached entry.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Number of reads that consulted an enabled cache and missed (absent
-    /// object or stale tag), paying the full data transfer. Always zero
-    /// while the cache is disabled.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
-    }
-
-    /// Records a known committed `(tag, value)` pair for `obj` in the read
-    /// cache. Besides read completions (recorded automatically), drivers
-    /// call this for their *own* completed writes — the writer knows the
-    /// exact committed pair, so its subsequent reads of a hot object can hit
-    /// without ever paying a data transfer. No-op while the cache is
-    /// disabled.
-    pub fn cache_insert(&mut self, obj: ObjectId, tag: Tag, value: Value) {
-        self.cache.insert(obj, tag, value);
     }
 
     /// The reader's client id.
@@ -316,25 +223,6 @@ impl ReaderClient {
         if current.comm_tag_responders.len() < quorum {
             return;
         }
-        // Tag-validated cache: the quorum has fixed `t_req`, and a tag
-        // uniquely identifies its value — if the cache holds exactly that
-        // pair, the data-transfer phase would return the cached bytes, so
-        // skip it and go straight to the put-tag write-back.
-        if let Some(value) = self.cache.lookup(current.obj, current.treq) {
-            self.cache_hits += 1;
-            current.result = Some((current.treq, value));
-            current.phase = ReadPhase::PutTag;
-            let msg = LdsMessage::PutTag {
-                obj: current.obj,
-                op: current.op,
-                tag: current.treq,
-            };
-            ctx.send_all(self.membership.l1.iter().copied(), msg);
-            return;
-        }
-        if self.cache.entries > 0 {
-            self.cache_misses += 1;
-        }
         current.phase = ReadPhase::GetData;
         let msg = LdsMessage::QueryData {
             obj: current.obj,
@@ -444,7 +332,6 @@ impl ReaderClient {
         let finished = self.ops.remove(&op).expect("checked above");
         self.busy_objects.remove(&finished.obj);
         let (tag, value) = finished.result.expect("result fixed before put-tag");
-        self.cache.insert(finished.obj, tag, value.clone());
         self.completed += 1;
         ctx.emit(ProtocolEvent::ReadCompleted {
             op: finished.op,
@@ -924,157 +811,6 @@ mod tests {
         );
         assert!(out.is_empty());
         assert!(r.is_busy());
-    }
-
-    #[test]
-    fn cached_tag_skips_the_data_transfer_phase() {
-        let (params, membership, backend) = setup();
-        let mut r = ReaderClient::new(ClientId(11), params, membership, backend);
-        r.set_cache_entries(4);
-        let tag = Tag::new(3, ClientId(2));
-        let value = Value::from("hot object");
-        r.cache_insert(ObjectId(0), tag, value.clone());
-
-        // Invoke: the committed-tag quorum still runs in full.
-        let (out, _) = step(
-            &mut r,
-            ProcessId::EXTERNAL,
-            LdsMessage::InvokeRead { obj: ObjectId(0) },
-        );
-        let op = match &out[0].1 {
-            LdsMessage::QueryCommTag { op, .. } => *op,
-            _ => unreachable!(),
-        };
-        let mut put_tags = Vec::new();
-        for i in 0..3 {
-            let (out, _) = step(
-                &mut r,
-                ProcessId(i),
-                LdsMessage::CommTagResp {
-                    obj: ObjectId(0),
-                    op,
-                    tag,
-                },
-            );
-            put_tags.extend(out);
-        }
-        // Cache hit: no QUERY-DATA — straight to the put-tag write-back.
-        assert_eq!(put_tags.len(), 4);
-        assert!(put_tags
-            .iter()
-            .all(|(_, m)| matches!(m, LdsMessage::PutTag { tag: t, .. } if *t == tag)));
-        assert_eq!(r.cache_hits(), 1);
-
-        let mut events = Vec::new();
-        for i in 0..3 {
-            let (_, evs) = step(
-                &mut r,
-                ProcessId(i),
-                LdsMessage::AckPutTag {
-                    obj: ObjectId(0),
-                    op,
-                },
-            );
-            events.extend(evs);
-        }
-        match &events[0] {
-            ProtocolEvent::ReadCompleted {
-                value: v, tag: t, ..
-            } => {
-                assert_eq!(v.as_bytes(), value.as_bytes());
-                assert_eq!(*t, tag);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stale_cache_entry_misses_and_is_refreshed_by_completion() {
-        let (params, membership, backend) = setup();
-        let mut r = ReaderClient::new(ClientId(12), params, membership, backend);
-        r.set_cache_entries(4);
-        // Cached pair is for an older tag than the quorum will report.
-        r.cache_insert(ObjectId(0), Tag::new(1, ClientId(1)), Value::from("old"));
-        let treq = Tag::new(2, ClientId(1));
-        let op = start_and_reach_get_data(&mut r, treq);
-        assert_eq!(r.cache_hits(), 0, "tag mismatch must not hit");
-
-        // Serve the read normally; completion refreshes the cache.
-        for i in 0..3 {
-            step(
-                &mut r,
-                ProcessId(i),
-                LdsMessage::DataResp {
-                    obj: ObjectId(0),
-                    op,
-                    tag: Some(treq),
-                    payload: ReadPayload::Value(Value::from("fresh")),
-                },
-            );
-        }
-        for i in 0..3 {
-            step(
-                &mut r,
-                ProcessId(i),
-                LdsMessage::AckPutTag {
-                    obj: ObjectId(0),
-                    op,
-                },
-            );
-        }
-        assert_eq!(r.completed_ops(), 1);
-
-        // A second read of the same committed tag now hits.
-        let (out, _) = step(
-            &mut r,
-            ProcessId::EXTERNAL,
-            LdsMessage::InvokeRead { obj: ObjectId(0) },
-        );
-        let op2 = match &out[0].1 {
-            LdsMessage::QueryCommTag { op, .. } => *op,
-            _ => unreachable!(),
-        };
-        let mut out2 = Vec::new();
-        for i in 0..3 {
-            let (out, _) = step(
-                &mut r,
-                ProcessId(i),
-                LdsMessage::CommTagResp {
-                    obj: ObjectId(0),
-                    op: op2,
-                    tag: treq,
-                },
-            );
-            out2.extend(out);
-        }
-        assert!(out2
-            .iter()
-            .all(|(_, m)| matches!(m, LdsMessage::PutTag { .. })));
-        assert_eq!(r.cache_hits(), 1);
-    }
-
-    #[test]
-    fn cache_capacity_evicts_least_recently_used() {
-        let (params, membership, backend) = setup();
-        let mut r = ReaderClient::new(ClientId(13), params, membership, backend);
-        r.set_cache_entries(2);
-        let t = Tag::new(1, ClientId(1));
-        r.cache_insert(ObjectId(0), t, Value::from("a"));
-        r.cache_insert(ObjectId(1), t, Value::from("b"));
-        // Touch object 0 so object 1 becomes the LRU entry, then overflow.
-        assert!(r.cache.lookup(ObjectId(0), t).is_some());
-        r.cache_insert(ObjectId(2), t, Value::from("c"));
-        assert!(r.cache.lookup(ObjectId(1), t).is_none(), "LRU evicted");
-        assert!(r.cache.lookup(ObjectId(0), t).is_some());
-        assert!(r.cache.lookup(ObjectId(2), t).is_some());
-        // Disabling drops everything.
-        r.set_cache_entries(0);
-        assert!(r.cache.lookup(ObjectId(0), t).is_none());
-        r.cache_insert(ObjectId(0), t, Value::from("a"));
-        assert!(
-            r.cache.lookup(ObjectId(0), t).is_none(),
-            "disabled cache stays empty"
-        );
     }
 
     #[test]

@@ -93,15 +93,17 @@ impl NetClient {
         NetClient::handshake(stream)
     }
 
-    /// [`NetClient::connect`], retrying until `deadline` while the daemon
-    /// is still coming up (connection refused / reset).
+    /// [`NetClient::connect`], retrying for up to `timeout` while the
+    /// daemon is still coming up (connection refused / reset). A timeout
+    /// too large to add to the clock (`Duration::MAX`) retries without a
+    /// deadline.
     pub fn connect_retry(addr: SocketAddr, timeout: Duration) -> Result<NetClient, NetError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             match NetClient::connect(addr) {
                 Ok(client) => return Ok(client),
                 Err(error) => {
-                    if Instant::now() >= deadline {
+                    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                         return Err(error);
                     }
                     std::thread::sleep(Duration::from_millis(25));

@@ -1,4 +1,4 @@
-//! Value generators, key-skew generators and closed-loop workload drivers.
+//! Value generators and closed-loop workload drivers.
 
 use crate::runner::{RunReport, SimRunner};
 use lds_core::tag::ObjectId;
@@ -79,76 +79,6 @@ impl ValueGenerator {
     /// Number of values generated so far.
     pub fn generated(&self) -> u64 {
         self.counter
-    }
-}
-
-/// Bounded Zipfian key generator (Gray et al., "Quickly generating
-/// billion-record synthetic databases", SIGMOD '94 — the YCSB construction):
-/// keys `0..n` where key `r` is drawn with probability proportional to
-/// `1 / (r + 1)^theta`. `theta = 0` degenerates to the uniform distribution;
-/// the YCSB-conventional skews are `theta = 0.9` ("zipfian") and
-/// `theta = 0.99` (hotspot-heavy). Key 0 is always the hottest key.
-///
-/// Deterministic for a given `(n, theta, seed)` triple, so skewed benchmark
-/// runs are reproducible and cache-on/cache-off comparisons can replay the
-/// identical key sequence.
-#[derive(Debug, Clone)]
-pub struct ZipfianGenerator {
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
-    rng: SmallRng,
-}
-
-impl ZipfianGenerator {
-    /// Creates a generator over keys `0..n` with skew `theta` in `[0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `theta` is outside `[0, 1)` (the Gray et al.
-    /// construction diverges at `theta = 1`).
-    pub fn new(n: u64, theta: f64, seed: u64) -> Self {
-        assert!(n > 0, "Zipfian key space must be non-empty");
-        assert!(
-            (0.0..1.0).contains(&theta),
-            "theta must be in [0, 1), got {theta}"
-        );
-        let zetan = Self::zeta(n, theta);
-        let zeta2 = Self::zeta(2, theta);
-        ZipfianGenerator {
-            n,
-            theta,
-            alpha: 1.0 / (1.0 - theta),
-            zetan,
-            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The generalized harmonic number `Σ_{i=1..n} 1 / i^theta`.
-    fn zeta(n: u64, theta: f64) -> f64 {
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-    }
-
-    /// Draws the next key in `0..n`.
-    pub fn next_key(&mut self) -> u64 {
-        let u: f64 = self.rng.gen();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let key = ((self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        key.min(self.n - 1)
-    }
-
-    /// The expected frequency of the hottest key (rank 0): `1 / zeta(n)`.
-    pub fn top_key_probability(&self) -> f64 {
-        1.0 / self.zetan
     }
 }
 
@@ -341,58 +271,6 @@ mod tests {
             let _ = g.next_value();
         }
         assert_eq!(held.as_bytes(), &held_snapshot[..], "held value mutated");
-    }
-
-    #[test]
-    fn zipfian_is_deterministic_by_seed() {
-        let mut a = ZipfianGenerator::new(1000, 0.99, 42);
-        let mut b = ZipfianGenerator::new(1000, 0.99, 42);
-        let keys_a: Vec<u64> = (0..200).map(|_| a.next_key()).collect();
-        let keys_b: Vec<u64> = (0..200).map(|_| b.next_key()).collect();
-        assert_eq!(keys_a, keys_b, "same seed must replay the same keys");
-        let mut c = ZipfianGenerator::new(1000, 0.99, 43);
-        let keys_c: Vec<u64> = (0..200).map(|_| c.next_key()).collect();
-        assert_ne!(keys_a, keys_c, "different seed should diverge");
-        assert!(keys_a.iter().all(|&k| k < 1000), "keys must stay in range");
-    }
-
-    #[test]
-    fn zipfian_top_key_frequencies_match_theory() {
-        // Empirical frequency of the hottest key must land near its
-        // analytical probability 1 / zeta(n), and ranks must be ordered by
-        // frequency. Deterministic seeds keep the tolerances safe.
-        for &theta in &[0.9, 0.99] {
-            let n = 100u64;
-            let mut g = ZipfianGenerator::new(n, theta, 7);
-            let expected_top = g.top_key_probability();
-            let draws = 200_000usize;
-            let mut counts = vec![0usize; n as usize];
-            for _ in 0..draws {
-                counts[g.next_key() as usize] += 1;
-            }
-            let top_freq = counts[0] as f64 / draws as f64;
-            let rel_err = (top_freq - expected_top).abs() / expected_top;
-            assert!(
-                rel_err < 0.05,
-                "theta={theta}: top-key frequency {top_freq:.4} vs expected \
-                 {expected_top:.4} (rel err {rel_err:.3})"
-            );
-            assert!(
-                counts[0] > counts[1] && counts[1] > counts[10],
-                "theta={theta}: frequencies must fall with rank: {:?}",
-                &counts[..12]
-            );
-        }
-        // theta = 0 degenerates to uniform: the hottest key is no hotter
-        // than 1/n by more than sampling noise.
-        let mut g = ZipfianGenerator::new(100, 0.0, 7);
-        let draws = 200_000usize;
-        let mut counts = vec![0usize; 100];
-        for _ in 0..draws {
-            counts[g.next_key() as usize] += 1;
-        }
-        let max = *counts.iter().max().unwrap() as f64 / draws as f64;
-        assert!(max < 0.013, "theta=0 must be uniform, hottest freq {max}");
     }
 
     #[test]

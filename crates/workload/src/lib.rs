@@ -17,8 +17,6 @@
 //! * [`generator`] — value generators and closed-loop workload drivers;
 //! * [`multi_object`] — the multi-object storage experiment behind Fig. 6 /
 //!   Lemma V.5;
-//! * [`throughput`] — latency/ops-per-second accounting for the wall-clock
-//!   cluster benchmark (`exp_throughput`) and the cluster stress tests;
 //! * [`chaos`] — deterministic, budget-aware kill schedules for the
 //!   self-healing chaos harness (seeded, never exceeding a layer's crash
 //!   budget given the current down-set);
@@ -52,11 +50,9 @@ pub mod measure;
 pub mod multi_object;
 pub mod runner;
 pub mod seed;
-pub mod throughput;
 
 pub use chaos::{ChaosLayer, ChaosSchedule, ChaosScheduleConfig, ChaosTarget};
-pub use generator::{ClosedLoopWorkload, ValueGenerator, ZipfianGenerator};
+pub use generator::{ClosedLoopWorkload, ValueGenerator};
 pub use measure::{CostMeasurement, CostReport, Relation};
 pub use runner::{RunReport, RunnerConfig, SimRunner};
 pub use seed::{chaos_seed, repro_guard, ReproGuard};
-pub use throughput::{LatencyRecorder, ThroughputSummary};

@@ -62,9 +62,8 @@
 //! pipelined + non-blocking submission, one
 //! [`cluster::api::StoreError`] for every failure), and
 //! [`cluster::api::Admin`] is the control plane (crash injection, online
-//! repair, liveness, metrics). `BENCH_CLUSTER.json` records the measured
-//! ops/sec trajectory; `ARCHITECTURE.md` has the crate map and
-//! message-flow diagrams.
+//! repair, liveness, metrics). `lds_benchmark/` times the store end to
+//! end; `ARCHITECTURE.md` has the crate map and message-flow diagrams.
 //!
 //! ```rust
 //! use lds_storage::cluster::api::{ObjectId, Store, StoreBuilder};

@@ -23,14 +23,10 @@ fn params() -> SystemParams {
 }
 
 /// The store profiles every stress test runs under: both protocol profiles
-/// with two shards per server, and the high-throughput profile with the
-/// tag-validated read cache enabled — so the atomicity assertions cover the
-/// cached flow too.
+/// with two shards per server.
 fn stress_profiles(backend: BackendKind) -> Vec<(&'static str, StoreHandle)> {
-    let cached = StoreBuilder::new().high_throughput(2).read_cache(8);
     profiles()
         .into_iter()
-        .chain([("cached", cached)])
         .map(|(label, builder)| {
             let builder = builder.params(params()).backend(backend).shards(2);
             (label, builder.build().unwrap())
@@ -315,7 +311,8 @@ fn l1_metadata_and_storage_stay_bounded_over_sustained_run() {
 /// Large values round-trip byte-identically on every backend, at sizes on
 /// both sides of a 4 KiB boundary, a ragged multiple of it, 64 KiB and
 /// 1 MiB — each one `PUT-DATA` per L1 server and one `WRITE-CODE-ELEM` per
-/// L2 server.
+/// L2 server — plus 4 MiB on MBR alone (one backend keeps debug-build test
+/// time flat).
 #[test]
 fn large_values_roundtrip_on_every_backend() {
     const KIB4: usize = 1 << 12;
@@ -332,13 +329,17 @@ fn large_values_roundtrip_on_every_backend() {
             .unwrap();
         let mut writer = store.client();
         let mut reader = store.client();
-        for (obj, len) in [
+        let mut sizes = vec![
             (1u64, KIB4 - 1),
             (2, KIB4),
             (3, 5 * KIB4 + 7),
             (4, 16 * KIB4),
             (5, 1 << 20),
-        ] {
+        ];
+        if backend == BackendKind::Mbr {
+            sizes.push((6, 4 << 20));
+        }
+        for (obj, len) in sizes {
             let value: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
             writer.write(ObjectId(obj), &value).unwrap();
             assert_eq!(
@@ -349,43 +350,6 @@ fn large_values_roundtrip_on_every_backend() {
         }
         store.shutdown();
     }
-}
-
-/// The tag-validated read cache serves repeat reads of an unchanged object
-/// without the data-transfer phase, misses when another client overwrites
-/// (the quorum-confirmed tag no longer matches), and re-validates afterwards
-/// — reads always return the latest committed value.
-#[test]
-fn read_cache_hits_skip_data_transfer_and_stay_coherent() {
-    let store = StoreBuilder::new()
-        .params(params())
-        .read_cache(4)
-        .build()
-        .unwrap();
-    let mut a = store.client();
-    let mut b = store.client();
-    a.write(ObjectId(1), b"generation one").unwrap();
-    // a's completed write seeded its cache with the committed (tag, value):
-    // a quiescent re-read confirms the tag by quorum and hits.
-    assert_eq!(a.read(ObjectId(1)).unwrap(), b"generation one");
-    assert!(
-        a.cache_hits() >= 1,
-        "quiescent re-read should hit the cache"
-    );
-    // Another client overwrites: a's cached tag is stale, so its next read
-    // misses the cache and fetches the new value — never the cached one.
-    b.write(ObjectId(1), b"generation two").unwrap();
-    let hits_before_miss = a.cache_hits();
-    assert_eq!(a.read(ObjectId(1)).unwrap(), b"generation two");
-    assert_eq!(
-        a.cache_hits(),
-        hits_before_miss,
-        "a read after a foreign overwrite must not be served from cache"
-    );
-    // The miss refreshed the cache at the new tag: the next read hits again.
-    assert_eq!(a.read(ObjectId(1)).unwrap(), b"generation two");
-    assert!(a.cache_hits() > hits_before_miss);
-    store.shutdown();
 }
 
 #[test]

@@ -301,14 +301,6 @@ impl<S: Store> Store for Recorded<S> {
     fn last_tag(&self) -> Option<Tag> {
         self.inner.last_tag()
     }
-
-    fn cache_hits(&self) -> u64 {
-        self.inner.cache_hits()
-    }
-
-    fn cache_misses(&self) -> u64 {
-        self.inner.cache_misses()
-    }
 }
 
 /// A recorded closed-loop workload over shared objects: `writers` pipelined

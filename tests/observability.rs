@@ -1,9 +1,9 @@
 //! End-to-end checks of the observability surfaces: the always-on metrics
-//! registry (latency histograms, cache counters, server-internals
-//! counters), the Prometheus exposition of all of it, and the opt-in
-//! flight recorder — positive (trace on: ops, router sends and phases show
-//! up; JSONL exports line-per-event) and negative (trace off: the dump is
-//! empty and costs nothing to take).
+//! registry (latency histograms, server-internals counters), the
+//! Prometheus exposition of all of it, and the opt-in flight recorder —
+//! positive (trace on: ops, router sends and phases show up; JSONL exports
+//! line-per-event) and negative (trace off: the dump is empty and costs
+//! nothing to take).
 //!
 //! The last three tests hold the two tables of `lds_cluster::obs` to their
 //! word: every family of `MetricsSnapshot::FAMILIES` and every `EventKind`
@@ -20,16 +20,13 @@ use std::time::{Duration, Instant};
 
 #[test]
 fn metrics_carry_latency_histograms_cache_counters_and_internals() {
-    let store = StoreBuilder::new().read_cache(8).build().unwrap();
+    let store = StoreBuilder::new().build().unwrap();
     let mut writer = store.client();
     for i in 0..8u64 {
         writer
             .write(ObjectId(i), format!("v{i}").as_bytes())
             .unwrap();
     }
-    // A *separate* reading client: its cache starts empty, so the first
-    // read round pays the data phase (misses) and the second — committed
-    // tags unchanged — is served from the tag-validated cache (hits).
     let mut client = store.client();
     for round in 0..2 {
         for i in 0..8u64 {
@@ -54,15 +51,6 @@ fn metrics_carry_latency_histograms_cache_counters_and_internals() {
     // Latency percentiles are ordered and non-degenerate.
     assert!(m.write_latency.percentile(99.0) >= m.write_latency.percentile(50.0));
     assert!(m.write_latency.percentile(50.0) > 0);
-
-    // Cache traffic: the reader's first round misses, its second hits;
-    // both views (per-client trait accessors and the folded registry)
-    // must agree. The writer contributes no reads.
-    assert_eq!(client.cache_misses(), 8);
-    assert_eq!(client.cache_hits(), 8);
-    assert_eq!(m.cache_hits, client.cache_hits());
-    assert_eq!(m.cache_misses, client.cache_misses());
-    assert!(m.cache_hit_ratio() > 0.0 && m.cache_hit_ratio() < 1.0);
 
     // Server internals publish at shard idle — poll briefly rather than
     // racing the last wake-up.
@@ -96,10 +84,7 @@ fn metrics_carry_latency_histograms_cache_counters_and_internals() {
         "# TYPE lds_phase_tag_latency_seconds histogram",
         "# TYPE lds_phase_data_latency_seconds histogram",
         "# TYPE lds_phase_commit_latency_seconds histogram",
-        "# TYPE lds_read_cache counter",
         "# TYPE lds_messages_total counter",
-        "lds_read_cache{result=\"hit\"}",
-        "lds_read_cache{result=\"miss\"}",
         "lds_write_latency_seconds_bucket{le=\"+Inf\"} 8",
         "lds_write_latency_seconds_count 8",
     ] {
@@ -331,7 +316,7 @@ fn fast_heal() -> HealConfig {
 }
 
 /// Every name the two tables declare is emitted by something a user can do:
-/// writes, reads, a cached read, a large write, overwrites (GC), a kill and
+/// writes, reads, a large write, overwrites (GC), a kill and
 /// its supervised repair, a repair that times out into backoff, a layer
 /// degraded below its repair quorum, and a fault-plan drop. A family or
 /// event this run cannot move has no business in the table.
@@ -341,7 +326,6 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
 
     // One self-healing store for the data paths and the repair that works.
     let store = StoreBuilder::new()
-        .read_cache(8)
         .repair_log_cap(0)
         .self_heal_with(fast_heal())
         .trace(true)
@@ -356,10 +340,7 @@ fn every_family_and_every_event_kind_moves_in_a_scripted_run() {
     }
     writer.write(ObjectId(9), &[7; 8192]).unwrap();
     let mut reader = store.client();
-    for _ in 0..2 {
-        // The second round is served from the tag-validated cache.
-        assert_eq!(reader.read(ObjectId(1)).unwrap(), [3; 64]);
-    }
+    assert_eq!(reader.read(ObjectId(1)).unwrap(), [3; 64]);
     assert_eq!(reader.read(ObjectId(9)).unwrap(), [7; 8192]);
     // The gauges of work in flight, observed while a window is in flight.
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -141,8 +141,13 @@ fn builder_axes_reach_the_deployment() {
 /// after another data-path setting silently reset it.
 #[test]
 fn profile_methods_commute_with_other_settings() {
-    let settings_first = StoreBuilder::new().read_cache(64).high_throughput(2);
-    let profile_first = StoreBuilder::new().high_throughput(2).read_cache(64);
+    let timeout = Duration::from_secs(7);
+    let settings_first = StoreBuilder::new()
+        .repair_timeout(timeout)
+        .high_throughput(2);
+    let profile_first = StoreBuilder::new()
+        .high_throughput(2)
+        .repair_timeout(timeout);
     for (builder, profile) in [
         (settings_first.clone(), Profile::HighThroughput),
         (profile_first.clone(), Profile::HighThroughput),
@@ -152,7 +157,7 @@ fn profile_methods_commute_with_other_settings() {
         let store = builder.build().unwrap();
         let options = store.options();
         assert_eq!(options.profile, profile);
-        assert_eq!(options.read_cache_entries, 64);
+        assert_eq!(options.repair_timeout, timeout);
         assert_eq!((options.l1_shards, options.pipeline_depth), (2, 32));
         store.shutdown();
     }
