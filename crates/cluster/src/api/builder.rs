@@ -3,7 +3,7 @@
 
 use crate::api::{StoreError, StoreHandle};
 use crate::heal::{HealConfig, HealRuntime};
-use crate::node::{Cluster, ClusterOptions, HostScope};
+use crate::node::{Cluster, ClusterOptions};
 use crate::transport::{FaultPlan, Transport};
 use lds_core::backend::BackendKind;
 use lds_core::params::{Profile, SystemParams};
@@ -58,7 +58,6 @@ pub struct StoreBuilder {
     heal: Option<HealConfig>,
     fault_plan: Option<FaultPlan>,
     transport: Option<Arc<dyn Transport>>,
-    host_scope: Option<HostScope>,
 }
 
 impl std::fmt::Debug for StoreBuilder {
@@ -72,7 +71,6 @@ impl std::fmt::Debug for StoreBuilder {
             .field("options", &self.options)
             .field("heal", &self.heal)
             .field("transport", &self.transport.as_ref().map(|_| "custom"))
-            .field("host_scope", &self.host_scope)
             .finish_non_exhaustive()
     }
 }
@@ -90,7 +88,6 @@ impl Default for StoreBuilder {
             heal: None,
             fault_plan: None,
             transport: None,
-            host_scope: None,
         }
     }
 }
@@ -152,11 +149,10 @@ impl StoreBuilder {
     /// `regenerate-from-L2`) — plus `shards` worker shards per server and
     /// pipeline depth 32. Paper-exact cost accounting is traded away;
     /// atomicity is not (`tests/atomicity.rs`, the cluster stress tests).
-    /// Touches the profile, the shard counts and the depth only.
+    /// Touches the profile, the shard count and the depth only.
     pub fn high_throughput(mut self, shards: usize) -> StoreBuilder {
         self.options.profile = Profile::HighThroughput;
-        self.options.l1_shards = shards;
-        self.options.l2_shards = shards;
+        self.options.shards = shards;
         self.options.pipeline_depth = 32;
         self
     }
@@ -166,21 +162,7 @@ impl StoreBuilder {
     /// are processed in parallel within one node. `1` reproduces the
     /// original single-threaded servers.
     pub fn shards(mut self, shards: usize) -> StoreBuilder {
-        self.options.l1_shards = shards;
-        self.options.l2_shards = shards;
-        self
-    }
-
-    /// Worker shards per L1 server only (L1 holds all mutable protocol
-    /// state, so it is usually the layer worth sharding).
-    pub fn l1_shards(mut self, shards: usize) -> StoreBuilder {
-        self.options.l1_shards = shards;
-        self
-    }
-
-    /// Worker shards per L2 server only.
-    pub fn l2_shards(mut self, shards: usize) -> StoreBuilder {
-        self.options.l2_shards = shards;
+        self.options.shards = shards;
         self
     }
 
@@ -249,23 +231,16 @@ impl StoreBuilder {
     }
 
     /// Runs the cluster over an explicit [`Transport`] — the real-network
-    /// path: an [`TcpTransport`](crate::transport::TcpTransport) carries
+    /// path: a [`TcpTransport`](crate::transport::TcpTransport) carries
     /// every message whose destination pid lives on a peer daemon, while
-    /// locally-hosted pids keep the in-process fast path. Almost always
-    /// paired with [`host_scope`](StoreBuilder::host_scope) so this process
-    /// spawns only its own share of the membership. Mutually exclusive with
-    /// [`fault_plan`](StoreBuilder::fault_plan) (validated at `build()`).
+    /// locally-hosted pids keep the in-process fast path. This process
+    /// hosts the servers the transport's
+    /// [`topology`](crate::transport::Transport::topology) calls local, and
+    /// allocates client numbers from that topology's residue; the
+    /// topology's `n1` / `n2` must be the params' (validated at `build()`).
+    /// Mutually exclusive with [`fault_plan`](StoreBuilder::fault_plan).
     pub fn transport(mut self, transport: Arc<dyn Transport>) -> StoreBuilder {
         self.transport = Some(transport);
-        self
-    }
-
-    /// Restricts this process to hosting only the servers named by `scope`
-    /// (a multi-daemon deployment slice — see
-    /// [`HostScope`](crate::node::HostScope)). Requires
-    /// [`transport`](StoreBuilder::transport); validated at `build()`.
-    pub fn host_scope(mut self, scope: HostScope) -> StoreBuilder {
-        self.host_scope = Some(scope);
         self
     }
 
@@ -290,17 +265,18 @@ impl StoreBuilder {
     /// [`StoreError::InvalidConfig`] if the quorum arithmetic is impossible
     /// (`f1 ≥ n1/2`, `f2 ≥ n2/3`, `k > d`, …), the backend cannot be
     /// constructed for the derived code parameters (e.g. product-matrix MSR
-    /// needs `d ≥ 2k − 2`), or a zero shard count, pipeline depth or
-    /// repair timeout was requested. Nothing is spawned on error.
+    /// needs `d ≥ 2k − 2`), the transport's topology sizes its layers
+    /// differently, or a zero shard count, pipeline depth or repair timeout
+    /// was requested. Nothing is spawned on error.
     pub fn build(self) -> Result<StoreHandle, StoreError> {
         let params = match self.explicit_params {
             Some(params) => params,
             None => SystemParams::for_failures(self.f1, self.f2, self.k, self.d)?,
         };
         let options = self.options;
-        if options.l1_shards == 0 || options.l2_shards == 0 {
+        if options.shards == 0 {
             return Err(StoreError::InvalidConfig(
-                "worker shard counts must be at least 1".into(),
+                "worker shard count must be at least 1".into(),
             ));
         }
         if options.pipeline_depth == 0 {
@@ -324,43 +300,23 @@ impl StoreBuilder {
                 "transport and fault_plan are mutually exclusive".into(),
             ));
         }
-        if let Some(scope) = &self.host_scope {
-            if self.transport.is_none() {
-                return Err(StoreError::InvalidConfig(
-                    "host_scope requires an explicit transport".into(),
-                ));
-            }
-            if scope.client_step == 0 {
-                return Err(StoreError::InvalidConfig(
-                    "host_scope client_step must be non-zero".into(),
-                ));
-            }
-            if scope.l1.iter().any(|&j| j >= params.n1())
-                || scope.l2.iter().any(|&i| i >= params.n2())
-            {
-                return Err(StoreError::InvalidConfig(
-                    "host_scope names a server index outside the membership".into(),
-                ));
+        if let Some(topology) = self.transport.as_ref().and_then(|t| t.topology()) {
+            if (topology.n1, topology.n2) != (params.n1(), params.n2()) {
+                return Err(StoreError::InvalidConfig(format!(
+                    "the transport's topology has n1 = {}, n2 = {}; the params have n1 = {}, n2 = {}",
+                    topology.n1,
+                    topology.n2,
+                    params.n1(),
+                    params.n2()
+                )));
             }
         }
-        // An explicit transport without a scope is a single-daemon network
-        // deployment (a lone `ldsd` serving network clients): every server
-        // local.
-        let scope = self.host_scope.or_else(|| {
-            self.transport.as_ref().map(|_| HostScope {
-                l1: (0..params.n1()).collect(),
-                l2: (0..params.n2()).collect(),
-                client_base: 1,
-                client_step: 1,
-            })
-        });
         let cluster = Cluster::launch(
             params,
             self.backend,
             options,
             self.fault_plan.as_ref(),
             self.transport,
-            scope,
             None,
         )?;
         let heal = self

@@ -16,7 +16,7 @@ use std::time::Duration;
 /// and borrowed `&[u8]` values.
 ///
 /// Implemented by [`StoreClient`](crate::api::StoreClient), whatever the
-/// profile and shard counts — so every example, bench and test is written
+/// profile and shard count — so every example, bench and test is written
 /// once, against the trait.
 ///
 /// # Semantics
@@ -159,12 +159,6 @@ pub trait Store {
     ///
     /// As for [`Store::wait_next`].
     fn wait_all(&mut self) -> Result<Vec<Completion>, StoreError>;
-
-    /// Abandons every outstanding operation of this handle: queued
-    /// operations are dropped, in-flight state is cancelled, their tickets
-    /// are forgotten. Already-harvested
-    /// completions are retained. The handle remains usable.
-    fn cancel_all(&mut self);
 
     /// Sets the timeout for each blocking wait; `Duration::MAX` waits
     /// without a deadline.

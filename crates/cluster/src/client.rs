@@ -605,6 +605,18 @@ impl StoreClient {
         self.cancel_all();
         Err(StoreError::Timeout)
     }
+
+    /// Abandons every outstanding operation: queued operations are dropped,
+    /// in-flight state is cancelled, their tickets are forgotten.
+    /// Already-harvested completions are retained.
+    fn cancel_all(&mut self) {
+        self.writer.cancel_all();
+        self.reader.cancel_all();
+        self.queue.clear();
+        self.busy_objects.clear();
+        self.write_ops.clear();
+        self.read_ops.clear();
+    }
 }
 
 impl Store for StoreClient {
@@ -710,15 +722,6 @@ impl Store for StoreClient {
             }
             self.pump_until(deadline)?;
         }
-    }
-
-    fn cancel_all(&mut self) {
-        self.writer.cancel_all();
-        self.reader.cancel_all();
-        self.queue.clear();
-        self.busy_objects.clear();
-        self.write_ops.clear();
-        self.read_ops.clear();
     }
 
     fn set_timeout(&mut self, timeout: Duration) {
@@ -909,11 +912,7 @@ mod tests {
 
     #[test]
     fn pipelined_client_on_sharded_cluster() {
-        let store = StoreBuilder::new()
-            .l1_shards(3)
-            .l2_shards(2)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(3).build().unwrap();
         let mut client = store.client_with_depth(16);
         for round in 0..3u64 {
             for obj in 0..16u64 {

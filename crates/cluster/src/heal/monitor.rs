@@ -21,8 +21,9 @@ pub(super) fn run_monitor(
     config: &HealConfig,
     stop: &AtomicBool,
 ) {
-    let threshold_micros =
-        config.beat_interval.as_micros() as u64 * u64::from(config.suspicion_intervals);
+    let threshold_micros = u64::try_from(config.beat_interval.as_micros())
+        .unwrap_or(u64::MAX)
+        .saturating_mul(u64::from(config.suspicion_intervals));
     let mut trace = cluster.recorder().handle();
     let mut suspected: HashSet<(RepairLayer, usize)> = HashSet::new();
     let params = cluster.params();
@@ -33,7 +34,7 @@ pub(super) fn run_monitor(
             .chain((0..params.n2()).map(|i| (RepairLayer::L2, i)));
         for (layer, index) in servers {
             let pid = cluster.server_pid(layer, index);
-            // On a scoped (multi-daemon) deployment each daemon monitors
+            // On a multi-daemon deployment each daemon monitors
             // only the servers it hosts; peers monitor theirs.
             if !cluster.hosts_server(pid) {
                 continue;

@@ -11,8 +11,7 @@
 //! * every L1 and L2 server runs as one or more **worker shards** —
 //!   automata that own disjoint partitions of the object space
 //!   (hash-routed), so independent objects are processed in parallel inside
-//!   one node ([`ClusterOptions::l1_shards`] /
-//!   [`ClusterOptions::l2_shards`]);
+//!   one node ([`ClusterOptions::shards`]);
 //! * the shard automata of a cluster run **to completion on
 //!   `min(cores, shards)` worker threads**: a worker sweeps the inboxes it
 //!   hosts and parks only when all are empty, a sender rings the worker
@@ -89,7 +88,7 @@
 //! use lds_cluster::OpOutcome;
 //!
 //! let store = StoreBuilder::new()
-//!     .l1_shards(2) // two worker shards per L1 server
+//!     .shards(2) // two worker shards per server
 //!     .build()
 //!     .unwrap();
 //! let mut client = store.client_with_depth(8);
@@ -127,7 +126,7 @@ pub use api::{
 };
 pub use client::{Completion, OpOutcome, OpTicket, Waker};
 pub use heal::HealConfig;
-pub use node::{ClusterOptions, HostScope};
+pub use node::ClusterOptions;
 pub use obs::{EventKind, FlightRecorder, HistSnapshot, TraceDump, TraceEvent, TraceHandle};
 pub use repair::{RepairError, RepairLayer, RepairReport};
 pub use router::shard_of;

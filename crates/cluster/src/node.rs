@@ -22,7 +22,7 @@ use crate::obs::{
 use crate::repair::{RepairError, RepairLayer, RepairReport};
 use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
 use crate::sync::Mutex;
-use crate::transport::MESSAGE_CLASSES;
+use crate::transport::{TcpTopology, Transport, MESSAGE_CLASSES};
 use lds_core::backend::{make_backend, BackendCodec, BackendKind};
 use lds_core::membership::Membership;
 use lds_core::messages::{LdsMessage, ProtocolEvent};
@@ -38,11 +38,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of a deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
-    /// Worker shards per L1 server. Each shard owns a disjoint object
-    /// partition; `1` reproduces the original single-threaded server.
-    pub l1_shards: usize,
-    /// Worker shards per L2 server.
-    pub l2_shards: usize,
+    /// Worker shards per server, both layers. Each shard owns a disjoint
+    /// object partition; `1` reproduces the original single-threaded server.
+    pub shards: usize,
     /// Which message flow both server layers run — the only protocol
     /// selector; set through
     /// [`StoreBuilder::paper_faithful`](crate::api::StoreBuilder::paper_faithful)
@@ -74,36 +72,10 @@ pub struct ClusterOptions {
     pub trace: bool,
 }
 
-/// Which slice of a deployment one process hosts, for multi-daemon
-/// deployments over a real-network transport (see
-/// [`TcpTransport`](crate::transport::TcpTransport)).
-///
-/// A scoped cluster runs automata only for the listed server
-/// indices; every other pid of the shared membership lives on a peer daemon
-/// and is reached through the transport. Client (and auxiliary) process ids
-/// are allocated as `base + k·step` so they stay globally unique without
-/// coordination — daemon `d` of `D` uses `base = d + 1`, `step = D`
-/// ([`TcpTopology::client_base`](crate::transport::TcpTopology::client_base)).
-///
-/// The default in-process deployment is the trivial scope: every server
-/// local, `base = 1`, `step = 1`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostScope {
-    /// L1 server indices (`0..n1`) hosted by this process.
-    pub l1: Vec<usize>,
-    /// L2 server indices (`0..n2`) hosted by this process.
-    pub l2: Vec<usize>,
-    /// First client number this process allocates.
-    pub client_base: u64,
-    /// Stride between client numbers this process allocates.
-    pub client_step: u64,
-}
-
 impl Default for ClusterOptions {
     fn default() -> Self {
         ClusterOptions {
-            l1_shards: 1,
-            l2_shards: 1,
+            shards: 1,
             profile: Profile::PaperFaithful,
             pipeline_depth: 16,
             repair_timeout: Duration::from_secs(60),
@@ -392,14 +364,9 @@ pub(crate) struct Cluster {
     /// profile is on (see [`crate::heal`]).
     heal: std::sync::OnceLock<Arc<crate::heal::HealState>>,
     /// The next client number; repair coordinators draw from the same
-    /// space as clients.
+    /// space as clients. Advanced by the transport's
+    /// [`TcpTopology::client_step`] (1 without a topology).
     client_numbers: AtomicU64,
-    /// Stride between allocated client numbers (1 in-process; the daemon
-    /// count on a multi-daemon deployment — see [`HostScope`]).
-    client_step: u64,
-    /// Server pids hosted by this process (`None` = all of them, the
-    /// in-process default).
-    hosted: Option<HashSet<ProcessId>>,
     started: Instant,
     options: ClusterOptions,
     /// Per L1 server, per shard occupancy stats. The `Arc`s survive repair:
@@ -429,29 +396,27 @@ impl Cluster {
     /// * `fault_plan` — when present the router runs over a seeded
     ///   [`SimTransport`](crate::transport::SimTransport) instead of the
     ///   default fault-free in-process transport.
-    /// * `transport` + `scope` — a *partial* cluster over an explicit
-    ///   transport: only the servers named by `scope` run here; the rest of
-    ///   the shared membership lives on peer processes reached through
-    ///   `transport`.
+    /// * `transport` — a cluster over an explicit transport. When the
+    ///   transport has a [`Transport::topology`], only the servers it calls
+    ///   local run here; the rest of the shared membership lives on peer
+    ///   processes reached through it.
     /// * `workers` — overrides the core count the executor is sized from
     ///   (tests only; the builder passes `None`): the cluster runs
     ///   `min(cores, hosted shard automata)` worker threads.
     ///
     /// # Panics
     ///
-    /// Panics if a shard count is zero (the builder validates this before
-    /// calling).
+    /// Panics if the shard count is zero (the builder validates this, and
+    /// that a topology's layer sizes are the params', before calling).
     pub(crate) fn launch(
         params: SystemParams,
         backend_kind: BackendKind,
         options: ClusterOptions,
         fault_plan: Option<&crate::transport::FaultPlan>,
-        transport: Option<Arc<dyn crate::transport::Transport>>,
-        scope: Option<HostScope>,
+        transport: Option<Arc<dyn Transport>>,
         workers: Option<usize>,
     ) -> Result<Arc<Cluster>, lds_codes::CodeError> {
-        assert!(options.l1_shards > 0, "l1_shards must be at least 1");
-        assert!(options.l2_shards > 0, "l2_shards must be at least 1");
+        assert!(options.shards > 0, "shards must be at least 1");
         let backend = make_backend(backend_kind, &params)?;
         // Pre-warm the codec's memoized plans (decode / repair inversions for
         // the canonical quorums) so the first client operation runs at
@@ -460,9 +425,10 @@ impl Cluster {
         let recorder = FlightRecorder::new(options.trace, DEFAULT_TRACE_EVENTS);
         let obs = ObsMetrics::new();
         let (n1, n2) = (params.n1(), params.n2());
-        let l1: Vec<ProcessId> = (0..n1).map(ProcessId).collect();
-        let l2: Vec<ProcessId> = (n1..n1 + n2).map(ProcessId).collect();
-        let membership = Membership::new(l1.clone(), l2.clone());
+        let membership = Membership::new(
+            (0..n1).map(ProcessId).collect(),
+            (n1..n1 + n2).map(ProcessId).collect(),
+        );
         let router = match (&transport, fault_plan) {
             (Some(transport), _) => Router::with_transport(Arc::clone(transport)),
             (None, None) => Router::new(),
@@ -474,37 +440,16 @@ impl Cluster {
                 Router::with_transport(transport)
             }
         };
-        // Which server pids this process hosts (None = all — the
-        // in-process default), and how client numbers are strided.
-        let (hosted, client_base, client_step) = match &scope {
-            None => (None, 1, 1),
-            Some(scope) => {
-                let mut set = HashSet::new();
-                for &j in &scope.l1 {
-                    assert!(j < n1, "scoped L1 index {j} out of range");
-                    set.insert(l1[j]);
-                }
-                for &i in &scope.l2 {
-                    assert!(i < n2, "scoped L2 index {i} out of range");
-                    set.insert(l2[i]);
-                }
-                assert!(scope.client_step > 0, "client_step must be non-zero");
-                (Some(set), scope.client_base, scope.client_step)
-            }
-        };
-        let is_hosted = |pid: ProcessId| hosted.as_ref().is_none_or(|set| set.contains(&pid));
+        let topology = router.transport().topology();
+        let client_base = topology.map_or(1, TcpTopology::client_base);
         let started = Instant::now();
         // Hosted automata take consecutive executor slots in pid order.
         let mut tasks = 0;
         let slot_base: Vec<usize> = (0..n1 + n2)
             .map(|p| {
                 let base = tasks;
-                if is_hosted(ProcessId(p)) {
-                    tasks += if p < n1 {
-                        options.l1_shards
-                    } else {
-                        options.l2_shards
-                    };
+                if topology.is_none_or(|t| t.is_local(ProcessId(p))) {
+                    tasks += options.shards;
                 }
                 base
             })
@@ -516,16 +461,16 @@ impl Cluster {
         let executor = Executor::start(cores.min(tasks).max(1), &router, started);
         router.transport().host(&executor.handle());
 
-        // Remote servers (scoped deployments) keep their stats/gauge slots —
-        // indexed by layer position everywhere — but get no inbox and no
-        // tasks here.
-        let shard_stats = |servers: usize, shards: usize| -> Vec<Vec<Arc<ShardStats>>> {
+        // Remote servers (multi-daemon deployments) keep their stats/gauge
+        // slots — indexed by layer position everywhere — but get no inbox
+        // and no tasks here.
+        let shard_stats = |servers: usize| -> Vec<Vec<Arc<ShardStats>>> {
             (0..servers)
-                .map(|_| (0..shards).map(|_| Arc::default()).collect())
+                .map(|_| (0..options.shards).map(|_| Arc::default()).collect())
                 .collect()
         };
         let l1_inboxes = (0..n1)
-            .map(|_| (0..options.l1_shards).map(|_| Arc::default()).collect())
+            .map(|_| (0..options.shards).map(|_| Arc::default()).collect())
             .collect();
 
         let cluster = Arc::new(Cluster {
@@ -542,12 +487,10 @@ impl Cluster {
             beats: (0..n1 + n2).map(|_| Arc::default()).collect(),
             heal: std::sync::OnceLock::new(),
             client_numbers: AtomicU64::new(client_base),
-            client_step,
-            hosted,
             started,
             options,
-            l1_stats: shard_stats(n1, options.l1_shards),
-            l2_stats: shard_stats(n2, options.l2_shards),
+            l1_stats: shard_stats(n1),
+            l2_stats: shard_stats(n2),
             l1_inboxes,
             recorder,
             obs,
@@ -608,15 +551,15 @@ impl Cluster {
     /// `obs/metrics.rs`.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let load = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
-        let (l1_shards, l2_shards) = (
+        let (l1_slots, l2_slots) = (
             self.l1_stats.iter().flatten(),
             self.l2_stats.iter().flatten(),
         );
         let l1 = |slot: fn(&ShardStats) -> &AtomicU64| -> u64 {
-            l1_shards.clone().map(|s| load(slot(s))).sum()
+            l1_slots.clone().map(|s| load(slot(s))).sum()
         };
         let mut messages_by_class: Vec<_> = MESSAGE_CLASSES.iter().map(|&c| (c, 0)).collect();
-        for stats in l1_shards.clone().chain(l2_shards.clone()) {
+        for stats in l1_slots.clone().chain(l2_slots) {
             for (total, slot) in messages_by_class.iter_mut().zip(&stats.msgs_by_class) {
                 total.1 += load(slot);
             }
@@ -648,7 +591,7 @@ impl Cluster {
             transport_faults: self.router.transport().fault_counters(),
             gc_evicted_entries: l1(|s| &s.gc_evicted_entries),
             gc_evicted_bytes: l1(|s| &s.gc_evicted_bytes),
-            peak_round_bytes: l1_shards
+            peak_round_bytes: l1_slots
                 .clone()
                 .map(|s| load(&s.peak_round_bytes) as usize)
                 .max()
@@ -676,8 +619,12 @@ impl Cluster {
 
     /// Draws the next client number of the deployment.
     pub(crate) fn alloc_client_number(&self) -> u64 {
-        self.client_numbers
-            .fetch_add(self.client_step, Ordering::Relaxed)
+        let step = self
+            .router
+            .transport()
+            .topology()
+            .map_or(1, TcpTopology::client_step);
+        self.client_numbers.fetch_add(step, Ordering::Relaxed)
     }
 
     /// The process id of client `number`: client process ids live above all
@@ -745,7 +692,7 @@ impl Cluster {
     /// held messages are discarded).
     pub(crate) fn shutdown(&self) {
         for &pid in self.membership.l1.iter().chain(self.membership.l2.iter()) {
-            // Scoped deployments stop only their own servers; peers own
+            // A multi-daemon deployment stops only its own servers; peers own
             // (and stop) theirs.
             if self.hosts_server(pid) {
                 self.router.send_stop(pid);
@@ -789,10 +736,13 @@ impl Cluster {
     }
 
     /// Whether this process hosts the shard automata of server `pid`
-    /// (always true on an in-process deployment; a scoped multi-daemon
-    /// deployment hosts only its [`HostScope`] slice).
+    /// (always true without a transport topology; a multi-daemon deployment
+    /// hosts the servers its [`TcpTopology`] calls local).
     pub(crate) fn hosts_server(&self, pid: ProcessId) -> bool {
-        self.hosted.as_ref().is_none_or(|set| set.contains(&pid))
+        self.router
+            .transport()
+            .topology()
+            .is_none_or(|topology| topology.is_local(pid))
     }
 
     // ------------------------------------------------------------------
@@ -926,9 +876,8 @@ impl Cluster {
                         report_to,
                     ),
                 };
-                let gauges: Vec<Arc<DepthGauge>> = (0..self.options.l2_shards)
-                    .map(|_| Arc::default())
-                    .collect();
+                let gauges: Vec<Arc<DepthGauge>> =
+                    (0..self.options.shards).map(|_| Arc::default()).collect();
                 let stats = &self.l2_stats[index];
                 // An L2 shard publishes its message-class counts only.
                 let publisher = || |_: &L2Server, _: &mut NodeObs| {};
@@ -997,11 +946,7 @@ mod tests {
 
     #[test]
     fn sharded_cluster_starts_and_shuts_down() {
-        let store = StoreBuilder::new()
-            .l1_shards(4)
-            .l2_shards(2)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(4).build().unwrap();
         let cluster = &store.cluster;
         // Shards do not change the process count.
         assert_eq!(cluster.router().len(), 9);
@@ -1035,16 +980,8 @@ mod tests {
     /// parameter the builder does not expose).
     fn store_on(cores: usize, options: ClusterOptions) -> crate::api::StoreHandle {
         let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let cluster = Cluster::launch(
-            params,
-            BackendKind::Mbr,
-            options,
-            None,
-            None,
-            None,
-            Some(cores),
-        )
-        .unwrap();
+        let cluster =
+            Cluster::launch(params, BackendKind::Mbr, options, None, None, Some(cores)).unwrap();
         crate::api::StoreHandle {
             cluster,
             heal: None,
@@ -1054,8 +991,7 @@ mod tests {
     #[test]
     fn one_worker_two_workers_and_a_worker_per_task_behave_alike() {
         let options = ClusterOptions {
-            l1_shards: 2,
-            l2_shards: 2,
+            shards: 2,
             ..ClusterOptions::default()
         };
         let tasks = 2 * (4 + 5);
@@ -1170,7 +1106,7 @@ mod tests {
     fn kill_and_repair_l1_restores_budget() {
         let store = StoreBuilder::new()
             .backend(BackendKind::Replication)
-            .l1_shards(2)
+            .shards(2)
             .build()
             .unwrap();
         let admin = store.admin();

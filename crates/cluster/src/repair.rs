@@ -218,18 +218,11 @@ pub(crate) fn repair_server(
     timeout: Duration,
 ) -> Result<RepairReport, RepairError> {
     let membership = cluster.membership().clone();
-    let (pid, peers, shards) = match layer {
-        RepairLayer::L1 => (
-            membership.l1[index],
-            membership.l1.clone(),
-            cluster.options().l1_shards,
-        ),
-        RepairLayer::L2 => (
-            membership.l2[index],
-            membership.l2.clone(),
-            cluster.options().l2_shards,
-        ),
+    let (pid, peers) = match layer {
+        RepairLayer::L1 => (membership.l1[index], membership.l1.clone()),
+        RepairLayer::L2 => (membership.l2[index], membership.l2.clone()),
     };
+    let shards = cluster.options().shards;
     let _claim = RepairClaim::acquire(cluster, pid)?;
     let started = Instant::now();
 

@@ -167,6 +167,15 @@ pub trait Transport: Send + Sync {
     /// [`Transport::attach`], when the deployment's executor has started.
     fn host(&self, _workers: &Workers) {}
 
+    /// Where the deployment's processes live. `None` (the default): every
+    /// pid is in this process and client numbers run 1, 2, 3, …. `Some`: this
+    /// process hosts the servers [`TcpTopology::is_local`] names and
+    /// allocates client numbers from [`TcpTopology::client_base`] in steps
+    /// of [`TcpTopology::client_step`].
+    fn topology(&self) -> Option<&TcpTopology> {
+        None
+    }
+
     /// Counters of every fault injected so far.
     fn fault_counters(&self) -> FaultCounters {
         FaultCounters::default()

@@ -145,7 +145,7 @@ const HELLO_MAX: usize = 64;
 /// Shared verbatim by every daemon of a deployment (each knows its own
 /// `index`); the pid → daemon rules are documented at the top of this
 /// source file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpTopology {
     /// Number of L1 servers (`pids 0..n1`).
     pub n1: usize,
@@ -184,8 +184,18 @@ impl TcpTopology {
         self.owner_of(pid) == self.index
     }
 
-    /// The first client number this daemon allocates (see
-    /// [`HostScope`](crate::node::HostScope)).
+    /// The layer indices of the servers this daemon hosts: L1's, then
+    /// L2's.
+    pub fn local_servers(&self) -> [Vec<usize>; 2] {
+        let local = |first: usize, count: usize| -> Vec<usize> {
+            (0..count)
+                .filter(|&i| self.server_owner[first + i] == self.index)
+                .collect()
+        };
+        [local(0, self.n1), local(self.n1, self.n2)]
+    }
+
+    /// The first client number this daemon allocates.
     pub fn client_base(&self) -> u64 {
         self.index as u64 + 1
     }
@@ -682,6 +692,11 @@ impl TcpTransport {
     ///
     /// Binding eagerly means an unusable listen address is a construction
     /// error the daemon can report, not a background failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `server_owner` has one entry per server pid, each
+    /// naming a daemon of `peers`, and `index` names one too.
     pub fn bind(topo: TcpTopology) -> std::io::Result<TcpTransport> {
         assert_eq!(
             topo.server_owner.len(),
@@ -689,6 +704,12 @@ impl TcpTransport {
             "server_owner must cover every server pid"
         );
         assert!(topo.index < topo.peers.len(), "daemon index out of range");
+        assert!(
+            topo.server_owner
+                .iter()
+                .all(|&owner| owner < topo.peers.len()),
+            "server_owner names a daemon outside peers"
+        );
         let listener = TcpListener::bind(topo.peers[topo.index])?;
         let mesh_wake = Arc::new(WakeFd::new()?);
         let counters = Arc::new(Counters::default());
@@ -715,11 +736,6 @@ impl TcpTransport {
             sender: OnceLock::new(),
             mesh: Mutex::new(None),
         })
-    }
-
-    /// The placement this transport routes by.
-    pub fn topology(&self) -> &TcpTopology {
-        &self.topo
     }
 
     /// The address the mesh listener actually bound (resolves `:0`).
@@ -803,6 +819,10 @@ impl Transport for TcpTransport {
         for link in self.links.iter().flatten() {
             link.flush();
         }
+    }
+
+    fn topology(&self) -> Option<&TcpTopology> {
+        Some(&self.topo)
     }
 
     fn attach(&self, sender: DirectSender) {
@@ -1107,7 +1127,6 @@ mod tests {
     use super::*;
     use crate::api::{Store, StoreBuilder};
     use crate::executor::{Executor, Task, Turn};
-    use crate::node::HostScope;
     use crate::router::{DepthGauge, Envelope, Inbox, Router, RouterHandle};
     use crate::sync::channel::{unbounded, Receiver};
     use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
@@ -1746,12 +1765,6 @@ mod tests {
                     .failures(1, 1)
                     .code(2, 3)
                     .transport(transport.clone() as Arc<dyn Transport>)
-                    .host_scope(HostScope {
-                        l1: (0..4).filter(|j| j % 2 == index).collect(),
-                        l2: (0..5).filter(|i| (4 + i) % 2 == index).collect(),
-                        client_base: index as u64 + 1,
-                        client_step: 2,
-                    })
                     .build()
                     .unwrap();
                 (transport, store)
@@ -1775,6 +1788,74 @@ mod tests {
         for (_, store) in &daemons {
             store.shutdown();
         }
+    }
+
+    /// A store over a transport hosts exactly the servers its topology calls
+    /// local, and numbers its clients so that `owner_of` maps them back to
+    /// it: placement is stated once, in `server_owner`.
+    #[test]
+    fn a_store_hosts_what_its_topology_calls_local() {
+        let probes = [(); 2].map(|()| TcpListener::bind(loopback(0)).unwrap());
+        let peers: Vec<SocketAddr> = probes.iter().map(|p| p.local_addr().unwrap()).collect();
+        drop(probes);
+        for index in 0..2 {
+            let topo = TcpTopology {
+                n1: 4,
+                n2: 5,
+                index,
+                peers: peers.clone(),
+                server_owner: vec![1, 0, 0, 1, 0, 1, 1, 0, 1],
+            };
+            let transport = Arc::new(TcpTransport::bind(topo.clone()).unwrap());
+            let store = StoreBuilder::new()
+                .failures(1, 1)
+                .code(2, 3)
+                .transport(transport as Arc<dyn Transport>)
+                .build()
+                .unwrap();
+            let router = store.cluster.router();
+            for pid in (0..9).map(ProcessId) {
+                assert_eq!(router.contains(pid), topo.is_local(pid), "{pid:?}");
+            }
+            let clients = [store.client(), store.client()];
+            let client_pids: Vec<ProcessId> = (9..20)
+                .map(ProcessId)
+                .filter(|&pid| router.contains(pid))
+                .collect();
+            assert_eq!(client_pids.len(), 2, "{client_pids:?}");
+            for pid in client_pids {
+                assert_eq!(topo.owner_of(pid), index, "{pid:?}");
+            }
+            drop(clients);
+            store.shutdown();
+        }
+    }
+
+    /// An owner outside `peers` is refused at `bind`: otherwise the first
+    /// message to that server panics the executor worker sending it.
+    #[test]
+    #[should_panic(expected = "server_owner names a daemon outside peers")]
+    fn a_server_owned_by_no_daemon_is_refused_at_bind() {
+        let mut topo = two_daemon_topology()(0);
+        topo.server_owner[1] = 2;
+        let _ = TcpTransport::bind(topo);
+    }
+
+    /// A topology that sizes the layers differently from the params is a
+    /// configuration error at `build()`, before anything starts.
+    #[test]
+    fn a_topology_of_other_layer_sizes_is_invalid() {
+        let topo = two_daemon_topology();
+        let transport = Arc::new(TcpTransport::bind(topo(0)).unwrap());
+        let result = StoreBuilder::new()
+            .failures(1, 1)
+            .code(2, 3)
+            .transport(transport as Arc<dyn Transport>)
+            .build();
+        assert!(
+            matches!(result, Err(crate::api::StoreError::InvalidConfig(_))),
+            "{result:?}"
+        );
     }
 
     /// `submit_*` only buffers what it sends to another daemon: the socket
@@ -1801,12 +1882,6 @@ mod tests {
             .failures(1, 1)
             .code(2, 3)
             .transport(transport.clone() as Arc<dyn Transport>)
-            .host_scope(HostScope {
-                l1: Vec::new(),
-                l2: Vec::new(),
-                client_base: 1,
-                client_step: 2,
-            })
             .build()
             .unwrap();
         wait_direct(&transport, 1);

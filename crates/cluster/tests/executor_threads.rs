@@ -20,11 +20,7 @@ fn threads() -> usize {
 fn nine_servers_of_two_shards_add_min_cores_eighteen_threads() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let before = threads();
-    let store = StoreBuilder::new()
-        .l1_shards(2)
-        .l2_shards(2)
-        .build()
-        .unwrap();
+    let store = StoreBuilder::new().shards(2).build().unwrap();
     assert_eq!(threads() - before, cores.min(18), "{cores} cores");
     assert_eq!(store.admin().metrics().executor_workers, cores.min(18));
     // Clients bring no thread of their own, and all 18 automata serve.

@@ -79,12 +79,12 @@ impl SystemParams {
                 "both layers need at least one server".into(),
             ));
         }
-        if 2 * f1 >= n1 {
+        if f1.checked_mul(2).is_none_or(|twice| twice >= n1) {
             return Err(InvalidParams::Constraint(format!(
                 "need f1 < n1/2 (got f1={f1}, n1={n1})"
             )));
         }
-        if 3 * f2 >= n2 {
+        if f2.checked_mul(3).is_none_or(|thrice| thrice >= n2) {
             return Err(InvalidParams::Constraint(format!(
                 "need f2 < n2/3 (got f2={f2}, n2={n2})"
             )));
@@ -122,9 +122,20 @@ impl SystemParams {
     /// # Errors
     ///
     /// Returns [`InvalidParams`] under the same conditions as
-    /// [`SystemParams::new`].
+    /// [`SystemParams::new`], and [`InvalidParams::Constraint`] if a layer
+    /// size does not fit in a `usize`.
     pub fn for_failures(f1: usize, f2: usize, k: usize, d: usize) -> Result<Self, InvalidParams> {
-        Self::new(2 * f1 + k, 2 * f2 + d, f1, f2)
+        let size = |f: usize, code: usize, relation: &str| {
+            f.checked_mul(2)
+                .and_then(|twice| twice.checked_add(code))
+                .ok_or_else(|| InvalidParams::Constraint(format!("{relation} overflows a usize")))
+        };
+        Self::new(
+            size(f1, k, "n1 = 2*f1 + k")?,
+            size(f2, d, "n2 = 2*f2 + d")?,
+            f1,
+            f2,
+        )
     }
 
     /// A small symmetric configuration convenient for tests: `n1 = n2 = n`,
@@ -281,6 +292,26 @@ mod tests {
         // Empty layers.
         assert!(SystemParams::new(0, 5, 0, 1).is_err());
         assert!(SystemParams::new(5, 0, 1, 0).is_err());
+    }
+
+    /// Fault tolerances near `usize::MAX` are errors, not wrapped layer
+    /// sizes or arithmetic panics.
+    #[test]
+    fn huge_fault_tolerances_are_rejected() {
+        let huge = 1 << (usize::BITS - 1);
+        for params in [
+            SystemParams::for_failures(huge, 1, 2, 3),
+            SystemParams::for_failures(1, huge, 2, 3),
+            SystemParams::for_failures(usize::MAX, 1, 2, 3),
+            SystemParams::for_failures(1, 1, usize::MAX, 3),
+            SystemParams::new(4, 5, huge, 1),
+            SystemParams::new(4, 5, 1, huge),
+        ] {
+            assert!(
+                matches!(params, Err(InvalidParams::Constraint(_))),
+                "{params:?}"
+            );
+        }
     }
 
     /// A quorum set is a `u128` over a layer's code indices: 128 servers

@@ -37,8 +37,9 @@
 //! ```
 
 use lds_cluster::transport::TcpTopology;
-use lds_cluster::{HealConfig, HostScope};
+use lds_cluster::HealConfig;
 use lds_core::backend::BackendKind;
+use lds_core::params::SystemParams;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::SocketAddr;
@@ -110,18 +111,11 @@ pub struct DaemonSection {
     pub http_listen: SocketAddr,
 }
 
-/// The `[cluster]` section: protocol and code parameters, shared verbatim
-/// by every daemon of a deployment.
+/// The `[cluster]` section's settings besides `f1`, `f2`, `k` and `d`
+/// (those become [`Config::params`]), shared verbatim by every daemon of a
+/// deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSection {
-    /// L1 crash-fault tolerance (`n1 = 2·f1 + k`).
-    pub f1: usize,
-    /// L2 crash-fault tolerance (`n2 = 2·f2 + d`).
-    pub f2: usize,
-    /// Reconstruction threshold of the regenerating code.
-    pub k: usize,
-    /// Repair degree of the regenerating code.
-    pub d: usize,
     /// Erasure-code backend.
     pub backend: BackendKind,
     /// Pipeline depth of the daemon's server-side store clients.
@@ -187,69 +181,18 @@ pub struct Config {
     /// Self-healing knobs (defaults with `enabled = false` when the section
     /// is absent).
     pub heal: HealSection,
-    /// Mesh address of every server pid `0..n1+n2`.
-    pub membership: Vec<SocketAddr>,
-    /// This daemon's index in the deduplicated, first-appearance-ordered
-    /// list of membership addresses.
-    pub daemon_index: usize,
-    /// Every daemon's mesh address, ordered by first appearance in
-    /// `[membership]`.
-    pub daemon_addrs: Vec<SocketAddr>,
+    /// `[cluster]`'s `f1`, `f2`, `k` and `d`, validated by
+    /// [`SystemParams::for_failures`], which works out the layer sizes
+    /// `n1 = 2·f1 + k` and `n2 = 2·f2 + d`.
+    pub params: SystemParams,
+    /// Where every process lives, from this daemon's seat: the daemons are
+    /// `[membership]`'s addresses in first-appearance order, each server pid
+    /// is owned by the daemon at its address, and `index` is the daemon
+    /// whose mesh address is `[daemon] listen`.
+    pub topology: TcpTopology,
 }
 
 impl Config {
-    /// Number of L1 servers (`2·f1 + k`).
-    pub fn n1(&self) -> usize {
-        2 * self.cluster.f1 + self.cluster.k
-    }
-
-    /// Number of L2 servers (`2·f2 + d`).
-    pub fn n2(&self) -> usize {
-        2 * self.cluster.f2 + self.cluster.d
-    }
-
-    /// The daemon owning server `pid` (an index into
-    /// [`Config::daemon_addrs`]).
-    pub fn owner_of_server(&self, pid: usize) -> usize {
-        let addr = self.membership[pid];
-        self.daemon_addrs
-            .iter()
-            .position(|&a| a == addr)
-            .expect("membership addresses are all in daemon_addrs")
-    }
-
-    /// The [`TcpTopology`] this config describes, from this daemon's seat.
-    pub fn topology(&self) -> TcpTopology {
-        let server_owner = (0..self.membership.len())
-            .map(|pid| self.owner_of_server(pid))
-            .collect();
-        TcpTopology {
-            n1: self.n1(),
-            n2: self.n2(),
-            index: self.daemon_index,
-            peers: self.daemon_addrs.clone(),
-            server_owner,
-        }
-    }
-
-    /// The slice of the deployment this daemon hosts.
-    pub fn host_scope(&self) -> HostScope {
-        let topo = self.topology();
-        let n1 = self.n1();
-        let l1 = (0..n1)
-            .filter(|&j| self.owner_of_server(j) == self.daemon_index)
-            .collect();
-        let l2 = (0..self.n2())
-            .filter(|&i| self.owner_of_server(n1 + i) == self.daemon_index)
-            .collect();
-        HostScope {
-            l1,
-            l2,
-            client_base: topo.client_base(),
-            client_step: topo.client_step(),
-        }
-    }
-
     /// Parses and validates one config file's contents.
     pub fn parse(input: &str) -> Result<Config, ConfigError> {
         let raw = RawConfig::parse(input)?;
@@ -442,22 +385,13 @@ impl RawConfig {
             }
         };
         let cluster = ClusterSection {
-            f1: self.required_int("cluster", "f1")? as usize,
-            f2: self.required_int("cluster", "f2")? as usize,
-            k: self.required_int("cluster", "k")? as usize,
-            d: self.required_int("cluster", "d")? as usize,
             backend,
             pipeline_depth: self.optional_int("cluster", "pipeline_depth", 16)? as usize,
         };
-        if cluster.k == 0 {
-            return Err(ConfigError::invalid("[cluster] k must be at least 1"));
-        }
-        if cluster.d < cluster.k {
-            return Err(ConfigError::invalid(format!(
-                "[cluster] needs k <= d (got k={}, d={})",
-                cluster.k, cluster.d
-            )));
-        }
+        let [f1, f2, k, d] =
+            ["f1", "f2", "k", "d"].map(|key| self.required_int("cluster", key).map(|v| v as usize));
+        let params = SystemParams::for_failures(f1?, f2?, k?, d?)
+            .map_err(|e| ConfigError::invalid(format!("[cluster] {e}")))?;
         if cluster.pipeline_depth == 0 {
             return Err(ConfigError::invalid(
                 "[cluster] pipeline_depth must be at least 1",
@@ -472,11 +406,17 @@ impl RawConfig {
                 "beat_interval_ms",
                 defaults.beat_interval_ms,
             )?,
-            suspicion_intervals: self.optional_int(
+            suspicion_intervals: u32::try_from(self.optional_int(
                 "heal",
                 "suspicion_intervals",
                 u64::from(defaults.suspicion_intervals),
-            )? as u32,
+            )?)
+            .map_err(|_| {
+                ConfigError::invalid(format!(
+                    "[heal] suspicion_intervals must be at most {}",
+                    u32::MAX
+                ))
+            })?,
             backoff_base_ms: self.optional_int(
                 "heal",
                 "backoff_base_ms",
@@ -518,9 +458,7 @@ impl RawConfig {
             }
         }
 
-        let n1 = 2 * cluster.f1 + cluster.k;
-        let n2 = 2 * cluster.f2 + cluster.d;
-        let servers = n1 + n2;
+        let servers = params.code_length();
         let mut membership = vec![None; servers];
         let member_keys: Vec<(String, String)> = self
             .entries
@@ -570,14 +508,22 @@ impl RawConfig {
             ));
         }
 
-        // Daemon list: membership addresses in first-appearance order.
+        // Daemon list: membership addresses in first-appearance order; each
+        // server is owned by the daemon at its address.
         let mut daemon_addrs: Vec<SocketAddr> = Vec::new();
-        for &addr in &membership {
-            if !daemon_addrs.contains(&addr) {
-                daemon_addrs.push(addr);
-            }
-        }
-        let Some(daemon_index) = daemon_addrs.iter().position(|&a| a == daemon.listen) else {
+        let server_owner = membership
+            .iter()
+            .map(|addr| {
+                daemon_addrs
+                    .iter()
+                    .position(|a| a == addr)
+                    .unwrap_or_else(|| {
+                        daemon_addrs.push(*addr);
+                        daemon_addrs.len() - 1
+                    })
+            })
+            .collect();
+        let Some(index) = daemon_addrs.iter().position(|&a| a == daemon.listen) else {
             return Err(ConfigError::invalid(format!(
                 "[daemon] listen {} does not appear in [membership]; this daemon would host nothing",
                 daemon.listen
@@ -596,9 +542,14 @@ impl RawConfig {
             daemon,
             cluster,
             heal,
-            membership,
-            daemon_index,
-            daemon_addrs,
+            topology: TcpTopology {
+                n1: params.n1(),
+                n2: params.n2(),
+                index,
+                peers: daemon_addrs,
+                server_owner,
+            },
+            params,
         })
     }
 }
@@ -692,10 +643,14 @@ mod tests {
     #[test]
     fn sample_parses_and_resolves() {
         let config = Config::parse(&sample()).unwrap();
-        assert_eq!(config.n1(), 4);
-        assert_eq!(config.n2(), 5);
-        assert_eq!(config.daemon_index, 0);
-        assert_eq!(config.daemon_addrs.len(), 2);
+        assert_eq!(
+            config.params,
+            SystemParams::for_failures(1, 1, 2, 3).unwrap()
+        );
+        let topo = &config.topology;
+        assert_eq!((topo.n1, topo.n2), (4, 5));
+        assert_eq!(topo.index, 0);
+        assert_eq!(topo.daemons(), 2);
         assert!(config.heal.enabled);
         assert_eq!(config.heal.beat_interval_ms, 25);
         // Defaults survive a partial [heal] section.
@@ -703,13 +658,8 @@ mod tests {
             config.heal.suspicion_intervals,
             HealConfig::default().suspicion_intervals
         );
-        let topo = config.topology();
         assert_eq!(topo.server_owner, vec![0, 1, 0, 1, 0, 1, 0, 1, 0]);
-        let scope = config.host_scope();
-        assert_eq!(scope.l1, vec![0, 2]);
-        assert_eq!(scope.l2, vec![0, 2, 4]);
-        assert_eq!(scope.client_base, 1);
-        assert_eq!(scope.client_step, 2);
+        assert_eq!((topo.client_base(), topo.client_step()), (1, 2));
     }
 
     #[test]
@@ -724,7 +674,9 @@ mod tests {
                 "unterminated string",
             ),
             ("[daemon]\nlisten = maybe\n".into(), "expected a string"),
-            (sample().replace("d = 3", "d = 1"), "k <= d"),
+            (sample().replace("k = 2", "k = 4"), "k <= d"),
+            // k = 2 > d = 1, but n2 = 2*f2 + d = 3 breaks f2 < n2/3 first.
+            (sample().replace("d = 3", "d = 1"), "need f2 < n2/3"),
             (
                 sample().replace(
                     "listen = \"127.0.0.1:7000\"   # mesh",
@@ -750,6 +702,10 @@ mod tests {
                 "unknown key",
             ),
             (sample().replace("f1 = 1\n", ""), "missing [cluster] f1"),
+            (
+                sample().replace("beat_interval_ms = 25", "suspicion_intervals = 4294967297"),
+                "suspicion_intervals must be at most 4294967295",
+            ),
         ];
         for (input, needle) in cases {
             let error = Config::parse(&input).expect_err(needle);
@@ -759,6 +715,20 @@ mod tests {
                 "expected `{needle}` in `{rendered}`"
             );
             assert!(!rendered.contains('\n'), "one line, got `{rendered}`");
+        }
+    }
+
+    /// A tolerance whose layer size does not fit in a `usize` is an error,
+    /// not a wrapped size or an arithmetic panic.
+    #[test]
+    fn layer_sizes_that_overflow_are_config_errors() {
+        for (from, to) in [
+            ("f1 = 1", "f1 = 9223372036854775808"),
+            ("f2 = 1", "f2 = 9223372036854775808"),
+            ("d = 3", "d = 18446744073709551615"),
+        ] {
+            let error = Config::parse(&sample().replace(from, to)).expect_err(to);
+            assert!(error.to_string().contains("overflows"), "{to}: {error}");
         }
     }
 
@@ -778,11 +748,10 @@ mod tests {
                 "http_listen = \"127.0.0.1:7201\"",
             );
         let config = Config::parse(&text).unwrap();
-        assert_eq!(config.daemon_index, 1);
-        let scope = config.host_scope();
-        assert_eq!(scope.l1, vec![1, 3]);
-        assert_eq!(scope.l2, vec![1, 3]);
-        assert_eq!(scope.client_base, 2);
+        let topo = &config.topology;
+        assert_eq!(topo.index, 1);
+        assert_eq!(topo.server_owner, vec![0, 1, 0, 1, 0, 1, 0, 1, 0]);
+        assert_eq!((topo.client_base(), topo.client_step()), (2, 2));
     }
 
     #[test]

@@ -101,20 +101,17 @@ impl Daemon {
     /// order; any failure tears down cleanly and reports one error.
     pub fn start(config: Config) -> Result<Daemon, DaemonError> {
         let config = Arc::new(config);
-        let transport =
-            Arc::new(
-                TcpTransport::bind(config.topology()).map_err(|source| DaemonError::Io {
-                    context: "bind mesh listener",
-                    source,
-                })?,
-            );
+        let transport = Arc::new(TcpTransport::bind(config.topology.clone()).map_err(
+            |source| DaemonError::Io {
+                context: "bind mesh listener",
+                source,
+            },
+        )?);
         let mut builder = StoreBuilder::new()
-            .failures(config.cluster.f1, config.cluster.f2)
-            .code(config.cluster.k, config.cluster.d)
+            .params(config.params)
             .backend(config.cluster.backend)
             .pipeline_depth(config.cluster.pipeline_depth)
-            .transport(Arc::clone(&transport) as Arc<dyn Transport>)
-            .host_scope(config.host_scope());
+            .transport(Arc::clone(&transport) as Arc<dyn Transport>);
         if config.heal.enabled {
             builder = builder.self_heal_with(config.heal.to_heal_config());
         }
@@ -217,7 +214,7 @@ impl Daemon {
 impl fmt::Debug for Daemon {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Daemon")
-            .field("index", &self.config.daemon_index)
+            .field("index", &self.config.topology.index)
             .field("listen", &self.config.daemon.listen)
             .finish_non_exhaustive()
     }

@@ -72,15 +72,15 @@ fn run() -> i32 {
         }
     };
     let config = daemon.config();
+    let topology = &config.topology;
+    let [l1, l2] = topology.local_servers();
     println!(
-        "ldsd: daemon {} of {} up — mesh {}, rpc {}, http {} (L1 {:?}, L2 {:?}), gf kernel {}",
-        config.daemon_index,
-        config.daemon_addrs.len(),
+        "ldsd: daemon {} of {} up — mesh {}, rpc {}, http {} (L1 {l1:?}, L2 {l2:?}), gf kernel {}",
+        topology.index,
+        topology.daemons(),
         config.daemon.listen,
         daemon.client_addr(),
         daemon.http_addr(),
-        config.host_scope().l1,
-        config.host_scope().l2,
         daemon.store().admin().metrics().gf_kernel,
     );
 

@@ -237,13 +237,13 @@ fn run_connection(
     // Every response of one worker turn is encoded here and written once.
     let mut out = Vec::with_capacity(4096);
     let hello = Frame::Hello {
-        daemon: config.daemon_index as u64,
+        daemon: config.topology.index as u64,
     };
     if wire::encode_frame(&hello, &mut out).is_err() || !flush(&mut stream, &mut out) {
         return;
     }
 
-    let mut client = store.client_with_depth(config.cluster.pipeline_depth);
+    let mut client = store.client();
     let admin = store.admin();
     let (tx, rx) = unbounded::<Event>();
     // The reader inherits the buffered read half: requests a client
@@ -402,9 +402,10 @@ fn admin_op(
     op: impl FnOnce(ServerRef) -> Result<Response, lds_cluster::StoreError>,
 ) -> Response {
     let index = index as usize;
+    let (n1, n2) = (config.params.n1(), config.params.n2());
     let (server, pid, bound) = match layer {
-        0 => (ServerRef::l1(index), index, config.n1()),
-        1 => (ServerRef::l2(index), config.n1() + index, config.n2()),
+        0 => (ServerRef::l1(index), index, n1),
+        1 => (ServerRef::l2(index), n1 + index, n2),
         _ => {
             return Response::Error {
                 message: format!("unknown layer {layer} (0 = L1, 1 = L2)"),
@@ -416,12 +417,13 @@ fn admin_op(
             message: format!("{server} out of range (layer has {bound} servers)"),
         };
     }
-    let owner = config.owner_of_server(pid);
-    if owner != config.daemon_index {
+    let topology = &config.topology;
+    let owner = topology.server_owner[pid];
+    if owner != topology.index {
         return Response::Error {
             message: format!(
                 "{server} is hosted by daemon {owner} at {}; send admin requests there",
-                config.daemon_addrs[owner]
+                topology.peers[owner]
             ),
         };
     }

@@ -76,10 +76,10 @@ fn main() {
     let daemons: Vec<Daemon> = (0..DAEMONS)
         .map(|index| {
             let daemon = Daemon::start(config_for(index, mesh, rpc, http)).expect("daemon starts");
-            let scope = daemon.config().host_scope();
+            let [l1, l2] = daemon.config().topology.local_servers();
             println!(
-                "daemon {index}: mesh 127.0.0.1:{}, hosts L1 {:?} and L2 {:?}",
-                mesh[index], scope.l1, scope.l2
+                "daemon {index}: mesh 127.0.0.1:{}, hosts L1 {l1:?} and L2 {l2:?}",
+                mesh[index]
             );
             daemon
         })

@@ -52,7 +52,7 @@ fn demo(label: &str, store: &StoreHandle) {
     println!(
         "[{label}] profile = {:?}, shards = {}, backend = {}, n1 = {}, n2 = {}",
         store.options().profile,
-        store.options().l1_shards,
+        store.options().shards,
         store.backend(),
         store.params().n1(),
         store.params().n2()

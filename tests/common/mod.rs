@@ -276,12 +276,6 @@ impl<S: Store> Store for Recorded<S> {
         self.harvest(S::wait_all)
     }
 
-    /// An abandoned write may still take effect, and a history without it
-    /// could blame a read that returns it.
-    fn cancel_all(&mut self) {
-        panic!("a recorded client cannot abandon operations");
-    }
-
     fn set_timeout(&mut self, timeout: Duration) {
         self.inner.set_timeout(timeout);
     }

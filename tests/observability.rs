@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 #[test]
-fn metrics_carry_latency_histograms_cache_counters_and_internals() {
+fn metrics_carry_latency_histograms_and_internals() {
     let store = StoreBuilder::new().build().unwrap();
     let mut writer = store.client();
     for i in 0..8u64 {

@@ -27,8 +27,7 @@ fn online_l2_repair_under_pipelined_load_at_mbr_bandwidth() {
         let store = builder
             .params(params())
             .backend(BackendKind::Mbr)
-            .l1_shards(2)
-            .l2_shards(2) // exercises the repair fan-out across worker shards
+            .shards(2) // exercises the repair fan-out across worker shards
             .build()
             .unwrap();
         l2_repair_under_load(label, &store);
@@ -112,7 +111,7 @@ fn online_l1_repair_under_pipelined_load_restores_budget() {
         let store = builder
             .params(params())
             .backend(BackendKind::Mbr)
-            .l1_shards(2)
+            .shards(2)
             .build()
             .unwrap();
         l1_repair_under_load(label, &store);

@@ -57,8 +57,6 @@ fn builder_rejects_backend_incompatible_code_parameters() {
 fn builder_rejects_zero_sized_knobs() {
     for (label, result) in [
         ("shards", StoreBuilder::new().shards(0).build()),
-        ("l1_shards", StoreBuilder::new().l1_shards(0).build()),
-        ("l2_shards", StoreBuilder::new().l2_shards(0).build()),
         ("depth", StoreBuilder::new().pipeline_depth(0).build()),
         (
             "repair_timeout",
@@ -130,7 +128,7 @@ fn builder_axes_reach_the_deployment() {
     assert_eq!(store.backend(), BackendKind::Replication);
     assert_eq!(store.params().n1(), 4);
     let options = store.options();
-    assert_eq!(options.l1_shards, 2);
+    assert_eq!(options.shards, 2);
     assert_eq!(options.pipeline_depth, 32);
     store.shutdown();
 }
@@ -158,7 +156,7 @@ fn profile_methods_commute_with_other_settings() {
         let options = store.options();
         assert_eq!(options.profile, profile);
         assert_eq!(options.repair_timeout, timeout);
-        assert_eq!((options.l1_shards, options.pipeline_depth), (2, 32));
+        assert_eq!((options.shards, options.pipeline_depth), (2, 32));
         store.shutdown();
     }
 }
