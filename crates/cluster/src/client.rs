@@ -41,7 +41,7 @@ use lds_core::reader::ReaderClient;
 use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
 use lds_core::value::Value;
 use lds_core::writer::WriterClient;
-use lds_sim::{Context, ProcessId, SimTime};
+use lds_core::{Context, ProcessId, SimTime};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -422,13 +422,13 @@ impl StoreClient {
         let mut ctx = Context::standalone(self.pid, now, &mut outgoing, &mut events);
         match &msg {
             LdsMessage::TagResp { .. } | LdsMessage::AckPutData { .. } => {
-                use lds_sim::Process;
+                use lds_core::Process;
                 self.writer.on_message(from, msg, &mut ctx);
             }
             LdsMessage::CommTagResp { .. }
             | LdsMessage::DataResp { .. }
             | LdsMessage::AckPutTag { .. } => {
-                use lds_sim::Process;
+                use lds_core::Process;
                 self.reader.on_message(from, msg, &mut ctx);
             }
             // Anything else is not addressed to a client automaton.
@@ -755,6 +755,7 @@ impl Drop for StoreClient {
 mod tests {
     use super::*;
     use crate::api::{ServerRef, StoreBuilder, StoreHandle};
+    use crate::transport::{Endpoint, FaultPlan, FaultRule};
     use lds_core::backend::BackendKind;
 
     fn small_store() -> StoreHandle {
@@ -971,7 +972,21 @@ mod tests {
 
     #[test]
     fn try_submit_respects_pipeline_and_fifo() {
-        let store = small_store();
+        // Every client → L1 message is held 200 ms, so the first write is
+        // still in flight when the next `try_submit_*` runs, however fast
+        // the host is.
+        let hold = Duration::from_millis(200);
+        let store = StoreBuilder::new()
+            .fault_plan(
+                FaultPlan::seeded(1).rule(
+                    FaultRule::new()
+                        .only_from(&[Endpoint::Clients])
+                        .delay_prob(1.0)
+                        .delay_window(hold, hold),
+                ),
+            )
+            .build()
+            .unwrap();
         let mut client = store.client_with_depth(2);
         let t0 = client.try_submit_write(ObjectId(0), b"a").unwrap();
         // Same object: refused while the first op is in flight.

@@ -46,7 +46,7 @@ use crate::api::ServerRef;
 use crate::node::Cluster;
 use crate::repair::RepairLayer;
 use crate::sync::Mutex;
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

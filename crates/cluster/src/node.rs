@@ -29,7 +29,7 @@ use lds_core::messages::{LdsMessage, ProtocolEvent};
 use lds_core::params::{Profile, SystemParams};
 use lds_core::server1::L1Server;
 use lds_core::server2::L2Server;
-use lds_sim::{Context, Process, ProcessId, SimTime};
+use lds_core::{Context, Process, ProcessId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -44,7 +44,7 @@ use crate::router::Envelope;
 use crate::sync::channel::RecvTimeoutError;
 use lds_core::messages::LdsMessage;
 use lds_core::tag::ObjectId;
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};

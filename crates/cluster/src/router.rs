@@ -41,7 +41,7 @@ use crate::transport::{Decision, InProcTransport, Transport};
 use lds_core::idmap::IdMap;
 use lds_core::messages::LdsMessage;
 use lds_core::tag::ObjectId;
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 

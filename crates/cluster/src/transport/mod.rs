@@ -56,7 +56,7 @@ pub use sim::SimTransport;
 pub use tcp::{LinkStats, TcpTopology, TcpTransport};
 
 use lds_core::messages::LdsMessage;
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::time::Duration;
 
 /// What a [`Transport`] decided to do with one message.

@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use lds_core::messages::LdsMessage;
     use lds_core::tag::ObjectId;
-    use lds_sim::DataSize;
+    use lds_core::DataSize;
 
     fn params() -> SystemParams {
         SystemParams::for_failures(1, 1, 2, 3).unwrap()

@@ -9,7 +9,7 @@
 //! is exactly the asynchrony the protocol must tolerate anyway.
 //!
 //! Delayed messages are parked in a deadline-ordered heap drained by one
-//! `lds-sim-transport` pump thread, which re-injects them through the
+//! `lds-fault-pump` thread, which re-injects them through the
 //! router's [`DirectSender`] — re-injection bypasses `decide`, so a delayed
 //! message cannot be faulted twice.
 
@@ -19,7 +19,7 @@ use crate::obs::{EventKind, TraceHandle};
 use crate::router::{Burst, DirectSender};
 use lds_core::messages::LdsMessage;
 use lds_core::params::SystemParams;
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -394,7 +394,7 @@ impl Transport for SimTransport {
     fn attach(&self, sender: DirectSender) {
         let pump = std::sync::Arc::clone(&self.pump);
         let handle = std::thread::Builder::new()
-            .name("lds-sim-transport".into())
+            .name("lds-fault-pump".into())
             .spawn(move || {
                 let mut burst = Burst::default();
                 let mut queue = pump.queue.lock().expect("pump queue poisoned");
@@ -427,7 +427,7 @@ impl Transport for SimTransport {
                     }
                 }
             })
-            .expect("spawn sim-transport pump");
+            .expect("spawn fault pump");
         *self.worker.lock().expect("worker slot poisoned") = Some(handle);
     }
 

@@ -96,7 +96,7 @@ use crate::executor::{Bell, Socket};
 use crate::router::{Burst, DirectSender};
 use lds_core::messages::LdsMessage;
 use lds_core::wire::{self, Frame, HEADER_LEN, HELLO_TIMEOUT};
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -14,7 +14,7 @@ use lds_cluster::api::{ObjectId, Store, StoreBuilder};
 use lds_cluster::router::{Inbox, Router};
 use lds_core::backend::BackendKind;
 use lds_core::LdsMessage;
-use lds_sim::ProcessId;
+use lds_core::ProcessId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -17,9 +17,9 @@
 //! intended for the small histories used in tests).
 
 use crate::idmap::IdMap;
+use crate::process::SimTime;
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
-use lds_sim::SimTime;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 

@@ -14,9 +14,9 @@
 //!   crashes in L2.
 //!
 //! The protocol automata (writer, reader, L1 server, L2 server) are
-//! implemented as [`lds_sim::Process`]es so they can be driven by the
-//! deterministic simulator in `lds-sim`, by the thread-based cluster runtime
-//! in `lds-cluster`, or by any other driver.
+//! [`Process`]es of the crate's own [`process`] contract, so the
+//! deterministic simulator in [`sim`], the thread-based cluster runtime in
+//! `lds-cluster` and unit tests all step the same code.
 //!
 //! The crate also contains:
 //!
@@ -40,9 +40,11 @@ pub mod idmap;
 pub mod membership;
 pub mod messages;
 pub mod params;
+pub mod process;
 pub mod reader;
 pub mod server1;
 pub mod server2;
+pub mod sim;
 pub mod tag;
 pub mod value;
 pub mod wire;
@@ -54,6 +56,7 @@ pub use idmap::{IdMap, IdSet};
 pub use membership::{Membership, ServerSet};
 pub use messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
 pub use params::{Profile, SystemParams};
+pub use process::{Context, DataSize, Process, ProcessId, SimTime};
 pub use reader::ReaderClient;
 pub use server1::L1Server;
 pub use server2::L2Server;

@@ -1,7 +1,7 @@
 //! Static membership of a two-layer LDS deployment, and the quorum sets
 //! over it.
 
-use lds_sim::ProcessId;
+use crate::process::ProcessId;
 
 /// Process group used for client processes (readers and writers) when
 /// spawning into a simulation; link latencies to L1 use τ1.
@@ -146,6 +146,10 @@ mod tests {
             5,
             "relay set never exceeds n1"
         );
+        // f1 = 3 of n1 = 10: the relay set is f1 + 1 = 4 servers.
+        let p = crate::params::SystemParams::new(10, 12, 3, 2).unwrap();
+        let m = Membership::new(pids(0..10), pids(10..22));
+        assert_eq!(m.broadcast_relays(p.f1()).len(), 4);
     }
 
     #[test]

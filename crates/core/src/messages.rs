@@ -10,17 +10,17 @@
 //! string, [`MESSAGE_CLASSES`], [`LdsMessage::NUM_CLASSES`], the wire codec
 //! ([`crate::wire`]) and the cost-model size — is generated from that row.
 //!
-//! The [`lds_sim::DataSize`] implementation encodes the paper's cost model
+//! The [`DataSize`] implementation encodes the paper's cost model
 //! (§II-d): only object data (values, coded elements, helper payloads) counts;
 //! tags, counters and other metadata are free. It is the sum of the fields'
 //! payload bytes, so a new data-bearing field is counted without being named
 //! anywhere but in its row.
 
+use crate::process::{DataSize, ProcessId, SimTime};
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
 use crate::wire::{wire_enum, Wire, WireError};
 use lds_codes::{HelperData, Share};
-use lds_sim::{DataSize, ProcessId, SimTime};
 
 wire_enum! {
     /// Payload of a [`LdsMessage::RepairShare`]: what one live server contributes

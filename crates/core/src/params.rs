@@ -205,12 +205,6 @@ impl SystemParams {
     pub fn l2_quorum(&self) -> usize {
         self.f2 + self.d
     }
-
-    /// Size of the relay set used by the metadata broadcast primitive
-    /// (`f1 + 1`).
-    pub fn broadcast_relays(&self) -> usize {
-        self.f1 + 1
-    }
 }
 
 impl fmt::Display for SystemParams {
@@ -266,7 +260,6 @@ mod tests {
         assert_eq!(p.write_quorum(), 3 + 4);
         assert_eq!(p.l2_quorum(), 12 - 2);
         assert_eq!(p.code_length(), 22);
-        assert_eq!(p.broadcast_relays(), 4);
 
         let q = SystemParams::for_failures(3, 2, 4, 8).unwrap();
         assert_eq!(q, p);

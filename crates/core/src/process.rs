@@ -1,15 +1,25 @@
-//! Process identities, the [`Process`] trait and the [`Context`] handed to
-//! processes when they take a step.
+//! The process contract of the paper's model (§II): the automata are
+//! [`Process`]es that take atomic steps, each step handed a [`Context`] to
+//! send messages on reliable asynchronous channels and emit events to its
+//! driver. Every driver — the simulator in [`crate::sim`], the threaded
+//! cluster runtime, unit tests — steps the same automata through it.
+//!
+//! Time is a [`SimTime`]: a non-negative, finite `f64` in abstract latency
+//! units. The paper's bounded-latency analysis expresses everything in
+//! multiples of the link delays τ0, τ1, τ2, so a unitless float is the
+//! natural representation; the wrapper rejects NaN so the simulator's event
+//! queue has a total order.
 
-use crate::time::SimTime;
 use std::any::Any;
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::{Add, AddAssign, Sub};
 
-/// Identifier of a process in the simulation.
+/// Identifier of a process.
 ///
-/// Ids are assigned densely in spawn order. The special
-/// [`ProcessId::EXTERNAL`] id denotes the experiment harness itself, used as
-/// the source of injected messages (client operation invocations).
+/// The simulator assigns ids densely in spawn order. The special
+/// [`ProcessId::EXTERNAL`] id denotes the driver itself, used as the source
+/// of injected messages (client operation invocations).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId(pub usize);
 
@@ -63,9 +73,9 @@ impl DataSize for () {
     }
 }
 
-/// The interface every simulated process implements.
+/// The interface every protocol automaton implements.
 ///
-/// `M` is the message type, `E` the event type emitted to the harness
+/// `M` is the message type, `E` the event type emitted to the driver
 /// (operation completions, diagnostics, …).
 pub trait Process<M, E>: Any {
     /// Called once when the simulation starts (before any delivery).
@@ -76,23 +86,6 @@ pub trait Process<M, E>: Any {
     /// Called for every delivered message. `from` is the sending process or
     /// [`ProcessId::EXTERNAL`] for harness-injected commands.
     fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<'_, M, E>);
-}
-
-/// Blanket helper that lets the simulation downcast stored processes back to
-/// their concrete type (used by experiment probes to read server state, e.g.
-/// storage occupancy).
-pub(crate) trait AnyProcess<M, E>: Process<M, E> {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<M: 'static, E: 'static, T: Process<M, E> + Any> AnyProcess<M, E> for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Execution context passed to a process while it takes a step.
@@ -110,9 +103,8 @@ impl<'a, M, E> Context<'a, M, E> {
     /// Creates a context that is not attached to a running simulation.
     ///
     /// Outgoing messages and emitted events are appended to the provided
-    /// buffers. This is how alternative drivers (unit tests, the thread-based
-    /// cluster runtime) step the same process implementations outside the
-    /// simulator.
+    /// buffers. This is how drivers other than the simulator (unit tests,
+    /// the thread-based cluster runtime) step the same automata.
     pub fn standalone(
         self_id: ProcessId,
         now: SimTime,
@@ -152,9 +144,89 @@ impl<'a, M, E> Context<'a, M, E> {
         }
     }
 
-    /// Emits an event to the experiment harness.
+    /// Emits an event to the driver.
     pub fn emit(&mut self, event: E) {
         self.events.push((self.now, self.self_id, event));
+    }
+}
+
+/// A point in simulated time.
+#[derive(Clone, Copy, PartialEq, Default)]
+pub struct SimTime(f64);
+
+impl SimTime {
+    /// Time zero: the start of every execution.
+    pub const ZERO: SimTime = SimTime(0.0);
+
+    /// Creates a time value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is NaN or negative.
+    pub fn new(t: f64) -> Self {
+        assert!(
+            t.is_finite() && t >= 0.0,
+            "SimTime must be finite and non-negative, got {t}"
+        );
+        SimTime(t)
+    }
+
+    /// The underlying float value.
+    pub fn as_f64(self) -> f64 {
+        self.0
+    }
+}
+
+impl fmt::Debug for SimTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "t={:.3}", self.0)
+    }
+}
+
+impl fmt::Display for SimTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.3}", self.0)
+    }
+}
+
+impl From<f64> for SimTime {
+    fn from(t: f64) -> Self {
+        SimTime::new(t)
+    }
+}
+
+impl Eq for SimTime {}
+
+impl PartialOrd for SimTime {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SimTime {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Construction guarantees the values are never NaN.
+        self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
+    }
+}
+
+impl Add<f64> for SimTime {
+    type Output = SimTime;
+    fn add(self, rhs: f64) -> SimTime {
+        SimTime::new(self.0 + rhs)
+    }
+}
+
+impl AddAssign<f64> for SimTime {
+    fn add_assign(&mut self, rhs: f64) {
+        *self = *self + rhs;
+    }
+}
+
+impl Sub for SimTime {
+    type Output = f64;
+    fn sub(self, rhs: SimTime) -> f64 {
+        self.0 - rhs.0
     }
 }
 
@@ -175,12 +247,8 @@ mod tests {
     fn context_buffers_sends_and_events() {
         let mut outgoing = Vec::new();
         let mut events = Vec::new();
-        let mut ctx: Context<'_, u32, &'static str> = Context {
-            self_id: ProcessId(1),
-            now: SimTime::new(2.0),
-            outgoing: &mut outgoing,
-            events: &mut events,
-        };
+        let mut ctx: Context<'_, u32, &'static str> =
+            Context::standalone(ProcessId(1), SimTime::new(2.0), &mut outgoing, &mut events);
         ctx.send(ProcessId(2), 42);
         ctx.send_all([ProcessId(3), ProcessId(4)], 7);
         ctx.emit("done");
@@ -198,5 +266,38 @@ mod tests {
     fn unit_message_data_size() {
         assert_eq!(().data_size(), 0);
         assert_eq!(().kind(), "unit");
+    }
+
+    #[test]
+    fn ordering_and_arithmetic() {
+        let a = SimTime::new(1.0);
+        let b = SimTime::new(2.5);
+        assert!(a < b);
+        assert_eq!(b - a, 1.5);
+        assert_eq!(a + 1.5, b);
+        let mut c = a;
+        c += 1.5;
+        assert_eq!(c, b);
+        assert_eq!(SimTime::ZERO.as_f64(), 0.0);
+    }
+
+    #[test]
+    fn conversion_and_display() {
+        let t: SimTime = 3.25.into();
+        assert_eq!(t.as_f64(), 3.25);
+        assert_eq!(format!("{t}"), "3.250");
+        assert!(format!("{t:?}").contains("3.250"));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_time_rejected() {
+        let _ = SimTime::new(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn nan_time_rejected() {
+        let _ = SimTime::new(f64::NAN);
     }
 }

@@ -25,10 +25,10 @@ use crate::idmap::{IdMap, IdSet};
 use crate::membership::{Membership, ServerSet};
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload};
 use crate::params::SystemParams;
+use crate::process::{Context, Process, ProcessId, SimTime};
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::Share;
-use lds_sim::{Context, Process, ProcessId, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

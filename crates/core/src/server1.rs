@@ -15,10 +15,10 @@ use crate::idmap::IdMap;
 use crate::membership::{Membership, ServerSet};
 use crate::messages::{LdsMessage, ProtocolEvent, ReadPayload, RepairPayload};
 use crate::params::{Profile, SystemParams};
+use crate::process::{Context, Process, ProcessId};
 use crate::tag::{ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::{HelperData, Share};
-use lds_sim::{Context, Process, ProcessId};
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -330,14 +330,6 @@ impl L1Server {
     /// answering client queries).
     pub fn is_rebuilding(&self) -> bool {
         self.rebuild.is_some()
-    }
-
-    /// The committed tag for an object (t0 if the object is unknown).
-    pub fn committed_tag(&self, obj: ObjectId) -> Tag {
-        self.objects
-            .get(&obj)
-            .map(|s| s.tc)
-            .unwrap_or_else(Tag::initial)
     }
 
     /// Total bytes of values currently held in temporary storage across all
@@ -865,9 +857,17 @@ impl L1Server {
         ctx: &mut Context<'_, LdsMessage, ProtocolEvent>,
     ) {
         {
+            // Unregister this read and the reader's older ones of the object,
+            // never a later one: channels reorder, so a straggler PUT-TAG of a
+            // finished read can arrive after the reader's next QUERY-DATA
+            // registered, and unregistering that read would leave it waiting
+            // forever. A reader runs one read of an object at a time, numbered
+            // in order, and every read ends in a PUT-TAG to every L1 server,
+            // so what this leaves behind is at most one entry per reader and
+            // object: a registration whose own QUERY-DATA came after its
+            // PUT-TAG, dropped by the reader's next read of the object.
             let st = self.state(obj);
-            // Unregister the reader (all registrations from this reader).
-            st.gamma.retain(|g| g.reader != from);
+            st.gamma.retain(|g| g.reader != from || g.op.seq > op.seq);
         }
         let needs_advance = {
             let st = self.state(obj);
@@ -1116,6 +1116,11 @@ mod tests {
         L1Server::new(index, params, membership, backend, Profile::PaperFaithful)
     }
 
+    /// The committed tag `t_c` of an object (t0 if the object is unknown).
+    fn committed_tag(server: &L1Server, obj: ObjectId) -> Tag {
+        server.objects.get(&obj).map_or_else(Tag::initial, |s| s.tc)
+    }
+
     /// Drives one message into the server and returns the outgoing messages.
     fn step(
         server: &mut L1Server,
@@ -1126,7 +1131,7 @@ mod tests {
         let mut events = Vec::new();
         let mut ctx = Context::standalone(
             ProcessId(server.index),
-            lds_sim::SimTime::ZERO,
+            crate::process::SimTime::ZERO,
             &mut outgoing,
             &mut events,
         );
@@ -1196,7 +1201,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(s.committed_tag(obj), t1);
+        assert_eq!(committed_tag(&s, obj), t1);
         // Now a PUT-DATA with an older tag must be acked straight away.
         let stale = Tag::new(2, crate::tag::ClientId(1));
         let out = step(
@@ -1253,7 +1258,7 @@ mod tests {
             .filter(|(_, m)| matches!(m, LdsMessage::WriteCodeElem { .. }))
             .collect();
         assert_eq!(writes.len(), 5);
-        assert_eq!(s.committed_tag(obj), tag);
+        assert_eq!(committed_tag(&s, obj), tag);
 
         // Value is garbage collected only after n2 - f2 = 4 ACKs from L2.
         for _ in 0..3 {
@@ -1354,10 +1359,94 @@ mod tests {
             },
         );
         assert_eq!(s.registered_readers(), 0);
-        assert_eq!(s.committed_tag(obj), t);
+        assert_eq!(committed_tag(&s, obj), t);
         assert!(out
             .iter()
             .any(|(to, m)| *to == reader && matches!(m, LdsMessage::AckPutTag { .. })));
+    }
+
+    /// A PUT-TAG that straggles in from a reader's previous read must not
+    /// unregister the read it is running now: that read waits for its
+    /// `DATA-RESP`, which only a registered read gets.
+    #[test]
+    fn a_straggler_put_tag_keeps_the_readers_next_read_registered() {
+        let (params, membership, backend) = setup();
+        let mut s = L1Server::new(
+            1,
+            params,
+            membership.clone(),
+            Arc::clone(&backend),
+            Profile::PaperFaithful,
+        );
+        let obj = ObjectId(0);
+        let reader = ProcessId(90);
+        let client = crate::tag::ClientId(5);
+        let (op1, op2) = (OpId::new(client, 1), OpId::new(client, 2));
+        // The committed value is ⊥, so the second read registers and asks L2.
+        let out = step(
+            &mut s,
+            reader,
+            LdsMessage::QueryData {
+                obj,
+                op: op2,
+                treq: Tag::initial(),
+            },
+        );
+        assert_eq!(
+            out.iter()
+                .filter(|(_, m)| matches!(m, LdsMessage::QueryCodeElem { .. }))
+                .count(),
+            5
+        );
+        assert_eq!(s.registered_readers(), 1);
+        // The first read's PUT-TAG arrives late.
+        step(
+            &mut s,
+            reader,
+            LdsMessage::PutTag {
+                obj,
+                op: op1,
+                tag: Tag::initial(),
+            },
+        );
+        assert_eq!(
+            s.registered_readers(),
+            1,
+            "the second read stays registered"
+        );
+
+        let value = Value::from("still waiting");
+        let tag = Tag::new(1, crate::tag::ClientId(1));
+        let mut responses = Vec::new();
+        for i in 0..4 {
+            let elem = backend.encode_l2_element(&value, i).unwrap();
+            let helper = backend.helper_for_l1(&elem, i, 1).unwrap();
+            responses.extend(step(
+                &mut s,
+                membership.l2[i],
+                LdsMessage::SendHelperElem {
+                    obj,
+                    reader,
+                    op: op2,
+                    tag,
+                    helper,
+                },
+            ));
+        }
+        let to_reader: Vec<_> = responses.iter().filter(|(to, _)| *to == reader).collect();
+        assert_eq!(to_reader.len(), 1);
+        assert!(matches!(
+            &to_reader[0].1,
+            LdsMessage::DataResp {
+                op,
+                tag: Some(t),
+                payload: ReadPayload::Coded(_),
+                ..
+            } if *op == op2 && *t == tag
+        ));
+        // The second read's own PUT-TAG unregisters it.
+        step(&mut s, reader, LdsMessage::PutTag { obj, op: op2, tag });
+        assert_eq!(s.registered_readers(), 0);
     }
 
     #[test]
@@ -1565,7 +1654,7 @@ mod tests {
             assert!(step(&mut s, origin, deliver(origin)).is_empty());
         }
         assert_eq!(
-            s.committed_tag(obj),
+            committed_tag(&s, obj),
             Tag::initial(),
             "an outsider committed"
         );
@@ -1579,7 +1668,7 @@ mod tests {
         for origin in [ProcessId(0), ProcessId(1), ProcessId(1)] {
             assert!(!acked(&step(&mut s, origin, deliver(origin))));
         }
-        assert_eq!(s.committed_tag(obj), tag);
+        assert_eq!(committed_tag(&s, obj), tag);
         assert!(acked(&step(&mut s, ProcessId(2), deliver(ProcessId(2)))));
     }
 
@@ -1667,7 +1756,7 @@ mod tests {
         // Its own copy was consumed inside the step: the tag is committed,
         // so the value was stored through the "broadcast raced ahead" arm,
         // which acknowledges the writer at once.
-        assert_eq!(s.committed_tag(obj), tag);
+        assert_eq!(committed_tag(&s, obj), tag);
         assert!(out
             .iter()
             .any(|(to, m)| *to == ProcessId(100) && matches!(m, LdsMessage::AckPutData { .. })));
@@ -1686,7 +1775,7 @@ mod tests {
         assert_eq!(elements(&put_data(&mut offloader, obj, tag)), 5);
         let mut s = high_throughput_server(2);
         assert_eq!(elements(&put_data(&mut s, obj, tag)), 0);
-        assert_eq!(s.committed_tag(obj), tag);
+        assert_eq!(committed_tag(&s, obj), tag);
         // No offload, hence no L2 acks: the committed value stays in the
         // list and a read of the committed tag is answered from it.
         assert_eq!(s.live_list_entries(), 1);
@@ -1854,7 +1943,7 @@ mod tests {
         // Finalization committed the max reported tc — with the value
         // present, the normal advancement offloads it to L2 — and reported
         // to the coordinator.
-        assert_eq!(s.committed_tag(obj), t2);
+        assert_eq!(committed_tag(&s, obj), t2);
         let to_coord: Vec<_> = out.iter().filter(|(to, _)| *to == coordinator).collect();
         assert_eq!(to_coord.len(), 1);
         match &to_coord[0].1 {
@@ -1999,8 +2088,8 @@ mod tests {
                 value: Value::from("seven"),
             },
         );
-        assert_eq!(s.committed_tag(ObjectId(7)), Tag::initial());
-        assert_eq!(s.committed_tag(ObjectId(8)), Tag::initial());
+        assert_eq!(committed_tag(&s, ObjectId(7)), Tag::initial());
+        assert_eq!(committed_tag(&s, ObjectId(8)), Tag::initial());
         assert_eq!(s.live_list_entries(), 1);
         // Committing on object 7 does not touch object 8.
         for origin in 0..3 {
@@ -2014,8 +2103,8 @@ mod tests {
                 },
             );
         }
-        assert_eq!(s.committed_tag(ObjectId(7)), t);
-        assert_eq!(s.committed_tag(ObjectId(8)), Tag::initial());
+        assert_eq!(committed_tag(&s, ObjectId(7)), t);
+        assert_eq!(committed_tag(&s, ObjectId(8)), Tag::initial());
     }
 
     /// The running totals behind `temporary_storage_bytes` /
@@ -2125,8 +2214,12 @@ mod tests {
                     .expect("pending[k] is on that channel");
                 let (_, _, msg) = self.pending.remove(first);
                 let (mut outgoing, mut events) = (Vec::new(), Vec::new());
-                let mut ctx =
-                    Context::standalone(to, lds_sim::SimTime::ZERO, &mut outgoing, &mut events);
+                let mut ctx = Context::standalone(
+                    to,
+                    crate::process::SimTime::ZERO,
+                    &mut outgoing,
+                    &mut events,
+                );
                 match to.0 {
                     j if j < N1 => {
                         let server = &mut self.l1[j];

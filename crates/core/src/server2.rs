@@ -40,9 +40,9 @@ use crate::idmap::IdMap;
 use crate::membership::Membership;
 use crate::messages::{LdsMessage, ProtocolEvent, RepairPayload};
 use crate::params::Profile;
+use crate::process::{Context, Process, ProcessId};
 use crate::tag::{ObjectId, Tag};
 use lds_codes::{HelperData, Share};
-use lds_sim::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -440,7 +440,7 @@ mod tests {
         let mut events = Vec::new();
         let mut ctx = Context::standalone(
             ProcessId(100 + server.index),
-            lds_sim::SimTime::ZERO,
+            crate::process::SimTime::ZERO,
             &mut outgoing,
             &mut events,
         );

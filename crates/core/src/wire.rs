@@ -40,10 +40,10 @@
 //! one buffer per link.
 
 use crate::messages::{LdsMessage, ReadPayload};
+use crate::process::ProcessId;
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
 use lds_codes::share::{HelperData, Share};
-use lds_sim::ProcessId;
 use std::fmt;
 use std::io::Read;
 

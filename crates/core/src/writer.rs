@@ -24,9 +24,9 @@ use crate::idmap::{IdMap, IdSet};
 use crate::membership::{Membership, ServerSet};
 use crate::messages::{LdsMessage, ProtocolEvent};
 use crate::params::SystemParams;
+use crate::process::{Context, Process, ProcessId, SimTime};
 use crate::tag::{ClientId, ObjectId, OpId, Tag};
 use crate::value::Value;
-use lds_sim::{Context, Process, ProcessId, SimTime};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WritePhase {

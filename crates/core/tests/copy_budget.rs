@@ -20,10 +20,10 @@
 use lds_core::backend::{make_backend, BackendKind};
 use lds_core::costs;
 use lds_core::{
-    ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, Profile, ProtocolEvent,
-    ReadPayload, ReaderClient, RepairPayload, SystemParams, Value, WriterClient,
+    ClientId, Context, L1Server, L2Server, LdsMessage, Membership, ObjectId, Process, ProcessId,
+    Profile, ProtocolEvent, ReadPayload, ReaderClient, RepairPayload, SimTime, SystemParams, Value,
+    WriterClient,
 };
-use lds_sim::{Context, Process, ProcessId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

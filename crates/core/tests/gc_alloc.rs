@@ -23,10 +23,9 @@
 
 use lds_core::backend::{make_backend, BackendKind};
 use lds_core::{
-    ClientId, L1Server, L2Server, LdsMessage, Membership, ObjectId, Profile, ProtocolEvent,
-    SystemParams, Value, WriterClient,
+    ClientId, Context, L1Server, L2Server, LdsMessage, Membership, ObjectId, Process, ProcessId,
+    Profile, ProtocolEvent, SimTime, SystemParams, Value, WriterClient,
 };
-use lds_sim::{Context, Process, ProcessId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -14,7 +14,7 @@ use lds_core::messages::{LdsMessage, ReadPayload, RepairPayload};
 use lds_core::tag::{ClientId, ObjectId, OpId, Tag};
 use lds_core::value::Value;
 use lds_core::wire::{decode_framed, encode_frame, Frame, Request, Response};
-use lds_sim::{DataSize, ProcessId};
+use lds_core::{DataSize, ProcessId};
 
 /// The 6-byte payload every data-bearing golden message carries.
 const PAYLOAD: [u8; 6] = [0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5];

@@ -12,7 +12,7 @@ use lds_core::wire::{
     decode_framed, encode_frame, read_frame, Frame, Request, Response, WireError, HEADER_LEN,
     MAX_FRAME, READ_BUF_LEN,
 };
-use lds_sim::{DataSize, ProcessId};
+use lds_core::{DataSize, ProcessId};
 use proptest::prelude::*;
 use std::io::{BufReader, Read};
 

@@ -161,7 +161,7 @@ impl ClosedLoopWorkload {
         loop {
             now += step;
             runner.run_until(now);
-            let new_events: Vec<(f64, lds_sim::ProcessId)> = runner.sim().events()[seen_events..]
+            let new_events: Vec<(f64, lds_core::ProcessId)> = runner.sim().events()[seen_events..]
                 .iter()
                 .map(|(t, pid, _)| (t.as_f64(), *pid))
                 .collect();

@@ -4,7 +4,7 @@
 //!
 //! The central type is [`runner::SimRunner`]: it wires a full two-layer LDS
 //! deployment (L1 servers, L2 servers, writer and reader clients) into the
-//! deterministic simulator from `lds-sim`, injects client operations, and
+//! deterministic simulator of `lds_core::sim`, injects client operations, and
 //! returns a [`runner::RunReport`] with the operation history (for atomicity
 //! checking), the traffic metrics (for the paper's communication-cost
 //! accounting) and storage probes (for the storage-cost accounting).

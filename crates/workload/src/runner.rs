@@ -8,10 +8,11 @@ use lds_core::params::{Profile, SystemParams};
 use lds_core::reader::ReaderClient;
 use lds_core::server1::L1Server;
 use lds_core::server2::L2Server;
+use lds_core::sim::{ClassLatency, LinkSpec, NetworkMetrics, SimConfig, Simulation};
 use lds_core::tag::{ClientId, ObjectId};
 use lds_core::value::Value;
 use lds_core::writer::WriterClient;
-use lds_sim::{ClassLatency, LinkSpec, NetworkMetrics, ProcessId, SimConfig, SimTime, Simulation};
+use lds_core::{ProcessId, SimTime};
 use std::sync::Arc;
 
 /// Configuration of a simulated LDS deployment.

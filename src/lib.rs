@@ -10,9 +10,8 @@
 //! * [`gf`] — GF(2^8) arithmetic and linear algebra.
 //! * [`codes`] — Reed–Solomon, product-matrix MBR / MSR regenerating codes and
 //!   replication.
-//! * [`sim`] — deterministic discrete-event simulation of an asynchronous
-//!   message-passing network with crash faults.
 //! * [`core`] — the LDS protocol (writer / reader / L1 / L2 automata), the
+//!   deterministic simulator that drives them ([`core::sim`]), the
 //!   atomicity checker and the analytical cost model.
 //! * [`cluster`] — a thread-based in-process cluster runtime driving the same
 //!   state machines over real channels.
@@ -96,5 +95,4 @@ pub use lds_cluster as cluster;
 pub use lds_codes as codes;
 pub use lds_core as core;
 pub use lds_gf as gf;
-pub use lds_sim as sim;
 pub use lds_workload as workload;

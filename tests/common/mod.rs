@@ -31,7 +31,7 @@ use lds_cluster::{Completion, OpOutcome, OpTicket, Waker};
 use lds_core::consistency::{AtomicityViolation, History, Operation, OperationKind};
 use lds_core::tag::{ClientId, OpId, Tag};
 use lds_core::value::Value;
-use lds_sim::SimTime;
+use lds_core::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
