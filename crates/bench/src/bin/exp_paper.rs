@@ -28,10 +28,10 @@ use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 use lds_cluster::{Admin, RepairLayer, RepairReport};
 use lds_core::backend::BackendKind;
 use lds_core::costs::{self, CodeCosts, LatencyBounds};
+use lds_core::generator::ValueGenerator;
+use lds_core::measure::{measure_costs, CostMeasurement, CostReport, MEASURE_VALUE_SIZE};
+use lds_core::multi_object::{run_multi_object, MultiObjectConfig};
 use lds_core::params::SystemParams;
-use lds_workload::measure::{measure_costs, CostMeasurement, CostReport, MEASURE_VALUE_SIZE};
-use lds_workload::multi_object::{run_multi_object, MultiObjectConfig};
-use lds_workload::ValueGenerator;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -341,6 +341,10 @@ fn single_layer(mbr: &BTreeMap<usize, CostReport>) {
 const REPAIR_PARAMS: (usize, usize, usize, usize) = (1, 1, 3, 5);
 /// Objects written before the crash.
 const REPAIR_OBJECTS: u64 = 32;
+/// Objects the background writer streams to during the repair, disjoint
+/// from the first [`REPAIR_OBJECTS`] and also written before the crash, so
+/// the repair's snapshot holds every object on every run.
+const BACKGROUND_OBJECTS: u64 = 8;
 
 /// One repair row.
 struct RepairRow {
@@ -404,8 +408,9 @@ fn run_repair(backend: BackendKind, value_size: usize, layer: RepairLayer) -> Re
     let mut client = store.client_with_depth(16);
     client.set_timeout(Duration::from_secs(60));
     let mut values = ValueGenerator::new(value_size, 7);
-    for obj in 0..REPAIR_OBJECTS {
-        client.submit_write_value(ObjectId(obj), values.next_value());
+    let background_objects = (1_000..1_000 + BACKGROUND_OBJECTS).map(ObjectId);
+    for obj in (0..REPAIR_OBJECTS).map(ObjectId).chain(background_objects) {
+        client.submit_write_value(obj, values.next_value());
     }
     client.wait_all().expect("population writes complete");
 
@@ -428,7 +433,10 @@ fn run_repair(backend: BackendKind, value_size: usize, layer: RepairLayer) -> Re
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 client
-                    .write(ObjectId(1_000 + (i % 8)), values.next_value().as_bytes())
+                    .write(
+                        ObjectId(1_000 + (i % BACKGROUND_OBJECTS)),
+                        values.next_value().as_bytes(),
+                    )
                     .expect("background write survives the repair window");
                 i += 1;
             }
@@ -438,6 +446,11 @@ fn run_repair(backend: BackendKind, value_size: usize, layer: RepairLayer) -> Re
     let report = admin.repair(target).expect("online repair");
     stop.store(true, Ordering::Relaxed);
     background.join().expect("background writer");
+    assert_eq!(
+        report.objects,
+        REPAIR_OBJECTS + BACKGROUND_OBJECTS,
+        "the repair snapshot holds every object written before the crash"
+    );
 
     // The repaired server must serve traffic again.
     client
@@ -535,9 +548,9 @@ fn render_json(results: &[RepairRow]) -> String {
         params.n2(),
     ));
     out.push_str(&format!(
-        "    \"workload\": \"{REPAIR_OBJECTS} objects written before the crash; background \
-         writer streaming to disjoint objects during the repair; elapsed_ms covers \
-         join -> replacement live\"\n",
+        "    \"workload\": \"{REPAIR_OBJECTS} + {BACKGROUND_OBJECTS} objects written before \
+         the crash; a background writer streams to the last {BACKGROUND_OBJECTS} during \
+         the repair; elapsed_ms covers join -> replacement live\"\n",
     ));
     out.push_str("  },\n");
 

@@ -896,7 +896,7 @@ impl Cluster {
         automaton: impl Fn() -> P,
         publisher: impl Fn() -> F,
     ) where
-        P: Process<LdsMessage, ProtocolEvent> + Send,
+        P: Process<LdsMessage, ProtocolEvent> + Send + 'static,
         F: FnMut(&P, &mut NodeObs) + Send + 'static,
     {
         // A fresh (or replacement) server counts as beating from the moment

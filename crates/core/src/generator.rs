@@ -1,8 +1,8 @@
-//! Value generators and closed-loop workload drivers.
+//! Value generators and the closed-loop workload driver of the simulator.
 
-use crate::runner::{RunReport, SimRunner};
-use lds_core::tag::ObjectId;
-use lds_core::value::Value;
+use crate::sim::{RunReport, Simulation};
+use crate::tag::ObjectId;
+use crate::value::Value;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -75,11 +75,6 @@ impl ValueGenerator {
         }
         Value::from(Arc::clone(slot))
     }
-
-    /// Number of values generated so far.
-    pub fn generated(&self) -> u64 {
-        self.counter
-    }
 }
 
 /// A closed-loop workload: each client issues its next operation a fixed
@@ -116,7 +111,7 @@ impl Default for ClosedLoopWorkload {
 }
 
 impl ClosedLoopWorkload {
-    /// Drives the workload on `runner` (which must already have its writers
+    /// Drives the workload on `sim` (which must already have its writers
     /// and readers added) until every client finished its quota, then runs
     /// the simulation to quiescence and returns the report.
     ///
@@ -125,10 +120,10 @@ impl ClosedLoopWorkload {
     /// Panics if the workload fails to make progress (an operation neither
     /// completes nor generates new events for a long stretch of simulated
     /// time), which would indicate a protocol liveness bug.
-    pub fn run(&self, runner: &mut SimRunner) -> RunReport {
+    pub fn run(&self, sim: &mut Simulation) -> RunReport {
         let mut values = ValueGenerator::new(self.value_size, self.seed);
-        let writers: Vec<_> = runner.writers().to_vec();
-        let readers: Vec<_> = runner.readers().to_vec();
+        let writers: Vec<_> = sim.writers().to_vec();
+        let readers: Vec<_> = sim.readers().to_vec();
 
         // Remaining-op counters per client.
         let mut writes_left: Vec<usize> = vec![self.writes_per_writer; writers.len()];
@@ -141,7 +136,7 @@ impl ClosedLoopWorkload {
                 writes_left[i] -= 1;
                 let obj = ObjectId(next_obj % self.objects as u64);
                 next_obj += 1;
-                runner.invoke_write_obj(w, 0.0, obj, values.next_value());
+                sim.invoke_write_obj(w, 0.0, obj, values.next_value());
             }
         }
         for (i, &r) in readers.iter().enumerate() {
@@ -149,7 +144,7 @@ impl ClosedLoopWorkload {
                 reads_left[i] -= 1;
                 let obj = ObjectId(next_obj % self.objects as u64);
                 next_obj += 1;
-                runner.invoke_read_obj(r, 0.0, obj);
+                sim.invoke_read_obj(r, 0.0, obj);
             }
         }
 
@@ -160,8 +155,8 @@ impl ClosedLoopWorkload {
         let mut idle_rounds = 0;
         loop {
             now += step;
-            runner.run_until(now);
-            let new_events: Vec<(f64, lds_core::ProcessId)> = runner.sim().events()[seen_events..]
+            sim.run_until(now);
+            let new_events: Vec<(f64, crate::ProcessId)> = sim.events()[seen_events..]
                 .iter()
                 .map(|(t, pid, _)| (t.as_f64(), *pid))
                 .collect();
@@ -174,14 +169,14 @@ impl ClosedLoopWorkload {
                         writes_left[i] -= 1;
                         let obj = ObjectId(next_obj % self.objects as u64);
                         next_obj += 1;
-                        runner.invoke_write_obj(pid, at, obj, values.next_value());
+                        sim.invoke_write_obj(pid, at, obj, values.next_value());
                     }
                 } else if let Some(i) = readers.iter().position(|&r| r == pid) {
                     if reads_left[i] > 0 {
                         reads_left[i] -= 1;
                         let obj = ObjectId(next_obj % self.objects as u64);
                         next_obj += 1;
-                        runner.invoke_read_obj(pid, at, obj);
+                        sim.invoke_read_obj(pid, at, obj);
                     }
                 }
             }
@@ -204,15 +199,7 @@ impl ClosedLoopWorkload {
             }
         }
         // Let background activity (write-to-L2 offloading) quiesce.
-        let mut report = runner.run();
-        report.history = lds_core::consistency::History::from_events(
-            runner
-                .sim()
-                .events()
-                .iter()
-                .map(|(t, _, e)| (e.clone(), *t)),
-        );
-        report
+        sim.run()
     }
 
     /// Total number of operations this workload will perform for the given
@@ -225,8 +212,8 @@ impl ClosedLoopWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunnerConfig;
-    use lds_core::params::SystemParams;
+    use crate::params::SystemParams;
+    use crate::sim::SimConfig;
 
     #[test]
     fn value_generator_produces_unique_values() {
@@ -235,7 +222,6 @@ mod tests {
         let b = g.next_value();
         assert_ne!(a, b);
         assert_eq!(a.len(), 16);
-        assert_eq!(g.generated(), 2);
         // Small sizes are padded up to 16 bytes to stay unique.
         let mut g = ValueGenerator::new(4, 1);
         assert_eq!(g.next_value().len(), 16);
@@ -276,12 +262,12 @@ mod tests {
     #[test]
     fn closed_loop_workload_completes_and_is_atomic() {
         let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-        let mut runner = SimRunner::new(RunnerConfig::new(params).seed(17));
+        let mut sim = Simulation::new(SimConfig::new(params).seed(17));
         for _ in 0..2 {
-            runner.add_writer();
+            sim.add_writer();
         }
         for _ in 0..2 {
-            runner.add_reader();
+            sim.add_reader();
         }
         let workload = ClosedLoopWorkload {
             writes_per_writer: 3,
@@ -291,7 +277,7 @@ mod tests {
             objects: 1,
             seed: 5,
         };
-        let report = workload.run(&mut runner);
+        let report = workload.run(&mut sim);
         assert_eq!(report.history.len(), workload.total_ops(2, 2));
         report.history.check_atomicity().unwrap();
     }

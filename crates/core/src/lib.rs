@@ -18,6 +18,16 @@
 //! deterministic simulator in [`sim`], the thread-based cluster runtime in
 //! `lds-cluster` and unit tests all step the same code.
 //!
+//! [`sim::Simulation`] is the paper's whole system in one seeded event loop.
+//! Beside it:
+//!
+//! * [`generator`] — value generators and the closed-loop workload driver;
+//! * [`measure`] — single-number cost measurements (write cost, read cost at
+//!   `δ = 0` and `δ > 0`, per-object storage, latencies), each with the
+//!   closed form of Lemmas V.2–V.4 it must meet and a check that it does;
+//! * [`multi_object`] — the multi-object storage experiment behind Fig. 6 /
+//!   Lemma V.5.
+//!
 //! The crate also contains:
 //!
 //! * [`backend`] — the pluggable back-end codec (MBR / MSR / Reed–Solomon /
@@ -36,9 +46,12 @@
 pub mod backend;
 pub mod consistency;
 pub mod costs;
+pub mod generator;
 pub mod idmap;
+pub mod measure;
 pub mod membership;
 pub mod messages;
+pub mod multi_object;
 pub mod params;
 pub mod process;
 pub mod reader;

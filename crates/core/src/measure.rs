@@ -15,10 +15,11 @@
 //! ([`Relation`]); [`CostMeasurement::holds`] is the one place that
 //! comparison is made.
 
-use crate::runner::{RunnerConfig, SimRunner};
-use lds_core::backend::BackendKind;
-use lds_core::costs::{CodeCosts, LatencyBounds};
-use lds_core::params::SystemParams;
+use crate::backend::BackendKind;
+use crate::consistency::Operation;
+use crate::costs::{CodeCosts, LatencyBounds};
+use crate::params::SystemParams;
+use crate::sim::{NetworkMetrics, RunReport, SimConfig, Simulation};
 
 /// How a measurement must relate to its closed form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,83 +129,31 @@ pub const MEASURE_VALUE_SIZE: usize = 1 << 15;
 pub fn measure_costs(params: SystemParams, backend: BackendKind, mu: f64) -> CostReport {
     let value_size = MEASURE_VALUE_SIZE;
     let bounds = LatencyBounds::new(1.0, 1.0, mu);
-
-    // --- Write cost and latency: a single write on an idle system. ---
-    let (write_cost, write_latency) = {
-        let mut runner = SimRunner::new(
-            RunnerConfig::new(params)
-                .backend(backend)
-                .latencies(1.0, 1.0, mu),
-        );
-        let w = runner.add_writer();
-        runner.invoke_write(w, 0.0, vec![0xA5; value_size]);
-        let report = runner.run();
-        let bytes = report.metrics.data_bytes_for_kind("PUT-DATA")
-            + report.metrics.data_bytes_for_kind("WRITE-CODE-ELEM");
-        let op = &report.history.operations()[0];
-        let latency = op.completed_at - op.invoked_at;
-        (bytes as f64 / value_size as f64, latency)
-    };
-
-    // --- Read cost / latency with δ = 0: write, quiesce, then read. ---
-    let (read_cost_idle, read_latency) = {
-        let mut runner = SimRunner::new(
-            RunnerConfig::new(params)
-                .backend(backend)
-                .latencies(1.0, 1.0, mu),
-        );
-        let w = runner.add_writer();
-        let r = runner.add_reader();
-        runner.invoke_write(w, 0.0, vec![0x3C; value_size]);
-        // Leave plenty of time for the extended write to finish.
-        let read_start = 100.0 * (1.0 + mu);
-        runner.invoke_read(r, read_start);
-        let report = runner.run();
-        let bytes = report.metrics.data_bytes_for_kind("DATA-RESP")
-            + report.metrics.data_bytes_for_kind("SEND-HELPER-ELEM");
-        let read = report
-            .history
-            .operations()
-            .iter()
-            .find(|o| !o.is_write())
-            .expect("read completed");
-        (
-            bytes as f64 / value_size as f64,
-            read.completed_at - read.invoked_at,
-        )
-    };
-
-    // --- Read cost with δ > 0: the read overlaps an in-flight write. ---
-    let read_cost_concurrent = {
-        let mut runner = SimRunner::new(
-            RunnerConfig::new(params)
-                .backend(backend)
-                .latencies(1.0, 1.0, mu),
-        );
-        let w = runner.add_writer();
-        let r = runner.add_reader();
-        runner.invoke_write(w, 0.0, vec![0x77; value_size]);
-        // Start the read right after the write's put-data messages land, so
-        // temporary storage still holds the value.
-        runner.invoke_read(r, 3.0);
-        let report = runner.run();
-        let bytes = report.metrics.data_bytes_for_kind("DATA-RESP")
-            + report.metrics.data_bytes_for_kind("SEND-HELPER-ELEM");
+    // Bytes of `kinds` sent over a run, in value-size units.
+    let cost = |metrics: &NetworkMetrics, kinds: [&str; 2]| {
+        let bytes: u64 = kinds.iter().map(|k| metrics.data_bytes_for_kind(k)).sum();
         bytes as f64 / value_size as f64
     };
+    let latency = |op: &Operation| op.completed_at - op.invoked_at;
 
-    // --- L2 storage per object. ---
-    let l2_storage = {
-        let mut runner = SimRunner::new(
-            RunnerConfig::new(params)
-                .backend(backend)
-                .latencies(1.0, 1.0, mu),
-        );
-        let w = runner.add_writer();
-        runner.invoke_write(w, 0.0, vec![0x11; value_size]);
-        let report = runner.run();
-        report.l2_storage_bytes as f64 / value_size as f64
-    };
+    // A single write on an idle system: write cost, latency and the L2
+    // storage it leaves behind.
+    let (sim, report) = write_then_read(params, backend, mu, None);
+    let write = &report.history.operations()[0];
+    let write_cost = cost(&report.metrics, ["PUT-DATA", "WRITE-CODE-ELEM"]);
+    let write_latency = latency(write);
+    let l2_storage = sim.l2_storage_bytes() as f64 / value_size as f64;
+
+    // δ = 0: the read starts long after the extended write finished.
+    let (_, report) = write_then_read(params, backend, mu, Some(100.0 * (1.0 + mu)));
+    let read = report.history.operations().iter().find(|o| !o.is_write());
+    let read_latency = latency(read.expect("read completed"));
+    let read_cost_idle = cost(&report.metrics, ["DATA-RESP", "SEND-HELPER-ELEM"]);
+
+    // δ > 0: the read starts right after the write's put-data messages
+    // land, so temporary storage still holds the value.
+    let (_, report) = write_then_read(params, backend, mu, Some(3.0));
+    let read_cost_concurrent = cost(&report.metrics, ["DATA-RESP", "SEND-HELPER-ELEM"]);
 
     let model = CodeCosts::framed(&params, backend, value_size);
     CostReport {
@@ -217,6 +166,29 @@ pub fn measure_costs(params: SystemParams, backend: BackendKind, mu: f64) -> Cos
         write_latency: CostMeasurement::equals(write_latency, bounds.write_latency_bound()),
         read_latency: CostMeasurement::at_most(read_latency, bounds.read_latency_bound()),
     }
+}
+
+/// One measurement run on a fresh deployment at `τ0 = τ1 = 1, τ2 = mu`: a
+/// write of a [`MEASURE_VALUE_SIZE`] value at `t = 0` and, if `read_at` is
+/// given, a read invoked then, run to quiescence.
+fn write_then_read(
+    params: SystemParams,
+    backend: BackendKind,
+    mu: f64,
+    read_at: Option<f64>,
+) -> (Simulation, RunReport) {
+    let config = SimConfig::new(params)
+        .backend(backend)
+        .latencies(1.0, 1.0, mu);
+    let mut sim = Simulation::new(config);
+    let w = sim.add_writer();
+    let r = sim.add_reader();
+    sim.invoke_write(w, 0.0, vec![0xA5; MEASURE_VALUE_SIZE]);
+    if let Some(at) = read_at {
+        sim.invoke_read(r, at);
+    }
+    let report = sim.run();
+    (sim, report)
 }
 
 #[cfg(test)]

@@ -3,14 +3,6 @@
 
 use crate::process::ProcessId;
 
-/// Process group used for client processes (readers and writers) when
-/// spawning into a simulation; link latencies to L1 use τ1.
-pub const CLIENT_GROUP: u8 = 0;
-/// Process group used for L1 (edge) servers; L1↔L1 links use τ0.
-pub const L1_GROUP: u8 = 1;
-/// Process group used for L2 (back-end) servers; L1↔L2 links use τ2.
-pub const L2_GROUP: u8 = 2;
-
 /// A set of servers of one layer, as a bitset over their code indices.
 ///
 /// Every quorum the protocol waits for is a number of *distinct* servers of

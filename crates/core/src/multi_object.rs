@@ -6,13 +6,13 @@
 //! peak temporary (L1) storage and the final permanent (L2) storage, both
 //! normalised by the value size, and compare against the paper's bounds.
 
+use crate::backend::BackendKind;
+use crate::costs::{self, CodeCosts};
 use crate::generator::ValueGenerator;
 use crate::measure::CostMeasurement;
-use crate::runner::{RunnerConfig, SimRunner};
-use lds_core::backend::BackendKind;
-use lds_core::costs::{self, CodeCosts};
-use lds_core::params::SystemParams;
-use lds_core::tag::ObjectId;
+use crate::params::SystemParams;
+use crate::sim::{SimConfig, Simulation};
+use crate::tag::ObjectId;
 
 /// Configuration of one multi-object run.
 #[derive(Debug, Clone)]
@@ -53,12 +53,12 @@ pub struct MultiObjectReport {
 /// stepped in small increments so the peak L1 occupancy is observed rather
 /// than just the final state.
 pub fn run_multi_object(config: &MultiObjectConfig) -> MultiObjectReport {
-    let runner_config = RunnerConfig::new(config.params)
+    let sim_config = SimConfig::new(config.params)
         .seed(config.seed)
         .latencies(1.0, 1.0, config.mu);
-    let mut runner = SimRunner::new(runner_config);
+    let mut sim = Simulation::new(sim_config);
     let writers: Vec<_> = (0..config.concurrent_writers)
-        .map(|_| runner.add_writer())
+        .map(|_| sim.add_writer())
         .collect();
 
     let mut values = ValueGenerator::new(config.value_size, config.seed);
@@ -71,7 +71,7 @@ pub fn run_multi_object(config: &MultiObjectConfig) -> MultiObjectReport {
         for &w in &writers {
             let obj = ObjectId(next_obj % config.objects as u64);
             next_obj += 1;
-            runner.invoke_write_obj(w, round as f64 * spacing, obj, values.next_value());
+            sim.invoke_write_obj(w, round as f64 * spacing, obj, values.next_value());
         }
     }
 
@@ -81,10 +81,10 @@ pub fn run_multi_object(config: &MultiObjectConfig) -> MultiObjectReport {
     let mut t = 0.0;
     while t < horizon {
         t += 1.0;
-        runner.run_until(t);
-        peak_l1 = peak_l1.max(runner.l1_storage_bytes());
+        sim.run_until(t);
+        peak_l1 = peak_l1.max(sim.l1_storage_bytes());
     }
-    let report = runner.run();
+    sim.run();
     let vs = config.value_size as f64;
 
     // θ: writes that can overlap within a τ1 window is at most the number of
@@ -101,7 +101,7 @@ pub fn run_multi_object(config: &MultiObjectConfig) -> MultiObjectReport {
             costs::l1_storage_bound_multi_object(&config.params, theta, config.mu),
         ),
         l2_storage: CostMeasurement::equals(
-            report.l2_storage_bytes as f64 / vs,
+            sim.l2_storage_bytes() as f64 / vs,
             written as f64 * per_object.l2_storage(),
         ),
     }

@@ -10,7 +10,6 @@
 //! natural representation; the wrapper rejects NaN so the simulator's event
 //! queue has a total order.
 
-use std::any::Any;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -77,12 +76,7 @@ impl DataSize for () {
 ///
 /// `M` is the message type, `E` the event type emitted to the driver
 /// (operation completions, diagnostics, …).
-pub trait Process<M, E>: Any {
-    /// Called once when the simulation starts (before any delivery).
-    fn on_start(&mut self, ctx: &mut Context<'_, M, E>) {
-        let _ = ctx;
-    }
-
+pub trait Process<M, E> {
     /// Called for every delivered message. `from` is the sending process or
     /// [`ProcessId::EXTERNAL`] for harness-injected commands.
     fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<'_, M, E>);
@@ -100,11 +94,10 @@ pub struct Context<'a, M, E> {
 }
 
 impl<'a, M, E> Context<'a, M, E> {
-    /// Creates a context that is not attached to a running simulation.
-    ///
-    /// Outgoing messages and emitted events are appended to the provided
-    /// buffers. This is how drivers other than the simulator (unit tests,
-    /// the thread-based cluster runtime) step the same automata.
+    /// Creates a context whose outgoing messages and emitted events are
+    /// appended to the provided buffers. Every driver — the simulator, the
+    /// thread-based cluster runtime, unit tests — steps the automata with
+    /// one.
     pub fn standalone(
         self_id: ProcessId,
         now: SimTime,

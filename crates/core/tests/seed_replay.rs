@@ -8,8 +8,9 @@
 //! must leave this test passing unchanged. A failure is not a figure to
 //! re-record: seeded runs are how protocol bugs are reproduced.
 
+use lds_core::generator::ClosedLoopWorkload;
 use lds_core::params::SystemParams;
-use lds_workload::{ClosedLoopWorkload, RunnerConfig, SimRunner};
+use lds_core::sim::{SimConfig, Simulation};
 
 /// Messages sent over the whole run.
 const MESSAGES_SENT: u64 = 800;
@@ -35,14 +36,14 @@ const OPERATIONS: [(f64, f64, u64, u64); 12] = [
 #[test]
 fn a_jittered_seeded_run_replays_the_recorded_execution() {
     let params = SystemParams::for_failures(1, 1, 2, 3).unwrap();
-    let config = RunnerConfig::new(params)
+    let config = SimConfig::new(params)
         .seed(2024)
         .latencies(1.0, 2.0, 10.0)
         .jitter(0.5);
-    let mut runner = SimRunner::new(config);
+    let mut sim = Simulation::new(config);
     for _ in 0..2 {
-        runner.add_writer();
-        runner.add_reader();
+        sim.add_writer();
+        sim.add_reader();
     }
     let workload = ClosedLoopWorkload {
         writes_per_writer: 3,
@@ -52,11 +53,11 @@ fn a_jittered_seeded_run_replays_the_recorded_execution() {
         objects: 2,
         seed: 7,
     };
-    let report = workload.run(&mut runner);
+    let report = workload.run(&mut sim);
     report.history.check_atomicity().unwrap();
 
     assert_eq!(report.metrics.messages_sent(), MESSAGES_SENT);
-    assert_eq!(runner.sim().now().as_f64(), FINISHED_AT);
+    assert_eq!(sim.now().as_f64(), FINISHED_AT);
     let operations: Vec<_> = report
         .history
         .operations()

@@ -8,22 +8,22 @@
 
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_workload::runner::{RunnerConfig, SimRunner};
+use lds_core::sim::{SimConfig, Simulation};
 
 fn scenario(read_delay: f64) -> (f64, f64) {
     let params = SystemParams::symmetric(10, 1).expect("valid parameters");
-    let mut runner = SimRunner::new(
-        RunnerConfig::new(params)
+    let mut sim = Simulation::new(
+        SimConfig::new(params)
             .backend(BackendKind::Mbr)
             .seed(7)
             .latencies(1.0, 1.0, 25.0),
     );
-    let writer = runner.add_writer();
-    let reader = runner.add_reader();
+    let writer = sim.add_writer();
+    let reader = sim.add_reader();
     let payload = vec![0x5a; 32 * 1024];
-    runner.invoke_write(writer, 0.0, payload.clone());
-    runner.invoke_read(reader, read_delay);
-    let report = runner.run();
+    sim.invoke_write(writer, 0.0, payload.clone());
+    sim.invoke_read(reader, read_delay);
+    let report = sim.run();
     let read = report
         .history
         .operations()

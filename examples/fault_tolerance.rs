@@ -15,7 +15,7 @@
 
 use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 use lds_core::backend::BackendKind;
-use lds_workload::generator::ValueGenerator;
+use lds_core::generator::ValueGenerator;
 
 fn main() {
     // n1 = 4 (f1 = 1, k = 2), n2 = 7 (f2 = 1, d = 5): MBR repair helpers are

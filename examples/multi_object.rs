@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example multi_object`
 
+use lds_core::multi_object::{run_multi_object, MultiObjectConfig};
 use lds_core::params::SystemParams;
-use lds_workload::multi_object::{run_multi_object, MultiObjectConfig};
 
 fn main() {
     let params = SystemParams::symmetric(10, 1).expect("valid parameters"); // k = d = 8

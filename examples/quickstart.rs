@@ -5,7 +5,7 @@
 
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_workload::runner::{RunnerConfig, SimRunner};
+use lds_core::sim::{SimConfig, Simulation};
 
 fn main() {
     // A deployment with 5 edge (L1) servers tolerating 1 crash and 7 back-end
@@ -13,22 +13,22 @@ fn main() {
     let params = SystemParams::for_failures(1, 1, 3, 5).expect("valid parameters");
     println!("system parameters: {params}");
 
-    let mut runner = SimRunner::new(
-        RunnerConfig::new(params)
+    let mut sim = Simulation::new(
+        SimConfig::new(params)
             .backend(BackendKind::Mbr)
             .seed(2024)
             // Edge links are fast (tau0 = tau1 = 1); the back-end is 10x away.
             .latencies(1.0, 1.0, 10.0),
     );
 
-    let writer = runner.add_writer();
-    let reader = runner.add_reader();
+    let writer = sim.add_writer();
+    let reader = sim.add_reader();
 
     // A write at t = 0 and a read well after the write finished.
-    runner.invoke_write(writer, 0.0, b"hello, layered storage".to_vec());
-    runner.invoke_read(reader, 100.0);
+    sim.invoke_write(writer, 0.0, b"hello, layered storage".to_vec());
+    sim.invoke_read(reader, 100.0);
 
-    let report = runner.run();
+    let report = sim.run();
 
     for op in report.history.operations() {
         let kind = if op.is_write() { "write" } else { "read " };
@@ -52,6 +52,7 @@ fn main() {
     );
     println!(
         "final storage: L1 (temporary) = {} bytes, L2 (permanent, coded) = {} bytes",
-        report.l1_storage_bytes, report.l2_storage_bytes
+        sim.l1_storage_bytes(),
+        sim.l2_storage_bytes()
     );
 }

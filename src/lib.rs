@@ -11,11 +11,11 @@
 //! * [`codes`] — Reed–Solomon, product-matrix MBR / MSR regenerating codes and
 //!   replication.
 //! * [`core`] — the LDS protocol (writer / reader / L1 / L2 automata), the
-//!   deterministic simulator that drives them ([`core::sim`]), the
-//!   atomicity checker and the analytical cost model.
+//!   deterministic simulator of the whole deployment ([`core::sim`]) with
+//!   its workload driver and cost measurements, the atomicity checker and
+//!   the analytical cost model.
 //! * [`cluster`] — a thread-based in-process cluster runtime driving the same
 //!   state machines over real channels.
-//! * [`workload`] — workload generators and experiment runners.
 //!
 //! # The bulk-kernel coding pipeline
 //!
@@ -78,16 +78,16 @@
 //!
 //! ```rust
 //! use lds_storage::core::params::SystemParams;
-//! use lds_storage::workload::runner::{SimRunner, RunnerConfig};
+//! use lds_storage::core::sim::{SimConfig, Simulation};
 //!
 //! // A small two-layer system: 5 edge servers (f1 = 1), 7 back-end servers (f2 = 1).
 //! let params = SystemParams::for_failures(1, 1, 3, 5).expect("valid parameters");
-//! let mut runner = SimRunner::new(RunnerConfig::new(params).seed(7));
-//! let w = runner.add_writer();
-//! let r = runner.add_reader();
-//! runner.invoke_write(w, 0.0, b"hello edge".to_vec());
-//! runner.invoke_read(r, 50.0);
-//! let report = runner.run();
+//! let mut sim = Simulation::new(SimConfig::new(params).seed(7));
+//! let w = sim.add_writer();
+//! let r = sim.add_reader();
+//! sim.invoke_write(w, 0.0, b"hello edge".to_vec());
+//! sim.invoke_read(r, 50.0);
+//! let report = sim.run();
 //! assert!(report.history.check_atomicity().is_ok());
 //! ```
 
@@ -95,4 +95,3 @@ pub use lds_cluster as cluster;
 pub use lds_codes as codes;
 pub use lds_core as core;
 pub use lds_gf as gf;
-pub use lds_workload as workload;

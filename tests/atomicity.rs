@@ -4,9 +4,9 @@
 //! atomic.
 
 use lds_core::backend::BackendKind;
+use lds_core::generator::{ClosedLoopWorkload, ValueGenerator};
 use lds_core::params::{Profile, SystemParams};
-use lds_workload::generator::{ClosedLoopWorkload, ValueGenerator};
-use lds_workload::runner::{RunnerConfig, SimRunner};
+use lds_core::sim::{SimConfig, Simulation};
 use proptest::prelude::*;
 
 fn small_params() -> SystemParams {
@@ -16,12 +16,12 @@ fn small_params() -> SystemParams {
 #[test]
 fn concurrent_readers_and_writers_are_atomic_across_seeds() {
     for seed in 0..10u64 {
-        let mut runner = SimRunner::new(RunnerConfig::new(small_params()).seed(seed).jitter(0.5));
+        let mut sim = Simulation::new(SimConfig::new(small_params()).seed(seed).jitter(0.5));
         for _ in 0..2 {
-            runner.add_writer();
+            sim.add_writer();
         }
         for _ in 0..2 {
-            runner.add_reader();
+            sim.add_reader();
         }
         let workload = ClosedLoopWorkload {
             writes_per_writer: 4,
@@ -31,7 +31,7 @@ fn concurrent_readers_and_writers_are_atomic_across_seeds() {
             objects: 1,
             seed,
         };
-        let report = workload.run(&mut runner);
+        let report = workload.run(&mut sim);
         assert_eq!(
             report.history.len(),
             16,
@@ -52,28 +52,28 @@ fn concurrent_readers_and_writers_are_atomic_across_seeds() {
 fn atomicity_holds_with_maximum_crashes_mid_execution() {
     for seed in 0..5u64 {
         let params = SystemParams::for_failures(2, 2, 3, 4).unwrap(); // n1 = 7, n2 = 8
-        let mut runner = SimRunner::new(RunnerConfig::new(params).seed(seed).jitter(0.3));
-        let w1 = runner.add_writer();
-        let w2 = runner.add_writer();
-        let r1 = runner.add_reader();
-        let r2 = runner.add_reader();
+        let mut sim = Simulation::new(SimConfig::new(params).seed(seed).jitter(0.3));
+        let w1 = sim.add_writer();
+        let w2 = sim.add_writer();
+        let r1 = sim.add_reader();
+        let r2 = sim.add_reader();
 
         // Crash the maximum tolerable number of servers at varied times.
-        runner.crash_l1(seed as usize % 7, 5.0);
-        runner.crash_l1((seed as usize + 3) % 7, 40.0);
-        runner.crash_l2(seed as usize % 8, 10.0);
-        runner.crash_l2((seed as usize + 5) % 8, 55.0);
+        sim.crash_l1(seed as usize % 7, 5.0);
+        sim.crash_l1((seed as usize + 3) % 7, 40.0);
+        sim.crash_l2(seed as usize % 8, 10.0);
+        sim.crash_l2((seed as usize + 5) % 8, 55.0);
 
         let mut values = ValueGenerator::new(40, seed);
         // Sequential per client, spaced far enough apart to stay well-formed.
         for round in 0..3 {
             let base = round as f64 * 120.0;
-            runner.invoke_write(w1, base, values.next_value());
-            runner.invoke_write(w2, base + 3.0, values.next_value());
-            runner.invoke_read(r1, base + 5.0);
-            runner.invoke_read(r2, base + 60.0);
+            sim.invoke_write(w1, base, values.next_value());
+            sim.invoke_write(w2, base + 3.0, values.next_value());
+            sim.invoke_read(r1, base + 5.0);
+            sim.invoke_read(r2, base + 60.0);
         }
-        let report = runner.run();
+        let report = sim.run();
         assert_eq!(
             report.history.len(),
             12,
@@ -95,11 +95,11 @@ fn every_backend_kind_provides_atomic_storage() {
         BackendKind::Replication,
     ] {
         let params = SystemParams::for_failures(1, 1, 3, 5).unwrap(); // d = 5 >= 2k-2 = 4
-        let mut runner = SimRunner::new(RunnerConfig::new(params).backend(backend).seed(4));
+        let mut sim = Simulation::new(SimConfig::new(params).backend(backend).seed(4));
         for _ in 0..2 {
-            runner.add_writer();
+            sim.add_writer();
         }
-        runner.add_reader();
+        sim.add_reader();
         let workload = ClosedLoopWorkload {
             writes_per_writer: 3,
             reads_per_reader: 3,
@@ -108,7 +108,7 @@ fn every_backend_kind_provides_atomic_storage() {
             objects: 1,
             seed: 9,
         };
-        let report = workload.run(&mut runner);
+        let report = workload.run(&mut sim);
         assert_eq!(report.history.len(), 9, "backend {backend:?}");
         report
             .history
@@ -119,12 +119,12 @@ fn every_backend_kind_provides_atomic_storage() {
 
 #[test]
 fn multi_object_workloads_are_atomic_per_object() {
-    let mut runner = SimRunner::new(RunnerConfig::new(small_params()).seed(21));
+    let mut sim = Simulation::new(SimConfig::new(small_params()).seed(21));
     for _ in 0..2 {
-        runner.add_writer();
+        sim.add_writer();
     }
     for _ in 0..2 {
-        runner.add_reader();
+        sim.add_reader();
     }
     let workload = ClosedLoopWorkload {
         writes_per_writer: 6,
@@ -134,7 +134,7 @@ fn multi_object_workloads_are_atomic_per_object() {
         objects: 3,
         seed: 13,
     };
-    let report = workload.run(&mut runner);
+    let report = workload.run(&mut sim);
     assert_eq!(report.history.len(), 24);
     assert_eq!(report.history.objects().len(), 3);
     report.history.check_atomicity().unwrap();
@@ -148,18 +148,18 @@ fn multi_object_workloads_are_atomic_per_object() {
 fn high_throughput_profile_preserves_atomicity() {
     for seed in 0..16u64 {
         for (objects, crashed) in [(1, None), (3, None), (3, Some(seed as usize % 4))] {
-            let mut runner = SimRunner::new(
-                RunnerConfig::new(small_params())
+            let mut sim = Simulation::new(
+                SimConfig::new(small_params())
                     .seed(seed)
                     .profile(Profile::HighThroughput)
                     .jitter(0.4),
             );
             for _ in 0..2 {
-                runner.add_writer();
-                runner.add_reader();
+                sim.add_writer();
+                sim.add_reader();
             }
             if let Some(index) = crashed {
-                runner.crash_l1(index, 0.0);
+                sim.crash_l1(index, 0.0);
             }
             let workload = ClosedLoopWorkload {
                 writes_per_writer: 4,
@@ -169,7 +169,7 @@ fn high_throughput_profile_preserves_atomicity() {
                 objects,
                 seed: seed + 100,
             };
-            let report = workload.run(&mut runner);
+            let report = workload.run(&mut sim);
             let case = format!("seed {seed}, {objects} objects, crashed L1 {crashed:?}");
             assert_eq!(report.history.len(), 16, "liveness ({case})");
             report
@@ -192,15 +192,15 @@ proptest! {
         mu in 1.0f64..20.0,
         value_size in 16usize..256,
     ) {
-        let mut runner = SimRunner::new(
-            RunnerConfig::new(small_params())
+        let mut sim = Simulation::new(
+            SimConfig::new(small_params())
                 .seed(seed)
                 .jitter(jitter)
                 .latencies(1.0, 1.0, mu),
         );
-        runner.add_writer();
-        runner.add_writer();
-        runner.add_reader();
+        sim.add_writer();
+        sim.add_writer();
+        sim.add_reader();
         let workload = ClosedLoopWorkload {
             writes_per_writer: 3,
             reads_per_reader: 3,
@@ -209,7 +209,7 @@ proptest! {
             objects: 1,
             seed,
         };
-        let report = workload.run(&mut runner);
+        let report = workload.run(&mut sim);
         prop_assert_eq!(report.history.len(), 9);
         prop_assert!(report.history.check_atomicity().is_ok());
     }

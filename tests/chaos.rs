@@ -12,17 +12,25 @@
 //! queries occasionally delayed a few milliseconds, so the exact message
 //! schedule the protocol survives is adversarial *and* the injected-fault
 //! counters in the metrics snapshot are exercised end to end.
+//!
+//! The kills come from a [`ChaosSchedule`]: a deterministic, seeded stream
+//! of kill events, each naming a server and a jittered gap to wait first.
+//! The schedule is **budget-aware** — given the servers currently down it
+//! never proposes a kill that would exceed a layer's crash-fault budget
+//! (`f1` L1 / `f2` L2), so every kill stays inside the envelope the protocol
+//! tolerates, no matter how slowly repairs catch up.
 
 mod common;
 
-use common::{profiles, Recorder, Workload};
+use common::{chaos_seed, profiles, repro_guard, Recorder, Workload};
 use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 use lds_cluster::{EventKind, FaultPlan, FaultRule, HealConfig, RepairLayer};
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_workload::chaos::{ChaosLayer, ChaosSchedule, ChaosScheduleConfig, ChaosTarget};
-use lds_workload::seed::{chaos_seed, repro_guard};
-use std::collections::HashMap;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
 /// Fixed default seed so CI replays the same schedule; override with
@@ -38,14 +46,81 @@ fn params() -> SystemParams {
     SystemParams::for_failures(1, 1, 2, 3).unwrap() // n1=4, n2=5, k=2, d=3
 }
 
-fn server_ref(target: &ChaosTarget) -> ServerRef {
-    let layer = match target.layer {
-        ChaosLayer::L1 => RepairLayer::L1,
-        ChaosLayer::L2 => RepairLayer::L2,
-    };
-    ServerRef {
-        layer,
-        index: target.index,
+/// One kill drawn from a [`ChaosSchedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Kill {
+    /// The victim.
+    server: ServerRef,
+    /// Jittered gap to wait before injecting this kill, in milliseconds.
+    gap_ms: u64,
+}
+
+/// A deterministic, budget-aware stream of kills (see the module docs).
+/// The same seed replays the same schedule against the same down-set
+/// history.
+struct ChaosSchedule {
+    params: SystemParams,
+    total_kills: usize,
+    gap_ms: RangeInclusive<u64>,
+    rng: SmallRng,
+    emitted: usize,
+}
+
+impl ChaosSchedule {
+    fn new(
+        seed: u64,
+        params: SystemParams,
+        total_kills: usize,
+        gap_ms: RangeInclusive<u64>,
+    ) -> Self {
+        ChaosSchedule {
+            params,
+            total_kills,
+            gap_ms,
+            rng: SmallRng::seed_from_u64(seed),
+            emitted: 0,
+        }
+    }
+
+    fn kills_emitted(&self) -> usize {
+        self.emitted
+    }
+
+    fn is_done(&self) -> bool {
+        self.emitted >= self.total_kills
+    }
+
+    /// Draws the next kill, given the servers currently down. Only a server
+    /// whose kill keeps its layer's budget intact is a candidate (one
+    /// already down never is). Returns `None` — **without consuming a
+    /// kill** — when the schedule is done or every layer is at its budget;
+    /// the harness should let repairs catch up and call again.
+    fn next_kill(&mut self, down: &[ServerRef]) -> Option<Kill> {
+        if self.is_done() {
+            return None;
+        }
+        let p = &self.params;
+        let mut candidates: Vec<ServerRef> = Vec::new();
+        for (layer, n, f) in [
+            (RepairLayer::L1, p.n1(), p.f1()),
+            (RepairLayer::L2, p.n2(), p.f2()),
+        ] {
+            let down_here = || down.iter().filter(|s| s.layer == layer);
+            if down_here().count() < f {
+                candidates.extend(
+                    (0..n)
+                        .filter(|&index| !down_here().any(|s| s.index == index))
+                        .map(|index| ServerRef { layer, index }),
+                );
+            }
+        }
+        if candidates.is_empty() {
+            return None;
+        }
+        let server = candidates[self.rng.gen_range(0..candidates.len())];
+        let gap_ms = self.rng.gen_range(self.gap_ms.clone());
+        self.emitted += 1;
+        Some(Kill { server, gap_ms })
     }
 }
 
@@ -114,18 +189,9 @@ fn storm(label: &str, builder: StoreBuilder) {
     let workload = Workload::spawn(&store, &recorder, 2, &WORKLOAD_OBJECTS);
     std::thread::sleep(Duration::from_millis(100));
 
-    let mut schedule = ChaosSchedule::new(ChaosScheduleConfig {
-        seed,
-        n1: p.n1(),
-        f1: p.f1(),
-        n2: p.n2(),
-        f2: p.f2(),
-        total_kills: TOTAL_KILLS,
-        min_gap_ms: 30,
-        max_gap_ms: 90,
-    });
-    let mut down: Vec<ChaosTarget> = Vec::new();
-    let mut kills_per_layer: HashMap<ChaosLayer, usize> = HashMap::new();
+    let mut schedule = ChaosSchedule::new(seed, p, TOTAL_KILLS, 30..=90);
+    let mut down: Vec<ServerRef> = Vec::new();
+    let mut kills_per_layer: HashMap<RepairLayer, usize> = HashMap::new();
     let schedule_deadline = Instant::now() + Duration::from_secs(180);
     while !schedule.is_done() {
         assert!(
@@ -138,16 +204,16 @@ fn storm(label: &str, builder: StoreBuilder) {
         // leave the down-set and become kill candidates again. Nobody but
         // this loop kills, so the refreshed set can only over-count downs —
         // the budget check below stays conservative.
-        down.retain(|t| !admin.is_live(server_ref(t)).unwrap());
+        down.retain(|&s| !admin.is_live(s).unwrap());
         let Some(kill) = schedule.next_kill(&down) else {
             // Every layer at its budget: wait for the self-heal loop.
             std::thread::sleep(Duration::from_millis(20));
             continue;
         };
         std::thread::sleep(Duration::from_millis(kill.gap_ms));
-        admin.kill(server_ref(&kill)).unwrap();
-        *kills_per_layer.entry(kill.layer).or_insert(0) += 1;
-        down.push(kill);
+        admin.kill(kill.server).unwrap();
+        *kills_per_layer.entry(kill.server.layer).or_insert(0) += 1;
+        down.push(kill.server);
         // The invariant the schedule promises: never more than f crashed
         // servers per layer, by engine ground truth.
         let dead_l1 = (0..p.n1())
@@ -166,8 +232,8 @@ fn storm(label: &str, builder: StoreBuilder) {
         "the harness must inject at least 20 kills"
     );
     assert!(
-        kills_per_layer.get(&ChaosLayer::L1).copied().unwrap_or(0) > 0
-            && kills_per_layer.get(&ChaosLayer::L2).copied().unwrap_or(0) > 0,
+        kills_per_layer.get(&RepairLayer::L1).copied().unwrap_or(0) > 0
+            && kills_per_layer.get(&RepairLayer::L2).copied().unwrap_or(0) > 0,
         "the schedule must exercise both layers, got {kills_per_layer:?}"
     );
 
@@ -270,4 +336,61 @@ fn storm(label: &str, builder: StoreBuilder) {
 
     drop(client);
     store.shutdown();
+}
+
+fn schedule(seed: u64) -> ChaosSchedule {
+    ChaosSchedule::new(seed, params(), 25, 1..=9)
+}
+
+#[test]
+fn same_seed_replays_the_same_schedule() {
+    let mut a = schedule(42);
+    let mut b = schedule(42);
+    for _ in 0..25 {
+        assert_eq!(a.next_kill(&[]), b.next_kill(&[]));
+    }
+    assert!(a.is_done() && b.is_done());
+    assert_eq!(a.next_kill(&[]), None);
+}
+
+#[test]
+fn respects_per_layer_budgets_against_a_down_set() {
+    let mut schedule = schedule(7);
+    let mut down: Vec<ServerRef> = Vec::new();
+    // Kill without ever repairing: the schedule must stop at the budget
+    // (f1 + f2 = 2 here), never exceed it, and not consume kills while
+    // saturated.
+    while let Some(kill) = schedule.next_kill(&down) {
+        assert!(!down.contains(&kill.server), "re-killed a down server");
+        down.push(kill.server);
+        for layer in [RepairLayer::L1, RepairLayer::L2] {
+            let count = down.iter().filter(|s| s.layer == layer).count();
+            assert!(count <= 1, "budget exceeded on {layer:?}");
+        }
+    }
+    assert_eq!(down.len(), 2);
+    assert_eq!(schedule.kills_emitted(), 2);
+    assert!(!schedule.is_done());
+    // Repair everything: the schedule resumes exactly where it left off.
+    down.clear();
+    assert!(schedule.next_kill(&down).is_some());
+    assert_eq!(schedule.kills_emitted(), 3);
+}
+
+#[test]
+fn gaps_stay_inside_the_configured_window() {
+    let mut schedule = schedule(3);
+    while let Some(kill) = schedule.next_kill(&[]) {
+        assert!((1..=9).contains(&kill.gap_ms));
+    }
+}
+
+#[test]
+fn eventually_touches_both_layers_of_every_cluster() {
+    let mut schedule = schedule(11);
+    let mut seen = HashSet::new();
+    while let Some(kill) = schedule.next_kill(&[]) {
+        seen.insert(kill.server.layer);
+    }
+    assert_eq!(seen.len(), 2, "25 seeded kills should cover both layers");
 }

@@ -21,6 +21,11 @@
 //! The recorder stamps *submission*, not dispatch, so P1 cannot see the
 //! per-key FIFO contract of one client's pipelined operations; the suites
 //! that test that contract still assert it themselves.
+//!
+//! Every seeded suite reads its seed through [`chaos_seed`], so a failure
+//! seen anywhere (CI's fault matrix, a local run) is reproduced by exporting
+//! one environment variable, and holds a [`ReproGuard`] that prints that
+//! one-line command if the test panics.
 
 // Every test binary compiles its own copy of this module and each uses a
 // different part of it.
@@ -358,6 +363,75 @@ impl Workload {
             handle
                 .join()
                 .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
+    }
+}
+
+/// Environment variable overriding the seed of every seeded test.
+pub const CHAOS_SEED_ENV: &str = "LDS_CHAOS_SEED";
+
+/// The seed a seeded test runs with: `LDS_CHAOS_SEED` when set and
+/// parseable (decimal, or hex with an `0x` prefix), otherwise `default`.
+pub fn chaos_seed(default: u64) -> u64 {
+    match std::env::var(CHAOS_SEED_ENV) {
+        Ok(raw) => parse_seed(raw.trim()).unwrap_or(default),
+        Err(_) => default,
+    }
+}
+
+pub fn parse_seed(raw: &str) -> Option<u64> {
+    if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
+    } else {
+        raw.replace('_', "").parse().ok()
+    }
+}
+
+/// Prints a one-line reproduction command if the holding test panics: on a
+/// clean pass it drops silently, on an assertion failure its `Drop` runs
+/// while the thread is panicking and prints the command that re-runs the
+/// failing test with the failing seed. Armed with
+/// [`ReproGuard::with_trace`], the printout also carries the flight
+/// recorder's tail — the last events leading up to the assertion, as JSONL.
+pub struct ReproGuard {
+    seed: u64,
+    test: String,
+    trace: Option<Box<dyn Fn() -> Option<String> + Send>>,
+}
+
+/// Arms a [`ReproGuard`] for the integration test binary named `test`
+/// running with `seed`.
+pub fn repro_guard(seed: u64, test: &str) -> ReproGuard {
+    ReproGuard {
+        seed,
+        test: test.to_string(),
+        trace: None,
+    }
+}
+
+impl ReproGuard {
+    /// Attaches a flight-recorder tail hook, called only if the test
+    /// panics; it returns the tail as JSONL, or `None` when there is
+    /// nothing to dump.
+    pub fn with_trace(mut self, hook: impl Fn() -> Option<String> + Send + 'static) -> ReproGuard {
+        self.trace = Some(Box::new(hook));
+        self
+    }
+}
+
+impl Drop for ReproGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "repro: {}={} cargo test --release --test {} -- --nocapture",
+                CHAOS_SEED_ENV, self.seed, self.test
+            );
+            if let Some(tail) = self.trace.as_ref().and_then(|hook| hook()) {
+                if !tail.is_empty() {
+                    eprintln!("flight recorder tail (JSONL):");
+                    eprint!("{tail}");
+                }
+            }
         }
     }
 }

@@ -4,10 +4,13 @@
 //! within an upper bound).
 
 use lds_core::backend::BackendKind;
-use lds_core::costs;
-use lds_core::params::SystemParams;
-use lds_workload::measure::{measure_costs, CostMeasurement, CostReport, Relation};
-use lds_workload::multi_object::{run_multi_object, MultiObjectConfig};
+use lds_core::costs::{self, CodeCosts};
+use lds_core::generator::ClosedLoopWorkload;
+use lds_core::measure::{measure_costs, CostMeasurement, CostReport, Relation};
+use lds_core::multi_object::{run_multi_object, MultiObjectConfig};
+use lds_core::params::{Profile, SystemParams};
+use lds_core::sim::{SimConfig, Simulation};
+use std::collections::BTreeSet;
 
 fn assert_all_hold(report: &CostReport) {
     for (name, check) in report.checks() {
@@ -130,6 +133,70 @@ fn lemma_v5_temporary_storage_bounded_and_l2_linear_in_objects() {
     // Permanent storage is linear in the number of objects.
     assert_eq!(l2_values[1], 2.0 * l2_values[0], "{l2_values:?}");
     assert_eq!(l2_values[2], 2.0 * l2_values[1], "{l2_values:?}");
+}
+
+/// At quiescence a jittered closed loop leaves what the lemmas say and
+/// nothing more:
+/// * under `PaperFaithful`, L1's temporary storage is empty (every value
+///   was offloaded, so the committed value is ⊥);
+/// * under both profiles, Γ keeps at most one registration per reader and
+///   object on each L1 server (the bound `on_put_tag` argues);
+/// * L2 holds Lemma V.3's framed per-object cost for every object written,
+///   as one element per object on every L2 server.
+#[test]
+fn quiescent_storage_is_the_lemmas_and_nothing_more() {
+    let params = SystemParams::for_failures(1, 1, 2, 3).unwrap(); // n1 = 4, n2 = 5
+    let (writers, readers, value_size) = (2, 2, 96);
+    let per_object = CodeCosts::framed(&params, BackendKind::Mbr, value_size).l2_storage();
+    for profile in [Profile::PaperFaithful, Profile::HighThroughput] {
+        for seed in 0..4u64 {
+            for objects in [1, 3] {
+                let config = SimConfig::new(params).seed(seed).jitter(0.5);
+                let mut sim = Simulation::new(config.profile(profile));
+                for _ in 0..writers {
+                    sim.add_writer();
+                }
+                for _ in 0..readers {
+                    sim.add_reader();
+                }
+                let workload = ClosedLoopWorkload {
+                    writes_per_writer: 3,
+                    reads_per_reader: 3,
+                    value_size,
+                    think_time: 0.5,
+                    objects,
+                    seed,
+                };
+                let report = workload.run(&mut sim);
+                let case = format!("{profile:?}, seed {seed}, {objects} objects");
+                let total = workload.total_ops(writers, readers);
+                assert_eq!(report.history.len(), total, "liveness ({case})");
+
+                if profile == Profile::PaperFaithful {
+                    assert_eq!(sim.l1_storage_bytes(), 0, "L1 temporary storage ({case})");
+                }
+                for server in sim.l1_servers() {
+                    let registered = server.registered_readers();
+                    assert!(
+                        registered <= readers * objects,
+                        "Γ holds {registered} ({case})"
+                    );
+                }
+                let ops = report.history.operations();
+                let written: BTreeSet<_> =
+                    ops.iter().filter(|o| o.is_write()).map(|o| o.obj).collect();
+                assert!(
+                    sim.l2_servers().all(|s| s.object_count() == written.len()),
+                    "{case}"
+                );
+                let l2 = CostMeasurement::equals(
+                    sim.l2_storage_bytes() as f64 / value_size as f64,
+                    written.len() as f64 * per_object,
+                );
+                assert!(l2.holds(), "L2 storage ({case}): {l2:?}");
+            }
+        }
+    }
 }
 
 /// The checks bite: the framing term is all that separates a measurement

@@ -6,21 +6,20 @@
 //! liveness within the `f1`/`f2` failure budget, bounded metadata, and a
 //! self-heal control plane that distinguishes *slow* from *dead*.
 //!
-//! Every test is seeded through `lds_workload::seed::chaos_seed`; on a
+//! Every test is seeded through `common::chaos_seed`; on a
 //! failure the [`repro_guard`] prints the one-line `LDS_CHAOS_SEED=…`
 //! command that replays it. The CI fault matrix rotates seeds and selects
 //! plan families via `LDS_FAULT_PLAN` (see [`fault_matrix_point`]).
 
 mod common;
 
-use common::{profiles, Recorder};
+use common::{chaos_seed, parse_seed, profiles, repro_guard, Recorder};
 use lds_cluster::api::{ObjectId, ServerRef, Store, StoreBuilder};
 use lds_cluster::{
     Endpoint, EventKind, FaultPlan, FaultRule, HealConfig, PartitionDirection, PartitionSpec,
 };
 use lds_core::backend::BackendKind;
 use lds_core::params::SystemParams;
-use lds_workload::seed::{chaos_seed, repro_guard};
 use std::time::{Duration, Instant};
 
 /// Same default seed as the chaos harness, so one exported `LDS_CHAOS_SEED`
@@ -497,4 +496,20 @@ fn a_partitioned_then_killed_server_is_healed_after_the_split() {
         );
     }
     store.shutdown();
+}
+
+#[test]
+fn parses_decimal_hex_and_underscores() {
+    assert_eq!(parse_seed("42"), Some(42));
+    assert_eq!(parse_seed("0xC4A0_5EED"), Some(0xC4A0_5EED));
+    assert_eq!(parse_seed("0Xff"), Some(255));
+    assert_eq!(parse_seed("1_000"), Some(1000));
+    assert_eq!(parse_seed("nope"), None);
+    assert_eq!(parse_seed(""), None);
+}
+
+#[test]
+fn guard_is_silent_on_success() {
+    let _guard = repro_guard(7, "partition");
+    // Dropping without a panic must not print or panic itself.
 }
