@@ -808,6 +808,31 @@ mod tests {
     }
 
     #[test]
+    fn history_is_deterministic_given_seed() {
+        let run = |seed: u64| {
+            let mut sim = Simulation::new(SimConfig::new(small_params()).seed(seed).jitter(0.3));
+            let w = sim.add_writer();
+            let r = sim.add_reader();
+            sim.invoke_write(w, 0.0, b"det".to_vec());
+            sim.invoke_read(r, 10.0);
+            sim.invoke_write(w, 20.0, b"det2".to_vec());
+            sim.invoke_read(r, 20.0);
+            let report = sim.run();
+            report.history.check_atomicity().unwrap();
+            let ops: Vec<_> = report
+                .history
+                .operations()
+                .iter()
+                .map(|o| (o.kind.clone(), o.tag, o.invoked_at, o.completed_at))
+                .collect();
+            (ops, report.metrics.data_bytes_sent())
+        };
+        let first = run(11);
+        assert_eq!(first.0.len(), 4);
+        assert_eq!(first, run(11));
+    }
+
+    #[test]
     fn counters_accumulate() {
         let mut m = NetworkMetrics::default();
         m.record_send("PUT-DATA", 100);
