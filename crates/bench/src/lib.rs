@@ -1,33 +1,29 @@
 //! # lds-bench
 //!
 //! The benchmark harness reproducing every figure and analytical result of
-//! the LDS paper's evaluation (§V), plus the TCP-versus-in-process rows.
-//! See `ARCHITECTURE.md` and `README.md` at the repository root for the
-//! experiment index and the reproduction commands behind the `BENCH_*.json`
-//! files.
+//! the LDS paper's evaluation (§V). See `ARCHITECTURE.md` and `README.md` at
+//! the repository root for the experiment index and the reproduction
+//! command behind `BENCH_REPAIR.json`.
 //!
-//! The **experiment binaries** (`cargo run -p lds-bench --bin exp_*`):
-//! - `exp_paper` — the paper's evaluation as aligned text tables, every row
-//!   checked against `lds_core::costs` (exit status 1 if one breaks):
-//!   communication and storage costs versus `n1` (Lemmas V.2, V.3),
-//!   latencies versus `µ = τ2/τ1` (Lemma V.4), storage versus the number of
-//!   objects (Fig. 6 / Lemma V.5), the MBR / MSR-point ablation (Remarks 1,
-//!   2), the single-layer ABD and CAS algorithms, and online node repair at
-//!   `β/α` of the full-element fallback, recorded into `BENCH_REPAIR.json`;
-//! - `exp_net` — TCP versus in-process rows, recorded into `BENCH_NET.json`.
+//! The **experiment binary** `exp_paper` (`cargo run -p lds-bench --bin
+//! exp_paper`) prints the paper's evaluation as aligned text tables, every
+//! row checked against `lds_core::costs` (exit status 1 if one breaks):
+//! communication and storage costs versus `n1` (Lemmas V.2, V.3), latencies
+//! versus `µ = τ2/τ1` (Lemma V.4), storage versus the number of objects
+//! (Fig. 6 / Lemma V.5), the MBR / MSR-point ablation (Remarks 1, 2), the
+//! single-layer ABD and CAS algorithms, and online node repair at `β/α` of
+//! the full-element fallback, recorded into `BENCH_REPAIR.json`.
 //!
-//! [`threads`] is the per-thread-role CPU and context-switch census
-//! `exp_net` attributes its TCP rows with.
-//!
-//! Timed throughput and latency of the in-process store, and raw code
-//! throughput (encode / decode / repair) and the simulated protocol step,
-//! come from `lds_benchmark` (its workloads and its `gf.*`, `codes.*` and
-//! `core.sim_step_ns` ladder rungs).
+//! Timed throughput and latency of the in-process store and of the TCP
+//! deployment, and raw code throughput (encode / decode / repair) and the
+//! simulated protocol step, come from `lds_benchmark` (its workloads and its
+//! `gf.*`, `codes.*` and `core.sim_step_ns` ladder rungs). What an operation
+//! costs in counts (messages, allocations, system calls, switches, threads
+//! and mesh frames per socket write) is the table of the root test
+//! `tests/counts.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod threads;
 
 use std::fmt::Display;
 
@@ -72,14 +68,14 @@ pub fn fmt3(x: f64) -> String {
 /// Version of the recorded `BENCH_*.json` schema, asserted by the CI smoke
 /// checks and by a CI check over the committed files, so a future change to
 /// the recorded fields fails loudly instead of silently breaking consumers
-/// of the JSON. The `exp_paper` and `exp_net` writers stamp it into
-/// `_meta.schema_version` themselves.
+/// of the JSON. The `exp_paper` writer stamps it into `_meta.schema_version`
+/// itself.
 ///
 /// History: 1 = the original unversioned layout (implicit); 2 = identical
 /// layout plus this explicit stamp; 3 and 4 added workload-axis and
 /// per-phase latency fields to the rows of the in-process throughput sweep,
 /// which has since been deleted (`lds_benchmark` is the one timed harness
-/// for the in-process store). The remaining files carry the stamp forward
+/// for the in-process store). `BENCH_REPAIR.json` carries the stamp forward
 /// unchanged.
 pub const SCHEMA_VERSION: u32 = 4;
 

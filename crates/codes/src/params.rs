@@ -202,16 +202,6 @@ impl CodeParams {
     pub fn storage_overhead_per_node(&self) -> f64 {
         self.alpha as f64 / self.file_size as f64
     }
-
-    /// Repair bandwidth `β / B` per helper, normalised to a value of size 1.
-    pub fn repair_bandwidth_per_helper(&self) -> f64 {
-        self.beta as f64 / self.file_size as f64
-    }
-
-    /// Total repair bandwidth `dβ / B` normalised to a value of size 1.
-    pub fn total_repair_bandwidth(&self) -> f64 {
-        (self.d * self.beta) as f64 / self.file_size as f64
-    }
 }
 
 impl fmt::Display for CodeParams {
@@ -276,16 +266,6 @@ mod tests {
         // RS stores 1/k per node.
         let p = CodeParams::reed_solomon(10, 5).unwrap();
         assert!((p.storage_overhead_per_node() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn repair_bandwidth_ordering() {
-        // For comparable parameters, MBR repair bandwidth (d*beta = alpha) is
-        // much smaller than RS naive repair (k * full share = 1 value).
-        let mbr = CodeParams::mbr(20, 8, 10).unwrap();
-        let rs = CodeParams::reed_solomon(20, 8).unwrap();
-        assert!(mbr.total_repair_bandwidth() < 1.0);
-        assert!((rs.total_repair_bandwidth() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -193,12 +193,6 @@ pub fn l2_storage_bound_multi_object(params: &SystemParams, n_objects: usize) ->
     2.0 * n_objects as f64 * params.n2() as f64 / (params.k() as f64 + 1.0)
 }
 
-/// The threshold on the write rate θ below which permanent storage dominates
-/// (Lemma V.5): `θ << N·n2·k / (n1·µ)`.
-pub fn theta_threshold(params: &SystemParams, n_objects: usize, mu: f64) -> f64 {
-    n_objects as f64 * params.n2() as f64 * params.k() as f64 / (params.n1() as f64 * mu)
-}
-
 /// Link-latency bounds (τ0, τ1, τ2) used by the latency analysis of §V-A.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBounds {
@@ -325,7 +319,6 @@ mod tests {
             l2_storage_bound_multi_object(&p, 10_000)
                 < l1_storage_bound_multi_object(&p, theta, mu)
         );
-        assert!(theta_threshold(&p, 10_000, mu) > theta);
     }
 
     #[test]

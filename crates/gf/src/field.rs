@@ -136,16 +136,6 @@ impl Gf256 {
         Gf256(EXP_TABLE[GROUP_ORDER - log])
     }
 
-    /// Checked multiplicative inverse: `None` for zero.
-    #[inline]
-    pub fn checked_inverse(self) -> Option<Self> {
-        if self.is_zero() {
-            None
-        } else {
-            Some(self.inverse())
-        }
-    }
-
     /// Raises the element to the power `e`.
     ///
     /// `0^0` is defined as `1`.
@@ -357,9 +347,7 @@ mod tests {
         for x in all_elements().skip(1) {
             let inv = x.inverse();
             assert_eq!(x * inv, Gf256::ONE, "x = {x:?}");
-            assert_eq!(x.checked_inverse(), Some(inv));
         }
-        assert_eq!(Gf256::ZERO.checked_inverse(), None);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The [`Matrix`] type implements the operations needed by the product-matrix
 //! regenerating-code constructions and by Reed–Solomon encoding/decoding:
 //! multiplication, transpose, inversion by Gauss–Jordan elimination, rank,
-//! row/column selection, and structured constructors (identity, Vandermonde,
-//! Cauchy).
+//! row/column selection, and structured constructors (identity,
+//! Vandermonde).
 
 use crate::field::Gf256;
 use std::fmt;
@@ -128,25 +128,6 @@ impl Matrix {
         Matrix::from_fn(rows, cols, |r, c| Gf256::exp(r).pow(c))
     }
 
-    /// A Cauchy matrix with entries `1 / (x_r + y_c)` where the `x` and `y`
-    /// sets are disjoint. Every square sub-matrix of a Cauchy matrix is
-    /// invertible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows + cols > 256`.
-    pub fn cauchy(rows: usize, cols: usize) -> Self {
-        assert!(
-            rows + cols <= 256,
-            "Cauchy construction needs rows + cols <= 256"
-        );
-        Matrix::from_fn(rows, cols, |r, c| {
-            let x = Gf256::new(r as u8);
-            let y = Gf256::new((rows + c) as u8);
-            (x + y).inverse()
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -214,21 +195,6 @@ impl Matrix {
         m
     }
 
-    /// Horizontal concatenation `[self | other]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ.
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hconcat requires equal row counts");
-        let mut m = Matrix::zero(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            m.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            m.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        m
-    }
-
     /// Vertical concatenation `[self; other]`.
     ///
     /// # Panics
@@ -252,11 +218,6 @@ impl Matrix {
     /// The transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
-    /// Returns whether the matrix equals its transpose.
-    pub fn is_symmetric(&self) -> bool {
-        self.is_square() && *self == self.transpose()
     }
 
     /// Matrix product `self * rhs`.
@@ -285,65 +246,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Matrix product `self * rhs` written into a caller-provided matrix,
-    /// avoiding the output allocation of [`Matrix::checked_mul`]. `out` is
-    /// overwritten (it does not need to be zeroed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if the inner dimensions or
-    /// the output dimensions do not agree.
-    pub fn mul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), MatrixError> {
-        if self.cols != rhs.rows || out.rows != self.rows || out.cols != rhs.cols {
-            return Err(MatrixError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (rhs.rows, rhs.cols),
-            });
-        }
-        out.data.fill(Gf256::ZERO);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a.is_zero() {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] += a * rhs[(k, c)];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Multiplies the matrix by a column vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[Gf256]) -> Vec<Gf256> {
-        let mut out = vec![Gf256::ZERO; self.rows];
-        self.mul_vec_into(v, &mut out);
-        out
-    }
-
-    /// Multiplies the matrix by a column vector, writing into a
-    /// caller-provided buffer. `out` is overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vec_into(&self, v: &[Gf256], out: &mut [Gf256]) {
-        assert_eq!(v.len(), self.cols, "vector length must equal column count");
-        assert_eq!(out.len(), self.rows, "output length must equal row count");
-        for r in 0..self.rows {
-            let mut acc = Gf256::ZERO;
-            for c in 0..self.cols {
-                acc += self[(r, c)] * v[c];
-            }
-            out[r] = acc;
-        }
     }
 
     /// Gauss–Jordan inversion.
@@ -435,11 +337,6 @@ impl Matrix {
             rank += 1;
         }
         rank
-    }
-
-    /// Returns true if the matrix has full rank.
-    pub fn is_full_rank(&self) -> bool {
-        self.rank() == self.rows.min(self.cols)
     }
 
     fn swap_rows(&mut self, a: usize, b: usize) {
@@ -539,14 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn cauchy_submatrices_invertible() {
-        let c = Matrix::cauchy(6, 4);
-        let sub = c.select_rows(&[1, 2, 4, 5]);
-        assert!(sub.inverse().is_ok());
-        assert_eq!(c.rank(), 4);
-    }
-
-    #[test]
     fn inverse_roundtrip() {
         let m = Matrix::from_bytes(3, 3, &[1, 2, 3, 4, 5, 7, 9, 11, 99]);
         let inv = m.inverse().expect("invertible");
@@ -560,7 +449,6 @@ mod tests {
         let m = Matrix::from_bytes(2, 2, &[1, 2, 1, 2]);
         assert_eq!(m.inverse().unwrap_err(), MatrixError::Singular);
         assert_eq!(m.rank(), 1);
-        assert!(!m.is_full_rank());
     }
 
     #[test]
@@ -594,9 +482,9 @@ mod tests {
         assert_eq!(m.transpose().transpose(), m);
 
         let sym = Matrix::from_bytes(3, 3, &[1, 2, 3, 2, 5, 6, 3, 6, 9]);
-        assert!(sym.is_symmetric());
+        assert_eq!(sym.transpose(), sym);
         let asym = Matrix::from_bytes(3, 3, &[1, 2, 3, 9, 5, 6, 3, 6, 9]);
-        assert!(!asym.is_symmetric());
+        assert_ne!(asym.transpose(), asym);
     }
 
     #[test]
@@ -605,46 +493,6 @@ mod tests {
         let top = m.select_rows(&[0, 1]);
         let bottom = m.select_rows(&[2, 3]);
         assert_eq!(top.vconcat(&bottom), m);
-
-        let left = m.select_cols(&[0]);
-        let right = m.select_cols(&[1]);
-        assert_eq!(left.hconcat(&right), m);
-    }
-
-    #[test]
-    fn mul_into_matches_checked_mul() {
-        let a = Matrix::vandermonde(4, 3);
-        let b = Matrix::vandermonde(3, 5);
-        let mut out = Matrix::from_bytes(4, 5, &[7; 20]);
-        a.mul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.checked_mul(&b).unwrap());
-
-        let mut wrong = Matrix::zero(3, 5);
-        assert!(matches!(
-            a.mul_into(&b, &mut wrong),
-            Err(MatrixError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn mul_vec_into_matches_mul_vec() {
-        let m = Matrix::vandermonde(5, 4);
-        let v: Vec<Gf256> = (1..=4u8).map(Gf256::new).collect();
-        let mut out = vec![Gf256::new(0xEE); 5];
-        m.mul_vec_into(&v, &mut out);
-        assert_eq!(out, m.mul_vec(&v));
-    }
-
-    #[test]
-    fn mul_vec_matches_matrix_mul() {
-        let m = Matrix::vandermonde(4, 3);
-        let v = vec![Gf256::new(9), Gf256::new(17), Gf256::new(200)];
-        let as_col = Matrix::from_vec(3, 1, v.clone());
-        let expected = &m * &as_col;
-        let got = m.mul_vec(&v);
-        for r in 0..4 {
-            assert_eq!(got[r], expected[(r, 0)]);
-        }
     }
 
     #[test]

@@ -451,11 +451,19 @@ fn a_partitioned_then_killed_server_is_healed_after_the_split() {
     }
 
     // The partition starts and the victim's beats go stale: suspicion fires.
+    // A host stall can raise a suspicion before the partition window opens,
+    // so the wait also ends only once the split has dropped a message.
     let suspect_deadline = Instant::now() + Duration::from_secs(5);
-    while admin.metrics().heal_suspicions_raised == 0 {
+    loop {
+        let m = admin.metrics();
+        if m.heal_suspicions_raised > 0 && m.transport_faults.partitioned > 0 {
+            break;
+        }
         assert!(
             Instant::now() < suspect_deadline,
-            "the partition never made L1(0) suspect"
+            "the partition never made L1(0) suspect: {} suspicions, {} partitioned messages",
+            m.heal_suspicions_raised,
+            m.transport_faults.partitioned
         );
         std::thread::sleep(Duration::from_millis(10));
     }
