@@ -21,9 +21,14 @@
 //! costs in counts (messages, allocations, system calls, switches, threads
 //! and mesh frames per socket write) is the table of the root test
 //! `tests/counts.rs`.
+//!
+//! [`threads`] is the per-thread-role census that table reads its thread and
+//! voluntary-switch rows from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod threads;
 
 use std::fmt::Display;
 

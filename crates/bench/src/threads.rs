@@ -39,7 +39,7 @@ pub struct RoleUsage {
 }
 
 /// A thread name without the `-<digits>` (or bare digits) it ends in.
-fn role_of(comm: &str) -> &str {
+pub fn role_of(comm: &str) -> &str {
     let role = comm
         .trim_end_matches(|c: char| c.is_ascii_digit())
         .trim_end_matches('-');
